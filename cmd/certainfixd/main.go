@@ -94,6 +94,7 @@ import (
 )
 
 func main() {
+	began := time.Now()
 	var (
 		rulesPath  = flag.String("rules", "", "rules file (schema headers + rule DSL)")
 		masterPath = flag.String("master", "", "master relation CSV")
@@ -158,6 +159,10 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "certainfixd: serving on %s (|Dm| = %d, epoch %d)\n",
 		*addr, sys.MasterLen(), sys.MasterEpoch())
+	// The remainder of the total is reading the rules and the master CSV.
+	boot := sys.BootTimings()
+	fmt.Fprintf(os.Stderr, "certainfixd: boot %.3fs (master build/load %.3fs, region derivation %.3fs)\n",
+		time.Since(began).Seconds(), boot.Master.Seconds(), boot.Regions.Seconds())
 	if st, ok := sys.Durability(); ok {
 		fmt.Fprintf(os.Stderr,
 			"certainfixd: durable lineage %s (checkpoint epoch %d, replayed %d, torn bytes %d)\n",

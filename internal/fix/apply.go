@@ -1,6 +1,8 @@
 package fix
 
 import (
+	"slices"
+
 	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -56,25 +58,33 @@ func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet re
 	return out
 }
 
-// ApplicableAssignments groups the applicable pairs of t by rhs attribute
-// and collects, per attribute, the distinct values the pairs would assign.
-// Two distinct values for one attribute is the step-(e) conflict of the
+// ApplicableAssignments collects, per rhs attribute, the distinct values
+// the pairs applicable to t would assign (rule order, then smallest master
+// id) — one value probe per applicable rule, no pair enumeration. Two
+// distinct values for one attribute is the step-(e) conflict of the
 // Theorem-4 checking algorithm.
 func ApplicableAssignments(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) map[int][]relation.Value {
 	out := map[int][]relation.Value{}
-	for _, p := range ApplicablePairs(sigma, dm, t, zSet) {
-		b := p.Rule.RHS()
-		v := dm.Tuple(p.MasterID)[p.Rule.RHSM()]
-		dup := false
-		for _, w := range out[b] {
-			if w.Equal(v) {
-				dup = true
-				break
-			}
+	for _, ru := range sigma.Rules() {
+		if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) {
+			continue
 		}
-		if !dup {
-			out[b] = append(out[b], v)
+		if vs := dm.RHSValues(ru, t); len(vs) > 0 {
+			if cur, ok := out[ru.RHS()]; ok {
+				vs = appendDistinct(cur, vs)
+			}
+			out[ru.RHS()] = vs
 		}
 	}
 	return out
+}
+
+// appendDistinct appends the values of vs not already in values.
+func appendDistinct(values, vs []relation.Value) []relation.Value {
+	for _, v := range vs {
+		if !slices.Contains(values, v) {
+			values = append(values, v)
+		}
+	}
+	return values
 }

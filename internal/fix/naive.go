@@ -18,10 +18,11 @@ func NaiveFix(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet *relation
 			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || !ru.MatchesPattern(t) {
 				continue
 			}
-			if len(dm.RHSValues(ru, t)) == 0 {
+			own := dm.RHSValues(ru, t)
+			if len(own) == 0 {
 				continue
 			}
-			values := certainValues(sigma, dm, t, *zSet, ru.RHS())
+			values := certainValues(sigma, dm, t, *zSet, ru, own)
 			if len(values) > 1 {
 				return fixed, &ConflictError{Attr: ru.RHS(), Values: values}
 			}

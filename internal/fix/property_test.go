@@ -1,10 +1,12 @@
 package fix_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/pattern"
@@ -176,4 +178,117 @@ func TestExploreTerminalStatesAreFixpoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pairsAssignments is ApplicableAssignments the way it was first written:
+// enumerate every applicable (rule, master tuple) pair and group the
+// values. It is the oracle the probe-per-rule implementation is held to.
+func pairsAssignments(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) map[int][]relation.Value {
+	out := map[int][]relation.Value{}
+	for _, p := range fix.ApplicablePairs(sigma, dm, t, zSet) {
+		b := p.Rule.RHS()
+		v := dm.Tuple(p.MasterID)[p.Rule.RHSM()]
+		dup := false
+		for _, w := range out[b] {
+			dup = dup || w.Equal(v)
+		}
+		if !dup {
+			out[b] = append(out[b], v)
+		}
+	}
+	return out
+}
+
+func checkAssignments(t *testing.T, ctx string, sigma *rule.Set, dm *master.Data, tup relation.Tuple, zSet relation.AttrSet) {
+	t.Helper()
+	got, want := fix.ApplicableAssignments(sigma, dm, tup, zSet), pairsAssignments(sigma, dm, tup, zSet)
+	if len(got) != len(want) {
+		t.Fatalf("%s: ApplicableAssignments = %v, pairs oracle %v", ctx, got, want)
+	}
+	for b, ws := range want {
+		if gs := got[b]; !relation.Tuple(gs).Equal(ws) {
+			t.Fatalf("%s: attribute %d: ApplicableAssignments = %v, pairs oracle %v (order matters)", ctx, b, gs, ws)
+		}
+	}
+}
+
+// TestApplicableAssignmentsMatchesPairsOracle: on random instances — tiny
+// domains, so same-key/different-rhs buckets are the norm — advanced
+// through random deltas, the assignments equal the pair enumeration's,
+// value order included.
+func TestApplicableAssignmentsMatchesPairsOracle(t *testing.T) {
+	for seed := 0; seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(int64(11_000_000 + seed)))
+		sigma, dm, tup, zSet := randomFixInstance(rng)
+		for epoch := 0; epoch < 4; epoch++ {
+			checkAssignments(t, fmt.Sprintf("seed %d epoch %d", seed, epoch), sigma, dm, tup, zSet)
+			add := dm.Tuple(rng.Intn(dm.Len())).Clone()
+			add[rng.Intn(len(add))] = relation.String([]string{"a", "b"}[rng.Intn(2)])
+			var err error
+			if dm, err = dm.ApplyDelta([]relation.Tuple{add}, []int{rng.Intn(dm.Len())}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFixOverStormMatchesOracles drives HOSP through datagen.UpdateStorm —
+// corrupted clones of master rows, the dirt that lists buckets in the
+// exception tables — and at every epoch holds ApplicableAssignments to the
+// pairs oracle on each input's closure states, and every TransFixTrace
+// witness to the smallest matching master id of the rule that fired.
+func TestFixOverStormMatchesOracles(t *testing.T) {
+	ds, err := datagen.Hosp(datagen.Config{Seed: 3, MasterSize: 400, Tuples: 40, DupRate: 0.5, NoiseRate: 0.2, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := rule.NewDepGraph(ds.Sigma)
+	dm := ds.Master
+	storm := datagen.UpdateStorm(ds, 5, 12, 6, 2)
+	listed := 0
+	for epoch := 0; ; epoch++ {
+		for i, truth := range ds.Truths {
+			ctx := fmt.Sprintf("epoch %d input %d", epoch, i)
+			tup := ds.Inputs[i].Clone()
+			var zSet relation.AttrSet
+			for _, name := range []string{"id", "mCode"} {
+				p, _ := ds.Sigma.Schema().Pos(name)
+				tup[p] = truth[p]
+				zSet.Add(p)
+			}
+			checkAssignments(t, ctx, ds.Sigma, dm, tup, zSet)
+			var trace []fix.Witness
+			_, err := fix.TransFixTrace(g, dm, tup, &zSet, &trace)
+			var ce *fix.ConflictError
+			if err != nil && !errors.As(err, &ce) {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			for _, w := range trace {
+				ru := ruleNamed(ds.Sigma, w.Rule)
+				if ids := dm.MatchIDs(ru, tup); len(ids) == 0 || ids[0] != w.MasterID {
+					t.Fatalf("%s: witness of %s is master %d, smallest match of %v", ctx, w.Rule, w.MasterID, ids)
+				}
+			}
+			checkAssignments(t, ctx+" after TransFix", ds.Sigma, dm, tup, zSet)
+		}
+		listed += dm.MemStats().NonUniformBuckets
+		if epoch == len(storm) {
+			break
+		}
+		if dm, err = dm.ApplyDelta(storm[epoch].Adds, storm[epoch].Deletes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if listed == 0 {
+		t.Fatal("the storm listed no bucket: the slow path went untested")
+	}
+}
+
+func ruleNamed(sigma *rule.Set, name string) *rule.Rule {
+	for _, ru := range sigma.Rules() {
+		if ru.Name() == name {
+			return ru
+		}
+	}
+	panic("no rule " + name)
 }

@@ -44,10 +44,10 @@ type Witness struct {
 	Attr int
 	// Rule is the name of the editing rule that fired.
 	Rule string
-	// MasterID is the id (at the fix's epoch) of a master tuple matching
-	// the rule against the tuple's validated premise. Any match works as a
-	// witness: TransFix only fixes when every applicable rule/master pair
-	// agrees on the value, so every match carries it.
+	// MasterID is the smallest id (at the fix's epoch) of a master tuple
+	// matching the rule against the tuple's validated premise. Any match
+	// would do as a witness: TransFix only fixes when every applicable
+	// rule/master pair agrees on the value, so every match carries it.
 	MasterID int
 }
 
@@ -74,9 +74,9 @@ func TransFix(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *relatio
 
 // TransFixTrace is TransFix with provenance: when trace is non-nil, one
 // Witness is appended per fixed attribute, naming the rule that fired and
-// a master tuple that supplied the value. The fix itself is identical —
-// the witness is read off the match set TransFix already consults, at no
-// extra probing.
+// the smallest-id master tuple that supplied the value. The fix itself is
+// identical — the witness comes out of the one probe the firing rule
+// makes.
 func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *relation.AttrSet, trace *[]Witness) ([]int, error) {
 	sigma := g.Set()
 	n := sigma.Len()
@@ -100,21 +100,23 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 		state[v] = nodeDone
 		rv := sigma.Rule(v)
 
-		if !zSet.Has(rv.RHS()) && rv.MatchesPattern(t) && dm.HasMatch(rv, t) {
-			values := certainValues(sigma, dm, t, *zSet, rv.RHS())
-			if len(values) > 1 {
-				return fixed, &ConflictError{Attr: rv.RHS(), Values: values}
+		if !zSet.Has(rv.RHS()) {
+			// One probe of rv answers all three questions: does it apply
+			// (any value), to what (the values), and on whose evidence (the
+			// witness — rv applies, so each of its matches carries one of
+			// the values, and a fix happens only when there is exactly one).
+			if own, witness := dm.RHSValuesWitness(rv, t); len(own) > 0 {
+				values := certainValues(sigma, dm, t, *zSet, rv, own)
+				if len(values) > 1 {
+					return fixed, &ConflictError{Attr: rv.RHS(), Values: values}
+				}
+				if trace != nil {
+					*trace = append(*trace, Witness{Attr: rv.RHS(), Rule: rv.Name(), MasterID: witness})
+				}
+				t[rv.RHS()] = values[0]
+				zSet.Add(rv.RHS())
+				fixed = append(fixed, rv.RHS())
 			}
-			if trace != nil {
-				// Any master match of rv witnesses the value: rv is
-				// applicable here, so each of its matches contributes its
-				// RHSM cell to values — and values has exactly one element.
-				ids := dm.MatchIDs(rv, t)
-				*trace = append(*trace, Witness{Attr: rv.RHS(), Rule: rv.Name(), MasterID: ids[0]})
-			}
-			t[rv.RHS()] = values[0]
-			zSet.Add(rv.RHS())
-			fixed = append(fixed, rv.RHS())
 		}
 
 		// Lines 9–15: examine successors of v.
@@ -140,27 +142,24 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 
 // certainValues collects the distinct values that currently-applicable
 // rules (premise validated, pattern matched, master match found) would
-// assign to attribute b. More than one value is a consistency violation at
-// the current state; TransFix and NaiveFix refuse to pick among them.
-// Rules whose premise is not yet validated do not participate — ordering
-// conflicts across states are the checkers' concern (§4), not the fixer's.
-func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, b int) []relation.Value {
+// assign to attribute fired.RHS(), in rule order; own are the values of
+// the rule that fired, already probed by the caller. More than one value
+// is a consistency violation at the current state; TransFix and NaiveFix
+// refuse to pick among them. Rules whose premise is not yet validated do
+// not participate — ordering conflicts across states are the checkers'
+// concern (§4), not the fixer's.
+func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value) []relation.Value {
+	peers := sigma.RulesFixing(fired.RHS())
+	if len(peers) == 1 {
+		return own
+	}
 	var values []relation.Value
-	for _, ru := range sigma.RulesFixing(b) {
-		if !zSet.ContainsSet(ru.PremiseSet()) || !ru.MatchesPattern(t) {
-			continue
-		}
-		for _, v := range dm.RHSValues(ru, t) {
-			dup := false
-			for _, w := range values {
-				if w.Equal(v) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				values = append(values, v)
-			}
+	for _, ru := range peers {
+		switch {
+		case ru == fired:
+			values = appendDistinct(values, own)
+		case zSet.ContainsSet(ru.PremiseSet()):
+			values = appendDistinct(values, dm.RHSValues(ru, t))
 		}
 	}
 	return values

@@ -241,7 +241,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		}
 		b.align8()
 		for s := range idx.shards {
-			writeBucketTable(b, &idx.shards[s])
+			writeBucketTable(b, &idx.shards[s].layered)
 		}
 	}
 

@@ -28,6 +28,7 @@ import (
 	"unsafe"
 
 	"repro/internal/authtree"
+	"repro/internal/parallel"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -308,8 +309,17 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 					Msg: fmt.Sprintf("rule %s: no posting list over column %d in snapshot", ru.Name(), col)}
 			}
 		}
+		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
 		d.compat[ru] = cp
+	}
+	// Exception tables are not stored: they are recomputed from the decoded
+	// buckets and tuples, so a probe trusts only what this pass verified.
+	if _, err := parallel.Map(nshards, 0, func(s int) (struct{}, error) {
+		d.rebuildExceptions(s)
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, err // unreachable: the rebuild cannot fail
 	}
 
 	// Auth (version 2 only): when the flag is set, rebuild the Merkle
@@ -480,7 +490,7 @@ func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
 		xm[i] = r.count(uint64(r.u32()), arity-1, "index Xm position")
 	}
 	r.align8()
-	idx := &index{xm: xm, shards: make([]layered[uint64, int], nshards)}
+	idx := newIndex(xm, nshards)
 	for s := 0; s < nshards; s++ {
 		start := r.off
 		nslots := r.count(r.u64(), len(r.b)/16, "bucket slot count")

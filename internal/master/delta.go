@@ -197,6 +197,14 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		}
 	}
 
+	// The tuple slice is final once planning ends; the shard ops read the
+	// new relation to keep the exception tables exact.
+	rel, err := relation.FromTuples(d.rel.Schema(), tuples)
+	if err != nil {
+		return nil, err // unreachable: adds were validated above
+	}
+	nd.rel = rel
+
 	// Apply: per-shard op lists touch disjoint maps, so a large delta
 	// fans the shards out across CPUs.
 	totalOps := len(del) + len(adds)
@@ -219,18 +227,26 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for _, cp := range nd.compat {
 		cp.patBits = cp.patBits[:fwords]
 	}
-	rel, err := relation.FromTuples(d.rel.Schema(), tuples)
-	if err != nil {
-		return nil, err // unreachable: adds were validated above
-	}
-	nd.rel = rel
 	return nd, nil
 }
 
 // applyShardOps runs one shard's planned mutations in order. Ops touch
 // only shard s's layered maps, so distinct shards may run concurrently;
 // the symbol table is read-only here (interning happened at plan time).
+//
+// Exception tables (uniform.go) follow the buckets: an append compares the
+// new tuple with the bucket's smallest id — the shard's deletes and renames
+// precede its appends, so bucket ids are final by then; a delete from a
+// listed bucket may have removed the disagreement, so the bucket is
+// rescanned once the shard's ops are done; a rename keeps the bucket's
+// tuple set and needs nothing.
 func (nd *Data) applyShardOps(s int, ops []shardOp) {
+	type bucketRef struct {
+		idx *index
+		h   uint64
+	}
+	var buf [8]bucketRef
+	rescan := buf[:0]
 	for _, op := range ops {
 		switch op.kind {
 		case opUnindex:
@@ -238,6 +254,9 @@ func (nd *Data) applyShardOps(s int, ops []shardOp) {
 				if h, ok := nd.hasher.HashTuple(op.t, idx.xm); ok {
 					l := &idx.shards[s]
 					l.set(h, removeID(l.get(h), op.id))
+					if l.exc.mask(h) != 0 {
+						rescan = append(rescan, bucketRef{idx, h})
+					}
 				}
 			}
 			for _, ps := range nd.postings {
@@ -263,7 +282,13 @@ func (nd *Data) applyShardOps(s int, ops []shardOp) {
 			for _, idx := range nd.indexes {
 				if h, ok := nd.hasher.HashTuple(op.t, idx.xm); ok {
 					l := &idx.shards[s]
-					l.set(h, appendID(l.get(h), op.id))
+					bucket := l.get(h)
+					if len(bucket) > 0 {
+						if m := idx.disagree(nd.rel.Tuple(bucket[0]), op.t); m != 0 {
+							l.exc = l.exc.with(h, l.exc.mask(h)|m)
+						}
+					}
+					l.set(h, appendID(bucket, op.id))
 				}
 			}
 			for _, ps := range nd.postings {
@@ -273,6 +298,12 @@ func (nd *Data) applyShardOps(s int, ops []shardOp) {
 				}
 			}
 		}
+	}
+	for _, r := range rescan {
+		// The maintained mask never misses a disagreement, so it bounds the
+		// scan: a bucket that is still as dirty answers in a few tuples.
+		sh := &r.idx.shards[s]
+		sh.exc = sh.exc.with(r.h, r.idx.bucketMask(sh.get(r.h), nd.rel, sh.exc.mask(r.h)))
 	}
 }
 

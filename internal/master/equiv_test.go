@@ -2,8 +2,8 @@ package master
 
 // Test-side equivalence oracle for the versioned master: checkEquiv
 // asserts a snapshot reached through a chain of ApplyDelta calls is
-// deep-equal — indexes, posting lists, pattern-support bitmaps, probe
-// plans — to MustNewForRules run from scratch on the snapshot's
+// deep-equal — indexes, exception tables, posting lists, pattern-support
+// bitmaps, probe plans — to MustNewForRules run from scratch on the snapshot's
 // materialized relation with the same shard count. Interned value ids
 // (and therefore raw uint64 bucket keys) are the one representation
 // detail allowed to differ: a delta chain interns values in historical
@@ -105,6 +105,16 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		if gs, ws := gidx.size(), widx.size(); gs != ws {
 			t.Fatalf("%s: index %v holds %d ids, rebuild %d", ctx, widx.xm, gs, ws)
 		}
+		if !eqInts(gidx.bms, widx.bms) {
+			t.Fatalf("%s: index %v tracks rhs columns %v, rebuild %v", ctx, widx.xm, gidx.bms, widx.bms)
+		}
+		for s := range widx.shards {
+			// Equal lengths plus the per-tuple mask comparison below make
+			// the tables equal entry for entry (raw keys may differ).
+			if g, w := len(gidx.shards[s].exc), len(widx.shards[s].exc); g != w {
+				t.Fatalf("%s: index %v shard %d lists %d exceptions, rebuild %d", ctx, widx.xm, s, g, w)
+			}
+		}
 		for id := 0; id < n; id++ {
 			tm := got.Tuple(id)
 			s := got.shardOf(tm)
@@ -118,6 +128,9 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 			}
 			if gb, wb := gidx.shards[s].get(gh), widx.shards[s].get(wh); !eqInts(gb, wb) {
 				t.Fatalf("%s: index %v shard %d bucket for tuple %d = %v, rebuild %v", ctx, widx.xm, s, id, gb, wb)
+			}
+			if gm, wm := gidx.shards[s].exc.mask(gh), widx.shards[s].exc.mask(wh); gm != wm {
+				t.Fatalf("%s: index %v shard %d exception mask for tuple %d = %#x, rebuild %#x", ctx, widx.xm, s, id, gm, wm)
 			}
 			// Routing invariant: the id appears in its own shard's bucket
 			// and in no other shard's.

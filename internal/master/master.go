@@ -5,13 +5,30 @@
 // that stores tm[Xm] as a key" — this package provides exactly that.
 //
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
-// (relation.Symbols / relation.Hasher), so the hot probe path — MatchIDs,
-// Lookup, RHSValues on an indexed Xm — performs zero heap allocations: one
-// hash fold, one map lookup per shard, one bucket walk verifying
-// candidates against the stored tuples (hash equality alone does not
-// prove projection equality). Per-rule probe plans are resolved once at
-// NewForRules time, so a probe does not rebuild position lists or
-// registry keys.
+// (relation.Symbols / relation.Hasher); a bucket holds the ascending ids
+// of the tuples whose Xm projection hashes to its key, per shard. Per-rule
+// probe plans are resolved once at NewForRules time, so a probe does not
+// rebuild position lists or registry keys. There are two kinds of probe:
+//
+//   - Value probes — RHSValues, RHSValuesWitness, FirstMatchID, FirstMatch
+//     — answer "which values tm[Bm] does the rule assign, and which master
+//     tuple witnesses it" in O(shards), not O(matches). They rest on one
+//     invariant: the paper assumes Dm is consistent (§2), i.e. every rule
+//     is a function on the master, so all tuples of a bucket share the Xm
+//     projection and agree on the rule's Bm. Such a bucket is UNIFORM and
+//     its smallest id, bucket[0], answers for all of it: one hash fold,
+//     one bucket lookup per shard, one verification of t[X] against
+//     bucket[0]. The buckets that break the invariant — a 64-bit hash
+//     collision, a dirty master — are listed in small per-shard exception
+//     tables (uniform.go), empty on a consistent master; a listed bucket
+//     is scanned exactly. MemStats.NonUniformBuckets counts them.
+//   - Enumerating probes — MatchIDs, Lookup — return every matching id,
+//     verifying each candidate against the stored tuple (hash equality
+//     alone does not prove projection equality). They never consult the
+//     exception tables, allocate only when matches straddle shards, and
+//     serve the callers that need the pairs themselves: Explore,
+//     ApplicablePairs, the naive oracles, and the tests that hold the
+//     value probes to a scan.
 //
 // Beyond the full-key indexes, NewForRules builds the inverted-postings
 // layer of postings.go: per-column posting lists and per-rule
@@ -23,19 +40,20 @@
 // partitioned into P hash shards (see shard.go): tuples route to shards
 // by an interning-free hash of their full content, NewForRules fills the
 // shards in parallel, ApplyDelta routes maintenance to the owning shard,
-// and probes fan out with early exit. Tuple ids stay global, so probe
-// results are byte-identical for every P. Configure with WithShards /
-// WithBuildWorkers; the default is one shard per CPU.
+// and probes visit each shard's bucket for the key. Tuple ids stay global,
+// so probe results are byte-identical for every P. Configure with
+// WithShards / WithBuildWorkers; the default is one shard per CPU.
 //
 // The paper assumes master data is consistent, complete and static (§2,
 // citing [31]). A production service cannot stop the world to re-run
 // NewForRules whenever the master relation gains a correction, so this
 // package versions Dm instead of freezing it: a *Data is an immutable,
 // epoch-stamped SNAPSHOT, and ApplyDelta derives the next snapshot by
-// copy-on-write — indexes, posting lists and pattern-support bitmaps are
-// maintained incrementally (shared base layers plus small per-snapshot,
-// per-shard overlays) rather than rebuilt. The Versioned handle publishes
-// the current snapshot through an atomic pointer.
+// copy-on-write — indexes, exception tables, posting lists and
+// pattern-support bitmaps are maintained incrementally (shared base layers
+// plus small per-snapshot, per-shard overlays) rather than rebuilt. The
+// Versioned handle publishes the current snapshot through an atomic
+// pointer.
 //
 // Concurrency contract:
 //
@@ -60,7 +78,7 @@ package master
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/authtree"
 	"repro/internal/relation"
@@ -70,18 +88,33 @@ import (
 // index is one hash index over an Xm position list: bucket ids keyed on
 // the uint64 projection hash, partitioned into one copy-on-write layered
 // map per shard (see overlay.go, shard.go). Buckets hold ascending tuple
-// ids, so probe results are deterministic.
+// ids, so probe results are deterministic and a bucket's smallest id is
+// bucket[0]. Beside its buckets each shard lists the ones that are not
+// uniform (see uniform.go); bms are the rhs columns uniformity is tracked
+// on.
 type index struct {
 	xm     []int
-	shards []layered[uint64, int]
+	bms    []int
+	shards []indexShard
+}
+
+type indexShard struct {
+	layered[uint64, int]
+	exc exceptions
+}
+
+func newIndex(xm []int, nshards int) *index {
+	return &index{xm: xm, shards: make([]indexShard, nshards)}
 }
 
 // fork derives the next snapshot's view of the index: every shard layer
 // forks independently, so overlay growth and compaction stay shard-local.
+// Exception tables are immutable slices, shared until a delta rewrites one.
 func (idx *index) fork() *index {
-	ni := &index{xm: idx.xm, shards: make([]layered[uint64, int], len(idx.shards))}
+	ni := newIndex(idx.xm, len(idx.shards))
+	ni.bms = idx.bms
 	for s := range idx.shards {
-		ni.shards[s] = idx.shards[s].fork()
+		ni.shards[s] = indexShard{idx.shards[s].layered.fork(), idx.shards[s].exc}
 	}
 	return ni
 }
@@ -173,6 +206,7 @@ func NewForRules(rel *relation.Relation, sigma *rule.Set, opts ...BuildOption) (
 	d := newData(rel, cfg.shards)
 	for _, ru := range sigma.Rules() {
 		idx, _ := d.registerIndex(ru.LHSMRef())
+		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
 		d.compat[ru] = d.registerCompatPlan(ru)
 	}
@@ -230,6 +264,9 @@ func (d *Data) buildIndex(xm []int) *index {
 		s := d.shardOf(tm)
 		idx.shards[s].base[h] = append(idx.shards[s].base[h], i)
 	}
+	for s := range idx.shards {
+		idx.rebuildExceptions(s, d.rel)
+	}
 	return idx
 }
 
@@ -256,84 +293,67 @@ func eqPos(a, b []int) bool {
 	return true
 }
 
-// probe walks the buckets for t's projection hash on x across all shards,
-// verifying every candidate against the stored tuple (collision check).
-// The common case — every match in one shard, which includes all
-// single-match probes — returns that shard's bucket slice without
-// copying; a merged slice is allocated only when matches straddle shards
-// (duplicate projections in Dm) or a hash collision is actually observed.
+// probe returns the ids of the tuples in idx matching t's projection on x
+// (ascending, every candidate verified); see fanOutProbe for aliasing.
 func (d *Data) probe(idx *index, t relation.Tuple, x []int) []int {
 	h, ok := d.hasher.HashTuple(t, x)
 	if !ok {
 		return nil // some probe value never occurs in the indexed columns
-	}
-	if d.nshards == 1 {
-		bucket := idx.shards[0].get(h)
-		for i, id := range bucket {
-			if !t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
-				return filterBucket(bucket, i, func(id int) bool {
-					return t.ProjectMatches(x, d.rel.Tuple(id), idx.xm)
-				})
-			}
-		}
-		return bucket
 	}
 	return fanOutProbe(idx, h, func(id int) bool {
 		return t.ProjectMatches(x, d.rel.Tuple(id), idx.xm)
 	})
 }
 
-// fanOutProbe is the multi-shard probe shared by probe and Lookup: walk
-// every shard's bucket for h, verifying candidates with match. The
-// common case — all matches in one shard — returns that shard's
-// (possibly collision-filtered) bucket without merging; matches
-// straddling shards are collected and restored to the global ascending
+// fanOutProbe is the enumerate-all probe shared by MatchIDs and Lookup:
+// walk every shard's bucket for h, verifying each candidate exactly once
+// with match (hash equality alone does not prove projection equality). The
+// common case — all matches in one shard, which includes every
+// single-match probe — returns that shard's bucket without copying; a
+// collision-filtered bucket is a fresh slice, and matches straddling
+// shards are merged into one exactly-sized slice in the global ascending
 // order the P=1 layout produces.
 func fanOutProbe(idx *index, h uint64, match func(id int) bool) []int {
-	var single []int
-	hits := 0
+	var buf [8][]int
+	parts, total := buf[:0], 0
 	for s := range idx.shards {
 		bucket := idx.shards[s].get(h)
-		if len(bucket) == 0 {
-			continue
-		}
-		clean := true
-		for _, id := range bucket {
+		for i, id := range bucket {
 			if !match(id) {
-				clean = false
+				bucket = filterBucket(bucket, i, match)
 				break
 			}
 		}
-		if !clean {
-			bucket = filterBucket(bucket, 0, match)
-			if len(bucket) == 0 {
-				continue
+		if len(bucket) > 0 {
+			parts = append(parts, bucket)
+			total += len(bucket)
+		}
+	}
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	// k-way merge of the ascending per-shard buckets: O(total·k), with k
+	// the few shards a duplicated projection actually lands in.
+	out := make([]int, 0, total)
+	for len(out) < total {
+		best := -1
+		for p, b := range parts {
+			if len(b) > 0 && (best < 0 || b[0] < parts[best][0]) {
+				best = p
 			}
 		}
-		hits++
-		single = bucket
-		if hits > 1 {
-			break
-		}
+		out = append(out, parts[best][0])
+		parts[best] = parts[best][1:]
 	}
-	if hits <= 1 {
-		return single
-	}
-	var out []int
-	for s := range idx.shards {
-		for _, id := range idx.shards[s].get(h) {
-			if match(id) {
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 
-// filterBucket handles the cold collision path shared by probe and Lookup:
-// bucket[:i] is the already-verified prefix, and match re-verifies the
-// remainder (skipping the known mismatch at i).
+// filterBucket handles the cold collision path: bucket[:i] is the
+// already-verified prefix, and match verifies the remainder (skipping the
+// known mismatch at i).
 func filterBucket(bucket []int, i int, match func(id int) bool) []int {
 	out := append([]int(nil), bucket[:i]...)
 	for _, id := range bucket[i+1:] {
@@ -355,17 +375,6 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 		h, ok := d.hasher.HashValues(values)
 		if !ok {
 			return nil
-		}
-		if d.nshards == 1 {
-			bucket := idx.shards[0].get(h)
-			for i, id := range bucket {
-				if !valuesMatch(values, d.rel.Tuple(id), idx.xm) {
-					return filterBucket(bucket, i, func(id int) bool {
-						return valuesMatch(values, d.rel.Tuple(id), idx.xm)
-					})
-				}
-			}
-			return bucket
 		}
 		return fanOutProbe(idx, h, func(id int) bool {
 			return valuesMatch(values, d.rel.Tuple(id), idx.xm)
@@ -389,20 +398,28 @@ func valuesMatch(values []relation.Value, tm relation.Tuple, xm []int) bool {
 	return true
 }
 
-// MatchIDs returns the ids of master tuples tm with t[X] = tm[Xm] for the
-// rule's (X, Xm) correspondence. It does not test the rule's pattern
-// (patterns constrain t, not tm). Indexed probes are allocation-free
-// unless the matches straddle shards; the returned slice may alias
-// internal index state — treat it as read-only.
+// indexFor resolves ru's probe plan: the plan map for the rules of Σ, the
+// position-list registry for refined rules; nil when Xm is unindexed.
+func (d *Data) indexFor(ru *rule.Rule) *index {
+	if idx, ok := d.plans[ru]; ok {
+		return idx
+	}
+	return d.findIndex(ru.LHSMRef())
+}
+
+// MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
+// the rule's (X, Xm) correspondence, ascending — the enumerate-all probe,
+// O(matches). It does not test the rule's pattern (patterns constrain t,
+// not tm). Indexed probes are allocation-free unless the matches straddle
+// shards; the returned slice may alias internal index state — treat it as
+// read-only. Callers that need only the rhs values or one witness use
+// RHSValues / FirstMatchID, which do not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHSRef()
-	if idx, ok := d.plans[ru]; ok {
+	if idx := d.indexFor(ru); idx != nil {
 		return d.probe(idx, t, x)
 	}
 	xm := ru.LHSMRef()
-	if idx := d.findIndex(xm); idx != nil {
-		return d.probe(idx, t, x)
-	}
 	var out []int
 	for i, tm := range d.rel.Tuples() {
 		if t.ProjectMatches(x, tm, xm) {
@@ -413,36 +430,49 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 }
 
 // HasMatch reports whether some master tuple matches t on the rule's
-// (X, Xm) correspondence. Indexed probes walk the per-shard buckets with
-// early exit (never merging); the unindexed fallback returns at the first
-// matching tuple instead of materializing the full id list.
+// (X, Xm) correspondence (pattern not tested).
 func (d *Data) HasMatch(ru *rule.Rule, t relation.Tuple) bool {
+	_, ok := d.FirstMatchID(ru, t)
+	return ok
+}
+
+// FirstMatchID returns the smallest id of a master tuple matching t on
+// the rule's (X, Xm) correspondence (pattern not tested), ok=false when
+// none does. Allocation-free and O(shards) on an index: each shard's
+// bucket is decided by its smallest id unless the exception table records
+// a collision in it.
+func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 	x := ru.LHSRef()
-	idx, ok := d.plans[ru]
-	if !ok {
-		idx = d.findIndex(ru.LHSMRef())
-	}
-	if idx != nil {
-		h, ok := d.hasher.HashTuple(t, x)
-		if !ok {
-			return false
-		}
-		for s := range idx.shards {
-			for _, id := range idx.shards[s].get(h) {
-				if t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
-					return true
-				}
+	idx := d.indexFor(ru)
+	if idx == nil {
+		xm := ru.LHSMRef()
+		for i, tm := range d.rel.Tuples() {
+			if t.ProjectMatches(x, tm, xm) {
+				return i, true
 			}
 		}
-		return false
+		return -1, false
 	}
-	xm := ru.LHSMRef()
-	for _, tm := range d.rel.Tuples() {
-		if t.ProjectMatches(x, tm, xm) {
-			return true
+	h, ok := d.hasher.HashTuple(t, x)
+	if !ok {
+		return -1, false
+	}
+	first := -1
+	for s := range idx.shards {
+		bucket := idx.shards[s].get(h)
+		if len(bucket) > 1 && idx.shards[s].exc.mask(h) != collided {
+			bucket = bucket[:1]
+		}
+		for _, id := range bucket {
+			if t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
+				if first < 0 || id < first {
+					first = id
+				}
+				break
+			}
 		}
 	}
-	return false
+	return first, first >= 0
 }
 
 // FirstMatch returns the first master tuple applicable with ru to t
@@ -451,11 +481,11 @@ func (d *Data) FirstMatch(ru *rule.Rule, t relation.Tuple) (relation.Tuple, int,
 	if !ru.MatchesPattern(t) {
 		return nil, -1, false
 	}
-	ids := d.MatchIDs(ru, t)
-	if len(ids) == 0 {
+	id, ok := d.FirstMatchID(ru, t)
+	if !ok {
 		return nil, -1, false
 	}
-	return d.rel.Tuple(ids[0]), ids[0], true
+	return d.rel.Tuple(id), id, true
 }
 
 // AppliesSomeTuple reports whether any (ru, tm) pair applies to t.
@@ -465,35 +495,76 @@ func (d *Data) AppliesSomeTuple(ru *rule.Rule, t relation.Tuple) bool {
 }
 
 // RHSValues returns the distinct values tm[Bm] over all master tuples
-// applicable with ru to t, in first-seen order. Multiple distinct values
-// indicate a same-rule conflict (two master tuples disagree on the fix).
-// The common no-match and single-match cases skip the dedup machinery
-// entirely; multi-match dedup is a linear scan over the (small) result.
+// applicable with ru to t, ordered by the smallest id carrying each.
+// Multiple distinct values indicate a same-rule conflict (two master
+// tuples disagree on the fix).
 func (d *Data) RHSValues(ru *rule.Rule, t relation.Tuple) []relation.Value {
+	values, _ := d.RHSValuesWitness(ru, t)
+	return values
+}
+
+// RHSValuesWitness is RHSValues plus the smallest applicable master id
+// (-1 when none) from the same probe — the provenance witness of a fix.
+// On an index the probe is O(shards), not O(matches): a uniform bucket is
+// verified against, and read from, its smallest id alone; only a bucket
+// the exception table lists for Bm (or as collided) is scanned.
+func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
 	if !ru.MatchesPattern(t) {
-		return nil
+		return nil, -1
 	}
-	ids := d.MatchIDs(ru, t)
-	if len(ids) == 0 {
-		return nil
+	x, bm := ru.LHSRef(), ru.RHSM()
+	var values []relation.Value
+	var buf [4]int // keeps the common one-value probe at one allocation
+	firsts := buf[:0]
+	idx := d.indexFor(ru)
+	if idx == nil {
+		for _, id := range d.MatchIDs(ru, t) {
+			values, firsts = addValue(values, firsts, d.rel.Tuple(id)[bm], id)
+		}
+		return orderValues(values, firsts)
 	}
-	bm := ru.RHSM()
-	if len(ids) == 1 {
-		return []relation.Value{d.rel.Tuple(ids[0])[bm]}
+	h, ok := d.hasher.HashTuple(t, x)
+	if !ok {
+		return nil, -1
 	}
-	out := make([]relation.Value, 0, 2)
-	for _, id := range ids {
-		v := d.rel.Tuple(id)[bm]
-		dup := false
-		for _, w := range out {
-			if w.Equal(v) {
-				dup = true
-				break
+	bit := idx.rhsBit(bm)
+	for s := range idx.shards {
+		bucket := idx.shards[s].get(h)
+		if len(bucket) > 1 && bit != 0 && idx.shards[s].exc.mask(h)&bit == 0 {
+			bucket = bucket[:1] // uniform on Xm and Bm: the smallest id speaks for all
+		}
+		for _, id := range bucket {
+			if tm := d.rel.Tuple(id); t.ProjectMatches(x, tm, idx.xm) {
+				values, firsts = addValue(values, firsts, tm[bm], id)
 			}
 		}
-		if !dup {
-			out = append(out, v)
+	}
+	return orderValues(values, firsts)
+}
+
+// addValue records that tuple id carries rhs value v: values are kept
+// distinct, firsts[i] is the smallest id carrying values[i]. Distinct
+// values per probe are 1 on a consistent master and a handful otherwise,
+// so dedup and ordering are linear scans.
+func addValue(values []relation.Value, firsts []int, v relation.Value, id int) ([]relation.Value, []int) {
+	if i := slices.Index(values, v); i >= 0 {
+		firsts[i] = min(firsts[i], id)
+		return values, firsts
+	}
+	return append(values, v), append(firsts, id)
+}
+
+// orderValues sorts the values by smallest carrying id and returns them
+// with the smallest id overall (nil, -1 when empty).
+func orderValues(values []relation.Value, firsts []int) ([]relation.Value, int) {
+	if len(values) == 0 {
+		return nil, -1
+	}
+	for i := 1; i < len(firsts); i++ {
+		for j := i; j > 0 && firsts[j] < firsts[j-1]; j-- {
+			firsts[j], firsts[j-1] = firsts[j-1], firsts[j]
+			values[j], values[j-1] = values[j-1], values[j]
 		}
 	}
-	return out
+	return values, firsts[0]
 }

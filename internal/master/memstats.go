@@ -26,6 +26,12 @@ type MemStats struct {
 	IndexIDs   int   `json:"index_ids"`
 	IndexBytes int64 `json:"index_bytes"`
 
+	// NonUniformBuckets counts exception-table entries across all indexes
+	// and shards: buckets whose tuples disagree on a rule's rhs column (Dm
+	// breaks the functional contract of §2 there) or collide on the key
+	// hash. Probes of those buckets scan; zero on a consistent master.
+	NonUniformBuckets int `json:"non_uniform_buckets"`
+
 	// PostingKeys/PostingIDs count posting-list keys and entries;
 	// PostingBytes is their payload (12 bytes per key, 4 per id).
 	PostingKeys  int   `json:"posting_keys"`
@@ -74,6 +80,7 @@ func (d *Data) MemStats() MemStats {
 				ms.IndexKeys++
 				ms.IndexIDs += len(ids)
 			})
+			ms.NonUniformBuckets += len(idx.shards[s].exc)
 		}
 	}
 	ms.IndexBytes = 16*int64(ms.IndexKeys) + 8*int64(ms.IndexIDs)

@@ -26,13 +26,15 @@ package master
 //     grows to |Dm| entries, and rebuild cost drops with core count.
 //
 // Probes fan out: the probe key can match tuples in any shard (routing is
-// by full tuple, probing by projection), so MatchIDs/Lookup walk the P
-// buckets for the key's hash. The common case — all matches in one shard,
-// which includes every single-match probe — returns that shard's bucket
-// without copying, keeping the zero-allocation hit path; only a probe
-// whose matches straddle shards (duplicate projections in Dm) pays a
-// merge. Existence probes (HasMatch, CompatibleExists) early-exit on the
-// first matching shard and never merge.
+// by full tuple, probing by projection), so every probe visits the P
+// buckets for the key's hash. A value probe (RHSValues, FirstMatchID)
+// reads one tuple per shard — the bucket's smallest id — and is O(P)
+// whatever the key matches (see uniform.go). An enumerating probe
+// (MatchIDs, Lookup) returns a single shard's bucket without copying —
+// every single-match probe — and pays one exactly-sized k-way merge only
+// when matches straddle shards (duplicate projections in Dm). Existence
+// probes (HasMatch, CompatibleExists) early-exit on the first matching
+// shard.
 
 import (
 	"runtime"
@@ -158,10 +160,7 @@ func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
 	if idx := d.findIndex(xm); idx != nil {
 		return idx, false
 	}
-	idx = &index{
-		xm:     append([]int(nil), xm...),
-		shards: make([]layered[uint64, int], d.nshards),
-	}
+	idx = newIndex(append([]int(nil), xm...), d.nshards)
 	for s := range idx.shards {
 		idx.shards[s].base = make(map[uint64][]int)
 	}
@@ -210,7 +209,8 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 //	phase A' (serial): intern the merged distinct sets — serial work is
 //	  O(distinct values), not O(|Dm| × columns);
 //	phase B (shard-parallel): fill each shard's index buckets and posting
-//	  lists — disjoint maps, read-only symbol table, no locks;
+//	  lists — disjoint maps, read-only symbol table, no locks — then
+//	  derive the shard's exception tables (uniform.go);
 //	phase C (rule-parallel): evaluate the pattern-support bitmaps.
 func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 	n := d.rel.Len()
@@ -299,6 +299,7 @@ func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 				ps.shards[s].base[vid] = append(ps.shards[s].base[vid], int32(i))
 			}
 		}
+		d.rebuildExceptions(s)
 		return struct{}{}, nil
 	})
 	if err != nil {
@@ -339,6 +340,7 @@ func (d *Data) buildSequential() error {
 			ps.shards[0].base[vid] = append(ps.shards[0].base[vid], int32(i))
 		}
 	}
+	d.rebuildExceptions(0)
 	for ru, plan := range d.compat {
 		for id, tm := range d.rel.Tuples() {
 			if patternCompatible(ru, tm) {

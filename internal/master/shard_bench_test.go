@@ -133,3 +133,41 @@ func BenchmarkShardedDelta(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRHSValuesMulti measures the value probe of fk2 → c2 on keys
+// that match ~200 master tuples, at GOMAXPROCS and shard count pinned to 1
+// and to 4. The master is a function on the rule except for one corrupted
+// clone under every even key: "uniform" probes the odd keys, answered from
+// each shard's smallest id; "listed" probes the even ones, whose buckets
+// the exception table sends to the scan; "enumerate" is MatchIDs on the
+// uniform keys, the O(matches) cost the value probe no longer pays.
+func BenchmarkRHSValuesMulti(b *testing.B) {
+	const n = 20_000
+	rel, _ := shardBenchRelation(n)
+	for fk2 := 0; fk2 < 97; fk2 += 2 {
+		clone := rel.Tuple(fk2).Clone()
+		clone[0], clone[4] = relation.String(fmt.Sprintf("X%08d", fk2)), relation.String("c2-typo")
+		rel.MustAppend(clone)
+	}
+	r := relation.StringSchema("R", "key", "fk1", "fk2", "c1", "c2", "c3")
+	ru := rule.MustNew("fk2-c2", r, rel.Schema(), []int{2}, []int{2}, 4, 4, pattern.Empty())
+	sigma := rule.MustNewSet(r, rel.Schema(), ru)
+	for _, p := range []int{1, 4} {
+		d := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p))
+		run := func(name string, parity int, probe func(t relation.Tuple) int, want int) {
+			b.Run(fmt.Sprintf("P=%d/%s", p, name), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					// Tuple j carries fk2 = j mod 97: walk the keys of one parity.
+					if got := probe(rel.Tuple(2*(i%48) + parity)); got != want {
+						b.Fatalf("probe answered %d, want %d", got, want)
+					}
+				}
+			})
+		}
+		run("uniform", 1, func(t relation.Tuple) int { return len(d.RHSValues(ru, t)) }, 1)
+		run("listed", 0, func(t relation.Tuple) int { return len(d.RHSValues(ru, t)) }, 2)
+		run("enumerate", 1, func(t relation.Tuple) int { return min(len(d.MatchIDs(ru, t)), n/97) }, n/97)
+	}
+}

@@ -1,0 +1,134 @@
+package master
+
+// This file implements the uniform-bucket invariant behind the O(shards)
+// value probes (RHSValuesWitness, FirstMatchID).
+//
+// A bucket is UNIFORM when all its tuples share the Xm projection (no
+// 64-bit hash collision inside it) and agree on every tracked rhs column —
+// the Bm of each rule planned on the index. The paper assumes Dm is
+// consistent (§2): every rule is a function on the master, so every bucket
+// of a clean master is uniform and its smallest id, bucket[0], answers for
+// all of it. The buckets that break the contract are listed, per index
+// shard, in an exception table: empty on a consistent master, which is why
+// it is a table of exceptions and not a value per (key, column).
+//
+// The table is a pure function of the shard's buckets and tuples.
+// rebuildExceptions derives it after a build and after LoadArena (arenas
+// do not store it); ApplyDelta maintains it copy-on-write: an added tuple
+// is compared with its bucket's smallest id, a delete from a listed bucket
+// rescans that bucket, a swap-remove rename changes no bucket's tuple set.
+// The property suites pin incremental == rebuilt at every epoch.
+
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/relation"
+)
+
+// collided is the mask of a bucket holding more than one Xm projection:
+// every probe of it scans.
+const collided = ^uint64(0)
+
+// exception lists one non-uniform bucket: bit i of mask is set when the
+// bucket's tuples disagree on rhs column index.bms[i] (columns past 63
+// share the last bit — coarser, never wrong).
+type exception struct{ h, mask uint64 }
+
+// exceptions is one index shard's table, sorted by key hash. Values are
+// immutable — snapshots share them — so updates copy.
+type exceptions []exception
+
+func (e exceptions) find(h uint64) (int, bool) {
+	return slices.BinarySearchFunc(e, h, func(x exception, h uint64) int { return cmp.Compare(x.h, h) })
+}
+
+// mask returns h's exception mask, 0 for a uniform bucket.
+func (e exceptions) mask(h uint64) uint64 {
+	if len(e) == 0 {
+		return 0
+	}
+	if i, ok := e.find(h); ok {
+		return e[i].mask
+	}
+	return 0
+}
+
+// with returns the table with h's mask set (0 unlists the bucket).
+func (e exceptions) with(h, mask uint64) exceptions {
+	i, ok := e.find(h)
+	if !ok && mask == 0 || ok && e[i].mask == mask {
+		return e
+	}
+	out := make(exceptions, 0, len(e)+1)
+	out = append(out, e[:i]...)
+	if mask != 0 {
+		out = append(out, exception{h, mask})
+	}
+	if ok {
+		i++
+	}
+	return append(out, e[i:]...)
+}
+
+// trackRHS registers bm as an rhs column the index tracks uniformity on.
+func (idx *index) trackRHS(bm int) {
+	if !slices.Contains(idx.bms, bm) {
+		idx.bms = append(idx.bms, bm)
+	}
+}
+
+// rhsBit returns bm's exception-mask bit, 0 when the index does not track
+// bm (a refined rule with a foreign rhs: its probes always scan).
+func (idx *index) rhsBit(bm int) uint64 {
+	for i, c := range idx.bms {
+		if c == bm {
+			return 1 << min(i, 63)
+		}
+	}
+	return 0
+}
+
+// disagree returns the exception bits two tuples of one bucket raise.
+func (idx *index) disagree(a, b relation.Tuple) uint64 {
+	if !a.EqualOn(idx.xm, b) {
+		return collided
+	}
+	var m uint64
+	for i, c := range idx.bms {
+		if !a[c].Equal(b[c]) {
+			m |= 1 << min(i, 63)
+		}
+	}
+	return m
+}
+
+// bucketMask computes a bucket's exception mask from scratch. limit is a
+// known superset of the answer — collided when nothing is known — and ends
+// the scan as soon as it is reached.
+func (idx *index) bucketMask(bucket []int, rel *relation.Relation, limit uint64) uint64 {
+	var m uint64
+	for i := 1; i < len(bucket) && m != limit; i++ {
+		m |= idx.disagree(rel.Tuple(bucket[0]), rel.Tuple(bucket[i]))
+	}
+	return m
+}
+
+// rebuildExceptions derives shard s's exception tables on every index.
+func (d *Data) rebuildExceptions(s int) {
+	for _, idx := range d.indexes {
+		idx.rebuildExceptions(s, d.rel)
+	}
+}
+
+// rebuildExceptions derives shard s's exception table from its buckets.
+func (idx *index) rebuildExceptions(s int, rel *relation.Relation) {
+	var exc exceptions
+	idx.shards[s].each(func(h uint64, ids []int) {
+		if m := idx.bucketMask(ids, rel, collided); m != 0 {
+			exc = append(exc, exception{h, m})
+		}
+	})
+	slices.SortFunc(exc, func(a, b exception) int { return cmp.Compare(a.h, b.h) })
+	idx.shards[s].exc = exc
+}

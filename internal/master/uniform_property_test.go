@@ -1,0 +1,388 @@
+package master
+
+// The uniform-bucket equivalence property (uniform.go): the O(shards)
+// value probes — RHSValuesWitness, RHSValues, FirstMatchID, FirstMatch —
+// answer exactly what a scan over MatchIDs answers, and the incrementally
+// maintained exception tables equal the ones rebuilt from the buckets, at
+// every epoch of random delta programs, for P ∈ {1, 2, 7, 16}, on four
+// lineages: heap-built, arena-loaded, WAL-recovered and follower.
+//
+// The masters mix clean functional structure (multi-id buckets that ARE
+// uniform, so the fast path is exercised), corrupted clones in the style
+// of datagen.UpdateStorm (same key, different rhs: listed buckets) and
+// injected hash collisions: tuple 0 is planted at the head of foreign
+// buckets, the worst case for a probe that trusts bucket[0]. MatchIDs
+// verifies every candidate and never reads the tables, which is what makes
+// it the oracle.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/pattern"
+	"repro/internal/relation"
+	"repro/internal/rule"
+	"repro/internal/wal"
+)
+
+// uniformWorld generates master tuples over Rm(M0..M4): M1 is a function
+// of M0 and M3 of (M0, M2) — the rules r0 and r1 below are functions on a
+// clean master — while M2 and M4 are drawn at random.
+type uniformWorld struct {
+	rng   *rand.Rand
+	sigma *rule.Set
+	rm    *relation.Schema
+}
+
+func newUniformWorld(rng *rand.Rand) *uniformWorld {
+	r := relation.StringSchema("R", "A0", "A1", "A2", "A3", "A4")
+	rm := relation.StringSchema("Rm", "M0", "M1", "M2", "M3", "M4")
+	sigma := rule.MustNewSet(r, rm,
+		rule.MustNew("r0", r, rm, []int{0}, []int{0}, 1, 1, pattern.Empty()),
+		rule.MustNew("r1", r, rm, []int{0, 2}, []int{0, 2}, 3, 3, pattern.Empty()),
+		rule.MustNew("r2", r, rm, []int{2}, []int{2}, 4, 4, pattern.Empty()),
+		rule.MustNew("r3", r, rm, []int{0}, []int{0}, 4, 4,
+			pattern.MustTuple([]int{0}, []pattern.Cell{pattern.Neq(relation.String("k0"))})),
+	)
+	return &uniformWorld{rng: rng, sigma: sigma, rm: rm}
+}
+
+func (w *uniformWorld) clean() relation.Tuple {
+	k, g := w.rng.Intn(6), w.rng.Intn(3)
+	return relation.StringTuple(
+		fmt.Sprintf("k%d", k), fmt.Sprintf("name-of-k%d", k), fmt.Sprintf("g%d", g),
+		fmt.Sprintf("avg-%d-%d", k, g), fmt.Sprintf("x%d", w.rng.Intn(2)))
+}
+
+// corrupted clones a live tuple and perturbs one cell with another live
+// tuple's value: same key with a different rhs, or a new key altogether.
+func (w *uniformWorld) corrupted(live []relation.Tuple) relation.Tuple {
+	t := live[w.rng.Intn(len(live))].Clone()
+	c := w.rng.Intn(len(t))
+	t[c] = live[w.rng.Intn(len(live))][c]
+	if w.rng.Intn(3) == 0 {
+		t[c] = relation.String("typo")
+	}
+	return t
+}
+
+func (w *uniformWorld) relation(n int, dirty bool) *relation.Relation {
+	rel := relation.NewRelation(w.rm)
+	for i := 0; i < n; i++ {
+		if dirty && i > 0 && w.rng.Intn(5) == 0 {
+			rel.MustAppend(w.corrupted(rel.Tuples()))
+		} else {
+			rel.MustAppend(w.clean())
+		}
+	}
+	return rel
+}
+
+// delta draws adds (clean and corrupted) and deletes that never touch id
+// 0, the tuple the collision injection plants in foreign buckets.
+func (w *uniformWorld) delta(live []relation.Tuple) (adds []relation.Tuple, deletes []int) {
+	for i, n := 0, w.rng.Intn(4); i < n; i++ {
+		if w.rng.Intn(2) == 0 {
+			adds = append(adds, w.clean())
+		} else {
+			adds = append(adds, w.corrupted(live))
+		}
+	}
+	for _, id := range w.rng.Perm(len(live))[:w.rng.Intn(min(4, len(live)))] {
+		if id != 0 {
+			deletes = append(deletes, id)
+		}
+	}
+	if len(adds) == 0 && len(deletes) == 0 {
+		adds = append(adds, w.clean())
+	}
+	return adds, deletes
+}
+
+// injectCollisions plants tuple 0 at the head of a few foreign buckets —
+// what a 64-bit hash collision looks like to a probe — and re-derives the
+// affected shards' exception tables. Deltas that leave id 0 alone keep the
+// planted ids valid.
+func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
+	for _, idx := range d.indexes {
+		for s := range idx.shards {
+			type bucket struct {
+				h   uint64
+				ids []int
+			}
+			var foreign []bucket
+			idx.shards[s].each(func(h uint64, ids []int) {
+				if !d.Tuple(0).ProjectMatches(idx.xm, d.Tuple(ids[0]), idx.xm) {
+					foreign = append(foreign, bucket{h, ids})
+				}
+			})
+			// each iterates maps: sort for a seed-stable choice.
+			slices.SortFunc(foreign, func(a, b bucket) int { return a.ids[0] - b.ids[0] })
+			for _, b := range foreign {
+				if planted < 2*len(d.indexes) && rng.Intn(3) == 0 {
+					idx.shards[s].set(b.h, append([]int{0}, b.ids...))
+					planted++
+				}
+			}
+			idx.rebuildExceptions(s, d.rel)
+		}
+	}
+	return planted
+}
+
+// scanOracle answers a value probe by enumeration: the applicable ids in
+// ascending order, their distinct rhs values in first-seen order, and the
+// smallest id.
+func scanOracle(d *Data, ru *rule.Rule, t relation.Tuple) (values []relation.Value, first int) {
+	first = -1
+	if !ru.MatchesPattern(t) {
+		return nil, -1
+	}
+	for _, id := range d.MatchIDs(ru, t) {
+		if first < 0 {
+			first = id
+		}
+		v := d.Tuple(id)[ru.RHSM()]
+		dup := false
+		for _, w := range values {
+			dup = dup || w.Equal(v)
+		}
+		if !dup {
+			values = append(values, v)
+		}
+	}
+	return values, first
+}
+
+// checkUniformProbes holds every value probe of every rule to the scan
+// oracle: on each stored tuple's own key, on keys that miss, and on keys
+// carrying values never interned.
+func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, rng *rand.Rand) {
+	t.Helper()
+	arity := rules[0].Schema().Arity()
+	probes := make([]relation.Tuple, 0, d.Len()+4)
+	for id := 0; id < d.Len(); id++ {
+		p := make(relation.Tuple, arity)
+		for c := range p {
+			p[c] = d.Tuple(id)[c] // R and Rm line up column for column
+		}
+		probes = append(probes, p)
+	}
+	for i := 0; i < 4 && d.Len() > 0; i++ {
+		p := probes[rng.Intn(d.Len())].Clone()
+		p[rng.Intn(arity)] = relation.String([]string{"k1", "g0", "never-seen"}[rng.Intn(3)])
+		probes = append(probes, p)
+	}
+	for _, ru := range rules {
+		for _, p := range probes {
+			want, first := scanOracle(d, ru, p)
+			got, witness := d.RHSValuesWitness(ru, p)
+			if !relation.Tuple(got).Equal(want) || witness != first {
+				t.Fatalf("%s: rule %s probe %v: RHSValuesWitness = %v, %d; scan oracle %v, %d",
+					ctx, ru.Name(), p, got, witness, want, first)
+			}
+			if got := d.RHSValues(ru, p); !relation.Tuple(got).Equal(want) {
+				t.Fatalf("%s: rule %s probe %v: RHSValues = %v, scan oracle %v", ctx, ru.Name(), p, got, want)
+			}
+			ids := d.MatchIDs(ru, p)
+			id, ok := d.FirstMatchID(ru, p)
+			if ok != (len(ids) > 0) || ok && id != ids[0] {
+				t.Fatalf("%s: rule %s probe %v: FirstMatchID = %d, %v; MatchIDs %v", ctx, ru.Name(), p, id, ok, ids)
+			}
+			if tm, fid, ok := d.FirstMatch(ru, p); ok != (first >= 0) || ok && (fid != first || !tm.Equal(d.Tuple(first))) {
+				t.Fatalf("%s: rule %s probe %v: FirstMatch = %d, %v; scan oracle %d", ctx, ru.Name(), p, fid, ok, first)
+			}
+		}
+	}
+}
+
+// checkExceptionsRebuilt asserts every exception table equals the one
+// rebuildExceptions derives from the snapshot's own buckets.
+func checkExceptionsRebuilt(t *testing.T, ctx string, d *Data) {
+	t.Helper()
+	for _, idx := range d.indexes {
+		fresh := *idx
+		fresh.shards = append([]indexShard(nil), idx.shards...)
+		for s := range idx.shards {
+			fresh.rebuildExceptions(s, d.rel)
+			got, want := idx.shards[s].exc, fresh.shards[s].exc
+			if len(got) != len(want) {
+				t.Fatalf("%s: index %v shard %d: maintained exceptions %v, rebuilt %v", ctx, idx.xm, s, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: index %v shard %d: maintained exceptions %v, rebuilt %v", ctx, idx.xm, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestUniformBucketEquivalenceProperty(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 3
+	}
+	var planted, listed, uniformMulti, rebased int
+	for seed := 0; seed < seeds; seed++ {
+		for _, p := range shardSweep {
+			rng := rand.New(rand.NewSource(int64(71_000_000 + 100*seed + p)))
+			w := newUniformWorld(rng)
+			rel := w.relation(8+rng.Intn(40), seed%3 != 0)
+			ctx := fmt.Sprintf("seed %d P=%d", seed, p)
+
+			// The rules of Σ, a refined rule (outside the plan map, resolved
+			// through the registry) and a rule whose rhs no index tracks.
+			r0 := w.sigma.Rule(0)
+			refined, err := r0.WithPattern(pattern.MustTuple([]int{2}, []pattern.Cell{pattern.Neq(relation.String("g1"))}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreignRHS := rule.MustNew("untracked", r0.Schema(), w.rm, []int{0}, []int{0}, 2, 2, pattern.Empty())
+			rules := append(append([]*rule.Rule(nil), w.sigma.Rules()...), refined, foreignRHS)
+
+			build := func() (*Data, error) {
+				d, err := NewForRules(rel, w.sigma, WithShards(p), WithBuildWorkers(2))
+				if err == nil && seed%2 == 0 {
+					planted += injectCollisions(rand.New(rand.NewSource(int64(seed))), d)
+				}
+				return d, err
+			}
+			heap, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena := loadArenaOrFatal(t, saveArenaBytes(t, heap, w.sigma), w.sigma)
+			dir := t.TempDir()
+			opts := DurableOptions{Sync: wal.SyncNever, SegmentBytes: 512, CheckpointEvery: 3}
+			dv, err := OpenDurable(dir, build, w.sigma, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, _, err := dv.CheckpointImage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			follower := NewFollower(loadArenaOrFatal(t, img, w.sigma), 4)
+
+			check := func(ctx string, d *Data) {
+				t.Helper()
+				checkExceptionsRebuilt(t, ctx, d)
+				checkUniformProbes(t, ctx, d, rules, rng)
+				for _, idx := range d.indexes {
+					for s := range idx.shards {
+						listed += len(idx.shards[s].exc)
+						idx.shards[s].each(func(h uint64, ids []int) {
+							if len(ids) > 1 && idx.shards[s].exc.mask(h) == 0 {
+								uniformMulti++
+							}
+						})
+					}
+				}
+			}
+			check(ctx+" heap epoch 0", heap)
+			check(ctx+" arena epoch 0", arena)
+
+			const deltas = 10
+			for step := 1; step <= deltas; step++ {
+				adds, deletes := w.delta(heap.Relation().Tuples())
+				sctx := fmt.Sprintf("%s epoch %d", ctx, step)
+				if heap, err = heap.ApplyDelta(adds, deletes); err != nil {
+					t.Fatalf("%s: heap ApplyDelta: %v", sctx, err)
+				}
+				if arena, err = arena.ApplyDelta(adds, deletes); err != nil {
+					t.Fatalf("%s: arena ApplyDelta: %v", sctx, err)
+				}
+				if _, err = dv.Apply(adds, deletes); err != nil {
+					t.Fatalf("%s: durable Apply: %v", sctx, err)
+				}
+				// The follower tails the leader's log; when a checkpoint has
+				// truncated the epoch it needs, it rebases onto the image.
+				_, err := dv.TailWAL(follower.Epoch(), func(rec wal.Record) error {
+					_, aerr := follower.ApplyRecord(rec)
+					return aerr
+				})
+				if errors.Is(err, wal.ErrTruncated) || err == nil && follower.Epoch() < uint64(step) {
+					img, _, ierr := dv.CheckpointImage()
+					if ierr != nil {
+						t.Fatal(ierr)
+					}
+					err = follower.Reset(loadArenaOrFatal(t, img, w.sigma))
+					rebased++
+				}
+				if err != nil {
+					t.Fatalf("%s: follower tail: %v", sctx, err)
+				}
+				if follower.Epoch() != uint64(step) {
+					t.Fatalf("%s: follower at epoch %d", sctx, follower.Epoch())
+				}
+				check(sctx+" heap", heap)
+				check(sctx+" arena", arena)
+				check(sctx+" durable", dv.Current())
+				check(sctx+" follower", follower.Current())
+				if rng.Intn(4) == 0 { // re-freeze: overlays above an arena, reloaded
+					arena = loadArenaOrFatal(t, saveArenaBytes(t, arena, w.sigma), w.sigma)
+					check(sctx+" arena reloaded", arena)
+				}
+			}
+
+			// Crash-free reopen: checkpoint image plus WAL tail replay.
+			if err := dv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dv, err = OpenDurable(dir, build, w.sigma, opts)
+			if err != nil {
+				t.Fatalf("%s: recovery: %v", ctx, err)
+			}
+			if dv.Epoch() != deltas {
+				t.Fatalf("%s: recovered at epoch %d, want %d", ctx, dv.Epoch(), deltas)
+			}
+			check(ctx+" recovered", dv.Current())
+			adds, deletes := w.delta(dv.Current().Relation().Tuples())
+			next, err := dv.Apply(adds, deletes)
+			if err != nil {
+				t.Fatalf("%s: Apply after recovery: %v", ctx, err)
+			}
+			check(ctx+" recovered +1", next)
+			if err := dv.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The suite means nothing unless all three bucket kinds occurred.
+	if planted == 0 || listed == 0 || uniformMulti == 0 || rebased == 0 {
+		t.Fatalf("fixture too tame: %d planted collisions, %d listed buckets, %d uniform multi-id buckets, %d follower rebases",
+			planted, listed, uniformMulti, rebased)
+	}
+}
+
+// TestExceptionTableCopyOnWrite pins the immutability the snapshots rely
+// on: with never rewrites the receiver's backing array.
+func TestExceptionTableCopyOnWrite(t *testing.T) {
+	var e exceptions
+	for _, h := range []uint64{50, 10, 30} {
+		e = e.with(h, h)
+	}
+	before := append(exceptions(nil), e...)
+	e2 := e.with(20, 7).with(30, 0).with(50, collided).with(99, 0)
+	for i := range before {
+		if e[i] != before[i] {
+			t.Fatalf("with mutated its receiver: %v, was %v", e, before)
+		}
+	}
+	want := exceptions{{10, 10}, {20, 7}, {50, collided}}
+	if len(e2) != len(want) {
+		t.Fatalf("with chain = %v, want %v", e2, want)
+	}
+	for i := range want {
+		if e2[i] != want[i] || e2.mask(want[i].h) != want[i].mask {
+			t.Fatalf("with chain = %v, want %v", e2, want)
+		}
+	}
+	if e2.mask(30) != 0 || e2.mask(99) != 0 {
+		t.Fatalf("unlisted keys must read 0: %v", e2)
+	}
+}

@@ -10,8 +10,9 @@ package certainfix
 // format").
 
 import (
+	"time"
+
 	"repro/internal/master"
-	"repro/internal/monitor"
 )
 
 // ErrBadSnapshot reports an arena image that failed validation: wrong
@@ -42,6 +43,7 @@ type MasterMemStats = master.MemStats
 // first open of the WAL directory — afterwards the directory's own
 // checkpoint and log are authoritative, as in New.
 func NewFromArena(rules *Rules, arenaPath string, opts ...Option) (*System, error) {
+	began := time.Now()
 	var cfg Options
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -64,19 +66,7 @@ func NewFromArena(rules *Rules, arenaPath string, opts ...Option) (*System, erro
 	if cfg.MasterHistory > 0 {
 		ver.SetHistory(cfg.MasterHistory)
 	}
-	mon, err := monitor.NewVersioned(rules, ver, monitor.Config{
-		UseBDD:        cfg.UseSuggestionCache,
-		InitialRegion: cfg.InitialRegion,
-		MaxRounds:     cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		sigma: rules,
-		ver:   ver,
-		mon:   mon,
-	}, nil
+	return newSystem(rules, ver, cfg, began)
 }
 
 // SaveMasterArena freezes the currently published master snapshot into an

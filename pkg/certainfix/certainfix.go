@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/authtree"
@@ -213,6 +214,39 @@ type System struct {
 	mon   *monitor.Monitor
 	dur   *master.DurableVersioned // non-nil under WithWAL
 	rep   *replica                 // non-nil for a NewFollower replica
+	boot  BootTimings
+}
+
+// BootTimings attributes a System's construction time to its two phases:
+// Master is obtaining the first snapshot (CSV build, arena load, WAL
+// recovery or follower bootstrap), Regions is deriving the certain-region
+// candidates over it. cmd/certainfixd logs them at start.
+type BootTimings struct {
+	Master, Regions time.Duration
+}
+
+// BootTimings reports how long each construction phase took.
+func (s *System) BootTimings() BootTimings { return s.boot }
+
+// newSystem derives the certain regions over the lineage ver and
+// assembles the System; began is when the constructor started on the
+// master.
+func newSystem(rules *Rules, ver *master.Versioned, cfg Options, began time.Time) (*System, error) {
+	masterDone := time.Now()
+	mon, err := monitor.NewVersioned(rules, ver, monitor.Config{
+		UseBDD:        cfg.UseSuggestionCache,
+		InitialRegion: cfg.InitialRegion,
+		MaxRounds:     cfg.MaxRounds,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &System{
+		sigma: rules,
+		ver:   ver,
+		mon:   mon,
+		boot:  BootTimings{Master: masterDone.Sub(began), Regions: time.Since(masterDone)},
+	}, nil
 }
 
 // New builds a System. The master relation must be an instance of Σ's
@@ -229,6 +263,7 @@ type System struct {
 // and masterRel may even be nil — recovery restores the exact master
 // the previous process last published.
 func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
+	began := time.Now()
 	var cfg Options
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -253,19 +288,7 @@ func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
 	if cfg.MasterHistory > 0 {
 		ver.SetHistory(cfg.MasterHistory)
 	}
-	mon, err := monitor.NewVersioned(rules, ver, monitor.Config{
-		UseBDD:        cfg.UseSuggestionCache,
-		InitialRegion: cfg.InitialRegion,
-		MaxRounds:     cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		sigma: rules,
-		ver:   ver,
-		mon:   mon,
-	}, nil
+	return newSystem(rules, ver, cfg, began)
 }
 
 // UpdateMaster applies a master-data delta — corrections and additions to

@@ -10,8 +10,9 @@ package certainfix
 // DurableVersioned and DESIGN.md, "Durability: WAL + checkpoints").
 
 import (
+	"time"
+
 	"repro/internal/master"
-	"repro/internal/monitor"
 	"repro/internal/wal"
 )
 
@@ -43,6 +44,7 @@ type DurabilityStats = master.DurabilityStats
 // cfg.WALDir, building the base snapshot with base only when the
 // directory holds no checkpoint yet.
 func newDurableSystem(rules *Rules, base func() (*master.Data, error), cfg Options) (*System, error) {
+	began := time.Now()
 	dur, err := master.OpenDurable(cfg.WALDir, base, rules, master.DurableOptions{
 		Sync:            cfg.Fsync,
 		CheckpointEvery: cfg.CheckpointEvery,
@@ -52,21 +54,13 @@ func newDurableSystem(rules *Rules, base func() (*master.Data, error), cfg Optio
 	if err != nil {
 		return nil, err
 	}
-	mon, err := monitor.NewVersioned(rules, dur.Versioned(), monitor.Config{
-		UseBDD:        cfg.UseSuggestionCache,
-		InitialRegion: cfg.InitialRegion,
-		MaxRounds:     cfg.MaxRounds,
-	})
+	sys, err := newSystem(rules, dur.Versioned(), cfg, began)
 	if err != nil {
 		dur.Close()
 		return nil, err
 	}
-	return &System{
-		sigma: rules,
-		ver:   dur.Versioned(),
-		mon:   mon,
-		dur:   dur,
-	}, nil
+	sys.dur = dur
+	return sys, nil
 }
 
 // Durability reports the durability state of a System built WithWAL; ok

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/master"
-	"repro/internal/monitor"
 	"repro/internal/wal"
 )
 
@@ -252,6 +251,7 @@ func (s *System) Replication() (stats ReplicationStats, ok bool) {
 // leader's directory is the durable truth, and a restarted follower
 // re-bootstraps from the leader's checkpoint.
 func NewFollower(rules *Rules, leaderURL string, opts ...Option) (*System, error) {
+	began := time.Now()
 	var cfg Options
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -278,23 +278,14 @@ func NewFollower(rules *Rules, leaderURL string, opts ...Option) (*System, error
 		return nil, fmt.Errorf("certainfix: follower bootstrap from %s: %w", rp.leader, err)
 	}
 	rp.f = master.NewFollower(img, cfg.MasterHistory)
-	mon, err := monitor.NewVersioned(rules, rp.f.Versioned(), monitor.Config{
-		UseBDD:        cfg.UseSuggestionCache,
-		InitialRegion: cfg.InitialRegion,
-		MaxRounds:     cfg.MaxRounds,
-	})
+	sys, err := newSystem(rules, rp.f.Versioned(), cfg, began)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
 	rp.leaderEpoch = epoch
 	rp.state = ReplicaTailing
-	sys := &System{
-		sigma: rules,
-		ver:   rp.f.Versioned(),
-		mon:   mon,
-		rep:   rp,
-	}
+	sys.rep = rp
 	go rp.run(ctx)
 	return sys, nil
 }
