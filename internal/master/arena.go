@@ -22,21 +22,21 @@ package master
 //	         cells of non-indexed columns, present only so tuples can be
 //	         materialized, never entered into the loaded symbol table.
 //	columns  per-column vectors of n uint32 value ids (column-major)
-//	indexes  per index: its Xm list, then per shard a frozen open-
-//	         addressing bucket table (arena_flat.go)
-//	postings per posting list: its column, then per-shard tables
+//	indexes  per index: its Xm list, then per shard its frozen table
+//	         (table.go): slot count, key count, id count, the slot array,
+//	         the id array (8-byte ids), padded back to 8
+//	postings per posting list: its column, then per-shard tables of the
+//	         same shape with 4-byte ids
 //	rules    per rule of Σ, in Σ order: an FNV-1a signature of its
 //	         rendering plus its pattern-support bitmap
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
-//	         root (authtree). Version-2 addition: version-1 images have
-//	         no auth section and load as explicitly unauthenticated;
-//	         a version-2 image with the flag set is recomputed-and-
-//	         verified against the stored root at load time.
+//	         root (authtree); with the flag set the tree is recomputed
+//	         and verified against the stored root at load time.
 //
-// Saving is deterministic: table keys are inserted in ascending order,
-// symbols in id order, extension values in row-major cell-scan order —
-// the same snapshot always produces the same bytes, which CI exploits to
-// diff fix outputs between heap-built and arena-loaded masters.
+// There is one format version; the loader answers any other with a typed
+// *SnapshotError. Saving is deterministic: tables are canonical, symbols
+// go in id order, extension values in row-major cell-scan order — the same
+// snapshot always produces the same bytes.
 
 import (
 	"bufio"
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -52,14 +51,9 @@ import (
 
 const (
 	arenaMagic      = "CFXARENA"
-	arenaVersion    = 2
+	arenaVersion    = 3
 	arenaEndianMark = 0x01020304
 	arenaHeaderSize = 120
-	// Version-1 images (pre-auth): 112-byte header, 6 sections, no root.
-	// The loader still accepts them — as explicitly unauthenticated.
-	arenaVersionV1    = 1
-	arenaHeaderSizeV1 = 112
-	numSectionsV1     = 6
 )
 
 // Header field offsets. The offset table holds the absolute position of
@@ -77,7 +71,7 @@ const (
 	hdrNPosts   = 48 // u32
 	hdrNRules   = 52 // u32
 	hdrFileSize = 56 // u64
-	hdrSections = 64 // 7 × u64 (6 in version 1)
+	hdrSections = 64 // 7 × u64
 )
 
 // Section indexes into the header offset table.
@@ -139,8 +133,9 @@ func (b *arenaBuilder) section(sec int) {
 // LoadArena. sigma must be the rule set the snapshot was built for
 // (NewForRules); its rules' probe plans and pattern bitmaps are frozen
 // into the image, and LoadArena will only accept the image against an
-// equivalent Σ. The snapshot may be anywhere in a delta chain: the
-// serialized tables are the merged (base + overlay) view.
+// equivalent Σ. The snapshot may be anywhere in a delta chain: a shard
+// with an empty overlay is written as the table it holds, one with an
+// overlay as the compacted table of the merged view.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	if !sigma.MasterSchema().Equal(d.rel.Schema()) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
@@ -231,8 +226,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		b.u32(id)
 	}
 
-	// Indexes: per registered index, the Xm list then one frozen bucket
-	// table per shard.
+	// Indexes: per registered index, the Xm list then one table per shard.
 	b.section(secIndexes)
 	for _, idx := range d.indexes {
 		b.u32(uint32(len(idx.xm)))
@@ -241,7 +235,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		}
 		b.align8()
 		for s := range idx.shards {
-			writeBucketTable(b, &idx.shards[s].layered)
+			writeTable(b, idx.shards[s].compact())
 		}
 	}
 
@@ -251,7 +245,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		b.u32(uint32(ps.col))
 		b.u32(0)
 		for s := range ps.shards {
-			writePostingTable(b, &ps.shards[s])
+			writeTable(b, ps.shards[s].compact())
 		}
 	}
 
@@ -351,96 +345,20 @@ func dirOf(path string) string {
 	return "."
 }
 
-// writeBucketTable freezes one index shard's merged bucket view into an
-// open-addressing table: header (nslots, nkeys, nids), slot array, id
-// array. Keys are inserted in ascending order, so the image is a pure
-// function of the shard's content.
-func writeBucketTable(b *arenaBuilder, l *layered[uint64, int]) {
-	type entry struct {
-		k   uint64
-		ids []int
-	}
-	var entries []entry
-	nids := 0
-	l.each(func(k uint64, ids []int) {
-		if len(ids) == 0 {
-			return // count==0 is the table's empty-slot sentinel
-		}
-		entries = append(entries, entry{k, ids})
-		nids += len(ids)
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-
-	nslots := flatSlots(len(entries))
-	b.u64(uint64(nslots))
-	b.u64(uint64(len(entries)))
-	b.u64(uint64(nids))
-
-	slots := make([]uint64, 2*nslots)
-	mask := uint64(nslots - 1)
-	off := uint64(0)
-	for _, e := range entries {
-		slot := e.k & mask
-		for slots[2*slot+1] != 0 {
-			slot = (slot + 1) & mask
-		}
-		slots[2*slot] = e.k
-		slots[2*slot+1] = off<<32 | uint64(len(e.ids))
-		off += uint64(len(e.ids))
-	}
-	for _, w := range slots {
+// writeTable writes one frozen table: header (nslots, nkeys, nids), slot
+// array, id array at the image's id width, padded back to 8.
+func writeTable[ID int | int32](b *arenaBuilder, t table[ID]) {
+	b.u64(uint64(len(t.slots) / 2))
+	b.u64(uint64(t.nkeys))
+	b.u64(uint64(len(t.ids)))
+	for _, w := range t.slots {
 		b.u64(w)
 	}
-	for _, e := range entries {
-		for _, id := range e.ids {
+	wide := idWidth[ID]() == 8
+	for _, id := range t.ids {
+		if wide {
 			b.u64(uint64(id))
-		}
-	}
-}
-
-// writePostingTable is writeBucketTable for one posting shard: uint32
-// keys, 12-byte slots, int32 ids. The section stays 8-aligned: the header
-// is 4 u32s and the slot+id payload is padded back to 8.
-func writePostingTable(b *arenaBuilder, l *layered[uint32, int32]) {
-	type entry struct {
-		k   uint32
-		ids []int32
-	}
-	var entries []entry
-	nids := 0
-	l.each(func(k uint32, ids []int32) {
-		if len(ids) == 0 {
-			return // count==0 is the table's empty-slot sentinel
-		}
-		entries = append(entries, entry{k, ids})
-		nids += len(ids)
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-
-	nslots := flatSlots(len(entries))
-	b.u32(uint32(nslots))
-	b.u32(uint32(len(entries)))
-	b.u32(uint32(nids))
-	b.u32(0)
-
-	slots := make([]uint32, 3*nslots)
-	mask := uint32(nslots - 1)
-	off := uint32(0)
-	for _, e := range entries {
-		slot := e.k & mask
-		for slots[3*slot+2] != 0 {
-			slot = (slot + 1) & mask
-		}
-		slots[3*slot] = e.k
-		slots[3*slot+1] = off
-		slots[3*slot+2] = uint32(len(e.ids))
-		off += uint32(len(e.ids))
-	}
-	for _, w := range slots {
-		b.u32(w)
-	}
-	for _, e := range entries {
-		for _, id := range e.ids {
+		} else {
 			b.u32(uint32(id))
 		}
 	}

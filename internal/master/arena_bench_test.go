@@ -1,31 +1,43 @@
 package master
 
-// Cold-start benchmarks for the arena tentpole (ISSUE 6): process boot as
-// a NewForRules rebuild versus loading the saved columnar image, at the
-// acceptance scale of |Dm| = 100k (plus a 10k point for trend). The
-// acceptance bar is arena ≥ 5x faster at 100k. BenchmarkProbeArena and
-// its heap twin pin that the flat bucket tables do not regress the hot
-// probe path (bar: within ±30%).
+// Cold-start benchmarks: process boot as a NewForRules build of the frozen
+// tables versus loading the saved columnar image, at |Dm| = 100k (plus a
+// 10k point for trend), and the probe loop over both — the same tables,
+// built in memory (BenchmarkProbeHeap) or viewed over the mapping
+// (BenchmarkProbeArena). Every benchmark pins GOMAXPROCS and the shard
+// count: the plain names run at 1 — the configuration the checked-in
+// baselines were recorded in — and the P4 twins at 4.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
 
-// BenchmarkColdStartRebuild is today's boot path: a full parallel
-// NewForRules over the row-oriented relation.
-func BenchmarkColdStartRebuild(b *testing.B) {
+// pinProcs sets GOMAXPROCS to p for the rest of the benchmark.
+func pinProcs(b *testing.B, p int) {
+	prev := runtime.GOMAXPROCS(p)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// BenchmarkColdStartRebuild is the boot path without a snapshot: a full
+// parallel NewForRules over the row-oriented relation.
+func BenchmarkColdStartRebuild(b *testing.B)   { benchColdStartRebuild(b, 1) }
+func BenchmarkColdStartRebuildP4(b *testing.B) { benchColdStartRebuild(b, 4) }
+
+func benchColdStartRebuild(b *testing.B, p int) {
+	pinProcs(b, p)
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewForRules(rel, sigma); err != nil {
+				if _, err := NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -33,14 +45,18 @@ func BenchmarkColdStartRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkColdStartArena is the boot path this PR adds: open the saved
+// BenchmarkColdStartArena is the boot path with one: open the saved
 // image, map it, validate, and materialize the snapshot. File pages are
 // warm (saved in the same process), which matches a service restarting on
 // the machine that holds its snapshot.
-func BenchmarkColdStartArena(b *testing.B) {
+func BenchmarkColdStartArena(b *testing.B)   { benchColdStartArena(b, 1) }
+func BenchmarkColdStartArenaP4(b *testing.B) { benchColdStartArena(b, 4) }
+
+func benchColdStartArena(b *testing.B, p int) {
+	pinProcs(b, p)
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)
-		d, err := NewForRules(rel, sigma)
+		d, err := NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,28 +106,30 @@ func benchProbe(b *testing.B, d *Data, rel *relation.Relation, arity, n int, ru 
 	}
 }
 
-// BenchmarkProbeHeap measures the probe loop against a heap-built
-// snapshot — the PR-5 baseline shape.
-func BenchmarkProbeHeap(b *testing.B) {
-	const n = 60_000
-	rel, sigma := benchMasterRelation(n)
-	d := MustNewForRules(rel, sigma)
-	benchProbe(b, d, rel, sigma.Schema().Arity(), n, sigma.Rules()[0])
-}
+// BenchmarkProbeHeap measures the probe loop against a snapshot built in
+// memory.
+func BenchmarkProbeHeap(b *testing.B)   { benchProbeLayout(b, 1, false) }
+func BenchmarkProbeHeapP4(b *testing.B) { benchProbeLayout(b, 4, false) }
 
 // BenchmarkProbeArena measures the identical loop against the same master
-// loaded from its arena image: flat bucket tables, mmap-backed values.
-func BenchmarkProbeArena(b *testing.B) {
+// loaded from its arena image: tables and values over the mapping.
+func BenchmarkProbeArena(b *testing.B)   { benchProbeLayout(b, 1, true) }
+func BenchmarkProbeArenaP4(b *testing.B) { benchProbeLayout(b, 4, true) }
+
+func benchProbeLayout(b *testing.B, p int, arena bool) {
+	pinProcs(b, p)
 	const n = 60_000
 	rel, sigma := benchMasterRelation(n)
-	d := MustNewForRules(rel, sigma)
-	path := filepath.Join(b.TempDir(), "master.arena")
-	if err := d.SaveArenaFile(path, sigma); err != nil {
-		b.Fatal(err)
+	d := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p))
+	if arena {
+		path := filepath.Join(b.TempDir(), "master.arena")
+		if err := d.SaveArenaFile(path, sigma); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if d, err = LoadArena(path, sigma); err != nil {
+			b.Fatal(err)
+		}
 	}
-	loaded, err := LoadArena(path, sigma)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchProbe(b, loaded, rel, sigma.Schema().Arity(), n, sigma.Rules()[0])
+	benchProbe(b, d, rel, sigma.Schema().Arity(), n, sigma.Rules()[0])
 }

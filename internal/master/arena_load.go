@@ -2,8 +2,8 @@ package master
 
 // This file implements the load side of the columnar arena (arena.go):
 // LoadArena maps the file (or falls back to reading it) and assembles a
-// fully usable Data snapshot whose index buckets, posting lists and
-// pattern bitmaps are views into the raw bytes — no per-tuple hashing, no
+// fully usable Data snapshot whose frozen tables (table.go) and pattern
+// bitmaps are views into the raw bytes — no per-tuple hashing, no
 // map construction proportional to |Dm|. The only O(|Dm|) work is a
 // streaming validation pass plus materializing the tuple headers; string
 // payloads stay in the arena (tuple cells alias the mapping zero-copy).
@@ -154,7 +154,7 @@ func LoadArenaBytes(b []byte, sigma *rule.Set) (*Data, error) {
 }
 
 func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
-	// The flat tables are viewed in place as []uint64/[]uint32, so the
+	// The tables and columns are viewed in place as []uint64/[]uint32, so the
 	// backing bytes must be 8-aligned. mmap is page-aligned; a caller
 	// slice might not be — realign with one copy.
 	if len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
@@ -165,8 +165,8 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	}
 
 	hr := &areader{b: b, sec: "header"}
-	if len(b) < arenaHeaderSizeV1 {
-		hr.fail("truncated: %d bytes, header needs %d", len(b), arenaHeaderSizeV1)
+	if len(b) < arenaHeaderSize {
+		hr.fail("truncated: %d bytes, header needs %d", len(b), arenaHeaderSize)
 		return nil, hr.err
 	}
 	if string(b[hdrMagic:hdrMagic+8]) != arenaMagic {
@@ -174,21 +174,10 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		hr.fail("bad magic %q", b[hdrMagic:hdrMagic+8])
 		return nil, hr.err
 	}
-	// Version gates the header shape: v1 images (112-byte header, 6
-	// sections, no auth) still load — as explicitly unauthenticated.
 	hr.off = hdrVersion
-	version := hr.u32()
-	if version != arenaVersion && version != arenaVersionV1 {
+	if version := hr.u32(); version != arenaVersion {
 		hr.off = hdrVersion
-		hr.fail("unsupported version %d (want %d or %d)", version, arenaVersionV1, arenaVersion)
-		return nil, hr.err
-	}
-	headerSize, nsec := arenaHeaderSize, numSections
-	if version == arenaVersionV1 {
-		headerSize, nsec = arenaHeaderSizeV1, numSectionsV1
-	}
-	if len(b) < headerSize {
-		hr.fail("truncated: %d bytes, version-%d header needs %d", len(b), version, headerSize)
+		hr.fail("unsupported version %d (want %d)", version, arenaVersion)
 		return nil, hr.err
 	}
 	// Read the endian marker in HOST order: a mismatch means either a
@@ -220,11 +209,11 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		hr.fail("header file size %d does not match actual size %d", sz, len(b))
 	}
 	var secOff [numSections]int
-	for i := 0; i < nsec; i++ {
+	for i := range secOff {
 		secOff[i] = hr.count(hr.u64(), len(b), "section offset")
 	}
-	prev := headerSize
-	for i := 0; i < nsec && hr.err == nil; i++ {
+	prev := arenaHeaderSize
+	for i := 0; i < numSections && hr.err == nil; i++ {
 		if secOff[i] < prev || secOff[i]%8 != 0 {
 			hr.off = hdrSections + 8*i
 			hr.fail("section %s offset %d out of order or misaligned", sectionName[i], secOff[i])
@@ -322,32 +311,30 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, err // unreachable: the rebuild cannot fail
 	}
 
-	// Auth (version 2 only): when the flag is set, rebuild the Merkle
-	// commitment from the decoded relation and verify it against the
-	// stored root — a recompute-and-verify, so a tampered image cannot
-	// smuggle in either a wrong root or wrong tuples under a right one.
-	// Version-1 images, and flag-0 images, load unauthenticated.
-	if version == arenaVersion {
-		ar := &areader{b: b, off: secOff[secAuth], sec: "auth"}
-		flag := ar.u32()
-		ar.u32() // padding
-		stored := ar.take(32)
-		if ar.err != nil {
-			return nil, ar.err
-		}
-		switch flag {
-		case 0:
-		case 1:
-			tree := authtree.Build(rel)
-			if root := tree.Root(); string(root[:]) != string(stored) {
-				return nil, &SnapshotError{Section: "auth", Offset: secOff[secAuth],
-					Msg: fmt.Sprintf("stored root %x does not match recomputed root %s", stored, root)}
-			}
-			d.auth = tree
-		default:
+	// Auth: when the flag is set, rebuild the Merkle commitment from the
+	// decoded relation and verify it against the stored root — a
+	// recompute-and-verify, so a tampered image cannot smuggle in either a
+	// wrong root or wrong tuples under a right one. Flag-0 images load
+	// unauthenticated.
+	ar := &areader{b: b, off: secOff[secAuth], sec: "auth"}
+	flag := ar.u32()
+	ar.u32() // padding
+	stored := ar.take(32)
+	if ar.err != nil {
+		return nil, ar.err
+	}
+	switch flag {
+	case 0:
+	case 1:
+		tree := authtree.Build(rel)
+		if root := tree.Root(); string(root[:]) != string(stored) {
 			return nil, &SnapshotError{Section: "auth", Offset: secOff[secAuth],
-				Msg: fmt.Sprintf("invalid auth flag %d", flag)}
+				Msg: fmt.Sprintf("stored root %x does not match recomputed root %s", stored, root)}
 		}
+		d.auth = tree
+	default:
+		return nil, &SnapshotError{Section: "auth", Offset: secOff[secAuth],
+			Msg: fmt.Sprintf("invalid auth flag %d", flag)}
 	}
 	return d, nil
 }
@@ -476,10 +463,7 @@ func decodeArenaColumns(b []byte, off, n, arity int, vals []relation.Value, sche
 	return rel, nil
 }
 
-// decodeArenaIndex decodes one index: Xm list, then a frozen bucket table
-// per shard, fully validated (power-of-two slots with an empty slot for
-// probe termination, spans inside the id array, ids in range and
-// ascending per bucket).
+// decodeArenaIndex decodes one index: Xm list, then a table per shard.
 func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
 	nxm := r.count(uint64(r.u32()), arity, "index Xm length")
 	if r.err == nil && nxm < 1 {
@@ -491,134 +475,73 @@ func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
 	}
 	r.align8()
 	idx := newIndex(xm, nshards)
-	for s := 0; s < nshards; s++ {
-		start := r.off
-		nslots := r.count(r.u64(), len(r.b)/16, "bucket slot count")
-		nkeys := r.count(r.u64(), len(r.b)/16, "bucket key count")
-		nids := r.count(r.u64(), len(r.b)/8, "bucket id count")
-		if r.err == nil && (nslots < 2 || nslots&(nslots-1) != 0) {
-			r.off = start
-			r.fail("slot count %d not a power of two ≥ 2", nslots)
-		}
-		if r.err == nil && nkeys >= nslots {
-			r.off = start
-			r.fail("key count %d leaves no empty slot in %d", nkeys, nslots)
-		}
-		slots := viewU64(r.take(16 * nslots))
-		idsRaw := r.take(8 * nids)
-		if r.err != nil {
-			return nil, r.err
-		}
-		occupied, span := 0, 0
-		for slot := 0; slot < nslots; slot++ {
-			packed := slots[2*slot+1]
-			if packed == 0 {
-				continue
-			}
-			occupied++
-			off, cnt := int(packed>>32), int(packed&0xffffffff)
-			if cnt < 1 || off < 0 || off > nids-cnt {
-				r.off = start
-				r.fail("bucket span [%d,%d) outside %d ids", off, off+cnt, nids)
-				return nil, r.err
-			}
-			span += cnt
-		}
-		if occupied != nkeys || span != nids {
-			r.off = start
-			r.fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, nkeys, nids)
-			return nil, r.err
-		}
-		ids := viewInt(idsRaw)
-		for slot := 0; slot < nslots; slot++ {
-			packed := slots[2*slot+1]
-			if packed == 0 {
-				continue
-			}
-			off, cnt := int(packed>>32), int(packed&0xffffffff)
-			prev := -1
-			for _, id := range ids[off : off+cnt] {
-				if id < 0 || id >= n || id <= prev {
-					r.off = start
-					r.fail("bucket id %d out of range %d or not ascending", id, n)
-					return nil, r.err
-				}
-				prev = id
-			}
-		}
-		idx.shards[s].flat = &arenaBuckets{
-			slots: slots,
-			mask:  uint64(nslots - 1),
-			ids:   ids,
-			nkeys: nkeys,
-		}
+	for s := 0; s < nshards && r.err == nil; s++ {
+		idx.shards[s].frozen = decodeTable[int](r, n)
 	}
-	return idx, nil
+	return idx, r.err
 }
 
-// decodeArenaPostings decodes one posting list: column, then per-shard
-// tables (the uint32 twin of decodeArenaIndex).
+// decodeArenaPostings decodes one posting list: column, table per shard.
 func decodeArenaPostings(r *areader, nshards, arity, n int) (*postings, error) {
 	col := r.count(uint64(r.u32()), arity-1, "posting column")
 	r.u32() // padding
 	ps := &postings{col: col, shards: make([]layered[uint32, int32], nshards)}
-	for s := 0; s < nshards; s++ {
-		start := r.off
-		nslots := r.count(uint64(r.u32()), len(r.b)/12, "posting slot count")
-		nkeys := r.count(uint64(r.u32()), len(r.b)/12, "posting key count")
-		nids := r.count(uint64(r.u32()), len(r.b)/4, "posting id count")
-		r.u32() // padding
-		if r.err == nil && (nslots < 2 || nslots&(nslots-1) != 0) {
+	for s := 0; s < nshards && r.err == nil; s++ {
+		ps.shards[s].frozen = decodeTable[int32](r, n)
+	}
+	return ps, r.err
+}
+
+// decodeTable views one frozen table in place, fully validated: a power-
+// of-two slot count with an empty slot for probe termination, spans inside
+// the id array, key and id counts matching the header, ids in [0, n) and
+// ascending per bucket. On failure r.err is set and the result unusable.
+func decodeTable[ID int | int32](r *areader, n int) table[ID] {
+	start := r.off
+	nslots := r.count(r.u64(), len(r.b)/16, "table slot count")
+	nkeys := r.count(r.u64(), len(r.b)/16, "table key count")
+	nids := r.count(r.u64(), len(r.b)/idWidth[ID](), "table id count")
+	if r.err == nil && (nslots < 2 || nslots&(nslots-1) != 0 || nkeys >= nslots) {
+		r.off = start
+		r.fail("slot count %d not a power of two ≥ 2 with an empty slot beside %d keys", nslots, nkeys)
+	}
+	slots := viewU64(r.take(16 * nslots))
+	idsRaw := r.take(idWidth[ID]() * nids)
+	r.align8()
+	if r.err != nil {
+		return table[ID]{}
+	}
+	ids := viewIDs[ID](idsRaw)
+	occupied, span := 0, 0
+	for slot := 0; slot < nslots; slot++ {
+		packed := slots[2*slot+1]
+		if packed == 0 {
+			continue
+		}
+		occupied++
+		off, cnt := int(packed>>32), int(packed&0xffffffff)
+		if cnt < 1 || off < 0 || off > nids-cnt {
 			r.off = start
-			r.fail("slot count %d not a power of two ≥ 2", nslots)
+			r.fail("bucket span [%d,%d) outside %d ids", off, off+cnt, nids)
+			return table[ID]{}
 		}
-		if r.err == nil && nkeys >= nslots {
-			r.off = start
-			r.fail("key count %d leaves no empty slot in %d", nkeys, nslots)
-		}
-		slots := viewU32(r.take(12 * nslots))
-		ids := viewI32(r.take(4 * nids))
-		r.align8()
-		if r.err != nil {
-			return nil, r.err
-		}
-		occupied, span := 0, 0
-		for slot := 0; slot < nslots; slot++ {
-			cnt := int(slots[3*slot+2])
-			if cnt == 0 {
-				continue
-			}
-			occupied++
-			off := int(slots[3*slot+1])
-			if off > nids-cnt {
+		span += cnt
+		prev := ID(-1)
+		for _, id := range ids[off : off+cnt] {
+			if id < 0 || int(id) >= n || id <= prev {
 				r.off = start
-				r.fail("posting span [%d,%d) outside %d ids", off, off+cnt, nids)
-				return nil, r.err
+				r.fail("bucket id %d out of range %d or not ascending", id, n)
+				return table[ID]{}
 			}
-			span += cnt
-			prev := int32(-1)
-			for _, id := range ids[off : off+cnt] {
-				if id < 0 || int(id) >= n || id <= prev {
-					r.off = start
-					r.fail("posting id %d out of range %d or not ascending", id, n)
-					return nil, r.err
-				}
-				prev = id
-			}
-		}
-		if occupied != nkeys || span != nids {
-			r.off = start
-			r.fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, nkeys, nids)
-			return nil, r.err
-		}
-		ps.shards[s].flat = &arenaPostings{
-			slots: slots,
-			mask:  uint32(nslots - 1),
-			ids:   ids,
-			nkeys: nkeys,
+			prev = id
 		}
 	}
-	return ps, nil
+	if occupied != nkeys || span != nids {
+		r.off = start
+		r.fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, nkeys, nids)
+		return table[ID]{}
+	}
+	return table[ID]{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
 }
 
 // decodeArenaRule decodes one rule record and validates it against the

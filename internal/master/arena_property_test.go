@@ -5,9 +5,10 @@ package master
 // purely in-memory lineage at every step, under the same rebuild oracle
 // (checkEquiv) the delta chain is held to. The chain re-serializes
 // mid-way at random, so overlays accumulated ON TOP of a loaded arena
-// (flat layer + COW maps) are themselves frozen and re-loaded, and the
-// flatten-at-1/4 compaction that drops the flat layer is crossed
-// repeatedly (the instances are small, so a few deltas trigger it).
+// (mapped tables + overlay maps) are themselves frozen and re-loaded, and
+// the flatten-at-1/4 compaction that rewrites a mapped table on the heap
+// is crossed repeatedly (the instances are small, so a few deltas trigger
+// it).
 
 import (
 	"bytes"
@@ -68,8 +69,8 @@ func TestArenaDeltaEquivalenceProperty(t *testing.T) {
 
 			// Occasionally freeze the current state of BOTH chains and
 			// compare the images byte for byte — the serialized merged view
-			// must not depend on whether the snapshot's base is an arena or
-			// heap maps — then continue from the re-loaded snapshot.
+			// must not depend on whether the snapshot's tables were loaded or
+			// built — then continue from the re-loaded snapshot.
 			if rng.Intn(3) == 0 {
 				imgL := saveArenaBytes(t, loaded, sigma)
 				imgH := saveArenaBytes(t, heap, sigma)

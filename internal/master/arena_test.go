@@ -173,6 +173,16 @@ func TestArenaFileRoundTrip(t *testing.T) {
 		if !ms.ArenaBacked {
 			t.Fatalf("%s: loaded snapshot not arena-backed: %+v", ctx, ms)
 		}
+		// One layout: a fresh build and its loaded image hold tables of the
+		// same content and the same size.
+		hs := d.MemStats()
+		if hs.IndexKeys != ms.IndexKeys || hs.IndexIDs != ms.IndexIDs || hs.IndexBytes != ms.IndexBytes ||
+			hs.PostingKeys != ms.PostingKeys || hs.PostingIDs != ms.PostingIDs || hs.PostingBytes != ms.PostingBytes {
+			t.Fatalf("%s: MemStats differ between the heap build %+v and its loaded image %+v", ctx, hs, ms)
+		}
+		if hs.IndexBytes < 16*int64(hs.IndexKeys)+8*int64(hs.IndexIDs) || hs.PostingBytes < 16*int64(hs.PostingKeys)+4*int64(hs.PostingIDs) {
+			t.Fatalf("%s: table bytes below their own payload: %+v", ctx, hs)
+		}
 	}
 }
 
@@ -213,6 +223,7 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 	return []corruptCase{
 		{"bad magic", func(b []byte) { b[0] = 'X' }},
 		{"bad version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], 99) }},
+		{"older version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersion-1) }},
 		{"bad endian marker", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrEndian:], 0x04030201) }},
 		{"zero shards", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], 0) }},
 		{"shard count over limit", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], MaxShards+1) }},

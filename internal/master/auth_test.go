@@ -136,47 +136,6 @@ func TestArenaAuthRoundTrip(t *testing.T) {
 	}
 }
 
-// downConvertV1 rewrites a version-2 arena image as the version-1 format
-// that predates the auth section: drop the 7th section-offset slot from
-// the header, drop the auth section from the tail, and patch version,
-// section offsets (the payload moved down 8 bytes) and file size.
-func downConvertV1(t *testing.T, img []byte) []byte {
-	t.Helper()
-	authOff := int(binary.LittleEndian.Uint64(img[hdrSections+8*secAuth:]))
-	out := make([]byte, 0, len(img)-8)
-	out = append(out, img[:arenaHeaderSizeV1]...)
-	out = append(out, img[arenaHeaderSize:authOff]...)
-	binary.LittleEndian.PutUint32(out[hdrVersion:], arenaVersionV1)
-	binary.LittleEndian.PutUint64(out[hdrFileSize:], uint64(len(out)))
-	for s := 0; s < numSectionsV1; s++ {
-		off := binary.LittleEndian.Uint64(out[hdrSections+8*s:])
-		binary.LittleEndian.PutUint64(out[hdrSections+8*s:], off-8)
-	}
-	return out
-}
-
-// TestArenaV1ImageLoadsUnauthenticated pins backward compatibility: a
-// pre-auth image (synthesized by down-converting a v2 image) loads with
-// the same probe behaviour and reports itself unauthenticated.
-func TestArenaV1ImageLoadsUnauthenticated(t *testing.T) {
-	d0, sigma, _ := deltaFixture(t, 25)
-	da := MustNewForRules(d0.Relation(), sigma, WithAuth())
-	v1 := downConvertV1(t, saveArenaBytes(t, da, sigma))
-
-	ld := loadArenaOrFatal(t, v1, sigma)
-	if ld.Authenticated() {
-		t.Fatal("version-1 image loaded authenticated")
-	}
-	if st := ld.MemStats(); st.Authenticated || st.Root != "" {
-		t.Fatalf("version-1 MemStats reports auth: %+v", st)
-	}
-	if ld.Len() != da.Len() || ld.Epoch() != da.Epoch() {
-		t.Fatalf("version-1 image len/epoch %d/%d, want %d/%d", ld.Len(), ld.Epoch(), da.Len(), da.Epoch())
-	}
-	vals := []string{key(0), val(0), key(7), val(7), key(24), "zz"}
-	checkProbesAgree(t, "v1 image", da, ld, sigma, vals, 200)
-}
-
 func TestArenaAuthSectionCorruption(t *testing.T) {
 	d0, sigma, _ := deltaFixture(t, 18)
 	da := MustNewForRules(d0.Relation(), sigma, WithAuth())

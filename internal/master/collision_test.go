@@ -6,6 +6,8 @@ package master
 // collisions that FNV-1a will essentially never produce naturally.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/pattern"
@@ -38,44 +40,59 @@ func kvData(t *testing.T) (*rule.Set, *rule.Rule, *Data) {
 	return sigma, ru, dm
 }
 
+// plantBucket rewrites bucket h of one index shard to ids — what a 64-bit
+// hash collision looks like to a probe when ids names a foreign tuple. The
+// bucket is planted through the overlay, or, with frozen set, through the
+// table rebuilt from it, so both layers are held to the verification.
+func plantBucket(sh *indexShard, h uint64, ids []int, frozen bool) {
+	sh.set(h, ids)
+	if frozen {
+		sh.layered = layered[uint64, int]{frozen: sh.compact()}
+	}
+}
+
 // TestBucketVerificationFiltersCollisions injects a foreign tuple id into
 // the bucket a probe hits — simulating a uint64 hash collision — and
 // checks every probe entry point filters it out by verifying the stored
 // tuple's projection.
 func TestBucketVerificationFiltersCollisions(t *testing.T) {
-	_, ru, dm := kvData(t)
-	probe := relation.StringTuple("k1", "dirty")
+	for _, frozen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) {
+			_, ru, dm := kvData(t)
+			probe := relation.StringTuple("k1", "dirty")
 
-	idx := dm.plans[ru]
-	if idx == nil {
-		t.Fatal("probe plan must be resolved at NewForRules time")
-	}
-	h, ok := dm.hasher.HashTuple(probe, ru.LHSRef())
-	if !ok {
-		t.Fatal("probe must hash")
-	}
-	// id 1 is the k2 tuple: same bucket now, different projection.
-	idx.shards[0].base[h] = append(idx.shards[0].base[h], 1)
+			idx := dm.plans[ru]
+			if idx == nil {
+				t.Fatal("probe plan must be resolved at NewForRules time")
+			}
+			h, ok := dm.hasher.HashTuple(probe, ru.LHSRef())
+			if !ok {
+				t.Fatal("probe must hash")
+			}
+			// id 1 is the k2 tuple: same bucket now, different projection.
+			plantBucket(&idx.shards[0], h, append(slices.Clone(idx.shards[0].get(h)), 1), frozen)
 
-	ids := dm.MatchIDs(ru, probe)
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
-		t.Fatalf("MatchIDs after injected collision = %v, want [0 2]", ids)
-	}
-	vals := dm.RHSValues(ru, probe)
-	if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v1b" {
-		t.Fatalf("RHSValues after injected collision = %v", vals)
-	}
-	lids := dm.Lookup([]int{0}, []relation.Value{relation.String("k1")})
-	if len(lids) != 2 || lids[0] != 0 || lids[1] != 2 {
-		t.Fatalf("Lookup after injected collision = %v, want [0 2]", lids)
-	}
+			ids := dm.MatchIDs(ru, probe)
+			if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
+				t.Fatalf("MatchIDs after injected collision = %v, want [0 2]", ids)
+			}
+			vals := dm.RHSValues(ru, probe)
+			if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v1b" {
+				t.Fatalf("RHSValues after injected collision = %v", vals)
+			}
+			lids := dm.Lookup([]int{0}, []relation.Value{relation.String("k1")})
+			if len(lids) != 2 || lids[0] != 0 || lids[1] != 2 {
+				t.Fatalf("Lookup after injected collision = %v, want [0 2]", lids)
+			}
 
-	// A collision at the head of the bucket exercises the filtered path
-	// from position 0.
-	idx.shards[0].base[h] = append([]int{1}, idx.shards[0].base[h]...)
-	ids = dm.MatchIDs(ru, probe)
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
-		t.Fatalf("MatchIDs with head collision = %v, want [0 2]", ids)
+			// A collision at the head of the bucket exercises the filtered path
+			// from position 0.
+			plantBucket(&idx.shards[0], h, append([]int{1}, idx.shards[0].get(h)...), frozen)
+			ids = dm.MatchIDs(ru, probe)
+			if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
+				t.Fatalf("MatchIDs with head collision = %v, want [0 2]", ids)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,7 @@ package master
 // derives the next immutable snapshot from a batch of additions and
 // deletions by incrementally maintaining the hash indexes, posting lists
 // and pattern-support bitmaps (copy-on-write overlays over the shared
-// base layers), and Versioned publishes the current snapshot through an
+// frozen tables), and Versioned publishes the current snapshot through an
 // atomic pointer so probes never block behind an update.
 //
 // Delta semantics, mirrored exactly by the rebuild oracle the property

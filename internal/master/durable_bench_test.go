@@ -4,7 +4,8 @@ package master
 // holds a 100k-tuple master and whose WAL retains a 64-delta tail — the
 // cold-start price certainfixd pays after a crash or deploy. The arena
 // half rides the mmap loader benchmarked in arena_bench_test.go; the
-// delta tail adds one ApplyDelta per retained record.
+// delta tail adds one ApplyDelta per retained record. GOMAXPROCS and the
+// shard count are pinned like there: 1 under the plain name, 4 under P4.
 
 import (
 	"math/rand"
@@ -14,12 +15,16 @@ import (
 	"repro/internal/wal"
 )
 
-func BenchmarkRecovery(b *testing.B) {
+func BenchmarkRecovery(b *testing.B)   { benchRecovery(b, 1) }
+func BenchmarkRecoveryP4(b *testing.B) { benchRecovery(b, 4) }
+
+func benchRecovery(b *testing.B, p int) {
+	pinProcs(b, p)
 	const n = 100_000
 	const tail = 64
 	rel, sigma := benchMasterRelation(n)
 	dir := b.TempDir()
-	dv, err := OpenDurable(dir, func() (*Data, error) { return NewForRules(rel, sigma) }, sigma,
+	dv, err := OpenDurable(dir, func() (*Data, error) { return NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p)) }, sigma,
 		DurableOptions{Sync: wal.SyncNever, CheckpointEvery: -1})
 	if err != nil {
 		b.Fatal(err)

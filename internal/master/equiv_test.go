@@ -13,6 +13,8 @@ package master
 // the id contents, which is exactly what every probe observes.
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,7 +52,73 @@ func rebuildOracle(t testing.TB, got *Data, sigma *rule.Set) *Data {
 	if err != nil {
 		t.Fatalf("oracle rebuild: %v", err)
 	}
+	checkTablesAgainstMaps(t, "oracle rebuild", want)
 	return want
+}
+
+// checkTablesAgainstMaps holds every index and posting shard of a freshly
+// built snapshot to Go maps filled here by a plain loop over the relation:
+// the reference shares no code with the table builder.
+func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
+	t.Helper()
+	for _, idx := range d.indexes {
+		want := make([]map[uint64][]int, d.nshards)
+		for s := range want {
+			want[s] = map[uint64][]int{}
+		}
+		for i, tm := range d.rel.Tuples() {
+			h, ok := d.hasher.HashTuple(tm, idx.xm)
+			if !ok {
+				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
+			}
+			s := d.shardOf(tm)
+			want[s][h] = append(want[s][h], i)
+		}
+		for s := range idx.shards {
+			checkLayeredAgainstMap(t, fmt.Sprintf("%s: index %v shard %d", ctx, idx.xm, s), &idx.shards[s].layered, want[s])
+		}
+	}
+	for _, ps := range d.postings {
+		want := make([]map[uint32][]int32, d.nshards)
+		for s := range want {
+			want[s] = map[uint32][]int32{}
+		}
+		for i, tm := range d.rel.Tuples() {
+			vid, ok := d.syms.ID(tm[ps.col])
+			if !ok {
+				t.Fatalf("%s: value of tuple %d column %d not interned", ctx, i, ps.col)
+			}
+			s := d.shardOf(tm)
+			want[s][vid] = append(want[s][vid], int32(i))
+		}
+		for s := range ps.shards {
+			checkLayeredAgainstMap(t, fmt.Sprintf("%s: postings col %d shard %d", ctx, ps.col, s), &ps.shards[s], want[s])
+		}
+	}
+}
+
+// checkLayeredAgainstMap requires one shard to hold exactly the map's
+// content: every map key resolves to its ids, the keys next to it resolve
+// like the map says (mostly misses), and each visits every key exactly once.
+func checkLayeredAgainstMap[K uint32 | uint64, ID int | int32](t testing.TB, ctx string, l *layered[K, ID], want map[K][]ID) {
+	t.Helper()
+	seen := 0
+	l.each(func(k K, ids []ID) {
+		seen++
+		if !slices.Equal(ids, want[k]) {
+			t.Fatalf("%s: each(%#x) = %v, map oracle %v", ctx, k, ids, want[k])
+		}
+	})
+	if seen != len(want) {
+		t.Fatalf("%s: each visited %d keys, map oracle holds %d", ctx, seen, len(want))
+	}
+	for k := range want {
+		for _, probe := range []K{k, k + 1, k - 1} {
+			if got := l.get(probe); !slices.Equal(got, want[probe]) {
+				t.Fatalf("%s: get(%#x) = %v, map oracle %v", ctx, probe, got, want[probe])
+			}
+		}
+	}
 }
 
 func eqInts(a, b []int) bool {

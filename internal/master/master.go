@@ -6,9 +6,13 @@
 //
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
 // (relation.Symbols / relation.Hasher); a bucket holds the ascending ids
-// of the tuples whose Xm projection hashes to its key, per shard. Per-rule
-// probe plans are resolved once at NewForRules time, so a probe does not
-// rebuild position lists or registry keys. There are two kinds of probe:
+// of the tuples whose Xm projection hashes to its key, per shard. There is
+// one index layout: every shard of every index and posting list is an
+// immutable open-addressing table (table.go) — the same whether built by
+// NewForRules, rewritten by compaction or mapped by LoadArena — under a
+// per-snapshot overlay map holding the deltas since (overlay.go). Per-rule
+// probe plans are resolved once at NewForRules time. There are two kinds
+// of probe:
 //
 //   - Value probes — RHSValues, RHSValuesWitness, FirstMatchID, FirstMatch
 //     — answer "which values tm[Bm] does the rule assign, and which master
@@ -36,24 +40,18 @@
 // compatibility test and the rule-support precomputation of §5 without
 // scanning Dm.
 //
-// To reach multi-million-tuple masters, every per-tuple structure is
-// partitioned into P hash shards (see shard.go): tuples route to shards
-// by an interning-free hash of their full content, NewForRules fills the
-// shards in parallel, ApplyDelta routes maintenance to the owning shard,
-// and probes visit each shard's bucket for the key. Tuple ids stay global,
-// so probe results are byte-identical for every P. Configure with
-// WithShards / WithBuildWorkers; the default is one shard per CPU.
+// Every per-tuple structure is partitioned into P hash shards (shard.go):
+// tuples route by an interning-free hash of their full content, NewForRules
+// fills the shards in parallel, ApplyDelta routes maintenance to the owning
+// shard, and probes visit each shard's bucket for the key. Tuple ids stay
+// global, so probe results are byte-identical for every P.
 //
-// The paper assumes master data is consistent, complete and static (§2,
-// citing [31]). A production service cannot stop the world to re-run
-// NewForRules whenever the master relation gains a correction, so this
-// package versions Dm instead of freezing it: a *Data is an immutable,
-// epoch-stamped SNAPSHOT, and ApplyDelta derives the next snapshot by
-// copy-on-write — indexes, exception tables, posting lists and
-// pattern-support bitmaps are maintained incrementally (shared base layers
-// plus small per-snapshot, per-shard overlays) rather than rebuilt. The
-// Versioned handle publishes the current snapshot through an atomic
-// pointer.
+// The paper assumes master data is static (§2). A service cannot stop the
+// world to re-run NewForRules for every correction, so this package
+// versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
+// derives the next one by copy-on-write — tables shared, overlays, exception
+// tables and pattern bitmaps maintained incrementally — and the Versioned
+// handle publishes the current snapshot through an atomic pointer.
 //
 // Concurrency contract:
 //
@@ -156,9 +154,9 @@ type Data struct {
 	// exactly these columns.
 	needCols []int
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
-	// heap-built ones). Propagated through ApplyDelta derivations: tuple
-	// cells and flat index layers alias the bytes for the snapshot chain's
-	// whole lifetime. See arena.go / arena_load.go.
+	// ones built in memory). Propagated through ApplyDelta derivations:
+	// tuple cells and not-yet-compacted tables alias the bytes for the
+	// snapshot chain's whole lifetime. See arena.go / arena_load.go.
 	arena *arenaRef
 	// auth is the snapshot's sparse-Merkle commitment over the tuple
 	// multiset (nil = unauthenticated, the default). Built by WithAuth /
@@ -247,27 +245,13 @@ func (d *Data) Tuple(i int) relation.Tuple { return d.rel.Tuple(i) }
 // Hasher returns the shared projection hasher (read-only after indexing).
 func (d *Data) Hasher() relation.Hasher { return d.hasher }
 
-// Index builds (or reuses) a hash index over the Rm positions xm.
-// Not safe to call concurrently with lookups; build indexes up front.
-func (d *Data) Index(xm []int) { d.buildIndex(xm) }
-
-// buildIndex returns the index over xm, building and registering it on
-// first request (the sequential fill path used outside NewForRules). The
-// position list is copied, so callers may pass shared slices.
-func (d *Data) buildIndex(xm []int) *index {
-	idx, created := d.registerIndex(xm)
-	if !created {
-		return idx
+// Index builds (or reuses) a hash index over the Rm positions xm (copied,
+// so callers may pass shared slices). Not safe to call concurrently with
+// lookups; build indexes up front.
+func (d *Data) Index(xm []int) {
+	if idx, created := d.registerIndex(xm); created {
+		d.fillAdded([]*index{idx}, nil, idx.xm)
 	}
-	for i, tm := range d.rel.Tuples() {
-		h := d.hasher.HashInterning(tm, xm)
-		s := d.shardOf(tm)
-		idx.shards[s].base[h] = append(idx.shards[s].base[h], i)
-	}
-	for s := range idx.shards {
-		idx.rebuildExceptions(s, d.rel)
-	}
-	return idx
 }
 
 // findIndex locates a registered index by position list; nil when absent.

@@ -1,13 +1,17 @@
 package master
 
-import "repro/internal/relation"
+import (
+	"unsafe"
+
+	"repro/internal/relation"
+)
 
 // MemStats is a snapshot's memory accounting: where the bytes of the
 // lookup structures live, split so the heap-vs-arena tradeoff is
 // observable in production (certainfixd exposes this on /healthz), not
-// just in benchmarks. Counts are logical (entries and ids), byte figures
-// are the dominant payloads — map headers, slice headers and allocator
-// overhead are not modeled.
+// just in benchmarks. Counts are logical (live keys and ids); index and
+// posting bytes are the exact sizes of the frozen tables' backing arrays
+// plus the overlay entries' payload.
 type MemStats struct {
 	// Epoch and Tuples identify the snapshot.
 	Epoch  uint64 `json:"epoch"`
@@ -20,8 +24,8 @@ type MemStats struct {
 	SymbolBytes int64 `json:"symbol_bytes"`
 
 	// IndexKeys/IndexIDs count hash-index bucket keys and bucket entries
-	// across all indexes and shards; IndexBytes is their payload (16 bytes
-	// per key, 8 per id).
+	// across all indexes and shards; IndexBytes is the tables' slot and id
+	// arrays plus 16 bytes per overlay key and 8 per overlay id.
 	IndexKeys  int   `json:"index_keys"`
 	IndexIDs   int   `json:"index_ids"`
 	IndexBytes int64 `json:"index_bytes"`
@@ -33,7 +37,8 @@ type MemStats struct {
 	NonUniformBuckets int `json:"non_uniform_buckets"`
 
 	// PostingKeys/PostingIDs count posting-list keys and entries;
-	// PostingBytes is their payload (12 bytes per key, 4 per id).
+	// PostingBytes is the tables' slot and id arrays plus 12 bytes per
+	// overlay key and 4 per overlay id.
 	PostingKeys  int   `json:"posting_keys"`
 	PostingIDs   int   `json:"posting_ids"`
 	PostingBytes int64 `json:"posting_bytes"`
@@ -44,24 +49,24 @@ type MemStats struct {
 	// ArenaBacked reports whether the snapshot chain is rooted in a loaded
 	// columnar arena; ArenaBytes is the backing image size and ArenaMapped
 	// whether it is an mmap (pages shared, evictable) rather than a heap
-	// copy. For an arena-backed snapshot the index/posting/bitmap payloads
-	// largely live INSIDE the arena bytes, not on the Go heap.
+	// copy. For an arena-backed snapshot the tables and bitmaps live
+	// INSIDE the arena bytes, not on the Go heap, until compaction rewrites
+	// a shard.
 	ArenaBacked bool  `json:"arena_backed"`
 	ArenaMapped bool  `json:"arena_mapped"`
 	ArenaBytes  int64 `json:"arena_bytes"`
 
 	// Authenticated reports whether the snapshot carries a sparse-Merkle
 	// commitment (WithAuth lineages and flag-set arena images); Root is its
-	// hex form, empty when unauthenticated — pre-auth arena images load
-	// with Authenticated false, explicitly.
+	// hex form, empty when unauthenticated.
 	Authenticated bool   `json:"authenticated"`
 	Root          string `json:"root,omitempty"`
 }
 
 // MemStats walks the snapshot's structures and returns their accounting.
 // Cost is O(structures), not O(|Dm|·arity): symbol payloads come from the
-// interning table, index and posting sizes from the layered maps' merged
-// views. Safe on any snapshot, concurrently with probes.
+// interning table, index and posting sizes from the layered maps. Safe on
+// any snapshot, concurrently with probes.
 func (d *Data) MemStats() MemStats {
 	ms := MemStats{
 		Epoch:  d.epoch,
@@ -76,23 +81,15 @@ func (d *Data) MemStats() MemStats {
 	}
 	for _, idx := range d.indexes {
 		for s := range idx.shards {
-			idx.shards[s].each(func(_ uint64, ids []int) {
-				ms.IndexKeys++
-				ms.IndexIDs += len(ids)
-			})
+			idx.shards[s].addStats(&ms.IndexKeys, &ms.IndexIDs, &ms.IndexBytes)
 			ms.NonUniformBuckets += len(idx.shards[s].exc)
 		}
 	}
-	ms.IndexBytes = 16*int64(ms.IndexKeys) + 8*int64(ms.IndexIDs)
 	for _, ps := range d.postings {
 		for s := range ps.shards {
-			ps.shards[s].each(func(_ uint32, ids []int32) {
-				ms.PostingKeys++
-				ms.PostingIDs += len(ids)
-			})
+			ps.shards[s].addStats(&ms.PostingKeys, &ms.PostingIDs, &ms.PostingBytes)
 		}
 	}
-	ms.PostingBytes = 12*int64(ms.PostingKeys) + 4*int64(ms.PostingIDs)
 	for _, cp := range d.compat {
 		ms.BitmapBytes += 8 * int64(len(cp.patBits))
 	}
@@ -106,4 +103,18 @@ func (d *Data) MemStats() MemStats {
 		ms.Root = root.String()
 	}
 	return ms
+}
+
+// addStats adds the pair's live key and id counts and its bytes: the table's
+// backing arrays plus each overlay entry's key, span word and ids.
+func (l *layered[K, ID]) addStats(keys, ids *int, bytes *int64) {
+	l.each(func(_ K, v []ID) {
+		*keys++
+		*ids += len(v)
+	})
+	idBytes := int64(unsafe.Sizeof(ID(0)))
+	*bytes += 8*int64(len(l.frozen.slots)) + idBytes*int64(len(l.frozen.ids))
+	for _, v := range l.over {
+		*bytes += int64(unsafe.Sizeof(K(0))) + 8 + idBytes*int64(len(v))
+	}
 }

@@ -22,16 +22,15 @@ import "repro/internal/relation"
 // built here are maintained incrementally by ApplyDelta like any other
 // registered postings.
 func (d *Data) IndexPostings(cols ...int) {
+	var created []*postings
+	var added []int
 	for _, col := range cols {
-		ps, created := d.registerPostings(col)
-		if !created {
-			continue
+		if ps, isNew := d.registerPostings(col); isNew {
+			created, added = append(created, ps), append(added, col)
 		}
-		for i, tm := range d.rel.Tuples() {
-			vid := d.syms.Intern(tm[col])
-			s := d.shardOf(tm)
-			ps.shards[s].base[vid] = append(ps.shards[s].base[vid], int32(i))
-		}
+	}
+	if len(created) > 0 {
+		d.fillAdded(nil, created, added)
 	}
 }
 

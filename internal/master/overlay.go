@@ -2,38 +2,18 @@ package master
 
 // layered is the copy-on-write map shared by the hash indexes (uint64
 // projection hash → tuple ids) and the posting lists (interned value id →
-// tuple ids). It stacks up to three layers, youngest first:
+// tuple ids). It has two layers:
 //
-//	over — this snapshot's delta overlay (a key present here shadows the
-//	       layers below, including with an empty slice);
-//	base — the immutable map layer shared between snapshots;
-//	flat — an optional frozen arena table (see arena.go): buckets decoded
-//	       in place from a loaded columnar snapshot, shared by every
-//	       descendant of the loaded snapshot and never written.
+//	over   — this snapshot's delta overlay (a key present here shadows the
+//	         table below, including with an empty slice);
+//	frozen — the immutable canonical table (table.go), shared by every
+//	         snapshot derived since it was built, compacted or loaded.
 //
-// A heap-built snapshot has no flat layer, so its reads cost exactly what
-// the two-layer design did. An arena-loaded snapshot starts as a bare
-// flat layer; ApplyDelta forks it like any other snapshot, accumulating
-// overlays until compaction flattens all three layers into a fresh map
-// base (at which point the shard no longer references the arena).
-type layered[K comparable, ID int | int32] struct {
-	base map[K][]ID
-	over map[K][]ID
-	flat flatSource[K, ID]
-}
-
-// flatSource is a frozen bucket table decoded from an arena: the bottom
-// layer of a layered map. Implementations are read-only and safe for
-// concurrent use (arenaBuckets and arenaPostings in arena.go).
-type flatSource[K comparable, ID int | int32] interface {
-	// get resolves k's id slice; nil when absent.
-	get(k K) []ID
-	// each calls fn for every stored (key, ids) pair, in table order.
-	each(fn func(k K, ids []ID))
-	// entries returns the number of stored keys.
-	entries() int
-	// idCount returns the total number of stored ids.
-	idCount() int
+// ApplyDelta forks every shard's pair: table shared, overlay copied, until
+// the overlay has outgrown the table enough (fork) to compact both into one.
+type layered[K uint32 | uint64, ID int | int32] struct {
+	over   map[K][]ID
+	frozen table[ID]
 }
 
 // get resolves k's id slice through the layers.
@@ -43,13 +23,7 @@ func (l *layered[K, ID]) get(k K) []ID {
 			return v
 		}
 	}
-	if v, ok := l.base[k]; ok {
-		return v
-	}
-	if l.flat != nil {
-		return l.flat.get(k)
-	}
-	return nil
+	return l.frozen.get(uint64(k))
 }
 
 // set shadows k's slice in this snapshot's overlay. The slice must be
@@ -61,105 +35,55 @@ func (l *layered[K, ID]) set(k K, v []ID) {
 	l.over[k] = v
 }
 
-// baseLen is the key count of the immutable layers (sizing the
-// flatten-at-1/4 compaction policy; keys present in both layers are
-// counted twice, which only makes compaction marginally earlier).
-func (l *layered[K, ID]) baseLen() int {
-	n := len(l.base)
-	if l.flat != nil {
-		n += l.flat.entries()
-	}
-	return n
-}
-
-// fork derives the next snapshot's view: immutable layers shared, overlay
-// copied, or all layers flattened once the overlay has grown past a
-// quarter of the immutable key count (amortizing compaction cost over the
-// deltas that built it). Flattening drops the flat layer — the forked
-// shard stops referencing the arena.
+// fork derives the next snapshot's view: table shared, overlay copied — or
+// both compacted once the overlay has grown past a quarter of the table's
+// keys plus 1/64 of its ids: a rebuild copies every id, so the overlay
+// growth that pays for it scales with them (few keys, long lists: never).
 func (l *layered[K, ID]) fork() layered[K, ID] {
-	if len(l.over) == 0 {
-		return layered[K, ID]{base: l.base, flat: l.flat}
+	if len(l.over) == 0 || len(l.over)*4 > l.frozen.nkeys+len(l.frozen.ids)/16+16 {
+		return layered[K, ID]{frozen: l.compact()}
 	}
-	if len(l.over)*4 <= l.baseLen()+16 {
-		over := make(map[K][]ID, len(l.over)+4)
-		for k, v := range l.over {
-			over[k] = v
-		}
-		return layered[K, ID]{base: l.base, over: over, flat: l.flat}
-	}
-	merged := make(map[K][]ID, l.baseLen()+len(l.over))
-	if l.flat != nil {
-		l.flat.each(func(k K, v []ID) { merged[k] = v })
-	}
-	for k, v := range l.base {
-		merged[k] = v
-	}
+	over := make(map[K][]ID, len(l.over)+4)
 	for k, v := range l.over {
-		if len(v) == 0 {
-			delete(merged, k)
-			continue
-		}
-		merged[k] = v
+		over[k] = v
 	}
-	return layered[K, ID]{base: merged}
+	return layered[K, ID]{over: over, frozen: l.frozen}
 }
 
-// size returns the total number of ids across all keys (tests, stats).
-func (l *layered[K, ID]) size() int {
-	n := 0
-	if l.flat != nil {
-		l.flat.each(func(k K, v []ID) {
-			if l.shadowed(k) {
-				return
-			}
-			n += len(v)
-		})
+// compact returns the canonical table of the merged view: the table as it
+// stands under an empty overlay, a rebuilt one otherwise.
+func (l *layered[K, ID]) compact() table[ID] {
+	if len(l.over) == 0 {
+		return l.frozen
 	}
-	for k, v := range l.base {
-		if l.over != nil {
-			if _, shadowed := l.over[k]; shadowed {
-				continue
-			}
-		}
-		n += len(v)
-	}
+	n := len(l.frozen.ids) // with the overlay's ids, an upper bound on the merged view
 	for _, v := range l.over {
 		n += len(v)
 	}
+	keys, ids := make([]uint64, 0, n), make([]ID, 0, n)
+	l.each(func(k K, v []ID) {
+		for _, id := range v {
+			keys, ids = append(keys, uint64(k)), append(ids, id)
+		}
+	})
+	return buildTable(keys, ids)
+}
+
+// size returns the total number of ids across all live keys.
+func (l *layered[K, ID]) size() int {
+	n := 0
+	l.each(func(_ K, v []ID) { n += len(v) })
 	return n
 }
 
-// shadowed reports whether a flat-layer key is hidden by a younger layer.
-func (l *layered[K, ID]) shadowed(k K) bool {
-	if l.over != nil {
-		if _, ok := l.over[k]; ok {
-			return true
-		}
-	}
-	_, ok := l.base[k]
-	return ok
-}
-
 // each calls fn for every live (key, ids) pair resolved through the
-// layers, skipping tombstones — the merged view arena serialization and
-// compaction iterate. Order is unspecified.
+// layers, skipping tombstones. Order is unspecified.
 func (l *layered[K, ID]) each(fn func(k K, ids []ID)) {
-	if l.flat != nil {
-		l.flat.each(func(k K, v []ID) {
-			if !l.shadowed(k) {
-				fn(k, v)
-			}
-		})
-	}
-	for k, v := range l.base {
-		if l.over != nil {
-			if _, shadowed := l.over[k]; shadowed {
-				continue
-			}
+	l.frozen.each(func(k uint64, v []ID) {
+		if _, shadowed := l.over[K(k)]; !shadowed {
+			fn(K(k), v)
 		}
-		fn(k, v)
-	}
+	})
 	for k, v := range l.over {
 		if len(v) > 0 {
 			fn(k, v)

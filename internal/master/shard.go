@@ -15,14 +15,14 @@ package master
 // Sharding buys three things:
 //
 //  1. Parallel builds. NewForRules fills the P shards concurrently on
-//     internal/parallel — the per-shard maps are disjoint, so no locks.
+//     internal/parallel — the per-shard tables are disjoint, so no locks.
 //     Value interning, the one inherently shared step, runs as a
 //     parallel distinct-value collection followed by a serial merge over
 //     the (much smaller) distinct set.
 //  2. Shard-local copy-on-write. ApplyDelta routes each add/delete to its
 //     tuple's shard, so delta overlays and flatten-at-1/4 compaction
 //     touch 1/P of the structure; large deltas apply shard-parallel.
-//  3. Headroom for multi-million-tuple masters: no single monolithic map
+//  3. Headroom for multi-million-tuple masters: no single monolithic table
 //     grows to |Dm| entries, and rebuild cost drops with core count.
 //
 // Probes fan out: the probe key can match tuples in any shard (routing is
@@ -154,16 +154,13 @@ func (d *Data) addNeedCol(col int) {
 	d.needCols = nc
 }
 
-// registerIndex finds or creates the (empty) index over xm. Filling is the
-// caller's business: Index fills sequentially, NewForRules in parallel.
+// registerIndex finds or creates the index over xm; a created one has no
+// tables until fillShards builds them.
 func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
 	if idx := d.findIndex(xm); idx != nil {
 		return idx, false
 	}
 	idx = newIndex(append([]int(nil), xm...), d.nshards)
-	for s := range idx.shards {
-		idx.shards[s].base = make(map[uint64][]int)
-	}
 	d.indexes = append(d.indexes, idx)
 	for _, p := range xm {
 		d.addNeedCol(p)
@@ -171,17 +168,12 @@ func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
 	return idx, true
 }
 
-// registerPostings finds or creates the (empty) posting lists over col.
+// registerPostings is registerIndex for the posting lists over col.
 func (d *Data) registerPostings(col int) (ps *postings, created bool) {
-	for _, ps := range d.postings {
-		if ps.col == col {
-			return ps, false
-		}
+	if ps := d.findPostings(col); ps != nil {
+		return ps, false
 	}
 	ps = &postings{col: col, shards: make([]layered[uint32, int32], d.nshards)}
-	for s := range ps.shards {
-		ps.shards[s].base = make(map[uint32][]int32)
-	}
 	d.postings = append(d.postings, ps)
 	d.addNeedCol(col)
 	return ps, true
@@ -208,34 +200,16 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 //	  indexed columns per worker;
 //	phase A' (serial): intern the merged distinct sets — serial work is
 //	  O(distinct values), not O(|Dm| × columns);
-//	phase B (shard-parallel): fill each shard's index buckets and posting
-//	  lists — disjoint maps, read-only symbol table, no locks — then
-//	  derive the shard's exception tables (uniform.go);
+//	phase B (shard-parallel): fillShards;
 //	phase C (rule-parallel): evaluate the pattern-support bitmaps.
 func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 	n := d.rel.Len()
-	if n == 0 {
-		return nil
-	}
-	if workers == 1 && d.nshards == 1 {
-		// Single-worker single-shard: the sequential single-pass fill is
-		// strictly cheaper (one interning pass, no routing table).
-		return d.buildSequential()
-	}
-
 	route := make([]uint8, n)
-	chunks := workers * 4
-	if chunks > n {
-		chunks = n
-	}
+	chunks := max(1, min(workers*4, n))
 	chunkLen := (n + chunks - 1) / chunks
 	distinct, err := parallel.Map(chunks, workers, func(c int) (map[relation.Value]struct{}, error) {
-		lo, hi := c*chunkLen, (c+1)*chunkLen
-		if hi > n {
-			hi = n
-		}
 		seen := make(map[relation.Value]struct{})
-		for i := lo; i < hi; i++ {
+		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
 			tm := d.rel.Tuple(i)
 			if err := validateTuple(d.rel.Schema(), tm); err != nil {
 				return nil, &BuildError{Shard: d.shardOf(tm), TupleID: i, Key: tupleKeyContext(tm), Err: err}
@@ -255,56 +229,14 @@ func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 			d.syms.Intern(v)
 		}
 	}
-
-	// Group tuple ids by shard (a counting sort: O(n) serial, and the
-	// stable fill keeps ids ascending within each shard's slice), so the
-	// shard-parallel fill below walks only its own ids instead of
-	// scanning the full routing table P times.
-	counts := make([]int, d.nshards+1)
-	for _, s := range route {
-		counts[int(s)+1]++ // int first: s+1 would wrap at shard 255
-	}
-	for s := 0; s < d.nshards; s++ {
-		counts[s+1] += counts[s]
-	}
-	order := make([]int32, n)
-	pos := append([]int(nil), counts[:d.nshards]...)
-	for i, s := range route {
-		order[pos[s]] = int32(i)
-		pos[s]++
-	}
-
-	_, err = parallel.Map(d.nshards, workers, func(s int) (struct{}, error) {
-		mine := order[counts[s]:counts[s+1]]
-		for _, idx := range d.indexes {
-			if len(idx.shards[s].base) == 0 {
-				idx.shards[s].base = make(map[uint64][]int, len(mine))
-			}
-		}
-		for _, i32 := range mine {
-			i := int(i32)
-			tm := d.rel.Tuple(i)
-			for _, idx := range d.indexes {
-				h, ok := d.hasher.HashTuple(tm, idx.xm)
-				if !ok {
-					panic("master: build invariant: indexed value not interned")
-				}
-				idx.shards[s].base[h] = append(idx.shards[s].base[h], i)
-			}
-			for _, ps := range d.postings {
-				vid, ok := d.syms.ID(tm[ps.col])
-				if !ok {
-					panic("master: build invariant: posting value not interned")
-				}
-				ps.shards[s].base[vid] = append(ps.shards[s].base[vid], int32(i))
-			}
-		}
-		d.rebuildExceptions(s)
-		return struct{}{}, nil
-	})
+	// Freeze the symbols into the flat layout a loaded arena has (same ids):
+	// the fill and every later probe resolve values without a Go map.
+	syms, err := relation.SymbolsFromValues(d.syms.Export())
 	if err != nil {
-		return err // unreachable: the shard fill cannot fail
+		return err // unreachable: exported values are distinct
 	}
+	d.syms, d.hasher = syms, relation.NewHasher(syms)
+	d.fillShards(d.indexes, d.postings, route, workers)
 
 	rules := sigma.Rules()
 	_, err = parallel.Map(len(rules), workers, func(r int) (struct{}, error) {
@@ -324,30 +256,76 @@ func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 	return err
 }
 
-// buildSequential is the single-pass fill used for one-worker one-shard
-// builds: the pre-sharding code path, interning as it hashes.
-func (d *Data) buildSequential() error {
+// fillAdded builds structures registered after construction (Index,
+// IndexPostings): one serial pass routes the tuples and interns the given
+// columns, then fillShards.
+func (d *Data) fillAdded(indexes []*index, posts []*postings, cols []int) {
+	route := make([]uint8, d.rel.Len())
 	for i, tm := range d.rel.Tuples() {
-		if err := validateTuple(d.rel.Schema(), tm); err != nil {
-			return &BuildError{Shard: 0, TupleID: i, Key: tupleKeyContext(tm), Err: err}
-		}
-		for _, idx := range d.indexes {
-			h := d.hasher.HashInterning(tm, idx.xm)
-			idx.shards[0].base[h] = append(idx.shards[0].base[h], i)
-		}
-		for _, ps := range d.postings {
-			vid := d.syms.Intern(tm[ps.col])
-			ps.shards[0].base[vid] = append(ps.shards[0].base[vid], int32(i))
+		route[i] = uint8(d.shardOf(tm))
+		for _, c := range cols {
+			d.syms.Intern(tm[c])
 		}
 	}
-	d.rebuildExceptions(0)
-	for ru, plan := range d.compat {
-		for id, tm := range d.rel.Tuples() {
-			if patternCompatible(ru, tm) {
-				plan.patBits[id>>6] |= 1 << (uint(id) & 63)
-				plan.patCount++
+	d.fillShards(indexes, posts, route, 0)
+}
+
+// fillShards builds the given structures' shard tables from the relation,
+// shard-parallel: the tables are disjoint and the symbol table, which must
+// already hold every indexed value, is only read — no locks. A shard gathers
+// its keys in one pass over its tuples, whatever the number of structures;
+// its exception tables (uniform.go) follow its buckets.
+func (d *Data) fillShards(indexes []*index, posts []*postings, route []uint8, workers int) {
+	// Group tuple ids by shard (a counting sort: O(n) serial, and the
+	// stable fill keeps ids ascending within each shard's slice), so each
+	// shard walks only its own ids instead of the full routing table.
+	counts := make([]int, d.nshards+1)
+	for _, s := range route {
+		counts[int(s)+1]++ // int first: s+1 would wrap at shard 255
+	}
+	for s := 0; s < d.nshards; s++ {
+		counts[s+1] += counts[s]
+	}
+	order := make([]int32, len(route))
+	pos := append([]int(nil), counts[:d.nshards]...)
+	for i, s := range route {
+		order[pos[s]] = int32(i)
+		pos[s]++
+	}
+
+	// The error is dropped because the shard fill returns none.
+	_, _ = parallel.Map(d.nshards, workers, func(s int) (struct{}, error) {
+		mine := order[counts[s]:counts[s+1]]
+		wide := make([]int, len(mine))
+		keys := make([][]uint64, len(indexes)+len(posts))
+		for k := range keys {
+			keys[k] = make([]uint64, len(mine))
+		}
+		for j, i := range mine {
+			wide[j] = int(i)
+			tm := d.rel.Tuple(int(i))
+			for k, idx := range indexes {
+				h, ok := d.hasher.HashTuple(tm, idx.xm)
+				if !ok {
+					panic("master: build invariant: indexed value not interned")
+				}
+				keys[k][j] = h
+			}
+			for k, ps := range posts {
+				vid, ok := d.syms.ID(tm[ps.col])
+				if !ok {
+					panic("master: build invariant: posting value not interned")
+				}
+				keys[len(indexes)+k][j] = uint64(vid)
 			}
 		}
-	}
-	return nil
+		for k, idx := range indexes {
+			idx.shards[s].frozen = buildTable(keys[k], wide)
+			idx.rebuildExceptions(s, d.rel)
+		}
+		for k, ps := range posts {
+			ps.shards[s].frozen = buildTable(keys[len(indexes)+k], mine)
+		}
+		return struct{}{}, nil
+	})
 }

@@ -10,7 +10,9 @@ func TestMaxShardsBuild(t *testing.T) {
 	if d.Shards() != MaxShards {
 		t.Fatalf("Shards() = %d, want %d", d.Shards(), MaxShards)
 	}
+	checkTablesAgainstMaps(t, "P=256", d)
 	orc := MustNewForRules(rel, sigma, WithShards(1), WithBuildWorkers(1))
+	checkTablesAgainstMaps(t, "P=1", orc)
 	for i := 0; i < 1000; i += 37 {
 		probe := rel.Tuple(i)
 		for _, ru := range sigma.Rules() {

@@ -3,7 +3,9 @@ package master
 // The sharding property: for EVERY shard count P, builds and delta chains
 // produce probe results byte-identical to the unsharded (P=1) oracle —
 // tuple ids are global and routing is a pure function of tuple content,
-// so P is invisible to every caller. These tests sweep P ∈ {1, 2, 7, 16}
+// so P is invisible to every caller. The P=1 oracle comes out of the same
+// builder as the snapshots it checks, so every built table is also held to
+// the map oracle of equiv_test.go, which shares no code with it. These tests sweep P ∈ {1, 2, 7, 16}
 // (one, even, prime, and more-shards-than-some-relations) across
 // randomized instances, forced hash collisions, and delta chains long
 // enough to push shard overlays across the flatten-at-1/4 compaction
@@ -119,11 +121,13 @@ func TestShardedBuildMatchesUnshardedOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(51_000_000 + seed)))
 		rel, sigma, vals := randomShardInstance(rng)
 		oracle := MustNewForRules(rel, sigma, WithShards(1), WithBuildWorkers(1))
+		checkTablesAgainstMaps(t, fmt.Sprintf("seed %d oracle", seed), oracle)
 		for _, p := range shardSweep {
 			sharded := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(3))
 			if sharded.Shards() != p {
 				t.Fatalf("seed %d: Shards() = %d, want %d", seed, sharded.Shards(), p)
 			}
+			checkTablesAgainstMaps(t, fmt.Sprintf("seed %d P=%d", seed, p), sharded)
 			probe := make(relation.Tuple, sigma.Schema().Arity())
 			for trial := 0; trial < 4; trial++ {
 				for i := range probe {
@@ -195,6 +199,12 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 // sharded layout — and checks the fan-out probe filters them all while
 // still merging true matches across shards in ascending-id order.
 func TestShardedForcedCollision(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) { testShardedForcedCollision(t, frozen) })
+	}
+}
+
+func testShardedForcedCollision(t *testing.T, frozen bool) {
 	r := relation.StringSchema("R", "K", "V")
 	rm := relation.StringSchema("Rm", "K", "V")
 	ru := rule.MustNew("kv", r, rm, []int{0}, []int{0}, 1, 1, pattern.Empty())
@@ -236,8 +246,7 @@ func TestShardedForcedCollision(t *testing.T) {
 	// Inject id 12 (projection "other") into every shard's bucket for h.
 	for s := range idx.shards {
 		bucket := append([]int(nil), idx.shards[s].get(h)...)
-		idx.shards[s].base[h] = append(bucket, 12)
-		delete(idx.shards[s].over, h)
+		plantBucket(&idx.shards[s], h, append(bucket, 12), frozen)
 	}
 	if got := dm.MatchIDs(ru, probe); !eqInts(got, want) {
 		t.Fatalf("MatchIDs after injected collisions = %v, want %v", got, want)

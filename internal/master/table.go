@@ -1,0 +1,174 @@
+package master
+
+// This file implements the frozen table: the one immutable index layout,
+// an open-addressing hash table from a uint64 key to a span of tuple ids —
+// projection hash → bucket for the hash indexes, interned value id →
+// posting list for the postings; the two differ only in id width.
+// NewForRules, Index and IndexPostings build one per shard, compaction
+// rewrites table + overlay into a new one (overlay.go), SaveArena writes
+// the slot and id arrays as they stand and LoadArena views them in place
+// over the mapping (arena.go, arena_load.go).
+//
+// The layout is CANONICAL — a pure function of the content: a power-of-two
+// slot count at ≤ 1/2 load (so every lookup ends at an empty slot), keys
+// inserted in ascending order with linear probing, bucket spans in that
+// same key order, ids ascending within a bucket. Equal content means equal
+// bytes, whatever builds, deltas, compactions, saves and loads produced it.
+
+import (
+	"math/bits"
+	"slices"
+	"unsafe"
+)
+
+// table is one frozen shard table. A slot is two words: the key, then the
+// bucket's span packed as off<<32 | count into ids. count == 0 marks an
+// empty slot — empty buckets are never stored.
+type table[ID int | int32] struct {
+	slots []uint64 // len = 2·nslots
+	mask  uint64   // nslots − 1
+	ids   []ID
+	nkeys int
+}
+
+// get resolves k's ids; nil when absent.
+func (t *table[ID]) get(k uint64) []ID {
+	slot := k & t.mask
+	for {
+		packed := t.slots[2*slot+1]
+		if packed == 0 {
+			return nil
+		}
+		if t.slots[2*slot] == k {
+			off := packed >> 32
+			return t.ids[off : off+packed&0xffffffff]
+		}
+		slot = (slot + 1) & t.mask
+	}
+}
+
+// each calls fn for every stored (key, ids) pair, in slot order.
+func (t *table[ID]) each(fn func(k uint64, ids []ID)) {
+	for slot := 0; 2*slot < len(t.slots); slot++ {
+		if packed := t.slots[2*slot+1]; packed != 0 {
+			off := packed >> 32
+			fn(t.slots[2*slot], t.ids[off:off+packed&0xffffffff])
+		}
+	}
+}
+
+// tableSlots returns the slot count for nkeys entries: the smallest power
+// of two holding them at ≤ 1/2 load (minimum 2, so the probe loop always
+// has an empty slot to terminate on).
+func tableSlots(nkeys int) int {
+	if nkeys == 0 {
+		return 2
+	}
+	return 1 << bits.Len(uint(2*nkeys-1))
+}
+
+// buildTable builds the canonical table holding ids[i] under keys[i]. The
+// pairs may come in any order as long as each key's ids arrive ascending.
+// No intermediate map: the sorted keys give the distinct keys and their
+// counts, which fix every span before the ids are scattered into place.
+func buildTable[ID int | int32](keys []uint64, ids []ID) table[ID] {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	nkeys := 0
+	for i, k := range sorted {
+		if i == 0 || k != sorted[i-1] {
+			nkeys++
+		}
+	}
+	nslots := tableSlots(nkeys)
+	t := table[ID]{
+		slots: make([]uint64, 2*nslots),
+		mask:  uint64(nslots - 1),
+		ids:   make([]ID, len(ids)),
+		nkeys: nkeys,
+	}
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi] == sorted[lo] {
+			hi++
+		}
+		slot := sorted[lo] & t.mask
+		for t.slots[2*slot+1] != 0 {
+			slot = (slot + 1) & t.mask
+		}
+		t.slots[2*slot] = sorted[lo]
+		t.slots[2*slot+1] = uint64(lo)<<32 | uint64(hi-lo)
+		lo = hi
+	}
+	// Scatter: a slot's off field is the write cursor of its bucket, wound
+	// back to the bucket's start once every id is in place.
+	for i, k := range keys {
+		slot := k & t.mask
+		for t.slots[2*slot] != k {
+			slot = (slot + 1) & t.mask
+		}
+		t.ids[t.slots[2*slot+1]>>32] = ids[i]
+		t.slots[2*slot+1] += 1 << 32
+	}
+	for slot := 0; slot < nslots; slot++ {
+		t.slots[2*slot+1] -= t.slots[2*slot+1] << 32
+	}
+	return t
+}
+
+// idWidth is an id's width in an arena image: int ids are stored 8 bytes
+// wide on every platform, int32 ids 4.
+func idWidth[ID int | int32]() int {
+	if _, narrow := any(ID(0)).(int32); narrow {
+		return 4
+	}
+	return 8
+}
+
+// The view helpers reinterpret arena bytes as typed slices without
+// copying. Callers guarantee alignment (sections are 8-aligned and the
+// loader realigns unaligned backing buffers up front) and length
+// divisibility (validated during decode).
+
+func viewU64(b []byte) []uint64 {
+	if len(b) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
+}
+
+func viewU32(b []byte) []uint32 {
+	if len(b) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
+}
+
+// viewIDs reinterprets stored ids as []ID. Only int ids on a 32-bit
+// platform are narrower in memory than in the image; those are copied
+// (ids were validated < ntuples, which fits int32 there).
+func viewIDs[ID int | int32](b []byte) []ID {
+	if len(b) == 0 {
+		return nil
+	}
+	w := idWidth[ID]()
+	if int(unsafe.Sizeof(ID(0))) == w {
+		return unsafe.Slice((*ID)(unsafe.Pointer(&b[0])), len(b)/w)
+	}
+	u := viewU64(b)
+	out := make([]ID, len(u))
+	for i, v := range u {
+		out[i] = ID(v)
+	}
+	return out
+}
+
+// viewString wraps arena bytes as a string without copying. The string
+// aliases the arena: it stays valid exactly as long as the arena mapping
+// (which the Data snapshots derived from it keep alive).
+func viewString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}

@@ -123,7 +123,7 @@ func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
 			slices.SortFunc(foreign, func(a, b bucket) int { return a.ids[0] - b.ids[0] })
 			for _, b := range foreign {
 				if planted < 2*len(d.indexes) && rng.Intn(3) == 0 {
-					idx.shards[s].set(b.h, append([]int{0}, b.ids...))
+					plantBucket(&idx.shards[s], b.h, append([]int{0}, b.ids...), planted%2 == 1)
 					planted++
 				}
 			}
