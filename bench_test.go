@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -385,7 +386,7 @@ func BenchmarkFixBatch(b *testing.B) {
 				inputs[i] = ds.Inputs[i%len(ds.Inputs)]
 			}
 			b.ResetTimer()
-			if _, err := m.FixBatch(inputs, userFor, monitor.BatchOptions{Workers: workers}); err != nil {
+			if _, err := m.FixBatch(context.Background(), inputs, userFor, workers); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -410,7 +411,7 @@ func BenchmarkAblationBDD(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				idx := i % len(ds.Inputs)
-				if _, err := m.Fix(ds.Inputs[idx], monitor.SimulatedUser{Truth: ds.Truths[idx]}); err != nil {
+				if _, err := m.Fix(context.Background(), ds.Inputs[idx], monitor.SimulatedUser{Truth: ds.Truths[idx]}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/pkg/certainfix"
 )
 
@@ -61,15 +62,15 @@ func main() {
 		fatalf("-master is required (or -master-snapshot naming an existing image)")
 	}
 
-	r, rm, rules, err := loadRules(*rulesPath)
+	r, rm, rules, err := cli.LoadRules(*rulesPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	inputs, err := loadCSV(r, *inputPath)
+	inputs, err := cli.LoadCSV(r, *inputPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	sys, err := buildSystem(rules, rm, *masterPath, *snapshot, *shards)
+	sys, err := cli.OpenSystem(rules, rm, *masterPath, *snapshot, certainfix.WithShards(*shards))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -118,7 +119,10 @@ func main() {
 
 	fixedRel := certainfix.NewRelation(r)
 	totalFixed := 0
-	repairs := sys.RepairBatch(inputs.Tuples(), validatedPos, *workers)
+	repairs, err := sys.RepairBatchContext(context.Background(), inputs.Tuples(), validatedPos, *workers)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	for i, rep := range repairs {
 		fixed := rep.Tuple
 		if rep.Err != nil {
@@ -146,41 +150,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "certainfix: repaired %d cells across %d tuples\n", totalFixed, inputs.Len())
-}
-
-// buildSystem constructs the System: from the columnar arena image when
-// snapshot names an existing file, otherwise from the master CSV — saving
-// the freshly built snapshot to the snapshot path, if given, so the next
-// run cold-starts by page-in instead of rebuild.
-func buildSystem(rules *certainfix.Rules, rm *certainfix.Schema, masterPath, snapshot string, shards int) (*certainfix.System, error) {
-	if snapshot != "" {
-		if _, err := os.Stat(snapshot); err == nil {
-			sys, err := certainfix.NewFromArena(rules, snapshot)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", snapshot, err)
-			}
-			fmt.Fprintf(os.Stderr, "certainfix: master loaded from arena %s\n", snapshot)
-			return sys, nil
-		}
-	}
-	if masterPath == "" {
-		return nil, fmt.Errorf("-master is required when %s does not exist yet", snapshot)
-	}
-	masterRel, err := loadCSV(rm, masterPath)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := certainfix.New(rules, masterRel, certainfix.WithShards(shards))
-	if err != nil {
-		return nil, err
-	}
-	if snapshot != "" {
-		if err := sys.SaveMasterArena(snapshot); err != nil {
-			return nil, fmt.Errorf("save %s: %w", snapshot, err)
-		}
-		fmt.Fprintf(os.Stderr, "certainfix: master arena saved to %s\n", snapshot)
-	}
-	return sys, nil
 }
 
 // replayMasterDeltas applies a master-delta file against the running
@@ -258,29 +227,6 @@ func replayMasterDeltas(sys *certainfix.System, rm *certainfix.Schema, path stri
 		}
 	}
 	return publish()
-}
-
-// loadRules parses the schema headers and the rule DSL (the shared
-// format of certainfix.ParseRulesWithSchemas).
-func loadRules(path string) (*certainfix.Schema, *certainfix.Schema, *certainfix.Rules, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	r, rm, rules, err := certainfix.ParseRulesWithSchemas(string(data))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, rm, rules, nil
-}
-
-func loadCSV(schema *certainfix.Schema, path string) (*certainfix.Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return certainfix.ReadCSV(schema, bufio.NewReader(f))
 }
 
 // runInteractive fixes every input tuple through a terminal dialogue:

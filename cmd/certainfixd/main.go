@@ -79,7 +79,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -90,6 +89,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/pkg/certainfix"
 )
 
@@ -206,23 +206,17 @@ type serverConfig struct {
 	auth                            bool
 }
 
-// buildSystem loads the rules file (schema headers + DSL) and constructs
-// the System: from the columnar arena image when snapshot names an
-// existing file (cold start by page-in), otherwise from the master CSV —
-// saving the freshly built snapshot to the snapshot path, if given, so
-// the next start takes the fast path. With walDir set the lineage is
-// durable: the directory's checkpoint + WAL win over both sources once
-// they exist, and a recovered start needs neither CSV nor arena.
+// buildSystem loads the rules file and constructs the System through
+// cli.OpenSystem (arena image when it exists, else the master CSV). With
+// walDir set the lineage is durable: the directory's checkpoint + WAL win
+// over both sources once they exist, and a recovered start needs neither
+// CSV nor arena.
 func buildSystem(cfg serverConfig) (*certainfix.System, error) {
-	src, err := os.ReadFile(cfg.rulesPath)
+	_, rm, rules, err := cli.LoadRules(cfg.rulesPath)
 	if err != nil {
 		return nil, err
 	}
-	_, rm, rules, err := certainfix.ParseRulesWithSchemas(string(src))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cfg.rulesPath, err)
-	}
-	var opts []certainfix.Option
+	opts := []certainfix.Option{certainfix.WithShards(cfg.shards)}
 	if cfg.useCache {
 		opts = append(opts, certainfix.WithSuggestionCache())
 	}
@@ -244,48 +238,13 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 			certainfix.WithWAL(cfg.walDir),
 			certainfix.WithFsync(cfg.fsync),
 			certainfix.WithCheckpointEvery(cfg.checkpointEvery))
-	}
-	if cfg.snapshot != "" {
-		if _, statErr := os.Stat(cfg.snapshot); statErr == nil {
-			sys, err := certainfix.NewFromArena(rules, cfg.snapshot, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", cfg.snapshot, err)
-			}
-			fmt.Fprintf(os.Stderr, "certainfixd: master loaded from arena %s\n", cfg.snapshot)
-			return sys, nil
-		}
-	}
-	if cfg.masterPath == "" {
-		if cfg.walDir != "" {
+		if _, statErr := os.Stat(cfg.snapshot); cfg.masterPath == "" && statErr != nil {
 			// Recovery-only boot: the WAL directory must hold a
 			// checkpoint; certainfix.New reports it cleanly when not.
 			return certainfix.New(rules, nil, opts...)
 		}
-		return nil, fmt.Errorf("-master is required when %s does not exist yet", cfg.snapshot)
 	}
-	f, err := os.Open(cfg.masterPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	masterRel, err := certainfix.ReadCSV(rm, bufio.NewReader(f))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cfg.masterPath, err)
-	}
-	if cfg.shards > 0 {
-		opts = append(opts, certainfix.WithShards(cfg.shards))
-	}
-	sys, err := certainfix.New(rules, masterRel, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.snapshot != "" {
-		if err := sys.SaveMasterArena(cfg.snapshot); err != nil {
-			return nil, fmt.Errorf("save %s: %w", cfg.snapshot, err)
-		}
-		fmt.Fprintf(os.Stderr, "certainfixd: master arena saved to %s\n", cfg.snapshot)
-	}
-	return sys, nil
+	return cli.OpenSystem(rules, rm, cfg.masterPath, cfg.snapshot, opts...)
 }
 
 func fatalf(format string, args ...any) {

@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation(), certainfix.Options{})
+	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -115,7 +116,7 @@ func main() {
 	// Build the repair system entirely from bootstrapped artifacts —
 	// mined weighted rules plus the loop-cleaned master — and fix a dirty
 	// record.
-	sys, err := certainfix.New(res.Rules, res.Cleaned, certainfix.Options{})
+	sys, err := certainfix.New(res.Rules, res.Cleaned)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func main() {
 		sys.Regions()[0].ZSet.Names(schema))
 
 	dirty, truth := ds.Inputs[0], ds.Truths[0]
-	fixRes, err := sys.Fix(dirty, certainfix.SimulatedUser{Truth: truth})
+	fixRes, err := sys.FixContext(context.Background(), dirty, certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		log.Fatal(err)
 	}

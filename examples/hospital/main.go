@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,9 +24,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation(), certainfix.Options{
-		UseSuggestionCache: true, // CertainFix+: reuse suggestions across the stream
-	})
+	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation(),
+		certainfix.WithSuggestionCache()) // CertainFix+: reuse suggestions across the stream
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func main() {
 	roundHist := map[int]int{}
 	totalAuto := 0
 	for i := range ds.Inputs {
-		res, err := sys.Fix(ds.Inputs[i], certainfix.SimulatedUser{Truth: ds.Truths[i]})
+		res, err := sys.FixContext(context.Background(), ds.Inputs[i], certainfix.SimulatedUser{Truth: ds.Truths[i]})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	sigma := paperex.Sigma0()
-	sys, err := certainfix.New(sigma, paperex.MasterRelation(), certainfix.Options{})
+	sys, err := certainfix.New(sigma, paperex.MasterRelation())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "079172485", "2",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
-	res, err := sys.Fix(paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
+	res, err := sys.FixContext(context.Background(), paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func main() {
 	fmt.Println("final tuple:", res.Tuple)
 
 	// Example 5: nothing applies to t4 — the system never invents values.
-	res, err = sys.Fix(paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
+	res, err = sys.FixContext(context.Background(), paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
 	if err != nil {
 		log.Fatal(err)
 	}

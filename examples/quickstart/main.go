@@ -64,7 +64,7 @@ rule desc:  (sku ; sku) -> (desc ; desc)  when sku != nil
 	// the rest. SimulatedUser stands in for a person, answering with the
 	// ground truth.
 	truth := certainfix.StringTuple("SKU-1002", "7.49", "Paper filters (100)", "3")
-	res, err := sys.Fix(dirty, certainfix.SimulatedUser{Truth: truth})
+	res, err := sys.FixContext(context.Background(), dirty, certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datagen_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func countRoundsHistogram(t *testing.T, ds *datagen.Dataset) map[int]int {
 	}
 	hist := map[int]int{}
 	for i := range ds.Inputs {
-		res, err := m.Fix(ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
+		res, err := m.Fix(context.Background(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
 		if err != nil {
 			t.Fatal(err)
 		}

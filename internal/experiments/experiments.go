@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -153,7 +154,7 @@ func runWith(m *monitor.Monitor, ds *datagen.Dataset, maxK, workers int) (RunSta
 		// counters, so completion order cannot change the results, and
 		// peak memory stays O(workers) instead of O(tuples) snapshots.
 		in := make(chan monitor.StreamRequest)
-		out := m.FixStream(in, monitor.BatchOptions{Workers: workers})
+		out := m.FixStream(context.TODO(), in, workers)
 		go func() {
 			for i := range ds.Inputs {
 				in <- monitor.StreamRequest{
@@ -184,7 +185,7 @@ func runWith(m *monitor.Monitor, ds *datagen.Dataset, maxK, workers int) (RunSta
 		// Score-and-discard per tuple: large sweeps must not retain every
 		// per-round snapshot simultaneously.
 		for i := range ds.Inputs {
-			res, err := m.Fix(ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
+			res, err := m.Fix(context.TODO(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
 			if err != nil {
 				return RunStats{}, fmt.Errorf("experiments: fixing tuple %d: %w", i, err)
 			}

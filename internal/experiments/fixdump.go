@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/datagen"
@@ -37,7 +38,7 @@ func FixedOutputs(p Params) (*relation.Relation, error) {
 		return nil, err
 	}
 	userFor := func(i int) monitor.User { return monitor.SimulatedUser{Truth: ds.Truths[i]} }
-	results, err := m.FixBatch(ds.Inputs, userFor, monitor.BatchOptions{Workers: p.Workers})
+	results, err := m.FixBatch(context.TODO(), ds.Inputs, userFor, p.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fix dump: %w", err)
 	}

@@ -380,6 +380,11 @@ func NewVersioned(d *Data) *Versioned {
 	return v
 }
 
+// Versioned returns v, and Close is a no-op: with Apply they make the
+// in-memory chain usable wherever a DurableVersioned lineage is.
+func (v *Versioned) Versioned() *Versioned { return v }
+func (v *Versioned) Close() error          { return nil }
+
 // Current returns the latest published snapshot.
 func (v *Versioned) Current() *Data { return v.cur.Load() }
 

@@ -6,23 +6,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/relation"
-	"repro/internal/suggest"
 )
-
-// BatchOptions tunes the concurrent fixing pipeline.
-type BatchOptions struct {
-	// Workers bounds the worker pool; 0 or negative selects GOMAXPROCS.
-	Workers int
-	// PerWorkerDerivers gives each worker a private suggestion deriver
-	// instead of sharing the monitor's. The shared deriver is read-only
-	// and safe to share (its closure programs are immutable and per-call
-	// state is pooled); private derivers trade O(|Σ|) setup per worker —
-	// the support map reads the master's precomputed pattern bitmaps, and
-	// compiling the closure program is linear in Σ — for complete
-	// isolation (no shared lines touched during probes), which can help
-	// on high-core-count machines.
-	PerWorkerDerivers bool
-}
 
 // sessionPool recycles Session scratch (the working tuple buffer and the
 // attr-set words) across batch items. Per-round snapshots escape into
@@ -32,20 +16,24 @@ var sessionPool = sync.Pool{New: func() any { return &Session{} }}
 // fixPooled fixes one tuple on a pool-recycled session. The tuple passed
 // to user.Assert aliases the pooled scratch buffer — see the User
 // lifetime contract — so it must not be retained past the call. The
-// context is observed between rounds, like FixCtx.
-func (m *Monitor) fixPooled(ctx context.Context, d *suggest.Deriver, input relation.Tuple, user User) (Result, error) {
+// context is observed between rounds, like Fix.
+func (m *Monitor) fixPooled(ctx context.Context, input relation.Tuple, user User) (Result, error) {
 	sess := sessionPool.Get().(*Session)
 	defer sessionPool.Put(sess)
-	if err := m.initSession(sess, d, input); err != nil {
+	if err := m.initSession(sess, input); err != nil {
 		return Result{}, err
 	}
 	return driveSession(ctx, sess, user)
 }
 
 // FixBatch fixes many input tuples concurrently against the shared
-// immutable (Σ, Dm), driving userFor(i) for tuple i. Results are aligned
-// with inputs; the first error wins and is returned after all workers
-// drain (the internal/parallel contract).
+// immutable (Σ, Dm) on at most workers goroutines (≤ 0 selects
+// GOMAXPROCS), driving userFor(i) for tuple i. Results are aligned with
+// inputs; the first error wins and is returned after all workers drain
+// (the internal/parallel contract). Once ctx is done no further tuples
+// are dispatched, in-flight sessions stop at their next round boundary,
+// and the call returns ctx.Err() after the pool drains (a job error
+// still wins).
 //
 // Sessions run on sync.Pool-recycled scratch, so the tuple a User's
 // Assert receives is only valid for the duration of that call (see the
@@ -58,31 +46,10 @@ func (m *Monitor) fixPooled(ctx context.Context, d *suggest.Deriver, input relat
 // final tuples are still correct certain fixes, but cached suggestions
 // depend on the order sessions populate the cache, so round counts and
 // per-round snapshots may differ from a sequential run.
-func (m *Monitor) FixBatch(inputs []relation.Tuple, userFor func(i int) User, opt BatchOptions) ([]Result, error) {
-	return m.FixBatchCtx(context.Background(), inputs, userFor, opt)
-}
-
-// FixBatchCtx is FixBatch with cancellation: once ctx is done no further
-// tuples are dispatched, in-flight sessions stop at their next round
-// boundary, and the call returns ctx.Err() after the pool drains (a job
-// error still wins, per the internal/parallel contract).
-func (m *Monitor) FixBatchCtx(ctx context.Context, inputs []relation.Tuple, userFor func(i int) User, opt BatchOptions) ([]Result, error) {
-	return parallel.MapWorkersCtx(ctx, len(inputs), opt.Workers, func() func(i int) (Result, error) {
-		d := m.workerDeriver(opt)
-		return func(i int) (Result, error) {
-			return m.fixPooled(ctx, d, inputs[i], userFor(i))
-		}
+func (m *Monitor) FixBatch(ctx context.Context, inputs []relation.Tuple, userFor func(i int) User, workers int) ([]Result, error) {
+	return parallel.MapCtx(ctx, len(inputs), workers, func(i int) (Result, error) {
+		return m.fixPooled(ctx, inputs[i], userFor(i))
 	})
-}
-
-// workerDeriver returns the deriver a batch worker should use. Forked
-// derivers keep the monitor's master source: over versioned master data a
-// per-worker deriver still pins a fresh snapshot for each tuple's session.
-func (m *Monitor) workerDeriver(opt BatchOptions) *suggest.Deriver {
-	if opt.PerWorkerDerivers {
-		return m.deriver.Fork()
-	}
-	return m.deriver
 }
 
 // StreamRequest is one unit of work for FixStream.
@@ -100,35 +67,32 @@ type StreamResult struct {
 	Err    error
 }
 
-// FixStream consumes requests until in is closed and emits one StreamResult
-// per request, in completion order (use ID to correlate). The returned
-// channel is closed after the last result. This is the entry-point-shaped
-// API of the paper's monitoring framework: tuples are fixed as they arrive,
-// concurrently, against the shared immutable master. The User lifetime
-// contract of FixBatch applies to each request's User.
-func (m *Monitor) FixStream(in <-chan StreamRequest, opt BatchOptions) <-chan StreamResult {
-	return m.FixStreamCtx(context.Background(), in, opt)
-}
-
-// FixStreamCtx is FixStream with cancellation: when ctx is done the
-// workers stop consuming requests (whether or not in is ever closed),
-// in-flight fixes stop at their next round boundary with ctx.Err() as
-// their result error, and the output channel is closed after the
-// workers drain. Requests already buffered in the channel but not yet
-// picked up are dropped, and delivery of results completing *during*
-// the cancellation is best-effort: a consumer still draining the
+// FixStream consumes requests until in is closed or ctx is done and emits
+// one StreamResult per request, in completion order (use ID to
+// correlate), from workers goroutines (≤ 0 selects GOMAXPROCS). The
+// returned channel is closed after the last result. This is the
+// entry-point-shaped API of the paper's monitoring framework: tuples are
+// fixed as they arrive, concurrently, against the shared immutable
+// master. The User lifetime contract of FixBatch applies to each
+// request's User.
+//
+// When ctx is done the workers stop consuming requests (whether or not
+// in is ever closed), in-flight fixes stop at their next round boundary
+// with ctx.Err() as their result error, and the output channel is closed
+// after the workers drain. Requests already buffered in the channel but
+// not yet picked up are dropped, and delivery of results completing
+// *during* the cancellation is best-effort: a consumer still draining the
 // channel receives them, one that stopped reading does not (the workers
 // must not block forever on an abandoned channel).
-func (m *Monitor) FixStreamCtx(ctx context.Context, in <-chan StreamRequest, opt BatchOptions) <-chan StreamResult {
+func (m *Monitor) FixStream(ctx context.Context, in <-chan StreamRequest, workers int) <-chan StreamResult {
 	out := make(chan StreamResult)
-	workers := parallel.Clamp(opt.Workers, -1)
+	workers = parallel.Clamp(workers, -1)
 	done := ctx.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := m.workerDeriver(opt)
 			for {
 				var req StreamRequest
 				var ok bool
@@ -140,7 +104,7 @@ func (m *Monitor) FixStreamCtx(ctx context.Context, in <-chan StreamRequest, opt
 						return
 					}
 				}
-				res, err := m.fixPooled(ctx, d, req.Tuple, req.User)
+				res, err := m.fixPooled(ctx, req.Tuple, req.User)
 				// Prefer delivery over teardown: the non-blocking send
 				// wins when the consumer is already waiting, so a result
 				// racing the cancellation still reaches a draining

@@ -1,7 +1,7 @@
 package monitor_test
 
 import (
-	"fmt"
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
@@ -63,7 +63,7 @@ func TestFixBatchDeterministic(t *testing.T) {
 
 	want := make([]monitor.Result, len(ds.Inputs))
 	for i := range ds.Inputs {
-		res, err := m.Fix(ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
+		res, err := m.Fix(context.Background(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,25 +72,17 @@ func TestFixBatchDeterministic(t *testing.T) {
 
 	userFor := func(i int) monitor.User { return monitor.SimulatedUser{Truth: ds.Truths[i]} }
 	for _, workers := range []int{1, 2, 4, 7, 16} {
-		for _, perWorker := range []bool{false, true} {
-			if perWorker && workers > 4 {
-				continue // deriver setup cost; the small counts cover the path
-			}
-			name := fmt.Sprintf("workers=%d,perWorkerDerivers=%v", workers, perWorker)
-			got, err := m.FixBatch(ds.Inputs, userFor, monitor.BatchOptions{
-				Workers: workers, PerWorkerDerivers: perWorker,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if !resultsEqual(got[i], want[i]) {
-					t.Fatalf("%s: tuple %d diverged from sequential Fix:\n got  %+v\n want %+v",
-						name, i, got[i], want[i])
-				}
+		got, err := m.FixBatch(context.Background(), ds.Inputs, userFor, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !resultsEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d: tuple %d diverged from sequential Fix:\n got  %+v\n want %+v",
+					workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -111,11 +103,11 @@ func TestFixBatchSuggestionCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	userFor := func(i int) monitor.User { return monitor.SimulatedUser{Truth: ds.Truths[i]} }
-	want, err := plain.FixBatch(ds.Inputs, userFor, monitor.BatchOptions{Workers: 4})
+	want, err := plain.FixBatch(context.Background(), ds.Inputs, userFor, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plus.FixBatch(ds.Inputs, userFor, monitor.BatchOptions{Workers: 8})
+	got, err := plus.FixBatch(context.Background(), ds.Inputs, userFor, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +134,7 @@ func TestFixBatchErrorPropagates(t *testing.T) {
 	userFor := func(i int) monitor.User {
 		return monitor.SimulatedUser{Truth: paperex.InputT1()}
 	}
-	if _, err := m.FixBatch(inputs, userFor, monitor.BatchOptions{Workers: 3}); err == nil {
+	if _, err := m.FixBatch(context.Background(), inputs, userFor, 3); err == nil {
 		t.Fatal("want arity error from tuple 1")
 	}
 }
@@ -169,7 +161,7 @@ func TestFixStream(t *testing.T) {
 
 	want := make([]monitor.Result, len(ds.Inputs))
 	for i := range ds.Inputs {
-		res, err := m.Fix(ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
+		res, err := m.Fix(context.Background(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +169,7 @@ func TestFixStream(t *testing.T) {
 	}
 
 	in := make(chan monitor.StreamRequest)
-	out := m.FixStream(in, monitor.BatchOptions{Workers: 4})
+	out := m.FixStream(context.Background(), in, 4)
 	go func() {
 		for i := range ds.Inputs {
 			in <- monitor.StreamRequest{
@@ -218,7 +210,7 @@ func (decliningUser) Assert(relation.Tuple, []int) ([]int, []relation.Value) { r
 func TestFixBatchDecliningUser(t *testing.T) {
 	m := paperMonitor(t)
 	inputs := []relation.Tuple{paperex.InputT1(), paperex.InputT4()}
-	res, err := m.FixBatch(inputs, func(int) monitor.User { return decliningUser{} }, monitor.BatchOptions{Workers: 2})
+	res, err := m.FixBatch(context.Background(), inputs, func(int) monitor.User { return decliningUser{} }, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

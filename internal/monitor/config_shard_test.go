@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/master"
@@ -9,18 +10,22 @@ import (
 	"repro/internal/relation"
 )
 
-// TestNewForRulesShardedMonitor covers the one-step constructor: a
-// sharded master built from the relation, a versioned handle for deltas,
-// and fix results identical to the unsharded monitor.
+// TestNewForRulesShardedMonitor: a monitor over a sharded master
+// (master.NewForRules with WithShards) fixes identically to one over the
+// unsharded build.
 func TestNewForRulesShardedMonitor(t *testing.T) {
 	sigma := paperex.Sigma0()
 	rel := paperex.MasterRelation()
-	m, ver, err := monitor.NewForRules(sigma, rel, monitor.Config{}, master.WithShards(4), master.WithBuildWorkers(2))
+	dm, err := master.NewForRules(rel, sigma, master.WithShards(4), master.WithBuildWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ver.Current().Shards(); got != 4 {
+	if got := dm.Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
+	}
+	m, err := monitor.New(sigma, dm, monitor.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	plain, err := monitor.New(sigma, master.MustNewForRules(rel, sigma, master.WithShards(1)), monitor.Config{})
 	if err != nil {
@@ -30,8 +35,8 @@ func TestNewForRulesShardedMonitor(t *testing.T) {
 		"Robert", "Brady", "131", "6884563", "1",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 	for _, input := range []relation.Tuple{paperex.InputT1(), paperex.InputT2()} {
-		a, errA := m.Fix(input, monitor.SimulatedUser{Truth: truth})
-		b, errB := plain.Fix(input, monitor.SimulatedUser{Truth: truth})
+		a, errA := m.Fix(context.Background(), input, monitor.SimulatedUser{Truth: truth})
+		b, errB := plain.Fix(context.Background(), input, monitor.SimulatedUser{Truth: truth})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("error mismatch: sharded %v, unsharded %v", errA, errB)
 		}
@@ -41,14 +46,5 @@ func TestNewForRulesShardedMonitor(t *testing.T) {
 		if !a.Tuple.Equal(b.Tuple) || a.Rounds != b.Rounds || a.Completed != b.Completed {
 			t.Fatalf("sharded fix %+v differs from unsharded %+v", a, b)
 		}
-	}
-
-	// The versioned handle publishes deltas the monitor picks up.
-	before := ver.Epoch()
-	if _, err := ver.Apply([]relation.Tuple{rel.Tuple(0).Clone()}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ver.Epoch() != before+1 {
-		t.Fatalf("epoch %d, want %d", ver.Epoch(), before+1)
 	}
 }

@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/master"
@@ -15,7 +16,7 @@ import (
 func TestMaxRoundsCap(t *testing.T) {
 	m := newMonitor(t, monitor.Config{MaxRounds: 1})
 	// t4 needs multiple rounds; with cap 1 it must stop incomplete.
-	res, err := m.Fix(paperex.InputT4(), monitor.SimulatedUser{Truth: paperex.InputT4()})
+	res, err := m.Fix(context.Background(), paperex.InputT4(), monitor.SimulatedUser{Truth: paperex.InputT4()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMonitorDegeneratesWithoutRules(t *testing.T) {
 		t.Fatalf("degenerate region |Z| = %d, want the full arity %d", got, r.Arity())
 	}
 	truth := relation.StringTuple("p", "q")
-	res, err := m.Fix(relation.StringTuple("bad", "bad"), monitor.SimulatedUser{Truth: truth})
+	res, err := m.Fix(context.Background(), relation.StringTuple("bad", "bad"), monitor.SimulatedUser{Truth: truth})
 	if err != nil || !res.Completed || !res.Tuple.Equal(truth) {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -78,7 +79,7 @@ func TestUserAssertsOutsideSuggestion(t *testing.T) {
 	r := m.Deriver().Sigma().Schema()
 	truth := truthT1()
 	user := overAssertingUser{truth: truth, extra: r.MustPosList("FN", "LN")}
-	res, err := m.Fix(paperex.InputT1(), user)
+	res, err := m.Fix(context.Background(), paperex.InputT1(), user)
 	if err != nil || !res.Completed {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}

@@ -106,8 +106,6 @@ type Config struct {
 	InitialRegion int
 	// UseBDD enables the Suggest+ cache (CertainFix+ of §5.2).
 	UseBDD bool
-	// BDDMaxNodes bounds the cache (0 = default).
-	BDDMaxNodes int
 	// MaxRounds caps interaction rounds (0 = arity + 1).
 	MaxRounds int
 }
@@ -122,56 +120,35 @@ type Monitor struct {
 	cfg     Config
 }
 
-// New builds a monitor over a static master snapshot: it precomputes the
-// dependency graph, the certain regions (CompCRegion) and, for
-// CertainFix+, the BDD cache. These are computed once and reused for
-// every input tuple, as the paper prescribes.
+// New builds a monitor over a static master snapshot — a lineage that
+// never advances; see NewVersioned.
 func New(sigma *rule.Set, dm *master.Data, cfg Config) (*Monitor, error) {
-	return build(suggest.NewDeriver(sigma, dm), sigma, cfg)
+	return NewVersioned(sigma, master.NewVersioned(dm), cfg)
 }
 
-// NewForRules builds the sharded master data for (Σ, rel) — threading
-// master build options such as master.WithShards, the knob batch
-// deployments tune alongside BatchOptions.Workers — wraps it in a
-// Versioned handle and returns a monitor over it plus the handle for
-// publishing master deltas. Shard count never changes fix results; it
-// buys parallel builds and shard-local maintenance at large |Dm|.
-func NewForRules(sigma *rule.Set, rel *relation.Relation, cfg Config, opts ...master.BuildOption) (*Monitor, *master.Versioned, error) {
-	dm, err := master.NewForRules(rel, sigma, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	ver := master.NewVersioned(dm)
-	m, err := NewVersioned(sigma, ver, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, ver, nil
-}
-
-// NewVersioned builds a monitor over versioned master data: each new
-// session (one per tuple, including FixBatch/FixStream items) pins the
-// master snapshot current at its start, so in-flight sessions keep a
-// consistent view while later tuples pick up published updates. The
-// certain regions seeding the first suggestion are derived once, from
-// the construction-time snapshot: region skeletons depend on Σ's
-// structure plus per-rule pattern support, which master corrections
-// rarely flip — and every suggestion is re-derived against the session's
-// pinned snapshot anyway, so stale seeds cost extra rounds, never
-// correctness.
+// NewVersioned builds a monitor over versioned master data, precomputing
+// the dependency graph, the certain regions (CompCRegion) and, for
+// CertainFix+, the BDD cache — once, reused for every input tuple, as the
+// paper prescribes. Each new session (one per tuple, including
+// FixBatch/FixStream items) pins the master snapshot current at its
+// start, so in-flight sessions keep a consistent view while later tuples
+// pick up published updates. The certain regions seeding the first
+// suggestion are derived once, from the construction-time snapshot:
+// region skeletons depend on Σ's structure plus per-rule pattern support,
+// which master corrections rarely flip — and every suggestion is
+// re-derived against the session's pinned snapshot anyway, so stale seeds
+// cost extra rounds, never correctness.
 func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor, error) {
-	return build(suggest.NewDeriverVersioned(sigma, ver), sigma, cfg)
-}
-
-func build(d *suggest.Deriver, sigma *rule.Set, cfg Config) (*Monitor, error) {
-	cands := d.CompCRegions()
+	d := suggest.NewDeriverVersioned(sigma, ver)
+	seed := d.Pin() // one snapshot for both derivations, whatever ver publishes meanwhile
+	cands := seed.CompCRegions()
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("monitor: no certain region derivable from (Σ, Dm); every input would need full manual validation")
 	}
 	// Widen the quality spectrum with the greedy region when it differs:
 	// the candidate list then always offers lower-quality alternatives
 	// (the CRMQ selection of §6 Exp-1(2)).
-	g := d.GRegion()
+	g := seed.GRegion()
 	distinct := true
 	for _, c := range cands {
 		if c.ZSet.Equal(g.ZSet) {
@@ -196,7 +173,7 @@ func build(d *suggest.Deriver, sigma *rule.Set, cfg Config) (*Monitor, error) {
 		cfg:     cfg,
 	}
 	if cfg.UseBDD {
-		m.cache = bdd.NewCache(cfg.BDDMaxNodes)
+		m.cache = bdd.NewCache(bdd.DefaultMaxNodes)
 	}
 	return m, nil
 }
@@ -230,16 +207,12 @@ func (m *Monitor) CacheStats() (hits, misses int) {
 // candidate key per round. This bounds interactions the way §6 reports
 // (≤ 3 rounds for dblp, ≤ 4 for hosp). Conflicting rules are never
 // resolved by guessing: the disputed attribute joins the next suggestion.
-func (m *Monitor) Fix(input relation.Tuple, user User) (Result, error) {
-	return m.FixCtx(context.Background(), input, user)
-}
-
-// FixCtx is Fix with cancellation: the context is checked before every
-// interaction round, so a deadline or cancellation interrupts the fix
-// between rounds (never mid-round — rounds are short and atomic). An
-// interrupted fix returns ctx.Err(); to suspend instead of abandon, use
-// a Session and serialize its State.
-func (m *Monitor) FixCtx(ctx context.Context, input relation.Tuple, user User) (Result, error) {
+//
+// The context is checked before every interaction round, so a deadline
+// or cancellation interrupts the fix between rounds (never mid-round —
+// rounds are short and atomic). An interrupted fix returns ctx.Err(); to
+// suspend instead of abandon, use a Session and serialize its State.
+func (m *Monitor) Fix(ctx context.Context, input relation.Tuple, user User) (Result, error) {
 	sess, err := m.NewSession(input)
 	if err != nil {
 		return Result{}, err
@@ -263,7 +236,7 @@ func driveSession(ctx context.Context, sess *Session, user User) (Result, error)
 }
 
 // nextSuggestion runs Suggest, or Suggest+ when the BDD cache is enabled,
-// against the session's deriver d (shared or per-worker).
+// against the session's pinned deriver view d.
 func (m *Monitor) nextSuggestion(d *suggest.Deriver, t relation.Tuple, zSet relation.AttrSet, cursor *bdd.Cursor) []int {
 	if cursor == nil {
 		return d.Suggest(t, zSet).S

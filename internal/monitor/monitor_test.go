@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/master"
@@ -33,7 +34,7 @@ func newMonitor(t *testing.T, cfg monitor.Config) *monitor.Monitor {
 // other attribute is fixed automatically in a single round.
 func TestCertainFixT1OneRound(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
-	res, err := m.Fix(paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
+	res, err := m.Fix(context.Background(), paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCertainFixT1OneRound(t *testing.T) {
 func TestCertainFixNonMasterTuple(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
 	truth := paperex.InputT4() // t4: nothing applies
-	res, err := m.Fix(paperex.InputT4(), monitor.SimulatedUser{Truth: truth})
+	res, err := m.Fix(context.Background(), paperex.InputT4(), monitor.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCertainFixDirtyValuesCorrected(t *testing.T) {
 	dirty := paperex.InputT1()
 	dirty[r.MustPos("city")] = relation.String("Glasgow") // extra error
 	dirty[r.MustPos("LN")] = relation.String("Bradey")    // typo
-	res, err := m.Fix(dirty, monitor.SimulatedUser{Truth: truthT1()})
+	res, err := m.Fix(context.Background(), dirty, monitor.SimulatedUser{Truth: truthT1()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestCertainFixPlusMatchesCertainFix(t *testing.T) {
 	truths := []relation.Tuple{truthT1(), paperex.InputT4(), paperex.InputT4(), paperex.InputT4()}
 
 	for i := range inputs {
-		a, err := plain.Fix(inputs[i], monitor.SimulatedUser{Truth: truths[i]})
+		a, err := plain.Fix(context.Background(), inputs[i], monitor.SimulatedUser{Truth: truths[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plus.Fix(inputs[i], monitor.SimulatedUser{Truth: truths[i]})
+		b, err := plus.Fix(context.Background(), inputs[i], monitor.SimulatedUser{Truth: truths[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestConflictRoutedToUser(t *testing.T) {
 	r := m.Deriver().Sigma().Schema()
 	truth := paperex.InputT3() // declare t3's current values the truth
 	user := overAssertingUser{truth: truth, extra: []int{r.MustPos("AC")}}
-	res, err := m.Fix(paperex.InputT3(), user)
+	res, err := m.Fix(context.Background(), paperex.InputT3(), user)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestConflictRoutedToUser(t *testing.T) {
 // TestMonitorResultSnapshots: per-round stats are recorded monotonically.
 func TestMonitorResultSnapshots(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
-	res, err := m.Fix(paperex.InputT4(), monitor.SimulatedUser{Truth: paperex.InputT4()})
+	res, err := m.Fix(context.Background(), paperex.InputT4(), monitor.SimulatedUser{Truth: paperex.InputT4()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestMonitorResultSnapshots(t *testing.T) {
 // TestMonitorArityCheck: wrong arity is rejected.
 func TestMonitorArityCheck(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
-	if _, err := m.Fix(relation.StringTuple("too", "short"), monitor.SimulatedUser{Truth: truthT1()}); err == nil {
+	if _, err := m.Fix(context.Background(), relation.StringTuple("too", "short"), monitor.SimulatedUser{Truth: truthT1()}); err == nil {
 		t.Fatal("want arity error")
 	}
 }
@@ -207,7 +208,7 @@ func TestMonitorArityCheck(t *testing.T) {
 func TestInitialRegionIndexClamped(t *testing.T) {
 	for _, idx := range []int{99, -1} {
 		m := newMonitor(t, monitor.Config{InitialRegion: idx})
-		res, err := m.Fix(paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
+		res, err := m.Fix(context.Background(), paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
 		if err != nil || !res.Completed {
 			t.Fatalf("InitialRegion=%d: res=%v err=%v", idx, res, err)
 		}

@@ -66,19 +66,19 @@ type Session struct {
 // NewSession starts a fixing session for one tuple; the input is copied.
 func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
 	s := &Session{}
-	if err := m.initSession(s, m.deriver, input); err != nil {
+	if err := m.initSession(s, input); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// initSession (re)initializes s for input using deriver d, reusing s's
-// allocated scratch — the tuple buffer and the attr-set words — when
+// initSession (re)initializes s for input, reusing s's allocated
+// scratch — the tuple buffer and the attr-set words — when
 // present. This is the sync.Pool path of FixBatch/FixStream; NewSession
 // passes a zero Session. Per-round snapshots are always freshly allocated
 // because they escape into Result.
-func (m *Monitor) initSession(s *Session, d *suggest.Deriver, input relation.Tuple) error {
-	r := d.Sigma().Schema()
+func (m *Monitor) initSession(s *Session, input relation.Tuple) error {
+	r := m.deriver.Sigma().Schema()
 	if len(input) != r.Arity() {
 		return fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
 	}
@@ -87,7 +87,7 @@ func (m *Monitor) initSession(s *Session, d *suggest.Deriver, input relation.Tup
 		maxRounds = r.Arity() + 1
 	}
 	s.m = m
-	s.d = d.Pin()
+	s.d = m.deriver.Pin()
 	if cap(s.t) >= len(input) {
 		s.t = s.t[:len(input)]
 		copy(s.t, input)

@@ -27,7 +27,7 @@ func BenchmarkSessionRounds(b *testing.B) {
 	rounds := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := m.Fix(input, user)
+		res, err := m.Fix(context.Background(), input, user)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,27 +39,27 @@ func BenchmarkSessionRounds(b *testing.B) {
 	}
 }
 
-// TestFixCtxCancellation: FixCtx and FixBatchCtx observe the context at
+// TestFixCtxCancellation: Fix and FixBatch observe the context at
 // round boundaries.
 func TestFixCtxCancellation(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.FixCtx(ctx, paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FixCtx on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := m.Fix(ctx, paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fix on cancelled ctx = %v, want context.Canceled", err)
 	}
 	inputs := []relation.Tuple{paperex.InputT1(), paperex.InputT4()}
-	_, err := m.FixBatchCtx(ctx, inputs, func(i int) monitor.User {
+	_, err := m.FixBatch(ctx, inputs, func(i int) monitor.User {
 		return monitor.SimulatedUser{Truth: inputs[i]}
-	}, monitor.BatchOptions{Workers: 2})
+	}, 2)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("FixBatchCtx on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("FixBatch on cancelled ctx = %v, want context.Canceled", err)
 	}
 
 	// An open context leaves behavior identical to Fix.
-	res, err := m.FixCtx(context.Background(), paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
+	res, err := m.Fix(context.Background(), paperex.InputT1(), monitor.SimulatedUser{Truth: truthT1()})
 	if err != nil || !res.Completed {
-		t.Fatalf("FixCtx(Background) res=%+v err=%v", res, err)
+		t.Fatalf("Fix(Background) res=%+v err=%v", res, err)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestFixStreamCtxCancellation(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan monitor.StreamRequest) // never closed by the test
-	out := m.FixStreamCtx(ctx, in, monitor.BatchOptions{Workers: 2})
+	out := m.FixStream(ctx, in, 2)
 
 	in <- monitor.StreamRequest{ID: 1, Tuple: paperex.InputT1(), User: monitor.SimulatedUser{Truth: truthT1()}}
 	first := <-out

@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/monitor"
@@ -14,7 +15,7 @@ func TestSessionStepwiseMatchesFix(t *testing.T) {
 	m := newMonitor(t, monitor.Config{})
 	truth := truthT1()
 
-	viaFix, err := m.Fix(paperex.InputT1(), monitor.SimulatedUser{Truth: truth})
+	viaFix, err := m.Fix(context.Background(), paperex.InputT1(), monitor.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -80,7 +81,7 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m1 := newMonitor(t, monitor.Config{})
-			want, err := m1.Fix(c.input, monitor.SimulatedUser{Truth: c.truth})
+			want, err := m1.Fix(context.Background(), c.input, monitor.SimulatedUser{Truth: c.truth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +130,7 @@ func TestSessionResumeRePinsEpoch(t *testing.T) {
 	m, ver := newVersionedMonitor(t, monitor.Config{})
 	input, truth := paperex.InputT2(), truthT2()
 
-	want, err := m.Fix(input, monitor.SimulatedUser{Truth: truth})
+	want, err := m.Fix(context.Background(), input, monitor.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/master"
@@ -40,7 +41,7 @@ func TestVersionedMonitorPicksUpDeltas(t *testing.T) {
 	truth := relation.StringTuple("k2", "b2", "c2")
 
 	// Epoch 0: the master does not know k2 — the users assert everything.
-	res, err := m.Fix(input, SimulatedUser{Truth: truth})
+	res, err := m.Fix(context.Background(), input, SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestVersionedMonitorPicksUpDeltas(t *testing.T) {
 	if _, err := ver.Apply([]relation.Tuple{relation.StringTuple("k2", "b2", "c2")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err = m.Fix(input, SimulatedUser{Truth: truth})
+	res, err = m.Fix(context.Background(), input, SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestVersionedFixBatchPicksUpEpochsBetweenTuples(t *testing.T) {
 		publishThenAssert{ver: ver, truth: truth, t: t},
 		SimulatedUser{Truth: truth},
 	}
-	results, err := m.FixBatch(inputs, func(i int) User { return users[i] }, BatchOptions{Workers: 1})
+	results, err := m.FixBatch(context.Background(), inputs, func(i int) User { return users[i] }, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

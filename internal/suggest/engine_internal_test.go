@@ -114,7 +114,7 @@ func TestMasterCompatibleVsScanProperty(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(16_000_000 + seed)))
 		sigma, dm := randomInternalInstance(rng)
-		d := NewDeriver(sigma, dm)
+		d := NewDeriver(sigma, dm).Pin()
 		arity := sigma.Schema().Arity()
 		tup := make(relation.Tuple, arity)
 		for i := range tup {

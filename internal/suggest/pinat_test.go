@@ -13,7 +13,7 @@ import (
 // TestDeriverPinAt: a versioned deriver re-pins historical epochs from
 // the ring, serves the head through the cached view, and surfaces
 // ErrEpochEvicted for evicted epochs; a static deriver only knows its
-// own epoch.
+// own epoch, through the same path.
 func TestDeriverPinAt(t *testing.T) {
 	sigma := paperex.Sigma0()
 	dm, err := master.NewForRules(paperex.MasterRelation(), sigma)
@@ -61,7 +61,7 @@ func TestDeriverPinAt(t *testing.T) {
 	}
 
 	static := suggest.NewDeriver(sigma, dm)
-	if got, err := static.PinAt(dm.Epoch()); err != nil || got != static {
+	if got, err := static.PinAt(dm.Epoch()); err != nil || got.Master() != dm || got != static.Pin() {
 		t.Fatalf("static PinAt(own epoch) = %v, %v", got, err)
 	}
 	if _, err := static.PinAt(dm.Epoch() + 1); !errors.Is(err, master.ErrEpochEvicted) {

@@ -1,7 +1,6 @@
 package suggest
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,14 +29,13 @@ type Candidate struct {
 // support map are immutable, and all per-call mutable state lives in
 // pooled scratch.
 //
-// A deriver is either STATIC (NewDeriver: bound to one master snapshot
-// forever) or VERSIONED (NewDeriverVersioned: bound to a master.Versioned
-// handle). A versioned deriver pins the current snapshot at the start of
-// every public call — Pin returns the snapshot-bound view explicitly, for
-// callers like monitor.Session that need one consistent snapshot across
-// several calls. The per-epoch engines (support map, compiled closure
-// program, checker) are O(|Σ|) to rebuild and cached per epoch, so
-// pinning after an unchanged epoch is a pointer comparison.
+// A deriver is a handle over a master.Versioned lineage (a static master
+// is a lineage that never advances). It pins the current snapshot at the
+// start of every public call — Pin returns the snapshot-bound view
+// explicitly, for callers like monitor.Session that need one consistent
+// snapshot across several calls. The per-epoch engines (support map,
+// compiled closure program, checker) are O(|Σ|) to rebuild and cached per
+// epoch, so pinning after an unchanged epoch is a pointer comparison.
 type Deriver struct {
 	sigma  *rule.Set
 	actDom map[int][]relation.Value
@@ -47,15 +45,14 @@ type Deriver struct {
 
 	// Snapshot-bound state: the master snapshot, the support map read
 	// from its pattern bitmaps, Σ compiled (gated by sup) into the
-	// counter-based closure engine, and the §4 checker. Set on static
-	// derivers and pinned views; nil on a versioned handle, which pins
-	// per call.
+	// counter-based closure engine, and the §4 checker. Set on pinned
+	// views; nil on a handle, which pins per call.
 	dm      *master.Data
 	checker *analysis.Checker
 	sup     supportMap
 	prog    *rule.Compiled
 
-	// Versioned-handle state.
+	// Handle state; ver == nil means exactly "pinned view".
 	ver  *master.Versioned
 	view atomic.Pointer[Deriver] // cached pinned view for the current epoch
 
@@ -77,13 +74,10 @@ type derScratch struct {
 	choice choiceScratch
 }
 
-// NewDeriver precomputes the support map, compiled closure program and
-// checker for a static (Σ, Dm): the deriver is bound to this snapshot
-// forever (Pin returns the deriver itself).
+// NewDeriver builds a deriver over a static (Σ, Dm): a lineage of one
+// snapshot that never advances.
 func NewDeriver(sigma *rule.Set, dm *master.Data) *Deriver {
-	d := newHandle(sigma)
-	d.pinTo(dm)
-	return d
+	return NewDeriverVersioned(sigma, master.NewVersioned(dm))
 }
 
 // NewDeriverVersioned builds a deriver over a versioned master: every
@@ -91,30 +85,12 @@ func NewDeriver(sigma *rule.Set, dm *master.Data) *Deriver {
 // region checks always run against one consistent epoch and pick up
 // master updates between calls.
 func NewDeriverVersioned(sigma *rule.Set, ver *master.Versioned) *Deriver {
-	d := newHandle(sigma)
-	d.ver = ver
-	return d
-}
-
-// NewDeriverForRules builds the sharded master data for (Σ, rel) and a
-// static deriver over it in one step — the convenience constructor that
-// threads master build options (master.WithShards, master.WithBuildWorkers)
-// to callers that would otherwise call master.NewForRules themselves.
-// The deriver's own per-epoch engines are O(|Σ|) and need no sharding.
-func NewDeriverForRules(sigma *rule.Set, rel *relation.Relation, opts ...master.BuildOption) (*Deriver, error) {
-	dm, err := master.NewForRules(rel, sigma, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return NewDeriver(sigma, dm), nil
-}
-
-func newHandle(sigma *rule.Set) *Deriver {
 	return &Deriver{
 		sigma:     sigma,
 		actDom:    sigma.ActiveDomain(),
 		sampleCap: 64,
 		pool:      &sync.Pool{New: func() any { return &derScratch{clo: rule.NewClosureScratch()} }},
+		ver:       ver,
 	}
 }
 
@@ -128,14 +104,14 @@ func (d *Deriver) pinTo(dm *master.Data) {
 	d.prog = d.sigma.Compile(d.sup)
 }
 
-// Pin returns a view of the deriver bound to one master snapshot. On a
-// static deriver this is the deriver itself; on a versioned deriver it is
-// a cached per-epoch view of the currently published snapshot. All public
-// methods pin implicitly, so Pin is only needed when several calls must
-// observe the same snapshot (a monitor Session pins once at NewSession).
+// Pin returns a view of the deriver bound to one master snapshot: the
+// cached per-epoch view of the currently published snapshot (a pinned
+// view returns itself). All public methods pin implicitly, so Pin is only
+// needed when several calls must observe the same snapshot (a monitor
+// Session pins once at NewSession).
 func (d *Deriver) Pin() *Deriver {
 	if d.ver == nil {
-		return d // static deriver, or already a pinned view
+		return d // already a pinned view
 	}
 	snap := d.ver.Current()
 	if v := d.view.Load(); v != nil && v.dm == snap {
@@ -148,32 +124,20 @@ func (d *Deriver) Pin() *Deriver {
 
 // PinAt returns a view of the deriver bound to the master snapshot with
 // the given epoch — the resume path of a suspended fix session, which
-// must re-observe exactly the Dm it was suspended on. On a versioned
-// deriver the snapshot is served from the Versioned ring (an error
-// matching master.ErrEpochEvicted when no longer retained); a static
-// deriver only ever knows its own snapshot's epoch. Views are cached
-// per epoch — the head like Pin, historical epochs in a small cache
-// bounded by the ring's retention — so repeated resumes of the same
-// epoch (every round of a session in a stateless server) pay the
-// O(|Σ|) engine rebuild once, not per call.
+// must re-observe exactly the Dm it was suspended on. The snapshot is
+// served from the Versioned ring (an error matching
+// master.ErrEpochEvicted when no longer retained; a static master's ring
+// only ever holds its own epoch), so PinAt needs a handle, not a pinned
+// view. Views are cached per epoch — the head like Pin, historical
+// epochs in a small cache bounded by the ring's retention — so repeated
+// resumes of the same epoch (every round of a session in a stateless
+// server) pay the O(|Σ|) engine rebuild once, not per call.
 func (d *Deriver) PinAt(epoch uint64) (*Deriver, error) {
-	if d.ver == nil {
-		if d.dm.Epoch() == epoch {
-			return d, nil
-		}
-		return nil, fmt.Errorf("suggest: static deriver is bound to epoch %d, not %d: %w",
-			d.dm.Epoch(), epoch, master.ErrEpochEvicted)
-	}
 	snap, err := d.ver.At(epoch)
 	if err != nil {
 		return nil, err
 	}
-	if v := d.view.Load(); v != nil && v.dm == snap {
-		return v, nil
-	}
-	if d.ver.Current() == snap {
-		v := d.buildView(snap)
-		d.view.Store(v) // head view: cache it like Pin would
+	if v := d.Pin(); v.dm == snap {
 		return v, nil
 	}
 	return d.histView(snap), nil
@@ -212,24 +176,14 @@ func (d *Deriver) buildView(snap *master.Data) *Deriver {
 	return v
 }
 
-// Fork returns an independent deriver over the same master source — the
-// per-worker isolation path of monitor's batch pipeline. A versioned
-// deriver forks versioned (workers pick up new epochs between tuples).
-func (d *Deriver) Fork() *Deriver {
-	if d.ver != nil {
-		return NewDeriverVersioned(d.sigma, d.ver)
-	}
-	return NewDeriver(d.sigma, d.dm)
-}
-
 func (d *Deriver) getScratch() *derScratch   { return d.pool.Get().(*derScratch) }
 func (d *Deriver) putScratch(sc *derScratch) { d.pool.Put(sc) }
 
 // Sigma returns Σ.
 func (d *Deriver) Sigma() *rule.Set { return d.sigma }
 
-// Master returns Dm: the bound snapshot (static deriver or pinned view),
-// or the currently published snapshot (versioned deriver).
+// Master returns Dm: the bound snapshot (pinned view) or the currently
+// published one (handle).
 func (d *Deriver) Master() *master.Data { return d.Pin().dm }
 
 // Epoch returns the epoch of the snapshot Master would return.

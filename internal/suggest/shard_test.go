@@ -9,16 +9,12 @@ import (
 	"repro/internal/suggest"
 )
 
-// TestNewDeriverForRulesSharded: the one-step constructor builds a
-// sharded master and suggests identically to a deriver over the
-// unsharded build.
-func TestNewDeriverForRulesSharded(t *testing.T) {
+// TestDeriverShardInvariance: a deriver over a sharded master suggests
+// identically to one over the unsharded build.
+func TestDeriverShardInvariance(t *testing.T) {
 	sigma := paperex.Sigma0()
 	rel := paperex.MasterRelation()
-	d, err := suggest.NewDeriverForRules(sigma, rel, master.WithShards(4), master.WithBuildWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := suggest.NewDeriver(sigma, master.MustNewForRules(rel, sigma, master.WithShards(4), master.WithBuildWorkers(2)))
 	if got := d.Master().Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}

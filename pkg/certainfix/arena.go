@@ -9,11 +9,7 @@ package certainfix
 // either way; only startup cost changes (see DESIGN.md, "Columnar arena
 // format").
 
-import (
-	"time"
-
-	"repro/internal/master"
-)
+import "repro/internal/master"
 
 // ErrBadSnapshot reports an arena image that failed validation: wrong
 // magic, truncated or corrupt sections, or a snapshot saved for a
@@ -43,30 +39,9 @@ type MasterMemStats = master.MemStats
 // first open of the WAL directory — afterwards the directory's own
 // checkpoint and log are authoritative, as in New.
 func NewFromArena(rules *Rules, arenaPath string, opts ...Option) (*System, error) {
-	began := time.Now()
-	var cfg Options
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	if cfg.WALDir != "" {
-		return newDurableSystem(rules, func() (*master.Data, error) {
-			return master.LoadArena(arenaPath, rules)
-		}, cfg)
-	}
-	dm, err := master.LoadArena(arenaPath, rules)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Auth {
-		// No-op when the image was saved authenticated (the loader verified
-		// its root); builds the commitment for pre-auth images.
-		dm.Authenticate()
-	}
-	ver := master.NewVersioned(dm)
-	if cfg.MasterHistory > 0 {
-		ver.SetHistory(cfg.MasterHistory)
-	}
-	return newSystem(rules, ver, cfg, began)
+	return open(rules, newConfig(opts), func() (*master.Data, error) {
+		return master.LoadArena(arenaPath, rules)
+	})
 }
 
 // SaveMasterArena freezes the currently published master snapshot into an
@@ -75,11 +50,11 @@ func NewFromArena(rules *Rules, arenaPath string, opts ...Option) (*System, erro
 // image captures the snapshot as of this call; later UpdateMaster
 // publishes are not reflected until it is saved again.
 func (s *System) SaveMasterArena(path string) error {
-	return s.ver.Current().SaveArenaFile(path, s.sigma)
+	return s.head().SaveArenaFile(path, s.sigma)
 }
 
 // MasterMemStats returns the memory accounting of the currently published
 // master snapshot.
 func (s *System) MasterMemStats() MasterMemStats {
-	return s.ver.Current().MemStats()
+	return s.head().MemStats()
 }

@@ -1,6 +1,7 @@
 package certainfix_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/paperex"
@@ -11,7 +12,7 @@ import (
 // with per-tuple RepairOnce on every field, including the per-tuple error
 // reporting that keeps one bad tuple from aborting the batch.
 func TestRepairBatchMatchesRepairOnce(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	r := sys.Schema()
 	validated := []int{r.MustPos("zip"), r.MustPos("phn"), r.MustPos("type")}
 	inputs := []certainfix.Tuple{
@@ -20,7 +21,10 @@ func TestRepairBatchMatchesRepairOnce(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 3, 8} {
-		got := sys.RepairBatch(inputs, validated, workers)
+		got, err := sys.RepairBatchContext(context.Background(), inputs, validated, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if len(got) != len(inputs) {
 			t.Fatalf("workers=%d: %d results for %d inputs", workers, len(got), len(inputs))
 		}
@@ -42,18 +46,18 @@ func TestRepairBatchMatchesRepairOnce(t *testing.T) {
 
 // TestSystemFixBatch: the public batch entry point matches sequential Fix.
 func TestSystemFixBatch(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "079172485", "2",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 	inputs := []certainfix.Tuple{paperex.InputT1(), paperex.InputT1()}
-	res, err := sys.FixBatch(inputs, func(i int) certainfix.User {
+	res, err := sys.FixBatchContext(context.Background(), inputs, func(i int) certainfix.User {
 		return certainfix.SimulatedUser{Truth: truth}
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sys.Fix(paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
+	want, err := sys.FixContext(context.Background(), paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@
 // When the answers are available synchronously, the callback form is a
 // thin wrapper over a session:
 //
-//	res, _ := sys.Fix(dirtyTuple, user) // user answers suggestions
+//	res, _ := sys.FixContext(ctx, dirtyTuple, user) // user answers suggestions
 //
 // Errors are typed: ErrSessionDone, ErrArityMismatch, ErrInconsistent
 // (with *ConflictError details), ErrEpochEvicted and ErrBadToken all
@@ -210,12 +210,25 @@ func ReadCSV(schema *Schema, rd io.Reader) (*Relation, error) {
 // with, later fixes pick up the new epoch).
 type System struct {
 	sigma *rule.Set
-	ver   *master.Versioned
+	lin   lineage
 	mon   *monitor.Monitor
-	dur   *master.DurableVersioned // non-nil under WithWAL
-	rep   *replica                 // non-nil for a NewFollower replica
 	boot  BootTimings
 }
+
+// lineage is the master lineage a System sits on — exactly one of
+// *master.Versioned (process memory; Close is a no-op),
+// *master.DurableVersioned (WithWAL: Apply logs before it publishes) and
+// a follower's *replica (Apply fails with ErrReadOnlyReplica, Close stops
+// the shipping loop). Reads go through the Versioned ring; Apply is the
+// only write, which is why nothing here calls Versioned().Apply.
+type lineage interface {
+	Versioned() *master.Versioned
+	Apply(adds []Tuple, deletes []int) (*master.Data, error)
+	Close() error
+}
+
+// head returns the currently published master snapshot.
+func (s *System) head() *master.Data { return s.lin.Versioned().Current() }
 
 // BootTimings attributes a System's construction time to its two phases:
 // Master is obtaining the first snapshot (CSV build, arena load, WAL
@@ -228,22 +241,57 @@ type BootTimings struct {
 // BootTimings reports how long each construction phase took.
 func (s *System) BootTimings() BootTimings { return s.boot }
 
-// newSystem derives the certain regions over the lineage ver and
-// assembles the System; began is when the constructor started on the
-// master.
-func newSystem(rules *Rules, ver *master.Versioned, cfg Options, began time.Time) (*System, error) {
+// open is the one construction path behind New, NewFromArena and
+// NewFollower: obtain the lineage — a follower's from its leader, a
+// durable one from cfg.walDir (base seeds it only on the first open of
+// the directory), otherwise in memory straight from base — then derive
+// the certain regions over it.
+func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System, error) {
+	began := time.Now()
+	var (
+		lin lineage
+		err error
+	)
+	switch {
+	case cfg.leader != "":
+		lin, err = follow(rules, cfg)
+	case cfg.walDir != "":
+		lin, err = master.OpenDurable(cfg.walDir, base, rules, master.DurableOptions{
+			Sync:            cfg.fsync,
+			CheckpointEvery: cfg.checkpointEvery,
+			History:         cfg.history,
+			Auth:            cfg.auth,
+		})
+	default:
+		var dm *master.Data
+		if dm, err = base(); err == nil {
+			if cfg.auth {
+				// No-op when base loaded an image saved authenticated (the
+				// loader verified its root); builds the commitment otherwise.
+				dm.Authenticate()
+			}
+			ver := master.NewVersioned(dm)
+			if cfg.history > 0 {
+				ver.SetHistory(cfg.history)
+			}
+			lin = ver
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 	masterDone := time.Now()
-	mon, err := monitor.NewVersioned(rules, ver, monitor.Config{
-		UseBDD:        cfg.UseSuggestionCache,
-		InitialRegion: cfg.InitialRegion,
-		MaxRounds:     cfg.MaxRounds,
+	mon, err := monitor.NewVersioned(rules, lin.Versioned(), monitor.Config{
+		UseBDD:    cfg.suggestionCache,
+		MaxRounds: cfg.maxRounds,
 	})
 	if err != nil {
+		lin.Close()
 		return nil, err
 	}
 	return &System{
 		sigma: rules,
-		ver:   ver,
+		lin:   lin,
 		mon:   mon,
 		boot:  BootTimings{Master: masterDone.Sub(began), Regions: time.Since(masterDone)},
 	}, nil
@@ -252,8 +300,7 @@ func newSystem(rules *Rules, ver *master.Versioned, cfg Options, began time.Time
 // New builds a System. The master relation must be an instance of Σ's
 // master schema; it is assumed consistent and complete (the master-data
 // contract of the paper, §2) but no longer static — see UpdateMaster.
-// Configuration is by functional options (the deprecated Options struct
-// still works in that position):
+// Configuration is by functional options:
 //
 //	sys, err := certainfix.New(rules, masterRel,
 //	    certainfix.WithSuggestionCache(), certainfix.WithMaxRounds(4))
@@ -263,32 +310,13 @@ func newSystem(rules *Rules, ver *master.Versioned, cfg Options, began time.Time
 // and masterRel may even be nil — recovery restores the exact master
 // the previous process last published.
 func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
-	began := time.Now()
-	var cfg Options
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	if cfg.WALDir != "" {
-		return newDurableSystem(rules, func() (*master.Data, error) {
-			if masterRel == nil {
-				return nil, fmt.Errorf("certainfix: WAL directory holds no checkpoint and no master relation was given")
-			}
-			return master.NewForRules(masterRel, rules, master.WithShards(cfg.Shards))
-		}, cfg)
-	}
-	buildOpts := []master.BuildOption{master.WithShards(cfg.Shards)}
-	if cfg.Auth {
-		buildOpts = append(buildOpts, master.WithAuth())
-	}
-	dm, err := master.NewForRules(masterRel, rules, buildOpts...)
-	if err != nil {
-		return nil, err
-	}
-	ver := master.NewVersioned(dm)
-	if cfg.MasterHistory > 0 {
-		ver.SetHistory(cfg.MasterHistory)
-	}
-	return newSystem(rules, ver, cfg, began)
+	cfg := newConfig(opts)
+	return open(rules, cfg, func() (*master.Data, error) {
+		if masterRel == nil {
+			return nil, fmt.Errorf("certainfix: no master relation was given and no WAL checkpoint holds one")
+		}
+		return master.NewForRules(masterRel, rules, master.WithShards(cfg.shards))
+	})
 }
 
 // UpdateMaster applies a master-data delta — corrections and additions to
@@ -305,18 +333,7 @@ func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
 // crash. On a follower System (NewFollower) the call fails with
 // ErrReadOnlyReplica: a replica's lineage is the leader's.
 func (s *System) UpdateMaster(adds []Tuple, deletes []int) (uint64, error) {
-	if s.rep != nil {
-		return 0, fmt.Errorf("certainfix: update on follower of %s: %w", s.rep.leader, ErrReadOnlyReplica)
-	}
-	var (
-		snap *master.Data
-		err  error
-	)
-	if s.dur != nil {
-		snap, err = s.dur.Apply(adds, deletes)
-	} else {
-		snap, err = s.ver.Apply(adds, deletes)
-	}
+	snap, err := s.lin.Apply(adds, deletes)
 	if err != nil {
 		return 0, err
 	}
@@ -325,7 +342,7 @@ func (s *System) UpdateMaster(adds []Tuple, deletes []int) (uint64, error) {
 
 // MasterEpoch returns the currently published master epoch (0 until the
 // first UpdateMaster).
-func (s *System) MasterEpoch() uint64 { return s.ver.Epoch() }
+func (s *System) MasterEpoch() uint64 { return s.head().Epoch() }
 
 // MasterRoot returns the hex Merkle root of the currently published
 // master snapshot, with ok=false when the System was built without
@@ -333,7 +350,7 @@ func (s *System) MasterEpoch() uint64 { return s.ver.Epoch() }
 // contents exactly: any client holding the root can check fix provenance
 // with VerifyFix, no server trust required.
 func (s *System) MasterRoot() (root string, ok bool) {
-	h, ok := s.ver.Current().AuthRoot()
+	h, ok := s.head().AuthRoot()
 	if !ok {
 		return "", false
 	}
@@ -341,7 +358,7 @@ func (s *System) MasterRoot() (root string, ok bool) {
 }
 
 // MasterLen returns |Dm| of the currently published snapshot.
-func (s *System) MasterLen() int { return s.ver.Current().Len() }
+func (s *System) MasterLen() int { return s.head().Len() }
 
 // Rules returns Σ.
 func (s *System) Rules() *Rules { return s.sigma }
@@ -353,36 +370,27 @@ func (s *System) Schema() *Schema { return s.sigma.Schema() }
 // The first candidate's Z is what the users are asked to validate first.
 func (s *System) Regions() []RegionCandidate { return s.mon.Regions() }
 
-// Fix interactively finds a certain fix for one input tuple (algorithm
-// CertainFix, Fig. 3 of the paper), driving the user callback over a
-// session — a thin wrapper over Begin/Provide/Result for callers whose
-// answers are available synchronously. The input is not mutated.
-func (s *System) Fix(t Tuple, user User) (Result, error) {
-	return s.FixContext(context.Background(), t, user)
-}
-
-// FixContext is Fix with cancellation: the context is observed at every
-// round boundary, so a deadline or cancellation interrupts the fix
-// between rounds and returns the context's error. To suspend work
-// instead of abandoning it, use Begin and serialize the session.
+// FixContext interactively finds a certain fix for one input tuple
+// (algorithm CertainFix, Fig. 3 of the paper), driving the user callback
+// over a session — a thin wrapper over Begin/Provide/Result for callers
+// whose answers are available synchronously. The input is not mutated.
+// The context is observed at every round boundary, so a deadline or
+// cancellation interrupts the fix between rounds and returns the
+// context's error. To suspend work instead of abandoning it, use Begin
+// and serialize the session.
 func (s *System) FixContext(ctx context.Context, t Tuple, user User) (Result, error) {
-	return s.mon.FixCtx(ctx, t, user)
+	return s.mon.Fix(ctx, t, user)
 }
 
-// FixBatch fixes many input tuples concurrently on a bounded worker pool,
-// driving userFor(i) for tuple i. Results are aligned with inputs and,
-// without the suggestion cache, byte-identical to a sequential Fix loop.
-// workers ≤ 0 selects GOMAXPROCS.
-func (s *System) FixBatch(inputs []Tuple, userFor func(i int) User, workers int) ([]Result, error) {
-	return s.FixBatchContext(context.Background(), inputs, userFor, workers)
-}
-
-// FixBatchContext is FixBatch with cancellation: once ctx is done no
-// further tuples are dispatched, in-flight fixes stop at their next
-// round boundary, and the call reports the context's error after the
-// pool drains (a fix error still wins).
+// FixBatchContext fixes many input tuples concurrently on a bounded
+// worker pool, driving userFor(i) for tuple i. Results are aligned with
+// inputs and, without the suggestion cache, byte-identical to a
+// sequential FixContext loop. workers ≤ 0 selects GOMAXPROCS. Once ctx is
+// done no further tuples are dispatched, in-flight fixes stop at their
+// next round boundary, and the call reports the context's error after
+// the pool drains (a fix error still wins).
 func (s *System) FixBatchContext(ctx context.Context, inputs []Tuple, userFor func(i int) User, workers int) ([]Result, error) {
-	return s.mon.FixBatchCtx(ctx, inputs, userFor, monitor.BatchOptions{Workers: workers})
+	return s.mon.FixBatch(ctx, inputs, userFor, workers)
 }
 
 // StreamRequest is one unit of work for FixStream; ID is a caller-chosen
@@ -399,10 +407,11 @@ type StreamResult = monitor.StreamResult
 // monitoring framework for services that fix tuples as they arrive.
 // workers ≤ 0 selects GOMAXPROCS.
 func (s *System) FixStream(ctx context.Context, in <-chan StreamRequest, workers int) <-chan StreamResult {
-	return s.mon.FixStreamCtx(ctx, in, monitor.BatchOptions{Workers: workers})
+	return s.mon.FixStream(ctx, in, workers)
 }
 
-// Repair is one RepairBatch outcome; fields mirror RepairOnce's returns.
+// Repair is one RepairBatchContext outcome; fields mirror RepairOnce's
+// returns.
 type Repair struct {
 	Tuple     Tuple
 	Validated AttrSet
@@ -410,30 +419,13 @@ type Repair struct {
 	Err       error
 }
 
-// RepairBatch runs RepairOnce over every input tuple concurrently against
-// the shared immutable (Σ, Dm). The result slice is aligned with inputs;
-// per-tuple errors are reported in place so one inconsistent tuple does not
-// abort the batch (matching the per-tuple error handling of cmd/certainfix).
-// workers ≤ 0 selects GOMAXPROCS.
-func (s *System) RepairBatch(inputs []Tuple, validated []int, workers int) []Repair {
-	out, err := s.RepairBatchContext(context.Background(), inputs, validated, workers)
-	if err != nil {
-		// Unreachable by construction: the job function reports per-tuple
-		// failures inside Repair.Err and never returns an error, worker
-		// panics re-raise as panics, and a background context cannot be
-		// cancelled — those are the only error sources in the
-		// internal/parallel contract. Panic rather than drop the error so
-		// a future contract change cannot be silently swallowed (the bug
-		// this replaces: `out, _ :=` discarded the error unconditionally).
-		panic("certainfix: RepairBatch: unreachable error from parallel map: " + err.Error())
-	}
-	return out
-}
-
-// RepairBatchContext is RepairBatch with cancellation: once ctx is done
-// no further tuples are dispatched and the call returns the context's
-// error after the pool drains. Per-tuple repair failures are still
-// reported in place (Repair.Err), never as the call error.
+// RepairBatchContext runs RepairOnce over every input tuple concurrently
+// against the shared immutable (Σ, Dm). The result slice is aligned with
+// inputs; per-tuple errors are reported in place (Repair.Err), never as
+// the call error, so one inconsistent tuple does not abort the batch
+// (matching the per-tuple error handling of cmd/certainfix). workers ≤ 0
+// selects GOMAXPROCS. Once ctx is done no further tuples are dispatched
+// and the call returns the context's error after the pool drains.
 func (s *System) RepairBatchContext(ctx context.Context, inputs []Tuple, validated []int, workers int) ([]Repair, error) {
 	return parallel.MapCtx(ctx, len(inputs), workers, func(i int) (Repair, error) {
 		t, z, fixed, err := s.RepairOnce(inputs[i], validated)
@@ -451,7 +443,7 @@ func (s *System) RepairOnce(t Tuple, validated []int) (Tuple, AttrSet, []int, er
 	if zSet.Len() != len(validated) {
 		return nil, AttrSet{}, nil, fmt.Errorf("certainfix: duplicate validated attributes")
 	}
-	fixed, err := fix.TransFix(s.mon.DepGraph(), s.ver.Current(), out, &zSet)
+	fixed, err := fix.TransFix(s.mon.DepGraph(), s.head(), out, &zSet)
 	if err != nil {
 		return nil, AttrSet{}, nil, err
 	}

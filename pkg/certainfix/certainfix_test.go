@@ -1,6 +1,7 @@
 package certainfix_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,10 +9,10 @@ import (
 	"repro/pkg/certainfix"
 )
 
-func paperSystem(t *testing.T, opts certainfix.Options) *certainfix.System {
+func paperSystem(t *testing.T, opts ...certainfix.Option) *certainfix.System {
 	t.Helper()
 	sigma := paperex.Sigma0()
-	sys, err := certainfix.New(sigma, paperex.MasterRelation(), opts)
+	sys, err := certainfix.New(sigma, paperex.MasterRelation(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +20,11 @@ func paperSystem(t *testing.T, opts certainfix.Options) *certainfix.System {
 }
 
 func TestSystemFixEndToEnd(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "079172485", "2",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
-	res, err := sys.Fix(paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
+	res, err := sys.FixContext(context.Background(), paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSystemFixEndToEnd(t *testing.T) {
 }
 
 func TestSystemRepairOnce(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	r := sys.Schema()
 	t1 := paperex.InputT1()
 	fixed, covered, changed, err := sys.RepairOnce(t1, []int{r.MustPos("zip")})
@@ -56,7 +57,7 @@ func TestSystemRepairOnce(t *testing.T) {
 }
 
 func TestSystemRegionChecks(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	reg, err := certainfix.NewRegion(sys.Schema(),
 		[]string{"zip", "phn", "type", "item"},
 		[]map[string]certainfix.Value{
@@ -80,7 +81,7 @@ func TestSystemRegionChecks(t *testing.T) {
 }
 
 func TestSystemSuggest(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	r := sys.Schema()
 	t1 := paperex.InputT1()
 	t1[r.MustPos("AC")] = certainfix.String("131")
@@ -92,7 +93,7 @@ func TestSystemSuggest(t *testing.T) {
 }
 
 func TestSystemRegions(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	regions := sys.Regions()
 	if len(regions) == 0 {
 		t.Fatal("no derived regions")
@@ -113,7 +114,7 @@ func TestParseRulesAndCSV(t *testing.T) {
 	if err != nil || rel.Len() != 2 {
 		t.Fatalf("rel=%v err=%v", rel, err)
 	}
-	sys, err := certainfix.New(rules, rel, certainfix.Options{})
+	sys, err := certainfix.New(rules, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,10 @@ func TestParseRulesAndCSV(t *testing.T) {
 }
 
 func TestSystemWithCache(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{UseSuggestionCache: true})
+	sys := paperSystem(t, certainfix.WithSuggestionCache())
 	t4 := paperex.InputT4()
 	for i := 0; i < 3; i++ {
-		res, err := sys.Fix(t4, certainfix.SimulatedUser{Truth: t4})
+		res, err := sys.FixContext(context.Background(), t4, certainfix.SimulatedUser{Truth: t4})
 		if err != nil || !res.Completed {
 			t.Fatalf("iteration %d: res=%v err=%v", i, res, err)
 		}

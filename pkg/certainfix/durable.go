@@ -10,8 +10,6 @@ package certainfix
 // DurableVersioned and DESIGN.md, "Durability: WAL + checkpoints").
 
 import (
-	"time"
-
 	"repro/internal/master"
 	"repro/internal/wal"
 )
@@ -40,48 +38,28 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParseSyncPolic
 // startup. cmd/certainfixd exposes it on /healthz.
 type DurabilityStats = master.DurabilityStats
 
-// newDurableSystem opens (or recovers) the durable lineage at
-// cfg.WALDir, building the base snapshot with base only when the
-// directory holds no checkpoint yet.
-func newDurableSystem(rules *Rules, base func() (*master.Data, error), cfg Options) (*System, error) {
-	began := time.Now()
-	dur, err := master.OpenDurable(cfg.WALDir, base, rules, master.DurableOptions{
-		Sync:            cfg.Fsync,
-		CheckpointEvery: cfg.CheckpointEvery,
-		History:         cfg.MasterHistory,
-		Auth:            cfg.Auth,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sys, err := newSystem(rules, dur.Versioned(), cfg, began)
-	if err != nil {
-		dur.Close()
-		return nil, err
-	}
-	sys.dur = dur
-	return sys, nil
-}
-
 // Durability reports the durability state of a System built WithWAL; ok
-// is false for a memory-only System.
+// is false for a memory-only or follower System.
 func (s *System) Durability() (stats DurabilityStats, ok bool) {
-	if s.dur == nil {
+	dur, ok := s.lin.(*master.DurableVersioned)
+	if !ok {
 		return DurabilityStats{}, false
 	}
-	return s.dur.Durability(), true
+	return dur.Durability(), true
 }
 
 // Checkpoint forces an arena checkpoint of the current master head and
 // truncates the write-ahead log it covers. It is a no-op without
-// WithWAL. Routine operation does not need it — checkpoints roll
-// automatically every WithCheckpointEvery deltas — but it is useful
-// before backups or to bound recovery time explicitly.
+// WithWAL: neither a memory-only System nor a follower (whose durable
+// truth is the leader's directory) owns a checkpoint. Routine operation
+// does not need it — checkpoints roll automatically every
+// WithCheckpointEvery deltas — but it is useful before backups or to
+// bound recovery time explicitly.
 func (s *System) Checkpoint() error {
-	if s.dur == nil {
-		return nil
+	if dur, ok := s.lin.(*master.DurableVersioned); ok {
+		return dur.Checkpoint()
 	}
-	return s.dur.Checkpoint()
+	return nil
 }
 
 // Close flushes and closes the write-ahead log, and on a follower
@@ -89,12 +67,4 @@ func (s *System) Checkpoint() error {
 // working against their pinned snapshots; further UpdateMaster calls
 // fail. A memory-only System (no WithWAL) has nothing to release and
 // Close is a no-op. Safe to call more than once.
-func (s *System) Close() error {
-	if s.rep != nil {
-		s.rep.stop()
-	}
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.Close()
-}
+func (s *System) Close() error { return s.lin.Close() }

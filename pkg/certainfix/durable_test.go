@@ -119,7 +119,7 @@ func TestSessionTokenSpansRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sysA.Fix(paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
+	want, err := sysA.FixContext(context.Background(), paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

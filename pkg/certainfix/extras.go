@@ -3,22 +3,8 @@ package certainfix
 import (
 	"repro/internal/discover"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/relation"
 )
-
-// Session is the internal step-wise session type.
-//
-// Deprecated: use FixSession via System.Begin, which adds context
-// awareness and serialization (suspend/resume across processes).
-type Session = monitor.Session
-
-// NewSession starts a step-wise fixing session for one tuple.
-//
-// Deprecated: use System.Begin.
-func (s *System) NewSession(t Tuple) (*Session, error) {
-	return s.mon.NewSession(t)
-}
 
 // RepairRelation applies RepairOnce to every tuple of a relation,
 // trusting the given attribute positions on each, and returns a new

@@ -1,6 +1,7 @@
 package certainfix_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 )
 
 func TestSessionThroughPublicAPI(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "079172485", "2",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
-	sess, err := sys.NewSession(paperex.InputT1())
+	sess, err := sys.Begin(context.Background(), paperex.InputT1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSessionThroughPublicAPI(t *testing.T) {
 }
 
 func TestRepairRelation(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	r := sys.Schema()
 	rel := certainfix.NewRelation(r)
 	rel.MustAppend(paperex.InputT1(), paperex.InputT2(), paperex.InputT4())
@@ -66,7 +67,7 @@ func TestRepairRelation(t *testing.T) {
 }
 
 func TestRepairRelationConflict(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{})
+	sys := paperSystem(t)
 	r := sys.Schema()
 	rel := certainfix.NewRelation(r)
 	rel.MustAppend(paperex.InputT3()) // zip→s1 vs phone→s2
@@ -149,7 +150,7 @@ func TestDiscoverBootstrapLoop(t *testing.T) {
 	}
 	// The bootstrapped system fixes a dirty input against the cleaned
 	// master.
-	sys, err := certainfix.New(res.Rules, res.Cleaned, certainfix.Options{})
+	sys, err := certainfix.New(res.Rules, res.Cleaned)
 	if err != nil {
 		t.Fatal(err)
 	}

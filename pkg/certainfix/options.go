@@ -6,82 +6,43 @@ package certainfix
 //	sys, err := certainfix.New(rules, masterRel,
 //	    certainfix.WithSuggestionCache(),
 //	    certainfix.WithMaxRounds(4))
-type Option interface {
-	apply(*Options)
+type Option func(*config)
+
+// config is the accumulated construction-time configuration; each field
+// is documented on the With… option that sets it.
+type config struct {
+	suggestionCache bool
+	maxRounds       int
+	history         int
+	shards          int
+	walDir          string
+	fsync           FsyncPolicy
+	checkpointEvery int
+	auth            bool
+	leader          string // set by NewFollower only: the leader's base URL
 }
 
-// optionFunc adapts a function to the Option interface.
-type optionFunc func(*Options)
-
-func (f optionFunc) apply(o *Options) { f(o) }
-
-// Options configures a System as one struct.
-//
-// Deprecated: pass functional options (WithSuggestionCache, WithMaxRounds,
-// ...) to New instead. Options is retained as a compatibility shim — it
-// implements Option, so existing New(rules, master, Options{...}) calls
-// keep compiling — but note that applying an Options value overwrites
-// every field set by options before it in the argument list.
-type Options struct {
-	// UseSuggestionCache enables CertainFix+ (the BDD cache of §5.2),
-	// which amortizes suggestion computation across a stream of tuples.
-	UseSuggestionCache bool
-	// InitialRegion selects the precomputed certain region seeding the
-	// first suggestion (0 = highest quality).
-	InitialRegion int
-	// MaxRounds caps user-interaction rounds per tuple (0 = arity + 1).
-	MaxRounds int
-	// MasterHistory bounds how many recent master snapshots the system
-	// retains for session resume (0 = master.DefaultHistory). A resumed
-	// session re-pins its original epoch only while that epoch is
-	// retained; see System.Resume.
-	MasterHistory int
-	// Shards partitions the master indexes into that many hash shards,
-	// built in parallel (0 = one per CPU; see WithShards).
-	Shards int
-	// WALDir enables durable master lineage: every UpdateMaster is
-	// written to a write-ahead log in this directory before it becomes
-	// visible, periodic arena checkpoints bound the log, and New recovers
-	// the lineage from the directory on startup (see WithWAL).
-	WALDir string
-	// Fsync is the WAL fsync policy when WALDir is set (default
-	// FsyncAlways: an UpdateMaster that returned survives a crash).
-	Fsync FsyncPolicy
-	// CheckpointEvery is how many deltas accumulate between automatic
-	// arena checkpoints when WALDir is set (0 = the master package
-	// default; < 0 disables automatic checkpoints).
-	CheckpointEvery int
-	// Auth maintains a Merkle commitment over the master data: snapshots
-	// expose a root, WAL records and checkpoints carry it, fix results
-	// include per-attribute inclusion proofs, and followers audit every
-	// shipped epoch against the leader's root (see WithAuth).
-	Auth bool
+func newConfig(opts []Option) config {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
-
-// apply implements Option: the whole struct replaces the accumulated
-// configuration (the historical semantics of the Options parameter).
-func (o Options) apply(dst *Options) { *dst = o }
 
 // WithSuggestionCache enables CertainFix+ (the shared BDD suggestion
-// cache of §5.2). Note the determinism caveat on FixBatch, and the
+// cache of §5.2). Note the determinism caveat on FixBatchContext, and the
 // cold-restart caveat on Resume: a resumed session re-enters the cache
 // at the root.
 func WithSuggestionCache() Option {
-	return optionFunc(func(o *Options) { o.UseSuggestionCache = true })
-}
-
-// WithInitialRegion selects which precomputed certain region seeds the
-// first suggestion (0 = highest quality; out-of-range clamps to the
-// lowest-quality candidate).
-func WithInitialRegion(i int) Option {
-	return optionFunc(func(o *Options) { o.InitialRegion = i })
+	return func(c *config) { c.suggestionCache = true }
 }
 
 // WithMaxRounds caps user-interaction rounds per tuple (n <= 0 restores
 // the default, arity + 1). The cap is captured into each session's
 // serialized state, so a resumed session keeps the cap it began with.
 func WithMaxRounds(n int) Option {
-	return optionFunc(func(o *Options) { o.MaxRounds = n })
+	return func(c *config) { c.maxRounds = n }
 }
 
 // WithMasterHistory bounds the master snapshot ring to n epochs
@@ -91,7 +52,7 @@ func WithMaxRounds(n int) Option {
 // RebaseToHead; retained snapshots share storage copy-on-write, so the
 // cost per epoch is the delta overlays, not a copy of Dm.
 func WithMasterHistory(n int) Option {
-	return optionFunc(func(o *Options) { o.MasterHistory = n })
+	return func(c *config) { c.history = n }
 }
 
 // WithWAL makes the master lineage durable, rooted at dir. Every
@@ -105,14 +66,14 @@ func WithMasterHistory(n int) Option {
 // silently; real corruption fails construction with ErrWALCorrupt or
 // ErrBadSnapshot. Call System.Close to flush the log on shutdown.
 func WithWAL(dir string) Option {
-	return optionFunc(func(o *Options) { o.WALDir = dir })
+	return func(c *config) { c.walDir = dir }
 }
 
 // WithFsync selects the WAL durability/latency trade (only meaningful
 // with WithWAL): FsyncAlways syncs per UpdateMaster, FsyncInterval syncs
 // on a background timer, FsyncOff leaves flushing to the OS.
 func WithFsync(p FsyncPolicy) Option {
-	return optionFunc(func(o *Options) { o.Fsync = p })
+	return func(c *config) { c.fsync = p }
 }
 
 // WithCheckpointEvery sets how many deltas accumulate between automatic
@@ -120,7 +81,7 @@ func WithFsync(p FsyncPolicy) Option {
 // disables automatic checkpoints — the log then grows until
 // System.Close or an explicit save).
 func WithCheckpointEvery(n int) Option {
-	return optionFunc(func(o *Options) { o.CheckpointEvery = n })
+	return func(c *config) { c.checkpointEvery = n }
 }
 
 // WithAuth turns on authenticated master epochs: the system maintains a
@@ -136,7 +97,7 @@ func WithCheckpointEvery(n int) Option {
 // Costs one tree build at New and O(delta·log|Dm|) hashing per
 // UpdateMaster; off by default.
 func WithAuth() Option {
-	return optionFunc(func(o *Options) { o.Auth = true })
+	return func(c *config) { c.auth = true }
 }
 
 // WithShards partitions the master data's indexes, posting lists and
@@ -148,5 +109,5 @@ func WithAuth() Option {
 // probes per lookup for parallel builds and shard-local maintenance on
 // multi-million-tuple masters.
 func WithShards(p int) Option {
-	return optionFunc(func(o *Options) { o.Shards = p })
+	return func(c *config) { c.shards = p }
 }

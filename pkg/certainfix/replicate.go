@@ -38,9 +38,11 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrReadOnlyReplica reports a write (UpdateMaster, Checkpoint) on a
-// follower System: a replica's lineage is the leader's, and local writes
-// would fork it. Send the write to the leader instead.
+// ErrReadOnlyReplica reports an UpdateMaster on a follower System: a
+// replica's lineage is the leader's, and local writes would fork it.
+// Send the write to the leader instead. (Checkpoint is not a write to the
+// lineage: a follower owns no checkpoint, so there it is the same no-op
+// as on a memory-only System.)
 var ErrReadOnlyReplica = errors.New("certainfix: read-only follower replica")
 
 // ErrReplicaDiverged reports that a shipped record contradicts the
@@ -72,7 +74,8 @@ const replicaMaxBackoff = 2 * time.Second
 // checkpoint) are answered 409 {"code": "wal_truncated"}; a System
 // without WithWAL answers 404 {"code": "not_durable"}.
 func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
-	if s.dur == nil {
+	dur, ok := s.lin.(*master.DurableVersioned)
+	if !ok {
 		replyJSONError(w, http.StatusNotFound, "not_durable",
 			"this system has no durable lineage to ship (start it WithWAL)")
 		return
@@ -86,21 +89,21 @@ func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	// checkpoint is gone, and only the checkpoint image can say what it
 	// said. This check is the protocol's catch-up rule — without it an
 	// empty stream is indistinguishable from "up to date".
-	if ckpt := s.dur.Durability().CheckpointEpoch; after < ckpt {
+	if ckpt := dur.Durability().CheckpointEpoch; after < ckpt {
 		w.Header().Set("X-Checkpoint-Epoch", strconv.FormatUint(ckpt, 10))
 		replyJSONError(w, http.StatusConflict, "wal_truncated",
 			fmt.Sprintf("epochs through %d are truncated into the checkpoint; catch up from /v1/checkpoint", ckpt))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Leader-Epoch", strconv.FormatUint(s.ver.Epoch(), 10))
+	w.Header().Set("X-Leader-Epoch", strconv.FormatUint(s.head().Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
 	last := after
 	var buf []byte
 	for {
-		n, err := s.dur.TailWAL(last, func(rec wal.Record) error {
+		n, err := dur.TailWAL(last, func(rec wal.Record) error {
 			var ferr error
 			if buf, ferr = wal.AppendFrame(buf[:0], rec); ferr != nil {
 				return ferr
@@ -120,7 +123,7 @@ func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		if n > 0 && flusher != nil {
 			flusher.Flush()
 		}
-		synced, ch := s.dur.WALSynced()
+		synced, ch := dur.WALSynced()
 		if synced > last {
 			continue
 		}
@@ -128,7 +131,7 @@ func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-ch:
-			if e, _ := s.dur.WALSynced(); e <= last {
+			if e, _ := dur.WALSynced(); e <= last {
 				return // watermark channel closed: the log is shutting down
 			}
 		case <-time.After(walIdleTimeout):
@@ -143,12 +146,13 @@ func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
 // body is the raw arena (master.LoadArenaBytes reads it). A System
 // without WithWAL answers 404 {"code": "not_durable"}.
 func (s *System) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.dur == nil {
+	dur, ok := s.lin.(*master.DurableVersioned)
+	if !ok {
 		replyJSONError(w, http.StatusNotFound, "not_durable",
 			"this system has no checkpoint to serve (start it WithWAL)")
 		return
 	}
-	raw, epoch, err := s.dur.CheckpointImage()
+	raw, epoch, err := dur.CheckpointImage()
 	if err != nil {
 		replyJSONError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
@@ -233,10 +237,11 @@ type ReplicationStats struct {
 // Replication reports the shipping state of a follower System; ok is
 // false for a System that is not following anyone.
 func (s *System) Replication() (stats ReplicationStats, ok bool) {
-	if s.rep == nil {
+	rp, ok := s.lin.(*replica)
+	if !ok {
 		return ReplicationStats{}, false
 	}
-	return s.rep.stats(), true
+	return rp.stats(), true
 }
 
 // NewFollower builds a read-only replica of the certainfixd-compatible
@@ -251,51 +256,45 @@ func (s *System) Replication() (stats ReplicationStats, ok bool) {
 // leader's directory is the durable truth, and a restarted follower
 // re-bootstraps from the leader's checkpoint.
 func NewFollower(rules *Rules, leaderURL string, opts ...Option) (*System, error) {
-	began := time.Now()
-	var cfg Options
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	if cfg.WALDir != "" {
+	cfg := newConfig(opts)
+	if cfg.walDir != "" {
 		return nil, fmt.Errorf("certainfix: a follower cannot own a WAL directory — the leader's lineage is authoritative")
 	}
+	cfg.leader = strings.TrimRight(leaderURL, "/")
+	return open(rules, cfg, nil) // a follower's base is the leader's checkpoint
+}
+
+// follow bootstraps a replica from the checkpoint of the leader at
+// cfg.leader and starts its shipping loop.
+func follow(rules *Rules, cfg config) (*replica, error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	rp := &replica{
-		leader: strings.TrimRight(leaderURL, "/"),
+		leader: cfg.leader,
 		rules:  rules,
 		// No client-level timeout: /v1/wal intentionally long-polls. The
 		// run context cancels in-flight requests on Close.
-		client:  &http.Client{},
-		history: cfg.MasterHistory,
-		auth:    cfg.Auth,
-		done:    make(chan struct{}),
-		state:   ReplicaCatchingUp,
+		client:    &http.Client{},
+		auth:      cfg.auth,
+		runCancel: cancel,
+		done:      make(chan struct{}),
+		state:     ReplicaTailing,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rp.runCancel = cancel
 	img, epoch, err := rp.fetchCheckpoint(ctx)
 	if err != nil {
 		cancel()
 		return nil, fmt.Errorf("certainfix: follower bootstrap from %s: %w", rp.leader, err)
 	}
-	rp.f = master.NewFollower(img, cfg.MasterHistory)
-	sys, err := newSystem(rules, rp.f.Versioned(), cfg, began)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
+	rp.f = master.NewFollower(img, cfg.history)
 	rp.leaderEpoch = epoch
-	rp.state = ReplicaTailing
-	sys.rep = rp
 	go rp.run(ctx)
-	return sys, nil
+	return rp, nil
 }
 
-// replica is the shipping loop behind a follower System.
+// replica is the shipping loop behind a follower System, and its lineage.
 type replica struct {
 	leader    string
 	rules     *Rules
 	client    *http.Client
-	history   int
 	auth      bool
 	f         *master.Follower
 	runCancel context.CancelFunc
@@ -524,8 +523,17 @@ func (rp *replica) stats() ReplicationStats {
 	return st
 }
 
-// stop cancels the shipping loop and waits for it to exit.
-func (rp *replica) stop() {
+// Versioned exposes the replicated snapshot ring for reads.
+func (rp *replica) Versioned() *master.Versioned { return rp.f.Versioned() }
+
+// Apply refuses the write: only shipped records advance a replica.
+func (rp *replica) Apply([]Tuple, []int) (*master.Data, error) {
+	return nil, fmt.Errorf("certainfix: update on follower of %s: %w", rp.leader, ErrReadOnlyReplica)
+}
+
+// Close cancels the shipping loop and waits for it to exit.
+func (rp *replica) Close() error {
 	rp.runCancel()
 	<-rp.done
+	return nil
 }

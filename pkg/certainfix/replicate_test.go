@@ -213,6 +213,14 @@ func TestFollowerReplication(t *testing.T) {
 	if _, err := follower.UpdateMaster([]certainfix.Tuple{skuTuple(99)}, nil); !errors.Is(err, certainfix.ErrReadOnlyReplica) {
 		t.Fatalf("follower write: want ErrReadOnlyReplica, got %v", err)
 	}
+	// Checkpoint is not a write: a follower owns no checkpoint, so it is
+	// the documented no-op of a System without a WAL, not an error.
+	if err := follower.Checkpoint(); err != nil {
+		t.Fatalf("follower Checkpoint: want the no-op nil, got %v", err)
+	}
+	if _, ok := follower.Durability(); ok {
+		t.Fatal("a follower must not report a durable lineage of its own")
+	}
 	addSKU(t, leader, 14)
 	waitFor(t, "convergence after refused write", func() bool {
 		return follower.MasterEpoch() == leader.MasterEpoch()

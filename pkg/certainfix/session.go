@@ -95,21 +95,11 @@ func (s *System) Resume(ctx context.Context, token []byte, opts ...ResumeOption)
 	if err := json.Unmarshal(token, &st); err != nil {
 		return nil, fmt.Errorf("certainfix: parse session token: %w (%w)", err, ErrBadToken)
 	}
-	return s.ResumeState(ctx, &st, opts...)
-}
-
-// ResumeState is Resume for callers that already hold a decoded
-// SessionState (an HTTP handler embedding the token as a JSON object,
-// for example).
-func (s *System) ResumeState(ctx context.Context, st *SessionState, opts ...ResumeOption) (*FixSession, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var ro monitor.ResumeOptions
 	for _, o := range opts {
 		o.applyResume(&ro)
 	}
-	sess, err := s.mon.ResumeSession(st, ro)
+	sess, err := s.mon.ResumeSession(&st, ro)
 	if err != nil {
 		return nil, err
 	}

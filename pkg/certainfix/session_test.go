@@ -18,15 +18,6 @@ func truthT2() certainfix.Tuple {
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 }
 
-func newPaperSystem(t *testing.T, opts ...certainfix.Option) *certainfix.System {
-	t.Helper()
-	sys, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // driveToEnd answers every suggestion from truth until the session is
 // done.
 func driveToEnd(t *testing.T, sess *certainfix.FixSession, truth certainfix.Tuple) certainfix.Result {
@@ -61,9 +52,9 @@ func canonical(t *testing.T, r certainfix.Result) string {
 // TestBeginMatchesFix: driving a FixSession produces the same result as
 // the callback Fix (which is now a wrapper over sessions).
 func TestBeginMatchesFix(t *testing.T) {
-	sys := newPaperSystem(t)
+	sys := paperSystem(t)
 	truth := truthT2()
-	viaFix, err := sys.Fix(paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
+	viaFix, err := sys.FixContext(context.Background(), paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +75,8 @@ func TestBeginMatchesFix(t *testing.T) {
 // the uninterrupted Fix.
 func TestTokenResumeInSeparateSystem(t *testing.T) {
 	truth := truthT2()
-	sysA := newPaperSystem(t)
-	want, err := sysA.Fix(paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
+	sysA := paperSystem(t)
+	want, err := sysA.FixContext(context.Background(), paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +96,7 @@ func TestTokenResumeInSeparateSystem(t *testing.T) {
 
 	// "Different process": an independently constructed System over the
 	// same rules and master relation.
-	sysB := newPaperSystem(t)
+	sysB := paperSystem(t)
 	resumed, err := sysB.Resume(context.Background(), token)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +117,8 @@ func TestTokenResumeInSeparateSystem(t *testing.T) {
 // uninterrupted run.
 func TestResumeUnderConcurrentUpdateMaster(t *testing.T) {
 	truth := truthT2()
-	sys := newPaperSystem(t)
-	want, err := sys.Fix(paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
+	sys := paperSystem(t)
+	want, err := sys.FixContext(context.Background(), paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +163,7 @@ func TestResumeUnderConcurrentUpdateMaster(t *testing.T) {
 // ErrEpochEvicted and RebaseToHead is the documented escape hatch.
 func TestResumeEvictionAndRebase(t *testing.T) {
 	truth := truthT2()
-	sys := newPaperSystem(t, certainfix.WithMasterHistory(1))
+	sys := paperSystem(t, certainfix.WithMasterHistory(1))
 	sess, err := sys.Begin(context.Background(), paperex.InputT2())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +199,7 @@ func TestResumeEvictionAndRebase(t *testing.T) {
 // TestResumeBadToken: garbage and structurally invalid tokens fail with
 // ErrBadToken.
 func TestResumeBadToken(t *testing.T) {
-	sys := newPaperSystem(t)
+	sys := paperSystem(t)
 	if _, err := sys.Resume(context.Background(), []byte("{not json")); !errors.Is(err, certainfix.ErrBadToken) {
 		t.Fatalf("garbage token = %v, want ErrBadToken", err)
 	}
@@ -221,9 +212,9 @@ func TestResumeBadToken(t *testing.T) {
 }
 
 // TestFunctionalOptions: option constructors configure the system, and
-// the deprecated Options struct still works in the variadic slot.
+// later options override earlier ones.
 func TestFunctionalOptions(t *testing.T) {
-	capped := newPaperSystem(t, certainfix.WithMaxRounds(1))
+	capped := paperSystem(t, certainfix.WithMaxRounds(1))
 	sess, err := capped.Begin(context.Background(), paperex.InputT4())
 	if err != nil {
 		t.Fatal(err)
@@ -233,27 +224,17 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatalf("WithMaxRounds(1): rounds=%d completed=%v", res.Rounds, res.Completed)
 	}
 
-	shim := newPaperSystem(t, certainfix.Options{MaxRounds: 1})
-	res2, err := shim.Fix(paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Rounds != 1 || res2.Completed {
-		t.Fatalf("Options shim: rounds=%d completed=%v", res2.Rounds, res2.Completed)
-	}
-
-	// Later options override earlier ones.
-	mixed := newPaperSystem(t, certainfix.Options{MaxRounds: 1}, certainfix.WithMaxRounds(0))
-	res3, err := mixed.Fix(paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
-	if err != nil || !res3.Completed {
-		t.Fatalf("override: res=%+v err=%v", res3, err)
+	mixed := paperSystem(t, certainfix.WithMaxRounds(1), certainfix.WithMaxRounds(0))
+	res2, err := mixed.FixContext(context.Background(), paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
+	if err != nil || !res2.Completed {
+		t.Fatalf("override: res=%+v err=%v", res2, err)
 	}
 }
 
 // TestContextThreading: cancellation is observed by FixContext,
 // FixSession.Provide, FixBatchContext and RepairBatchContext.
 func TestContextThreading(t *testing.T) {
-	sys := newPaperSystem(t)
+	sys := paperSystem(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -291,7 +272,7 @@ func TestContextThreading(t *testing.T) {
 // TestTypedSentinelsSurface: the re-exported sentinels match errors from
 // the public entry points.
 func TestTypedSentinelsSurface(t *testing.T) {
-	sys := newPaperSystem(t)
+	sys := paperSystem(t)
 
 	if _, err := sys.Begin(context.Background(), certainfix.StringTuple("short")); !errors.Is(err, certainfix.ErrArityMismatch) {
 		t.Fatalf("Begin short tuple = %v, want ErrArityMismatch", err)

@@ -1,6 +1,7 @@
 package certainfix_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ rule desc:  (sku ; sku) -> (desc ; desc)
 	if err := masterRel.Append(certainfix.StringTuple("sku-1", "9.99", "widget")); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := certainfix.New(rules, masterRel, certainfix.Options{})
+	sys, err := certainfix.New(rules, masterRel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestUpdateMasterSessionIsolation(t *testing.T) {
 	sys := updateFixture(t)
 	dirty := certainfix.StringTuple("sku-2", "0.00", "junk")
 
-	before, err := sys.NewSession(dirty)
+	before, err := sys.Begin(context.Background(), dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestUpdateMasterSessionIsolation(t *testing.T) {
 		t.Fatalf("pre-update session auto-fixed %d attrs off a snapshot it never pinned", got)
 	}
 
-	after, err := sys.NewSession(dirty)
+	after, err := sys.Begin(context.Background(), dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,11 @@ func TestUpdateMasterConcurrentWithBatch(t *testing.T) {
 			t.Errorf("concurrent update: %v", err)
 		}
 	}()
-	repairs := sys.RepairBatch(inputs, []int{0}, 4)
+	repairs, err := sys.RepairBatchContext(context.Background(), inputs, []int{0}, 4)
 	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, rep := range repairs {
 		if rep.Err != nil {
 			t.Fatalf("repair %d: %v", i, rep.Err)
@@ -172,7 +176,7 @@ func TestMasterDeltaHelpersInDocs(t *testing.T) {
 	// flight while updates publish still completes with a coherent result.
 	sys := updateFixture(t)
 	truth := certainfix.StringTuple("sku-1", "9.99", "widget")
-	res, err := sys.Fix(certainfix.StringTuple("sku-1", "x", "y"), certainfix.SimulatedUser{Truth: truth})
+	res, err := sys.FixContext(context.Background(), certainfix.StringTuple("sku-1", "x", "y"), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}

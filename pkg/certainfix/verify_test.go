@@ -9,6 +9,7 @@ package certainfix_test
 // round trip while hostile tokens are rejected.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,7 +50,7 @@ func cloneResult(res certainfix.Result) certainfix.Result {
 
 func authFix(t *testing.T, sys *certainfix.System, dirty certainfix.Tuple) certainfix.Result {
 	t.Helper()
-	res, err := sys.Fix(dirty, certainfix.SimulatedUser{Truth: paperTruth()})
+	res, err := sys.FixContext(context.Background(), dirty, certainfix.SimulatedUser{Truth: paperTruth()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func authFix(t *testing.T, sys *certainfix.System, dirty certainfix.Tuple) certa
 }
 
 func TestVerifyFixEndToEnd(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{Auth: true})
+	sys := paperSystem(t, certainfix.WithAuth())
 	root, ok := sys.MasterRoot()
 	if !ok {
 		t.Fatal("MasterRoot unavailable under Auth")
@@ -166,7 +167,7 @@ func TestVerifyFixEndToEnd(t *testing.T) {
 // through the full interactive fix and requires every produced result to
 // verify against the published root.
 func TestVerifyFixProperty(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{Auth: true})
+	sys := paperSystem(t, certainfix.WithAuth())
 	root, _ := sys.MasterRoot()
 	sigma := paperex.Sigma0()
 	truth := paperTruth()
@@ -189,7 +190,7 @@ func TestVerifyFixProperty(t *testing.T) {
 // TestVerifyFixAcrossMasterUpdate pins the root-rotation semantics: a
 // result verifies against the root it was produced under — no other.
 func TestVerifyFixAcrossMasterUpdate(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{Auth: true})
+	sys := paperSystem(t, certainfix.WithAuth())
 	sigma := paperex.Sigma0()
 	root1, _ := sys.MasterRoot()
 	res1 := authFix(t, sys, paperex.InputT1())
@@ -225,7 +226,7 @@ func TestVerifyFixAcrossMasterUpdate(t *testing.T) {
 // full, verifiable provenance. Hostile tokens with out-of-range witness
 // ids must be rejected at Resume.
 func TestProvenanceSurvivesSessionToken(t *testing.T) {
-	sys := paperSystem(t, certainfix.Options{Auth: true})
+	sys := paperSystem(t, certainfix.WithAuth())
 	truth := paperTruth()
 
 	sess, err := sys.Begin(nil, paperex.InputT1())
