@@ -36,10 +36,14 @@ func benchParams(dataset string) experiments.Params {
 	return experiments.Params{Dataset: dataset, Seed: 1, MasterSize: benchMaster, Tuples: benchTuples}
 }
 
+// mustHosp generates the HOSP dataset the probe, closure and suggestion
+// benchmarks share, its master at shard count 1 — the configuration their
+// baselines were recorded in; their measured loops are single-goroutine, so
+// GOMAXPROCS does not enter.
 func mustHosp(b *testing.B, tuples int) *datagen.Dataset {
 	b.Helper()
 	ds, err := datagen.Hosp(datagen.Config{
-		Seed: 1, MasterSize: benchMaster, Tuples: tuples, DupRate: 0.3, NoiseRate: 0.2,
+		Seed: 1, MasterSize: benchMaster, Tuples: tuples, DupRate: 0.3, NoiseRate: 0.2, Shards: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -140,8 +140,8 @@ func main() {
 		auth:            *auth,
 	})
 	if err != nil {
-		// *certainfix.MasterBuildError renders the failing tuple's
-		// shard/id/key itself; the sentinel check names the subsystem.
+		// *certainfix.MasterBuildError renders the failing tuple's id and
+		// key itself; the sentinel check names the subsystem.
 		if errors.Is(err, certainfix.ErrMasterBuild) {
 			fatalf("master data rejected: %v", err)
 		}

@@ -151,7 +151,7 @@ func checkErr(err error) {
 	if err == nil {
 		return
 	}
-	// *master.BuildError renders the failing tuple's shard/id/key itself;
+	// *master.BuildError renders the failing tuple's id and key itself;
 	// the sentinel check just names the subsystem for the operator.
 	if errors.Is(err, master.ErrMasterBuild) {
 		fatalf("master data rejected: %v", err)

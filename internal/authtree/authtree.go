@@ -57,9 +57,9 @@ const (
 	tagInner = 0x01
 )
 
-// Key places a tuple in the trie: the same content-pure FNV-1a chain the
-// sharded master routes tuples with (shard.go routeHash), so one hashing
-// discipline governs both placement and authentication.
+// Key places a tuple in the trie: a content-pure FNV-1a chain over its
+// cells (no interning), so a tuple's place is the same in every snapshot,
+// process and replica.
 func Key(t relation.Tuple) uint64 {
 	acc := relation.HashSeed()
 	for _, v := range t {

@@ -2,6 +2,7 @@ package discover_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -13,14 +14,18 @@ import (
 // the oracle) against the postings engine over the same HOSP masters.
 // The postings timings are honest end-to-end costs: they include
 // building the postings-indexed snapshot from the bare relation, not
-// just the lattice walk. Run with Workers=1 so the single-core speedup
-// is the algorithmic one (the CI container has one CPU; parallel
-// lattice speedup is documented in DESIGN.md, not gated).
+// just the lattice walk. Run with Workers=1 and GOMAXPROCS pinned to 1 —
+// which is also the shard count of the snapshot Mine builds — so the
+// speedup is the algorithmic one at the configuration the baselines were
+// recorded in (parallel lattice speedup is documented in DESIGN.md, not
+// gated).
 
 var benchRels = map[int]*relation.Relation{}
 
 func benchRel(b *testing.B, size int) *relation.Relation {
 	b.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	if rel, ok := benchRels[size]; ok {
 		return rel
 	}

@@ -24,9 +24,10 @@ package master
 //	columns  per-column vectors of n uint32 value ids (column-major)
 //	indexes  per index: its Xm list, then per shard its frozen table
 //	         (table.go): slot count, key count, id count, the slot array,
-//	         the id array (8-byte ids), padded back to 8
+//	         the id array (8-byte ids), padded back to 8. A key sits in the
+//	         shard keyShard routes it to (shard.go)
 //	postings per posting list: its column, then per-shard tables of the
-//	         same shape with 4-byte ids
+//	         same shape with 4-byte ids, routed by value id
 //	rules    per rule of Σ, in Σ order: an FNV-1a signature of its
 //	         rendering plus its pattern-support bitmap
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
@@ -51,7 +52,7 @@ import (
 
 const (
 	arenaMagic      = "CFXARENA"
-	arenaVersion    = 3
+	arenaVersion    = 4
 	arenaEndianMark = 0x01020304
 	arenaHeaderSize = 120
 )

@@ -19,10 +19,13 @@ import (
 	"repro/internal/rule"
 )
 
-// pinProcs sets GOMAXPROCS to p for the rest of the benchmark.
-func pinProcs(b *testing.B, p int) {
+// pinProcs sets GOMAXPROCS to p for the rest of the test or benchmark: the
+// worker count of every parallel build and delta in it. A benchmark calls
+// it in the function that holds the measured loop — the testing package
+// resets GOMAXPROCS to the -cpu value on entering each sub-benchmark.
+func pinProcs(tb testing.TB, p int) {
 	prev := runtime.GOMAXPROCS(p)
-	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // BenchmarkColdStartRebuild is the boot path without a snapshot: a full
@@ -31,13 +34,13 @@ func BenchmarkColdStartRebuild(b *testing.B)   { benchColdStartRebuild(b, 1) }
 func BenchmarkColdStartRebuildP4(b *testing.B) { benchColdStartRebuild(b, 4) }
 
 func benchColdStartRebuild(b *testing.B, p int) {
-	pinProcs(b, p)
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+			pinProcs(b, p)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p)); err != nil {
+				if _, err := NewForRules(rel, sigma, WithShards(p)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,7 +59,7 @@ func benchColdStartArena(b *testing.B, p int) {
 	pinProcs(b, p)
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)
-		d, err := NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p))
+		d, err := NewForRules(rel, sigma, WithShards(p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,6 +72,7 @@ func benchColdStartArena(b *testing.B, p int) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+			pinProcs(b, p)
 			b.SetBytes(fi.Size())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -120,7 +124,7 @@ func benchProbeLayout(b *testing.B, p int, arena bool) {
 	pinProcs(b, p)
 	const n = 60_000
 	rel, sigma := benchMasterRelation(n)
-	d := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p))
+	d := MustNewForRules(rel, sigma, WithShards(p))
 	if arena {
 		path := filepath.Join(b.TempDir(), "master.arena")
 		if err := d.SaveArenaFile(path, sigma); err != nil {

@@ -5,8 +5,9 @@ package master
 // error matching ErrBadSnapshot or return a snapshot that is safe to
 // probe and derive from — never panic, never index out of range, never
 // read past the input. The seed corpus covers the empty input, a valid
-// image, a truncated image, and header-level corruptions; the fuzzer
-// mutates from there into the table decoders.
+// image, a truncated image, header-level corruptions, and the two images of
+// another layout (misrouted keys, version 3); the fuzzer mutates from there
+// into the table decoders.
 
 import (
 	"bytes"
@@ -56,6 +57,10 @@ func FuzzLoadArena(f *testing.F) {
 	badOffset := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(badOffset[hdrSections+8*secColumns:], uint64(len(valid)*2))
 	f.Add(badOffset)
+	f.Add(swapFirstIndexShards(valid)) // valid tables, keys in the wrong shard
+	oldVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(oldVersion[hdrVersion:], 3)
+	f.Add(oldVersion)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -476,7 +476,7 @@ func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
 	r.align8()
 	idx := newIndex(xm, nshards)
 	for s := 0; s < nshards && r.err == nil; s++ {
-		idx.shards[s].frozen = decodeTable[int](r, n)
+		idx.shards[s].frozen = decodeTable[int](r, n, s, nshards)
 	}
 	return idx, r.err
 }
@@ -487,16 +487,18 @@ func decodeArenaPostings(r *areader, nshards, arity, n int) (*postings, error) {
 	r.u32() // padding
 	ps := &postings{col: col, shards: make([]layered[uint32, int32], nshards)}
 	for s := 0; s < nshards && r.err == nil; s++ {
-		ps.shards[s].frozen = decodeTable[int32](r, n)
+		ps.shards[s].frozen = decodeTable[int32](r, n, s, nshards)
 	}
 	return ps, r.err
 }
 
-// decodeTable views one frozen table in place, fully validated: a power-
-// of-two slot count with an empty slot for probe termination, spans inside
-// the id array, key and id counts matching the header, ids in [0, n) and
-// ascending per bucket. On failure r.err is set and the result unusable.
-func decodeTable[ID int | int32](r *areader, n int) table[ID] {
+// decodeTable views shard s of nshards' frozen table in place, fully
+// validated: a power-of-two slot count with an empty slot for probe
+// termination, every key routed to this shard (a probe looks nowhere else),
+// spans inside the id array, key and id counts matching the header, ids in
+// [0, n) and ascending per bucket. On failure r.err is set and the result
+// unusable.
+func decodeTable[ID int | int32](r *areader, n, s, nshards int) table[ID] {
 	start := r.off
 	nslots := r.count(r.u64(), len(r.b)/16, "table slot count")
 	nkeys := r.count(r.u64(), len(r.b)/16, "table key count")
@@ -519,6 +521,11 @@ func decodeTable[ID int | int32](r *areader, n int) table[ID] {
 			continue
 		}
 		occupied++
+		if home := keyShard(slots[2*slot], nshards); home != s {
+			r.off = start
+			r.fail("key %#x sits in shard %d but routes to shard %d of %d", slots[2*slot], s, home, nshards)
+			return table[ID]{}
+		}
 		off, cnt := int(packed>>32), int(packed&0xffffffff)
 		if cnt < 1 || off < 0 || off > nids-cnt {
 			r.off = start

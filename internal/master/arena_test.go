@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -265,6 +266,56 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 				b[off+17] ^= 0xff
 			}
 		}},
+	}
+}
+
+// swapFirstIndexShards returns a copy of a P ≥ 2 image with the first two
+// shard tables of its first index exchanged: every table is still valid by
+// itself and every count still adds up, but the keys now sit in shards they
+// do not route to — where no probe would look for them.
+func swapFirstIndexShards(img []byte) []byte {
+	off := int(binary.LittleEndian.Uint64(img[hdrSections+8*secIndexes:]))
+	off += 4 + 4*int(binary.LittleEndian.Uint32(img[off:])) // the Xm list
+	off += (8 - off%8) % 8
+	tableLen := func(at int) int {
+		nslots := int(binary.LittleEndian.Uint64(img[at:]))
+		nids := int(binary.LittleEndian.Uint64(img[at+16:]))
+		return 24 + 16*nslots + 8*nids // 8-byte ids: already a multiple of 8
+	}
+	l0 := tableLen(off)
+	l1 := tableLen(off + l0)
+	out := append([]byte(nil), img[:off]...)
+	out = append(out, img[off+l0:off+l0+l1]...)
+	out = append(out, img[off:off+l0]...)
+	return append(out, img[off+l0+l1:]...)
+}
+
+// TestArenaRejectsOtherLayouts: the loader takes exactly the layout this
+// build writes. An image whose keys sit in the wrong shard and a version-3
+// image (tuple-routed shards, which this build would probe one shard of)
+// both fail typed instead of loading into a master that misses matches.
+func TestArenaRejectsOtherLayouts(t *testing.T) {
+	sigma, d := fuzzArenaSigma()
+	img := saveArenaBytes(t, d, sigma)
+	loadArenaOrFatal(t, img, sigma)
+
+	var se *SnapshotError
+	_, err := LoadArenaBytes(swapFirstIndexShards(img), sigma)
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
+		t.Fatalf("misrouted keys: got %v, want a *SnapshotError matching ErrBadSnapshot", err)
+	}
+	if se.Section != "indexes" || !strings.Contains(se.Msg, "routes to shard") {
+		t.Fatalf("misrouted keys: error %v must name the routing check in the indexes section", err)
+	}
+
+	v3 := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(v3[hdrVersion:], 3)
+	_, err = LoadArenaBytes(v3, sigma)
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
+		t.Fatalf("version 3: got %v, want a *SnapshotError matching ErrBadSnapshot", err)
+	}
+	if se.Section != "header" || !strings.Contains(se.Msg, "version 3") {
+		t.Fatalf("version 3: error %v must name the version in the header section", err)
 	}
 }
 

@@ -356,15 +356,17 @@ func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 
 // BenchmarkApplyDeltaAuth is BenchmarkApplyDelta with the commitment
 // maintained — the incremental O(delta·depth) root update whose overhead
-// the perf gate bounds against the unauthenticated baselines.
+// the perf gate bounds against the unauthenticated baselines. Pinned like
+// it: GOMAXPROCS and shard count 1.
 func BenchmarkApplyDeltaAuth(b *testing.B) {
 	for _, n := range []int{600, 6_000, 60_000} {
 		rel, sigma := benchMasterRelation(n)
-		d0 := MustNewForRules(rel, sigma, WithAuth())
+		d0 := MustNewForRules(rel, sigma, WithShards(1), WithAuth())
 		rng := rand.New(rand.NewSource(7))
 		add := []relation.Tuple{benchMasterTuple(rng, n+1)}
 		del := []int{n / 2}
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+			pinProcs(b, 1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d0.ApplyDelta(add, del); err != nil {

@@ -19,12 +19,12 @@ package master
 //  2. adds are then appended in order; added tuples are deep-copied, so
 //     callers may reuse their slices.
 //
-// Every index and posting mutation routes to the owning tuple's shard
+// Every index and posting mutation lands in the shard its key routes to
 // (shard.go), so a delta's overlays — and the flatten-at-1/4 compaction
-// they eventually trigger in fork — stay shard-local. The mutations are
-// PLANNED serially (cheap: bitmap bits, interning, op lists) and APPLIED
-// per shard; a large delta applies its shards in parallel, since distinct
-// shards share no maps.
+// they eventually trigger in fork — touch 1/P of a structure. The mutations
+// are PLANNED serially into one op list (cheap: bitmap bits, interning) and
+// APPLIED per structure; a large delta applies its structures in parallel,
+// since distinct structures share no maps.
 //
 // Cost per delta: O(|Dm|) to copy the tuple-header slice and the per-rule
 // bitmaps (a few machine words per tuple, no hashing), plus O(|delta|)
@@ -59,11 +59,11 @@ func (cp *compatPlan) fork(remap map[*postings]*postings, words int) *compatPlan
 	return &compatPlan{patBits: bits, patCount: cp.patCount, posts: posts}
 }
 
-// shardOp is one planned index/posting mutation, queued on the owning
-// tuple's shard. Bitmap updates and interning happen at planning time
-// (they are global and O(1) per op); the map and bucket work — the bulk
-// of a delta — runs in applyShardOps.
-type shardOp struct {
+// deltaOp is one planned mutation of every index and posting list. Bitmap
+// updates and interning happen at planning time (they are global and O(1)
+// per op); the map and bucket work — the bulk of a delta — runs in
+// applyIndexOps / applyPostingOps.
+type deltaOp struct {
 	kind   uint8
 	t      relation.Tuple
 	id, to int
@@ -75,8 +75,8 @@ const (
 	opAppend
 )
 
-// parallelDeltaOps is the op count above which shards apply in parallel;
-// below it, goroutine fan-out costs more than it saves.
+// parallelDeltaOps is the op count above which structures apply in
+// parallel; below it, goroutine fan-out costs more than it saves.
 const parallelDeltaOps = 128
 
 // ApplyDelta derives a new snapshot with the deletes applied (swap-remove,
@@ -85,13 +85,12 @@ const parallelDeltaOps = 128
 // it — or any other snapshot — are never blocked or invalidated.
 // Concurrent ApplyDelta calls on the same snapshot must be serialized by
 // the caller (use Versioned.Apply). Validation failures are typed
-// (*BuildError matching ErrMasterBuild) with the failing tuple's shard
-// and key context.
+// (*BuildError matching ErrMasterBuild) with the failing tuple's id and
+// key context.
 func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for i, t := range adds {
 		if err := validateTuple(d.rel.Schema(), t); err != nil {
-			return nil, &BuildError{Shard: d.shardOf(t), TupleID: i, Key: tupleKeyContext(t),
-				Err: fmt.Errorf("delta add: %w", err)}
+			return nil, &BuildError{TupleID: i, Key: tupleKeyContext(t), Err: fmt.Errorf("delta add: %w", err)}
 		}
 	}
 	n := d.rel.Len()
@@ -101,12 +100,11 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		if id < 0 || id >= n {
 			// Tuple-independent context (no tuple exists at this id; the
 			// wrapped error names it).
-			return nil, &BuildError{Shard: -1, TupleID: -1,
-				Err: fmt.Errorf("delta delete id %d out of range [0, %d)", id, n)}
+			return nil, &BuildError{TupleID: -1, Err: fmt.Errorf("delta delete id %d out of range [0, %d)", id, n)}
 		}
 		if i > 0 && del[i-1] == id {
-			return nil, &BuildError{Shard: d.shardOf(d.rel.Tuple(id)), TupleID: id,
-				Key: tupleKeyContext(d.rel.Tuple(id)), Err: fmt.Errorf("duplicate delta delete id %d", id)}
+			return nil, &BuildError{TupleID: id, Key: tupleKeyContext(d.rel.Tuple(id)),
+				Err: fmt.Errorf("duplicate delta delete id %d", id)}
 		}
 	}
 
@@ -155,10 +153,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	tuples := make([]relation.Tuple, n, maxLen)
 	copy(tuples, d.rel.Tuples())
 
-	// Plan: route every op to its tuple's shard; update bitmaps and
-	// intern added values inline (both global, both O(1) per op).
-	perShard := make([][]shardOp, nd.nshards)
-	enqueue := func(s int, op shardOp) { perShard[s] = append(perShard[s], op) }
+	// Plan: queue every op; update bitmaps and intern added values inline
+	// (both global, both O(1) per op).
+	ops := make([]deltaOp, 0, 2*len(del)+len(adds))
 
 	// The Merkle commitment is keyed by tuple CONTENT, so only genuine
 	// deletes and adds touch it — the swap-remove renames below shuffle
@@ -169,14 +166,14 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for _, id := range del {
 		last := len(tuples) - 1
 		t := tuples[id]
-		enqueue(nd.shardOf(t), shardOp{kind: opUnindex, t: t, id: id})
+		ops = append(ops, deltaOp{kind: opUnindex, t: t, id: id})
 		nd.unsetBits(id)
 		if nd.auth != nil {
 			nd.auth = authRemove(nd.auth, t)
 		}
 		if last != id {
 			moved := tuples[last]
-			enqueue(nd.shardOf(moved), shardOp{kind: opRename, t: moved, id: last, to: id})
+			ops = append(ops, deltaOp{kind: opRename, t: moved, id: last, to: id})
 			nd.moveBits(last, id)
 			tuples[id] = moved
 		}
@@ -190,14 +187,14 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		for _, col := range nd.needCols {
 			nd.syms.Intern(tc[col])
 		}
-		enqueue(nd.shardOf(tc), shardOp{kind: opAppend, t: tc, id: id})
+		ops = append(ops, deltaOp{kind: opAppend, t: tc, id: id})
 		nd.setBitsFor(tc, id)
 		if nd.auth != nil {
 			nd.auth = nd.auth.Insert(tc)
 		}
 	}
 
-	// The tuple slice is final once planning ends; the shard ops read the
+	// The tuple slice is final once planning ends; the index ops read the
 	// new relation to keep the exception tables exact.
 	rel, err := relation.FromTuples(d.rel.Schema(), tuples)
 	if err != nil {
@@ -205,19 +202,24 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	}
 	nd.rel = rel
 
-	// Apply: per-shard op lists touch disjoint maps, so a large delta
-	// fans the shards out across CPUs.
-	totalOps := len(del) + len(adds)
-	if nd.nshards > 1 && totalOps >= parallelDeltaOps && runtime.GOMAXPROCS(0) > 1 {
-		if _, err := parallel.Map(nd.nshards, 0, func(s int) (struct{}, error) {
-			nd.applyShardOps(s, perShard[s])
-			return struct{}{}, nil
-		}); err != nil {
-			return nil, err // unreachable: applyShardOps cannot fail
+	// Apply: structures share no maps, so a large delta fans them out
+	// across CPUs.
+	apply := func(k int) (struct{}, error) {
+		if k < len(nd.indexes) {
+			nd.applyIndexOps(nd.indexes[k], ops)
+		} else {
+			nd.applyPostingOps(nd.postings[k-len(nd.indexes)], ops)
+		}
+		return struct{}{}, nil
+	}
+	structures := len(nd.indexes) + len(nd.postings)
+	if len(del)+len(adds) >= parallelDeltaOps && runtime.GOMAXPROCS(0) > 1 {
+		if _, err := parallel.Map(structures, 0, apply); err != nil {
+			return nil, err // unreachable: the ops cannot fail
 		}
 	} else {
-		for s, ops := range perShard {
-			nd.applyShardOps(s, ops)
+		for k := 0; k < structures; k++ {
+			apply(k)
 		}
 	}
 
@@ -230,80 +232,63 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	return nd, nil
 }
 
-// applyShardOps runs one shard's planned mutations in order. Ops touch
-// only shard s's layered maps, so distinct shards may run concurrently;
-// the symbol table is read-only here (interning happened at plan time).
+// applyIndexOps runs the planned mutations, in order, on one index: each
+// lands in the shard its key routes to. The symbol table is read-only here
+// (interning happened at plan time), so distinct structures may run
+// concurrently.
 //
 // Exception tables (uniform.go) follow the buckets: an append compares the
-// new tuple with the bucket's smallest id — the shard's deletes and renames
-// precede its appends, so bucket ids are final by then; a delete from a
-// listed bucket may have removed the disagreement, so the bucket is
-// rescanned once the shard's ops are done; a rename keeps the bucket's
-// tuple set and needs nothing.
-func (nd *Data) applyShardOps(s int, ops []shardOp) {
-	type bucketRef struct {
-		idx *index
-		h   uint64
-	}
-	var buf [8]bucketRef
+// new tuple with the bucket's smallest id — deletes and renames precede the
+// appends, so bucket ids are final by then; a delete from a listed bucket may
+// have removed the disagreement, so the bucket is rescanned once the ops are
+// done; a rename keeps the bucket's tuple set and needs nothing.
+func (nd *Data) applyIndexOps(idx *index, ops []deltaOp) {
+	var buf [8]uint64
 	rescan := buf[:0]
 	for _, op := range ops {
-		switch op.kind {
-		case opUnindex:
-			for _, idx := range nd.indexes {
-				if h, ok := nd.hasher.HashTuple(op.t, idx.xm); ok {
-					l := &idx.shards[s]
-					l.set(h, removeID(l.get(h), op.id))
-					if l.exc.mask(h) != 0 {
-						rescan = append(rescan, bucketRef{idx, h})
-					}
-				}
-			}
-			for _, ps := range nd.postings {
-				if vid, ok := nd.syms.ID(op.t[ps.col]); ok {
-					l := &ps.shards[s]
-					l.set(vid, removeID(l.get(vid), int32(op.id)))
-				}
-			}
-		case opRename:
-			for _, idx := range nd.indexes {
-				if h, ok := nd.hasher.HashTuple(op.t, idx.xm); ok {
-					l := &idx.shards[s]
-					l.set(h, renameID(l.get(h), op.id, op.to))
-				}
-			}
-			for _, ps := range nd.postings {
-				if vid, ok := nd.syms.ID(op.t[ps.col]); ok {
-					l := &ps.shards[s]
-					l.set(vid, renameID(l.get(vid), int32(op.id), int32(op.to)))
-				}
-			}
-		case opAppend:
-			for _, idx := range nd.indexes {
-				if h, ok := nd.hasher.HashTuple(op.t, idx.xm); ok {
-					l := &idx.shards[s]
-					bucket := l.get(h)
-					if len(bucket) > 0 {
-						if m := idx.disagree(nd.rel.Tuple(bucket[0]), op.t); m != 0 {
-							l.exc = l.exc.with(h, l.exc.mask(h)|m)
-						}
-					}
-					l.set(h, appendID(bucket, op.id))
-				}
-			}
-			for _, ps := range nd.postings {
-				if vid, ok := nd.syms.ID(op.t[ps.col]); ok {
-					l := &ps.shards[s]
-					l.set(vid, appendID(l.get(vid), int32(op.id)))
-				}
+		h, ok := nd.hasher.HashTuple(op.t, idx.xm)
+		if !ok {
+			continue
+		}
+		sh := idx.shard(h)
+		bucket := sh.get(h)
+		switch {
+		case op.kind == opUnindex && sh.exc.mask(h) != 0:
+			rescan = append(rescan, h)
+		case op.kind == opAppend && len(bucket) > 0:
+			if m := idx.disagree(nd.rel.Tuple(bucket[0]), op.t); m != 0 {
+				sh.exc = sh.exc.with(h, sh.exc.mask(h)|m)
 			}
 		}
+		sh.set(h, editIDs(op, bucket))
 	}
-	for _, r := range rescan {
+	for _, h := range rescan {
 		// The maintained mask never misses a disagreement, so it bounds the
 		// scan: a bucket that is still as dirty answers in a few tuples.
-		sh := &r.idx.shards[s]
-		sh.exc = sh.exc.with(r.h, r.idx.bucketMask(sh.get(r.h), nd.rel, sh.exc.mask(r.h)))
+		sh := idx.shard(h)
+		sh.exc = sh.exc.with(h, idx.bucketMask(sh.get(h), nd.rel, sh.exc.mask(h)))
+	}
+}
+
+// applyPostingOps is applyIndexOps for one posting list.
+func (nd *Data) applyPostingOps(ps *postings, ops []deltaOp) {
+	for _, op := range ops {
+		if vid, ok := nd.syms.ID(op.t[ps.col]); ok {
+			l := ps.shard(vid)
+			l.set(vid, editIDs(op, l.get(vid)))
+		}
+	}
+}
+
+// editIDs returns the id list a planned op leaves behind, freshly allocated.
+func editIDs[ID int | int32](op deltaOp, ids []ID) []ID {
+	switch op.kind {
+	case opUnindex:
+		return removeID(ids, ID(op.id))
+	case opRename:
+		return renameID(ids, ID(op.id), ID(op.to))
+	default:
+		return appendID(ids, ID(op.id))
 	}
 }
 

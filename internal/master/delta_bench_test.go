@@ -2,8 +2,9 @@ package master
 
 // Benchmarks for the versioned-master tentpole: ApplyDelta of a one-tuple
 // correction vs a full NewForRules rebuild at |Dm| ∈ {600, 6k, 60k}
-// (recorded in BENCH_*.json; the acceptance bar is ≥50x at 60k), plus
-// probe throughput while deltas publish concurrently.
+// (recorded in BENCH_*.json at GOMAXPROCS and shard count 1, which
+// BenchmarkApplyDelta pins; the acceptance bar is ≥50x at 60k), plus probe
+// throughput while deltas publish concurrently.
 
 import (
 	"fmt"
@@ -48,11 +49,12 @@ func benchMasterTuple(rng *rand.Rand, i int) relation.Tuple {
 func BenchmarkApplyDelta(b *testing.B) {
 	for _, n := range []int{600, 6_000, 60_000} {
 		rel, sigma := benchMasterRelation(n)
-		d0 := MustNewForRules(rel, sigma)
+		d0 := MustNewForRules(rel, sigma, WithShards(1))
 		rng := rand.New(rand.NewSource(7))
 		add := []relation.Tuple{benchMasterTuple(rng, n+1)}
 		del := []int{n / 2}
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+			pinProcs(b, 1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := d0.ApplyDelta(add, del); err != nil {

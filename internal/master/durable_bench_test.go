@@ -24,7 +24,7 @@ func benchRecovery(b *testing.B, p int) {
 	const tail = 64
 	rel, sigma := benchMasterRelation(n)
 	dir := b.TempDir()
-	dv, err := OpenDurable(dir, func() (*Data, error) { return NewForRules(rel, sigma, WithShards(p), WithBuildWorkers(p)) }, sigma,
+	dv, err := OpenDurable(dir, func() (*Data, error) { return NewForRules(rel, sigma, WithShards(p)) }, sigma,
 		DurableOptions{Sync: wal.SyncNever, CheckpointEvery: -1})
 	if err != nil {
 		b.Fatal(err)

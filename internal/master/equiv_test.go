@@ -5,12 +5,13 @@ package master
 // deep-equal — indexes, exception tables, posting lists, pattern-support
 // bitmaps, probe plans — to MustNewForRules run from scratch on the snapshot's
 // materialized relation with the same shard count. Interned value ids
-// (and therefore raw uint64 bucket keys) are the one representation
-// detail allowed to differ: a delta chain interns values in historical
-// order, a rebuild in current first-seen order (and a parallel rebuild in
-// nondeterministic merge order), so the comparison resolves buckets and
-// posting lists through each side's own hasher/symbol table and compares
-// the id contents, which is exactly what every probe observes.
+// (and therefore raw uint64 bucket keys, and the shards they route to) are
+// the one representation detail allowed to differ: a delta chain interns
+// values in historical order, a rebuild in current first-seen order (and a
+// parallel rebuild in nondeterministic merge order), so the comparison
+// resolves buckets and posting lists through each side's own hasher, symbol
+// table and router and compares the id contents, which is exactly what
+// every probe observes.
 
 import (
 	"fmt"
@@ -57,8 +58,9 @@ func rebuildOracle(t testing.TB, got *Data, sigma *rule.Set) *Data {
 }
 
 // checkTablesAgainstMaps holds every index and posting shard of a freshly
-// built snapshot to Go maps filled here by a plain loop over the relation:
-// the reference shares no code with the table builder.
+// built snapshot to Go maps filled here by a plain loop over the relation,
+// each entry in the shard its key routes to: the reference shares no code
+// with the table builder.
 func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 	t.Helper()
 	for _, idx := range d.indexes {
@@ -71,7 +73,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
 			}
-			s := d.shardOf(tm)
+			s := keyShard(h, d.nshards)
 			want[s][h] = append(want[s][h], i)
 		}
 		for s := range idx.shards {
@@ -88,7 +90,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 			if !ok {
 				t.Fatalf("%s: value of tuple %d column %d not interned", ctx, i, ps.col)
 			}
-			s := d.shardOf(tm)
+			s := keyShard(uint64(vid), d.nshards)
 			want[s][vid] = append(want[s][vid], int32(i))
 		}
 		for s := range ps.shards {
@@ -116,6 +118,44 @@ func checkLayeredAgainstMap[K uint32 | uint64, ID int | int32](t testing.TB, ctx
 		for _, probe := range []K{k, k + 1, k - 1} {
 			if got := l.get(probe); !slices.Equal(got, want[probe]) {
 				t.Fatalf("%s: get(%#x) = %v, map oracle %v", ctx, probe, got, want[probe])
+			}
+		}
+	}
+}
+
+// checkRouting asserts the layout invariant every probe relies on: each
+// index key and posting value id is stored in exactly the shard keyShard
+// names — no shard holds a key that routes elsewhere, and every stored
+// tuple's key resolves, in its own shard, to a list carrying the tuple's id.
+func checkRouting(t testing.TB, ctx string, d *Data) {
+	t.Helper()
+	for _, idx := range d.indexes {
+		for s := range idx.shards {
+			idx.shards[s].each(func(h uint64, _ []int) {
+				if home := keyShard(h, d.nshards); home != s {
+					t.Fatalf("%s: index %v key %#x sits in shard %d, routes to %d", ctx, idx.xm, h, s, home)
+				}
+			})
+		}
+		for id, tm := range d.rel.Tuples() {
+			h, ok := d.hasher.HashTuple(tm, idx.xm)
+			if !ok || !slices.Contains(idx.shard(h).get(h), id) {
+				t.Fatalf("%s: index %v: tuple %d missing from the bucket its key routes to", ctx, idx.xm, id)
+			}
+		}
+	}
+	for _, ps := range d.postings {
+		for s := range ps.shards {
+			ps.shards[s].each(func(vid uint32, _ []int32) {
+				if home := keyShard(uint64(vid), d.nshards); home != s {
+					t.Fatalf("%s: postings col %d value id %d sits in shard %d, routes to %d", ctx, ps.col, vid, s, home)
+				}
+			})
+		}
+		for id, tm := range d.rel.Tuples() {
+			vid, ok := d.syms.ID(tm[ps.col])
+			if !ok || !slices.Contains(ps.shard(vid).get(vid), int32(id)) {
+				t.Fatalf("%s: postings col %d: tuple %d missing from the list its value routes to", ctx, ps.col, id)
 			}
 		}
 	}
@@ -150,6 +190,7 @@ func eqInt32s(a, b []int32) bool {
 func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 	t.Helper()
 	want := rebuildOracle(t, got, sigma)
+	checkRouting(t, ctx, got)
 	n := got.Len()
 	if want.Len() != n {
 		t.Fatalf("%s: materialized length %d vs snapshot %d", ctx, want.Len(), n)
@@ -159,9 +200,8 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 	}
 
 	// Index registry: same Xm lists, same total size, identical bucket
-	// contents for every stored tuple's projection — per shard: the
-	// tuple-key routing is deterministic, so the rebuild places every id
-	// in the same shard the delta chain did.
+	// contents for every stored tuple's projection, each side's bucket
+	// read from the one shard its own key routes to.
 	if len(got.indexes) != len(want.indexes) {
 		t.Fatalf("%s: %d indexes, rebuild has %d", ctx, len(got.indexes), len(want.indexes))
 	}
@@ -176,16 +216,17 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		if !eqInts(gidx.bms, widx.bms) {
 			t.Fatalf("%s: index %v tracks rhs columns %v, rebuild %v", ctx, widx.xm, gidx.bms, widx.bms)
 		}
+		// Equal totals plus the per-tuple mask comparison below make the
+		// tables equal entry for entry (raw keys, and so shards, may differ).
+		g, w := 0, 0
 		for s := range widx.shards {
-			// Equal lengths plus the per-tuple mask comparison below make
-			// the tables equal entry for entry (raw keys may differ).
-			if g, w := len(gidx.shards[s].exc), len(widx.shards[s].exc); g != w {
-				t.Fatalf("%s: index %v shard %d lists %d exceptions, rebuild %d", ctx, widx.xm, s, g, w)
-			}
+			g, w = g+len(gidx.shards[s].exc), w+len(widx.shards[s].exc)
+		}
+		if g != w {
+			t.Fatalf("%s: index %v lists %d exceptions, rebuild %d", ctx, widx.xm, g, w)
 		}
 		for id := 0; id < n; id++ {
 			tm := got.Tuple(id)
-			s := got.shardOf(tm)
 			gh, ok := got.hasher.HashTuple(tm, gidx.xm)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in snapshot index %v", ctx, id, gidx.xm)
@@ -194,30 +235,19 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in rebuilt index %v", ctx, id, widx.xm)
 			}
-			if gb, wb := gidx.shards[s].get(gh), widx.shards[s].get(wh); !eqInts(gb, wb) {
-				t.Fatalf("%s: index %v shard %d bucket for tuple %d = %v, rebuild %v", ctx, widx.xm, s, id, gb, wb)
+			gsh, wsh := gidx.shard(gh), widx.shard(wh)
+			if gb, wb := gsh.get(gh), wsh.get(wh); !eqInts(gb, wb) {
+				t.Fatalf("%s: index %v bucket for tuple %d = %v, rebuild %v", ctx, widx.xm, id, gb, wb)
 			}
-			if gm, wm := gidx.shards[s].exc.mask(gh), widx.shards[s].exc.mask(wh); gm != wm {
-				t.Fatalf("%s: index %v shard %d exception mask for tuple %d = %#x, rebuild %#x", ctx, widx.xm, s, id, gm, wm)
-			}
-			// Routing invariant: the id appears in its own shard's bucket
-			// and in no other shard's.
-			for os := range gidx.shards {
-				if os == s {
-					continue
-				}
-				for _, oid := range gidx.shards[os].get(gh) {
-					if oid == id {
-						t.Fatalf("%s: tuple %d routed to shard %d but found in shard %d", ctx, id, s, os)
-					}
-				}
+			if gm, wm := gsh.exc.mask(gh), wsh.exc.mask(wh); gm != wm {
+				t.Fatalf("%s: index %v exception mask for tuple %d = %#x, rebuild %#x", ctx, widx.xm, id, gm, wm)
 			}
 		}
 	}
 
 	// Posting lists: same columns, same total size, identical id lists
-	// per stored value per shard (resolved through each side's own symbol
-	// table).
+	// per stored value (resolved through each side's own symbol table and
+	// router).
 	if len(got.postings) != len(want.postings) {
 		t.Fatalf("%s: %d posting columns, rebuild has %d", ctx, len(got.postings), len(want.postings))
 	}
@@ -236,9 +266,7 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 			t.Fatalf("%s: postings col %d hold %d ids, rebuild %d", ctx, wps.col, gs, ws)
 		}
 		for id := 0; id < n; id++ {
-			tm := got.Tuple(id)
-			s := got.shardOf(tm)
-			v := tm[wps.col]
+			v := got.Tuple(id)[wps.col]
 			gid, ok := got.syms.ID(v)
 			if !ok {
 				t.Fatalf("%s: stored value %v of column %d not interned in snapshot", ctx, v, wps.col)
@@ -247,8 +275,8 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 			if !ok {
 				t.Fatalf("%s: stored value %v of column %d not interned in rebuild", ctx, v, wps.col)
 			}
-			if gl, wl := gps.shards[s].get(gid), wps.shards[s].get(wid); !eqInt32s(gl, wl) {
-				t.Fatalf("%s: postings col %d shard %d list for %v = %v, rebuild %v", ctx, wps.col, s, v, gl, wl)
+			if gl, wl := gps.shard(gid).get(gid), wps.shard(wid).get(wid); !eqInt32s(gl, wl) {
+				t.Fatalf("%s: postings col %d list for %v = %v, rebuild %v", ctx, wps.col, v, gl, wl)
 			}
 		}
 	}

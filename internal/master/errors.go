@@ -10,19 +10,16 @@ import (
 // ErrMasterBuild is the sentinel matched (errors.Is) by every failure of
 // snapshot construction and incremental maintenance: NewForRules schema
 // and tuple validation, and ApplyDelta add/delete validation. The
-// concrete error is a *BuildError carrying the failing tuple's shard and
-// key context; match it with errors.As to render structured diagnostics
+// concrete error is a *BuildError carrying the failing tuple's id and key
+// context; match it with errors.As to render structured diagnostics
 // (cmd/expdriver and cmd/certainfixd do).
 var ErrMasterBuild = errors.New("master: build failed")
 
 // BuildError reports a master build or delta failure with enough context
-// to find the offending tuple in a multi-million-row load: which shard
-// the tuple routes to, its id (position in the relation or delta), and a
-// bounded rendering of its key. Shard and TupleID are -1 when the
-// failure is not tied to one tuple (e.g. a schema mismatch).
+// to find the offending tuple in a multi-million-row load: its id (position
+// in the relation or delta) and a bounded rendering of its key. TupleID is
+// -1 when the failure is not tied to one tuple (e.g. a schema mismatch).
 type BuildError struct {
-	// Shard the failing tuple routes to (-1 when tuple-independent).
-	Shard int
 	// TupleID is the tuple's position: an id in the relation for build
 	// validation, an index into the adds slice or a delete id for deltas
 	// (-1 when tuple-independent).
@@ -38,7 +35,7 @@ func (e *BuildError) Error() string {
 	if e.TupleID < 0 {
 		return fmt.Sprintf("master: build: %v", e.Err)
 	}
-	return fmt.Sprintf("master: build: tuple %d (shard %d, key %s): %v", e.TupleID, e.Shard, e.Key, e.Err)
+	return fmt.Sprintf("master: build: tuple %d (key %s): %v", e.TupleID, e.Key, e.Err)
 }
 
 // Unwrap makes the error match both ErrMasterBuild and the underlying

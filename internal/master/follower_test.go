@@ -233,8 +233,10 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 
 // BenchmarkFollowerApply measures replica apply throughput: one op is a
 // 256-record catch-up through ApplyRecord — the rate bound on follower
-// lag drain (the shipping decode is benchmarked in internal/wal).
+// lag drain (the shipping decode is benchmarked in internal/wal). GOMAXPROCS
+// is pinned to 1, and with it the default shard count of the instance.
 func BenchmarkFollowerApply(b *testing.B) {
+	pinProcs(b, 1)
 	rng := rand.New(rand.NewSource(7))
 	d0, _, rm, vals := randomDeltaInstance(rng)
 	const nRecs = 256

@@ -5,8 +5,8 @@
 // that stores tm[Xm] as a key" — this package provides exactly that.
 //
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
-// (relation.Symbols / relation.Hasher); a bucket holds the ascending ids
-// of the tuples whose Xm projection hashes to its key, per shard. There is
+// (relation.Symbols / relation.Hasher); a key has ONE bucket, holding the
+// ascending ids of every tuple whose Xm projection hashes to it. There is
 // one index layout: every shard of every index and posting list is an
 // immutable open-addressing table (table.go) — the same whether built by
 // NewForRules, rewritten by compaction or mapped by LoadArena — under a
@@ -16,23 +16,24 @@
 //
 //   - Value probes — RHSValues, RHSValuesWitness, FirstMatchID, FirstMatch
 //     — answer "which values tm[Bm] does the rule assign, and which master
-//     tuple witnesses it" in O(shards), not O(matches). They rest on one
+//     tuple witnesses it" in O(1), not O(matches). They rest on one
 //     invariant: the paper assumes Dm is consistent (§2), i.e. every rule
 //     is a function on the master, so all tuples of a bucket share the Xm
 //     projection and agree on the rule's Bm. Such a bucket is UNIFORM and
 //     its smallest id, bucket[0], answers for all of it: one hash fold,
-//     one bucket lookup per shard, one verification of t[X] against
-//     bucket[0]. The buckets that break the invariant — a 64-bit hash
-//     collision, a dirty master — are listed in small per-shard exception
-//     tables (uniform.go), empty on a consistent master; a listed bucket
-//     is scanned exactly. MemStats.NonUniformBuckets counts them.
+//     one bucket lookup, one verification of t[X] against bucket[0]. The
+//     buckets that break the invariant — a 64-bit hash collision, a dirty
+//     master — are listed in small exception tables (uniform.go), empty on
+//     a consistent master; a listed bucket is scanned exactly.
+//     MemStats.NonUniformBuckets counts them.
 //   - Enumerating probes — MatchIDs, Lookup — return every matching id,
 //     verifying each candidate against the stored tuple (hash equality
 //     alone does not prove projection equality). They never consult the
-//     exception tables, allocate only when matches straddle shards, and
-//     serve the callers that need the pairs themselves: Explore,
-//     ApplicablePairs, the naive oracles, and the tests that hold the
-//     value probes to a scan.
+//     exception tables, return the bucket itself (no copy, no allocation)
+//     unless a collision has to be filtered out of it, and serve the
+//     callers that need the pairs themselves: Explore, ApplicablePairs,
+//     the naive oracles, and the tests that hold the value probes to a
+//     scan.
 //
 // Beyond the full-key indexes, NewForRules builds the inverted-postings
 // layer of postings.go: per-column posting lists and per-rule
@@ -40,11 +41,11 @@
 // compatibility test and the rule-support precomputation of §5 without
 // scanning Dm.
 //
-// Every per-tuple structure is partitioned into P hash shards (shard.go):
-// tuples route by an interning-free hash of their full content, NewForRules
-// fills the shards in parallel, ApplyDelta routes maintenance to the owning
-// shard, and probes visit each shard's bucket for the key. Tuple ids stay
-// global, so probe results are byte-identical for every P.
+// Every index and posting list is partitioned into P shards, each routed by
+// its own key (shard.go): P sets the grain of parallel builds and of
+// compaction and is invisible to probes, which read the one shard their key
+// routes to. Tuple ids stay global, so probe results are byte-identical for
+// every P.
 //
 // The paper assumes master data is static (§2). A service cannot stop the
 // world to re-run NewForRules for every correction, so this package
@@ -84,12 +85,12 @@ import (
 )
 
 // index is one hash index over an Xm position list: bucket ids keyed on
-// the uint64 projection hash, partitioned into one copy-on-write layered
-// map per shard (see overlay.go, shard.go). Buckets hold ascending tuple
-// ids, so probe results are deterministic and a bucket's smallest id is
-// bucket[0]. Beside its buckets each shard lists the ones that are not
-// uniform (see uniform.go); bms are the rhs columns uniformity is tracked
-// on.
+// the uint64 projection hash, partitioned by that hash into one
+// copy-on-write layered map per shard (see overlay.go, shard.go). Buckets
+// hold ascending tuple ids, so probe results are deterministic and a
+// bucket's smallest id is bucket[0]. Beside its buckets each shard lists the
+// ones that are not uniform (see uniform.go); bms are the rhs columns
+// uniformity is tracked on.
 type index struct {
 	xm     []int
 	bms    []int
@@ -189,15 +190,15 @@ func newData(rel *relation.Relation, shards int) *Data {
 // NewForRules wraps a master relation, eagerly builds one index per
 // distinct Xm list in Σ, one posting list per distinct Xm column, and
 // resolves each rule's probe and compatibility plans. The structures are
-// partitioned into WithShards shards and filled in parallel on
-// WithBuildWorkers goroutines (both default to one per CPU). Failures —
-// schema mismatch, a tuple violating the schema's declared types — are
-// typed: errors.Is(err, ErrMasterBuild), with a *BuildError carrying the
-// failing tuple's shard and key context.
+// partitioned into WithShards shards (default one per CPU) and filled in
+// parallel on GOMAXPROCS goroutines. Failures — schema mismatch, a tuple
+// violating the schema's declared types — are typed:
+// errors.Is(err, ErrMasterBuild), with a *BuildError carrying the failing
+// tuple's id and key context.
 func NewForRules(rel *relation.Relation, sigma *rule.Set, opts ...BuildOption) (*Data, error) {
 	cfg := resolveBuildConfig(opts)
 	if !sigma.MasterSchema().Equal(rel.Schema()) {
-		return nil, &BuildError{Shard: -1, TupleID: -1, Err: fmt.Errorf(
+		return nil, &BuildError{TupleID: -1, Err: fmt.Errorf(
 			"relation schema %s does not match Σ's master schema %s",
 			rel.Schema().Name(), sigma.MasterSchema().Name())}
 	}
@@ -208,7 +209,7 @@ func NewForRules(rel *relation.Relation, sigma *rule.Set, opts ...BuildOption) (
 		d.plans[ru] = idx
 		d.compat[ru] = d.registerCompatPlan(ru)
 	}
-	if err := d.buildParallel(sigma, cfg.workers); err != nil {
+	if err := d.buildParallel(sigma); err != nil {
 		return nil, err
 	}
 	if cfg.auth {
@@ -277,75 +278,36 @@ func eqPos(a, b []int) bool {
 	return true
 }
 
-// probe returns the ids of the tuples in idx matching t's projection on x
-// (ascending, every candidate verified); see fanOutProbe for aliasing.
+// probe returns the ids of the tuples in idx matching t's projection on x;
+// see verified for order and aliasing.
 func (d *Data) probe(idx *index, t relation.Tuple, x []int) []int {
 	h, ok := d.hasher.HashTuple(t, x)
 	if !ok {
 		return nil // some probe value never occurs in the indexed columns
 	}
-	return fanOutProbe(idx, h, func(id int) bool {
+	return verified(idx.shard(h).get(h), func(id int) bool {
 		return t.ProjectMatches(x, d.rel.Tuple(id), idx.xm)
 	})
 }
 
-// fanOutProbe is the enumerate-all probe shared by MatchIDs and Lookup:
-// walk every shard's bucket for h, verifying each candidate exactly once
-// with match (hash equality alone does not prove projection equality). The
-// common case — all matches in one shard, which includes every
-// single-match probe — returns that shard's bucket without copying; a
-// collision-filtered bucket is a fresh slice, and matches straddling
-// shards are merged into one exactly-sized slice in the global ascending
-// order the P=1 layout produces.
-func fanOutProbe(idx *index, h uint64, match func(id int) bool) []int {
-	var buf [8][]int
-	parts, total := buf[:0], 0
-	for s := range idx.shards {
-		bucket := idx.shards[s].get(h)
-		for i, id := range bucket {
-			if !match(id) {
-				bucket = filterBucket(bucket, i, match)
-				break
+// verified is the enumerate-all step shared by MatchIDs and Lookup: check
+// every candidate of the key's bucket exactly once with match (hash equality
+// alone does not prove projection equality). The bucket itself comes back,
+// ascending and uncopied, unless a collision has to be filtered out of it
+// (the cold path: a fresh slice).
+func verified(bucket []int, match func(id int) bool) []int {
+	for i, id := range bucket {
+		if !match(id) {
+			out := append([]int(nil), bucket[:i]...)
+			for _, id := range bucket[i+1:] {
+				if match(id) {
+					out = append(out, id)
+				}
 			}
-		}
-		if len(bucket) > 0 {
-			parts = append(parts, bucket)
-			total += len(bucket)
+			return out
 		}
 	}
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	}
-	// k-way merge of the ascending per-shard buckets: O(total·k), with k
-	// the few shards a duplicated projection actually lands in.
-	out := make([]int, 0, total)
-	for len(out) < total {
-		best := -1
-		for p, b := range parts {
-			if len(b) > 0 && (best < 0 || b[0] < parts[best][0]) {
-				best = p
-			}
-		}
-		out = append(out, parts[best][0])
-		parts[best] = parts[best][1:]
-	}
-	return out
-}
-
-// filterBucket handles the cold collision path: bucket[:i] is the
-// already-verified prefix, and match verifies the remainder (skipping the
-// known mismatch at i).
-func filterBucket(bucket []int, i int, match func(id int) bool) []int {
-	out := append([]int(nil), bucket[:i]...)
-	for _, id := range bucket[i+1:] {
-		if match(id) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return bucket
 }
 
 // Lookup returns the ids of master tuples tm with tm[xm] equal to the
@@ -360,7 +322,7 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 		if !ok {
 			return nil
 		}
-		return fanOutProbe(idx, h, func(id int) bool {
+		return verified(idx.shard(h).get(h), func(id int) bool {
 			return valuesMatch(values, d.rel.Tuple(id), idx.xm)
 		})
 	}
@@ -394,10 +356,10 @@ func (d *Data) indexFor(ru *rule.Rule) *index {
 // MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
 // the rule's (X, Xm) correspondence, ascending — the enumerate-all probe,
 // O(matches). It does not test the rule's pattern (patterns constrain t,
-// not tm). Indexed probes are allocation-free unless the matches straddle
-// shards; the returned slice may alias internal index state — treat it as
-// read-only. Callers that need only the rhs values or one witness use
-// RHSValues / FirstMatchID, which do not enumerate.
+// not tm). Indexed probes are allocation-free at every shard count; the
+// returned slice may alias internal index state — treat it as read-only.
+// Callers that need only the rhs values or one witness use RHSValues /
+// FirstMatchID, which do not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHSRef()
 	if idx := d.indexFor(ru); idx != nil {
@@ -422,9 +384,8 @@ func (d *Data) HasMatch(ru *rule.Rule, t relation.Tuple) bool {
 
 // FirstMatchID returns the smallest id of a master tuple matching t on
 // the rule's (X, Xm) correspondence (pattern not tested), ok=false when
-// none does. Allocation-free and O(shards) on an index: each shard's
-// bucket is decided by its smallest id unless the exception table records
-// a collision in it.
+// none does. Allocation-free and O(1) on an index: the bucket is decided by
+// its smallest id unless the exception table records a collision in it.
 func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 	x := ru.LHSRef()
 	idx := d.indexFor(ru)
@@ -441,22 +402,17 @@ func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 	if !ok {
 		return -1, false
 	}
-	first := -1
-	for s := range idx.shards {
-		bucket := idx.shards[s].get(h)
-		if len(bucket) > 1 && idx.shards[s].exc.mask(h) != collided {
-			bucket = bucket[:1]
-		}
-		for _, id := range bucket {
-			if t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
-				if first < 0 || id < first {
-					first = id
-				}
-				break
-			}
+	sh := idx.shard(h)
+	bucket := sh.get(h)
+	if len(bucket) > 1 && sh.exc.mask(h) != collided {
+		bucket = bucket[:1]
+	}
+	for _, id := range bucket {
+		if t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
+			return id, true
 		}
 	}
-	return first, first >= 0
+	return -1, false
 }
 
 // FirstMatch returns the first master tuple applicable with ru to t
@@ -489,7 +445,7 @@ func (d *Data) RHSValues(ru *rule.Rule, t relation.Tuple) []relation.Value {
 
 // RHSValuesWitness is RHSValues plus the smallest applicable master id
 // (-1 when none) from the same probe — the provenance witness of a fix.
-// On an index the probe is O(shards), not O(matches): a uniform bucket is
+// On an index the probe is O(1), not O(matches): a uniform bucket is
 // verified against, and read from, its smallest id alone; only a bucket
 // the exception table lists for Bm (or as collided) is scanned.
 func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
@@ -497,58 +453,37 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 		return nil, -1
 	}
 	x, bm := ru.LHSRef(), ru.RHSM()
-	var values []relation.Value
-	var buf [4]int // keeps the common one-value probe at one allocation
-	firsts := buf[:0]
-	idx := d.indexFor(ru)
-	if idx == nil {
-		for _, id := range d.MatchIDs(ru, t) {
-			values, firsts = addValue(values, firsts, d.rel.Tuple(id)[bm], id)
+	var bucket []int
+	if idx := d.indexFor(ru); idx == nil {
+		bucket = d.MatchIDs(ru, t)
+	} else {
+		h, ok := d.hasher.HashTuple(t, x)
+		if !ok {
+			return nil, -1
 		}
-		return orderValues(values, firsts)
-	}
-	h, ok := d.hasher.HashTuple(t, x)
-	if !ok {
-		return nil, -1
-	}
-	bit := idx.rhsBit(bm)
-	for s := range idx.shards {
-		bucket := idx.shards[s].get(h)
-		if len(bucket) > 1 && bit != 0 && idx.shards[s].exc.mask(h)&bit == 0 {
+		sh := idx.shard(h)
+		bucket = sh.get(h)
+		if bit := idx.rhsBit(bm); len(bucket) > 1 && bit != 0 && sh.exc.mask(h)&bit == 0 {
 			bucket = bucket[:1] // uniform on Xm and Bm: the smallest id speaks for all
 		}
-		for _, id := range bucket {
-			if tm := d.rel.Tuple(id); t.ProjectMatches(x, tm, idx.xm) {
-				values, firsts = addValue(values, firsts, tm[bm], id)
-			}
+	}
+	// Ids ascend, so the first match is the witness and a value's first
+	// appearance is at the smallest id carrying it. Distinct values are 1 on
+	// a consistent master and a handful otherwise: dedup is a linear scan.
+	var values []relation.Value
+	first := -1
+	xm := ru.LHSMRef()
+	for _, id := range bucket {
+		tm := d.rel.Tuple(id)
+		if !t.ProjectMatches(x, tm, xm) {
+			continue
+		}
+		if first < 0 {
+			first = id
+		}
+		if !slices.Contains(values, tm[bm]) {
+			values = append(values, tm[bm])
 		}
 	}
-	return orderValues(values, firsts)
-}
-
-// addValue records that tuple id carries rhs value v: values are kept
-// distinct, firsts[i] is the smallest id carrying values[i]. Distinct
-// values per probe are 1 on a consistent master and a handful otherwise,
-// so dedup and ordering are linear scans.
-func addValue(values []relation.Value, firsts []int, v relation.Value, id int) ([]relation.Value, []int) {
-	if i := slices.Index(values, v); i >= 0 {
-		firsts[i] = min(firsts[i], id)
-		return values, firsts
-	}
-	return append(values, v), append(firsts, id)
-}
-
-// orderValues sorts the values by smallest carrying id and returns them
-// with the smallest id overall (nil, -1 when empty).
-func orderValues(values []relation.Value, firsts []int) ([]relation.Value, int) {
-	if len(values) == 0 {
-		return nil, -1
-	}
-	for i := 1; i < len(firsts); i++ {
-		for j := i; j > 0 && firsts[j] < firsts[j-1]; j-- {
-			firsts[j], firsts[j-1] = firsts[j-1], firsts[j]
-			values[j], values[j-1] = values[j-1], values[j]
-		}
-	}
-	return values, firsts[0]
+	return values, first
 }

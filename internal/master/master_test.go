@@ -1,8 +1,10 @@
 package master_test
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/master"
 	"repro/internal/paperex"
 	"repro/internal/pattern"
@@ -166,3 +168,31 @@ func TestAccessors(t *testing.T) {
 }
 
 func mustEmptyPattern() pattern.Tuple { return pattern.Empty() }
+
+// TestMultiMatchProbeShardInvariant: on a HOSP master, where most rule keys
+// match 10 and some 500 tuples at |Dm| = 20k, the enumerating probe at P=4
+// returns the key's one bucket — the ids of the P=1 build, without
+// allocating.
+func TestMultiMatchProbeShardInvariant(t *testing.T) {
+	const n = 20_000
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p4 := master.MustNewForRules(ds.Master.Relation(), ds.Sigma, master.WithShards(4))
+	probe := ds.Master.Tuple(n / 2)
+	most := 0
+	for _, ru := range ds.Sigma.Rules() {
+		want := ds.Master.MatchIDs(ru, probe)
+		if got := p4.MatchIDs(ru, probe); !slices.Equal(got, want) {
+			t.Fatalf("rule %s: P=4 MatchIDs = %v, P=1 %v", ru.Name(), got, want)
+		}
+		most = max(most, len(want))
+		if allocs := testing.AllocsPerRun(100, func() { p4.MatchIDs(ru, probe) }); allocs != 0 {
+			t.Fatalf("rule %s: P=4 MatchIDs over %d matches allocates %.1f objects per probe; want 0", ru.Name(), len(want), allocs)
+		}
+	}
+	if most < 100 {
+		t.Fatalf("fixture broken: the largest key matches %d tuples", most)
+	}
+}

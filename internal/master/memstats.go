@@ -24,16 +24,16 @@ type MemStats struct {
 	SymbolBytes int64 `json:"symbol_bytes"`
 
 	// IndexKeys/IndexIDs count hash-index bucket keys and bucket entries
-	// across all indexes and shards; IndexBytes is the tables' slot and id
+	// across all indexes (a key has one bucket, whatever Shards is); IndexBytes is the tables' slot and id
 	// arrays plus 16 bytes per overlay key and 8 per overlay id.
 	IndexKeys  int   `json:"index_keys"`
 	IndexIDs   int   `json:"index_ids"`
 	IndexBytes int64 `json:"index_bytes"`
 
-	// NonUniformBuckets counts exception-table entries across all indexes
-	// and shards: buckets whose tuples disagree on a rule's rhs column (Dm
-	// breaks the functional contract of §2 there) or collide on the key
-	// hash. Probes of those buckets scan; zero on a consistent master.
+	// NonUniformBuckets counts exception-table entries across all indexes:
+	// buckets whose tuples disagree on a rule's rhs column (Dm breaks the
+	// functional contract of §2 there) or collide on the key hash. Probes
+	// of those buckets scan; zero on a consistent master.
 	NonUniformBuckets int `json:"non_uniform_buckets"`
 
 	// PostingKeys/PostingIDs count posting-list keys and entries;

@@ -6,7 +6,7 @@ package master
 // refining tuple partitions column by column, which needs each column as
 // a dense per-tuple array of value ids. The postings layer already holds
 // exactly that information, inverted: per column, value id → ascending
-// tuple-id list, split across the snapshot's hash shards. The two
+// tuple-id list, partitioned by value id across the snapshot's shards. The two
 // accessors here let the miner build missing posting lists at
 // construction time (IndexPostings, the posting analogue of Index) and
 // read a column back in dense id form (ColumnIDs) without touching the

@@ -19,23 +19,18 @@ import (
 // that made per-round latency grow linearly in |Dm| (Fig. 12a/b). With
 // postings, the partial-lhs test walks the smallest posting list of the
 // validated attributes, filtered by the pattern bitmap, and falls back to
-// the scan only when the best lists are so unselective (≥ half of Dm
-// summed across shards) that scanning is no worse.
+// the scan only when that list is so unselective (≥ half of Dm) that
+// scanning is no worse.
 //
-// Posting lists are sharded like the hash indexes (see shard.go): each
-// shard holds the ids of its own tuples, ascending. The partial-lhs walk
-// fans out shard by shard, picking each shard's smallest validated list
-// independently (a shard with a locally selective attribute walks that
-// one even when another shard's copy is long) and early-exits on the
-// first compatible tuple. The pattern bitmap stays GLOBAL — one dense
-// id-indexed array per rule, not one per shard: a per-shard copy would
-// multiply memory by P for identical information (ids are global), while
-// the parallel build fills disjoint id ranges of the single array and
-// deltas flip single bits under the writer lock that serializes them
-// anyway.
+// Posting lists are sharded like the hash indexes (see shard.go): a value id
+// routes to one shard, which holds the value's whole list, ascending — so the
+// walk and its fallback decision are the same at every P. The pattern bitmap
+// is one dense id-indexed array per rule, not sharded: ids are global, and
+// deltas flip single bits under the writer lock that serializes them anyway.
 
 // postings is the inverted index over one master column: interned value
-// id → ascending tuple ids, one copy-on-write layered map per shard.
+// id → ascending tuple ids, partitioned by value id into one copy-on-write
+// layered map per shard.
 type postings struct {
 	col    int // Rm position
 	shards []layered[uint32, int32]
@@ -100,9 +95,9 @@ func (d *Data) PatternSupported(ru *rule.Rule) bool {
 // is there a master tuple that agrees with t on the validated lhs
 // attributes (t[x] = tm[λϕ(x)] for x ∈ X ∩ Z) and satisfies the rule's
 // pattern cells on the λϕ-mapped lhs attributes? A fully validated lhs
-// probes the hash index (O(1)); a partially validated one intersects
-// posting lists smallest-first per shard under the pattern bitmap,
-// falling back to the Dm scan when the postings are degenerate.
+// probes the hash index (O(1)); a partially validated one walks the
+// smallest posting list of the validated attributes under the pattern
+// bitmap, falling back to the Dm scan when the postings are degenerate.
 func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	found, _ := d.compatible(ru, t, zSet)
 	return found
@@ -114,9 +109,8 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	x := ru.LHSRef()
 	plan := d.compat[ru]
 	if zSet.HasAll(x) {
-		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X] per
-		// shard with early exit, each candidate checked against the
-		// pattern bitmap.
+		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
+		// candidate checked against the pattern bitmap.
 		if plan != nil {
 			if idx, ok := d.plans[ru]; ok {
 				h, ok := d.hasher.HashTuple(t, x)
@@ -124,12 +118,10 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 					return false, false
 				}
 				xm := ru.LHSMRef()
-				for s := range idx.shards {
-					for _, id := range idx.shards[s].get(h) {
-						if plan.patBits[id>>6]&(1<<(uint(id)&63)) != 0 &&
-							t.ProjectMatches(x, d.rel.Tuple(id), xm) {
-							return true, false
-						}
+				for _, id := range idx.shard(h).get(h) {
+					if plan.patBits[id>>6]&(1<<(uint(id)&63)) != 0 &&
+						t.ProjectMatches(x, d.rel.Tuple(id), xm) {
+						return true, false
 					}
 				}
 				return false, false
@@ -149,98 +141,49 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	if plan == nil {
 		return d.compatibleScan(ru, t, zSet), true
 	}
-	// Partially validated lhs. Resolve the validated attributes' interned
-	// ids once (stack buffer — |X| is 1-2 in practice): an unresolvable
-	// value means no master tuple can agree on it, and X ∩ Z = ∅ means
-	// only the pattern constrains the master side.
-	var idbuf [16]uint32
-	ids := idbuf[:]
-	if len(x) > len(idbuf) {
-		ids = make([]uint32, len(x))
-	}
+	// Partially validated lhs: pick the smallest posting list among the
+	// validated attributes. A value the symbol table does not know occurs in
+	// no master tuple, and X ∩ Z = ∅ means only the pattern constrains the
+	// master side.
+	var best []int32
 	constrained := false
 	for i, p := range x {
 		if !zSet.Has(p) {
 			continue
 		}
-		id, ok := d.syms.ID(t[p])
+		vid, ok := d.syms.ID(t[p])
 		if !ok {
 			return false, false // value absent from the master column
 		}
-		ids[i] = id
-		constrained = true
+		if lst := plan.posts[i].shard(vid).get(vid); !constrained || len(lst) < len(best) {
+			best, constrained = lst, true
+		}
 	}
 	if !constrained {
 		return plan.patCount > 0, false
 	}
-	// Pass 1: per shard, the length of the smallest posting list among
-	// the validated attributes (0 when some validated value is absent
-	// from that shard — the whole shard is then a guaranteed miss).
-	// Summed across shards this is the number of candidates pass 2 will
-	// walk; when it reaches half of Dm a scan costs the same and avoids
-	// the per-id indirection.
-	totalBest := 0
-	for s := 0; s < d.nshards; s++ {
-		bestLen := -1
-		for i, p := range x {
-			if !zSet.Has(p) {
-				continue
-			}
-			l := len(plan.posts[i].shards[s].get(ids[i]))
-			if l == 0 {
-				bestLen = 0
-				break
-			}
-			if bestLen < 0 || l < bestLen {
-				bestLen = l
-			}
-		}
-		if bestLen > 0 {
-			totalBest += bestLen
-		}
-	}
-	if 2*totalBest >= d.rel.Len() {
-		// Degenerate postings (the best lists cover at least half of Dm):
-		// a scan costs the same and avoids the per-id indirection.
+	if 2*len(best) >= d.rel.Len() {
+		// Degenerate postings (the best list covers at least half of Dm): a
+		// scan costs the same and avoids the per-id indirection.
 		return d.compatibleScan(ru, t, zSet), true
 	}
-	// Pass 2: walk each shard's smallest validated list under the pattern
-	// bitmap, early-exiting on the first compatible tuple.
+	// Walk it under the pattern bitmap, early-exiting on the first
+	// compatible tuple.
 	xm := ru.LHSMRef()
-	for s := 0; s < d.nshards; s++ {
-		var best []int32
-		bestLen := -1
-		for i, p := range x {
-			if !zSet.Has(p) {
-				continue
-			}
-			lst := plan.posts[i].shards[s].get(ids[i])
-			if len(lst) == 0 {
-				bestLen = 0
-				break
-			}
-			if bestLen < 0 || len(lst) < bestLen {
-				best, bestLen = lst, len(lst)
-			}
-		}
-		if bestLen <= 0 {
+	for _, id := range best {
+		if plan.patBits[id>>6]&(1<<(uint(id)&63)) == 0 {
 			continue
 		}
-		for _, id := range best {
-			if plan.patBits[id>>6]&(1<<(uint(id)&63)) == 0 {
-				continue
+		tm := d.rel.Tuple(int(id))
+		ok := true
+		for i, p := range x {
+			if zSet.Has(p) && !t[p].Equal(tm[xm[i]]) {
+				ok = false
+				break
 			}
-			tm := d.rel.Tuple(int(id))
-			ok := true
-			for i, p := range x {
-				if zSet.Has(p) && !t[p].Equal(tm[xm[i]]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true, false
-			}
+		}
+		if ok {
+			return true, false
 		}
 	}
 	return false, false

@@ -2,39 +2,24 @@ package master
 
 // This file implements the sharded layout and the parallel build pipeline.
 //
-// A snapshot's index buckets, posting lists — every per-tuple map entry —
-// are partitioned into P hash shards. Routing is by TUPLE-KEY hash: the
-// full tuple content is folded with the interning-free relation.HashValue
-// chain and reduced modulo P, so a tuple's shard is a pure function of its
-// cells — identical across snapshots, across a delta chain and its
-// rebuild oracle, and across processes (no dependence on interning order
-// or map iteration). Tuple ids are NOT sharded: they remain global
-// positions in the relation, so probe results are byte-identical for
-// every P (the shard property tests pin this against the P=1 oracle).
+// Every index and posting list is partitioned into P shards, and each routes
+// by ITS OWN KEY: an index entry lives in the shard keyShard picks from its
+// projection hash, a posting entry in the shard it picks from its value id.
+// A key therefore has exactly one bucket, holding all its ids ascending, at
+// every P — the "hash table that stores tm[Xm] as a key" of §5.1 — so a
+// probe reads one shard and P never shows on the read path: same buckets,
+// same allocations, same scan-fallback decisions, same MemStats counts. One
+// tuple lives in a different shard per structure; tuple ids stay global
+// positions in the relation.
 //
-// Sharding buys three things:
+// What P still buys is on the write side: compaction rewrites 1/P of a
+// structure (fork flattens the shard whose overlay outgrew its table, not
+// the whole index), and no single table grows to |Dm| keys. Builds are
+// parallel at every P: a range-parallel pass gathers every structure's key
+// column, then the structures build their P tables side by side.
 //
-//  1. Parallel builds. NewForRules fills the P shards concurrently on
-//     internal/parallel — the per-shard tables are disjoint, so no locks.
-//     Value interning, the one inherently shared step, runs as a
-//     parallel distinct-value collection followed by a serial merge over
-//     the (much smaller) distinct set.
-//  2. Shard-local copy-on-write. ApplyDelta routes each add/delete to its
-//     tuple's shard, so delta overlays and flatten-at-1/4 compaction
-//     touch 1/P of the structure; large deltas apply shard-parallel.
-//  3. Headroom for multi-million-tuple masters: no single monolithic table
-//     grows to |Dm| entries, and rebuild cost drops with core count.
-//
-// Probes fan out: the probe key can match tuples in any shard (routing is
-// by full tuple, probing by projection), so every probe visits the P
-// buckets for the key's hash. A value probe (RHSValues, FirstMatchID)
-// reads one tuple per shard — the bucket's smallest id — and is O(P)
-// whatever the key matches (see uniform.go). An enumerating probe
-// (MatchIDs, Lookup) returns a single shard's bucket without copying —
-// every single-match probe — and pays one exactly-sized k-way merge only
-// when matches straddle shards (duplicate projections in Dm). Existence
-// probes (HasMatch, CompatibleExists) early-exit on the first matching
-// shard.
+// Shards are iterated only by whole-structure walks: build, fork/compaction,
+// arena save/load, MemStats, ColumnIDs and the exception rebuild.
 
 import (
 	"runtime"
@@ -45,32 +30,24 @@ import (
 	"repro/internal/rule"
 )
 
-// MaxShards bounds the shard count; shard indexes must fit the uint8
-// routing table the build pipeline uses.
+// MaxShards bounds the shard count a build may ask for and an arena header
+// may claim.
 const MaxShards = 256
 
 // BuildOption configures snapshot construction (New / NewForRules).
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
-	shards  int
-	workers int
-	auth    bool
+	shards int
+	auth   bool
 }
 
-// WithShards selects the number of hash shards the snapshot's indexes,
-// posting lists and overlays are partitioned into. p <= 0 selects
-// DefaultShards (one per CPU); p is clamped to [1, MaxShards]. Every
-// shard count produces byte-identical probe results — P=1 degrades to
-// the unsharded layout.
+// WithShards selects the number of shards each index and posting list is
+// partitioned into; a shard is one table and one unit of compaction. p <= 0
+// selects DefaultShards (one per CPU); p is clamped to [1, MaxShards]. Probes
+// read one shard whatever p is, and every p produces byte-identical results.
 func WithShards(p int) BuildOption {
 	return func(c *buildConfig) { c.shards = p }
-}
-
-// WithBuildWorkers bounds the goroutines NewForRules uses to fill the
-// shards; w <= 0 selects GOMAXPROCS. Probe behavior is unaffected.
-func WithBuildWorkers(w int) BuildOption {
-	return func(c *buildConfig) { c.workers = w }
 }
 
 // WithAuth authenticates the snapshot lineage: construction commits the
@@ -109,29 +86,28 @@ func resolveBuildConfig(opts []BuildOption) buildConfig {
 		cfg.shards = DefaultShards()
 	}
 	cfg.shards = clampShards(cfg.shards)
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
 	return cfg
 }
 
-// routeHash folds the full tuple into the interning-free uint64 used for
-// shard routing.
-func routeHash(t relation.Tuple) uint64 {
-	acc := relation.HashSeed()
-	for _, v := range t {
-		acc = relation.HashValue(acc, v)
-	}
-	return acc
+// keyShard is the routing policy, all of it: the shard of p that holds key
+// k — an index's projection hash or a posting list's value id. The top bits
+// of a Fibonacci multiply depend on every bit of k, so they are independent
+// of the k&mask slot bits a shard's table (table.go) uses, and dense value
+// ids spread evenly: per-shard probe lengths are those of an unsharded table.
+// It is a pure function of the key, so a key's shard is the same in every
+// snapshot of a lineage and in every image of it; p = 1 yields 0.
+func keyShard(k uint64, p int) int {
+	return int((k * 0x9E3779B97F4A7C15 >> 32) * uint64(p) >> 32)
 }
 
-// shardOf routes a tuple to its shard. The single-shard layout skips the
-// hash entirely (the hot path for default builds on small machines).
-func (d *Data) shardOf(t relation.Tuple) int {
-	if d.nshards == 1 {
-		return 0
-	}
-	return int(routeHash(t) % uint64(d.nshards))
+// shard returns the one shard holding h's bucket.
+func (idx *index) shard(h uint64) *indexShard {
+	return &idx.shards[keyShard(h, len(idx.shards))]
+}
+
+// shard returns the one shard holding vid's posting list.
+func (ps *postings) shard(vid uint32) *layered[uint32, int32] {
+	return &ps.shards[keyShard(uint64(vid), len(ps.shards))]
 }
 
 // Shards returns the snapshot's shard count P (stable across ApplyDelta).
@@ -155,7 +131,7 @@ func (d *Data) addNeedCol(col int) {
 }
 
 // registerIndex finds or creates the index over xm; a created one has no
-// tables until fillShards builds them.
+// tables until fill builds them.
 func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
 	if idx := d.findIndex(xm); idx != nil {
 		return idx, false
@@ -193,28 +169,31 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 	return plan
 }
 
+// tupleChunks splits [0, n) into ranges for a range-parallel pass, a few per
+// CPU so uneven ranges still balance.
+func tupleChunks(n int) (chunks, chunkLen int) {
+	chunks = max(1, min(runtime.GOMAXPROCS(0)*4, n))
+	return chunks, (n + chunks - 1) / chunks
+}
+
 // buildParallel fills every registered structure from the relation:
 //
-//	phase A (range-parallel): validate tuples against the schema, compute
-//	  the shard routing table, and collect the distinct values of the
-//	  indexed columns per worker;
+//	phase A (range-parallel): validate tuples against the schema and
+//	  collect the distinct values of the indexed columns per range;
 //	phase A' (serial): intern the merged distinct sets — serial work is
 //	  O(distinct values), not O(|Dm| × columns);
-//	phase B (shard-parallel): fillShards;
+//	phase B: fill;
 //	phase C (rule-parallel): evaluate the pattern-support bitmaps.
-func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
+func (d *Data) buildParallel(sigma *rule.Set) error {
 	n := d.rel.Len()
-	route := make([]uint8, n)
-	chunks := max(1, min(workers*4, n))
-	chunkLen := (n + chunks - 1) / chunks
-	distinct, err := parallel.Map(chunks, workers, func(c int) (map[relation.Value]struct{}, error) {
+	chunks, chunkLen := tupleChunks(n)
+	distinct, err := parallel.Map(chunks, 0, func(c int) (map[relation.Value]struct{}, error) {
 		seen := make(map[relation.Value]struct{})
 		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
 			tm := d.rel.Tuple(i)
 			if err := validateTuple(d.rel.Schema(), tm); err != nil {
-				return nil, &BuildError{Shard: d.shardOf(tm), TupleID: i, Key: tupleKeyContext(tm), Err: err}
+				return nil, &BuildError{TupleID: i, Key: tupleKeyContext(tm), Err: err}
 			}
-			route[i] = uint8(d.shardOf(tm))
 			for _, p := range d.needCols {
 				seen[tm[p]] = struct{}{}
 			}
@@ -236,10 +215,10 @@ func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 		return err // unreachable: exported values are distinct
 	}
 	d.syms, d.hasher = syms, relation.NewHasher(syms)
-	d.fillShards(d.indexes, d.postings, route, workers)
+	d.fill(d.indexes, d.postings)
 
 	rules := sigma.Rules()
-	_, err = parallel.Map(len(rules), workers, func(r int) (struct{}, error) {
+	_, err = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
 		ru := rules[r]
 		plan := d.compat[ru]
 		if plan == nil {
@@ -257,75 +236,91 @@ func (d *Data) buildParallel(sigma *rule.Set, workers int) error {
 }
 
 // fillAdded builds structures registered after construction (Index,
-// IndexPostings): one serial pass routes the tuples and interns the given
-// columns, then fillShards.
+// IndexPostings): one serial pass interns the given columns, then fill.
 func (d *Data) fillAdded(indexes []*index, posts []*postings, cols []int) {
-	route := make([]uint8, d.rel.Len())
-	for i, tm := range d.rel.Tuples() {
-		route[i] = uint8(d.shardOf(tm))
+	for _, tm := range d.rel.Tuples() {
 		for _, c := range cols {
 			d.syms.Intern(tm[c])
 		}
 	}
-	d.fillShards(indexes, posts, route, 0)
+	d.fill(indexes, posts)
 }
 
-// fillShards builds the given structures' shard tables from the relation,
-// shard-parallel: the tables are disjoint and the symbol table, which must
-// already hold every indexed value, is only read — no locks. A shard gathers
-// its keys in one pass over its tuples, whatever the number of structures;
-// its exception tables (uniform.go) follow its buckets.
-func (d *Data) fillShards(indexes []*index, posts []*postings, route []uint8, workers int) {
-	// Group tuple ids by shard (a counting sort: O(n) serial, and the
-	// stable fill keeps ids ascending within each shard's slice), so each
-	// shard walks only its own ids instead of the full routing table.
-	counts := make([]int, d.nshards+1)
-	for _, s := range route {
-		counts[int(s)+1]++ // int first: s+1 would wrap at shard 255
-	}
-	for s := 0; s < d.nshards; s++ {
-		counts[s+1] += counts[s]
-	}
-	order := make([]int32, len(route))
-	pos := append([]int(nil), counts[:d.nshards]...)
-	for i, s := range route {
-		order[pos[s]] = int32(i)
-		pos[s]++
-	}
-
-	// The error is dropped because the shard fill returns none.
-	_, _ = parallel.Map(d.nshards, workers, func(s int) (struct{}, error) {
-		mine := order[counts[s]:counts[s+1]]
-		wide := make([]int, len(mine))
-		keys := make([][]uint64, len(indexes)+len(posts))
-		for k := range keys {
-			keys[k] = make([]uint64, len(mine))
-		}
-		for j, i := range mine {
-			wide[j] = int(i)
-			tm := d.rel.Tuple(int(i))
+// fill builds the given structures' shard tables from the relation. The
+// symbol table, which must already hold every indexed value, is only read
+// and every task writes its own part of the arrays — no locks. One
+// range-parallel pass over the tuples gathers a key column per structure,
+// whatever their number; the structures then build side by side, each
+// grouping its column by shard and building one table per shard, an index's
+// exception table (uniform.go) following its buckets.
+func (d *Data) fill(indexes []*index, posts []*postings) {
+	n, p := d.rel.Len(), d.nshards
+	// Structure k owns [k*n, (k+1)*n) of keys (its key of every tuple, in
+	// tuple order) and of gkeys (the same keys grouped by shard); the ids
+	// beside gkeys are wide for an index and narrow for a posting list.
+	keys := make([]uint64, (len(indexes)+len(posts))*n)
+	gkeys := make([]uint64, len(keys))
+	wide, narrow := make([]int, len(indexes)*n), make([]int32, len(posts)*n)
+	chunks, chunkLen := tupleChunks(n)
+	// The errors are dropped because neither pass returns one.
+	_, _ = parallel.Map(chunks, 0, func(c int) (struct{}, error) {
+		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
+			tm := d.rel.Tuple(i)
 			for k, idx := range indexes {
 				h, ok := d.hasher.HashTuple(tm, idx.xm)
 				if !ok {
 					panic("master: build invariant: indexed value not interned")
 				}
-				keys[k][j] = h
+				keys[k*n+i] = h
 			}
 			for k, ps := range posts {
 				vid, ok := d.syms.ID(tm[ps.col])
 				if !ok {
 					panic("master: build invariant: posting value not interned")
 				}
-				keys[len(indexes)+k][j] = uint64(vid)
+				keys[(len(indexes)+k)*n+i] = uint64(vid)
 			}
-		}
-		for k, idx := range indexes {
-			idx.shards[s].frozen = buildTable(keys[k], wide)
-			idx.rebuildExceptions(s, d.rel)
-		}
-		for k, ps := range posts {
-			ps.shards[s].frozen = buildTable(keys[len(indexes)+k], mine)
 		}
 		return struct{}{}, nil
 	})
+	_, _ = parallel.Map(len(indexes)+len(posts), 0, func(k int) (struct{}, error) {
+		col, gcol := keys[k*n:(k+1)*n], gkeys[k*n:(k+1)*n]
+		if k < len(indexes) {
+			idx, ids := indexes[k], wide[k*n:(k+1)*n]
+			start := groupByShard(col, gcol, ids, p)
+			for s := range idx.shards {
+				idx.shards[s].frozen = buildTable(gcol[start[s]:start[s+1]], ids[start[s]:start[s+1]])
+				idx.rebuildExceptions(s, d.rel)
+			}
+		} else {
+			k -= len(indexes)
+			ps, ids := posts[k], narrow[k*n:(k+1)*n]
+			start := groupByShard(col, gcol, ids, p)
+			for s := range ps.shards {
+				ps.shards[s].frozen = buildTable(gcol[start[s]:start[s+1]], ids[start[s]:start[s+1]])
+			}
+		}
+		return struct{}{}, nil
+	})
+}
+
+// groupByShard copies a key column (keys[i] belongs to tuple i) into gkeys
+// and ids as (key, id) pairs grouped by the key's shard, shard s at
+// start[s]:start[s+1]: a counting sort, stable, so a key's ids stay
+// ascending.
+func groupByShard[ID int | int32](keys, gkeys []uint64, ids []ID, p int) (start [MaxShards + 2]int) {
+	// start[s+1] counts shard s, then is its first free position; once the
+	// pairs are placed it is its end.
+	for _, k := range keys {
+		start[keyShard(k, p)+2]++
+	}
+	for s := 2; s < p+2; s++ {
+		start[s] += start[s-1]
+	}
+	for i, k := range keys {
+		at := &start[keyShard(k, p)+1]
+		gkeys[*at], ids[*at] = k, ID(i)
+		*at++
+	}
+	return start
 }

@@ -6,12 +6,14 @@ import (
 
 func TestMaxShardsBuild(t *testing.T) {
 	rel, sigma := shardBenchRelation(1000)
-	d := MustNewForRules(rel, sigma, WithShards(400), WithBuildWorkers(3)) // clamps to 256
+	pinProcs(t, 3)
+	d := MustNewForRules(rel, sigma, WithShards(400)) // clamps to 256
 	if d.Shards() != MaxShards {
 		t.Fatalf("Shards() = %d, want %d", d.Shards(), MaxShards)
 	}
 	checkTablesAgainstMaps(t, "P=256", d)
-	orc := MustNewForRules(rel, sigma, WithShards(1), WithBuildWorkers(1))
+	pinProcs(t, 1)
+	orc := MustNewForRules(rel, sigma, WithShards(1))
 	checkTablesAgainstMaps(t, "P=1", orc)
 	for i := 0; i < 1000; i += 37 {
 		probe := rel.Tuple(i)

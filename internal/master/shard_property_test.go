@@ -2,8 +2,8 @@ package master
 
 // The sharding property: for EVERY shard count P, builds and delta chains
 // produce probe results byte-identical to the unsharded (P=1) oracle —
-// tuple ids are global and routing is a pure function of tuple content,
-// so P is invisible to every caller. The P=1 oracle comes out of the same
+// tuple ids are global and a key's one bucket holds all of them, so P is
+// invisible to every caller. The P=1 oracle comes out of the same
 // builder as the snapshots it checks, so every built table is also held to
 // the map oracle of equiv_test.go, which shares no code with it. These tests sweep P ∈ {1, 2, 7, 16}
 // (one, even, prime, and more-shards-than-some-relations) across
@@ -120,10 +120,12 @@ func TestShardedBuildMatchesUnshardedOracle(t *testing.T) {
 	for seed := 0; seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(int64(51_000_000 + seed)))
 		rel, sigma, vals := randomShardInstance(rng)
-		oracle := MustNewForRules(rel, sigma, WithShards(1), WithBuildWorkers(1))
+		pinProcs(t, 1)
+		oracle := MustNewForRules(rel, sigma, WithShards(1))
 		checkTablesAgainstMaps(t, fmt.Sprintf("seed %d oracle", seed), oracle)
+		pinProcs(t, 3)
 		for _, p := range shardSweep {
-			sharded := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(3))
+			sharded := MustNewForRules(rel, sigma, WithShards(p))
 			if sharded.Shards() != p {
 				t.Fatalf("seed %d: Shards() = %d, want %d", seed, sharded.Shards(), p)
 			}
@@ -162,8 +164,10 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 			for seed := 0; seed < 12; seed++ {
 				rng := rand.New(rand.NewSource(int64(61_000_000 + seed)))
 				rel, sigma, vals := randomShardInstance(rng)
-				cur := MustNewForRules(rel, sigma, WithShards(p), WithBuildWorkers(2))
-				orc := MustNewForRules(rel.Clone(), sigma, WithShards(1), WithBuildWorkers(1))
+				pinProcs(t, 1)
+				orc := MustNewForRules(rel.Clone(), sigma, WithShards(1))
+				pinProcs(t, 2)
+				cur := MustNewForRules(rel, sigma, WithShards(p))
 				probe := make(relation.Tuple, sigma.Schema().Arity())
 				// 24 deltas on a ≤ 26-tuple relation: overlays repeatedly
 				// exceed a quarter of their shard's base, forcing the
@@ -194,10 +198,84 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedForcedCollision injects a foreign tuple id into EVERY
-// shard's bucket for a probe's hash — simulating uint64 collisions in the
-// sharded layout — and checks the fan-out probe filters them all while
-// still merging true matches across shards in ascending-id order.
+// TestKeyRoutingProperty holds the one-bucket-per-key layout through
+// everything that writes it: after a build, after each delta of a random
+// program (overlays, and the compactions fork decides on), after compacting
+// every shard by force, and after an arena round trip, every index key and
+// posting value id sits in exactly the shard the router names.
+func TestKeyRoutingProperty(t *testing.T) {
+	pinProcs(t, 2)
+	for _, p := range shardSweep {
+		for seed := 0; seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(int64(81_000_000 + seed)))
+			rel, sigma, vals := randomShardInstance(rng)
+			cur := MustNewForRules(rel, sigma, WithShards(p))
+			ctx := fmt.Sprintf("seed %d P=%d", seed, p)
+			checkRouting(t, ctx+" built", cur)
+			for step := 0; step < 24; step++ {
+				adds, deletes := randomDelta(rng, cur.Len(), rel.Schema().Arity(), vals)
+				next, err := cur.ApplyDelta(adds, deletes)
+				if err != nil {
+					t.Fatalf("%s step %d: %v", ctx, step, err)
+				}
+				checkRouting(t, fmt.Sprintf("%s step %d", ctx, step), next)
+				cur = next
+			}
+			for _, idx := range cur.indexes {
+				for s := range idx.shards {
+					idx.shards[s].layered = layered[uint64, int]{frozen: idx.shards[s].compact()}
+				}
+			}
+			for _, ps := range cur.postings {
+				for s := range ps.shards {
+					ps.shards[s] = layered[uint32, int32]{frozen: ps.shards[s].compact()}
+				}
+			}
+			checkRouting(t, ctx+" compacted", cur)
+			loaded := loadArenaOrFatal(t, saveArenaBytes(t, cur, sigma), sigma)
+			if loaded.Shards() != p {
+				t.Fatalf("%s: loaded image has %d shards", ctx, loaded.Shards())
+			}
+			checkRouting(t, ctx+" loaded", loaded)
+		}
+	}
+}
+
+// TestMemStatsShardInvariant: P does not show in what MemStats counts —
+// a key has one bucket, so keys, ids, symbols and exceptions are the same
+// numbers at every shard count. Only Shards itself and the byte sizes of the
+// tables (slot arrays round up per shard) may differ.
+func TestMemStatsShardInvariant(t *testing.T) {
+	// 97 fk2 keys of ~20 ids each, one corrupted clone under every even key.
+	rel, sigma := shardBenchRelation(2000)
+	for fk2 := 0; fk2 < 97; fk2 += 2 {
+		clone := rel.Tuple(fk2).Clone()
+		clone[0], clone[4] = relation.String(fmt.Sprintf("X%08d", fk2)), relation.String("c2-typo")
+		rel.MustAppend(clone)
+	}
+	counts := func(p int) MemStats {
+		ms := MustNewForRules(rel, sigma, WithShards(p)).MemStats()
+		if ms.Shards != p {
+			t.Fatalf("P=%d: MemStats.Shards = %d", p, ms.Shards)
+		}
+		ms.Shards, ms.IndexBytes, ms.PostingBytes = 0, 0, 0
+		return ms
+	}
+	want := counts(1)
+	if want.IndexKeys == 0 || want.PostingKeys == 0 || want.NonUniformBuckets == 0 {
+		t.Fatalf("fixture broken: %+v", want)
+	}
+	for _, p := range shardSweep[1:] {
+		if got := counts(p); got != want {
+			t.Fatalf("P=%d MemStats = %+v, P=1 %+v", p, got, want)
+		}
+	}
+}
+
+// TestShardedForcedCollision injects a foreign tuple id into the bucket of
+// a probe's hash — simulating a uint64 collision in the sharded layout — and
+// checks the probe filters it out while still returning every true match in
+// ascending-id order.
 func TestShardedForcedCollision(t *testing.T) {
 	for _, frozen := range []bool{false, true} {
 		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) { testShardedForcedCollision(t, frozen) })
@@ -210,14 +288,14 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	ru := rule.MustNew("kv", r, rm, []int{0}, []int{0}, 1, 1, pattern.Empty())
 	sigma := rule.MustNewSet(r, rm, ru)
 	rel := relation.NewRelation(rm)
-	// Many tuples sharing key "k": full-tuple routing spreads them across
-	// shards (the V column differs), so the probe exercises the
-	// multi-shard merge.
+	// Many tuples sharing key "k": they differ on V, and still all sit in
+	// the one bucket the key routes to.
 	for i := 0; i < 12; i++ {
 		rel.MustAppend(relation.StringTuple("k", fmt.Sprintf("v%d", i)))
 	}
 	rel.MustAppend(relation.StringTuple("other", "x")) // id 12: the injected collision
-	dm := MustNewForRules(rel, sigma, WithShards(7), WithBuildWorkers(2))
+	pinProcs(t, 2)
+	dm := MustNewForRules(rel, sigma, WithShards(7))
 
 	probe := relation.StringTuple("k", "dirty")
 	h, ok := dm.hasher.HashTuple(probe, ru.LHSRef())
@@ -231,8 +309,8 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 			spread++
 		}
 	}
-	if spread < 2 {
-		t.Fatalf("fixture broken: key \"k\" occupies %d shards, want >= 2", spread)
+	if spread != 1 || len(idx.shard(h).get(h)) != 12 {
+		t.Fatalf("key \"k\" occupies %d shards, want its 12 ids in the one it routes to", spread)
 	}
 
 	want := make([]int, 12)
@@ -243,11 +321,9 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 		t.Fatalf("pre-collision MatchIDs = %v, want %v", got, want)
 	}
 
-	// Inject id 12 (projection "other") into every shard's bucket for h.
-	for s := range idx.shards {
-		bucket := append([]int(nil), idx.shards[s].get(h)...)
-		plantBucket(&idx.shards[s], h, append(bucket, 12), frozen)
-	}
+	// Inject id 12 (projection "other") into the bucket for h.
+	sh := idx.shard(h)
+	plantBucket(sh, h, append(append([]int(nil), sh.get(h)...), 12), frozen)
 	if got := dm.MatchIDs(ru, probe); !eqInts(got, want) {
 		t.Fatalf("MatchIDs after injected collisions = %v, want %v", got, want)
 	}
@@ -259,10 +335,9 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	}
 }
 
-// TestShardedProbeZeroAllocSingleMatch pins the fan-out guarantee: a
-// single-match hit — the overwhelmingly common probe against key-like
-// master projections — allocates nothing even when P > 1, as do both
-// miss shapes.
+// TestShardedProbeZeroAllocSingleMatch: a single-match hit — the
+// overwhelmingly common probe against key-like master projections —
+// allocates nothing when P > 1, as do both miss shapes.
 func TestShardedProbeZeroAllocSingleMatch(t *testing.T) {
 	r := relation.StringSchema("R", "K", "V", "W")
 	rm := relation.StringSchema("Rm", "K", "V", "W")
@@ -272,7 +347,8 @@ func TestShardedProbeZeroAllocSingleMatch(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		rel.MustAppend(relation.StringTuple(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i), "w"))
 	}
-	dm := MustNewForRules(rel, sigma, WithShards(8), WithBuildWorkers(2))
+	pinProcs(t, 2)
+	dm := MustNewForRules(rel, sigma, WithShards(8))
 
 	hit := relation.StringTuple("k17", "dirty", "x")
 	missUninterned := relation.StringTuple("nope", "dirty", "x")
@@ -291,7 +367,7 @@ func TestShardedProbeZeroAllocSingleMatch(t *testing.T) {
 
 // TestBuildErrorContext pins the typed build-failure contract: schema
 // mismatches and bad tuples surface *BuildError matching ErrMasterBuild,
-// with the failing tuple's shard, id and key context in the message.
+// with the failing tuple's id and key context in the message.
 func TestBuildErrorContext(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B")
 	rm, err := relation.NewSchema("Rm",
@@ -307,7 +383,8 @@ func TestBuildErrorContext(t *testing.T) {
 	rel := relation.NewRelation(rm)
 	rel.MustAppend(relation.Tuple{relation.String("ok"), relation.Int(1)})
 	rel.MustAppend(relation.Tuple{relation.String("bad"), relation.String("not-an-int")})
-	_, err = NewForRules(rel, sigma, WithShards(4), WithBuildWorkers(2))
+	pinProcs(t, 2)
+	_, err = NewForRules(rel, sigma, WithShards(4))
 	if err == nil {
 		t.Fatal("type-violating tuple must fail the build")
 	}
@@ -318,14 +395,14 @@ func TestBuildErrorContext(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("build failure must be a *BuildError, got %T", err)
 	}
-	if be.TupleID != 1 || be.Shard < 0 || be.Shard >= 4 {
-		t.Fatalf("BuildError context = tuple %d shard %d, want tuple 1 shard in [0,4)", be.TupleID, be.Shard)
+	if be.TupleID != 1 {
+		t.Fatalf("BuildError context = tuple %d, want tuple 1", be.TupleID)
 	}
 	if !strings.Contains(be.Key, "bad") {
 		t.Fatalf("BuildError key %q must carry the tuple's content", be.Key)
 	}
-	if !strings.Contains(err.Error(), "shard") || !strings.Contains(err.Error(), "key") {
-		t.Fatalf("error message %q must name shard and key", err)
+	if !strings.Contains(err.Error(), "tuple 1") || !strings.Contains(err.Error(), "key") {
+		t.Fatalf("error message %q must name the tuple and its key", err)
 	}
 
 	// Schema mismatch: tuple-independent context.

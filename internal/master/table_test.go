@@ -56,11 +56,12 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 	}
 
 	// The loader's validation: power-of-two slots, an empty slot, spans
-	// inside ids, counts matching, ids ascending and < n.
+	// inside ids, counts matching, ids ascending and < n (shard 0 of 1: every
+	// key routes there).
 	b := &arenaBuilder{}
 	writeTable(b, tab)
 	r := &areader{b: append([]byte(nil), b.buf...), sec: "table"}
-	loaded := decodeTable[ID](r, n)
+	loaded := decodeTable[ID](r, n, 0, 1)
 	if r.err != nil {
 		t.Fatalf("%s: built table fails the loader's validation: %v", ctx, r.err)
 	}
@@ -219,6 +220,56 @@ func testBuildTable[ID int | int32](t *testing.T) {
 			}
 		} else if len(f.over) != len(l.over) || f.frozen.nkeys != l.frozen.nkeys {
 			t.Fatalf("%s: fork kept %d of %d overlay keys", name, len(f.over), len(l.over))
+		}
+	}
+}
+
+// maxProbe returns the longest walk get makes to reach a stored key, in
+// slots visited.
+func maxProbe[ID int | int32](t *table[ID]) int {
+	longest := 0
+	t.each(func(k uint64, _ []ID) {
+		n := 1
+		for slot := k & t.mask; t.slots[2*slot+1] == 0 || t.slots[2*slot] != k; slot = (slot + 1) & t.mask {
+			n++
+		}
+		longest = max(longest, n)
+	})
+	return longest
+}
+
+// TestShardTablesProbeNoLonger pins what the router owes the tables: the
+// shard of a key is picked from bits independent of the k&mask bits its
+// table slots it by, so a P=4 shard table is a quarter-size table at the
+// same load, and its longest linear-probe walk is no longer than the P=1
+// table's. Held for both key kinds: projection hashes (random 64-bit keys)
+// and posting value ids (dense small integers, which a P=1 table places
+// without a single collision). A router that reused slot bits — k % P — would
+// leave a quarter of each shard table's slots reachable and fail both.
+func TestShardTablesProbeNoLonger(t *testing.T) {
+	const n, p = 100_000, 4
+	rng := rand.New(rand.NewSource(72_000_000))
+	hashes, dense := make([]uint64, n), make([]uint64, n)
+	for i := range hashes {
+		hashes[i], dense[i] = rng.Uint64(), uint64(i)
+	}
+	for name, keys := range map[string][]uint64{"hash keys": hashes, "dense value ids": dense} {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		whole := buildTable(keys, ids)
+		limit := maxProbe(&whole)
+		gkeys := make([]uint64, n)
+		start := groupByShard(keys, gkeys, ids, p)
+		for s := 0; s < p; s++ {
+			shard := buildTable(gkeys[start[s]:start[s+1]], ids[start[s]:start[s+1]])
+			if shard.nkeys < n/p*9/10 || shard.nkeys > n/p*11/10 {
+				t.Errorf("%s: shard %d holds %d of %d keys", name, s, shard.nkeys, n)
+			}
+			if got := maxProbe(&shard); got > limit {
+				t.Errorf("%s: shard %d of %d probes up to %d slots, the unsharded table %d", name, s, p, got, limit)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package master
 
-// This file implements the uniform-bucket invariant behind the O(shards)
-// value probes (RHSValuesWitness, FirstMatchID).
+// This file implements the uniform-bucket invariant behind the O(1) value
+// probes (RHSValuesWitness, FirstMatchID).
 //
 // A bucket is UNIFORM when all its tuples share the Xm projection (no
 // 64-bit hash collision inside it) and agree on every tracked rhs column —

@@ -1,6 +1,6 @@
 package master
 
-// The uniform-bucket equivalence property (uniform.go): the O(shards)
+// The uniform-bucket equivalence property (uniform.go): the O(1)
 // value probes — RHSValuesWitness, RHSValues, FirstMatchID, FirstMatch —
 // answer exactly what a scan over MatchIDs answers, and the incrementally
 // maintained exception tables equal the ones rebuilt from the buckets, at
@@ -222,6 +222,7 @@ func checkExceptionsRebuilt(t *testing.T, ctx string, d *Data) {
 }
 
 func TestUniformBucketEquivalenceProperty(t *testing.T) {
+	pinProcs(t, 2)
 	seeds := 12
 	if testing.Short() {
 		seeds = 3
@@ -245,7 +246,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			rules := append(append([]*rule.Rule(nil), w.sigma.Rules()...), refined, foreignRHS)
 
 			build := func() (*Data, error) {
-				d, err := NewForRules(rel, w.sigma, WithShards(p), WithBuildWorkers(2))
+				d, err := NewForRules(rel, w.sigma, WithShards(p))
 				if err == nil && seed%2 == 0 {
 					planted += injectCollisions(rand.New(rand.NewSource(int64(seed))), d)
 				}

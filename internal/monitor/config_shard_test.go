@@ -2,6 +2,7 @@ package monitor_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/master"
@@ -16,7 +17,8 @@ import (
 func TestNewForRulesShardedMonitor(t *testing.T) {
 	sigma := paperex.Sigma0()
 	rel := paperex.MasterRelation()
-	dm, err := master.NewForRules(rel, sigma, master.WithShards(4), master.WithBuildWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the sharded build's worker count
+	dm, err := master.NewForRules(rel, sigma, master.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package suggest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/master"
@@ -14,7 +15,8 @@ import (
 func TestDeriverShardInvariance(t *testing.T) {
 	sigma := paperex.Sigma0()
 	rel := paperex.MasterRelation()
-	d := suggest.NewDeriver(sigma, master.MustNewForRules(rel, sigma, master.WithShards(4), master.WithBuildWorkers(2)))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the sharded build's worker count
+	d := suggest.NewDeriver(sigma, master.MustNewForRules(rel, sigma, master.WithShards(4)))
 	if got := d.Master().Shards(); got != 4 {
 		t.Fatalf("Shards() = %d, want 4", got)
 	}

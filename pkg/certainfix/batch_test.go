@@ -44,6 +44,54 @@ func TestRepairBatchMatchesRepairOnce(t *testing.T) {
 	}
 }
 
+// TestRepairBatchLeavesInputs: a batch repair returns fixed copies — t1's AC
+// corrected through zip → s1, t4 (zip not in the master) as it came — and
+// never writes to the tuples it was given.
+func TestRepairBatchLeavesInputs(t *testing.T) {
+	sys := paperSystem(t)
+	r := sys.Schema()
+	inputs := []certainfix.Tuple{paperex.InputT1(), paperex.InputT2(), paperex.InputT4()}
+	got, err := sys.RepairBatchContext(context.Background(), inputs, []int{r.MustPos("zip")}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range got {
+		if rep.Err != nil {
+			t.Fatalf("tuple %d: unexpected conflict: %v", i, rep.Err)
+		}
+	}
+	if got[0].Tuple[r.MustPos("AC")].Str() != "131" || len(got[0].Fixed) == 0 {
+		t.Fatalf("t1 repaired to %v (fixed %v), want AC = 131", got[0].Tuple, got[0].Fixed)
+	}
+	if !got[2].Tuple.Equal(paperex.InputT4()) || len(got[2].Fixed) != 0 {
+		t.Fatalf("t4 must come back unchanged, got %v (fixed %v)", got[2].Tuple, got[2].Fixed)
+	}
+	for i, want := range []certainfix.Tuple{paperex.InputT1(), paperex.InputT2(), paperex.InputT4()} {
+		if !inputs[i].Equal(want) {
+			t.Fatalf("RepairBatchContext mutated input %d: %v", i, inputs[i])
+		}
+	}
+}
+
+// TestRepairBatchConflict: a tuple whose validated values expose a rule
+// conflict (t3: zip → s1 against phone → s2) is reported in place, gets no
+// partial fix, and is left exactly as it was given — certainty first.
+func TestRepairBatchConflict(t *testing.T) {
+	sys := paperSystem(t)
+	r := sys.Schema()
+	inputs := []certainfix.Tuple{paperex.InputT3()}
+	got, err := sys.RepairBatchContext(context.Background(), inputs, r.MustPosList("zip", "AC", "phn", "type"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Err == nil || got[0].Tuple != nil || len(got[0].Fixed) != 0 {
+		t.Fatalf("conflicted tuple must be reported without a fix, got %+v", got[0])
+	}
+	if !inputs[0].Equal(paperex.InputT3()) {
+		t.Fatalf("conflicted tuple must stay unchanged, got %v", inputs[0])
+	}
+}
+
 // TestSystemFixBatch: the public batch entry point matches sequential Fix.
 func TestSystemFixBatch(t *testing.T) {
 	sys := paperSystem(t)

@@ -140,11 +140,6 @@ func ParseRules(r, rm *Schema, src string) (*Rules, error) {
 	return rule.ParseRuleSet(r, rm, src)
 }
 
-// ReadRules parses the rule DSL from a reader (e.g. a .rules file).
-func ReadRules(r, rm *Schema, rd io.Reader) (*Rules, error) {
-	return rule.ParseRules(r, rm, rd)
-}
-
 // ParseRulesWithSchemas parses the self-contained rules-file format the
 // CLIs use: the rule DSL preceded by two schema headers declaring the
 // input and master schemas.

@@ -122,10 +122,6 @@ func TestParseRulesAndCSV(t *testing.T) {
 	if err != nil || len(changed) != 1 || fixed[1].Str() != "v1" {
 		t.Fatalf("fixed=%v changed=%v err=%v", fixed, changed, err)
 	}
-	rules2, err := certainfix.ReadRules(r, rm, strings.NewReader("rule a: (K ; K) -> (V ; V)\n"))
-	if err != nil || rules2.Len() != 1 {
-		t.Fatalf("ReadRules: %v %v", rules2, err)
-	}
 }
 
 func TestSystemWithCache(t *testing.T) {

@@ -29,8 +29,8 @@ var (
 	ErrInconsistent = fix.ErrInconsistent
 	// ErrMasterBuild reports that master-data construction (New) or a
 	// delta (UpdateMaster) rejected the data. Concrete failures are
-	// *MasterBuildError values carrying the failing tuple's shard, id and
-	// key context.
+	// *MasterBuildError values carrying the failing tuple's id and key
+	// context.
 	ErrMasterBuild = master.ErrMasterBuild
 	// ErrWALCorrupt reports unrecoverable write-ahead-log corruption
 	// found while recovering a WithWAL system: a bad frame in the middle
@@ -48,8 +48,7 @@ var (
 type ConflictError = fix.ConflictError
 
 // MasterBuildError carries the context of a master build or delta
-// failure: the failing tuple's shard, its id, and a bounded rendering of
-// its key. Retrieve it with errors.As; it matches ErrMasterBuild under
+// failure: the failing tuple's id and a bounded rendering of its key. Retrieve it with errors.As; it matches ErrMasterBuild under
 // errors.Is.
 type MasterBuildError = master.BuildError
 

@@ -3,31 +3,7 @@ package certainfix
 import (
 	"repro/internal/discover"
 	"repro/internal/metrics"
-	"repro/internal/relation"
 )
-
-// RepairRelation applies RepairOnce to every tuple of a relation,
-// trusting the given attribute positions on each, and returns a new
-// relation with the repaired tuples plus the total number of cells the
-// rules fixed. Tuples whose validated values expose rule conflicts are
-// copied unchanged (certainty first); their indexes are returned.
-func (s *System) RepairRelation(rel *Relation, validated []int) (*Relation, int, []int, error) {
-	out := relation.NewRelation(rel.Schema())
-	totalFixed := 0
-	var conflicted []int
-	for i := 0; i < rel.Len(); i++ {
-		fixed, _, changed, err := s.RepairOnce(rel.Tuple(i), validated)
-		if err != nil {
-			conflicted = append(conflicted, i)
-			fixed = rel.Tuple(i).Clone()
-		}
-		totalFixed += len(changed)
-		if err := out.Append(fixed); err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	return out, totalFixed, conflicted, nil
-}
 
 // DiscoverOptions tunes rule mining; see DiscoverRules. Zero values
 // select exact single-pass mining; set MinConfidence below 1 to mine

@@ -33,57 +33,6 @@ func TestSessionThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestRepairRelation(t *testing.T) {
-	sys := paperSystem(t)
-	r := sys.Schema()
-	rel := certainfix.NewRelation(r)
-	rel.MustAppend(paperex.InputT1(), paperex.InputT2(), paperex.InputT4())
-
-	out, fixed, conflicted, err := sys.RepairRelation(rel, []int{r.MustPos("zip")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 3 {
-		t.Fatalf("output length %d", out.Len())
-	}
-	if fixed == 0 {
-		t.Fatal("expected some fixed cells")
-	}
-	if len(conflicted) != 0 {
-		t.Fatalf("unexpected conflicts: %v", conflicted)
-	}
-	// t1's AC corrected via zip → s1.
-	if out.Tuple(0)[r.MustPos("AC")].Str() != "131" {
-		t.Fatalf("t1 AC = %v", out.Tuple(0)[r.MustPos("AC")])
-	}
-	// t4 untouched (zip not in master).
-	if !out.Tuple(2).Equal(paperex.InputT4()) {
-		t.Fatal("t4 must be unchanged")
-	}
-	// Inputs untouched.
-	if rel.Tuple(0)[r.MustPos("AC")].Str() != "020" {
-		t.Fatal("RepairRelation must not mutate inputs")
-	}
-}
-
-func TestRepairRelationConflict(t *testing.T) {
-	sys := paperSystem(t)
-	r := sys.Schema()
-	rel := certainfix.NewRelation(r)
-	rel.MustAppend(paperex.InputT3()) // zip→s1 vs phone→s2
-
-	out, _, conflicted, err := sys.RepairRelation(rel, r.MustPosList("zip", "AC", "phn", "type"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(conflicted) != 1 || conflicted[0] != 0 {
-		t.Fatalf("conflicted = %v, want [0]", conflicted)
-	}
-	if !out.Tuple(0).Equal(paperex.InputT3()) {
-		t.Fatal("conflicted tuples must be copied unchanged")
-	}
-}
-
 func TestDiscoverRulesPublicAPI(t *testing.T) {
 	// Mine rules from the paper's master data with R aligned to Rm.
 	rm := paperex.SchemaRm()

@@ -100,14 +100,16 @@ func WithAuth() Option {
 	return func(c *config) { c.auth = true }
 }
 
-// WithShards partitions the master data's indexes, posting lists and
-// copy-on-write overlays into p hash shards, built in parallel at New
-// time and maintained shard-locally by UpdateMaster (p <= 0 restores the
-// default, one shard per CPU; p is clamped to the master package's
-// MaxShards). The shard count is invisible to results — probe answers
-// and fixes are byte-identical for every p — it trades a few empty map
-// probes per lookup for parallel builds and shard-local maintenance on
-// multi-million-tuple masters.
+// WithShards partitions each of the master data's indexes and posting
+// lists, with its copy-on-write overlay, into p shards by key (p <= 0
+// restores the default, one shard per CPU; p is clamped to the master
+// package's MaxShards). The shard count is invisible to results and to
+// lookups — a key has one bucket in one shard, so probe answers, fixes and
+// probe cost are the same for every p; it sets the size of one table and
+// how much of a structure UpdateMaster rewrites when it compacts, which
+// matters on multi-million-tuple masters. It applies to masters built
+// here: an arena image (NewFromArena) and a WAL checkpoint carry the
+// shard count they were saved with.
 func WithShards(p int) Option {
 	return func(c *config) { c.shards = p }
 }
