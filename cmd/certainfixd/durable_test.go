@@ -31,8 +31,11 @@ func TestGracefulShutdownDurable(t *testing.T) {
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "6884563", "1",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
+	// A token outlives the process that minted it only under a configured
+	// key: the restart below is given the same one.
+	key := certainfix.WithTokenKey([]byte("graceful-shutdown-test-key"))
 	sys, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(),
-		certainfix.WithWAL(dir), certainfix.WithFsync(certainfix.FsyncOff))
+		certainfix.WithWAL(dir), certainfix.WithFsync(certainfix.FsyncOff), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestGracefulShutdownDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys2, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir))
+	sys2, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), key)
 	if err != nil {
 		t.Fatalf("recover after graceful shutdown: %v", err)
 	}

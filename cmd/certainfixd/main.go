@@ -2,15 +2,16 @@
 // data-monitoring service of §5 turned into a stateless JSON API. Fix
 // sessions are resumable and serialized into client-held tokens, so the
 // server keeps no per-session state: every round of every fix can land
-// on any replica built over the same rules and master data.
+// on any replica built over the same rules and master data and started
+// with the same -token-key-file.
 //
 // Endpoints (all JSON):
 //
 //	POST /v1/begin          {"tuple": [...]}               start a session
-//	POST /v1/suggest        {"token": {...}}               peek at the pending suggestion
-//	POST /v1/answer         {"token": {...}, "attrs": [..], "values": [..]}
+//	POST /v1/suggest        {"token": "..."}               peek at the pending suggestion
+//	POST /v1/answer         {"token": "...", "attrs": [..], "values": [..]}
 //	                        run one round; empty attrs aborts the session
-//	POST /v1/result         {"token": {...}}               final (or interim) result
+//	POST /v1/result         {"token": "..."}               final (or interim) result
 //	POST /v1/update-master  {"adds": [[...]], "deletes": [..]}
 //	                        publish a master-data delta (new epoch)
 //	GET  /v1/wal?after=E    stream acknowledged WAL records past epoch E
@@ -26,14 +27,28 @@
 //
 // begin/suggest/answer reply with {"token", "suggested",
 // "suggestedAttrs", "tuple", "rounds", "done", "completed", "epoch"};
-// the client must send the fresh token on its next call. A token pins
-// the master epoch its session started on; after enough /v1/update-master
-// publishes that epoch is evicted from the snapshot ring (-history) and
-// /v1/answer replies 409 {"code": "epoch_evicted"} until the client
-// retries with "rebase": true.
+// the client must send the fresh token, verbatim, on its next call. A
+// token pins the master epoch its session started on; after enough
+// /v1/update-master publishes that epoch is evicted from the snapshot
+// ring (-history) and /v1/answer replies 409 {"code": "epoch_evicted"}
+// until the client retries with "rebase": true.
 //
-// Tokens are not authenticated — front this server with something that
-// signs or MACs them before exposing it to untrusted clients.
+// The token is one opaque base64 string: a compact binary image of the
+// session ending in an HMAC-SHA256 tag, so the set of attributes "the
+// users validated" — what certainty rests on — cannot be forged by the
+// client holding it. A token that was altered, truncated or sealed under
+// another key is a 400 {"code": "invalid_input"}. To see what a session
+// holds, ask /v1/result: it returns the tuple, the validated sets, the
+// per-round history and the provenance — a "Provenance" list of (attr,
+// rule, master_id) witnesses plus a "Masters" table holding each
+// witnessed master tuple (and its proof under -auth) once.
+//
+// -token-key-file names the file holding the HMAC key (at least 16
+// bytes; surrounding whitespace is ignored). Every replica of one
+// service — and a leader and its followers — must be given the same
+// key, or they reject each other's tokens. Without the flag the daemon
+// draws a random key at start: a single node serves exactly as before,
+// but its tokens die with the process.
 //
 // Usage:
 //
@@ -71,7 +86,8 @@
 // it bootstraps from the leader's GET /v1/checkpoint, tails GET /v1/wal,
 // and serves every read endpoint against the replicated lineage —
 // session tokens minted on the leader (or any sibling replica) resume
-// here, because epoch shipping makes the lineages identical.
+// here, because epoch shipping makes the lineages identical and the two
+// share -token-key-file.
 // /v1/update-master answers 403 {"code": "read_only_replica"}; /healthz
 // gains a "replication" block with the leader, lag and shipping state.
 // -follow is mutually exclusive with -master, -master-snapshot and
@@ -79,6 +95,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -108,6 +125,7 @@ func main() {
 		fsync      = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "arena checkpoint every N deltas (0 = default, <0 = never)")
 		follow     = flag.String("follow", "", "run as a read-only replica of the leader certainfixd at this base URL")
+		tokenKey   = flag.String("token-key-file", "", "file holding the session-token HMAC key, shared by all replicas (default: a random per-process key)")
 		auth       = flag.Bool("auth", false, "maintain a Merkle commitment over the master: /v1/root publishes it, fix results carry inclusion proofs, followers audit shipped epochs")
 	)
 	flag.Parse()
@@ -138,6 +156,7 @@ func main() {
 		checkpointEvery: *ckptEvery,
 		follow:          *follow,
 		auth:            *auth,
+		tokenKeyFile:    *tokenKey,
 	})
 	if err != nil {
 		// *certainfix.MasterBuildError renders the failing tuple's id and
@@ -204,6 +223,7 @@ type serverConfig struct {
 	checkpointEvery                 int
 	follow                          string
 	auth                            bool
+	tokenKeyFile                    string
 }
 
 // buildSystem loads the rules file and constructs the System through
@@ -229,6 +249,13 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 	if cfg.auth {
 		opts = append(opts, certainfix.WithAuth())
 	}
+	if cfg.tokenKeyFile != "" {
+		key, err := readTokenKey(cfg.tokenKeyFile)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, certainfix.WithTokenKey(key))
+	}
 	if cfg.follow != "" {
 		// Replica: the leader's checkpoint and WAL are the only sources.
 		return certainfix.NewFollower(rules, cfg.follow, opts...)
@@ -245,6 +272,20 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 		}
 	}
 	return cli.OpenSystem(rules, rm, cfg.masterPath, cfg.snapshot, opts...)
+}
+
+// readTokenKey loads the session-token key. A short key is refused
+// rather than stretched: the file is meant to hold random bytes.
+func readTokenKey(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("token key: %w", err)
+	}
+	key := bytes.TrimSpace(raw)
+	if len(key) < 16 {
+		return nil, fmt.Errorf("token key %s holds %d bytes, want at least 16", path, len(key))
+	}
+	return key, nil
 }
 
 func fatalf(format string, args ...any) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,15 +104,26 @@ func answer(t *testing.T, base string, sess wireSession, truth certainfix.Tuple)
 // TestHTTPFixOneTuple: the full zero-to-result flow of the README
 // narrative — begin, answer rounds until done, fetch the result — over a
 // real socket, with the mid-fix rounds served by a *different* server
-// process to prove statelessness.
+// process to prove statelessness. The two replicas read the token key
+// from one -token-key-file; a third server without it refuses the token.
 func TestHTTPFixOneTuple(t *testing.T) {
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "6884563", "1",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 
-	baseA, stopA := startServer(t, paperSystem(t))
-	baseB, stopB := startServer(t, paperSystem(t)) // an independent replica
+	keyFile := filepath.Join(t.TempDir(), "token.key")
+	if err := os.WriteFile(keyFile, []byte("0123456789abcdef0123456789abcdef\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	key, err := readTokenKey(keyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseA, stopA := startServer(t, paperSystem(t, certainfix.WithTokenKey(key)))
+	baseB, stopB := startServer(t, paperSystem(t, certainfix.WithTokenKey(key))) // an independent replica
 	defer stopB()
+	baseC, stopC := startServer(t, paperSystem(t)) // not of this deployment: its own random key
+	defer stopC()
 
 	var sess wireSession
 	if code := post(t, baseA+"/v1/begin", map[string]any{"tuple": paperex.InputT2()}, &sess); code != http.StatusOK {
@@ -124,6 +136,15 @@ func TestHTTPFixOneTuple(t *testing.T) {
 	// Round 1 on server A, then A goes away entirely.
 	sess = answer(t, baseA, sess, truth)
 	stopA()
+
+	// A key mismatch is the client's problem, typed as such, on every
+	// token-taking endpoint.
+	for _, path := range []string{"/v1/suggest", "/v1/answer", "/v1/result"} {
+		var errReply map[string]string
+		if code := post(t, baseC+path, map[string]any{"token": sess.Token}, &errReply); code != http.StatusBadRequest || errReply["code"] != "invalid_input" {
+			t.Fatalf("%s under another key: HTTP %d %v", path, code, errReply)
+		}
+	}
 
 	// The token carries the whole session to replica B.
 	for i := 0; !sess.Done; i++ {
@@ -180,8 +201,22 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	if code := post(t, base+"/v1/begin", map[string]any{"tuple": []string{"short"}}, &errReply); code != http.StatusBadRequest {
 		t.Fatalf("short begin: HTTP %d %v", code, errReply)
 	}
-	if code := post(t, base+"/v1/answer", map[string]any{"token": json.RawMessage(`{"v":99}`)}, &errReply); code != http.StatusBadRequest {
-		t.Fatalf("bad token: HTTP %d %v", code, errReply)
+	// A token is one base64 string. Anything else is malformed JSON for
+	// this API; a string that is not a token this server sealed — garbage,
+	// or the genuine one with a character changed — is invalid input.
+	if code := post(t, base+"/v1/answer", map[string]any{"token": json.RawMessage(`{"v":99}`)}, &errReply); code != http.StatusBadRequest || errReply["code"] != "bad_request" {
+		t.Fatalf("object token: HTTP %d %v", code, errReply)
+	}
+	forged := append(json.RawMessage(nil), sess.Token...)
+	if forged[10] == 'A' {
+		forged[10] = 'B'
+	} else {
+		forged[10] = 'A'
+	}
+	for name, tok := range map[string]json.RawMessage{"garbage": json.RawMessage(`"bm90IGEgdG9rZW4="`), "forged": forged} {
+		if code := post(t, base+"/v1/answer", map[string]any{"token": tok}, &errReply); code != http.StatusBadRequest || errReply["code"] != "invalid_input" {
+			t.Fatalf("%s token: HTTP %d %v", name, code, errReply)
+		}
 	}
 	// An out-of-range attribute position is bad client input, not a
 	// server fault.
@@ -198,6 +233,23 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: HTTP %d", resp.StatusCode)
 	}
+	// One JSON value per request: bytes after it are an error, not ignored.
+	body, err := json.Marshal(map[string]any{"tuple": paperex.InputT1()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(base+"/v1/begin", "application/json", bytes.NewReader(append(body, " garbage"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errReply = nil
+	if err := json.NewDecoder(resp.Body).Decode(&errReply); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || errReply["code"] != "bad_request" {
+		t.Fatalf("trailing bytes after the JSON value: HTTP %d %v", resp.StatusCode, errReply)
+	}
 	if code := post(t, base+"/healthz", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /healthz: HTTP %d", code)
 	}
@@ -208,6 +260,23 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a reply that does not encode is a complete
+// 500 with the typed error body, never a 200 cut short.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
+	var reply errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("body %q: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusInternalServerError || reply.Code != "internal" {
+		t.Fatalf("HTTP %d %+v", rec.Code, reply)
+	}
+	if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a body of %d bytes", got, rec.Body.Len())
 	}
 }
 
@@ -289,6 +358,24 @@ func TestBuildSystemFromFiles(t *testing.T) {
 	}
 	if _, err := buildSystem(serverConfig{rulesPath: filepath.Join(dir, "missing.rules"), masterPath: masterCSV}); err == nil {
 		t.Fatal("missing rules file must error")
+	}
+
+	// -token-key-file: a missing or short key is refused at start.
+	keyFile := filepath.Join(dir, "token.key")
+	if _, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, tokenKeyFile: keyFile}); err == nil {
+		t.Fatal("missing token key file must error")
+	}
+	if err := os.WriteFile(keyFile, []byte("too short\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, tokenKeyFile: keyFile}); err == nil {
+		t.Fatal("a 9-byte token key must error")
+	}
+	if err := os.WriteFile(keyFile, []byte("sixteen bytes or more of key\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, tokenKeyFile: keyFile}); err != nil {
+		t.Fatal(err)
 	}
 
 	// -master-snapshot round trip: first start builds from CSV and saves

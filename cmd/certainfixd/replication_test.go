@@ -63,6 +63,13 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The leader and its follower resume each other's session tokens: they
+	// are started with one key file.
+	keyFile := filepath.Join(dir, "token.key")
+	if err := os.WriteFile(keyFile, []byte("replication-smoke-token-key\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
 	start := func(args ...string) (*exec.Cmd, string) {
 		t.Helper()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,7 +78,7 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		cmd := exec.Command(bin, append([]string{"-rules", rules, "-addr", addr}, args...)...)
+		cmd := exec.Command(bin, append([]string{"-rules", rules, "-addr", addr, "-token-key-file", keyFile}, args...)...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)

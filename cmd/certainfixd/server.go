@@ -1,18 +1,28 @@
 package main
 
 // The HTTP layer of certainfixd. Every handler is stateless: the session
-// state travels as a JSON token embedded in requests and responses, so
-// any replica of this server (sharing the same rules and master lineage)
-// can serve any round of any session — the stateless-server pattern the
-// resumable session API exists for. The server holds exactly one piece
-// of mutable state, the versioned master data inside the System, which
-// /v1/update-master advances.
+// travels as a token — the System's authenticated binary session image,
+// carried in JSON as one base64 string the client echoes verbatim — so
+// any replica of this server (sharing the rules, the master lineage and
+// the token key) can serve any round of any session: the stateless-server
+// pattern the resumable session API exists for. A token this deployment
+// did not mint is a 400 before any session state is touched. The server
+// holds exactly one piece of mutable state, the versioned master data
+// inside the System, which /v1/update-master advances.
+//
+// Replies are encoded into a pooled buffer and sent with an explicit
+// Content-Length: an encoding failure is a 500, never a truncated 200,
+// and no reply pays for chunked framing.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"repro/pkg/certainfix"
 )
@@ -41,14 +51,13 @@ func newHandler(sys *certainfix.System) http.Handler {
 	// provenance against it offline (certainfix.VerifyFix) — the server
 	// never has to be trusted about which master tuples a fix consumed.
 	mux.HandleFunc("GET /v1/root", func(w http.ResponseWriter, r *http.Request) {
-		body := map[string]any{
-			"epoch":         sys.MasterEpoch(),
-			"authenticated": false,
+		var body struct {
+			Authenticated bool   `json:"authenticated"`
+			Epoch         uint64 `json:"epoch"`
+			Root          string `json:"root,omitempty"`
 		}
-		if root, ok := sys.MasterRoot(); ok {
-			body["authenticated"] = true
-			body["root"] = root
-		}
+		body.Epoch = sys.MasterEpoch()
+		body.Root, body.Authenticated = sys.MasterRoot()
 		writeJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -79,7 +88,9 @@ func newHandler(sys *certainfix.System) http.Handler {
 // new token (the client must send it back on the next call — the server
 // keeps nothing) plus enough progress information to render a round.
 type sessionResponse struct {
-	Token          json.RawMessage  `json:"token"`
+	// Token is opaque to clients; encoding/json carries the bytes as one
+	// base64 string.
+	Token          []byte           `json:"token"`
 	Suggested      []int            `json:"suggested"`
 	SuggestedAttrs []string         `json:"suggestedAttrs"`
 	Tuple          certainfix.Tuple `json:"tuple"`
@@ -138,7 +149,7 @@ func (s *server) handleBegin(w http.ResponseWriter, r *http.Request) {
 }
 
 type tokenRequest struct {
-	Token json.RawMessage `json:"token"`
+	Token []byte `json:"token"`
 	// Rebase accepts re-pinning the current master head when the token's
 	// original epoch has been evicted (see certainfix.RebaseToHead).
 	Rebase bool `json:"rebase,omitempty"`
@@ -201,7 +212,9 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"result": sess.Result()})
+	writeJSON(w, http.StatusOK, struct {
+		Result certainfix.Result `json:"result"`
+	}{sess.Result()})
 }
 
 type updateMasterRequest struct {
@@ -219,28 +232,58 @@ func (s *server) handleUpdateMaster(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "masterSize": s.sys.MasterLen()})
+	writeJSON(w, http.StatusOK, struct {
+		Epoch      uint64 `json:"epoch"`
+		MasterSize int    `json:"masterSize"`
+	}{epoch, s.sys.MasterLen()})
 }
 
-// readJSON decodes the request body into dst, replying 400 on failure.
+// readJSON decodes the request body — exactly one JSON value — into dst,
+// replying 400 on failure.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody(err, "bad_request"))
 		return false
 	}
 	return true
 }
 
+// replyBuffers recycles the buffers replies are encoded into.
+var replyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	buf := replyBuffers.Get().(*bytes.Buffer)
+	defer replyBuffers.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(body); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		// An error body is two strings: encoding it cannot fail.
+		_ = json.NewEncoder(buf).Encode(errBody(fmt.Errorf("encode reply: %w", err), "internal"))
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	_, _ = w.Write(buf.Bytes()) // the client hanging up is not the server's error
 }
 
-func errBody(err error, code string) map[string]string {
-	return map[string]string{"error": err.Error(), "code": code}
+// errorBody is every non-2xx reply: a human-readable message and a
+// machine-readable code.
+type errorBody struct {
+	Error string `json:"error"`
+	Code  string `json:"code"`
+}
+
+func errBody(err error, code string) errorBody {
+	return errorBody{Error: err.Error(), Code: code}
 }
 
 // writeErr maps the library's typed sentinels onto HTTP statuses and

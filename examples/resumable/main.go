@@ -5,9 +5,11 @@
 // through the session API:
 //
 //  1. "process A" begins a fix, answers round 1 and serializes the
-//     session into a JSON token;
+//     session into a token: a compact binary image sealed with an HMAC
+//     under the deployment's token key;
 //  2. "process B" — an independently constructed System over the same
-//     rules and master data — resumes the token and finishes the fix;
+//     rules and master data, given the same key — resumes the token and
+//     finishes the fix; a System without the key refuses it;
 //  3. the same suspend/resume is repeated while an UpdateMaster lands in
 //     between: the resumed session re-pins its original master epoch, so
 //     the outcome is unchanged;
@@ -49,13 +51,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("suspended: token is %d bytes of JSON, server holds nothing\n", len(token))
+	fmt.Printf("suspended: token is %d authenticated bytes, server holds nothing\n", len(token))
 
 	// --- 2. Process B: resume and finish. -------------------------------
-	sysB := newSystem() // a different System instance: same rules + master
+	sysB := newSystem() // a different System instance: same rules + master + key
 	resumed, err := sysB.Resume(ctx, token)
 	if err != nil {
 		log.Fatal(err)
+	}
+	stranger, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation()) // draws its own key
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := stranger.Resume(ctx, token); errors.Is(err, certainfix.ErrBadToken) {
+		fmt.Println("a System without the deployment's token key refuses it: ErrBadToken")
 	}
 	for !resumed.Done() {
 		answerRound(resumed, truth)
@@ -119,8 +128,11 @@ func main() {
 		resumed.Epoch(), resumed.Result().Tuple)
 }
 
+// newSystem is one replica of the demo deployment: the replicas share the
+// token key, which in production comes from a secret store.
 func newSystem() *certainfix.System {
-	sys, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation())
+	sys, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(),
+		certainfix.WithTokenKey([]byte("resumable-demo-token-key")))
 	if err != nil {
 		log.Fatal(err)
 	}

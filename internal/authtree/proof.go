@@ -21,7 +21,7 @@ var ErrBadProof = errors.New("authtree: proof verification failed")
 // the leaf back to the root, root-first — Siblings[d] is the hash of the
 // subtree branching off at depth d, so the leaf sits at depth
 // len(Siblings). The JSON form (hex hashes, decimal counts) is what fix
-// responses and session tokens carry.
+// responses carry.
 type Proof struct {
 	Key      uint64  `json:"key,string"`
 	Entries  []Entry `json:"entries"`

@@ -108,6 +108,11 @@ type Config struct {
 	UseBDD bool
 	// MaxRounds caps interaction rounds (0 = arity + 1).
 	MaxRounds int
+	// TokenKey is the HMAC key session tokens are sealed and verified
+	// under — a deployment credential shared by every monitor that must
+	// resume another's tokens. Empty draws a random key private to this
+	// monitor: its tokens then resume only on itself.
+	TokenKey []byte
 }
 
 // Monitor fixes input tuples for a fixed (Σ, Dm). Safe for concurrent use
@@ -118,6 +123,8 @@ type Monitor struct {
 	initial []suggest.Candidate
 	cache   *bdd.Cache
 	cfg     Config
+	auth    *tokenAuth
+	ruleIdx map[string]int // rule name → index in Σ, the token's rule id
 }
 
 // New builds a monitor over a static master snapshot — a lineage that
@@ -166,16 +173,31 @@ func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor,
 	if cfg.InitialRegion < 0 {
 		cfg.InitialRegion = 0
 	}
+	auth, err := newTokenAuth(cfg.TokenKey)
+	if err != nil {
+		return nil, err
+	}
 	m := &Monitor{
 		deriver: d,
 		graph:   rule.NewDepGraph(sigma),
 		initial: cands,
 		cfg:     cfg,
+		auth:    auth,
+		ruleIdx: ruleIndex(sigma),
 	}
 	if cfg.UseBDD {
 		m.cache = bdd.NewCache(bdd.DefaultMaxNodes)
 	}
 	return m, nil
+}
+
+// maxRounds is the round cap every session of this monitor runs under,
+// fresh or resumed.
+func (m *Monitor) maxRounds() int {
+	if m.cfg.MaxRounds > 0 {
+		return m.cfg.MaxRounds
+	}
+	return m.deriver.Sigma().Schema().Arity() + 1
 }
 
 // Deriver exposes the underlying suggestion engine.
@@ -211,7 +233,7 @@ func (m *Monitor) CacheStats() (hits, misses int) {
 // The context is checked before every interaction round, so a deadline
 // or cancellation interrupts the fix between rounds (never mid-round —
 // rounds are short and atomic). An interrupted fix returns ctx.Err(); to
-// suspend instead of abandon, use a Session and serialize its State.
+// suspend instead of abandon, use a Session and hand out its token.
 func (m *Monitor) Fix(ctx context.Context, input relation.Tuple, user User) (Result, error) {
 	sess, err := m.NewSession(input)
 	if err != nil {

@@ -82,10 +82,6 @@ func (m *Monitor) initSession(s *Session, input relation.Tuple) error {
 	if len(input) != r.Arity() {
 		return fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
 	}
-	maxRounds := m.cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = r.Arity() + 1
-	}
 	s.m = m
 	s.d = m.deriver.Pin()
 	if cap(s.t) >= len(input) {
@@ -104,7 +100,7 @@ func (m *Monitor) initSession(s *Session, input relation.Tuple) error {
 	}
 	s.noProgress = 0
 	s.rounds = 0
-	s.maxRounds = maxRounds
+	s.maxRounds = m.maxRounds()
 	s.done = false
 	s.perRound = nil
 	s.witnesses = s.witnesses[:0]
@@ -268,20 +264,25 @@ func (s *Session) Result() Result {
 // provenance materializes the session's raw witnesses against the pinned
 // snapshot: tuple contents always, inclusion proofs when the snapshot is
 // authenticated. Ids recorded at fix time are resolved against the same
-// snapshot, so they cannot have moved under a later delta.
+// snapshot, so they cannot have moved under a later delta. One master
+// tuple usually justifies several attributes; it is copied and proved
+// once, and its witnesses share the copy.
 func (s *Session) provenance() []Witness {
 	if len(s.witnesses) == 0 {
 		return nil
 	}
 	dm := s.d.Master()
 	out := make([]Witness, len(s.witnesses))
+next:
 	for i, w := range s.witnesses {
-		out[i] = Witness{
-			Attr:     w.Attr,
-			Rule:     w.Rule,
-			MasterID: w.MasterID,
-			Master:   dm.Tuple(w.MasterID).Clone(),
+		out[i] = Witness{Attr: w.Attr, Rule: w.Rule, MasterID: w.MasterID}
+		for _, seen := range out[:i] {
+			if seen.MasterID == w.MasterID {
+				out[i].Master, out[i].Proof = seen.Master, seen.Proof
+				continue next
+			}
 		}
+		out[i].Master = dm.Tuple(w.MasterID).Clone()
 		if dm.Authenticated() {
 			p, err := dm.ProveTuple(w.MasterID)
 			if err != nil {

@@ -1,0 +1,375 @@
+package monitor
+
+// In-package token tests: they reach behind the tag. A token that does
+// not verify never reaches the decoder, so exercising the decoder's own
+// validation needs bodies sealed under the monitor's key — built here
+// either from sessions put into states no round loop produces, or by
+// resealing mutated bytes.
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/fix"
+	"repro/internal/master"
+	"repro/internal/paperex"
+	"repro/internal/relation"
+	"repro/internal/rule"
+)
+
+var internalKey = []byte("monitor-internal-test-key")
+
+// hospMonitor is a monitor over a small generated HOSP world, with the
+// inputs and truths to drive sessions from.
+func hospMonitor(tb testing.TB, key []byte) (*Monitor, *datagen.Dataset, *master.Versioned) {
+	tb.Helper()
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 300, Tuples: 40, DupRate: 0.3, NoiseRate: 0.2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ver := master.NewVersioned(ds.Master)
+	m, err := NewVersioned(ds.Sigma, ver, Config{TokenKey: key})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, ds, ver
+}
+
+// answerTruth runs one round: the suggestion answered from truth.
+func answerTruth(tb testing.TB, s *Session, truth relation.Tuple) {
+	tb.Helper()
+	attrs := s.Suggested()
+	values := make([]relation.Value, len(attrs))
+	for j, p := range attrs {
+		values[j] = truth[p]
+	}
+	if err := s.Provide(attrs, values); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// roundTokens drives every generated session to completion and returns
+// the token it would hand out at begin and after each round.
+func roundTokens(tb testing.TB, m *Monitor, ds *datagen.Dataset) [][]byte {
+	tb.Helper()
+	var tokens [][]byte
+	for i, input := range ds.Inputs {
+		s, err := m.NewSession(input)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for {
+			tok, err := s.AppendToken(nil)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tokens = append(tokens, tok)
+			if s.Done() {
+				break
+			}
+			answerTruth(tb, s, ds.Truths[i])
+		}
+	}
+	return tokens
+}
+
+// longestToken picks the token with the most history behind it.
+func longestToken(tokens [][]byte) []byte {
+	best := tokens[0]
+	for _, t := range tokens {
+		if len(t) > len(best) {
+			best = t
+		}
+	}
+	return best
+}
+
+// reseal replaces the tag of a (mutated) token by a valid one.
+func reseal(m *Monitor, token []byte) []byte {
+	body := append([]byte(nil), token[:len(token)-tokenTagSize]...)
+	return m.auth.seal(body, 0)
+}
+
+// TestResumeSessionValidation: correctly sealed tokens whose content does
+// not fit the resuming monitor are rejected with ErrBadToken (and
+// ErrArityMismatch where the shape is wrong) — the decoder does not lean
+// on the tag for its own safety.
+func TestResumeSessionValidation(t *testing.T) {
+	m, ds, _ := hospMonitor(t, internalKey)
+	arity := ds.Sigma.Schema().Arity()
+	base := func() *Session {
+		s, err := m.NewSession(ds.Inputs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		answerTruth(t, s, ds.Truths[0])
+		return s
+	}
+	good, err := base().AppendToken(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ResumeSession(good, ResumeOptions{}); err != nil {
+		t.Fatalf("the unmodified token must resume: %v", err)
+	}
+
+	for _, tok := range [][]byte{nil, {}, good[:tokenTagSize-1], good[len(good)-tokenTagSize:]} {
+		if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+			t.Fatalf("token of %d bytes = %v, want ErrBadToken", len(tok), err)
+		}
+	}
+
+	future := append([]byte(nil), good...)
+	future[0] = 99
+	if _, err := m.ResumeSession(reseal(m, future), ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("unknown version = %v", err)
+	}
+	trailing := append(append([]byte(nil), good[:len(good)-tokenTagSize]...), 0)
+	if _, err := m.ResumeSession(m.auth.seal(trailing, 0), ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("trailing byte = %v", err)
+	}
+
+	hostile := []struct {
+		name   string
+		mutate func(s *Session)
+	}{
+		{"out-of-range suggestion", func(s *Session) { s.sug = []int{arity} }},
+		{"oversized suggestion", func(s *Session) { s.sug = make([]int, arity+1) }},
+		{"out-of-range z", func(s *Session) { s.zSet = relation.NewAttrSet(arity) }},
+		{"z of too many words", func(s *Session) { s.zSet = relation.NewAttrSet(640) }},
+		{"out-of-range user set", func(s *Session) { s.userSet = relation.NewAttrSet(63) }},
+		{"round counter beyond int32", func(s *Session) { s.rounds = 1 << 40 }},
+		{"witness attribute", func(s *Session) {
+			s.witnesses = append(s.witnesses, fix.Witness{Attr: arity, Rule: ds.Sigma.Rule(0).Name()})
+		}},
+		{"witness master id beyond the snapshot", func(s *Session) {
+			s.witnesses = append(s.witnesses, fix.Witness{Rule: ds.Sigma.Rule(0).Name(), MasterID: ds.Master.Len()})
+		}},
+		{"more witnesses than attributes", func(s *Session) {
+			s.witnesses = make([]fix.Witness, arity+1)
+			for i := range s.witnesses {
+				s.witnesses[i].Rule = ds.Sigma.Rule(0).Name()
+			}
+		}},
+		{"round set out of range", func(s *Session) { s.perRound[0].AutoFixed = relation.NewAttrSet(arity + 1) }},
+	}
+	for _, h := range hostile {
+		s := base()
+		h.mutate(s)
+		tok, err := s.AppendToken(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		_, err = m.ResumeSession(tok, ResumeOptions{})
+		if !errors.Is(err, ErrBadToken) {
+			t.Errorf("%s = %v, want ErrBadToken", h.name, err)
+		}
+	}
+
+	// A token minted, under the same key, by a monitor over another
+	// schema: the shape is wrong.
+	sigma := paperex.Sigma0()
+	other, err := New(sigma, master.MustNewForRules(paperex.MasterRelation(), sigma), Config{TokenKey: internalKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.NewSession(paperex.InputT1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := foreign.AppendToken(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.ResumeSession(tok, ResumeOptions{})
+	if !errors.Is(err, ErrBadToken) || !errors.Is(err, ErrArityMismatch) {
+		t.Fatalf("token of another schema = %v, want ErrBadToken and ErrArityMismatch", err)
+	}
+
+	// A witness naming a rule Σ lacks cannot even be minted.
+	s := base()
+	s.witnesses = append(s.witnesses, fix.Witness{Rule: "no such rule"})
+	if _, err := s.AppendToken(nil); err == nil {
+		t.Error("a witness of an unknown rule must fail AppendToken")
+	}
+}
+
+// TestResumeWitnessWithoutRules: a sealed token claiming a witness on a
+// monitor whose Σ is empty is rejected — there is no rule for the index
+// to name — rather than indexing an empty rule list.
+func TestResumeWitnessWithoutRules(t *testing.T) {
+	r := relation.StringSchema("R", "A", "B")
+	rm := relation.StringSchema("Rm", "Am", "Bm")
+	sigma := rule.MustNewSet(r, rm)
+	rel := relation.NewRelation(rm)
+	rel.MustAppend(relation.StringTuple("x", "y"))
+	m, err := New(sigma, master.MustNewForRules(rel, sigma), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.NewSession(relation.StringTuple("bad", "bad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ruleIdx["ghost"] = 0 // lets the hostile session be minted at all
+	s.witnesses = []fix.Witness{{Attr: 1, Rule: "ghost"}}
+	tok, err := s.AppendToken(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("witness on an empty Σ = %v, want ErrBadToken", err)
+	}
+}
+
+// TestTokenTamper: nothing but the exact bytes a monitor holding the key
+// sealed resumes. Every single-byte change, every truncation, a tag moved
+// between two valid tokens, a token sealed under another key, and a
+// token whose validated set Z gained one attribute all fail with
+// ErrBadToken — on the rebase path too, before any snapshot is pinned.
+func TestTokenTamper(t *testing.T) {
+	m, ds, _ := hospMonitor(t, internalKey)
+	tokens := roundTokens(t, m, ds)
+	tok := longestToken(tokens)
+	reject := func(what string, forged []byte) {
+		t.Helper()
+		for _, opt := range []ResumeOptions{{}, {RebaseToHead: true}} {
+			if _, err := m.ResumeSession(forged, opt); !errors.Is(err, ErrBadToken) {
+				t.Fatalf("%s (rebase %v) = %v, want ErrBadToken", what, opt.RebaseToHead, err)
+			}
+		}
+	}
+
+	for off := range tok {
+		forged := append([]byte(nil), tok...)
+		forged[off] ^= 0x01
+		reject("flipped byte", forged)
+		reject("truncated token", tok[:off])
+	}
+
+	var other []byte
+	for _, o := range tokens {
+		if !bytes.Equal(o, tok) {
+			other = o
+			break
+		}
+	}
+	swapped := append(append([]byte(nil), tok[:len(tok)-tokenTagSize]...), other[len(other)-tokenTagSize:]...)
+	reject("tag of another valid token", swapped)
+
+	stranger, _, _ := hospMonitor(t, []byte("some other deployment's key"))
+	if _, err := stranger.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("token under another key = %v, want ErrBadToken", err)
+	}
+	unkeyed, _, _ := hospMonitor(t, nil) // draws its own random key
+	if _, err := unkeyed.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("token on a monitor with a private key = %v, want ErrBadToken", err)
+	}
+
+	// The forgery the tag exists to stop: claim one more validated
+	// attribute. The body is well-formed — this monitor would resume it
+	// had it sealed it — but the client cannot produce its tag.
+	s, err := m.ResumeSession(tokens[0], ResumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.zSet.Len() != 0 {
+		t.Fatal("a begin token validates nothing")
+	}
+	s.zSet.Add(0)
+	s.userSet.Add(0)
+	wellFormed, err := s.AppendToken(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ResumeSession(wellFormed, ResumeOptions{}); err != nil {
+		t.Fatalf("the forged body must be well-formed for the test to mean anything: %v", err)
+	}
+	genuine := tokens[0]
+	forged := append(append([]byte(nil), wellFormed[:len(wellFormed)-tokenTagSize]...), genuine[len(genuine)-tokenTagSize:]...)
+	reject("one bit added to Z under the genuine tag", forged)
+	forgedByStranger, err := func() ([]byte, error) {
+		s.m = stranger
+		defer func() { s.m = m }()
+		return s.AppendToken(nil)
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject("one bit added to Z, sealed under the forger's own key", forgedByStranger)
+}
+
+// TestTokenRoundTripIdentity: resuming a token and marshalling the session
+// again yields the same bytes — at every round of every generated session.
+func TestTokenRoundTripIdentity(t *testing.T) {
+	m, ds, _ := hospMonitor(t, internalKey)
+	for i, tok := range roundTokens(t, m, ds) {
+		s, err := m.ResumeSession(tok, ResumeOptions{})
+		if err != nil {
+			t.Fatalf("token %d: %v", i, err)
+		}
+		again, err := s.AppendToken(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, tok) {
+			t.Fatalf("token %d changed across resume:\n was %x\n now %x", i, tok, again)
+		}
+	}
+}
+
+// FuzzResumeToken throws hostile tokens at ResumeSession, seeded with the
+// real token of every round of the generated HOSP sessions. Each input is
+// tried twice. As a client would send it, it either fails with
+// ErrBadToken or — only the seeds themselves can — resumes to a session
+// that marshals back to the identical token. Then resealed under the
+// monitor's own key, so the decoder behind the tag meets the mutated
+// bytes: it rejects with ErrBadToken or accepts, and what it accepts
+// re-marshals to a token that resumes and re-marshals to itself. Neither
+// may panic, and no length field may size an allocation the remaining
+// bytes do not back (a hostile count would show as a fuzzer OOM).
+func FuzzResumeToken(f *testing.F) {
+	m, ds, ver := hospMonitor(f, internalKey)
+	for _, tok := range roundTokens(f, m, ds) {
+		f.Add(tok)
+	}
+	// A second epoch, so a mutated epoch field has something to hit.
+	if _, err := ver.Apply([]relation.Tuple{ds.Master.Tuple(0).Clone()}, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := m.ResumeSession(data, ResumeOptions{}); err != nil {
+			if !errors.Is(err, ErrBadToken) {
+				t.Fatalf("unsealed input = %v, want ErrBadToken", err)
+			}
+		} else if again, err := s.AppendToken(nil); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted token does not marshal back to itself (%v):\n was %x\n now %x", err, data, again)
+		}
+
+		sealed := m.auth.seal(append([]byte(nil), data...), 0)
+		s, err := m.ResumeSession(sealed, ResumeOptions{})
+		if errors.Is(err, master.ErrEpochEvicted) {
+			s, err = m.ResumeSession(sealed, ResumeOptions{RebaseToHead: true})
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadToken) {
+				t.Fatalf("resealed input = %v, want ErrBadToken", err)
+			}
+			return
+		}
+		first, err := s.AppendToken(nil)
+		if err != nil {
+			t.Fatalf("accepted session does not marshal: %v", err)
+		}
+		s2, err := m.ResumeSession(first, ResumeOptions{})
+		if err != nil {
+			t.Fatalf("re-marshalled token does not resume: %v", err)
+		}
+		second, err := s2.AppendToken(nil)
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("re-marshalled token is not a fixed point (%v):\n first  %x\n second %x", err, first, second)
+		}
+	})
+}

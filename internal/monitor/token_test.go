@@ -2,8 +2,8 @@ package monitor_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/master"
@@ -19,6 +19,10 @@ func truthT2() relation.Tuple {
 		"Robert", "Brady", "131", "6884563", "1",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 }
+
+// sharedKey is the token key of monitors that stand for replicas of one
+// service in these tests.
+var sharedKey = []byte("monitor-test-token-key")
 
 func newVersionedMonitor(t *testing.T, cfg monitor.Config) (*monitor.Monitor, *master.Versioned) {
 	t.Helper()
@@ -54,21 +58,20 @@ func finish(t *testing.T, sess *monitor.Session, truth relation.Tuple) monitor.R
 	return sess.Result()
 }
 
-// resultJSON canonicalizes a Result for byte-level comparison (attr sets
-// and values marshal canonically regardless of backing layout).
-func resultJSON(t *testing.T, r monitor.Result) string {
+// suspend takes the session's token.
+func suspend(t *testing.T, sess *monitor.Session) []byte {
 	t.Helper()
-	b, err := json.Marshal(r)
+	token, err := sess.AppendToken(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return token
 }
 
-// TestSessionStateRoundTrip: a session serialized after round 1 and
-// resumed on a *different* monitor over the same (Σ, Dm) finishes with a
-// Result byte-identical to the uninterrupted run — for a master-backed
-// multi-round fix (t2) and a fresh-entity fix (t4).
+// TestSessionStateRoundTrip: a session suspended after round 1 and
+// resumed on a *different* monitor over the same (Σ, Dm) and token key
+// finishes with a Result deeply equal to the uninterrupted run — for a
+// master-backed multi-round fix (t2) and a fresh-entity fix (t4).
 func TestSessionStateRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -80,7 +83,7 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m1 := newMonitor(t, monitor.Config{})
+			m1 := newMonitor(t, monitor.Config{TokenKey: sharedKey})
 			want, err := m1.Fix(context.Background(), c.input, monitor.SimulatedUser{Truth: c.truth})
 			if err != nil {
 				t.Fatal(err)
@@ -95,28 +98,18 @@ func TestSessionStateRoundTrip(t *testing.T) {
 			}
 			provideTruth(t, sess, c.truth)
 
-			// Suspend: state → JSON → fresh monitor in a "different
-			// process" (same rules, same master relation).
-			blob, err := json.Marshal(sess.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st monitor.SessionState
-			if err := json.Unmarshal(blob, &st); err != nil {
-				t.Fatal(err)
-			}
-			m2 := newMonitor(t, monitor.Config{})
-			resumed, err := m2.ResumeSession(&st, monitor.ResumeOptions{})
+			// Suspend: token → fresh monitor in a "different process"
+			// (same rules, same master relation, same key).
+			m2 := newMonitor(t, monitor.Config{TokenKey: sharedKey})
+			resumed, err := m2.ResumeSession(suspend(t, sess), monitor.ResumeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if resumed.Rounds() != 1 {
 				t.Fatalf("resumed rounds = %d, want 1", resumed.Rounds())
 			}
-			got := finish(t, resumed, c.truth)
-			if resultJSON(t, got) != resultJSON(t, want) {
-				t.Fatalf("resumed result differs from uninterrupted run:\n got  %s\n want %s",
-					resultJSON(t, got), resultJSON(t, want))
+			if got := finish(t, resumed, c.truth); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed result differs from uninterrupted run:\n got  %+v\n want %+v", got, want)
 			}
 		})
 	}
@@ -124,8 +117,8 @@ func TestSessionStateRoundTrip(t *testing.T) {
 
 // TestSessionResumeRePinsEpoch: a session suspended at epoch e keeps
 // observing epoch e after resume even when the master head has moved on
-// — the resumed run is byte-identical to an uninterrupted run that saw
-// only epoch e.
+// — the resumed run is identical to an uninterrupted run that saw only
+// epoch e.
 func TestSessionResumeRePinsEpoch(t *testing.T) {
 	m, ver := newVersionedMonitor(t, monitor.Config{})
 	input, truth := paperex.InputT2(), truthT2()
@@ -141,10 +134,7 @@ func TestSessionResumeRePinsEpoch(t *testing.T) {
 	}
 	e0 := sess.Epoch()
 	provideTruth(t, sess, truth)
-	blob, err := json.Marshal(sess.State())
-	if err != nil {
-		t.Fatal(err)
-	}
+	token := suspend(t, sess)
 
 	// The master moves on underneath the suspended session: every master
 	// tuple is deleted, so a session observing the head would behave
@@ -156,27 +146,22 @@ func TestSessionResumeRePinsEpoch(t *testing.T) {
 		t.Fatalf("head |Dm| = %d, want 0", ver.Current().Len())
 	}
 
-	var st monitor.SessionState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := m.ResumeSession(&st, monitor.ResumeOptions{})
+	resumed, err := m.ResumeSession(token, monitor.ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Epoch() != e0 {
 		t.Fatalf("resumed epoch = %d, want the original %d", resumed.Epoch(), e0)
 	}
-	got := finish(t, resumed, truth)
-	if resultJSON(t, got) != resultJSON(t, want) {
-		t.Fatalf("resume under concurrent update diverged:\n got  %s\n want %s",
-			resultJSON(t, got), resultJSON(t, want))
+	if got := finish(t, resumed, truth); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resume under concurrent update diverged:\n got  %+v\n want %+v", got, want)
 	}
 }
 
 // TestSessionResumeEvictedEpoch: when the ring no longer retains the
 // session's epoch, resume fails with ErrEpochEvicted — and the
-// RebaseToHead escape hatch re-pins the head instead.
+// RebaseToHead escape hatch re-pins the head instead. Neither path is
+// reached by a token whose tag does not verify.
 func TestSessionResumeEvictedEpoch(t *testing.T) {
 	m, ver := newVersionedMonitor(t, monitor.Config{})
 	ver.SetHistory(1)
@@ -187,7 +172,7 @@ func TestSessionResumeEvictedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	provideTruth(t, sess, truth)
-	st := sess.State()
+	token := suspend(t, sess)
 
 	if _, err := ver.Apply([]relation.Tuple{relation.StringTuple(
 		"Jane", "Doe", "999", "5551234", "070000000",
@@ -195,11 +180,18 @@ func TestSessionResumeEvictedEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := m.ResumeSession(st, monitor.ResumeOptions{}); !errors.Is(err, master.ErrEpochEvicted) {
+	if _, err := m.ResumeSession(token, monitor.ResumeOptions{}); !errors.Is(err, master.ErrEpochEvicted) {
 		t.Fatalf("resume after eviction = %v, want ErrEpochEvicted", err)
 	}
+	forged := append([]byte(nil), token...)
+	forged[len(forged)/2] ^= 1
+	for _, opt := range []monitor.ResumeOptions{{}, {RebaseToHead: true}} {
+		if _, err := m.ResumeSession(forged, opt); !errors.Is(err, monitor.ErrBadToken) {
+			t.Fatalf("forged token on an evicted epoch (%+v) = %v, want ErrBadToken", opt, err)
+		}
+	}
 
-	resumed, err := m.ResumeSession(st, monitor.ResumeOptions{RebaseToHead: true})
+	resumed, err := m.ResumeSession(token, monitor.ResumeOptions{RebaseToHead: true})
 	if err != nil {
 		t.Fatalf("rebase-to-head resume: %v", err)
 	}
@@ -215,7 +207,7 @@ func TestSessionResumeEvictedEpoch(t *testing.T) {
 	}
 }
 
-// TestSessionStateAbortAndDone: an aborted session's state round-trips —
+// TestSessionStateAbortAndDone: an aborted session's token round-trips —
 // the resumed session is done, incomplete, and rejects further rounds
 // with ErrSessionDone.
 func TestSessionStateAbortAndDone(t *testing.T) {
@@ -234,12 +226,15 @@ func TestSessionStateAbortAndDone(t *testing.T) {
 		t.Fatal("abort must not report completion")
 	}
 
-	resumed, err := m.ResumeSession(sess.State(), monitor.ResumeOptions{})
+	resumed, err := m.ResumeSession(suspend(t, sess), monitor.ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resumed.Done() || resumed.Result().Completed {
 		t.Fatal("aborted state must resume as done and incomplete")
+	}
+	if got, want := resumed.Result(), sess.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a session with no rounds changed across resume:\n got  %+v\n want %+v", got, want)
 	}
 	err = resumed.Provide([]int{0}, []relation.Value{relation.Null})
 	if !errors.Is(err, monitor.ErrSessionDone) {
@@ -248,10 +243,10 @@ func TestSessionStateAbortAndDone(t *testing.T) {
 }
 
 // TestSessionMaxRoundsCap: the round cap finishes the session incomplete
-// — directly and across a suspend/resume boundary (the cap travels in
-// the state).
+// — directly, and across a suspend/resume boundary, where the cap is the
+// resuming monitor's.
 func TestSessionMaxRoundsCap(t *testing.T) {
-	m := newMonitor(t, monitor.Config{MaxRounds: 1})
+	m := newMonitor(t, monitor.Config{MaxRounds: 1, TokenKey: sharedKey})
 	sess, err := m.NewSession(paperex.InputT4())
 	if err != nil {
 		t.Fatal(err)
@@ -264,77 +259,26 @@ func TestSessionMaxRoundsCap(t *testing.T) {
 		t.Fatal("t4 cannot complete in one round; the cap must cut it off incomplete")
 	}
 
-	// The cap is session state, not monitor config: resuming on a
-	// monitor with a laxer default keeps the original cap.
-	m2, err2 := monitor.New(paperex.Sigma0(),
-		master.MustNewForRules(paperex.MasterRelation(), paperex.Sigma0()),
-		monitor.Config{MaxRounds: 2})
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	capped, err := m2.NewSession(paperex.InputT4())
+	// A session begun fresh under a laxer cap and resumed under a
+	// stricter one that its rounds already exhaust is done on arrival.
+	lax := newMonitor(t, monitor.Config{MaxRounds: 3, TokenKey: sharedKey})
+	began, err := lax.NewSession(paperex.InputT4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	provideTruth(t, capped, paperex.InputT4())
-	st := capped.State()
-	if st.MaxRounds != 2 {
-		t.Fatalf("state MaxRounds = %d", st.MaxRounds)
+	provideTruth(t, began, paperex.InputT4())
+	if began.Done() {
+		t.Fatal("one round under a cap of 3 must leave the session open")
 	}
-	resumed, err := m.ResumeSession(st, monitor.ResumeOptions{})
+	resumed, err := m.ResumeSession(suspend(t, began), monitor.ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	provideTruth(t, resumed, paperex.InputT4())
-	if !resumed.Done() || resumed.Rounds() != 2 {
-		t.Fatalf("resumed session must honor its own cap: done=%v rounds=%d",
-			resumed.Done(), resumed.Rounds())
+	if !resumed.Done() || resumed.Rounds() != 1 || resumed.Result().Completed {
+		t.Fatalf("the resuming monitor's cap must apply: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
 	}
-}
-
-// TestResumeSessionValidation: malformed states are rejected with
-// ErrBadState (and ErrArityMismatch where the shape is wrong).
-func TestResumeSessionValidation(t *testing.T) {
-	m := newMonitor(t, monitor.Config{})
-	sess, err := m.NewSession(paperex.InputT1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := sess.State()
-
-	if _, err := m.ResumeSession(nil, monitor.ResumeOptions{}); !errors.Is(err, monitor.ErrBadState) {
-		t.Fatalf("nil state = %v", err)
-	}
-
-	bad := *good
-	bad.Version = 99
-	if _, err := m.ResumeSession(&bad, monitor.ResumeOptions{}); !errors.Is(err, monitor.ErrBadState) {
-		t.Fatalf("unknown version = %v", err)
-	}
-
-	bad = *good
-	bad.Tuple = relation.StringTuple("short")
-	_, err = m.ResumeSession(&bad, monitor.ResumeOptions{})
-	if !errors.Is(err, monitor.ErrBadState) || !errors.Is(err, monitor.ErrArityMismatch) {
-		t.Fatalf("short tuple = %v, want ErrBadState and ErrArityMismatch", err)
-	}
-
-	bad = *good
-	bad.Suggested = []int{99}
-	if _, err := m.ResumeSession(&bad, monitor.ResumeOptions{}); !errors.Is(err, monitor.ErrBadState) {
-		t.Fatalf("out-of-range suggestion = %v", err)
-	}
-
-	bad = *good
-	bad.Z = relation.NewAttrSet(64)
-	if _, err := m.ResumeSession(&bad, monitor.ResumeOptions{}); !errors.Is(err, monitor.ErrBadState) {
-		t.Fatalf("out-of-range z = %v", err)
-	}
-
-	bad = *good
-	bad.Rounds = -1
-	if _, err := m.ResumeSession(&bad, monitor.ResumeOptions{}); !errors.Is(err, monitor.ErrBadState) {
-		t.Fatalf("negative rounds = %v", err)
+	if err := resumed.Provide([]int{0}, []relation.Value{relation.Null}); !errors.Is(err, monitor.ErrSessionDone) {
+		t.Fatalf("Provide past the cap = %v, want ErrSessionDone", err)
 	}
 }
 
@@ -382,23 +326,26 @@ func TestProvideFailureLeavesSessionUntouched(t *testing.T) {
 	}
 }
 
-// TestResumeMissingCapUsesMonitorConfig: a token without a round cap
-// falls back to the resuming monitor's configured MaxRounds, not the
-// arity default.
+// TestResumeMissingCapUsesMonitorConfig: a token carries no round cap, so
+// a resumed session cannot outrun the one its resuming monitor is
+// configured with — whatever cap the minting monitor ran under. (Before
+// the cap left the token, a token-supplied cap larger than the
+// operator's was trusted.)
 func TestResumeMissingCapUsesMonitorConfig(t *testing.T) {
-	m := newMonitor(t, monitor.Config{MaxRounds: 1})
-	sess, err := m.NewSession(paperex.InputT4())
+	lax := newMonitor(t, monitor.Config{MaxRounds: 9, TokenKey: sharedKey})
+	sess, err := lax.NewSession(paperex.InputT4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sess.State()
-	st.MaxRounds = 0 // a hand-built token omitting the field
-	resumed, err := m.ResumeSession(st, monitor.ResumeOptions{})
+	token := suspend(t, sess) // no rounds yet
+
+	strict := newMonitor(t, monitor.Config{MaxRounds: 1, TokenKey: sharedKey})
+	resumed, err := strict.ResumeSession(token, monitor.ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	provideTruth(t, resumed, paperex.InputT4())
-	if !resumed.Done() || resumed.Result().Completed {
+	if !resumed.Done() || resumed.Rounds() != 1 || resumed.Result().Completed {
 		t.Fatalf("configured cap must apply: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
 	}
 }

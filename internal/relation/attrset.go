@@ -24,6 +24,16 @@ func NewAttrSet(positions ...int) AttrSet {
 	return s
 }
 
+// AttrSetFromWords builds the set whose bitset words are exactly words
+// (bit p&63 of words[p>>6] is position p), taking ownership of the slice.
+// With Words it is the binary codecs' way in and out: a set rebuilt from
+// its own words is identical down to the slice length, which
+// reflect.DeepEqual on results carrying sets depends on.
+func AttrSetFromWords(words []uint64) AttrSet { return AttrSet{words: words} }
+
+// Words returns the set's bitset words, not a copy: read-only.
+func (s AttrSet) Words() []uint64 { return s.words }
+
 // Add inserts position p.
 func (s *AttrSet) Add(p int) {
 	w := p >> 6

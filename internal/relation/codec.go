@@ -2,7 +2,7 @@ package relation
 
 // JSON codecs for the wire-facing types. Values map onto native JSON —
 // Null ↔ null, String ↔ string, Int ↔ number — so serialized tuples read
-// naturally in HTTP payloads and session tokens, and the mapping is
+// naturally in HTTP requests and fix results, and the mapping is
 // unambiguous without schema context (unlike Encode, which erases the
 // kind and relies on the schema's column type to decode). AttrSets
 // serialize as the sorted position list, the canonical form independent

@@ -83,18 +83,9 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	for _, t := range r.Adds {
 		buf = binary.AppendUvarint(buf, uint64(len(t)))
 		for _, v := range t {
-			switch v.Kind() {
-			case relation.KindNull:
-				buf = append(buf, cellNull)
-			case relation.KindString:
-				buf = append(buf, cellString)
-				buf = binary.AppendUvarint(buf, uint64(len(v.Str())))
-				buf = append(buf, v.Str()...)
-			case relation.KindInt:
-				buf = append(buf, cellInt)
-				buf = binary.AppendVarint(buf, v.Int64())
-			default:
-				return nil, fmt.Errorf("wal: record: unknown value kind %v", v.Kind())
+			var err error
+			if buf, err = AppendCell(buf, v); err != nil {
+				return nil, fmt.Errorf("wal: record: %w", err)
 			}
 		}
 	}
@@ -112,6 +103,26 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
 	return buf, nil
+}
+
+// AppendCell appends one value in the log's cell encoding (kind byte, then
+// the payload the kind implies — see the file comment). It is the one
+// binary form of a relation.Value in this tree: session tokens
+// (internal/monitor) carry their tuples in it too.
+func AppendCell(buf []byte, v relation.Value) ([]byte, error) {
+	switch v.Kind() {
+	case relation.KindNull:
+		return append(buf, cellNull), nil
+	case relation.KindString:
+		buf = append(buf, cellString)
+		buf = binary.AppendUvarint(buf, uint64(len(v.Str())))
+		return append(buf, v.Str()...), nil
+	case relation.KindInt:
+		buf = append(buf, cellInt)
+		return binary.AppendVarint(buf, v.Int64()), nil
+	default:
+		return nil, fmt.Errorf("unknown value kind %v", v.Kind())
+	}
 }
 
 // AppendFrame appends r as one wire frame — the exact on-disk framing
@@ -160,76 +171,99 @@ func ReadFrame(r io.Reader) (Record, error) {
 // an encoder/decoder version skew or a checksum collision — so the caller
 // reports them as corruption, never as a torn tail.
 func decodePayload(b []byte) (Record, error) {
-	d := pdecoder{b: b}
+	d := Decoder{b: b}
 	var r Record
-	r.Epoch = d.uvarint("epoch")
-	nDel := d.length("delete count")
+	r.Epoch = d.Uvarint("epoch")
+	nDel := d.Length("delete count")
 	if nDel > 0 {
 		r.Deletes = make([]int, nDel)
 		for i := range r.Deletes {
-			id := d.uvarint("delete id")
+			id := d.Uvarint("delete id")
 			if id > math.MaxInt32 {
-				d.fail("delete id %d exceeds int32", id)
+				d.Fail("delete id %d exceeds int32", id)
 			}
 			r.Deletes[i] = int(id)
 		}
 	}
-	nAdd := d.length("add count")
+	nAdd := d.Length("add count")
 	if nAdd > 0 {
 		r.Adds = make([]relation.Tuple, nAdd)
 		for i := range r.Adds {
-			arity := d.length("arity")
+			arity := d.Length("arity")
 			t := make(relation.Tuple, arity)
 			for c := range t {
-				switch kind := d.u8("cell kind"); kind {
-				case cellNull:
-					t[c] = relation.Null
-				case cellString:
-					n := d.length("string length")
-					t[c] = relation.String(string(d.take(n, "string bytes")))
-				case cellInt:
-					t[c] = relation.Int(d.varint("int cell"))
-				default:
-					d.fail("unknown cell kind 0x%02x", kind)
-				}
+				t[c] = d.Cell()
 			}
 			r.Adds[i] = t
 		}
 	}
-	if d.err == nil && d.off < len(d.b) {
+	if d.err == nil && d.remaining() > 0 {
 		// Optional trailing section: the auth root. A payload that ends at
 		// the adds is a legacy (or unauthenticated) record — Root stays nil.
-		if n := d.u8("root length"); int(n) != rootSize {
-			d.fail("root length %d, want %d", n, rootSize)
+		if n := d.U8("root length"); int(n) != rootSize {
+			d.Fail("root length %d, want %d", n, rootSize)
 		}
 		r.Root = append([]byte(nil), d.take(rootSize, "root bytes")...)
 	}
-	if d.err == nil && d.off != len(d.b) {
-		d.fail("%d trailing bytes after record", len(d.b)-d.off)
-	}
-	return r, d.err
+	return r, d.Finish("record")
 }
 
-// pdecoder is a sticky-error cursor over one payload (the areader idiom
-// of the arena loader, sized down to varint framing).
-type pdecoder struct {
+// Decoder is a sticky-error cursor over one varint-framed payload (the
+// areader idiom of the arena loader, sized down to varint framing): after
+// the first failure every read returns a zero value and Err keeps the
+// first error, so a decode routine checks once at the end. Record payloads
+// and session tokens (internal/monitor) are both read through it.
+type Decoder struct {
 	b   []byte
 	off int
 	err error
+	str string // ShareStrings: the payload as one string, cells slice it
 }
 
-func (d *pdecoder) fail(format string, args ...any) {
+// NewDecoder returns a cursor at the start of b. The decoder reads b in
+// place and never retains it past the values it returns: strings are
+// copied out.
+func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
+
+// ShareStrings makes every string cell decoded from here on a slice of
+// one string copy of the payload, instead of a copy of its own: one
+// allocation for the lot, at the price that any surviving cell keeps the
+// whole payload reachable. Right for a small payload decoded into values
+// that live and die together — a session token; wrong for a log record
+// whose tuples join the master for good.
+func (d *Decoder) ShareStrings() { d.str = string(d.b) }
+
+// Err returns the first failure, nil while every read has succeeded.
+func (d *Decoder) Err() error { return d.err }
+
+// remaining is the number of bytes not yet consumed.
+func (d *Decoder) remaining() int { return len(d.b) - d.off }
+
+// Finish returns the first failure, or an error when bytes remain after
+// what was decoded: a payload is consumed exactly.
+func (d *Decoder) Finish(what string) error {
+	if d.err == nil && d.off != len(d.b) {
+		d.Fail("%d trailing bytes after %s", len(d.b)-d.off, what)
+	}
+	return d.err
+}
+
+// Fail records a decode failure at the current offset unless one is
+// recorded already.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("payload offset %d: %s", d.off, fmt.Sprintf(format, args...))
 	}
 }
 
-func (d *pdecoder) take(n int, what string) []byte {
+// take consumes the next n bytes and returns them (a view into the
+// payload), or nil after a failure.
+func (d *Decoder) take(n int, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
 	if n < 0 || n > len(d.b)-d.off {
-		d.fail("truncated %s: need %d bytes, %d remain", what, n, len(d.b)-d.off)
+		d.Fail("truncated %s: need %d bytes, %d remain", what, n, len(d.b)-d.off)
 		return nil
 	}
 	p := d.b[d.off : d.off+n]
@@ -237,50 +271,72 @@ func (d *pdecoder) take(n int, what string) []byte {
 	return p
 }
 
-func (d *pdecoder) u8(what string) uint8 {
+// U8 consumes one byte.
+func (d *Decoder) U8(what string) uint8 {
 	if p := d.take(1, what); p != nil {
 		return p[0]
 	}
 	return 0
 }
 
-func (d *pdecoder) uvarint(what string) uint64 {
+// Uvarint consumes one unsigned varint.
+func (d *Decoder) Uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
-		d.fail("bad uvarint %s", what)
+		d.Fail("bad uvarint %s", what)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-func (d *pdecoder) varint(what string) int64 {
+// varint consumes one signed (zig-zag) varint.
+func (d *Decoder) varint(what string) int64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
 	if n <= 0 {
-		d.fail("bad varint %s", what)
+		d.Fail("bad varint %s", what)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-// length reads a uvarint that sizes an allocation, bounding it by the
+// Length reads a uvarint that sizes an allocation, bounding it by the
 // payload bytes that remain: every element costs at least one byte, so a
 // count beyond the remainder is corruption, not a big allocation.
-func (d *pdecoder) length(what string) int {
-	v := d.uvarint(what)
+func (d *Decoder) Length(what string) int {
+	v := d.Uvarint(what)
 	if d.err != nil {
 		return 0
 	}
 	if v > uint64(len(d.b)-d.off) {
-		d.fail("%s %d exceeds remaining %d bytes", what, v, len(d.b)-d.off)
+		d.Fail("%s %d exceeds remaining %d bytes", what, v, len(d.b)-d.off)
 		return 0
 	}
 	return int(v)
+}
+
+// Cell consumes one value in the encoding AppendCell writes.
+func (d *Decoder) Cell() relation.Value {
+	switch kind := d.U8("cell kind"); kind {
+	case cellNull:
+		return relation.Null
+	case cellString:
+		p := d.take(d.Length("string length"), "string bytes")
+		if d.str != "" {
+			return relation.String(d.str[d.off-len(p) : d.off])
+		}
+		return relation.String(string(p))
+	case cellInt:
+		return relation.Int(d.varint("int cell"))
+	default:
+		d.Fail("unknown cell kind 0x%02x", kind)
+		return relation.Null
+	}
 }

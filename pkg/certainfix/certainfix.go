@@ -30,10 +30,11 @@
 //	}
 //	res := sess.Result()
 //
-// Sessions serialize: MarshalBinary produces a JSON token from which
-// System.Resume rebuilds the session — in a different process if need
-// be, re-pinning the master snapshot the session started on (see
-// UpdateMaster and WithMasterHistory). That is the stateless-server
+// Sessions serialize: MarshalBinary produces a compact authenticated
+// token from which System.Resume rebuilds the session — in a different
+// process if need be, given the same WithTokenKey — re-pinning the
+// master snapshot the session started on (see UpdateMaster and
+// WithMasterHistory). That is the stateless-server
 // pattern: a network frontend holds nothing between rounds because the
 // token round-trips through the client; cmd/certainfixd is a complete
 // HTTP service built this way.
@@ -279,6 +280,7 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 	mon, err := monitor.NewVersioned(rules, lin.Versioned(), monitor.Config{
 		UseBDD:    cfg.suggestionCache,
 		MaxRounds: cfg.maxRounds,
+		TokenKey:  cfg.tokenKey,
 	})
 	if err != nil {
 		lin.Close()

@@ -115,7 +115,7 @@ func TestWALFreshDirWithoutMaster(t *testing.T) {
 func TestSessionTokenSpansRestart(t *testing.T) {
 	dir := t.TempDir()
 	truth := truthT2()
-	sysA, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(), certainfix.WithWAL(dir))
+	sysA, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(), certainfix.WithWAL(dir), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,9 @@ func TestSessionTokenSpansRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Next process": recovered entirely from the WAL directory.
-	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir))
+	// "Next process": recovered entirely from the WAL directory, and given
+	// the key the previous process sealed its tokens under.
+	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	truth := truthT2()
 	sysA, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(),
-		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2))
+		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 	}
 	sysA.Close()
 
-	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2))
+	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}

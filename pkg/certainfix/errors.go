@@ -15,9 +15,10 @@ var (
 	// ErrArityMismatch reports tuples or attribute/value lists whose
 	// shape does not fit the schema.
 	ErrArityMismatch = monitor.ErrArityMismatch
-	// ErrBadToken reports a session token that fails structural
-	// validation against the resuming system.
-	ErrBadToken = monitor.ErrBadState
+	// ErrBadToken reports a session token this System did not mint and
+	// no System sharing its token key did: altered, truncated, sealed
+	// under another key, or built for another schema.
+	ErrBadToken = monitor.ErrBadToken
 	// ErrEpochEvicted reports a Resume whose pinned master epoch is no
 	// longer retained in the snapshot ring; resume with RebaseToHead or
 	// enlarge the ring (WithMasterHistory).

@@ -19,6 +19,7 @@ type config struct {
 	fsync           FsyncPolicy
 	checkpointEvery int
 	auth            bool
+	tokenKey        []byte
 	leader          string // set by NewFollower only: the leader's base URL
 }
 
@@ -39,10 +40,21 @@ func WithSuggestionCache() Option {
 }
 
 // WithMaxRounds caps user-interaction rounds per tuple (n <= 0 restores
-// the default, arity + 1). The cap is captured into each session's
-// serialized state, so a resumed session keeps the cap it began with.
+// the default, arity + 1). The cap belongs to the System, not to the
+// session token: a session resumed here runs under this cap wherever it
+// began.
 func WithMaxRounds(n int) Option {
 	return func(c *config) { c.maxRounds = n }
+}
+
+// WithTokenKey sets the secret that session tokens are sealed and
+// verified under (HMAC-SHA256). It is a deployment credential: every
+// System that must resume another's tokens — the replicas behind one
+// load balancer, a leader and its followers, a process and its restart —
+// is given the same key. Without it the System draws a random key at
+// construction, so its tokens resume only on itself and die with it.
+func WithTokenKey(key []byte) Option {
+	return func(c *config) { c.tokenKey = append([]byte(nil), key...) }
 }
 
 // WithMasterHistory bounds the master snapshot ring to n epochs

@@ -39,7 +39,7 @@ rule desc:  (sku ; sku) -> (desc ; desc)
 		t.Fatal(err)
 	}
 	sys, err := certainfix.New(rules, masterRel,
-		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2))
+		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFollowerReplication(t *testing.T) {
 		t.Fatal("409 carries no X-Checkpoint-Epoch")
 	}
 
-	follower, err := certainfix.NewFollower(rules, ts.URL)
+	follower, err := certainfix.NewFollower(rules, ts.URL, testKey) // a leader and its followers share the token key
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,22 +2,9 @@ package certainfix
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"repro/internal/monitor"
 )
-
-// SessionState is the serializable image of a fix session — everything
-// the round loop reads or writes, plus the pinned master epoch. Its JSON
-// form is the session token of the stateless-server pattern: values map
-// to native JSON (null / string / integer) and attribute sets to sorted
-// position lists, so non-Go clients can inspect and store it.
-//
-// Tokens carry no authentication. A service handing them to untrusted
-// clients must sign or MAC them: the state asserts which attributes are
-// already "user validated".
-type SessionState = monitor.SessionState
 
 // FixSession is a first-class, resumable fixing session for one tuple —
 // the interactive state machine of §5 (Fig. 2/3) with its user
@@ -83,23 +70,23 @@ func RebaseToHead() ResumeOption {
 
 // Resume rebuilds a live session from a token produced by MarshalBinary
 // — in this process or another one, as long as the System was built over
-// the same rules and master lineage. The token's pinned epoch is
-// re-pinned from the snapshot ring; if it has been evicted the resume
-// fails with ErrEpochEvicted unless RebaseToHead is given. Malformed
-// tokens fail with ErrBadToken.
+// the same rules and master lineage and holds the same token key
+// (WithTokenKey). The token's tag is verified before anything else: a
+// token that was altered, truncated or minted under another key fails
+// with ErrBadToken. Its pinned epoch is then re-pinned from the snapshot
+// ring; if it has been evicted the resume fails with ErrEpochEvicted
+// unless RebaseToHead is given. The round cap is this System's
+// (WithMaxRounds), whatever the minting System's was: a session that has
+// used it up resumes done.
 func (s *System) Resume(ctx context.Context, token []byte, opts ...ResumeOption) (*FixSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	var st monitor.SessionState
-	if err := json.Unmarshal(token, &st); err != nil {
-		return nil, fmt.Errorf("certainfix: parse session token: %w (%w)", err, ErrBadToken)
 	}
 	var ro monitor.ResumeOptions
 	for _, o := range opts {
 		o.applyResume(&ro)
 	}
-	sess, err := s.mon.ResumeSession(&st, ro)
+	sess, err := s.mon.ResumeSession(token, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -155,12 +142,14 @@ func (fs *FixSession) Root() string { return fs.sess.Root() }
 // Result summarizes the session so far (or finally, once Done).
 func (fs *FixSession) Result() Result { return fs.sess.Result() }
 
-// State captures the session's serializable state. The result shares no
-// mutable storage with the session.
-func (fs *FixSession) State() *SessionState { return fs.sess.State() }
-
-// MarshalBinary implements encoding.BinaryMarshaler: the session token,
-// a JSON encoding of State suitable for Resume in another process.
+// MarshalBinary implements encoding.BinaryMarshaler: the session token
+// for Resume, here or in another process holding the same token key. It
+// is opaque — a compact binary image of the session (working tuple,
+// validated sets, pending suggestion, per-round history as deltas,
+// witnesses as ids, the pinned epoch) ending in an HMAC-SHA256 tag — and
+// a snapshot: later rounds do not change a token already taken. What a
+// session holds is read through Result, not out of the token.
 func (fs *FixSession) MarshalBinary() ([]byte, error) {
-	return json.Marshal(fs.sess.State())
+	// Room for a typical token, so appending rarely regrows it.
+	return fs.sess.AppendToken(make([]byte, 0, 512))
 }

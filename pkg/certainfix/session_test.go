@@ -18,9 +18,13 @@ func truthT2() certainfix.Tuple {
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
 }
 
+// testKey is the token key of Systems that stand for replicas of one
+// deployment in these tests.
+var testKey = certainfix.WithTokenKey([]byte("pkg-certainfix-test-token-key"))
+
 // driveToEnd answers every suggestion from truth until the session is
 // done.
-func driveToEnd(t *testing.T, sess *certainfix.FixSession, truth certainfix.Tuple) certainfix.Result {
+func driveToEnd(t testing.TB, sess *certainfix.FixSession, truth certainfix.Tuple) certainfix.Result {
 	t.Helper()
 	for !sess.Done() {
 		provideRound(t, sess, truth)
@@ -28,7 +32,7 @@ func driveToEnd(t *testing.T, sess *certainfix.FixSession, truth certainfix.Tupl
 	return sess.Result()
 }
 
-func provideRound(t *testing.T, sess *certainfix.FixSession, truth certainfix.Tuple) {
+func provideRound(t testing.TB, sess *certainfix.FixSession, truth certainfix.Tuple) {
 	t.Helper()
 	attrs := sess.Suggested()
 	values := make([]certainfix.Value, len(attrs))
@@ -71,11 +75,12 @@ func TestBeginMatchesFix(t *testing.T) {
 
 // TestTokenResumeInSeparateSystem is the headline acceptance scenario: a
 // session serialized after round 1 and resumed in a *separate* System
-// instance (same rules + master) produces a Result byte-identical to
-// the uninterrupted Fix.
+// instance (same rules + master + token key) produces a Result
+// byte-identical to the uninterrupted Fix — and a System holding another
+// key refuses the token.
 func TestTokenResumeInSeparateSystem(t *testing.T) {
 	truth := truthT2()
-	sysA := paperSystem(t)
+	sysA := paperSystem(t, testKey)
 	want, err := sysA.FixContext(context.Background(), paperex.InputT2(), certainfix.SimulatedUser{Truth: truth})
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +100,19 @@ func TestTokenResumeInSeparateSystem(t *testing.T) {
 	}
 
 	// "Different process": an independently constructed System over the
-	// same rules and master relation.
-	sysB := paperSystem(t)
+	// same rules and master relation, given the same key.
+	sysB := paperSystem(t, testKey)
 	resumed, err := sysB.Resume(context.Background(), token)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name, stranger := range map[string]*certainfix.System{
+		"another key":  paperSystem(t, certainfix.WithTokenKey([]byte("a different deployment"))),
+		"a random key": paperSystem(t),
+	} {
+		if _, err := stranger.Resume(context.Background(), token); !errors.Is(err, certainfix.ErrBadToken) {
+			t.Fatalf("resume under %s = %v, want ErrBadToken", name, err)
+		}
 	}
 	if resumed.Rounds() != 1 {
 		t.Fatalf("resumed rounds = %d, want 1", resumed.Rounds())
@@ -196,18 +209,39 @@ func TestResumeEvictionAndRebase(t *testing.T) {
 	}
 }
 
-// TestResumeBadToken: garbage and structurally invalid tokens fail with
+// TestResumeBadToken: garbage, tokens of the retired JSON format, and a
+// genuine token with one byte changed or cut off all fail with
 // ErrBadToken.
 func TestResumeBadToken(t *testing.T) {
 	sys := paperSystem(t)
-	if _, err := sys.Resume(context.Background(), []byte("{not json")); !errors.Is(err, certainfix.ErrBadToken) {
-		t.Fatalf("garbage token = %v, want ErrBadToken", err)
+	sess, err := sys.Begin(context.Background(), paperex.InputT2())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sys.Resume(context.Background(), []byte(`{"v":1,"tuple":["only-one"]}`)); !errors.Is(err, certainfix.ErrBadToken) {
-		t.Fatalf("short-tuple token = %v, want ErrBadToken", err)
+	provideRound(t, sess, truthT2())
+	token, err := sess.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sys.Resume(context.Background(), []byte(`{"v":99}`)); !errors.Is(err, certainfix.ErrBadToken) {
-		t.Fatalf("future-version token = %v, want ErrBadToken", err)
+	flipped := append([]byte(nil), token...)
+	flipped[len(flipped)/2] ^= 0x40
+	for name, bad := range map[string][]byte{
+		"empty":      nil,
+		"garbage":    []byte("{not json"),
+		"json token": []byte(`{"v":1,"epoch":0,"tuple":["only-one"]}`),
+		"flipped":    flipped,
+		"truncated":  token[:len(token)-1],
+		"extended":   append(append([]byte(nil), token...), 0),
+	} {
+		if _, err := sys.Resume(context.Background(), bad); !errors.Is(err, certainfix.ErrBadToken) {
+			t.Fatalf("%s token = %v, want ErrBadToken", name, err)
+		}
+		if _, err := sys.Resume(context.Background(), bad, certainfix.RebaseToHead()); !errors.Is(err, certainfix.ErrBadToken) {
+			t.Fatalf("%s token with rebase = %v, want ErrBadToken", name, err)
+		}
+	}
+	if _, err := sys.Resume(context.Background(), token); err != nil {
+		t.Fatalf("the genuine token must still resume: %v", err)
 	}
 }
 
@@ -222,6 +256,26 @@ func TestFunctionalOptions(t *testing.T) {
 	res := driveToEnd(t, sess, paperex.InputT4())
 	if res.Rounds != 1 || res.Completed {
 		t.Fatalf("WithMaxRounds(1): rounds=%d completed=%v", res.Rounds, res.Completed)
+	}
+
+	// The cap is the resuming System's: a session begun where the cap is
+	// lax cannot outrun the strict System it is resumed on.
+	lax := paperSystem(t, testKey, certainfix.WithMaxRounds(9))
+	strict := paperSystem(t, testKey, certainfix.WithMaxRounds(1))
+	begun, err := lax.Begin(context.Background(), paperex.InputT4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := begun.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := strict.Resume(context.Background(), token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := driveToEnd(t, resumed, paperex.InputT4()); res.Rounds != 1 || res.Completed {
+		t.Fatalf("resumed under WithMaxRounds(1): rounds=%d completed=%v", res.Rounds, res.Completed)
 	}
 
 	mixed := paperSystem(t, certainfix.WithMaxRounds(1), certainfix.WithMaxRounds(0))

@@ -9,11 +9,13 @@ package certainfix_test
 // round trip while hostile tokens are rejected.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/authtree"
@@ -222,9 +224,9 @@ func TestVerifyFixAcrossMasterUpdate(t *testing.T) {
 }
 
 // TestProvenanceSurvivesSessionToken suspends and resumes the session
-// through its JSON token after every round; the final result must carry
-// full, verifiable provenance. Hostile tokens with out-of-range witness
-// ids must be rejected at Resume.
+// through its token after every round; the final result must carry
+// full, verifiable provenance, also after its own JSON round trip.
+// Tokens a client has edited must be rejected at Resume.
 func TestProvenanceSurvivesSessionToken(t *testing.T) {
 	sys := paperSystem(t, certainfix.WithAuth())
 	truth := paperTruth()
@@ -259,30 +261,43 @@ func TestProvenanceSurvivesSessionToken(t *testing.T) {
 		t.Fatalf("resumed session's provenance rejected: %v", err)
 	}
 
-	// A hostile token asserting a witness id beyond the master must be
-	// rejected structurally, before any proof is ever materialized.
+	// The wire form ships each witnessed master tuple and its proof once;
+	// decoding rehydrates every witness, and the decoded result verifies.
+	wire, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[int]bool{}
+	for _, w := range res.Provenance {
+		distinct[w.MasterID] = true
+	}
+	if got := bytes.Count(wire, []byte(`"proof"`)); got != len(distinct) || len(distinct) >= len(res.Provenance) {
+		t.Fatalf("wire result carries %d proofs for %d distinct master tuples behind %d witnesses",
+			got, len(distinct), len(res.Provenance))
+	}
+	var decoded certainfix.Result
+	if err := json.Unmarshal(wire, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded.Provenance, res.Provenance) {
+		t.Fatalf("provenance changed across the wire:\n got  %+v\n want %+v", decoded.Provenance, res.Provenance)
+	}
+	if err := certainfix.VerifyFix(paperex.Sigma0(), &decoded, root); err != nil {
+		t.Fatalf("decoded result's provenance rejected: %v", err)
+	}
+
+	// A client cannot edit what the token asserts — a witness id, say:
+	// any changed byte fails the tag before a proof is ever materialized.
+	// (That the decoder behind the tag also range-checks witness ids is
+	// internal/monitor's TestResumeSessionValidation.)
 	if token, err = sess.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(token, &raw); err != nil {
-		t.Fatal(err)
-	}
-	var witnesses []map[string]any
-	if err := json.Unmarshal(raw["witnesses"], &witnesses); err != nil {
-		t.Fatalf("token has no witnesses array: %v", err)
-	}
-	witnesses[0]["masterId"] = 1 << 30
-	evil, err := json.Marshal(witnesses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw["witnesses"] = evil
-	hostile, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Resume(nil, hostile); !errors.Is(err, certainfix.ErrBadToken) {
-		t.Fatalf("hostile witness id = %v, want ErrBadToken", err)
+	for off := range token {
+		hostile := append([]byte(nil), token...)
+		hostile[off] ^= 0x10
+		if _, err := sys.Resume(nil, hostile); !errors.Is(err, certainfix.ErrBadToken) {
+			t.Fatalf("token with byte %d changed = %v, want ErrBadToken", off, err)
+		}
 	}
 }
