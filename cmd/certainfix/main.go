@@ -119,7 +119,11 @@ func main() {
 
 	fixedRel := certainfix.NewRelation(r)
 	totalFixed := 0
-	repairs, err := sys.RepairBatchContext(context.Background(), inputs.Tuples(), validatedPos, *workers)
+	batch := make([]certainfix.Tuple, 0, inputs.Len())
+	for _, t := range inputs.All() {
+		batch = append(batch, t)
+	}
+	repairs, err := sys.RepairBatchContext(context.Background(), batch, validatedPos, *workers)
 	if err != nil {
 		fatalf("%v", err)
 	}

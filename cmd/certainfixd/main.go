@@ -183,9 +183,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "certainfixd: boot %.3fs (master build/load %.3fs, region derivation %.3fs)\n",
 		time.Since(began).Seconds(), boot.Master.Seconds(), boot.Regions.Seconds())
 	if st, ok := sys.Durability(); ok {
+		// What "master build/load" was made of under -wal-dir.
+		rec := st.Recovery
 		fmt.Fprintf(os.Stderr,
-			"certainfixd: durable lineage %s (checkpoint epoch %d, replayed %d, torn bytes %d)\n",
-			*walDir, st.Recovery.BaseEpoch, st.Recovery.Replayed, st.Recovery.TornBytes)
+			"certainfixd: durable lineage %s (checkpoint epoch %d, replayed %d, torn bytes %d; base %.3fs, authenticate %.3fs, replay %.3fs, first checkpoint %.3fs)\n",
+			*walDir, rec.BaseEpoch, rec.Replayed, rec.TornBytes,
+			rec.BaseMs/1000, rec.AuthenticateMs/1000, rec.ReplayMs/1000, rec.FirstCheckpointMs/1000)
 	}
 	if st, ok := sys.Replication(); ok {
 		fmt.Fprintf(os.Stderr,

@@ -45,7 +45,7 @@ func main() {
 		for a := 0; a < noisy.Schema().Arity(); a++ {
 			if rng.Float64() < 0.03 {
 				foreign := pristine.Tuple(rng.Intn(pristine.Len()))[a]
-				noisy.Tuples()[i][a] = datagen.Corrupt(rng, noisy.Tuple(i)[a], foreign)
+				noisy.Tuple(i)[a] = datagen.Corrupt(rng, noisy.Tuple(i)[a], foreign)
 				corrupted++
 			}
 		}

@@ -48,7 +48,7 @@ func regionZmi(sigma *rule.Set, dm *master.Data) *fix.Region {
 	rm := dm.Schema()
 	z := r.MustPosList("zip", "phn", "type", "item")
 	tc := pattern.NewTableau()
-	for _, tm := range dm.Relation().Tuples() {
+	for _, tm := range dm.Relation().All() {
 		tc.Add(pattern.MustTuple(
 			[]int{r.MustPos("zip"), r.MustPos("phn"), r.MustPos("type")},
 			[]pattern.Cell{
@@ -123,7 +123,7 @@ func TestExample9RegionZL(t *testing.T) {
 	rm := c.Master().Schema()
 	z := r.MustPosList("FN", "LN", "AC", "phn", "type", "item")
 	tc := pattern.NewTableau()
-	for _, tm := range c.Master().Relation().Tuples() {
+	for _, tm := range c.Master().Relation().All() {
 		tc.Add(pattern.MustTuple(
 			r.MustPosList("FN", "LN", "AC", "phn", "type"),
 			[]pattern.Cell{

@@ -43,7 +43,7 @@ func qPhi(dm *master.Data, ru *rule.Rule, row pattern.Tuple) []int {
 	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	var out []int
-	for id, tm := range dm.Relation().Tuples() {
+	for id, tm := range dm.Relation().All() {
 		ok := true
 		for i := range x {
 			v := tm[xm[i]]

@@ -49,7 +49,7 @@ func (c *Checker) computeDomains() {
 	for _, ru := range c.sigma.Rules() {
 		x, xm := ru.LHS(), ru.LHSM()
 		for i := range x {
-			for _, tm := range c.dm.Relation().Tuples() {
+			for _, tm := range c.dm.Relation().All() {
 				add(x[i], tm[xm[i]])
 			}
 		}

@@ -39,9 +39,13 @@
 package authtree
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
+	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/relation"
 )
 
@@ -175,15 +179,114 @@ type Tree struct {
 // New returns an empty tree.
 func New() *Tree { return &Tree{} }
 
-// Build commits every tuple of a relation (the from-scratch path used at
-// construction, recovery verification, and as the property-test oracle
-// for incremental maintenance).
+// Build commits every tuple of a relation — the from-scratch path of
+// construction, of arena loads (recovery and follower bootstrap recompute
+// the root and verify it) and of lineages that turn authentication on. It
+// is one pass, not n inserts: the tuples are hashed in parallel, the
+// (key, vhash) pairs sorted, and the canonical trie assembled bottom-up
+// from the sorted run, so every node is hashed exactly once and no
+// intermediate node is ever allocated. Insert and Remove remain the delta
+// path, and the oracle this is tested against.
 func Build(rel *relation.Relation) *Tree {
-	tr := New()
-	for i := 0; i < rel.Len(); i++ {
-		tr = tr.Insert(rel.Tuple(i))
+	hashed := make([]hashedTuple, rel.Len())
+	n := len(hashed)
+	chunks := max(1, min(4*runtime.GOMAXPROCS(0), n))
+	// The error is dropped because no job returns one.
+	_, _ = parallel.Map(chunks, 0, func(c int) (struct{}, error) {
+		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+			t := rel.Tuple(i)
+			hashed[i] = hashedTuple{Key(t), Sum(t)}
+		}
+		return struct{}{}, nil
+	})
+	return buildHashed(hashed)
+}
+
+// hashedTuple is a tuple as the trie sees it: where it goes and what it
+// commits to.
+type hashedTuple struct {
+	key   uint64
+	vhash Hash
+}
+
+// parallelKeys is the subtree size below which bottom-up assembly stays on
+// one goroutine: a subtree of a few thousand keys is well under a
+// millisecond of hashing.
+const parallelKeys = 4096
+
+// buildHashed builds the tree of a multiset of hashed tuples (sorted in
+// place). Keys ascend in trie order — most significant bit first — so every
+// subtree is a contiguous run: the run's keys agree on the bits above its
+// depth, and the first key with the depth's bit set splits it into its two
+// children. Runs of parallelKeys or more under a common prefix are
+// assembled in parallel, the few levels above them serially.
+func buildHashed(hashed []hashedTuple) *Tree {
+	slices.SortFunc(hashed, func(a, b hashedTuple) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return compareHash(a.vhash, b.vhash)
+	})
+	// cut is the depth whose 2^cut prefixes are built as parallel jobs.
+	cut := 0
+	for len(hashed)>>cut >= parallelKeys && cut < 16 {
+		cut++
 	}
-	return tr
+	var subs []*node
+	if cut > 0 && runtime.GOMAXPROCS(0) > 1 {
+		subs, _ = parallel.Map(1<<cut, 0, func(p int) (*node, error) {
+			lo := firstKeyAtOrAbove(hashed, uint64(p)<<(Depth-cut))
+			hi := len(hashed)
+			if p+1 < 1<<cut {
+				hi = firstKeyAtOrAbove(hashed, uint64(p+1)<<(Depth-cut))
+			}
+			return assemble(hashed[lo:hi], cut, 0, nil), nil
+		})
+	}
+	return &Tree{root: assemble(hashed, 0, cut, subs), size: len(hashed)}
+}
+
+func firstKeyAtOrAbove(run []hashedTuple, key uint64) int {
+	i, _ := slices.BinarySearchFunc(run, key, func(h hashedTuple, key uint64) int { return cmp.Compare(h.key, key) })
+	return i
+}
+
+// assemble returns the canonical subtree at depth over a sorted run whose
+// keys share their first depth bits: nothing for an empty run, a leaf for a
+// single key (however many tuples carry it), otherwise an inner node over
+// the two halves the depth's bit splits the run into — one-armed when all
+// keys fall on one side, exactly the spine split and collapse maintain.
+// With subs given, the subtrees at depth cut are taken from it by prefix.
+func assemble(run []hashedTuple, depth, cut int, subs []*node) *node {
+	switch {
+	case len(run) == 0:
+		return nil
+	case run[0].key == run[len(run)-1].key:
+		return newLeaf(run[0].key, countEntries(run))
+	case subs != nil && depth == cut:
+		return subs[run[0].key>>(Depth-cut)]
+	}
+	mid := firstKeyAtOrAbove(run, run[0].key>>(Depth-depth)<<(Depth-depth)|1<<(Depth-1-depth))
+	return newInner(assemble(run[:mid], depth+1, cut, subs), assemble(run[mid:], depth+1, cut, subs))
+}
+
+// countEntries folds a vhash-sorted run of one key into its leaf entries.
+func countEntries(run []hashedTuple) []Entry {
+	distinct := 1
+	for i := 1; i < len(run); i++ {
+		if run[i].vhash != run[i-1].vhash {
+			distinct++
+		}
+	}
+	entries := make([]Entry, 0, distinct)
+	for _, h := range run {
+		if n := len(entries); n > 0 && entries[n-1].VHash == h.vhash {
+			entries[n-1].Count++
+		} else {
+			entries = append(entries, Entry{VHash: h.vhash, Count: 1})
+		}
+	}
+	return entries
 }
 
 // Root returns the 32-byte commitment to the whole multiset.

@@ -3,7 +3,10 @@ package authtree
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -304,6 +307,101 @@ func TestCOWSharing(t *testing.T) {
 			if !ok || VerifyInclusion(roots[e], tu, p) != nil {
 				t.Fatalf("epoch %d: retained tree lost a tuple", e)
 			}
+		}
+	}
+}
+
+// sameTree compares two tries node by node: form, key, entries and hash.
+func sameTree(a, b *node) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.hash != b.hash || a.key != b.key || len(a.entries) != len(b.entries) || (a.entries == nil) != (b.entries == nil) {
+		return false
+	}
+	for i := range a.entries {
+		if a.entries[i] != b.entries[i] {
+			return false
+		}
+	}
+	return sameTree(a.left, b.left) && sameTree(a.right, b.right)
+}
+
+// TestBuildEqualsIncremental holds the one-pass build to the Insert chain it
+// replaced: over random multisets — duplicates, forced equal keys with
+// different contents, keys sharing all but their lowest bits, everything
+// crowded under one of the prefixes the parallel assembly cuts at — both
+// produce the same trie node for node, hence the same root, and the same
+// proof for every committed tuple, at every GOMAXPROCS.
+func TestBuildEqualsIncremental(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	shapes := []struct {
+		name string
+		n    int
+		key  func(rng *rand.Rand) uint64
+	}{
+		{"empty", 0, nil},
+		{"one", 1, (*rand.Rand).Uint64},
+		{"random", 2 * parallelKeys, (*rand.Rand).Uint64},
+		{"few keys", 500, func(rng *rand.Rand) uint64 { return uint64(rng.Intn(40)) * 0x0123456789abcdef }},
+		{"deep spines", 600, func(rng *rand.Rand) uint64 {
+			// Eight clusters of four keys that differ in their two lowest bits.
+			return uint64(rng.Intn(8))*0x1f3d5b79a1c3e5f7&^3 | uint64(rng.Intn(4))
+		}},
+		{"low bits only", 300, func(rng *rand.Rand) uint64 { return uint64(rng.Intn(64)) }},
+		{"one crowded prefix", 2 * parallelKeys, func(rng *rand.Rand) uint64 { return 0xabc<<52 | rng.Uint64()>>12 }},
+		{"crowded prefix and strays", 2 * parallelKeys, func(rng *rand.Rand) uint64 {
+			if rng.Intn(50) == 0 {
+				return rng.Uint64()
+			}
+			return 0x5<<60 | rng.Uint64()>>4
+		}},
+	}
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for si, shape := range shapes {
+			rng := rand.New(rand.NewSource(int64(1000*procs + si)))
+			hashed := make([]hashedTuple, shape.n)
+			for i := range hashed {
+				hashed[i].key = shape.key(rng)
+				// A handful of contents per key: equal keys with different
+				// contents, and exact duplicates (counts above one).
+				hashed[i].vhash = Hash{byte(rng.Intn(3)), byte(hashed[i].key)}
+			}
+			chain := New()
+			for _, h := range hashed {
+				chain = chain.insertHashed(h.key, h.vhash)
+			}
+			built := buildHashed(append([]hashedTuple(nil), hashed...))
+			ctx := fmt.Sprintf("GOMAXPROCS %d, %s", procs, shape.name)
+			if built.Len() != chain.Len() || built.Root() != chain.Root() {
+				t.Fatalf("%s: build commits %d tuples under %v, insert chain %d under %v",
+					ctx, built.Len(), built.Root(), chain.Len(), chain.Root())
+			}
+			if !sameTree(built.root, chain.root) {
+				t.Fatalf("%s: equal roots over different tries", ctx)
+			}
+			for _, h := range hashed {
+				got, ok := built.proveHashed(h.key, h.vhash)
+				want, wok := chain.proveHashed(h.key, h.vhash)
+				if !ok || !wok || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: proofs of key %#x differ: %+v (%v) vs %+v (%v)", ctx, h.key, got, ok, want, wok)
+				}
+			}
+		}
+		// Through the public entry point, tuples and all.
+		rng := rand.New(rand.NewSource(int64(procs)))
+		tuples := make([]relation.Tuple, 2*parallelKeys)
+		chain := New()
+		for i := range tuples {
+			tuples[i] = randTuple(rng)
+			if i%3 == 0 {
+				tuples[i][1] = relation.Int(int64(i)) // mostly distinct, some duplicates
+			}
+			chain = chain.Insert(tuples[i])
+		}
+		if built := Build(mustRel(t, tuples)); !sameTree(built.root, chain.root) || built.Len() != chain.Len() {
+			t.Fatalf("GOMAXPROCS %d: Build over tuples differs from the insert chain", procs)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package authtree
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -67,5 +69,35 @@ func BenchmarkProofVerify(b *testing.B) {
 		if err := VerifyInclusion(root, tuples[j], proofs[j]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAuthBuild measures the from-scratch commitment of a 100k-tuple
+// relation — what first boot, recovery and follower bootstrap pay — with
+// GOMAXPROCS pinned to 1 and to 2.
+func BenchmarkAuthBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	tuples := make([]relation.Tuple, 100_000)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{
+			relation.String(randWord(rng)),
+			relation.Int(int64(i)),
+			relation.String(randWord(rng)),
+		}
+	}
+	rel, err := relation.FromTuples(testSchema, tuples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if tr := Build(rel); tr.Len() != len(tuples) {
+					b.Fatal("short tree")
+				}
+			}
+		})
 	}
 }

@@ -91,10 +91,13 @@ func (e *Entry) UnmarshalJSON(b []byte) error {
 // Prove emits an inclusion proof for the tuple, or false when the tree
 // does not commit it (wrong content or never inserted).
 func (tr *Tree) Prove(t relation.Tuple) (*Proof, bool) {
+	return tr.proveHashed(Key(t), Sum(t))
+}
+
+func (tr *Tree) proveHashed(key uint64, vh Hash) (*Proof, bool) {
 	if tr == nil || tr.root == nil {
 		return nil, false
 	}
-	key, vh := Key(t), Sum(t)
 	var siblings []Hash
 	n := tr.root
 	for depth := 0; n != nil && n.entries == nil; depth++ {

@@ -42,7 +42,7 @@ func TestHospMasterFunctional(t *testing.T) {
 	// correspondence is functional inside Dm.
 	for _, ru := range ds.Sigma.Rules() {
 		seen := map[string]relation.Value{}
-		for _, tm := range rel.Tuples() {
+		for _, tm := range rel.All() {
 			key := tm.Key(ru.LHSM())
 			v := tm[ru.RHSM()]
 			if prev, ok := seen[key]; ok && !prev.Equal(v) {
@@ -62,7 +62,7 @@ func TestDblpMasterFunctional(t *testing.T) {
 	}
 	for _, ru := range ds.Sigma.Rules() {
 		seen := map[string]relation.Value{}
-		for _, tm := range ds.Master.Relation().Tuples() {
+		for _, tm := range ds.Master.Relation().All() {
 			key := tm.Key(ru.LHSM())
 			v := tm[ru.RHSM()]
 			if prev, ok := seen[key]; ok && !prev.Equal(v) {
@@ -164,7 +164,7 @@ func TestDupRateControlsMasterMatches(t *testing.T) {
 	}
 	for i, truth := range all.Truths {
 		found := false
-		for _, tm := range all.Master.Relation().Tuples() {
+		for _, tm := range all.Master.Relation().All() {
 			if truth.Equal(tm) {
 				found = true
 				break
@@ -179,7 +179,7 @@ func TestDupRateControlsMasterMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, truth := range none.Truths {
-		for _, tm := range none.Master.Relation().Tuples() {
+		for _, tm := range none.Master.Relation().All() {
 			if truth.Equal(tm) {
 				t.Fatalf("d%%=0: truth %d equals a master row", i)
 			}

@@ -192,7 +192,7 @@ func (m *miner) repair(rel *relation.Relation, deps []Candidate, opts LoopOption
 		if w.conflict {
 			continue
 		}
-		rel.Tuples()[w.row][w.col] = w.val
+		rel.Tuple(w.row)[w.col] = w.val
 		fixed++
 	}
 	return fixed

@@ -29,7 +29,7 @@ func loopFixture(n int, seed int64) (dirty, clean *relation.Relation) {
 	for i := 0; i < n; i++ {
 		for _, col := range []int{1, 2} {
 			if rng.Float64() < 0.03 {
-				dirty.Tuples()[i][col] = relation.String(fmt.Sprintf("noise_%d_%d", i, col))
+				dirty.Tuple(i)[col] = relation.String(fmt.Sprintf("noise_%d_%d", i, col))
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func Dependencies(masterRel *relation.Relation, opts Options) []Candidate {
 	distinct := make([]int, arity)
 	for a := 0; a < arity; a++ {
 		seen := map[relation.Value]bool{}
-		for _, tm := range masterRel.Tuples() {
+		for _, tm := range masterRel.All() {
 			seen[tm[a]] = true
 		}
 		distinct[a] = len(seen)
@@ -84,7 +84,7 @@ func Dependencies(masterRel *relation.Relation, opts Options) []Candidate {
 // contradiction — the exact path never pays for violation counting).
 func functional(rel *relation.Relation, lhs []int, b int) (int, bool) {
 	values := make(map[string]relation.Value, rel.Len())
-	for _, tm := range rel.Tuples() {
+	for _, tm := range rel.All() {
 		key := tm.Key(lhs)
 		if prev, ok := values[key]; ok {
 			if !prev.Equal(tm[b]) {
@@ -106,7 +106,7 @@ func measureApprox(rel *relation.Relation, lhs []int, b int) (support, viol int)
 		counts map[relation.Value]int
 	}
 	groups := map[string]*group{}
-	for _, tm := range rel.Tuples() {
+	for _, tm := range rel.All() {
 		key := tm.Key(lhs)
 		g := groups[key]
 		if g == nil {

@@ -83,7 +83,7 @@ func TestExample9CertainFix(t *testing.T) {
 	rm := dm.Schema()
 	z := r.MustPosList("zip", "phn", "type", "item")
 	tc := pattern.NewTableau()
-	for _, tm := range dm.Relation().Tuples() {
+	for _, tm := range dm.Relation().All() {
 		row := pattern.MustTuple(
 			[]int{r.MustPos("zip"), r.MustPos("phn"), r.MustPos("type")},
 			[]pattern.Cell{

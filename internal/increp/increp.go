@@ -167,7 +167,7 @@ func (r *Repairer) cheapestResolution(t relation.Tuple, c *cfd.CFD, frozen relat
 // the total number of changed cells.
 func (r *Repairer) RepairRelation(rel *relation.Relation) int {
 	total := 0
-	for _, t := range rel.Tuples() {
+	for _, t := range rel.All() {
 		total += len(r.RepairTuple(t))
 	}
 	return total

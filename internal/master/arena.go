@@ -45,9 +45,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/relation"
 	"repro/internal/rule"
+	"repro/internal/wal"
 )
 
 const (
@@ -104,30 +106,81 @@ func ruleSig(ru *rule.Rule) uint64 {
 	return acc
 }
 
-// arenaBuilder accumulates the image in memory (the header needs the
-// final size and section offsets, so the image is assembled before the
-// single Write).
-type arenaBuilder struct {
-	buf []byte
+// arenaWriter emits the image front to back. The header, written first,
+// needs the file size and every section's offset, so the body is emitted
+// twice: a sizing pass (w == nil) that only advances off and records where
+// each section starts, then the writing pass through one buffered writer.
+// The image is never assembled in memory.
+type arenaWriter struct {
+	w       *bufio.Writer // nil during the sizing pass
+	off     int64
+	secs    [numSections]int64
+	err     error // first write error; later writes are skipped
+	scratch [8]byte
 }
 
-func (b *arenaBuilder) align8() {
-	for len(b.buf)%8 != 0 {
-		b.buf = append(b.buf, 0)
+func (a *arenaWriter) bytes(p []byte) {
+	a.off += int64(len(p))
+	if a.w != nil && a.err == nil {
+		_, a.err = a.w.Write(p)
 	}
 }
 
-func (b *arenaBuilder) u8(v uint8)   { b.buf = append(b.buf, v) }
-func (b *arenaBuilder) u32(v uint32) { b.buf = binary.LittleEndian.AppendUint32(b.buf, v) }
-func (b *arenaBuilder) u64(v uint64) { b.buf = binary.LittleEndian.AppendUint64(b.buf, v) }
-func (b *arenaBuilder) bytes(p []byte) {
-	b.buf = append(b.buf, p...)
+// str writes s's bytes without copying them out of the string first.
+func (a *arenaWriter) str(s string) {
+	a.off += int64(len(s))
+	if a.w != nil && a.err == nil {
+		_, a.err = a.w.WriteString(s)
+	}
 }
 
-// section 8-aligns the buffer and records the upcoming section's offset.
-func (b *arenaBuilder) section(sec int) {
-	b.align8()
-	binary.LittleEndian.PutUint64(b.buf[hdrSections+8*sec:], uint64(len(b.buf)))
+func (a *arenaWriter) u8(v uint8) {
+	a.scratch[0] = v
+	a.bytes(a.scratch[:1])
+}
+
+func (a *arenaWriter) u32(v uint32) {
+	binary.LittleEndian.PutUint32(a.scratch[:4], v)
+	a.bytes(a.scratch[:4])
+}
+
+func (a *arenaWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(a.scratch[:8], v)
+	a.bytes(a.scratch[:8])
+}
+
+// writeInts writes an array little-endian at width 4 or 8 bytes an element,
+// a buffer-full at a time.
+func writeInts[T int | int32 | uint32 | uint64](a *arenaWriter, xs []T, width int) {
+	a.off += int64(width) * int64(len(xs))
+	for a.w != nil && a.err == nil && len(xs) > 0 {
+		buf := a.w.AvailableBuffer()
+		if cap(buf) < width {
+			a.err = a.w.Flush()
+			continue
+		}
+		n := min(len(xs), cap(buf)/width)
+		for _, x := range xs[:n] {
+			if width == 8 {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+			} else {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+			}
+		}
+		_, a.err = a.w.Write(buf)
+		xs = xs[n:]
+	}
+}
+
+func (a *arenaWriter) align8() {
+	var zero [8]byte
+	a.bytes(zero[:(8-a.off%8)%8])
+}
+
+// section 8-aligns the image and records the upcoming section's offset.
+func (a *arenaWriter) section(sec int) {
+	a.align8()
+	a.secs[sec] = a.off
 }
 
 // SaveArena writes the snapshot as a columnar arena image loadable with
@@ -136,7 +189,9 @@ func (b *arenaBuilder) section(sec int) {
 // into the image, and LoadArena will only accept the image against an
 // equivalent Σ. The snapshot may be anywhere in a delta chain: a shard
 // with an empty overlay is written as the table it holds, one with an
-// overlay as the compacted table of the merged view.
+// overlay as the compacted table of the merged view. The image streams to
+// w through one buffer; beyond it the save holds the value-id column
+// vectors and one shard's compacted table at a time.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	if !sigma.MasterSchema().Equal(d.rel.Schema()) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
@@ -151,44 +206,81 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		}
 	}
 
-	schema := d.rel.Schema()
-	n := d.rel.Len()
-	arity := schema.Arity()
+	// Assign every distinct cell value an id: interned values keep their
+	// symbol-table ids (the stable-id contract the bucket hashes depend
+	// on), extension values extend the id space in row-major scan order.
+	n, arity := d.rel.Len(), d.rel.Schema().Arity()
+	vals := d.syms.Export()
+	nsyms := len(vals)
+	ext := make(map[relation.Value]uint32)
+	colIDs := make([]uint32, n*arity)
+	for i, t := range d.rel.All() {
+		for c := 0; c < arity; c++ {
+			id, ok := d.syms.ID(t[c])
+			if !ok {
+				if id, ok = ext[t[c]]; !ok {
+					id = uint32(len(vals))
+					ext[t[c]] = id
+					vals = append(vals, t[c])
+				}
+			}
+			colIDs[c*n+i] = id
+		}
+	}
 
-	b := &arenaBuilder{buf: make([]byte, arenaHeaderSize, arenaHeaderSize+64*n)}
+	var sized arenaWriter
+	sized.off = arenaHeaderSize
+	d.writeArenaBody(&sized, sigma, vals, colIDs)
+
+	var hdr [arenaHeaderSize]byte
+	copy(hdr[hdrMagic:], arenaMagic)
+	binary.LittleEndian.PutUint32(hdr[hdrVersion:], arenaVersion)
+	binary.LittleEndian.PutUint32(hdr[hdrEndian:], arenaEndianMark)
+	binary.LittleEndian.PutUint64(hdr[hdrEpoch:], d.epoch)
+	binary.LittleEndian.PutUint64(hdr[hdrNTuples:], uint64(n))
+	binary.LittleEndian.PutUint32(hdr[hdrNShards:], uint32(d.nshards))
+	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(arity))
+	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(nsyms))
+	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
+	binary.LittleEndian.PutUint32(hdr[hdrNPosts:], uint32(len(d.postings)))
+	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
+	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(sized.off))
+	for sec, off := range sized.secs {
+		binary.LittleEndian.PutUint64(hdr[hdrSections+8*sec:], uint64(off))
+	}
+
+	out := arenaWriter{w: bufio.NewWriterSize(w, 1<<20)}
+	out.bytes(hdr[:])
+	d.writeArenaBody(&out, sigma, vals, colIDs)
+	if out.err == nil {
+		out.err = out.w.Flush()
+	}
+	if out.err != nil {
+		return fmt.Errorf("master: save arena: %w", out.err)
+	}
+	if out.off != sized.off || out.secs != sized.secs {
+		// The header is already out; a mismatch would be an image that lies
+		// about itself, so it must not be reported as saved.
+		return fmt.Errorf("master: save arena: wrote %d bytes where the sizing pass counted %d", out.off, sized.off)
+	}
+	return nil
+}
+
+// writeArenaBody emits the seven sections after the header. vals are the
+// image's values in id order (the interning table, then the extension
+// values) and colIDs the column-major value ids of every cell.
+func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set, vals []relation.Value, colIDs []uint32) {
+	schema := d.rel.Schema()
 
 	// Schema: name, then each attribute's name and type.
 	b.section(secSchema)
 	b.u32(uint32(len(schema.Name())))
-	b.bytes([]byte(schema.Name()))
-	for i := 0; i < arity; i++ {
+	b.str(schema.Name())
+	for i := 0; i < schema.Arity(); i++ {
 		attr := schema.Attr(i)
 		b.u32(uint32(len(attr.Name)))
-		b.bytes([]byte(attr.Name))
+		b.str(attr.Name)
 		b.u8(uint8(attr.Type))
-	}
-
-	// Assign every distinct cell value an id: interned values keep their
-	// symbol-table ids (the stable-id contract the bucket hashes depend
-	// on), extension values extend the id space in row-major scan order.
-	vals := d.syms.Export()
-	nsyms := len(vals)
-	ids := make(map[relation.Value]uint32, nsyms)
-	for i, v := range vals {
-		ids[v] = uint32(i)
-	}
-	colIDs := make([]uint32, n*arity)
-	for i := 0; i < n; i++ {
-		t := d.rel.Tuple(i)
-		for c := 0; c < arity; c++ {
-			id, ok := ids[t[c]]
-			if !ok {
-				id = uint32(len(vals))
-				ids[t[c]] = id
-				vals = append(vals, t[c])
-			}
-			colIDs[c*n+i] = id
-		}
 	}
 
 	// Symbols: count, fixed records, string heap.
@@ -197,10 +289,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	b.align8()
 	heapLen := 0
 	for _, v := range vals {
-		b.u8(uint8(v.Kind()))
-		b.u8(0)
-		b.u8(0)
-		b.u8(0)
+		b.u32(uint32(v.Kind())) // the kind byte and three of padding
 		switch v.Kind() {
 		case relation.KindString:
 			b.u32(uint32(len(v.Str())))
@@ -217,15 +306,13 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	b.u64(uint64(heapLen))
 	for _, v := range vals {
 		if v.Kind() == relation.KindString {
-			b.bytes([]byte(v.Str()))
+			b.str(v.Str())
 		}
 	}
 
 	// Columns: arity × n uint32 ids, column-major.
 	b.section(secColumns)
-	for _, id := range colIDs {
-		b.u32(id)
-	}
+	writeInts(b, colIDs, 4)
 
 	// Indexes: per registered index, the Xm list then one table per shard.
 	b.section(secIndexes)
@@ -236,7 +323,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		}
 		b.align8()
 		for s := range idx.shards {
-			writeTable(b, idx.shards[s].compact())
+			writeTable(b, &idx.shards[s].layered)
 		}
 	}
 
@@ -246,7 +333,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		b.u32(uint32(ps.col))
 		b.u32(0)
 		for s := range ps.shards {
-			writeTable(b, ps.shards[s].compact())
+			writeTable(b, &ps.shards[s])
 		}
 	}
 
@@ -256,8 +343,8 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		cp := d.compat[ru]
 		b.u64(ruleSig(ru))
 		b.u32(uint32(cp.patCount))
-		b.u32(uint32(len(cp.patBits)))
-		for _, w := range cp.patBits {
+		b.u32(uint32(cp.patBits.Len()))
+		for _, w := range cp.patBits.All() {
 			b.u64(w)
 		}
 	}
@@ -268,100 +355,73 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	// uniform; the loader rebuilds and verifies the tree only when the
 	// flag is set.
 	b.section(secAuth)
-	if root, ok := d.AuthRoot(); ok {
-		b.u32(1)
-		b.u32(0)
-		b.bytes(root[:])
+	root, ok := d.AuthRoot()
+	if ok {
+		b.u64(1) // the flag and four bytes of padding
 	} else {
-		b.u32(0)
-		b.u32(0)
-		b.bytes(make([]byte, 32))
+		b.u64(0)
 	}
-
-	hdr := b.buf[:arenaHeaderSize]
-	copy(hdr[hdrMagic:], arenaMagic)
-	binary.LittleEndian.PutUint32(hdr[hdrVersion:], arenaVersion)
-	binary.LittleEndian.PutUint32(hdr[hdrEndian:], arenaEndianMark)
-	binary.LittleEndian.PutUint64(hdr[hdrEpoch:], d.epoch)
-	binary.LittleEndian.PutUint64(hdr[hdrNTuples:], uint64(n))
-	binary.LittleEndian.PutUint32(hdr[hdrNShards:], uint32(d.nshards))
-	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(arity))
-	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(nsyms))
-	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
-	binary.LittleEndian.PutUint32(hdr[hdrNPosts:], uint32(len(d.postings)))
-	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
-	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(len(b.buf)))
-
-	_, err := w.Write(b.buf)
-	return err
+	b.bytes(root[:])
 }
 
-// SaveArenaFile writes the arena to path atomically AND durably: temp
-// file in the target directory, fsync the file, rename over path, fsync
-// the directory. A crash at any point leaves either the old file or the
-// complete new one — never a truncated snapshot, and never a rename
-// that a power cut can undo.
-func (d *Data) SaveArenaFile(path string, sigma *rule.Set) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".arena-*")
-	if err != nil {
-		return fmt.Errorf("master: save arena: %w", err)
+// writeTable writes one shard's canonical table — the one it holds under an
+// empty overlay, the compacted merged view otherwise: header (nslots,
+// nkeys, nids), slot array, id array at the image's id width, padded back
+// to 8. The sizing pass counts the merged view instead of building it.
+func writeTable[K uint32 | uint64, ID int | int32](b *arenaWriter, l *layered[K, ID]) {
+	if b.w == nil {
+		nkeys, nids := l.mergedSize()
+		b.off += 24 + 16*int64(tableSlots(nkeys)) + int64(idWidth[ID]())*int64(nids)
+		b.align8()
+		return
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := d.SaveArena(bw, sigma); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	dir, err := os.Open(dirOf(path))
-	if err != nil {
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("master: save arena: %w", err)
-	}
-	return nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
-}
-
-// writeTable writes one frozen table: header (nslots, nkeys, nids), slot
-// array, id array at the image's id width, padded back to 8.
-func writeTable[ID int | int32](b *arenaBuilder, t table[ID]) {
+	t := l.compact()
 	b.u64(uint64(len(t.slots) / 2))
 	b.u64(uint64(t.nkeys))
 	b.u64(uint64(len(t.ids)))
-	for _, w := range t.slots {
-		b.u64(w)
+	writeInts(b, t.slots, 8)
+	writeInts(b, t.ids, idWidth[ID]())
+	b.align8()
+}
+
+// SaveArenaFile writes the arena to path atomically AND durably (see
+// saveArenaAtomic).
+func (d *Data) SaveArenaFile(path string, sigma *rule.Set) error {
+	return d.saveArenaAtomic(wal.OS, path, sigma)
+}
+
+// saveArenaAtomic is the one spelling of a durable arena write, shared by
+// SaveArenaFile and the lineage's checkpoints: stream the image to
+// path+".tmp", fsync it, rename it over path, fsync the directory. A crash
+// at any point leaves either the old file or the complete new one — never
+// a truncated snapshot, and never a rename that a power cut can undo. An
+// error means no new image became durable.
+func (d *Data) saveArenaAtomic(fsys wal.FS, path string, sigma *rule.Set) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("master: save arena: %w", err)
 	}
-	wide := idWidth[ID]() == 8
-	for _, id := range t.ids {
-		if wide {
-			b.u64(uint64(id))
-		} else {
-			b.u32(uint32(id))
+	err = d.SaveArena(f, sigma)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("master: save arena: %w", err)
 		}
 	}
-	b.align8()
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("master: save arena: %w", cerr)
+	}
+	if err == nil {
+		if err = fsys.Rename(tmp, path); err != nil {
+			err = fmt.Errorf("master: save arena: %w", err)
+		}
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp) // best effort: the next save truncates it anyway
+		return err
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("master: save arena: %w", err)
+	}
+	return nil
 }

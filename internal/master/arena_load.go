@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/authtree"
 	"repro/internal/parallel"
+	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -589,7 +590,7 @@ func decodeArenaRule(r *areader, ru *rule.Rule, n int) (*compatPlan, error) {
 		return nil, r.err
 	}
 	return &compatPlan{
-		patBits:  patBits,
+		patBits:  persist.FromSlice(patBits),
 		patCount: patCount,
 		posts:    make([]*postings, len(ru.LHSMRef())),
 	}, nil

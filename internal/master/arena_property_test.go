@@ -5,7 +5,7 @@ package master
 // purely in-memory lineage at every step, under the same rebuild oracle
 // (checkEquiv) the delta chain is held to. The chain re-serializes
 // mid-way at random, so overlays accumulated ON TOP of a loaded arena
-// (mapped tables + overlay maps) are themselves frozen and re-loaded, and
+// (mapped tables + overlay tries) are themselves frozen and re-loaded, and
 // the flatten-at-1/4 compaction that rewrites a mapped table on the heap
 // is crossed repeatedly (the instances are small, so a few deltas trigger
 // it).

@@ -2,10 +2,11 @@ package master
 
 // This file implements the versioned-master update path: ApplyDelta
 // derives the next immutable snapshot from a batch of additions and
-// deletions by incrementally maintaining the hash indexes, posting lists
-// and pattern-support bitmaps (copy-on-write overlays over the shared
-// frozen tables), and Versioned publishes the current snapshot through an
-// atomic pointer so probes never block behind an update.
+// deletions by incrementally maintaining the tuple headers, hash indexes,
+// posting lists, symbol table and pattern-support bitmaps — every one of
+// them a structurally shared container (internal/persist) over the frozen
+// tables — and Versioned publishes the current snapshot through an atomic
+// pointer so probes never block behind an update.
 //
 // Delta semantics, mirrored exactly by the rebuild oracle the property
 // tests compare against:
@@ -26,11 +27,14 @@ package master
 // APPLIED per structure; a large delta applies its structures in parallel,
 // since distinct structures share no maps.
 //
-// Cost per delta: O(|Dm|) to copy the tuple-header slice and the per-rule
-// bitmaps (a few machine words per tuple, no hashing), plus O(|delta|)
-// map and bucket work — against the full rebuild's per-tuple hashing,
-// interning and pattern evaluation. The ApplyDelta benchmarks record the
-// gap (hundreds of times faster at |Dm| = 60k).
+// Cost per delta: the delta. Per op and structure, one trie path into the
+// shard's overlay and one fresh id list; per touched 64-element chunk of
+// the tuple headers and of each rule's bitmap, one chunk copy; per
+// interned value, one trie path. What still scales with |Dm| is the chunk
+// tables (8 bytes per 64 tuples, and per 4096 per rule) and, amortized, the
+// compaction of a shard whose overlay outgrew its table.
+// TestApplyDeltaAllocScaling holds the same delta at |Dm| = 60k to 3× the
+// bytes it allocates at 6k; the ApplyDelta benchmarks record the rest.
 
 import (
 	"errors"
@@ -46,17 +50,28 @@ import (
 )
 
 // fork derives the next snapshot's view of a compatibility plan: the
-// pattern bitmap is copied at the given word count (deltas change |Dm|,
-// so the new snapshot may need more words than the old), and the posting
-// pointers are remapped to the forked postings.
+// pattern bitmap shares its chunks with the parent's, grown to the given
+// word count (deltas change |Dm|, so the new snapshot may need more words
+// than the old), and the posting pointers are remapped to the forked
+// postings.
 func (cp *compatPlan) fork(remap map[*postings]*postings, words int) *compatPlan {
-	bits := make([]uint64, words)
-	copy(bits, cp.patBits)
+	bits := cp.patBits.Clone()
+	for bits.Len() < words {
+		bits.Append(0)
+	}
 	posts := make([]*postings, len(cp.posts))
 	for i, ps := range cp.posts {
 		posts[i] = remap[ps]
 	}
 	return &compatPlan{patBits: bits, patCount: cp.patCount, posts: posts}
+}
+
+// flip inverts tuple id's pattern bit. Every bitmap write of a delta is a
+// flip of a bit whose state the caller knows: a set bit being cleared
+// (delete, the source of a move), a clear one being set (the target of a
+// move, an append).
+func (cp *compatPlan) flip(id int) {
+	cp.patBits.Set(id>>6, cp.patBits.At(id>>6)^(1<<(uint(id)&63)))
 }
 
 // deltaOp is one planned mutation of every index and posting list. Bitmap
@@ -150,8 +165,10 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		nd.compat[ru] = cp.fork(remapPost, words)
 	}
 
-	tuples := make([]relation.Tuple, n, maxLen)
-	copy(tuples, d.rel.Tuples())
+	// The headers are shared with d chunk by chunk; the edits below copy the
+	// chunks they touch.
+	rel := d.rel.Fork()
+	nd.rel = rel
 
 	// Plan: queue every op; update bitmaps and intern added values inline
 	// (both global, both O(1) per op).
@@ -164,26 +181,25 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	nd.auth = d.auth
 
 	for _, id := range del {
-		last := len(tuples) - 1
-		t := tuples[id]
+		last := rel.Len() - 1
+		t := rel.Tuple(id)
 		ops = append(ops, deltaOp{kind: opUnindex, t: t, id: id})
 		nd.unsetBits(id)
 		if nd.auth != nil {
 			nd.auth = authRemove(nd.auth, t)
 		}
 		if last != id {
-			moved := tuples[last]
+			moved := rel.Tuple(last)
 			ops = append(ops, deltaOp{kind: opRename, t: moved, id: last, to: id})
 			nd.moveBits(last, id)
-			tuples[id] = moved
+			_ = rel.Set(id, moved) // cannot fail: moved is a tuple of this relation
 		}
-		tuples[last] = nil
-		tuples = tuples[:last]
+		rel.Truncate(last)
 	}
 	for _, t := range adds {
 		tc := t.Clone()
-		id := len(tuples)
-		tuples = append(tuples, tc)
+		id := rel.Len()
+		rel.MustAppend(tc) // cannot panic: arity validated above
 		for _, col := range nd.needCols {
 			nd.syms.Intern(tc[col])
 		}
@@ -193,14 +209,8 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 			nd.auth = nd.auth.Insert(tc)
 		}
 	}
-
-	// The tuple slice is final once planning ends; the index ops read the
-	// new relation to keep the exception tables exact.
-	rel, err := relation.FromTuples(d.rel.Schema(), tuples)
-	if err != nil {
-		return nil, err // unreachable: adds were validated above
-	}
-	nd.rel = rel
+	// The relation is final once planning ends; the index ops read it to keep
+	// the exception tables exact.
 
 	// Apply: structures share no maps, so a large delta fans them out
 	// across CPUs.
@@ -225,9 +235,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 
 	// Trim the pattern bitmaps to the final length (net-shrinking deltas
 	// leave spare words; all trimmed bits are already zero).
-	fwords := (len(tuples) + 63) / 64
+	fwords := (rel.Len() + 63) / 64
 	for _, cp := range nd.compat {
-		cp.patBits = cp.patBits[:fwords]
+		cp.patBits.Truncate(fwords)
 	}
 	return nd, nil
 }
@@ -294,10 +304,9 @@ func editIDs[ID int | int32](op deltaOp, ids []ID) []ID {
 
 // unsetBits clears tuple id's pattern bits (planning-time, serial).
 func (nd *Data) unsetBits(id int) {
-	w, m := id>>6, uint64(1)<<(uint(id)&63)
 	for _, cp := range nd.compat {
-		if cp.patBits[w]&m != 0 {
-			cp.patBits[w] &^= m
+		if cp.has(id) {
+			cp.flip(id)
 			cp.patCount--
 		}
 	}
@@ -306,11 +315,10 @@ func (nd *Data) unsetBits(id int) {
 // moveBits rewrites tuple `from`'s pattern bits to id `to` (the
 // swap-remove move; to's own bits were cleared by unsetBits first).
 func (nd *Data) moveBits(from, to int) {
-	wf, mf := from>>6, uint64(1)<<(uint(from)&63)
 	for _, cp := range nd.compat {
-		if cp.patBits[wf]&mf != 0 {
-			cp.patBits[wf] &^= mf
-			cp.patBits[to>>6] |= 1 << (uint(to) & 63)
+		if cp.has(from) {
+			cp.flip(from)
+			cp.flip(to)
 		}
 	}
 }
@@ -320,7 +328,7 @@ func (nd *Data) moveBits(from, to int) {
 func (nd *Data) setBitsFor(t relation.Tuple, id int) {
 	for ru, cp := range nd.compat {
 		if patternCompatible(ru, t) {
-			cp.patBits[id>>6] |= 1 << (uint(id) & 63)
+			cp.flip(id)
 			cp.patCount++
 		}
 	}
@@ -338,8 +346,8 @@ func (nd *Data) setBitsFor(t relation.Tuple, id int) {
 // so that suspended work — a serialized fix session resumed minutes
 // later, possibly in another process — can re-pin the exact epoch it
 // started on via At. Retention is cheap: delta-derived snapshots share
-// their base index layers copy-on-write, so a retained epoch costs the
-// delta overlays plus two size-linear headers, not a full copy of Dm.
+// everything a delta did not touch, so a retained epoch costs the trie
+// paths, chunks and id lists its delta wrote, not a copy of Dm.
 type Versioned struct {
 	mu      sync.Mutex
 	cur     atomic.Pointer[Data]

@@ -12,9 +12,12 @@ package master
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/authtree"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -109,7 +112,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	for seed := 0; iter < totalIterations; seed++ {
 		rng := rand.New(rand.NewSource(int64(21_000_000 + seed)))
 		cur, sigma, rm, vals := randomDeltaInstance(rng)
-		shadow := append([]relation.Tuple(nil), cur.Relation().Tuples()...)
+		shadow := tuplesOf(cur.Relation())
 		probe := make(relation.Tuple, sigma.Schema().Arity())
 		for step := 0; step < deltasPerInstance && iter < totalIterations; step++ {
 			adds, deletes := randomDelta(rng, cur.Len(), rm.Arity(), vals)
@@ -276,4 +279,148 @@ func TestSnapshotIsolationUnderConcurrentProbes(t *testing.T) {
 	default:
 	}
 	checkEquiv(t, "final head", v.Current(), sigma)
+}
+
+// TestSnapshotBranching derives TWO children from one parent, over and over
+// across a growing pool of snapshots, while probe goroutines hold the root:
+// every container a delta edits is shared structure (chunks of headers and
+// bitmap words, trie paths of overlays and symbols, Merkle spines), so a
+// write that leaked through the sharing would change a sibling, the parent,
+// or the root under the probers' feet. Each child must equal its own shadow
+// relation and the rebuild over it, and the parent must still equal its own,
+// after both derivations; -race watches the probers.
+func TestSnapshotBranching(t *testing.T) {
+	rng := rand.New(rand.NewSource(46_000_001))
+	cur, sigma, rm, vals := randomDeltaInstance(rng)
+	cur.Authenticate()
+	// A pool wide enough, and a relation long enough, that headers and
+	// bitmaps span several chunks and the tries several levels.
+	vals = append([]string(nil), vals...)
+	for i := 0; i < 150; i++ {
+		vals = append(vals, fmt.Sprintf("v%d", i))
+	}
+	var seedAdds []relation.Tuple
+	for i := 0; i < 400; i++ {
+		seedAdds = append(seedAdds, randomMasterTuple(rng, rm.Arity(), vals))
+	}
+	root, err := cur.ApplyDelta(seedAdds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type version struct {
+		d      *Data
+		shadow []relation.Tuple
+	}
+	check := func(ctx string, v *version) {
+		t.Helper()
+		checkState(t, ctx, v.d, v.shadow)
+		checkEquiv(t, ctx, v.d, sigma)
+		rel, err := relation.FromTuples(rm, v.shadow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustRoot(t, v.d), authtree.Build(rel).Root(); got != want {
+			t.Fatalf("%s: root %s, rebuild over its tuples %s", ctx, got, want)
+		}
+	}
+	pool := []*version{{root, tuplesOf(root.Relation())}}
+	check("root", pool[0])
+
+	// Probers pin the root and hold its answers to the ones it gave before
+	// anything was derived from it.
+	probes := make([]relation.Tuple, 32)
+	for i := range probes {
+		probes[i] = make(relation.Tuple, sigma.Schema().Arity())
+		for j := range probes[i] {
+			probes[i][j] = relation.String(vals[rng.Intn(len(vals))])
+		}
+	}
+	zSet := relation.NewAttrSet(0)
+	answer := func() (out []string) {
+		for _, p := range probes {
+			for _, ru := range sigma.Rules() {
+				out = append(out, fmt.Sprint(root.MatchIDs(ru, p), root.RHSValues(ru, p), root.CompatibleExists(ru, p, zSet)))
+			}
+		}
+		return out
+	}
+	want := answer()
+	stop := make(chan struct{})
+	var probers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		probers.Add(1)
+		go func() {
+			defer probers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := answer(); !slices.Equal(got, want) {
+					t.Error("the root's answers changed while snapshots were derived from it")
+					return
+				}
+			}
+		}()
+	}
+
+	for step := 0; step < 30; step++ {
+		parent := pool[rng.Intn(len(pool))]
+		var kids [2]*version
+		for c := range kids {
+			var adds []relation.Tuple
+			for i := rng.Intn(9); i >= 0; i-- {
+				adds = append(adds, randomMasterTuple(rng, rm.Arity(), vals))
+			}
+			adds[0][0] = relation.String(fmt.Sprintf("fresh-%d-%d", step, c)) // a symbol only this branch interns
+			deletes := rng.Perm(parent.d.Len())[:rng.Intn(4)]
+			next, err := parent.d.ApplyDelta(adds, deletes)
+			if err != nil {
+				t.Fatalf("step %d child %d: %v", step, c, err)
+			}
+			kids[c] = &version{next, shadowApply(parent.shadow, adds, deletes)}
+		}
+		check(fmt.Sprintf("step %d parent", step), parent)
+		check(fmt.Sprintf("step %d first child", step), kids[0])
+		check(fmt.Sprintf("step %d second child", step), kids[1])
+		pool = append(pool, kids[:]...)
+	}
+	check("root after every derivation", pool[0])
+	close(stop)
+	probers.Wait()
+}
+
+// TestApplyDeltaAllocScaling pins "a delta costs the delta": the same
+// 10-op delta (8 adds, 2 deletes) allocates at |Dm| = 60k at most 3× the
+// bytes it allocates at 6k. What may still grow with |Dm| is the chunk
+// tables; copying the headers and bitmaps whole made it 9.5×.
+func TestApplyDeltaAllocScaling(t *testing.T) {
+	pinProcs(t, 1)
+	perDelta := func(n int) float64 {
+		rel, sigma := benchMasterRelation(n)
+		d0 := MustNewForRules(rel, sigma, WithShards(1))
+		rng := rand.New(rand.NewSource(7))
+		var adds []relation.Tuple
+		for i := 0; i < 8; i++ {
+			adds = append(adds, benchMasterTuple(rng, n+i))
+		}
+		deletes := []int{n / 3, 2 * n / 3}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := d0.ApplyDelta(adds, deletes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := perDelta(6_000), perDelta(60_000)
+	t.Logf("10-op delta: %.0f B at |Dm|=6k, %.0f B at 60k (%.2f×)", small, large, large/small)
+	if large > 3*small {
+		t.Fatalf("a 10-op delta allocates %.0f B at |Dm|=60k, %.1f× the %.0f B at 6k (bound 3×)", large, large/small, small)
+	}
 }

@@ -16,10 +16,14 @@ package master
 //	          it, and continue the lineage exactly where the previous
 //	          process — cleanly shut down or power-cut — left it.
 //
-// Every CheckpointEvery deltas the current head is checkpointed: the
-// arena is written atomically+durably through the same FS seam as the
-// log, and the WAL segments it covers are truncated. A checkpoint
-// failure is counted, not fatal — the delta that triggered it is
+// Every CheckpointEvery deltas a checkpoint of the current head STARTS.
+// Apply only pins that head — an immutable snapshot — and rolls the WAL
+// segment at its epoch; one background goroutine (at most one in flight)
+// streams the arena atomically+durably through the same FS seam as the
+// log, and only then re-takes the write lock, briefly, to advance the
+// checkpoint epoch and truncate the segments the image covers. Writers,
+// Durability and the WAL tail never wait for an image to be written. A
+// checkpoint failure is counted, not fatal — the delta that triggered it is
 // already in the log, so durability never regresses; the log just keeps
 // more tail than it would like until a checkpoint succeeds.
 //
@@ -28,10 +32,10 @@ package master
 // crash point — is proven by the walfault sweep in durable_test.go.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -86,6 +90,12 @@ type RecoveryStats struct {
 	Replayed int
 	// TornBytes is what the WAL open truncated from a torn tail.
 	TornBytes int64
+	// BaseMs, AuthenticateMs, ReplayMs and FirstCheckpointMs attribute the
+	// open to its phases: loading the checkpoint (or building the base
+	// snapshot), building the Merkle commitment when the base did not carry
+	// one, replaying the WAL tail, and the synchronous checkpoint of a first
+	// open.
+	BaseMs, AuthenticateMs, ReplayMs, FirstCheckpointMs float64
 }
 
 // DurabilityStats is the observable durability state, served on the
@@ -107,6 +117,11 @@ type DurabilityStats struct {
 	// truncation retries. Reported separately so /healthz never calls a
 	// durable checkpoint failed.
 	TruncateFailures int
+	// CheckpointInFlight reports a checkpoint being written in the
+	// background right now; LastCheckpointMs is how long the newest
+	// completed one took from pin to truncation.
+	CheckpointInFlight bool
+	LastCheckpointMs   float64
 	// WAL is the log's own shape.
 	WAL wal.Stats
 	// Recovery is what the open found.
@@ -124,14 +139,24 @@ type DurableVersioned struct {
 	dir   string
 	every int
 
-	// dmu serializes Apply/Checkpoint/Close (it is never held while
-	// ver.mu is wanted by readers — publishes go through ver's own lock).
+	// dmu serializes Apply, the start and the completion of a checkpoint,
+	// and Close. It is never held while an arena is written, nor while
+	// ver.mu is wanted by readers — publishes go through ver's own lock.
 	dmu        sync.Mutex
+	ckpt       *checkpointRun // the one in flight, nil when none
 	ckptEpoch  uint64
 	ckptFails  int
 	truncFails int
+	lastCkptMs float64
 	recovery   RecoveryStats
 	closed     bool
+}
+
+// checkpointRun is one checkpoint from pin to truncation; done closes once
+// err is final.
+type checkpointRun struct {
+	done chan struct{}
+	err  error
 }
 
 // OpenDurable opens (or initialises) the durable lineage rooted at dir.
@@ -162,7 +187,14 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 		d        *Data
 		usedCkpt bool
 		err      error
+		phase    = time.Now()
 	)
+	// lap returns the milliseconds since the previous phase boundary.
+	lap := func() float64 {
+		ms := float64(time.Since(phase)) / float64(time.Millisecond)
+		phase = time.Now()
+		return ms
+	}
 	load := func() (*Data, error) {
 		if fsys == wal.OS {
 			return LoadArena(ckptPath, sigma) // mmap: shares page cache
@@ -184,12 +216,14 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 	default:
 		return nil, fmt.Errorf("master: open durable %s: %w", dir, err)
 	}
+	recovery := RecoveryStats{UsedCheckpoint: usedCkpt, BaseEpoch: d.Epoch(), BaseMs: lap()}
 	if opts.Auth {
 		// Build the commitment before replay so delta application keeps it
 		// incrementally from here on. No-op when the checkpoint was saved
 		// authenticated — the loader has already verified its root.
 		d.Authenticate()
 	}
+	recovery.AuthenticateMs = lap()
 
 	lg, err := wal.Open(dir, wal.Options{
 		Sync:         opts.Sync,
@@ -228,31 +262,22 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 		return nil, err
 	}
 
-	dv := &DurableVersioned{
-		ver:   ver,
-		log:   lg,
-		sigma: sigma,
-		fsys:  fsys,
-		dir:   dir,
-		every: every,
-		recovery: RecoveryStats{
-			UsedCheckpoint: usedCkpt,
-			BaseEpoch:      baseEpoch,
-			Replayed:       replayed,
-			TornBytes:      lg.Stats().TornBytes,
-		},
-	}
-	if usedCkpt {
-		dv.ckptEpoch = baseEpoch
-	} else {
-		// First open of this directory: checkpoint the base snapshot now
-		// so recovery never depends on the caller's base() being
-		// reproducible (the CSV may move; the checkpoint does not).
-		if err := dv.checkpointLocked(ver.Current()); err != nil {
+	recovery.Replayed, recovery.TornBytes, recovery.ReplayMs = replayed, lg.Stats().TornBytes, lap()
+
+	dv := &DurableVersioned{ver: ver, log: lg, sigma: sigma, fsys: fsys, dir: dir, every: every, ckptEpoch: baseEpoch}
+	if !usedCkpt {
+		// First open of this directory: checkpoint the base snapshot now,
+		// synchronously, so recovery never depends on the caller's base()
+		// being reproducible (the CSV may move; the checkpoint does not).
+		run := &checkpointRun{done: make(chan struct{})}
+		dv.runCheckpoint(run, ver.Current(), time.Now())
+		if run.err != nil {
 			lg.Close()
-			return nil, fmt.Errorf("master: open durable %s: initial checkpoint: %w", dir, err)
+			return nil, fmt.Errorf("master: open durable %s: initial checkpoint: %w", dir, run.err)
 		}
+		recovery.FirstCheckpointMs = lap()
 	}
+	dv.recovery = recovery
 	return dv, nil
 }
 
@@ -295,82 +320,102 @@ func (dv *DurableVersioned) Apply(adds []relation.Tuple, deletes []int) (*Data, 
 		return nil, err
 	}
 	dv.ver.publishDerived(next)
-	if dv.every > 0 && next.Epoch()-dv.ckptEpoch >= uint64(dv.every) {
+	if dv.every > 0 && dv.ckpt == nil && next.Epoch()-dv.ckptEpoch >= uint64(dv.every) {
 		// The delta is already durable in the log; a checkpoint failure
-		// costs disk, not data. checkpointLocked counts its own failures
-		// (split by phase: arena vs truncation).
-		_ = dv.checkpointLocked(next)
+		// costs disk, not data, and is counted where it happens.
+		dv.startCheckpointLocked(next)
 	}
 	return next, nil
 }
 
-// Checkpoint forces an arena checkpoint of the current head and
-// truncates the WAL it covers.
+// Checkpoint forces an arena checkpoint of the current head and truncates
+// the WAL it covers, returning once that checkpoint is durable (or has
+// failed). A checkpoint already in flight is waited for first.
 func (dv *DurableVersioned) Checkpoint() error {
+	for {
+		dv.dmu.Lock()
+		if dv.closed {
+			dv.dmu.Unlock()
+			return fmt.Errorf("master: durable lineage closed")
+		}
+		run, mine := dv.ckpt, false
+		if run == nil {
+			run, mine = dv.startCheckpointLocked(dv.ver.Current()), true
+		}
+		dv.dmu.Unlock()
+		<-run.done
+		if mine {
+			return run.err
+		}
+	}
+}
+
+// startCheckpointLocked pins head — the current head, an immutable
+// snapshot — as the next checkpoint and hands it to a goroutine of its own.
+// The WAL is rolled first so that every record at or before head's epoch
+// sits in a sealed segment: deltas appended while the image is written land
+// in a new one, and the truncation at the end can still reclaim everything
+// the image covers. (A roll that fails poisons the log like any failed
+// seal; the checkpoint proceeds and the next Append reports it.) Caller
+// holds dv.dmu and has checked dv.ckpt == nil.
+func (dv *DurableVersioned) startCheckpointLocked(head *Data) *checkpointRun {
+	_ = dv.log.Roll()
+	run := &checkpointRun{done: make(chan struct{})}
+	dv.ckpt = run
+	go dv.runCheckpoint(run, head, time.Now())
+	return run
+}
+
+// runCheckpoint writes head's arena atomically+durably through the FS seam
+// WITHOUT the write lock, then takes it to advance ckptEpoch and truncate
+// the WAL through head's epoch. It counts failures by phase: a failure
+// before the rename+dirsync completes is a CheckpointFailure (no new
+// durable checkpoint exists); a failure after it is a TruncateFailure only
+// — the checkpoint IS durable, ckptEpoch advances, and only the log
+// housekeeping is behind.
+func (dv *DurableVersioned) runCheckpoint(run *checkpointRun, head *Data, began time.Time) {
+	err := head.saveArenaAtomic(dv.fsys, filepath.Join(dv.dir, CheckpointFile), dv.sigma)
 	dv.dmu.Lock()
-	defer dv.dmu.Unlock()
-	if dv.closed {
-		return fmt.Errorf("master: durable lineage closed")
-	}
-	return dv.checkpointLocked(dv.ver.Current())
-}
-
-// checkpointLocked writes head's arena atomically+durably through the FS
-// seam, then truncates the WAL through head's epoch. It counts failures
-// by phase: a failure before the rename+dirsync completes is a
-// CheckpointFailure (no new durable checkpoint exists); a failure after
-// it is a TruncateFailure only — the checkpoint IS durable, ckptEpoch
-// advances, and only the log housekeeping is behind. Caller holds dv.dmu.
-func (dv *DurableVersioned) checkpointLocked(head *Data) error {
-	ckptPath := filepath.Join(dv.dir, CheckpointFile)
-	tmpPath := ckptPath + ".tmp"
-	fail := func(err error) error {
-		dv.ckptFails++
-		return err
-	}
-	f, err := dv.fsys.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fail(fmt.Errorf("master: checkpoint: %w", err))
+		dv.ckptFails++
+		run.err = fmt.Errorf("master: checkpoint: %w", err)
+	} else {
+		dv.ckptEpoch = head.Epoch()
+		if err := dv.log.TruncateThrough(head.Epoch()); err != nil {
+			dv.truncFails++
+			run.err = fmt.Errorf("master: checkpoint durable at epoch %d, wal truncation pending: %w", head.Epoch(), err)
+		}
+		dv.lastCkptMs = float64(time.Since(began)) / float64(time.Millisecond)
 	}
-	if err := head.SaveArena(f, dv.sigma); err != nil {
-		f.Close()
-		dv.fsys.Remove(tmpPath)
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		dv.fsys.Remove(tmpPath)
-		return fail(fmt.Errorf("master: checkpoint: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		dv.fsys.Remove(tmpPath)
-		return fail(fmt.Errorf("master: checkpoint: %w", err))
-	}
-	if err := dv.fsys.Rename(tmpPath, ckptPath); err != nil {
-		dv.fsys.Remove(tmpPath)
-		return fail(fmt.Errorf("master: checkpoint: %w", err))
-	}
-	if err := dv.fsys.SyncDir(dv.dir); err != nil {
-		return fail(fmt.Errorf("master: checkpoint: %w", err))
-	}
-	dv.ckptEpoch = head.Epoch()
-	if err := dv.log.TruncateThrough(head.Epoch()); err != nil {
-		dv.truncFails++
-		return fmt.Errorf("master: checkpoint durable at epoch %d, wal truncation pending: %w", head.Epoch(), err)
-	}
-	return nil
+	dv.ckpt = nil
+	dv.dmu.Unlock()
+	close(run.done)
 }
 
-// Close flushes and closes the WAL. The snapshot ring stays readable;
-// further Applies fail.
+// Close waits for a checkpoint in flight to become durable (or be counted
+// failed), then flushes and closes the WAL. The snapshot ring stays
+// readable; further Applies fail.
 func (dv *DurableVersioned) Close() error {
 	dv.dmu.Lock()
-	defer dv.dmu.Unlock()
 	if dv.closed {
+		dv.dmu.Unlock()
 		return nil
 	}
-	dv.closed = true
+	dv.closed = true // no Apply or Checkpoint starts another from here on
+	dv.dmu.Unlock()
+	dv.waitCheckpoint()
 	return dv.log.Close()
+}
+
+// waitCheckpoint returns once the checkpoint in flight at the time of the
+// call, if any, is durable and truncated, or counted failed.
+func (dv *DurableVersioned) waitCheckpoint() {
+	dv.dmu.Lock()
+	run := dv.ckpt
+	dv.dmu.Unlock()
+	if run != nil {
+		<-run.done
+	}
 }
 
 // Durability reports the current durability state.
@@ -384,6 +429,8 @@ func (dv *DurableVersioned) Durability() DurabilityStats {
 		SinceCheckpoint:    int(head - dv.ckptEpoch),
 		CheckpointFailures: dv.ckptFails,
 		TruncateFailures:   dv.truncFails,
+		CheckpointInFlight: dv.ckpt != nil,
+		LastCheckpointMs:   dv.lastCkptMs,
 		WAL:                dv.log.Stats(),
 		Recovery:           dv.recovery,
 	}
@@ -404,14 +451,18 @@ func (dv *DurableVersioned) WALSynced() (uint64, <-chan struct{}) {
 
 // CheckpointImage returns the raw bytes of the newest durable arena
 // checkpoint together with its epoch: what a follower that fell behind
-// the WAL loads to catch up. Taken under dmu so the bytes and the epoch
-// always correspond.
+// the WAL loads to catch up. The epoch is read from the image's own header,
+// so the two always correspond — a background checkpoint may rename a newer
+// image into place at any moment, and that image is then simply the one
+// returned.
 func (dv *DurableVersioned) CheckpointImage() ([]byte, uint64, error) {
-	dv.dmu.Lock()
-	defer dv.dmu.Unlock()
 	raw, err := dv.fsys.ReadFile(filepath.Join(dv.dir, CheckpointFile))
 	if err != nil {
 		return nil, 0, fmt.Errorf("master: checkpoint image: %w", err)
 	}
-	return raw, dv.ckptEpoch, nil
+	if len(raw) < arenaHeaderSize || string(raw[hdrMagic:hdrMagic+8]) != arenaMagic {
+		return nil, 0, fmt.Errorf("master: checkpoint image: %w",
+			&SnapshotError{Section: "header", Offset: 0, Msg: "not an arena image"})
+	}
+	return raw, binary.LittleEndian.Uint64(raw[hdrEpoch:]), nil
 }

@@ -44,7 +44,7 @@ func newDurableWorkload(seed int64, nDeltas int) *durableWorkload {
 	rng := rand.New(rand.NewSource(seed))
 	d0, sigma, rm, vals := randomDeltaInstance(rng)
 	w := &durableWorkload{base: d0, sigma: sigma}
-	state := append([]relation.Tuple(nil), d0.Relation().Tuples()...)
+	state := tuplesOf(d0.Relation())
 	w.expected = append(w.expected, state)
 	for i := 0; i < nDeltas; i++ {
 		adds, deletes := randomDelta(rng, len(state), rm.Arity(), vals)
@@ -69,7 +69,10 @@ func (w *durableWorkload) opts(fs wal.FS) DurableOptions {
 
 // run applies every delta through a DurableVersioned in dir, stopping at
 // the first error (the simulated power cut). It reports the highest
-// epoch whose Apply returned success.
+// epoch whose Apply returned success. Each checkpoint is waited for before
+// the next delta, so a budget names the same crash point in every run; the
+// interleavings of a checkpoint with later appends are swept phase by phase
+// in TestDurableBackgroundCheckpointCrash.
 func (w *durableWorkload) run(fs wal.FS, dir string) (acked uint64) {
 	dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, w.opts(fs))
 	if err != nil {
@@ -83,6 +86,7 @@ func (w *durableWorkload) run(fs wal.FS, dir string) (acked uint64) {
 			return acked
 		}
 		acked = next.Epoch()
+		dv.waitCheckpoint()
 	}
 	return acked
 }
@@ -90,7 +94,7 @@ func (w *durableWorkload) run(fs wal.FS, dir string) (acked uint64) {
 // checkState asserts d's tuples are exactly want, in order.
 func checkState(t *testing.T, ctx string, d *Data, want []relation.Tuple) {
 	t.Helper()
-	got := d.Relation().Tuples()
+	got := tuplesOf(d.Relation())
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d tuples, want %d", ctx, len(got), len(want))
 	}
@@ -220,6 +224,7 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 		if _, err := dv.Apply(d.adds, d.deletes); err != nil {
 			t.Fatal(err)
 		}
+		dv.waitCheckpoint()
 	}
 	st := dv.Durability()
 	if st.CheckpointFailures != 0 {
@@ -242,6 +247,8 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 	if st := dv.Durability(); st.SinceCheckpoint != 0 || st.WAL.Segments != 0 {
 		t.Fatalf("explicit checkpoint left %+v", st)
 	}
+
+	t.Run("async", checkpointTruncatesWALAsync)
 }
 
 // TestDurableHistoryRingAfterRecovery pins the ring semantics a restart
@@ -262,6 +269,7 @@ func TestDurableHistoryRingAfterRecovery(t *testing.T) {
 		if _, err := dv.Apply(d.adds, d.deletes); err != nil {
 			t.Fatal(err)
 		}
+		dv.waitCheckpoint()
 	}
 	ckpt := dv.Durability().CheckpointEpoch
 	if ckpt <= w.base.Epoch() || ckpt >= dv.Epoch() {

@@ -7,8 +7,8 @@ package master
 // materialized relation with the same shard count. Interned value ids
 // (and therefore raw uint64 bucket keys, and the shards they route to) are
 // the one representation detail allowed to differ: a delta chain interns
-// values in historical order, a rebuild in current first-seen order (and a
-// parallel rebuild in nondeterministic merge order), so the comparison
+// values in historical order, a rebuild in current first-seen order, so the
+// comparison
 // resolves buckets and posting lists through each side's own hasher, symbol
 // table and router and compares the id contents, which is exactly what
 // every probe observes.
@@ -22,6 +22,16 @@ import (
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
+
+// tuplesOf copies a relation's tuple headers into a plain slice — the shape
+// the shadow oracles edit.
+func tuplesOf(rel *relation.Relation) []relation.Tuple {
+	out := make([]relation.Tuple, 0, rel.Len())
+	for _, t := range rel.All() {
+		out = append(out, t)
+	}
+	return out
+}
 
 // shadowApply is the delta semantics contract in its simplest possible
 // form, maintained independently from ApplyDelta: deletes descending with
@@ -46,7 +56,7 @@ func shadowApply(tuples []relation.Tuple, adds []relation.Tuple, deletes []int) 
 func rebuildOracle(t testing.TB, got *Data, sigma *rule.Set) *Data {
 	t.Helper()
 	rel := relation.NewRelation(got.Relation().Schema())
-	for _, tm := range got.Relation().Tuples() {
+	for _, tm := range got.Relation().All() {
 		rel.MustAppend(tm.Clone())
 	}
 	want, err := NewForRules(rel, sigma, WithShards(got.nshards))
@@ -68,7 +78,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 		for s := range want {
 			want[s] = map[uint64][]int{}
 		}
-		for i, tm := range d.rel.Tuples() {
+		for i, tm := range d.rel.All() {
 			h, ok := d.hasher.HashTuple(tm, idx.xm)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
@@ -85,7 +95,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 		for s := range want {
 			want[s] = map[uint32][]int32{}
 		}
-		for i, tm := range d.rel.Tuples() {
+		for i, tm := range d.rel.All() {
 			vid, ok := d.syms.ID(tm[ps.col])
 			if !ok {
 				t.Fatalf("%s: value of tuple %d column %d not interned", ctx, i, ps.col)
@@ -137,7 +147,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 				}
 			})
 		}
-		for id, tm := range d.rel.Tuples() {
+		for id, tm := range d.rel.All() {
 			h, ok := d.hasher.HashTuple(tm, idx.xm)
 			if !ok || !slices.Contains(idx.shard(h).get(h), id) {
 				t.Fatalf("%s: index %v: tuple %d missing from the bucket its key routes to", ctx, idx.xm, id)
@@ -152,7 +162,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 				}
 			})
 		}
-		for id, tm := range d.rel.Tuples() {
+		for id, tm := range d.rel.All() {
 			vid, ok := d.syms.ID(tm[ps.col])
 			if !ok || !slices.Contains(ps.shard(vid).get(vid), int32(id)) {
 				t.Fatalf("%s: postings col %d: tuple %d missing from the list its value routes to", ctx, ps.col, id)
@@ -297,12 +307,12 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		if gcp.patCount != wcp.patCount {
 			t.Fatalf("%s: rule %s patCount %d, rebuild %d", ctx, ru.Name(), gcp.patCount, wcp.patCount)
 		}
-		if len(gcp.patBits) != len(wcp.patBits) {
-			t.Fatalf("%s: rule %s bitmap %d words, rebuild %d", ctx, ru.Name(), len(gcp.patBits), len(wcp.patBits))
+		if gcp.patBits.Len() != wcp.patBits.Len() {
+			t.Fatalf("%s: rule %s bitmap %d words, rebuild %d", ctx, ru.Name(), gcp.patBits.Len(), wcp.patBits.Len())
 		}
-		for w := range gcp.patBits {
-			if gcp.patBits[w] != wcp.patBits[w] {
-				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, gcp.patBits[w], wcp.patBits[w])
+		for w, word := range gcp.patBits.All() {
+			if word != wcp.patBits.At(w) {
+				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, word, wcp.patBits.At(w))
 			}
 		}
 		if len(gcp.posts) != len(wcp.posts) {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/relation"
 	"repro/internal/wal"
 )
 
@@ -53,6 +52,7 @@ func TestDurableTruncateFailureStatSplit(t *testing.T) {
 		if _, err := dv.Apply(d.adds, d.deletes); err != nil {
 			t.Fatalf("apply with failing truncation: %v", err)
 		}
+		dv.waitCheckpoint()
 	}
 	st := dv.Durability()
 	if st.TruncateFailures == 0 {
@@ -152,6 +152,7 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			dv.waitCheckpoint()
 
 			f := NewFollower(w.base, 4)
 			rd, err := wal.OpenReader(dir, wal.Options{})
@@ -241,7 +242,7 @@ func BenchmarkFollowerApply(b *testing.B) {
 	d0, _, rm, vals := randomDeltaInstance(rng)
 	const nRecs = 256
 	recs := make([]wal.Record, nRecs)
-	state := append([]relation.Tuple(nil), d0.Relation().Tuples()...)
+	state := tuplesOf(d0.Relation())
 	epoch := d0.Epoch()
 	for i := range recs {
 		adds, dels := randomDelta(rng, len(state), rm.Arity(), vals)

@@ -44,7 +44,7 @@ func FuzzApplyDelta(f *testing.F) {
 			rel.MustAppend(mkTuple(byte(i * 37)))
 		}
 		cur := MustNewForRules(rel, sigma)
-		shadow := append([]relation.Tuple(nil), rel.Tuples()...)
+		shadow := tuplesOf(rel)
 
 		var adds []relation.Tuple
 		var deletes []int

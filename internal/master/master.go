@@ -10,7 +10,7 @@
 // one index layout: every shard of every index and posting list is an
 // immutable open-addressing table (table.go) — the same whether built by
 // NewForRules, rewritten by compaction or mapped by LoadArena — under a
-// per-snapshot overlay map holding the deltas since (overlay.go). Per-rule
+// per-snapshot overlay trie holding the deltas since (overlay.go). Per-rule
 // probe plans are resolved once at NewForRules time. There are two kinds
 // of probe:
 //
@@ -50,9 +50,10 @@
 // The paper assumes master data is static (§2). A service cannot stop the
 // world to re-run NewForRules for every correction, so this package
 // versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
-// derives the next one by copy-on-write — tables shared, overlays, exception
-// tables and pattern bitmaps maintained incrementally — and the Versioned
-// handle publishes the current snapshot through an atomic pointer.
+// derives the next one by structural sharing — tables shared; tuple headers,
+// overlays, symbols, exception tables and pattern bitmaps edited along the
+// paths and chunks the delta touches — and the Versioned handle publishes
+// the current snapshot through an atomic pointer.
 //
 // Concurrency contract:
 //
@@ -327,7 +328,7 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 		})
 	}
 	var out []int
-	for i, tm := range d.rel.Tuples() {
+	for i, tm := range d.rel.All() {
 		if valuesMatch(values, tm, xm) {
 			out = append(out, i)
 		}
@@ -367,7 +368,7 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	}
 	xm := ru.LHSMRef()
 	var out []int
-	for i, tm := range d.rel.Tuples() {
+	for i, tm := range d.rel.All() {
 		if t.ProjectMatches(x, tm, xm) {
 			out = append(out, i)
 		}
@@ -391,7 +392,7 @@ func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 	idx := d.indexFor(ru)
 	if idx == nil {
 		xm := ru.LHSMRef()
-		for i, tm := range d.rel.Tuples() {
+		for i, tm := range d.rel.All() {
 			if t.ProjectMatches(x, tm, xm) {
 				return i, true
 			}

@@ -91,7 +91,7 @@ func (d *Data) MemStats() MemStats {
 		}
 	}
 	for _, cp := range d.compat {
-		ms.BitmapBytes += 8 * int64(len(cp.patBits))
+		ms.BitmapBytes += 8 * int64(cp.patBits.Len())
 	}
 	if d.arena != nil {
 		ms.ArenaBacked = true
@@ -114,7 +114,7 @@ func (l *layered[K, ID]) addStats(keys, ids *int, bytes *int64) {
 	})
 	idBytes := int64(unsafe.Sizeof(ID(0)))
 	*bytes += 8*int64(len(l.frozen.slots)) + idBytes*int64(len(l.frozen.ids))
-	for _, v := range l.over {
+	for _, v := range l.over.All() {
 		*bytes += int64(unsafe.Sizeof(K(0))) + 8 + idBytes*int64(len(v))
 	}
 }

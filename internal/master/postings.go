@@ -1,6 +1,7 @@
 package master
 
 import (
+	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -56,9 +57,17 @@ func (ps *postings) size() int {
 
 // compatPlan is a rule's compiled compatibility plan.
 type compatPlan struct {
-	patBits  []uint64    // bitmap over global tuple ids: pattern cells on λϕ(Xp ∩ X) hold
+	// patBits is the bitmap over global tuple ids of "pattern cells on
+	// λϕ(Xp ∩ X) hold", ⌈|Dm|/64⌉ words in a copy-on-write vector: a delta
+	// copies the 64-word chunks its bits fall in, not the bitmap.
+	patBits  persist.Vec[uint64]
 	patCount int         // popcount of patBits
 	posts    []*postings // aligned with the rule's X/Xm lists
+}
+
+// has reports tuple id's pattern bit.
+func (cp *compatPlan) has(id int) bool {
+	return cp.patBits.At(id>>6)&(1<<(uint(id)&63)) != 0
 }
 
 // patternCompatible reports tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X]: the master-side
@@ -83,7 +92,7 @@ func (d *Data) PatternSupported(ru *rule.Rule) bool {
 	if plan, ok := d.compat[ru]; ok {
 		return plan.patCount > 0
 	}
-	for _, tm := range d.rel.Tuples() {
+	for _, tm := range d.rel.All() {
 		if patternCompatible(ru, tm) {
 			return true
 		}
@@ -119,7 +128,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 				}
 				xm := ru.LHSMRef()
 				for _, id := range idx.shard(h).get(h) {
-					if plan.patBits[id>>6]&(1<<(uint(id)&63)) != 0 &&
+					if plan.has(id) &&
 						t.ProjectMatches(x, d.rel.Tuple(id), xm) {
 						return true, false
 					}
@@ -129,7 +138,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 		}
 		for _, id := range d.MatchIDs(ru, t) {
 			if plan != nil {
-				if plan.patBits[id>>6]&(1<<(uint(id)&63)) != 0 {
+				if plan.has(id) {
 					return true, false
 				}
 			} else if patternCompatible(ru, d.rel.Tuple(id)) {
@@ -171,7 +180,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	// compatible tuple.
 	xm := ru.LHSMRef()
 	for _, id := range best {
-		if plan.patBits[id>>6]&(1<<(uint(id)&63)) == 0 {
+		if !plan.has(int(id)) {
 			continue
 		}
 		tm := d.rel.Tuple(int(id))
@@ -194,7 +203,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	x, xm := ru.LHSRef(), ru.LHSMRef()
 	tp := ru.Pattern()
-	for _, tm := range d.rel.Tuples() {
+	for _, tm := range d.rel.All() {
 		ok := true
 		for i := range x {
 			if zSet.Has(x[i]) && !t[x[i]].Equal(tm[xm[i]]) {

@@ -100,7 +100,7 @@ func TestPatternSupportedProperty(t *testing.T) {
 		for _, ru := range sigma.Rules() {
 			got := d.PatternSupported(ru)
 			want := false
-			for _, tm := range d.Relation().Tuples() {
+			for _, tm := range d.Relation().All() {
 				if patternCompatible(ru, tm) {
 					want = true
 					break

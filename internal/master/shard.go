@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/parallel"
+	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -155,14 +156,11 @@ func (d *Data) registerPostings(col int) (ps *postings, created bool) {
 	return ps, true
 }
 
-// registerCompatPlan creates ru's (empty) compatibility plan: posting
-// registrations for each Xm column plus a zeroed pattern bitmap.
+// registerCompatPlan creates ru's compatibility plan: posting registrations
+// for each Xm column; buildParallel evaluates the pattern bitmap.
 func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 	x, xm := ru.LHSRef(), ru.LHSMRef()
-	plan := &compatPlan{
-		patBits: make([]uint64, (d.rel.Len()+63)/64),
-		posts:   make([]*postings, len(x)),
-	}
+	plan := &compatPlan{posts: make([]*postings, len(x))}
 	for i := range x {
 		plan.posts[i], _ = d.registerPostings(xm[i])
 	}
@@ -180,31 +178,39 @@ func tupleChunks(n int) (chunks, chunkLen int) {
 //
 //	phase A (range-parallel): validate tuples against the schema and
 //	  collect the distinct values of the indexed columns per range;
-//	phase A' (serial): intern the merged distinct sets — serial work is
+//	phase A' (serial): intern them in first-seen order — serial work is
 //	  O(distinct values), not O(|Dm| × columns);
 //	phase B: fill;
 //	phase C (rule-parallel): evaluate the pattern-support bitmaps.
 func (d *Data) buildParallel(sigma *rule.Set) error {
 	n := d.rel.Len()
 	chunks, chunkLen := tupleChunks(n)
-	distinct, err := parallel.Map(chunks, 0, func(c int) (map[relation.Value]struct{}, error) {
+	distinct, err := parallel.Map(chunks, 0, func(c int) ([]relation.Value, error) {
 		seen := make(map[relation.Value]struct{})
+		var order []relation.Value // seen's keys, first occurrence first
 		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
 			tm := d.rel.Tuple(i)
 			if err := validateTuple(d.rel.Schema(), tm); err != nil {
 				return nil, &BuildError{TupleID: i, Key: tupleKeyContext(tm), Err: err}
 			}
 			for _, p := range d.needCols {
-				seen[tm[p]] = struct{}{}
+				if _, dup := seen[tm[p]]; !dup {
+					seen[tm[p]] = struct{}{}
+					order = append(order, tm[p])
+				}
 			}
 		}
-		return seen, nil
+		return order, nil
 	})
 	if err != nil {
 		return err
 	}
-	for _, seen := range distinct {
-		for v := range seen {
+	// Range by range, first occurrence first: ids come out in the relation's
+	// own first-seen order, the same in every process and at every
+	// GOMAXPROCS — and with them the hash keys, the shape of every overlay
+	// trie, and the allocation counts the perf gate holds deltas to.
+	for _, order := range distinct {
+		for _, v := range order {
 			d.syms.Intern(v)
 		}
 	}
@@ -224,12 +230,14 @@ func (d *Data) buildParallel(sigma *rule.Set) error {
 		if plan == nil {
 			return struct{}{}, nil
 		}
-		for id := 0; id < n; id++ {
-			if patternCompatible(ru, d.rel.Tuple(id)) {
-				plan.patBits[id>>6] |= 1 << (uint(id) & 63)
+		bits := make([]uint64, (n+63)/64)
+		for id, tm := range d.rel.All() {
+			if patternCompatible(ru, tm) {
+				bits[id>>6] |= 1 << (uint(id) & 63)
 				plan.patCount++
 			}
 		}
+		plan.patBits = persist.FromSlice(bits)
 		return struct{}{}, nil
 	})
 	return err
@@ -238,7 +246,7 @@ func (d *Data) buildParallel(sigma *rule.Set) error {
 // fillAdded builds structures registered after construction (Index,
 // IndexPostings): one serial pass interns the given columns, then fill.
 func (d *Data) fillAdded(indexes []*index, posts []*postings, cols []int) {
-	for _, tm := range d.rel.Tuples() {
+	for _, tm := range d.rel.All() {
 		for _, c := range cols {
 			d.syms.Intern(tm[c])
 		}

@@ -109,7 +109,7 @@ func BenchmarkShardedDelta(b *testing.B) {
 	const n = 60_000
 	rel, sigma := shardBenchRelation(n)
 	extra, _ := shardBenchRelation(n + 512)
-	adds := extra.Tuples()[n:]
+	adds := tuplesOf(extra)[n:]
 	deletes := make([]int, 256)
 	for i := range deletes {
 		deletes[i] = i * 7

@@ -9,6 +9,7 @@ package master
 // save → load → save round trip.
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -58,9 +59,8 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 	// The loader's validation: power-of-two slots, an empty slot, spans
 	// inside ids, counts matching, ids ascending and < n (shard 0 of 1: every
 	// key routes there).
-	b := &arenaBuilder{}
-	writeTable(b, tab)
-	r := &areader{b: append([]byte(nil), b.buf...), sec: "table"}
+	img := tableImage(t, ctx, tab)
+	r := &areader{b: append([]byte(nil), img...), sec: "table"}
 	loaded := decodeTable[ID](r, n, 0, 1)
 	if r.err != nil {
 		t.Fatalf("%s: built table fails the loader's validation: %v", ctx, r.err)
@@ -69,12 +69,29 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 		t.Fatalf("%s: decoder consumed %d of %d bytes", ctx, r.off, len(r.b))
 	}
 	agrees("loaded table", &loaded)
-	again := &arenaBuilder{}
-	writeTable(again, loaded)
-	if !bytes.Equal(again.buf, b.buf) {
+	if !bytes.Equal(tableImage(t, ctx, loaded), img) {
 		t.Fatalf("%s: save → load → save changed the bytes", ctx)
 	}
-	return b.buf
+	return img
+}
+
+// tableImage is the table as SaveArena writes it, after checking that the
+// sizing pass counts exactly the bytes the writing pass emits.
+func tableImage[ID int | int32](t testing.TB, ctx string, tab table[ID]) []byte {
+	t.Helper()
+	l := &layered[uint64, ID]{frozen: tab}
+	var sized arenaWriter
+	writeTable(&sized, l)
+	var buf bytes.Buffer
+	out := arenaWriter{w: bufio.NewWriter(&buf)}
+	writeTable(&out, l)
+	if err := out.w.Flush(); err != nil || out.err != nil {
+		t.Fatalf("%s: table write failed: %v, %v", ctx, out.err, err)
+	}
+	if sized.off != out.off || int(out.off) != buf.Len() {
+		t.Fatalf("%s: sizing pass counted %d bytes, writing pass %d, buffer holds %d", ctx, sized.off, out.off, buf.Len())
+	}
+	return buf.Bytes()
 }
 
 // regroup returns the pairs in another order — key groups in random order,
@@ -214,12 +231,12 @@ func testBuildTable[ID int | int32](t *testing.T) {
 			t.Fatalf("%s: table + overlay compacted to different bytes", name)
 		}
 		// fork compacts by itself once the overlay outgrows the table.
-		if f := l.fork(); len(f.over) == 0 {
+		if f := l.fork(); f.over.Len() == 0 {
 			if other := checkTable(t, name+" forked", f.frozen, keys, ids, n); !bytes.Equal(img, other) {
 				t.Fatalf("%s: fork compacted to different bytes", name)
 			}
-		} else if len(f.over) != len(l.over) || f.frozen.nkeys != l.frozen.nkeys {
-			t.Fatalf("%s: fork kept %d of %d overlay keys", name, len(f.over), len(l.over))
+		} else if f.over.Len() != l.over.Len() || f.frozen.nkeys != l.frozen.nkeys {
+			t.Fatalf("%s: fork kept %d of %d overlay keys", name, f.over.Len(), l.over.Len())
 		}
 	}
 }

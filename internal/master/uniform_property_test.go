@@ -73,7 +73,7 @@ func (w *uniformWorld) relation(n int, dirty bool) *relation.Relation {
 	rel := relation.NewRelation(w.rm)
 	for i := 0; i < n; i++ {
 		if dirty && i > 0 && w.rng.Intn(5) == 0 {
-			rel.MustAppend(w.corrupted(rel.Tuples()))
+			rel.MustAppend(w.corrupted(tuplesOf(rel)))
 		} else {
 			rel.MustAppend(w.clean())
 		}
@@ -289,7 +289,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 
 			const deltas = 10
 			for step := 1; step <= deltas; step++ {
-				adds, deletes := w.delta(heap.Relation().Tuples())
+				adds, deletes := w.delta(tuplesOf(heap.Relation()))
 				sctx := fmt.Sprintf("%s epoch %d", ctx, step)
 				if heap, err = heap.ApplyDelta(adds, deletes); err != nil {
 					t.Fatalf("%s: heap ApplyDelta: %v", sctx, err)
@@ -300,6 +300,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 				if _, err = dv.Apply(adds, deletes); err != nil {
 					t.Fatalf("%s: durable Apply: %v", sctx, err)
 				}
+				dv.waitCheckpoint() // so that the tail below meets every truncation
 				// The follower tails the leader's log; when a checkpoint has
 				// truncated the epoch it needs, it rebases onto the image.
 				_, err := dv.TailWAL(follower.Epoch(), func(rec wal.Record) error {
@@ -342,7 +343,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 				t.Fatalf("%s: recovered at epoch %d, want %d", ctx, dv.Epoch(), deltas)
 			}
 			check(ctx+" recovered", dv.Current())
-			adds, deletes := w.delta(dv.Current().Relation().Tuples())
+			adds, deletes := w.delta(tuplesOf(dv.Current().Relation()))
 			next, err := dv.Apply(adds, deletes)
 			if err != nil {
 				t.Fatalf("%s: Apply after recovery: %v", ctx, err)

@@ -13,7 +13,11 @@ package relation
 // key is a hash, so index buckets must verify candidates against the stored
 // tuples (see internal/master).
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/persist"
+)
 
 // Symbols interns values into dense uint32 ids. Ids are assigned in
 // first-seen order starting at 0. Interning is not safe for concurrent use;
@@ -21,25 +25,35 @@ import "fmt"
 // probes) from any number of goroutines.
 //
 // A table is layered to support copy-on-write snapshots (the versioned
-// master data of internal/master): Fork derives a writable child whose
-// base layer is the parent's (now frozen) content, so the child can
-// intern new values while readers of the parent — and of the child's own
-// frozen layer — race nothing. Ids stay dense across both layers and a
-// value's id never changes between a parent and its descendants, which is
-// what keeps hash keys computed against an old snapshot valid in every
-// later one.
+// master data of internal/master): Fork derives a writable child in O(1)
+// that shares all of the parent's content, so the child can intern new
+// values while readers of the parent race nothing. Ids stay dense across
+// the layers and a value's id never changes between a parent and its
+// descendants, which is what keeps hash keys computed against an old
+// snapshot valid in every later one.
 type Symbols struct {
-	// base is the immutable shared layer (nil for a root table). It is
-	// never written after the Fork that created it.
+	// base is a root table's Go map: Intern writes it until the first Fork,
+	// after which it is frozen and shared by every descendant.
 	base map[Value]uint32
-	// ids is the owned writable layer.
-	ids map[Value]uint32
 	// flat is the frozen bottom layer built by SymbolsFromValues (nil for
 	// map-only tables): ids [0, len(flat.vals)) resolve through an
 	// open-addressing probe instead of a Go map. It is immutable and shared
 	// by every fork, so a table imported from a columnar arena never pays
 	// map construction over the frozen symbols.
 	flat *symbolsFlat
+	// over holds what was interned since the first Fork: a path-copying
+	// trie keyed by the value's HashValue hash, so a fork shares it whole
+	// and an Intern costs one trie path. The trie is used as an
+	// open-addressing table in KEY space: a value lives at the first key at
+	// or after its hash that no other value took (64-bit collisions are a
+	// theoretical case, but lookups verify the stored value and walk on).
+	over   persist.Map[symbol]
+	forked bool // Intern goes to over, not base
+}
+
+type symbol struct {
+	val Value
+	id  uint32
 }
 
 // symbolsFlat is the frozen layer: id-ordered values plus an open-addressing
@@ -55,9 +69,9 @@ type symbolsFlat struct {
 // a table of 1<<32 values could not have been built.
 const frozenEmpty = ^uint32(0)
 
-func (f *symbolsFlat) lookup(v Value) (uint32, bool) {
-	h := uint32(HashValue(fnvOffset64, v))
-	for j := h & f.mask; ; j = (j + 1) & f.mask {
+// lookup resolves v, whose HashValue hash is h.
+func (f *symbolsFlat) lookup(h uint64, v Value) (uint32, bool) {
+	for j := uint32(h) & f.mask; ; j = (j + 1) & f.mask {
 		id := f.slots[j]
 		if id == frozenEmpty {
 			return 0, false
@@ -77,57 +91,43 @@ func (f *symbolsFlat) len() int {
 
 // NewSymbols creates an empty symbol table.
 func NewSymbols() *Symbols {
-	return &Symbols{ids: make(map[Value]uint32)}
+	return &Symbols{base: make(map[Value]uint32)}
 }
 
-// symbolsFlattenDiv controls overlay compaction in Fork: once the owned
-// layer exceeds 1/symbolsFlattenDiv of the base, forking merges the two
-// into a fresh base so lookup stays at most two map probes and per-fork
-// copying stays bounded.
-const symbolsFlattenDiv = 4
-
-// Fork returns a writable child table sharing this table's content as an
-// immutable base layer. After forking, the parent must not Intern again
-// (its map may now be read concurrently through children); reads remain
-// safe on both. Fork cost is O(owned layer), amortized O(1) per interned
-// value across a chain of forks.
+// Fork returns a writable child table sharing this table's content. After
+// forking, the parent must not Intern again (its content may now be read
+// concurrently through children); reads remain safe on both. Fork is O(1):
+// no layer is copied, whatever the table holds.
 func (s *Symbols) Fork() *Symbols {
-	if s.base == nil {
-		// Root (or freshly imported) table: freeze its map as the shared
-		// base; the flat layer is immutable and shared as-is.
-		return &Symbols{base: s.ids, flat: s.flat, ids: make(map[Value]uint32)}
-	}
-	if len(s.ids)*symbolsFlattenDiv <= len(s.base)+s.flat.len() {
-		child := make(map[Value]uint32, len(s.ids)+4)
-		for v, id := range s.ids {
-			child[v] = id
-		}
-		return &Symbols{base: s.base, flat: s.flat, ids: child}
-	}
-	// Merge the two map layers; the flat layer never merges — probing it
-	// costs no more than the map it would become.
-	merged := make(map[Value]uint32, len(s.base)+len(s.ids))
-	for v, id := range s.base {
-		merged[v] = id
-	}
-	for v, id := range s.ids {
-		merged[v] = id
-	}
-	return &Symbols{base: merged, flat: s.flat, ids: make(map[Value]uint32)}
+	return &Symbols{base: s.base, flat: s.flat, over: s.over, forked: true}
 }
 
 // lookup resolves v across the layers (the layers are disjoint).
 func (s *Symbols) lookup(v Value) (uint32, bool) {
-	if id, ok := s.ids[v]; ok {
-		return id, true
-	}
-	if s.base != nil {
+	if len(s.base) > 0 {
 		if id, ok := s.base[v]; ok {
 			return id, true
 		}
 	}
+	if s.flat == nil && s.over.Len() == 0 {
+		return 0, false
+	}
+	h := HashValue(fnvOffset64, v)
 	if s.flat != nil {
-		return s.flat.lookup(v)
+		if id, ok := s.flat.lookup(h, v); ok {
+			return id, true
+		}
+	}
+	if s.over.Len() > 0 {
+		for ; ; h++ {
+			e, ok := s.over.Get(h)
+			if !ok {
+				break
+			}
+			if e.val == v {
+				return e.id, true
+			}
+		}
 	}
 	return 0, false
 }
@@ -138,7 +138,15 @@ func (s *Symbols) Intern(v Value) uint32 {
 		return id
 	}
 	id := uint32(s.Len())
-	s.ids[v] = id
+	if !s.forked {
+		s.base[v] = id
+		return id
+	}
+	h := HashValue(fnvOffset64, v)
+	for _, taken := s.over.Get(h); taken; _, taken = s.over.Get(h) {
+		h++
+	}
+	s.over = s.over.Set(h, symbol{v, id})
 	return id
 }
 
@@ -149,7 +157,7 @@ func (s *Symbols) ID(v Value) (uint32, bool) {
 }
 
 // Len returns the number of distinct interned values.
-func (s *Symbols) Len() int { return len(s.base) + len(s.ids) + s.flat.len() }
+func (s *Symbols) Len() int { return len(s.base) + s.over.Len() + s.flat.len() }
 
 // Export returns the interned values in id order (vals[id] is the value
 // whose Intern returned id). This is the serialization side of the stable-
@@ -166,8 +174,8 @@ func (s *Symbols) Export() []Value {
 	for v, id := range s.base {
 		vals[id] = v
 	}
-	for v, id := range s.ids {
-		vals[id] = v
+	for _, e := range s.over.All() {
+		vals[e.id] = e.val
 	}
 	return vals
 }
@@ -205,7 +213,7 @@ func SymbolsFromValues(vals []Value) (*Symbols, error) {
 		}
 	}
 	return &Symbols{
-		ids:  make(map[Value]uint32),
+		base: make(map[Value]uint32),
 		flat: &symbolsFlat{vals: vals, slots: slots, mask: mask},
 	}, nil
 }

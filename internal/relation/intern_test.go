@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -103,5 +104,84 @@ func TestHashTupleZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("HashTuple allocates %.1f objects per probe; want 0", allocs)
+	}
+}
+
+// TestSymbolsForkBranching: forks of one table intern independently — a
+// value one child interned is unknown to its sibling and to the parent,
+// ids every table already had never change, and each table's ids stay
+// dense — for map-built and flat-built roots alike, across chains of forks.
+func TestSymbolsForkBranching(t *testing.T) {
+	seedVals := []Value{String("a"), Int(1), Null, String("b")}
+	flat, err := SymbolsFromValues(seedVals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := NewSymbols()
+	for _, v := range seedVals {
+		built.Intern(v)
+	}
+	for name, root := range map[string]*Symbols{"flat": flat, "map": built} {
+		left, right := root.Fork(), root.Fork()
+		for i := 0; i < 300; i++ {
+			if got := left.Intern(Int(int64(1000 + i))); int(got) != len(seedVals)+i {
+				t.Fatalf("%s: left id %d for its value %d", name, got, i)
+			}
+			if got := right.Intern(String(fmt.Sprint("r", i))); int(got) != len(seedVals)+i {
+				t.Fatalf("%s: right id %d for its value %d", name, got, i)
+			}
+		}
+		grand := left.Fork()
+		grand.Intern(String("only-grand"))
+		for i, v := range seedVals {
+			for tname, tab := range map[string]*Symbols{"root": root, "left": left, "right": right, "grand": grand} {
+				if id, ok := tab.ID(v); !ok || int(id) != i {
+					t.Fatalf("%s: %s resolves seed value %v to (%d, %v)", name, tname, v, id, ok)
+				}
+			}
+		}
+		if _, ok := right.ID(Int(1000)); ok {
+			t.Fatalf("%s: right sees a value only left interned", name)
+		}
+		if _, ok := left.ID(String("r0")); ok {
+			t.Fatalf("%s: left sees a value only right interned", name)
+		}
+		if _, ok := left.ID(String("only-grand")); ok || left.Len() != len(seedVals)+300 {
+			t.Fatalf("%s: a grandchild's intern reached its parent (len %d)", name, left.Len())
+		}
+		if id, ok := grand.ID(Int(1299)); !ok || int(id) != len(seedVals)+299 || grand.Len() != len(seedVals)+301 {
+			t.Fatalf("%s: grandchild lost an inherited id: (%d, %v), len %d", name, id, ok, grand.Len())
+		}
+		if root.Len() != len(seedVals) {
+			t.Fatalf("%s: root grew to %d", name, root.Len())
+		}
+		for id, v := range grand.Export() {
+			if got, ok := grand.ID(v); !ok || int(got) != id {
+				t.Fatalf("%s: Export()[%d] = %v resolves to (%d, %v)", name, id, v, got, ok)
+			}
+		}
+	}
+}
+
+// TestSymbolsHashCollision plants another value on the trie key a value
+// hashes to — what a 64-bit HashValue collision would leave there — and
+// checks both stay resolvable: lookups verify the stored value and walk on.
+func TestSymbolsHashCollision(t *testing.T) {
+	s := NewSymbols().Fork()
+	v, squatter := String("victim"), String("squatter")
+	h := HashValue(fnvOffset64, v)
+	s.over = s.over.Set(h, symbol{squatter, 0})
+	s.over = s.over.Set(h+1, symbol{String("second squatter"), 1})
+	if _, ok := s.ID(v); ok {
+		t.Fatal("a value resolved to another value's entry")
+	}
+	if id := s.Intern(v); id != 2 {
+		t.Fatalf("victim interned as %d", id)
+	}
+	if id, ok := s.ID(v); !ok || id != 2 {
+		t.Fatalf("victim resolves to (%d, %v)", id, ok)
+	}
+	if id, ok := s.ID(String("never seen")); ok {
+		t.Fatalf("unknown value resolved to %d", id)
 	}
 }

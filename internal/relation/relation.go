@@ -4,12 +4,19 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"iter"
+
+	"repro/internal/persist"
 )
 
 // Relation is an in-memory instance of a schema: an ordered bag of tuples.
+// The tuple headers live in one chunked copy-on-write vector, so Fork
+// derives a relation that shares them until either side edits — what lets
+// the versioned master (internal/master) publish a snapshot per delta
+// without copying |Dm| headers.
 type Relation struct {
 	schema *Schema
-	tuples []Tuple
+	tuples persist.Vec[Tuple]
 }
 
 // NewRelation creates an empty relation over the schema.
@@ -18,10 +25,10 @@ func NewRelation(schema *Schema) *Relation {
 }
 
 // FromTuples wraps an already-built tuple slice into a relation after
-// checking arity. The relation takes ownership of the slice; its capacity
-// is clipped to its length so a later Append can never write into backing
-// storage shared with the caller (or with a sibling snapshot — see the
-// copy-on-write master data in internal/master, the primary consumer).
+// checking arity. The relation takes ownership of the slice and aliases it
+// without copying; it never writes into it — a later Set, Append or
+// Truncate copies the chunk it touches first — so the caller's storage is
+// safe from the relation, not the other way round.
 func FromTuples(schema *Schema, tuples []Tuple) (*Relation, error) {
 	for _, t := range tuples {
 		if len(t) != schema.Arity() {
@@ -29,21 +36,42 @@ func FromTuples(schema *Schema, tuples []Tuple) (*Relation, error) {
 				schema.Name(), schema.Arity(), len(t))
 		}
 	}
-	return &Relation{schema: schema, tuples: tuples[:len(tuples):len(tuples)]}, nil
+	return &Relation{schema: schema, tuples: persist.FromSlice(tuples)}, nil
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.tuples.Len() }
 
 // Tuple returns the i-th tuple (not a copy).
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+func (r *Relation) Tuple(i int) Tuple { return r.tuples.At(i) }
 
-// Tuples returns the backing tuple slice (not a copy); callers must not
-// mutate unless they own the relation.
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// All iterates the tuples (not copies) in order with their positions.
+func (r *Relation) All() iter.Seq2[int, Tuple] { return r.tuples.All() }
+
+// Fork returns a relation over the same tuples that shares their headers
+// with r copy-on-write: O(Len/64) now, and an edit of either copies only the
+// 64-header chunk it touches. The Tuple values themselves are shared, as
+// with FromTuples; r is only read, so forking a published relation is safe
+// beside its readers.
+func (r *Relation) Fork() *Relation {
+	return &Relation{schema: r.schema, tuples: r.tuples.Clone()}
+}
+
+// Set replaces the i-th tuple after checking arity.
+func (r *Relation) Set(i int, t Tuple) error {
+	if len(t) != r.schema.Arity() {
+		return fmt.Errorf("relation: %s expects arity %d, got tuple of arity %d",
+			r.schema.Name(), r.schema.Arity(), len(t))
+	}
+	r.tuples.Set(i, t)
+	return nil
+}
+
+// Truncate drops the tuples from position n on.
+func (r *Relation) Truncate(n int) { r.tuples.Truncate(n) }
 
 // Append adds tuples after checking arity.
 func (r *Relation) Append(ts ...Tuple) error {
@@ -52,7 +80,7 @@ func (r *Relation) Append(ts ...Tuple) error {
 			return fmt.Errorf("relation: %s expects arity %d, got tuple of arity %d",
 				r.schema.Name(), r.schema.Arity(), len(t))
 		}
-		r.tuples = append(r.tuples, t)
+		r.tuples.Append(t)
 	}
 	return nil
 }
@@ -66,9 +94,9 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 
 // Clone deep-copies the relation (schema shared, tuples copied).
 func (r *Relation) Clone() *Relation {
-	c := &Relation{schema: r.schema, tuples: make([]Tuple, len(r.tuples))}
-	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
+	c := NewRelation(r.schema)
+	for _, t := range r.All() {
+		c.tuples.Append(t.Clone())
 	}
 	return c
 }
@@ -80,7 +108,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("relation: write csv header: %w", err)
 	}
 	row := make([]string, r.schema.Arity())
-	for _, t := range r.tuples {
+	for _, t := range r.All() {
 		for i, v := range t {
 			row[i] = v.Encode()
 		}
@@ -124,7 +152,7 @@ func ReadCSV(schema *Schema, rd io.Reader) (*Relation, error) {
 			}
 			t[i] = v
 		}
-		rel.tuples = append(rel.tuples, t)
+		rel.tuples.Append(t)
 	}
 	return rel, nil
 }

@@ -52,7 +52,7 @@ func computeSupport(sigma *rule.Set, dm *master.Data) supportMap {
 func masterSupports(dm *master.Data, ru *rule.Rule) bool {
 	x, xm := ru.LHSRef(), ru.LHSMRef()
 	tp := ru.Pattern()
-	for _, tm := range dm.Relation().Tuples() {
+	for _, tm := range dm.Relation().All() {
 		ok := true
 		for i := range x {
 			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {

@@ -77,7 +77,7 @@ func (d *Deriver) masterCompatibleScan(ru *rule.Rule, t relation.Tuple, zSet rel
 		return false
 	}
 	tp := ru.Pattern()
-	for _, tm := range d.dm.Relation().Tuples() {
+	for _, tm := range d.dm.Relation().All() {
 		ok := true
 		for i := range x {
 			if zSet.Has(x[i]) {

@@ -575,6 +575,24 @@ func (l *Log) sealActiveLocked() error {
 	return nil
 }
 
+// Roll seals the active segment, if it holds a record, so the next Append
+// opens a new one. A checkpoint taken at the log's last epoch rolls first:
+// every record it covers then sits in a sealed segment, which
+// TruncateThrough can remove however many records are appended while the
+// checkpoint is still being written (it seals the active segment itself
+// only when the checkpoint covers that segment whole).
+func (l *Log) Roll() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return fmt.Errorf("wal: roll: log closed")
+	}
+	if l.active == nil || l.activeAt.size == 0 {
+		return nil
+	}
+	return l.sealActiveLocked()
+}
+
 // Sync forces every appended record to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()

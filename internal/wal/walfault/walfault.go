@@ -93,17 +93,38 @@ func (s *FS) spend(n int64) bool {
 	return s.budget >= 0
 }
 
+// Crash cuts the power now, between operations, whatever budget remains:
+// the crash point of a test that has steered concurrent writers into a
+// particular interleaving. Every open file keeps the spill fraction of its
+// unsynced bytes — no operation was in flight, so none is singled out.
+func (s *FS) Crash() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.crashed {
+		return
+	}
+	for _, o := range s.open {
+		s.spill(o)
+	}
+	s.crashLocked(nil)
+}
+
+// spill lands the spill fraction of f's pending bytes on the real file.
+func (s *FS) spill(f *file) {
+	if n := len(f.pending) * s.spillNum / s.spillDen; n > 0 {
+		// Best effort, like the disk itself: ignore errors.
+		_, _ = f.real.Write(f.pending[:n])
+		_ = f.real.Sync()
+	}
+	f.pending = nil
+}
+
 // crashLocked cuts power: spill the crashing file's pending fraction,
 // drop everyone else's pending, fail everything from here on.
 func (s *FS) crashLocked(f *file) {
 	s.crashed = true
-	if f != nil && len(f.pending) > 0 {
-		n := len(f.pending) * s.spillNum / s.spillDen
-		if n > 0 {
-			// Best effort, like the disk itself: ignore errors.
-			_, _ = f.real.Write(f.pending[:n])
-			_ = f.real.Sync()
-		}
+	if f != nil {
+		s.spill(f)
 	}
 	for _, o := range s.open {
 		o.pending = nil

@@ -187,10 +187,10 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sysA.Close() // waits for the checkpoint the deltas started
 	if st, _ := sysA.Durability(); st.CheckpointEpoch == 0 {
 		t.Fatalf("fixture broken: no checkpoint advanced past epoch 0: %+v", st)
 	}
-	sysA.Close()
 
 	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestDiscoverBootstrapLoop(t *testing.T) {
 	// Corrupt a handful of name cells; each id group of 10 keeps a 90%
 	// majority, comfortably above RepairMajority.
 	for _, row := range []int{3, 47, 112, 200, 258} {
-		rel.Tuples()[row][1] = certainfix.String("corrupt" + rel.Tuple(row)[1].Str())
+		rel.Tuple(row)[1] = certainfix.String("corrupt" + rel.Tuple(row)[1].Str())
 	}
 	r := certainfix.StringSchema("R", rm.AttrNames()...)
 	res, err := certainfix.Discover(r, rel, certainfix.DiscoverLoopOptions{

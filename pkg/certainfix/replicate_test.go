@@ -77,6 +77,10 @@ func TestFollowerReplication(t *testing.T) {
 	for i := 2; i <= 6; i++ {
 		addSKU(t, leader, i)
 	}
+	// Checkpoints complete in the background; wait until one has truncated.
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/wal", leader.ServeWAL)

@@ -197,7 +197,7 @@ func TestVerifyFixAcrossMasterUpdate(t *testing.T) {
 	root1, _ := sys.MasterRoot()
 	res1 := authFix(t, sys, paperex.InputT1())
 
-	add := paperex.MasterRelation().Tuples()[0].Clone()
+	add := paperex.MasterRelation().Tuple(0).Clone()
 	add[len(add)-1] = relation.String("XX")
 	if _, err := sys.UpdateMaster([]certainfix.Tuple{add}, nil); err != nil {
 		t.Fatal(err)
