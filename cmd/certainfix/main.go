@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	sys, err := cli.OpenSystem(rules, rm, *masterPath, *snapshot, certainfix.WithShards(*shards))
+	sys, err := cli.OpenSystem(rules, *masterPath, *snapshot, certainfix.WithShards(*shards))
 	if err != nil {
 		fatalf("%v", err)
 	}

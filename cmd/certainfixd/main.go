@@ -103,6 +103,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -178,10 +179,12 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "certainfixd: serving on %s (|Dm| = %d, epoch %d)\n",
 		*addr, sys.MasterLen(), sys.MasterEpoch())
-	// The remainder of the total is reading the rules and the master CSV.
 	boot := sys.BootTimings()
-	fmt.Fprintf(os.Stderr, "certainfixd: boot %.3fs (master build/load %.3fs, region derivation %.3fs)\n",
-		time.Since(began).Seconds(), boot.Master.Seconds(), boot.Regions.Seconds())
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	fmt.Fprintf(os.Stderr, "certainfixd: boot %.3fs (master read %.3fs, index/load %.3fs, region derivation %.3fs; heap in use %.1f MB)\n",
+		time.Since(began).Seconds(), boot.MasterRead.Seconds(), (boot.Master - boot.MasterRead).Seconds(),
+		boot.Regions.Seconds(), float64(mem.HeapInuse)/(1<<20))
 	if st, ok := sys.Durability(); ok {
 		// What "master build/load" was made of under -wal-dir.
 		rec := st.Recovery
@@ -235,7 +238,7 @@ type serverConfig struct {
 // over both sources once they exist, and a recovered start needs neither
 // CSV nor arena.
 func buildSystem(cfg serverConfig) (*certainfix.System, error) {
-	_, rm, rules, err := cli.LoadRules(cfg.rulesPath)
+	_, _, rules, err := cli.LoadRules(cfg.rulesPath)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +277,7 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 			return certainfix.New(rules, nil, opts...)
 		}
 	}
-	return cli.OpenSystem(rules, rm, cfg.masterPath, cfg.snapshot, opts...)
+	return cli.OpenSystem(rules, cfg.masterPath, cfg.snapshot, opts...)
 }
 
 // readTokenKey loads the session-token key. A short key is refused

@@ -401,3 +401,51 @@ func TestBuildSystemFromFiles(t *testing.T) {
 		t.Fatal("missing master and missing snapshot must error")
 	}
 }
+
+// TestDurableReopenWithoutMasterCSV: under -wal-dir the -master CSV seeds
+// the lineage on the first start only. A restart on the recovered directory
+// must not open it — the checkpoint and the log hold the master, the CSV may
+// have moved — while a first start without it still fails.
+func TestDurableReopenWithoutMasterCSV(t *testing.T) {
+	dir := t.TempDir()
+	rules := filepath.Join(dir, "kv.rules")
+	if err := os.WriteFile(rules, []byte(
+		"schema R: K, V\nmaster Rm: K, V\nrule kv: (K ; K) -> (V ; V) when K != nil\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	masterCSV := filepath.Join(dir, "master.csv")
+	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2}
+	if _, err := buildSystem(cfg); err == nil {
+		t.Fatal("a first start without the master CSV must error")
+	}
+	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := buildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.UpdateMaster([]certainfix.Tuple{certainfix.StringTuple("k3", "v3")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(masterCSV); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = buildSystem(cfg)
+	if err != nil {
+		t.Fatalf("restart on a recovered -wal-dir with -master gone: %v", err)
+	}
+	defer sys.Close()
+	if sys.MasterEpoch() != 1 || sys.MasterLen() != 3 {
+		t.Fatalf("recovered epoch %d, |Dm| = %d; want 1, 3", sys.MasterEpoch(), sys.MasterLen())
+	}
+	for k, v := range map[string]string{"k1": "v1", "k3": "v3"} {
+		fixed, _, changed, err := sys.RepairOnce(certainfix.StringTuple(k, "wrong"), []int{0})
+		if err != nil || len(changed) != 1 || fixed[1].Str() != v {
+			t.Fatalf("recovered fix of %s: fixed=%v changed=%v err=%v", k, fixed, changed, err)
+		}
+	}
+}

@@ -42,10 +42,12 @@ func LoadCSV(schema *certainfix.Schema, path string) (*certainfix.Relation, erro
 
 // OpenSystem constructs the System: from the columnar arena image when
 // snapshot names an existing file (cold start by page-in), otherwise from
-// the master CSV — saving the freshly built snapshot to the snapshot
-// path, if given, so the next start takes the fast path. Which of the two
-// happened is reported on stderr under the running command's name.
-func OpenSystem(rules *certainfix.Rules, rm *certainfix.Schema, masterPath, snapshot string, opts ...certainfix.Option) (*certainfix.System, error) {
+// the master CSV, streamed — saving the freshly built snapshot to the
+// snapshot path, if given, so the next start takes the fast path. Which of
+// the two happened is reported on stderr under the running command's name.
+// Neither file is read when opts name a WAL directory that already holds
+// the lineage.
+func OpenSystem(rules *certainfix.Rules, masterPath, snapshot string, opts ...certainfix.Option) (*certainfix.System, error) {
 	prog := filepath.Base(os.Args[0])
 	if snapshot != "" {
 		if _, err := os.Stat(snapshot); err == nil {
@@ -60,11 +62,7 @@ func OpenSystem(rules *certainfix.Rules, rm *certainfix.Schema, masterPath, snap
 	if masterPath == "" {
 		return nil, fmt.Errorf("-master is required when %s does not exist yet", snapshot)
 	}
-	masterRel, err := LoadCSV(rm, masterPath)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := certainfix.New(rules, masterRel, opts...)
+	sys, err := certainfix.NewFromCSV(rules, masterPath, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -43,10 +43,10 @@ func qPhi(dm *master.Data, ru *rule.Rule, row pattern.Tuple) []int {
 	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	var out []int
-	for id, tm := range dm.Relation().All() {
+	for id := range dm.Len() {
 		ok := true
 		for i := range x {
-			v := tm[xm[i]]
+			v := dm.Cell(id, xm[i])
 			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(v) {
 				ok = false
 				break

@@ -49,8 +49,8 @@ func (c *Checker) computeDomains() {
 	for _, ru := range c.sigma.Rules() {
 		x, xm := ru.LHS(), ru.LHSM()
 		for i := range x {
-			for _, tm := range c.dm.Relation().All() {
-				add(x[i], tm[xm[i]])
+			for id := range c.dm.Len() {
+				add(x[i], c.dm.Cell(id, xm[i]))
 			}
 		}
 	}

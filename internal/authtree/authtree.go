@@ -188,13 +188,22 @@ func New() *Tree { return &Tree{} }
 // intermediate node is ever allocated. Insert and Remove remain the delta
 // path, and the oracle this is tested against.
 func Build(rel *relation.Relation) *Tree {
-	hashed := make([]hashedTuple, rel.Len())
-	n := len(hashed)
+	return BuildFunc(rel.Len(), func(i int, _ relation.Tuple) relation.Tuple { return rel.Tuple(i) })
+}
+
+// BuildFunc is Build over any n tuples. tuple(i, buf) returns tuple i and
+// may build it in buf — what its previous call on the same goroutine
+// returned, nil on the first — because a tuple is hashed and dropped, never
+// kept: a source that stores no tuples (the master's id rows) materializes
+// each into one buffer per goroutine.
+func BuildFunc(n int, tuple func(i int, buf relation.Tuple) relation.Tuple) *Tree {
+	hashed := make([]hashedTuple, n)
 	chunks := max(1, min(4*runtime.GOMAXPROCS(0), n))
 	// The error is dropped because no job returns one.
 	_, _ = parallel.Map(chunks, 0, func(c int) (struct{}, error) {
+		var t relation.Tuple
 		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
-			t := rel.Tuple(i)
+			t = tuple(i, t)
 			hashed[i] = hashedTuple{Key(t), Sum(t)}
 		}
 		return struct{}{}, nil

@@ -170,8 +170,7 @@ func FromRules(sigma *rule.Set, dm *master.Data) (*Set, error) {
 		tp := ru.Pattern()
 		lhsSet := ru.LHSSet().Union(ru.PatternSet())
 		lhs := lhsSet.Positions()
-		for id := 0; id < dm.Len(); id++ {
-			tm := dm.Tuple(id)
+		for id, tm := range dm.All() {
 			ok := true
 			for i := range x {
 				if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {

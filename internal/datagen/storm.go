@@ -28,9 +28,9 @@ func UpdateStorm(ds *Dataset, seed int64, batches, adds, dels int) []DeltaBatch 
 	for b := 0; b < batches; b++ {
 		var batch DeltaBatch
 		for a := 0; a < adds; a++ {
-			t := ds.Master.Tuple(rng.Intn(ds.Master.Len())).Clone()
+			t := ds.Master.Tuple(rng.Intn(ds.Master.Len()))
 			i := rng.Intn(len(t))
-			t[i] = Corrupt(rng, t[i], ds.Master.Tuple(rng.Intn(ds.Master.Len()))[i])
+			t[i] = Corrupt(rng, t[i], ds.Master.Cell(rng.Intn(ds.Master.Len()), i))
 			batch.Adds = append(batch.Adds, t)
 		}
 		seen := make(map[int]bool)

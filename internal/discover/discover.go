@@ -18,8 +18,8 @@
 //     it rehashes every master tuple into string-keyed groups. It is kept,
 //     like the naive probe and closure paths of PRs 2–5, as the reference
 //     the property tests compare against.
-//   - Mine / DependenciesMaster run on the sharded inverted-postings
-//     layer of internal/master: each column is decoded once into dense
+//   - Mine / DependenciesMaster run on the interned id rows of
+//     internal/master: each column is read once as dense
 //     interned-value ids (Data.ColumnIDs), lhs support is counted by
 //     TANE-style stripped-partition refinement over those ids, and the
 //     candidate lattice fans out per level on internal/parallel. Output

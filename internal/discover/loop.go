@@ -13,6 +13,7 @@ package discover
 import (
 	"fmt"
 
+	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -89,7 +90,7 @@ func Loop(r *relation.Schema, masterRel *relation.Relation, opts LoopOptions) (*
 		return res, nil
 	}
 	for round := 1; ; round++ {
-		m := newMiner(minerData(res.Cleaned))
+		m := newMiner(master.New(res.Cleaned))
 		res.Deps = m.dependencies(opts.Options)
 		if round > opts.MaxRounds {
 			break // final re-mine after the last permitted repair

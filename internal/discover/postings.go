@@ -1,12 +1,12 @@
 package discover
 
-// The postings engine: dependency mining on the sharded inverted-postings
-// layer of internal/master.
+// The postings engine: dependency mining on the interned id rows of
+// internal/master.
 //
 // Instead of rehashing every tuple per candidate (the naive oracle's
-// O(candidates × n) string-keyed map work), each column is decoded ONCE
-// into a dense array of interned value ids (Data.ColumnIDs — the posting
-// lists read back sideways), and support counting becomes TANE-style
+// O(candidates × n) string-keyed map work), each column is read ONCE as a
+// dense array of interned value ids (Data.ColumnIDs — the master stores its
+// cells that way), and support counting becomes TANE-style
 // stripped-partition refinement over uint32 ids:
 //
 //   - the partition of a lhs list is the set of tuple-id classes agreeing
@@ -23,7 +23,7 @@ package discover
 // scratch, results consumed in enumeration order). Determinism for every
 // worker and shard count comes from ordering everything by FIRST
 // OCCURRENCE IN TUPLE ORDER: value-id numbering depends on interning
-// order (which the parallel master build does not fix), so ids are used
+// order (a delta chain's differs from a rebuild's), so ids are used
 // only for equality, never for ordering. Minimality pruning (covered[b])
 // updates at level boundaries only — within one level all lhs sets have
 // equal width, so none can subsume another and the oracle's scan-order
@@ -36,43 +36,24 @@ import (
 )
 
 // Mine mines dependencies from the master relation on the postings
-// engine: it builds an ephemeral postings-indexed snapshot over the
-// relation and delegates to DependenciesMaster. Output is identical to
-// Dependencies (the naive oracle) for every Options value.
+// engine: it interns the relation into an ephemeral index-free snapshot and
+// delegates to DependenciesMaster. Output is identical to Dependencies (the
+// naive oracle) for every Options value.
 func Mine(masterRel *relation.Relation, opts Options) []Candidate {
 	if masterRel.Len() == 0 {
 		return nil
 	}
-	return DependenciesMaster(minerData(masterRel), opts)
+	return DependenciesMaster(master.New(masterRel), opts)
 }
 
-// minerData builds a postings-only master snapshot over rel: no rule
-// indexes, just every column's posting lists.
-func minerData(rel *relation.Relation) *master.Data {
-	dm := master.New(rel)
-	cols := make([]int, rel.Schema().Arity())
-	for i := range cols {
-		cols[i] = i
-	}
-	dm.IndexPostings(cols...)
-	return dm
-}
-
-// DependenciesMaster mines dependencies from an existing master snapshot
-// via its postings layer. Columns without posting lists are indexed first
-// (construction-time work — do not call concurrently with probes on a
-// snapshot that is missing columns). The result is identical to
-// Dependencies over dm's relation.
+// DependenciesMaster mines dependencies from an existing master snapshot,
+// which it only reads. The result is identical to Dependencies over dm's
+// relation.
 func DependenciesMaster(dm *master.Data, opts Options) []Candidate {
 	opts = opts.withDefaults()
 	if dm.Len() == 0 {
 		return nil
 	}
-	cols := make([]int, dm.Schema().Arity())
-	for i := range cols {
-		cols[i] = i
-	}
-	dm.IndexPostings(cols...)
 	return newMiner(dm).dependencies(opts)
 }
 
@@ -191,11 +172,7 @@ func newMiner(dm *master.Data) *miner {
 	m := &miner{n: n, arity: arity, nsyms: dm.SymbolCount(), dm: dm}
 	m.cols = make([][]uint32, arity)
 	for a := 0; a < arity; a++ {
-		col, ok := dm.ColumnIDs(a)
-		if !ok {
-			panic("discover: miner invariant: column has no postings")
-		}
-		m.cols[a] = col
+		m.cols[a] = dm.ColumnIDs(a)
 	}
 	// Level-1 partitions refine the universe class [0, n) — giving
 	// first-seen-in-tuple-order classes, the determinism anchor.

@@ -135,7 +135,7 @@ func (e *explorer) dfs(t relation.Tuple, zSet relation.AttrSet) {
 	tried := map[succ]bool{}
 	for _, p := range pairs {
 		b := p.Rule.RHS()
-		v := e.dm.Tuple(p.MasterID)[p.Rule.RHSM()]
+		v := e.dm.Cell(p.MasterID, p.Rule.RHSM())
 		s := succ{b, v}
 		if tried[s] {
 			continue

@@ -15,13 +15,14 @@ package master
 //	         size, and the 7 section offsets
 //	schema   master schema name + typed attribute list (load-time
 //	         validation against Σ's master schema)
-//	symbols  every distinct cell value: fixed 16-byte records + a string
-//	         heap. The first nsyms records are the snapshot's interning
-//	         table in id order (the stable-id contract with
-//	         relation.Symbols.Export); the rest are extension values —
-//	         cells of non-indexed columns, present only so tuples can be
-//	         materialized, never entered into the loaded symbol table.
-//	columns  per-column vectors of n uint32 value ids (column-major)
+//	symbols  the snapshot's interning table in id order (the stable-id
+//	         contract with relation.Symbols.Export): fixed 16-byte records
+//	         + a string heap. Every cell of every column is interned, so
+//	         the record count equals the header's symbol count; an image
+//	         written before cells were ids may carry more — values of
+//	         non-indexed columns — which load as ordinary symbols.
+//	columns  the id rows, transposed: per-column vectors of n uint32 value
+//	         ids (column-major)
 //	indexes  per index: its Xm list, then per shard its frozen table
 //	         (table.go): slot count, key count, id count, the slot array,
 //	         the id array (8-byte ids), padded back to 8. A key sits in the
@@ -36,8 +37,7 @@ package master
 //
 // There is one format version; the loader answers any other with a typed
 // *SnapshotError. Saving is deterministic: tables are canonical, symbols
-// go in id order, extension values in row-major cell-scan order — the same
-// snapshot always produces the same bytes.
+// go in id order — the same snapshot always produces the same bytes.
 
 import (
 	"bufio"
@@ -190,12 +190,12 @@ func (a *arenaWriter) section(sec int) {
 // equivalent Σ. The snapshot may be anywhere in a delta chain: a shard
 // with an empty overlay is written as the table it holds, one with an
 // overlay as the compacted table of the merged view. The image streams to
-// w through one buffer; beyond it the save holds the value-id column
-// vectors and one shard's compacted table at a time.
+// w through one buffer; beyond it the save holds one column of ids and one
+// shard's compacted table at a time.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
-	if !sigma.MasterSchema().Equal(d.rel.Schema()) {
+	if !sigma.MasterSchema().Equal(d.schema) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
-			d.rel.Schema().Name(), sigma.MasterSchema().Name())
+			d.schema.Name(), sigma.MasterSchema().Name())
 	}
 	for _, ru := range sigma.Rules() {
 		if _, ok := d.plans[ru]; !ok {
@@ -206,41 +206,19 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 		}
 	}
 
-	// Assign every distinct cell value an id: interned values keep their
-	// symbol-table ids (the stable-id contract the bucket hashes depend
-	// on), extension values extend the id space in row-major scan order.
-	n, arity := d.rel.Len(), d.rel.Schema().Arity()
-	vals := d.syms.Export()
-	nsyms := len(vals)
-	ext := make(map[relation.Value]uint32)
-	colIDs := make([]uint32, n*arity)
-	for i, t := range d.rel.All() {
-		for c := 0; c < arity; c++ {
-			id, ok := d.syms.ID(t[c])
-			if !ok {
-				if id, ok = ext[t[c]]; !ok {
-					id = uint32(len(vals))
-					ext[t[c]] = id
-					vals = append(vals, t[c])
-				}
-			}
-			colIDs[c*n+i] = id
-		}
-	}
-
 	var sized arenaWriter
 	sized.off = arenaHeaderSize
-	d.writeArenaBody(&sized, sigma, vals, colIDs)
+	d.writeArenaBody(&sized, sigma)
 
 	var hdr [arenaHeaderSize]byte
 	copy(hdr[hdrMagic:], arenaMagic)
 	binary.LittleEndian.PutUint32(hdr[hdrVersion:], arenaVersion)
 	binary.LittleEndian.PutUint32(hdr[hdrEndian:], arenaEndianMark)
 	binary.LittleEndian.PutUint64(hdr[hdrEpoch:], d.epoch)
-	binary.LittleEndian.PutUint64(hdr[hdrNTuples:], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[hdrNTuples:], uint64(d.rows.Len()))
 	binary.LittleEndian.PutUint32(hdr[hdrNShards:], uint32(d.nshards))
-	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(arity))
-	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(nsyms))
+	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(d.schema.Arity()))
+	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(d.syms.Len()))
 	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
 	binary.LittleEndian.PutUint32(hdr[hdrNPosts:], uint32(len(d.postings)))
 	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
@@ -251,7 +229,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 
 	out := arenaWriter{w: bufio.NewWriterSize(w, 1<<20)}
 	out.bytes(hdr[:])
-	d.writeArenaBody(&out, sigma, vals, colIDs)
+	d.writeArenaBody(&out, sigma)
 	if out.err == nil {
 		out.err = out.w.Flush()
 	}
@@ -266,11 +244,9 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	return nil
 }
 
-// writeArenaBody emits the seven sections after the header. vals are the
-// image's values in id order (the interning table, then the extension
-// values) and colIDs the column-major value ids of every cell.
-func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set, vals []relation.Value, colIDs []uint32) {
-	schema := d.rel.Schema()
+// writeArenaBody emits the seven sections after the header.
+func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
+	schema := d.schema
 
 	// Schema: name, then each attribute's name and type.
 	b.section(secSchema)
@@ -283,12 +259,15 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set, vals []relation.V
 		b.u8(uint8(attr.Type))
 	}
 
-	// Symbols: count, fixed records, string heap.
+	// Symbols: count, fixed records, string heap — the interning table in
+	// id order.
 	b.section(secSymbols)
-	b.u32(uint32(len(vals)))
+	nsyms := uint32(d.syms.Len())
+	b.u32(nsyms)
 	b.align8()
 	heapLen := 0
-	for _, v := range vals {
+	for id := range nsyms {
+		v := d.syms.Value(id)
 		b.u32(uint32(v.Kind())) // the kind byte and three of padding
 		switch v.Kind() {
 		case relation.KindString:
@@ -304,15 +283,26 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set, vals []relation.V
 		}
 	}
 	b.u64(uint64(heapLen))
-	for _, v := range vals {
-		if v.Kind() == relation.KindString {
+	for id := range nsyms {
+		if v := d.syms.Value(id); v.Kind() == relation.KindString {
 			b.str(v.Str())
 		}
 	}
 
-	// Columns: arity × n uint32 ids, column-major.
+	// Columns: arity × n uint32 ids, column-major — the rows, one column
+	// gathered at a time.
 	b.section(secColumns)
-	writeInts(b, colIDs, 4)
+	if n := d.rows.Len(); b.w == nil {
+		b.off += 4 * int64(n) * int64(schema.Arity())
+	} else {
+		col := make([]uint32, n)
+		for c := 0; c < schema.Arity(); c++ {
+			for i, row := range d.rows.All() {
+				col[i] = row[c]
+			}
+			writeInts(b, col, 4)
+		}
+	}
 
 	// Indexes: per registered index, the Xm list then one table per shard.
 	b.section(secIndexes)

@@ -5,8 +5,9 @@ package master
 // fully usable Data snapshot whose frozen tables (table.go) and pattern
 // bitmaps are views into the raw bytes — no per-tuple hashing, no
 // map construction proportional to |Dm|. The only O(|Dm|) work is a
-// streaming validation pass plus materializing the tuple headers; string
-// payloads stay in the arena (tuple cells alias the mapping zero-copy).
+// streaming validation pass plus transposing the id columns into rows;
+// string payloads stay in the arena (symbol values alias the mapping
+// zero-copy).
 //
 // Validation is EAGER: every offset, count, table invariant and id range
 // is checked here, so the probe hot path runs with no bounds checks and a
@@ -27,7 +28,6 @@ import (
 	"os"
 	"unsafe"
 
-	"repro/internal/authtree"
 	"repro/internal/parallel"
 	"repro/internal/persist"
 	"repro/internal/relation"
@@ -228,16 +228,20 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, err
 	}
 
+	// Every stored value becomes a symbol — the header's count and, in an
+	// image written before cells were ids, the values of non-indexed columns
+	// after it: their ids are the ones the columns use, and no stored key
+	// was hashed from them.
 	vals, err := decodeArenaSymbols(b, secOff[secSymbols], nsyms)
 	if err != nil {
 		return nil, err
 	}
-	syms, symErr := relation.SymbolsFromValues(vals[:nsyms])
+	syms, symErr := relation.SymbolsFromValues(vals)
 	if symErr != nil {
 		return nil, &SnapshotError{Section: "symbols", Offset: -1, Msg: symErr.Error()}
 	}
 
-	rel, err := decodeArenaColumns(b, secOff[secColumns], n, arity, vals, sigma.MasterSchema())
+	rows, err := decodeArenaColumns(b, secOff[secColumns], n, arity, len(vals))
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +249,8 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	d := &Data{
 		epoch:   epoch,
 		nshards: nshards,
-		rel:     rel,
+		schema:  sigma.MasterSchema(),
+		rows:    rows,
 		syms:    syms,
 		hasher:  relation.NewHasher(syms),
 		plans:   make(map[*rule.Rule]*index, nrules),
@@ -260,9 +265,6 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 			return nil, err
 		}
 		d.indexes = append(d.indexes, idx)
-		for _, p := range idx.xm {
-			d.addNeedCol(p)
-		}
 	}
 
 	pr := &areader{b: b, off: secOff[secPostings], sec: "postings"}
@@ -272,7 +274,6 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 			return nil, err
 		}
 		d.postings = append(d.postings, ps)
-		d.addNeedCol(ps.col)
 	}
 
 	if nrules != sigma.Len() {
@@ -304,7 +305,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		d.compat[ru] = cp
 	}
 	// Exception tables are not stored: they are recomputed from the decoded
-	// buckets and tuples, so a probe trusts only what this pass verified.
+	// buckets and rows, so a probe trusts only what this pass verified.
 	if _, err := parallel.Map(nshards, 0, func(s int) (struct{}, error) {
 		d.rebuildExceptions(s)
 		return struct{}{}, nil
@@ -313,7 +314,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	}
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
-	// decoded relation and verify it against the stored root — a
+	// decoded tuples and verify it against the stored root — a
 	// recompute-and-verify, so a tampered image cannot smuggle in either a
 	// wrong root or wrong tuples under a right one. Flag-0 images load
 	// unauthenticated.
@@ -327,12 +328,11 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	switch flag {
 	case 0:
 	case 1:
-		tree := authtree.Build(rel)
-		if root := tree.Root(); string(root[:]) != string(stored) {
+		d.Authenticate()
+		if root := d.auth.Root(); string(root[:]) != string(stored) {
 			return nil, &SnapshotError{Section: "auth", Offset: secOff[secAuth],
 				Msg: fmt.Sprintf("stored root %x does not match recomputed root %s", stored, root)}
 		}
-		d.auth = tree
 	default:
 		return nil, &SnapshotError{Section: "auth", Offset: secOff[secAuth],
 			Msg: fmt.Sprintf("invalid auth flag %d", flag)}
@@ -427,41 +427,42 @@ func decodeArenaSymbols(b []byte, off, nsyms int) ([]relation.Value, error) {
 	return vals, nil
 }
 
-// decodeArenaColumns materializes the tuple headers from the column-major
-// id vectors: one flat backing array of n×arity cells, each tuple a
-// sub-slice — two allocations total, values shared with the symbol slice.
-func decodeArenaColumns(b []byte, off, n, arity int, vals []relation.Value, schema *relation.Schema) (*relation.Relation, error) {
+// decodeArenaColumns transposes the validated column-major id vectors into
+// the snapshot's rows: one row-major slab of n×arity ids and one array of
+// row headers over it — two allocations, no value touched.
+func decodeArenaColumns(b []byte, off, n, arity, nvals int) (rowVec, error) {
 	r := &areader{b: b, off: off, sec: "columns"}
 	if n > 0 && arity > (len(b)/4)/n {
 		r.fail("column section for %d×%d cells exceeds file size", n, arity)
-		return nil, r.err
+		return rowVec{}, r.err
 	}
 	raw := r.take(4 * n * arity)
 	if r.err != nil {
-		return nil, r.err
+		return rowVec{}, r.err
 	}
 	cells := viewU32(raw)
-	backing := make([]relation.Value, n*arity)
-	for c := 0; c < arity; c++ {
-		col := cells[c*n : (c+1)*n]
-		for i, id := range col {
-			if int(id) >= len(vals) {
-				r.off = off + 4*(c*n+i)
-				r.fail("cell (%d,%d): value id %d out of range %d", i, c, id, len(vals))
-				return nil, r.err
+	slab := make([]uint32, n*arity)
+	// A block of rows at a time, so the slab lines a column pass writes are
+	// still cached when the next column's pass comes back to them.
+	const block = 512
+	for lo := 0; lo < n; lo += block {
+		hi := min(lo+block, n)
+		for c := 0; c < arity; c++ {
+			for i, id := range cells[c*n+lo : c*n+hi] {
+				if int(id) >= nvals {
+					r.off = off + 4*(c*n+lo+i)
+					r.fail("cell (%d,%d): value id %d out of range %d", lo+i, c, id, nvals)
+					return rowVec{}, r.err
+				}
+				slab[(lo+i)*arity+c] = id
 			}
-			backing[i*arity+c] = vals[id]
 		}
 	}
-	tuples := make([]relation.Tuple, n)
-	for i := range tuples {
-		tuples[i] = relation.Tuple(backing[i*arity : (i+1)*arity : (i+1)*arity])
+	rows := make([][]uint32, n)
+	for i := range rows {
+		rows[i] = slab[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	rel, err := relation.FromTuples(schema, tuples)
-	if err != nil {
-		return nil, &SnapshotError{Section: "columns", Offset: -1, Msg: err.Error()}
-	}
-	return rel, nil
+	return persist.FromSlice(rows), nil
 }
 
 // decodeArenaIndex decodes one index: Xm list, then a table per shard.

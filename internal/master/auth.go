@@ -39,7 +39,9 @@ func (d *Data) AuthRoot() (authtree.Hash, bool) {
 // authenticated.
 func (d *Data) Authenticate() {
 	if d.auth == nil {
-		d.auth = authtree.Build(d.rel)
+		d.auth = authtree.BuildFunc(d.Len(), func(i int, buf relation.Tuple) relation.Tuple {
+			return d.TupleInto(buf, i)
+		})
 	}
 }
 
@@ -50,12 +52,13 @@ func (d *Data) ProveTuple(id int) (*authtree.Proof, error) {
 	if d.auth == nil {
 		return nil, fmt.Errorf("master: ProveTuple: snapshot is not authenticated")
 	}
-	if id < 0 || id >= d.rel.Len() {
-		return nil, fmt.Errorf("master: ProveTuple: id %d out of range [0, %d)", id, d.rel.Len())
+	if id < 0 || id >= d.Len() {
+		return nil, fmt.Errorf("master: ProveTuple: id %d out of range [0, %d)", id, d.Len())
 	}
-	p, ok := d.auth.Prove(d.rel.Tuple(id))
+	var buf [32]relation.Value // the tuple is only hashed: keep it off the heap
+	p, ok := d.auth.Prove(d.TupleInto(buf[:0], id))
 	if !ok {
-		// The tree mirrors the relation by construction; a miss here means
+		// The tree mirrors the rows by construction; a miss here means
 		// the mirror invariant broke, which no input should be able to do.
 		return nil, fmt.Errorf("master: ProveTuple: tuple %d missing from commitment", id)
 	}

@@ -1,0 +1,102 @@
+package master_test
+
+// Memory budgets of the two boot paths, counted in allocated and live bytes
+// (runtime.MemStats) rather than timed, so they hold on any host.
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/master"
+	"repro/internal/relation"
+	"repro/internal/rule"
+)
+
+// hospCSV generates an n-tuple HOSP master and returns it as CSV bytes with
+// its rule set.
+func hospCSV(t *testing.T, n int) ([]byte, *rule.Set) {
+	t.Helper()
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ds.Master.Relation().WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), ds.Sigma
+}
+
+// measure runs build and returns what it allocated in total and what of
+// that is still live after a collection, with the built value kept
+// reachable until then.
+func measure(build func() any) (allocated, live uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	built := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(built)
+	return after.TotalAlloc - before.TotalAlloc, after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+}
+
+// TestBootHeapBudget streams a 20k-tuple HOSP master from CSV bytes into a
+// Builder — the path certainfix.NewFromCSV boots on — and bounds what the
+// snapshot keeps, cells, symbols, tables and bitmaps together, and how much
+// garbage building it made. As a relation of values with its indexes beside
+// it the same master kept about 1,080 B/tuple.
+func TestBootHeapBudget(t *testing.T) {
+	const n = 20_000
+	csv, sigma := hospCSV(t, n)
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	allocated, live := measure(func() any {
+		b := master.NewBuilder(sigma, master.WithShards(4))
+		if err := relation.ScanCSV(sigma.MasterSchema(), bytes.NewReader(csv), b.Add); err != nil {
+			t.Fatal(err)
+		}
+		return b.Finish()
+	})
+	runtime.KeepAlive(csv) // or the second collection frees it and hides 200 B/tuple of the snapshot
+	t.Logf("|Dm| = %d: %d B/tuple live, %d B/tuple allocated (%.2f×)", n, live/n, allocated/n, float64(allocated)/float64(live))
+	if live > 450*n {
+		t.Errorf("snapshot keeps %d B/tuple, budget 450", live/n)
+	}
+	if 2*allocated > 5*live {
+		t.Errorf("boot allocated %.2f× what it keeps, budget 2.5×", float64(allocated)/float64(live))
+	}
+}
+
+// TestArenaLoadAllocBudget bounds what loading an image allocates to half
+// the image's size: the tables, bitmaps and strings stay in the image, and
+// what is built beside them is the id rows and the symbol table. Expanding
+// the id columns into tuples of values cost 2.4× the image.
+func TestArenaLoadAllocBudget(t *testing.T) {
+	const n = 20_000
+	csv, sigma := hospCSV(t, n)
+	rel, err := relation.ReadCSV(sigma.MasterSchema(), bytes.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := master.MustNewForRules(rel, sigma, master.WithShards(4)).SaveArena(&img, sigma); err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	allocated, _ := measure(func() any {
+		d, err := master.LoadArenaBytes(img.Bytes(), sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	})
+	runtime.KeepAlive(img)
+	t.Logf("image %d bytes, load allocated %d (%.2f×)", img.Len(), allocated, float64(allocated)/float64(img.Len()))
+	if 2*allocated > uint64(img.Len()) {
+		t.Errorf("loading a %d-byte image allocated %d bytes, budget half the image", img.Len(), allocated)
+	}
+}

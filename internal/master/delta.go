@@ -2,7 +2,7 @@ package master
 
 // This file implements the versioned-master update path: ApplyDelta
 // derives the next immutable snapshot from a batch of additions and
-// deletions by incrementally maintaining the tuple headers, hash indexes,
+// deletions by incrementally maintaining the id rows, hash indexes,
 // posting lists, symbol table and pattern-support bitmaps — every one of
 // them a structurally shared container (internal/persist) over the frozen
 // tables — and Versioned publishes the current snapshot through an atomic
@@ -17,8 +17,8 @@ package master
 //     maintenance proportional to the delta (only the moved tuple's
 //     entries change id) instead of cascading an id shift through every
 //     structure.
-//  2. adds are then appended in order; added tuples are deep-copied, so
-//     callers may reuse their slices.
+//  2. adds are then appended in order; an added tuple is interned into an
+//     id row of its own, so callers may reuse their slices.
 //
 // Every index and posting mutation lands in the shard its key routes to
 // (shard.go), so a delta's overlays — and the flatten-at-1/4 compaction
@@ -28,11 +28,11 @@ package master
 // since distinct structures share no maps.
 //
 // Cost per delta: the delta. Per op and structure, one trie path into the
-// shard's overlay and one fresh id list; per touched 64-element chunk of
-// the tuple headers and of each rule's bitmap, one chunk copy; per
-// interned value, one trie path. What still scales with |Dm| is the chunk
-// tables (8 bytes per 64 tuples, and per 4096 per rule) and, amortized, the
-// compaction of a shard whose overlay outgrew its table.
+// shard's overlay and one fresh id list; per added tuple, one id row; per
+// touched 64-element chunk of the row headers and of each rule's bitmap,
+// one chunk copy; per interned value, one trie path. What still scales with
+// |Dm| is the chunk tables (8 bytes per 64 tuples, and per 4096 per rule)
+// and, amortized, the compaction of a shard whose overlay outgrew its table.
 // TestApplyDeltaAllocScaling holds the same delta at |Dm| = 60k to 3× the
 // bytes it allocates at 6k; the ApplyDelta benchmarks record the rest.
 
@@ -74,13 +74,13 @@ func (cp *compatPlan) flip(id int) {
 	cp.patBits.Set(id>>6, cp.patBits.At(id>>6)^(1<<(uint(id)&63)))
 }
 
-// deltaOp is one planned mutation of every index and posting list. Bitmap
-// updates and interning happen at planning time (they are global and O(1)
-// per op); the map and bucket work — the bulk of a delta — runs in
-// applyIndexOps / applyPostingOps.
+// deltaOp is one planned mutation of every index and posting list, on the
+// tuple stored as row. Bitmap updates and interning happen at planning time
+// (they are global and O(1) per op); the map and bucket work — the bulk of a
+// delta — runs in applyIndexOps / applyPostingOps.
 type deltaOp struct {
 	kind   uint8
-	t      relation.Tuple
+	row    []uint32
 	id, to int
 }
 
@@ -104,11 +104,11 @@ const parallelDeltaOps = 128
 // key context.
 func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for i, t := range adds {
-		if err := validateTuple(d.rel.Schema(), t); err != nil {
+		if err := validateTuple(d.schema, t); err != nil {
 			return nil, &BuildError{TupleID: i, Key: tupleKeyContext(t), Err: fmt.Errorf("delta add: %w", err)}
 		}
 	}
-	n := d.rel.Len()
+	n := d.rows.Len()
 	del := append([]int(nil), deletes...)
 	sort.Sort(sort.Reverse(sort.IntSlice(del)))
 	for i, id := range del {
@@ -118,7 +118,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 			return nil, &BuildError{TupleID: -1, Err: fmt.Errorf("delta delete id %d out of range [0, %d)", id, n)}
 		}
 		if i > 0 && del[i-1] == id {
-			return nil, &BuildError{TupleID: id, Key: tupleKeyContext(d.rel.Tuple(id)),
+			return nil, &BuildError{TupleID: id, Key: tupleKeyContext(d.Tuple(id)),
 				Err: fmt.Errorf("duplicate delta delete id %d", id)}
 		}
 	}
@@ -135,11 +135,12 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	nd := &Data{
 		epoch:   d.epoch + 1,
 		nshards: d.nshards,
-		// Aliasing is safe: addNeedCol rebuilds the slice copy-on-write,
-		// never mutating the shared array in place.
-		needCols: d.needCols,
-		syms:     d.syms.Fork(),
-		arena:    d.arena,
+		schema:  d.schema,
+		// The row headers are shared with d chunk by chunk; the edits below
+		// copy the chunks they touch.
+		rows:  d.rows.Clone(),
+		syms:  d.syms.Fork(),
+		arena: d.arena,
 	}
 	nd.hasher = relation.NewHasher(nd.syms)
 	remapIdx := make(map[*index]*index, len(d.indexes))
@@ -165,11 +166,6 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		nd.compat[ru] = cp.fork(remapPost, words)
 	}
 
-	// The headers are shared with d chunk by chunk; the edits below copy the
-	// chunks they touch.
-	rel := d.rel.Fork()
-	nd.rel = rel
-
 	// Plan: queue every op; update bitmaps and intern added values inline
 	// (both global, both O(1) per op).
 	ops := make([]deltaOp, 0, 2*len(del)+len(adds))
@@ -180,36 +176,37 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// copies per epoch, sharing every untouched subtree with the parent.
 	nd.auth = d.auth
 
+	var gone relation.Tuple // a deleted tuple, materialized for the commitment
 	for _, id := range del {
-		last := rel.Len() - 1
-		t := rel.Tuple(id)
-		ops = append(ops, deltaOp{kind: opUnindex, t: t, id: id})
+		last := nd.rows.Len() - 1
+		ops = append(ops, deltaOp{kind: opUnindex, row: nd.rows.At(id), id: id})
 		nd.unsetBits(id)
 		if nd.auth != nil {
-			nd.auth = authRemove(nd.auth, t)
+			gone = nd.TupleInto(gone, id)
+			nd.auth = authRemove(nd.auth, gone)
 		}
 		if last != id {
-			moved := rel.Tuple(last)
-			ops = append(ops, deltaOp{kind: opRename, t: moved, id: last, to: id})
+			moved := nd.rows.At(last)
+			ops = append(ops, deltaOp{kind: opRename, row: moved, id: last, to: id})
 			nd.moveBits(last, id)
-			_ = rel.Set(id, moved) // cannot fail: moved is a tuple of this relation
+			nd.rows.Set(id, moved)
 		}
-		rel.Truncate(last)
+		nd.rows.Truncate(last)
 	}
 	for _, t := range adds {
-		tc := t.Clone()
-		id := rel.Len()
-		rel.MustAppend(tc) // cannot panic: arity validated above
-		for _, col := range nd.needCols {
-			nd.syms.Intern(tc[col])
+		row := make([]uint32, len(t))
+		for c, v := range t {
+			row[c] = nd.syms.Intern(v)
 		}
-		ops = append(ops, deltaOp{kind: opAppend, t: tc, id: id})
-		nd.setBitsFor(tc, id)
+		id := nd.rows.Len()
+		nd.rows.Append(row)
+		ops = append(ops, deltaOp{kind: opAppend, row: row, id: id})
+		nd.setBitsFor(row, id)
 		if nd.auth != nil {
-			nd.auth = nd.auth.Insert(tc)
+			nd.auth = nd.auth.Insert(t)
 		}
 	}
-	// The relation is final once planning ends; the index ops read it to keep
+	// The rows are final once planning ends; the index ops read them to keep
 	// the exception tables exact.
 
 	// Apply: structures share no maps, so a large delta fans them out
@@ -235,7 +232,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 
 	// Trim the pattern bitmaps to the final length (net-shrinking deltas
 	// leave spare words; all trimmed bits are already zero).
-	fwords := (rel.Len() + 63) / 64
+	fwords := (nd.rows.Len() + 63) / 64
 	for _, cp := range nd.compat {
 		cp.patBits.Truncate(fwords)
 	}
@@ -243,9 +240,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 }
 
 // applyIndexOps runs the planned mutations, in order, on one index: each
-// lands in the shard its key routes to. The symbol table is read-only here
-// (interning happened at plan time), so distinct structures may run
-// concurrently.
+// lands in the shard the hash of its row's Xm ids routes to. The symbol
+// table is read-only here (interning happened at plan time), so distinct
+// structures may run concurrently.
 //
 // Exception tables (uniform.go) follow the buckets: an append compares the
 // new tuple with the bucket's smallest id — deletes and renames precede the
@@ -256,17 +253,14 @@ func (nd *Data) applyIndexOps(idx *index, ops []deltaOp) {
 	var buf [8]uint64
 	rescan := buf[:0]
 	for _, op := range ops {
-		h, ok := nd.hasher.HashTuple(op.t, idx.xm)
-		if !ok {
-			continue
-		}
+		h := nd.hasher.HashRow(op.row, idx.xm)
 		sh := idx.shard(h)
 		bucket := sh.get(h)
 		switch {
 		case op.kind == opUnindex && sh.exc.mask(h) != 0:
 			rescan = append(rescan, h)
 		case op.kind == opAppend && len(bucket) > 0:
-			if m := idx.disagree(nd.rel.Tuple(bucket[0]), op.t); m != 0 {
+			if m := idx.disagree(nd.rows.At(bucket[0]), op.row); m != 0 {
 				sh.exc = sh.exc.with(h, sh.exc.mask(h)|m)
 			}
 		}
@@ -276,17 +270,16 @@ func (nd *Data) applyIndexOps(idx *index, ops []deltaOp) {
 		// The maintained mask never misses a disagreement, so it bounds the
 		// scan: a bucket that is still as dirty answers in a few tuples.
 		sh := idx.shard(h)
-		sh.exc = sh.exc.with(h, idx.bucketMask(sh.get(h), nd.rel, sh.exc.mask(h)))
+		sh.exc = sh.exc.with(h, idx.bucketMask(sh.get(h), &nd.rows, sh.exc.mask(h)))
 	}
 }
 
 // applyPostingOps is applyIndexOps for one posting list.
 func (nd *Data) applyPostingOps(ps *postings, ops []deltaOp) {
 	for _, op := range ops {
-		if vid, ok := nd.syms.ID(op.t[ps.col]); ok {
-			l := ps.shard(vid)
-			l.set(vid, editIDs(op, l.get(vid)))
-		}
+		vid := op.row[ps.col]
+		l := ps.shard(vid)
+		l.set(vid, editIDs(op, l.get(vid)))
 	}
 }
 
@@ -323,11 +316,11 @@ func (nd *Data) moveBits(from, to int) {
 	}
 }
 
-// setBitsFor evaluates a freshly appended tuple against every rule's
-// pattern and sets its bits.
-func (nd *Data) setBitsFor(t relation.Tuple, id int) {
+// setBitsFor evaluates a freshly appended row against every rule's pattern
+// and sets its bits.
+func (nd *Data) setBitsFor(row []uint32, id int) {
 	for ru, cp := range nd.compat {
-		if patternCompatible(ru, t) {
+		if patternCompatible(ru, row, nd.syms) {
 			cp.flip(id)
 			cp.patCount++
 		}

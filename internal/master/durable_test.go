@@ -13,6 +13,8 @@ package master
 // typed corruption errors — are pinned by the tests that follow.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -307,25 +309,102 @@ func TestDurableHistoryRingAfterRecovery(t *testing.T) {
 	}
 }
 
+// checkpointCorruption is one flipped byte of a checkpoint image, placed by
+// the image's own header. structural means the loader's validation covers
+// the field, so any lineage refuses the image; the others sit in the tuple
+// payload, where a flipped byte is usually another valid value, and only an
+// authenticated lineage notices (the recomputed root is not the stored one).
+type checkpointCorruption struct {
+	name       string
+	off        int
+	mask       byte
+	structural bool
+}
+
+func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
+	t.Helper()
+	le := binary.LittleEndian
+	sec := func(i int) int { return int(le.Uint64(img[hdrSections+8*i:])) }
+	align8 := func(off int) int { return (off + 7) &^ 7 }
+	// Symbols: u32 count, padding, 16-byte records, u64 heap length, heap.
+	records := align8(sec(secSymbols) + 4)
+	heap := records + 16*int(le.Uint32(img[sec(secSymbols):])) + 8
+	// The first cell of column 0 whose value is a string, and that value's
+	// record (kind, length at +4, heap offset at +8).
+	n := int(le.Uint64(img[hdrNTuples:]))
+	cell, rec := -1, -1
+	for i := 0; i < n && cell < 0; i++ {
+		off := sec(secColumns) + 4*i
+		if r := records + 16*int(le.Uint32(img[off:])); relation.Kind(img[r]) == relation.KindString && le.Uint32(img[r+4:]) > 0 {
+			cell, rec = off, r
+		}
+	}
+	if cell < 0 {
+		t.Fatal("fixture: column 0 of the checkpoint holds no string")
+	}
+	// Indexes: u32 |Xm|, the positions, padding, then shard 0's table header
+	// (slot, key and id counts). Rules: u64 signature, u32 popcount.
+	table := align8(sec(secIndexes) + 4 + 4*int(le.Uint32(img[sec(secIndexes):])))
+	return []checkpointCorruption{
+		{"header tuple count", hdrNTuples, 0xFF, true},
+		{"header shard count", hdrNShards, 0xFF, true},
+		{"header arity", hdrArity, 0xFF, true},
+		{"header symbol count", hdrNSyms, 0xFF, true},
+		{"header file size", hdrFileSize, 0xFF, true},
+		{"header section offset", hdrSections + 8*secColumns, 0xFF, true},
+		{"schema name", sec(secSchema) + 4, 0xFF, true},
+		{"table slot count", table, 0xFF, true},
+		{"table key count", table + 8, 0xFF, true},
+		{"table id count", table + 16, 0xFF, true},
+		{"bitmap popcount", sec(secRules) + 8, 0xFF, true},
+		{"string heap", heap + int(le.Uint64(img[rec+8:])), 0x80, false},
+		{"value record length", rec + 4, 0x01, false},
+		{"cell id", cell, 0x01, false},
+	}
+}
+
 func TestDurableCorruptionIsTyped(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
-		w := newDurableWorkload(41_000_400, 4)
-		dir := t.TempDir()
-		if acked := w.run(wal.OS, dir); acked != w.base.Epoch()+4 {
-			t.Fatalf("workload incomplete: %d", acked)
-		}
-		path := filepath.Join(dir, CheckpointFile)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)/2] ^= 0xFF
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err = OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, DurableOptions{})
-		if !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("want ErrBadSnapshot, got %v", err)
+		for _, shards := range []int{1, 4} {
+			for _, auth := range []bool{false, true} {
+				w := newDurableWorkload(41_000_400, 4)
+				w.base = MustNewForRules(w.base.Relation(), w.sigma, WithShards(shards))
+				opts := w.opts(wal.OS)
+				opts.Auth = auth
+				dir := t.TempDir()
+				dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range w.deltas {
+					if _, err := dv.Apply(d.adds, d.deletes); err != nil {
+						t.Fatal(err)
+					}
+					dv.waitCheckpoint()
+				}
+				if err := dv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, CheckpointFile)
+				img, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range checkpointCorruptions(t, img) {
+					bad := bytes.Clone(img)
+					bad[c.off] ^= c.mask
+					if err := os.WriteFile(path, bad, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, opts)
+					if err == nil {
+						dv.Close()
+					}
+					if (c.structural || auth) && !errors.Is(err, ErrBadSnapshot) {
+						t.Errorf("P=%d auth=%v: %s (offset %d) flipped: want ErrBadSnapshot, got %v", shards, auth, c.name, c.off, err)
+					}
+				}
+			}
 		}
 	})
 	t.Run("wal", func(t *testing.T) {

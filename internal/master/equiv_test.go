@@ -78,7 +78,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 		for s := range want {
 			want[s] = map[uint64][]int{}
 		}
-		for i, tm := range d.rel.All() {
+		for i, tm := range d.All() {
 			h, ok := d.hasher.HashTuple(tm, idx.xm)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
@@ -95,7 +95,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 		for s := range want {
 			want[s] = map[uint32][]int32{}
 		}
-		for i, tm := range d.rel.All() {
+		for i, tm := range d.All() {
 			vid, ok := d.syms.ID(tm[ps.col])
 			if !ok {
 				t.Fatalf("%s: value of tuple %d column %d not interned", ctx, i, ps.col)
@@ -147,7 +147,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 				}
 			})
 		}
-		for id, tm := range d.rel.All() {
+		for id, tm := range d.All() {
 			h, ok := d.hasher.HashTuple(tm, idx.xm)
 			if !ok || !slices.Contains(idx.shard(h).get(h), id) {
 				t.Fatalf("%s: index %v: tuple %d missing from the bucket its key routes to", ctx, idx.xm, id)
@@ -162,7 +162,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 				}
 			})
 		}
-		for id, tm := range d.rel.All() {
+		for id, tm := range d.All() {
 			vid, ok := d.syms.ID(tm[ps.col])
 			if !ok || !slices.Contains(ps.shard(vid).get(vid), int32(id)) {
 				t.Fatalf("%s: postings col %d: tuple %d missing from the list its value routes to", ctx, ps.col, id)

@@ -1,8 +1,14 @@
-// Package master wraps a master relation Dm with hash indexes keyed on the
+// Package master holds a master relation Dm with hash indexes keyed on the
 // Xm attribute lists of a rule set. The paper's complexity analysis of
 // TransFix (§5.1) assumes "constant time to check whether there exists a
 // master tuple that is applicable to t with an eR, by using a hash table
 // that stores tm[Xm] as a key" — this package provides exactly that.
+//
+// Dm itself is held as rows of interned value ids, one uint32 per cell,
+// every column interned (Data.rows): a probe looks its values' ids up once,
+// to hash them, and verifies candidates by comparing those ids with the
+// stored cells; values are materialized only for callers that show or hash a
+// whole tuple (Cell, Tuple, All, Relation).
 //
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
 // (relation.Symbols / relation.Hasher); a key has ONE bucket, holding the
@@ -27,7 +33,7 @@
 //     a consistent master; a listed bucket is scanned exactly.
 //     MemStats.NonUniformBuckets counts them.
 //   - Enumerating probes — MatchIDs, Lookup — return every matching id,
-//     verifying each candidate against the stored tuple (hash equality
+//     verifying each candidate against the stored row (hash equality
 //     alone does not prove projection equality). They never consult the
 //     exception tables, return the bucket itself (no copy, no allocation)
 //     unless a collision has to be filtered out of it, and serve the
@@ -50,7 +56,7 @@
 // The paper assumes master data is static (§2). A service cannot stop the
 // world to re-run NewForRules for every correction, so this package
 // versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
-// derives the next one by structural sharing — tables shared; tuple headers,
+// derives the next one by structural sharing — tables shared; row headers,
 // overlays, symbols, exception tables and pattern bitmaps edited along the
 // paths and chunks the delta touches — and the Versioned handle publishes
 // the current snapshot through an atomic pointer.
@@ -78,9 +84,11 @@ package master
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/authtree"
+	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -134,9 +142,18 @@ func (idx *index) size() int {
 type Data struct {
 	epoch   uint64
 	nshards int
-	rel     *relation.Relation
-	syms    *relation.Symbols
-	hasher  relation.Hasher
+	schema  *relation.Schema
+	// rows is Dm itself: tuple id → the tuple's cells as interned value ids,
+	// one per attribute of the schema. EVERY column is interned, so a cell is
+	// its id, equal cells have equal ids, and syms.Value turns one back into
+	// the value (Cell, Tuple, All, Relation materialize on demand). Rows are
+	// carved from slabs at build and load and allocated one by one by deltas;
+	// their headers sit in a chunked copy-on-write vector, so ApplyDelta
+	// shares every chunk it does not touch. A row is never written once
+	// stored.
+	rows   rowVec
+	syms   *relation.Symbols
+	hasher relation.Hasher
 	// indexes is the dense registry of built indexes; with a handful of
 	// distinct Xm lists per Σ a linear scan comparing position slices
 	// beats string building.
@@ -151,13 +168,9 @@ type Data struct {
 	// serving the partial-lhs and pattern-support paths of §5.
 	postings []*postings
 	compat   map[*rule.Rule]*compatPlan
-	// needCols are the Rm positions whose values the registered structures
-	// require interned (sorted); ApplyDelta interns added tuples' cells on
-	// exactly these columns.
-	needCols []int
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
 	// ones built in memory). Propagated through ApplyDelta derivations:
-	// tuple cells and not-yet-compacted tables alias the bytes for the
+	// symbol strings and not-yet-compacted tables alias the bytes for the
 	// snapshot chain's whole lifetime. See arena.go / arena_load.go.
 	arena *arenaRef
 	// auth is the snapshot's sparse-Merkle commitment over the tuple
@@ -166,57 +179,41 @@ type Data struct {
 	auth *authtree.Tree
 }
 
+// rowVec is the vector of id rows behind a snapshot.
+type rowVec = persist.Vec[[]uint32]
+
 // New wraps a master relation. Indexes are added with Index or NewForRules.
 func New(rel *relation.Relation, opts ...BuildOption) *Data {
-	cfg := resolveBuildConfig(opts)
-	d := newData(rel, cfg.shards)
-	if cfg.auth {
-		d.auth = authtree.Build(rel)
+	b := newBuilder(rel.Schema(), nil, resolveBuildConfig(opts))
+	for _, t := range rel.All() {
+		// A relation checks arity on the way in; New has never validated
+		// cell types and its callers (the rule miner) rely on none.
+		b.addRow(t)
 	}
-	return d
-}
-
-func newData(rel *relation.Relation, shards int) *Data {
-	syms := relation.NewSymbols()
-	return &Data{
-		nshards: shards,
-		rel:     rel,
-		syms:    syms,
-		hasher:  relation.NewHasher(syms),
-		plans:   map[*rule.Rule]*index{},
-		compat:  map[*rule.Rule]*compatPlan{},
-	}
+	return b.Finish()
 }
 
 // NewForRules wraps a master relation, eagerly builds one index per
 // distinct Xm list in Σ, one posting list per distinct Xm column, and
-// resolves each rule's probe and compatibility plans. The structures are
-// partitioned into WithShards shards (default one per CPU) and filled in
-// parallel on GOMAXPROCS goroutines. Failures — schema mismatch, a tuple
-// violating the schema's declared types — are typed:
-// errors.Is(err, ErrMasterBuild), with a *BuildError carrying the failing
-// tuple's id and key context.
+// resolves each rule's probe and compatibility plans: a Builder fed the
+// relation's tuples. The structures are partitioned into WithShards shards
+// (default one per CPU) and filled in parallel on GOMAXPROCS goroutines.
+// Failures — schema mismatch, a tuple violating the schema's declared
+// types — are typed: errors.Is(err, ErrMasterBuild), with a *BuildError
+// carrying the failing tuple's id and key context.
 func NewForRules(rel *relation.Relation, sigma *rule.Set, opts ...BuildOption) (*Data, error) {
-	cfg := resolveBuildConfig(opts)
 	if !sigma.MasterSchema().Equal(rel.Schema()) {
 		return nil, &BuildError{TupleID: -1, Err: fmt.Errorf(
 			"relation schema %s does not match Σ's master schema %s",
 			rel.Schema().Name(), sigma.MasterSchema().Name())}
 	}
-	d := newData(rel, cfg.shards)
-	for _, ru := range sigma.Rules() {
-		idx, _ := d.registerIndex(ru.LHSMRef())
-		idx.trackRHS(ru.RHSM())
-		d.plans[ru] = idx
-		d.compat[ru] = d.registerCompatPlan(ru)
+	b := NewBuilder(sigma, opts...)
+	for _, t := range rel.All() {
+		if err := b.Add(t); err != nil {
+			return nil, err
+		}
 	}
-	if err := d.buildParallel(sigma); err != nil {
-		return nil, err
-	}
-	if cfg.auth {
-		d.auth = authtree.Build(rel)
-	}
-	return d, nil
+	return b.Finish(), nil
 }
 
 // MustNewForRules is NewForRules that panics on error.
@@ -228,21 +225,71 @@ func MustNewForRules(rel *relation.Relation, sigma *rule.Set, opts ...BuildOptio
 	return d
 }
 
-// Relation returns the wrapped master relation.
-func (d *Data) Relation() *relation.Relation { return d.rel }
-
 // Schema returns the master schema Rm.
-func (d *Data) Schema() *relation.Schema { return d.rel.Schema() }
+func (d *Data) Schema() *relation.Schema { return d.schema }
 
 // Len returns |Dm|.
-func (d *Data) Len() int { return d.rel.Len() }
+func (d *Data) Len() int { return d.rows.Len() }
 
 // Epoch returns the snapshot's version stamp: 0 for a freshly built Data,
 // parent+1 for each ApplyDelta derivation.
 func (d *Data) Epoch() uint64 { return d.epoch }
 
-// Tuple returns master tuple i.
-func (d *Data) Tuple(i int) relation.Tuple { return d.rel.Tuple(i) }
+// Cell returns the value of master tuple i on column col. O(1), no
+// allocation.
+func (d *Data) Cell(i, col int) relation.Value { return d.syms.Value(d.rows.At(i)[col]) }
+
+// Tuple materializes master tuple i: a fresh tuple, the caller's to keep
+// or edit. Probes never do this — they compare ids — so it is for the
+// callers that show or hash a whole tuple: witnesses, proofs, samples,
+// oracles.
+func (d *Data) Tuple(i int) relation.Tuple { return d.TupleInto(nil, i) }
+
+// TupleInto is Tuple writing into buf when buf has the capacity, for loops
+// that look at one tuple at a time.
+func (d *Data) TupleInto(buf relation.Tuple, i int) relation.Tuple {
+	row := d.rows.At(i)
+	if cap(buf) < len(row) {
+		buf = make(relation.Tuple, len(row))
+	}
+	buf = buf[:len(row)]
+	for c, id := range row {
+		buf[c] = d.syms.Value(id)
+	}
+	return buf
+}
+
+// All iterates the master tuples in id order, materializing each into ONE
+// tuple it overwrites for the next: Clone what outlives the iteration.
+func (d *Data) All() iter.Seq2[int, relation.Tuple] {
+	return func(yield func(int, relation.Tuple) bool) {
+		var buf relation.Tuple
+		for i := range d.rows.Len() {
+			buf = d.TupleInto(buf, i)
+			if !yield(i, buf) {
+				return
+			}
+		}
+	}
+}
+
+// Relation materializes the whole master as a relation of its own:
+// O(|Dm|·arity) values in two allocations, built per call and not retained.
+// For tools and tests that want Dm as a relation (CSV export, generators,
+// rebuild oracles); nothing on a request or boot path calls it.
+func (d *Data) Relation() *relation.Relation {
+	n, arity := d.Len(), d.schema.Arity()
+	backing := make([]relation.Value, n*arity)
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = d.TupleInto(backing[i*arity:i*arity:(i+1)*arity], i)
+	}
+	rel, err := relation.FromTuples(d.schema, tuples)
+	if err != nil {
+		panic(err) // unreachable: every row has the schema's arity
+	}
+	return rel
+}
 
 // Hasher returns the shared projection hasher (read-only after indexing).
 func (d *Data) Hasher() relation.Hasher { return d.hasher }
@@ -252,7 +299,7 @@ func (d *Data) Hasher() relation.Hasher { return d.hasher }
 // lookups; build indexes up front.
 func (d *Data) Index(xm []int) {
 	if idx, created := d.registerIndex(xm); created {
-		d.fillAdded([]*index{idx}, nil, idx.xm)
+		d.fill([]*index{idx}, nil)
 	}
 }
 
@@ -279,29 +326,45 @@ func eqPos(a, b []int) bool {
 	return true
 }
 
-// probe returns the ids of the tuples in idx matching t's projection on x;
-// see verified for order and aliasing.
-func (d *Data) probe(idx *index, t relation.Tuple, x []int) []int {
-	h, ok := d.hasher.HashTuple(t, x)
-	if !ok {
-		return nil // some probe value never occurs in the indexed columns
+// probeIDs is the buffer a probe looks its values' ids up into: on the
+// stack for every lhs a rule set plausibly has.
+type probeIDs [8]uint32
+
+// take returns room for n ids.
+func (b *probeIDs) take(n int) []uint32 {
+	if n > len(b) {
+		return make([]uint32, n)
 	}
-	return verified(idx.shard(h).get(h), func(id int) bool {
-		return t.ProjectMatches(x, d.rel.Tuple(id), idx.xm)
-	})
+	return b[:n]
+}
+
+// matches reports whether stored tuple id carries ids on the positions xm —
+// the t[X] = tm[Xm] test, on the ids the hash step looked up: equal values
+// have equal ids.
+func (d *Data) matches(id int, xm []int, ids []uint32) bool {
+	return rowMatches(d.rows.At(id), xm, ids)
+}
+
+func rowMatches(row []uint32, xm []int, ids []uint32) bool {
+	for i, p := range xm {
+		if row[p] != ids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // verified is the enumerate-all step shared by MatchIDs and Lookup: check
-// every candidate of the key's bucket exactly once with match (hash equality
-// alone does not prove projection equality). The bucket itself comes back,
-// ascending and uncopied, unless a collision has to be filtered out of it
-// (the cold path: a fresh slice).
-func verified(bucket []int, match func(id int) bool) []int {
+// every candidate of the key's bucket exactly once (hash equality alone does
+// not prove projection equality). The bucket itself comes back, ascending
+// and uncopied, unless a collision has to be filtered out of it (the cold
+// path: a fresh slice).
+func (d *Data) verified(bucket []int, xm []int, ids []uint32) []int {
 	for i, id := range bucket {
-		if !match(id) {
+		if !d.matches(id, xm, ids) {
 			out := append([]int(nil), bucket[:i]...)
 			for _, id := range bucket[i+1:] {
-				if match(id) {
+				if d.matches(id, xm, ids) {
 					out = append(out, id)
 				}
 			}
@@ -311,6 +374,17 @@ func verified(bucket []int, match func(id int) bool) []int {
 	return bucket
 }
 
+// scan is the unindexed fallback: the ids of all tuples carrying ids on xm.
+func (d *Data) scan(xm []int, ids []uint32) []int {
+	var out []int
+	for i, row := range d.rows.All() {
+		if rowMatches(row, xm, ids) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // Lookup returns the ids of master tuples tm with tm[xm] equal to the
 // projection values[i] (aligned with xm). It uses a prebuilt index when
 // available and falls back to a scan otherwise.
@@ -318,31 +392,16 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 	if len(values) != len(xm) {
 		return nil // arity mismatch can never match (and must not panic)
 	}
+	var buf probeIDs
+	ids := buf.take(len(xm))
+	h, ok := d.hasher.ProbeValues(values, ids)
+	if !ok {
+		return nil // some value occurs nowhere in the master
+	}
 	if idx := d.findIndex(xm); idx != nil {
-		h, ok := d.hasher.HashValues(values)
-		if !ok {
-			return nil
-		}
-		return verified(idx.shard(h).get(h), func(id int) bool {
-			return valuesMatch(values, d.rel.Tuple(id), idx.xm)
-		})
+		return d.verified(idx.shard(h).get(h), idx.xm, ids)
 	}
-	var out []int
-	for i, tm := range d.rel.All() {
-		if valuesMatch(values, tm, xm) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func valuesMatch(values []relation.Value, tm relation.Tuple, xm []int) bool {
-	for i, p := range xm {
-		if !values[i].Equal(tm[p]) {
-			return false
-		}
-	}
-	return true
+	return d.scan(xm, ids)
 }
 
 // indexFor resolves ru's probe plan: the plan map for the rules of Σ, the
@@ -363,17 +422,16 @@ func (d *Data) indexFor(ru *rule.Rule) *index {
 // FirstMatchID, which do not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHSRef()
+	var buf probeIDs
+	ids := buf.take(len(x))
+	h, ok := d.hasher.ProbeTuple(t, x, ids)
+	if !ok {
+		return nil // some probe value occurs nowhere in the master
+	}
 	if idx := d.indexFor(ru); idx != nil {
-		return d.probe(idx, t, x)
+		return d.verified(idx.shard(h).get(h), idx.xm, ids)
 	}
-	xm := ru.LHSMRef()
-	var out []int
-	for i, tm := range d.rel.All() {
-		if t.ProjectMatches(x, tm, xm) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return d.scan(ru.LHSMRef(), ids)
 }
 
 // HasMatch reports whether some master tuple matches t on the rule's
@@ -388,19 +446,20 @@ func (d *Data) HasMatch(ru *rule.Rule, t relation.Tuple) bool {
 // none does. Allocation-free and O(1) on an index: the bucket is decided by
 // its smallest id unless the exception table records a collision in it.
 func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
-	x := ru.LHSRef()
+	x, xm := ru.LHSRef(), ru.LHSMRef()
+	var buf probeIDs
+	ids := buf.take(len(x))
+	h, ok := d.hasher.ProbeTuple(t, x, ids)
+	if !ok {
+		return -1, false
+	}
 	idx := d.indexFor(ru)
 	if idx == nil {
-		xm := ru.LHSMRef()
-		for i, tm := range d.rel.All() {
-			if t.ProjectMatches(x, tm, xm) {
+		for i, row := range d.rows.All() {
+			if rowMatches(row, xm, ids) {
 				return i, true
 			}
 		}
-		return -1, false
-	}
-	h, ok := d.hasher.HashTuple(t, x)
-	if !ok {
 		return -1, false
 	}
 	sh := idx.shard(h)
@@ -409,7 +468,7 @@ func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 		bucket = bucket[:1]
 	}
 	for _, id := range bucket {
-		if t.ProjectMatches(x, d.rel.Tuple(id), idx.xm) {
+		if d.matches(id, xm, ids) {
 			return id, true
 		}
 	}
@@ -426,12 +485,15 @@ func (d *Data) FirstMatch(ru *rule.Rule, t relation.Tuple) (relation.Tuple, int,
 	if !ok {
 		return nil, -1, false
 	}
-	return d.rel.Tuple(id), id, true
+	return d.Tuple(id), id, true
 }
 
 // AppliesSomeTuple reports whether any (ru, tm) pair applies to t.
 func (d *Data) AppliesSomeTuple(ru *rule.Rule, t relation.Tuple) bool {
-	_, _, ok := d.FirstMatch(ru, t)
+	if !ru.MatchesPattern(t) {
+		return false
+	}
+	_, ok := d.FirstMatchID(ru, t)
 	return ok
 }
 
@@ -453,15 +515,17 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	if !ru.MatchesPattern(t) {
 		return nil, -1
 	}
-	x, bm := ru.LHSRef(), ru.RHSM()
+	x, xm, bm := ru.LHSRef(), ru.LHSMRef(), ru.RHSM()
+	var buf probeIDs
+	ids := buf.take(len(x))
+	h, ok := d.hasher.ProbeTuple(t, x, ids)
+	if !ok {
+		return nil, -1
+	}
 	var bucket []int
 	if idx := d.indexFor(ru); idx == nil {
-		bucket = d.MatchIDs(ru, t)
+		bucket = d.scan(xm, ids)
 	} else {
-		h, ok := d.hasher.HashTuple(t, x)
-		if !ok {
-			return nil, -1
-		}
 		sh := idx.shard(h)
 		bucket = sh.get(h)
 		if bit := idx.rhsBit(bm); len(bucket) > 1 && bit != 0 && sh.exc.mask(h)&bit == 0 {
@@ -473,17 +537,16 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	// a consistent master and a handful otherwise: dedup is a linear scan.
 	var values []relation.Value
 	first := -1
-	xm := ru.LHSMRef()
 	for _, id := range bucket {
-		tm := d.rel.Tuple(id)
-		if !t.ProjectMatches(x, tm, xm) {
+		row := d.rows.At(id)
+		if !rowMatches(row, xm, ids) {
 			continue
 		}
 		if first < 0 {
 			first = id
 		}
-		if !slices.Contains(values, tm[bm]) {
-			values = append(values, tm[bm])
+		if v := d.syms.Value(row[bm]); !slices.Contains(values, v) {
+			values = append(values, v)
 		}
 	}
 	return values, first

@@ -1,25 +1,25 @@
 package master
 
-import (
-	"unsafe"
-
-	"repro/internal/relation"
-)
+import "unsafe"
 
 // MemStats is a snapshot's memory accounting: where the bytes of the
-// lookup structures live, split so the heap-vs-arena tradeoff is
-// observable in production (certainfixd exposes this on /healthz), not
-// just in benchmarks. Counts are logical (live keys and ids); index and
-// posting bytes are the exact sizes of the frozen tables' backing arrays
-// plus the overlay entries' payload.
+// master's cells and lookup structures live, split so the heap-vs-arena
+// tradeoff is observable in production (certainfixd exposes this on
+// /healthz), not just in benchmarks. Counts are logical (live keys and
+// ids); cell, index and posting bytes are the exact sizes of the id rows
+// and the frozen tables' backing arrays plus the overlay entries' payload.
 type MemStats struct {
 	// Epoch and Tuples identify the snapshot.
 	Epoch  uint64 `json:"epoch"`
 	Tuples int    `json:"tuples"`
 	Shards int    `json:"shards"`
 
-	// Symbols is the interning table: distinct values and their string
-	// payload bytes.
+	// CellBytes is Dm itself: one uint32 id per cell plus a slice header
+	// per tuple.
+	CellBytes int64 `json:"cell_bytes"`
+
+	// Symbols is the interning table the cells point into: distinct values
+	// and their string payload bytes (a counter kept as values are interned).
 	Symbols     int   `json:"symbols"`
 	SymbolBytes int64 `json:"symbol_bytes"`
 
@@ -64,20 +64,19 @@ type MemStats struct {
 }
 
 // MemStats walks the snapshot's structures and returns their accounting.
-// Cost is O(structures), not O(|Dm|·arity): symbol payloads come from the
-// interning table, index and posting sizes from the layered maps. Safe on
+// Cost is O(keys of the structures), not O(|Dm|·arity), and it allocates
+// nothing that grows with the master: cell and symbol bytes are arithmetic
+// and a counter, index and posting sizes come from the layered maps. Safe on
 // any snapshot, concurrently with probes.
 func (d *Data) MemStats() MemStats {
+	n := d.rows.Len()
 	ms := MemStats{
-		Epoch:  d.epoch,
-		Tuples: d.rel.Len(),
-		Shards: d.nshards,
-	}
-	ms.Symbols = d.syms.Len()
-	for _, v := range d.syms.Export() {
-		if v.Kind() == relation.KindString {
-			ms.SymbolBytes += int64(len(v.Str()))
-		}
+		Epoch:       d.epoch,
+		Tuples:      n,
+		Shards:      d.nshards,
+		CellBytes:   int64(n) * (int64(unsafe.Sizeof([]uint32(nil))) + 4*int64(d.schema.Arity())),
+		Symbols:     d.syms.Len(),
+		SymbolBytes: d.syms.StringBytes(),
 	}
 	for _, idx := range d.indexes {
 		for s := range idx.shards {

@@ -23,20 +23,6 @@ func minerRel() *relation.Relation {
 	return rel
 }
 
-func TestColumnIDsRequiresPostings(t *testing.T) {
-	dm := master.New(minerRel())
-	if _, ok := dm.ColumnIDs(0); ok {
-		t.Fatal("ColumnIDs should report missing postings before IndexPostings")
-	}
-	dm.IndexPostings(0)
-	if _, ok := dm.ColumnIDs(0); !ok {
-		t.Fatal("ColumnIDs should succeed after IndexPostings")
-	}
-	if _, ok := dm.ColumnIDs(1); ok {
-		t.Fatal("column 1 was never indexed")
-	}
-}
-
 // ColumnIDs must reproduce the relation's equality structure — ids equal
 // iff cell values equal — and agree with SymbolValues, for every shard
 // count.
@@ -44,13 +30,9 @@ func TestColumnIDsEqualityStructure(t *testing.T) {
 	rel := minerRel()
 	for _, shards := range []int{1, 2, 7, 16} {
 		dm := master.New(rel, master.WithShards(shards))
-		dm.IndexPostings(0, 1, 2)
 		vals := dm.SymbolValues()
 		for col := 0; col < 3; col++ {
-			ids, ok := dm.ColumnIDs(col)
-			if !ok {
-				t.Fatalf("shards=%d col=%d: no postings", shards, col)
-			}
+			ids := dm.ColumnIDs(col)
 			if len(ids) != rel.Len() {
 				t.Fatalf("shards=%d col=%d: len %d want %d", shards, col, len(ids), rel.Len())
 			}
@@ -74,21 +56,17 @@ func TestColumnIDsEqualityStructure(t *testing.T) {
 	}
 }
 
-// Postings built by IndexPostings must survive ApplyDelta like any other
-// registered postings: a derived snapshot's ColumnIDs reflect the delta.
-func TestIndexPostingsSurviveDelta(t *testing.T) {
+// A derived snapshot's ColumnIDs reflect the delta, on an index-free
+// snapshot as on any other.
+func TestColumnIDsSurviveDelta(t *testing.T) {
 	rel := minerRel()
 	dm := master.New(rel)
-	dm.IndexPostings(0, 1, 2)
 	add := relation.Tuple{relation.String("w"), relation.String("3"), relation.String("q")}
 	d2, err := dm.ApplyDelta([]relation.Tuple{add}, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, ok := d2.ColumnIDs(0)
-	if !ok {
-		t.Fatal("derived snapshot lost postings")
-	}
+	ids := d2.ColumnIDs(0)
 	if len(ids) != d2.Len() {
 		t.Fatalf("len %d want %d", len(ids), d2.Len())
 	}

@@ -70,14 +70,15 @@ func (cp *compatPlan) has(id int) bool {
 	return cp.patBits.At(id>>6)&(1<<(uint(id)&63)) != 0
 }
 
-// patternCompatible reports tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X]: the master-side
-// pattern test of §5.2 (patterns constrain t; on master tuples only the
-// cells over lhs attributes carry over through λϕ).
-func patternCompatible(ru *rule.Rule, tm relation.Tuple) bool {
+// patternCompatible reports tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X] for the master
+// tuple stored as row: the master-side pattern test of §5.2 (patterns
+// constrain t; on master tuples only the cells over lhs attributes carry
+// over through λϕ). Only the cells a pattern names are turned into values.
+func patternCompatible(ru *rule.Rule, row []uint32, syms *relation.Symbols) bool {
 	x, xm := ru.LHSRef(), ru.LHSMRef()
 	tp := ru.Pattern()
 	for i := range x {
-		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {
+		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(syms.Value(row[xm[i]])) {
 			return false
 		}
 	}
@@ -92,8 +93,8 @@ func (d *Data) PatternSupported(ru *rule.Rule) bool {
 	if plan, ok := d.compat[ru]; ok {
 		return plan.patCount > 0
 	}
-	for _, tm := range d.rel.All() {
-		if patternCompatible(ru, tm) {
+	for _, row := range d.rows.All() {
+		if patternCompatible(ru, row, d.syms) {
 			return true
 		}
 	}
@@ -115,21 +116,21 @@ func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.A
 // compatible is CompatibleExists plus whether the Dm-scan fallback ran —
 // separated so tests can pin the adaptive fallback policy.
 func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) (found, scanned bool) {
-	x := ru.LHSRef()
+	x, xm := ru.LHSRef(), ru.LHSMRef()
 	plan := d.compat[ru]
+	var buf probeIDs
+	ids := buf.take(len(x))
 	if zSet.HasAll(x) {
 		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
 		// candidate checked against the pattern bitmap.
 		if plan != nil {
 			if idx, ok := d.plans[ru]; ok {
-				h, ok := d.hasher.HashTuple(t, x)
+				h, ok := d.hasher.ProbeTuple(t, x, ids)
 				if !ok {
 					return false, false
 				}
-				xm := ru.LHSMRef()
 				for _, id := range idx.shard(h).get(h) {
-					if plan.has(id) &&
-						t.ProjectMatches(x, d.rel.Tuple(id), xm) {
+					if plan.has(id) && d.matches(id, xm, ids) {
 						return true, false
 					}
 				}
@@ -141,7 +142,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 				if plan.has(id) {
 					return true, false
 				}
-			} else if patternCompatible(ru, d.rel.Tuple(id)) {
+			} else if patternCompatible(ru, d.rows.At(id), d.syms) {
 				return true, false
 			}
 		}
@@ -152,70 +153,78 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	}
 	// Partially validated lhs: pick the smallest posting list among the
 	// validated attributes. A value the symbol table does not know occurs in
-	// no master tuple, and X ∩ Z = ∅ means only the pattern constrains the
-	// master side.
+	// no master tuple, one that occurs only in other columns has an empty
+	// list here, and X ∩ Z = ∅ means only the pattern constrains the master
+	// side.
+	if !d.validatedIDs(x, t, zSet, ids) {
+		return false, false
+	}
 	var best []int32
 	constrained := false
 	for i, p := range x {
 		if !zSet.Has(p) {
 			continue
 		}
-		vid, ok := d.syms.ID(t[p])
-		if !ok {
-			return false, false // value absent from the master column
-		}
-		if lst := plan.posts[i].shard(vid).get(vid); !constrained || len(lst) < len(best) {
+		if lst := plan.posts[i].shard(ids[i]).get(ids[i]); !constrained || len(lst) < len(best) {
 			best, constrained = lst, true
 		}
 	}
 	if !constrained {
 		return plan.patCount > 0, false
 	}
-	if 2*len(best) >= d.rel.Len() {
+	if 2*len(best) >= d.rows.Len() {
 		// Degenerate postings (the best list covers at least half of Dm): a
 		// scan costs the same and avoids the per-id indirection.
 		return d.compatibleScan(ru, t, zSet), true
 	}
 	// Walk it under the pattern bitmap, early-exiting on the first
 	// compatible tuple.
-	xm := ru.LHSMRef()
 	for _, id := range best {
-		if !plan.has(int(id)) {
-			continue
-		}
-		tm := d.rel.Tuple(int(id))
-		ok := true
-		for i, p := range x {
-			if zSet.Has(p) && !t[p].Equal(tm[xm[i]]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if plan.has(int(id)) && agreeOn(d.rows.At(int(id)), x, xm, zSet, ids) {
 			return true, false
 		}
 	}
 	return false, false
 }
 
-// compatibleScan is the naive O(|Dm|) fallback (and the reference the
-// postings path is property-tested against in internal/suggest).
-func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
-	tp := ru.Pattern()
-	for _, tm := range d.rel.All() {
-		ok := true
-		for i := range x {
-			if zSet.Has(x[i]) && !t[x[i]].Equal(tm[xm[i]]) {
-				ok = false
-				break
-			}
-			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {
-				ok = false
-				break
+// validatedIDs looks up, into ids[i], the id of t's value on each validated
+// x[i]; false when the symbol table does not know one of them, which then
+// occurs in no master tuple.
+func (d *Data) validatedIDs(x []int, t relation.Tuple, zSet relation.AttrSet, ids []uint32) bool {
+	for i, p := range x {
+		if zSet.Has(p) {
+			var ok bool
+			if ids[i], ok = d.syms.ID(t[p]); !ok {
+				return false
 			}
 		}
-		if ok {
+	}
+	return true
+}
+
+// agreeOn reports whether row carries ids[i] on xm[i] for every validated
+// x[i].
+func agreeOn(row []uint32, x, xm []int, zSet relation.AttrSet, ids []uint32) bool {
+	for i, p := range x {
+		if zSet.Has(p) && row[xm[i]] != ids[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// compatibleScan is the naive O(|Dm|) fallback, and the reference the
+// postings path is property-tested against here (internal/suggest holds
+// CompatibleExists to a scan over materialized values).
+func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
+	x, xm := ru.LHSRef(), ru.LHSMRef()
+	var buf probeIDs
+	ids := buf.take(len(x))
+	if !d.validatedIDs(x, t, zSet, ids) {
+		return false
+	}
+	for _, row := range d.rows.All() {
+		if agreeOn(row, x, xm, zSet, ids) && patternCompatible(ru, row, d.syms) {
 			return true
 		}
 	}

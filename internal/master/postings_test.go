@@ -100,8 +100,8 @@ func TestPatternSupportedProperty(t *testing.T) {
 		for _, ru := range sigma.Rules() {
 			got := d.PatternSupported(ru)
 			want := false
-			for _, tm := range d.Relation().All() {
-				if patternCompatible(ru, tm) {
+			for _, row := range d.rows.All() {
+				if patternCompatible(ru, row, d.syms) {
 					want = true
 					break
 				}

@@ -15,15 +15,13 @@ package master
 // What P still buys is on the write side: compaction rewrites 1/P of a
 // structure (fork flattens the shard whose overlay outgrew its table, not
 // the whole index), and no single table grows to |Dm| keys. Builds are
-// parallel at every P: a range-parallel pass gathers every structure's key
-// column, then the structures build their P tables side by side.
+// parallel at every P: the structures build their P tables side by side.
 //
 // Shards are iterated only by whole-structure walks: build, fork/compaction,
-// arena save/load, MemStats, ColumnIDs and the exception rebuild.
+// arena save/load, MemStats and the exception rebuild.
 
 import (
 	"runtime"
-	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/persist"
@@ -114,23 +112,6 @@ func (ps *postings) shard(vid uint32) *layered[uint32, int32] {
 // Shards returns the snapshot's shard count P (stable across ApplyDelta).
 func (d *Data) Shards() int { return d.nshards }
 
-// addNeedCol records an Rm position whose values must be interned for the
-// registered structures to probe; kept sorted and deduplicated. The slice
-// is rebuilt copy-on-write — never mutated in place — because ApplyDelta
-// aliases it into derived snapshots: a later Index() on one snapshot must
-// not rewrite its siblings' view.
-func (d *Data) addNeedCol(col int) {
-	i := sort.SearchInts(d.needCols, col)
-	if i < len(d.needCols) && d.needCols[i] == col {
-		return
-	}
-	nc := make([]int, len(d.needCols)+1)
-	copy(nc, d.needCols[:i])
-	nc[i] = col
-	copy(nc[i+1:], d.needCols[i:])
-	d.needCols = nc
-}
-
 // registerIndex finds or creates the index over xm; a created one has no
 // tables until fill builds them.
 func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
@@ -139,100 +120,153 @@ func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
 	}
 	idx = newIndex(append([]int(nil), xm...), d.nshards)
 	d.indexes = append(d.indexes, idx)
-	for _, p := range xm {
-		d.addNeedCol(p)
-	}
 	return idx, true
 }
 
 // registerPostings is registerIndex for the posting lists over col.
-func (d *Data) registerPostings(col int) (ps *postings, created bool) {
+func (d *Data) registerPostings(col int) *postings {
 	if ps := d.findPostings(col); ps != nil {
-		return ps, false
+		return ps
 	}
-	ps = &postings{col: col, shards: make([]layered[uint32, int32], d.nshards)}
+	ps := &postings{col: col, shards: make([]layered[uint32, int32], d.nshards)}
 	d.postings = append(d.postings, ps)
-	d.addNeedCol(col)
-	return ps, true
+	return ps
 }
 
 // registerCompatPlan creates ru's compatibility plan: posting registrations
-// for each Xm column; buildParallel evaluates the pattern bitmap.
+// for each Xm column; buildBitmaps evaluates the pattern bitmap.
 func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
-	plan := &compatPlan{posts: make([]*postings, len(x))}
-	for i := range x {
-		plan.posts[i], _ = d.registerPostings(xm[i])
+	xm := ru.LHSMRef()
+	plan := &compatPlan{posts: make([]*postings, len(xm))}
+	for i, col := range xm {
+		plan.posts[i] = d.registerPostings(col)
 	}
 	return plan
 }
 
-// tupleChunks splits [0, n) into ranges for a range-parallel pass, a few per
-// CPU so uneven ranges still balance.
-func tupleChunks(n int) (chunks, chunkLen int) {
-	chunks = max(1, min(runtime.GOMAXPROCS(0)*4, n))
-	return chunks, (n + chunks - 1) / chunks
+// Builder is the one way a snapshot's cells come to be outside ApplyDelta
+// and LoadArena: rows are fed one at a time, each cell interned as it
+// arrives, and Finish builds the registered structures over the id rows.
+// Because the stream is serial, ids come out in the rows' own first-seen
+// order (row by row, column by column) — the same in every process and at
+// every GOMAXPROCS, and with them the hash keys, the shape of every overlay
+// trie and the allocation counts the perf gate holds deltas to. NewForRules
+// feeds it a relation, certainfix.NewFromCSV the rows of a file as they are
+// parsed, so a master never exists as values and as ids at once.
+type Builder struct {
+	d     *Data
+	sigma *rule.Set // nil under New: no plans, no bitmaps
+	auth  bool
+	// slab is the unused tail of the current slab; rows are carved off its
+	// front. A slab holds as many rows as came before it, within
+	// [minSlabRows, maxSlabRows].
+	slab []uint32
+	// last and lastID memoize, per column, the previous row's cell: in
+	// master data most cells repeat the one above them (sorted keys,
+	// low-cardinality columns), and those skip the symbol table.
+	last   []relation.Value
+	lastID []uint32
 }
 
-// buildParallel fills every registered structure from the relation:
-//
-//	phase A (range-parallel): validate tuples against the schema and
-//	  collect the distinct values of the indexed columns per range;
-//	phase A' (serial): intern them in first-seen order — serial work is
-//	  O(distinct values), not O(|Dm| × columns);
-//	phase B: fill;
-//	phase C (rule-parallel): evaluate the pattern-support bitmaps.
-func (d *Data) buildParallel(sigma *rule.Set) error {
-	n := d.rel.Len()
-	chunks, chunkLen := tupleChunks(n)
-	distinct, err := parallel.Map(chunks, 0, func(c int) ([]relation.Value, error) {
-		seen := make(map[relation.Value]struct{})
-		var order []relation.Value // seen's keys, first occurrence first
-		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
-			tm := d.rel.Tuple(i)
-			if err := validateTuple(d.rel.Schema(), tm); err != nil {
-				return nil, &BuildError{TupleID: i, Key: tupleKeyContext(tm), Err: err}
-			}
-			for _, p := range d.needCols {
-				if _, dup := seen[tm[p]]; !dup {
-					seen[tm[p]] = struct{}{}
-					order = append(order, tm[p])
-				}
-			}
-		}
-		return order, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Range by range, first occurrence first: ids come out in the relation's
-	// own first-seen order, the same in every process and at every
-	// GOMAXPROCS — and with them the hash keys, the shape of every overlay
-	// trie, and the allocation counts the perf gate holds deltas to.
-	for _, order := range distinct {
-		for _, v := range order {
-			d.syms.Intern(v)
-		}
-	}
-	// Freeze the symbols into the flat layout a loaded arena has (same ids):
-	// the fill and every later probe resolve values without a Go map.
-	syms, err := relation.SymbolsFromValues(d.syms.Export())
-	if err != nil {
-		return err // unreachable: exported values are distinct
-	}
-	d.syms, d.hasher = syms, relation.NewHasher(syms)
-	d.fill(d.indexes, d.postings)
+// Slab sizes in rows: large enough that 100k rows are a few dozen
+// allocations, small enough that the last slab wastes little of a master of
+// any size.
+const minSlabRows, maxSlabRows = 64, 4096
 
-	rules := sigma.Rules()
-	_, err = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
+// NewBuilder starts a snapshot for Σ over Σ's master schema: one index per
+// distinct Xm list, one posting list per distinct Xm column, each rule's
+// probe and compatibility plans — registered now, built by Finish.
+func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
+	b := newBuilder(sigma.MasterSchema(), sigma, resolveBuildConfig(opts))
+	d := b.d
+	for _, ru := range sigma.Rules() {
+		idx, _ := d.registerIndex(ru.LHSMRef())
+		idx.trackRHS(ru.RHSM())
+		d.plans[ru] = idx
+		d.compat[ru] = d.registerCompatPlan(ru)
+	}
+	return b
+}
+
+func newBuilder(schema *relation.Schema, sigma *rule.Set, cfg buildConfig) *Builder {
+	syms := relation.NewSymbols()
+	return &Builder{
+		d: &Data{
+			nshards: cfg.shards,
+			schema:  schema,
+			syms:    syms,
+			hasher:  relation.NewHasher(syms),
+			plans:   map[*rule.Rule]*index{},
+			compat:  map[*rule.Rule]*compatPlan{},
+		},
+		sigma:  sigma,
+		auth:   cfg.auth,
+		last:   make([]relation.Value, schema.Arity()),
+		lastID: make([]uint32, schema.Arity()),
+	}
+}
+
+// Add appends one master tuple after checking it against the schema; the
+// error is a *BuildError (matching ErrMasterBuild) with the tuple's id and
+// key context. Nothing of t is retained — its cells become ids and a string
+// enters the symbol table as a copy — so the producer may overwrite t, and
+// whatever buffer its strings alias, for the next row.
+func (b *Builder) Add(t relation.Tuple) error {
+	if err := validateTuple(b.d.schema, t); err != nil {
+		return &BuildError{TupleID: b.d.rows.Len(), Key: tupleKeyContext(t), Err: err}
+	}
+	b.addRow(t)
+	return nil
+}
+
+// addRow interns t's cells into the next row.
+func (b *Builder) addRow(t relation.Tuple) {
+	d := b.d
+	if len(b.slab) < len(t) {
+		b.slab = make([]uint32, min(max(d.rows.Len(), minSlabRows), maxSlabRows)*len(t))
+	}
+	row := b.slab[:len(t):len(t)]
+	b.slab = b.slab[len(t):]
+	first := d.rows.Len() == 0
+	for c, v := range t {
+		if !first && v == b.last[c] {
+			row[c] = b.lastID[c]
+			continue
+		}
+		id, ok := d.syms.ID(v)
+		if !ok {
+			id = d.syms.Intern(v.Clone())
+		}
+		row[c], b.last[c], b.lastID[c] = id, d.syms.Value(id), id
+	}
+	d.rows.Append(row)
+}
+
+// Finish builds every registered structure over the rows added so far and
+// returns the snapshot, at epoch 0. The Builder must not be used afterwards.
+func (b *Builder) Finish() *Data {
+	d := b.d
+	d.fill(d.indexes, d.postings)
+	if b.sigma != nil {
+		d.buildBitmaps(b.sigma)
+	}
+	if b.auth {
+		d.Authenticate()
+	}
+	return d
+}
+
+// buildBitmaps evaluates each rule's pattern-support bitmap, the rules side
+// by side.
+func (d *Data) buildBitmaps(sigma *rule.Set) {
+	n, rules := d.rows.Len(), sigma.Rules()
+	// The error is dropped because no job returns one.
+	_, _ = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
 		ru := rules[r]
 		plan := d.compat[ru]
-		if plan == nil {
-			return struct{}{}, nil
-		}
 		bits := make([]uint64, (n+63)/64)
-		for id, tm := range d.rel.All() {
-			if patternCompatible(ru, tm) {
+		for id, row := range d.rows.All() {
+			if patternCompatible(ru, row, d.syms) {
 				bits[id>>6] |= 1 << (uint(id) & 63)
 				plan.patCount++
 			}
@@ -240,75 +274,58 @@ func (d *Data) buildParallel(sigma *rule.Set) error {
 		plan.patBits = persist.FromSlice(bits)
 		return struct{}{}, nil
 	})
-	return err
 }
 
-// fillAdded builds structures registered after construction (Index,
-// IndexPostings): one serial pass interns the given columns, then fill.
-func (d *Data) fillAdded(indexes []*index, posts []*postings, cols []int) {
-	for _, tm := range d.rel.All() {
-		for _, c := range cols {
-			d.syms.Intern(tm[c])
-		}
-	}
-	d.fill(indexes, posts)
-}
-
-// fill builds the given structures' shard tables from the relation. The
-// symbol table, which must already hold every indexed value, is only read
-// and every task writes its own part of the arrays — no locks. One
-// range-parallel pass over the tuples gathers a key column per structure,
-// whatever their number; the structures then build side by side, each
-// grouping its column by shard and building one table per shard, an index's
-// exception table (uniform.go) following its buckets.
+// fill builds the given structures' shard tables from the id rows, which it
+// only reads; every task writes its own structure — no locks. The structures
+// build side by side, each gathering its key column in one pass over the rows
+// — an index's key is the hash of the row's Xm ids, a posting list's the cell
+// id itself, no symbol lookup either way — grouping it by shard and building
+// one table per shard, an index's exception table (uniform.go) following its
+// buckets. The arrays that takes belong to the worker, not the structure: a
+// build allocates them once per CPU, whatever Σ registers.
 func (d *Data) fill(indexes []*index, posts []*postings) {
-	n, p := d.rel.Len(), d.nshards
-	// Structure k owns [k*n, (k+1)*n) of keys (its key of every tuple, in
-	// tuple order) and of gkeys (the same keys grouped by shard); the ids
-	// beside gkeys are wide for an index and narrow for a posting list.
-	keys := make([]uint64, (len(indexes)+len(posts))*n)
-	gkeys := make([]uint64, len(keys))
-	wide, narrow := make([]int, len(indexes)*n), make([]int32, len(posts)*n)
-	chunks, chunkLen := tupleChunks(n)
-	// The errors are dropped because neither pass returns one.
-	_, _ = parallel.Map(chunks, 0, func(c int) (struct{}, error) {
-		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
-			tm := d.rel.Tuple(i)
-			for k, idx := range indexes {
-				h, ok := d.hasher.HashTuple(tm, idx.xm)
-				if !ok {
-					panic("master: build invariant: indexed value not interned")
+	n, p := d.rows.Len(), d.nshards
+	// The error is dropped because no job returns one.
+	_, _ = parallel.MapWorkers(len(indexes)+len(posts), 0, func() func(int) (struct{}, error) {
+		// keys is the structure's key of every tuple, in tuple order, and then
+		// the sort buffer of each shard's table; gkeys the same keys grouped
+		// by shard; the ids beside gkeys are wide for an index and narrow for
+		// a posting list.
+		keys, gkeys := make([]uint64, n), make([]uint64, n)
+		var wide []int
+		var narrow []int32
+		return func(k int) (struct{}, error) {
+			if k < len(indexes) {
+				idx := indexes[k]
+				if wide == nil {
+					wide = make([]int, n)
 				}
-				keys[k*n+i] = h
-			}
-			for k, ps := range posts {
-				vid, ok := d.syms.ID(tm[ps.col])
-				if !ok {
-					panic("master: build invariant: posting value not interned")
+				for i, row := range d.rows.All() {
+					keys[i] = d.hasher.HashRow(row, idx.xm)
 				}
-				keys[(len(indexes)+k)*n+i] = uint64(vid)
+				start := groupByShard(keys, gkeys, wide, p)
+				for s := range idx.shards {
+					lo, hi := start[s], start[s+1]
+					idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], wide[lo:hi], keys[lo:hi])
+					idx.rebuildExceptions(s, &d.rows)
+				}
+			} else {
+				ps := posts[k-len(indexes)]
+				if narrow == nil {
+					narrow = make([]int32, n)
+				}
+				for i, row := range d.rows.All() {
+					keys[i] = uint64(row[ps.col])
+				}
+				start := groupByShard(keys, gkeys, narrow, p)
+				for s := range ps.shards {
+					lo, hi := start[s], start[s+1]
+					ps.shards[s].frozen = buildTableSorting(gkeys[lo:hi], narrow[lo:hi], keys[lo:hi])
+				}
 			}
+			return struct{}{}, nil
 		}
-		return struct{}{}, nil
-	})
-	_, _ = parallel.Map(len(indexes)+len(posts), 0, func(k int) (struct{}, error) {
-		col, gcol := keys[k*n:(k+1)*n], gkeys[k*n:(k+1)*n]
-		if k < len(indexes) {
-			idx, ids := indexes[k], wide[k*n:(k+1)*n]
-			start := groupByShard(col, gcol, ids, p)
-			for s := range idx.shards {
-				idx.shards[s].frozen = buildTable(gcol[start[s]:start[s+1]], ids[start[s]:start[s+1]])
-				idx.rebuildExceptions(s, d.rel)
-			}
-		} else {
-			k -= len(indexes)
-			ps, ids := posts[k], narrow[k*n:(k+1)*n]
-			start := groupByShard(col, gcol, ids, p)
-			for s := range ps.shards {
-				ps.shards[s].frozen = buildTable(gcol[start[s]:start[s+1]], ids[start[s]:start[s+1]])
-			}
-		}
-		return struct{}{}, nil
 	})
 }
 

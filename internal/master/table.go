@@ -72,7 +72,13 @@ func tableSlots(nkeys int) int {
 // No intermediate map: the sorted keys give the distinct keys and their
 // counts, which fix every span before the ids are scattered into place.
 func buildTable[ID int | int32](keys []uint64, ids []ID) table[ID] {
-	sorted := slices.Clone(keys)
+	return buildTableSorting(keys, ids, make([]uint64, len(keys)))
+}
+
+// buildTableSorting is buildTable sorting the keys in the caller's buffer,
+// which has their length and is overwritten.
+func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64) table[ID] {
+	copy(sorted, keys)
 	slices.Sort(sorted)
 	nkeys := 0
 	for i, k := range sorted {

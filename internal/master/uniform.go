@@ -12,7 +12,7 @@ package master
 // shard, in an exception table: empty on a consistent master, which is why
 // it is a table of exceptions and not a value per (key, column).
 //
-// The table is a pure function of the shard's buckets and tuples.
+// The table is a pure function of the shard's buckets and rows.
 // rebuildExceptions derives it after a build and after LoadArena (arenas
 // do not store it); ApplyDelta maintains it copy-on-write: an added tuple
 // is compared with its bucket's smallest id, a delete from a listed bucket
@@ -22,8 +22,6 @@ package master
 import (
 	"cmp"
 	"slices"
-
-	"repro/internal/relation"
 )
 
 // collided is the mask of a bucket holding more than one Xm projection:
@@ -89,14 +87,17 @@ func (idx *index) rhsBit(bm int) uint64 {
 	return 0
 }
 
-// disagree returns the exception bits two tuples of one bucket raise.
-func (idx *index) disagree(a, b relation.Tuple) uint64 {
-	if !a.EqualOn(idx.xm, b) {
-		return collided
+// disagree returns the exception bits two rows of one bucket raise: cells
+// are interned ids, so two cells differ exactly when their ids do.
+func (idx *index) disagree(a, b []uint32) uint64 {
+	for _, c := range idx.xm {
+		if a[c] != b[c] {
+			return collided
+		}
 	}
 	var m uint64
 	for i, c := range idx.bms {
-		if !a[c].Equal(b[c]) {
+		if a[c] != b[c] {
 			m |= 1 << min(i, 63)
 		}
 	}
@@ -106,10 +107,10 @@ func (idx *index) disagree(a, b relation.Tuple) uint64 {
 // bucketMask computes a bucket's exception mask from scratch. limit is a
 // known superset of the answer — collided when nothing is known — and ends
 // the scan as soon as it is reached.
-func (idx *index) bucketMask(bucket []int, rel *relation.Relation, limit uint64) uint64 {
+func (idx *index) bucketMask(bucket []int, rows *rowVec, limit uint64) uint64 {
 	var m uint64
 	for i := 1; i < len(bucket) && m != limit; i++ {
-		m |= idx.disagree(rel.Tuple(bucket[0]), rel.Tuple(bucket[i]))
+		m |= idx.disagree(rows.At(bucket[0]), rows.At(bucket[i]))
 	}
 	return m
 }
@@ -117,15 +118,15 @@ func (idx *index) bucketMask(bucket []int, rel *relation.Relation, limit uint64)
 // rebuildExceptions derives shard s's exception tables on every index.
 func (d *Data) rebuildExceptions(s int) {
 	for _, idx := range d.indexes {
-		idx.rebuildExceptions(s, d.rel)
+		idx.rebuildExceptions(s, &d.rows)
 	}
 }
 
 // rebuildExceptions derives shard s's exception table from its buckets.
-func (idx *index) rebuildExceptions(s int, rel *relation.Relation) {
+func (idx *index) rebuildExceptions(s int, rows *rowVec) {
 	var exc exceptions
 	idx.shards[s].each(func(h uint64, ids []int) {
-		if m := idx.bucketMask(ids, rel, collided); m != 0 {
+		if m := idx.bucketMask(ids, rows, collided); m != 0 {
 			exc = append(exc, exception{h, m})
 		}
 	})

@@ -127,7 +127,7 @@ func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
 					planted++
 				}
 			}
-			idx.rebuildExceptions(s, d.rel)
+			idx.rebuildExceptions(s, &d.rows)
 		}
 	}
 	return planted
@@ -207,7 +207,7 @@ func checkExceptionsRebuilt(t *testing.T, ctx string, d *Data) {
 		fresh := *idx
 		fresh.shards = append([]indexShard(nil), idx.shards...)
 		for s := range idx.shards {
-			fresh.rebuildExceptions(s, d.rel)
+			fresh.rebuildExceptions(s, &d.rows)
 			got, want := idx.shards[s].exc, fresh.shards[s].exc
 			if len(got) != len(want) {
 				t.Fatalf("%s: index %v shard %d: maintained exceptions %v, rebuilt %v", ctx, idx.xm, s, got, want)

@@ -282,7 +282,7 @@ next:
 				continue next
 			}
 		}
-		out[i].Master = dm.Tuple(w.MasterID).Clone()
+		out[i].Master = dm.Tuple(w.MasterID)
 		if dm.Authenticated() {
 			p, err := dm.ProveTuple(w.MasterID)
 			if err != nil {

@@ -7,11 +7,14 @@ package relation
 // hashes, so the per-probe cost demanded by the paper's TransFix complexity
 // analysis (§5.1, "constant time ... by using a hash table") is one hash
 // computation plus one map lookup — no string building, no heap allocation.
+// The master (internal/master) also STORES its tuples as rows of these ids,
+// so the table resolves both ways: ID for a probe's values, Value for a
+// stored cell.
 //
 // The string encoding Tuple.Key remains the canonical, collision-free
 // encoding for debugging, CSV round-trips and state enumeration; the uint64
 // key is a hash, so index buckets must verify candidates against the stored
-// tuples (see internal/master).
+// rows (see internal/master).
 
 import (
 	"fmt"
@@ -21,42 +24,36 @@ import (
 
 // Symbols interns values into dense uint32 ids. Ids are assigned in
 // first-seen order starting at 0. Interning is not safe for concurrent use;
-// populate the table while building indexes, then only read (ID, Hasher
-// probes) from any number of goroutines.
+// populate the table while building indexes, then only read (ID, Value,
+// Hasher probes) from any number of goroutines.
 //
 // A table is layered to support copy-on-write snapshots (the versioned
-// master data of internal/master): Fork derives a writable child in O(1)
-// that shares all of the parent's content, so the child can intern new
-// values while readers of the parent race nothing. Ids stay dense across
-// the layers and a value's id never changes between a parent and its
-// descendants, which is what keeps hash keys computed against an old
-// snapshot valid in every later one.
+// master data of internal/master): Fork derives a writable child that shares
+// all of the parent's content, so the child can intern new values while
+// readers of the parent race nothing. Ids stay dense across the layers and a
+// value's id never changes between a parent and its descendants, which is
+// what keeps hash keys computed against an old snapshot — and the id rows it
+// stores — valid in every later one.
 type Symbols struct {
-	// base is a root table's Go map: Intern writes it until the first Fork,
-	// after which it is frozen and shared by every descendant.
-	base map[Value]uint32
-	// flat is the frozen bottom layer built by SymbolsFromValues (nil for
-	// map-only tables): ids [0, len(flat.vals)) resolve through an
-	// open-addressing probe instead of a Go map. It is immutable and shared
-	// by every fork, so a table imported from a columnar arena never pays
-	// map construction over the frozen symbols.
+	// flat is the root layer: ids [0, len(flat.vals)) resolve through an
+	// open-addressing probe. A root table's Intern writes it until the first
+	// Fork, after which it is frozen and shared by every descendant.
 	flat *symbolsFlat
-	// over holds what was interned since the first Fork: a path-copying
-	// trie keyed by the value's HashValue hash, so a fork shares it whole
-	// and an Intern costs one trie path. The trie is used as an
-	// open-addressing table in KEY space: a value lives at the first key at
-	// or after its hash that no other value took (64-bit collisions are a
-	// theoretical case, but lookups verify the stored value and walk on).
-	over   persist.Map[symbol]
-	forked bool // Intern goes to over, not base
+	// over and overVals hold what was interned since the first Fork, one
+	// direction each. over is a path-copying trie from the value's HashValue
+	// hash to its id, used as an open-addressing table in KEY space: a value
+	// lives at the first key at or after its hash that no other value took
+	// (64-bit collisions are a theoretical case, but lookups verify the
+	// value behind the stored id and walk on). overVals is the chunked
+	// vector of those values, indexed by id − len(flat.vals). A fork shares
+	// both: O(1) for the trie, a chunk table for the vector.
+	over     persist.Map[uint32]
+	overVals persist.Vec[Value]
+	forked   bool  // Intern goes to over, not flat
+	strBytes int64 // Σ len(string payloads), kept at Intern
 }
 
-type symbol struct {
-	val Value
-	id  uint32
-}
-
-// symbolsFlat is the frozen layer: id-ordered values plus an open-addressing
+// symbolsFlat is the root layer: id-ordered values plus an open-addressing
 // slot table (frozenEmpty marks a free slot) keyed by the process-stable
 // HashValue hash, at most half full so probes terminate at an empty slot.
 type symbolsFlat struct {
@@ -68,6 +65,51 @@ type symbolsFlat struct {
 // frozenEmpty is the empty-slot sentinel; symbol ids stay below it because
 // a table of 1<<32 values could not have been built.
 const frozenEmpty = ^uint32(0)
+
+// newSymbolsFlat returns an empty layer with room for n values.
+func newSymbolsFlat(n int) *symbolsFlat {
+	f := &symbolsFlat{}
+	f.resize(n)
+	return f
+}
+
+// resize rebuilds the slot table at the smallest power of two keeping n
+// values at most half full, re-placing the values already held.
+func (f *symbolsFlat) resize(n int) {
+	nslots := 2
+	for nslots < 2*n {
+		nslots <<= 1
+	}
+	f.slots = make([]uint32, nslots)
+	for i := range f.slots {
+		f.slots[i] = frozenEmpty
+	}
+	f.mask = uint32(nslots - 1)
+	for id, v := range f.vals {
+		f.place(HashValue(fnvOffset64, v), uint32(id))
+	}
+}
+
+// place stores id in the first free slot of the probe sequence of hash h.
+func (f *symbolsFlat) place(h uint64, id uint32) {
+	j := uint32(h) & f.mask
+	for f.slots[j] != frozenEmpty {
+		j = (j + 1) & f.mask
+	}
+	f.slots[j] = id
+}
+
+// add appends v, whose HashValue hash is h and which the layer does not
+// hold, and returns its id.
+func (f *symbolsFlat) add(h uint64, v Value) uint32 {
+	if 2*(len(f.vals)+1) > len(f.slots) {
+		f.resize(2 * (len(f.vals) + 1))
+	}
+	id := uint32(len(f.vals))
+	f.vals = append(f.vals, v)
+	f.place(h, id)
+	return id
+}
 
 // lookup resolves v, whose HashValue hash is h.
 func (f *symbolsFlat) lookup(h uint64, v Value) (uint32, bool) {
@@ -82,100 +124,93 @@ func (f *symbolsFlat) lookup(h uint64, v Value) (uint32, bool) {
 	}
 }
 
-func (f *symbolsFlat) len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.vals)
-}
-
 // NewSymbols creates an empty symbol table.
 func NewSymbols() *Symbols {
-	return &Symbols{base: make(map[Value]uint32)}
+	return &Symbols{flat: newSymbolsFlat(0)}
 }
 
 // Fork returns a writable child table sharing this table's content. After
 // forking, the parent must not Intern again (its content may now be read
-// concurrently through children); reads remain safe on both. Fork is O(1):
-// no layer is copied, whatever the table holds.
+// concurrently through children); reads remain safe on both. Fork copies no
+// value: beyond the struct it costs the chunk table of overVals, 8 bytes per
+// 64 values interned since the root was frozen.
 func (s *Symbols) Fork() *Symbols {
-	return &Symbols{base: s.base, flat: s.flat, over: s.over, forked: true}
+	return &Symbols{flat: s.flat, over: s.over, overVals: s.overVals.Clone(), forked: true, strBytes: s.strBytes}
 }
 
-// lookup resolves v across the layers (the layers are disjoint).
-func (s *Symbols) lookup(v Value) (uint32, bool) {
-	if len(s.base) > 0 {
-		if id, ok := s.base[v]; ok {
-			return id, true
-		}
-	}
-	if s.flat == nil && s.over.Len() == 0 {
-		return 0, false
-	}
-	h := HashValue(fnvOffset64, v)
-	if s.flat != nil {
-		if id, ok := s.flat.lookup(h, v); ok {
-			return id, true
-		}
+// lookup resolves v, whose HashValue hash is h, across the layers (the
+// layers are disjoint).
+func (s *Symbols) lookup(h uint64, v Value) (uint32, bool) {
+	if id, ok := s.flat.lookup(h, v); ok {
+		return id, true
 	}
 	if s.over.Len() > 0 {
 		for ; ; h++ {
-			e, ok := s.over.Get(h)
+			id, ok := s.over.Get(h)
 			if !ok {
 				break
 			}
-			if e.val == v {
-				return e.id, true
+			if s.Value(id) == v {
+				return id, true
 			}
 		}
 	}
 	return 0, false
 }
 
-// Intern returns v's id, assigning the next dense id on first sight.
+// Intern returns v's id, assigning the next dense id on first sight. The
+// table retains v: a caller whose strings alias a larger buffer clones them
+// first (Value.Clone).
 func (s *Symbols) Intern(v Value) uint32 {
-	if id, ok := s.lookup(v); ok {
+	h := HashValue(fnvOffset64, v)
+	if id, ok := s.lookup(h, v); ok {
 		return id
+	}
+	s.strBytes += int64(len(v.str))
+	if !s.forked {
+		return s.flat.add(h, v)
 	}
 	id := uint32(s.Len())
-	if !s.forked {
-		s.base[v] = id
-		return id
-	}
-	h := HashValue(fnvOffset64, v)
 	for _, taken := s.over.Get(h); taken; _, taken = s.over.Get(h) {
 		h++
 	}
-	s.over = s.over.Set(h, symbol{v, id})
+	s.over = s.over.Set(h, id)
+	s.overVals.Append(v)
 	return id
 }
 
 // ID returns v's id; ok is false when v was never interned. Read-only and
 // allocation-free: safe for concurrent use once interning is finished.
 func (s *Symbols) ID(v Value) (uint32, bool) {
-	return s.lookup(v)
+	return s.lookup(HashValue(fnvOffset64, v), v)
+}
+
+// Value returns the value interned as id, which must be below Len. O(1) on
+// every layer, read-only and allocation-free.
+func (s *Symbols) Value(id uint32) Value {
+	if n := uint32(len(s.flat.vals)); id >= n {
+		return s.overVals.At(int(id - n))
+	}
+	return s.flat.vals[id]
 }
 
 // Len returns the number of distinct interned values.
-func (s *Symbols) Len() int { return len(s.base) + s.over.Len() + s.flat.len() }
+func (s *Symbols) Len() int { return len(s.flat.vals) + s.overVals.Len() }
+
+// StringBytes returns the total length of the interned string payloads.
+func (s *Symbols) StringBytes() int64 { return s.strBytes }
 
 // Export returns the interned values in id order (vals[id] is the value
-// whose Intern returned id). This is the serialization side of the stable-
-// id contract: a table rebuilt with SymbolsFromValues over the exported
-// slice assigns every value its original id, so hash keys computed against
-// the original table stay valid against the import — what the columnar
-// master arena (internal/master) relies on to freeze index buckets keyed
-// on interned-id hashes.
+// whose Intern returned id), freshly allocated. This is the serialization
+// side of the stable-id contract: a table rebuilt with SymbolsFromValues
+// over the exported slice assigns every value its original id, so hash keys
+// and id rows computed against the original table stay valid against the
+// import — what the columnar master arena (internal/master) relies on.
 func (s *Symbols) Export() []Value {
 	vals := make([]Value, s.Len())
-	if s.flat != nil {
-		copy(vals, s.flat.vals)
-	}
-	for v, id := range s.base {
-		vals[id] = v
-	}
-	for _, e := range s.over.All() {
-		vals[e.id] = e.val
+	n := copy(vals, s.flat.vals)
+	for i, v := range s.overVals.All() {
+		vals[n+i] = v
 	}
 	return vals
 }
@@ -183,39 +218,25 @@ func (s *Symbols) Export() []Value {
 // SymbolsFromValues builds a table interning vals in order, so vals[i]
 // gets id i — the import side of Export. Duplicate values are an error:
 // they would silently remap ids and invalidate every hash computed against
-// the exported table.
-//
-// The table is built as a frozen flat layer, not a Go map: inserting a few
-// hundred thousand string-bearing struct keys into a map dominated arena
-// cold start, while filling an open-addressing uint32 slot array is a
-// fraction of that. The slice is retained; callers must not mutate it.
+// the exported table. The slice is retained as the table's root layer;
+// callers must not mutate it.
 func SymbolsFromValues(vals []Value) (*Symbols, error) {
-	nslots := 2
-	for nslots < 2*len(vals) {
-		nslots <<= 1
-	}
-	slots := make([]uint32, nslots)
-	for i := range slots {
-		slots[i] = frozenEmpty
-	}
-	mask := uint32(nslots - 1)
+	s := &Symbols{flat: newSymbolsFlat(len(vals))}
+	f := s.flat
+	f.vals = vals[:len(vals):len(vals)] // a later Intern appends to a copy
 	for i, v := range vals {
-		h := uint32(HashValue(fnvOffset64, v))
-		for j := h & mask; ; j = (j + 1) & mask {
-			id := slots[j]
-			if id == frozenEmpty {
-				slots[j] = uint32(i)
-				break
-			}
-			if vals[id] == v {
+		// One walk of the probe sequence both rules a duplicate out and finds
+		// the free slot.
+		j := uint32(HashValue(fnvOffset64, v)) & f.mask
+		for ; f.slots[j] != frozenEmpty; j = (j + 1) & f.mask {
+			if id := f.slots[j]; vals[id] == v {
 				return nil, fmt.Errorf("relation: symbol import: value %v duplicated at ids %d and %d", v, id, i)
 			}
 		}
+		f.slots[j] = uint32(i)
+		s.strBytes += int64(len(v.str))
 	}
-	return &Symbols{
-		base: make(map[Value]uint32),
-		flat: &symbolsFlat{vals: vals, slots: slots, mask: mask},
-	}, nil
+	return s, nil
 }
 
 // FNV-1a constants (64-bit).
@@ -255,15 +276,26 @@ func hashCell(acc uint64, kind Kind, id uint32) uint64 {
 
 // HashTuple hashes t's projection on positions without interning. ok is
 // false when some projected value was never interned — such a projection
-// cannot equal any indexed projection, so callers treat it as a guaranteed
+// cannot equal any stored projection, so callers treat it as a guaranteed
 // miss. Allocation-free.
 func (h Hasher) HashTuple(t Tuple, positions []int) (uint64, bool) {
+	return h.ProbeTuple(t, positions, nil)
+}
+
+// ProbeTuple is HashTuple that also hands back the ids it looked up:
+// ids[i], when ids is non-nil, receives the id of t[positions[i]]. A probe
+// verifies bucket candidates by comparing those ids with the stored rows'
+// cells, so no value is compared twice.
+func (h Hasher) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
-	for _, p := range positions {
+	for i, p := range positions {
 		v := t[p]
-		id, ok := h.syms.lookup(v)
+		id, ok := h.syms.ID(v)
 		if !ok {
 			return 0, false
+		}
+		if ids != nil {
+			ids[i] = id
 		}
 		acc = hashCell(acc, v.kind, id)
 	}
@@ -273,15 +305,34 @@ func (h Hasher) HashTuple(t Tuple, positions []int) (uint64, bool) {
 // HashValues hashes the value vector in order (the probe-side twin of
 // HashTuple for callers that already projected). Allocation-free.
 func (h Hasher) HashValues(values []Value) (uint64, bool) {
+	return h.ProbeValues(values, nil)
+}
+
+// ProbeValues is HashValues handing back the looked-up ids like ProbeTuple.
+func (h Hasher) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
-	for _, v := range values {
-		id, ok := h.syms.lookup(v)
+	for i, v := range values {
+		id, ok := h.syms.ID(v)
 		if !ok {
 			return 0, false
+		}
+		if ids != nil {
+			ids[i] = id
 		}
 		acc = hashCell(acc, v.kind, id)
 	}
 	return acc, true
+}
+
+// HashRow hashes the projection on positions of a stored row — cells that
+// are already ids of this table — to the key HashTuple gives the tuple the
+// row stands for. Allocation-free; no value is looked up, only its kind.
+func (h Hasher) HashRow(row []uint32, positions []int) uint64 {
+	acc := fnvOffset64
+	for _, p := range positions {
+		acc = hashCell(acc, h.syms.Value(row[p]).kind, row[p])
+	}
+	return acc
 }
 
 // HashInterning hashes t's projection on positions, interning unseen values

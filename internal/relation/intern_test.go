@@ -109,8 +109,9 @@ func TestHashTupleZeroAlloc(t *testing.T) {
 
 // TestSymbolsForkBranching: forks of one table intern independently — a
 // value one child interned is unknown to its sibling and to the parent,
-// ids every table already had never change, and each table's ids stay
-// dense — for map-built and flat-built roots alike, across chains of forks.
+// ids every table already had never change, each table's ids stay dense and
+// resolve back through Value — for interned and imported roots alike, across
+// chains of forks.
 func TestSymbolsForkBranching(t *testing.T) {
 	seedVals := []Value{String("a"), Int(1), Null, String("b")}
 	flat, err := SymbolsFromValues(seedVals)
@@ -121,7 +122,7 @@ func TestSymbolsForkBranching(t *testing.T) {
 	for _, v := range seedVals {
 		built.Intern(v)
 	}
-	for name, root := range map[string]*Symbols{"flat": flat, "map": built} {
+	for name, root := range map[string]*Symbols{"imported": flat, "interned": built} {
 		left, right := root.Fork(), root.Fork()
 		for i := 0; i < 300; i++ {
 			if got := left.Intern(Int(int64(1000 + i))); int(got) != len(seedVals)+i {
@@ -156,8 +157,8 @@ func TestSymbolsForkBranching(t *testing.T) {
 			t.Fatalf("%s: root grew to %d", name, root.Len())
 		}
 		for id, v := range grand.Export() {
-			if got, ok := grand.ID(v); !ok || int(got) != id {
-				t.Fatalf("%s: Export()[%d] = %v resolves to (%d, %v)", name, id, v, got, ok)
+			if got, ok := grand.ID(v); !ok || int(got) != id || grand.Value(got) != v {
+				t.Fatalf("%s: Export()[%d] = %v resolves to (%d, %v) and back to %v", name, id, v, got, ok, grand.Value(got))
 			}
 		}
 	}
@@ -168,10 +169,12 @@ func TestSymbolsForkBranching(t *testing.T) {
 // checks both stay resolvable: lookups verify the stored value and walk on.
 func TestSymbolsHashCollision(t *testing.T) {
 	s := NewSymbols().Fork()
-	v, squatter := String("victim"), String("squatter")
+	v := String("victim")
 	h := HashValue(fnvOffset64, v)
-	s.over = s.over.Set(h, symbol{squatter, 0})
-	s.over = s.over.Set(h+1, symbol{String("second squatter"), 1})
+	for i, squatter := range []Value{String("squatter"), String("second squatter")} {
+		s.over = s.over.Set(h+uint64(i), uint32(i))
+		s.overVals.Append(squatter)
+	}
 	if _, ok := s.ID(v); ok {
 		t.Fatal("a value resolved to another value's entry")
 	}

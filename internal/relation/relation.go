@@ -10,10 +10,6 @@ import (
 )
 
 // Relation is an in-memory instance of a schema: an ordered bag of tuples.
-// The tuple headers live in one chunked copy-on-write vector, so Fork
-// derives a relation that shares them until either side edits — what lets
-// the versioned master (internal/master) publish a snapshot per delta
-// without copying |Dm| headers.
 type Relation struct {
 	schema *Schema
 	tuples persist.Vec[Tuple]
@@ -26,9 +22,9 @@ func NewRelation(schema *Schema) *Relation {
 
 // FromTuples wraps an already-built tuple slice into a relation after
 // checking arity. The relation takes ownership of the slice and aliases it
-// without copying; it never writes into it — a later Set, Append or
-// Truncate copies the chunk it touches first — so the caller's storage is
-// safe from the relation, not the other way round.
+// without copying; it never writes into it — a later Append copies the
+// chunk it touches first — so the caller's storage is safe from the
+// relation, not the other way round.
 func FromTuples(schema *Schema, tuples []Tuple) (*Relation, error) {
 	for _, t := range tuples {
 		if len(t) != schema.Arity() {
@@ -50,28 +46,6 @@ func (r *Relation) Tuple(i int) Tuple { return r.tuples.At(i) }
 
 // All iterates the tuples (not copies) in order with their positions.
 func (r *Relation) All() iter.Seq2[int, Tuple] { return r.tuples.All() }
-
-// Fork returns a relation over the same tuples that shares their headers
-// with r copy-on-write: O(Len/64) now, and an edit of either copies only the
-// 64-header chunk it touches. The Tuple values themselves are shared, as
-// with FromTuples; r is only read, so forking a published relation is safe
-// beside its readers.
-func (r *Relation) Fork() *Relation {
-	return &Relation{schema: r.schema, tuples: r.tuples.Clone()}
-}
-
-// Set replaces the i-th tuple after checking arity.
-func (r *Relation) Set(i int, t Tuple) error {
-	if len(t) != r.schema.Arity() {
-		return fmt.Errorf("relation: %s expects arity %d, got tuple of arity %d",
-			r.schema.Name(), r.schema.Arity(), len(t))
-	}
-	r.tuples.Set(i, t)
-	return nil
-}
-
-// Truncate drops the tuples from position n on.
-func (r *Relation) Truncate(n int) { r.tuples.Truncate(n) }
 
 // Append adds tuples after checking arity.
 func (r *Relation) Append(ts ...Tuple) error {
@@ -123,36 +97,53 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 // ReadCSV reads a relation in the format produced by WriteCSV. The header
 // must list exactly the schema's attributes in schema order.
 func ReadCSV(schema *Schema, rd io.Reader) (*Relation, error) {
+	rel := NewRelation(schema)
+	err := ScanCSV(schema, rd, func(t Tuple) error {
+		rel.tuples.Append(t.Clone())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
+// ScanCSV streams a relation in the format produced by WriteCSV: it checks
+// the header against the schema, then decodes one row at a time and hands it
+// to yield, stopping at the first error — its own or yield's. The tuple
+// belongs to the scan, which overwrites it for the next row, and a string
+// cell is a slice of its row's whole record: a consumer keeps a row with
+// Tuple.Clone, and a lone value without pinning the record with Value.Clone.
+func ScanCSV(schema *Schema, rd io.Reader, yield func(Tuple) error) error {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = schema.Arity()
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("relation: read csv header: %w", err)
+		return fmt.Errorf("relation: read csv header: %w", err)
 	}
 	want := schema.AttrNames()
 	for i := range want {
 		if header[i] != want[i] {
-			return nil, fmt.Errorf("relation: csv header mismatch at column %d: got %q, want %q", i, header[i], want[i])
+			return fmt.Errorf("relation: csv header mismatch at column %d: got %q, want %q", i, header[i], want[i])
 		}
 	}
-	rel := NewRelation(schema)
-	for {
+	t := make(Tuple, schema.Arity())
+	for row := 1; ; row++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("relation: read csv row: %w", err)
+			return fmt.Errorf("relation: read csv row: %w", err)
 		}
-		t := make(Tuple, schema.Arity())
 		for i, cell := range rec {
-			v, err := DecodeValue(cell, schema.Attr(i).Type)
-			if err != nil {
-				return nil, fmt.Errorf("relation: row %d column %s: %w", rel.Len()+1, schema.Attr(i).Name, err)
+			if t[i], err = DecodeValue(cell, schema.Attr(i).Type); err != nil {
+				return fmt.Errorf("relation: row %d column %s: %w", row, schema.Attr(i).Name, err)
 			}
-			t[i] = v
 		}
-		rel.tuples.Append(t)
+		if err := yield(t); err != nil {
+			return err
+		}
 	}
-	return rel, nil
 }

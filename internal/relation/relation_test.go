@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -80,51 +79,5 @@ func TestReadCSVBadInt(t *testing.T) {
 	_, err := ReadCSV(s, strings.NewReader("N\nxyz\n"))
 	if err == nil {
 		t.Fatal("want int decode error")
-	}
-}
-
-// TestRelationForkCopyOnWrite: a fork edits its own view — Set, Truncate
-// and Append on either side never show on the other, and FromTuples never
-// writes the slice it aliases.
-func TestRelationForkCopyOnWrite(t *testing.T) {
-	s := StringSchema("R", "A")
-	src := make([]Tuple, 200)
-	for i := range src {
-		src[i] = StringTuple(fmt.Sprint(i))
-	}
-	parent, err := FromTuples(s, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := parent.Fork()
-	if err := child.Set(3, StringTuple("x", "y")); err == nil {
-		t.Fatal("Set accepted a tuple of the wrong arity")
-	}
-	if err := child.Set(3, StringTuple("three")); err != nil {
-		t.Fatal(err)
-	}
-	child.Truncate(150)
-	child.MustAppend(StringTuple("new"))
-	parent.MustAppend(StringTuple("parent-only"))
-
-	if parent.Len() != 201 || child.Len() != 151 {
-		t.Fatalf("lengths %d and %d", parent.Len(), child.Len())
-	}
-	for i, tu := range parent.All() {
-		want := "parent-only"
-		if i < 200 {
-			want = fmt.Sprint(i)
-		}
-		if tu[0].Str() != want {
-			t.Fatalf("parent[%d] = %v after its fork was edited", i, tu)
-		}
-	}
-	if child.Tuple(3)[0].Str() != "three" || child.Tuple(150)[0].Str() != "new" || child.Tuple(149)[0].Str() != "149" {
-		t.Fatalf("child lost its own edits: %v %v %v", child.Tuple(3), child.Tuple(149), child.Tuple(150))
-	}
-	for i, tu := range src {
-		if tu[0].Str() != fmt.Sprint(i) {
-			t.Fatalf("the aliased slice was written at %d: %v", i, tu)
-		}
 	}
 }

@@ -12,6 +12,7 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -68,6 +69,13 @@ func (v Value) Str() string { return v.str }
 
 // Int64 returns the integer payload. It is only meaningful for KindInt.
 func (v Value) Int64() int64 { return v.num }
+
+// Clone returns v with a string payload of its own, for a holder that
+// outlives the buffer v's string may alias (a CSV record, see ScanCSV).
+func (v Value) Clone() Value {
+	v.str = strings.Clone(v.str)
+	return v
+}
 
 // Equal reports whether two values are identical (same kind and payload).
 // Null equals only Null.

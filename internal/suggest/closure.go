@@ -52,10 +52,10 @@ func computeSupport(sigma *rule.Set, dm *master.Data) supportMap {
 func masterSupports(dm *master.Data, ru *rule.Rule) bool {
 	x, xm := ru.LHSRef(), ru.LHSMRef()
 	tp := ru.Pattern()
-	for _, tm := range dm.Relation().All() {
+	for id := range dm.Len() {
 		ok := true
 		for i := range x {
-			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {
+			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(dm.Cell(id, xm[i])) {
 				ok = false
 				break
 			}

@@ -77,16 +77,16 @@ func (d *Deriver) masterCompatibleScan(ru *rule.Rule, t relation.Tuple, zSet rel
 		return false
 	}
 	tp := ru.Pattern()
-	for _, tm := range d.dm.Relation().All() {
+	for id := range d.dm.Len() {
 		ok := true
 		for i := range x {
 			if zSet.Has(x[i]) {
-				if !t[x[i]].Equal(tm[xm[i]]) {
+				if !t[x[i]].Equal(d.dm.Cell(id, xm[i])) {
 					ok = false
 					break
 				}
 			}
-			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {
+			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(d.dm.Cell(id, xm[i])) {
 				ok = false
 				break
 			}

@@ -53,9 +53,11 @@
 package certainfix
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"time"
 
@@ -226,19 +228,22 @@ type lineage interface {
 // head returns the currently published master snapshot.
 func (s *System) head() *master.Data { return s.lin.Versioned().Current() }
 
-// BootTimings attributes a System's construction time to its two phases:
-// Master is obtaining the first snapshot (CSV build, arena load, WAL
-// recovery or follower bootstrap), Regions is deriving the certain-region
-// candidates over it. cmd/certainfixd logs them at start.
+// BootTimings attributes a System's construction time to its phases.
+// Master is obtaining the first snapshot (build, arena load, WAL recovery or
+// follower bootstrap) and MasterRead the part of it NewFromCSV spent reading
+// the file — parsing, validating and interning its rows — zero on every
+// other path; the rest of Master is indexing (tables, bitmaps, the Merkle
+// commitment, a first checkpoint) or the load. Regions is deriving the certain-region candidates over the
+// snapshot. cmd/certainfixd logs them at start.
 type BootTimings struct {
-	Master, Regions time.Duration
+	Master, MasterRead, Regions time.Duration
 }
 
 // BootTimings reports how long each construction phase took.
 func (s *System) BootTimings() BootTimings { return s.boot }
 
-// open is the one construction path behind New, NewFromArena and
-// NewFollower: obtain the lineage — a follower's from its leader, a
+// open is the one construction path behind New, NewFromCSV, NewFromArena
+// and NewFollower: obtain the lineage — a follower's from its leader, a
 // durable one from cfg.walDir (base seeds it only on the first open of
 // the directory), otherwise in memory straight from base — then derive
 // the certain regions over it.
@@ -314,6 +319,36 @@ func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
 		}
 		return master.NewForRules(masterRel, rules, master.WithShards(cfg.shards))
 	})
+}
+
+// NewFromCSV is New with the master relation streamed from a CSV file in
+// ReadCSV's format: each row is interned as it is parsed, so the master
+// never exists as a relation of values beside its own cells — at |Dm| =
+// 100k that relation is several times what the System keeps. Under WithWAL
+// the file is opened only on the first open of the WAL directory;
+// afterwards it may be gone.
+func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error) {
+	cfg := newConfig(opts)
+	var read time.Duration
+	sys, err := open(rules, cfg, func() (*master.Data, error) {
+		began := time.Now()
+		f, err := os.Open(masterPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close() // read only
+		b := master.NewBuilder(rules, master.WithShards(cfg.shards))
+		if err := relation.ScanCSV(rules.MasterSchema(), bufio.NewReader(f), b.Add); err != nil {
+			return nil, fmt.Errorf("%s: %w", masterPath, err)
+		}
+		read = time.Since(began)
+		return b.Finish(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sys.boot.MasterRead = read
+	return sys, nil
 }
 
 // UpdateMaster applies a master-data delta — corrections and additions to
