@@ -37,9 +37,9 @@ func benchParams(dataset string) experiments.Params {
 }
 
 // mustHosp generates the HOSP dataset the probe, closure and suggestion
-// benchmarks share, its master at shard count 1 — the configuration their
-// baselines were recorded in; their measured loops are single-goroutine, so
-// GOMAXPROCS does not enter.
+// benchmarks share, its master at shard count 1 — the configuration
+// benchgate.json records them in; their measured loops are
+// single-goroutine, so GOMAXPROCS does not enter.
 func mustHosp(b *testing.B, tuples int) *datagen.Dataset {
 	b.Helper()
 	ds, err := datagen.Hosp(datagen.Config{

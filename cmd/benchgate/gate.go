@@ -1,10 +1,11 @@
 package main
 
-// Parsing and comparison logic for the CI perf-regression gate, separated
-// from main so the unit tests drive it directly.
+// The manifest, the bench-output parser and the comparison, separated from
+// main so the unit tests drive them on synthetic output.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,13 +16,82 @@ import (
 	"strings"
 )
 
+// Manifest is benchgate.json: what to run, what each row recorded, and
+// which in-run time ratios are bounded. It is the only place a benchmark
+// pattern, benchtime, recorded number or bound lives.
+type Manifest struct {
+	Runs   []Run          `json:"runs"`
+	Ratios []Ratio        `json:"ratios"`
+	Rows   map[string]Row `json:"rows"`
+}
+
+// Run is one `go test -run=NONE -benchmem` invocation.
+type Run struct {
+	Pkg       string `json:"pkg"`
+	Bench     string `json:"bench"`
+	Benchtime string `json:"benchtime"`
+}
+
+// Ratio bounds ns/op of row Num over ns/op of row Den, both measured in
+// the same benchgate execution. Why names the PR or invariant it protects.
+type Ratio struct {
+	Num string  `json:"num"`
+	Den string  `json:"den"`
+	Max float64 `json:"max"`
+	Why string  `json:"why"`
+}
+
+// Row is what one benchmark recorded: the two columns that repeat across
+// hosts.
+type Row struct {
+	AllocsOp int64 `json:"allocs_op"`
+	BOp      int64 `json:"b_op"`
+}
+
+// LoadManifest reads and validates a manifest file.
+func LoadManifest(path string) (*Manifest, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var m Manifest
+	if err := dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(m.Runs) == 0 {
+		return nil, fmt.Errorf("%s: no \"runs\"", path)
+	}
+	return &m, nil
+}
+
+// Encode renders the manifest in its one canonical form (rows sorted by
+// name), so recording the same measurements twice writes the same bytes.
+func (m *Manifest) Encode() []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(m); err != nil {
+		panic(err) // strings, numbers and a string-keyed map always encode
+	}
+	return buf.Bytes()
+}
+
+// Record replaces the recorded rows by what cur measured.
+func (m *Manifest) Record(cur map[string]Measurement) {
+	m.Rows = make(map[string]Row, len(cur))
+	for name, c := range cur {
+		m.Rows[name] = Row{AllocsOp: c.AllocsOp, BOp: c.BOp}
+	}
+}
+
 // Measurement is one benchmark's observed numbers.
 type Measurement struct {
-	NsOp      float64
-	BOp       float64
-	AllocsOp  float64
-	HasAllocs bool // -benchmem columns present
-	Samples   int
+	NsOp     float64
+	BOp      int64
+	AllocsOp int64
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -31,9 +101,9 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // ParseBenchOutput extracts measurements from `go test -bench` output.
 // The trailing -N GOMAXPROCS suffix is stripped from names. When a
-// benchmark appears several times (-count, or several input files), the
-// minimum ns/op is kept — the least-noise estimate — and the maximum
-// allocs/op, the conservative choice for the no-new-allocations gate.
+// benchmark appears several times, the minimum ns/op is kept — the
+// least-noise estimate — and the maximum allocs/op with its B/op, the
+// conservative choice for the allocation gate.
 func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 	out := map[string]Measurement{}
 	sc := bufio.NewScanner(r)
@@ -43,34 +113,24 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 		if m == nil {
 			continue
 		}
-		name, rest := m[1], m[2]
-		meas, ok := parseMetrics(rest)
+		meas, ok := parseMetrics(m[2])
 		if !ok {
 			continue
 		}
-		prev, seen := out[name]
-		if !seen {
-			meas.Samples = 1
-			out[name] = meas
-			continue
-		}
-		if meas.NsOp < prev.NsOp {
-			prev.NsOp = meas.NsOp
-		}
-		if meas.HasAllocs {
-			prev.HasAllocs = true
-			if meas.AllocsOp > prev.AllocsOp {
-				prev.AllocsOp = meas.AllocsOp
-				prev.BOp = meas.BOp
+		if prev, seen := out[m[1]]; seen {
+			meas.NsOp = min(meas.NsOp, prev.NsOp)
+			if prev.AllocsOp > meas.AllocsOp {
+				meas.AllocsOp, meas.BOp = prev.AllocsOp, prev.BOp
 			}
 		}
-		prev.Samples++
-		out[name] = prev
+		out[m[1]] = meas
 	}
 	return out, sc.Err()
 }
 
-// parseMetrics reads the "value unit" pairs after the iteration count.
+// parseMetrics reads the "value unit" pairs after the iteration count;
+// units other than the three -benchmem prints (ReportMetric columns) are
+// skipped.
 func parseMetrics(rest string) (Measurement, bool) {
 	fields := strings.Fields(rest)
 	var meas Measurement
@@ -85,163 +145,84 @@ func parseMetrics(rest string) (Measurement, bool) {
 			meas.NsOp = v
 			ok = true
 		case "B/op":
-			meas.BOp = v
+			meas.BOp = int64(v)
 		case "allocs/op":
-			meas.AllocsOp = v
-			meas.HasAllocs = true
+			meas.AllocsOp = int64(v)
 		}
 	}
 	return meas, ok
 }
 
-// BaselineEntry is one benchmark's recorded reference numbers (the
-// BENCH_*.json "results" format shared with the per-PR bench records).
-type BaselineEntry struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      float64 `json:"b_op"`
-	AllocsOp float64 `json:"allocs_op"`
+// checkRow compares one measurement with its recording and returns what
+// left its band, "" when nothing did. allocs/op may move by
+// ⌊recorded/1000⌋ — exact below 1,000, so 0 stays 0 — and B/op by 1 %,
+// in either direction: an improvement past the band fails too, asking
+// for a re-record, so the manifest stays a true statement about the tree.
+func checkRow(rec Row, cur Measurement) string {
+	var bad []string
+	if d := cur.AllocsOp - rec.AllocsOp; d > rec.AllocsOp/1000 {
+		bad = append(bad, fmt.Sprintf("allocs/op rose %d -> %d", rec.AllocsOp, cur.AllocsOp))
+	} else if -d > rec.AllocsOp/1000 {
+		bad = append(bad, fmt.Sprintf("allocs/op fell %d -> %d: re-record", rec.AllocsOp, cur.AllocsOp))
+	}
+	if d := cur.BOp - rec.BOp; d*100 > rec.BOp {
+		bad = append(bad, fmt.Sprintf("B/op rose %d -> %d (> 1%%)", rec.BOp, cur.BOp))
+	} else if -d*100 > rec.BOp {
+		bad = append(bad, fmt.Sprintf("B/op fell %d -> %d (> 1%%): re-record", rec.BOp, cur.BOp))
+	}
+	return strings.Join(bad, "; ")
 }
 
-// baselineDoc is the checked-in BENCH_*.json shape; fields beyond results
-// are descriptive metadata.
-type baselineDoc struct {
-	Date      string                   `json:"date,omitempty"`
-	PR        int                      `json:"pr,omitempty"`
-	Title     string                   `json:"title,omitempty"`
-	Config    map[string]any           `json:"config,omitempty"`
-	Results   map[string]BaselineEntry `json:"results"`
-	Headlines map[string]string        `json:"headlines,omitempty"`
-}
-
-// LoadBaseline reads the results map of a BENCH_*.json file.
-func LoadBaseline(path string) (map[string]BaselineEntry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc baselineDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(doc.Results) == 0 {
-		return nil, fmt.Errorf("%s: no \"results\" in baseline", path)
-	}
-	return doc.Results, nil
-}
-
-// WriteBaseline records measurements as a BENCH_*.json document.
-func WriteBaseline(path, title string, pr int, date string, meas map[string]Measurement) error {
-	doc := baselineDoc{
-		Date:    date,
-		PR:      pr,
-		Title:   title,
-		Results: make(map[string]BaselineEntry, len(meas)),
-	}
-	for name, m := range meas {
-		doc.Results[name] = BaselineEntry{NsOp: m.NsOp, BOp: m.BOp, AllocsOp: m.AllocsOp}
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// Verdict is the outcome of gating one benchmark.
-type Verdict struct {
-	Name     string
-	Base     BaselineEntry
-	Current  Measurement
-	Missing  bool    // in the baseline, absent from the input
-	New      bool    // in the input, absent from the baseline
-	NsDelta  float64 // (cur-base)/base
-	NsFail   bool
-	AllocsUp bool
-}
-
-// Gate compares measurements against the baseline: ns/op may drift up to
-// tolerance (a fraction, e.g. 0.30) in either direction — only slowdowns
-// beyond it fail — and allocs/op must not increase at all (the
-// any-allocs-increase threshold; a 0-alloc benchmark that starts
-// allocating always fails). Benchmarks in the input but absent from the
-// baseline are reported New — Report fails them unless allowNew, so an
-// unrecorded benchmark cannot slip past the gate silently; baseline
-// entries absent from the input are reported Missing and fail only in
-// strict mode (the caller's choice).
-func Gate(baseline map[string]BaselineEntry, current map[string]Measurement, tolerance float64) []Verdict {
-	names := make([]string, 0, len(baseline))
-	for name := range baseline {
+// Gate writes one line per recorded row, per measured row the manifest
+// does not record, and per ratio, and reports whether all of them pass. A
+// recorded row no run produced and a produced row nobody recorded both
+// fail: the manifest and the tree name the same benchmarks. ns/op and
+// each ratio's value are printed for the reader and compared with no
+// recording — only a ratio's max bounds time.
+func Gate(w io.Writer, m *Manifest, cur map[string]Measurement) bool {
+	names := make([]string, 0, len(m.Rows)+len(cur))
+	for name := range m.Rows {
 		names = append(names, name)
 	}
+	for name := range cur {
+		if _, recorded := m.Rows[name]; !recorded {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
-	verdicts := make([]Verdict, 0, len(names))
-	for _, name := range names {
-		base := baseline[name]
-		v := Verdict{Name: name, Base: base}
-		cur, ok := current[name]
-		if !ok {
-			v.Missing = true
-			verdicts = append(verdicts, v)
-			continue
-		}
-		v.Current = cur
-		if base.NsOp > 0 {
-			v.NsDelta = (cur.NsOp - base.NsOp) / base.NsOp
-			v.NsFail = v.NsDelta > tolerance
-		}
-		v.AllocsUp = cur.HasAllocs && cur.AllocsOp > base.AllocsOp
-		verdicts = append(verdicts, v)
-	}
-	extras := make([]string, 0)
-	for name := range current {
-		if _, known := baseline[name]; !known {
-			extras = append(extras, name)
-		}
-	}
-	sort.Strings(extras)
-	for _, name := range extras {
-		verdicts = append(verdicts, Verdict{Name: name, New: true, Current: current[name]})
-	}
-	return verdicts
-}
-
-// Report renders the verdicts and returns whether the gate passes.
-// strict makes missing benchmarks fail; allowNew lets benchmarks without
-// a baseline entry through (report-only) instead of failing them.
-func Report(w io.Writer, verdicts []Verdict, tolerance float64, strict, allowNew bool) bool {
 	pass := true
-	for _, v := range verdicts {
+	for _, name := range names {
+		rec, recorded := m.Rows[name]
+		c, measured := cur[name]
+		why := ""
 		switch {
-		case v.Missing:
-			status := "SKIP"
-			if strict {
-				status = "FAIL"
-				pass = false
-			}
-			fmt.Fprintf(w, "%-4s %-55s not in bench output\n", status, v.Name)
-		case v.New:
-			status := "NEW"
-			if !allowNew {
-				status = "FAIL"
-				pass = false
-			}
-			fmt.Fprintf(w, "%-4s %-55s %9.1f ns/op, allocs %g — not in baseline (record it, or pass -allow-new)\n",
-				status, v.Name, v.Current.NsOp, v.Current.AllocsOp)
-		case v.NsFail && v.AllocsUp:
-			pass = false
-			fmt.Fprintf(w, "FAIL %-55s %9.1f ns/op vs %9.1f (%+.0f%% > ±%.0f%%), allocs %g vs %g\n",
-				v.Name, v.Current.NsOp, v.Base.NsOp, v.NsDelta*100, tolerance*100, v.Current.AllocsOp, v.Base.AllocsOp)
-		case v.NsFail:
-			pass = false
-			fmt.Fprintf(w, "FAIL %-55s %9.1f ns/op vs %9.1f baseline (%+.0f%%, tolerance ±%.0f%%)\n",
-				v.Name, v.Current.NsOp, v.Base.NsOp, v.NsDelta*100, tolerance*100)
-		case v.AllocsUp:
-			pass = false
-			fmt.Fprintf(w, "FAIL %-55s allocs/op rose %g -> %g (any increase fails)\n",
-				v.Name, v.Base.AllocsOp, v.Current.AllocsOp)
+		case !measured:
+			why = "recorded, but no run produced it"
+		case !recorded:
+			why = "not in the manifest: benchgate -record"
 		default:
-			fmt.Fprintf(w, "ok   %-55s %9.1f ns/op vs %9.1f (%+.0f%%), allocs %g\n",
-				v.Name, v.Current.NsOp, v.Base.NsOp, v.NsDelta*100, v.Current.AllocsOp)
+			why = checkRow(rec, c)
+		}
+		status := "ok  "
+		if why != "" {
+			status, pass = "FAIL", false
+		}
+		fmt.Fprintf(w, "%s %-45s %12.1f ns/op %9d allocs/op %11d B/op  %s\n",
+			status, name, c.NsOp, c.AllocsOp, c.BOp, why)
+	}
+	for _, r := range m.Ratios {
+		num, haveNum := cur[r.Num]
+		den, haveDen := cur[r.Den]
+		label := fmt.Sprintf("%s ÷ %s", strings.TrimPrefix(r.Num, "Benchmark"), strings.TrimPrefix(r.Den, "Benchmark"))
+		switch {
+		case !haveNum || !haveDen || den.NsOp == 0:
+			pass = false
+			fmt.Fprintf(w, "FAIL ratio %s: operand not measured in this run\n", label)
+		case num.NsOp/den.NsOp > r.Max:
+			pass = false
+			fmt.Fprintf(w, "FAIL ratio %s = %.3f > max %g (%s)\n", label, num.NsOp/den.NsOp, r.Max, r.Why)
+		default:
+			fmt.Fprintf(w, "ok   ratio %s = %.3f <= max %g\n", label, num.NsOp/den.NsOp, r.Max)
 		}
 	}
 	return pass

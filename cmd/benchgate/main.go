@@ -1,99 +1,85 @@
-// Command benchgate is the CI perf-regression gate: it parses `go test
-// -bench` output and compares it against a checked-in BENCH_*.json
-// baseline, failing (exit 1) when a benchmark's ns/op regresses beyond
-// the tolerance or its allocs/op increases at all — the latter is what
-// keeps the zero-allocation probe paths zero-allocation.
+// Command benchgate is the perf gate: it runs every benchmark invocation
+// listed in benchgate.json (one `go test -run=NONE -benchmem` each), and
+// fails (exit 1) when a recorded row is missing or an unrecorded one
+// appears, when a row's allocs/op or B/op leaves its band around the
+// recording — in either direction — or when an in-run time ratio exceeds
+// its max. Allocations and bytes repeat across hosts and are the only
+// absolute numbers; time is gated only as a ratio of two rows of the same
+// execution, and ns/op is printed, never compared.
 //
-// Compare mode (CI):
+//	go run ./cmd/benchgate           # run and gate, from the repo root
+//	go run ./cmd/benchgate -record   # run, rewrite the manifest's rows, gate
 //
-//	go test -bench='...' -benchmem -benchtime=3x -run NONE . > bench.txt
-//	benchgate -baseline BENCH_2026-07-29_pr5.json bench.txt more.txt
-//
-// Record mode (refreshing the baseline after an intentional change):
-//
-//	benchgate -record BENCH_new.json -title "PR 6: ..." -pr 6 bench.txt
-//
-// With no file arguments, bench output is read from stdin. Benchmarks in
-// the baseline but absent from the input are skipped unless -strict;
-// benchmarks in the input but not the baseline fail the gate unless
-// -allow-new, which reports them without failing (record them into a
-// baseline soon after). ns/op gating is one-sided — getting faster never
-// fails — with the band sized by -tolerance (default ±30%, sized for
-// -benchtime=3x noise on shared CI runners).
+// Adding a benchmark to the gate is one "runs" line plus -record. Exit 2
+// means a `go test` run itself failed: a broken benchmark, not a
+// regression.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 )
 
+const manifestPath = "benchgate.json"
+
 func main() {
-	var (
-		baselinePath = flag.String("baseline", "", "BENCH_*.json baseline to gate against")
-		tolerance    = flag.Float64("tolerance", 0.30, "allowed fractional ns/op regression (0.30 = +30%)")
-		strict       = flag.Bool("strict", false, "fail when a baseline benchmark is missing from the input")
-		allowNew     = flag.Bool("allow-new", false, "report benchmarks absent from the baseline without failing the gate")
-		recordPath   = flag.String("record", "", "write a new baseline JSON from the input instead of gating")
-		title        = flag.String("title", "", "baseline title metadata (record mode)")
-		pr           = flag.Int("pr", 0, "baseline PR number metadata (record mode)")
-		date         = flag.String("date", "", "baseline date metadata (record mode)")
-	)
+	record := flag.Bool("record", false, "rewrite the manifest's rows from this run before gating")
 	flag.Parse()
-	if (*baselinePath == "") == (*recordPath == "") {
-		fatalf("exactly one of -baseline (compare) or -record is required")
+	if flag.NArg() != 0 {
+		fatalf("unexpected arguments %q: benchgate runs what %s lists", flag.Args(), manifestPath)
+	}
+	m, err := LoadManifest(manifestPath)
+	if err != nil {
+		fatalf("%v (run from the repo root)", err)
+	}
+	goVersion, err := exec.Command("go", "version").Output()
+	if err != nil {
+		fatalf("go version: %v", err)
 	}
 
-	meas, err := readInputs(flag.Args())
+	var out bytes.Buffer
+	for _, r := range m.Runs {
+		args := []string{"test", "-run=NONE", "-bench=" + r.Bench, "-benchtime=" + r.Benchtime, "-benchmem", r.Pkg}
+		fmt.Fprintf(os.Stderr, "benchgate: go %s\n", strings.Join(args, " "))
+		b, err := exec.Command("go", args...).CombinedOutput()
+		if err != nil {
+			os.Stderr.Write(b)
+			fatalf("go %s: %v", strings.Join(args, " "), err)
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+	}
+	cur, err := ParseBenchOutput(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if len(meas) == 0 {
-		fatalf("no benchmark lines found in input")
-	}
 
-	if *recordPath != "" {
-		if err := WriteBaseline(*recordPath, *title, *pr, *date, meas); err != nil {
+	if *record {
+		m.Record(cur)
+		if err := os.WriteFile(manifestPath, m.Encode(), 0o644); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "benchgate: recorded %d benchmarks to %s\n", len(meas), *recordPath)
-		return
+		fmt.Fprintf(os.Stderr, "benchgate: recorded %d rows to %s\n", len(cur), manifestPath)
 	}
-
-	baseline, err := LoadBaseline(*baselinePath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	verdicts := Gate(baseline, meas, *tolerance)
-	if !Report(os.Stdout, verdicts, *tolerance, *strict, *allowNew) {
-		fmt.Fprintln(os.Stderr, "benchgate: FAIL")
+	fmt.Printf("benchgate: %s, GOMAXPROCS=%d, cpu: %s\n",
+		strings.TrimSpace(string(goVersion)), runtime.GOMAXPROCS(0), cpuLine(out.String()))
+	if !Gate(os.Stdout, m, cur) {
+		fmt.Println("benchgate: FAIL")
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchgate: ok (%d gated against %s, tolerance ±%.0f%%)\n",
-		len(baseline), *baselinePath, *tolerance*100)
+	fmt.Printf("benchgate: ok (%d rows, %d ratios)\n", len(m.Rows), len(m.Ratios))
 }
 
-// readInputs parses bench output from the argument files — concatenated,
-// so ParseBenchOutput's duplicate-merge policy (min ns/op, max allocs/op)
-// is the single merge semantics — or stdin when none are given.
-func readInputs(paths []string) (map[string]Measurement, error) {
-	if len(paths) == 0 {
-		return ParseBenchOutput(os.Stdin)
-	}
-	readers := make([]io.Reader, 0, len(paths)*2)
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		// A file that ends without a newline must not glue its last
-		// bench line onto the next file's first.
-		readers = append(readers, f, strings.NewReader("\n"))
-	}
-	return ParseBenchOutput(io.MultiReader(readers...))
+// cpuLine returns what `go test -bench` printed after "cpu: ".
+func cpuLine(out string) string {
+	_, rest, _ := strings.Cut(out, "\ncpu: ")
+	cpu, _, _ := strings.Cut(rest, "\n")
+	return cpu
 }
 
 func fatalf(format string, args ...any) {

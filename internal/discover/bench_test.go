@@ -16,8 +16,7 @@ import (
 // building the postings-indexed snapshot from the bare relation, not
 // just the lattice walk. Run with Workers=1 and GOMAXPROCS pinned to 1 —
 // which is also the shard count of the snapshot Mine builds — so the
-// speedup is the algorithmic one at the configuration the baselines were
-// recorded in (parallel lattice speedup is documented in DESIGN.md, not
+// speedup is the algorithmic one (the parallel lattice speedup is not
 // gated).
 
 var benchRels = map[int]*relation.Relation{}

@@ -5,8 +5,7 @@ package master
 // 10k point for trend), and the probe loop over both — the same tables,
 // built in memory (BenchmarkProbeHeap) or viewed over the mapping
 // (BenchmarkProbeArena). Every benchmark pins GOMAXPROCS and the shard
-// count: the plain names run at 1 — the configuration the checked-in
-// baselines were recorded in — and the P4 twins at 4.
+// count: the plain names run at 1 and the P4 twins at 4.
 
 import (
 	"fmt"
@@ -76,6 +75,15 @@ func benchColdStartArena(b *testing.B, p int) {
 			b.SetBytes(fi.Size())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// A boot starts with empty pools. Two collections, off the
+				// clock, empty every sync.Pool and its victim cache, so each
+				// load refills fmt's (the rule-signature check) and allocs/op
+				// repeats to the unit; without them it moved by ±3 with how
+				// many cycles happened to land inside a load.
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
 				if _, err := LoadArena(path, sigma); err != nil {
 					b.Fatal(err)
 				}

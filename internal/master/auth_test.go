@@ -355,8 +355,8 @@ func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 }
 
 // BenchmarkApplyDeltaAuth is BenchmarkApplyDelta with the commitment
-// maintained — the incremental O(delta·depth) root update whose overhead
-// the perf gate bounds against the unauthenticated baselines. Pinned like
+// maintained — the incremental O(delta·depth) root update, whose
+// allocations the perf gate records beside the plain delta's. Pinned like
 // it: GOMAXPROCS and shard count 1.
 func BenchmarkApplyDeltaAuth(b *testing.B) {
 	for _, n := range []int{600, 6_000, 60_000} {

@@ -47,6 +47,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/relation"
 	"repro/internal/rule"
+	"repro/internal/wal"
 )
 
 // fork derives the next snapshot's view of a compatibility plan: the
@@ -447,6 +448,36 @@ func (v *Versioned) publishDerived(next *Data) {
 	v.cur.Store(next)
 	v.hist = append(v.hist, next)
 	v.trimLocked()
+}
+
+// recordMismatch is why applyRecord refused a record; one field is set.
+type recordMismatch struct {
+	apply error  // ApplyDelta refused the delta
+	epoch uint64 // the delta produced this epoch, not the record's
+	root  string // the delta produced this root, not the record's
+}
+
+// applyRecord is the one guarded apply: recovery replays the log through
+// it and a follower applies shipped records through it. It derives the
+// head's successor via ApplyDelta, checks the produced epoch against the
+// record's and — an authenticated leader stamps every record with the
+// Merkle root its delta produces — the incrementally maintained root
+// against the record's, and only then publishes. On a mismatch nothing is
+// published and the caller words the cause: a replay error, a
+// *DivergenceError.
+func (v *Versioned) applyRecord(rec wal.Record) *recordMismatch {
+	next, err := v.Current().ApplyDelta(rec.Adds, rec.Deletes)
+	if err != nil {
+		return &recordMismatch{apply: err}
+	}
+	if next.Epoch() != rec.Epoch {
+		return &recordMismatch{epoch: next.Epoch()}
+	}
+	if root, ok := next.AuthRoot(); ok && len(rec.Root) == 32 && string(rec.Root) != string(root[:]) {
+		return &recordMismatch{root: root.String()}
+	}
+	v.publishDerived(next)
+	return nil
 }
 
 // resetTo replaces the whole chain with a single snapshot, evicting every

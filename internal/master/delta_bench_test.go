@@ -2,7 +2,7 @@ package master
 
 // Benchmarks for the versioned-master tentpole: ApplyDelta of a one-tuple
 // correction vs a full NewForRules rebuild at |Dm| ∈ {600, 6k, 60k}
-// (recorded in BENCH_*.json at GOMAXPROCS and shard count 1, which
+// (recorded in benchgate.json at GOMAXPROCS and shard count 1, which
 // BenchmarkApplyDelta pins; the acceptance bar is ≥50x at 60k), plus probe
 // throughput while deltas publish concurrently.
 

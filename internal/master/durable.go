@@ -241,21 +241,16 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 	}
 	baseEpoch := d.Epoch()
 	replayed, err := lg.Replay(baseEpoch, func(rec wal.Record) error {
-		next, aerr := ver.Current().ApplyDelta(rec.Adds, rec.Deletes)
-		if aerr != nil {
-			return fmt.Errorf("master: replay epoch %d: %w", rec.Epoch, aerr)
+		switch m := ver.applyRecord(rec); {
+		case m == nil:
+			return nil
+		case m.apply != nil:
+			return fmt.Errorf("master: replay epoch %d: %w", rec.Epoch, m.apply)
+		case m.root != "":
+			return fmt.Errorf("master: replay epoch %d: recovered auth root %s does not match logged root %x", rec.Epoch, m.root, rec.Root)
+		default:
+			return fmt.Errorf("master: replay produced epoch %d for record %d", m.epoch, rec.Epoch)
 		}
-		if next.Epoch() != rec.Epoch {
-			return fmt.Errorf("master: replay produced epoch %d for record %d", next.Epoch(), rec.Epoch)
-		}
-		// An authenticated lineage logs the root each delta produces;
-		// replay re-derives it incrementally and must land on the same
-		// commitment, or the log and the lineage contradict each other.
-		if root, ok := next.AuthRoot(); ok && len(rec.Root) == 32 && string(rec.Root) != string(root[:]) {
-			return fmt.Errorf("master: replay epoch %d: recovered auth root %s does not match logged root %x", rec.Epoch, root, rec.Root)
-		}
-		ver.publishDerived(next)
-		return nil
 	})
 	if err != nil {
 		lg.Close()

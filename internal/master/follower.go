@@ -2,15 +2,14 @@ package master
 
 // Follower is the replica half of epoch shipping: it publishes the
 // leader's epoch lineage from shipped WAL records, through the same
-// guarded path recovery uses — derive via ApplyDelta, check the produced
-// epoch against the record's, then publishDerived. Because delta
+// guarded path recovery uses (Versioned.applyRecord). Because delta
 // application is deterministic, a follower that has applied records
 // 1..E holds a head probe-for-probe identical to the leader's at E, so
 // session tokens minted on any node resume on any other.
 //
 // A Follower owns no transport. The shipping loop (pkg/certainfix) feeds
-// it records from wherever they come — an HTTP stream, a shared WAL
-// directory via wal.OpenReader — and reacts to the two typed conditions:
+// it records from wherever they come — the leader's GET /v1/wal stream, a
+// Log.Tail in the same process — and reacts to the two typed conditions:
 // ErrReplicaGap (fell behind a truncation: Reset onto the leader's
 // checkpoint and keep tailing) and ErrDivergence (the lineages
 // contradict each other: stop, a human is needed).
@@ -117,28 +116,23 @@ func (f *Follower) ApplyRecord(rec wal.Record) (bool, error) {
 	case rec.Epoch > head+1:
 		return false, fmt.Errorf("master: follower at epoch %d shipped epoch %d: %w", head, rec.Epoch, ErrReplicaGap)
 	}
-	next, err := f.ver.Current().ApplyDelta(rec.Adds, rec.Deletes)
-	if err != nil {
-		// The leader applied this exact delta successfully; if we cannot,
-		// our state is not the leader's state at head.
-		return false, &DivergenceError{Epoch: rec.Epoch, Head: head,
-			Msg: fmt.Sprintf("delta does not apply: %v", err)}
+	if m := f.ver.applyRecord(rec); m != nil {
+		de := &DivergenceError{Epoch: rec.Epoch, Head: head}
+		switch {
+		case m.apply != nil:
+			// The leader applied this exact delta successfully; if we
+			// cannot, our state is not the leader's state at head.
+			de.Msg = fmt.Sprintf("delta does not apply: %v", m.apply)
+		case m.root != "":
+			// The bytes we applied are not the bytes the leader applied,
+			// though the delta went through cleanly: nothing after this
+			// epoch can be trusted, and this is the epoch the lineages fork.
+			de.Msg = fmt.Sprintf("applied root %s does not match leader root %x", m.root, rec.Root)
+		default:
+			de.Msg = fmt.Sprintf("delta produced epoch %d", m.epoch)
+		}
+		return false, de
 	}
-	if next.Epoch() != rec.Epoch {
-		return false, &DivergenceError{Epoch: rec.Epoch, Head: head,
-			Msg: fmt.Sprintf("delta produced epoch %d", next.Epoch())}
-	}
-	// Root audit: an authenticated leader stamps every record with the
-	// Merkle root its delta produces. If our incrementally maintained root
-	// disagrees, the bytes we applied are not the bytes the leader applied
-	// — even though the delta itself went through cleanly — and nothing
-	// after this epoch can be trusted. Detected HERE, at the exact epoch
-	// the lineages fork, not whenever a probe happens to notice.
-	if root, ok := next.AuthRoot(); ok && len(rec.Root) == 32 && string(rec.Root) != string(root[:]) {
-		return false, &DivergenceError{Epoch: rec.Epoch, Head: head,
-			Msg: fmt.Sprintf("applied root %s does not match leader root %x", root, rec.Root)}
-	}
-	f.ver.publishDerived(next)
 	f.applied++
 	return true, nil
 }

@@ -3,9 +3,9 @@ package master
 // Follower replication at the master level: the stats split between
 // checkpoint and truncation failures, the ApplyRecord guard ladder
 // (skip / apply / gap / divergence), and the convergence property —
-// a follower tailing a live leader's WAL directory through
-// wal.OpenReader, starting mid-storm so the checkpoint catch-up path
-// runs, must end probe-for-probe identical to the leader.
+// a follower tailing a live leader through TailWAL (what GET /v1/wal
+// serves), starting mid-storm so the checkpoint catch-up path runs, must
+// end probe-for-probe identical to the leader.
 
 import (
 	"errors"
@@ -126,10 +126,10 @@ func TestFollowerApplyRecordGuards(t *testing.T) {
 // TestFollowerConvergenceProperty is the replication half of the
 // durability proof: a leader applies a random delta storm to a
 // DurableVersioned (checkpointing and truncating aggressively) while a
-// follower tails the WAL directory through wal.OpenReader. The follower
-// starts after the storm is underway — behind a truncation, so it MUST
-// catch up from the leader's checkpoint image — and still converges to a
-// head that is tuple-exact and probe-for-probe equivalent.
+// follower tails it through TailWAL. The follower starts after the storm
+// is underway — behind a truncation, so it MUST catch up from the
+// leader's checkpoint image — and still converges to a head that is
+// tuple-exact and probe-for-probe equivalent.
 func TestFollowerConvergenceProperty(t *testing.T) {
 	for _, seed := range []int64{43_000_001, 43_000_002, 43_000_003} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -155,10 +155,6 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 			dv.waitCheckpoint()
 
 			f := NewFollower(w.base, 4)
-			rd, err := wal.OpenReader(dir, wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			catchUp := func() {
 				raw, epoch, err := dv.CheckpointImage()
 				if err != nil {
@@ -194,7 +190,7 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 				if time.Now().After(deadline) {
 					t.Fatalf("follower stuck at epoch %d of %d", f.Epoch(), last)
 				}
-				n, err := rd.ReplayFrom(f.Epoch(), func(rec wal.Record) error {
+				n, err := dv.TailWAL(f.Epoch(), func(rec wal.Record) error {
 					_, aerr := f.ApplyRecord(rec)
 					return aerr
 				})
@@ -203,8 +199,8 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 					// The log gave us everything it holds. An empty read
 					// while the leader's checkpoint is ahead means the
 					// epochs we need were truncated into it — the shipping
-					// protocol's catch-up rule (an empty directory cannot
-					// say "truncated" on its own).
+					// protocol's catch-up rule (an empty log cannot say
+					// "truncated" on its own).
 					if n == 0 {
 						if _, ckpt, cerr := dv.CheckpointImage(); cerr == nil && ckpt > f.Epoch() {
 							catchUp()

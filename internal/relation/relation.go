@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"io"
 	"iter"
-
-	"repro/internal/persist"
+	"slices"
 )
 
 // Relation is an in-memory instance of a schema: an ordered bag of tuples.
 type Relation struct {
 	schema *Schema
-	tuples persist.Vec[Tuple]
+	tuples []Tuple
 }
 
 // NewRelation creates an empty relation over the schema.
@@ -22,8 +21,8 @@ func NewRelation(schema *Schema) *Relation {
 
 // FromTuples wraps an already-built tuple slice into a relation after
 // checking arity. The relation takes ownership of the slice and aliases it
-// without copying; it never writes into it — a later Append copies the
-// chunk it touches first — so the caller's storage is safe from the
+// without copying; it never writes into it — capacity is clipped, so a
+// later Append reallocates — so the caller's storage is safe from the
 // relation, not the other way round.
 func FromTuples(schema *Schema, tuples []Tuple) (*Relation, error) {
 	for _, t := range tuples {
@@ -32,20 +31,20 @@ func FromTuples(schema *Schema, tuples []Tuple) (*Relation, error) {
 				schema.Name(), schema.Arity(), len(t))
 		}
 	}
-	return &Relation{schema: schema, tuples: persist.FromSlice(tuples)}, nil
+	return &Relation{schema: schema, tuples: tuples[:len(tuples):len(tuples)]}, nil
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.tuples.Len() }
+func (r *Relation) Len() int { return len(r.tuples) }
 
 // Tuple returns the i-th tuple (not a copy).
-func (r *Relation) Tuple(i int) Tuple { return r.tuples.At(i) }
+func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
 
 // All iterates the tuples (not copies) in order with their positions.
-func (r *Relation) All() iter.Seq2[int, Tuple] { return r.tuples.All() }
+func (r *Relation) All() iter.Seq2[int, Tuple] { return slices.All(r.tuples) }
 
 // Append adds tuples after checking arity.
 func (r *Relation) Append(ts ...Tuple) error {
@@ -54,7 +53,7 @@ func (r *Relation) Append(ts ...Tuple) error {
 			return fmt.Errorf("relation: %s expects arity %d, got tuple of arity %d",
 				r.schema.Name(), r.schema.Arity(), len(t))
 		}
-		r.tuples.Append(t)
+		r.tuples = append(r.tuples, t)
 	}
 	return nil
 }
@@ -70,7 +69,7 @@ func (r *Relation) MustAppend(ts ...Tuple) {
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.schema)
 	for _, t := range r.All() {
-		c.tuples.Append(t.Clone())
+		c.tuples = append(c.tuples, t.Clone())
 	}
 	return c
 }
@@ -99,7 +98,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 func ReadCSV(schema *Schema, rd io.Reader) (*Relation, error) {
 	rel := NewRelation(schema)
 	err := ScanCSV(schema, rd, func(t Tuple) error {
-		rel.tuples.Append(t.Clone())
+		rel.tuples = append(rel.tuples, t.Clone())
 		return nil
 	})
 	if err != nil {

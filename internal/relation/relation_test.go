@@ -27,6 +27,28 @@ func TestRelationAppendArityCheck(t *testing.T) {
 	}
 }
 
+// TestFromTuplesNeverWritesCallerSlice: the relation aliases the caller's
+// slice but an Append must not land in its spare capacity.
+func TestFromTuplesNeverWritesCallerSlice(t *testing.T) {
+	s := StringSchema("R", "A")
+	backing := make([]Tuple, 2, 4)
+	backing[0], backing[1] = StringTuple("x"), StringTuple("y")
+	r, err := FromTuples(s, backing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.MustAppend(StringTuple("z"))
+	if r.Len() != 3 || r.Tuple(2)[0].Str() != "z" || &r.Tuple(0)[0] != &backing[0][0] {
+		t.Fatalf("relation after Append: %d tuples", r.Len())
+	}
+	if got := backing[:3][2]; got != nil {
+		t.Fatalf("Append wrote %v into the caller's spare capacity", got)
+	}
+	if _, err := FromTuples(s, []Tuple{StringTuple("a", "b")}); err == nil {
+		t.Fatal("want arity error")
+	}
+}
+
 func TestRelationCloneDeep(t *testing.T) {
 	r := NewRelation(StringSchema("R", "A"))
 	r.MustAppend(StringTuple("x"))

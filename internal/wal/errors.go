@@ -39,8 +39,8 @@ func (e *CorruptError) Error() string {
 // Unwrap makes the error match ErrWALCorrupt through errors.Is.
 func (e *CorruptError) Unwrap() error { return ErrWALCorrupt }
 
-// ErrTruncated is the sentinel matched (errors.Is) by a Tail or
-// ReplayFrom whose caller fell behind TruncateThrough: the epochs it
+// ErrTruncated is the sentinel matched (errors.Is) by a Tail whose
+// caller fell behind TruncateThrough: the epochs it
 // still needs were removed because a durable checkpoint covers them.
 // Unlike ErrWALCorrupt this is a recoverable condition — catch up from
 // the checkpoint, then resume tailing from its epoch.

@@ -45,10 +45,9 @@ type Record struct {
 
 	// Root, when non-nil, is the 32-byte authenticated-master root the
 	// delta PRODUCES — what AuthRoot() returns after applying this record.
-	// Unauthenticated lineages leave it nil and their frames are
-	// byte-identical to the pre-root format; decoding a frame written
-	// before the field existed also yields nil. Followers compare it
-	// against their own post-apply root (follower.go).
+	// Unauthenticated lineages leave it nil and their frames carry no
+	// root section at all. Followers compare it against their own
+	// post-apply root (follower.go).
 	Root []byte
 }
 
@@ -199,7 +198,7 @@ func decodePayload(b []byte) (Record, error) {
 	}
 	if d.err == nil && d.remaining() > 0 {
 		// Optional trailing section: the auth root. A payload that ends at
-		// the adds is a legacy (or unauthenticated) record — Root stays nil.
+		// the adds is an unauthenticated record — Root stays nil.
 		if n := d.U8("root length"); int(n) != rootSize {
 			d.Fail("root length %d, want %d", n, rootSize)
 		}

@@ -37,12 +37,11 @@ func TestRecordRootRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordLegacyFrameDecodesNilRoot: a rootless record's frame is
-// byte-identical to the pre-root format — decoding one yields Root nil,
-// so logs written before the field existed replay unchanged.
-func TestRecordLegacyFrameDecodesNilRoot(t *testing.T) {
-	rootless := testRecord(7)
-	plain, err := AppendFrame(nil, rootless)
+// TestRecordUnauthenticatedDecodesNilRoot: an unauthenticated record's
+// frame carries no root section — decoding one yields Root nil.
+func TestRecordUnauthenticatedDecodesNilRoot(t *testing.T) {
+	unauth := testRecord(7)
+	plain, err := AppendFrame(nil, unauth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +59,10 @@ func TestRecordLegacyFrameDecodesNilRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Root != nil {
-		t.Fatalf("rootless frame decoded with Root %x", got.Root)
+		t.Fatalf("unauthenticated frame decoded with Root %x", got.Root)
 	}
-	if !reflect.DeepEqual(got, rootless) {
-		t.Fatalf("legacy round-trip mismatch:\n got %+v\nwant %+v", got, rootless)
+	if !reflect.DeepEqual(got, unauth) {
+		t.Fatalf("unauthenticated round-trip mismatch:\n got %+v\nwant %+v", got, unauth)
 	}
 }
 
@@ -76,7 +75,7 @@ func TestRecordRootEncodeRejectsBadLength(t *testing.T) {
 }
 
 // TestRecordRootTruncatedIsCorrupt: a checksum-valid payload whose root
-// section is cut short is corruption, not a legacy record.
+// section is cut short is corruption, not an unauthenticated record.
 func TestRecordRootTruncatedIsCorrupt(t *testing.T) {
 	frame, err := AppendFrame(nil, rootedRecord(5))
 	if err != nil {

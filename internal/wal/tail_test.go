@@ -2,18 +2,16 @@ package wal
 
 // The shipping-read contract: Tail/Replay bounded by the watermark and
 // safe under concurrent Append/TruncateThrough, truncation typed as
-// ErrTruncated, housekeeping failures that must not poison the writer,
-// and the cross-process Reader. The two regression tests at the top pin
-// the bugs a live tailer flushed out of the PR-7 code: an unbounded
-// frame slice (panic on a short read) and a truncate failure bricking
-// Append.
+// ErrTruncated, and housekeeping failures that must not poison the
+// writer. The two regression tests at the top pin the bugs a live tailer
+// flushed out of the PR-7 code: an unbounded frame slice (panic on a
+// short read) and a truncate failure bricking Append.
 
 import (
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,6 +154,31 @@ func TestTailWatermark(t *testing.T) {
 	}
 }
 
+// TestAppendUntailedAllocatesNothing: the watermark's wake-up channel
+// exists only once Synced has handed it out, so an acknowledged Append on
+// a log nobody tails — every UpdateMaster on a leader without followers —
+// allocates nothing, under either policy that acknowledges inside Append.
+func TestAppendUntailedAllocatesNothing(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncNever, SyncAlways} {
+		l, err := Open(t.TempDir(), Options{Sync: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := testRecord(1)
+		rec.Epoch = 0
+		allocs := testing.AllocsPerRun(50, func() {
+			rec.Epoch++
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		l.Close()
+		if allocs != 0 {
+			t.Errorf("fsync %s: %v allocs per untailed Append, want 0", p, allocs)
+		}
+	}
+}
+
 // TestTailTruncatedIsTyped: asking for epochs behind a truncation is the
 // recoverable ErrTruncated, not corruption.
 func TestTailTruncatedIsTyped(t *testing.T) {
@@ -267,124 +290,6 @@ func TestReplayTailConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestOpenReaderTailsLiveDirectory: the cross-process reader follows a
-// directory another Log is actively writing and truncating, delivering
-// one contiguous lineage.
-func TestOpenReaderTailsLiveDirectory(t *testing.T) {
-	const last = 200
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	r, err := OpenReader(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for e := uint64(1); e <= last; e++ {
-			if err := l.Append(testRecord(e)); err != nil {
-				t.Errorf("append %d: %v", e, err)
-				return
-			}
-			if e%50 == 0 {
-				if err := l.TruncateThrough(e - 40); err != nil {
-					t.Errorf("truncate: %v", err)
-					return
-				}
-			}
-		}
-	}()
-
-	pos := uint64(0)
-	deadline := time.Now().Add(10 * time.Second)
-	for pos < last {
-		if time.Now().After(deadline) {
-			t.Fatalf("reader stuck at epoch %d", pos)
-		}
-		_, err := r.ReplayFrom(pos, func(rec Record) error {
-			if rec.Epoch != pos+1 {
-				return fmt.Errorf("reader gap: got %d at pos %d", rec.Epoch, pos)
-			}
-			pos++
-			return nil
-		})
-		if err != nil {
-			var te *TruncatedError
-			if errors.As(err, &te) && te.First > pos {
-				pos = te.First - 1
-				continue
-			}
-			t.Fatalf("reader at %d: %v", pos, err)
-		}
-	}
-	<-done
-}
-
-// TestOpenReaderToleratesTornTail: garbage past the last complete frame
-// of the newest segment is an in-flight write from the reader's point of
-// view — stop cleanly, no error. The same garbage mid-log is corruption.
-func TestOpenReaderToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, 1, 10)
-	l.Close()
-	seg := lastSegment(t, dir)
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xDE, 0xAD, 0xBE})
-	f.Close()
-
-	r, err := OpenReader(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := r.ReplayFrom(0, func(Record) error { return nil })
-	if err != nil || n != 10 {
-		t.Fatalf("reader over torn tail: %d records, err %v; want 10, nil", n, err)
-	}
-}
-
-func TestOpenReaderMidLogCorruptionIsTyped(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, 1, 40)
-	l.Close()
-	names, _ := filepath.Glob(filepath.Join(dir, "*"+segmentSuffix))
-	if len(names) < 2 {
-		t.Fatalf("want ≥2 segments, have %d", len(names))
-	}
-	b, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(names[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenReader(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.ReplayFrom(0, func(Record) error { return nil })
-	if !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("mid-log corruption: want ErrWALCorrupt, got %v", err)
-	}
 }
 
 // TestFrameStreamRoundTrip: the exported wire codec matches the on-disk

@@ -180,7 +180,7 @@ type Log struct {
 	last       uint64        // last epoch in the log (valid when haveAny)
 	synced     uint64        // shipping watermark: newest acknowledged epoch
 	syncedSize int64         // bytes of the active segment covered by the watermark
-	syncCh     chan struct{} // closed and replaced when the watermark advances
+	syncCh     chan struct{} // handed out by Synced; closed and cleared when the watermark advances
 	dirty      bool          // active segment has unsynced writes
 	torn       int64         // bytes truncated at Open
 	encBuf     []byte
@@ -216,7 +216,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
 
-	l := &Log{dir: dir, opts: opts, syncCh: make(chan struct{})}
+	l := &Log{dir: dir, opts: opts}
 	prevLast := uint64(0)
 	havePrev := false
 	for i := range segs {
@@ -384,6 +384,13 @@ func (l *Log) Tail(after uint64, fn func(Record) error) (int, error) {
 func (l *Log) Synced() (uint64, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Made on demand: an append on a log nobody tails allocates nothing.
+	if l.syncCh == nil {
+		l.syncCh = make(chan struct{})
+		if l.closed {
+			close(l.syncCh) // the watermark will never advance again
+		}
+	}
 	return l.synced, l.syncCh
 }
 
@@ -629,8 +636,10 @@ func (l *Log) advanceWatermarkLocked() {
 	}
 	l.synced = l.last
 	l.syncedSize = size
-	close(l.syncCh)
-	l.syncCh = make(chan struct{})
+	if l.syncCh != nil {
+		close(l.syncCh)
+		l.syncCh = nil
+	}
 }
 
 func (l *Log) syncLoop() {
@@ -738,7 +747,9 @@ func (l *Log) Close() error {
 	}
 	// Wake Synced waiters and leave the channel closed: the watermark will
 	// never advance again, so a waiter must not block on a closed log.
-	close(l.syncCh)
+	if l.syncCh != nil {
+		close(l.syncCh)
+	}
 	return firstErr
 }
 
