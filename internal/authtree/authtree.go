@@ -4,8 +4,8 @@
 // per epoch — O(delta · depth) hashing, never a rebuild — exactly the way
 // it already maintains postings.
 //
-// Layout. The tree is a collapsed binary trie over 64-bit tuple keys,
-// most-significant bit first. A key is the content-pure FNV chain the
+// The tree that is committed. A collapsed binary trie over 64-bit tuple
+// keys, most-significant bit first. A key is the content-pure FNV chain the
 // sharded master already routes on (relation.HashSeed folded with
 // relation.HashValue over every cell), so the trie's shape — and therefore
 // the root — is a pure function of the tuple multiset: independent of
@@ -20,17 +20,27 @@
 //     sha256 over the injective canonical tuple encoding; the 64-bit key
 //     only places the leaf in the trie.
 //   - inner: an internal node whose subtree holds ≥ 2 distinct keys; its
-//     children split on the next key bit. Chains of one-child inner nodes
-//     are what "collapsed" forbids below a leaf but requires along shared
-//     key prefixes, and removal restores the canonical form (an inner node
-//     left with a single leaf child becomes that leaf).
+//     children split on the next key bit, one-armed along a prefix all its
+//     keys share. A subtree of one key is always a leaf, at whatever depth
+//     it became alone.
 //
 // Hashing is domain separated: leafHash = H(0x00 ‖ key ‖ n ‖ entries),
-// innerHash = H(0x01 ‖ left ‖ right). Nodes are immutable and hashed once
-// at construction; an update copies the O(depth) spine and shares every
-// untouched subtree with the previous epoch, so retaining a snapshot ring
-// of authenticated epochs costs O(delta · depth) nodes per epoch, not a
-// tree per epoch.
+// innerHash = H(0x01 ‖ left ‖ right).
+//
+// The tree that is stored. Only the top of that trie exists as nodes. A
+// subtree of at most pageMax tuples (or of one key, however many tuples
+// carry it) is a PAGE: its tuples' (key, vhash) pairs as one sorted run, 40
+// bytes a tuple, under the one hash of the subtree they spell. The leaves
+// and inner nodes inside a page are not kept; hashRun re-derives their
+// hashes from the run whenever the page is built or a proof descends into
+// it. Nodes are immutable: an update copies one page and the O(depth) spine
+// of inner nodes above it — splitting a page that outgrew pageMax, folding
+// an inner node whose two pages shrank to pageMin back into one — and
+// shares every untouched subtree with the previous epoch, so retaining a
+// snapshot ring of authenticated epochs costs O(delta · depth) nodes per
+// epoch, not a tree per epoch. Where pages begin is a storage decision and
+// depends on the history of updates; every root and every proof is that of
+// the committed trie and does not.
 //
 // An inclusion proof for a tuple is its leaf's entry list plus the sibling
 // hashes along the spine; Prove emits one and VerifyInclusion checks it
@@ -39,11 +49,13 @@
 package authtree
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"runtime"
 	"slices"
+	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/relation"
@@ -110,47 +122,129 @@ type Entry struct {
 	Count uint64
 }
 
-// node is an immutable tree node; exactly one of the two forms is
-// populated. entries != nil ⇒ leaf (key, entries); otherwise inner
-// (left/right, either possibly nil = empty subtree).
-type node struct {
-	hash    Hash
-	key     uint64
-	entries []Entry
-	left    *node
-	right   *node
+// hashedTuple is a tuple as the trie sees it: where it goes and what it
+// commits to.
+type hashedTuple struct {
+	key   uint64
+	vhash Hash
 }
 
-func leafHash(key uint64, entries []Entry) Hash {
-	h := sha256.New()
-	var buf [13]byte
-	buf[0] = tagLeaf
-	binary.LittleEndian.PutUint64(buf[1:9], key)
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(entries)))
-	h.Write(buf[:])
-	var eb [8]byte
-	for _, e := range entries {
-		h.Write(e.VHash[:])
-		binary.LittleEndian.PutUint64(eb[:], e.Count)
-		h.Write(eb[:])
+func compareHashed(a, b hashedTuple) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return bytes.Compare(a.vhash[:], b.vhash[:])
+}
+
+// pageMax is the most tuples a page of more than one key holds, pageMin the
+// size two sibling pages fold back into one at. Measured on 100k tuples
+// (BenchmarkAuthBuild's live-B/tuple), on BenchmarkProofGen and on
+// BenchmarkApplyDeltaAuth/Dm=60000 (the bytes one Insert and one Remove
+// allocate), against a node per leaf and per inner node of the committed trie:
+//
+//	pageMax   live B/tuple   Prove    Insert + Remove
+//	nodes     241            1.8 µs   3.2 KB
+//	8          70            2.8 µs   3.0 KB
+//	16         56            5.0 µs   4.5 KB
+//	32         49            16 µs    —
+//
+// From 8 to 16 a page saves 14 B a tuple and makes every proof re-hash twice
+// as much and every update copy half as much again; 8 already takes the tree
+// from most of an authenticated master's overhead to a fraction of it.
+// Folding at half of pageMax keeps a page that hovers around the boundary
+// from splitting and folding on alternate updates.
+const (
+	pageMax = 8
+	pageMin = pageMax / 2
+)
+
+// node is an immutable stored node, a page or an inner node: run != nil ⇒
+// the page of run's tuples, sorted by (key, vhash); otherwise an inner node
+// over left/right (either possibly nil = empty subtree). hash is that of the
+// committed subtree either way.
+type node struct {
+	hash  Hash
+	run   []hashedTuple
+	left  *node
+	right *node
+}
+
+// nodeBytes is a node in its allocation size class, tupleBytes one tuple of
+// a page's run.
+const nodeBytes, tupleBytes = 80, 40
+
+func leafHash(key uint64, entries []Entry) Hash {
+	var stack [13 + 4*40]byte // no allocation for the leaves real data has
+	buf := stack[:0]
+	if n := 13 + 40*len(entries); n > len(stack) {
+		buf = make([]byte, 0, n)
+	}
+	buf = append(buf, tagLeaf)
+	buf = binary.LittleEndian.AppendUint64(buf, key)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	for _, e := range entries {
+		buf = append(buf, e.VHash[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, e.Count)
+	}
+	return sha256.Sum256(buf)
 }
 
 func innerHash(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagInner})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	var buf [65]byte
+	buf[0] = tagInner
+	copy(buf[1:], left[:])
+	copy(buf[33:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
-func newLeaf(key uint64, entries []Entry) *node {
-	return &node{hash: leafHash(key, entries), key: key, entries: entries}
+// oneKey reports whether a non-empty sorted run holds a single key: the run
+// of a leaf.
+func oneKey(run []hashedTuple) bool { return run[0].key == run[len(run)-1].key }
+
+// splitRun returns where bit depth of the keys of a sorted run, which agree
+// on the bits above it, turns from 0 to 1: run[:i] is the left child's run,
+// run[i:] the right's.
+func splitRun(run []hashedTuple, depth int) int {
+	return sort.Search(len(run), func(i int) bool { return bit(run[i].key, depth) == 1 })
+}
+
+// countEntries folds a vhash-sorted run of one key into its leaf entries,
+// appended to entries.
+func countEntries(run []hashedTuple, entries []Entry) []Entry {
+	for _, h := range run {
+		if n := len(entries); n > 0 && entries[n-1].VHash == h.vhash {
+			entries[n-1].Count++
+		} else {
+			entries = append(entries, Entry{VHash: h.vhash, Count: 1})
+		}
+	}
+	return entries
+}
+
+// hashRun returns the hash of the committed subtree at depth over a sorted
+// run whose keys share their first depth bits: zero for an empty run, a leaf
+// for a single key (however many tuples carry it), otherwise an inner node
+// over the two halves the depth's bit splits the run into — one-armed when
+// all keys fall on one side. It is the definition of the committed trie;
+// assemble and the update paths only decide how much of it to store.
+func hashRun(run []hashedTuple, depth int) Hash {
+	switch {
+	case len(run) == 0:
+		return Hash{}
+	case oneKey(run):
+		var stack [4]Entry
+		return leafHash(run[0].key, countEntries(run, stack[:0]))
+	}
+	mid := splitRun(run, depth)
+	return innerHash(hashRun(run[:mid], depth+1), hashRun(run[mid:], depth+1))
+}
+
+// isPage reports whether a non-empty run is stored as one page.
+func isPage(run []hashedTuple) bool { return len(run) <= pageMax || oneKey(run) }
+
+// newPage stores run, which the page keeps, as the subtree at depth.
+func newPage(run []hashedTuple, depth int) *node {
+	return &node{hash: hashRun(run, depth), run: run}
 }
 
 func newInner(left, right *node) *node {
@@ -172,8 +266,9 @@ func bit(key uint64, d int) uint64 { return (key >> (Depth - 1 - d)) & 1 }
 // nil) is the empty tree. Updates return new trees sharing all untouched
 // nodes; a Tree is safe for concurrent readers once published.
 type Tree struct {
-	root *node
-	size int
+	root  *node
+	size  int
+	nodes int // stored nodes, pages and inner: kept by Build, Insert and Remove
 }
 
 // New returns an empty tree.
@@ -183,10 +278,10 @@ func New() *Tree { return &Tree{} }
 // construction, of arena loads (recovery and follower bootstrap recompute
 // the root and verify it) and of lineages that turn authentication on. It
 // is one pass, not n inserts: the tuples are hashed in parallel, the
-// (key, vhash) pairs sorted, and the canonical trie assembled bottom-up
-// from the sorted run, so every node is hashed exactly once and no
-// intermediate node is ever allocated. Insert and Remove remain the delta
-// path, and the oracle this is tested against.
+// (key, vhash) pairs sorted, and the pages and the inner nodes above them
+// assembled bottom-up from the sorted run, so every hash is computed exactly
+// once and no intermediate node is ever allocated. Insert and Remove remain
+// the delta path, and the oracle this is tested against.
 func Build(rel *relation.Relation) *Tree {
 	return BuildFunc(rel.Len(), func(i int, _ relation.Tuple) relation.Tuple { return rel.Tuple(i) })
 }
@@ -211,13 +306,6 @@ func BuildFunc(n int, tuple func(i int, buf relation.Tuple) relation.Tuple) *Tre
 	return buildHashed(hashed)
 }
 
-// hashedTuple is a tuple as the trie sees it: where it goes and what it
-// commits to.
-type hashedTuple struct {
-	key   uint64
-	vhash Hash
-}
-
 // parallelKeys is the subtree size below which bottom-up assembly stays on
 // one goroutine: a subtree of a few thousand keys is well under a
 // millisecond of hashing.
@@ -230,12 +318,7 @@ const parallelKeys = 4096
 // children. Runs of parallelKeys or more under a common prefix are
 // assembled in parallel, the few levels above them serially.
 func buildHashed(hashed []hashedTuple) *Tree {
-	slices.SortFunc(hashed, func(a, b hashedTuple) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return compareHash(a.vhash, b.vhash)
-	})
+	slices.SortFunc(hashed, compareHashed)
 	// cut is the depth whose 2^cut prefixes are built as parallel jobs.
 	cut := 0
 	for len(hashed)>>cut >= parallelKeys && cut < 16 {
@@ -252,7 +335,8 @@ func buildHashed(hashed []hashedTuple) *Tree {
 			return assemble(hashed[lo:hi], cut, 0, nil), nil
 		})
 	}
-	return &Tree{root: assemble(hashed, 0, cut, subs), size: len(hashed)}
+	root := assemble(hashed, 0, cut, subs)
+	return &Tree{root: root, size: len(hashed), nodes: countNodes(root)}
 }
 
 func firstKeyAtOrAbove(run []hashedTuple, key uint64) int {
@@ -260,42 +344,31 @@ func firstKeyAtOrAbove(run []hashedTuple, key uint64) int {
 	return i
 }
 
-// assemble returns the canonical subtree at depth over a sorted run whose
-// keys share their first depth bits: nothing for an empty run, a leaf for a
-// single key (however many tuples carry it), otherwise an inner node over
-// the two halves the depth's bit splits the run into — one-armed when all
-// keys fall on one side, exactly the spine split and collapse maintain.
-// With subs given, the subtrees at depth cut are taken from it by prefix.
+// assemble stores the subtree at depth over a sorted run whose keys share
+// their first depth bits: nothing for an empty run, a page for a run small
+// enough to be one, otherwise an inner node over the two halves the depth's
+// bit splits the run into. A page gets a copy of its stretch of the run: a
+// page that aliased the caller's array would keep all of it alive for as long
+// as it is the last one no update has replaced. With subs given, the
+// subtrees at depth cut are taken from it by prefix.
 func assemble(run []hashedTuple, depth, cut int, subs []*node) *node {
 	switch {
 	case len(run) == 0:
 		return nil
-	case run[0].key == run[len(run)-1].key:
-		return newLeaf(run[0].key, countEntries(run))
+	case isPage(run):
+		return newPage(slices.Clone(run), depth)
 	case subs != nil && depth == cut:
 		return subs[run[0].key>>(Depth-cut)]
 	}
-	mid := firstKeyAtOrAbove(run, run[0].key>>(Depth-depth)<<(Depth-depth)|1<<(Depth-1-depth))
+	mid := splitRun(run, depth)
 	return newInner(assemble(run[:mid], depth+1, cut, subs), assemble(run[mid:], depth+1, cut, subs))
 }
 
-// countEntries folds a vhash-sorted run of one key into its leaf entries.
-func countEntries(run []hashedTuple) []Entry {
-	distinct := 1
-	for i := 1; i < len(run); i++ {
-		if run[i].vhash != run[i-1].vhash {
-			distinct++
-		}
+func countNodes(n *node) int {
+	if n == nil {
+		return 0
 	}
-	entries := make([]Entry, 0, distinct)
-	for _, h := range run {
-		if n := len(entries); n > 0 && entries[n-1].VHash == h.vhash {
-			entries[n-1].Count++
-		} else {
-			entries = append(entries, Entry{VHash: h.vhash, Count: 1})
-		}
-	}
-	return entries
+	return 1 + countNodes(n.left) + countNodes(n.right)
 }
 
 // Root returns the 32-byte commitment to the whole multiset.
@@ -314,6 +387,16 @@ func (tr *Tree) Len() int {
 	return tr.size
 }
 
+// Bytes returns what the tree's nodes and page runs occupy, from counters
+// Build, Insert and Remove keep (allocator rounding of the runs aside).
+// Trees of one lineage share most of it.
+func (tr *Tree) Bytes() int64 {
+	if tr == nil {
+		return 0
+	}
+	return int64(tr.nodes)*nodeBytes + int64(tr.size)*tupleBytes
+}
+
 // Insert returns a tree additionally committing one tuple. The receiver
 // is unchanged.
 func (tr *Tree) Insert(t relation.Tuple) *Tree {
@@ -321,159 +404,116 @@ func (tr *Tree) Insert(t relation.Tuple) *Tree {
 }
 
 func (tr *Tree) insertHashed(key uint64, vh Hash) *Tree {
-	size := 0
-	var root *node
+	nt := &Tree{}
 	if tr != nil {
-		size, root = tr.size, tr.root
+		*nt = *tr
 	}
-	return &Tree{root: insert(root, key, vh, 0), size: size + 1}
+	nt.root = nt.insert(nt.root, hashedTuple{key, vh}, 0)
+	nt.size++
+	return nt
 }
 
-func insert(n *node, key uint64, vh Hash, depth int) *node {
-	if n == nil {
-		return newLeaf(key, []Entry{{VHash: vh, Count: 1}})
-	}
-	if n.entries != nil { // leaf
-		if n.key == key {
-			return newLeaf(key, addEntry(n.entries, vh))
+// insert returns the subtree n at depth with h added: the spine down to h's
+// page copied, the page rewritten — as inner nodes over smaller pages when
+// it outgrew pageMax. tr is the tree being derived; it counts the nodes.
+func (tr *Tree) insert(n *node, h hashedTuple, depth int) *node {
+	switch {
+	case n == nil:
+		tr.nodes++
+		return newPage([]hashedTuple{h}, depth)
+	case n.run != nil:
+		i, _ := slices.BinarySearchFunc(n.run, h, compareHashed)
+		run := make([]hashedTuple, len(n.run)+1)
+		copy(run, n.run[:i])
+		run[i] = h
+		copy(run[i+1:], n.run[i:])
+		if isPage(run) {
+			return newPage(run, depth)
 		}
-		// Distinct keys sharing a prefix: descend until they diverge,
-		// building the (possibly one-armed) inner spine top-down.
-		return split(n, newLeaf(key, []Entry{{VHash: vh, Count: 1}}), depth)
+		sub := assemble(run, depth, 0, nil)
+		tr.nodes += countNodes(sub) - 1
+		return sub
+	case bit(h.key, depth) == 0:
+		return newInner(tr.insert(n.left, h, depth+1), n.right)
+	default:
+		return newInner(n.left, tr.insert(n.right, h, depth+1))
 	}
-	if bit(key, depth) == 0 {
-		return newInner(insert(n.left, key, vh, depth+1), n.right)
-	}
-	return newInner(n.left, insert(n.right, key, vh, depth+1))
-}
-
-// split joins two leaves with distinct keys into the inner spine that
-// separates them, starting at depth.
-func split(a, b *node, depth int) *node {
-	if bit(a.key, depth) != bit(b.key, depth) {
-		if bit(a.key, depth) == 0 {
-			return newInner(a, b)
-		}
-		return newInner(b, a)
-	}
-	child := split(a, b, depth+1)
-	if bit(a.key, depth) == 0 {
-		return newInner(child, nil)
-	}
-	return newInner(nil, child)
-}
-
-// addEntry returns a copy of entries with vh's count incremented, keeping
-// the vhash order that makes the commitment canonical.
-func addEntry(entries []Entry, vh Hash) []Entry {
-	out := make([]Entry, 0, len(entries)+1)
-	inserted := false
-	for _, e := range entries {
-		if !inserted {
-			switch compareHash(vh, e.VHash) {
-			case 0:
-				out = append(out, Entry{VHash: vh, Count: e.Count + 1})
-				inserted = true
-				continue
-			case -1:
-				out = append(out, Entry{VHash: vh, Count: 1})
-				inserted = true
-			}
-		}
-		out = append(out, e)
-	}
-	if !inserted {
-		out = append(out, Entry{VHash: vh, Count: 1})
-	}
-	return out
 }
 
 // Remove returns a tree with one instance of the tuple removed, or false
 // when the tuple is not committed (which callers treat as a broken
 // tree-mirrors-relation invariant). The receiver is unchanged.
 func (tr *Tree) Remove(t relation.Tuple) (*Tree, bool) {
-	if tr == nil || tr.root == nil {
-		return tr, false
-	}
-	root, ok := remove(tr.root, Key(t), Sum(t), 0)
-	if !ok {
-		return tr, false
-	}
-	return &Tree{root: root, size: tr.size - 1}, true
+	return tr.removeHashed(Key(t), Sum(t))
 }
 
-func remove(n *node, key uint64, vh Hash, depth int) (*node, bool) {
-	if n == nil {
-		return nil, false
+func (tr *Tree) removeHashed(key uint64, vh Hash) (*Tree, bool) {
+	if tr == nil {
+		return tr, false
 	}
-	if n.entries != nil { // leaf
-		if n.key != key {
+	nt := *tr
+	var ok bool
+	if nt.root, ok = nt.remove(tr.root, hashedTuple{key, vh}, 0); !ok {
+		return tr, false
+	}
+	nt.size--
+	return &nt, true
+}
+
+// remove is insert's inverse; false, with nothing counted, when h is not
+// in the subtree.
+func (tr *Tree) remove(n *node, h hashedTuple, depth int) (*node, bool) {
+	switch {
+	case n == nil:
+		return nil, false
+	case n.run != nil:
+		i, found := slices.BinarySearchFunc(n.run, h, compareHashed)
+		if !found {
 			return nil, false
 		}
-		entries, ok := dropEntry(n.entries, vh)
-		if !ok {
-			return nil, false
-		}
-		if len(entries) == 0 {
+		if len(n.run) == 1 {
+			tr.nodes--
 			return nil, true
 		}
-		return newLeaf(key, entries), true
+		return newPage(append(append(make([]hashedTuple, 0, len(n.run)-1), n.run[:i]...), n.run[i+1:]...), depth), true
 	}
-	if bit(key, depth) == 0 {
-		child, ok := remove(n.left, key, vh, depth+1)
-		if !ok {
-			return nil, false
-		}
-		return collapse(child, n.right), true
+	left, right := n.left, n.right
+	var ok bool
+	if bit(h.key, depth) == 0 {
+		left, ok = tr.remove(left, h, depth+1)
+	} else {
+		right, ok = tr.remove(right, h, depth+1)
 	}
-	child, ok := remove(n.right, key, vh, depth+1)
 	if !ok {
 		return nil, false
 	}
-	return collapse(n.left, child), true
+	return tr.join(left, right, depth), true
 }
 
-// collapse restores the canonical form after a removal: an inner node
-// whose only child is a leaf becomes that leaf (the one-armed spine above
-// a lone key disappears); with two live children, or a lone inner child
-// (≥ 2 keys below, still a genuine branch point), the node stays.
-func collapse(left, right *node) *node {
-	if left == nil && right == nil {
-		return nil
-	}
-	if right == nil && left.entries != nil {
-		return left
-	}
-	if left == nil && right.entries != nil {
-		return right
+// join stores the subtree at depth over the children a removal left: one
+// page when both are pages (or absent) holding pageMin tuples or fewer
+// between them — or a single key, which the committed trie makes a leaf at
+// the depth it became alone, never an inner node over one — and an inner
+// node otherwise.
+func (tr *Tree) join(left, right *node, depth int) *node {
+	if (left == nil || left.run != nil) && (right == nil || right.run != nil) {
+		switch {
+		case left == nil && right == nil:
+			tr.nodes--
+			return nil
+		case right == nil || left == nil:
+			only := left
+			if left == nil {
+				only = right
+			}
+			if len(only.run) <= pageMin || oneKey(only.run) {
+				tr.nodes--
+				return newPage(only.run, depth)
+			}
+		case len(left.run)+len(right.run) <= pageMin:
+			tr.nodes -= 2
+			return newPage(append(append(make([]hashedTuple, 0, len(left.run)+len(right.run)), left.run...), right.run...), depth)
+		}
 	}
 	return newInner(left, right)
-}
-
-// dropEntry returns a copy of entries with one count of vh removed, or
-// false when vh is absent.
-func dropEntry(entries []Entry, vh Hash) ([]Entry, bool) {
-	for i, e := range entries {
-		if e.VHash == vh {
-			out := make([]Entry, 0, len(entries))
-			out = append(out, entries[:i]...)
-			if e.Count > 1 {
-				out = append(out, Entry{VHash: vh, Count: e.Count - 1})
-			}
-			return append(out, entries[i+1:]...), true
-		}
-	}
-	return nil, false
-}
-
-func compareHash(a, b Hash) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -124,54 +125,62 @@ func TestRemoveAbsent(t *testing.T) {
 func TestKeyCollision(t *testing.T) {
 	const key = uint64(0xdeadbeefcafef00d)
 	va, vb := Hash{1}, Hash{2}
-	tr := New().insertHashed(key, va).insertHashed(key, vb).insertHashed(key, va)
+	tr := New().insertHashed(key, vb).insertHashed(key, va).insertHashed(key, va)
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
-	leaf := tr.root
-	if leaf.entries == nil {
-		t.Fatal("collided keys did not share a leaf")
+	if tr.root.run == nil || len(tr.root.run) != 3 {
+		t.Fatal("collided keys did not share a page")
 	}
-	if len(leaf.entries) != 2 || leaf.entries[0].Count != 2 || leaf.entries[1].Count != 1 {
-		t.Fatalf("leaf entries = %+v, want counts 2,1 sorted by vhash", leaf.entries)
+	p, ok := tr.proveHashed(key, vb)
+	if !ok || len(p.Siblings) != 0 || !reflect.DeepEqual(p.Entries, []Entry{{va, 2}, {vb, 1}}) {
+		t.Fatalf("proof = %+v (%v), want a leaf at the root with counts 2,1 sorted by vhash", p, ok)
+	}
+	if want := oldLeafHash(key, p.Entries); tr.Root() != want {
+		t.Fatalf("root %v, want the leaf hash %v", tr.Root(), want)
 	}
 	// Removing one copy must leave the other provable under the new root.
-	root, ok := remove(tr.root, key, va, 0)
+	tr, ok = tr.removeHashed(key, va)
 	if !ok {
 		t.Fatal("remove of committed vhash failed")
 	}
-	if len(root.entries) != 2 || root.entries[0].Count != 1 {
-		t.Fatalf("after remove: entries = %+v", root.entries)
+	p, ok = tr.proveHashed(key, va)
+	if !ok || !reflect.DeepEqual(p.Entries, []Entry{{va, 1}, {vb, 1}}) || tr.Root() != oldLeafHash(key, p.Entries) {
+		t.Fatalf("after remove: proof = %+v (%v)", p, ok)
 	}
 }
 
-// TestDeepSpine drives two keys that differ only in their lowest bit down
-// the full 64-level spine, then checks removal collapses it back.
+// TestDeepSpine commits two keys that differ only in their lowest bit: the
+// committed trie runs down the full 64-level spine — inside one page, which
+// stores none of it — and removal collapses it back to a leaf at the root.
 func TestDeepSpine(t *testing.T) {
 	ka, kb := uint64(0), uint64(1)
 	tr := New().insertHashed(ka, Hash{1}).insertHashed(kb, Hash{2})
-	depth := 0
-	for n := tr.root; n.entries == nil; n = n.left {
-		if bit(ka, depth) == 1 {
-			t.Fatalf("test key routes right at depth %d", depth)
-		}
-		depth++
-		if depth > Depth {
-			t.Fatal("spine exceeds key width")
+	if tr.nodes != 1 {
+		t.Fatalf("two tuples stored in %d nodes, want one page", tr.nodes)
+	}
+	want := oldInsert(oldInsert(nil, ka, Hash{1}, 0), kb, Hash{2}, 0)
+	if tr.Root() != want.hash {
+		t.Fatalf("root %v, the node tree's %v", tr.Root(), want.hash)
+	}
+	p, ok := tr.proveHashed(ka, Hash{1})
+	if !ok || len(p.Siblings) != Depth {
+		t.Fatalf("proof of %d siblings (%v), want the leaf at depth %d", len(p.Siblings), ok, Depth)
+	}
+	for d, sib := range p.Siblings[:Depth-1] {
+		if sib != (Hash{}) {
+			t.Fatalf("sibling at depth %d is %v, want the empty subtree", d, sib)
 		}
 	}
-	if depth != Depth {
-		t.Fatalf("leaf depth = %d, want %d", depth, Depth)
+	if wp, _ := oldProve(want, ka, Hash{1}); !reflect.DeepEqual(p, wp) {
+		t.Fatalf("proof %+v, the node tree's %+v", p, wp)
 	}
-	root, ok := remove(tr.root, kb, Hash{2}, 0)
+	tr, ok = tr.removeHashed(kb, Hash{2})
 	if !ok {
 		t.Fatal("remove failed")
 	}
-	if root.entries == nil || root.key != ka {
+	if tr.Root() != oldLeafHash(ka, []Entry{{VHash: Hash{1}, Count: 1}}) {
 		t.Fatal("spine did not collapse to the surviving leaf")
-	}
-	if root.hash != newLeaf(ka, []Entry{{VHash: Hash{1}, Count: 1}}).hash {
-		t.Fatal("collapsed leaf hash differs from a fresh leaf")
 	}
 }
 
@@ -281,58 +290,140 @@ func TestHashHexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCOWSharing: updating a tree must not disturb previously captured
-// epochs — the property the snapshot ring depends on.
+// sameProof reports whether two proofs are equal field for field, a nil
+// slice distinct from an empty one — that is, whether they are the same JSON.
+func sameProof(a, b *Proof) bool {
+	return a.Key == b.Key && slices.Equal(a.Entries, b.Entries) && slices.Equal(a.Siblings, b.Siblings) &&
+		(a.Entries == nil) == (b.Entries == nil) && (a.Siblings == nil) == (b.Siblings == nil)
+}
+
+// proofsOf proves every tuple under tr's root and checks each proof.
+func proofsOf(t *testing.T, ctx string, tr *Tree, tuples []relation.Tuple) []*Proof {
+	t.Helper()
+	proofs := make([]*Proof, len(tuples))
+	for i, tu := range tuples {
+		p, ok := tr.Prove(tu)
+		if !ok {
+			t.Fatalf("%s: tuple %d not provable", ctx, i)
+		}
+		if err := VerifyInclusion(tr.Root(), tu, p); err != nil {
+			t.Fatalf("%s: tuple %d: %v", ctx, i, err)
+		}
+		proofs[i] = p
+	}
+	return proofs
+}
+
+// TestCOWSharing: deriving a tree must not disturb the one it was derived
+// from — the property the snapshot ring depends on. Updates rewrite a page
+// and copy a spine; a parent's pages are shared with its children, so a child
+// that wrote into one in place would change what the parent proves, and two
+// children of one parent would see each other's tuples.
 func TestCOWSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := New()
-	var roots []Hash
-	var trees []*Tree
-	var live [][]relation.Tuple
-	var cur []relation.Tuple
-	for e := 0; e < 20; e++ {
-		tu := randTuple(rng)
-		tr = tr.Insert(tu)
-		cur = append(cur, tu)
-		trees = append(trees, tr)
-		roots = append(roots, tr.Root())
-		live = append(live, append([]relation.Tuple(nil), cur...))
+	tuples := make([]relation.Tuple, 300)
+	for i := range tuples {
+		tuples[i] = randTuple(rng)
+		tuples[i][1] = relation.Int(int64(i / 2)) // pairs of equal keys now and then
 	}
-	for e := range trees {
-		if trees[e].Root() != roots[e] {
-			t.Fatalf("epoch %d root changed after later inserts", e)
-		}
-		for _, tu := range live[e] {
-			p, ok := trees[e].Prove(tu)
-			if !ok || VerifyInclusion(roots[e], tu, p) != nil {
-				t.Fatalf("epoch %d: retained tree lost a tuple", e)
+	parent := Build(mustRel(t, tuples))
+	root, proofs := parent.Root(), proofsOf(t, "parent", parent, tuples)
+
+	// Two children edit the same pages of one parent: a removes what b
+	// keeps, both insert into the neighbourhood of the same tuples.
+	a, b := parent, parent
+	var aLive, bLive []relation.Tuple
+	for i, tu := range tuples {
+		extra := tu.Clone()
+		extra[1] = relation.Int(int64(1000 + i))
+		var ok bool
+		switch i % 3 {
+		case 0:
+			if a, ok = a.Remove(tu); !ok {
+				t.Fatalf("child a: tuple %d not committed", i)
 			}
+			bLive = append(bLive, tu)
+		case 1:
+			if b, ok = b.Remove(tu); !ok {
+				t.Fatalf("child b: tuple %d not committed", i)
+			}
+			a = a.Insert(extra)
+			aLive = append(aLive, tu, extra)
+		default:
+			b = b.Insert(extra)
+			aLive, bLive = append(aLive, tu), append(bLive, tu, extra)
 		}
+	}
+	if parent.Root() != root || !reflect.DeepEqual(proofsOf(t, "parent after its children", parent, tuples), proofs) {
+		t.Fatal("deriving children changed what the parent proves")
+	}
+	for _, c := range []struct {
+		name string
+		tr   *Tree
+		live []relation.Tuple
+	}{{"child a", a, aLive}, {"child b", b, bLive}} {
+		if want := Build(mustRel(t, c.live)); c.tr.Root() != want.Root() || c.tr.Len() != len(c.live) {
+			t.Fatalf("%s commits %d tuples under %v, a build of its own tuples %d under %v",
+				c.name, c.tr.Len(), c.tr.Root(), want.Len(), want.Root())
+		}
+		proofsOf(t, c.name, c.tr, c.live)
+		checkStored(t, c.name, c.tr)
 	}
 }
 
-// sameTree compares two tries node by node: form, key, entries and hash.
-func sameTree(a, b *node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.hash != b.hash || a.key != b.key || len(a.entries) != len(b.entries) || (a.entries == nil) != (b.entries == nil) {
-		return false
-	}
-	for i := range a.entries {
-		if a.entries[i] != b.entries[i] {
-			return false
+// checkStored holds the stored tree to its form: every page a sorted run
+// small enough to be one and hashed as the subtree it spells at its depth,
+// every inner node over at least two keys that share its prefix, and the
+// counters what a walk counts.
+func checkStored(t *testing.T, ctx string, tr *Tree) {
+	t.Helper()
+	nodes := 0
+	// walk returns the subtree's smallest and largest key and its tuple count.
+	var walk func(n *node, depth int) (lo, hi uint64, size int)
+	walk = func(n *node, depth int) (lo, hi uint64, size int) {
+		nodes++
+		if n.run != nil {
+			if len(n.run) == 0 || !isPage(n.run) || !slices.IsSortedFunc(n.run, compareHashed) || n.hash != hashRun(n.run, depth) {
+				t.Fatalf("%s: depth %d: page of %d tuples out of form", ctx, depth, len(n.run))
+			}
+			lo, hi, size = n.run[0].key, n.run[len(n.run)-1].key, len(n.run)
+		} else {
+			lo, hi = ^uint64(0), 0
+			for side, c := range []*node{n.left, n.right} {
+				if c == nil {
+					continue
+				}
+				clo, chi, csize := walk(c, depth+1)
+				if bit(clo, depth) != uint64(side) || bit(chi, depth) != uint64(side) {
+					t.Fatalf("%s: depth %d: keys %#x..%#x under child %d", ctx, depth, clo, chi, side)
+				}
+				lo, hi, size = min(lo, clo), max(hi, chi), size+csize
+			}
+			if lo >= hi || n.hash != oldInnerHash(hashOf(n.left), hashOf(n.right)) {
+				t.Fatalf("%s: depth %d: inner node over keys %#x..%#x out of form", ctx, depth, lo, hi)
+			}
 		}
+		if depth > 0 && lo>>(Depth-depth) != hi>>(Depth-depth) {
+			t.Fatalf("%s: depth %d: keys %#x and %#x under one prefix", ctx, depth, lo, hi)
+		}
+		return lo, hi, size
 	}
-	return sameTree(a.left, b.left) && sameTree(a.right, b.right)
+	size := 0
+	if tr.root != nil {
+		_, _, size = walk(tr.root, 0)
+	}
+	if size != tr.size || nodes != tr.nodes {
+		t.Fatalf("%s: counted %d tuples in %d nodes, the tree says %d in %d", ctx, size, nodes, tr.size, tr.nodes)
+	}
 }
 
 // TestBuildEqualsIncremental holds the one-pass build to the Insert chain it
-// replaced: over random multisets — duplicates, forced equal keys with
-// different contents, keys sharing all but their lowest bits, everything
-// crowded under one of the prefixes the parallel assembly cuts at — both
-// produce the same trie node for node, hence the same root, and the same
-// proof for every committed tuple, at every GOMAXPROCS.
+// replaced and both to the node tree: over random multisets — duplicates,
+// forced equal keys with different contents, keys sharing all but their
+// lowest bits, everything crowded under one of the prefixes the parallel
+// assembly cuts at — all three commit to the same root and emit the same
+// proof for every committed tuple, at every GOMAXPROCS. Where the two paged
+// trees cut their pages may differ; what they commit to may not.
 func TestBuildEqualsIncremental(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct {
@@ -369,23 +460,26 @@ func TestBuildEqualsIncremental(t *testing.T) {
 				hashed[i].vhash = Hash{byte(rng.Intn(3)), byte(hashed[i].key)}
 			}
 			chain := New()
+			var old *oldNode
 			for _, h := range hashed {
 				chain = chain.insertHashed(h.key, h.vhash)
+				old = oldInsert(old, h.key, h.vhash, 0)
 			}
 			built := buildHashed(append([]hashedTuple(nil), hashed...))
 			ctx := fmt.Sprintf("GOMAXPROCS %d, %s", procs, shape.name)
-			if built.Len() != chain.Len() || built.Root() != chain.Root() {
-				t.Fatalf("%s: build commits %d tuples under %v, insert chain %d under %v",
-					ctx, built.Len(), built.Root(), chain.Len(), chain.Root())
+			if built.Len() != chain.Len() || built.Root() != chain.Root() || built.Root() != oldHashOf(old) {
+				t.Fatalf("%s: build commits %d tuples under %v, insert chain %d under %v, node tree under %v",
+					ctx, built.Len(), built.Root(), chain.Len(), chain.Root(), oldHashOf(old))
 			}
-			if !sameTree(built.root, chain.root) {
-				t.Fatalf("%s: equal roots over different tries", ctx)
-			}
+			checkStored(t, ctx+" built", built)
+			checkStored(t, ctx+" chain", chain)
 			for _, h := range hashed {
 				got, ok := built.proveHashed(h.key, h.vhash)
-				want, wok := chain.proveHashed(h.key, h.vhash)
-				if !ok || !wok || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: proofs of key %#x differ: %+v (%v) vs %+v (%v)", ctx, h.key, got, ok, want, wok)
+				inc, iok := chain.proveHashed(h.key, h.vhash)
+				want, wok := oldProve(old, h.key, h.vhash)
+				if !ok || !iok || !wok || !sameProof(got, want) || !sameProof(inc, want) {
+					t.Fatalf("%s: proofs of key %#x differ: built %+v (%v), chain %+v (%v), node tree %+v (%v)",
+						ctx, h.key, got, ok, inc, iok, want, wok)
 				}
 			}
 		}
@@ -400,8 +494,104 @@ func TestBuildEqualsIncremental(t *testing.T) {
 			}
 			chain = chain.Insert(tuples[i])
 		}
-		if built := Build(mustRel(t, tuples)); !sameTree(built.root, chain.root) || built.Len() != chain.Len() {
+		if built := Build(mustRel(t, tuples)); built.Root() != chain.Root() || built.Len() != chain.Len() {
 			t.Fatalf("GOMAXPROCS %d: Build over tuples differs from the insert chain", procs)
 		}
+	}
+}
+
+// TestUpdateProgram runs 20,000 random inserts and removes — duplicate
+// tuples, contents forced onto a live tuple's key, keys a few low bits away
+// from a live one, so pages split, fold and hold more than pageMax tuples of
+// one key — and every 64th step holds the tree to a build from scratch and to
+// the node tree maintained beside it: same root, every live tuple's proof
+// field for field the node tree's and verifying under VerifyInclusion, nothing
+// provable or removable that is not committed.
+func TestUpdateProgram(t *testing.T) {
+	type item struct {
+		hashedTuple
+		tuple relation.Tuple // nil for a forced (key, vhash)
+	}
+	rng := rand.New(rand.NewSource(20))
+	tr := New()
+	var old *oldNode
+	var live, gone []item
+	for step := 1; step <= 20_000; step++ {
+		grow := 7
+		if len(live) > 600 {
+			grow = 4
+		}
+		if len(live) == 0 || rng.Intn(10) < grow {
+			var it item
+			switch r := rng.Intn(16); {
+			case r == 0 && len(live) > 0: // a foreign content on a live key
+				it.hashedTuple = hashedTuple{live[rng.Intn(len(live))].key, Hash{byte(rng.Intn(40))}}
+			case r == 1 && len(live) > 0: // a neighbour down a deep spine
+				it.hashedTuple = hashedTuple{live[rng.Intn(len(live))].key ^ uint64(1+rng.Intn(7)), Hash{byte(rng.Intn(3))}}
+			default:
+				it.tuple = randTuple(rng)
+				if r < 12 {
+					it.tuple[1] = relation.Int(int64(rng.Intn(5000)))
+				}
+				it.hashedTuple = hashedTuple{Key(it.tuple), Sum(it.tuple)}
+			}
+			tr = tr.insertHashed(it.key, it.vhash)
+			old = oldInsert(old, it.key, it.vhash, 0)
+			live = append(live, it)
+		} else {
+			i := rng.Intn(len(live))
+			it := live[i]
+			var ok, wok bool
+			if tr, ok = tr.removeHashed(it.key, it.vhash); !ok {
+				t.Fatalf("step %d: live tuple not removable", step)
+			}
+			if old, wok = oldRemove(old, it.key, it.vhash, 0); !wok {
+				t.Fatalf("step %d: live tuple not removable from the node tree", step)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			gone = append(gone, it)
+		}
+		if step%64 != 0 {
+			continue
+		}
+		ctx := fmt.Sprintf("step %d", step)
+		hashed := make([]hashedTuple, len(live))
+		counts := make(map[hashedTuple]int, len(live))
+		for i, it := range live {
+			hashed[i] = it.hashedTuple
+			counts[it.hashedTuple]++
+		}
+		if built := buildHashed(hashed); tr.Len() != len(live) || tr.Root() != built.Root() || tr.Root() != oldHashOf(old) {
+			t.Fatalf("%s: %d tuples under %v, a build under %v, the node tree under %v", ctx, tr.Len(), tr.Root(), built.Root(), oldHashOf(old))
+		}
+		checkStored(t, ctx, tr)
+		for _, it := range live {
+			got, ok := tr.proveHashed(it.key, it.vhash)
+			want, wok := oldProve(old, it.key, it.vhash)
+			if !ok || !wok {
+				t.Fatalf("%s: live key %#x not provable (%v, node tree %v)", ctx, it.key, ok, wok)
+			}
+			if !sameProof(got, want) {
+				t.Fatalf("%s: proof of key %#x\n%+v\nthe node tree's\n%+v", ctx, it.key, got, want)
+			}
+			if it.tuple != nil {
+				if err := VerifyInclusion(tr.Root(), it.tuple, got); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			}
+		}
+		for _, it := range gone {
+			if counts[it.hashedTuple] > 0 {
+				continue // committed again since, or still held in another copy
+			}
+			if _, ok := tr.proveHashed(it.key, it.vhash); ok {
+				t.Fatalf("%s: removed key %#x still provable", ctx, it.key)
+			}
+			if same, ok := tr.removeHashed(it.key, it.vhash); ok || same != tr || tr.Root() != oldHashOf(old) {
+				t.Fatalf("%s: removing an absent tuple returned (%p, %v) on %p", ctx, same, ok, tr)
+			}
+		}
+		gone = gone[:0]
 	}
 }

@@ -74,7 +74,8 @@ func BenchmarkProofVerify(b *testing.B) {
 
 // BenchmarkAuthBuild measures the from-scratch commitment of a 100k-tuple
 // relation — what first boot, recovery and follower bootstrap pay — with
-// GOMAXPROCS pinned to 1 and to 2.
+// GOMAXPROCS pinned to 1 and to 2, and what the built tree keeps: live-B/tuple
+// is the heap a tree holds after a collection, nodes and page runs together.
 func BenchmarkAuthBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	tuples := make([]relation.Tuple, 100_000)
@@ -93,11 +94,22 @@ func BenchmarkAuthBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
+			var tr *Tree
 			for i := 0; i < b.N; i++ {
-				if tr := Build(rel); tr.Len() != len(tuples) {
+				if tr = Build(rel); tr.Len() != len(tuples) {
 					b.Fatal("short tree")
 				}
 			}
+			b.StopTimer()
+			var with, without runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&with)
+			counted := tr.Bytes()
+			tr = nil
+			runtime.GC()
+			runtime.ReadMemStats(&without)
+			b.ReportMetric(float64(with.HeapAlloc-without.HeapAlloc)/float64(len(tuples)), "live-B/tuple")
+			b.ReportMetric(float64(counted)/float64(len(tuples)), "counted-B/tuple")
 		})
 	}
 }

@@ -1,10 +1,13 @@
 package authtree
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/relation"
 )
@@ -30,7 +33,13 @@ type Proof struct {
 
 // MarshalJSON renders a hash as a 64-char hex string.
 func (h Hash) MarshalJSON() ([]byte, error) {
-	return json.Marshal(hex.EncodeToString(h[:]))
+	return h.appendJSON(make([]byte, 0, 2*len(h)+2)), nil
+}
+
+// appendJSON appends the quoted hex form: hex digits need no escaping, so
+// there is no string to build and nothing for a JSON encoder to do.
+func (h Hash) appendJSON(b []byte) []byte {
+	return append(hex.AppendEncode(append(b, '"'), h[:]), '"')
 }
 
 // UnmarshalJSON parses the hex form; anything but exactly 32 bytes fails.
@@ -69,10 +78,9 @@ func (h *Hash) parse(s string) error {
 
 // MarshalJSON keeps entry counts compact: {"h": hex, "n": count}.
 func (e Entry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		H Hash   `json:"h"`
-		N uint64 `json:"n"`
-	}{e.VHash, e.Count})
+	b := append(make([]byte, 0, 2*len(e.VHash)+32), `{"h":`...)
+	b = append(e.VHash.appendJSON(b), `,"n":`...)
+	return append(strconv.AppendUint(b, e.Count, 10), '}'), nil
 }
 
 // UnmarshalJSON parses the compact entry form.
@@ -95,38 +103,38 @@ func (tr *Tree) Prove(t relation.Tuple) (*Proof, bool) {
 }
 
 func (tr *Tree) proveHashed(key uint64, vh Hash) (*Proof, bool) {
-	if tr == nil || tr.root == nil {
+	if tr == nil {
 		return nil, false
 	}
-	var siblings []Hash
+	// The spine is collected on the stack and copied once, at its length.
+	var siblings [Depth]Hash
+	depth := 0
 	n := tr.root
-	for depth := 0; n != nil && n.entries == nil; depth++ {
+	for ; n != nil && n.run == nil; depth++ {
 		if bit(key, depth) == 0 {
-			siblings = append(siblings, hashOf(n.right))
-			n = n.left
+			siblings[depth], n = hashOf(n.right), n.left
 		} else {
-			siblings = append(siblings, hashOf(n.left))
-			n = n.right
+			siblings[depth], n = hashOf(n.left), n.right
 		}
 	}
-	if n == nil || n.key != key {
+	if n == nil {
 		return nil, false
 	}
-	found := false
-	for _, e := range n.entries {
-		if e.VHash == vh {
-			found = true
-			break
+	// Inside the page the spine goes on through nodes nobody stores: each
+	// sibling is the hash of the half of the run the key is not in.
+	run := n.run
+	for ; len(run) > 0 && !oneKey(run); depth++ {
+		mid := splitRun(run, depth)
+		if bit(key, depth) == 0 {
+			siblings[depth], run = hashRun(run[mid:], depth+1), run[:mid]
+		} else {
+			siblings[depth], run = hashRun(run[:mid], depth+1), run[mid:]
 		}
 	}
-	if !found {
+	if _, found := slices.BinarySearchFunc(run, hashedTuple{key, vh}, compareHashed); !found {
 		return nil, false
 	}
-	return &Proof{
-		Key:      key,
-		Entries:  append([]Entry(nil), n.entries...),
-		Siblings: siblings,
-	}, true
+	return &Proof{Key: key, Entries: countEntries(run, nil), Siblings: append([]Hash(nil), siblings[:depth]...)}, true
 }
 
 // VerifyInclusion checks that root commits the tuple, given only the
@@ -150,7 +158,7 @@ func VerifyInclusion(root Hash, t relation.Tuple, p *Proof) error {
 		if e.Count == 0 {
 			return fmt.Errorf("%w: zero-count entry", ErrBadProof)
 		}
-		if i > 0 && compareHash(p.Entries[i-1].VHash, e.VHash) >= 0 {
+		if i > 0 && bytes.Compare(p.Entries[i-1].VHash[:], e.VHash[:]) >= 0 {
 			return fmt.Errorf("%w: entries out of order", ErrBadProof)
 		}
 	}

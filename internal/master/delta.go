@@ -28,23 +28,27 @@ package master
 // since distinct structures share no maps.
 //
 // Cost per delta: the delta. Per op and structure, one trie path into the
-// shard's overlay and one fresh id list; per added tuple, one id row; per
-// touched 64-element chunk of the row headers and of each rule's bitmap,
-// one chunk copy; per interned value, one trie path. What still scales with
-// |Dm| is the chunk tables (8 bytes per 64 tuples, and per 4096 per rule)
-// and, amortized, the compaction of a shard whose overlay outgrew its table.
-// TestApplyDeltaAllocScaling holds the same delta at |Dm| = 60k to 3× the
-// bytes it allocates at 6k; the ApplyDelta benchmarks record the rest.
+// shard's overlay, one chunk of the key's id list (≤ maxChunk ids) and the
+// list's chunk table (overlay.go); per added tuple, one id row; per touched
+// 64-element chunk of the row headers and of each rule's bitmap, one chunk
+// copy; per interned value, one trie path. What still scales with |Dm| is the
+// chunk tables (8 bytes per 64 tuples, per 4096 per rule, 24 per 96 or so ids
+// of an edited list) and, amortized, the compaction of a shard whose overlay
+// outgrew its table. TestApplyDeltaAllocScaling holds the same delta at
+// |Dm| = 60k to 1.6× the bytes it allocates at 6k; the ApplyDelta benchmarks
+// record the rest.
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/parallel"
+	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 	"repro/internal/wal"
@@ -53,16 +57,16 @@ import (
 // fork derives the next snapshot's view of a compatibility plan: the
 // pattern bitmap shares its chunks with the parent's, grown to the given
 // word count (deltas change |Dm|, so the new snapshot may need more words
-// than the old), and the posting pointers are remapped to the forked
-// postings.
-func (cp *compatPlan) fork(remap map[*postings]*postings, words int) *compatPlan {
+// than the old), and the posting pointers are remapped from the parent's
+// postings to the forked ones at the same positions.
+func (cp *compatPlan) fork(from, to []*postings, words int) *compatPlan {
 	bits := cp.patBits.Clone()
 	for bits.Len() < words {
 		bits.Append(0)
 	}
 	posts := make([]*postings, len(cp.posts))
 	for i, ps := range cp.posts {
-		posts[i] = remap[ps]
+		posts[i] = to[slices.Index(from, ps)]
 	}
 	return &compatPlan{patBits: bits, patCount: cp.patCount, posts: posts}
 }
@@ -144,27 +148,23 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		arena: d.arena,
 	}
 	nd.hasher = relation.NewHasher(nd.syms)
-	remapIdx := make(map[*index]*index, len(d.indexes))
+	// A forked structure sits where its parent's did: a handful of
+	// structures, found by scanning.
 	nd.indexes = make([]*index, len(d.indexes))
 	for i, idx := range d.indexes {
-		ni := idx.fork()
-		nd.indexes[i] = ni
-		remapIdx[idx] = ni
+		nd.indexes[i] = idx.fork()
 	}
 	nd.plans = make(map[*rule.Rule]*index, len(d.plans))
 	for ru, idx := range d.plans {
-		nd.plans[ru] = remapIdx[idx]
+		nd.plans[ru] = nd.indexes[slices.Index(d.indexes, idx)]
 	}
-	remapPost := make(map[*postings]*postings, len(d.postings))
 	nd.postings = make([]*postings, len(d.postings))
 	for i, ps := range d.postings {
-		np := ps.fork()
-		nd.postings[i] = np
-		remapPost[ps] = np
+		nd.postings[i] = ps.fork()
 	}
 	nd.compat = make(map[*rule.Rule]*compatPlan, len(d.compat))
 	for ru, cp := range d.compat {
-		nd.compat[ru] = cp.fork(remapPost, words)
+		nd.compat[ru] = cp.fork(d.postings, nd.postings, words)
 	}
 
 	// Plan: queue every op; update bitmaps and intern added values inline
@@ -211,12 +211,14 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// the exception tables exact.
 
 	// Apply: structures share no maps, so a large delta fans them out
-	// across CPUs.
+	// across CPUs. One batch for all of them: the overlay nodes this delta
+	// makes are its own until it returns.
+	batch := new(persist.Edit)
 	apply := func(k int) (struct{}, error) {
 		if k < len(nd.indexes) {
-			nd.applyIndexOps(nd.indexes[k], ops)
+			nd.applyIndexOps(nd.indexes[k], ops, batch)
 		} else {
-			nd.applyPostingOps(nd.postings[k-len(nd.indexes)], ops)
+			nd.applyPostingOps(nd.postings[k-len(nd.indexes)], ops, batch)
 		}
 		return struct{}{}, nil
 	}
@@ -250,49 +252,37 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 // appends, so bucket ids are final by then; a delete from a listed bucket may
 // have removed the disagreement, so the bucket is rescanned once the ops are
 // done; a rename keeps the bucket's tuple set and needs nothing.
-func (nd *Data) applyIndexOps(idx *index, ops []deltaOp) {
+func (nd *Data) applyIndexOps(idx *index, ops []deltaOp, batch *persist.Edit) {
 	var buf [8]uint64
 	rescan := buf[:0]
 	for _, op := range ops {
 		h := nd.hasher.HashRow(op.row, idx.xm)
 		sh := idx.shard(h)
-		bucket := sh.get(h)
+		bucket := sh.list(h)
 		switch {
 		case op.kind == opUnindex && sh.exc.mask(h) != 0:
 			rescan = append(rescan, h)
-		case op.kind == opAppend && len(bucket) > 0:
-			if m := idx.disagree(nd.rows.At(bucket[0]), op.row); m != 0 {
+		case op.kind == opAppend && bucket.len() > 0:
+			if m := idx.disagree(nd.rows.At(bucket.chunks()[0][0]), op.row); m != 0 {
 				sh.exc = sh.exc.with(h, sh.exc.mask(h)|m)
 			}
 		}
-		sh.set(h, editIDs(op, bucket))
+		sh.put(batch, h, editIDs(op, bucket))
 	}
 	for _, h := range rescan {
 		// The maintained mask never misses a disagreement, so it bounds the
 		// scan: a bucket that is still as dirty answers in a few tuples.
 		sh := idx.shard(h)
-		sh.exc = sh.exc.with(h, idx.bucketMask(sh.get(h), &nd.rows, sh.exc.mask(h)))
+		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), &nd.rows, sh.exc.mask(h)))
 	}
 }
 
 // applyPostingOps is applyIndexOps for one posting list.
-func (nd *Data) applyPostingOps(ps *postings, ops []deltaOp) {
+func (nd *Data) applyPostingOps(ps *postings, ops []deltaOp, batch *persist.Edit) {
 	for _, op := range ops {
 		vid := op.row[ps.col]
 		l := ps.shard(vid)
-		l.set(vid, editIDs(op, l.get(vid)))
-	}
-}
-
-// editIDs returns the id list a planned op leaves behind, freshly allocated.
-func editIDs[ID int | int32](op deltaOp, ids []ID) []ID {
-	switch op.kind {
-	case opUnindex:
-		return removeID(ids, ID(op.id))
-	case opRename:
-		return renameID(ids, ID(op.id), ID(op.to))
-	default:
-		return appendID(ids, ID(op.id))
+		l.put(batch, vid, editIDs(op, l.list(vid)))
 	}
 }
 
@@ -341,7 +331,8 @@ func (nd *Data) setBitsFor(row []uint32, id int) {
 // later, possibly in another process — can re-pin the exact epoch it
 // started on via At. Retention is cheap: delta-derived snapshots share
 // everything a delta did not touch, so a retained epoch costs the trie
-// paths, chunks and id lists its delta wrote, not a copy of Dm.
+// paths and the chunks — of rows, bitmaps and id lists — its delta wrote,
+// not a copy of Dm.
 type Versioned struct {
 	mu      sync.Mutex
 	cur     atomic.Pointer[Data]

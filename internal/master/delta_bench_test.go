@@ -9,7 +9,6 @@ package master
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/paperex"
@@ -64,45 +63,6 @@ func BenchmarkApplyDelta(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkApplyDeltaChain measures the storm's shape: one op is a chain of
-// 1,000 deltas of 8 adds and 2 deletes, each applied to the snapshot the
-// previous one produced, from a fresh |Dm| = 60k build. Unlike
-// BenchmarkApplyDelta, which always forks an empty overlay, the chain pays
-// for overlays as they fill (and for the compactions they trigger), for the
-// symbol table as it grows and for header and bitmap chunks as the tail
-// moves through them. us/delta and KB/delta are per delta of the chain.
-func BenchmarkApplyDeltaChain(b *testing.B) {
-	const n, chain = 60_000, 1_000
-	rel, sigma := benchMasterRelation(n)
-	d0 := MustNewForRules(rel, sigma, WithShards(1))
-	rng := rand.New(rand.NewSource(7))
-	adds := make([][]relation.Tuple, chain)
-	for i := range adds {
-		for j := 0; j < 8; j++ {
-			adds[i] = append(adds[i], benchMasterTuple(rng, n+8*i+j))
-		}
-	}
-	pinProcs(b, 1)
-	b.ReportAllocs()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur := d0
-		for _, a := range adds {
-			var err error
-			if cur, err = cur.ApplyDelta(a, []int{rng.Intn(cur.Len() - 1), cur.Len() - 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	deltas := float64(b.N) * chain
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/deltas, "us/delta")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/deltas/1024, "KB/delta")
 }
 
 // BenchmarkRebuild is the stop-the-world alternative ApplyDelta replaces:

@@ -27,6 +27,15 @@ import (
 // property tests, but returns the pieces needed to keep generating
 // tuples: the schemas and the value pool.
 func randomDeltaInstance(rng *rand.Rand) (*Data, *rule.Set, *relation.Schema, []string) {
+	return sizedDeltaInstance(rng, 0)
+}
+
+// sizedDeltaInstance is randomDeltaInstance over size master tuples, 2–11
+// when size is 0. The pool has four distinct values, so at 3,000 tuples every
+// column's posting lists and every bucket of a one-column index hold 500 or
+// 1,500 ids: lists of many chunks, where the default instance never fills
+// one.
+func sizedDeltaInstance(rng *rand.Rand, size int) (*Data, *rule.Set, *relation.Schema, []string) {
 	nR := 3 + rng.Intn(3)
 	nM := 3 + rng.Intn(3)
 	rNames := make([]string, nR)
@@ -44,7 +53,10 @@ func randomDeltaInstance(rng *rand.Rand) (*Data, *rule.Set, *relation.Schema, []
 	// than half of Dm and deltas move them across the adaptive threshold.
 	vals := []string{"a", "a", "a", "b", "c", "d"}
 	rel := relation.NewRelation(rm)
-	for i, n := 0, 2+rng.Intn(10); i < n; i++ {
+	if size == 0 {
+		size = 2 + rng.Intn(10)
+	}
+	for i := 0; i < size; i++ {
 		rel.MustAppend(randomMasterTuple(rng, nM, vals))
 	}
 
@@ -392,10 +404,160 @@ func TestSnapshotBranching(t *testing.T) {
 	probers.Wait()
 }
 
+// overlayChunks reports, over every overlay entry of d, how many hold more
+// than one chunk and how many chunks a delta wrote short of maxChunk.
+func overlayChunks(d *Data) (multi, short int) {
+	count := func(tab [][]int, tab32 [][]int32) {
+		if len(tab)+len(tab32) > 1 {
+			multi++
+		}
+		for _, c := range tab {
+			if len(c) < maxChunk {
+				short++
+			}
+		}
+		for _, c := range tab32 {
+			if len(c) < maxChunk {
+				short++
+			}
+		}
+	}
+	for _, idx := range d.indexes {
+		for s := range idx.shards {
+			for _, tab := range idx.shards[s].over.All() {
+				count(tab, nil)
+			}
+		}
+	}
+	for _, ps := range d.postings {
+		for s := range ps.shards {
+			for _, tab := range ps.shards[s].over.All() {
+				count(nil, tab)
+			}
+		}
+	}
+	return multi, short
+}
+
+// TestLongListDeltaProperty is the delta-vs-rebuild property over id lists
+// of many chunks: 3,000 tuples on four values, deltas of up to 40 adds and 80
+// deletes drawn from a window of ids that slides from the front of the
+// relation — so the first chunks run dry and merge while swap-remove renames
+// carry the last chunk's ids into full ones, which split, and appends fill
+// the last chunk and start new ones (TestEditIDsModel counts those shapes one
+// by one). Every snapshot equals its shadow relation and the rebuild over it.
+func TestLongListDeltaProperty(t *testing.T) {
+	for seed := 0; seed < 2; seed++ {
+		rng := rand.New(rand.NewSource(int64(47_000_000 + seed)))
+		cur, sigma, rm, vals := sizedDeltaInstance(rng, 3_000)
+		cur.Authenticate()
+		shadow := tuplesOf(cur.Relation())
+		for step := 0; step < 12; step++ {
+			var adds []relation.Tuple
+			for i := rng.Intn(41); i > 0; i-- {
+				adds = append(adds, randomMasterTuple(rng, rm.Arity(), vals))
+			}
+			window := min(cur.Len(), 150+60*step)
+			deletes := rng.Perm(window)[:rng.Intn(min(window, 80)+1)]
+			if step%6 == 5 {
+				adds = nil // a net-shrinking delta: renames only
+			}
+			next, err := cur.ApplyDelta(adds, deletes)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			shadow = shadowApply(shadow, adds, deletes)
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			checkState(t, ctx, next, shadow)
+			checkEquiv(t, ctx, next, sigma)
+			cur = next
+		}
+		if multi, short := overlayChunks(cur); multi == 0 || short == 0 {
+			t.Fatalf("seed %d: %d overlay lists of several chunks, %d chunks written by deltas: the lists never left one chunk", seed, multi, short)
+		}
+		checkEquiv(t, fmt.Sprintf("seed %d reloaded", seed), loadArenaOrFatal(t, saveArenaBytes(t, cur, sigma), sigma), sigma)
+	}
+}
+
+// TestLongListBranching: two children of one parent edit the same long lists
+// at once, on their own goroutines — every tuple either adds lands on one of
+// four values, so both append to, rename within and unindex from the chunks
+// the parent and the other child are reading. Neither sees the other's ids
+// and the parent sees neither: each equals its own shadow relation and the
+// rebuild over it, and so does a grandchild of each. -race watches the shared
+// chunks and chunk tables.
+func TestLongListBranching(t *testing.T) {
+	rng := rand.New(rand.NewSource(48_000_001))
+	parent, sigma, rm, vals := sizedDeltaInstance(rng, 3_000)
+	// The parent is itself delta-derived, so its long lists are overlay
+	// entries — chunk tables its children share — not only frozen spans.
+	seedAdds := make([]relation.Tuple, 300)
+	for i := range seedAdds {
+		seedAdds[i] = randomMasterTuple(rng, rm.Arity(), vals)
+	}
+	parent, err := parent.ApplyDelta(seedAdds, rng.Perm(parent.Len())[:200])
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentShadow := tuplesOf(parent.Relation())
+
+	type branch struct {
+		adds    [2][]relation.Tuple
+		deletes [2][]int
+		d       [2]*Data
+	}
+	var kids [2]branch
+	for c := range kids {
+		for g := range kids[c].adds {
+			for i := 0; i < 60+30*c; i++ {
+				kids[c].adds[g] = append(kids[c].adds[g], randomMasterTuple(rng, rm.Arity(), vals))
+			}
+			kids[c].deletes[g] = rng.Perm(parent.Len() - 100)[:50+20*c]
+		}
+	}
+	var wg sync.WaitGroup
+	for c := range kids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cur := parent
+			for g := range kids[c].adds {
+				next, err := cur.ApplyDelta(kids[c].adds[g], kids[c].deletes[g])
+				if err != nil {
+					t.Errorf("child %d generation %d: %v", c, g, err)
+					return
+				}
+				kids[c].d[g], cur = next, next
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	checkState(t, "parent after its children", parent, parentShadow)
+	checkEquiv(t, "parent after its children", parent, sigma)
+	for c := range kids {
+		shadow := parentShadow
+		for g := range kids[c].adds {
+			shadow = shadowApply(shadow, kids[c].adds[g], kids[c].deletes[g])
+			ctx := fmt.Sprintf("child %d generation %d", c, g)
+			checkState(t, ctx, kids[c].d[g], shadow)
+			checkEquiv(t, ctx, kids[c].d[g], sigma)
+		}
+	}
+	if multi, _ := overlayChunks(kids[0].d[1]); multi == 0 {
+		t.Fatal("the children's lists never left one chunk")
+	}
+}
+
 // TestApplyDeltaAllocScaling pins "a delta costs the delta": the same
-// 10-op delta (8 adds, 2 deletes) allocates at |Dm| = 60k at most 3× the
-// bytes it allocates at 6k. What may still grow with |Dm| is the chunk
-// tables; copying the headers and bitmaps whole made it 9.5×.
+// 10-op delta (8 adds, 2 deletes) allocates at |Dm| = 60k at most 1.6× the
+// bytes it allocates at 6k (measured: 48 KB and 71 KB, 1.47×). What may still
+// grow with |Dm| is the chunk tables; copying the headers and bitmaps whole
+// made it 9.5×. This master's longest id list is ~70 ids; what a delta costs
+// on lists of thousands is TestStormHeapBudget's and
+// BenchmarkApplyDeltaChain/hosp's to hold.
 func TestApplyDeltaAllocScaling(t *testing.T) {
 	pinProcs(t, 1)
 	perDelta := func(n int) float64 {
@@ -420,7 +582,7 @@ func TestApplyDeltaAllocScaling(t *testing.T) {
 	}
 	small, large := perDelta(6_000), perDelta(60_000)
 	t.Logf("10-op delta: %.0f B at |Dm|=6k, %.0f B at 60k (%.2f×)", small, large, large/small)
-	if large > 3*small {
-		t.Fatalf("a 10-op delta allocates %.0f B at |Dm|=60k, %.1f× the %.0f B at 6k (bound 3×)", large, large/small, small)
+	if large > 1.6*small {
+		t.Fatalf("a 10-op delta allocates %.0f B at |Dm|=60k, %.2f× the %.0f B at 6k (bound 1.6×)", large, large/small, small)
 	}
 }

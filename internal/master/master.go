@@ -36,10 +36,10 @@
 //     verifying each candidate against the stored row (hash equality
 //     alone does not prove projection equality). They never consult the
 //     exception tables, return the bucket itself (no copy, no allocation)
-//     unless a collision has to be filtered out of it, and serve the
-//     callers that need the pairs themselves: Explore, ApplicablePairs,
-//     the naive oracles, and the tests that hold the value probes to a
-//     scan.
+//     unless a collision has to be filtered out of it or deltas have left
+//     it in several chunks, and serve the callers that need the pairs
+//     themselves: Explore, ApplicablePairs, the naive oracles, and the
+//     tests that hold the value probes to a scan.
 //
 // Beyond the full-key indexes, NewForRules builds the inverted-postings
 // layer of postings.go: per-column posting lists and per-rule
@@ -356,14 +356,19 @@ func rowMatches(row []uint32, xm []int, ids []uint32) bool {
 
 // verified is the enumerate-all step shared by MatchIDs and Lookup: check
 // every candidate of the key's bucket exactly once (hash equality alone does
-// not prove projection equality). The bucket itself comes back, ascending
-// and uncopied, unless a collision has to be filtered out of it (the cold
-// path: a fresh slice).
-func (d *Data) verified(bucket []int, xm []int, ids []uint32) []int {
-	for i, id := range bucket {
+// not prove projection equality). A bucket of one chunk — every bucket of a
+// frozen table — comes back itself, ascending and uncopied, unless a
+// collision has to be filtered out of it (the cold path: a fresh slice). A
+// bucket deltas have left in several chunks is flattened into a fresh slice:
+// that is the price of the enumerate-all probe of Explore and the naive
+// oracles on an edited long bucket, not of a fix — its value probes read the
+// smallest id and never enumerate.
+func (d *Data) verified(bucket *idList[int], xm []int, ids []uint32) []int {
+	flat := bucket.flat()
+	for i, id := range flat {
 		if !d.matches(id, xm, ids) {
-			out := append([]int(nil), bucket[:i]...)
-			for _, id := range bucket[i+1:] {
+			out := append([]int(nil), flat[:i]...)
+			for _, id := range flat[i+1:] {
 				if d.matches(id, xm, ids) {
 					out = append(out, id)
 				}
@@ -371,7 +376,7 @@ func (d *Data) verified(bucket []int, xm []int, ids []uint32) []int {
 			return out
 		}
 	}
-	return bucket
+	return flat
 }
 
 // scan is the unindexed fallback: the ids of all tuples carrying ids on xm.
@@ -399,7 +404,8 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 		return nil // some value occurs nowhere in the master
 	}
 	if idx := d.findIndex(xm); idx != nil {
-		return d.verified(idx.shard(h).get(h), idx.xm, ids)
+		bucket := idx.shard(h).list(h)
+		return d.verified(&bucket, idx.xm, ids)
 	}
 	return d.scan(xm, ids)
 }
@@ -429,7 +435,8 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 		return nil // some probe value occurs nowhere in the master
 	}
 	if idx := d.indexFor(ru); idx != nil {
-		return d.verified(idx.shard(h).get(h), idx.xm, ids)
+		bucket := idx.shard(h).list(h)
+		return d.verified(&bucket, idx.xm, ids)
 	}
 	return d.scan(ru.LHSMRef(), ids)
 }
@@ -463,13 +470,15 @@ func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
 		return -1, false
 	}
 	sh := idx.shard(h)
-	bucket := sh.get(h)
-	if len(bucket) > 1 && sh.exc.mask(h) != collided {
-		bucket = bucket[:1]
+	bucket := sh.list(h)
+	if sh.exc.mask(h) != collided {
+		bucket = bucket.head() // one projection in the bucket: its smallest id decides
 	}
-	for _, id := range bucket {
-		if d.matches(id, xm, ids) {
-			return id, true
+	for _, chunk := range bucket.chunks() {
+		for _, id := range chunk {
+			if d.matches(id, xm, ids) {
+				return id, true
+			}
 		}
 	}
 	return -1, false
@@ -522,14 +531,14 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	if !ok {
 		return nil, -1
 	}
-	var bucket []int
+	var bucket idList[int]
 	if idx := d.indexFor(ru); idx == nil {
-		bucket = d.scan(xm, ids)
+		bucket.span[0] = d.scan(xm, ids)
 	} else {
 		sh := idx.shard(h)
-		bucket = sh.get(h)
-		if bit := idx.rhsBit(bm); len(bucket) > 1 && bit != 0 && sh.exc.mask(h)&bit == 0 {
-			bucket = bucket[:1] // uniform on Xm and Bm: the smallest id speaks for all
+		bucket = sh.list(h)
+		if bit := idx.rhsBit(bm); bit != 0 && sh.exc.mask(h)&bit == 0 {
+			bucket = bucket.head() // uniform on Xm and Bm: the smallest id speaks for all
 		}
 	}
 	// Ids ascend, so the first match is the witness and a value's first
@@ -537,16 +546,18 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	// a consistent master and a handful otherwise: dedup is a linear scan.
 	var values []relation.Value
 	first := -1
-	for _, id := range bucket {
-		row := d.rows.At(id)
-		if !rowMatches(row, xm, ids) {
-			continue
-		}
-		if first < 0 {
-			first = id
-		}
-		if v := d.syms.Value(row[bm]); !slices.Contains(values, v) {
-			values = append(values, v)
+	for _, chunk := range bucket.chunks() {
+		for _, id := range chunk {
+			row := d.rows.At(id)
+			if !rowMatches(row, xm, ids) {
+				continue
+			}
+			if first < 0 {
+				first = id
+			}
+			if v := d.syms.Value(row[bm]); !slices.Contains(values, v) {
+				values = append(values, v)
+			}
 		}
 	}
 	return values, first

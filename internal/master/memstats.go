@@ -1,13 +1,16 @@
 package master
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // MemStats is a snapshot's memory accounting: where the bytes of the
 // master's cells and lookup structures live, split so the heap-vs-arena
 // tradeoff is observable in production (certainfixd exposes this on
 // /healthz), not just in benchmarks. Counts are logical (live keys and
 // ids); cell, index and posting bytes are the exact sizes of the id rows
-// and the frozen tables' backing arrays plus the overlay entries' payload.
+// and the frozen tables' backing arrays plus what the overlay entries own.
 type MemStats struct {
 	// Epoch and Tuples identify the snapshot.
 	Epoch  uint64 `json:"epoch"`
@@ -18,14 +21,17 @@ type MemStats struct {
 	// per tuple.
 	CellBytes int64 `json:"cell_bytes"`
 
-	// Symbols is the interning table the cells point into: distinct values
-	// and their string payload bytes (a counter kept as values are interned).
+	// Symbols is the interning table the cells point into: distinct values,
+	// and the bytes of their string payloads (a counter kept as values are
+	// interned), value headers and lookup slots.
 	Symbols     int   `json:"symbols"`
 	SymbolBytes int64 `json:"symbol_bytes"`
 
 	// IndexKeys/IndexIDs count hash-index bucket keys and bucket entries
-	// across all indexes (a key has one bucket, whatever Shards is); IndexBytes is the tables' slot and id
-	// arrays plus 16 bytes per overlay key and 8 per overlay id.
+	// across all indexes (a key has one bucket, whatever Shards is);
+	// IndexBytes is the tables' slot and id arrays plus, per overlay entry,
+	// its key, its chunk table and the chunks deltas wrote — a chunk that
+	// still aliases the table's span is the table's, counted once.
 	IndexKeys  int   `json:"index_keys"`
 	IndexIDs   int   `json:"index_ids"`
 	IndexBytes int64 `json:"index_bytes"`
@@ -37,8 +43,7 @@ type MemStats struct {
 	NonUniformBuckets int `json:"non_uniform_buckets"`
 
 	// PostingKeys/PostingIDs count posting-list keys and entries;
-	// PostingBytes is the tables' slot and id arrays plus 12 bytes per
-	// overlay key and 4 per overlay id.
+	// PostingBytes is IndexBytes for the posting lists, at 4 bytes an id.
 	PostingKeys  int   `json:"posting_keys"`
 	PostingIDs   int   `json:"posting_ids"`
 	PostingBytes int64 `json:"posting_bytes"`
@@ -58,9 +63,12 @@ type MemStats struct {
 
 	// Authenticated reports whether the snapshot carries a sparse-Merkle
 	// commitment (WithAuth lineages and flag-set arena images); Root is its
-	// hex form, empty when unauthenticated.
+	// hex form, empty when unauthenticated, and AuthBytes what the tree's
+	// pages and inner nodes occupy (a counter the tree keeps as it is built
+	// and updated).
 	Authenticated bool   `json:"authenticated"`
 	Root          string `json:"root,omitempty"`
+	AuthBytes     int64  `json:"auth_bytes"`
 }
 
 // MemStats walks the snapshot's structures and returns their accounting.
@@ -76,7 +84,7 @@ func (d *Data) MemStats() MemStats {
 		Shards:      d.nshards,
 		CellBytes:   int64(n) * (int64(unsafe.Sizeof([]uint32(nil))) + 4*int64(d.schema.Arity())),
 		Symbols:     d.syms.Len(),
-		SymbolBytes: d.syms.StringBytes(),
+		SymbolBytes: d.syms.Bytes(),
 	}
 	for _, idx := range d.indexes {
 		for s := range idx.shards {
@@ -100,20 +108,28 @@ func (d *Data) MemStats() MemStats {
 	if root, ok := d.AuthRoot(); ok {
 		ms.Authenticated = true
 		ms.Root = root.String()
+		ms.AuthBytes = d.auth.Bytes()
 	}
 	return ms
 }
 
 // addStats adds the pair's live key and id counts and its bytes: the table's
-// backing arrays plus each overlay entry's key, span word and ids.
+// backing arrays plus each overlay entry's key, chunk table and the chunks
+// that are not stretches of the key's frozen span — cut lays those at
+// multiples of maxChunk.
 func (l *layered[K, ID]) addStats(keys, ids *int, bytes *int64) {
-	l.each(func(_ K, v []ID) {
-		*keys++
-		*ids += len(v)
-	})
+	nkeys, nids := l.mergedSize()
+	*keys, *ids = *keys+nkeys, *ids+nids
 	idBytes := int64(unsafe.Sizeof(ID(0)))
 	*bytes += 8*int64(len(l.frozen.slots)) + idBytes*int64(len(l.frozen.ids))
-	for _, v := range l.over.All() {
-		*bytes += int64(unsafe.Sizeof(K(0))) + 8 + idBytes*int64(len(v))
+	for k, tab := range l.over.All() {
+		*bytes += 8 + int64(unsafe.Sizeof(tab)) + int64(cap(tab))*int64(unsafe.Sizeof(tab))
+		span := l.frozen.get(k)
+		for _, chunk := range tab {
+			i, found := slices.BinarySearch(span, chunk[0])
+			if !found || i%maxChunk != 0 || &span[i] != &chunk[0] {
+				*bytes += idBytes * int64(cap(chunk))
+			}
+		}
 	}
 }

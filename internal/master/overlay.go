@@ -1,39 +1,228 @@
 package master
 
-import "repro/internal/persist"
+import (
+	"slices"
+	"sort"
+
+	"repro/internal/persist"
+)
+
+// idList is an id list as it is read — a hash bucket, a posting list: the
+// ascending ids of one key, in ascending chunks. A list no delta has edited
+// since its table was built is span, one chunk: the frozen table's own
+// memory, heap or mmap, uncopied. An edited list is an overlay entry's chunk
+// table, which holds no empty chunk. The first id of the first chunk is the
+// list's smallest — bucket[0], the witness of a uniform bucket.
+type idList[ID int | int32] struct {
+	span  [1][]ID
+	table [][]ID // when non-nil, the list; span is unused
+}
+
+// chunks returns the list's chunks, for `for _, chunk := range l.chunks()`.
+func (l *idList[ID]) chunks() [][]ID {
+	if l.table != nil {
+		return l.table
+	}
+	return l.span[:]
+}
+
+func (l *idList[ID]) len() int {
+	n := 0
+	for _, chunk := range l.chunks() {
+		n += len(chunk)
+	}
+	return n
+}
+
+// head returns the list cut down to its smallest id (empty stays empty).
+func (l *idList[ID]) head() idList[ID] {
+	first := l.chunks()[0]
+	return idList[ID]{span: [1][]ID{first[:min(1, len(first))]}}
+}
+
+// flat returns the list as one slice: the chunk itself when there is one,
+// a fresh slice otherwise.
+func (l *idList[ID]) flat() []ID {
+	if cs := l.chunks(); len(cs) == 1 {
+		return cs[0]
+	}
+	return slices.Concat(l.chunks()...)
+}
+
+// maxChunk bounds a chunk an edit writes. An edit copies the chunk its id
+// lands in and the chunk table, so on a list of n ids it allocates about
+// w·maxChunk·3/4 + 24·n/(maxChunk·3/4) bytes at w bytes an id. Measured as the
+// KB a storm delta (8 adds, 2 deletes) allocates in all on an authenticated
+// HOSP master, whose mCode, mName and ST lists hold |Dm|/45 ids
+// (BenchmarkApplyDeltaChain/hosp, and the same chain at 100k):
+//
+//	maxChunk     |Dm| = 20k   |Dm| = 100k
+//	whole list   435          1,033
+//	32           204            296
+//	64           196            247
+//	128          196            241
+//	256          214            273
+//
+// Two neighbours merge when an unindex leaves them with maxChunk/2 ids or
+// fewer between them, so a list that shrinks does not keep a table of crumbs.
+const maxChunk = 128
+
+// cut returns ids as a fresh chunk table with room for room more chunks:
+// chunks of maxChunk ids that alias ids, copying nothing.
+func cut[ID int | int32](ids []ID, room int) [][]ID {
+	tab := make([][]ID, 0, (len(ids)+maxChunk-1)/maxChunk+room)
+	for ; len(ids) > maxChunk; ids = ids[maxChunk:] {
+		tab = append(tab, ids[:maxChunk:maxChunk])
+	}
+	if len(ids) > 0 {
+		tab = append(tab, ids)
+	}
+	return tab
+}
+
+// editIDs returns the chunk table a planned op leaves of l: a fresh table
+// that shares every chunk the op does not touch with l — a frozen span cut
+// into chunks where it lies — and holds a copy of the one it does. Ids stay
+// ascending, chunks non-empty.
+func editIDs[ID int | int32](op deltaOp, l idList[ID]) [][]ID {
+	// An op adds a chunk only by splitting a full one or by appending behind
+	// a full last one.
+	room := 0
+	if op.kind != opUnindex && slices.ContainsFunc(l.chunks(), func(chunk []ID) bool { return len(chunk) >= maxChunk }) {
+		room = 1
+	}
+	var tab [][]ID
+	if l.table != nil {
+		tab = append(make([][]ID, 0, len(l.table)+room), l.table...)
+	} else {
+		tab = cut(l.span[0], room)
+	}
+	switch op.kind {
+	case opUnindex:
+		return dropID(tab, ID(op.id))
+	case opRename:
+		// The swap-remove move: `from` re-inserted as `to`. A list of one
+		// chunk — most lists — moves in one copy; in a longer one `from`,
+		// the relation's largest id, sits in the last chunk and `to`
+		// rarely does.
+		if len(tab) == 1 {
+			tab[0] = moveID(tab[0], ID(op.id), ID(op.to))
+			return tab
+		}
+		return putID(dropID(tab, ID(op.id)), ID(op.to))
+	default:
+		return putID(tab, ID(op.id))
+	}
+}
+
+// moveID returns a copy of chunk with `from` re-inserted as `to` at its
+// ascending position (`to` must not already be present).
+func moveID[ID int | int32](chunk []ID, from, to ID) []ID {
+	out := make([]ID, 0, len(chunk))
+	placed := false
+	for _, x := range chunk {
+		if x == from {
+			continue
+		}
+		if !placed && x > to {
+			out, placed = append(out, to), true
+		}
+		out = append(out, x)
+	}
+	if !placed {
+		out = append(out, to)
+	}
+	return out
+}
+
+// dropID removes id from the chunk of tab holding it (tab unchanged when none
+// does): a copy of the chunk without it, merged with a neighbour when the two
+// are small.
+func dropID[ID int | int32](tab [][]ID, id ID) [][]ID {
+	c := sort.Search(len(tab), func(c int) bool { return tab[c][len(tab[c])-1] >= id })
+	if c == len(tab) {
+		return tab
+	}
+	i, found := slices.BinarySearch(tab[c], id)
+	if !found {
+		return tab
+	}
+	before, after := tab[c][:i], tab[c][i+1:]
+	switch n := len(before) + len(after); {
+	case n == 0:
+		return slices.Delete(tab, c, c+1)
+	case c+1 < len(tab) && n+len(tab[c+1]) <= maxChunk/2:
+		tab[c] = slices.Concat(before, after, tab[c+1])
+		return slices.Delete(tab, c+1, c+2)
+	case c > 0 && len(tab[c-1])+n <= maxChunk/2:
+		tab[c-1] = slices.Concat(tab[c-1], before, after)
+		return slices.Delete(tab, c, c+1)
+	}
+	tab[c] = slices.Concat(before, after)
+	return tab
+}
+
+// putID adds id, which the list does not hold, to the first chunk of tab
+// that ends above it, or the last: a copy of that chunk with id in place —
+// two halves of it when it was full, or a chunk of its own for an id appended
+// behind a full last chunk.
+func putID[ID int | int32](tab [][]ID, id ID) [][]ID {
+	c := sort.Search(len(tab), func(c int) bool { return tab[c][len(tab[c])-1] > id })
+	if c == len(tab) {
+		if c == 0 || len(tab[c-1]) >= maxChunk {
+			return append(tab, []ID{id})
+		}
+		c--
+	}
+	i, _ := slices.BinarySearch(tab[c], id)
+	chunk := slices.Concat(tab[c][:i], []ID{id}, tab[c][i:])
+	if len(chunk) <= maxChunk {
+		tab[c] = chunk
+		return tab
+	}
+	half := len(chunk) / 2
+	tab = slices.Insert(tab, c+1, chunk[half:])
+	tab[c] = chunk[:half:half]
+	return tab
+}
 
 // layered is the copy-on-write map shared by the hash indexes (uint64
 // projection hash → tuple ids) and the posting lists (interned value id →
 // tuple ids). It has two layers, both immutable values:
 //
-//	over   — this snapshot's delta overlay, a path-copying trie (a key
-//	         present here shadows the table below, including with an empty
-//	         slice);
+//	over   — this snapshot's delta overlay, a path-copying trie from a key
+//	         to its list's chunk table (a key present here shadows the table
+//	         below, including with an empty list);
 //	frozen — the canonical table (table.go), shared by every snapshot
 //	         derived since it was built, compacted or loaded.
 //
-// ApplyDelta forks every shard's pair by copying the struct: a set then
-// costs the trie path to its key, whatever the overlay holds. Once the
-// overlay has outgrown the table enough (fork), both compact into one table.
+// ApplyDelta forks every shard's pair by copying the struct: an edit then
+// costs the trie path to its key, one chunk and the chunk table, whatever
+// the overlay and the list hold. Once the overlay has outgrown the table
+// enough (fork), both compact into one table.
 type layered[K uint32 | uint64, ID int | int32] struct {
-	over   persist.Map[[]ID]
+	over   persist.Map[[][]ID]
 	frozen table[ID]
 }
 
-// get resolves k's id slice through the layers.
-func (l *layered[K, ID]) get(k K) []ID {
+// list resolves k's ids through the layers.
+func (l *layered[K, ID]) list(k K) idList[ID] {
 	if l.over.Len() > 0 {
-		if v, ok := l.over.Get(uint64(k)); ok {
-			return v
+		if tab, ok := l.over.Get(uint64(k)); ok {
+			if len(tab) == 0 {
+				return idList[ID]{} // a tombstone
+			}
+			return idList[ID]{table: tab}
 		}
 	}
-	return l.frozen.get(uint64(k))
+	return idList[ID]{span: [1][]ID{l.frozen.get(uint64(k))}}
 }
 
-// set shadows k's slice in this snapshot's overlay. The slice must be
-// freshly allocated (slices are shared across snapshots).
-func (l *layered[K, ID]) set(k K, v []ID) {
-	l.over = l.over.Set(uint64(k), v)
+// put shadows k's list in this snapshot's overlay with a chunk table no
+// other snapshot holds (its chunks may be shared), as part of the delta's
+// batch of edits.
+func (l *layered[K, ID]) put(batch *persist.Edit, k K, tab [][]ID) {
+	l.over = l.over.SetIn(batch, uint64(k), tab)
 }
 
 // fork derives the next snapshot's view: both layers shared — or compacted
@@ -48,34 +237,40 @@ func (l *layered[K, ID]) fork() layered[K, ID] {
 }
 
 // compact returns the canonical table of the merged view: the table as it
-// stands under an empty overlay, a rebuilt one otherwise.
+// stands under an empty overlay, otherwise a new one filled straight from the
+// lists, chunk by chunk, keys ascending — buildTableSorting's layout without
+// a (key, id) pair per id to sort.
 func (l *layered[K, ID]) compact() table[ID] {
 	if l.over.Len() == 0 {
 		return l.frozen
 	}
-	n := len(l.frozen.ids) // with the overlay's ids, an upper bound on the merged view
-	for _, v := range l.over.All() {
-		n += len(v)
-	}
-	keys, ids := make([]uint64, 0, n), make([]ID, 0, n)
-	l.each(func(k K, v []ID) {
-		for _, id := range v {
-			keys, ids = append(keys, uint64(k)), append(ids, id)
+	nkeys, nids := l.mergedSize()
+	keys := make([]uint64, 0, nkeys)
+	l.lists(func(k K, _ idList[ID]) { keys = append(keys, uint64(k)) })
+	slices.Sort(keys)
+	t := newTable[ID](nkeys, nids)
+	for _, k := range keys {
+		off := len(t.ids)
+		list := l.list(K(k))
+		for _, chunk := range list.chunks() {
+			t.ids = append(t.ids, chunk...)
 		}
-	})
-	return buildTable(keys, ids)
+		t.place(k, off, len(t.ids)-off)
+	}
+	return t
 }
 
 // mergedSize counts the keys and ids compact's table would hold without
 // building it: O(overlay), one table probe per overlay key.
 func (l *layered[K, ID]) mergedSize() (nkeys, nids int) {
 	nkeys, nids = l.frozen.nkeys, len(l.frozen.ids)
-	for k, v := range l.over.All() {
+	for k, tab := range l.over.All() {
 		if old := l.frozen.get(k); len(old) > 0 {
 			nkeys, nids = nkeys-1, nids-len(old)
 		}
-		if len(v) > 0 {
-			nkeys, nids = nkeys+1, nids+len(v)
+		if len(tab) > 0 {
+			list := idList[ID]{table: tab}
+			nkeys, nids = nkeys+1, nids+list.len()
 		}
 	}
 	return nkeys, nids
@@ -83,66 +278,21 @@ func (l *layered[K, ID]) mergedSize() (nkeys, nids int) {
 
 // size returns the total number of ids across all live keys.
 func (l *layered[K, ID]) size() int {
-	n := 0
-	l.each(func(_ K, v []ID) { n += len(v) })
-	return n
+	_, nids := l.mergedSize()
+	return nids
 }
 
-// each calls fn for every live (key, ids) pair resolved through the
+// lists calls fn for every live (key, list) pair resolved through the
 // layers, skipping tombstones. Order is unspecified.
-func (l *layered[K, ID]) each(fn func(k K, ids []ID)) {
+func (l *layered[K, ID]) lists(fn func(k K, list idList[ID])) {
 	l.frozen.each(func(k uint64, v []ID) {
 		if _, shadowed := l.over.Get(k); !shadowed {
-			fn(K(k), v)
+			fn(K(k), idList[ID]{span: [1][]ID{v}})
 		}
 	})
-	for k, v := range l.over.All() {
-		if len(v) > 0 {
-			fn(K(k), v)
+	for k, tab := range l.over.All() {
+		if len(tab) > 0 {
+			fn(K(k), idList[ID]{table: tab})
 		}
 	}
-}
-
-// The slice helpers always allocate: the slices are shared across
-// snapshots, so in-place mutation would corrupt siblings.
-
-// removeID returns s without id.
-func removeID[ID int | int32](s []ID, id ID) []ID {
-	out := make([]ID, 0, len(s)-1)
-	for _, x := range s {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// renameID returns s with `from` re-inserted as `to` at its ascending
-// position (the swap-remove move; `to` must not already be present).
-func renameID[ID int | int32](s []ID, from, to ID) []ID {
-	out := make([]ID, 0, len(s))
-	inserted := false
-	for _, x := range s {
-		if x == from {
-			continue
-		}
-		if !inserted && x > to {
-			out = append(out, to)
-			inserted = true
-		}
-		out = append(out, x)
-	}
-	if !inserted {
-		out = append(out, to)
-	}
-	return out
-}
-
-// appendID returns s with id appended (id must exceed every element, so
-// ascending order is preserved).
-func appendID[ID int | int32](s []ID, id ID) []ID {
-	out := make([]ID, len(s)+1)
-	copy(out, s)
-	out[len(s)] = id
-	return out
 }

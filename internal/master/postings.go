@@ -129,9 +129,12 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 				if !ok {
 					return false, false
 				}
-				for _, id := range idx.shard(h).get(h) {
-					if plan.has(id) && d.matches(id, xm, ids) {
-						return true, false
+				bucket := idx.shard(h).list(h)
+				for _, chunk := range bucket.chunks() {
+					for _, id := range chunk {
+						if plan.has(id) && d.matches(id, xm, ids) {
+							return true, false
+						}
 					}
 				}
 				return false, false
@@ -159,29 +162,31 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	if !d.validatedIDs(x, t, zSet, ids) {
 		return false, false
 	}
-	var best []int32
-	constrained := false
+	var best idList[int32]
+	size, constrained := 0, false
 	for i, p := range x {
 		if !zSet.Has(p) {
 			continue
 		}
-		if lst := plan.posts[i].shard(ids[i]).get(ids[i]); !constrained || len(lst) < len(best) {
-			best, constrained = lst, true
+		if lst := plan.posts[i].shard(ids[i]).list(ids[i]); !constrained || lst.len() < size {
+			best, size, constrained = lst, lst.len(), true
 		}
 	}
 	if !constrained {
 		return plan.patCount > 0, false
 	}
-	if 2*len(best) >= d.rows.Len() {
+	if 2*size >= d.rows.Len() {
 		// Degenerate postings (the best list covers at least half of Dm): a
 		// scan costs the same and avoids the per-id indirection.
 		return d.compatibleScan(ru, t, zSet), true
 	}
 	// Walk it under the pattern bitmap, early-exiting on the first
 	// compatible tuple.
-	for _, id := range best {
-		if plan.has(int(id)) && agreeOn(d.rows.At(int(id)), x, xm, zSet, ids) {
-			return true, false
+	for _, chunk := range best.chunks() {
+		for _, id := range chunk {
+			if plan.has(int(id)) && agreeOn(d.rows.At(int(id)), x, xm, zSet, ids) {
+				return true, false
+			}
 		}
 	}
 	return false, false

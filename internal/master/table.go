@@ -67,16 +67,30 @@ func tableSlots(nkeys int) int {
 	return 1 << bits.Len(uint(2*nkeys-1))
 }
 
-// buildTable builds the canonical table holding ids[i] under keys[i]. The
-// pairs may come in any order as long as each key's ids arrive ascending.
-// No intermediate map: the sorted keys give the distinct keys and their
-// counts, which fix every span before the ids are scattered into place.
-func buildTable[ID int | int32](keys []uint64, ids []ID) table[ID] {
-	return buildTableSorting(keys, ids, make([]uint64, len(keys)))
+// newTable returns an empty table with the slots nkeys keys take and room for
+// nids ids.
+func newTable[ID int | int32](nkeys, nids int) table[ID] {
+	nslots := tableSlots(nkeys)
+	return table[ID]{slots: make([]uint64, 2*nslots), mask: uint64(nslots - 1), ids: make([]ID, 0, nids), nkeys: nkeys}
 }
 
-// buildTableSorting is buildTable sorting the keys in the caller's buffer,
-// which has their length and is overwritten.
+// place gives k, which the table does not hold, its slot and the span
+// ids[off:off+n]. The layout is canonical when keys are placed in ascending
+// order and their spans follow each other in that order.
+func (t *table[ID]) place(k uint64, off, n int) {
+	slot := k & t.mask
+	for t.slots[2*slot+1] != 0 {
+		slot = (slot + 1) & t.mask
+	}
+	t.slots[2*slot], t.slots[2*slot+1] = k, uint64(off)<<32|uint64(n)
+}
+
+// buildTableSorting builds the canonical table holding ids[i] under keys[i].
+// The pairs may come in any order as long as each key's ids arrive ascending.
+// No intermediate map: the sorted keys give the distinct keys and their
+// counts, which fix every span before the ids are scattered into place. The
+// keys are sorted in the caller's buffer, which has their length and is
+// overwritten.
 func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64) table[ID] {
 	copy(sorted, keys)
 	slices.Sort(sorted)
@@ -86,24 +100,14 @@ func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64)
 			nkeys++
 		}
 	}
-	nslots := tableSlots(nkeys)
-	t := table[ID]{
-		slots: make([]uint64, 2*nslots),
-		mask:  uint64(nslots - 1),
-		ids:   make([]ID, len(ids)),
-		nkeys: nkeys,
-	}
+	t := newTable[ID](nkeys, len(ids))
+	t.ids = t.ids[:len(ids)]
 	for lo := 0; lo < len(sorted); {
 		hi := lo + 1
 		for hi < len(sorted) && sorted[hi] == sorted[lo] {
 			hi++
 		}
-		slot := sorted[lo] & t.mask
-		for t.slots[2*slot+1] != 0 {
-			slot = (slot + 1) & t.mask
-		}
-		t.slots[2*slot] = sorted[lo]
-		t.slots[2*slot+1] = uint64(lo)<<32 | uint64(hi-lo)
+		t.place(sorted[lo], lo, hi-lo)
 		lo = hi
 	}
 	// Scatter: a slot's off field is the write cursor of its bucket, wound
@@ -116,7 +120,7 @@ func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64)
 		t.ids[t.slots[2*slot+1]>>32] = ids[i]
 		t.slots[2*slot+1] += 1 << 32
 	}
-	for slot := 0; slot < nslots; slot++ {
+	for slot := 0; 2*slot < len(t.slots); slot++ {
 		t.slots[2*slot+1] -= t.slots[2*slot+1] << 32
 	}
 	return t

@@ -19,6 +19,11 @@ import (
 
 // checkTable holds one built table to the map oracle and the loader, and
 // returns its image bytes. Ids must be < n.
+// buildTable is buildTableSorting with a sort buffer of its own.
+func buildTable[ID int | int32](keys []uint64, ids []ID) table[ID] {
+	return buildTableSorting(keys, ids, make([]uint64, len(keys)))
+}
+
 func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []uint64, ids []ID, n int) []byte {
 	t.Helper()
 	want := map[uint64][]ID{}

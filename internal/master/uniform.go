@@ -107,10 +107,17 @@ func (idx *index) disagree(a, b []uint32) uint64 {
 // bucketMask computes a bucket's exception mask from scratch. limit is a
 // known superset of the answer — collided when nothing is known — and ends
 // the scan as soon as it is reached.
-func (idx *index) bucketMask(bucket []int, rows *rowVec, limit uint64) uint64 {
+func (idx *index) bucketMask(bucket idList[int], rows *rowVec, limit uint64) uint64 {
 	var m uint64
-	for i := 1; i < len(bucket) && m != limit; i++ {
-		m |= idx.disagree(rows.At(bucket[0]), rows.At(bucket[i]))
+	var first []uint32 // the row of the bucket's smallest id
+	for _, chunk := range bucket.chunks() {
+		for _, id := range chunk {
+			if first == nil {
+				first = rows.At(id)
+			} else if m |= idx.disagree(first, rows.At(id)); m == limit {
+				return m
+			}
+		}
 	}
 	return m
 }
@@ -125,8 +132,8 @@ func (d *Data) rebuildExceptions(s int) {
 // rebuildExceptions derives shard s's exception table from its buckets.
 func (idx *index) rebuildExceptions(s int, rows *rowVec) {
 	var exc exceptions
-	idx.shards[s].each(func(h uint64, ids []int) {
-		if m := idx.bucketMask(ids, rows, collided); m != 0 {
+	idx.shards[s].lists(func(h uint64, bucket idList[int]) {
+		if m := idx.bucketMask(bucket, rows, collided); m != 0 {
 			exc = append(exc, exception{h, m})
 		}
 	})

@@ -25,10 +25,24 @@ type Map[V any] struct {
 	n    int
 }
 
+// Edit names one batch of SetIn calls: a delta deriving a snapshot makes one
+// and drops it when the snapshot is published. The nodes a batch creates
+// carry its Edit, and nothing but later calls of the same batch can reach
+// them, so those update them in place instead of copying them again — the
+// root once per batch, not once per key.
+type Edit struct{ _ byte }
+
 type node[V any] struct {
 	data, kids uint16
-	ents       []entry[V]
-	sub        []*node[V]
+	// ownEnts and ownSub: the array is this node's alone (made under the
+	// node's edit), not one a copy still shares with the node it came from.
+	// A copy that cloned both arrays up front would need neither flag and
+	// allocate a tenth more per storm delta (BenchmarkApplyDeltaChain/hosp:
+	// 216 KB against 196).
+	ownEnts, ownSub bool
+	edit            *Edit
+	ents            []entry[V]
+	sub             []*node[V]
 }
 
 type entry[V any] struct {
@@ -59,45 +73,62 @@ func (m Map[V]) Get(k uint64) (v V, ok bool) {
 }
 
 // Set returns the map with k bound to v.
-func (m Map[V]) Set(k uint64, v V) Map[V] {
-	root, added := m.root.set(k, v, 0)
+func (m Map[V]) Set(k uint64, v V) Map[V] { return m.SetIn(nil, k, v) }
+
+// SetIn is Set as part of the batch e: the map it is called on must be the
+// one the batch's previous SetIn returned (or the batch's starting point), and
+// every version older than the batch stays unchanged as under Set. A nil e
+// is no batch.
+func (m Map[V]) SetIn(e *Edit, k uint64, v V) Map[V] {
+	root, added := m.root.set(e, k, v, 0)
 	if added {
 		return Map[V]{root, m.n + 1}
 	}
 	return Map[V]{root, m.n}
 }
 
-// set returns a copy of n (nil = empty) with k bound to v; shift is how many
-// key bits the path to n consumed.
-func (n *node[V]) set(k uint64, v V, shift uint) (_ *node[V], added bool) {
+// set returns n (nil = empty) with k bound to v — a copy, or n itself when
+// batch e made it; shift is how many key bits the path to n consumed.
+func (n *node[V]) set(e *Edit, k uint64, v V, shift uint) (_ *node[V], added bool) {
 	bit := uint16(1) << (k >> shift & 15)
 	if n == nil {
-		return &node[V]{data: bit, ents: []entry[V]{{k, v}}}, true
+		return &node[V]{data: bit, ownEnts: true, ownSub: true, edit: e, ents: []entry[V]{{k, v}}}, true
 	}
-	cp := *n
+	if e == nil || n.edit != e {
+		cp := *n
+		cp.edit, cp.ownEnts, cp.ownSub = e, false, false
+		n = &cp
+	}
 	ei := bits.OnesCount16(n.data & (bit - 1))
 	si := bits.OnesCount16(n.kids & (bit - 1))
 	switch {
 	case n.data&bit != 0 && n.ents[ei].key == k:
-		cp.ents = slices.Clone(n.ents)
-		cp.ents[ei].val = v
+		if !n.ownEnts {
+			n.ents, n.ownEnts = slices.Clone(n.ents), true
+		}
+		n.ents[ei].val = v
 	case n.data&bit != 0:
 		// Two keys share the slot: both move one level down.
-		child, _ := (*node[V])(nil).set(n.ents[ei].key, n.ents[ei].val, shift+4)
-		child, _ = child.set(k, v, shift+4)
-		cp.data, cp.kids = n.data&^bit, n.kids|bit
-		cp.ents = append(append(make([]entry[V], 0, len(n.ents)-1), n.ents[:ei]...), n.ents[ei+1:]...)
-		cp.sub = insertAt(n.sub, si, child)
+		child, _ := (*node[V])(nil).set(e, n.ents[ei].key, n.ents[ei].val, shift+4)
+		child, _ = child.set(e, k, v, shift+4)
+		n.data, n.kids = n.data&^bit, n.kids|bit
+		n.ents, n.ownEnts = append(append(make([]entry[V], 0, len(n.ents)-1), n.ents[:ei]...), n.ents[ei+1:]...), true
+		n.sub, n.ownSub = insertAt(n.sub, si, child), true
 		added = true
 	case n.kids&bit != 0:
-		cp.sub = slices.Clone(n.sub)
-		cp.sub[si], added = n.sub[si].set(k, v, shift+4)
+		var child *node[V]
+		if child, added = n.sub[si].set(e, k, v, shift+4); child != n.sub[si] {
+			if !n.ownSub {
+				n.sub, n.ownSub = slices.Clone(n.sub), true
+			}
+			n.sub[si] = child
+		}
 	default:
-		cp.data |= bit
-		cp.ents = insertAt(n.ents, ei, entry[V]{k, v})
+		n.data |= bit
+		n.ents, n.ownEnts = insertAt(n.ents, ei, entry[V]{k, v}), true
 		added = true
 	}
-	return &cp, added
+	return n, added
 }
 
 // insertAt returns a copy of s with x at position i.

@@ -198,9 +198,18 @@ func TestMapAgainstMapOracleWithBranching(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			parent := pool[rng.Intn(len(pool))]
 			child := &mapVersion{parent.m, maps.Clone(parent.oracle)}
+			// Two children in three derive as a batch, editing in place what
+			// the batch itself made — never what a parent or sibling reads.
+			var batch *Edit
+			if step%3 != 0 {
+				batch = new(Edit)
+			}
 			for e := rng.Intn(12); e >= 0; e-- {
 				k, v := keys[rng.Intn(len(keys))], rng.Int()
-				child.m = child.m.Set(k, v)
+				if rng.Intn(3) == 0 {
+					k = keys[rng.Intn(8)] // the same few keys again and again within a batch
+				}
+				child.m = child.m.SetIn(batch, k, v)
 				child.oracle[k] = v
 			}
 			pool = append(pool, child)
@@ -226,10 +235,10 @@ func TestMapConcurrentChildren(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			child := parent
+			child, batch := parent, new(Edit)
 			for i := 0; i < 2000; i += 3 {
-				child = child.Set(uint64(i)*0x9E3779B97F4A7C15, -g)
-				child = child.Set(uint64(i)+uint64(g)<<40, g)
+				child = child.SetIn(batch, uint64(i)*0x9E3779B97F4A7C15, -g)
+				child = child.SetIn(batch, uint64(i)+uint64(g)<<40, g)
 			}
 		}()
 		go func() {

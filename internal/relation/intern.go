@@ -18,6 +18,7 @@ package relation
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/persist"
 )
@@ -49,7 +50,9 @@ type Symbols struct {
 	// both: O(1) for the trie, a chunk table for the vector.
 	over     persist.Map[uint32]
 	overVals persist.Vec[Value]
-	forked   bool  // Intern goes to over, not flat
+	// batch is this fork's own: the trie nodes its Interns make are updated
+	// in place by its later ones, and by nobody else's. Nil on a root.
+	batch    *persist.Edit
 	strBytes int64 // Σ len(string payloads), kept at Intern
 }
 
@@ -135,7 +138,7 @@ func NewSymbols() *Symbols {
 // value: beyond the struct it costs the chunk table of overVals, 8 bytes per
 // 64 values interned since the root was frozen.
 func (s *Symbols) Fork() *Symbols {
-	return &Symbols{flat: s.flat, over: s.over, overVals: s.overVals.Clone(), forked: true, strBytes: s.strBytes}
+	return &Symbols{flat: s.flat, over: s.over, overVals: s.overVals.Clone(), batch: new(persist.Edit), strBytes: s.strBytes}
 }
 
 // lookup resolves v, whose HashValue hash is h, across the layers (the
@@ -167,14 +170,14 @@ func (s *Symbols) Intern(v Value) uint32 {
 		return id
 	}
 	s.strBytes += int64(len(v.str))
-	if !s.forked {
+	if s.batch == nil {
 		return s.flat.add(h, v)
 	}
 	id := uint32(s.Len())
 	for _, taken := s.over.Get(h); taken; _, taken = s.over.Get(h) {
 		h++
 	}
-	s.over = s.over.Set(h, id)
+	s.over = s.over.SetIn(s.batch, h, id)
 	s.overVals.Append(v)
 	return id
 }
@@ -197,8 +200,12 @@ func (s *Symbols) Value(id uint32) Value {
 // Len returns the number of distinct interned values.
 func (s *Symbols) Len() int { return len(s.flat.vals) + s.overVals.Len() }
 
-// StringBytes returns the total length of the interned string payloads.
-func (s *Symbols) StringBytes() int64 { return s.strBytes }
+// Bytes returns what the table holds: the interned string payloads (a
+// counter kept at Intern), a Value per symbol and the root layer's slots. The
+// trie over the values interned since the first Fork is not in it.
+func (s *Symbols) Bytes() int64 {
+	return s.strBytes + int64(s.Len())*int64(unsafe.Sizeof(Value{})) + 4*int64(len(s.flat.slots))
+}
 
 // Export returns the interned values in id order (vals[id] is the value
 // whose Intern returned id), freshly allocated. This is the serialization
