@@ -21,7 +21,9 @@
 //	                        X-Checkpoint-Epoch (needs -wal-dir)
 //	GET  /v1/root           the published master commitment: {"epoch",
 //	                        "root", "authenticated"} (root needs -auth)
-//	GET  /healthz           liveness plus the master's memory accounting
+//	GET  /healthz           liveness, "regions" (certain regions verified
+//	                        at boot; 0 = sessions open with the trivial
+//	                        region) and the master's memory accounting
 //	                        ("master": heap vs arena residency, see
 //	                        certainfix.MasterMemStats)
 //

@@ -449,3 +449,84 @@ func TestDurableReopenWithoutMasterCSV(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartOnNonFunctionalMaster: boot behaves like live. Updates that
+// leave a rule non-functional on Dm (every key of kv maps to two values)
+// do not stop a running server — its sessions route the disputed attribute
+// to the users — so a restart on that same -wal-dir must come up too: no
+// region verifies, /healthz says so, sessions open with the trivial region
+// and every fix still equals the truth.
+func TestRestartOnNonFunctionalMaster(t *testing.T) {
+	dir := t.TempDir()
+	rules := filepath.Join(dir, "kvw.rules")
+	if err := os.WriteFile(rules, []byte(
+		"schema R: K, V, W\nmaster Rm: K, V, W\n"+
+			"rule kv: (K ; K) -> (V ; V) when K != nil\nrule kw: (K ; K) -> (W ; W) when K != nil\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	masterCSV := filepath.Join(dir, "master.csv")
+	if err := os.WriteFile(masterCSV, []byte("K,V,W\nk1,v1,w1\nk2,v2,w2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2}
+	sys, err := buildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.Regions()) == 0 {
+		t.Fatal("fixture broken: the clean master must verify a region")
+	}
+	if _, err := sys.UpdateMaster([]certainfix.Tuple{
+		certainfix.StringTuple("k1", "v1-other", "w1"),
+		certainfix.StringTuple("k2", "v2-other", "w2"),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	truth := certainfix.StringTuple("k1", "v1", "w1")
+	fixOver := func(base string) {
+		t.Helper()
+		var sess wireSession
+		if code := post(t, base+"/v1/begin", map[string]any{"tuple": certainfix.StringTuple("k1", "bad", "bad")}, &sess); code != http.StatusOK {
+			t.Fatalf("begin: HTTP %d", code)
+		}
+		for i := 0; !sess.Done; i++ {
+			if i > 4 {
+				t.Fatal("session did not converge")
+			}
+			sess = answer(t, base, sess, truth)
+		}
+		if !sess.Completed || !sess.Tuple.Equal(truth) {
+			t.Fatalf("fixed tuple %v (completed %v), truth %v", sess.Tuple, sess.Completed, truth)
+		}
+	}
+	base, stop := startServer(t, sys)
+	fixOver(base) // live: the stale seed {K}, then V by hand
+	stop()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = buildSystem(cfg)
+	if err != nil {
+		t.Fatalf("restart on a lineage the server was serving: %v", err)
+	}
+	defer sys.Close()
+	base, stop = startServer(t, sys)
+	defer stop()
+	fixOver(base)
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		OK      bool `json:"ok"`
+		Regions *int `json:"regions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if !health.OK || health.Regions == nil || *health.Regions != 0 {
+		t.Fatalf("/healthz after the restart: ok %v, regions %v; want ok, regions 0", health.OK, health.Regions)
+	}
+}

@@ -65,6 +65,9 @@ func newHandler(sys *certainfix.System) http.Handler {
 			"ok":         true,
 			"epoch":      sys.MasterEpoch(),
 			"masterSize": sys.MasterLen(),
+			// Certain regions verified at boot; 0 means sessions open with
+			// the trivial region (some rule is not a function on Dm).
+			"regions": len(sys.Regions()),
 			// Where the master's lookup structures live (heap vs arena)
 			// and what they weigh — the observable side of -master-snapshot.
 			"master": sys.MasterMemStats(),

@@ -148,7 +148,7 @@ func validatableWithout(base relation.AttrSet, validators map[int][]relation.Att
 	}
 	prog := rule.CompileClosure(maxPos+1, prems, rhs)
 	sc := rule.NewClosureScratch()
-	prog.Closure(base, sc)
+	prog.Closure(base, nil, sc)
 	var ok relation.AttrSet
 	for a := range validators {
 		if a != avoid && sc.Has(a) && !base.Has(a) {

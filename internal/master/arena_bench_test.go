@@ -5,7 +5,9 @@ package master
 // 10k point for trend), and the probe loop over both — the same tables,
 // built in memory (BenchmarkProbeHeap) or viewed over the mapping
 // (BenchmarkProbeArena). Every benchmark pins GOMAXPROCS and the shard
-// count: the plain names run at 1 and the P4 twins at 4.
+// count: the boots run at 1 — their allocation counts then do not depend on
+// scheduling, which is what lets benchgate hold them (TestBootHeapBudget
+// bounds the parallel boot) — and the probes at 1 and, as P4 twins, at 4.
 
 import (
 	"fmt"
@@ -28,11 +30,9 @@ func pinProcs(tb testing.TB, p int) {
 }
 
 // BenchmarkColdStartRebuild is the boot path without a snapshot: a full
-// parallel NewForRules over the row-oriented relation.
-func BenchmarkColdStartRebuild(b *testing.B)   { benchColdStartRebuild(b, 1) }
-func BenchmarkColdStartRebuildP4(b *testing.B) { benchColdStartRebuild(b, 4) }
-
-func benchColdStartRebuild(b *testing.B, p int) {
+// NewForRules over the row-oriented relation.
+func BenchmarkColdStartRebuild(b *testing.B) {
+	const p = 1
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)
 		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
@@ -51,10 +51,8 @@ func benchColdStartRebuild(b *testing.B, p int) {
 // image, map it, validate, and materialize the snapshot. File pages are
 // warm (saved in the same process), which matches a service restarting on
 // the machine that holds its snapshot.
-func BenchmarkColdStartArena(b *testing.B)   { benchColdStartArena(b, 1) }
-func BenchmarkColdStartArenaP4(b *testing.B) { benchColdStartArena(b, 4) }
-
-func benchColdStartArena(b *testing.B, p int) {
+func BenchmarkColdStartArena(b *testing.B) {
+	const p = 1
 	pinProcs(b, p)
 	for _, n := range []int{10_000, 100_000} {
 		rel, sigma := benchMasterRelation(n)

@@ -85,7 +85,6 @@ func FuzzLoadArena(f *testing.F) {
 		for _, ru := range sigma.Rules() {
 			_ = loaded.MatchIDs(ru, probe)
 			_ = loaded.RHSValues(ru, probe)
-			_ = loaded.HasMatch(ru, probe)
 			_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0))
 			_ = loaded.PatternSupported(ru)
 		}

@@ -53,10 +53,11 @@ func checkProbesAgree(t testing.TB, ctx string, a, b *Data, sigma *rule.Set, val
 			if ga, gb := a.MatchIDs(ru, probe), b.MatchIDs(ru, probe); !eqInts(ga, gb) {
 				t.Fatalf("%s: rule %s MatchIDs %v vs %v", ctx, ru.Name(), ga, gb)
 			}
-			if ga, gb := a.HasMatch(ru, probe), b.HasMatch(ru, probe); ga != gb {
-				t.Fatalf("%s: rule %s HasMatch %v vs %v", ctx, ru.Name(), ga, gb)
+			va, wa := a.RHSValuesWitness(ru, probe)
+			vb, wb := b.RHSValuesWitness(ru, probe)
+			if wa != wb {
+				t.Fatalf("%s: rule %s witness %d vs %d", ctx, ru.Name(), wa, wb)
 			}
-			va, vb := a.RHSValues(ru, probe), b.RHSValues(ru, probe)
 			if len(va) != len(vb) {
 				t.Fatalf("%s: rule %s RHSValues %v vs %v", ctx, ru.Name(), va, vb)
 			}

@@ -96,27 +96,6 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 	}
 }
 
-// TestRefinedRuleFallsBackToRegistry checks that a refined rule ϕ+ (a new
-// *Rule pointer, absent from the probe-plan map) still probes the index via
-// the position-list registry rather than scanning.
-func TestRefinedRuleFallsBackToRegistry(t *testing.T) {
-	_, ru, dm := kvData(t)
-	plus, err := ru.WithPattern(pattern.MustTuple([]int{0}, []pattern.Cell{pattern.Neq(relation.Null)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := dm.plans[plus]; ok {
-		t.Fatal("refined rule must not be in the plan map")
-	}
-	if dm.findIndex(plus.LHSMRef()) == nil {
-		t.Fatal("registry must resolve the refined rule's Xm")
-	}
-	ids := dm.MatchIDs(plus, relation.StringTuple("k1", ""))
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
-		t.Fatalf("refined-rule MatchIDs = %v, want [0 2]", ids)
-	}
-}
-
 // TestProbeZeroAlloc pins the tentpole guarantee: an indexed MatchIDs probe
 // performs zero heap allocations — hit, uninterned miss (symbol-table
 // early exit), and interned-combination miss (full hash + empty bucket).

@@ -111,6 +111,13 @@ func TestApplyDeltaErrors(t *testing.T) {
 	}
 }
 
+// hasMatch reports whether some master tuple applies with ru to t, through
+// the value probe TransFix makes.
+func hasMatch(d *Data, ru *rule.Rule, t relation.Tuple) bool {
+	_, witness := d.RHSValuesWitness(ru, t)
+	return witness >= 0
+}
+
 func TestApplyDeltaDeleteAll(t *testing.T) {
 	d0, sigma, ru := deltaFixture(t, 3)
 	d1, err := d0.ApplyDelta(nil, []int{0, 1, 2})
@@ -120,7 +127,7 @@ func TestApplyDeltaDeleteAll(t *testing.T) {
 	if d1.Len() != 0 {
 		t.Fatalf("length after delete-all = %d", d1.Len())
 	}
-	if d1.HasMatch(ru, probeFor(key(0))) {
+	if hasMatch(d1, ru, probeFor(key(0))) {
 		t.Fatal("probe against emptied master must miss")
 	}
 	if d1.PatternSupported(ru) {
@@ -133,8 +140,8 @@ func TestApplyDeltaDeleteAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d2.HasMatch(ru, probeFor("z")) || d2.Epoch() != 2 {
-		t.Fatalf("refilled master: HasMatch=%v epoch=%d", d2.HasMatch(ru, probeFor("z")), d2.Epoch())
+	if !hasMatch(d2, ru, probeFor("z")) || d2.Epoch() != 2 {
+		t.Fatalf("refilled master: hasMatch=%v epoch=%d", hasMatch(d2, ru, probeFor("z")), d2.Epoch())
 	}
 	checkEquiv(t, "after refill", d2, sigma)
 }
@@ -147,10 +154,10 @@ func TestApplyDeltaAddedTuplesAreCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	add[0] = relation.String("mutated")
-	if !d1.HasMatch(ru, probeFor("mine")) {
+	if !hasMatch(d1, ru, probeFor("mine")) {
 		t.Fatal("snapshot must own a copy of added tuples")
 	}
-	if d1.HasMatch(ru, probeFor("mutated")) {
+	if hasMatch(d1, ru, probeFor("mutated")) {
 		t.Fatal("caller mutation leaked into the snapshot")
 	}
 }
@@ -170,10 +177,10 @@ func TestVersionedPublish(t *testing.T) {
 	if v.Current() != d1 || v.Epoch() != 1 {
 		t.Fatal("Apply must publish the derived snapshot")
 	}
-	if pinned.HasMatch(ru, probeFor("w")) {
+	if hasMatch(pinned, ru, probeFor("w")) {
 		t.Fatal("pinned snapshot must not see the published delta")
 	}
-	if !v.Current().HasMatch(ru, probeFor("w")) {
+	if !hasMatch(v.Current(), ru, probeFor("w")) {
 		t.Fatal("published snapshot must see the delta")
 	}
 
@@ -186,9 +193,9 @@ func TestVersionedPublish(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaRefinedRuleProbes pins that refined rules (ϕ+, not in the
-// plan maps) keep probing correctly through the registry on a
-// delta-derived snapshot.
+// TestApplyDeltaRefinedRuleProbes pins that a rule the master was not built
+// for (a refined ϕ+, absent from the plan maps) still probes correctly — by
+// scan — on a delta-derived snapshot.
 func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
 	d0, _, ru := deltaFixture(t, 3)
 	d1, err := d0.ApplyDelta([]relation.Tuple{relation.StringTuple(key(0), "other")}, nil)
@@ -199,8 +206,14 @@ func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := d1.plans[plus]; ok {
+		t.Fatal("refined rule must not be in the plan map")
+	}
 	ids := d1.MatchIDs(plus, probeFor(key(0)))
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {
 		t.Fatalf("refined-rule probe on delta snapshot = %v, want [0 3]", ids)
+	}
+	if vals, witness := d1.RHSValuesWitness(plus, probeFor(key(0))); witness != 0 || len(vals) != 2 {
+		t.Fatalf("refined-rule value probe on delta snapshot = %v, witness %d; want both rhs values, witness 0", vals, witness)
 	}
 }

@@ -56,34 +56,3 @@ func benchRecovery(b *testing.B, p int) {
 		dv.Close()
 	}
 }
-
-// BenchmarkCheckpoint measures one checkpoint of a |Dm| = 60k lineage that
-// is 64 deltas past its last table build — pin, streamed arena (overlays
-// compacted on the way out), fsync, rename, truncation. B/op is what a save
-// holds beyond the snapshot itself: the value-id columns and one shard's
-// compacted table at a time, never the image.
-func BenchmarkCheckpoint(b *testing.B) {
-	pinProcs(b, 1)
-	const n = 60_000
-	rel, sigma := benchMasterRelation(n)
-	dv, err := OpenDurable(b.TempDir(), func() (*Data, error) { return NewForRules(rel, sigma, WithShards(1)) }, sigma,
-		DurableOptions{Sync: wal.SyncNever, CheckpointEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dv.Close()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 64; i++ {
-		add := []relation.Tuple{benchMasterTuple(rng, n+i)}
-		if _, err := dv.Apply(add, []int{rng.Intn(n)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dv.Checkpoint(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

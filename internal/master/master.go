@@ -20,9 +20,9 @@
 // probe plans are resolved once at NewForRules time. There are two kinds
 // of probe:
 //
-//   - Value probes — RHSValues, RHSValuesWitness, FirstMatchID, FirstMatch
-//     — answer "which values tm[Bm] does the rule assign, and which master
-//     tuple witnesses it" in O(1), not O(matches). They rest on one
+//   - Value probes — RHSValues, RHSValuesWitness — answer "which values
+//     tm[Bm] does the rule assign, and which master tuple witnesses it" in
+//     O(1), not O(matches). They rest on one
 //     invariant: the paper assumes Dm is consistent (§2), i.e. every rule
 //     is a function on the master, so all tuples of a bucket share the Xm
 //     projection and agree on the rule's Bm. Such a bucket is UNIFORM and
@@ -71,9 +71,6 @@
 //   - ApplyDelta calls on the same snapshot must be serialized by the
 //     caller; Versioned.Apply does this and is the recommended mutation
 //     path.
-//   - Index (building an extra index in place) is the one construction-
-//     time mutation: it must not race lookups and must not be called on a
-//     snapshot that already has ApplyDelta-derived children.
 //
 // Deletion uses swap-remove semantics: deleting tuple i moves the last
 // tuple into slot i. This keeps incremental maintenance O(delta) instead
@@ -160,8 +157,9 @@ type Data struct {
 	indexes []*index
 	// plans maps each rule of the Σ the data was built for to its index —
 	// the per-rule probe plan, resolved once so MatchIDs is a single hash +
-	// bucket walk. Refined rules (ϕ+ of §5.2) are not in the map and fall
-	// back to the registry scan, which is still allocation-free.
+	// bucket walk. A rule the data was not built for is not in the map and
+	// scans Dm (no production path probes with one: Σ_t[Z] is a mask over Σ,
+	// never a set of refined copies).
 	plans map[*rule.Rule]*index
 	// postings and compat are the inverted-postings layer (see postings.go):
 	// per-column value → tuple-id lists and per-rule compatibility plans
@@ -182,7 +180,9 @@ type Data struct {
 // rowVec is the vector of id rows behind a snapshot.
 type rowVec = persist.Vec[[]uint32]
 
-// New wraps a master relation. Indexes are added with Index or NewForRules.
+// New wraps a master relation with no indexes: every probe scans. For
+// callers that only read Dm's cells (the rule miner); NewForRules builds
+// the indexed master.
 func New(rel *relation.Relation, opts ...BuildOption) *Data {
 	b := newBuilder(rel.Schema(), nil, resolveBuildConfig(opts))
 	for _, t := range rel.All() {
@@ -294,15 +294,6 @@ func (d *Data) Relation() *relation.Relation {
 // Hasher returns the shared projection hasher (read-only after indexing).
 func (d *Data) Hasher() relation.Hasher { return d.hasher }
 
-// Index builds (or reuses) a hash index over the Rm positions xm (copied,
-// so callers may pass shared slices). Not safe to call concurrently with
-// lookups; build indexes up front.
-func (d *Data) Index(xm []int) {
-	if idx, created := d.registerIndex(xm); created {
-		d.fill([]*index{idx}, nil)
-	}
-}
-
 // findIndex locates a registered index by position list; nil when absent.
 // Allocation-free.
 func (d *Data) findIndex(xm []int) *index {
@@ -410,14 +401,9 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 	return d.scan(xm, ids)
 }
 
-// indexFor resolves ru's probe plan: the plan map for the rules of Σ, the
-// position-list registry for refined rules; nil when Xm is unindexed.
-func (d *Data) indexFor(ru *rule.Rule) *index {
-	if idx, ok := d.plans[ru]; ok {
-		return idx
-	}
-	return d.findIndex(ru.LHSMRef())
-}
+// indexFor resolves ru's probe plan; nil — scan — for a rule outside the Σ
+// the data was built for.
+func (d *Data) indexFor(ru *rule.Rule) *index { return d.plans[ru] }
 
 // MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
 // the rule's (X, Xm) correspondence, ascending — the enumerate-all probe,
@@ -425,7 +411,7 @@ func (d *Data) indexFor(ru *rule.Rule) *index {
 // not tm). Indexed probes are allocation-free at every shard count; the
 // returned slice may alias internal index state — treat it as read-only.
 // Callers that need only the rhs values or one witness use RHSValues /
-// FirstMatchID, which do not enumerate.
+// RHSValuesWitness, which do not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHSRef()
 	var buf probeIDs
@@ -439,71 +425,6 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 		return d.verified(&bucket, idx.xm, ids)
 	}
 	return d.scan(ru.LHSMRef(), ids)
-}
-
-// HasMatch reports whether some master tuple matches t on the rule's
-// (X, Xm) correspondence (pattern not tested).
-func (d *Data) HasMatch(ru *rule.Rule, t relation.Tuple) bool {
-	_, ok := d.FirstMatchID(ru, t)
-	return ok
-}
-
-// FirstMatchID returns the smallest id of a master tuple matching t on
-// the rule's (X, Xm) correspondence (pattern not tested), ok=false when
-// none does. Allocation-free and O(1) on an index: the bucket is decided by
-// its smallest id unless the exception table records a collision in it.
-func (d *Data) FirstMatchID(ru *rule.Rule, t relation.Tuple) (int, bool) {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
-	var buf probeIDs
-	ids := buf.take(len(x))
-	h, ok := d.hasher.ProbeTuple(t, x, ids)
-	if !ok {
-		return -1, false
-	}
-	idx := d.indexFor(ru)
-	if idx == nil {
-		for i, row := range d.rows.All() {
-			if rowMatches(row, xm, ids) {
-				return i, true
-			}
-		}
-		return -1, false
-	}
-	sh := idx.shard(h)
-	bucket := sh.list(h)
-	if sh.exc.mask(h) != collided {
-		bucket = bucket.head() // one projection in the bucket: its smallest id decides
-	}
-	for _, chunk := range bucket.chunks() {
-		for _, id := range chunk {
-			if d.matches(id, xm, ids) {
-				return id, true
-			}
-		}
-	}
-	return -1, false
-}
-
-// FirstMatch returns the first master tuple applicable with ru to t
-// (pattern checked), with ok=false if none exists.
-func (d *Data) FirstMatch(ru *rule.Rule, t relation.Tuple) (relation.Tuple, int, bool) {
-	if !ru.MatchesPattern(t) {
-		return nil, -1, false
-	}
-	id, ok := d.FirstMatchID(ru, t)
-	if !ok {
-		return nil, -1, false
-	}
-	return d.Tuple(id), id, true
-}
-
-// AppliesSomeTuple reports whether any (ru, tm) pair applies to t.
-func (d *Data) AppliesSomeTuple(ru *rule.Rule, t relation.Tuple) bool {
-	if !ru.MatchesPattern(t) {
-		return false
-	}
-	_, ok := d.FirstMatchID(ru, t)
-	return ok
 }
 
 // RHSValues returns the distinct values tm[Bm] over all master tuples

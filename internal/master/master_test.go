@@ -39,36 +39,39 @@ func TestNewForRulesSchemaCheck(t *testing.T) {
 	}
 }
 
+// TestFirstMatchPaperExamples: the first master tuple applicable with a
+// rule — the witness of the value probe TransFix makes — on the paper's
+// examples.
 func TestFirstMatchPaperExamples(t *testing.T) {
 	sigma, dm := sigmaAndData(t)
 	t1 := paperex.InputT1()
 
 	// (ϕ1, s1) applies to t1: t1[zip] = EH7 4AH = s1[zip] (Example 4).
 	phi1 := ruleByName(sigma, "phi1")
-	tm, id, ok := dm.FirstMatch(phi1, t1)
-	if !ok || id != 0 {
-		t.Fatalf("FirstMatch(ϕ1, t1) = id %d ok %v, want s1", id, ok)
+	vals, id := dm.RHSValuesWitness(phi1, t1)
+	if id != 0 || len(vals) != 1 {
+		t.Fatalf("RHSValuesWitness(ϕ1, t1) = %v, id %d, want s1", vals, id)
 	}
-	if tm[dm.Schema().MustPos("AC")].Str() != "131" {
+	if vals[0].Str() != "131" || dm.Tuple(id)[dm.Schema().MustPos("AC")].Str() != "131" {
 		t.Error("matched master tuple should be s1 with AC=131")
 	}
 
 	// (ϕ4, s1): t1[phn] = 079172485 = s1[Mphn], type = 2.
 	phi4 := ruleByName(sigma, "phi4")
-	if _, id, ok := dm.FirstMatch(phi4, t1); !ok || id != 0 {
-		t.Fatalf("FirstMatch(ϕ4, t1) = id %d ok %v", id, ok)
+	if _, id := dm.RHSValuesWitness(phi4, t1); id != 0 {
+		t.Fatalf("RHSValuesWitness(ϕ4, t1) = id %d", id)
 	}
 
 	// ϕ6 does not apply to t1 (type = 2, pattern needs 1).
 	phi6 := ruleByName(sigma, "phi6")
-	if dm.AppliesSomeTuple(phi6, t1) {
+	if vals, id := dm.RHSValuesWitness(phi6, t1); id >= 0 || vals != nil {
 		t.Error("ϕ6 must not apply to t1")
 	}
 
 	// Nothing applies to t4 (Example 5).
 	t4 := paperex.InputT4()
 	for _, ru := range sigma.Rules() {
-		if dm.AppliesSomeTuple(ru, t4) {
+		if _, id := dm.RHSValuesWitness(ru, t4); id >= 0 {
 			t.Errorf("rule %s unexpectedly applies to t4", ru.Name())
 		}
 	}
@@ -140,17 +143,6 @@ func TestRHSValuesDistinct(t *testing.T) {
 	}
 	if got := dm.RHSValues(ru, relation.StringTuple("absent", "x")); got != nil {
 		t.Fatalf("RHSValues miss = %v", got)
-	}
-}
-
-func TestIndexIdempotent(t *testing.T) {
-	_, dm := sigmaAndData(t)
-	zip := dm.Schema().MustPos("zip")
-	dm.Index([]int{zip})
-	dm.Index([]int{zip}) // second call reuses
-	ids := dm.Lookup([]int{zip}, []relation.Value{relation.String("NW1 6XE")})
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("Lookup after re-Index: %v", ids)
 	}
 }
 

@@ -114,13 +114,13 @@ func (d *Data) Shards() int { return d.nshards }
 
 // registerIndex finds or creates the index over xm; a created one has no
 // tables until fill builds them.
-func (d *Data) registerIndex(xm []int) (idx *index, created bool) {
+func (d *Data) registerIndex(xm []int) *index {
 	if idx := d.findIndex(xm); idx != nil {
-		return idx, false
+		return idx
 	}
-	idx = newIndex(append([]int(nil), xm...), d.nshards)
+	idx := newIndex(append([]int(nil), xm...), d.nshards)
 	d.indexes = append(d.indexes, idx)
-	return idx, true
+	return idx
 }
 
 // registerPostings is registerIndex for the posting lists over col.
@@ -180,7 +180,7 @@ func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
 	b := newBuilder(sigma.MasterSchema(), sigma, resolveBuildConfig(opts))
 	d := b.d
 	for _, ru := range sigma.Rules() {
-		idx, _ := d.registerIndex(ru.LHSMRef())
+		idx := d.registerIndex(ru.LHSMRef())
 		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
 		d.compat[ru] = d.registerCompatPlan(ru)

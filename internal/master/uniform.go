@@ -1,7 +1,7 @@
 package master
 
 // This file implements the uniform-bucket invariant behind the O(1) value
-// probes (RHSValuesWitness, FirstMatchID).
+// probe (RHSValuesWitness).
 //
 // A bucket is UNIFORM when all its tuples share the Xm projection (no
 // 64-bit hash collision inside it) and agree on every tracked rhs column —
@@ -77,7 +77,7 @@ func (idx *index) trackRHS(bm int) {
 }
 
 // rhsBit returns bm's exception-mask bit, 0 when the index does not track
-// bm (a refined rule with a foreign rhs: its probes always scan).
+// bm: such a probe reads the whole bucket.
 func (idx *index) rhsBit(bm int) uint64 {
 	for i, c := range idx.bms {
 		if c == bm {

@@ -1,8 +1,8 @@
 package master
 
 // The uniform-bucket equivalence property (uniform.go): the O(1)
-// value probes — RHSValuesWitness, RHSValues, FirstMatchID, FirstMatch —
-// answer exactly what a scan over MatchIDs answers, and the incrementally
+// value probes — RHSValuesWitness, RHSValues — answer exactly what a scan
+// over MatchIDs answers (values, and the smallest applicable id as witness), and the incrementally
 // maintained exception tables equal the ones rebuilt from the buckets, at
 // every epoch of random delta programs, for P ∈ {1, 2, 7, 16}, on four
 // lineages: heap-built, arena-loaded, WAL-recovered and follower.
@@ -187,13 +187,11 @@ func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, r
 			if got := d.RHSValues(ru, p); !relation.Tuple(got).Equal(want) {
 				t.Fatalf("%s: rule %s probe %v: RHSValues = %v, scan oracle %v", ctx, ru.Name(), p, got, want)
 			}
-			ids := d.MatchIDs(ru, p)
-			id, ok := d.FirstMatchID(ru, p)
-			if ok != (len(ids) > 0) || ok && id != ids[0] {
-				t.Fatalf("%s: rule %s probe %v: FirstMatchID = %d, %v; MatchIDs %v", ctx, ru.Name(), p, id, ok, ids)
-			}
-			if tm, fid, ok := d.FirstMatch(ru, p); ok != (first >= 0) || ok && (fid != first || !tm.Equal(d.Tuple(first))) {
-				t.Fatalf("%s: rule %s probe %v: FirstMatch = %d, %v; scan oracle %d", ctx, ru.Name(), p, fid, ok, first)
+			// The head-of-bucket rule: the witness is the smallest id the
+			// enumerating probe returns, and carries the first value.
+			if ids := d.MatchIDs(ru, p); ru.MatchesPattern(p) && (len(ids) > 0) != (witness >= 0) ||
+				witness >= 0 && (witness != ids[0] || !d.Cell(witness, ru.RHSM()).Equal(got[0])) {
+				t.Fatalf("%s: rule %s probe %v: witness %d with values %v; MatchIDs %v", ctx, ru.Name(), p, witness, got, ids)
 			}
 		}
 	}

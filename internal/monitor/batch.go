@@ -8,24 +8,6 @@ import (
 	"repro/internal/relation"
 )
 
-// sessionPool recycles Session scratch (the working tuple buffer and the
-// attr-set words) across batch items. Per-round snapshots escape into
-// Result and are never pooled.
-var sessionPool = sync.Pool{New: func() any { return &Session{} }}
-
-// fixPooled fixes one tuple on a pool-recycled session. The tuple passed
-// to user.Assert aliases the pooled scratch buffer — see the User
-// lifetime contract — so it must not be retained past the call. The
-// context is observed between rounds, like Fix.
-func (m *Monitor) fixPooled(ctx context.Context, input relation.Tuple, user User) (Result, error) {
-	sess := sessionPool.Get().(*Session)
-	defer sessionPool.Put(sess)
-	if err := m.initSession(sess, input); err != nil {
-		return Result{}, err
-	}
-	return driveSession(ctx, sess, user)
-}
-
 // FixBatch fixes many input tuples concurrently against the shared
 // immutable (Σ, Dm) on at most workers goroutines (≤ 0 selects
 // GOMAXPROCS), driving userFor(i) for tuple i. Results are aligned with
@@ -35,10 +17,8 @@ func (m *Monitor) fixPooled(ctx context.Context, input relation.Tuple, user User
 // and the call returns ctx.Err() after the pool drains (a job error
 // still wins).
 //
-// Sessions run on sync.Pool-recycled scratch, so the tuple a User's
-// Assert receives is only valid for the duration of that call (see the
-// User documentation); Assert implementations must also be safe for
-// concurrent use across workers when userFor hands out shared state.
+// Assert implementations must be safe for concurrent use across workers
+// when userFor hands out shared state.
 //
 // With the default configuration the output is byte-identical to calling
 // Fix sequentially over the same inputs: tuples are independent and every
@@ -48,7 +28,7 @@ func (m *Monitor) fixPooled(ctx context.Context, input relation.Tuple, user User
 // per-round snapshots may differ from a sequential run.
 func (m *Monitor) FixBatch(ctx context.Context, inputs []relation.Tuple, userFor func(i int) User, workers int) ([]Result, error) {
 	return parallel.MapCtx(ctx, len(inputs), workers, func(i int) (Result, error) {
-		return m.fixPooled(ctx, inputs[i], userFor(i))
+		return m.Fix(ctx, inputs[i], userFor(i))
 	})
 }
 
@@ -73,8 +53,8 @@ type StreamResult struct {
 // returned channel is closed after the last result. This is the
 // entry-point-shaped API of the paper's monitoring framework: tuples are
 // fixed as they arrive, concurrently, against the shared immutable
-// master. The User lifetime contract of FixBatch applies to each
-// request's User.
+// master. Like FixBatch, Users sharing state must be safe for concurrent
+// use.
 //
 // When ctx is done the workers stop consuming requests (whether or not
 // in is ever closed), in-flight fixes stop at their next round boundary
@@ -104,7 +84,7 @@ func (m *Monitor) FixStream(ctx context.Context, in <-chan StreamRequest, worker
 						return
 					}
 				}
-				res, err := m.fixPooled(ctx, req.Tuple, req.User)
+				res, err := m.Fix(ctx, req.Tuple, req.User)
 				// Prefer delivery over teardown: the non-blocking send
 				// wins when the consumer is already waiting, so a result
 				// racing the cancellation still reaches a draining

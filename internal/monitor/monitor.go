@@ -9,7 +9,6 @@ package monitor
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/authtree"
@@ -25,12 +24,9 @@ import (
 // attribute set, it returns the attributes it asserts correct together
 // with their correct values (aligned slices). Returning a different set
 // than suggested is allowed (§5: "S may not necessarily be the same as
-// sug"); returning no attributes aborts the fix.
-//
-// Lifetime contract: the tuple passed to Assert is working scratch owned
-// by the session — it is only valid for the duration of the call and is
-// reused afterwards (FixBatch/FixStream recycle it for other tuples).
-// Implementations that need the values later must copy them (Clone).
+// sug"); returning no attributes aborts the fix. The tuple passed to
+// Assert is the session's working tuple, which later rounds edit: read
+// it, and Clone what must outlive the call.
 type User interface {
 	Assert(t relation.Tuple, suggested []int) (s []int, values []relation.Value)
 }
@@ -121,6 +117,7 @@ type Monitor struct {
 	deriver *suggest.Deriver
 	graph   *rule.DepGraph
 	initial []suggest.Candidate
+	first   []int // every session's first suggestion
 	cache   *bdd.Cache
 	cfg     Config
 	auth    *tokenAuth
@@ -144,34 +141,37 @@ func New(sigma *rule.Set, dm *master.Data, cfg Config) (*Monitor, error) {
 // region skeletons depend on Σ's structure plus per-rule pattern support,
 // which master corrections rarely flip — and every suggestion is
 // re-derived against the session's pinned snapshot anyway, so stale seeds
-// cost extra rounds, never correctness.
+// cost extra rounds, never correctness. The same holds for missing ones:
+// a snapshot on which no region verifies (some rule is not a function on
+// Dm, so every sampled row is inconsistent) is one a live monitor serves
+// from its stale seeds, and one a monitor can be built on — Regions is
+// then empty and sessions open with the trivial region, asking for every
+// attribute no rule reaches unprompted.
 func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor, error) {
 	d := suggest.NewDeriverVersioned(sigma, ver)
 	seed := d.Pin() // one snapshot for both derivations, whatever ver publishes meanwhile
 	cands := seed.CompCRegions()
+	var first []int
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("monitor: no certain region derivable from (Σ, Dm); every input would need full manual validation")
-	}
-	// Widen the quality spectrum with the greedy region when it differs:
-	// the candidate list then always offers lower-quality alternatives
-	// (the CRMQ selection of §6 Exp-1(2)).
-	g := seed.GRegion()
-	distinct := true
-	for _, c := range cands {
-		if c.ZSet.Equal(g.ZSet) {
-			distinct = false
-			break
+		first = seed.TrivialRegion().Z
+	} else {
+		// Widen the quality spectrum with the greedy region when it differs:
+		// the candidate list then always offers lower-quality alternatives
+		// (the CRMQ selection of §6 Exp-1(2)).
+		g := seed.GRegion()
+		distinct := true
+		for _, c := range cands {
+			if c.ZSet.Equal(g.ZSet) {
+				distinct = false
+				break
+			}
 		}
-	}
-	if distinct && len(g.Z) > 0 {
-		cands = append(cands, g)
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Quality > cands[j].Quality })
-	}
-	if cfg.InitialRegion >= len(cands) {
-		cfg.InitialRegion = len(cands) - 1
-	}
-	if cfg.InitialRegion < 0 {
-		cfg.InitialRegion = 0
+		if distinct && len(g.Z) > 0 {
+			cands = append(cands, g)
+			sort.SliceStable(cands, func(i, j int) bool { return cands[i].Quality > cands[j].Quality })
+		}
+		cfg.InitialRegion = min(max(cfg.InitialRegion, 0), len(cands)-1)
+		first = cands[cfg.InitialRegion].Z
 	}
 	auth, err := newTokenAuth(cfg.TokenKey)
 	if err != nil {
@@ -181,6 +181,7 @@ func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor,
 		deriver: d,
 		graph:   rule.NewDepGraph(sigma),
 		initial: cands,
+		first:   first,
 		cfg:     cfg,
 		auth:    auth,
 		ruleIdx: ruleIndex(sigma),
@@ -206,7 +207,8 @@ func (m *Monitor) Deriver() *suggest.Deriver { return m.deriver }
 // DepGraph exposes the precomputed rule dependency graph.
 func (m *Monitor) DepGraph() *rule.DepGraph { return m.graph }
 
-// Regions returns the precomputed certain-region candidates, best first.
+// Regions returns the precomputed certain-region candidates, best first;
+// empty when none verified on the construction-time snapshot.
 func (m *Monitor) Regions() []suggest.Candidate { return m.initial }
 
 // CacheStats reports BDD hits/misses (zero when UseBDD is off).

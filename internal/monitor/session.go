@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bdd"
 	"repro/internal/fix"
@@ -54,57 +55,26 @@ type Session struct {
 	// — the raw provenance TransFixTrace records. Result materializes the
 	// master tuples and (on authenticated snapshots) inclusion proofs.
 	witnesses []fix.Witness
-
-	// dedup scratch for the per-round suggestion merge: an epoch-stamped
-	// dense array over attribute positions (bounded by arity), reused
-	// across rounds and — through the session pool — across tuples, so
-	// the merge allocates nothing after warm-up.
-	dedupEpoch uint32
-	dedupStamp []uint32
 }
 
-// NewSession starts a fixing session for one tuple; the input is copied.
+// NewSession starts a fixing session for one tuple, pinned to the master
+// snapshot current now; the input is copied.
 func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
-	s := &Session{}
-	if err := m.initSession(s, input); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// initSession (re)initializes s for input, reusing s's allocated
-// scratch — the tuple buffer and the attr-set words — when
-// present. This is the sync.Pool path of FixBatch/FixStream; NewSession
-// passes a zero Session. Per-round snapshots are always freshly allocated
-// because they escape into Result.
-func (m *Monitor) initSession(s *Session, input relation.Tuple) error {
 	r := m.deriver.Sigma().Schema()
 	if len(input) != r.Arity() {
-		return fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
+		return nil, fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
 	}
-	s.m = m
-	s.d = m.deriver.Pin()
-	if cap(s.t) >= len(input) {
-		s.t = s.t[:len(input)]
-		copy(s.t, input)
-	} else {
-		s.t = input.Clone()
+	s := &Session{
+		m:         m,
+		d:         m.deriver.Pin(),
+		t:         input.Clone(),
+		sug:       m.first,
+		maxRounds: m.maxRounds(),
 	}
-	s.zSet.Clear()
-	s.userSet.Clear()
-	s.autoSet.Clear()
-	s.sug = m.initial[m.cfg.InitialRegion].Z
-	s.cursor = nil
 	if m.cache != nil {
 		s.cursor = m.cache.Cursor()
 	}
-	s.noProgress = 0
-	s.rounds = 0
-	s.maxRounds = m.maxRounds()
-	s.done = false
-	s.perRound = nil
-	s.witnesses = s.witnesses[:0]
-	return nil
+	return s, nil
 }
 
 // Suggested returns the attribute positions the users should assert this
@@ -222,12 +192,17 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 	} else {
 		// Copy before merging: the cached Suggest+ path returns a slice
 		// shared with the BDD cache, which concurrent sessions read —
-		// appending or deduping in place would race on its backing array.
+		// appending in place would race on its backing array.
 		sug := s.m.nextSuggestion(s.d, s.t, s.zSet, s.cursor)
 		merged := make([]int, 0, len(sug)+len(conflicted))
-		merged = append(merged, sug...)
-		merged = append(merged, conflicted...)
-		s.sug = s.dedupInts(merged)
+		for _, list := range [][]int{sug, conflicted} {
+			for _, p := range list {
+				if !slices.Contains(merged, p) {
+					merged = append(merged, p)
+				}
+			}
+		}
+		s.sug = merged
 	}
 	if len(s.sug) == 0 {
 		for p := 0; p < r.Arity(); p++ {
@@ -241,7 +216,7 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 
 // Result summarizes the session so far (or finally, once Done). It reads
 // the schema through the pinned deriver s.d — never through the shared
-// monitor — so a Result taken from a pooled or resumed session can only
+// monitor — so a Result taken from a resumed session can only
 // observe the snapshot the session itself is bound to.
 func (s *Session) Result() Result {
 	r := s.d.Sigma().Schema()
@@ -291,30 +266,6 @@ next:
 				panic(fmt.Sprintf("monitor: witness proof for master id %d: %v", w.MasterID, err))
 			}
 			out[i].Proof = p
-		}
-	}
-	return out
-}
-
-// dedupInts removes duplicate attribute positions from xs in place,
-// keeping first occurrences in order. It runs on the session's
-// epoch-stamped scratch instead of allocating a map per round.
-func (s *Session) dedupInts(xs []int) []int {
-	s.dedupEpoch++
-	if s.dedupEpoch == 0 { // wrapped: stale stamps could collide
-		for i := range s.dedupStamp {
-			s.dedupStamp[i] = 0
-		}
-		s.dedupEpoch = 1
-	}
-	out := xs[:0]
-	for _, x := range xs {
-		for x >= len(s.dedupStamp) {
-			s.dedupStamp = append(s.dedupStamp, 0)
-		}
-		if s.dedupStamp[x] != s.dedupEpoch {
-			s.dedupStamp[x] = s.dedupEpoch
-			out = append(out, x)
 		}
 	}
 	return out

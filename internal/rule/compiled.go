@@ -1,6 +1,10 @@
 package rule
 
-import "repro/internal/relation"
+import (
+	"math"
+
+	"repro/internal/relation"
+)
 
 // This file implements the compiled closure engine: a rule set is compiled
 // once into the counter-based layout of LINCLOSURE (Beeri & Bernstein's
@@ -22,6 +26,12 @@ import "repro/internal/relation"
 // *every* candidate attribute in one pass: the base closure runs once, and
 // each candidate propagates only its marginal consequences, which are
 // undone in O(work done) via an explicit trial log.
+//
+// A program is compiled once per Σ and never per call: which of its rules
+// take part in one closure is a per-call mask (off[r] drops rule r). The
+// rules a master snapshot cannot support (§5) and the rules outside a
+// tuple's Σ_t[Z] (§5.2) are two masks over the same program, so rule r of
+// the program is always rule r of Σ.
 
 // Compiled is an immutable closure program for a fixed premise/rhs
 // structure. Build one with Set.Compile or CompileClosure.
@@ -30,24 +40,11 @@ type Compiled struct {
 	premLen []int32   // per rule, |premise|
 	rhs     []int32   // per rule, rhs attribute
 	occ     [][]int32 // per attribute, rules whose premise contains it
-	empty   []int32   // rules with an empty premise: fire unconditionally
+	empty   []int32   // rules with an empty premise: fire unless masked
 }
 
-// reset prepares c for compilation at the given arity, truncating (but
-// keeping) any storage from a previous compilation.
-func (c *Compiled) reset(arity int) {
-	c.arity = arity
-	c.premLen = c.premLen[:0]
-	c.rhs = c.rhs[:0]
-	if cap(c.occ) < arity {
-		c.occ = make([][]int32, arity)
-	} else {
-		c.occ = c.occ[:arity]
-		for i := range c.occ {
-			c.occ[i] = c.occ[i][:0]
-		}
-	}
-	c.empty = c.empty[:0]
+func newCompiled(arity int) *Compiled {
+	return &Compiled{arity: arity, occ: make([][]int32, arity)}
 }
 
 // addRule appends one (premise → rhs) pair to the program.
@@ -70,35 +67,18 @@ func (c *Compiled) addRule(prem relation.AttrSet, rhs int) {
 // the generic entry point, also used by the §4 checker's validator
 // reachability. Premise positions and rhs values must lie in [0, arity).
 func CompileClosure(arity int, premises []relation.AttrSet, rhs []int) *Compiled {
-	c := &Compiled{}
-	c.reset(arity)
+	c := newCompiled(arity)
 	for i, prem := range premises {
 		c.addRule(prem, rhs[i])
 	}
 	return c
 }
 
-// Compile compiles the set into a closure program. enabled, when non-nil,
-// is aligned with Rules() and gates which rules participate (the per-rule
-// master-support bit of §5); disabled rules are dropped at compile time so
-// closures never touch them.
-func (s *Set) Compile(enabled []bool) *Compiled {
-	return s.CompileInto(enabled, nil)
-}
-
-// CompileInto is Compile reusing c's storage (nil allocates a fresh
-// program). Suggest compiles the refined set Σ_t[Z] on every call, so the
-// program rides in pooled scratch and steady-state compilation allocates
-// only when a posting list outgrows its previous capacity.
-func (s *Set) CompileInto(enabled []bool, c *Compiled) *Compiled {
-	if c == nil {
-		c = &Compiled{}
-	}
-	c.reset(s.r.Arity())
-	for i, ru := range s.rules {
-		if enabled != nil && !enabled[i] {
-			continue
-		}
+// Compile compiles Σ into a closure program whose rule r is Rules()[r]:
+// the masks callers pass to Closure and GainAll are aligned with Rules().
+func (s *Set) Compile() *Compiled {
+	c := newCompiled(s.r.Arity())
+	for _, ru := range s.rules {
 		c.addRule(ru.xxpSet, ru.b)
 	}
 	return c
@@ -147,13 +127,27 @@ func (sc *ClosureScratch) Has(a int) bool {
 	return a >= 0 && a < len(sc.member) && sc.member[a] == sc.epoch
 }
 
-// Closure computes the closure of base under the program and returns its
-// size. Membership is available through sc.Has until the next call.
-// Positions outside [0, arity) — legal in callers' AttrSets, impossible in
-// premises — count toward the size but cannot fire rules.
-func (c *Compiled) Closure(base relation.AttrSet, sc *ClosureScratch) int {
+// Closure computes the closure of base under the program's rules r with
+// !off[r] (a nil off keeps every rule) and returns its size. Membership is
+// available through sc.Has until the next call. Positions outside
+// [0, arity) — legal in callers' AttrSets, impossible in premises — count
+// toward the size but cannot fire rules.
+func (c *Compiled) Closure(base relation.AttrSet, off []bool, sc *ClosureScratch) int {
 	sc.begin(c)
-	copy(sc.remaining, c.premLen)
+	if off == nil {
+		copy(sc.remaining, c.premLen)
+	} else {
+		off = off[:len(c.premLen)]
+		for r, n := range c.premLen {
+			if off[r] {
+				// A premise holds at most arity attributes, so the counter
+				// of a masked rule never reaches zero — in the closure or
+				// a trial.
+				n = math.MaxInt32
+			}
+			sc.remaining[r] = n
+		}
+	}
 	size := 0
 	q := sc.queue[:0]
 	base.Range(func(p int) bool {
@@ -169,6 +163,9 @@ func (c *Compiled) Closure(base relation.AttrSet, sc *ClosureScratch) int {
 		return true
 	})
 	for _, r := range c.empty {
+		if off != nil && off[r] {
+			continue
+		}
 		if b := c.rhs[r]; sc.member[b] != sc.epoch {
 			sc.member[b] = sc.epoch
 			size++
@@ -194,13 +191,13 @@ func (c *Compiled) Closure(base relation.AttrSet, sc *ClosureScratch) int {
 }
 
 // GainAll computes |closure(base)| plus, for every attribute a, the size
-// of closure(base ∪ {a}) — the greedy step of Suggest and growAndMinimize
-// in one compiled pass instead of one full closure per candidate. The
-// returned slice aliases sc and is valid until the next use of sc; entries
+// of closure(base ∪ {a}), under the same mask as Closure — the greedy step
+// of Suggest and growAndMinimize in one compiled pass instead of one full
+// closure per candidate. The returned slice aliases sc and is valid until the next use of sc; entries
 // for attributes already in the base closure equal the base size (adding
 // them changes nothing).
-func (c *Compiled) GainAll(base relation.AttrSet, sc *ClosureScratch) (baseLen int, gains []int) {
-	baseLen = c.Closure(base, sc)
+func (c *Compiled) GainAll(base relation.AttrSet, off []bool, sc *ClosureScratch) (baseLen int, gains []int) {
+	baseLen = c.Closure(base, off, sc)
 	if cap(sc.gains) < c.arity {
 		sc.gains = make([]int, c.arity)
 	}

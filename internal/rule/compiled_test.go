@@ -58,7 +58,7 @@ func TestCompiledClosureProperty(t *testing.T) {
 				base.Add(p)
 			}
 			want := naiveClosure(arity, prems, rhs, base)
-			got := prog.Closure(base, sc)
+			got := prog.Closure(base, nil, sc)
 			if got != want.Len() {
 				t.Fatalf("seed %d: closure size %d, want %d (base %v)", seed, got, want.Len(), base.Positions())
 			}
@@ -85,7 +85,7 @@ func TestCompiledGainAllProperty(t *testing.T) {
 			base.Add(p)
 		}
 		baseWant := naiveClosure(arity, prems, rhs, base)
-		baseLen, gains := prog.GainAll(base, sc)
+		baseLen, gains := prog.GainAll(base, nil, sc)
 		if baseLen != baseWant.Len() {
 			t.Fatalf("seed %d: base size %d, want %d", seed, baseLen, baseWant.Len())
 		}
@@ -105,8 +105,9 @@ func TestCompiledGainAllProperty(t *testing.T) {
 	}
 }
 
-// TestSetCompileMatchesRules: compiling a Set gates rules by the enabled
-// mask and reads premises as X ∪ Xp.
+// TestSetCompileMatchesRules: a compiled Set reads premises as X ∪ Xp, and
+// rule r of the program is rule r of the Set — the mask is aligned with
+// Rules().
 func TestSetCompileMatchesRules(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B", "C", "D")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC", "MD")
@@ -116,22 +117,74 @@ func TestSetCompileMatchesRules(t *testing.T) {
 	sigma := rule.MustNewSet(r, rm, ruAB, ruBC)
 	sc := rule.NewClosureScratch()
 
-	prog := sigma.Compile(nil)
-	if got := prog.Closure(relation.NewAttrSet(0), sc); got != 2 { // A → B; C needs D (pattern attr)
+	prog := sigma.Compile()
+	if got := prog.Closure(relation.NewAttrSet(0), nil, sc); got != 2 { // A → B; C needs D (pattern attr)
 		t.Fatalf("closure(A) = %d, want 2", got)
 	}
-	if got := prog.Closure(relation.NewAttrSet(0, 3), sc); got != 4 {
+	if got := prog.Closure(relation.NewAttrSet(0, 3), nil, sc); got != 4 {
 		t.Fatalf("closure(A,D) = %d, want 4", got)
 	}
-	prog = sigma.Compile([]bool{true, false})
-	if got := prog.Closure(relation.NewAttrSet(0, 3), sc); got != 3 { // bc disabled
-		t.Fatalf("closure(A,D) with bc disabled = %d, want 3", got)
+	if got := prog.Closure(relation.NewAttrSet(0, 3), []bool{false, true}, sc); got != 3 {
+		t.Fatalf("closure(A,D) with bc masked = %d, want 3", got)
+	}
+	if got := prog.Closure(relation.NewAttrSet(0, 3), []bool{true, false}, sc); got != 2 {
+		t.Fatalf("closure(A,D) with ab masked = %d, want 2", got)
+	}
+}
+
+// TestCompiledMaskProperty: a program closed under a mask is the program
+// compiled from the kept pairs alone — size, membership and every gain —
+// including masked empty-premise rules, with ONE scratch serving different
+// masks of the same program back to back (the Suggest path: one Σ program,
+// a pooled scratch, a fresh mask per call).
+func TestCompiledMaskProperty(t *testing.T) {
+	sc, oracleSc := rule.NewClosureScratch(), rule.NewClosureScratch()
+	for seed := 0; seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(int64(7_000_000 + seed)))
+		arity, prems, rhs := randomProgram(rng)
+		prog := rule.CompileClosure(arity, prems, rhs)
+		for trial := 0; trial < 4; trial++ {
+			off := make([]bool, len(prems))
+			var keptPrems []relation.AttrSet
+			var keptRHS []int
+			for i := range off {
+				if off[i] = rng.Intn(3) == 0; !off[i] {
+					keptPrems = append(keptPrems, prems[i])
+					keptRHS = append(keptRHS, rhs[i])
+				}
+			}
+			oracle := rule.CompileClosure(arity, keptPrems, keptRHS)
+			var base relation.AttrSet
+			for _, p := range rng.Perm(arity)[:rng.Intn(arity+1)] {
+				base.Add(p)
+			}
+			if got, want := prog.Closure(base, off, sc), oracle.Closure(base, nil, oracleSc); got != want {
+				t.Fatalf("seed %d: masked closure size %d, kept-pairs program %d (off %v)", seed, got, want, off)
+			}
+			for a := 0; a < arity; a++ {
+				if sc.Has(a) != oracleSc.Has(a) {
+					t.Fatalf("seed %d: masked membership of %d is %v (off %v)", seed, a, sc.Has(a), off)
+				}
+			}
+			gotLen, got := prog.GainAll(base, off, sc)
+			wantLen, want := oracle.GainAll(base, nil, oracleSc)
+			if gotLen != wantLen {
+				t.Fatalf("seed %d: masked GainAll base %d, want %d", seed, gotLen, wantLen)
+			}
+			for a := 0; a < arity; a++ {
+				if got[a] != want[a] {
+					t.Fatalf("seed %d: masked gain of %d is %d, want %d (off %v)", seed, a, got[a], want[a], off)
+				}
+				if sc.Has(a) != oracleSc.Has(a) {
+					t.Fatalf("seed %d: post-GainAll membership of %d corrupted under mask", seed, a)
+				}
+			}
+		}
 	}
 }
 
 // TestCompiledScratchSharedAcrossPrograms: one scratch serves programs of
-// different sizes back to back (the Suggest path compiles a fresh refined
-// program per call but pools scratch).
+// different sizes back to back.
 func TestCompiledScratchSharedAcrossPrograms(t *testing.T) {
 	sc := rule.NewClosureScratch()
 	rng := rand.New(rand.NewSource(42))
@@ -141,7 +194,7 @@ func TestCompiledScratchSharedAcrossPrograms(t *testing.T) {
 		var base relation.AttrSet
 		base.Add(rng.Intn(arity))
 		want := naiveClosure(arity, prems, rhs, base).Len()
-		if got := prog.Closure(base, sc); got != want {
+		if got := prog.Closure(base, nil, sc); got != want {
 			t.Fatalf("iteration %d (%s): closure %d, want %d", i, fmt.Sprintf("arity=%d", arity), got, want)
 		}
 	}

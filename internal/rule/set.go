@@ -18,6 +18,9 @@ type Set struct {
 // NewSet builds a rule set, checking every rule shares the schema pair.
 func NewSet(r, rm *relation.Schema, rules ...*Rule) (*Set, error) {
 	s := &Set{r: r, rm: rm}
+	if len(rules) > 0 {
+		s.rules = make([]*Rule, 0, len(rules))
+	}
 	for _, ru := range rules {
 		if err := s.Add(ru); err != nil {
 			return nil, err
@@ -33,17 +36,6 @@ func MustNewSet(r, rm *relation.Schema, rules ...*Rule) *Set {
 		panic(err)
 	}
 	return s
-}
-
-// Grow reserves capacity for n further rules — callers building refined
-// sets per round (ApplicableRules) size once instead of growing the slice
-// append by append.
-func (s *Set) Grow(n int) {
-	if free := cap(s.rules) - len(s.rules); free < n {
-		rules := make([]*Rule, len(s.rules), len(s.rules)+n)
-		copy(rules, s.rules)
-		s.rules = rules
-	}
 }
 
 // Add appends a rule after checking schema compatibility.

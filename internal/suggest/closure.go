@@ -19,11 +19,25 @@
 // is why the paper itself prescribes heuristics here.
 //
 // The hot paths run on two compiled engines: the counter-based closure
-// programs of internal/rule (rule.Compiled, replacing the naive O(|Σ|²)
+// program of internal/rule (rule.Compiled, replacing the naive O(|Σ|²)
 // fixpoint) and the inverted master postings of internal/master
-// (replacing the per-rule Dm scans). The naive implementations below and
-// in naive.go are retained as reference oracles; the property tests
-// assert output equivalence on randomized instances.
+// (replacing the per-rule Dm scans). Σ is compiled ONCE, when the Deriver
+// is built, and rule r of the program is rule r of Σ for its whole life;
+// what varies is which rules take part in a closure, and that is a mask
+// over the program, never another program:
+//
+//   - a snapshot's mask (unsupported): the rules no master tuple of that
+//     epoch can ever fire — region derivation and IsSuggestionFast;
+//   - a tuple's mask (Deriver.applicableMask): the rules outside Σ_t[Z] —
+//     Suggest and IsSuggestion. A refined rule ϕ+ of §5.2 pins pattern
+//     cells on X ∩ Z only, attributes already in ϕ's premise X ∪ Xp, so
+//     for the structural closure Σ_t[Z] is a subset of Σ and no ϕ+ is
+//     built on the request path (ApplicableRules materialises them for
+//     callers that want the rules themselves).
+//
+// The naive implementations below and in naive.go are retained as
+// reference oracles; the property tests assert output equivalence on
+// randomized instances.
 package suggest
 
 import (
@@ -32,19 +46,18 @@ import (
 	"repro/internal/rule"
 )
 
-// supportMap caches, per rule, whether some master tuple satisfies the
-// rule's pattern cells on the λϕ-mapped attributes (the structural
-// "is there any master evidence this rule can ever fire" test). Reads the
-// pattern-support bitmaps precomputed at master build time: O(|Σ|), with
-// a Dm-scan fallback per rule the master was not built for.
-type supportMap []bool
-
-func computeSupport(sigma *rule.Set, dm *master.Data) supportMap {
-	sup := make(supportMap, sigma.Len())
+// unsupported marks, per rule of Σ, whether NO master tuple satisfies the
+// rule's pattern cells on the λϕ-mapped attributes (the structural "can
+// this rule ever fire on this snapshot" test, negated): a snapshot's mask
+// over the Σ program. Reads the pattern-support bitmaps precomputed at
+// master build time: O(|Σ|), with a Dm-scan fallback per rule the master
+// was not built for.
+func unsupported(sigma *rule.Set, dm *master.Data) []bool {
+	off := make([]bool, sigma.Len())
 	for i, ru := range sigma.Rules() {
-		sup[i] = dm.PatternSupported(ru)
+		off[i] = !dm.PatternSupported(ru)
 	}
-	return sup
+	return off
 }
 
 // masterSupports is the naive O(|Dm|) support test, retained as the oracle
@@ -69,20 +82,20 @@ func masterSupports(dm *master.Data, ru *rule.Rule) bool {
 
 // structuralClosure computes the set of attributes validated from zSet by
 // cascading rule applications, using only the structure of Σ plus the
-// master-support precomputation: a rule fires when its premise is inside
-// the closure and some master tuple is pattern-compatible. This
-// over-approximates per-tuple coverage (specific values may find no master
-// match) and is the engine of region derivation; candidate regions are
+// mask off (aligned with sigma.Rules()): a rule fires when it is not
+// masked — some master tuple is pattern-compatible — and its premise is
+// inside the closure. This over-approximates per-tuple coverage (specific
+// values may find no master match) and is the engine of region derivation; candidate regions are
 // then verified value-by-value with the Theorem-4 checker.
 //
 // This is the naive O(|Σ|²) fixpoint, retained as the oracle for the
 // compiled engine (rule.Compiled) that the production paths run on.
-func structuralClosure(sigma *rule.Set, sup supportMap, zSet relation.AttrSet) relation.AttrSet {
+func structuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
 	out := zSet.Clone()
 	for changed := true; changed; {
 		changed = false
 		for i, ru := range sigma.Rules() {
-			if !sup[i] || out.Has(ru.RHS()) {
+			if off[i] || out.Has(ru.RHS()) {
 				continue
 			}
 			if out.ContainsSet(ru.PremiseSet()) {
@@ -95,18 +108,18 @@ func structuralClosure(sigma *rule.Set, sup supportMap, zSet relation.AttrSet) r
 }
 
 // StructuralClosure exposes the naive fixpoint for the compiled-vs-naive
-// benchmark and external equivalence tests; supported is aligned with
-// sigma.Rules().
-func StructuralClosure(sigma *rule.Set, supported []bool, zSet relation.AttrSet) relation.AttrSet {
-	return structuralClosure(sigma, supportMap(supported), zSet)
+// benchmark and external equivalence tests; off is aligned with
+// sigma.Rules(), as for rule.Compiled.Closure.
+func StructuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
+	return structuralClosure(sigma, off, zSet)
 }
 
 // directCover counts the attributes fixable in exactly one step from zSet
 // (no cascading) — the myopic objective GRegion maximizes.
-func directCover(sigma *rule.Set, sup supportMap, zSet relation.AttrSet) relation.AttrSet {
+func directCover(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
 	out := zSet.Clone()
 	for i, ru := range sigma.Rules() {
-		if sup[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(ru.PremiseSet()) {
+		if !off[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(ru.PremiseSet()) {
 			out.Add(ru.RHS())
 		}
 	}

@@ -65,21 +65,21 @@ func randomInternalInstance(rng *rand.Rand) (*rule.Set, *master.Data) {
 	return sigma, master.MustNewForRules(rel, sigma)
 }
 
-// TestStructuralClosureVsCompiledProperty: the compiled Σ program (gated
-// by the support map, exactly as the deriver builds it) agrees with the
-// naive fixpoint on size and membership for random bases.
+// TestStructuralClosureVsCompiledProperty: the compiled Σ program under a
+// snapshot's mask (exactly as a view runs it) agrees with the naive
+// fixpoint on size and membership for random bases.
 func TestStructuralClosureVsCompiledProperty(t *testing.T) {
 	sc := rule.NewClosureScratch()
 	for seed := 0; seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(int64(14_000_000 + seed)))
 		sigma, dm := randomInternalInstance(rng)
-		sup := computeSupport(sigma, dm)
-		prog := sigma.Compile(sup)
+		off := unsupported(sigma, dm)
+		prog := sigma.Compile()
 		arity := sigma.Schema().Arity()
 		for trial := 0; trial < 4; trial++ {
 			zSet := relation.NewAttrSet(rng.Perm(arity)[:rng.Intn(arity+1)]...)
-			want := structuralClosure(sigma, sup, zSet)
-			if got := prog.Closure(zSet, sc); got != want.Len() {
+			want := structuralClosure(sigma, off, zSet)
+			if got := prog.Closure(zSet, off, sc); got != want.Len() {
 				t.Fatalf("seed %d: compiled closure %d, naive %d (z=%v)", seed, got, want.Len(), zSet.Positions())
 			}
 			for a := 0; a < arity; a++ {
@@ -91,16 +91,17 @@ func TestStructuralClosureVsCompiledProperty(t *testing.T) {
 	}
 }
 
-// TestComputeSupportVsScanProperty: the support map read from the
-// pattern-support bitmaps equals the naive masterSupports scan.
+// TestComputeSupportVsScanProperty: the snapshot mask read from the
+// pattern-support bitmaps is the complement of the naive masterSupports
+// scan.
 func TestComputeSupportVsScanProperty(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(15_000_000 + seed)))
 		sigma, dm := randomInternalInstance(rng)
-		sup := computeSupport(sigma, dm)
+		off := unsupported(sigma, dm)
 		for i, ru := range sigma.Rules() {
-			if want := masterSupports(dm, ru); sup[i] != want {
-				t.Fatalf("seed %d rule %s: support %v, scan %v", seed, ru.Name(), sup[i], want)
+			if want := masterSupports(dm, ru); off[i] == want {
+				t.Fatalf("seed %d rule %s: masked %v, scan support %v", seed, ru.Name(), off[i], want)
 			}
 		}
 	}

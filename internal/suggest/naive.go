@@ -15,19 +15,9 @@ import (
 // randomized (Σ, Dm); the compiled-vs-naive benchmarks in bench_test.go
 // measure the gap. Do not call these from production code.
 
-// allSupported marks every rule of a refined set as master-supported:
-// ApplicableRules admits a rule only after finding a compatible master
-// tuple (condition (c)), so recomputing support would be redundant work.
-func allSupported(s *rule.Set) supportMap {
-	sup := make(supportMap, s.Len())
-	for i := range sup {
-		sup[i] = true
-	}
-	return sup
-}
-
-// ApplicableRulesNaive is ApplicableRules with condition (c) decided by
-// the O(|Dm|) scan instead of the posting intersection.
+// ApplicableRulesNaive is ApplicableRules with conditions (a)–(c) spelled
+// out here, (c) decided by the O(|Dm|) scan instead of the posting
+// intersection.
 func (d *Deriver) ApplicableRulesNaive(t relation.Tuple, zSet relation.AttrSet) *rule.Set {
 	d = d.Pin()
 	out := rule.MustNewSet(d.sigma.Schema(), d.dm.Schema())
@@ -115,12 +105,13 @@ func patternCompatibleMaster(ru *rule.Rule, tm relation.Tuple) bool {
 func (d *Deriver) SuggestNaive(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	d = d.Pin()
 	refined := d.ApplicableRulesNaive(t, zSet)
-	sup := allSupported(refined)
+	// Every refined rule passed condition (c), so none is masked.
+	off := make([]bool, refined.Len())
 	arity := d.sigma.Schema().Arity()
 
 	cur := zSet.Clone()
 	var s relation.AttrSet
-	for structuralClosure(refined, sup, cur).Len() < arity {
+	for structuralClosure(refined, off, cur).Len() < arity {
 		bestAttr, bestGain := -1, -1
 		for a := 0; a < arity; a++ {
 			if cur.Has(a) {
@@ -128,7 +119,7 @@ func (d *Deriver) SuggestNaive(t relation.Tuple, zSet relation.AttrSet) Suggesti
 			}
 			trial := cur.Clone()
 			trial.Add(a)
-			gain := structuralClosure(refined, sup, trial).Len()
+			gain := structuralClosure(refined, off, trial).Len()
 			if gain > bestGain {
 				bestGain, bestAttr = gain, a
 			}
@@ -144,11 +135,11 @@ func (d *Deriver) SuggestNaive(t relation.Tuple, zSet relation.AttrSet) Suggesti
 		trialS := s.Clone()
 		trialS.Remove(a)
 		trial := zSet.Union(trialS)
-		if structuralClosure(refined, sup, trial).Len() == arity {
+		if structuralClosure(refined, off, trial).Len() == arity {
 			s = trialS
 		}
 	}
-	return Suggestion{S: s.Positions(), Refined: refined}
+	return Suggestion{S: s.Positions()}
 }
 
 // CompCRegionsNaive is CompCRegions with region growth running on the
@@ -190,7 +181,7 @@ func (d *Deriver) growAndMinimizeNaive(zSet relation.AttrSet) []int {
 	cur := zSet.Clone()
 	free := d.sigma.FreeAttrs()
 
-	for structuralClosure(d.sigma, d.sup, cur).Len() < arity {
+	for structuralClosure(d.sigma, d.off, cur).Len() < arity {
 		bestAttr, bestGain := -1, -1
 		for a := 0; a < arity; a++ {
 			if cur.Has(a) {
@@ -198,7 +189,7 @@ func (d *Deriver) growAndMinimizeNaive(zSet relation.AttrSet) []int {
 			}
 			trial := cur.Clone()
 			trial.Add(a)
-			gain := structuralClosure(d.sigma, d.sup, trial).Len()
+			gain := structuralClosure(d.sigma, d.off, trial).Len()
 			if gain > bestGain {
 				bestGain, bestAttr = gain, a
 			}
@@ -206,7 +197,7 @@ func (d *Deriver) growAndMinimizeNaive(zSet relation.AttrSet) []int {
 		if bestAttr < 0 {
 			return nil
 		}
-		before := structuralClosure(d.sigma, d.sup, cur).Len()
+		before := structuralClosure(d.sigma, d.off, cur).Len()
 		cur.Add(bestAttr)
 		if bestGain <= before {
 			return nil
@@ -219,7 +210,7 @@ func (d *Deriver) growAndMinimizeNaive(zSet relation.AttrSet) []int {
 		}
 		trial := cur.Clone()
 		trial.Remove(a)
-		if structuralClosure(d.sigma, d.sup, trial).Len() == arity {
+		if structuralClosure(d.sigma, d.off, trial).Len() == arity {
 			cur = trial
 		}
 	}

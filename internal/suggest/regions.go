@@ -1,6 +1,7 @@
 package suggest
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,53 +26,45 @@ type Candidate struct {
 }
 
 // Deriver derives certain regions and suggestions for (Σ, Dm). Safe for
-// concurrent use after construction: the compiled closure program and
-// support map are immutable, and all per-call mutable state lives in
-// pooled scratch.
+// concurrent use after construction: the compiled Σ program and a view's
+// mask are immutable, and all per-call mutable state lives in pooled
+// scratch.
 //
 // A deriver is a handle over a master.Versioned lineage (a static master
 // is a lineage that never advances). It pins the current snapshot at the
 // start of every public call — Pin returns the snapshot-bound view
 // explicitly, for callers like monitor.Session that need one consistent
-// snapshot across several calls. The per-epoch engines (support map,
-// compiled closure program, checker) are O(|Σ|) to rebuild and cached per
-// epoch, so pinning after an unchanged epoch is a pointer comparison.
+// snapshot across several calls. A view is a snapshot, that snapshot's
+// mask over the Σ program (O(|Σ|) bitmap reads) and a §4 checker — under
+// a microsecond and three allocations to build — so only the head's view
+// is cached (one pointer comparison per Pin after an unchanged epoch);
+// PinAt builds a historical view per call.
 type Deriver struct {
 	sigma  *rule.Set
 	actDom map[int][]relation.Value
 	// sampleCap bounds how many master tuples seed verification rows.
 	sampleCap int
-	pool      *sync.Pool // *derScratch; shared between a handle and its views
+	prog      *rule.Compiled // Σ, compiled once; rule r is sigma.Rule(r)
+	pool      *sync.Pool     // *derScratch; shared between a handle and its views
 
-	// Snapshot-bound state: the master snapshot, the support map read
-	// from its pattern bitmaps, Σ compiled (gated by sup) into the
-	// counter-based closure engine, and the §4 checker. Set on pinned
-	// views; nil on a handle, which pins per call.
+	// Snapshot-bound state: the master snapshot, its mask over prog (the
+	// rules no master tuple supports, read from the pattern bitmaps) and
+	// the §4 checker. Set on pinned views; nil on a handle, which pins per
+	// call.
 	dm      *master.Data
 	checker *analysis.Checker
-	sup     supportMap
-	prog    *rule.Compiled
+	off     []bool
 
 	// Handle state; ver == nil means exactly "pinned view".
 	ver  *master.Versioned
 	view atomic.Pointer[Deriver] // cached pinned view for the current epoch
-
-	// Historical-view cache for PinAt: in the stateless-server pattern
-	// every round of a pre-update session is a resume, so non-head views
-	// are worth keeping. Bounded by the master ring's retention; entries
-	// whose epoch was evicted are dropped so they cannot keep dead
-	// snapshots alive.
-	histMu    sync.Mutex
-	histViews []*Deriver
 }
 
 // derScratch bundles the per-call mutable state: the closure engine's
-// counters, a reusable compile target for the per-call refined programs,
-// and the value-dedup buffers of sampleRows.
+// counters and the per-tuple mask Σ_t[Z] of Suggest and IsSuggestion.
 type derScratch struct {
-	clo    *rule.ClosureScratch
-	prog   *rule.Compiled
-	choice choiceScratch
+	clo *rule.ClosureScratch
+	off []bool
 }
 
 // NewDeriver builds a deriver over a static (Σ, Dm): a lineage of one
@@ -83,32 +76,23 @@ func NewDeriver(sigma *rule.Set, dm *master.Data) *Deriver {
 // NewDeriverVersioned builds a deriver over a versioned master: every
 // public call pins the currently published snapshot, so suggestions and
 // region checks always run against one consistent epoch and pick up
-// master updates between calls.
+// master updates between calls. Σ is compiled here, once.
 func NewDeriverVersioned(sigma *rule.Set, ver *master.Versioned) *Deriver {
 	return &Deriver{
 		sigma:     sigma,
 		actDom:    sigma.ActiveDomain(),
 		sampleCap: 64,
+		prog:      sigma.Compile(),
 		pool:      &sync.Pool{New: func() any { return &derScratch{clo: rule.NewClosureScratch()} }},
 		ver:       ver,
 	}
 }
 
-// pinTo binds d to one master snapshot, building the per-epoch engines:
-// the support map (read from the snapshot's pattern bitmaps, O(|Σ|)), the
-// compiled Σ closure program and the §4 checker.
-func (d *Deriver) pinTo(dm *master.Data) {
-	d.dm = dm
-	d.checker = analysis.NewChecker(d.sigma, dm, analysis.Options{})
-	d.sup = computeSupport(d.sigma, dm)
-	d.prog = d.sigma.Compile(d.sup)
-}
-
 // Pin returns a view of the deriver bound to one master snapshot: the
-// cached per-epoch view of the currently published snapshot (a pinned
-// view returns itself). All public methods pin implicitly, so Pin is only
-// needed when several calls must observe the same snapshot (a monitor
-// Session pins once at NewSession).
+// cached view of the currently published snapshot (a pinned view returns
+// itself). All public methods pin implicitly, so Pin is only needed when
+// several calls must observe the same snapshot (a monitor Session pins
+// once at NewSession).
 func (d *Deriver) Pin() *Deriver {
 	if d.ver == nil {
 		return d // already a pinned view
@@ -128,10 +112,8 @@ func (d *Deriver) Pin() *Deriver {
 // served from the Versioned ring (an error matching
 // master.ErrEpochEvicted when no longer retained; a static master's ring
 // only ever holds its own epoch), so PinAt needs a handle, not a pinned
-// view. Views are cached per epoch — the head like Pin, historical
-// epochs in a small cache bounded by the ring's retention — so repeated
-// resumes of the same epoch (every round of a session in a stateless
-// server) pay the O(|Σ|) engine rebuild once, not per call.
+// view. The head is served from Pin's cached view; a historical epoch
+// gets a fresh view, which holds nothing the ring does not.
 func (d *Deriver) PinAt(epoch uint64) (*Deriver, error) {
 	snap, err := d.ver.At(epoch)
 	if err != nil {
@@ -140,40 +122,18 @@ func (d *Deriver) PinAt(epoch uint64) (*Deriver, error) {
 	if v := d.Pin(); v.dm == snap {
 		return v, nil
 	}
-	return d.histView(snap), nil
+	return d.buildView(snap), nil
 }
 
-// histView serves a non-head pinned view from the historical cache,
-// building and inserting it on a miss. Stale entries — epochs the ring
-// no longer retains — are pruned on every insert.
-func (d *Deriver) histView(snap *master.Data) *Deriver {
-	d.histMu.Lock()
-	defer d.histMu.Unlock()
-	for _, v := range d.histViews {
-		if v.dm == snap {
-			return v
-		}
-	}
-	v := d.buildView(snap)
-	kept := d.histViews[:0]
-	for _, old := range d.histViews {
-		if s, err := d.ver.At(old.dm.Epoch()); err == nil && s == old.dm {
-			kept = append(kept, old)
-		}
-	}
-	d.histViews = append(kept, v)
-	if max := d.ver.History(); len(d.histViews) > max {
-		d.histViews = append([]*Deriver(nil), d.histViews[len(d.histViews)-max:]...)
-	}
-	return v
-}
-
-// buildView constructs a fresh snapshot-bound view sharing the handle's
-// immutable parts and scratch pool.
+// buildView binds a fresh view to one master snapshot, sharing the
+// handle's immutable parts (Σ, its program) and scratch pool.
 func (d *Deriver) buildView(snap *master.Data) *Deriver {
-	v := &Deriver{sigma: d.sigma, actDom: d.actDom, sampleCap: d.sampleCap, pool: d.pool}
-	v.pinTo(snap)
-	return v
+	return &Deriver{
+		sigma: d.sigma, actDom: d.actDom, sampleCap: d.sampleCap, prog: d.prog, pool: d.pool,
+		dm:      snap,
+		checker: analysis.NewChecker(d.sigma, snap, analysis.Options{}),
+		off:     unsupported(d.sigma, snap),
+	}
 }
 
 func (d *Deriver) getScratch() *derScratch   { return d.pool.Get().(*derScratch) }
@@ -241,11 +201,30 @@ func (d *Deriver) CompCRegions() []Candidate {
 	return out
 }
 
+// TrivialRegion returns the region that is certain whatever Dm holds: every
+// attribute the structural closure of ∅ does not reach, so the users
+// assert all that no rule supplies unprompted. It is what is left to seed
+// a session with when CompCRegions verifies no candidate.
+func (d *Deriver) TrivialRegion() Candidate {
+	d = d.Pin()
+	sc := d.getScratch()
+	defer d.putScratch(sc)
+	d.prog.Closure(relation.AttrSet{}, d.off, sc.clo)
+	var z relation.AttrSet
+	for a := range d.sigma.Schema().Arity() {
+		if !sc.clo.Has(a) {
+			z.Add(a)
+		}
+	}
+	return Candidate{Z: z.Positions(), ZSet: z}
+}
+
 // growAndMinimize grows zSet greedily until the structural closure covers
 // R (preferring the attribute whose addition enlarges the closure most),
 // then reverse-deletes redundant attributes. Returns nil when full
-// coverage is unreachable. Runs on the precompiled Σ program: each greedy
-// round is one GainAll pass instead of one closure per candidate.
+// coverage is unreachable. Runs on the Σ program under the snapshot's
+// mask: each greedy round is one GainAll pass instead of one closure per
+// candidate.
 func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
 	arity := d.sigma.Schema().Arity()
 	cur := zSet.Clone()
@@ -254,7 +233,7 @@ func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
 	defer d.putScratch(sc)
 
 	for {
-		baseLen, gains := d.prog.GainAll(cur, sc.clo)
+		baseLen, gains := d.prog.GainAll(cur, d.off, sc.clo)
 		if baseLen >= arity {
 			break
 		}
@@ -281,7 +260,7 @@ func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
 			continue
 		}
 		cur.Remove(a)
-		if d.prog.Closure(cur, sc.clo) != arity {
+		if d.prog.Closure(cur, d.off, sc.clo) != arity {
 			cur.Add(a)
 		}
 	}
@@ -322,85 +301,41 @@ func (d *Deriver) sampleRows(z []int) [][]relation.Value {
 	if n > d.sampleCap {
 		step = n / d.sampleCap
 	}
-	sc := d.getScratch()
-	defer d.putScratch(sc)
 	choices := make([][]relation.Value, len(z))
 	var rows [][]relation.Value
 	for id := 0; id < n; id += step {
 		tm := d.dm.Tuple(id)
 		for i, a := range z {
-			choices[i] = d.attrChoicesInto(&sc.choice, i, a, tm)
+			choices[i] = d.attrChoices(a, tm)
 		}
 		rows = appendProduct(rows, choices, 8)
 	}
 	return rows
 }
 
-// choiceScratch is the reusable state of attrChoicesInto: one epoch-stamped
-// dense array over interned master-value ids (O(1) dedup), a short linear
-// overflow for constants absent from the master symbol table, and per-slot
-// output buffers that survive across master tuples within one sampleRows.
-type choiceScratch struct {
-	epoch  uint32
-	stamp  []uint32
-	extras []relation.Value
-	bufs   [][]relation.Value
-}
-
-// attrChoicesInto lists the plausible validated values of attribute a
-// given master tuple tm into the slot-th scratch buffer. The returned
-// slice aliases the scratch and is valid until slot is reused.
-func (d *Deriver) attrChoicesInto(sc *choiceScratch, slot, a int, tm relation.Tuple) []relation.Value {
-	for len(sc.bufs) <= slot {
-		sc.bufs = append(sc.bufs, nil)
-	}
-	out := sc.bufs[slot][:0]
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could collide
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.epoch = 1
-	}
-	sc.extras = sc.extras[:0]
-	syms := d.dm.Hasher().Symbols()
+// attrChoices lists the distinct plausible validated values of attribute
+// a given master tuple tm. Boot-time only (≤ sampleCap tuples × |Z|), over
+// a handful of values per attribute.
+func (d *Deriver) attrChoices(a int, tm relation.Tuple) []relation.Value {
+	var out []relation.Value
 	add := func(v relation.Value) {
-		if id, ok := syms.ID(v); ok {
-			for int(id) >= len(sc.stamp) {
-				sc.stamp = append(sc.stamp, 0)
-			}
-			if sc.stamp[id] == sc.epoch {
-				return
-			}
-			sc.stamp[id] = sc.epoch
-		} else {
-			// Pattern constants never seen in an indexed master column:
-			// rare, so a short linear scan suffices.
-			for _, w := range sc.extras {
-				if w.Equal(v) {
-					return
-				}
-			}
-			sc.extras = append(sc.extras, v)
+		if !slices.ContainsFunc(out, v.Equal) {
+			out = append(out, v)
 		}
-		out = append(out, v)
 	}
 	for _, ru := range d.sigma.Rules() {
 		if mp, ok := ru.MasterPosFor(a); ok {
 			add(tm[mp])
 		}
 	}
-	if vs, ok := d.actDom[a]; ok {
-		for _, v := range vs {
-			add(v)
-		}
+	for _, v := range d.actDom[a] {
+		add(v)
 	}
 	if len(out) == 0 {
 		// Attribute outside Σ (like `item`): its value is irrelevant to
 		// rule firing; any placeholder works.
 		add(relation.String("*"))
 	}
-	sc.bufs[slot] = out
 	return out
 }
 
@@ -448,7 +383,7 @@ func (d *Deriver) GRegion() Candidate {
 	var cur relation.AttrSet
 
 	for {
-		covered := directCover(d.sigma, d.sup, cur)
+		covered := directCover(d.sigma, d.off, cur)
 		if covered.Len() >= arity {
 			break
 		}
@@ -460,7 +395,7 @@ func (d *Deriver) GRegion() Candidate {
 			}
 			trial := cur.Clone()
 			trial.Add(a)
-			gain := directCover(d.sigma, d.sup, trial).Len() - covered.Len()
+			gain := directCover(d.sigma, d.off, trial).Len() - covered.Len()
 			if !covered.Has(a) {
 				gain-- // do not count the attribute covering itself
 			}
@@ -487,7 +422,7 @@ func (d *Deriver) gRegionFallback(covered, cur relation.AttrSet) int {
 	arity := d.sigma.Schema().Arity()
 	counts := make([]int, arity)
 	for i, ru := range d.sigma.Rules() {
-		if !d.sup[i] || covered.Has(ru.RHS()) {
+		if d.off[i] || covered.Has(ru.RHS()) {
 			continue
 		}
 		for _, p := range ru.PremiseSet().Positions() {

@@ -6,33 +6,53 @@ import (
 	"repro/internal/rule"
 )
 
-// ApplicableRules computes Σ_t[Z] of §5.2: the rules that can still
-// participate in fixing t once t[Z] is validated, each refined into ϕ+ by
-// pinning its pattern to t's validated values. A rule ϕ is kept when
+// applicable decides, for one rule ϕ of Σ, whether ϕ belongs to Σ_t[Z] of
+// §5.2 — whether it can still participate in fixing t once t[Z] is
+// validated. It is kept when
 //
 //	(a) rhs(ϕ) ∉ Z (validated attributes are protected),
 //	(b) its pattern cells on Z accept t's values, and
 //	(c) some master tuple is compatible: it satisfies the pattern cells on
 //	    the λϕ-mapped lhs attributes and agrees with t on λϕ(X ∩ Z).
 //
-// ϕ+ extends the pattern with X ∩ Z pinned to t's constants (Prop. 20
-// shows suggestions may be computed against Σ_t[Z] instead of Σ).
 // Condition (c) runs on the master's inverted postings (smallest-first
 // posting intersection under the pattern-support bitmap) instead of the
-// O(|Dm|) scan per rule; see master.CompatibleExists.
+// O(|Dm|) scan per rule; see master.CompatibleExists. This is the one
+// place the production paths decide Σ_t[Z]; d must be a pinned view.
+func (d *Deriver) applicable(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
+	return !zSet.Has(ru.RHS()) && patternAccepts(ru, t, zSet) && d.dm.CompatibleExists(ru, t, zSet)
+}
+
+// applicableMask fills sc's mask with Σ_t[Z] as a mask over the Σ program
+// (off[i] ⟺ rule i of Σ is outside Σ_t[Z]) and reports whether a kept rule
+// carries a confidence below 1. Prop. 20 lets Suggest work on Σ_t[Z]; the
+// refinement ϕ+ pins cells on X ∩ Z, inside ϕ's own premise, so the
+// closure over Σ_t[Z] is the closure over the kept rules of Σ.
+func (d *Deriver) applicableMask(sc *derScratch, t relation.Tuple, zSet relation.AttrSet) (off []bool, weighted bool) {
+	rules := d.sigma.Rules()
+	if cap(sc.off) < len(rules) {
+		sc.off = make([]bool, len(rules))
+	}
+	off = sc.off[:len(rules)]
+	for i, ru := range rules {
+		off[i] = !d.applicable(ru, t, zSet)
+		weighted = weighted || !off[i] && ru.Confidence() != 1
+	}
+	return off, weighted
+}
+
+// ApplicableRules materialises Σ_t[Z] of §5.2 as rules: every applicable
+// rule of Σ, refined into ϕ+ by extending its pattern with X ∩ Z pinned to
+// t's constants (Prop. 20 shows suggestions may be computed against
+// Σ_t[Z] instead of Σ). Suggest itself never builds these — see
+// applicableMask; this is the paper-facing form of the same predicate.
 func (d *Deriver) ApplicableRules(t relation.Tuple, zSet relation.AttrSet) *rule.Set {
 	d = d.Pin()
-	out := rule.MustNewSet(d.sigma.Schema(), d.dm.Schema())
-	out.Grow(d.sigma.Len())
+	var buf [32]*rule.Rule // on the stack for every Σ we ship; NewSet copies
+	kept := buf[:0]
 	for _, ru := range d.sigma.Rules() {
-		if zSet.Has(ru.RHS()) {
-			continue // (a)
-		}
-		if !patternAccepts(ru, t, zSet) {
-			continue // (b)
-		}
-		if !d.dm.CompatibleExists(ru, t, zSet) {
-			continue // (c)
+		if !d.applicable(ru, t, zSet) {
+			continue
 		}
 		refined := ru.Pattern()
 		touched := false
@@ -43,16 +63,16 @@ func (d *Deriver) ApplicableRules(t relation.Tuple, zSet relation.AttrSet) *rule
 			}
 		}
 		if !touched {
-			out.Add(ru) // X ∩ Z = ∅: ϕ+ coincides with ϕ (Example 14's ϕ4, ϕ5)
+			kept = append(kept, ru) // X ∩ Z = ∅: ϕ+ coincides with ϕ (Example 14's ϕ4, ϕ5)
 			continue
 		}
 		plus, err := ru.WithPattern(refined)
 		if err != nil {
 			continue // cannot happen: refinement keeps positions valid
 		}
-		out.Add(plus)
+		kept = append(kept, plus)
 	}
-	return out
+	return rule.MustNewSet(d.sigma.Schema(), d.dm.Schema(), kept...)
 }
 
 // patternAccepts checks condition (b): tp[Xp ∩ Z] ≈ t[Xp ∩ Z].
@@ -68,50 +88,48 @@ func patternAccepts(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool
 }
 
 // Suggestion is the result of procedure Suggest: the attribute set S to
-// recommend, with the refined rule set used to justify it.
+// recommend.
 type Suggestion struct {
-	S       []int
-	Refined *rule.Set
+	S []int
 }
 
-// Suggest implements procedure Suggest of Fig. 6: derive Σ_t[Z], compute a
+// Suggest implements procedure Suggest of Fig. 6: decide Σ_t[Z], compute a
 // (small) attribute set S such that validating t[S] on top of t[Z]
 // reaches full structural coverage, and return it. An empty S means the
-// closure of Z under the refined rules already covers R. Attributes no
-// rule can reach end up in S themselves — the users must assert them
-// directly, exactly as the paper's framework expects (Example 8: item has
-// to be assured by the users).
+// closure of Z under Σ_t[Z] already covers R. Attributes no rule can reach
+// end up in S themselves — the users must assert them directly, exactly
+// as the paper's framework expects (Example 8: item has to be assured by
+// the users).
 //
-// The refined set is compiled once into a counter-based closure program;
-// each greedy round evaluates every candidate's closure gain in one
-// GainAll pass (the base closure plus undone marginal trials) instead of
-// one full O(|Σ|²) fixpoint per candidate.
+// Σ_t[Z] is a mask over the deriver's one Σ program; each greedy round
+// evaluates every candidate's closure gain in one GainAll pass (the base
+// closure plus undone marginal trials) instead of one full O(|Σ|²)
+// fixpoint per candidate.
 //
-// When the refined set is weighted (mined rules carrying confidence
-// below 1 — see rule.Rule.Confidence), equal closure gains are broken by
-// confidence mass: among tied attributes, prefer the one whose dependent
-// rules are most trustworthy, so the fixes riding on the validated
-// attribute lean on the best-supported evidence. Unweighted sets (every
-// hand-written Σ) keep the original first-index tie-break, byte for
-// byte.
+// When Σ_t[Z] is weighted (mined rules carrying confidence below 1 — see
+// rule.Rule.Confidence), equal closure gains are broken by confidence
+// mass: among tied attributes, prefer the one whose dependent rules are
+// most trustworthy, so the fixes riding on the validated attribute lean
+// on the best-supported evidence. Unweighted sets (every hand-written Σ)
+// keep the original first-index tie-break, byte for byte.
 func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	d = d.Pin()
-	refined := d.ApplicableRules(t, zSet)
 	arity := d.sigma.Schema().Arity()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	// Every refined rule passed condition (c), so all are enabled.
-	prog := refined.CompileInto(nil, sc.prog)
-	sc.prog = prog
+	off, weighted := d.applicableMask(sc, t, zSet)
 
-	// confMass[a] = Σ confidence over refined rules whose premise
+	// confMass[a] = Σ confidence over the rules of Σ_t[Z] whose premise
 	// contains a: how much mined evidence stands behind validating a.
 	// Computed only for weighted sets; nil keeps the unweighted path
 	// allocation-free and behaviorally identical.
 	var confMass []float64
-	if refined.Weighted() {
+	if weighted {
 		confMass = make([]float64, arity)
-		for _, ru := range refined.Rules() {
+		for i, ru := range d.sigma.Rules() {
+			if off[i] {
+				continue
+			}
 			for _, p := range ru.PremiseSet().Positions() {
 				confMass[p] += ru.Confidence()
 			}
@@ -121,7 +139,7 @@ func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	cur := zSet.Clone()
 	var s relation.AttrSet
 	for {
-		baseLen, gains := prog.GainAll(cur, sc.clo)
+		baseLen, gains := d.prog.GainAll(cur, off, sc.clo)
 		if baseLen >= arity {
 			break
 		}
@@ -151,27 +169,25 @@ func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	// each trial is a remove/re-add instead of a fresh union.
 	for _, a := range s.Positions() {
 		cur.Remove(a)
-		if prog.Closure(cur, sc.clo) == arity {
+		if d.prog.Closure(cur, off, sc.clo) == arity {
 			s.Remove(a)
 		} else {
 			cur.Add(a)
 		}
 	}
-	return Suggestion{S: s.Positions(), Refined: refined}
+	return Suggestion{S: s.Positions()}
 }
 
 // IsSuggestion reports whether validating t[S] on top of t[Z] reaches full
-// structural coverage under the refined rules Σ_t[Z].
+// structural coverage under Σ_t[Z].
 func (d *Deriver) IsSuggestion(t relation.Tuple, zSet relation.AttrSet, s []int) bool {
 	d = d.Pin()
-	refined := d.ApplicableRules(t, zSet)
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	prog := refined.CompileInto(nil, sc.prog)
-	sc.prog = prog
+	off, _ := d.applicableMask(sc, t, zSet)
 	cur := zSet.Clone()
 	cur.AddAll(s)
-	return prog.Closure(cur, sc.clo) == d.sigma.Schema().Arity()
+	return d.prog.Closure(cur, off, sc.clo) == d.sigma.Schema().Arity()
 }
 
 // IsSuggestionFast is the reuse test of Suggest+ (§5.2): it decides
@@ -180,13 +196,13 @@ func (d *Deriver) IsSuggestion(t relation.Tuple, zSet relation.AttrSet, s []int)
 // suggestion this way is far cheaper than computing a fresh one (which
 // must derive Σ_t[Z] against the master data); optimism about the
 // specific tuple's values is safe because the framework re-validates
-// through TransFix after the users answer. Runs on the deriver's
-// precompiled Σ program: one counter pass per check.
+// through TransFix after the users answer. Runs on the Σ program under
+// the snapshot's mask: one counter pass per check.
 func (d *Deriver) IsSuggestionFast(zSet relation.AttrSet, s []int) bool {
 	d = d.Pin()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	cur := zSet.Clone()
 	cur.AddAll(s)
-	return d.prog.Closure(cur, sc.clo) == d.sigma.Schema().Arity()
+	return d.prog.Closure(cur, d.off, sc.clo) == d.sigma.Schema().Arity()
 }

@@ -56,8 +56,12 @@ rule r2: (q ; q) -> (p ; p) weight 0.9
 	if len(got.S) != 1 || got.S[0] != 1 {
 		t.Fatalf("weighted suggestion = %v, want [q]", got.S)
 	}
-	if !got.Refined.Weighted() {
+	refined := d.ApplicableRules(tup, relation.AttrSet{})
+	if !refined.Weighted() {
 		t.Fatal("refined set should stay weighted")
+	}
+	if !sameRuleSets(refined, d.ApplicableRulesNaive(tup, relation.AttrSet{})) {
+		t.Fatal("refined set diverges from the naive derivation")
 	}
 
 	// Flipping the weights flips the pick back to p.

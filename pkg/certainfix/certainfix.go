@@ -399,6 +399,9 @@ func (s *System) Rules() *Rules { return s.sigma }
 func (s *System) Schema() *Schema { return s.sigma.Schema() }
 
 // Regions returns the precomputed certain-region candidates, best first.
+// It is empty when none verified on the master the System was opened on
+// (some rule is not a function on it): sessions then open by asking for
+// every attribute no rule reaches unprompted.
 // The first candidate's Z is what the users are asked to validate first.
 func (s *System) Regions() []RegionCandidate { return s.mon.Regions() }
 

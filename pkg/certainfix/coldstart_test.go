@@ -1,18 +1,14 @@
 package certainfix_test
 
 // The streamed boot at the public surface: a System opened on a master CSV
-// file fixes exactly like one opened on the relation read from that file,
-// and BenchmarkColdStartCSV measures that boot end to end — parse, intern,
-// index, regions — which is what a server's set-up time is.
+// file fixes exactly like one opened on the relation read from that file.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -89,43 +85,5 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 	}
 	if _, err := certainfix.NewFromCSV(ds.Sigma, bad); err == nil || !bytes.Contains([]byte(err.Error()), []byte(bad)) {
 		t.Fatalf("malformed master CSV: %v", err)
-	}
-}
-
-// BenchmarkColdStartCSV boots a System from a HOSP master CSV on disk (page
-// cache warm), as certainfixd -master does: B/op is what the boot allocates,
-// live-B/tuple what the System still holds after a collection.
-func BenchmarkColdStartCSV(b *testing.B) {
-	for _, n := range []int{10_000, 100_000} {
-		ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1, Shards: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		path, sigma := writeMasterCSV(b, ds), ds.Sigma
-		ds = nil
-		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(2)
-			defer runtime.GOMAXPROCS(prev)
-			var before, after runtime.MemStats
-			var live uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				b.StartTimer()
-				sys, err := certainfix.NewFromCSV(sigma, path, certainfix.WithShards(4))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				runtime.KeepAlive(sys)
-				live += after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc)
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(live)/float64(b.N)/float64(n), "live-B/tuple")
-		})
 	}
 }
