@@ -12,6 +12,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -365,6 +366,36 @@ func BenchmarkSuggest(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if s := d.SuggestNaive(t, zSet); len(s.S) == 0 {
 				b.Fatal("empty suggestion")
+			}
+		}
+	})
+	// An entity outside the master with the certain region validated: no
+	// rule grounds, every grounding probe misses, and the suggestion is
+	// every remaining attribute — the round this tuple used to reach one
+	// candidate key at a time.
+	b.Run("outside", func(b *testing.B) {
+		region := d.CompCRegions()[0]
+		var all relation.AttrSet
+		for p := range ds.Sigma.Schema().Arity() {
+			all.Add(p)
+		}
+		i := slices.IndexFunc(ds.Truths, func(truth relation.Tuple) bool {
+			return !slices.ContainsFunc(ds.Sigma.Rules(), func(ru *rule.Rule) bool {
+				return ds.Master.CompatibleExists(ru, truth, all)
+			})
+		})
+		if i < 0 {
+			b.Fatal("no input outside the master")
+		}
+		t := ds.Inputs[i].Clone()
+		for _, p := range region.Z {
+			t[p] = ds.Truths[i][p]
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s := d.Suggest(t, region.ZSet); len(s.S)+len(region.Z) != len(t) {
+				b.Fatalf("suggested %d attributes on top of %d validated, want all %d", len(s.S), len(region.Z), len(t))
 			}
 		}
 	})

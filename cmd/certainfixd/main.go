@@ -33,7 +33,11 @@
 // token pins the master epoch its session started on; after enough
 // /v1/update-master publishes that epoch is evicted from the snapshot
 // ring (-history) and /v1/answer replies 409 {"code": "epoch_evicted"}
-// until the client retries with "rebase": true.
+// until the client retries with "rebase": true. A token whose epoch this
+// node has not reached yet (minted on the leader, sent to a follower that
+// is still catching up) is 503 {"code": "epoch_ahead"} with Retry-After:
+// the same request succeeds once the epoch has been shipped, and "rebase"
+// does not apply — it never moves a session onto an older master.
 //
 // The token is one opaque base64 string: a compact binary image of the
 // session ending in an HMAC-SHA256 tag, so the set of attributes "the

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,98 @@ func TestHTTPEpochEvictionAndRebase(t *testing.T) {
 	}
 	if !next.Completed {
 		t.Fatalf("rebased session incomplete: %+v", next)
+	}
+}
+
+// TestHTTPEpochAheadOnLaggingFollower: a token minted on the leader at an
+// epoch a partitioned follower has not been shipped yet gets 503
+// epoch_ahead with Retry-After from the follower — not 409 epoch_evicted,
+// whose documented reaction, "rebase": true, would move the session back
+// onto an older master; rebase is refused the same way. Once the link
+// heals and the epoch arrives, the very same request succeeds.
+func TestHTTPEpochAheadOnLaggingFollower(t *testing.T) {
+	key := certainfix.WithTokenKey([]byte("leader-follower-shared-key"))
+	leader := paperSystem(t, certainfix.WithWAL(t.TempDir()), key)
+	defer leader.Close()
+	var partitioned atomic.Bool
+	ship := newHandler(leader)
+	link := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if partitioned.Load() {
+			http.Error(w, "partitioned", http.StatusBadGateway)
+			return
+		}
+		ship.ServeHTTP(w, r)
+	}))
+	defer link.Close()
+
+	follower, err := certainfix.NewFollower(paperex.Sigma0(), link.URL, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	base, stop := startServer(t, follower)
+	defer stop()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(15 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (follower at epoch %d, leader at %d)", what, follower.MasterEpoch(), leader.MasterEpoch())
+			}
+		}
+	}
+	converged := func() bool { return follower.MasterEpoch() == leader.MasterEpoch() }
+	waitFor("the bootstrap", converged)
+
+	// Cut the link, the open tail stream included, and wait until the
+	// follower has seen it go: from here on nothing reaches it.
+	partitioned.Store(true)
+	link.CloseClientConnections()
+	waitFor("the follower to notice the partition", func() bool {
+		st, _ := follower.Replication()
+		return st.Reconnects >= 1
+	})
+	if _, err := leader.UpdateMaster([]certainfix.Tuple{certainfix.StringTuple(
+		"Jane", "Doe", "999", "5551234", "070000000",
+		"1 Test St", "Tst", "ZZ1 1ZZ", "01/01/70", "F")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := leader.Begin(context.Background(), paperex.InputT2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := sess.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Epoch() <= follower.MasterEpoch() {
+		t.Fatalf("leader token at epoch %d, follower head %d: nothing is ahead", sess.Epoch(), follower.MasterEpoch())
+	}
+
+	for _, rebase := range []bool{false, true} {
+		b, _ := json.Marshal(map[string]any{"token": token, "rebase": rebase})
+		resp, err := http.Post(base+"/v1/suggest", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || reply["code"] != "epoch_ahead" || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("leader token on the lagging follower (rebase %v): HTTP %d %v, Retry-After %q",
+				rebase, resp.StatusCode, reply, resp.Header.Get("Retry-After"))
+		}
+	}
+
+	partitioned.Store(false)
+	waitFor("the healed link to ship the epoch", converged)
+	var resumed wireSession
+	if code := post(t, base+"/v1/suggest", map[string]any{"token": token}, &resumed); code != http.StatusOK {
+		t.Fatalf("same token once the follower caught up: HTTP %d", code)
+	}
+	if resumed.Epoch != sess.Epoch() {
+		t.Fatalf("resumed at epoch %d, token minted at %d", resumed.Epoch, sess.Epoch())
 	}
 }
 

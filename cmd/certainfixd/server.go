@@ -299,6 +299,13 @@ func writeErr(w http.ResponseWriter, err error) {
 		// Conflict, not 400: the token was valid; the server's retention
 		// moved on. The client may retry with "rebase": true.
 		writeJSON(w, http.StatusConflict, errBody(err, "epoch_evicted"))
+	case errors.Is(err, certainfix.ErrEpochAhead):
+		// Unavailable, not 409: the token is from this lineage's future —
+		// a follower that has not caught up with the leader that minted
+		// it. Nothing is wrong with the request; the same one succeeds
+		// once the epoch has been shipped, and "rebase" must not be tried.
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, errBody(err, "epoch_ahead"))
 	case errors.Is(err, certainfix.ErrSessionDone):
 		writeJSON(w, http.StatusConflict, errBody(err, "session_done"))
 	case errors.Is(err, certainfix.ErrReadOnlyReplica):

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	expdriver [-experiment all|exp1|exp2|fig9|fig10|fig11|fig12|fixdump]
+//	expdriver [-experiment all|exp1|exp2|fig9|fig10|fig11|fig12|effort|fixdump]
 //	          [-dataset hosp|dblp|both] [-master N] [-tuples N] [-seed N]
 //	          [-workers N] [-shards P] [-out FILE] [-master-snapshot FILE]
 //	          [-update-batches N] [-wal-dir DIR]
@@ -43,7 +43,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, exp1, exp2, fig9, fig10, fig11, fig12, fixdump")
+		experiment = flag.String("experiment", "all", "which experiment to run: all, exp1, exp2, fig9, fig10, fig11, fig12, effort, fixdump")
 		dataset    = flag.String("dataset", "both", "dataset: hosp, dblp or both")
 		masterSize = flag.Int("master", 2000, "master relation size |Dm|")
 		tuples     = flag.Int("tuples", 500, "input tuples |D|")
@@ -107,6 +107,11 @@ func main() {
 		}
 		if run("fig9") {
 			t, err := experiments.Fig9(p)
+			checkErr(err)
+			t.Fprint(os.Stdout)
+		}
+		if run("effort") {
+			t, err := experiments.Effort(p)
 			checkErr(err)
 			t.Fprint(os.Stdout)
 		}

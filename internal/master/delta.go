@@ -350,6 +350,13 @@ const DefaultHistory = 8
 // head (monitor.ResumeOptions.RebaseToHead).
 var ErrEpochEvicted = errors.New("master: epoch evicted from snapshot history")
 
+// ErrEpochAhead reports that the requested epoch is newer than this
+// lineage's head: the snapshot was published elsewhere (a session minted on
+// the leader, resumed on a follower still catching up) and will arrive. It
+// is "not yet", not "no longer" — retry after the lineage has caught up;
+// rebasing onto the head would move the session back in time.
+var ErrEpochAhead = errors.New("master: epoch ahead of the published head")
+
 // NewVersioned starts a version chain at snapshot d (epoch as built),
 // retaining DefaultHistory snapshots for At.
 func NewVersioned(d *Data) *Versioned {
@@ -392,13 +399,16 @@ func (v *Versioned) History() int {
 // At returns the retained snapshot with the given epoch. The head is
 // always available; older epochs are served from the ring until evicted,
 // after which At fails with an error matching ErrEpochEvicted via
-// errors.Is.
+// errors.Is. An epoch beyond the head fails with ErrEpochAhead instead.
 func (v *Versioned) At(epoch uint64) (*Data, error) {
 	if cur := v.cur.Load(); cur.epoch == epoch {
 		return cur, nil
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if head := v.cur.Load().epoch; epoch > head {
+		return nil, fmt.Errorf("master: epoch %d not published yet (head %d): %w", epoch, head, ErrEpochAhead)
+	}
 	for i := len(v.hist) - 1; i >= 0; i-- {
 		if v.hist[i].epoch == epoch {
 			return v.hist[i], nil

@@ -53,8 +53,12 @@ func TestVersionedAt(t *testing.T) {
 			t.Fatalf("At(%d) returned epoch %d", want.Epoch(), got.Epoch())
 		}
 	}
-	if _, err := v.At(999); !errors.Is(err, master.ErrEpochEvicted) {
-		t.Fatalf("At(unknown) = %v, want ErrEpochEvicted", err)
+	// An epoch this lineage has not reached is "not yet", never "evicted":
+	// the caller's reaction to the latter is to rebase onto the head.
+	for _, ahead := range []uint64{v.Epoch() + 1, 999} {
+		if _, err := v.At(ahead); !errors.Is(err, master.ErrEpochAhead) || errors.Is(err, master.ErrEpochEvicted) {
+			t.Fatalf("At(%d) with head %d = %v, want ErrEpochAhead only", ahead, v.Epoch(), err)
+		}
 	}
 }
 

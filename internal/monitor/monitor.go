@@ -225,12 +225,17 @@ func (m *Monitor) CacheStats() (hits, misses int) {
 // for a unique fix and cascades TransFix (lines 6–7), finishing when Z'
 // covers R (lines 8–10). The input tuple is not mutated.
 //
-// Two consecutive rounds in which TransFix fixes nothing indicate the
-// tuple lies outside the master data's reach (a fresh entity); the
-// framework then asks for the remainder at once instead of probing one
-// candidate key per round. This bounds interactions the way §6 reports
-// (≤ 3 rounds for dblp, ≤ 4 for hosp). Conflicting rules are never
-// resolved by guessing: the disputed attribute joins the next suggestion.
+// Suggest counts only on rules the tuple's current values can ground in
+// the master (suggest.Deriver.Suggest), so a tuple outside the master's
+// reach — a fresh entity — is asked for everything no such rule supplies
+// as soon as the first round has fired nothing: on the §6 workloads a fix
+// takes ≤ 3 rounds for hosp and dblp alike, ≤ 2 unless a hint missed.
+// The mop-up is the fallback for exactly that miss, a hint that said
+// "likely" on a stale value that happened to hit Dm: two consecutive
+// rounds in which TransFix fixes nothing, and the framework asks for the
+// remainder at once instead of probing one candidate key per round.
+// Conflicting rules are never resolved by guessing: the disputed
+// attribute joins the next suggestion.
 //
 // The context is checked before every interaction round, so a deadline
 // or cancellation interrupts the fix between rounds (never mid-round —
@@ -260,15 +265,20 @@ func driveSession(ctx context.Context, sess *Session, user User) (Result, error)
 }
 
 // nextSuggestion runs Suggest, or Suggest+ when the BDD cache is enabled,
-// against the session's pinned deriver view d.
+// against the session's pinned deriver view d. The cache holds structural
+// suggestions only — what Suggest yields from t[Z] alone — because its
+// reuse test never looks at the tuple; what t's current values say about
+// the rules is applied to whatever comes out, cached or computed, so one
+// tuple's hints are never replayed to the next.
 func (m *Monitor) nextSuggestion(d *suggest.Deriver, t relation.Tuple, zSet relation.AttrSet, cursor *bdd.Cursor) []int {
 	if cursor == nil {
 		return d.Suggest(t, zSet).S
 	}
-	return cursor.Next(
+	structural := cursor.Next(
 		func(s []int) bool { return allOutside(s, zSet) && d.IsSuggestionFast(zSet, s) },
-		func() []int { return d.Suggest(t, zSet).S },
+		func() []int { return d.SuggestStructural(t, zSet).S },
 	)
+	return d.SuggestFrom(t, zSet, structural).S
 }
 
 // conflictedAttrs finds attributes whose applicable rules currently

@@ -59,7 +59,9 @@ package monitor
 //     if the master head has moved on. When the epoch has been evicted
 //     from the snapshot ring the resume fails with an error matching
 //     master.ErrEpochEvicted unless ResumeOptions.RebaseToHead accepts
-//     re-pinning the current head instead.
+//     re-pinning the current head instead. An epoch the lineage has not
+//     reached yet (a leader's token on a lagging follower) fails with
+//     master.ErrEpochAhead either way: retry, do not rebase backwards.
 //   - Witnesses travel as ids only; the master tuples and proofs are
 //     re-materialized from the pinned snapshot by Result.
 //   - The BDD cursor (CertainFix+) is deliberately NOT captured: it is a
@@ -89,6 +91,7 @@ import (
 	"sync"
 
 	"repro/internal/fix"
+	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
 	"repro/internal/wal"
@@ -339,7 +342,8 @@ func (d *tokenDecoder) list(what string) []int {
 type ResumeOptions struct {
 	// RebaseToHead accepts re-pinning the currently published master
 	// snapshot when the token's original epoch has been evicted from the
-	// snapshot ring. The resumed rounds then run against newer master
+	// snapshot ring — never when the epoch is ahead of the head: a rebase
+	// only moves a session forward. The resumed rounds then run against newer master
 	// data than the earlier rounds did — every remaining suggestion and
 	// TransFix cascade is computed against the head snapshot, so the fix
 	// stays certain with respect to it, but the session loses the
@@ -353,8 +357,9 @@ type ResumeOptions struct {
 // master lineage and hold the minting monitor's key. The tag is verified
 // first, on every path; then the token's epoch is re-pinned via the
 // deriver (an error matching master.ErrEpochEvicted when the ring no
-// longer retains it and opt.RebaseToHead is false). Every other failure
-// matches ErrBadToken.
+// longer retains it and opt.RebaseToHead is false, master.ErrEpochAhead
+// when the lineage has not reached it yet, whatever opt says). Every
+// other failure matches ErrBadToken.
 func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, error) {
 	body, ok := m.auth.open(token)
 	if !ok {
@@ -434,7 +439,10 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 
 	pinned, err := m.deriver.PinAt(epoch)
 	if err != nil {
-		if !opt.RebaseToHead {
+		// Only an evicted epoch may be traded for the head: rebasing a
+		// session whose epoch this lineage has not reached yet would move
+		// it back in time.
+		if !opt.RebaseToHead || !errors.Is(err, master.ErrEpochEvicted) {
 			return nil, err
 		}
 		pinned = m.deriver.Pin()

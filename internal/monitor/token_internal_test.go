@@ -25,7 +25,9 @@ var internalKey = []byte("monitor-internal-test-key")
 // inputs and truths to drive sessions from.
 func hospMonitor(tb testing.TB, key []byte) (*Monitor, *datagen.Dataset, *master.Versioned) {
 	tb.Helper()
-	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 300, Tuples: 40, DupRate: 0.3, NoiseRate: 0.2})
+	// 48 inputs at ~1.9 rounds each: the ~140 begin/round tokens that seed
+	// FuzzResumeToken (40 inputs gave as many when a fix took ~2.3 rounds).
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 300, Tuples: 48, DupRate: 0.3, NoiseRate: 0.2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -352,6 +354,13 @@ func FuzzResumeToken(f *testing.F) {
 		s, err := m.ResumeSession(sealed, ResumeOptions{})
 		if errors.Is(err, master.ErrEpochEvicted) {
 			s, err = m.ResumeSession(sealed, ResumeOptions{RebaseToHead: true})
+		}
+		if errors.Is(err, master.ErrEpochAhead) {
+			// A mutated epoch beyond the head: typed, and never rebased.
+			if _, err := m.ResumeSession(sealed, ResumeOptions{RebaseToHead: true}); !errors.Is(err, master.ErrEpochAhead) {
+				t.Fatalf("rebase of an epoch ahead of the head = %v, want ErrEpochAhead", err)
+			}
+			return
 		}
 		if err != nil {
 			if !errors.Is(err, ErrBadToken) {

@@ -207,6 +207,56 @@ func TestSessionResumeEvictedEpoch(t *testing.T) {
 	}
 }
 
+// TestSessionResumeEpochAhead: a token minted at an epoch this monitor's
+// lineage has not reached — the leader's, on a follower one delta behind —
+// is "not yet", never "evicted": the resume fails with ErrEpochAhead,
+// RebaseToHead does not trade it for the older head (a rebase only moves a
+// session forward), and once the delta has arrived the same token resumes
+// on its own epoch.
+func TestSessionResumeEpochAhead(t *testing.T) {
+	cfg := monitor.Config{TokenKey: []byte("one key for leader and follower")}
+	leader, leaderVer := newVersionedMonitor(t, cfg)
+	follower, followerVer := newVersionedMonitor(t, cfg)
+	delta := []relation.Tuple{relation.StringTuple(
+		"Jane", "Doe", "999", "5551234", "070000000",
+		"1 Test St", "Tst", "ZZ1 1ZZ", "01/01/70", "F")}
+	if _, err := leaderVer.Apply(delta, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	input, truth := paperex.InputT2(), truthT2()
+	sess, err := leader.NewSession(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	provideTruth(t, sess, truth)
+	token := suspend(t, sess)
+	if sess.Epoch() <= followerVer.Epoch() {
+		t.Fatalf("leader session at epoch %d, follower head %d: nothing is ahead", sess.Epoch(), followerVer.Epoch())
+	}
+
+	for _, opt := range []monitor.ResumeOptions{{}, {RebaseToHead: true}} {
+		_, err := follower.ResumeSession(token, opt)
+		if !errors.Is(err, master.ErrEpochAhead) || errors.Is(err, master.ErrEpochEvicted) {
+			t.Fatalf("resume ahead of the head (%+v) = %v, want ErrEpochAhead only", opt, err)
+		}
+	}
+
+	if _, err := followerVer.Apply(delta, nil); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := follower.ResumeSession(token, monitor.ResumeOptions{})
+	if err != nil {
+		t.Fatalf("resume once the follower caught up: %v", err)
+	}
+	if resumed.Epoch() != sess.Epoch() {
+		t.Fatalf("resumed at epoch %d, token minted at %d", resumed.Epoch(), sess.Epoch())
+	}
+	if res := finish(t, resumed, truth); !res.Completed || !res.Tuple.Equal(truth) {
+		t.Fatalf("caught-up follower fixed %v (completed %v), truth %v", res.Tuple, res.Completed, truth)
+	}
+}
+
 // TestSessionStateAbortAndDone: an aborted session's token round-trips —
 // the resumed session is done, incomplete, and rejects further rounds
 // with ErrSessionDone.

@@ -29,11 +29,15 @@
 //   - a snapshot's mask (unsupported): the rules no master tuple of that
 //     epoch can ever fire — region derivation and IsSuggestionFast;
 //   - a tuple's mask (Deriver.applicableMask): the rules outside Σ_t[Z] —
-//     Suggest and IsSuggestion. A refined rule ϕ+ of §5.2 pins pattern
+//     IsSuggestion, SuggestStructural and the base of the next mask. A refined rule ϕ+ of §5.2 pins pattern
 //     cells on X ∩ Z only, attributes already in ϕ's premise X ∪ Xp, so
 //     for the structural closure Σ_t[Z] is a subset of Σ and no ϕ+ is
 //     built on the request path (ApplicableRules materialises them for
-//     callers that want the rules themselves).
+//     callers that want the rules themselves);
+//   - a tuple's grounded mask (Deriver.groundedMask): also the rules of
+//     Σ_t[Z] whose lhs no master tuple matches at t's current values —
+//     Suggest. It orders the questions, never decides a fix: what it keeps is
+//     a subset of Σ_t[Z], so a suggestion under it is one under Σ_t[Z].
 //
 // The naive implementations below and in naive.go are retained as
 // reference oracles; the property tests assert output equivalence on

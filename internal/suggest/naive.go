@@ -101,11 +101,31 @@ func patternCompatibleMaster(ru *rule.Rule, tm relation.Tuple) bool {
 }
 
 // SuggestNaive is Suggest running on the naive fixpoint closure: one full
-// O(|Σ|²) closure per candidate attribute per greedy round.
+// O(|Σ|²) closure per candidate attribute per greedy round, over the rules
+// of Σ_t[Z] that t's current values ground in Dm — groundedMask's least
+// fixpoint, every probe decided by the scan.
 func (d *Deriver) SuggestNaive(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	d = d.Pin()
-	refined := d.ApplicableRulesNaive(t, zSet)
-	// Every refined rule passed condition (c), so none is masked.
+	kept := d.ApplicableRulesNaive(t, zSet).Rules()
+	likely := make([]bool, len(kept))
+	var judged relation.AttrSet
+	for p := range t {
+		judged.Add(p)
+	}
+	refined := rule.MustNewSet(d.sigma.Schema(), d.dm.Schema())
+	for changed := true; changed; {
+		changed = false
+		for i, ru := range kept {
+			if likely[i] || !d.masterCompatibleScan(ru, t, judged) {
+				continue
+			}
+			likely[i] = true
+			judged.Remove(ru.RHS())
+			refined.Add(ru)
+			changed = true
+		}
+	}
+	// Every refined rule was found likely, so none is masked.
 	off := make([]bool, refined.Len())
 	arity := d.sigma.Schema().Arity()
 

@@ -85,7 +85,7 @@ func TestDeriverPinAt(t *testing.T) {
 	if got, err := static.PinAt(dm.Epoch()); err != nil || got.Master() != dm || got.Epoch() != dm.Epoch() {
 		t.Fatalf("static PinAt(own epoch) = %v, %v", got, err)
 	}
-	if _, err := static.PinAt(dm.Epoch() + 1); !errors.Is(err, master.ErrEpochEvicted) {
-		t.Fatalf("static PinAt(other epoch) = %v, want ErrEpochEvicted", err)
+	if _, err := static.PinAt(dm.Epoch() + 1); !errors.Is(err, master.ErrEpochAhead) {
+		t.Fatalf("static PinAt(later epoch) = %v, want ErrEpochAhead", err)
 	}
 }

@@ -3,6 +3,7 @@ package suggest_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/master"
@@ -70,13 +71,22 @@ func randomSuggestInstance(rng *rand.Rand) (*suggest.Deriver, relation.Tuple, re
 }
 
 // TestSuggestInvariantsProperty: on random instances, Suggest's output is
-// disjoint from Z, passes its own IsSuggestion test, and is minimal under
-// single-attribute removal (the reverse-delete guarantee).
+// disjoint from Z and
+//
+//	(i)   passes IsSuggestion — the paper's test over Σ_t[Z], which knows
+//	      nothing of the grounding hints;
+//	(ii)  is minimal under the mask Suggest used: regrown from itself it
+//	      comes back unchanged, and regrown from itself minus any one
+//	      attribute it has to add something back;
+//	(iii) is the structural suggestion whenever every rule's lhs hits Dm at
+//	      the tuple's current values — hints never change the questions for
+//	      an input the master covers.
 func TestSuggestInvariantsProperty(t *testing.T) {
 	iterations := 400
 	if testing.Short() {
 		iterations = 60
 	}
+	covered := 0
 	for seed := 0; seed < iterations; seed++ {
 		rng := rand.New(rand.NewSource(int64(3_000_000 + seed)))
 		d, tup, zSet := randomSuggestInstance(rng)
@@ -90,14 +100,34 @@ func TestSuggestInvariantsProperty(t *testing.T) {
 		if !d.IsSuggestion(tup, zSet, sug.S) {
 			t.Fatalf("seed %d: Suggest output fails IsSuggestion", seed)
 		}
-		// Minimality: removing any single attribute breaks coverage.
+		if again := d.SuggestFrom(tup, zSet, sug.S).S; !slices.Equal(again, sug.S) {
+			t.Fatalf("seed %d: suggestion %v regrown from itself is %v", seed, sug.S, again)
+		}
 		for i := range sug.S {
-			trimmed := append(append([]int(nil), sug.S[:i]...), sug.S[i+1:]...)
-			if d.IsSuggestion(tup, zSet, trimmed) {
+			trimmed := slices.Delete(slices.Clone(sug.S), i, i+1)
+			regrown := relation.NewAttrSet(d.SuggestFrom(tup, zSet, trimmed).S...)
+			if relation.NewAttrSet(trimmed...).ContainsSet(regrown) {
 				t.Fatalf("seed %d: suggestion %v not minimal (attr %d removable)",
 					seed, sug.S, sug.S[i])
 			}
 		}
+		var all relation.AttrSet
+		for p := range tup {
+			all.Add(p)
+		}
+		grounded := true
+		for _, ru := range d.Sigma().Rules() {
+			grounded = grounded && d.Master().CompatibleExists(ru, tup, all)
+		}
+		if grounded {
+			covered++
+			if want := d.SuggestStructural(tup, zSet).S; !slices.Equal(sug.S, want) {
+				t.Fatalf("seed %d: every premise hits Dm, yet Suggest = %v, structural = %v", seed, sug.S, want)
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no instance had every premise in Dm: property (iii) went unchecked")
 	}
 }
 

@@ -61,10 +61,13 @@ type Deriver struct {
 }
 
 // derScratch bundles the per-call mutable state: the closure engine's
-// counters and the per-tuple mask Σ_t[Z] of Suggest and IsSuggestion.
+// counters, the per-tuple mask Σ_t[Z] of Suggest and IsSuggestion, and
+// Suggest's grounded mask with the attribute set its probes judge t on.
 type derScratch struct {
-	clo *rule.ClosureScratch
-	off []bool
+	clo      *rule.ClosureScratch
+	off      []bool
+	unlikely []bool
+	judged   relation.AttrSet
 }
 
 // NewDeriver builds a deriver over a static (Σ, Dm): a lineage of one
@@ -110,9 +113,9 @@ func (d *Deriver) Pin() *Deriver {
 // the given epoch — the resume path of a suspended fix session, which
 // must re-observe exactly the Dm it was suspended on. The snapshot is
 // served from the Versioned ring (an error matching
-// master.ErrEpochEvicted when no longer retained; a static master's ring
-// only ever holds its own epoch), so PinAt needs a handle, not a pinned
-// view. The head is served from Pin's cached view; a historical epoch
+// master.ErrEpochEvicted when no longer retained, master.ErrEpochAhead
+// when not published here yet; a static master's ring only ever holds its
+// own epoch), so PinAt needs a handle, not a pinned view. The head is served from Pin's cached view; a historical epoch
 // gets a fresh view, which holds nothing the ring does not.
 func (d *Deriver) PinAt(epoch uint64) (*Deriver, error) {
 	snap, err := d.ver.At(epoch)

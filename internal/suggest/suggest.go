@@ -24,21 +24,69 @@ func (d *Deriver) applicable(ru *rule.Rule, t relation.Tuple, zSet relation.Attr
 }
 
 // applicableMask fills sc's mask with Σ_t[Z] as a mask over the Σ program
-// (off[i] ⟺ rule i of Σ is outside Σ_t[Z]) and reports whether a kept rule
-// carries a confidence below 1. Prop. 20 lets Suggest work on Σ_t[Z]; the
-// refinement ϕ+ pins cells on X ∩ Z, inside ϕ's own premise, so the
-// closure over Σ_t[Z] is the closure over the kept rules of Σ.
-func (d *Deriver) applicableMask(sc *derScratch, t relation.Tuple, zSet relation.AttrSet) (off []bool, weighted bool) {
+// (off[i] ⟺ rule i of Σ is outside Σ_t[Z]). Prop. 20 lets Suggest work on
+// Σ_t[Z]; the refinement ϕ+ pins cells on X ∩ Z, inside ϕ's own premise,
+// so the closure over Σ_t[Z] is the closure over the kept rules of Σ.
+func (d *Deriver) applicableMask(sc *derScratch, t relation.Tuple, zSet relation.AttrSet) []bool {
 	rules := d.sigma.Rules()
 	if cap(sc.off) < len(rules) {
 		sc.off = make([]bool, len(rules))
 	}
-	off = sc.off[:len(rules)]
+	off := sc.off[:len(rules)]
 	for i, ru := range rules {
 		off[i] = !d.applicable(ru, t, zSet)
-		weighted = weighted || !off[i] && ru.Confidence() != 1
 	}
-	return off, weighted
+	return off
+}
+
+// groundedMask narrows Σ_t[Z] (off, from applicableMask) to the rules
+// LIKELY to fire for this tuple, as a third mask over the Σ program
+// (unlikely[i] ⟺ rule i is outside Σ_t[Z] or cannot be grounded).
+// Condition (c) asks only whether some master tuple agrees with the
+// VALIDATED part of a premise; a kept rule is likely when one also agrees
+// with what t currently holds on the rest of its lhs — the same
+// CompatibleExists probe with the unvalidated lhs attributes judged too
+// (a fully judged lhs is its O(1) hash path). An attribute some likely
+// rule writes is not judged: its current value is about to be replaced.
+//
+// That exemption makes the likely set a fixpoint, and it is the LEAST one:
+// start with no rule likely and every attribute judged, add rules until
+// nothing changes. A cycle such as mCode → mName → mCode then grounds only
+// through a value that actually occurs in Dm; started from "all likely"
+// each rule would excuse the other and an entity Dm has never seen would
+// still be asked for one key per round. Probes get easier as attributes
+// stop being judged, so the fixpoint does not depend on rule order.
+//
+// The mask is a hint about which questions to ask first, never about what
+// is certain: a dirty cell can make a sound rule look unlikely (its rhs is
+// then asked for, one typed attribute more) and a stale one can make a dead
+// rule look likely (one round more, what every such tuple cost before).
+// TransFix fires on validated premises only, whatever was asked.
+func (d *Deriver) groundedMask(sc *derScratch, t relation.Tuple, off []bool) []bool {
+	rules := d.sigma.Rules()
+	if cap(sc.unlikely) < len(rules) {
+		sc.unlikely = make([]bool, len(rules))
+	}
+	unlikely := sc.unlikely[:len(rules)]
+	for i := range unlikely {
+		unlikely[i] = true
+	}
+	judged := &sc.judged
+	for p := range t {
+		judged.Add(p)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, ru := range rules {
+			if off[i] || !unlikely[i] || !d.dm.CompatibleExists(ru, t, *judged) {
+				continue
+			}
+			unlikely[i] = false
+			judged.Remove(ru.RHS()) // never in Z: condition (a) kept the rule
+			changed = true
+		}
+	}
+	return unlikely
 }
 
 // ApplicableRules materialises Σ_t[Z] of §5.2 as rules: every applicable
@@ -101,29 +149,67 @@ type Suggestion struct {
 // as the paper's framework expects (Example 8: item has to be assured by
 // the users).
 //
-// Σ_t[Z] is a mask over the deriver's one Σ program; each greedy round
-// evaluates every candidate's closure gain in one GainAll pass (the base
-// closure plus undone marginal trials) instead of one full O(|Σ|²)
-// fixpoint per candidate.
-//
-// When Σ_t[Z] is weighted (mined rules carrying confidence below 1 — see
-// rule.Rule.Confidence), equal closure gains are broken by confidence
-// mass: among tied attributes, prefer the one whose dependent rules are
-// most trustworthy, so the fixes riding on the validated attribute lean
-// on the best-supported evidence. Unweighted sets (every hand-written Σ)
-// keep the original first-index tie-break, byte for byte.
+// Suggest reads the tuple it is fixing: S covers R under the rules of
+// Σ_t[Z] that t's current values can ground in Dm (groundedMask), so what
+// a rule was never going to supply for this tuple is asked for now
+// instead of a round later. Those rules are a subset of Σ_t[Z]; S
+// therefore passes IsSuggestion, the paper's unhinted test, and for a
+// tuple whose every premise hits Dm it is the S the structural closure
+// alone yields (SuggestStructural).
 func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
+	return d.SuggestFrom(t, zSet, nil)
+}
+
+// SuggestFrom is Suggest with the greedy growth started from Z ∪ seed
+// instead of Z: the suggestion for t that keeps as much of seed as t's
+// grounded rules leave necessary. It is the tuple-aware half of Suggest+ —
+// seed is a structural suggestion computed for another tuple and reused on
+// the tuple-blind IsSuggestionFast; growing and reverse-deleting it under
+// t's own mask is what keeps one tuple's hints from being replayed to the
+// next. seed must be disjoint from Z.
+func (d *Deriver) SuggestFrom(t relation.Tuple, zSet relation.AttrSet, seed []int) Suggestion {
 	d = d.Pin()
-	arity := d.sigma.Schema().Arity()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	off, weighted := d.applicableMask(sc, t, zSet)
+	mask := d.groundedMask(sc, t, d.applicableMask(sc, t, zSet))
+	return Suggestion{S: d.cover(sc, mask, zSet, seed)}
+}
 
-	// confMass[a] = Σ confidence over the rules of Σ_t[Z] whose premise
+// SuggestStructural is procedure Suggest exactly as Fig. 6 states it, over
+// Σ_t[Z] alone: it depends on t only through the validated t[Z], which is
+// what makes it the half of a suggestion Suggest+ may cache and hand to
+// another tuple (through SuggestFrom).
+func (d *Deriver) SuggestStructural(t relation.Tuple, zSet relation.AttrSet) Suggestion {
+	d = d.Pin()
+	sc := d.getScratch()
+	defer d.putScratch(sc)
+	return Suggestion{S: d.cover(sc, d.applicableMask(sc, t, zSet), zSet, nil)}
+}
+
+// cover grows seed greedily until the closure of Z ∪ S under the masked Σ
+// program covers R, then reverse-deletes. Each greedy round evaluates
+// every candidate's closure gain in one GainAll pass (the base closure
+// plus undone marginal trials) instead of one full O(|Σ|²) fixpoint per
+// candidate.
+//
+// When the unmasked rules are weighted (mined rules carrying confidence
+// below 1 — see rule.Rule.Confidence), equal closure gains are broken by
+// confidence mass: among tied attributes, prefer the one whose dependent
+// rules are most trustworthy, so the fixes riding on the validated
+// attribute lean on the best-supported evidence. Unweighted sets (every
+// hand-written Σ) keep the original first-index tie-break, byte for byte.
+func (d *Deriver) cover(sc *derScratch, off []bool, zSet relation.AttrSet, seed []int) []int {
+	arity := d.sigma.Schema().Arity()
+
+	// confMass[a] = Σ confidence over the unmasked rules whose premise
 	// contains a: how much mined evidence stands behind validating a.
 	// Computed only for weighted sets; nil keeps the unweighted path
 	// allocation-free and behaviorally identical.
 	var confMass []float64
+	weighted := false
+	for i, ru := range d.sigma.Rules() {
+		weighted = weighted || !off[i] && ru.Confidence() != 1
+	}
 	if weighted {
 		confMass = make([]float64, arity)
 		for i, ru := range d.sigma.Rules() {
@@ -138,6 +224,8 @@ func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 
 	cur := zSet.Clone()
 	var s relation.AttrSet
+	cur.AddAll(seed)
+	s.AddAll(seed)
 	for {
 		baseLen, gains := d.prog.GainAll(cur, off, sc.clo)
 		if baseLen >= arity {
@@ -167,7 +255,10 @@ func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 	// the Z = ∅ special case; greedy + reverse-delete is the heuristic).
 	// cur is Z ∪ S throughout (S is disjoint from Z by construction), so
 	// each trial is a remove/re-add instead of a fresh union.
-	for _, a := range s.Positions() {
+	for a := 0; a < arity; a++ {
+		if !s.Has(a) {
+			continue
+		}
 		cur.Remove(a)
 		if d.prog.Closure(cur, off, sc.clo) == arity {
 			s.Remove(a)
@@ -175,7 +266,7 @@ func (d *Deriver) Suggest(t relation.Tuple, zSet relation.AttrSet) Suggestion {
 			cur.Add(a)
 		}
 	}
-	return Suggestion{S: s.Positions()}
+	return s.Positions()
 }
 
 // IsSuggestion reports whether validating t[S] on top of t[Z] reaches full
@@ -184,7 +275,7 @@ func (d *Deriver) IsSuggestion(t relation.Tuple, zSet relation.AttrSet, s []int)
 	d = d.Pin()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	off, _ := d.applicableMask(sc, t, zSet)
+	off := d.applicableMask(sc, t, zSet)
 	cur := zSet.Clone()
 	cur.AddAll(s)
 	return d.prog.Closure(cur, off, sc.clo) == d.sigma.Schema().Arity()

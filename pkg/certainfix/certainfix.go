@@ -501,6 +501,9 @@ func (s *System) CertainRegion(reg *Region) (Verdict, error) {
 
 // Suggest computes the attribute set the users should validate next for
 // tuple t given already-validated attributes (procedure Suggest, Fig. 6).
+// It reads t's unvalidated cells as hints: a rule whose lhs matches no
+// master tuple at t's current values is not counted on, so what it would
+// have supplied is asked for instead.
 func (s *System) Suggest(t Tuple, validated []int) []int {
 	return s.mon.Deriver().Suggest(t, relation.NewAttrSet(validated...)).S
 }

@@ -23,6 +23,12 @@ var (
 	// longer retained in the snapshot ring; resume with RebaseToHead or
 	// enlarge the ring (WithMasterHistory).
 	ErrEpochEvicted = master.ErrEpochEvicted
+	// ErrEpochAhead reports a Resume whose pinned master epoch this
+	// System has not reached yet — a token minted on the leader, resumed
+	// on a follower still catching up. Retry once the follower has; the
+	// epoch will arrive. RebaseToHead does not apply: it would move the
+	// session back onto an older master.
+	ErrEpochAhead = master.ErrEpochAhead
 	// ErrInconsistent reports that no certain fix exists under the
 	// asserted values: applicable rule/master pairs conflict. Concrete
 	// failures are *ConflictError values carrying the disputed attribute

@@ -63,7 +63,9 @@ func (f resumeOptionFunc) applyResume(o *monitor.ResumeOptions) { f(o) }
 // every remaining suggestion and cascade is computed against the head,
 // so the fix stays certain with respect to it, but the session loses the
 // single-epoch guarantee and may interact differently than the
-// uninterrupted run would have.
+// uninterrupted run would have. It applies to evicted epochs only: a
+// token from an epoch this System has not reached yet still fails with
+// ErrEpochAhead, because a rebase never lowers a session's epoch.
 func RebaseToHead() ResumeOption {
 	return resumeOptionFunc(func(o *monitor.ResumeOptions) { o.RebaseToHead = true })
 }
@@ -75,7 +77,8 @@ func RebaseToHead() ResumeOption {
 // token that was altered, truncated or minted under another key fails
 // with ErrBadToken. Its pinned epoch is then re-pinned from the snapshot
 // ring; if it has been evicted the resume fails with ErrEpochEvicted
-// unless RebaseToHead is given. The round cap is this System's
+// unless RebaseToHead is given, and if this System has not reached it yet
+// (a follower behind its leader) with ErrEpochAhead — retry. The round cap is this System's
 // (WithMaxRounds), whatever the minting System's was: a session that has
 // used it up resumes done.
 func (s *System) Resume(ctx context.Context, token []byte, opts ...ResumeOption) (*FixSession, error) {
