@@ -317,8 +317,9 @@ func BenchmarkClosure(b *testing.B) {
 }
 
 // BenchmarkApplicableRules measures Σ_t[Z] derivation with a partially
-// validated lhs — the postings-based condition (c) against the per-rule
-// Dm scan that made per-round latency linear in |Dm| (Fig. 12a/b).
+// validated lhs — the indexed condition (c) ("postings": the row keeps the
+// name it was recorded under) against the per-rule Dm scan that made
+// per-round latency linear in |Dm| (Fig. 12a/b).
 func BenchmarkApplicableRules(b *testing.B) {
 	ds := mustHosp(b, benchTuples)
 	d := suggest.NewDeriver(ds.Sigma, ds.Master)
@@ -345,7 +346,7 @@ func BenchmarkApplicableRules(b *testing.B) {
 }
 
 // BenchmarkSuggest measures procedure Suggest end to end — both engines
-// together (compiled closure + postings) against the naive pair — on a
+// together (compiled closure + master indexes) against the naive pair — on a
 // realistic hosp tuple with a partially validated Z.
 func BenchmarkSuggest(b *testing.B) {
 	ds := mustHosp(b, benchTuples)

@@ -623,3 +623,74 @@ func TestRestartOnNonFunctionalMaster(t *testing.T) {
 		t.Fatalf("/healthz after the restart: ok %v, regions %v; want ok, regions 0", health.OK, health.Regions)
 	}
 }
+
+// TestHTTPInvalidDeltaIsClientError: a delta the master refuses — a delete
+// id out of range, a delete id named twice, an add of the wrong arity — is
+// 400 invalid_input, not 500: the request is what is wrong. Nothing of it
+// happened: /healthz shows the epoch and |Dm| it showed before, and the WAL
+// under -wal-dir did not grow — the delta is refused before the log sees it.
+func TestHTTPInvalidDeltaIsClientError(t *testing.T) {
+	dir := t.TempDir()
+	rules := filepath.Join(dir, "kv.rules")
+	if err := os.WriteFile(rules, []byte(
+		"schema R: K, V\nmaster Rm: K, V\nrule kv: (K ; K) -> (V ; V) when K != nil\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	masterCSV := filepath.Join(dir, "master.csv")
+	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	base, stop := startServer(t, sys)
+	defer stop()
+
+	type health struct {
+		Epoch      uint64 `json:"epoch"`
+		MasterSize int    `json:"masterSize"`
+		Durability struct {
+			WAL struct {
+				Bytes     int64
+				LastEpoch uint64
+			}
+		} `json:"durability"`
+	}
+	healthz := func() (h health) {
+		t.Helper()
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// One good delta first, so the log holds a record an append would follow.
+	if code := post(t, base+"/v1/update-master", map[string]any{
+		"adds": []certainfix.Tuple{certainfix.StringTuple("k3", "v3")},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("valid update-master: HTTP %d", code)
+	}
+	before := healthz()
+	if before.Epoch != 1 || before.MasterSize != 3 || before.Durability.WAL.LastEpoch != 1 || before.Durability.WAL.Bytes == 0 {
+		t.Fatalf("fixture broken: /healthz %+v", before)
+	}
+	for name, body := range map[string]map[string]any{
+		"delete id out of range": {"deletes": []int{3}},
+		"duplicate delete id":    {"deletes": []int{1, 1}},
+		"wrong-arity add":        {"adds": []certainfix.Tuple{certainfix.StringTuple("k4")}},
+	} {
+		var reply map[string]string
+		if code := post(t, base+"/v1/update-master", body, &reply); code != http.StatusBadRequest || reply["code"] != "invalid_input" {
+			t.Errorf("%s: HTTP %d %v, want 400 invalid_input", name, code, reply)
+		}
+		if after := healthz(); after != before {
+			t.Errorf("%s: /healthz moved from %+v to %+v", name, before, after)
+		}
+	}
+}

@@ -293,7 +293,11 @@ func errBody(err error, code string) errorBody {
 // machine-readable codes — the errors.Is contract of the API at work.
 func writeErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, certainfix.ErrBadToken), errors.Is(err, certainfix.ErrArityMismatch):
+	case errors.Is(err, certainfix.ErrBadToken), errors.Is(err, certainfix.ErrArityMismatch),
+		errors.Is(err, certainfix.ErrMasterBuild):
+		// ErrMasterBuild here is a delta the master refused — a delete id
+		// out of range or named twice, an add of the wrong arity or cell
+		// type: the client's to correct, refused before the log saw it.
 		writeJSON(w, http.StatusBadRequest, errBody(err, "invalid_input"))
 	case errors.Is(err, certainfix.ErrEpochEvicted):
 		// Conflict, not 400: the token was valid; the server's retention

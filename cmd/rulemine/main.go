@@ -1,7 +1,7 @@
 // Command rulemine mines editing rules from a master-data CSV and prints
 // them in the rule DSL — the §7 future-work direction of the paper,
-// packaged as a tool. Mining runs on the sharded inverted-postings
-// engine (internal/discover); the emitted rules can be reviewed, trimmed
+// packaged as a tool. Mining runs on the partition-refinement engine
+// over the master's id columns (internal/discover); the emitted rules can be reviewed, trimmed
 // and fed to cmd/certainfix or cmd/certainfixd.
 //
 // Usage:

@@ -2,7 +2,7 @@
 // compact sparse Merkle tree over the content hashes of its tuples, with
 // copy-on-write nodes so ApplyDelta can maintain the root incrementally
 // per epoch — O(delta · depth) hashing, never a rebuild — exactly the way
-// it already maintains postings.
+// it already maintains the indexes.
 //
 // The tree that is committed. A collapsed binary trie over 64-bit tuple
 // keys, most-significant bit first. A key is the content-pure FNV chain the

@@ -10,9 +10,9 @@ package master
 //
 // Layout (see DESIGN.md, "Columnar arena format"):
 //
-//	header   120 bytes: magic "CFXARENA", version, endian marker,
-//	         epoch, |Dm|, shard/arity/symbol/structure counts, file
-//	         size, and the 7 section offsets
+//	header   112 bytes: magic "CFXARENA", version, endian marker,
+//	         epoch, |Dm|, shard/arity/symbol/index/rule counts, file
+//	         size, and the 6 section offsets
 //	schema   master schema name + typed attribute list (load-time
 //	         validation against Σ's master schema)
 //	symbols  the snapshot's interning table in id order (the stable-id
@@ -25,19 +25,21 @@ package master
 //	         ids (column-major)
 //	indexes  per index: its Xm list, then per shard its frozen table
 //	         (table.go): slot count, key count, id count, the slot array,
-//	         the id array (8-byte ids), padded back to 8. A key sits in the
-//	         shard keyShard routes it to (shard.go)
-//	postings per posting list: its column, then per-shard tables of the
-//	         same shape with 4-byte ids, routed by value id
+//	         the id array (8-byte ids). A key sits in the shard keyShard
+//	         routes it to (shard.go)
 //	rules    per rule of Σ, in Σ order: an FNV-1a signature of its
 //	         rendering plus its pattern-support bitmap
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
 //	         root (authtree); with the flag set the tree is recomputed
 //	         and verified against the stored root at load time.
 //
-// There is one format version; the loader answers any other with a typed
-// *SnapshotError. Saving is deterministic: tables are canonical, symbols
-// go in id order — the same snapshot always produces the same bytes.
+// SaveArena writes format 5. Format 4 — every checkpoint written while the
+// master kept per-column posting lists beside its indexes — differs by a
+// postings section between indexes and rules, with its count and offset in
+// the header; the loader takes both (arena_load.go) and answers any other
+// version with a typed *SnapshotError. Saving is deterministic: tables are
+// canonical, symbols go in id order — the same snapshot always produces the
+// same bytes.
 
 import (
 	"bufio"
@@ -54,9 +56,13 @@ import (
 
 const (
 	arenaMagic      = "CFXARENA"
-	arenaVersion    = 4
+	arenaVersion    = 5
 	arenaEndianMark = 0x01020304
-	arenaHeaderSize = 120
+	arenaHeaderSize = hdrSections + 8*numSections
+
+	// arenaVersionPostings is the format the loader still takes beside
+	// arenaVersion: a header 8 bytes longer, for the postings section's offset.
+	arenaVersionPostings = 4
 )
 
 // Header field offsets. The offset table holds the absolute position of
@@ -71,10 +77,9 @@ const (
 	hdrArity    = 36 // u32
 	hdrNSyms    = 40 // u32
 	hdrNIndexes = 44 // u32
-	hdrNPosts   = 48 // u32
-	hdrNRules   = 52 // u32
+	hdrNRules   = 52 // u32; the four bytes before it are zero (format 4: the posting-list count)
 	hdrFileSize = 56 // u64
-	hdrSections = 64 // 7 × u64
+	hdrSections = 64 // numSections × u64
 )
 
 // Section indexes into the header offset table.
@@ -83,15 +88,14 @@ const (
 	secSymbols
 	secColumns
 	secIndexes
-	secPostings
 	secRules
 	secAuth
 	numSections
-)
 
-var sectionName = [numSections]string{
-	"schema", "symbols", "columns", "indexes", "postings", "rules", "auth",
-}
+	// secPostings is where a format-4 header's table holds its postings
+	// section, every later section one slot on.
+	secPostings = secRules
+)
 
 // ruleSig fingerprints a rule by its canonical rendering, binding a saved
 // pattern bitmap to the rule it was evaluated for. Load refuses a
@@ -151,7 +155,7 @@ func (a *arenaWriter) u64(v uint64) {
 
 // writeInts writes an array little-endian at width 4 or 8 bytes an element,
 // a buffer-full at a time.
-func writeInts[T int | int32 | uint32 | uint64](a *arenaWriter, xs []T, width int) {
+func writeInts[T int | uint32 | uint64](a *arenaWriter, xs []T, width int) {
 	a.off += int64(width) * int64(len(xs))
 	for a.w != nil && a.err == nil && len(xs) > 0 {
 		buf := a.w.AvailableBuffer()
@@ -220,7 +224,6 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(d.schema.Arity()))
 	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(d.syms.Len()))
 	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
-	binary.LittleEndian.PutUint32(hdr[hdrNPosts:], uint32(len(d.postings)))
 	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
 	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(sized.off))
 	for sec, off := range sized.secs {
@@ -244,7 +247,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	return nil
 }
 
-// writeArenaBody emits the seven sections after the header.
+// writeArenaBody emits the six sections after the header.
 func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 	schema := d.schema
 
@@ -317,16 +320,6 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 		}
 	}
 
-	// Postings: per posting list, the column then per-shard tables.
-	b.section(secPostings)
-	for _, ps := range d.postings {
-		b.u32(uint32(ps.col))
-		b.u32(0)
-		for s := range ps.shards {
-			writeTable(b, &ps.shards[s])
-		}
-	}
-
 	// Rules: per rule of Σ in Σ order, signature + pattern bitmap.
 	b.section(secRules)
 	for _, ru := range sigma.Rules() {
@@ -356,13 +349,12 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 
 // writeTable writes one shard's canonical table — the one it holds under an
 // empty overlay, the compacted merged view otherwise: header (nslots,
-// nkeys, nids), slot array, id array at the image's id width, padded back
-// to 8. The sizing pass counts the merged view instead of building it.
-func writeTable[K uint32 | uint64, ID int | int32](b *arenaWriter, l *layered[K, ID]) {
+// nkeys, nids), slot array, id array at the image's id width. The sizing
+// pass counts the merged view instead of building it.
+func writeTable(b *arenaWriter, l *layered) {
 	if b.w == nil {
 		nkeys, nids := l.mergedSize()
-		b.off += 24 + 16*int64(tableSlots(nkeys)) + int64(idWidth[ID]())*int64(nids)
-		b.align8()
+		b.off += 24 + 16*int64(tableSlots(nkeys)) + idWidth*int64(nids)
 		return
 	}
 	t := l.compact()
@@ -370,8 +362,7 @@ func writeTable[K uint32 | uint64, ID int | int32](b *arenaWriter, l *layered[K,
 	b.u64(uint64(t.nkeys))
 	b.u64(uint64(len(t.ids)))
 	writeInts(b, t.slots, 8)
-	writeInts(b, t.ids, idWidth[ID]())
-	b.align8()
+	writeInts(b, t.ids, idWidth)
 }
 
 // SaveArenaFile writes the arena to path atomically AND durably (see

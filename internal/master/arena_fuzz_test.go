@@ -5,14 +5,17 @@ package master
 // error matching ErrBadSnapshot or return a snapshot that is safe to
 // probe and derive from — never panic, never index out of range, never
 // read past the input. The seed corpus covers the empty input, a valid
-// image, a truncated image, header-level corruptions, and the two images of
-// another layout (misrouted keys, version 3); the fuzzer mutates from there
+// image, a truncated image, header-level corruptions, the two images of
+// another layout (misrouted keys, version 3), and this (Σ, Dm) as the last
+// commit with posting lists saved it — a format-4 image, whose longer header
+// and skipped section the fuzzer mutates like the rest; from there it reaches
 // into the table decoders.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/pattern"
@@ -61,6 +64,16 @@ func FuzzLoadArena(f *testing.F) {
 	oldVersion := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(oldVersion[hdrVersion:], 3)
 	f.Add(oldVersion)
+	// SaveArena of this instance running at 806fdfb: postings over MA and MB,
+	// no index over MB alone.
+	v4, err := os.ReadFile("testdata/pr23_v4_fuzz.arena")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := LoadArenaBytes(v4, sigma); err != nil {
+		f.Fatalf("the format-4 seed does not load: %v", err)
+	}
+	f.Add(v4)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

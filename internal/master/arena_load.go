@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"slices"
 	"unsafe"
 
 	"repro/internal/parallel"
@@ -42,8 +43,8 @@ type arenaRef struct {
 	mapped bool
 }
 
-// maxArenaTuples bounds |Dm| in a snapshot: posting ids are int32 and
-// pattern bitmaps index by int, so ids must fit int32.
+// maxArenaTuples bounds |Dm| in a snapshot: ids must fit the int of a 32-bit
+// platform, and a bucket's span packs its offset and count in 32 bits each.
 const maxArenaTuples = 1<<31 - 1
 
 // areader is a sticky-error cursor over the arena bytes: the first
@@ -176,9 +177,10 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, hr.err
 	}
 	hr.off = hdrVersion
-	if version := hr.u32(); version != arenaVersion {
+	version := hr.u32()
+	if version != arenaVersion && version != arenaVersionPostings {
 		hr.off = hdrVersion
-		hr.fail("unsupported version %d (want %d)", version, arenaVersion)
+		hr.fail("unsupported version %d (want %d, or %d)", version, arenaVersion, arenaVersionPostings)
 		return nil, hr.err
 	}
 	// Read the endian marker in HOST order: a mismatch means either a
@@ -196,7 +198,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	arity := hr.count(uint64(hr.u32()), 1<<16, "arity")
 	nsyms := hr.count(uint64(hr.u32()), len(b)/16, "symbol count")
 	nindexes := hr.count(uint64(hr.u32()), 1<<12, "index count")
-	nposts := hr.count(uint64(hr.u32()), 1<<16, "posting count")
+	hr.off = hdrNRules
 	nrules := hr.count(uint64(hr.u32()), 1<<20, "rule count")
 	if hr.err == nil && nshards < 1 {
 		hr.fail("shard count 0")
@@ -204,25 +206,34 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	if hr.err == nil && arity < 1 {
 		hr.fail("arity 0")
 	}
-	hr.off = hdrFileSize
 	if sz := hr.u64(); hr.err == nil && sz != uint64(len(b)) {
 		hr.off = hdrFileSize
 		hr.fail("header file size %d does not match actual size %d", sz, len(b))
 	}
-	var secOff [numSections]int
+	// The section table, in file order. A format-4 image has a postings
+	// section, and its table one more slot: the offset is held to the table's
+	// order like any other and the slot dropped — nothing reads posting lists;
+	// the one-column indexes that took their place are built below where the
+	// image has none.
+	var slots [numSections + 1]int
+	secOff := slots[:numSections]
+	if version == arenaVersionPostings {
+		secOff = slots[:]
+	}
+	prev := hdrSections + 8*len(secOff)
 	for i := range secOff {
 		secOff[i] = hr.count(hr.u64(), len(b), "section offset")
-	}
-	prev := arenaHeaderSize
-	for i := 0; i < numSections && hr.err == nil; i++ {
-		if secOff[i] < prev || secOff[i]%8 != 0 {
+		if hr.err == nil && (secOff[i] < prev || secOff[i]%8 != 0) {
 			hr.off = hdrSections + 8*i
-			hr.fail("section %s offset %d out of order or misaligned", sectionName[i], secOff[i])
+			hr.fail("section offset %d (table slot %d) out of order or misaligned", secOff[i], i)
 		}
 		prev = secOff[i]
 	}
 	if hr.err != nil {
 		return nil, hr.err
+	}
+	if version == arenaVersionPostings {
+		secOff = slices.Delete(secOff, secPostings, secPostings+1)
 	}
 	if err := checkArenaSchema(b, secOff[secSchema], arity, sigma.MasterSchema()); err != nil {
 		return nil, err
@@ -266,15 +277,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		}
 		d.indexes = append(d.indexes, idx)
 	}
-
-	pr := &areader{b: b, off: secOff[secPostings], sec: "postings"}
-	for i := 0; i < nposts; i++ {
-		ps, err := decodeArenaPostings(pr, nshards, arity, n)
-		if err != nil {
-			return nil, err
-		}
-		d.postings = append(d.postings, ps)
-	}
+	decoded := d.indexes
 
 	if nrules != sigma.Len() {
 		return nil, &SnapshotError{Section: "rules", Offset: -1,
@@ -283,35 +286,32 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	rr := &areader{b: b, off: secOff[secRules], sec: "rules"}
 	for i := 0; i < nrules; i++ {
 		ru := sigma.Rule(i)
-		cp, err := decodeArenaRule(rr, ru, n)
-		if err != nil {
-			return nil, err
-		}
-		xm := ru.LHSMRef()
-		idx := d.findIndex(xm)
+		idx := d.findIndex(ru.LHSMRef())
 		if idx == nil {
 			return nil, &SnapshotError{Section: "rules", Offset: -1,
 				Msg: fmt.Sprintf("rule %s: no index over its Xm in snapshot", ru.Name())}
 		}
-		for j, col := range xm {
-			cp.posts[j] = d.findPostings(col)
-			if cp.posts[j] == nil {
-				return nil, &SnapshotError{Section: "rules", Offset: -1,
-					Msg: fmt.Sprintf("rule %s: no posting list over column %d in snapshot", ru.Name(), col)}
-			}
-		}
 		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
-		d.compat[ru] = cp
+		// The plan finds its one-column indexes among the decoded ones; one the
+		// image lacks — in a format-4 image, a column it held a posting list
+		// for — is registered here and built below.
+		d.compat[ru] = d.registerCompatPlan(ru)
+		if err := decodeArenaRule(rr, ru, n, d.compat[ru]); err != nil {
+			return nil, err
+		}
 	}
 	// Exception tables are not stored: they are recomputed from the decoded
 	// buckets and rows, so a probe trusts only what this pass verified.
 	if _, err := parallel.Map(nshards, 0, func(s int) (struct{}, error) {
-		d.rebuildExceptions(s)
+		for _, idx := range decoded {
+			idx.rebuildExceptions(s, &d.rows)
+		}
 		return struct{}{}, nil
 	}); err != nil {
 		return nil, err // unreachable: the rebuild cannot fail
 	}
+	d.fill(d.indexes[len(decoded):])
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
 	// decoded tuples and verify it against the stored root — a
@@ -338,16 +338,6 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 			Msg: fmt.Sprintf("invalid auth flag %d", flag)}
 	}
 	return d, nil
-}
-
-// findPostings locates the posting list over col; nil when absent.
-func (d *Data) findPostings(col int) *postings {
-	for _, ps := range d.postings {
-		if ps.col == col {
-			return ps
-		}
-	}
-	return nil
 }
 
 // checkArenaSchema decodes the schema section and compares it with Σ's
@@ -478,20 +468,9 @@ func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
 	r.align8()
 	idx := newIndex(xm, nshards)
 	for s := 0; s < nshards && r.err == nil; s++ {
-		idx.shards[s].frozen = decodeTable[int](r, n, s, nshards)
+		idx.shards[s].frozen = decodeTable(r, n, s, nshards)
 	}
 	return idx, r.err
-}
-
-// decodeArenaPostings decodes one posting list: column, table per shard.
-func decodeArenaPostings(r *areader, nshards, arity, n int) (*postings, error) {
-	col := r.count(uint64(r.u32()), arity-1, "posting column")
-	r.u32() // padding
-	ps := &postings{col: col, shards: make([]layered[uint32, int32], nshards)}
-	for s := 0; s < nshards && r.err == nil; s++ {
-		ps.shards[s].frozen = decodeTable[int32](r, n, s, nshards)
-	}
-	return ps, r.err
 }
 
 // decodeTable views shard s of nshards' frozen table in place, fully
@@ -500,22 +479,20 @@ func decodeArenaPostings(r *areader, nshards, arity, n int) (*postings, error) {
 // spans inside the id array, key and id counts matching the header, ids in
 // [0, n) and ascending per bucket. On failure r.err is set and the result
 // unusable.
-func decodeTable[ID int | int32](r *areader, n, s, nshards int) table[ID] {
+func decodeTable(r *areader, n, s, nshards int) table {
 	start := r.off
 	nslots := r.count(r.u64(), len(r.b)/16, "table slot count")
 	nkeys := r.count(r.u64(), len(r.b)/16, "table key count")
-	nids := r.count(r.u64(), len(r.b)/idWidth[ID](), "table id count")
+	nids := r.count(r.u64(), len(r.b)/idWidth, "table id count")
 	if r.err == nil && (nslots < 2 || nslots&(nslots-1) != 0 || nkeys >= nslots) {
 		r.off = start
 		r.fail("slot count %d not a power of two ≥ 2 with an empty slot beside %d keys", nslots, nkeys)
 	}
 	slots := viewU64(r.take(16 * nslots))
-	idsRaw := r.take(idWidth[ID]() * nids)
-	r.align8()
+	ids := viewIDs(r.take(idWidth * nids))
 	if r.err != nil {
-		return table[ID]{}
+		return table{}
 	}
-	ids := viewIDs[ID](idsRaw)
 	occupied, span := 0, 0
 	for slot := 0; slot < nslots; slot++ {
 		packed := slots[2*slot+1]
@@ -526,21 +503,21 @@ func decodeTable[ID int | int32](r *areader, n, s, nshards int) table[ID] {
 		if home := keyShard(slots[2*slot], nshards); home != s {
 			r.off = start
 			r.fail("key %#x sits in shard %d but routes to shard %d of %d", slots[2*slot], s, home, nshards)
-			return table[ID]{}
+			return table{}
 		}
 		off, cnt := int(packed>>32), int(packed&0xffffffff)
 		if cnt < 1 || off < 0 || off > nids-cnt {
 			r.off = start
 			r.fail("bucket span [%d,%d) outside %d ids", off, off+cnt, nids)
-			return table[ID]{}
+			return table{}
 		}
 		span += cnt
-		prev := ID(-1)
+		prev := -1
 		for _, id := range ids[off : off+cnt] {
-			if id < 0 || int(id) >= n || id <= prev {
+			if id >= n || id <= prev {
 				r.off = start
 				r.fail("bucket id %d out of range %d or not ascending", id, n)
-				return table[ID]{}
+				return table{}
 			}
 			prev = id
 		}
@@ -548,17 +525,17 @@ func decodeTable[ID int | int32](r *areader, n, s, nshards int) table[ID] {
 	if occupied != nkeys || span != nids {
 		r.off = start
 		r.fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, nkeys, nids)
-		return table[ID]{}
+		return table{}
 	}
-	return table[ID]{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
+	return table{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
 }
 
 // decodeArenaRule decodes one rule record and validates it against the
 // corresponding rule of Σ: the signature binds the saved bitmap to the
 // rule's exact definition, the bitmap's word count must fit |Dm|, bits
 // beyond |Dm| must be zero, and the stored support count must equal the
-// bitmap's popcount. The posts slice is left for the caller to resolve.
-func decodeArenaRule(r *areader, ru *rule.Rule, n int) (*compatPlan, error) {
+// bitmap's popcount. The bitmap and its count go into plan.
+func decodeArenaRule(r *areader, ru *rule.Rule, n int, plan *compatPlan) error {
 	start := r.off
 	sig := r.u64()
 	if r.err == nil && sig != ruleSig(ru) {
@@ -574,7 +551,7 @@ func decodeArenaRule(r *areader, ru *rule.Rule, n int) (*compatPlan, error) {
 	}
 	patBits := viewU64(r.take(8 * nwords))
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	pop := 0
 	for _, w := range patBits {
@@ -583,16 +560,13 @@ func decodeArenaRule(r *areader, ru *rule.Rule, n int) (*compatPlan, error) {
 	if tail := n % 64; tail != 0 && words > 0 && patBits[words-1]>>uint(tail) != 0 {
 		r.off = start
 		r.fail("rule %s: bitmap bits set beyond |Dm|=%d", ru.Name(), n)
-		return nil, r.err
+		return r.err
 	}
 	if pop != patCount {
 		r.off = start
 		r.fail("rule %s: support count %d does not match bitmap popcount %d", ru.Name(), patCount, pop)
-		return nil, r.err
+		return r.err
 	}
-	return &compatPlan{
-		patBits:  persist.FromSlice(patBits),
-		patCount: patCount,
-		posts:    make([]*postings, len(ru.LHSMRef())),
-	}, nil
+	plan.patBits, plan.patCount = persist.FromSlice(patBits), patCount
+	return nil
 }

@@ -178,11 +178,10 @@ func TestArenaFileRoundTrip(t *testing.T) {
 		// One layout: a fresh build and its loaded image hold tables of the
 		// same content and the same size.
 		hs := d.MemStats()
-		if hs.IndexKeys != ms.IndexKeys || hs.IndexIDs != ms.IndexIDs || hs.IndexBytes != ms.IndexBytes ||
-			hs.PostingKeys != ms.PostingKeys || hs.PostingIDs != ms.PostingIDs || hs.PostingBytes != ms.PostingBytes {
+		if hs.IndexKeys != ms.IndexKeys || hs.IndexIDs != ms.IndexIDs || hs.IndexBytes != ms.IndexBytes {
 			t.Fatalf("%s: MemStats differ between the heap build %+v and its loaded image %+v", ctx, hs, ms)
 		}
-		if hs.IndexBytes < 16*int64(hs.IndexKeys)+8*int64(hs.IndexIDs) || hs.PostingBytes < 16*int64(hs.PostingKeys)+4*int64(hs.PostingIDs) {
+		if hs.IndexBytes < 16*int64(hs.IndexKeys)+8*int64(hs.IndexIDs) {
 			t.Fatalf("%s: table bytes below their own payload: %+v", ctx, hs)
 		}
 	}
@@ -225,7 +224,13 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 	return []corruptCase{
 		{"bad magic", func(b []byte) { b[0] = 'X' }},
 		{"bad version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], 99) }},
-		{"older version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersion-1) }},
+		{"older version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersionPostings-1) }},
+		{"newer version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersion+1) }},
+		{"format 4 claimed by a format-5 image", func(b []byte) {
+			// Its header table would be one slot longer: the slot read from
+			// the schema section is no section offset.
+			binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersionPostings)
+		}},
 		{"bad endian marker", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrEndian:], 0x04030201) }},
 		{"zero shards", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], 0) }},
 		{"shard count over limit", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], MaxShards+1) }},
@@ -291,10 +296,11 @@ func swapFirstIndexShards(img []byte) []byte {
 	return append(out, img[off+l0+l1:]...)
 }
 
-// TestArenaRejectsOtherLayouts: the loader takes exactly the layout this
-// build writes. An image whose keys sit in the wrong shard and a version-3
-// image (tuple-routed shards, which this build would probe one shard of)
-// both fail typed instead of loading into a master that misses matches.
+// TestArenaRejectsOtherLayouts: the loader takes the layout this build
+// writes and the one before it (format 4, v4_compat_test.go), no other. An
+// image whose keys sit in the wrong shard, a version-3 image (tuple-routed
+// shards, which this build would probe one shard of) and a version-6 one all
+// fail typed instead of loading into a master that misses matches.
 func TestArenaRejectsOtherLayouts(t *testing.T) {
 	sigma, d := fuzzArenaSigma()
 	img := saveArenaBytes(t, d, sigma)
@@ -309,14 +315,16 @@ func TestArenaRejectsOtherLayouts(t *testing.T) {
 		t.Fatalf("misrouted keys: error %v must name the routing check in the indexes section", err)
 	}
 
-	v3 := append([]byte(nil), img...)
-	binary.LittleEndian.PutUint32(v3[hdrVersion:], 3)
-	_, err = LoadArenaBytes(v3, sigma)
-	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
-		t.Fatalf("version 3: got %v, want a *SnapshotError matching ErrBadSnapshot", err)
-	}
-	if se.Section != "header" || !strings.Contains(se.Msg, "version 3") {
-		t.Fatalf("version 3: error %v must name the version in the header section", err)
+	for _, version := range []uint32{3, 6} {
+		other := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint32(other[hdrVersion:], version)
+		_, err = LoadArenaBytes(other, sigma)
+		if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
+			t.Fatalf("version %d: got %v, want a *SnapshotError matching ErrBadSnapshot", version, err)
+		}
+		if se.Section != "header" || !strings.Contains(se.Msg, fmt.Sprintf("version %d", version)) {
+			t.Fatalf("version %d: error %v must name the version in the header section", version, err)
+		}
 	}
 }
 

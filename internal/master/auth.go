@@ -2,7 +2,7 @@ package master
 
 // The authenticated side of a snapshot: every WithAuth-built Data carries
 // a sparse-Merkle commitment (internal/authtree) over its tuple multiset,
-// maintained copy-on-write by ApplyDelta the way postings are. The root
+// maintained copy-on-write by ApplyDelta the way the indexes are. The root
 // travels with the lineage — arena images persist it (arena.go), the WAL
 // ships it per epoch (delta records), followers compare it after every
 // apply (follower.go) — and inclusion proofs let a client check that a

@@ -46,8 +46,9 @@ func measure(build func() any) (allocated, live uint64) {
 // TestBootHeapBudget streams a 20k-tuple HOSP master from CSV bytes into a
 // Builder — the path certainfix.NewFromCSV boots on — and bounds what the
 // snapshot keeps, cells, symbols, tables and bitmaps together, and how much
-// garbage building it made. As a relation of values with its indexes beside
-// it the same master kept about 1,080 B/tuple.
+// garbage building it made: 296 B/tuple measured (329 with a posting list per
+// Xm column beside the indexes). As a relation of values with its indexes
+// beside it the same master kept about 1,080 B/tuple.
 func TestBootHeapBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)
@@ -62,18 +63,19 @@ func TestBootHeapBudget(t *testing.T) {
 	})
 	runtime.KeepAlive(csv) // or the second collection frees it and hides 200 B/tuple of the snapshot
 	t.Logf("|Dm| = %d: %d B/tuple live, %d B/tuple allocated (%.2f×)", n, live/n, allocated/n, float64(allocated)/float64(live))
-	if live > 450*n {
-		t.Errorf("snapshot keeps %d B/tuple, budget 450", live/n)
+	if live > 325*n {
+		t.Errorf("snapshot keeps %d B/tuple, budget 325", live/n)
 	}
 	if 2*allocated > 5*live {
 		t.Errorf("boot allocated %.2f× what it keeps, budget 2.5×", float64(allocated)/float64(live))
 	}
 }
 
-// TestArenaLoadAllocBudget bounds what loading an image allocates to half
-// the image's size: the tables, bitmaps and strings stay in the image, and
-// what is built beside them is the id rows and the symbol table. Expanding
-// the id columns into tuples of values cost 2.4× the image.
+// TestArenaLoadAllocBudget bounds what loading an image allocates, per tuple:
+// the tables, bitmaps and strings stay in the image, and what is built beside
+// them is the id rows and the symbol table — 131 B/tuple measured, whatever
+// the image holds (expanding the id columns into tuples of values cost five
+// times that).
 func TestArenaLoadAllocBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)
@@ -95,8 +97,8 @@ func TestArenaLoadAllocBudget(t *testing.T) {
 		return d
 	})
 	runtime.KeepAlive(img)
-	t.Logf("image %d bytes, load allocated %d (%.2f×)", img.Len(), allocated, float64(allocated)/float64(img.Len()))
-	if 2*allocated > uint64(img.Len()) {
-		t.Errorf("loading a %d-byte image allocated %d bytes, budget half the image", img.Len(), allocated)
+	t.Logf("image %d bytes, load allocated %d (%d B/tuple, %.2f× the image)", img.Len(), allocated, allocated/n, float64(allocated)/float64(img.Len()))
+	if allocated > 135*n {
+		t.Errorf("loading %d tuples allocated %d B/tuple, budget 135", n, allocated/n)
 	}
 }

@@ -47,7 +47,7 @@ func kvData(t *testing.T) (*rule.Set, *rule.Rule, *Data) {
 func plantBucket(sh *indexShard, h uint64, ids []int, frozen bool) {
 	sh.set(h, ids)
 	if frozen {
-		sh.layered = layered[uint64, int]{frozen: sh.compact()}
+		sh.layered = layered{frozen: sh.compact()}
 	}
 }
 

@@ -6,54 +6,27 @@ import (
 	"repro/internal/rule"
 )
 
-// This file implements the inverted-postings layer: per indexed master
-// column, a (interned value id → ascending []tupleID) posting list, plus a
-// per-rule pattern-support bitmap of the master tuples satisfying the
-// rule's pattern cells on the λϕ-mapped lhs attributes. Both are built
-// once at NewForRules.
+// This file implements condition (c) of the Σ_t[Z] derivation (§5.2) and
+// the per-rule pattern support behind region derivation: per rule, a bitmap
+// of the master tuples satisfying the rule's pattern cells on the λϕ-mapped
+// lhs attributes — its popcount answers "does any master tuple support this
+// rule's pattern" — and, for a rule whose Xm has several columns, the
+// one-column index of each of them.
 //
-// They serve the two §5 paths the full-key hash indexes cannot: the
-// per-rule "does any master tuple support this rule's pattern" test
-// (supportMap of region derivation — now a popcount done at build time)
-// and condition (c) of the Σ_t[Z] derivation with a *partially* validated
-// lhs, which previously scanned all of Dm per rule per round — the term
-// that made per-round latency grow linearly in |Dm| (Fig. 12a/b). With
-// postings, the partial-lhs test walks the smallest posting list of the
-// validated attributes, filtered by the pattern bitmap, and falls back to
-// the scan only when that list is so unselective (≥ half of Dm) that
-// scanning is no worse.
+// With the lhs fully validated, condition (c) is the §5.1 probe of the
+// rule's own index. With it PARTLY validated it is the same probe on a part
+// of Xm: the bucket of each validated column's one-column index is the list
+// of tuples agreeing with t there, so the test walks the smallest of them
+// under the pattern bitmap — instead of Dm, the term that made per-round
+// latency grow linearly in |Dm| (Fig. 12a/b) — and falls back to the scan
+// only when that bucket is so unselective (≥ half of Dm) that scanning is no
+// worse. A one-column Xm is either fully validated or not at all, so only
+// the columns of a multi-column Xm get an index for this — an ordinary
+// index (master.go), shared with any rule whose whole Xm is that column.
 //
-// Posting lists are sharded like the hash indexes (see shard.go): a value id
-// routes to one shard, which holds the value's whole list, ascending — so the
-// walk and its fallback decision are the same at every P. The pattern bitmap
-// is one dense id-indexed array per rule, not sharded: ids are global, and
-// deltas flip single bits under the writer lock that serializes them anyway.
-
-// postings is the inverted index over one master column: interned value
-// id → ascending tuple ids, partitioned by value id into one copy-on-write
-// layered map per shard.
-type postings struct {
-	col    int // Rm position
-	shards []layered[uint32, int32]
-}
-
-// fork derives the next snapshot's view of the posting lists.
-func (ps *postings) fork() *postings {
-	np := &postings{col: ps.col, shards: make([]layered[uint32, int32], len(ps.shards))}
-	for s := range ps.shards {
-		np.shards[s] = ps.shards[s].fork()
-	}
-	return np
-}
-
-// size returns the total number of ids across all shards (tests, stats).
-func (ps *postings) size() int {
-	n := 0
-	for s := range ps.shards {
-		n += ps.shards[s].size()
-	}
-	return n
-}
+// The pattern bitmap is one dense id-indexed array per rule, not sharded:
+// ids are global, and deltas flip single bits under the writer lock that
+// serializes them anyway.
 
 // compatPlan is a rule's compiled compatibility plan.
 type compatPlan struct {
@@ -61,8 +34,9 @@ type compatPlan struct {
 	// λϕ(Xp ∩ X) hold", ⌈|Dm|/64⌉ words in a copy-on-write vector: a delta
 	// copies the 64-word chunks its bits fall in, not the bitmap.
 	patBits  persist.Vec[uint64]
-	patCount int         // popcount of patBits
-	posts    []*postings // aligned with the rule's X/Xm lists
+	patCount int // popcount of patBits
+	// posts[i] is the index over Xm[i] alone; empty when Xm is one column.
+	posts []*index
 }
 
 // has reports tuple id's pattern bit.
@@ -105,9 +79,9 @@ func (d *Data) PatternSupported(ru *rule.Rule) bool {
 // is there a master tuple that agrees with t on the validated lhs
 // attributes (t[x] = tm[λϕ(x)] for x ∈ X ∩ Z) and satisfies the rule's
 // pattern cells on the λϕ-mapped lhs attributes? A fully validated lhs
-// probes the hash index (O(1)); a partially validated one walks the
-// smallest posting list of the validated attributes under the pattern
-// bitmap, falling back to the Dm scan when the postings are degenerate.
+// probes the rule's index (O(1)); a partially validated one walks the
+// smallest one-column bucket of the validated attributes under the pattern
+// bitmap, falling back to the Dm scan when that bucket is degenerate.
 func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	found, _ := d.compatible(ru, t, zSet)
 	return found
@@ -154,21 +128,22 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	if plan == nil {
 		return d.compatibleScan(ru, t, zSet), true
 	}
-	// Partially validated lhs: pick the smallest posting list among the
-	// validated attributes. A value the symbol table does not know occurs in
-	// no master tuple, one that occurs only in other columns has an empty
-	// list here, and X ∩ Z = ∅ means only the pattern constrains the master
-	// side.
-	if !d.validatedIDs(x, t, zSet, ids) {
-		return false, false
-	}
-	var best idList[int32]
+	// Partially validated lhs: pick the smallest bucket among the validated
+	// attributes' one-column indexes. A value the symbol table does not know
+	// occurs in no master tuple, one that occurs only in other columns has an
+	// empty bucket here, and X ∩ Z = ∅ means only the pattern constrains the
+	// master side.
+	var best idList
 	size, constrained := 0, false
 	for i, p := range x {
 		if !zSet.Has(p) {
 			continue
 		}
-		if lst := plan.posts[i].shard(ids[i]).list(ids[i]); !constrained || lst.len() < size {
+		h, ok := d.hasher.ProbeTuple(t, x[i:i+1], ids[i:i+1])
+		if !ok {
+			return false, false
+		}
+		if lst := plan.posts[i].shard(h).list(h); !constrained || lst.len() < size {
 			best, size, constrained = lst, lst.len(), true
 		}
 	}
@@ -176,15 +151,16 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 		return plan.patCount > 0, false
 	}
 	if 2*size >= d.rows.Len() {
-		// Degenerate postings (the best list covers at least half of Dm): a
+		// A degenerate bucket (the best one covers at least half of Dm): a
 		// scan costs the same and avoids the per-id indirection.
 		return d.compatibleScan(ru, t, zSet), true
 	}
 	// Walk it under the pattern bitmap, early-exiting on the first
-	// compatible tuple.
+	// compatible tuple. agreeOn verifies every validated cell, the bucket's
+	// own column included, so a hash collision inside it costs a comparison.
 	for _, chunk := range best.chunks() {
 		for _, id := range chunk {
-			if plan.has(int(id)) && agreeOn(d.rows.At(int(id)), x, xm, zSet, ids) {
+			if plan.has(id) && agreeOn(d.rows.At(id), x, xm, zSet, ids) {
 				return true, false
 			}
 		}
@@ -219,7 +195,7 @@ func agreeOn(row []uint32, x, xm []int, zSet relation.AttrSet, ids []uint32) boo
 }
 
 // compatibleScan is the naive O(|Dm|) fallback, and the reference the
-// postings path is property-tested against here (internal/suggest holds
+// indexed path is property-tested against here (internal/suggest holds
 // CompatibleExists to a scan over materialized values).
 func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	x, xm := ru.LHSRef(), ru.LHSMRef()

@@ -73,9 +73,9 @@ func randomCompatInstance(rng *rand.Rand) (*Data, *rule.Set, relation.Tuple, rel
 	return MustNewForRules(rel, sigma), sigma, t, zSet
 }
 
-// TestCompatibleExistsProperty: on randomized (Σ, Dm, t, Z) the
-// postings-based compatibility test agrees with the naive Dm scan for
-// every rule, across full, partial and empty validated lhs shapes.
+// TestCompatibleExistsProperty: on randomized (Σ, Dm, t, Z) the indexed
+// compatibility test agrees with the naive Dm scan for every rule, across
+// full, partial and empty validated lhs shapes.
 func TestCompatibleExistsProperty(t *testing.T) {
 	for seed := 0; seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(int64(7_000_000 + seed)))
@@ -113,10 +113,10 @@ func TestPatternSupportedProperty(t *testing.T) {
 	}
 }
 
-// TestCompatibleDegeneratePostings forces the degenerate-postings shape —
-// every master tuple shares one value in the probed column, so the best
-// posting list covers all of Dm — and checks the adaptive policy falls
-// back to the scan and still answers correctly.
+// TestCompatibleDegeneratePostings forces the degenerate shape — every
+// master tuple shares one value in the probed column, so the best one-column
+// bucket covers all of Dm — and checks the adaptive policy falls back to the
+// scan and still answers correctly.
 func TestCompatibleDegeneratePostings(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
@@ -128,7 +128,7 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 			relation.String(fmt.Sprintf("c%d", i)),
 		})
 	}
-	// lhs (A, B) so Z = {A} partially validates; A's posting list is all of Dm.
+	// lhs (A, B) so Z = {A} partially validates; A's bucket is all of Dm.
 	ru := rule.MustNew("deg", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, pattern.Empty())
 	sigma := rule.MustNewSet(r, rm, ru)
 	d := MustNewForRules(rel, sigma)
@@ -138,17 +138,17 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 
 	found, scanned := d.compatible(ru, tup, zSet)
 	if !scanned {
-		t.Fatal("degenerate postings must fall back to the scan")
+		t.Fatal("a degenerate bucket must fall back to the scan")
 	}
 	if !found || found != d.compatibleScan(ru, tup, zSet) {
 		t.Fatalf("fallback answer %v disagrees with the scan", found)
 	}
 
-	// A selective probe on B (posting list of length 1) must NOT scan.
+	// A selective probe on B (a bucket of one id) must NOT scan.
 	zSet = relation.NewAttrSet(1)
 	found, scanned = d.compatible(ru, tup, zSet)
 	if scanned {
-		t.Fatal("selective postings must not fall back to the scan")
+		t.Fatal("a selective bucket must not fall back to the scan")
 	}
 	if !found {
 		t.Fatal("selective probe must find the matching master tuple")

@@ -3,7 +3,7 @@ package master
 // This file implements the versioned-master update path: ApplyDelta
 // derives the next immutable snapshot from a batch of additions and
 // deletions by incrementally maintaining the id rows, hash indexes,
-// posting lists, symbol table and pattern-support bitmaps — every one of
+// symbol table and pattern-support bitmaps — every one of
 // them a structurally shared container (internal/persist) over the frozen
 // tables — and Versioned publishes the current snapshot through an atomic
 // pointer so probes never block behind an update.
@@ -20,14 +20,14 @@ package master
 //  2. adds are then appended in order; an added tuple is interned into an
 //     id row of its own, so callers may reuse their slices.
 //
-// Every index and posting mutation lands in the shard its key routes to
-// (shard.go), so a delta's overlays — and the flatten-at-1/4 compaction
-// they eventually trigger in fork — touch 1/P of a structure. The mutations
-// are PLANNED serially into one op list (cheap: bitmap bits, interning) and
-// APPLIED per structure; a large delta applies its structures in parallel,
-// since distinct structures share no maps.
+// Every index mutation lands in the shard its key routes to (shard.go), so
+// a delta's overlays — and the flatten-at-1/4 compaction they eventually
+// trigger in fork — touch 1/P of an index. The mutations are PLANNED
+// serially into one op list (cheap: bitmap bits, interning) and APPLIED per
+// index; a large delta applies its indexes in parallel, since distinct
+// indexes share no maps.
 //
-// Cost per delta: the delta. Per op and structure, one trie path into the
+// Cost per delta: the delta. Per op and index, one trie path into the
 // shard's overlay, one chunk of the key's id list (≤ maxChunk ids) and the
 // list's chunk table (overlay.go); per added tuple, one id row; per touched
 // 64-element chunk of the row headers and of each rule's bitmap, one chunk
@@ -57,16 +57,16 @@ import (
 // fork derives the next snapshot's view of a compatibility plan: the
 // pattern bitmap shares its chunks with the parent's, grown to the given
 // word count (deltas change |Dm|, so the new snapshot may need more words
-// than the old), and the posting pointers are remapped from the parent's
-// postings to the forked ones at the same positions.
-func (cp *compatPlan) fork(from, to []*postings, words int) *compatPlan {
+// than the old), and the one-column indexes are remapped from the parent's
+// registry to the forked one at the same positions.
+func (cp *compatPlan) fork(from, to []*index, words int) *compatPlan {
 	bits := cp.patBits.Clone()
 	for bits.Len() < words {
 		bits.Append(0)
 	}
-	posts := make([]*postings, len(cp.posts))
-	for i, ps := range cp.posts {
-		posts[i] = to[slices.Index(from, ps)]
+	posts := make([]*index, len(cp.posts))
+	for i, idx := range cp.posts {
+		posts[i] = to[slices.Index(from, idx)]
 	}
 	return &compatPlan{patBits: bits, patCount: cp.patCount, posts: posts}
 }
@@ -79,10 +79,10 @@ func (cp *compatPlan) flip(id int) {
 	cp.patBits.Set(id>>6, cp.patBits.At(id>>6)^(1<<(uint(id)&63)))
 }
 
-// deltaOp is one planned mutation of every index and posting list, on the
-// tuple stored as row. Bitmap updates and interning happen at planning time
-// (they are global and O(1) per op); the map and bucket work — the bulk of a
-// delta — runs in applyIndexOps / applyPostingOps.
+// deltaOp is one planned mutation of every index, on the tuple stored as
+// row. Bitmap updates and interning happen at planning time (they are global
+// and O(1) per op); the map and bucket work — the bulk of a delta — runs in
+// applyIndexOps.
 type deltaOp struct {
 	kind   uint8
 	row    []uint32
@@ -95,7 +95,7 @@ const (
 	opAppend
 )
 
-// parallelDeltaOps is the op count above which structures apply in
+// parallelDeltaOps is the op count above which indexes apply in
 // parallel; below it, goroutine fan-out costs more than it saves.
 const parallelDeltaOps = 128
 
@@ -148,8 +148,8 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		arena: d.arena,
 	}
 	nd.hasher = relation.NewHasher(nd.syms)
-	// A forked structure sits where its parent's did: a handful of
-	// structures, found by scanning.
+	// A forked index sits where its parent's did: a handful of indexes,
+	// found by scanning.
 	nd.indexes = make([]*index, len(d.indexes))
 	for i, idx := range d.indexes {
 		nd.indexes[i] = idx.fork()
@@ -158,13 +158,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for ru, idx := range d.plans {
 		nd.plans[ru] = nd.indexes[slices.Index(d.indexes, idx)]
 	}
-	nd.postings = make([]*postings, len(d.postings))
-	for i, ps := range d.postings {
-		nd.postings[i] = ps.fork()
-	}
 	nd.compat = make(map[*rule.Rule]*compatPlan, len(d.compat))
 	for ru, cp := range d.compat {
-		nd.compat[ru] = cp.fork(d.postings, nd.postings, words)
+		nd.compat[ru] = cp.fork(d.indexes, nd.indexes, words)
 	}
 
 	// Plan: queue every op; update bitmaps and intern added values inline
@@ -210,25 +206,20 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// The rows are final once planning ends; the index ops read them to keep
 	// the exception tables exact.
 
-	// Apply: structures share no maps, so a large delta fans them out
-	// across CPUs. One batch for all of them: the overlay nodes this delta
-	// makes are its own until it returns.
+	// Apply: indexes share no maps, so a large delta fans them out across
+	// CPUs. One batch for all of them: the overlay nodes this delta makes are
+	// its own until it returns.
 	batch := new(persist.Edit)
 	apply := func(k int) (struct{}, error) {
-		if k < len(nd.indexes) {
-			nd.applyIndexOps(nd.indexes[k], ops, batch)
-		} else {
-			nd.applyPostingOps(nd.postings[k-len(nd.indexes)], ops, batch)
-		}
+		nd.applyIndexOps(nd.indexes[k], ops, batch)
 		return struct{}{}, nil
 	}
-	structures := len(nd.indexes) + len(nd.postings)
 	if len(del)+len(adds) >= parallelDeltaOps && runtime.GOMAXPROCS(0) > 1 {
-		if _, err := parallel.Map(structures, 0, apply); err != nil {
+		if _, err := parallel.Map(len(nd.indexes), 0, apply); err != nil {
 			return nil, err // unreachable: the ops cannot fail
 		}
 	} else {
-		for k := 0; k < structures; k++ {
+		for k := range nd.indexes {
 			apply(k)
 		}
 	}
@@ -245,7 +236,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 // applyIndexOps runs the planned mutations, in order, on one index: each
 // lands in the shard the hash of its row's Xm ids routes to. The symbol
 // table is read-only here (interning happened at plan time), so distinct
-// structures may run concurrently.
+// indexes may run concurrently.
 //
 // Exception tables (uniform.go) follow the buckets: an append compares the
 // new tuple with the bucket's smallest id — deletes and renames precede the
@@ -274,15 +265,6 @@ func (nd *Data) applyIndexOps(idx *index, ops []deltaOp, batch *persist.Edit) {
 		// scan: a bucket that is still as dirty answers in a few tuples.
 		sh := idx.shard(h)
 		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), &nd.rows, sh.exc.mask(h)))
-	}
-}
-
-// applyPostingOps is applyIndexOps for one posting list.
-func (nd *Data) applyPostingOps(ps *postings, ops []deltaOp, batch *persist.Edit) {
-	for _, op := range ops {
-		vid := op.row[ps.col]
-		l := ps.shard(vid)
-		l.put(batch, vid, editIDs(op, l.list(vid)))
 	}
 }
 

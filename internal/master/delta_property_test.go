@@ -2,7 +2,7 @@ package master
 
 // The delta-equivalence property: EVERY intermediate snapshot of a
 // randomized delta sequence — adds, deletes, mixed batches, including
-// sequences that push posting lists across the |Dm|/2 adaptive-scan
+// sequences that push one-column buckets across the |Dm|/2 adaptive-scan
 // threshold in both directions — is deep-equal to a from-scratch
 // NewForRules on the equivalent materialized relation (checkEquiv), and
 // its probes agree with the naive Dm scan. Run the package under -race to
@@ -23,7 +23,7 @@ import (
 	"repro/internal/rule"
 )
 
-// randomDeltaInstance builds a randomized (Σ, Dm) like the postings
+// randomDeltaInstance builds a randomized (Σ, Dm) like the compatibility
 // property tests, but returns the pieces needed to keep generating
 // tuples: the schemas and the value pool.
 func randomDeltaInstance(rng *rand.Rand) (*Data, *rule.Set, *relation.Schema, []string) {
@@ -32,9 +32,8 @@ func randomDeltaInstance(rng *rand.Rand) (*Data, *rule.Set, *relation.Schema, []
 
 // sizedDeltaInstance is randomDeltaInstance over size master tuples, 2–11
 // when size is 0. The pool has four distinct values, so at 3,000 tuples every
-// column's posting lists and every bucket of a one-column index hold 500 or
-// 1,500 ids: lists of many chunks, where the default instance never fills
-// one.
+// bucket of a one-column index holds 500 or 1,500 ids: lists of many chunks,
+// where the default instance never fills one.
 func sizedDeltaInstance(rng *rand.Rand, size int) (*Data, *rule.Set, *relation.Schema, []string) {
 	nR := 3 + rng.Intn(3)
 	nM := 3 + rng.Intn(3)
@@ -49,7 +48,7 @@ func sizedDeltaInstance(rng *rand.Rand, size int) (*Data, *rule.Set, *relation.S
 	r := relation.StringSchema("R", rNames...)
 	rm := relation.StringSchema("Rm", mNames...)
 
-	// A skewed pool: "a" dominates, so posting lists routinely cover more
+	// A skewed pool: "a" dominates, so one-column buckets routinely cover more
 	// than half of Dm and deltas move them across the adaptive threshold.
 	vals := []string{"a", "a", "a", "b", "c", "d"}
 	rel := relation.NewRelation(rm)
@@ -150,7 +149,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			checkEquiv(t, ctx, next, sigma)
 
 			// Probe-level agreement with the naive scan on random tuples,
-			// exercising both postings-intersection and adaptive-scan
+			// exercising both the smallest-bucket walk and adaptive-scan
 			// paths as lists drift across the |Dm|/2 threshold.
 			for trial := 0; trial < 3; trial++ {
 				for i := range probe {
@@ -168,13 +167,13 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestDeltaThresholdCrossing drives one posting list across the |Dm|/2
+// TestDeltaThresholdCrossing drives one bucket across the |Dm|/2
 // adaptive-scan threshold in both directions through deltas alone and
 // pins the fallback policy on every side.
 func TestDeltaThresholdCrossing(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
-	// lhs (A, B): Z = {A} partially validates, probing A's posting list.
+	// lhs (A, B): Z = {A} partially validates, probing A's one-column index.
 	ru := rule.MustNew("deg", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, pattern.Empty())
 	sigma := rule.MustNewSet(r, rm, ru)
 	rel := relation.NewRelation(rm)
@@ -189,7 +188,7 @@ func TestDeltaThresholdCrossing(t *testing.T) {
 	tup := relation.StringTuple("same", "b1", "x")
 	zSet := relation.NewAttrSet(0)
 	if _, scanned := cur.compatible(ru, tup, zSet); scanned {
-		t.Fatal("4/16 list must use the postings path")
+		t.Fatal("4/16 list must use the index path")
 	}
 
 	// Grow "same" to 12/16: now ≥ |Dm|/2, the adaptive policy must scan.
@@ -217,10 +216,10 @@ func TestDeltaThresholdCrossing(t *testing.T) {
 	checkEquiv(t, "shrunk", shrunk, sigma)
 	found, scanned = shrunk.compatible(ru, tup, zSet)
 	if scanned {
-		t.Fatal("shrunken list must return to the postings path")
+		t.Fatal("shrunken list must return to the index path")
 	}
 	if found != shrunk.compatibleScan(ru, tup, zSet) {
-		t.Fatal("postings answer disagrees with the scan after shrink")
+		t.Fatal("index answer disagrees with the scan after shrink")
 	}
 }
 
@@ -407,32 +406,17 @@ func TestSnapshotBranching(t *testing.T) {
 // overlayChunks reports, over every overlay entry of d, how many hold more
 // than one chunk and how many chunks a delta wrote short of maxChunk.
 func overlayChunks(d *Data) (multi, short int) {
-	count := func(tab [][]int, tab32 [][]int32) {
-		if len(tab)+len(tab32) > 1 {
-			multi++
-		}
-		for _, c := range tab {
-			if len(c) < maxChunk {
-				short++
-			}
-		}
-		for _, c := range tab32 {
-			if len(c) < maxChunk {
-				short++
-			}
-		}
-	}
 	for _, idx := range d.indexes {
 		for s := range idx.shards {
 			for _, tab := range idx.shards[s].over.All() {
-				count(tab, nil)
-			}
-		}
-	}
-	for _, ps := range d.postings {
-		for s := range ps.shards {
-			for _, tab := range ps.shards[s].over.All() {
-				count(nil, tab)
+				if len(tab) > 1 {
+					multi++
+				}
+				for _, c := range tab {
+					if len(c) < maxChunk {
+						short++
+					}
+				}
 			}
 		}
 	}

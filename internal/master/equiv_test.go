@@ -2,15 +2,14 @@ package master
 
 // Test-side equivalence oracle for the versioned master: checkEquiv
 // asserts a snapshot reached through a chain of ApplyDelta calls is
-// deep-equal — indexes, exception tables, posting lists, pattern-support
-// bitmaps, probe plans — to MustNewForRules run from scratch on the snapshot's
+// deep-equal — indexes, exception tables, pattern-support bitmaps, probe
+// plans — to MustNewForRules run from scratch on the snapshot's
 // materialized relation with the same shard count. Interned value ids
 // (and therefore raw uint64 bucket keys, and the shards they route to) are
 // the one representation detail allowed to differ: a delta chain interns
 // values in historical order, a rebuild in current first-seen order, so the
 // comparison
-// resolves buckets and posting lists through each side's own hasher, symbol
-// table and router and compares the id contents, which is exactly what
+// resolves buckets through each side's own hasher, symbol table and router and compares the id contents, which is exactly what
 // every probe observes.
 
 import (
@@ -67,8 +66,8 @@ func rebuildOracle(t testing.TB, got *Data, sigma *rule.Set) *Data {
 	return want
 }
 
-// checkTablesAgainstMaps holds every index and posting shard of a freshly
-// built snapshot to Go maps filled here by a plain loop over the relation,
+// checkTablesAgainstMaps holds every index shard of a freshly built
+// snapshot to Go maps filled here by a plain loop over the relation,
 // each entry in the shard its key routes to: the reference shares no code
 // with the table builder.
 func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
@@ -90,32 +89,15 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 			checkLayeredAgainstMap(t, fmt.Sprintf("%s: index %v shard %d", ctx, idx.xm, s), &idx.shards[s].layered, want[s])
 		}
 	}
-	for _, ps := range d.postings {
-		want := make([]map[uint32][]int32, d.nshards)
-		for s := range want {
-			want[s] = map[uint32][]int32{}
-		}
-		for i, tm := range d.All() {
-			vid, ok := d.syms.ID(tm[ps.col])
-			if !ok {
-				t.Fatalf("%s: value of tuple %d column %d not interned", ctx, i, ps.col)
-			}
-			s := keyShard(uint64(vid), d.nshards)
-			want[s][vid] = append(want[s][vid], int32(i))
-		}
-		for s := range ps.shards {
-			checkLayeredAgainstMap(t, fmt.Sprintf("%s: postings col %d shard %d", ctx, ps.col, s), &ps.shards[s], want[s])
-		}
-	}
 }
 
 // checkLayeredAgainstMap requires one shard to hold exactly the map's
 // content: every map key resolves to its ids, the keys next to it resolve
 // like the map says (mostly misses), and each visits every key exactly once.
-func checkLayeredAgainstMap[K uint32 | uint64, ID int | int32](t testing.TB, ctx string, l *layered[K, ID], want map[K][]ID) {
+func checkLayeredAgainstMap(t testing.TB, ctx string, l *layered, want map[uint64][]int) {
 	t.Helper()
 	seen := 0
-	l.each(func(k K, ids []ID) {
+	l.each(func(k uint64, ids []int) {
 		seen++
 		if !slices.Equal(ids, want[k]) {
 			t.Fatalf("%s: each(%#x) = %v, map oracle %v", ctx, k, ids, want[k])
@@ -125,7 +107,7 @@ func checkLayeredAgainstMap[K uint32 | uint64, ID int | int32](t testing.TB, ctx
 		t.Fatalf("%s: each visited %d keys, map oracle holds %d", ctx, seen, len(want))
 	}
 	for k := range want {
-		for _, probe := range []K{k, k + 1, k - 1} {
+		for _, probe := range []uint64{k, k + 1, k - 1} {
 			if got := l.get(probe); !slices.Equal(got, want[probe]) {
 				t.Fatalf("%s: get(%#x) = %v, map oracle %v", ctx, probe, got, want[probe])
 			}
@@ -134,8 +116,7 @@ func checkLayeredAgainstMap[K uint32 | uint64, ID int | int32](t testing.TB, ctx
 }
 
 // checkRouting asserts the layout invariant every probe relies on: each
-// index key and posting value id is stored in exactly the shard keyShard
-// names — no shard holds a key that routes elsewhere, and every stored
+// index key is stored in exactly the shard keyShard names — no shard holds a key that routes elsewhere, and every stored
 // tuple's key resolves, in its own shard, to a list carrying the tuple's id.
 func checkRouting(t testing.TB, ctx string, d *Data) {
 	t.Helper()
@@ -154,18 +135,48 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 			}
 		}
 	}
-	for _, ps := range d.postings {
-		for s := range ps.shards {
-			ps.shards[s].each(func(vid uint32, _ []int32) {
-				if home := keyShard(uint64(vid), d.nshards); home != s {
-					t.Fatalf("%s: postings col %d value id %d sits in shard %d, routes to %d", ctx, ps.col, vid, s, home)
-				}
-			})
+}
+
+// checkColumnIndexes is the equivalence that licensed deleting the posting
+// lists: for every column a multi-column Xm names, the index over that column
+// alone — the one the rule's compatibility plan reads — lists, per value,
+// exactly the ascending ids of the tuples whose cell holds it. The oracle is
+// a map filled by a plain loop over the materialized tuples. A one-column Xm
+// asks for no such index: it is fully validated or not at all.
+func checkColumnIndexes(t testing.TB, ctx string, d *Data, sigma *rule.Set) {
+	t.Helper()
+	for _, ru := range sigma.Rules() {
+		xm, cp := ru.LHSMRef(), d.compat[ru]
+		if len(xm) < 2 {
+			if len(cp.posts) != 0 {
+				t.Fatalf("%s: rule %s has a one-column Xm and %d one-column indexes", ctx, ru.Name(), len(cp.posts))
+			}
+			continue
 		}
-		for id, tm := range d.All() {
-			vid, ok := d.syms.ID(tm[ps.col])
-			if !ok || !slices.Contains(ps.shard(vid).get(vid), int32(id)) {
-				t.Fatalf("%s: postings col %d: tuple %d missing from the list its value routes to", ctx, ps.col, id)
+		if len(cp.posts) != len(xm) {
+			t.Fatalf("%s: rule %s reads %d one-column indexes for %d columns", ctx, ru.Name(), len(cp.posts), len(xm))
+		}
+		for i, col := range xm {
+			idx := d.findIndex([]int{col})
+			if idx == nil || cp.posts[i] != idx {
+				t.Fatalf("%s: rule %s column %d: plan reads %p, the registry holds %p", ctx, ru.Name(), col, cp.posts[i], idx)
+			}
+			want := map[relation.Value][]int{}
+			for id, tm := range d.All() {
+				want[tm[col]] = append(want[tm[col]], id)
+			}
+			for v, ids := range want {
+				h, ok := d.hasher.HashValues([]relation.Value{v})
+				if !ok {
+					t.Fatalf("%s: stored value %v of column %d not interned", ctx, v, col)
+				}
+				if got := idx.shard(h).get(h); !slices.Equal(got, ids) {
+					t.Fatalf("%s: index [%d] lists %v under %v, the column holds it at %v", ctx, col, got, v, ids)
+				}
+			}
+			// Every id under its own value and no id more: no other bucket.
+			if got := idx.size(); got != d.Len() {
+				t.Fatalf("%s: index [%d] holds %d ids for %d tuples", ctx, col, got, d.Len())
 			}
 		}
 	}
@@ -183,24 +194,13 @@ func eqInts(a, b []int) bool {
 	return true
 }
 
-func eqInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkEquiv asserts got is deep-equal to a from-scratch rebuild on its
 // materialized relation. ctx labels failures (seed / step).
 func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 	t.Helper()
 	want := rebuildOracle(t, got, sigma)
 	checkRouting(t, ctx, got)
+	checkColumnIndexes(t, ctx, got, sigma)
 	n := got.Len()
 	if want.Len() != n {
 		t.Fatalf("%s: materialized length %d vs snapshot %d", ctx, want.Len(), n)
@@ -255,42 +255,6 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		}
 	}
 
-	// Posting lists: same columns, same total size, identical id lists
-	// per stored value (resolved through each side's own symbol table and
-	// router).
-	if len(got.postings) != len(want.postings) {
-		t.Fatalf("%s: %d posting columns, rebuild has %d", ctx, len(got.postings), len(want.postings))
-	}
-	for _, wps := range want.postings {
-		var gps *postings
-		for _, p := range got.postings {
-			if p.col == wps.col {
-				gps = p
-				break
-			}
-		}
-		if gps == nil {
-			t.Fatalf("%s: no postings over column %d after deltas", ctx, wps.col)
-		}
-		if gs, ws := gps.size(), wps.size(); gs != ws {
-			t.Fatalf("%s: postings col %d hold %d ids, rebuild %d", ctx, wps.col, gs, ws)
-		}
-		for id := 0; id < n; id++ {
-			v := got.Tuple(id)[wps.col]
-			gid, ok := got.syms.ID(v)
-			if !ok {
-				t.Fatalf("%s: stored value %v of column %d not interned in snapshot", ctx, v, wps.col)
-			}
-			wid, ok := want.syms.ID(v)
-			if !ok {
-				t.Fatalf("%s: stored value %v of column %d not interned in rebuild", ctx, v, wps.col)
-			}
-			if gl, wl := gps.shard(gid).get(gid), wps.shard(wid).get(wid); !eqInt32s(gl, wl) {
-				t.Fatalf("%s: postings col %d list for %v = %v, rebuild %v", ctx, wps.col, v, gl, wl)
-			}
-		}
-	}
-
 	// Probe and compatibility plans: same rules resolved, identical
 	// pattern-support bitmaps and counts.
 	for _, ru := range sigma.Rules() {
@@ -314,9 +278,6 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 			if word != wcp.patBits.At(w) {
 				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, word, wcp.patBits.At(w))
 			}
-		}
-		if len(gcp.posts) != len(wcp.posts) {
-			t.Fatalf("%s: rule %s has %d compat postings, rebuild %d", ctx, ru.Name(), len(gcp.posts), len(wcp.posts))
 		}
 		if got.PatternSupported(ru) != want.PatternSupported(ru) {
 			t.Fatalf("%s: rule %s PatternSupported differs", ctx, ru.Name())

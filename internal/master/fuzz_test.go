@@ -11,7 +11,7 @@ import (
 
 // FuzzApplyDelta interprets the fuzz input as a delta program against a
 // fixed (Σ, Dm) — each byte encodes one add (value pair drawn from a
-// small pool, so posting lists grow skewed) or one delete (id modulo the
+// small pool, so buckets grow skewed) or one delete (id modulo the
 // current size), with high bits batching ops into one ApplyDelta call —
 // and checks every published snapshot against the from-scratch rebuild
 // oracle plus a probe cross-check. The seed corpus covers add-only,
@@ -88,7 +88,7 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		flush(len(program))
 
-		// Probe cross-check on the final snapshot: postings path vs scan.
+		// Probe cross-check on the final snapshot: index path vs scan.
 		rng := rand.New(rand.NewSource(int64(len(program))))
 		probe := make(relation.Tuple, 3)
 		for trial := 0; trial < 8; trial++ {

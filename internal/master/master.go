@@ -13,7 +13,7 @@
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
 // (relation.Symbols / relation.Hasher); a key has ONE bucket, holding the
 // ascending ids of every tuple whose Xm projection hashes to it. There is
-// one index layout: every shard of every index and posting list is an
+// one index layout: every shard of every index is an
 // immutable open-addressing table (table.go) — the same whether built by
 // NewForRules, rewritten by compaction or mapped by LoadArena — under a
 // per-snapshot overlay trie holding the deltas since (overlay.go). Per-rule
@@ -41,16 +41,16 @@
 //     themselves: Explore, ApplicablePairs, the naive oracles, and the
 //     tests that hold the value probes to a scan.
 //
-// Beyond the full-key indexes, NewForRules builds the inverted-postings
-// layer of postings.go: per-column posting lists and per-rule
-// pattern-support bitmaps serving the partially-validated-lhs
-// compatibility test and the rule-support precomputation of §5 without
-// scanning Dm.
+// Condition (c) of §5.2 needs the same lookup on a PART of Xm when the lhs
+// is only partly validated. It reads the same kind of index: for every
+// column of a multi-column Xm NewForRules also builds the index over that
+// column alone (found, not duplicated, when some rule's whole Xm is that
+// column), and compat.go walks the smallest bucket of the validated columns
+// under a per-rule pattern-support bitmap instead of scanning Dm.
 //
-// Every index and posting list is partitioned into P shards, each routed by
-// its own key (shard.go): P sets the grain of parallel builds and of
-// compaction and is invisible to probes, which read the one shard their key
-// routes to. Tuple ids stay global, so probe results are byte-identical for
+// Every index is partitioned into P shards, routed by its key (shard.go): P
+// sets the grain of parallel builds and of compaction and is invisible to
+// probes, which read the one shard their key routes to. Tuple ids stay global, so probe results are byte-identical for
 // every P.
 //
 // The paper assumes master data is static (§2). A service cannot stop the
@@ -104,7 +104,7 @@ type index struct {
 }
 
 type indexShard struct {
-	layered[uint64, int]
+	layered
 	exc exceptions
 }
 
@@ -151,9 +151,9 @@ type Data struct {
 	rows   rowVec
 	syms   *relation.Symbols
 	hasher relation.Hasher
-	// indexes is the dense registry of built indexes; with a handful of
-	// distinct Xm lists per Σ a linear scan comparing position slices
-	// beats string building.
+	// indexes is the dense registry of built indexes — one per distinct Xm
+	// list of Σ and per column of a multi-column one; with a handful of them
+	// a linear scan comparing position slices beats string building.
 	indexes []*index
 	// plans maps each rule of the Σ the data was built for to its index —
 	// the per-rule probe plan, resolved once so MatchIDs is a single hash +
@@ -161,11 +161,10 @@ type Data struct {
 	// scans Dm (no production path probes with one: Σ_t[Z] is a mask over Σ,
 	// never a set of refined copies).
 	plans map[*rule.Rule]*index
-	// postings and compat are the inverted-postings layer (see postings.go):
-	// per-column value → tuple-id lists and per-rule compatibility plans
-	// serving the partial-lhs and pattern-support paths of §5.
-	postings []*postings
-	compat   map[*rule.Rule]*compatPlan
+	// compat maps each rule to its compatibility plan (see compat.go): the
+	// pattern-support bitmap and the one-column indexes serving the
+	// partial-lhs and pattern-support paths of §5.
+	compat map[*rule.Rule]*compatPlan
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
 	// ones built in memory). Propagated through ApplyDelta derivations:
 	// symbol strings and not-yet-compacted tables alias the bytes for the
@@ -194,9 +193,9 @@ func New(rel *relation.Relation, opts ...BuildOption) *Data {
 }
 
 // NewForRules wraps a master relation, eagerly builds one index per
-// distinct Xm list in Σ, one posting list per distinct Xm column, and
+// distinct Xm list in Σ and per column of a multi-column one, and
 // resolves each rule's probe and compatibility plans: a Builder fed the
-// relation's tuples. The structures are partitioned into WithShards shards
+// relation's tuples. The indexes are partitioned into WithShards shards
 // (default one per CPU) and filled in parallel on GOMAXPROCS goroutines.
 // Failures — schema mismatch, a tuple violating the schema's declared
 // types — are typed: errors.Is(err, ErrMasterBuild), with a *BuildError
@@ -354,7 +353,7 @@ func rowMatches(row []uint32, xm []int, ids []uint32) bool {
 // that is the price of the enumerate-all probe of Explore and the naive
 // oracles on an edited long bucket, not of a fix — its value probes read the
 // smallest id and never enumerate.
-func (d *Data) verified(bucket *idList[int], xm []int, ids []uint32) []int {
+func (d *Data) verified(bucket *idList, xm []int, ids []uint32) []int {
 	flat := bucket.flat()
 	for i, id := range flat {
 		if !d.matches(id, xm, ids) {
@@ -452,7 +451,7 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	if !ok {
 		return nil, -1
 	}
-	var bucket idList[int]
+	var bucket idList
 	if idx := d.indexFor(ru); idx == nil {
 		bucket.span[0] = d.scan(xm, ids)
 	} else {

@@ -9,8 +9,8 @@ import (
 // master's cells and lookup structures live, split so the heap-vs-arena
 // tradeoff is observable in production (certainfixd exposes this on
 // /healthz), not just in benchmarks. Counts are logical (live keys and
-// ids); cell, index and posting bytes are the exact sizes of the id rows
-// and the frozen tables' backing arrays plus what the overlay entries own.
+// ids); cell and index bytes are the exact sizes of the id rows and the
+// frozen tables' backing arrays plus what the overlay entries own.
 type MemStats struct {
 	// Epoch and Tuples identify the snapshot.
 	Epoch  uint64 `json:"epoch"`
@@ -27,8 +27,9 @@ type MemStats struct {
 	Symbols     int   `json:"symbols"`
 	SymbolBytes int64 `json:"symbol_bytes"`
 
-	// IndexKeys/IndexIDs count hash-index bucket keys and bucket entries
-	// across all indexes (a key has one bucket, whatever Shards is);
+	// IndexKeys/IndexIDs count bucket keys and bucket entries across all
+	// indexes — the rules' own and the one-column ones condition (c) reads
+	// (a key has one bucket, whatever Shards is);
 	// IndexBytes is the tables' slot and id arrays plus, per overlay entry,
 	// its key, its chunk table and the chunks deltas wrote — a chunk that
 	// still aliases the table's span is the table's, counted once.
@@ -41,12 +42,6 @@ type MemStats struct {
 	// functional contract of §2 there) or collide on the key hash. Probes
 	// of those buckets scan; zero on a consistent master.
 	NonUniformBuckets int `json:"non_uniform_buckets"`
-
-	// PostingKeys/PostingIDs count posting-list keys and entries;
-	// PostingBytes is IndexBytes for the posting lists, at 4 bytes an id.
-	PostingKeys  int   `json:"posting_keys"`
-	PostingIDs   int   `json:"posting_ids"`
-	PostingBytes int64 `json:"posting_bytes"`
 
 	// BitmapBytes is the pattern-support bitmaps across all rules.
 	BitmapBytes int64 `json:"bitmap_bytes"`
@@ -74,8 +69,8 @@ type MemStats struct {
 // MemStats walks the snapshot's structures and returns their accounting.
 // Cost is O(keys of the structures), not O(|Dm|·arity), and it allocates
 // nothing that grows with the master: cell and symbol bytes are arithmetic
-// and a counter, index and posting sizes come from the layered maps. Safe on
-// any snapshot, concurrently with probes.
+// and a counter, index sizes come from the layered maps. Safe on any snapshot,
+// concurrently with probes.
 func (d *Data) MemStats() MemStats {
 	n := d.rows.Len()
 	ms := MemStats{
@@ -90,11 +85,6 @@ func (d *Data) MemStats() MemStats {
 		for s := range idx.shards {
 			idx.shards[s].addStats(&ms.IndexKeys, &ms.IndexIDs, &ms.IndexBytes)
 			ms.NonUniformBuckets += len(idx.shards[s].exc)
-		}
-	}
-	for _, ps := range d.postings {
-		for s := range ps.shards {
-			ps.shards[s].addStats(&ms.PostingKeys, &ms.PostingIDs, &ms.PostingBytes)
 		}
 	}
 	for _, cp := range d.compat {
@@ -117,10 +107,10 @@ func (d *Data) MemStats() MemStats {
 // backing arrays plus each overlay entry's key, chunk table and the chunks
 // that are not stretches of the key's frozen span — cut lays those at
 // multiples of maxChunk.
-func (l *layered[K, ID]) addStats(keys, ids *int, bytes *int64) {
+func (l *layered) addStats(keys, ids *int, bytes *int64) {
 	nkeys, nids := l.mergedSize()
 	*keys, *ids = *keys+nkeys, *ids+nids
-	idBytes := int64(unsafe.Sizeof(ID(0)))
+	idBytes := int64(unsafe.Sizeof(int(0)))
 	*bytes += 8*int64(len(l.frozen.slots)) + idBytes*int64(len(l.frozen.ids))
 	for k, tab := range l.over.All() {
 		*bytes += 8 + int64(unsafe.Sizeof(tab)) + int64(cap(tab))*int64(unsafe.Sizeof(tab))

@@ -12,20 +12,20 @@ import (
 // of list, put and lists, so those suites hold the chunked lists to the same
 // oracles, unedited.
 
-func (l *layered[K, ID]) get(k K) []ID {
+func (l *layered) get(k uint64) []int {
 	list := l.list(k)
 	return list.flat()
 }
 
-func (l *layered[K, ID]) set(k K, ids []ID) { l.put(nil, k, cut(ids, 0)) }
+func (l *layered) set(k uint64, ids []int) { l.put(nil, k, cut(ids, 0)) }
 
-func (l *layered[K, ID]) each(fn func(k K, ids []ID)) {
-	l.lists(func(k K, list idList[ID]) { fn(k, list.flat()) })
+func (l *layered) each(fn func(k uint64, ids []int)) {
+	l.lists(func(k uint64, list idList) { fn(k, list.flat()) })
 }
 
 // checkChunks holds a chunk table to its form — ascending ids, no empty
 // chunk, none above maxChunk — and to the ids it should hold.
-func checkChunks(t *testing.T, ctx string, tab [][]int32, want []int32) {
+func checkChunks(t *testing.T, ctx string, tab [][]int, want []int) {
 	t.Helper()
 	for c, chunk := range tab {
 		if len(chunk) == 0 || len(chunk) > maxChunk {
@@ -48,14 +48,14 @@ func TestEditIDsModel(t *testing.T) {
 	var splits, merges, firstDrops, fullAppends, crossRenames int
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var want []int32
-		next := int32(0)
+		var want []int
+		next := 0
 		for range 100 + rng.Intn(900) {
-			next += 1 + int32(rng.Intn(3))
+			next += 1 + rng.Intn(3)
 			want = append(want, next)
 		}
 		span, frozen := slices.Clone(want), slices.Clone(want)
-		list := idList[int32]{span: [1][]int32{span}}
+		list := idList{span: [1][]int{span}}
 		shrink := seed%2 == 1 // odd seeds mostly unindex, so chunks run dry and merge
 		for step := 0; step < 600 && len(want) > 0; step++ {
 			ctx := fmt.Sprintf("seed %d step %d", seed, step)
@@ -68,7 +68,7 @@ func TestEditIDsModel(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					i = 0
 				}
-				op = deltaOp{kind: opUnindex, id: int(want[i])}
+				op = deltaOp{kind: opUnindex, id: want[i]}
 				want = slices.Delete(want, i, i+1)
 				if i == 0 {
 					firstDrops++
@@ -82,13 +82,13 @@ func TestEditIDsModel(t *testing.T) {
 				if to < 0 {
 					continue
 				}
-				op = deltaOp{kind: opRename, id: int(want[len(want)-1]), to: int(to)}
+				op = deltaOp{kind: opRename, id: want[len(want)-1], to: to}
 				want = want[:len(want)-1]
 				i, _ := slices.BinarySearch(want, to)
 				want = slices.Insert(want, i, to)
 			default:
-				next += 1 + int32(rng.Intn(3))
-				op = deltaOp{kind: opAppend, id: int(next)}
+				next += 1 + rng.Intn(3)
+				op = deltaOp{kind: opAppend, id: next}
 				want = append(want, next)
 				if cs := list.chunks(); len(cs[len(cs)-1]) == maxChunk {
 					fullAppends++
@@ -97,7 +97,7 @@ func TestEditIDsModel(t *testing.T) {
 			tab := editIDs(op, list)
 			checkChunks(t, ctx, tab, want)
 			switch {
-			case op.kind == opRename && len(tab) > 1 && !slices.Contains(tab[len(tab)-1], int32(op.to)):
+			case op.kind == opRename && len(tab) > 1 && !slices.Contains(tab[len(tab)-1], op.to):
 				crossRenames++
 				fallthrough
 			case len(tab) > nchunks && op.kind != opAppend:
@@ -110,9 +110,9 @@ func TestEditIDsModel(t *testing.T) {
 			if got := before.flat(); !slices.Equal(got, beforeIDs) {
 				t.Fatalf("%s: the edit changed the list it was derived from", ctx)
 			}
-			list = idList[int32]{table: tab}
+			list = idList{table: tab}
 			if len(tab) == 0 {
-				list = idList[int32]{}
+				list = idList{}
 			}
 		}
 		if !slices.Equal(span, frozen) {

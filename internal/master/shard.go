@@ -2,22 +2,21 @@ package master
 
 // This file implements the sharded layout and the parallel build pipeline.
 //
-// Every index and posting list is partitioned into P shards, and each routes
-// by ITS OWN KEY: an index entry lives in the shard keyShard picks from its
-// projection hash, a posting entry in the shard it picks from its value id.
-// A key therefore has exactly one bucket, holding all its ids ascending, at
+// Every index is partitioned into P shards and routes by ITS OWN KEY: an
+// entry lives in the shard keyShard picks from its projection hash. A key
+// therefore has exactly one bucket, holding all its ids ascending, at
 // every P — the "hash table that stores tm[Xm] as a key" of §5.1 — so a
 // probe reads one shard and P never shows on the read path: same buckets,
 // same allocations, same scan-fallback decisions, same MemStats counts. One
-// tuple lives in a different shard per structure; tuple ids stay global
+// tuple lives in a different shard per index; tuple ids stay global
 // positions in the relation.
 //
-// What P still buys is on the write side: compaction rewrites 1/P of a
-// structure (fork flattens the shard whose overlay outgrew its table, not
-// the whole index), and no single table grows to |Dm| keys. Builds are
-// parallel at every P: the structures build their P tables side by side.
+// What P still buys is on the write side: compaction rewrites 1/P of an
+// index (fork flattens the shard whose overlay outgrew its table, not the
+// whole index), and no single table grows to |Dm| keys. Builds are parallel
+// at every P: the indexes build their P tables side by side.
 //
-// Shards are iterated only by whole-structure walks: build, fork/compaction,
+// Shards are iterated only by whole-index walks: build, fork/compaction,
 // arena save/load, MemStats and the exception rebuild.
 
 import (
@@ -41,10 +40,10 @@ type buildConfig struct {
 	auth   bool
 }
 
-// WithShards selects the number of shards each index and posting list is
-// partitioned into; a shard is one table and one unit of compaction. p <= 0
-// selects DefaultShards (one per CPU); p is clamped to [1, MaxShards]. Probes
-// read one shard whatever p is, and every p produces byte-identical results.
+// WithShards selects the number of shards each index is partitioned into; a
+// shard is one table and one unit of compaction. p <= 0 selects DefaultShards
+// (one per CPU); p is clamped to [1, MaxShards]. Probes read one shard
+// whatever p is, and every p produces byte-identical results.
 func WithShards(p int) BuildOption {
 	return func(c *buildConfig) { c.shards = p }
 }
@@ -89,10 +88,10 @@ func resolveBuildConfig(opts []BuildOption) buildConfig {
 }
 
 // keyShard is the routing policy, all of it: the shard of p that holds key
-// k — an index's projection hash or a posting list's value id. The top bits
-// of a Fibonacci multiply depend on every bit of k, so they are independent
-// of the k&mask slot bits a shard's table (table.go) uses, and dense value
-// ids spread evenly: per-shard probe lengths are those of an unsharded table.
+// k, an index's projection hash. The top bits of a Fibonacci multiply depend
+// on every bit of k, so they are independent of the k&mask slot bits a
+// shard's table (table.go) uses: per-shard probe lengths are those of an
+// unsharded table.
 // It is a pure function of the key, so a key's shard is the same in every
 // snapshot of a lineage and in every image of it; p = 1 yields 0.
 func keyShard(k uint64, p int) int {
@@ -102,11 +101,6 @@ func keyShard(k uint64, p int) int {
 // shard returns the one shard holding h's bucket.
 func (idx *index) shard(h uint64) *indexShard {
 	return &idx.shards[keyShard(h, len(idx.shards))]
-}
-
-// shard returns the one shard holding vid's posting list.
-func (ps *postings) shard(vid uint32) *layered[uint32, int32] {
-	return &ps.shards[keyShard(uint64(vid), len(ps.shards))]
 }
 
 // Shards returns the snapshot's shard count P (stable across ApplyDelta).
@@ -123,23 +117,16 @@ func (d *Data) registerIndex(xm []int) *index {
 	return idx
 }
 
-// registerPostings is registerIndex for the posting lists over col.
-func (d *Data) registerPostings(col int) *postings {
-	if ps := d.findPostings(col); ps != nil {
-		return ps
-	}
-	ps := &postings{col: col, shards: make([]layered[uint32, int32], d.nshards)}
-	d.postings = append(d.postings, ps)
-	return ps
-}
-
-// registerCompatPlan creates ru's compatibility plan: posting registrations
-// for each Xm column; buildBitmaps evaluates the pattern bitmap.
+// registerCompatPlan creates ru's compatibility plan: the one-column index
+// of each column of a multi-column Xm; buildBitmaps evaluates the pattern
+// bitmap.
 func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
-	xm := ru.LHSMRef()
-	plan := &compatPlan{posts: make([]*postings, len(xm))}
-	for i, col := range xm {
-		plan.posts[i] = d.registerPostings(col)
+	plan := &compatPlan{}
+	if xm := ru.LHSMRef(); len(xm) > 1 {
+		plan.posts = make([]*index, len(xm))
+		for i, col := range xm {
+			plan.posts[i] = d.registerIndex([]int{col})
+		}
 	}
 	return plan
 }
@@ -174,8 +161,8 @@ type Builder struct {
 const minSlabRows, maxSlabRows = 64, 4096
 
 // NewBuilder starts a snapshot for Σ over Σ's master schema: one index per
-// distinct Xm list, one posting list per distinct Xm column, each rule's
-// probe and compatibility plans — registered now, built by Finish.
+// distinct Xm list and per column of a multi-column one, each rule's probe
+// and compatibility plans — registered now, built by Finish.
 func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
 	b := newBuilder(sigma.MasterSchema(), sigma, resolveBuildConfig(opts))
 	d := b.d
@@ -246,7 +233,7 @@ func (b *Builder) addRow(t relation.Tuple) {
 // returns the snapshot, at epoch 0. The Builder must not be used afterwards.
 func (b *Builder) Finish() *Data {
 	d := b.d
-	d.fill(d.indexes, d.postings)
+	d.fill(d.indexes)
 	if b.sigma != nil {
 		d.buildBitmaps(b.sigma)
 	}
@@ -276,53 +263,34 @@ func (d *Data) buildBitmaps(sigma *rule.Set) {
 	})
 }
 
-// fill builds the given structures' shard tables from the id rows, which it
-// only reads; every task writes its own structure — no locks. The structures
-// build side by side, each gathering its key column in one pass over the rows
-// — an index's key is the hash of the row's Xm ids, a posting list's the cell
-// id itself, no symbol lookup either way — grouping it by shard and building
-// one table per shard, an index's exception table (uniform.go) following its
-// buckets. The arrays that takes belong to the worker, not the structure: a
-// build allocates them once per CPU, whatever Σ registers.
-func (d *Data) fill(indexes []*index, posts []*postings) {
+// fill builds the given indexes' shard tables from the id rows, which it only
+// reads; every task writes its own index — no locks. The indexes build side by
+// side, each gathering its key column in one pass over the rows — the hash of
+// the row's Xm ids, no symbol lookup — grouping it by shard and building one
+// table per shard, its exception table (uniform.go) following its buckets.
+// The arrays that takes belong to the worker, not the index: a build
+// allocates them once per CPU, whatever Σ registers.
+func (d *Data) fill(indexes []*index) {
+	if len(indexes) == 0 {
+		return // no worker, no scratch: New's masters, an image that lacks nothing
+	}
 	n, p := d.rows.Len(), d.nshards
 	// The error is dropped because no job returns one.
-	_, _ = parallel.MapWorkers(len(indexes)+len(posts), 0, func() func(int) (struct{}, error) {
-		// keys is the structure's key of every tuple, in tuple order, and then
-		// the sort buffer of each shard's table; gkeys the same keys grouped
-		// by shard; the ids beside gkeys are wide for an index and narrow for
-		// a posting list.
-		keys, gkeys := make([]uint64, n), make([]uint64, n)
-		var wide []int
-		var narrow []int32
+	_, _ = parallel.MapWorkers(len(indexes), 0, func() func(int) (struct{}, error) {
+		// keys is the index's key of every tuple, in tuple order, and then the
+		// sort buffer of each shard's table; gkeys and ids the same keys and
+		// their tuples grouped by shard.
+		keys, gkeys, ids := make([]uint64, n), make([]uint64, n), make([]int, n)
 		return func(k int) (struct{}, error) {
-			if k < len(indexes) {
-				idx := indexes[k]
-				if wide == nil {
-					wide = make([]int, n)
-				}
-				for i, row := range d.rows.All() {
-					keys[i] = d.hasher.HashRow(row, idx.xm)
-				}
-				start := groupByShard(keys, gkeys, wide, p)
-				for s := range idx.shards {
-					lo, hi := start[s], start[s+1]
-					idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], wide[lo:hi], keys[lo:hi])
-					idx.rebuildExceptions(s, &d.rows)
-				}
-			} else {
-				ps := posts[k-len(indexes)]
-				if narrow == nil {
-					narrow = make([]int32, n)
-				}
-				for i, row := range d.rows.All() {
-					keys[i] = uint64(row[ps.col])
-				}
-				start := groupByShard(keys, gkeys, narrow, p)
-				for s := range ps.shards {
-					lo, hi := start[s], start[s+1]
-					ps.shards[s].frozen = buildTableSorting(gkeys[lo:hi], narrow[lo:hi], keys[lo:hi])
-				}
+			idx := indexes[k]
+			for i, row := range d.rows.All() {
+				keys[i] = d.hasher.HashRow(row, idx.xm)
+			}
+			start := groupByShard(keys, gkeys, ids, p)
+			for s := range idx.shards {
+				lo, hi := start[s], start[s+1]
+				idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], ids[lo:hi], keys[lo:hi])
+				idx.rebuildExceptions(s, &d.rows)
 			}
 			return struct{}{}, nil
 		}
@@ -333,7 +301,7 @@ func (d *Data) fill(indexes []*index, posts []*postings) {
 // and ids as (key, id) pairs grouped by the key's shard, shard s at
 // start[s]:start[s+1]: a counting sort, stable, so a key's ids stay
 // ascending.
-func groupByShard[ID int | int32](keys, gkeys []uint64, ids []ID, p int) (start [MaxShards + 2]int) {
+func groupByShard(keys, gkeys []uint64, ids []int, p int) (start [MaxShards + 2]int) {
 	// start[s+1] counts shard s, then is its first free position; once the
 	// pairs are placed it is its end.
 	for _, k := range keys {
@@ -344,7 +312,7 @@ func groupByShard[ID int | int32](keys, gkeys []uint64, ids []ID, p int) (start 
 	}
 	for i, k := range keys {
 		at := &start[keyShard(k, p)+1]
-		gkeys[*at], ids[*at] = k, ID(i)
+		gkeys[*at], ids[*at] = k, i
 		*at++
 	}
 	return start

@@ -43,7 +43,7 @@ func randomShardInstance(rng *rand.Rand) (*relation.Relation, *rule.Set, []strin
 	rm := relation.StringSchema("Rm", mNames...)
 
 	// Enough distinct values that tuples spread across 16 shards, skewed
-	// so posting lists drift across the adaptive-scan threshold.
+	// so one-column buckets drift across the adaptive-scan threshold.
 	vals := []string{"a", "a", "a", "b", "c", "d", "e", "f"}
 	rel := relation.NewRelation(rm)
 	for i, n := 0, 2+rng.Intn(24); i < n; i++ {
@@ -199,11 +199,22 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 	}
 }
 
+// forceCompact flattens every shard of every index of d into its table,
+// whatever fork would have decided.
+func forceCompact(d *Data) {
+	for _, idx := range d.indexes {
+		for s := range idx.shards {
+			idx.shards[s].layered = layered{frozen: idx.shards[s].compact()}
+		}
+	}
+}
+
 // TestKeyRoutingProperty holds the one-bucket-per-key layout through
 // everything that writes it: after a build, after each delta of a random
 // program (overlays, and the compactions fork decides on), after compacting
-// every shard by force, and after an arena round trip, every index key and
-// posting value id sits in exactly the shard the router names.
+// every shard by force, and after an arena round trip, every key of every
+// index — the rules' own and the one-column ones their compatibility plans
+// read — sits in exactly the shard the router names.
 func TestKeyRoutingProperty(t *testing.T) {
 	pinProcs(t, 2)
 	for _, p := range shardSweep {
@@ -222,16 +233,7 @@ func TestKeyRoutingProperty(t *testing.T) {
 				checkRouting(t, fmt.Sprintf("%s step %d", ctx, step), next)
 				cur = next
 			}
-			for _, idx := range cur.indexes {
-				for s := range idx.shards {
-					idx.shards[s].layered = layered[uint64, int]{frozen: idx.shards[s].compact()}
-				}
-			}
-			for _, ps := range cur.postings {
-				for s := range ps.shards {
-					ps.shards[s] = layered[uint32, int32]{frozen: ps.shards[s].compact()}
-				}
-			}
+			forceCompact(cur)
 			checkRouting(t, ctx+" compacted", cur)
 			loaded := loadArenaOrFatal(t, saveArenaBytes(t, cur, sigma), sigma)
 			if loaded.Shards() != p {
@@ -239,6 +241,51 @@ func TestKeyRoutingProperty(t *testing.T) {
 			}
 			checkRouting(t, ctx+" loaded", loaded)
 		}
+	}
+}
+
+// TestColumnIndexProperty drives checkEquiv — and with it checkColumnIndexes,
+// the map oracle the one-column indexes of condition (c) are held to — through
+// everything that writes an index, at P = 1 and P = 4: a build, every delta of
+// a random program, every shard compacted by force, and a save → load round
+// trip with deltas on the loaded image.
+func TestColumnIndexProperty(t *testing.T) {
+	pinProcs(t, 2)
+	multi := 0
+	for _, p := range []int{1, 4} {
+		for seed := 0; seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(int64(82_000_000 + seed)))
+			rel, sigma, vals := randomShardInstance(rng)
+			for _, ru := range sigma.Rules() {
+				if len(ru.LHSMRef()) > 1 {
+					multi++
+				}
+			}
+			cur := MustNewForRules(rel, sigma, WithShards(p))
+			ctx := fmt.Sprintf("seed %d P=%d", seed, p)
+			checkEquiv(t, ctx+" built", cur, sigma)
+			program := func(ctx string, cur *Data) *Data {
+				for step := 0; step < 12; step++ {
+					adds, deletes := randomDelta(rng, cur.Len(), rel.Schema().Arity(), vals)
+					next, err := cur.ApplyDelta(adds, deletes)
+					if err != nil {
+						t.Fatalf("%s step %d: %v", ctx, step, err)
+					}
+					checkEquiv(t, fmt.Sprintf("%s step %d", ctx, step), next, sigma)
+					cur = next
+				}
+				return cur
+			}
+			cur = program(ctx, cur)
+			forceCompact(cur)
+			checkEquiv(t, ctx+" compacted", cur, sigma)
+			loaded := loadArenaOrFatal(t, saveArenaBytes(t, cur, sigma), sigma)
+			checkEquiv(t, ctx+" loaded", loaded, sigma)
+			program(ctx+" loaded", loaded)
+		}
+	}
+	if multi < 10 {
+		t.Fatalf("only %d multi-column rules over all instances: the property was barely exercised", multi)
 	}
 }
 
@@ -259,11 +306,13 @@ func TestMemStatsShardInvariant(t *testing.T) {
 		if ms.Shards != p {
 			t.Fatalf("P=%d: MemStats.Shards = %d", p, ms.Shards)
 		}
-		ms.Shards, ms.IndexBytes, ms.PostingBytes = 0, 0, 0
+		ms.Shards, ms.IndexBytes = 0, 0
 		return ms
 	}
 	want := counts(1)
-	if want.IndexKeys == 0 || want.PostingKeys == 0 || want.NonUniformBuckets == 0 {
+	// Four indexes: the three rules' and the one over fk2 alone, which only
+	// pair-c3's compatibility plan reads.
+	if want.IndexIDs != 4*want.Tuples || want.NonUniformBuckets == 0 {
 		t.Fatalf("fixture broken: %+v", want)
 	}
 	for _, p := range shardSweep[1:] {

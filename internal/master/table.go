@@ -1,13 +1,12 @@
 package master
 
 // This file implements the frozen table: the one immutable index layout,
-// an open-addressing hash table from a uint64 key to a span of tuple ids —
-// projection hash → bucket for the hash indexes, interned value id →
-// posting list for the postings; the two differ only in id width.
-// NewForRules, Index and IndexPostings build one per shard, compaction
-// rewrites table + overlay into a new one (overlay.go), SaveArena writes
-// the slot and id arrays as they stand and LoadArena views them in place
-// over the mapping (arena.go, arena_load.go).
+// an open-addressing hash table from a uint64 key — the hash of a tuple's
+// projection on the index's Xm — to a span of tuple ids, the key's bucket.
+// A Builder's Finish builds one per shard of every index (fill, shard.go),
+// compaction rewrites table + overlay into a new one (overlay.go), SaveArena
+// writes the slot and id arrays as they stand and LoadArena views them in
+// place over the mapping (arena.go, arena_load.go).
 //
 // The layout is CANONICAL — a pure function of the content: a power-of-two
 // slot count at ≤ 1/2 load (so every lookup ends at an empty slot), keys
@@ -24,15 +23,15 @@ import (
 // table is one frozen shard table. A slot is two words: the key, then the
 // bucket's span packed as off<<32 | count into ids. count == 0 marks an
 // empty slot — empty buckets are never stored.
-type table[ID int | int32] struct {
+type table struct {
 	slots []uint64 // len = 2·nslots
 	mask  uint64   // nslots − 1
-	ids   []ID
+	ids   []int
 	nkeys int
 }
 
 // get resolves k's ids; nil when absent.
-func (t *table[ID]) get(k uint64) []ID {
+func (t *table) get(k uint64) []int {
 	slot := k & t.mask
 	for {
 		packed := t.slots[2*slot+1]
@@ -48,7 +47,7 @@ func (t *table[ID]) get(k uint64) []ID {
 }
 
 // each calls fn for every stored (key, ids) pair, in slot order.
-func (t *table[ID]) each(fn func(k uint64, ids []ID)) {
+func (t *table) each(fn func(k uint64, ids []int)) {
 	for slot := 0; 2*slot < len(t.slots); slot++ {
 		if packed := t.slots[2*slot+1]; packed != 0 {
 			off := packed >> 32
@@ -69,15 +68,15 @@ func tableSlots(nkeys int) int {
 
 // newTable returns an empty table with the slots nkeys keys take and room for
 // nids ids.
-func newTable[ID int | int32](nkeys, nids int) table[ID] {
+func newTable(nkeys, nids int) table {
 	nslots := tableSlots(nkeys)
-	return table[ID]{slots: make([]uint64, 2*nslots), mask: uint64(nslots - 1), ids: make([]ID, 0, nids), nkeys: nkeys}
+	return table{slots: make([]uint64, 2*nslots), mask: uint64(nslots - 1), ids: make([]int, 0, nids), nkeys: nkeys}
 }
 
 // place gives k, which the table does not hold, its slot and the span
 // ids[off:off+n]. The layout is canonical when keys are placed in ascending
 // order and their spans follow each other in that order.
-func (t *table[ID]) place(k uint64, off, n int) {
+func (t *table) place(k uint64, off, n int) {
 	slot := k & t.mask
 	for t.slots[2*slot+1] != 0 {
 		slot = (slot + 1) & t.mask
@@ -91,7 +90,7 @@ func (t *table[ID]) place(k uint64, off, n int) {
 // counts, which fix every span before the ids are scattered into place. The
 // keys are sorted in the caller's buffer, which has their length and is
 // overwritten.
-func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64) table[ID] {
+func buildTableSorting(keys []uint64, ids []int, sorted []uint64) table {
 	copy(sorted, keys)
 	slices.Sort(sorted)
 	nkeys := 0
@@ -100,7 +99,7 @@ func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64)
 			nkeys++
 		}
 	}
-	t := newTable[ID](nkeys, len(ids))
+	t := newTable(nkeys, len(ids))
 	t.ids = t.ids[:len(ids)]
 	for lo := 0; lo < len(sorted); {
 		hi := lo + 1
@@ -126,14 +125,8 @@ func buildTableSorting[ID int | int32](keys []uint64, ids []ID, sorted []uint64)
 	return t
 }
 
-// idWidth is an id's width in an arena image: int ids are stored 8 bytes
-// wide on every platform, int32 ids 4.
-func idWidth[ID int | int32]() int {
-	if _, narrow := any(ID(0)).(int32); narrow {
-		return 4
-	}
-	return 8
-}
+// idWidth is an id's width in an arena image: 8 bytes on every platform.
+const idWidth = 8
 
 // The view helpers reinterpret arena bytes as typed slices without
 // copying. Callers guarantee alignment (sections are 8-aligned and the
@@ -154,21 +147,20 @@ func viewU32(b []byte) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// viewIDs reinterprets stored ids as []ID. Only int ids on a 32-bit
-// platform are narrower in memory than in the image; those are copied
-// (ids were validated < ntuples, which fits int32 there).
-func viewIDs[ID int | int32](b []byte) []ID {
+// viewIDs reinterprets stored ids as []int. Only on a 32-bit platform are
+// ids narrower in memory than in the image; there they are copied (ids were
+// validated < ntuples, which fits).
+func viewIDs(b []byte) []int {
 	if len(b) == 0 {
 		return nil
 	}
-	w := idWidth[ID]()
-	if int(unsafe.Sizeof(ID(0))) == w {
-		return unsafe.Slice((*ID)(unsafe.Pointer(&b[0])), len(b)/w)
+	if unsafe.Sizeof(int(0)) == idWidth {
+		return unsafe.Slice((*int)(unsafe.Pointer(&b[0])), len(b)/idWidth)
 	}
 	u := viewU64(b)
-	out := make([]ID, len(u))
+	out := make([]int, len(u))
 	for i, v := range u {
-		out[i] = ID(v)
+		out[i] = int(v)
 	}
 	return out
 }

@@ -20,17 +20,17 @@ import (
 // checkTable holds one built table to the map oracle and the loader, and
 // returns its image bytes. Ids must be < n.
 // buildTable is buildTableSorting with a sort buffer of its own.
-func buildTable[ID int | int32](keys []uint64, ids []ID) table[ID] {
+func buildTable(keys []uint64, ids []int) table {
 	return buildTableSorting(keys, ids, make([]uint64, len(keys)))
 }
 
-func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []uint64, ids []ID, n int) []byte {
+func checkTable(t testing.TB, ctx string, tab table, keys []uint64, ids []int, n int) []byte {
 	t.Helper()
-	want := map[uint64][]ID{}
+	want := map[uint64][]int{}
 	for i, k := range keys {
 		want[k] = append(want[k], ids[i])
 	}
-	agrees := func(what string, tab *table[ID]) {
+	agrees := func(what string, tab *table) {
 		t.Helper()
 		for k, w := range want {
 			if got := tab.get(k); !slices.Equal(got, w) {
@@ -43,7 +43,7 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 			}
 		}
 		seen := map[uint64]bool{}
-		tab.each(func(k uint64, got []ID) {
+		tab.each(func(k uint64, got []int) {
 			if seen[k] {
 				t.Fatalf("%s: %s each visited key %#x twice", ctx, what, k)
 			}
@@ -66,7 +66,7 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 	// key routes there).
 	img := tableImage(t, ctx, tab)
 	r := &areader{b: append([]byte(nil), img...), sec: "table"}
-	loaded := decodeTable[ID](r, n, 0, 1)
+	loaded := decodeTable(r, n, 0, 1)
 	if r.err != nil {
 		t.Fatalf("%s: built table fails the loader's validation: %v", ctx, r.err)
 	}
@@ -82,9 +82,9 @@ func checkTable[ID int | int32](t testing.TB, ctx string, tab table[ID], keys []
 
 // tableImage is the table as SaveArena writes it, after checking that the
 // sizing pass counts exactly the bytes the writing pass emits.
-func tableImage[ID int | int32](t testing.TB, ctx string, tab table[ID]) []byte {
+func tableImage(t testing.TB, ctx string, tab table) []byte {
 	t.Helper()
-	l := &layered[uint64, ID]{frozen: tab}
+	l := &layered{frozen: tab}
 	var sized arenaWriter
 	writeTable(&sized, l)
 	var buf bytes.Buffer
@@ -101,8 +101,8 @@ func tableImage[ID int | int32](t testing.TB, ctx string, tab table[ID]) []byte 
 
 // regroup returns the pairs in another order — key groups in random order,
 // a few of them split and interleaved — keeping each key's ids ascending.
-func regroup[ID int | int32](rng *rand.Rand, keys []uint64, ids []ID) ([]uint64, []ID) {
-	groups := map[uint64][]ID{}
+func regroup(rng *rand.Rand, keys []uint64, ids []int) ([]uint64, []int) {
+	groups := map[uint64][]int{}
 	var order []uint64
 	for i, k := range keys {
 		if _, ok := groups[k]; !ok {
@@ -112,9 +112,9 @@ func regroup[ID int | int32](rng *rand.Rand, keys []uint64, ids []ID) ([]uint64,
 	}
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	var outK []uint64
-	var outI []ID
+	var outI []int
 	var tailK []uint64
-	var tailI []ID
+	var tailI []int
 	for _, k := range order {
 		g := groups[k]
 		cut := len(g)
@@ -134,13 +134,13 @@ func regroup[ID int | int32](rng *rand.Rand, keys []uint64, ids []ID) ([]uint64,
 // viaDeltas reaches the same content as a delta chain would: an older
 // table holding a random part of it (plus keys that no longer exist),
 // every difference shadowed in the overlay, then compacted.
-func viaDeltas[ID int | int32](rng *rand.Rand, keys []uint64, ids []ID) layered[uint64, ID] {
-	final := map[uint64][]ID{}
+func viaDeltas(rng *rand.Rand, keys []uint64, ids []int) layered {
+	final := map[uint64][]int{}
 	for i, k := range keys {
 		final[k] = append(final[k], ids[i])
 	}
 	var oldK []uint64
-	var oldI []ID
+	var oldI []int
 	for i, k := range keys {
 		if rng.Intn(2) == 0 {
 			oldK, oldI = append(oldK, k), append(oldI, ids[i])
@@ -151,10 +151,10 @@ func viaDeltas[ID int | int32](rng *rand.Rand, keys []uint64, ids []ID) layered[
 		k := rng.Uint64()
 		if _, live := final[k]; !live {
 			gone = append(gone, k)
-			oldK, oldI = append(oldK, k), append(oldI, ID(i))
+			oldK, oldI = append(oldK, k), append(oldI, i)
 		}
 	}
-	l := layered[uint64, ID]{frozen: buildTable(oldK, oldI)}
+	l := layered{frozen: buildTable(oldK, oldI)}
 	for k, v := range final {
 		if len(l.frozen.get(k)) != len(v) {
 			l.set(k, v)
@@ -215,13 +215,13 @@ func tableCases(rng *rand.Rand) []tableCase {
 	return cases
 }
 
-func testBuildTable[ID int | int32](t *testing.T) {
+func TestBuildTableBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(71_000_000))
 	for _, tc := range tableCases(rng) {
 		name, keys := tc.name, tc.keys
-		ids := make([]ID, len(keys))
+		ids := make([]int, len(keys))
 		for i := range ids {
-			ids[i] = ID(i)
+			ids[i] = i
 		}
 		n := len(keys)
 		img := checkTable(t, name, buildTable(keys, ids), keys, ids, n)
@@ -248,9 +248,9 @@ func testBuildTable[ID int | int32](t *testing.T) {
 
 // maxProbe returns the longest walk get makes to reach a stored key, in
 // slots visited.
-func maxProbe[ID int | int32](t *table[ID]) int {
+func maxProbe(t *table) int {
 	longest := 0
-	t.each(func(k uint64, _ []ID) {
+	t.each(func(k uint64, _ []int) {
 		n := 1
 		for slot := k & t.mask; t.slots[2*slot+1] == 0 || t.slots[2*slot] != k; slot = (slot + 1) & t.mask {
 			n++
@@ -264,40 +264,30 @@ func maxProbe[ID int | int32](t *table[ID]) int {
 // shard of a key is picked from bits independent of the k&mask bits its
 // table slots it by, so a P=4 shard table is a quarter-size table at the
 // same load, and its longest linear-probe walk is no longer than the P=1
-// table's. Held for both key kinds: projection hashes (random 64-bit keys)
-// and posting value ids (dense small integers, which a P=1 table places
-// without a single collision). A router that reused slot bits — k % P — would
-// leave a quarter of each shard table's slots reachable and fail both.
+// table's, on what every key is: a projection hash (random 64-bit keys). A
+// router that reused slot bits — k % P — would leave a quarter of each shard
+// table's slots reachable and fail.
 func TestShardTablesProbeNoLonger(t *testing.T) {
 	const n, p = 100_000, 4
 	rng := rand.New(rand.NewSource(72_000_000))
-	hashes, dense := make([]uint64, n), make([]uint64, n)
-	for i := range hashes {
-		hashes[i], dense[i] = rng.Uint64(), uint64(i)
+	keys, ids := make([]uint64, n), make([]int, n)
+	for i := range keys {
+		keys[i], ids[i] = rng.Uint64(), i
 	}
-	for name, keys := range map[string][]uint64{"hash keys": hashes, "dense value ids": dense} {
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
+	whole := buildTable(keys, ids)
+	limit := maxProbe(&whole)
+	gkeys := make([]uint64, n)
+	start := groupByShard(keys, gkeys, ids, p)
+	for s := 0; s < p; s++ {
+		shard := buildTable(gkeys[start[s]:start[s+1]], ids[start[s]:start[s+1]])
+		if shard.nkeys < n/p*9/10 || shard.nkeys > n/p*11/10 {
+			t.Errorf("shard %d holds %d of %d keys", s, shard.nkeys, n)
 		}
-		whole := buildTable(keys, ids)
-		limit := maxProbe(&whole)
-		gkeys := make([]uint64, n)
-		start := groupByShard(keys, gkeys, ids, p)
-		for s := 0; s < p; s++ {
-			shard := buildTable(gkeys[start[s]:start[s+1]], ids[start[s]:start[s+1]])
-			if shard.nkeys < n/p*9/10 || shard.nkeys > n/p*11/10 {
-				t.Errorf("%s: shard %d holds %d of %d keys", name, s, shard.nkeys, n)
-			}
-			if got := maxProbe(&shard); got > limit {
-				t.Errorf("%s: shard %d of %d probes up to %d slots, the unsharded table %d", name, s, p, got, limit)
-			}
+		if got := maxProbe(&shard); got > limit {
+			t.Errorf("shard %d of %d probes up to %d slots, the unsharded table %d", s, p, got, limit)
 		}
 	}
 }
-
-func TestBuildTableBuckets(t *testing.T)  { testBuildTable[int](t) }
-func TestBuildTablePostings(t *testing.T) { testBuildTable[int32](t) }
 
 // FuzzBuildTable derives a (key, id) multiset from the input — the first
 // byte picks a key stride, so small strides give duplicate-heavy tables and
@@ -314,11 +304,11 @@ func FuzzBuildTable(f *testing.F) {
 			data = data[:1<<9]
 		}
 		var keys []uint64
-		var ids []int32
+		var ids []int
 		if len(data) > 0 {
 			stride := uint64(1) << (data[0] % 64)
 			for i, b := range data[1:] {
-				keys, ids = append(keys, uint64(b)*stride), append(ids, int32(i))
+				keys, ids = append(keys, uint64(b)*stride), append(ids, i)
 			}
 		}
 		img := checkTable(t, "fuzz", buildTable(keys, ids), keys, ids, len(keys))

@@ -107,7 +107,7 @@ func (idx *index) disagree(a, b []uint32) uint64 {
 // bucketMask computes a bucket's exception mask from scratch. limit is a
 // known superset of the answer — collided when nothing is known — and ends
 // the scan as soon as it is reached.
-func (idx *index) bucketMask(bucket idList[int], rows *rowVec, limit uint64) uint64 {
+func (idx *index) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
 	var m uint64
 	var first []uint32 // the row of the bucket's smallest id
 	for _, chunk := range bucket.chunks() {
@@ -122,17 +122,10 @@ func (idx *index) bucketMask(bucket idList[int], rows *rowVec, limit uint64) uin
 	return m
 }
 
-// rebuildExceptions derives shard s's exception tables on every index.
-func (d *Data) rebuildExceptions(s int) {
-	for _, idx := range d.indexes {
-		idx.rebuildExceptions(s, &d.rows)
-	}
-}
-
 // rebuildExceptions derives shard s's exception table from its buckets.
 func (idx *index) rebuildExceptions(s int, rows *rowVec) {
 	var exc exceptions
-	idx.shards[s].lists(func(h uint64, bucket idList[int]) {
+	idx.shards[s].lists(func(h uint64, bucket idList) {
 		if m := idx.bucketMask(bucket, rows, collided); m != 0 {
 			exc = append(exc, exception{h, m})
 		}

@@ -20,8 +20,8 @@
 //
 // The hot paths run on two compiled engines: the counter-based closure
 // program of internal/rule (rule.Compiled, replacing the naive O(|Σ|²)
-// fixpoint) and the inverted master postings of internal/master
-// (replacing the per-rule Dm scans). Σ is compiled ONCE, when the Deriver
+// fixpoint) and the one-column indexes of internal/master (replacing the
+// per-rule Dm scans). Σ is compiled ONCE, when the Deriver
 // is built, and rule r of the program is rule r of Σ for its whole life;
 // what varies is which rules take part in a closure, and that is a mask
 // over the program, never another program:

@@ -10,14 +10,14 @@ import (
 
 // This file keeps the pre-compilation implementations of the §5 paths as
 // reference oracles: they mirror the production methods exactly, minus
-// the compiled closure engine and the inverted master postings. The
+// the compiled closure engine and the master's one-column indexes. The
 // property tests assert byte-identical outputs between each pair on
 // randomized (Σ, Dm); the compiled-vs-naive benchmarks in bench_test.go
 // measure the gap. Do not call these from production code.
 
 // ApplicableRulesNaive is ApplicableRules with conditions (a)–(c) spelled
-// out here, (c) decided by the O(|Dm|) scan instead of the posting
-// intersection.
+// out here, (c) decided by the O(|Dm|) scan instead of the smallest-bucket
+// walk.
 func (d *Deriver) ApplicableRulesNaive(t relation.Tuple, zSet relation.AttrSet) *rule.Set {
 	d = d.Pin()
 	out := rule.MustNewSet(d.sigma.Schema(), d.dm.Schema())

@@ -2,7 +2,7 @@ package certainfix
 
 // Columnar master snapshots: the cold-start path of the public API. A
 // System built once can freeze its master snapshot — tuples, interning
-// table, hash indexes, posting lists and pattern-support bitmaps — into a
+// table, hash indexes and pattern-support bitmaps — into a
 // single flat arena file; a later process loads the file by mapping it
 // into memory and wrapping the bytes in read-only index views, instead of
 // re-interning and re-hashing |Dm| tuples. Fix results are byte-identical

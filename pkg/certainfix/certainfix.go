@@ -355,8 +355,8 @@ func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error
 // Dm — and publishes the result as a new immutable snapshot, returning
 // its epoch. Deletes name tuple ids in the current snapshot and are
 // applied with swap-remove semantics (the last tuple moves into the
-// deleted slot) before adds are appended. Indexes, posting lists and
-// pattern-support bitmaps are maintained incrementally; concurrent Fix,
+// deleted slot) before adds are appended. Indexes and pattern-support
+// bitmaps are maintained incrementally; concurrent Fix,
 // Suggest and Repair calls never block and never observe a half-applied
 // delta. In-flight sessions finish on the snapshot they pinned at start;
 // fixes beginning after UpdateMaster returns see the new epoch.

@@ -19,8 +19,8 @@ type MinedDependency = discover.Candidate
 // DiscoverRules mines editing rules from a master relation whose schema
 // aligns positionally with the input schema r — the §7 future-work
 // direction of the paper ("discovering editing rules from sample inputs
-// and master data"). Mining runs on the same sharded inverted-postings
-// engine the probe paths use. The mined rules feed directly into New.
+// and master data"). Mining runs on the same interned id rows the probe
+// paths read. The mined rules feed directly into New.
 func DiscoverRules(r *Schema, masterRel *Relation, opts DiscoverOptions) (*Rules, []MinedDependency, error) {
 	return discover.Rules(r, masterRel, opts)
 }

@@ -112,8 +112,8 @@ func WithAuth() Option {
 	return func(c *config) { c.auth = true }
 }
 
-// WithShards partitions each of the master data's indexes and posting
-// lists, with its copy-on-write overlay, into p shards by key (p <= 0
+// WithShards partitions each of the master data's indexes, with its
+// copy-on-write overlay, into p shards by key (p <= 0
 // restores the default, one shard per CPU; p is clamped to the master
 // package's MaxShards). The shard count is invisible to results and to
 // lookups — a key has one bucket in one shard, so probe answers, fixes and
