@@ -41,11 +41,7 @@ func TestGracefulShutdownDurable(t *testing.T) {
 	}
 	base, stop := startServer(t, sys)
 
-	var sess wireSession
-	if code := post(t, base+"/v1/begin", map[string]any{"tuple": paperex.InputT2()}, &sess); code != http.StatusOK {
-		t.Fatalf("begin: HTTP %d", code)
-	}
-	sess = answer(t, base, sess, truth) // in flight: one round done, token held
+	sess := answer(t, base, begin(t, base, paperex.InputT2()), truth) // in flight: one round done, token held
 
 	var acked uint64
 	for i := 0; i < 5; i++ {
@@ -84,7 +80,7 @@ func TestGracefulShutdownDurable(t *testing.T) {
 		}
 		next = answer(t, base2, next, truth)
 	}
-	if !next.Completed {
+	if !next.Completed || !next.Tuple.Equal(truth) {
 		t.Fatalf("resumed session incomplete: %+v", next)
 	}
 }
@@ -219,12 +215,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	}
 	// A replayed tuple serves a fix: assert K for ("add-7", junk), the
 	// rule must restore "val-7" from the recovered master.
-	var sess wireSession
-	if code := post(t, base2+"/v1/begin", map[string]any{
-		"tuple": []string{"add-7", "junk"},
-	}, &sess); code != http.StatusOK {
-		t.Fatalf("begin on recovered daemon: HTTP %d", code)
-	}
+	sess := begin(t, base2, certainfix.StringTuple("add-7", "junk"))
 	truth := certainfix.StringTuple("add-7", "val-7")
 	for i := 0; !sess.Done; i++ {
 		if i > 5 {

@@ -19,6 +19,8 @@
 //	                        behind the checkpoint; needs -wal-dir)
 //	GET  /v1/checkpoint     the newest arena checkpoint image, epoch in
 //	                        X-Checkpoint-Epoch (needs -wal-dir)
+//	GET  /v1/schema         {"relation": "R", "attrs": [names]}: what the
+//	                        positions in requests and replies name
 //	GET  /v1/root           the published master commitment: {"epoch",
 //	                        "root", "authenticated"} (root needs -auth)
 //	GET  /healthz           liveness, "regions" (certain regions verified
@@ -27,9 +29,15 @@
 //	                        ("master": heap vs arena residency, see
 //	                        certainfix.MasterMemStats)
 //
-// begin/suggest/answer reply with {"token", "suggested",
-// "suggestedAttrs", "tuple", "rounds", "done", "completed", "epoch"};
-// the client must send the fresh token, verbatim, on its next call. A
+// begin/suggest/answer reply with {"token", "suggested", "fixedAttrs",
+// "fixedValues", "rounds", "done", "completed", "epoch"}; the client must
+// send the fresh token, verbatim, on its next call. A reply carries what
+// the round changed, not the tuple: fixedAttrs/fixedValues are the cells
+// the rules fixed in the round that minted the token (absent when none),
+// so the begin tuple, plus the client's own answers, plus every reply's
+// fixed cells is the session's tuple — /v1/suggest repeats the last
+// round's, and writing them twice is harmless. Attributes travel as
+// positions; GET /v1/schema names them once. A
 // token pins the master epoch its session started on; after enough
 // /v1/update-master publishes that epoch is evicted from the snapshot
 // ring (-history) and /v1/answer replies 409 {"code": "epoch_evicted"}
@@ -45,9 +53,11 @@
 // client holding it. A token that was altered, truncated or sealed under
 // another key is a 400 {"code": "invalid_input"}. To see what a session
 // holds, ask /v1/result: it returns the tuple, the validated sets, the
-// per-round history and the provenance — a "Provenance" list of (attr,
-// rule, master_id) witnesses plus a "Masters" table holding each
-// witnessed master tuple (and its proof under -auth) once.
+// per-round history — each round's "User"/"Auto" as the members it added
+// and its tuple as the cells a later round overwrote ("Attrs"/"Values")
+// — and the provenance: a "Provenance" list of (attr, rule, master_id)
+// witnesses plus a "Masters" table holding each witnessed master tuple
+// (and its proof under -auth) once.
 //
 // -token-key-file names the file holding the HMAC key (at least 16
 // bytes; surrounding whitespace is ignored). Every replica of one
@@ -174,11 +184,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newHandler(sys),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(*addr, newHandler(sys))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -223,6 +229,23 @@ func main() {
 		fatalf("close lineage: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "certainfixd: drained, bye")
+}
+
+// newHTTPServer is the daemon's http.Server. Every read is bounded: the
+// headers within ReadHeaderTimeout, the whole request (a body is at most
+// 1 MiB) within ReadTimeout, and a keep-alive connection idles at most
+// IdleTimeout between requests — a client that stalls mid-body holds a
+// connection and a goroutine for seconds, not forever. There is no
+// server-wide WriteTimeout: GET /v1/wal is a stream that lives as long as
+// its follower, and GET /v1/checkpoint ships a whole master image.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // serverConfig carries the flag values into buildSystem.

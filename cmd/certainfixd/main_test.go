@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -41,7 +43,7 @@ func startServer(t *testing.T, sys *certainfix.System) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: newHandler(sys)}
+	srv := newHTTPServer("", newHandler(sys))
 	go func() { _ = srv.Serve(ln) }()
 	stop := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -74,15 +76,46 @@ func post(t *testing.T, url string, body any, reply any) int {
 	return resp.StatusCode
 }
 
+// wireSession is a session reply plus the client's own copy of the
+// tuple, kept the way any client keeps it: the begin tuple, its answers,
+// and every reply's fixed cells.
 type wireSession struct {
-	Token          json.RawMessage  `json:"token"`
-	Suggested      []int            `json:"suggested"`
-	SuggestedAttrs []string         `json:"suggestedAttrs"`
-	Tuple          certainfix.Tuple `json:"tuple"`
-	Rounds         int              `json:"rounds"`
-	Done           bool             `json:"done"`
-	Completed      bool             `json:"completed"`
-	Epoch          uint64           `json:"epoch"`
+	Token       json.RawMessage    `json:"token"`
+	Suggested   []int              `json:"suggested"`
+	FixedAttrs  []int              `json:"fixedAttrs"`
+	FixedValues []certainfix.Value `json:"fixedValues"`
+	Rounds      int                `json:"rounds"`
+	Done        bool               `json:"done"`
+	Completed   bool               `json:"completed"`
+	Epoch       uint64             `json:"epoch"`
+	Tuple       certainfix.Tuple   `json:"-"`
+}
+
+// follow sets the client's tuple after the round this reply answers: the
+// tuple before it, the values the client sent, then the fixed cells.
+func (s *wireSession) follow(t *testing.T, before certainfix.Tuple, attrs []int, values []certainfix.Value) {
+	t.Helper()
+	if len(s.FixedAttrs) != len(s.FixedValues) {
+		t.Fatalf("reply fixes %d attrs with %d values", len(s.FixedAttrs), len(s.FixedValues))
+	}
+	s.Tuple = before.Clone()
+	for i, p := range attrs {
+		s.Tuple[p] = values[i]
+	}
+	for i, p := range s.FixedAttrs {
+		s.Tuple[p] = s.FixedValues[i]
+	}
+}
+
+// begin opens a session for input on base.
+func begin(t *testing.T, base string, input certainfix.Tuple) wireSession {
+	t.Helper()
+	var sess wireSession
+	if code := post(t, base+"/v1/begin", map[string]any{"tuple": input}, &sess); code != http.StatusOK {
+		t.Fatalf("begin: HTTP %d", code)
+	}
+	sess.follow(t, input, nil, nil)
+	return sess
 }
 
 // answer runs one round against base, asserting truth for the pending
@@ -99,6 +132,7 @@ func answer(t *testing.T, base string, sess wireSession, truth certainfix.Tuple)
 	}, &next); code != http.StatusOK {
 		t.Fatalf("answer: HTTP %d", code)
 	}
+	next.follow(t, sess.Tuple, sess.Suggested, values)
 	return next
 }
 
@@ -126,17 +160,26 @@ func TestHTTPFixOneTuple(t *testing.T) {
 	baseC, stopC := startServer(t, paperSystem(t)) // not of this deployment: its own random key
 	defer stopC()
 
-	var sess wireSession
-	if code := post(t, baseA+"/v1/begin", map[string]any{"tuple": paperex.InputT2()}, &sess); code != http.StatusOK {
-		t.Fatalf("begin: HTTP %d", code)
-	}
-	if sess.Done || len(sess.Suggested) == 0 || len(sess.SuggestedAttrs) != len(sess.Suggested) {
+	sess := begin(t, baseA, paperex.InputT2())
+	if sess.Done || len(sess.Suggested) == 0 || len(sess.FixedAttrs) != 0 {
 		t.Fatalf("begin reply: %+v", sess)
 	}
 
 	// Round 1 on server A, then A goes away entirely.
 	sess = answer(t, baseA, sess, truth)
 	stopA()
+	if len(sess.FixedAttrs) == 0 {
+		t.Fatalf("round 1 fixed nothing: %+v", sess)
+	}
+	// Peeking repeats the round's fixes — on another replica too.
+	var peek wireSession
+	if code := post(t, baseB+"/v1/suggest", map[string]any{"token": sess.Token}, &peek); code != http.StatusOK {
+		t.Fatalf("suggest: HTTP %d", code)
+	}
+	if fmt.Sprint(peek.FixedAttrs, peek.FixedValues) != fmt.Sprint(sess.FixedAttrs, sess.FixedValues) {
+		t.Fatalf("suggest fixes %v %v, the answer that minted its token %v %v",
+			peek.FixedAttrs, peek.FixedValues, sess.FixedAttrs, sess.FixedValues)
+	}
 
 	// A key mismatch is the client's problem, typed as such, on every
 	// token-taking endpoint.
@@ -167,7 +210,7 @@ func TestHTTPFixOneTuple(t *testing.T) {
 	if code := post(t, baseB+"/v1/result", map[string]any{"token": sess.Token}, &res); code != http.StatusOK {
 		t.Fatalf("result: HTTP %d", code)
 	}
-	if !res.Result.Completed || !res.Result.Tuple.Equal(truth) {
+	if !res.Result.Completed || !res.Result.Tuple.Equal(truth) || len(res.Result.PerRound) != res.Result.Rounds {
 		t.Fatalf("result: %+v", res.Result)
 	}
 
@@ -186,16 +229,29 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	base, stop := startServer(t, paperSystem(t))
 	defer stop()
 
-	var sess wireSession
-	if code := post(t, base+"/v1/begin", map[string]any{"tuple": paperex.InputT1()}, &sess); code != http.StatusOK {
-		t.Fatalf("begin: HTTP %d", code)
-	}
+	sess := begin(t, base, paperex.InputT1())
 	var peek wireSession
 	if code := post(t, base+"/v1/suggest", map[string]any{"token": sess.Token}, &peek); code != http.StatusOK {
 		t.Fatalf("suggest: HTTP %d", code)
 	}
 	if peek.Rounds != 0 || fmt.Sprint(peek.Suggested) != fmt.Sprint(sess.Suggested) {
 		t.Fatalf("suggest must not advance: %+v vs %+v", peek, sess)
+	}
+	// The positions' names, once per client.
+	var schema struct {
+		Relation string   `json:"relation"`
+		Attrs    []string `json:"attrs"`
+	}
+	resp, err := http.Get(base + "/v1/schema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&schema); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if r := paperex.Sigma0().Schema(); schema.Relation != r.Name() || fmt.Sprint(schema.Attrs) != fmt.Sprint(r.AttrNames()) {
+		t.Fatalf("GET /v1/schema: %+v, want %s %v", schema, r.Name(), r.AttrNames())
 	}
 
 	var errReply map[string]string
@@ -226,7 +282,7 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	}, &errReply); code != http.StatusBadRequest || errReply["code"] != "invalid_input" {
 		t.Fatalf("out-of-range attr: HTTP %d %v", code, errReply)
 	}
-	resp, err := http.Post(base+"/v1/begin", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err = http.Post(base+"/v1/begin", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +320,39 @@ func TestHTTPSuggestAndErrors(t *testing.T) {
 	}
 }
 
+// TestReadTimeoutClosesStalledBody: newHTTPServer bounds reads. With its
+// ReadTimeout lowered, a client that sends the headers of a request and
+// then stalls the body has its connection closed instead of holding it.
+func TestReadTimeoutClosesStalledBody(t *testing.T) {
+	srv := newHTTPServer("", newHandler(paperSystem(t)))
+	srv.ReadTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/begin HTTP/1.1\r\nHost: x\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"tuple\":"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer the truncated request before it hangs up;
+	// what matters is that it does hang up.
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("a stalled body still holds its connection after 10 s: %v", err)
+	}
+}
+
 // TestWriteJSONEncodeFailure: a reply that does not encode is a complete
 // 500 with the typed error body, never a 200 cut short.
 func TestWriteJSONEncodeFailure(t *testing.T) {
@@ -291,11 +380,7 @@ func TestHTTPEpochEvictionAndRebase(t *testing.T) {
 	base, stop := startServer(t, paperSystem(t, certainfix.WithMasterHistory(1)))
 	defer stop()
 
-	var sess wireSession
-	if code := post(t, base+"/v1/begin", map[string]any{"tuple": paperex.InputT2()}, &sess); code != http.StatusOK {
-		t.Fatalf("begin: HTTP %d", code)
-	}
-	sess = answer(t, base, sess, truth)
+	sess := answer(t, base, begin(t, base, paperex.InputT2()), truth)
 
 	var upd map[string]any
 	if code := post(t, base+"/v1/update-master", map[string]any{
@@ -325,13 +410,14 @@ func TestHTTPEpochEvictionAndRebase(t *testing.T) {
 	}, &next); code != http.StatusOK {
 		t.Fatalf("rebased answer: HTTP %d", code)
 	}
+	next.follow(t, sess.Tuple, attrs, values)
 	for i := 0; !next.Done; i++ {
 		if i > 10 {
 			t.Fatal("rebased session did not converge")
 		}
 		next = answer(t, base, next, truth)
 	}
-	if !next.Completed {
+	if !next.Completed || !next.Tuple.Equal(truth) {
 		t.Fatalf("rebased session incomplete: %+v", next)
 	}
 }
@@ -578,10 +664,7 @@ func TestRestartOnNonFunctionalMaster(t *testing.T) {
 	truth := certainfix.StringTuple("k1", "v1", "w1")
 	fixOver := func(base string) {
 		t.Helper()
-		var sess wireSession
-		if code := post(t, base+"/v1/begin", map[string]any{"tuple": certainfix.StringTuple("k1", "bad", "bad")}, &sess); code != http.StatusOK {
-			t.Fatalf("begin: HTTP %d", code)
-		}
+		sess := begin(t, base, certainfix.StringTuple("k1", "bad", "bad"))
 		for i := 0; !sess.Done; i++ {
 			if i > 4 {
 				t.Fatal("session did not converge")

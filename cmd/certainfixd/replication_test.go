@@ -162,12 +162,7 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 	// A fix session begun on the LEADER finishes on the FOLLOWER: the
 	// token pins an epoch both lineages hold, and shipping made them
 	// probe-for-probe identical.
-	var sess wireSession
-	if code := post(t, leaderBase+"/v1/begin", map[string]any{
-		"tuple": []string{"add-41", "junk"},
-	}, &sess); code != http.StatusOK {
-		t.Fatalf("begin on leader: HTTP %d", code)
-	}
+	sess := begin(t, leaderBase, certainfix.StringTuple("add-41", "junk"))
 	truth := certainfix.StringTuple("add-41", "val-41")
 	for i := 0; !sess.Done; i++ {
 		if i > 5 {

@@ -46,6 +46,16 @@ func newHandler(sys *certainfix.System) http.Handler {
 	// Both answer 404 {"code": "not_durable"} without -wal-dir.
 	mux.HandleFunc("GET /v1/wal", sys.ServeWAL)
 	mux.HandleFunc("GET /v1/checkpoint", sys.ServeCheckpoint)
+	// The relation and its attribute names, fetched once: session replies
+	// and results name attributes by position only.
+	schema := sys.Schema()
+	schemaBody := struct {
+		Relation string   `json:"relation"`
+		Attrs    []string `json:"attrs"`
+	}{schema.Name(), schema.AttrNames()}
+	mux.HandleFunc("GET /v1/schema", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, schemaBody)
+	})
 	// The published master commitment: (epoch, root) identify the master
 	// contents exactly. Clients pin or audit this root and check fix
 	// provenance against it offline (certainfix.VerifyFix) — the server
@@ -89,18 +99,25 @@ func newHandler(sys *certainfix.System) http.Handler {
 
 // sessionResponse is the common reply of begin / suggest / answer: the
 // new token (the client must send it back on the next call — the server
-// keeps nothing) plus enough progress information to render a round.
+// keeps nothing) plus what changed, never what the client already holds.
+// The tuple is not resent: the begin tuple, plus the client's own
+// answers, plus every reply's FixedAttrs/FixedValues is the session's
+// tuple after each round. Attribute names come once, from GET /v1/schema.
 type sessionResponse struct {
 	// Token is opaque to clients; encoding/json carries the bytes as one
 	// base64 string.
-	Token          []byte           `json:"token"`
-	Suggested      []int            `json:"suggested"`
-	SuggestedAttrs []string         `json:"suggestedAttrs"`
-	Tuple          certainfix.Tuple `json:"tuple"`
-	Rounds         int              `json:"rounds"`
-	Done           bool             `json:"done"`
-	Completed      bool             `json:"completed"`
-	Epoch          uint64           `json:"epoch"`
+	Token     []byte `json:"token"`
+	Suggested []int  `json:"suggested"`
+	// FixedAttrs/FixedValues are the cells the rules fixed in the round
+	// that minted the token, aligned like an answer's attrs/values and
+	// absent when it fixed nothing. /v1/suggest repeats them; writing
+	// them twice changes nothing.
+	FixedAttrs  []int              `json:"fixedAttrs,omitempty"`
+	FixedValues []certainfix.Value `json:"fixedValues,omitempty"`
+	Rounds      int                `json:"rounds"`
+	Done        bool               `json:"done"`
+	Completed   bool               `json:"completed"`
+	Epoch       uint64             `json:"epoch"`
 	// Root is the Merkle root of the session's pinned master snapshot,
 	// present only under -auth. POST /v1/result returns the inclusion
 	// proofs that tie the fix's provenance to it.
@@ -117,21 +134,24 @@ func (s *server) sessionReply(w http.ResponseWriter, sess *certainfix.FixSession
 	if suggested == nil {
 		suggested = []int{}
 	}
-	names := make([]string, len(suggested))
-	for i, p := range suggested {
-		names[i] = s.sys.Schema().Attr(p).Name
+	reply := sessionResponse{
+		Token:     token,
+		Suggested: suggested,
+		Rounds:    sess.Rounds(),
+		Done:      sess.Done(),
+		Completed: sess.Completed(),
+		Epoch:     sess.Epoch(),
+		Root:      sess.Root(),
 	}
-	writeJSON(w, http.StatusOK, sessionResponse{
-		Token:          token,
-		Suggested:      suggested,
-		SuggestedAttrs: names,
-		Tuple:          sess.Tuple(),
-		Rounds:         sess.Rounds(),
-		Done:           sess.Done(),
-		Completed:      sess.Completed(),
-		Epoch:          sess.Epoch(),
-		Root:           sess.Root(),
-	})
+	if fixed := sess.Fixed(); fixed.Len() > 0 {
+		t := sess.Tuple()
+		reply.FixedAttrs = fixed.Positions()
+		reply.FixedValues = make([]certainfix.Value, len(reply.FixedAttrs))
+		for i, p := range reply.FixedAttrs {
+			reply.FixedValues[i] = t[p]
+		}
+	}
+	writeJSON(w, http.StatusOK, reply)
 }
 
 type beginRequest struct {

@@ -1,0 +1,111 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/pkg/certainfix"
+)
+
+// TestWireBudget pins what a fix costs on the wire, in the style of
+// TestTokenSizeBudget: the request and reply bodies of begin, every
+// answer and the final result, for generated HOSP sessions driven through
+// the handler the way the benchmark client drives them. A session reply
+// carries what its round changed, never the tuple or the attribute
+// names, so along the way the client's reconstruction — the begin tuple,
+// its answers and every reply's fixed cells — must equal /v1/result's
+// Tuple after every round. The bound leaves a quarter of headroom over
+// what this protocol measures (4,562 B per fix; replies that resent the
+// tuple and the names, and a result that repeated every round's tuple,
+// took 5,725 B): a regression past it is a protocol change, not noise.
+func TestWireBudget(t *testing.T) {
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 1000, Tuples: 200, DupRate: 0.3, NoiseRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHandler(sys)
+	total := 0
+	// exchange posts body to path and returns the reply body; counted
+	// exchanges are the protocol's, the others this test's own checks.
+	exchange := func(path string, body any, counted bool) []byte {
+		t.Helper()
+		req, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s", path, rec.Code, rec.Body)
+		}
+		if counted {
+			total += len(req) + rec.Body.Len()
+		}
+		return rec.Body.Bytes()
+	}
+	reply := func(path string, body any) wireSession {
+		t.Helper()
+		raw := exchange(path, body, true)
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"tuple", "suggestedAttrs"} {
+			if _, ok := keys[k]; ok {
+				t.Fatalf("%s reply carries %q: %s", path, k, raw)
+			}
+		}
+		var s wireSession
+		if err := json.Unmarshal(raw, &s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	result := func(token json.RawMessage, counted bool) certainfix.Result {
+		t.Helper()
+		var out struct {
+			Result certainfix.Result `json:"result"`
+		}
+		if err := json.Unmarshal(exchange("/v1/result", map[string]any{"token": token}, counted), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Result
+	}
+
+	for i, input := range ds.Inputs {
+		truth := ds.Truths[i]
+		sess := reply("/v1/begin", map[string]any{"tuple": input})
+		sess.follow(t, input, nil, nil)
+		for round := 0; ; round++ {
+			if got := result(sess.Token, false).Tuple; !got.Equal(sess.Tuple) {
+				t.Fatalf("input %d after round %d: client holds %v, the session %v", i, round, sess.Tuple, got)
+			}
+			if sess.Done {
+				break
+			}
+			values := make([]certainfix.Value, len(sess.Suggested))
+			for j, p := range sess.Suggested {
+				values[j] = truth[p]
+			}
+			next := reply("/v1/answer", map[string]any{"token": sess.Token, "attrs": sess.Suggested, "values": values})
+			next.follow(t, sess.Tuple, sess.Suggested, values)
+			sess = next
+		}
+		if res := result(sess.Token, true); !res.Completed || !res.Tuple.Equal(truth) {
+			t.Fatalf("input %d: completed %v, fixed %v, truth %v", i, res.Completed, res.Tuple, truth)
+		}
+	}
+	mean := float64(total) / float64(len(ds.Inputs))
+	t.Logf("request + reply bodies: %.0f B per fix over %d fixes", mean, len(ds.Inputs))
+	if budget := 4562 * 1.25; mean > budget {
+		t.Errorf("request + reply bodies: %.0f B per fix, budget %.0f", mean, budget)
+	}
+}

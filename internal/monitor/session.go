@@ -118,6 +118,26 @@ func (s *Session) Tuple() relation.Tuple { return s.t.Clone() }
 // Validated returns the currently validated attribute set (copy).
 func (s *Session) Validated() relation.AttrSet { return s.zSet.Clone() }
 
+// Fixed returns the attributes the rules fixed in the latest recorded
+// round: that round's AutoFixed minus the round before's. It reads only
+// the per-round history, so a resumed session answers the same as the
+// uninterrupted one; it is empty before the first round. A round writes
+// the cells its users asserted and then, through TransFix, exactly these
+// — so a client holding the tuple before the round, its own answers and
+// Fixed's cells holds Tuple.
+func (s *Session) Fixed() relation.AttrSet {
+	n := len(s.perRound)
+	if n == 0 {
+		return relation.AttrSet{}
+	}
+	var before relation.AttrSet
+	if n > 1 {
+		before = s.perRound[n-2].AutoFixed
+	}
+	ps, _ := added(s.perRound[n-1].AutoFixed, before)
+	return relation.NewAttrSet(ps...)
+}
+
 // Provide runs one round: the users assert t[attrs] = values (aligned
 // slices; attrs may differ from Suggested). The session applies the
 // assertions, checks consistency, cascades certain fixes (TransFix) and

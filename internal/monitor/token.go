@@ -227,12 +227,7 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	next := s.t
 	for i := len(s.perRound) - 1; i >= 0; i-- {
 		cur := s.perRound[i].Tuple
-		var changed relation.AttrSet
-		for p := range cur {
-			if cur[p] != next[p] {
-				changed.Add(p)
-			}
-		}
+		changed := overwritten(cur, next)
 		buf = appendSet(buf, changed, relation.AttrSet{})
 		changed.Range(func(p int) bool {
 			buf, err = wal.AppendCell(buf, cur[p])
@@ -244,6 +239,20 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 		next = cur
 	}
 	return s.m.auth.seal(buf, start), nil
+}
+
+// overwritten returns the positions where a round's tuple cur differs
+// from next, the tuple after it (the working tuple, after the last
+// round): the cells a later round overwrote, which is how the token and
+// Result's JSON both store a round's tuple. The two are of one arity.
+func overwritten(cur, next relation.Tuple) relation.AttrSet {
+	var changed relation.AttrSet
+	for p := range cur {
+		if cur[p] != next[p] {
+			changed.Add(p)
+		}
+	}
+	return changed
 }
 
 // appendSet appends set's words, each XORed with prev's word at the same

@@ -133,6 +133,13 @@ func (fs *FixSession) Tuple() Tuple { return fs.sess.Tuple() }
 // Validated returns the currently validated attribute set (copy).
 func (fs *FixSession) Validated() AttrSet { return fs.sess.Validated() }
 
+// Fixed returns the attributes the rules fixed in the latest round (empty
+// before the first): the tuple before that round, plus the values the
+// users provided in it, plus Tuple's cells at Fixed, is Tuple. It reads
+// the session's round history only — no master tuples, no proofs — so it
+// is what a reply that ships changes instead of the tuple sends.
+func (fs *FixSession) Fixed() AttrSet { return fs.sess.Fixed() }
+
 // Epoch returns the pinned master epoch — the epoch Resume will try to
 // re-pin.
 func (fs *FixSession) Epoch() uint64 { return fs.sess.Epoch() }
