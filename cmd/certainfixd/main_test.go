@@ -88,6 +88,7 @@ type wireSession struct {
 	Done        bool               `json:"done"`
 	Completed   bool               `json:"completed"`
 	Epoch       uint64             `json:"epoch"`
+	Root        string             `json:"root"`
 	Tuple       certainfix.Tuple   `json:"-"`
 }
 
@@ -372,22 +373,41 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 
 // TestHTTPEpochEvictionAndRebase: update-master advances the epoch; with
 // a single-slot ring the suspended session's epoch evicts, /v1/answer
-// replies 409 epoch_evicted, and "rebase": true recovers.
+// replies 409 epoch_evicted, and "rebase": true recovers. The update
+// deletes s1, the one master tuple round 1 fixed from (a swap-remove: s2
+// takes its id), so replaying that round at the head withdraws its fixes.
+// The rebased reply hands the client every cell the users did not
+// assert: the client's tuple equals /v1/result's after every reply, and
+// the final fix verifies against the reply's root.
 func TestHTTPEpochEvictionAndRebase(t *testing.T) {
 	truth := certainfix.StringTuple(
 		"Robert", "Brady", "131", "6884563", "1",
 		"51 Elm Row", "Edi", "EH7 4AH", "CD")
-	base, stop := startServer(t, paperSystem(t, certainfix.WithMasterHistory(1)))
+	base, stop := startServer(t, paperSystem(t, certainfix.WithAuth(), certainfix.WithMasterHistory(1)))
 	defer stop()
+	// result fetches the session's result, which must hold the client's tuple.
+	result := func(sess wireSession) certainfix.Result {
+		t.Helper()
+		var out struct {
+			Result certainfix.Result `json:"result"`
+		}
+		if code := post(t, base+"/v1/result", map[string]any{"token": sess.Token}, &out); code != http.StatusOK {
+			t.Fatalf("result: HTTP %d", code)
+		}
+		if !out.Result.Tuple.Equal(sess.Tuple) {
+			t.Fatalf("after round %d the client holds %v, the session %v", sess.Rounds, sess.Tuple, out.Result.Tuple)
+		}
+		return out.Result
+	}
 
 	sess := answer(t, base, begin(t, base, paperex.InputT2()), truth)
+	result(sess)
+	if len(sess.FixedAttrs) == 0 {
+		t.Fatal("round 1 fixed nothing: nothing for the rebase to withdraw")
+	}
 
 	var upd map[string]any
-	if code := post(t, base+"/v1/update-master", map[string]any{
-		"adds": []certainfix.Tuple{certainfix.StringTuple(
-			"Jane", "Doe", "999", "5551234", "070000000",
-			"1 Test St", "Tst", "ZZ1 1ZZ", "01/01/70", "F")},
-	}, &upd); code != http.StatusOK {
+	if code := post(t, base+"/v1/update-master", map[string]any{"deletes": []int{0}}, &upd); code != http.StatusOK {
 		t.Fatalf("update-master: HTTP %d %v", code, upd)
 	}
 
@@ -411,14 +431,20 @@ func TestHTTPEpochEvictionAndRebase(t *testing.T) {
 		t.Fatalf("rebased answer: HTTP %d", code)
 	}
 	next.follow(t, sess.Tuple, attrs, values)
+	result(next)
 	for i := 0; !next.Done; i++ {
 		if i > 10 {
 			t.Fatal("rebased session did not converge")
 		}
 		next = answer(t, base, next, truth)
+		result(next)
 	}
 	if !next.Completed || !next.Tuple.Equal(truth) {
 		t.Fatalf("rebased session incomplete: %+v", next)
+	}
+	res := result(next)
+	if err := certainfix.VerifyFix(paperex.Sigma0(), &res, next.Root); err != nil {
+		t.Fatalf("rebased fix under the reply's root %s: %v", next.Root, err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package main
 
 // The HTTP layer of certainfixd. Every handler is stateless: the session
-// travels as a token — the System's authenticated binary session image,
+// travels as a token — the System's authenticated record of its inputs,
 // carried in JSON as one base64 string the client echoes verbatim — so
 // any replica of this server (sharing the rules, the master lineage and
 // the token key) can serve any round of any session: the stateless-server
@@ -109,9 +109,10 @@ type sessionResponse struct {
 	Token     []byte `json:"token"`
 	Suggested []int  `json:"suggested"`
 	// FixedAttrs/FixedValues are the cells the rules fixed in the round
-	// that minted the token, aligned like an answer's attrs/values and
-	// absent when it fixed nothing. /v1/suggest repeats them; writing
-	// them twice changes nothing.
+	// that minted the token — after a rebase, every cell the users did not
+	// assert — aligned like an answer's attrs/values and absent when
+	// there are none. /v1/suggest repeats them; writing them twice
+	// changes nothing.
 	FixedAttrs  []int              `json:"fixedAttrs,omitempty"`
 	FixedValues []certainfix.Value `json:"fixedValues,omitempty"`
 	Rounds      int                `json:"rounds"`

@@ -9,6 +9,7 @@ package monitor
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/authtree"
@@ -121,7 +122,6 @@ type Monitor struct {
 	cache   *bdd.Cache
 	cfg     Config
 	auth    *tokenAuth
-	ruleIdx map[string]int // rule name → index in Σ, the token's rule id
 }
 
 // New builds a monitor over a static master snapshot — a lineage that
@@ -184,7 +184,6 @@ func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor,
 		first:   first,
 		cfg:     cfg,
 		auth:    auth,
-		ruleIdx: ruleIndex(sigma),
 	}
 	if cfg.UseBDD {
 		m.cache = bdd.NewCache(bdd.DefaultMaxNodes)
@@ -282,7 +281,8 @@ func (m *Monitor) nextSuggestion(d *suggest.Deriver, t relation.Tuple, zSet rela
 }
 
 // conflictedAttrs finds attributes whose applicable rules currently
-// disagree, so they can be routed to the users.
+// disagree, so they can be routed to the users — in position order, so
+// the suggestion they join does not depend on map iteration.
 func conflictedAttrs(d *suggest.Deriver, t relation.Tuple, zSet relation.AttrSet) []int {
 	assignments := fix.ApplicableAssignments(d.Sigma(), d.Master(), t, zSet)
 	var out []int
@@ -291,6 +291,7 @@ func conflictedAttrs(d *suggest.Deriver, t relation.Tuple, zSet relation.AttrSet
 			out = append(out, b)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -132,6 +132,20 @@ func added(set, prev relation.AttrSet) ([]int, bool) {
 	return out, set.ContainsSet(prev)
 }
 
+// overwritten returns the positions where a round's tuple cur differs
+// from next, the tuple after it (the result's, after the last round): the
+// cells a later round overwrote, which is how the JSON stores a round's
+// tuple. The two are of one arity.
+func overwritten(cur, next relation.Tuple) relation.AttrSet {
+	var changed relation.AttrSet
+	for p := range cur {
+		if cur[p] != next[p] {
+			changed.Add(p)
+		}
+	}
+	return changed
+}
+
 // UnmarshalJSON parses the form MarshalJSON writes. Witnesses of one
 // master id share the rehydrated tuple and proof.
 func (r *Result) UnmarshalJSON(b []byte) error {

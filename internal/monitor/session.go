@@ -39,7 +39,10 @@ type Session struct {
 	// concurrent master update can never make rounds of one session
 	// disagree about Dm. New sessions — including the per-tuple sessions
 	// of FixBatch/FixStream — pin the then-current epoch.
-	d          *suggest.Deriver
+	d *suggest.Deriver
+	// begin is the input as the session received it: with each round's
+	// suggestion and assertions, all a token holds (token.go).
+	begin      relation.Tuple
 	t          relation.Tuple
 	zSet       relation.AttrSet
 	userSet    relation.AttrSet
@@ -47,10 +50,12 @@ type Session struct {
 	sug        []int
 	cursor     *bdd.Cursor
 	noProgress int
-	rounds     int
 	maxRounds  int
 	done       bool
-	perRound   []RoundStat
+	// rebased marks a session ResumeSession replayed on the master head
+	// because its own epoch was evicted (see Fixed).
+	rebased  bool
+	perRound []RoundStat
 	// witnesses is one fix.Witness per autoSet attribute, in firing order
 	// — the raw provenance TransFixTrace records. Result materializes the
 	// master tuples and (on authenticated snapshots) inclusion proofs.
@@ -67,6 +72,7 @@ func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
 	s := &Session{
 		m:         m,
 		d:         m.deriver.Pin(),
+		begin:     input.Clone(),
 		t:         input.Clone(),
 		sug:       m.first,
 		maxRounds: m.maxRounds(),
@@ -92,12 +98,10 @@ func (s *Session) Done() bool { return s.done }
 
 // Completed reports whether every attribute is validated — Result's
 // Completed field without the allocation of building a Result.
-func (s *Session) Completed() bool {
-	return s.zSet.Len() == s.d.Sigma().Schema().Arity()
-}
+func (s *Session) Completed() bool { return s.zSet.Len() == len(s.t) }
 
 // Rounds returns the interaction rounds consumed so far.
-func (s *Session) Rounds() int { return s.rounds }
+func (s *Session) Rounds() int { return len(s.perRound) }
 
 // Epoch returns the epoch of the master snapshot the session is pinned
 // to — the epoch a resumed session will try to re-pin (Versioned.At).
@@ -119,13 +123,24 @@ func (s *Session) Tuple() relation.Tuple { return s.t.Clone() }
 func (s *Session) Validated() relation.AttrSet { return s.zSet.Clone() }
 
 // Fixed returns the attributes the rules fixed in the latest recorded
-// round: that round's AutoFixed minus the round before's. It reads only
-// the per-round history, so a resumed session answers the same as the
-// uninterrupted one; it is empty before the first round. A round writes
-// the cells its users asserted and then, through TransFix, exactly these
-// — so a client holding the tuple before the round, its own answers and
-// Fixed's cells holds Tuple.
+// round: that round's AutoFixed minus the round before's, empty before
+// the first. It reads only the per-round history, so a resumed session
+// answers the same as the uninterrupted one. A round writes the cells its
+// users asserted and then, through TransFix, exactly these — so a client
+// holding the tuple before the round, its own answers and Fixed's cells
+// holds Tuple. On a session ResumeSession rebased, whose replay at the
+// head may have changed what earlier rounds fixed, Fixed is every
+// attribute the users did not assert, so that sum still holds.
 func (s *Session) Fixed() relation.AttrSet {
+	if s.rebased {
+		var open relation.AttrSet
+		for p := range s.t {
+			if !s.userSet.Has(p) {
+				open.Add(p)
+			}
+		}
+		return open
+	}
 	n := len(s.perRound)
 	if n == 0 {
 		return relation.AttrSet{}
@@ -153,53 +168,20 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 		s.done = true // the users declined: stop without completing
 		return nil
 	}
-	r := s.d.Sigma().Schema()
 	// Validate every position before mutating anything: a failed Provide
 	// must leave the session exactly as it was, so long-lived sessions
 	// (and the service tokens derived from them) can retry after an
 	// input error without phantom validations.
 	for _, p := range attrs {
-		if p < 0 || p >= r.Arity() {
-			return fmt.Errorf("monitor: attribute position %d out of range [0, %d): %w", p, r.Arity(), ErrArityMismatch)
+		if p < 0 || p >= len(s.t) {
+			return fmt.Errorf("monitor: attribute position %d out of range [0, %d): %w", p, len(s.t), ErrArityMismatch)
 		}
 	}
-	for i, p := range attrs {
-		s.t[p] = values[i]
-		s.zSet.Add(p)
-		s.userSet.Add(p)
+	conflicted, err := s.apply(attrs, values)
+	if err != nil {
+		return err
 	}
-	s.rounds++
-
-	// Check t[Z'] leads to a unique fix, then cascade; conflicts are
-	// routed back to the users rather than guessed.
-	var conflicted []int
-	if s.d.ConsistentRow(s.zSet.Positions(), s.t.Project(s.zSet.Positions())) {
-		fixed, err := fix.TransFixTrace(s.m.graph, s.d.Master(), s.t, &s.zSet, &s.witnesses)
-		s.autoSet.AddAll(fixed)
-		if len(fixed) == 0 {
-			s.noProgress++
-		} else {
-			s.noProgress = 0
-		}
-		if err != nil {
-			var ce *fix.ConflictError
-			if !errors.As(err, &ce) {
-				return err
-			}
-			conflicted = append(conflicted, ce.Attr)
-		}
-	} else {
-		conflicted = conflictedAttrs(s.d, s.t, s.zSet)
-	}
-
-	s.perRound = append(s.perRound, RoundStat{
-		Suggested:     s.sug,
-		UserValidated: s.userSet.Clone(),
-		AutoFixed:     s.autoSet.Clone(),
-		Tuple:         s.t.Clone(),
-	})
-
-	if s.zSet.Len() == r.Arity() || s.rounds >= s.maxRounds {
+	if s.Completed() || len(s.perRound) >= s.maxRounds {
 		s.done = true
 		return nil
 	}
@@ -214,18 +196,10 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 		// shared with the BDD cache, which concurrent sessions read —
 		// appending in place would race on its backing array.
 		sug := s.m.nextSuggestion(s.d, s.t, s.zSet, s.cursor)
-		merged := make([]int, 0, len(sug)+len(conflicted))
-		for _, list := range [][]int{sug, conflicted} {
-			for _, p := range list {
-				if !slices.Contains(merged, p) {
-					merged = append(merged, p)
-				}
-			}
-		}
-		s.sug = merged
+		s.sug = appendMissing(appendMissing(make([]int, 0, len(sug)+len(conflicted)), sug), conflicted)
 	}
 	if len(s.sug) == 0 {
-		for p := 0; p < r.Arity(); p++ {
+		for p := range s.t {
 			if !s.zSet.Has(p) {
 				s.sug = append(s.sug, p)
 			}
@@ -234,16 +208,71 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 	return nil
 }
 
+// apply runs one round on the users' assertions (positions already
+// range-checked): assert them, check that t[Z] leads to a unique fix,
+// cascade TransFix, and record the round under the pending suggestion. It
+// returns the attributes whose applicable rules disagree — routed back to
+// the users rather than guessed. Provide follows it with the next
+// suggestion; ResumeSession replays a token's rounds with it alone.
+func (s *Session) apply(attrs []int, values []relation.Value) ([]int, error) {
+	s.assert(attrs, values)
+	var conflicted []int
+	if z := s.zSet.Positions(); s.d.ConsistentRow(z, s.t.Project(z)) {
+		fixed, err := fix.TransFixTrace(s.m.graph, s.d.Master(), s.t, &s.zSet, &s.witnesses)
+		s.autoSet.AddAll(fixed)
+		if len(fixed) == 0 {
+			s.noProgress++
+		} else {
+			s.noProgress = 0
+		}
+		var ce *fix.ConflictError
+		switch {
+		case errors.As(err, &ce):
+			conflicted = []int{ce.Attr}
+		case err != nil:
+			return nil, err
+		}
+	} else {
+		conflicted = conflictedAttrs(s.d, s.t, s.zSet)
+	}
+	s.perRound = append(s.perRound, RoundStat{
+		Suggested:     s.sug,
+		UserValidated: s.userSet.Clone(),
+		AutoFixed:     s.autoSet.Clone(),
+		Tuple:         s.t.Clone(),
+	})
+	return conflicted, nil
+}
+
+// assert writes the users' values and adds their positions to Z and to
+// the user set.
+func (s *Session) assert(attrs []int, values []relation.Value) {
+	for i, p := range attrs {
+		s.t[p] = values[i]
+		s.zSet.Add(p)
+		s.userSet.Add(p)
+	}
+}
+
+// appendMissing appends the members of add that list lacks, in order.
+func appendMissing(list, add []int) []int {
+	for _, p := range add {
+		if !slices.Contains(list, p) {
+			list = append(list, p)
+		}
+	}
+	return list
+}
+
 // Result summarizes the session so far (or finally, once Done). It reads
-// the schema through the pinned deriver s.d — never through the shared
+// the master through the pinned deriver s.d — never through the shared
 // monitor — so a Result taken from a resumed session can only
 // observe the snapshot the session itself is bound to.
 func (s *Session) Result() Result {
-	r := s.d.Sigma().Schema()
 	res := Result{
 		Tuple:         s.t.Clone(),
-		Rounds:        s.rounds,
-		Completed:     s.zSet.Len() == r.Arity(),
+		Rounds:        len(s.perRound),
+		Completed:     s.Completed(),
 		UserValidated: s.userSet.Clone(),
 		AutoFixed:     s.autoSet.Clone(),
 		PerRound:      s.perRound,

@@ -1,13 +1,14 @@
 package monitor
 
-// This file implements suspend/resume for fix sessions. AppendToken
-// writes the full image of a Session's mutable state as one compact,
-// authenticated binary token, and ResumeSession rebuilds a live Session
-// from it — possibly in a different process, against a different Monitor
-// built over the same (Σ, Dm) and holding the same token key. Together
-// they turn the interactive state machine of §5 into the stateless-server
-// pattern: a network frontend hands the token to the client after every
-// round and holds nothing itself.
+// This file implements suspend/resume for fix sessions. A session is a
+// pure function of its inputs: the input tuple t, Σ, Dm at the pinned
+// epoch, and what the users asserted in each round (§5, Fig. 3: a round is
+// assert → consistency check → TransFix, all deterministic). AppendToken
+// writes those inputs, and nothing derived from them, as one compact
+// authenticated token; ResumeSession rebuilds the Session by replaying
+// them — possibly in another process, on a Monitor over the same (Σ, Dm)
+// holding the same key. A network frontend hands the token to the client
+// after every round and holds nothing itself.
 //
 // Wire format (varint fields and the WAL's cell encoding, the style of
 // internal/wal/record.go):
@@ -17,67 +18,61 @@ package monitor
 //	body  = u8 version
 //	        uvarint epoch            the pinned master snapshot
 //	        u8 flags                 bit 0: done
-//	        uvarint rounds, uvarint noProgress
-//	        uvarint arity, arity × cell                  the working tuple
-//	        set Z, set user, set auto
-//	        list                                         the pending suggestion
-//	        uvarint n, n × (uvarint attr, uvarint rule index in Σ,
-//	                        uvarint master id)           witnesses, firing order
-//	        uvarint r                                    recorded rounds
-//	        r × (list suggested, set Δuser, set Δauto)   oldest round first
-//	        r × (set changed, one cell per member)       newest round first
-//	set   = uvarint w, w × uvarint word      bitset words; a Δ set is XORed
-//	                                         word-wise with the round before
+//	        uvarint arity, arity × cell                  t's begin values
+//	        uvarint r, (r + 1) × round                   oldest first
+//	round = list suggested
+//	        list asserted            the positions the users asserted
+//	        set differs, one cell per member             the asserted cells
+//	                                                     that are not t's
+//	                                                     begin values
 //	list  = uvarint n, n × uvarint position  in order (conflict escalations
 //	                                         are appended out of order)
+//	set   = uvarint w, w × uvarint word      bitset words
 //
-// The per-round history feeding Result.PerRound travels as deltas, so
-// the token grows with what the rounds changed rather than with rounds ×
-// arity: each round's cumulative user/auto sets are XORed against the
-// previous round's (for these grow-only sets, exactly the members the
-// round added), and its end-of-round tuple is stored as the cells that
-// differ from the next later tuple — the values later rounds overwrote —
-// walking back from the working tuple. Sets keep their word count, so a
-// resumed session's Result is reflect.DeepEqual to the uninterrupted
-// one's, not merely equal as sets.
+// A round's assertions are read off the history the session keeps for
+// Result.PerRound: the positions the round added to the user set, and
+// those whose cell it changed (the users asserted another value). The
+// last round is the open one: its suggestion is the pending one, and its
+// assertions — empty unless the user set holds a position no round
+// asserted — are applied on resume without running a round.
 //
-// What is and is not captured:
-//
-//   - Everything the round loop reads or writes is captured: the working
-//     tuple, the three attribute sets (validated / user-asserted /
-//     rule-fixed), the pending suggestion, the no-progress and round
-//     counters, the done flag, the witnesses and the per-round snapshots.
-//     A resumed session is therefore step-for-step identical to the
-//     uninterrupted one under CertainFix (no BDD cache).
+//   - Resume is a replay. The working tuple, the validated / user / auto
+//     sets, the counters, the witnesses and Result.PerRound are derived by
+//     running each recorded round again through Session.apply, the code
+//     Provide runs. At the token's own epoch that reproduces the session
+//     byte for byte. Replay never calls Suggest — each suggestion is read
+//     from the token — so neither the BDD cursor nor Suggest+ can make it
+//     diverge.
 //   - The round cap is NOT captured: it is the resuming monitor's
 //     configuration, so no token can grant itself more rounds than the
-//     operator allows. A session that has already used the resuming
-//     monitor's cap resumes done.
-//   - The master snapshot is captured by reference: its epoch. Resume
-//     re-pins that epoch through the deriver (Versioned.At), so the
-//     resumed rounds observe exactly the Dm the earlier rounds did, even
-//     if the master head has moved on. When the epoch has been evicted
-//     from the snapshot ring the resume fails with an error matching
-//     master.ErrEpochEvicted unless ResumeOptions.RebaseToHead accepts
-//     re-pinning the current head instead. An epoch the lineage has not
-//     reached yet (a leader's token on a lagging follower) fails with
-//     master.ErrEpochAhead either way: retry, do not rebase backwards.
-//   - Witnesses travel as ids only; the master tuples and proofs are
-//     re-materialized from the pinned snapshot by Result.
-//   - The BDD cursor (CertainFix+) is deliberately NOT captured: it is a
-//     position inside one process's shared suggestion cache, meaningless
-//     in another process. Resume cold-restarts the traversal at the
-//     cache root. This is safe — cached suggestions are revalidated
-//     before use, and TransFix re-checks everything — but a resumed
-//     CertainFix+ session may spend different rounds than the
-//     uninterrupted run, exactly like the batch determinism caveat.
+//     operator allows. A session that has used that cap resumes done.
+//   - The master snapshot is captured by its epoch, re-pinned through the
+//     deriver (Versioned.At), so the replay observes exactly the Dm the
+//     rounds did even if the head has moved on. An evicted epoch fails with
+//     an error matching master.ErrEpochEvicted unless
+//     ResumeOptions.RebaseToHead accepts the head instead. A rebase is the
+//     same replay at the head: every cascade, witness and round record is
+//     derived under the head's Dm, so provenance is the head's by
+//     construction. A conflict the head raises in the last replayed round
+//     joins the pending suggestion, where Provide routes one. An epoch the
+//     lineage has not reached yet (a leader's token on a lagging follower)
+//     fails with master.ErrEpochAhead either way: retry, never rebase
+//     backwards.
+//   - The BDD cursor (CertainFix+) is NOT captured: it is a position in
+//     one process's suggestion cache. Resume cold-restarts it at the cache
+//     root. This is safe — cached suggestions are revalidated before use
+//     and TransFix re-checks everything — but a resumed CertainFix+ session
+//     may spend different rounds than the uninterrupted run, exactly like
+//     the batch determinism caveat.
 //
-// Trust: the token asserts which attributes the users validated, which is
-// what certainty rests on, so it is authenticated. The tag is verified
-// before a single field is decoded and before any snapshot is pinned; a
-// token that was truncated, altered, or minted under another key fails
-// with ErrBadToken. Monitors that must resume each other's tokens (the
-// replicas of one service) share Config.TokenKey.
+// Trust: the token asserts which attributes the users validated, and to
+// what; certainty rests on that, so it is authenticated. The tag is
+// verified before a field is decoded or a snapshot pinned: a truncated,
+// altered or foreign-key token fails with ErrBadToken. Replicas of one
+// service share Config.TokenKey. Behind the tag the decoder trusts
+// nothing: counts are bounded by the remaining bytes and the arity,
+// positions are range-checked, and replay starts only once the whole body
+// has decoded, so a body costs at most the rounds its own bytes spell out.
 
 import (
 	"crypto/hmac"
@@ -87,21 +82,19 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"math"
 	"sync"
 
-	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/relation"
-	"repro/internal/rule"
 	"repro/internal/wal"
 )
 
 const (
 	// tokenVersion is the one token format ResumeSession accepts. Tokens
 	// live for minutes, so a format change replaces it rather than adding
-	// a second decoder. (1 was the JSON token.)
-	tokenVersion = 2
+	// a second decoder. (1 was the JSON token, 2 the image of the
+	// session's derived state.)
+	tokenVersion = 3
 	tokenTagSize = sha256.Size
 	flagDone     = 1 << 0
 )
@@ -168,18 +161,6 @@ func (a *tokenAuth) open(token []byte) ([]byte, bool) {
 	return body, ok
 }
 
-// ruleIndex maps each rule name of Σ to the position of the first rule
-// carrying it — what a token stores in place of the name.
-func ruleIndex(sigma *rule.Set) map[string]int {
-	idx := make(map[string]int, sigma.Len())
-	for i, ru := range sigma.Rules() {
-		if _, dup := idx[ru.Name()]; !dup {
-			idx[ru.Name()] = i
-		}
-	}
-	return idx
-}
-
 // AppendToken appends the session's token to buf and returns it. The
 // token is a snapshot: later rounds do not change bytes already written.
 func (s *Session) AppendToken(buf []byte) ([]byte, error) {
@@ -191,79 +172,55 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	buf = append(buf, tokenVersion)
 	buf = binary.AppendUvarint(buf, s.d.Epoch())
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(s.rounds))
-	buf = binary.AppendUvarint(buf, uint64(s.noProgress))
-	buf = binary.AppendUvarint(buf, uint64(len(s.t)))
+	buf = binary.AppendUvarint(buf, uint64(len(s.begin)))
 	var err error
-	for _, v := range s.t {
+	for _, v := range s.begin {
 		if buf, err = wal.AppendCell(buf, v); err != nil {
 			return nil, fmt.Errorf("monitor: session token: %w", err)
 		}
 	}
-	buf = appendSet(buf, s.zSet, relation.AttrSet{})
-	buf = appendSet(buf, s.userSet, relation.AttrSet{})
-	buf = appendSet(buf, s.autoSet, relation.AttrSet{})
-	buf = appendList(buf, s.sug)
-
-	buf = binary.AppendUvarint(buf, uint64(len(s.witnesses)))
-	for _, w := range s.witnesses {
-		ri, ok := s.m.ruleIdx[w.Rule]
-		if !ok {
-			return nil, fmt.Errorf("monitor: session token: witness rule %q is not in Σ", w.Rule)
-		}
-		buf = binary.AppendUvarint(buf, uint64(w.Attr))
-		buf = binary.AppendUvarint(buf, uint64(ri))
-		buf = binary.AppendUvarint(buf, uint64(w.MasterID))
-	}
-
 	buf = binary.AppendUvarint(buf, uint64(len(s.perRound)))
-	var prev RoundStat
-	for _, r := range s.perRound {
-		buf = appendList(buf, r.Suggested)
-		buf = appendSet(buf, r.UserValidated, prev.UserValidated)
-		buf = appendSet(buf, r.AutoFixed, prev.AutoFixed)
-		prev = r
-	}
-	next := s.t
-	for i := len(s.perRound) - 1; i >= 0; i-- {
-		cur := s.perRound[i].Tuple
-		changed := overwritten(cur, next)
-		buf = appendSet(buf, changed, relation.AttrSet{})
-		changed.Range(func(p int) bool {
-			buf, err = wal.AppendCell(buf, cur[p])
-			return err == nil
-		})
-		if err != nil {
+	prev := RoundStat{Tuple: s.begin}
+	for i := 0; i <= len(s.perRound); i++ {
+		r := RoundStat{Suggested: s.sug, UserValidated: s.userSet, Tuple: s.t} // the open round
+		if i < len(s.perRound) {
+			r = s.perRound[i]
+		}
+		if buf, err = s.appendRound(buf, r, prev); err != nil {
 			return nil, fmt.Errorf("monitor: session token: %w", err)
 		}
-		next = cur
+		prev = r
 	}
 	return s.m.auth.seal(buf, start), nil
 }
 
-// overwritten returns the positions where a round's tuple cur differs
-// from next, the tuple after it (the working tuple, after the last
-// round): the cells a later round overwrote, which is how the token and
-// Result's JSON both store a round's tuple. The two are of one arity.
-func overwritten(cur, next relation.Tuple) relation.AttrSet {
-	var changed relation.AttrSet
-	for p := range cur {
-		if cur[p] != next[p] {
-			changed.Add(p)
+// appendRound appends round r, which followed prev (the begin state
+// before the first): its suggestion, the positions its users asserted and
+// the asserted cells that are not t's begin values.
+func (s *Session) appendRound(buf []byte, r, prev RoundStat) ([]byte, error) {
+	asserted := make([]int, 0, 64) // on the stack for any schema of ≤ 64 attributes
+	var differs relation.AttrSet
+	for p := range r.Tuple {
+		if r.UserValidated.Has(p) && (!prev.UserValidated.Has(p) || r.Tuple[p] != prev.Tuple[p]) {
+			asserted = append(asserted, p)
+			if r.Tuple[p] != s.begin[p] {
+				differs.Add(p)
+			}
 		}
 	}
-	return changed
+	buf = appendSet(appendList(appendList(buf, r.Suggested), asserted), differs)
+	var err error
+	differs.Range(func(p int) bool {
+		buf, err = wal.AppendCell(buf, r.Tuple[p])
+		return err == nil
+	})
+	return buf, err
 }
 
-// appendSet appends set's words, each XORed with prev's word at the same
-// index (prev empty: the set itself).
-func appendSet(buf []byte, set, prev relation.AttrSet) []byte {
-	words, pw := set.Words(), prev.Words()
+func appendSet(buf []byte, set relation.AttrSet) []byte {
+	words := set.Words()
 	buf = binary.AppendUvarint(buf, uint64(len(words)))
-	for i, w := range words {
-		if i < len(pw) {
-			w ^= pw[i]
-		}
+	for _, w := range words {
 		buf = binary.AppendUvarint(buf, w)
 	}
 	return buf
@@ -283,16 +240,6 @@ type tokenDecoder struct {
 	arity int
 }
 
-// count reads a uvarint that must fit an int (a counter, an id).
-func (d *tokenDecoder) count(what string) int {
-	v := d.Uvarint(what)
-	if v > math.MaxInt32 {
-		d.Fail("%s %d exceeds int32", what, v)
-		return 0
-	}
-	return int(v)
-}
-
 // below reads a uvarint that must be smaller than limit.
 func (d *tokenDecoder) below(limit int, what string) int {
 	v := d.Uvarint(what)
@@ -305,7 +252,7 @@ func (d *tokenDecoder) below(limit int, what string) int {
 
 // set reads one attribute set (see appendSet); every member must be a
 // position of the schema.
-func (d *tokenDecoder) set(prev relation.AttrSet, what string) relation.AttrSet {
+func (d *tokenDecoder) set(what string) relation.AttrSet {
 	n := d.Uvarint(what)
 	if n > uint64(d.arity+63)/64 {
 		d.Fail("%s has %d words, arity is %d", what, n, d.arity)
@@ -314,12 +261,9 @@ func (d *tokenDecoder) set(prev relation.AttrSet, what string) relation.AttrSet 
 	if n == 0 {
 		return relation.AttrSet{}
 	}
-	words, pw := make([]uint64, n), prev.Words()
+	words := make([]uint64, n)
 	for i := range words {
 		w := d.Uvarint(what)
-		if i < len(pw) {
-			w ^= pw[i]
-		}
 		if valid := d.arity - i<<6; valid < 64 && w>>uint(valid) != 0 {
 			d.Fail("%s positions exceed arity %d", what, d.arity)
 		}
@@ -347,35 +291,72 @@ func (d *tokenDecoder) list(what string) []int {
 	return ps
 }
 
+// tokenRound is one decoded round: its suggestion, and its users'
+// assertions the way Provide takes them.
+type tokenRound struct {
+	suggested []int
+	attrs     []int
+	values    []relation.Value
+}
+
+// round reads one round (see appendRound). An asserted position outside
+// the differs set takes its begin value; a differs member the round did
+// not assert is malformed.
+func (d *tokenDecoder) round(begin relation.Tuple) tokenRound {
+	r := tokenRound{suggested: d.list("suggestion"), attrs: d.list("asserted positions")}
+	differs := d.set("differs-from-begin set")
+	if d.Err() != nil {
+		return r
+	}
+	r.values = make([]relation.Value, len(r.attrs))
+	for i, p := range r.attrs {
+		r.values[i] = begin[p]
+	}
+	differs.Range(func(p int) bool {
+		v, found := d.Cell(), false
+		for i, q := range r.attrs {
+			if q == p {
+				r.values[i], found = v, true
+			}
+		}
+		if !found {
+			d.Fail("differs-from-begin position %d was not asserted", p)
+		}
+		return d.Err() == nil
+	})
+	return r
+}
+
 // ResumeOptions tunes ResumeSession.
 type ResumeOptions struct {
 	// RebaseToHead accepts re-pinning the currently published master
 	// snapshot when the token's original epoch has been evicted from the
 	// snapshot ring — never when the epoch is ahead of the head: a rebase
-	// only moves a session forward. The resumed rounds then run against newer master
-	// data than the earlier rounds did — every remaining suggestion and
-	// TransFix cascade is computed against the head snapshot, so the fix
-	// stays certain with respect to it, but the session loses the
-	// single-epoch guarantee and may suggest or fix differently than the
-	// uninterrupted run would have.
+	// only moves a session forward. The token's rounds are then replayed
+	// on the head: the users' answers stand, and every cascade, witness and
+	// round record is derived from the head's Dm, so the fix stays certain,
+	// and its provenance verifiable, with respect to the head. The session
+	// loses the single-epoch guarantee: the head may fix other cells than
+	// the earlier rounds reported (see Session.Fixed), and later rounds may
+	// suggest differently than the uninterrupted run would have.
 	RebaseToHead bool
 }
 
 // ResumeSession rebuilds a live Session from a token — the other half of
 // Session.AppendToken. The monitor must be built over the same rules and
 // master lineage and hold the minting monitor's key. The tag is verified
-// first, on every path; then the token's epoch is re-pinned via the
-// deriver (an error matching master.ErrEpochEvicted when the ring no
-// longer retains it and opt.RebaseToHead is false, master.ErrEpochAhead
-// when the lineage has not reached it yet, whatever opt says). Every
-// other failure matches ErrBadToken.
+// first, on every path; then the whole body is decoded; then the token's
+// epoch is re-pinned via the deriver (an error matching
+// master.ErrEpochEvicted when the ring no longer retains it and
+// opt.RebaseToHead is false, master.ErrEpochAhead when the lineage has not
+// reached it yet, whatever opt says) and the recorded rounds are replayed
+// on it. Every other failure matches ErrBadToken.
 func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, error) {
 	body, ok := m.auth.open(token)
 	if !ok {
 		return nil, fmt.Errorf("%w: authentication failed", ErrBadToken)
 	}
-	sigma := m.deriver.Sigma()
-	r := sigma.Schema()
+	r := m.deriver.Sigma().Schema()
 	d := tokenDecoder{Decoder: wal.NewDecoder(body), arity: r.Arity()}
 	d.ShareStrings() // a token is a few hundred bytes of mostly cell text
 	if v := d.U8("version"); d.Err() == nil && v != tokenVersion {
@@ -383,70 +364,30 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 	}
 	epoch := d.Uvarint("epoch")
 	flags := d.U8("flags")
-	s := &Session{m: m}
-	s.rounds = d.count("rounds")
-	s.noProgress = d.count("no-progress counter")
 	if arity := d.Uvarint("arity"); d.Err() == nil && arity != uint64(d.arity) {
 		return nil, fmt.Errorf("%w: tuple arity %d does not match schema %s (%w)",
 			ErrBadToken, arity, r, ErrArityMismatch)
 	}
+	var begin relation.Tuple
 	if d.Err() == nil {
-		s.t = make(relation.Tuple, d.arity)
-		for p := range s.t {
-			s.t[p] = d.Cell()
+		begin = make(relation.Tuple, d.arity)
+		for p := range begin {
+			begin[p] = d.Cell()
 		}
 	}
-	s.zSet = d.set(relation.AttrSet{}, "z")
-	s.userSet = d.set(relation.AttrSet{}, "user set")
-	s.autoSet = d.set(relation.AttrSet{}, "auto set")
-	s.sug = d.list("suggestion")
-
-	if n := d.Length("witness count"); n > d.arity {
-		d.Fail("%d witnesses, arity is %d", n, d.arity)
-	} else if n > 0 {
-		s.witnesses = make([]fix.Witness, n)
-		for i := range s.witnesses {
-			attr := d.below(d.arity, "witness attribute")
-			ri := d.below(sigma.Len(), "witness rule")
-			id := d.count("witness master id")
-			if d.Err() != nil {
-				break // ri may name no rule at all
-			}
-			s.witnesses[i] = fix.Witness{Attr: attr, Rule: sigma.Rule(ri).Name(), MasterID: id}
-		}
-	}
-
 	// Rounds are appended as they decode, so a hostile count costs only
-	// the bytes that back it.
-	nRounds := d.Length("round count")
-	if nRounds > 0 {
-		s.perRound = make([]RoundStat, 0, min(nRounds, 8))
-	}
-	var prev RoundStat
-	for i := 0; i < nRounds && d.Err() == nil; i++ {
-		prev = RoundStat{
-			Suggested:     d.list("round suggestion"),
-			UserValidated: d.set(prev.UserValidated, "round user set"),
-			AutoFixed:     d.set(prev.AutoFixed, "round auto set"),
-		}
-		s.perRound = append(s.perRound, prev)
-	}
-	next := s.t
-	for i := len(s.perRound) - 1; i >= 0 && d.Err() == nil; i-- {
-		changed := d.set(relation.AttrSet{}, "round tuple delta")
-		t := next.Clone()
-		changed.Range(func(p int) bool {
-			t[p] = d.Cell()
-			return true
-		})
-		s.perRound[i].Tuple = t
-		next = t
+	// the bytes that back it; the last one decoded is the open round.
+	n := d.Length("round count")
+	rounds := make([]tokenRound, 0, min(n+1, 8))
+	for i := 0; i <= n && d.Err() == nil; i++ {
+		rounds = append(rounds, d.round(begin))
 	}
 	if err := d.Finish("session token"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
 
 	pinned, err := m.deriver.PinAt(epoch)
+	rebased := false
 	if err != nil {
 		// Only an evicted epoch may be traded for the head: rebasing a
 		// session whose epoch this lineage has not reached yet would move
@@ -454,22 +395,28 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		if !opt.RebaseToHead || !errors.Is(err, master.ErrEpochEvicted) {
 			return nil, err
 		}
-		pinned = m.deriver.Pin()
+		pinned, rebased = m.deriver.Pin(), true
 	}
-	s.d = pinned
-	// Ids must resolve inside the re-pinned snapshot: Result materializes
-	// tuples (and proofs) from them. A token whose ids exceed the snapshot
-	// is structurally bad, not evicted.
-	dmLen := pinned.Master().Len()
-	for _, w := range s.witnesses {
-		if w.MasterID >= dmLen {
-			return nil, fmt.Errorf("%w: witness master id %d exceeds master size %d", ErrBadToken, w.MasterID, dmLen)
+	s := &Session{m: m, d: pinned, begin: begin, t: begin.Clone(), maxRounds: m.maxRounds(), rebased: rebased}
+	var conflicted []int
+	for _, rd := range rounds[:n] {
+		s.sug = rd.suggested
+		if conflicted, err = s.apply(rd.attrs, rd.values); err != nil {
+			return nil, err
 		}
 	}
-	s.maxRounds = m.maxRounds()
-	s.done = flags&flagDone != 0 || s.rounds >= s.maxRounds
-	if m.cache != nil && !s.done {
-		s.cursor = m.cache.Cursor() // cold restart; see the file comment
+	open := rounds[n]
+	s.assert(open.attrs, open.values)
+	s.sug = open.suggested
+	s.done = flags&flagDone != 0 || len(s.perRound) >= s.maxRounds
+	if !s.done {
+		// A conflict the last replayed round met is the users' to settle.
+		// At the token's own epoch the pending suggestion already holds
+		// it; on a rebase it may be new.
+		s.sug = appendMissing(s.sug, conflicted)
+		if m.cache != nil {
+			s.cursor = m.cache.Cursor() // cold restart; see the file comment
+		}
 	}
 	return s, nil
 }

@@ -8,15 +8,15 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/paperex"
 	"repro/internal/relation"
-	"repro/internal/rule"
+	"repro/internal/wal"
 )
 
 var internalKey = []byte("monitor-internal-test-key")
@@ -139,23 +139,6 @@ func TestResumeSessionValidation(t *testing.T) {
 	}{
 		{"out-of-range suggestion", func(s *Session) { s.sug = []int{arity} }},
 		{"oversized suggestion", func(s *Session) { s.sug = make([]int, arity+1) }},
-		{"out-of-range z", func(s *Session) { s.zSet = relation.NewAttrSet(arity) }},
-		{"z of too many words", func(s *Session) { s.zSet = relation.NewAttrSet(640) }},
-		{"out-of-range user set", func(s *Session) { s.userSet = relation.NewAttrSet(63) }},
-		{"round counter beyond int32", func(s *Session) { s.rounds = 1 << 40 }},
-		{"witness attribute", func(s *Session) {
-			s.witnesses = append(s.witnesses, fix.Witness{Attr: arity, Rule: ds.Sigma.Rule(0).Name()})
-		}},
-		{"witness master id beyond the snapshot", func(s *Session) {
-			s.witnesses = append(s.witnesses, fix.Witness{Rule: ds.Sigma.Rule(0).Name(), MasterID: ds.Master.Len()})
-		}},
-		{"more witnesses than attributes", func(s *Session) {
-			s.witnesses = make([]fix.Witness, arity+1)
-			for i := range s.witnesses {
-				s.witnesses[i].Rule = ds.Sigma.Rule(0).Name()
-			}
-		}},
-		{"round set out of range", func(s *Session) { s.perRound[0].AutoFixed = relation.NewAttrSet(arity + 1) }},
 	}
 	for _, h := range hostile {
 		s := base()
@@ -167,6 +150,52 @@ func TestResumeSessionValidation(t *testing.T) {
 		_, err = m.ResumeSession(tok, ResumeOptions{})
 		if !errors.Is(err, ErrBadToken) {
 			t.Errorf("%s = %v, want ErrBadToken", h.name, err)
+		}
+	}
+
+	// Resealed bodies no session mints: ds.Inputs[0] as the begin tuple,
+	// then the round count and the rounds as given.
+	epoch := base().Epoch()
+	forge := func(count uint64, rounds ...[]byte) []byte {
+		body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), 0)
+		body = binary.AppendUvarint(body, uint64(arity))
+		for _, v := range ds.Inputs[0] {
+			body, _ = wal.AppendCell(body, v)
+		}
+		body = binary.AppendUvarint(body, count)
+		for _, r := range rounds {
+			body = append(body, r...)
+		}
+		return m.auth.seal(body, 0)
+	}
+	round := func(suggested, asserted []int, differs relation.AttrSet, cells ...relation.Value) []byte {
+		b := appendSet(appendList(appendList(nil, suggested), asserted), differs)
+		for _, v := range cells {
+			b, _ = wal.AppendCell(b, v)
+		}
+		return b
+	}
+	open := round([]int{0}, nil, relation.AttrSet{})
+	for name, tok := range map[string][]byte{
+		"an open round":                      forge(0, open),
+		"a round asserting one changed cell": forge(1, round([]int{0}, []int{0, 1}, relation.NewAttrSet(1), relation.String("x")), open),
+	} {
+		if _, err := m.ResumeSession(tok, ResumeOptions{}); err != nil {
+			t.Fatalf("well-formed body with %s: %v", name, err)
+		}
+	}
+	for name, tok := range map[string][]byte{
+		"asserted position out of range":       forge(0, round(nil, []int{arity}, relation.AttrSet{})),
+		"asserted list longer than the arity":  forge(0, round(nil, make([]int, arity+1), relation.AttrSet{})),
+		"differs member beyond the arity":      forge(0, round(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x"))),
+		"differs member that was not asserted": forge(0, round(nil, []int{0}, relation.NewAttrSet(1), relation.String("x"))),
+		"differs member without its cell":      forge(0, round(nil, []int{1}, relation.NewAttrSet(1))),
+		"no open round":                        forge(0),
+		"round count beyond the bytes":         forge(1000, open),
+		"round count one short of its rounds":  forge(2, open, open),
+	} {
+		if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
+			t.Errorf("%s = %v, want ErrBadToken", name, err)
 		}
 	}
 
@@ -188,41 +217,6 @@ func TestResumeSessionValidation(t *testing.T) {
 	_, err = m.ResumeSession(tok, ResumeOptions{})
 	if !errors.Is(err, ErrBadToken) || !errors.Is(err, ErrArityMismatch) {
 		t.Fatalf("token of another schema = %v, want ErrBadToken and ErrArityMismatch", err)
-	}
-
-	// A witness naming a rule Σ lacks cannot even be minted.
-	s := base()
-	s.witnesses = append(s.witnesses, fix.Witness{Rule: "no such rule"})
-	if _, err := s.AppendToken(nil); err == nil {
-		t.Error("a witness of an unknown rule must fail AppendToken")
-	}
-}
-
-// TestResumeWitnessWithoutRules: a sealed token claiming a witness on a
-// monitor whose Σ is empty is rejected — there is no rule for the index
-// to name — rather than indexing an empty rule list.
-func TestResumeWitnessWithoutRules(t *testing.T) {
-	r := relation.StringSchema("R", "A", "B")
-	rm := relation.StringSchema("Rm", "Am", "Bm")
-	sigma := rule.MustNewSet(r, rm)
-	rel := relation.NewRelation(rm)
-	rel.MustAppend(relation.StringTuple("x", "y"))
-	m, err := New(sigma, master.MustNewForRules(rel, sigma), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.NewSession(relation.StringTuple("bad", "bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ruleIdx["ghost"] = 0 // lets the hostile session be minted at all
-	s.witnesses = []fix.Witness{{Attr: 1, Rule: "ghost"}}
-	tok, err := s.AppendToken(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("witness on an empty Σ = %v, want ErrBadToken", err)
 	}
 }
 

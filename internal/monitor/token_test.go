@@ -10,6 +10,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/paperex"
 	"repro/internal/relation"
+	"repro/internal/rule"
 )
 
 // truthT2 is the ground truth for t2: s1's address block given
@@ -204,6 +205,110 @@ func TestSessionResumeEvictedEpoch(t *testing.T) {
 	}
 	if !res.Tuple.Equal(truth) {
 		t.Fatalf("rebased fix %v != truth %v", res.Tuple, truth)
+	}
+}
+
+// witnessS2Input is Mark Smith of master tuple s2, entered with his
+// address missing, and the truth his fix must reach: (AC, phn, type)
+// point at s2 alone.
+func witnessS2Input() (input, truth relation.Tuple) {
+	truth = relation.StringTuple(
+		"Mark", "Smith", "020", "6884563", "1",
+		"20 Baker St.", "Lnd", "NW1 6XE", "CD")
+	input = truth.Clone()
+	input[5], input[6], input[7] = relation.Null, relation.Null, relation.Null
+	return input, truth
+}
+
+// checkProvenance fails unless every auto-fixed attribute of res has one
+// witness whose master tuple matches its rule's premise on res.Tuple and
+// supplies the fixed value — what certainfix.VerifyFix checks short of
+// the Merkle proof.
+func checkProvenance(t *testing.T, res monitor.Result) {
+	t.Helper()
+	if len(res.Provenance) != res.AutoFixed.Len() {
+		t.Fatalf("%d witnesses for %d auto-fixed attributes", len(res.Provenance), res.AutoFixed.Len())
+	}
+	for _, w := range res.Provenance {
+		var ru *rule.Rule
+		for _, r := range paperex.Sigma0().Rules() {
+			if r.Name() == w.Rule {
+				ru = r
+			}
+		}
+		if ru == nil || ru.RHS() != w.Attr || !res.AutoFixed.Has(w.Attr) {
+			t.Fatalf("witness %+v names no rule fixing an auto-fixed attribute", w)
+		}
+		x, xm := ru.LHSRef(), ru.LHSMRef()
+		for i := range x {
+			if !res.Tuple[x[i]].Equal(w.Master[xm[i]]) {
+				t.Fatalf("attribute %d: premise attribute %d does not match master tuple %d %v", w.Attr, x[i], w.MasterID, w.Master)
+			}
+		}
+		if !res.Tuple[w.Attr].Equal(w.Master[ru.RHSM()]) {
+			t.Fatalf("attribute %d: fixed value is not master tuple %d's", w.Attr, w.MasterID)
+		}
+	}
+}
+
+// TestRebaseRederivesProvenance: a session whose first round took every
+// fix from one master tuple — the only one supporting them — is suspended;
+// a delete then removes a master tuple (a swap-remove: the last tuple
+// takes the deleted id) and evicts the epoch. Resumed with RebaseToHead,
+// the session's provenance must be the head's: every witness justifies
+// its fix. Deleting s1 itself leaves its id naming s2, whose premise does
+// not match; deleting s1 under a fix from s2 leaves a witness id beyond
+// the head's one tuple, which must still resume.
+func TestRebaseRederivesProvenance(t *testing.T) {
+	t2Input, t2Truth := paperex.InputT2(), truthT2()
+	s2Input, s2Truth := witnessS2Input()
+	cases := []struct {
+		name         string
+		input, truth relation.Tuple
+		witness      int // the master id round 1 fixes from
+	}{
+		{"witness id now names another tuple", t2Input, t2Truth, 0},
+		{"witness id beyond the head", s2Input, s2Truth, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, ver := newVersionedMonitor(t, monitor.Config{})
+			ver.SetHistory(1)
+			sess, err := m.NewSession(c.input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			provideTruth(t, sess, c.truth)
+			before := sess.Result()
+			if len(before.Provenance) == 0 {
+				t.Fatal("round 1 fixed nothing: no provenance to rebase")
+			}
+			for _, w := range before.Provenance {
+				if w.MasterID != c.witness {
+					t.Fatalf("round 1 witness %+v, fixture wants master id %d only", w, c.witness)
+				}
+			}
+			token := suspend(t, sess)
+
+			if _, err := ver.Apply(nil, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+			if _, s2 := paperex.MasterTuples(); ver.Current().Len() != 1 || !ver.Current().Tuple(0).Equal(s2) {
+				t.Fatalf("after deleting s1 the head must be {s2} at id 0")
+			}
+			if _, err := m.ResumeSession(token, monitor.ResumeOptions{}); !errors.Is(err, master.ErrEpochEvicted) {
+				t.Fatalf("resume after eviction = %v, want ErrEpochEvicted", err)
+			}
+			resumed, err := m.ResumeSession(token, monitor.ResumeOptions{RebaseToHead: true})
+			if err != nil {
+				t.Fatalf("rebase-to-head resume of a legitimate token: %v", err)
+			}
+			res := finish(t, resumed, c.truth)
+			if !res.Completed || !res.Tuple.Equal(c.truth) || res.Epoch != ver.Epoch() {
+				t.Fatalf("rebased fix %v (completed %v, epoch %d), truth %v at head %d", res.Tuple, res.Completed, res.Epoch, c.truth, ver.Epoch())
+			}
+			checkProvenance(t, res)
+		})
 	}
 }
 

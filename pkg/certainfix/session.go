@@ -59,12 +59,13 @@ func (f resumeOptionFunc) applyResume(o *monitor.ResumeOptions) { f(o) }
 
 // RebaseToHead lets Resume re-pin the currently published master
 // snapshot when the token's original epoch has been evicted from the
-// snapshot ring. The resumed rounds then run against newer master data:
-// every remaining suggestion and cascade is computed against the head,
-// so the fix stays certain with respect to it, but the session loses the
-// single-epoch guarantee and may interact differently than the
-// uninterrupted run would have. It applies to evicted epochs only: a
-// token from an epoch this System has not reached yet still fails with
+// snapshot ring. Resume then replays the token's answers on the head:
+// every cascade and witness is derived from the head's master data, so
+// the fix stays certain, and verifies (VerifyFix), under the head's root.
+// The session loses the single-epoch guarantee and may interact
+// differently than the uninterrupted run would have (Fixed covers the
+// cells the head changed). It applies to evicted epochs only: a token
+// from an epoch this System has not reached yet still fails with
 // ErrEpochAhead, because a rebase never lowers a session's epoch.
 func RebaseToHead() ResumeOption {
 	return resumeOptionFunc(func(o *monitor.ResumeOptions) { o.RebaseToHead = true })
@@ -137,7 +138,8 @@ func (fs *FixSession) Validated() AttrSet { return fs.sess.Validated() }
 // before the first): the tuple before that round, plus the values the
 // users provided in it, plus Tuple's cells at Fixed, is Tuple. It reads
 // the session's round history only — no master tuples, no proofs — so it
-// is what a reply that ships changes instead of the tuple sends.
+// is what a reply that ships changes instead of the tuple sends. After a
+// RebaseToHead it is every attribute the users did not assert.
 func (fs *FixSession) Fixed() AttrSet { return fs.sess.Fixed() }
 
 // Epoch returns the pinned master epoch — the epoch Resume will try to
@@ -154,11 +156,11 @@ func (fs *FixSession) Result() Result { return fs.sess.Result() }
 
 // MarshalBinary implements encoding.BinaryMarshaler: the session token
 // for Resume, here or in another process holding the same token key. It
-// is opaque — a compact binary image of the session (working tuple,
-// validated sets, pending suggestion, per-round history as deltas,
-// witnesses as ids, the pinned epoch) ending in an HMAC-SHA256 tag — and
-// a snapshot: later rounds do not change a token already taken. What a
-// session holds is read through Result, not out of the token.
+// is opaque — the session's inputs (begin tuple, each round's suggestion
+// and answers, the pinned epoch), from which Resume replays the rest,
+// ending in an HMAC-SHA256 tag — and a snapshot: later rounds do not
+// change a token already taken. What a session holds is read through
+// Result, not out of the token.
 func (fs *FixSession) MarshalBinary() ([]byte, error) {
 	// Room for a typical token, so appending rarely regrows it.
 	return fs.sess.AppendToken(make([]byte, 0, 512))

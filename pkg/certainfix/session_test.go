@@ -209,6 +209,62 @@ func TestResumeEvictionAndRebase(t *testing.T) {
 	}
 }
 
+// TestRebaseVerifiesUnderHead: under WithAuth, a session whose first
+// round took every fix from one master tuple — the only one supporting
+// them — is suspended, s1 is deleted (a swap-remove moves s2 into id 0)
+// and the epoch evicted. Resumed with RebaseToHead, the fix must verify
+// against the head's root, whether round 1 fixed from s1 (its id now
+// names s2) or from s2 (its id is now beyond the head's one tuple).
+func TestRebaseVerifiesUnderHead(t *testing.T) {
+	s2Truth := certainfix.StringTuple(
+		"Mark", "Smith", "020", "6884563", "1",
+		"20 Baker St.", "Lnd", "NW1 6XE", "CD")
+	s2Input := s2Truth.Clone()
+	s2Input[5], s2Input[6], s2Input[7] = certainfix.Null, certainfix.Null, certainfix.Null
+	cases := []struct {
+		name         string
+		input, truth certainfix.Tuple
+		witness      int // the master id round 1 fixes from
+	}{
+		{"witness id now names another tuple", paperex.InputT2(), truthT2(), 0},
+		{"witness id beyond the head", s2Input, s2Truth, 1},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys := paperSystem(t, certainfix.WithAuth(), certainfix.WithMasterHistory(1))
+			sess, err := sys.Begin(ctx, c.input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			provideRound(t, sess, c.truth)
+			prov := sess.Result().Provenance
+			if len(prov) == 0 || prov[0].MasterID != c.witness {
+				t.Fatalf("round 1 provenance %+v, fixture wants master id %d", prov, c.witness)
+			}
+			token, err := sess.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.UpdateMaster(nil, []int{0}); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := sys.Resume(ctx, token, certainfix.RebaseToHead())
+			if err != nil {
+				t.Fatalf("rebase of a legitimate token: %v", err)
+			}
+			res := driveToEnd(t, resumed, c.truth)
+			root, _ := sys.MasterRoot()
+			if !res.Completed || !res.Tuple.Equal(c.truth) || res.Root != root {
+				t.Fatalf("rebased fix %v (completed %v, root %s), truth %v under head root %s", res.Tuple, res.Completed, res.Root, c.truth, root)
+			}
+			if err := certainfix.VerifyFix(paperex.Sigma0(), &res, root); err != nil {
+				t.Fatalf("rebased fix under the head's root: %v", err)
+			}
+		})
+	}
+}
+
 // TestResumeBadToken: garbage, tokens of the retired JSON format, and a
 // genuine token with one byte changed or cut off all fail with
 // ErrBadToken.

@@ -126,13 +126,13 @@ func (g generated) finalTokens(tb testing.TB) [][]byte {
 }
 
 // TestTokenSizeBudget pins what the binary token bought on HOSP sessions
-// (arity 19, ~2.3 rounds): the final token — the largest a session mints,
-// with every round's history in it — and the allocations of one resume +
+// (arity 19, ~2 rounds): the final token — the largest a session mints,
+// with every round's inputs in it — and the allocations of one resume +
 // marshal round trip. The JSON token it replaced averaged ~1,500 bytes
-// (max ~1,950) and some 150 allocations per round trip. The bounds
-// leave a quarter of headroom over what this format measures (mean 360 B,
-// max 426 B, 23 allocs): a regression past them is a format change, not
-// noise.
+// (max ~1,950); the image of the session's derived state that followed
+// it, 362 B (max 433 B). The bounds leave a quarter of headroom over what
+// the inputs-only format measures (mean 325 B, max 434 B, 130 allocs): a
+// regression past them is a format change, not noise.
 func TestTokenSizeBudget(t *testing.T) {
 	g := generate(t, "hosp", 200)
 	tokens := g.finalTokens(t)
@@ -145,10 +145,11 @@ func TestTokenSizeBudget(t *testing.T) {
 	}
 	mean := float64(total) / float64(len(tokens))
 	t.Logf("final token: mean %.0f B, max %d B over %d sessions", mean, len(longest), len(tokens))
-	if mean > 450 || len(longest) > 540 {
-		t.Errorf("final token: mean %.0f B (budget 450), max %d B (budget 540)", mean, len(longest))
+	if mean > 406 || len(longest) > 542 {
+		t.Errorf("final token: mean %.0f B (budget 406), max %d B (budget 542)", mean, len(longest))
 	}
 
+	// Resume is a replay: most of these are the recorded rounds' consistency checks and cascades.
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
 		sess, err := g.a.Resume(ctx, longest)
@@ -160,8 +161,8 @@ func TestTokenSizeBudget(t *testing.T) {
 		}
 	})
 	t.Logf("resume + marshal of the longest token: %.0f allocs", allocs)
-	if allocs > 30 {
-		t.Errorf("resume + marshal: %.0f allocs, budget 30", allocs)
+	if allocs > 163 {
+		t.Errorf("resume + marshal: %.0f allocs, budget 163", allocs)
 	}
 }
 

@@ -286,9 +286,9 @@ func TestProvenanceSurvivesSessionToken(t *testing.T) {
 		t.Fatalf("decoded result's provenance rejected: %v", err)
 	}
 
-	// A client cannot edit what the token asserts — a witness id, say:
-	// any changed byte fails the tag before a proof is ever materialized.
-	// (That the decoder behind the tag also range-checks witness ids is
+	// A client cannot edit what the token asserts — an answer, say: any
+	// changed byte fails the tag before a round is ever replayed. (That
+	// the decoder behind the tag also range-checks every position is
 	// internal/monitor's TestResumeSessionValidation.)
 	if token, err = sess.MarshalBinary(); err != nil {
 		t.Fatal(err)
