@@ -133,7 +133,6 @@ func main() {
 		rulesPath  = flag.String("rules", "", "rules file (schema headers + rule DSL)")
 		masterPath = flag.String("master", "", "master relation CSV")
 		addr       = flag.String("addr", ":8080", "listen address")
-		useCache   = flag.Bool("suggestion-cache", false, "enable the CertainFix+ suggestion cache")
 		maxRounds  = flag.Int("max-rounds", 0, "cap interaction rounds per session (0 = arity + 1)")
 		history    = flag.Int("history", 0, "master snapshot ring size for session resume (0 = default)")
 		shards     = flag.Int("shards", 0, "master index shards, built in parallel (0 = one per CPU)")
@@ -164,7 +163,6 @@ func main() {
 		rulesPath:       *rulesPath,
 		masterPath:      *masterPath,
 		snapshot:        *snapshot,
-		useCache:        *useCache,
 		maxRounds:       *maxRounds,
 		history:         *history,
 		shards:          *shards,
@@ -251,7 +249,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // serverConfig carries the flag values into buildSystem.
 type serverConfig struct {
 	rulesPath, masterPath, snapshot string
-	useCache                        bool
 	maxRounds, history, shards      int
 	walDir                          string
 	fsync                           certainfix.FsyncPolicy
@@ -272,9 +269,6 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 		return nil, err
 	}
 	opts := []certainfix.Option{certainfix.WithShards(cfg.shards)}
-	if cfg.useCache {
-		opts = append(opts, certainfix.WithSuggestionCache())
-	}
 	if cfg.maxRounds > 0 {
 		opts = append(opts, certainfix.WithMaxRounds(cfg.maxRounds))
 	}

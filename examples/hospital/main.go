@@ -24,8 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation(),
-		certainfix.WithSuggestionCache()) // CertainFix+: reuse suggestions across the stream
+	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,30 +96,26 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	ids := buf.take(len(x))
 	if zSet.HasAll(x) {
 		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
-		// candidate checked against the pattern bitmap.
+		// candidate checked against the pattern bitmap. A rule has a plan
+		// exactly when it has an index (both are registered together); one
+		// outside the map falls back to matching and testing its pattern.
 		if plan != nil {
-			if idx, ok := d.plans[ru]; ok {
-				h, ok := d.hasher.ProbeTuple(t, x, ids)
-				if !ok {
-					return false, false
-				}
-				bucket := idx.shard(h).list(h)
-				for _, chunk := range bucket.chunks() {
-					for _, id := range chunk {
-						if plan.has(id) && d.matches(id, xm, ids) {
-							return true, false
-						}
-					}
-				}
+			h, ok := d.hasher.ProbeTuple(t, x, ids)
+			if !ok {
 				return false, false
 			}
+			bucket := d.plans[ru].shard(h).list(h)
+			for _, chunk := range bucket.chunks() {
+				for _, id := range chunk {
+					if plan.has(id) && d.matches(id, xm, ids) {
+						return true, false
+					}
+				}
+			}
+			return false, false
 		}
 		for _, id := range d.MatchIDs(ru, t) {
-			if plan != nil {
-				if plan.has(id) {
-					return true, false
-				}
-			} else if patternCompatible(ru, d.rows.At(id), d.syms) {
+			if patternCompatible(ru, d.rows.At(id), d.syms) {
 				return true, false
 			}
 		}

@@ -22,10 +22,10 @@ import (
 //
 // With the default configuration the output is byte-identical to calling
 // Fix sequentially over the same inputs: tuples are independent and every
-// stage is deterministic. With the BDD cache enabled (CertainFix+) the
-// final tuples are still correct certain fixes, but cached suggestions
-// depend on the order sessions populate the cache, so round counts and
-// per-round snapshots may differ from a sequential run.
+// stage is deterministic. Under Config.UseBDD (CertainFix+) the final
+// tuples are still correct certain fixes, but cached suggestions depend
+// on the order fixes populate the cache, so round counts and per-round
+// snapshots may differ from a sequential run.
 func (m *Monitor) FixBatch(ctx context.Context, inputs []relation.Tuple, userFor func(i int) User, workers int) ([]Result, error) {
 	return parallel.MapCtx(ctx, len(inputs), workers, func(i int) (Result, error) {
 		return m.Fix(ctx, inputs[i], userFor(i))

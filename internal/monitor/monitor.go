@@ -5,6 +5,11 @@
 // answers suggestions with asserted-correct attribute values) with
 // TransFix cascades, until every attribute is validated — by the users or
 // by editing rules and master data.
+//
+// CertainFix+ is an algorithm of the callback driver only: Fix, FixBatch
+// and FixStream reuse suggestions across the stream of tuples they fix
+// when Config.UseBDD is set. A Session — begun, provided, suspended as a
+// token and resumed — always runs CertainFix.
 package monitor
 
 import (
@@ -101,7 +106,8 @@ type Config struct {
 	// first suggestion: 0 = highest quality (CRHQ), the Exp-1(2) CRMQ
 	// variant passes the median index.
 	InitialRegion int
-	// UseBDD enables the Suggest+ cache (CertainFix+ of §5.2).
+	// UseBDD enables the Suggest+ cache (CertainFix+ of §5.2) for the
+	// callback driver: Fix, FixBatch and FixStream. Sessions never use it.
 	UseBDD bool
 	// MaxRounds caps interaction rounds (0 = arity + 1).
 	MaxRounds int
@@ -113,7 +119,10 @@ type Config struct {
 }
 
 // Monitor fixes input tuples for a fixed (Σ, Dm). Safe for concurrent use
-// by multiple goroutines (the BDD cache is internally locked).
+// by multiple goroutines (the BDD cache is internally locked). Its
+// sessions are CertainFix whatever the configuration: only the callback
+// driver (Fix and the batch pipeline over it) walks the BDD cache, so a
+// resumed session is identical to the uninterrupted one on any monitor.
 type Monitor struct {
 	deriver *suggest.Deriver
 	graph   *rule.DepGraph
@@ -249,26 +258,34 @@ func (m *Monitor) Fix(ctx context.Context, input relation.Tuple, user User) (Res
 }
 
 // driveSession runs the callback interaction loop over a session — the
-// wrapper that makes the callback API a client of the session API.
+// wrapper that makes the callback API a client of the session API. It
+// owns CertainFix+'s BDD cursor, the tuple's position in the monitor's
+// shared suggestion cache: the cursor lives exactly as long as this loop,
+// so a session driven through Provide, suspended or resumed never reads
+// the cache, and is CertainFix on every monitor.
 func driveSession(ctx context.Context, sess *Session, user User) (Result, error) {
+	var cursor *bdd.Cursor
+	if sess.m.cache != nil {
+		cursor = sess.m.cache.Cursor()
+	}
 	for !sess.Done() {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 		attrs, values := user.Assert(sess.t, sess.Suggested())
-		if err := sess.Provide(attrs, values); err != nil {
+		if err := sess.provide(attrs, values, cursor); err != nil {
 			return Result{}, err
 		}
 	}
 	return sess.Result(), nil
 }
 
-// nextSuggestion runs Suggest, or Suggest+ when the BDD cache is enabled,
-// against the session's pinned deriver view d. The cache holds structural
-// suggestions only — what Suggest yields from t[Z] alone — because its
-// reuse test never looks at the tuple; what t's current values say about
-// the rules is applied to whatever comes out, cached or computed, so one
-// tuple's hints are never replayed to the next.
+// nextSuggestion runs Suggest, or Suggest+ when driveSession hands it a
+// BDD cursor, against the session's pinned deriver view d. The cache
+// holds structural suggestions only — what Suggest yields from t[Z] alone
+// — because its reuse test never looks at the tuple; what t's current
+// values say about the rules is applied to whatever comes out, cached or
+// computed, so one tuple's hints are never replayed to the next.
 func (m *Monitor) nextSuggestion(d *suggest.Deriver, t relation.Tuple, zSet relation.AttrSet, cursor *bdd.Cursor) []int {
 	if cursor == nil {
 		return d.Suggest(t, zSet).S

@@ -48,7 +48,6 @@ type Session struct {
 	userSet    relation.AttrSet
 	autoSet    relation.AttrSet
 	sug        []int
-	cursor     *bdd.Cursor
 	noProgress int
 	maxRounds  int
 	done       bool
@@ -69,18 +68,14 @@ func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
 	if len(input) != r.Arity() {
 		return nil, fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
 	}
-	s := &Session{
+	return &Session{
 		m:         m,
 		d:         m.deriver.Pin(),
 		begin:     input.Clone(),
 		t:         input.Clone(),
 		sug:       m.first,
 		maxRounds: m.maxRounds(),
-	}
-	if m.cache != nil {
-		s.cursor = m.cache.Cursor()
-	}
-	return s, nil
+	}, nil
 }
 
 // Suggested returns the attribute positions the users should assert this
@@ -158,6 +153,13 @@ func (s *Session) Fixed() relation.AttrSet {
 // assertions, checks consistency, cascades certain fixes (TransFix) and
 // prepares the next suggestion.
 func (s *Session) Provide(attrs []int, values []relation.Value) error {
+	return s.provide(attrs, values, nil)
+}
+
+// provide is Provide with the next suggestion drawn through cursor, the
+// tuple's position in the monitor's Suggest+ cache that driveSession
+// carries across one fix's rounds; nil runs plain Suggest.
+func (s *Session) provide(attrs []int, values []relation.Value, cursor *bdd.Cursor) error {
 	if s.done {
 		return ErrSessionDone
 	}
@@ -195,7 +197,7 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 		// Copy before merging: the cached Suggest+ path returns a slice
 		// shared with the BDD cache, which concurrent sessions read —
 		// appending in place would race on its backing array.
-		sug := s.m.nextSuggestion(s.d, s.t, s.zSet, s.cursor)
+		sug := s.m.nextSuggestion(s.d, s.t, s.zSet, cursor)
 		s.sug = appendMissing(appendMissing(make([]int, 0, len(sug)+len(conflicted)), sug), conflicted)
 	}
 	if len(s.sug) == 0 {
@@ -209,13 +211,18 @@ func (s *Session) Provide(attrs []int, values []relation.Value) error {
 }
 
 // apply runs one round on the users' assertions (positions already
-// range-checked): assert them, check that t[Z] leads to a unique fix,
-// cascade TransFix, and record the round under the pending suggestion. It
-// returns the attributes whose applicable rules disagree — routed back to
-// the users rather than guessed. Provide follows it with the next
-// suggestion; ResumeSession replays a token's rounds with it alone.
+// range-checked): write their values and add their positions to Z and to
+// the user set, check that t[Z] leads to a unique fix, cascade TransFix,
+// and record the round under the pending suggestion. It returns the
+// attributes whose applicable rules disagree — routed back to the users
+// rather than guessed. Provide follows it with the next suggestion;
+// ResumeSession replays a token's rounds with it alone.
 func (s *Session) apply(attrs []int, values []relation.Value) ([]int, error) {
-	s.assert(attrs, values)
+	for i, p := range attrs {
+		s.t[p] = values[i]
+		s.zSet.Add(p)
+		s.userSet.Add(p)
+	}
 	var conflicted []int
 	if z := s.zSet.Positions(); s.d.ConsistentRow(z, s.t.Project(z)) {
 		fixed, err := fix.TransFixTrace(s.m.graph, s.d.Master(), s.t, &s.zSet, &s.witnesses)
@@ -242,16 +249,6 @@ func (s *Session) apply(attrs []int, values []relation.Value) ([]int, error) {
 		Tuple:         s.t.Clone(),
 	})
 	return conflicted, nil
-}
-
-// assert writes the users' values and adds their positions to Z and to
-// the user set.
-func (s *Session) assert(attrs []int, values []relation.Value) {
-	for i, p := range attrs {
-		s.t[p] = values[i]
-		s.zSet.Add(p)
-		s.userSet.Add(p)
-	}
 }
 
 // appendMissing appends the members of add that list lacks, in order.

@@ -19,7 +19,8 @@ package monitor
 //	        uvarint epoch            the pinned master snapshot
 //	        u8 flags                 bit 0: done
 //	        uvarint arity, arity × cell                  t's begin values
-//	        uvarint r, (r + 1) × round                   oldest first
+//	        uvarint r, r × round                         oldest first
+//	        list pending             the suggestion the users are asked next
 //	round = list suggested
 //	        list asserted            the positions the users asserted
 //	        set differs, one cell per member             the asserted cells
@@ -31,18 +32,18 @@ package monitor
 //
 // A round's assertions are read off the history the session keeps for
 // Result.PerRound: the positions the round added to the user set, and
-// those whose cell it changed (the users asserted another value). The
-// last round is the open one: its suggestion is the pending one, and its
-// assertions — empty unless the user set holds a position no round
-// asserted — are applied on resume without running a round.
+// those whose cell it changed (the users asserted another value). Only
+// Provide asserts, and every Provide that asserts records a round, so the
+// open round is nothing but its pending suggestion.
 //
 //   - Resume is a replay. The working tuple, the validated / user / auto
 //     sets, the counters, the witnesses and Result.PerRound are derived by
 //     running each recorded round again through Session.apply, the code
 //     Provide runs. At the token's own epoch that reproduces the session
-//     byte for byte. Replay never calls Suggest — each suggestion is read
-//     from the token — so neither the BDD cursor nor Suggest+ can make it
-//     diverge.
+//     byte for byte. Replay never calls Suggest: each suggestion is read
+//     from the token. A session never walks the Suggest+ cache (that is
+//     Monitor.Fix's driver), so there is nothing else a token would have to
+//     carry for a resumed session to equal the uninterrupted one.
 //   - The round cap is NOT captured: it is the resuming monitor's
 //     configuration, so no token can grant itself more rounds than the
 //     operator allows. A session that has used that cap resumes done.
@@ -58,12 +59,6 @@ package monitor
 //     lineage has not reached yet (a leader's token on a lagging follower)
 //     fails with master.ErrEpochAhead either way: retry, never rebase
 //     backwards.
-//   - The BDD cursor (CertainFix+) is NOT captured: it is a position in
-//     one process's suggestion cache. Resume cold-restarts it at the cache
-//     root. This is safe — cached suggestions are revalidated before use
-//     and TransFix re-checks everything — but a resumed CertainFix+ session
-//     may spend different rounds than the uninterrupted run, exactly like
-//     the batch determinism caveat.
 //
 // Trust: the token asserts which attributes the users validated, and to
 // what; certainty rests on that, so it is authenticated. The tag is
@@ -93,8 +88,8 @@ const (
 	// tokenVersion is the one token format ResumeSession accepts. Tokens
 	// live for minutes, so a format change replaces it rather than adding
 	// a second decoder. (1 was the JSON token, 2 the image of the
-	// session's derived state.)
-	tokenVersion = 3
+	// session's derived state, 3 gave the open round assertions.)
+	tokenVersion = 4
 	tokenTagSize = sha256.Size
 	flagDone     = 1 << 0
 )
@@ -181,17 +176,13 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.perRound)))
 	prev := RoundStat{Tuple: s.begin}
-	for i := 0; i <= len(s.perRound); i++ {
-		r := RoundStat{Suggested: s.sug, UserValidated: s.userSet, Tuple: s.t} // the open round
-		if i < len(s.perRound) {
-			r = s.perRound[i]
-		}
+	for _, r := range s.perRound {
 		if buf, err = s.appendRound(buf, r, prev); err != nil {
 			return nil, fmt.Errorf("monitor: session token: %w", err)
 		}
 		prev = r
 	}
-	return s.m.auth.seal(buf, start), nil
+	return s.m.auth.seal(appendList(buf, s.sug), start), nil
 }
 
 // appendRound appends round r, which followed prev (the begin state
@@ -376,12 +367,13 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		}
 	}
 	// Rounds are appended as they decode, so a hostile count costs only
-	// the bytes that back it; the last one decoded is the open round.
+	// the bytes that back it.
 	n := d.Length("round count")
-	rounds := make([]tokenRound, 0, min(n+1, 8))
-	for i := 0; i <= n && d.Err() == nil; i++ {
+	rounds := make([]tokenRound, 0, min(n, 8))
+	for i := 0; i < n && d.Err() == nil; i++ {
 		rounds = append(rounds, d.round(begin))
 	}
+	pending := d.list("pending suggestion")
 	if err := d.Finish("session token"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
@@ -399,24 +391,19 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 	}
 	s := &Session{m: m, d: pinned, begin: begin, t: begin.Clone(), maxRounds: m.maxRounds(), rebased: rebased}
 	var conflicted []int
-	for _, rd := range rounds[:n] {
+	for _, rd := range rounds {
 		s.sug = rd.suggested
 		if conflicted, err = s.apply(rd.attrs, rd.values); err != nil {
 			return nil, err
 		}
 	}
-	open := rounds[n]
-	s.assert(open.attrs, open.values)
-	s.sug = open.suggested
+	s.sug = pending
 	s.done = flags&flagDone != 0 || len(s.perRound) >= s.maxRounds
 	if !s.done {
 		// A conflict the last replayed round met is the users' to settle.
 		// At the token's own epoch the pending suggestion already holds
 		// it; on a rebase it may be new.
 		s.sug = appendMissing(s.sug, conflicted)
-		if m.cache != nil {
-			s.cursor = m.cache.Cursor() // cold restart; see the file comment
-		}
 	}
 	return s, nil
 }

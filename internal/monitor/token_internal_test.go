@@ -154,17 +154,18 @@ func TestResumeSessionValidation(t *testing.T) {
 	}
 
 	// Resealed bodies no session mints: ds.Inputs[0] as the begin tuple,
-	// then the round count and the rounds as given.
+	// then the round count and the parts as given — closed rounds, then the
+	// pending suggestion.
 	epoch := base().Epoch()
-	forge := func(count uint64, rounds ...[]byte) []byte {
+	forge := func(count uint64, parts ...[]byte) []byte {
 		body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), 0)
 		body = binary.AppendUvarint(body, uint64(arity))
 		for _, v := range ds.Inputs[0] {
 			body, _ = wal.AppendCell(body, v)
 		}
 		body = binary.AppendUvarint(body, count)
-		for _, r := range rounds {
-			body = append(body, r...)
+		for _, p := range parts {
+			body = append(body, p...)
 		}
 		return m.auth.seal(body, 0)
 	}
@@ -175,24 +176,27 @@ func TestResumeSessionValidation(t *testing.T) {
 		}
 		return b
 	}
-	open := round([]int{0}, nil, relation.AttrSet{})
+	pending := appendList(nil, []int{0})
+	closed := round([]int{0}, []int{0}, relation.AttrSet{})
 	for name, tok := range map[string][]byte{
-		"an open round":                      forge(0, open),
-		"a round asserting one changed cell": forge(1, round([]int{0}, []int{0, 1}, relation.NewAttrSet(1), relation.String("x")), open),
+		"a pending suggestion only":          forge(0, pending),
+		"a round asserting one changed cell": forge(1, round([]int{0}, []int{0, 1}, relation.NewAttrSet(1), relation.String("x")), pending),
 	} {
 		if _, err := m.ResumeSession(tok, ResumeOptions{}); err != nil {
 			t.Fatalf("well-formed body with %s: %v", name, err)
 		}
 	}
 	for name, tok := range map[string][]byte{
-		"asserted position out of range":       forge(0, round(nil, []int{arity}, relation.AttrSet{})),
-		"asserted list longer than the arity":  forge(0, round(nil, make([]int, arity+1), relation.AttrSet{})),
-		"differs member beyond the arity":      forge(0, round(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x"))),
-		"differs member that was not asserted": forge(0, round(nil, []int{0}, relation.NewAttrSet(1), relation.String("x"))),
-		"differs member without its cell":      forge(0, round(nil, []int{1}, relation.NewAttrSet(1))),
-		"no open round":                        forge(0),
-		"round count beyond the bytes":         forge(1000, open),
-		"round count one short of its rounds":  forge(2, open, open),
+		"asserted position out of range":       forge(1, round(nil, []int{arity}, relation.AttrSet{}), pending),
+		"asserted list longer than the arity":  forge(1, round(nil, make([]int, arity+1), relation.AttrSet{}), pending),
+		"differs member beyond the arity":      forge(1, round(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x")), pending),
+		"differs member that was not asserted": forge(1, round(nil, []int{0}, relation.NewAttrSet(1), relation.String("x")), pending),
+		"differs member without its cell":      forge(1, round(nil, []int{1}, relation.NewAttrSet(1))),
+		"pending position out of range":        forge(0, appendList(nil, []int{arity})),
+		"no pending suggestion":                forge(0),
+		"round count beyond the bytes":         forge(1000, pending),
+		"round count one short of its rounds":  forge(0, closed, pending),
+		"round count one past its rounds":      forge(2, closed, pending),
 	} {
 		if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
 			t.Errorf("%s = %v, want ErrBadToken", name, err)
@@ -223,7 +227,7 @@ func TestResumeSessionValidation(t *testing.T) {
 // TestTokenTamper: nothing but the exact bytes a monitor holding the key
 // sealed resumes. Every single-byte change, every truncation, a tag moved
 // between two valid tokens, a token sealed under another key, and a
-// token whose validated set Z gained one attribute all fail with
+// token whose first round asserted one attribute more all fail with
 // ErrBadToken — on the rebase path too, before any snapshot is pinned.
 func TestTokenTamper(t *testing.T) {
 	m, ds, _ := hospMonitor(t, internalKey)
@@ -264,28 +268,41 @@ func TestTokenTamper(t *testing.T) {
 		t.Fatalf("token on a monitor with a private key = %v, want ErrBadToken", err)
 	}
 
-	// The forgery the tag exists to stop: claim one more validated
-	// attribute. The body is well-formed — this monitor would resume it
-	// had it sealed it — but the client cannot produce its tag.
-	s, err := m.ResumeSession(tokens[0], ResumeOptions{})
+	// The forgery the tag exists to stop: claim the users validated one
+	// more attribute in a closed round. The body is well-formed — this
+	// monitor would resume it had it sealed it — but the client cannot
+	// produce its tag.
+	genuine := tokens[1] // ds.Inputs[0] after its first round
+	s, err := m.ResumeSession(genuine, ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.zSet.Len() != 0 {
-		t.Fatal("a begin token validates nothing")
+	if s.Rounds() != 1 {
+		t.Fatalf("the forged token needs one closed round, has %d", s.Rounds())
 	}
-	s.zSet.Add(0)
-	s.userSet.Add(0)
+	claimed := -1
+	for p := range s.t {
+		if !s.perRound[0].UserValidated.Has(p) {
+			claimed = p
+			break
+		}
+	}
+	if claimed < 0 {
+		t.Fatal("the first round asserted every attribute: nothing left to claim")
+	}
+	s.perRound[0].UserValidated.Add(claimed)
 	wellFormed, err := s.AppendToken(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bytes.Equal(wellFormed, genuine) {
+		t.Fatal("the claimed attribute must change the body")
+	}
 	if _, err := m.ResumeSession(wellFormed, ResumeOptions{}); err != nil {
 		t.Fatalf("the forged body must be well-formed for the test to mean anything: %v", err)
 	}
-	genuine := tokens[0]
 	forged := append(append([]byte(nil), wellFormed[:len(wellFormed)-tokenTagSize]...), genuine[len(genuine)-tokenTagSize:]...)
-	reject("one bit added to Z under the genuine tag", forged)
+	reject("one more asserted attribute under the genuine tag", forged)
 	forgedByStranger, err := func() ([]byte, error) {
 		s.m = stranger
 		defer func() { s.m = m }()
@@ -294,7 +311,7 @@ func TestTokenTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject("one bit added to Z, sealed under the forger's own key", forgedByStranger)
+	reject("one more asserted attribute, sealed under the forger's own key", forgedByStranger)
 }
 
 // TestTokenRoundTripIdentity: resuming a token and marshalling the session

@@ -504,3 +504,75 @@ func TestResumeMissingCapUsesMonitorConfig(t *testing.T) {
 		t.Fatalf("configured cap must apply: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
 	}
 }
+
+// TestSessionsAreCertainFixOnCertainFixPlus: CertainFix+ belongs to the
+// callback driver, never to a session. On a UseBDD monitor, sessions begun
+// with NewSession and driven by Provide — uninterrupted, or suspended and
+// resumed from their own token before every round — never touch the BDD
+// cache, and each asks the same suggestion every round, takes the same
+// rounds and ends on the same Result as the session on a plain monitor.
+func TestSessionsAreCertainFixOnCertainFixPlus(t *testing.T) {
+	ds := hospDataset(t, 40)
+	plus, err := monitor.New(ds.Sigma, ds.Master, monitor.Config{UseBDD: true, TokenKey: sharedKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := monitor.New(ds.Sigma, ds.Master, monitor.Config{TokenKey: sharedKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type trace struct {
+		suggested [][]int
+		res       monitor.Result
+	}
+	// drive answers every suggestion from truth; with resume set, the
+	// session is rebuilt from its token at every round boundary.
+	drive := func(m *monitor.Monitor, input, truth relation.Tuple, resume bool) trace {
+		sess, err := m.NewSession(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr trace
+		for {
+			if resume {
+				if sess, err = m.ResumeSession(suspend(t, sess), monitor.ResumeOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sess.Done() {
+				break
+			}
+			tr.suggested = append(tr.suggested, sess.Suggested())
+			provideTruth(t, sess, truth)
+		}
+		tr.res = sess.Result()
+		return tr
+	}
+	multiRound := 0
+	for i, input := range ds.Inputs {
+		want := drive(plain, input, ds.Truths[i], false)
+		if want.res.Rounds > 1 {
+			multiRound++
+		}
+		for _, resume := range []bool{false, true} {
+			if got := drive(plus, input, ds.Truths[i], resume); !reflect.DeepEqual(got, want) {
+				t.Fatalf("input %d (resumed every round: %v): the CertainFix+ monitor's session differs from the plain one's:\n got  %+v\n want %+v", i, resume, got, want)
+			}
+		}
+	}
+	if multiRound == 0 {
+		t.Fatal("no input took more than one round: nothing for the cache to diverge on")
+	}
+	if hits, misses := plus.CacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("sessions walked the suggestion cache: %d hits, %d misses", hits, misses)
+	}
+	// The same stream through the callback driver is CertainFix+.
+	for i, input := range ds.Inputs {
+		if _, err := plus.Fix(context.Background(), input, monitor.SimulatedUser{Truth: ds.Truths[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, _ := plus.CacheStats(); hits == 0 {
+		t.Fatal("Fix on a UseBDD monitor never hit the suggestion cache")
+	}
+}

@@ -2,6 +2,7 @@ package certainfix_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/paperex"
@@ -92,26 +93,34 @@ func TestRepairBatchConflict(t *testing.T) {
 	}
 }
 
-// TestSystemFixBatch: the public batch entry point matches sequential Fix.
+// TestSystemFixBatch: the public batch entry point is byte-identical to a
+// sequential FixContext loop at every worker count — whole Results,
+// PerRound, Provenance and Epoch included — over a HOSP mix of master
+// duplicates and fresh entities.
 func TestSystemFixBatch(t *testing.T) {
-	sys := paperSystem(t)
-	truth := certainfix.StringTuple(
-		"Robert", "Brady", "131", "079172485", "2",
-		"51 Elm Row", "Edi", "EH7 4AH", "CD")
-	inputs := []certainfix.Tuple{paperex.InputT1(), paperex.InputT1()}
-	res, err := sys.FixBatchContext(context.Background(), inputs, func(i int) certainfix.User {
-		return certainfix.SimulatedUser{Truth: truth}
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
+	g := generate(t, "hosp", 60)
+	inputs := g.ds.Inputs
+	userFor := func(i int) certainfix.User { return certainfix.SimulatedUser{Truth: g.ds.Truths[i]} }
+	want := make([]certainfix.Result, len(inputs))
+	for i, in := range inputs {
+		res, err := g.a.FixContext(context.Background(), in, userFor(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
 	}
-	want, err := sys.FixContext(context.Background(), paperex.InputT1(), certainfix.SimulatedUser{Truth: truth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if !r.Completed || !r.Tuple.Equal(want.Tuple) || r.Rounds != want.Rounds {
-			t.Fatalf("batch result %d diverged: %+v", i, r)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := g.a.FixBatchContext(context.Background(), inputs, userFor, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results for %d inputs", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d tuple %d diverged from the sequential loop:\n got  %+v\n want %+v", workers, i, got[i], want[i])
+			}
 		}
 	}
 }

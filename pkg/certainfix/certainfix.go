@@ -283,7 +283,6 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 	}
 	masterDone := time.Now()
 	mon, err := monitor.NewVersioned(rules, lin.Versioned(), monitor.Config{
-		UseBDD:    cfg.suggestionCache,
 		MaxRounds: cfg.maxRounds,
 		TokenKey:  cfg.tokenKey,
 	})
@@ -305,7 +304,7 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 // Configuration is by functional options:
 //
 //	sys, err := certainfix.New(rules, masterRel,
-//	    certainfix.WithSuggestionCache(), certainfix.WithMaxRounds(4))
+//	    certainfix.WithMasterHistory(64), certainfix.WithMaxRounds(4))
 //
 // Under WithWAL, masterRel seeds the lineage only on the first open of
 // the WAL directory; afterwards the directory itself is authoritative
@@ -419,8 +418,7 @@ func (s *System) FixContext(ctx context.Context, t Tuple, user User) (Result, er
 
 // FixBatchContext fixes many input tuples concurrently on a bounded
 // worker pool, driving userFor(i) for tuple i. Results are aligned with
-// inputs and, without the suggestion cache, byte-identical to a
-// sequential FixContext loop. workers ≤ 0 selects GOMAXPROCS. Once ctx is
+// inputs and byte-identical to a sequential FixContext loop. workers ≤ 0 selects GOMAXPROCS. Once ctx is
 // done no further tuples are dispatched, in-flight fixes stop at their
 // next round boundary, and the call reports the context's error after
 // the pool drains (a fix error still wins).

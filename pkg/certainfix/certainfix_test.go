@@ -124,17 +124,6 @@ func TestParseRulesAndCSV(t *testing.T) {
 	}
 }
 
-func TestSystemWithCache(t *testing.T) {
-	sys := paperSystem(t, certainfix.WithSuggestionCache())
-	t4 := paperex.InputT4()
-	for i := 0; i < 3; i++ {
-		res, err := sys.FixContext(context.Background(), t4, certainfix.SimulatedUser{Truth: t4})
-		if err != nil || !res.Completed {
-			t.Fatalf("iteration %d: res=%v err=%v", i, res, err)
-		}
-	}
-}
-
 func TestParseRulesWithSchemas(t *testing.T) {
 	r, rm, rules, err := certainfix.ParseRulesWithSchemas(`
 schema R: K, V

@@ -4,14 +4,13 @@ package certainfix
 // order given to New, later ones overriding earlier ones.
 //
 //	sys, err := certainfix.New(rules, masterRel,
-//	    certainfix.WithSuggestionCache(),
+//	    certainfix.WithMasterHistory(64),
 //	    certainfix.WithMaxRounds(4))
 type Option func(*config)
 
 // config is the accumulated construction-time configuration; each field
 // is documented on the With… option that sets it.
 type config struct {
-	suggestionCache bool
 	maxRounds       int
 	history         int
 	shards          int
@@ -29,14 +28,6 @@ func newConfig(opts []Option) config {
 		o(&cfg)
 	}
 	return cfg
-}
-
-// WithSuggestionCache enables CertainFix+ (the shared BDD suggestion
-// cache of §5.2). Note the determinism caveat on FixBatchContext, and the
-// cold-restart caveat on Resume: a resumed session re-enters the cache
-// at the root.
-func WithSuggestionCache() Option {
-	return func(c *config) { c.suggestionCache = true }
 }
 
 // WithMaxRounds caps user-interaction rounds per tuple (n <= 0 restores
