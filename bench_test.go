@@ -173,7 +173,7 @@ func benchFig11(b *testing.B, which string, values []float64) {
 // vs |Dm|, CertainFix vs CertainFix+.
 func BenchmarkFig12MasterScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12Master(benchParams("hosp"), []int{benchMaster / 2, benchMaster}); err != nil {
+		if _, err := experiments.Fig12Sweep(benchParams("hosp"), "master", []float64{benchMaster / 2, benchMaster}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func BenchmarkFig12MasterScaling(b *testing.B) {
 // vs |D|.
 func BenchmarkFig12StreamScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12Stream(benchParams("hosp"), []int{50, benchTuples}); err != nil {
+		if _, err := experiments.Fig12Sweep(benchParams("hosp"), "tuples", []float64{50, benchTuples}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,14 +36,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/master"
 )
 
+// experimentNames are the values -experiment accepts.
+var experimentNames = []string{"all", "exp1", "exp2", "fig9", "fig10", "fig11", "fig12", "effort", "fixdump"}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, exp1, exp2, fig9, fig10, fig11, fig12, effort, fixdump")
+		experiment = flag.String("experiment", "all", "which experiment to run: "+strings.Join(experimentNames, ", "))
 		dataset    = flag.String("dataset", "both", "dataset: hosp, dblp or both")
 		masterSize = flag.Int("master", 2000, "master relation size |Dm|")
 		tuples     = flag.Int("tuples", 500, "input tuples |D|")
@@ -57,13 +62,16 @@ func main() {
 	)
 	flag.Parse()
 
+	if !slices.Contains(experimentNames, *experiment) {
+		usagef("unknown experiment %q", *experiment)
+	}
 	datasets := []string{"hosp", "dblp"}
 	switch *dataset {
 	case "both":
 	case "hosp", "dblp":
 		datasets = []string{*dataset}
 	default:
-		fatalf("unknown dataset %q", *dataset)
+		usagef("unknown dataset %q", *dataset)
 	}
 
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
@@ -97,6 +105,9 @@ func main() {
 		return
 	}
 
+	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	m := float64(*masterSize)
+	sizes := []float64{m / 2, m, m * 3 / 2, m * 2, m * 5 / 2}
 	for _, ds := range datasets {
 		p := experiments.Params{Dataset: ds, Seed: *seed, MasterSize: *masterSize, Tuples: *tuples, Workers: *workers, Shards: *shards, MasterSnapshot: *snapshot}
 
@@ -116,36 +127,32 @@ func main() {
 			t.Fprint(os.Stdout)
 		}
 		if run("fig10") {
-			t, err := experiments.Fig10Sweep(p, "dup", []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+			t, err := experiments.Fig10Sweep(p, "dup", rates)
 			checkErr(err)
 			t.Fprint(os.Stdout)
-			sizes := []float64{float64(*masterSize) / 2, float64(*masterSize), float64(*masterSize) * 3 / 2, float64(*masterSize) * 2, float64(*masterSize) * 5 / 2}
 			t, err = experiments.Fig10Sweep(p, "master", sizes)
 			checkErr(err)
 			t.Fprint(os.Stdout)
-			t, err = experiments.Fig10Sweep(p, "noise", []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+			t, err = experiments.Fig10Sweep(p, "noise", rates)
 			checkErr(err)
 			t.Fprint(os.Stdout)
 		}
 		if run("fig11") {
-			t, err := experiments.Fig11Sweep(p, "dup", []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+			t, err := experiments.Fig11Sweep(p, "dup", rates)
 			checkErr(err)
 			t.Fprint(os.Stdout)
-			sizes := []float64{float64(*masterSize) / 2, float64(*masterSize), float64(*masterSize) * 3 / 2, float64(*masterSize) * 2, float64(*masterSize) * 5 / 2}
 			t, err = experiments.Fig11Sweep(p, "master", sizes)
 			checkErr(err)
 			t.Fprint(os.Stdout)
-			t, err = experiments.Fig11Sweep(p, "noise", []float64{0.1, 0.2, 0.3, 0.4, 0.5})
+			t, err = experiments.Fig11Sweep(p, "noise", rates)
 			checkErr(err)
 			t.Fprint(os.Stdout)
 		}
 		if run("fig12") {
-			sizes := []int{*masterSize / 2, *masterSize, *masterSize * 3 / 2, *masterSize * 2}
-			t, err := experiments.Fig12Master(p, sizes)
+			t, err := experiments.Fig12Sweep(p, "master", sizes[:4])
 			checkErr(err)
 			t.Fprint(os.Stdout)
-			counts := []int{10, 100, *tuples, *tuples * 2}
-			t, err = experiments.Fig12Stream(p, counts)
+			t, err = experiments.Fig12Sweep(p, "tuples", []float64{10, 100, float64(*tuples), float64(*tuples) * 2})
 			checkErr(err)
 			t.Fprint(os.Stdout)
 		}
@@ -162,6 +169,13 @@ func checkErr(err error) {
 		fatalf("master data rejected: %v", err)
 	}
 	fatalf("%v", err)
+}
+
+// usagef reports a flag value the command does not know and exits 2, as
+// the flag package does for a malformed one.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "expdriver: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cfd"
+	"repro/internal/experiments/cfd"
 	"repro/internal/master"
 	"repro/internal/paperex"
 	"repro/internal/pattern"

@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/master"
 	"repro/internal/pattern"
@@ -13,11 +14,14 @@ import (
 // by their lhs signature; within a group, members are hash-indexed on the
 // positions that carry constants in every member, so violation detection
 // per tuple costs one probe per group instead of a scan over all CFDs
-// (master-instantiated sets hold |Σ|·|Dm| constant CFDs).
+// (master-instantiated sets hold |Σ|·|Dm| constant CFDs). Groups, and
+// the members of a group's bucket, are walked in insertion order, so a
+// tuple's violations come back in the same order on every run.
 type Set struct {
 	schema *relation.Schema
 	cfds   []*CFD
-	groups map[string]*group
+	groups []*group
+	bySig  map[string]*group
 }
 
 type group struct {
@@ -28,7 +32,7 @@ type group struct {
 
 // NewSet builds an indexed set.
 func NewSet(schema *relation.Schema, cfds ...*CFD) *Set {
-	s := &Set{schema: schema, groups: map[string]*group{}}
+	s := &Set{schema: schema, bySig: map[string]*group{}}
 	for _, c := range cfds {
 		s.Add(c)
 	}
@@ -40,12 +44,13 @@ func (s *Set) Add(c *CFD) {
 	idx := len(s.cfds)
 	s.cfds = append(s.cfds, c)
 	sig := relation.NewAttrSet(c.lhs...).Key() + "→" + itoa(c.rhs)
-	g, ok := s.groups[sig]
+	g, ok := s.bySig[sig]
 	if !ok {
 		// Key positions: lhs attributes with a constant cell in this CFD;
 		// refined to the intersection as members arrive.
 		g = &group{keyPos: constPositions(c), byKey: map[string][]int{}}
-		s.groups[sig] = g
+		s.bySig[sig] = g
+		s.groups = append(s.groups, g)
 	} else {
 		before := len(g.keyPos)
 		g.restrictKeyPos(constPositions(c))
@@ -85,6 +90,7 @@ func (g *group) reindex(all []*CFD) {
 	for _, idxs := range old {
 		members = append(members, idxs...)
 	}
+	slices.Sort(members) // insertion order
 	g.scanIdx = nil
 	for _, i := range members {
 		g.insert(all, i)

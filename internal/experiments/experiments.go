@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/datagen"
-	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/parallel"
 )
 
 // Params selects a dataset configuration. Zero fields take defaults that
@@ -27,10 +27,10 @@ type Params struct {
 	DupRate    float64
 	NoiseRate  float64
 	MaxK       int // interaction rounds to report (hosp: 4, dblp: 3)
-	// Workers > 1 fixes tuples through monitor.FixBatch on that many
-	// workers. Accuracy sweeps are embarrassingly parallel; the Fig-12
-	// latency experiments ignore this and always run sequentially so that
-	// concurrent runs cannot contaminate each other's timings.
+	// Workers fixes tuples on that many internal/parallel workers (≤ 0
+	// selects GOMAXPROCS). Accuracy sweeps are embarrassingly parallel; the
+	// Fig-12 latency experiments ignore this and always run sequentially so
+	// that concurrent runs cannot contaminate each other's timings.
 	Workers int
 	// Shards partitions the master indexes into hash shards built in
 	// parallel (0 = one per CPU; see master.WithShards). Results are
@@ -123,9 +123,9 @@ type RunStats struct {
 }
 
 // runMonitor fixes every input tuple with the simulated user and scores
-// the per-round metrics of §6. workers > 1 routes the run through the
-// concurrent batch pipeline; accuracy metrics are unaffected (FixBatch is
-// deterministic without the BDD cache), but AvgLatency then reflects
+// the per-round metrics of §6 on workers goroutines (≤ 0 selects
+// GOMAXPROCS). The accuracy metrics do not depend on the worker count
+// (fixes are deterministic without the BDD cache), but AvgLatency is
 // wall-clock over all workers, so latency experiments must pass 1.
 func runMonitor(ds *datagen.Dataset, mcfg monitor.Config, maxK, workers int) (RunStats, error) {
 	m, err := monitor.New(ds.Sigma, ds.Master, mcfg)
@@ -135,73 +135,54 @@ func runMonitor(ds *datagen.Dataset, mcfg monitor.Config, maxK, workers int) (Ru
 	return runWith(m, ds, maxK, workers)
 }
 
+// tupleScore is one tuple's outcome after k = 1..maxK rounds: each job
+// keeps only these counts, so a large sweep never holds every tuple's
+// per-round snapshots at once.
+type tupleScore struct {
+	rounds int
+	tuple  []tupleOutcome
+	cell   []cellOutcome
+}
+
 func runWith(m *monitor.Monitor, ds *datagen.Dataset, maxK, workers int) (RunStats, error) {
-	tuple := make([]metrics.TupleOutcome, maxK)
-	cell := make([]metrics.CellOutcome, maxK)
-	totalRounds := 0
-	score := func(i int, res monitor.Result) {
-		totalRounds += res.Rounds
+	ctx := context.TODO()
+	start := time.Now()
+	scores, err := parallel.MapCtx(ctx, len(ds.Inputs), workers, func(i int) (tupleScore, error) {
+		res, err := m.Fix(ctx, ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
+		if err != nil {
+			return tupleScore{}, fmt.Errorf("experiments: fixing tuple %d: %w", i, err)
+		}
+		s := tupleScore{rounds: res.Rounds, tuple: make([]tupleOutcome, maxK), cell: make([]cellOutcome, maxK)}
 		for k := 1; k <= maxK; k++ {
 			state := stateAtRound(res, k)
-			tuple[k-1].Add(metrics.CompareTuple(ds.Inputs[i], ds.Truths[i], state.Tuple))
+			s.tuple[k-1] = compareTuple(ds.Inputs[i], ds.Truths[i], state.Tuple)
 			credited := state.AutoFixed
-			cell[k-1].Add(metrics.CompareCells(ds.Inputs[i], ds.Truths[i], state.Tuple, &credited))
+			s.cell[k-1] = compareCells(ds.Inputs[i], ds.Truths[i], state.Tuple, &credited)
 		}
-	}
-	start := time.Now()
-	if workers > 1 {
-		// Stream-score on completion: the metric accumulators are integer
-		// counters, so completion order cannot change the results, and
-		// peak memory stays O(workers) instead of O(tuples) snapshots.
-		in := make(chan monitor.StreamRequest)
-		out := m.FixStream(context.TODO(), in, workers)
-		go func() {
-			for i := range ds.Inputs {
-				in <- monitor.StreamRequest{
-					ID:    i,
-					Tuple: ds.Inputs[i],
-					User:  monitor.SimulatedUser{Truth: ds.Truths[i]},
-				}
-			}
-			close(in)
-		}()
-		// Report the lowest-index failure so error output is reproducible
-		// regardless of completion order (matching the sequential branch).
-		errID := -1
-		var batchErr error
-		for res := range out {
-			if res.Err != nil {
-				if errID < 0 || res.ID < errID {
-					errID, batchErr = res.ID, res.Err
-				}
-				continue
-			}
-			score(res.ID, res.Result)
-		}
-		if batchErr != nil {
-			return RunStats{}, fmt.Errorf("experiments: fixing tuple %d: %w", errID, batchErr)
-		}
-	} else {
-		// Score-and-discard per tuple: large sweeps must not retain every
-		// per-round snapshot simultaneously.
-		for i := range ds.Inputs {
-			res, err := m.Fix(context.TODO(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
-			if err != nil {
-				return RunStats{}, fmt.Errorf("experiments: fixing tuple %d: %w", i, err)
-			}
-			score(i, res)
-		}
-	}
+		return s, nil
+	})
 	elapsed := time.Since(start)
-
-	stats := RunStats{TotalRounds: totalRounds}
-	if totalRounds > 0 {
-		stats.AvgLatency = elapsed / time.Duration(totalRounds)
+	if err != nil {
+		return RunStats{}, err
 	}
-	for k := 0; k < maxK; k++ {
-		stats.TupleRecall = append(stats.TupleRecall, tuple[k].Recall())
-		stats.AttrRecall = append(stats.AttrRecall, cell[k].Recall())
-		stats.F1 = append(stats.F1, cell[k].F1())
+
+	var stats RunStats
+	for _, s := range scores {
+		stats.TotalRounds += s.rounds
+	}
+	if stats.TotalRounds > 0 {
+		stats.AvgLatency = elapsed / time.Duration(stats.TotalRounds)
+	}
+	for k := range maxK {
+		var tuple tupleOutcome
+		var cell cellOutcome
+		for _, s := range scores {
+			tuple.Add(s.tuple[k])
+			cell.Add(s.cell[k])
+		}
+		stats.TupleRecall = append(stats.TupleRecall, tuple.Recall())
+		stats.AttrRecall = append(stats.AttrRecall, cell.Recall())
+		stats.F1 = append(stats.F1, cell.F1())
 	}
 	stats.CacheHits, stats.CacheMisses = m.CacheStats()
 	return stats, nil

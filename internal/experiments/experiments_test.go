@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ func TestFig11NoiseCollapseForIncRep(t *testing.T) {
 
 func TestFig12CacheEffective(t *testing.T) {
 	p := tinyParams("hosp")
-	tab, err := experiments.Fig12Stream(p, []int{50, 150})
+	tab, err := experiments.Fig12Sweep(p, "tuples", []float64{50, 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +141,43 @@ func TestFig12CacheEffective(t *testing.T) {
 	if cell(t, tab, 1, hitCol) <= 0 {
 		t.Errorf("cache hit rate must be positive on a stream: %v", tab.Rows)
 	}
-	tab, err = experiments.Fig12Master(p, []int{200, 400})
+	tab, err = experiments.Fig12Sweep(p, "master", []float64{200, 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %v", tab.Rows)
+	}
+}
+
+// TestWorkerCountInvariance: the accuracy tables are the same on one
+// worker and on four — the per-tuple scores are summed in input order
+// whatever order the workers finish in — and so is IncRep's column.
+func TestWorkerCountInvariance(t *testing.T) {
+	for _, ds := range []string{"hosp", "dblp"} {
+		tables := func(workers int) []*experiments.Table {
+			p := tinyParams(ds)
+			p.Workers = workers
+			fig9, err := experiments.Fig9(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp2, err := experiments.Exp2InitialSuggestion(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fig11, err := experiments.Fig11Sweep(p, "noise", []float64{0.1, 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*experiments.Table{fig9, exp2, fig11}
+		}
+		one, four := tables(1), tables(4)
+		for i := range one {
+			if !reflect.DeepEqual(one[i], four[i]) {
+				t.Errorf("%s: %q differs between 1 and 4 workers:\n%v\n%v", ds, one[i].Title, one[i].Rows, four[i].Rows)
+			}
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cfd"
 	"repro/internal/datagen"
-	"repro/internal/increp"
-	"repro/internal/metrics"
+	"repro/internal/experiments/cfd"
+	"repro/internal/experiments/increp"
 	"repro/internal/monitor"
+	"repro/internal/parallel"
 	"repro/internal/suggest"
 )
 
@@ -105,7 +105,7 @@ func Fig10Sweep(p Params, which string, values []float64) (*Table, error) {
 	for k := 1; k <= p.MaxK; k++ {
 		t.Columns = append(t.Columns, fmt.Sprintf("k=%d", k))
 	}
-	rows, err := parallelMap(len(values), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(values), 0, func(i int) ([]string, error) {
 		q := applySweep(p, which, values[i])
 		ds, err := generate(q)
 		if err != nil {
@@ -138,7 +138,7 @@ func Fig11Sweep(p Params, which string, values []float64) (*Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("k=%d", k))
 	}
 	t.Columns = append(t.Columns, "IncRep")
-	rows, err := parallelMap(len(values), func(i int) ([]string, error) {
+	rows, err := parallel.Map(len(values), 0, func(i int) ([]string, error) {
 		q := applySweep(p, which, values[i])
 		ds, err := generate(q)
 		if err != nil {
@@ -186,26 +186,33 @@ func runIncRep(ds *datagen.Dataset) (float64, error) {
 		}
 	}
 	rep := increp.New(cfds, increp.Options{Weights: weights})
-	var agg metrics.CellOutcome
+	var agg cellOutcome
 	for i := range ds.Inputs {
 		repaired := ds.Inputs[i].Clone()
 		rep.RepairTuple(repaired)
-		agg.Add(metrics.CompareCells(ds.Inputs[i], ds.Truths[i], repaired, nil))
+		agg.Add(compareCells(ds.Inputs[i], ds.Truths[i], repaired, nil))
 	}
 	return agg.F1(), nil
 }
 
-// Fig12Master reproduces Fig. 12a/b: average per-round latency varying
-// |Dm|, CertainFix vs CertainFix+ (the BDD cache).
-func Fig12Master(p Params, masterSizes []int) (*Table, error) {
+// Fig12Sweep reproduces one half of Fig. 12: average per-round latency,
+// CertainFix vs CertainFix+ (the BDD cache), while one parameter sweeps.
+// which selects it: "master" varies |Dm| (Fig 12a/b), "tuples" varies |D|
+// (12c/d), where CertainFix is flat (tuples are independent) while
+// CertainFix+ amortizes suggestions across the stream. Every run is
+// sequential: the sweep measures latency.
+func Fig12Sweep(p Params, which string, values []float64) (*Table, error) {
 	p = p.WithDefaults()
-	t := &Table{
-		Title:   fmt.Sprintf("Fig 12a/b (%s): per-round latency vs |Dm|", p.Dataset),
-		Columns: []string{"|Dm|", "CertainFix", "CertainFix+", "cache hit rate"},
+	panel, label := "12a/b", "|Dm|"
+	if which == "tuples" {
+		panel, label = "12c/d", "|D|"
 	}
-	for _, sz := range masterSizes {
-		q := p
-		q.MasterSize = sz
+	t := &Table{
+		Title:   fmt.Sprintf("Fig %s (%s): per-round latency vs %s", panel, p.Dataset, label),
+		Columns: []string{label, "CertainFix", "CertainFix+", "cache hit rate"},
+	}
+	for _, v := range values {
+		q := applySweep(p, which, v)
 		ds, err := generate(q)
 		if err != nil {
 			return nil, err
@@ -223,45 +230,7 @@ func Fig12Master(p Params, masterSizes []int) (*Table, error) {
 			hitRate = float64(h) / float64(h+ms)
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", sz),
-			plain.AvgLatency.String(),
-			plus.AvgLatency.String(),
-			f2(hitRate),
-		})
-	}
-	return t, nil
-}
-
-// Fig12Stream reproduces Fig. 12c/d: average per-round latency varying
-// the number of input tuples |D| — CertainFix is flat (tuples are
-// independent) while CertainFix+ amortizes suggestions across the stream.
-func Fig12Stream(p Params, tupleCounts []int) (*Table, error) {
-	p = p.WithDefaults()
-	t := &Table{
-		Title:   fmt.Sprintf("Fig 12c/d (%s): per-round latency vs |D|", p.Dataset),
-		Columns: []string{"|D|", "CertainFix", "CertainFix+", "cache hit rate"},
-	}
-	for _, n := range tupleCounts {
-		q := p
-		q.Tuples = n
-		ds, err := generate(q)
-		if err != nil {
-			return nil, err
-		}
-		plain, err := runMonitor(ds, monitor.Config{}, q.MaxK, 1)
-		if err != nil {
-			return nil, err
-		}
-		plus, err := runMonitor(ds, monitor.Config{UseBDD: true}, q.MaxK, 1)
-		if err != nil {
-			return nil, err
-		}
-		hitRate := 0.0
-		if h, ms := plus.CacheHits, plus.CacheMisses; h+ms > 0 {
-			hitRate = float64(h) / float64(h+ms)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
+			sweepLabel(which, v),
 			plain.AvgLatency.String(),
 			plus.AvgLatency.String(),
 			f2(hitRate),
@@ -278,12 +247,14 @@ func applySweep(p Params, which string, v float64) Params {
 		p.NoiseRate = v
 	case "master":
 		p.MasterSize = int(v)
+	case "tuples":
+		p.Tuples = int(v)
 	}
 	return p
 }
 
 func sweepLabel(which string, v float64) string {
-	if which == "master" {
+	if which == "master" || which == "tuples" {
 		return fmt.Sprintf("%d", int(v))
 	}
 	return fmt.Sprintf("%.0f%%", v*100)

@@ -18,10 +18,10 @@ package increp
 import (
 	"sort"
 
-	"repro/internal/cfd"
+	"repro/internal/experiments/cfd"
+	"repro/internal/experiments/textdist"
 	"repro/internal/pattern"
 	"repro/internal/relation"
-	"repro/internal/textdist"
 )
 
 // Options tunes the repair.

@@ -3,8 +3,8 @@ package increp_test
 import (
 	"testing"
 
-	"repro/internal/cfd"
-	"repro/internal/increp"
+	"repro/internal/experiments/cfd"
+	"repro/internal/experiments/increp"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 )

@@ -1,5 +1,4 @@
-// Package metrics implements the evaluation measures of §6 exactly as the
-// paper defines them:
+// The evaluation measures of §6, exactly as the paper defines them:
 //
 //	recall_t    = #corrected tuples   / #erroneous tuples
 //	recall_a    = #corrected attrs    / #erroneous attrs
@@ -8,19 +7,20 @@
 //
 // where corrected attributes exclude those fixed by the users (only
 // rule-made corrections count toward recall_a).
-package metrics
+
+package experiments
 
 import "repro/internal/relation"
 
-// CellOutcome aggregates attribute-level counts for one or more tuples.
-type CellOutcome struct {
+// cellOutcome aggregates attribute-level counts for one or more tuples.
+type cellOutcome struct {
 	Erroneous int // input cell differed from truth
 	Changed   int // credited writer changed the cell away from the input
 	Corrected int // changed cell that was erroneous and now equals truth
 }
 
 // Add accumulates another outcome.
-func (o *CellOutcome) Add(p CellOutcome) {
+func (o *cellOutcome) Add(p cellOutcome) {
 	o.Erroneous += p.Erroneous
 	o.Changed += p.Changed
 	o.Corrected += p.Corrected
@@ -28,7 +28,7 @@ func (o *CellOutcome) Add(p CellOutcome) {
 
 // Precision returns corrected/changed (1 when nothing changed: no wrong
 // changes were made).
-func (o CellOutcome) Precision() float64 {
+func (o cellOutcome) Precision() float64 {
 	if o.Changed == 0 {
 		return 1
 	}
@@ -36,7 +36,7 @@ func (o CellOutcome) Precision() float64 {
 }
 
 // Recall returns corrected/erroneous (1 when nothing was erroneous).
-func (o CellOutcome) Recall() float64 {
+func (o cellOutcome) Recall() float64 {
 	if o.Erroneous == 0 {
 		return 1
 	}
@@ -44,7 +44,7 @@ func (o CellOutcome) Recall() float64 {
 }
 
 // F1 returns the harmonic mean of precision and recall.
-func (o CellOutcome) F1() float64 {
+func (o cellOutcome) F1() float64 {
 	p, r := o.Precision(), o.Recall()
 	if p+r == 0 {
 		return 0
@@ -52,13 +52,13 @@ func (o CellOutcome) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// CompareCells scores one tuple: input is the dirty tuple, truth the
+// compareCells scores one tuple: input is the dirty tuple, truth the
 // ground truth, result the tuple after fixing. credited restricts which
 // positions count as Changed/Corrected — pass the rule-fixed attribute
 // set to honour the paper's "not counting user fixes" convention, or nil
 // to credit every position (the IncRep accounting, which has no user).
-func CompareCells(input, truth, result relation.Tuple, credited *relation.AttrSet) CellOutcome {
-	var o CellOutcome
+func compareCells(input, truth, result relation.Tuple, credited *relation.AttrSet) cellOutcome {
+	var o cellOutcome
 	for i := range input {
 		err := !input[i].Equal(truth[i])
 		if err {
@@ -77,29 +77,29 @@ func CompareCells(input, truth, result relation.Tuple, credited *relation.AttrSe
 	return o
 }
 
-// TupleOutcome aggregates tuple-level counts.
-type TupleOutcome struct {
+// tupleOutcome aggregates tuple-level counts.
+type tupleOutcome struct {
 	Erroneous int // tuples with at least one wrong cell
 	Corrected int // erroneous tuples whose result equals the truth
 }
 
 // Add accumulates another outcome.
-func (o *TupleOutcome) Add(p TupleOutcome) {
+func (o *tupleOutcome) Add(p tupleOutcome) {
 	o.Erroneous += p.Erroneous
 	o.Corrected += p.Corrected
 }
 
 // Recall returns corrected/erroneous tuples (1 when none were erroneous).
-func (o TupleOutcome) Recall() float64 {
+func (o tupleOutcome) Recall() float64 {
 	if o.Erroneous == 0 {
 		return 1
 	}
 	return float64(o.Corrected) / float64(o.Erroneous)
 }
 
-// CompareTuple scores one tuple at the tuple level.
-func CompareTuple(input, truth, result relation.Tuple) TupleOutcome {
-	var o TupleOutcome
+// compareTuple scores one tuple at the tuple level.
+func compareTuple(input, truth, result relation.Tuple) tupleOutcome {
+	var o tupleOutcome
 	if !input.Equal(truth) {
 		o.Erroneous = 1
 		if result.Equal(truth) {

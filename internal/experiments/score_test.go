@@ -1,10 +1,9 @@
-package metrics_test
+package experiments
 
 import (
 	"math"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/relation"
 )
 
@@ -16,7 +15,7 @@ func TestCompareCellsAllCredited(t *testing.T) {
 	// fixer corrected position 0, wrongly changed position 1, corrected 2,
 	// missed 3.
 	result := relation.StringTuple("A", "x", "C", "d")
-	o := metrics.CompareCells(input, truth, result, nil)
+	o := compareCells(input, truth, result, nil)
 	if o.Erroneous != 3 || o.Changed != 3 || o.Corrected != 2 {
 		t.Fatalf("outcome = %+v", o)
 	}
@@ -33,7 +32,7 @@ func TestCompareCellsCreditedSubset(t *testing.T) {
 	truth := relation.StringTuple("A", "B")
 	result := relation.StringTuple("A", "B")
 	credit := relation.NewAttrSet(0) // position 1 was fixed by the user
-	o := metrics.CompareCells(input, truth, result, &credit)
+	o := compareCells(input, truth, result, &credit)
 	if o.Erroneous != 2 || o.Changed != 1 || o.Corrected != 1 {
 		t.Fatalf("outcome = %+v", o)
 	}
@@ -44,7 +43,7 @@ func TestCompareCellsCreditedSubset(t *testing.T) {
 
 func TestCompareCellsCleanTuple(t *testing.T) {
 	tup := relation.StringTuple("a")
-	o := metrics.CompareCells(tup, tup, tup, nil)
+	o := compareCells(tup, tup, tup, nil)
 	if o.Erroneous != 0 || o.Changed != 0 || o.Corrected != 0 {
 		t.Fatalf("outcome = %+v", o)
 	}
@@ -54,8 +53,8 @@ func TestCompareCellsCleanTuple(t *testing.T) {
 }
 
 func TestCellOutcomeAdd(t *testing.T) {
-	a := metrics.CellOutcome{Erroneous: 1, Changed: 2, Corrected: 1}
-	b := metrics.CellOutcome{Erroneous: 3, Changed: 1, Corrected: 1}
+	a := cellOutcome{Erroneous: 1, Changed: 2, Corrected: 1}
+	b := cellOutcome{Erroneous: 3, Changed: 1, Corrected: 1}
 	a.Add(b)
 	if a.Erroneous != 4 || a.Changed != 3 || a.Corrected != 2 {
 		t.Fatalf("sum = %+v", a)
@@ -63,7 +62,7 @@ func TestCellOutcomeAdd(t *testing.T) {
 }
 
 func TestF1Zero(t *testing.T) {
-	o := metrics.CellOutcome{Erroneous: 5, Changed: 0, Corrected: 0}
+	o := cellOutcome{Erroneous: 5, Changed: 0, Corrected: 0}
 	// precision 1 (nothing changed), recall 0 → F1 = 0.
 	if got := o.F1(); got != 0 {
 		t.Fatalf("F1 = %v", got)
@@ -76,21 +75,21 @@ func TestCompareTuple(t *testing.T) {
 	fixedRight := relation.StringTuple("A", "b")
 	fixedWrong := relation.StringTuple("z", "b")
 
-	o := metrics.CompareTuple(input, truth, fixedRight)
+	o := compareTuple(input, truth, fixedRight)
 	if o.Erroneous != 1 || o.Corrected != 1 {
 		t.Fatalf("right fix: %+v", o)
 	}
-	o = metrics.CompareTuple(input, truth, fixedWrong)
+	o = compareTuple(input, truth, fixedWrong)
 	if o.Erroneous != 1 || o.Corrected != 0 {
 		t.Fatalf("wrong fix: %+v", o)
 	}
-	o = metrics.CompareTuple(truth, truth, truth)
+	o = compareTuple(truth, truth, truth)
 	if o.Erroneous != 0 || o.Recall() != 1 {
 		t.Fatalf("clean: %+v", o)
 	}
-	var agg metrics.TupleOutcome
-	agg.Add(metrics.TupleOutcome{Erroneous: 2, Corrected: 1})
-	agg.Add(metrics.TupleOutcome{Erroneous: 2, Corrected: 2})
+	var agg tupleOutcome
+	agg.Add(tupleOutcome{Erroneous: 2, Corrected: 1})
+	agg.Add(tupleOutcome{Erroneous: 2, Corrected: 2})
 	if !almost(agg.Recall(), 0.75) {
 		t.Fatalf("aggregate recall = %v", agg.Recall())
 	}

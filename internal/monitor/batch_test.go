@@ -123,7 +123,7 @@ func TestFixBatchSuggestionCache(t *testing.T) {
 }
 
 // TestFixBatchErrorPropagates: the first per-tuple error aborts the batch
-// after all workers drain, mirroring the parallelMap contract.
+// after all workers drain, mirroring the internal/parallel contract.
 func TestFixBatchErrorPropagates(t *testing.T) {
 	m := paperMonitor(t)
 	inputs := []relation.Tuple{
@@ -148,57 +148,6 @@ func paperMonitor(t testing.TB) *monitor.Monitor {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestFixStream: every request is answered exactly once, correlated by ID,
-// and the output channel closes after the last result.
-func TestFixStream(t *testing.T) {
-	ds := hospDataset(t, 40)
-	m, err := monitor.New(ds.Sigma, ds.Master, monitor.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := make([]monitor.Result, len(ds.Inputs))
-	for i := range ds.Inputs {
-		res, err := m.Fix(context.Background(), ds.Inputs[i], monitor.SimulatedUser{Truth: ds.Truths[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-
-	in := make(chan monitor.StreamRequest)
-	out := m.FixStream(context.Background(), in, 4)
-	go func() {
-		for i := range ds.Inputs {
-			in <- monitor.StreamRequest{
-				ID:    i,
-				Tuple: ds.Inputs[i],
-				User:  monitor.SimulatedUser{Truth: ds.Truths[i]},
-			}
-		}
-		close(in)
-	}()
-
-	seen := make([]bool, len(ds.Inputs))
-	count := 0
-	for res := range out {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", res.ID, res.Err)
-		}
-		if res.ID < 0 || res.ID >= len(seen) || seen[res.ID] {
-			t.Fatalf("bad or duplicate stream id %d", res.ID)
-		}
-		seen[res.ID] = true
-		count++
-		if !resultsEqual(res.Result, want[res.ID]) {
-			t.Fatalf("stream result %d diverged from sequential Fix", res.ID)
-		}
-	}
-	if count != len(ds.Inputs) {
-		t.Fatalf("stream answered %d of %d requests", count, len(ds.Inputs))
-	}
 }
 
 // decliningUser aborts immediately; sessions must terminate, not hang the

@@ -6,9 +6,9 @@
 // TransFix cascades, until every attribute is validated — by the users or
 // by editing rules and master data.
 //
-// CertainFix+ is an algorithm of the callback driver only: Fix, FixBatch
-// and FixStream reuse suggestions across the stream of tuples they fix
-// when Config.UseBDD is set. A Session — begun, provided, suspended as a
+// CertainFix+ is an algorithm of the callback driver only: Fix and
+// FixBatch reuse suggestions across the stream of tuples they fix when
+// Config.UseBDD is set. A Session — begun, provided, suspended as a
 // token and resumed — always runs CertainFix.
 package monitor
 
@@ -107,7 +107,7 @@ type Config struct {
 	// variant passes the median index.
 	InitialRegion int
 	// UseBDD enables the Suggest+ cache (CertainFix+ of §5.2) for the
-	// callback driver: Fix, FixBatch and FixStream. Sessions never use it.
+	// callback driver: Fix and FixBatch. Sessions never use it.
 	UseBDD bool
 	// MaxRounds caps interaction rounds (0 = arity + 1).
 	MaxRounds int
@@ -143,7 +143,7 @@ func New(sigma *rule.Set, dm *master.Data, cfg Config) (*Monitor, error) {
 // the dependency graph, the certain regions (CompCRegion) and, for
 // CertainFix+, the BDD cache — once, reused for every input tuple, as the
 // paper prescribes. Each new session (one per tuple, including
-// FixBatch/FixStream items) pins the master snapshot current at its
+// FixBatch items) pins the master snapshot current at its
 // start, so in-flight sessions keep a consistent view while later tuples
 // pick up published updates. The certain regions seeding the first
 // suggestion are derived once, from the construction-time snapshot:

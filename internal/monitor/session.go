@@ -38,7 +38,7 @@ type Session struct {
 	// (epoch) serves the whole interactive lifetime of the tuple, so a
 	// concurrent master update can never make rounds of one session
 	// disagree about Dm. New sessions — including the per-tuple sessions
-	// of FixBatch/FixStream — pin the then-current epoch.
+	// of FixBatch — pin the then-current epoch.
 	d *suggest.Deriver
 	// begin is the input as the session received it: with each round's
 	// suggestion and assertions, all a token holds (token.go).

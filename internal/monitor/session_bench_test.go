@@ -62,23 +62,3 @@ func TestFixCtxCancellation(t *testing.T) {
 		t.Fatalf("Fix(Background) res=%+v err=%v", res, err)
 	}
 }
-
-// TestFixStreamCtxCancellation: stream workers shut down and close the
-// output channel when the context dies, even though the input channel
-// stays open.
-func TestFixStreamCtxCancellation(t *testing.T) {
-	m := newMonitor(t, monitor.Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan monitor.StreamRequest) // never closed by the test
-	out := m.FixStream(ctx, in, 2)
-
-	in <- monitor.StreamRequest{ID: 1, Tuple: paperex.InputT1(), User: monitor.SimulatedUser{Truth: truthT1()}}
-	first := <-out
-	if first.Err != nil || !first.Result.Completed {
-		t.Fatalf("first stream result: %+v", first)
-	}
-	cancel()
-	for range out {
-		// drain whatever was in flight; the channel must close
-	}
-}

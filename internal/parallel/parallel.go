@@ -1,8 +1,9 @@
-// Package parallel provides the bounded worker-pool idiom shared by the
-// experiment sweeps (internal/experiments), the batch fixing pipeline
-// (internal/monitor) and the public batch repair API (pkg/certainfix):
-// results aligned with input indexes, the first error winning after all
-// workers drain.
+// Package parallel is the tree's one worker pool, shared by the
+// experiments (internal/experiments: every tuple of a run and every point
+// of a sweep), the batch fixing pipeline (internal/monitor), the public
+// batch repair API (pkg/certainfix), and the master, Merkle-tree and
+// rule-mining builds: results aligned with input indexes, the
+// lowest-index error winning after all workers drain.
 package parallel
 
 import (

@@ -426,23 +426,6 @@ func (s *System) FixBatchContext(ctx context.Context, inputs []Tuple, userFor fu
 	return s.mon.FixBatch(ctx, inputs, userFor, workers)
 }
 
-// StreamRequest is one unit of work for FixStream; ID is a caller-chosen
-// correlation id echoed on the response.
-type StreamRequest = monitor.StreamRequest
-
-// StreamResult is the outcome of one StreamRequest.
-type StreamResult = monitor.StreamResult
-
-// FixStream consumes requests until in is closed or ctx is done, fixing
-// them concurrently, and emits one StreamResult per request in
-// completion order (correlate by ID). The returned channel is closed
-// after the last result — the entry-point-shaped API of the paper's
-// monitoring framework for services that fix tuples as they arrive.
-// workers ≤ 0 selects GOMAXPROCS.
-func (s *System) FixStream(ctx context.Context, in <-chan StreamRequest, workers int) <-chan StreamResult {
-	return s.mon.FixStream(ctx, in, workers)
-}
-
 // Repair is one RepairBatchContext outcome; fields mirror RepairOnce's
 // returns.
 type Repair struct {

@@ -1,9 +1,6 @@
 package certainfix
 
-import (
-	"repro/internal/discover"
-	"repro/internal/metrics"
-)
+import "repro/internal/discover"
 
 // DiscoverOptions tunes rule mining; see DiscoverRules. Zero values
 // select exact single-pass mining; set MinConfidence below 1 to mine
@@ -54,12 +51,4 @@ type DiscoverResult = discover.LoopResult
 // is never modified. Deterministic for every worker and shard count.
 func Discover(r *Schema, masterRel *Relation, opts DiscoverLoopOptions) (*DiscoverResult, error) {
 	return discover.Loop(r, masterRel, opts)
-}
-
-// Score compares a repaired tuple against its ground truth, crediting
-// only the given positions as machine changes (pass nil to credit all) —
-// the evaluation measures of §6.
-func Score(input, truth, repaired Tuple, credited *AttrSet) (precision, recall, f1 float64) {
-	o := metrics.CompareCells(input, truth, repaired, credited)
-	return o.Precision(), o.Recall(), o.F1()
 }

@@ -112,16 +112,3 @@ func TestDiscoverBootstrapLoop(t *testing.T) {
 		t.Fatalf("bootstrapped system should fix name/city from id: %v (changed %v)", fixed, changed)
 	}
 }
-
-func TestScore(t *testing.T) {
-	input := certainfix.StringTuple("a", "b")
-	truth := certainfix.StringTuple("A", "B")
-	repaired := certainfix.StringTuple("A", "b")
-	p, r, f1 := certainfix.Score(input, truth, repaired, nil)
-	if p != 1 || r != 0.5 {
-		t.Fatalf("p=%v r=%v", p, r)
-	}
-	if f1 <= 0.6 || f1 >= 0.7 {
-		t.Fatalf("f1=%v", f1)
-	}
-}
