@@ -89,30 +89,23 @@ func Key(t relation.Tuple) uint64 {
 // length, so Null / "" / "1" / 1 can never collide the way the display
 // encoding lets them).
 func Sum(t relation.Tuple) Hash {
-	h := sha256.New()
-	var buf [10]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(t)))
-	h.Write(buf[:4])
+	// The encoding is built whole and hashed in one call; a HOSP tuple fits
+	// the stack buffer, a longer one moves to the heap.
+	var stack [1024]byte
+	buf := binary.LittleEndian.AppendUint32(stack[:0], uint32(len(t)))
 	for _, v := range t {
 		switch v.Kind() {
 		case relation.KindNull:
-			buf[0] = 0x00
-			h.Write(buf[:1])
+			buf = append(buf, 0x00)
 		case relation.KindString:
 			s := v.Str()
-			buf[0] = 0x01
-			binary.LittleEndian.PutUint32(buf[1:5], uint32(len(s)))
-			h.Write(buf[:5])
-			h.Write([]byte(s))
+			buf = binary.LittleEndian.AppendUint32(append(buf, 0x01), uint32(len(s)))
+			buf = append(buf, s...)
 		default:
-			buf[0] = 0x02
-			binary.LittleEndian.PutUint64(buf[1:9], uint64(v.Int64()))
-			h.Write(buf[:9])
+			buf = binary.LittleEndian.AppendUint64(append(buf, 0x02), uint64(v.Int64()))
 		}
 	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
 }
 
 // Entry is one line of a leaf's multiset commitment: a tuple content hash

@@ -1,6 +1,7 @@
 package master
 
 import (
+	"repro/internal/pattern"
 	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -53,6 +54,18 @@ func patternCompatible(ru *rule.Rule, row []uint32, syms *relation.Symbols) bool
 	tp := ru.Pattern()
 	for i := range x {
 		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(syms.Value(row[xm[i]])) {
+			return false
+		}
+	}
+	return true
+}
+
+// patternFree reports that no lhs attribute of ru carries a pattern cell
+// other than a wildcard: patternCompatible holds on every master tuple.
+func patternFree(ru *rule.Rule) bool {
+	tp := ru.Pattern()
+	for _, x := range ru.LHSRef() {
+		if cell, has := tp.CellFor(x); has && cell.Kind != pattern.Wildcard {
 			return false
 		}
 	}

@@ -1,8 +1,10 @@
 package master
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pattern"
@@ -92,7 +94,7 @@ func TestCompatibleExistsProperty(t *testing.T) {
 }
 
 // TestPatternSupportedProperty: the precomputed pattern-support bit agrees
-// with the naive per-rule Dm scan.
+// with the naive per-rule Dm scan, and so does the whole bitmap behind it.
 func TestPatternSupportedProperty(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(8_000_000 + seed)))
@@ -108,6 +110,57 @@ func TestPatternSupportedProperty(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("seed %d rule %s: PatternSupported=%v, scan=%v", seed, ru.Name(), got, want)
+			}
+		}
+	}
+
+	// A rule whose lhs carries no pattern cell — none at all, a wildcard, or
+	// one on an attribute outside the lhs — gets its all-ones bitmap without
+	// a scan; it must be the scanned bitmap at every word edge, and survive
+	// an arena round trip (the loader rejects set bits past |Dm|).
+	r := relation.StringSchema("R", "A", "B", "C")
+	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
+	b := relation.String("b")
+	sigma := rule.MustNewSet(r, rm,
+		rule.MustNew("none", r, rm, []int{0}, []int{0}, 2, 2, pattern.Empty()),
+		rule.MustNew("wildcard", r, rm, []int{0}, []int{0}, 2, 2, pattern.MustTuple([]int{0}, []pattern.Cell{pattern.Any})),
+		rule.MustNew("off-lhs", r, rm, []int{0}, []int{0}, 2, 2, pattern.MustTuple([]int{1}, []pattern.Cell{pattern.Eq(b)})),
+		rule.MustNew("on-lhs", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, pattern.MustTuple([]int{1}, []pattern.Cell{pattern.Eq(b)})))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+		rel := relation.NewRelation(rm)
+		for i := range n {
+			rel.MustAppend(relation.Tuple{relation.String(fmt.Sprint(i)), relation.String([]string{"a", "b"}[i%2]), relation.Null})
+		}
+		built := MustNewForRules(rel, sigma)
+		var img bytes.Buffer
+		if err := built.SaveArena(&img, sigma); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		loaded, err := LoadArenaBytes(img.Bytes(), sigma)
+		if err != nil {
+			t.Fatalf("n=%d: the image of a shortcut bitmap does not load: %v", n, err)
+		}
+		for _, ru := range sigma.Rules() {
+			if patternFree(ru) != (ru.Name() != "on-lhs") {
+				t.Fatalf("rule %s: patternFree=%v", ru.Name(), patternFree(ru))
+			}
+			wantBits, wantCount := make([]uint64, (n+63)/64), 0
+			for id, row := range built.rows.All() {
+				if patternCompatible(ru, row, built.syms) {
+					wantBits[id>>6] |= 1 << (uint(id) & 63)
+					wantCount++
+				}
+			}
+			for name, d := range map[string]*Data{"built": built, "loaded": loaded} {
+				plan := d.compat[ru]
+				var got []uint64
+				for _, w := range plan.patBits.All() {
+					got = append(got, w)
+				}
+				if plan.patCount != wantCount || !slices.Equal(got, wantBits) {
+					t.Fatalf("n=%d rule %s %s: bitmap %x count %d, the scan %x count %d",
+						n, ru.Name(), name, got, plan.patCount, wantBits, wantCount)
+				}
 			}
 		}
 	}

@@ -244,7 +244,8 @@ func (b *Builder) Finish() *Data {
 }
 
 // buildBitmaps evaluates each rule's pattern-support bitmap, the rules side
-// by side.
+// by side. A rule whose lhs carries no pattern cell is supported by every
+// tuple: its bitmap is all ones up to n, with no scan.
 func (d *Data) buildBitmaps(sigma *rule.Set) {
 	n, rules := d.rows.Len(), sigma.Rules()
 	// The error is dropped because no job returns one.
@@ -252,6 +253,16 @@ func (d *Data) buildBitmaps(sigma *rule.Set) {
 		ru := rules[r]
 		plan := d.compat[ru]
 		bits := make([]uint64, (n+63)/64)
+		if patternFree(ru) {
+			for w := range bits {
+				bits[w] = ^uint64(0)
+			}
+			if tail := n % 64; tail != 0 { // no bit past n: an image with one does not load
+				bits[len(bits)-1] = 1<<uint(tail) - 1
+			}
+			plan.patBits, plan.patCount = persist.FromSlice(bits), n
+			return struct{}{}, nil
+		}
 		for id, row := range d.rows.All() {
 			if patternCompatible(ru, row, d.syms) {
 				bits[id>>6] |= 1 << (uint(id) & 63)

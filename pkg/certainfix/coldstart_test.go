@@ -7,8 +7,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -86,4 +88,28 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 	if _, err := certainfix.NewFromCSV(ds.Sigma, bad); err == nil || !bytes.Contains([]byte(err.Error()), []byte(bad)) {
 		t.Fatalf("malformed master CSV: %v", err)
 	}
+}
+
+// BenchmarkNewFromCSV is the boot from a master CSV file: stream and intern
+// the rows, build the indexes and bitmaps, derive the regions. The file is
+// written off the clock. Run with -benchmem: allocs/op and B/op cover the
+// whole boot, so a read-ahead buffer that grew with |Dm| would show
+// (GOMAXPROCS is pinned at 2, the decoder beside the interner).
+func BenchmarkNewFromCSV(b *testing.B) {
+	const n = 100_000
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := writeMasterCSV(b, ds)
+	b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+		prev := runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := certainfix.NewFromCSV(ds.Sigma, path, certainfix.WithShards(4)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
