@@ -313,7 +313,7 @@ func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 		lead = next
 	}
 
-	f := NewFollower(leader, 8)
+	f := newReplica(leader, 8)
 	for _, rec := range records[:2] {
 		if ok, err := f.ApplyRecord(rec); err != nil || !ok {
 			t.Fatalf("clean record %d: ok=%v err=%v", rec.Epoch, ok, err)
@@ -336,7 +336,7 @@ func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 	if de.Epoch != evil.Epoch {
 		t.Fatalf("divergence detected at epoch %d, corruption was at %d", de.Epoch, evil.Epoch)
 	}
-	if !strings.Contains(de.Msg, "does not match leader root") {
+	if !strings.Contains(de.Msg, "does not match logged root") {
 		t.Fatalf("divergence is not a root mismatch: %v", de)
 	}
 	if f.Epoch() != before {

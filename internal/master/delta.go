@@ -410,9 +410,7 @@ func (v *Versioned) Apply(adds []relation.Tuple, deletes []int) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.cur.Store(next)
-	v.hist = append(v.hist, next)
-	v.trimLocked()
+	v.publishLocked(next)
 	return next, nil
 }
 
@@ -428,55 +426,106 @@ func (v *Versioned) publishDerived(next *Data) {
 	if cur := v.cur.Load(); next.epoch != cur.epoch+1 {
 		panic(fmt.Sprintf("master: publishDerived epoch %d over head %d", next.epoch, cur.epoch))
 	}
+	v.publishLocked(next)
+}
+
+// publishLocked makes next the head and retains it; v.mu held.
+func (v *Versioned) publishLocked(next *Data) {
 	v.cur.Store(next)
 	v.hist = append(v.hist, next)
 	v.trimLocked()
 }
 
-// recordMismatch is why applyRecord refused a record; one field is set.
-type recordMismatch struct {
-	apply error  // ApplyDelta refused the delta
-	epoch uint64 // the delta produced this epoch, not the record's
-	root  string // the delta produced this root, not the record's
+// ErrReplicaGap is the sentinel matched by ApplyRecord when a record does
+// not connect to the head — epochs in between are missing, typically
+// because the leader truncated its WAL behind a checkpoint while a
+// follower was down. Recoverable: catch up from the leader's checkpoint
+// (Reset), then resume tailing.
+var ErrReplicaGap = errors.New("master: follower missing epochs before shipped record")
+
+// ErrDivergence is the sentinel matched by a *DivergenceError: a logged or
+// shipped record cannot be a successor of the head. Unlike a gap this is
+// not recoverable by catching up — the two lineages disagree about the
+// same epoch, so nothing further is published.
+var ErrDivergence = errors.New("master: follower diverged from leader lineage")
+
+// DivergenceError reports why a record contradicts the lineage it was
+// applied to. It matches ErrDivergence through errors.Is.
+type DivergenceError struct {
+	// Epoch is the record's epoch — or, when a follower finds its leader
+	// behind it, the leader's head.
+	Epoch uint64
+	// Head is the lineage's head epoch at the time.
+	Head uint64
+	// Msg says what contradicted what.
+	Msg string
 }
 
-// applyRecord is the one guarded apply: recovery replays the log through
-// it and a follower applies shipped records through it. It derives the
-// head's successor via ApplyDelta, checks the produced epoch against the
-// record's and — an authenticated leader stamps every record with the
-// Merkle root its delta produces — the incrementally maintained root
-// against the record's, and only then publishes. On a mismatch nothing is
-// published and the caller words the cause: a replay error, a
-// *DivergenceError.
-func (v *Versioned) applyRecord(rec wal.Record) *recordMismatch {
-	next, err := v.Current().ApplyDelta(rec.Adds, rec.Deletes)
-	if err != nil {
-		return &recordMismatch{apply: err}
-	}
-	if next.Epoch() != rec.Epoch {
-		return &recordMismatch{epoch: next.Epoch()}
-	}
-	if root, ok := next.AuthRoot(); ok && len(rec.Root) == 32 && string(rec.Root) != string(root[:]) {
-		return &recordMismatch{root: root.String()}
-	}
-	v.publishDerived(next)
-	return nil
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("master: lineage at epoch %d diverged at epoch %d: %s", e.Head, e.Epoch, e.Msg)
 }
 
-// resetTo replaces the whole chain with a single snapshot, evicting every
-// retained epoch. It is the follower's catch-up seam: when the leader
-// truncated the WAL epochs a replica still needed, the replica rebases
-// onto the leader's checkpoint image and tails from there. Sessions
-// pinned to evicted epochs fail with ErrEpochEvicted on resume, exactly
-// as they do when the ring outruns them.
-func (v *Versioned) resetTo(d *Data) {
+// Unwrap makes the error match ErrDivergence through errors.Is.
+func (e *DivergenceError) Unwrap() error { return ErrDivergence }
+
+// ApplyRecord is the one guarded apply of a logged record: recovery
+// replays the WAL through it and a follower applies the leader's shipped
+// records through it. It serialises with Apply.
+//
+//   - epoch ≤ head: already applied (a reconnect replayed overlap) —
+//     skipped, (false, nil).
+//   - epoch > head+1: records are missing — ErrReplicaGap.
+//   - epoch = head+1: the delta is derived through ApplyDelta, which
+//     produces exactly that epoch, and — an authenticated leader stamps
+//     every record with the Merkle root its delta produces — the
+//     incrementally maintained root is checked against the record's. A
+//     delta that does not apply, or that produces another root, is a
+//     *DivergenceError and nothing is published; otherwise (true, nil).
+func (v *Versioned) ApplyRecord(rec wal.Record) (bool, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	head := v.cur.Load()
+	switch {
+	case rec.Epoch <= head.epoch:
+		return false, nil
+	case rec.Epoch > head.epoch+1:
+		return false, fmt.Errorf("master: lineage at epoch %d got epoch %d: %w", head.epoch, rec.Epoch, ErrReplicaGap)
+	}
+	next, err := head.ApplyDelta(rec.Adds, rec.Deletes)
+	if err != nil {
+		// The writer applied this exact delta; if we cannot, our state is
+		// not the writer's state at head.
+		return false, &DivergenceError{Epoch: rec.Epoch, Head: head.epoch, Msg: fmt.Sprintf("delta does not apply: %v", err)}
+	}
+	if root, ok := next.AuthRoot(); ok && len(rec.Root) == len(root) && string(rec.Root) != string(root[:]) {
+		// The delta went through, but it is not the bytes the writer
+		// applied: this is the epoch the lineages fork.
+		return false, &DivergenceError{Epoch: rec.Epoch, Head: head.epoch,
+			Msg: fmt.Sprintf("applied root %s does not match logged root %x", root.String(), rec.Root)}
+	}
+	v.publishLocked(next)
+	return true, nil
+}
+
+// Reset replaces the whole chain with base, evicting every retained epoch.
+// It is a follower's catch-up: when the leader truncated the WAL epochs
+// the replica still needed, the replica rebases onto the leader's
+// checkpoint image and tails from there. Sessions pinned to evicted
+// epochs fail with ErrEpochEvicted on resume, exactly as they do when the
+// ring outruns them. A base behind the head is refused: catching up must
+// never move the published lineage backwards under a reader.
+func (v *Versioned) Reset(base *Data) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if head := v.cur.Load().epoch; base.epoch < head {
+		return fmt.Errorf("master: reset to epoch %d behind head %d refused", base.epoch, head)
+	}
 	for i := range v.hist {
 		v.hist[i] = nil
 	}
-	v.hist = append(v.hist[:0], d)
-	v.cur.Store(d)
+	v.hist = append(v.hist[:0], base)
+	v.cur.Store(base)
+	return nil
 }
 
 // trimLocked evicts the oldest snapshots beyond histCap; v.mu held.

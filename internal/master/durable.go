@@ -165,7 +165,9 @@ type checkpointRun struct {
 // checkpointed immediately so the directory is self-contained from the
 // first open. Corruption anywhere — checkpoint or log — surfaces as the
 // typed errors of the respective layer (*SnapshotError/ErrBadSnapshot,
-// *wal.CorruptError/wal.ErrWALCorrupt), never a panic.
+// *wal.CorruptError/wal.ErrWALCorrupt), never a panic. The tail is
+// replayed through Versioned.ApplyRecord, so a logged record the base
+// refuses fails the open with its *DivergenceError (ErrDivergence).
 func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts DurableOptions) (*DurableVersioned, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -241,16 +243,10 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 	}
 	baseEpoch := d.Epoch()
 	replayed, err := lg.Replay(baseEpoch, func(rec wal.Record) error {
-		switch m := ver.applyRecord(rec); {
-		case m == nil:
-			return nil
-		case m.apply != nil:
-			return fmt.Errorf("master: replay epoch %d: %w", rec.Epoch, m.apply)
-		case m.root != "":
-			return fmt.Errorf("master: replay epoch %d: recovered auth root %s does not match logged root %x", rec.Epoch, m.root, rec.Root)
-		default:
-			return fmt.Errorf("master: replay produced epoch %d for record %d", m.epoch, rec.Epoch)
+		if _, err := ver.ApplyRecord(rec); err != nil {
+			return fmt.Errorf("master: open durable %s: replay: %w", dir, err)
 		}
+		return nil
 	})
 	if err != nil {
 		lg.Close()

@@ -10,7 +10,10 @@ package master
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,13 +84,89 @@ func TestDurableTruncateFailureStatSplit(t *testing.T) {
 	checkEquiv(t, "head after truncate failures", dv.Current(), w.sigma)
 }
 
+// newReplica starts a follower's lineage at base, retaining history
+// snapshots.
+func newReplica(base *Data, history int) *Versioned {
+	v := NewVersioned(base)
+	v.SetHistory(history)
+	return v
+}
+
+// TestRecordRefusalsAreTyped holds recovery and followers to one guarded
+// apply: the same bad record is refused with the same typed error by
+// OpenDurable over a directory that logs it and by Versioned.ApplyRecord,
+// and neither publishes anything. A record whose epoch does not follow
+// the head never reaches the delta: the log's own contiguity check refuses
+// it on recovery (ErrWALCorrupt), the ladder on a follower (ErrReplicaGap).
+func TestRecordRefusalsAreTyped(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d0, sigma, rm, vals := randomDeltaInstance(rng)
+	adds, dels := randomDelta(rng, d0.Len(), rm.Arity(), vals)
+	next := d0.Epoch() + 1
+	lie := make([]byte, 32)
+	for i := range lie {
+		lie[i] = 0xAA
+	}
+	for _, tc := range []struct {
+		name            string
+		rec             wal.Record
+		auth            bool
+		wantOpen, wantF error
+	}{
+		{"inapplicable-delta", wal.Record{Epoch: next, Deletes: []int{1 << 20}}, false, ErrDivergence, ErrDivergence},
+		{"wrong-root", wal.Record{Epoch: next, Adds: adds, Deletes: dels, Root: lie}, true, ErrDivergence, ErrDivergence},
+		{"wrong-epoch", wal.Record{Epoch: next + 1, Adds: adds, Deletes: dels}, false, wal.ErrWALCorrupt, ErrReplicaGap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := func() *Data {
+				d := MustNewForRules(d0.Relation(), sigma)
+				if tc.auth {
+					d.Authenticate()
+				}
+				return d
+			}
+			dir := t.TempDir()
+			lg, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Append(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dv, err := OpenDurable(dir, func() (*Data, error) { return base(), nil }, sigma, DurableOptions{Auth: tc.auth})
+			if !errors.Is(err, tc.wantOpen) {
+				if dv != nil {
+					dv.Close()
+				}
+				t.Fatalf("OpenDurable: want %v, got %v", tc.wantOpen, err)
+			}
+			if _, serr := os.Stat(filepath.Join(dir, CheckpointFile)); !errors.Is(serr, fs.ErrNotExist) {
+				t.Fatalf("a refused recovery wrote a checkpoint: %v", serr)
+			}
+
+			v := newReplica(base(), 4)
+			head := v.Current()
+			ok, err := v.ApplyRecord(tc.rec)
+			if ok || !errors.Is(err, tc.wantF) {
+				t.Fatalf("ApplyRecord: ok=%v, want %v, got %v", ok, tc.wantF, err)
+			}
+			if v.Current() != head {
+				t.Fatalf("a refused record published epoch %d", v.Epoch())
+			}
+		})
+	}
+}
+
 // TestFollowerApplyRecordGuards pins the guard ladder: duplicates are
 // skipped, gaps are ErrReplicaGap, an inapplicable delta is
 // ErrDivergence, and Reset refuses to move the lineage backwards.
 func TestFollowerApplyRecordGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d0, _, rm, vals := randomDeltaInstance(rng)
-	f := NewFollower(d0, 4)
+	f := newReplica(d0, 4)
 	head := d0.Epoch()
 
 	adds, dels := randomDelta(rng, d0.Len(), rm.Arity(), vals)
@@ -95,8 +174,8 @@ func TestFollowerApplyRecordGuards(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("apply head+1: ok=%v err=%v", ok, err)
 	}
-	if f.Epoch() != head+1 || f.Applied() != 1 {
-		t.Fatalf("follower at epoch %d applied %d", f.Epoch(), f.Applied())
+	if f.Epoch() != head+1 {
+		t.Fatalf("follower at epoch %d, want %d", f.Epoch(), head+1)
 	}
 
 	// Duplicate (reconnect overlap): skipped, not an error.
@@ -154,7 +233,7 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 			}
 			dv.waitCheckpoint()
 
-			f := NewFollower(w.base, 4)
+			f := newReplica(w.base, 4)
 			catchUp := func() {
 				raw, epoch, err := dv.CheckpointImage()
 				if err != nil {
@@ -248,7 +327,7 @@ func BenchmarkFollowerApply(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFollower(d0, 4)
+		f := newReplica(d0, 4)
 		for _, r := range recs {
 			if ok, err := f.ApplyRecord(r); err != nil || !ok {
 				b.Fatalf("apply epoch %d: ok=%v err=%v", r.Epoch, ok, err)

@@ -171,7 +171,7 @@ func TestRecoversParentLineage(t *testing.T) {
 	if err != nil || epoch != 8 {
 		t.Fatalf("checkpoint image at epoch %d: %v", epoch, err)
 	}
-	f := NewFollower(loadArenaOrFatal(t, img, sigma), 4)
+	f := newReplica(loadArenaOrFatal(t, img, sigma), 4)
 	if _, err := dv.TailWAL(epoch, func(rec wal.Record) error {
 		_, err := f.ApplyRecord(rec)
 		return err

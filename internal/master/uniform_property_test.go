@@ -265,7 +265,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			follower := NewFollower(loadArenaOrFatal(t, img, w.sigma), 4)
+			follower := newReplica(loadArenaOrFatal(t, img, w.sigma), 4)
 
 			check := func(ctx string, d *Data) {
 				t.Helper()

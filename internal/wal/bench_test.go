@@ -17,7 +17,7 @@ func benchmarkAppend(b *testing.B, p SyncPolicy) {
 	defer l.Close()
 	rec := testRecord(1)
 	var buf []byte
-	if buf, err = appendRecord(nil, rec); err != nil {
+	if buf, err = AppendFrame(nil, rec); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(buf)))
@@ -48,7 +48,7 @@ func BenchmarkWALTail(b *testing.B) {
 	var bytes int64
 	for e := uint64(1); e <= recs; e++ {
 		r := testRecord(e)
-		buf, _ := appendRecord(nil, r)
+		buf, _ := AppendFrame(nil, r)
 		bytes += int64(len(buf))
 		if err := l.Append(r); err != nil {
 			b.Fatal(err)

@@ -18,13 +18,17 @@ package wal
 //	                       lineages only; absent entirely otherwise)
 //
 // The frame CRC is what tells a torn tail from a valid record; the fixed
-// little-endian length prefix is what lets the scanner skip a record
-// without decoding it. Everything inside the payload is varint-coded: a
+// little-endian length prefix is what lets Open's scan skip a record
+// without decoding it. AppendFrame is the one encoder and checkFrame the
+// one frame check: Open, Replay/Tail and the shipping stream's ReadFrame
+// all verify a frame through it and differ only in what a bad frame means
+// to them. Everything inside the payload is varint-coded: a
 // typical correction batch is a handful of short strings, and the paper's
 // update streams are dominated by single-tuple deltas, so frames are tens
 // of bytes.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -46,8 +50,8 @@ type Record struct {
 	// Root, when non-nil, is the 32-byte authenticated-master root the
 	// delta PRODUCES — what AuthRoot() returns after applying this record.
 	// Unauthenticated lineages leave it nil and their frames carry no
-	// root section at all. Followers compare it against their own
-	// post-apply root (follower.go).
+	// root section at all. Recovery and followers compare it against the
+	// root they re-derive (master.Versioned.ApplyRecord).
 	Root []byte
 }
 
@@ -66,8 +70,12 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord appends the framed record to buf and returns it.
-func appendRecord(buf []byte, r Record) ([]byte, error) {
+// AppendFrame appends r as one frame (u32 length | u32 CRC-32C | payload)
+// to buf and returns it. It is the one encoder: Log.Append writes its
+// output to the segments, and the leader's GET /v1/wal re-encodes each
+// record Tail delivers with it, so the shipped stream and the segments
+// share one framing, read back by ReadFrame and the log's scanners alike.
+func AppendFrame(buf []byte, r Record) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header, patched below
 	buf = binary.AppendUvarint(buf, r.Epoch)
@@ -124,39 +132,68 @@ func AppendCell(buf []byte, v relation.Value) ([]byte, error) {
 	}
 }
 
-// AppendFrame appends r as one wire frame — the exact on-disk framing
-// (u32 length | u32 CRC-32C | payload) — to buf and returns it. The
-// epoch-shipping wire format is deliberately identical to the segment
-// format: the leader can copy validated frames byte-for-byte, and a
-// follower verifies each frame with the same checksum the log uses.
-func AppendFrame(buf []byte, r Record) ([]byte, error) {
-	return appendRecord(buf, r)
+// frameError is why the bytes at a frame boundary are not one intact
+// frame. short marks bytes that end before the frame does — what a crash
+// mid-write leaves, or a stream that broke — as opposed to a frame whose
+// length or checksum is wrong.
+type frameError struct {
+	msg   string
+	short bool
 }
 
-// ReadFrame reads and verifies one wire frame from r (see AppendFrame).
-// It returns io.EOF at a clean frame boundary, io.ErrUnexpectedEOF when
-// the stream breaks mid-frame (reconnect and resume), and an error
-// matching ErrWALCorrupt when a complete frame fails its checksum or its
+func (e *frameError) Error() string { return e.msg }
+
+// checkFrame is the one frame check, run by Open's scan, by Replay and
+// Tail, and by ReadFrame: a whole header, a length within maxRecordBytes,
+// the whole payload, and its CRC-32C. It returns the payload of the frame
+// b starts with, or why b does not start with an intact one; each caller
+// turns that into its own outcome.
+func checkFrame(b []byte) ([]byte, *frameError) {
+	if len(b) < frameHeaderSize {
+		return nil, &frameError{fmt.Sprintf("%d trailing bytes, frame header needs %d", len(b), frameHeaderSize), true}
+	}
+	plen := int64(binary.LittleEndian.Uint32(b))
+	if plen > maxRecordBytes {
+		return nil, &frameError{fmt.Sprintf("frame length %d exceeds limit %d", plen, maxRecordBytes), false}
+	}
+	if rem := int64(len(b)) - frameHeaderSize; rem < plen {
+		return nil, &frameError{fmt.Sprintf("frame needs %d payload bytes, %d remain", plen, rem), true}
+	}
+	payload := b[frameHeaderSize : frameHeaderSize+plen]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, &frameError{"frame checksum mismatch", false}
+	}
+	return payload, nil
+}
+
+// ReadFrame reads and verifies one frame from r (see AppendFrame). It
+// returns io.EOF at a clean frame boundary, io.ErrUnexpectedEOF when the
+// stream breaks mid-frame (reconnect and resume), and an error matching
+// ErrWALCorrupt when a complete frame fails its checksum or its
 // checksum-valid payload does not decode.
 func ReadFrame(r io.Reader) (Record, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	frame := make([]byte, frameHeaderSize)
+	if _, err := io.ReadFull(r, frame); err != nil {
 		return Record{}, err
 	}
-	plen := int64(binary.LittleEndian.Uint32(hdr[:]))
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if plen > maxRecordBytes {
-		return Record{}, fmt.Errorf("wal: stream frame length %d exceeds limit %d: %w", plen, maxRecordBytes, ErrWALCorrupt)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
+	payload, ferr := checkFrame(frame)
+	if ferr != nil && ferr.short {
+		// The header is whole and its length in bounds: read the payload it
+		// announces. The buffer grows with the bytes that arrive, so a
+		// length the stream does not back costs no allocation of that size.
+		plen := int64(binary.LittleEndian.Uint32(frame))
+		buf := bytes.NewBuffer(frame)
+		n, err := buf.ReadFrom(io.LimitReader(r, plen))
+		if err == nil && n < plen {
 			err = io.ErrUnexpectedEOF
 		}
-		return Record{}, err
+		if err != nil {
+			return Record{}, err
+		}
+		payload, ferr = checkFrame(buf.Bytes())
 	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return Record{}, fmt.Errorf("wal: stream frame checksum mismatch: %w", ErrWALCorrupt)
+	if ferr != nil {
+		return Record{}, fmt.Errorf("wal: stream %v: %w", ferr, ErrWALCorrupt)
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {

@@ -21,8 +21,11 @@
 //   - SyncNever: leave flushing to the OS (benchmarks, bulk loads).
 //
 // Open validates every frame of every segment eagerly (CRC, length
-// bounds, epoch contiguity — the areader discipline of the arena loader).
-// The one repairable failure is a torn TAIL: trailing bytes of the LAST
+// bounds, epoch contiguity — the areader discipline of the arena loader),
+// reading only each frame's epoch. Replay, Tail and the shipping stream's
+// ReadFrame (record.go) verify frames through the same check, checkFrame;
+// what a bad frame means is each reader's own. For Open, the one
+// repairable failure is a torn TAIL: trailing bytes of the LAST
 // segment that do not parse as complete, checksum-valid frames are
 // exactly what a crash mid-write leaves behind, and Open truncates them
 // (reported in Stats, never an error). Every other failure — a bad frame
@@ -40,7 +43,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	iofs "io/fs"
 	"os"
 	"path/filepath"
@@ -253,35 +255,17 @@ func (l *Log) scanSegment(s *segment, isLast, havePrev bool, prevLast uint64) (s
 	if err != nil {
 		return segment{}, false, fmt.Errorf("wal: open: %w", err)
 	}
-	corrupt := func(off int64, format string, args ...any) error {
-		return &CorruptError{Path: s.path, Offset: off, Msg: fmt.Sprintf(format, args...)}
+	corrupt := func(off int, format string, args ...any) error {
+		return &CorruptError{Path: s.path, Offset: int64(off), Msg: fmt.Sprintf(format, args...)}
 	}
 
-	off := int64(0)
-	validEnd := int64(0)
+	off := 0 // end of the last intact frame
 	expect := s.start
-	nrec := 0
-	tornAt := int64(-1) // first torn byte, when the tail needs repair
-	tornWhy := ""
-	for off < int64(len(b)) {
-		rem := int64(len(b)) - off
-		if rem < frameHeaderSize {
-			tornAt, tornWhy = off, fmt.Sprintf("%d trailing bytes, frame header needs %d", rem, frameHeaderSize)
-			break
-		}
-		plen := int64(binary.LittleEndian.Uint32(b[off:]))
-		sum := binary.LittleEndian.Uint32(b[off+4:])
-		if plen > maxRecordBytes {
-			tornAt, tornWhy = off, fmt.Sprintf("frame length %d exceeds limit %d", plen, maxRecordBytes)
-			break
-		}
-		if rem-frameHeaderSize < plen {
-			tornAt, tornWhy = off, fmt.Sprintf("frame needs %d payload bytes, %d remain", plen, rem-frameHeaderSize)
-			break
-		}
-		payload := b[off+frameHeaderSize : off+frameHeaderSize+plen]
-		if crc32.Checksum(payload, crcTable) != sum {
-			tornAt, tornWhy = off, "frame checksum mismatch"
+	var torn *frameError
+	for off < len(b) {
+		payload, ferr := checkFrame(b[off:])
+		if ferr != nil {
+			torn = ferr
 			break
 		}
 		// The frame is intact on disk: from here on, failures are logic
@@ -294,18 +278,16 @@ func (l *Log) scanSegment(s *segment, isLast, havePrev bool, prevLast uint64) (s
 			return segment{}, false, corrupt(off, "epoch %d where %d was expected", epoch, expect)
 		}
 		expect++
-		nrec++
-		off += frameHeaderSize + plen
-		validEnd = off
+		off += frameHeaderSize + len(payload)
 	}
 
-	if tornAt >= 0 && !isLast {
+	if torn != nil && !isLast {
 		// A torn frame can only exist where a crash stopped the writer:
 		// the end of the newest segment. Anywhere else, truncating would
 		// drop the records behind it.
-		return segment{}, false, corrupt(tornAt, "bad frame inside a sealed segment (%s)", tornWhy)
+		return segment{}, false, corrupt(off, "bad frame inside a sealed segment (%v)", torn)
 	}
-	if nrec == 0 {
+	if expect == s.start {
 		if !isLast {
 			// The writer seals a segment only after a record lands in it.
 			return segment{}, false, corrupt(-1, "segment holds no records")
@@ -322,13 +304,13 @@ func (l *Log) scanSegment(s *segment, isLast, havePrev bool, prevLast uint64) (s
 		}
 		return segment{}, true, nil
 	}
-	if tornAt >= 0 {
-		l.torn += int64(len(b)) - validEnd
+	if torn != nil {
+		l.torn += int64(len(b) - off)
 		f, err := fs.OpenFile(s.path, os.O_WRONLY, 0o644)
 		if err != nil {
 			return segment{}, false, fmt.Errorf("wal: repair %s: %w", s.path, err)
 		}
-		if err := f.Truncate(validEnd); err != nil {
+		if err := f.Truncate(int64(off)); err != nil {
 			f.Close()
 			return segment{}, false, fmt.Errorf("wal: repair %s: %w", s.path, err)
 		}
@@ -340,15 +322,11 @@ func (l *Log) scanSegment(s *segment, isLast, havePrev bool, prevLast uint64) (s
 			return segment{}, false, fmt.Errorf("wal: repair %s: %w", s.path, err)
 		}
 	}
-	if nrec == 0 {
-		// A sealed zero-record segment cannot be produced by the writer.
-		return segment{}, false, corrupt(-1, "segment holds no records")
-	}
 	if havePrev && s.start != prevLast+1 {
 		return segment{}, false, corrupt(-1, "segment starts at epoch %d, previous segment ended at %d", s.start, prevLast)
 	}
 	s.last = expect - 1
-	s.size = validEnd
+	s.size = int64(off)
 	return *s, false, nil
 }
 
@@ -448,37 +426,24 @@ func (l *Log) scanFrom(after uint64, strict bool, fn func(Record) error) (int, e
 		if s.limit < int64(len(b)) {
 			b = b[:s.limit] // never read past the watermark
 		}
-		corrupt := func(off int64, format string, args ...any) error {
-			return &CorruptError{Path: s.path, Offset: off, Msg: fmt.Sprintf(format, args...)}
+		corrupt := func(off int, format string, args ...any) error {
+			return &CorruptError{Path: s.path, Offset: int64(off), Msg: fmt.Sprintf(format, args...)}
 		}
-		off := int64(0)
-		for off < int64(len(b)) {
-			rem := int64(len(b)) - off
-			if rem < frameHeaderSize {
-				return replayed, corrupt(off, "truncated frame header: %d bytes remain, need %d", rem, frameHeaderSize)
+		for off, next := 0, 0; off < len(b); off = next {
+			payload, ferr := checkFrame(b[off:])
+			if ferr != nil {
+				return replayed, corrupt(off, "%v", ferr)
 			}
-			plen := int64(binary.LittleEndian.Uint32(b[off:]))
-			sum := binary.LittleEndian.Uint32(b[off+4:])
-			if plen > maxRecordBytes {
-				return replayed, corrupt(off, "frame length %d exceeds limit %d", plen, maxRecordBytes)
-			}
-			if rem-frameHeaderSize < plen {
-				return replayed, corrupt(off, "truncated frame: needs %d payload bytes, %d remain", plen, rem-frameHeaderSize)
-			}
-			payload := b[off+frameHeaderSize : off+frameHeaderSize+plen]
-			if crc32.Checksum(payload, crcTable) != sum {
-				return replayed, corrupt(off, "frame checksum mismatch")
-			}
+			next = off + frameHeaderSize + len(payload)
 			rec, err := decodePayload(payload)
 			if err != nil {
 				return replayed, corrupt(off, "checksum-valid record does not decode: %v", err)
 			}
-			off += frameHeaderSize + plen
 			if rec.Epoch <= after {
 				continue
 			}
 			if rec.Epoch != expect {
-				return replayed, corrupt(off-plen-frameHeaderSize,
+				return replayed, corrupt(off,
 					"epoch gap: log resumes at %d, caller covered through %d", rec.Epoch, expect-1)
 			}
 			if err := fn(rec); err != nil {
@@ -507,7 +472,7 @@ func (l *Log) Append(r Record) error {
 	if l.haveAny && r.Epoch != l.last+1 {
 		return fmt.Errorf("wal: append epoch %d does not extend log at epoch %d", r.Epoch, l.last)
 	}
-	buf, err := appendRecord(l.encBuf[:0], r)
+	buf, err := AppendFrame(l.encBuf[:0], r)
 	if err != nil {
 		return err
 	}

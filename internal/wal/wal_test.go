@@ -426,7 +426,7 @@ func TestParseSyncPolicy(t *testing.T) {
 }
 
 func TestRecordEncodeRejectsBadInput(t *testing.T) {
-	if _, err := appendRecord(nil, Record{Epoch: 1, Deletes: []int{-1}}); err == nil {
+	if _, err := AppendFrame(nil, Record{Epoch: 1, Deletes: []int{-1}}); err == nil {
 		t.Fatal("negative delete id encoded")
 	}
 }

@@ -6,16 +6,20 @@ package certainfix
 // records over HTTP past the log's durability watermark, ServeCheckpoint
 // serves the newest arena image, and NewFollower builds a read-only
 // System that tails the two: bootstrap from the checkpoint, apply
-// shipped records through the same guarded path recovery uses, catch up
-// from the checkpoint again whenever the leader truncates epochs out
-// from under it. Because delta application is deterministic, a follower
-// at epoch E is probe-for-probe identical to the leader at E — session
-// tokens minted on either node resume on the other.
+// shipped records through master.Versioned.ApplyRecord — the guarded
+// apply recovery replays the log through — and catch up from the
+// checkpoint again whenever the leader truncates epochs out from under
+// it. Because delta application is deterministic, a follower at epoch E
+// is probe-for-probe identical to the leader at E — session tokens
+// minted on either node resume on the other. A leader whose head is
+// behind the follower's is another lineage: the follower stops, diverged.
 //
 // The wire protocol is the WAL's own frame format (length + CRC-32C +
-// varint payload, wal.AppendFrame/ReadFrame), so a shipped byte stream
-// is exactly what a local tailer would read from disk. The one rule the
-// frames cannot carry is the truncation rule: the leader's log holds
+// varint payload): ServeWAL decodes each acknowledged record through
+// TailWAL and re-encodes it with wal.AppendFrame, and the follower reads
+// it back with wal.ReadFrame, which checks a frame exactly as the log's
+// own readers do. The one rule the frames cannot carry is the truncation
+// rule: the leader's log holds
 // (checkpointEpoch, head], so a request for epochs at or before the
 // checkpoint is answered 409 {"code": "wal_truncated"} — the follower's
 // cue to GET /v1/checkpoint and rebase. An empty stream is never that
@@ -65,8 +69,9 @@ const checkpointFetchTimeout = 60 * time.Second
 const replicaMaxBackoff = 2 * time.Second
 
 // ServeWAL is the leader half of epoch shipping: GET /v1/wal?after=E
-// streams the WAL records with epoch > E as raw frames
-// (wal.ReadFrame decodes them), flushing as they land and then
+// streams the WAL records with epoch > E, each re-encoded as one
+// wal.AppendFrame frame (wal.ReadFrame decodes them), flushing as they
+// land and then
 // long-polling the durability watermark briefly so a live follower sees
 // new epochs without re-requesting. Only acknowledged records are
 // shipped — under FsyncAlways a shipped record is a durable record.
@@ -89,14 +94,18 @@ func (s *System) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	// checkpoint is gone, and only the checkpoint image can say what it
 	// said. This check is the protocol's catch-up rule — without it an
 	// empty stream is indistinguishable from "up to date".
-	if ckpt := dur.Durability().CheckpointEpoch; after < ckpt {
-		w.Header().Set("X-Checkpoint-Epoch", strconv.FormatUint(ckpt, 10))
+	st := dur.Durability()
+	if after < st.CheckpointEpoch {
+		w.Header().Set("X-Checkpoint-Epoch", strconv.FormatUint(st.CheckpointEpoch, 10))
 		replyJSONError(w, http.StatusConflict, "wal_truncated",
-			fmt.Sprintf("epochs through %d are truncated into the checkpoint; catch up from /v1/checkpoint", ckpt))
+			fmt.Sprintf("epochs through %d are truncated into the checkpoint; catch up from /v1/checkpoint", st.CheckpointEpoch))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Leader-Epoch", strconv.FormatUint(s.head().Epoch(), 10))
+	// Durability reads the head under the lock Apply holds from log to
+	// publish, so this is never behind a record already shipped: a
+	// follower ahead of it is following another lineage.
+	w.Header().Set("X-Leader-Epoch", strconv.FormatUint(st.Epoch, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
@@ -284,7 +293,10 @@ func follow(rules *Rules, cfg config) (*replica, error) {
 		cancel()
 		return nil, fmt.Errorf("certainfix: follower bootstrap from %s: %w", rp.leader, err)
 	}
-	rp.f = master.NewFollower(img, cfg.history)
+	rp.ver = master.NewVersioned(img)
+	if cfg.history > 0 {
+		rp.ver.SetHistory(cfg.history)
+	}
 	rp.leaderEpoch = epoch
 	go rp.run(ctx)
 	return rp, nil
@@ -296,7 +308,7 @@ type replica struct {
 	rules     *Rules
 	client    *http.Client
 	auth      bool
-	f         *master.Follower
+	ver       *master.Versioned // the leader's lineage; only ApplyRecord and Reset advance it
 	runCancel context.CancelFunc
 	done      chan struct{}
 
@@ -358,7 +370,7 @@ func (rp *replica) run(ctx context.Context) {
 // the response carries until the stream ends.
 func (rp *replica) tailOnce(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/wal?after=%d", rp.leader, rp.f.Epoch()), nil)
+		fmt.Sprintf("%s/v1/wal?after=%d", rp.leader, rp.ver.Epoch()), nil)
 	if err != nil {
 		return err
 	}
@@ -371,6 +383,13 @@ func (rp *replica) tailOnce(ctx context.Context) error {
 		resp.Body.Close()
 	}()
 	if le, perr := strconv.ParseUint(resp.Header.Get("X-Leader-Epoch"), 10, 64); perr == nil {
+		if head := rp.ver.Epoch(); le < head {
+			// Every epoch we hold came from a leader that had reached it: one
+			// that is behind us is not the lineage we followed, and its next
+			// records would land on top of another leader's.
+			return &master.DivergenceError{Epoch: le, Head: head,
+				Msg: fmt.Sprintf("leader %s is at epoch %d, behind this replica's head %d", rp.leader, le, head)}
+		}
 		rp.observeLeader(le)
 	}
 	switch resp.StatusCode {
@@ -393,7 +412,7 @@ func (rp *replica) tailOnce(ctx context.Context) error {
 			// (ApplyRecord skips epochs at or below it).
 			return err
 		}
-		if _, err := rp.f.ApplyRecord(rec); err != nil {
+		if _, err := rp.ver.ApplyRecord(rec); err != nil {
 			return err
 		}
 		rp.observeLeader(rec.Epoch)
@@ -408,10 +427,10 @@ func (rp *replica) catchUp(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if img.Epoch() <= rp.f.Epoch() {
+	if img.Epoch() <= rp.ver.Epoch() {
 		return nil
 	}
-	if err := rp.f.Reset(img); err != nil {
+	if err := rp.ver.Reset(img); err != nil {
 		return err
 	}
 	rp.observeLeader(epoch)
@@ -501,7 +520,7 @@ func (rp *replica) setState(st ReplicaState, lastErr string) {
 func (rp *replica) stats() ReplicationStats {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	head := rp.f.Current()
+	head := rp.ver.Current()
 	epoch := head.Epoch()
 	var lag uint64
 	if rp.leaderEpoch > epoch {
@@ -524,7 +543,7 @@ func (rp *replica) stats() ReplicationStats {
 }
 
 // Versioned exposes the replicated snapshot ring for reads.
-func (rp *replica) Versioned() *master.Versioned { return rp.f.Versioned() }
+func (rp *replica) Versioned() *master.Versioned { return rp.ver }
 
 // Apply refuses the write: only shipped records advance a replica.
 func (rp *replica) Apply([]Tuple, []int) (*master.Data, error) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -229,6 +230,58 @@ func TestFollowerReplication(t *testing.T) {
 	waitFor(t, "convergence after refused write", func() bool {
 		return follower.MasterEpoch() == leader.MasterEpoch()
 	})
+}
+
+// TestFollowerRefusesLeaderBehindIt: a follower converged on leader A at
+// epoch 5 that is pointed at leader B — same base, still at epoch 0 — must
+// not tail it. B's next epochs are not A's, and taking them on top of A's
+// would publish a lineage neither leader has. The follower stops diverged,
+// names both epochs, and stays at A's head while B moves on.
+func TestFollowerRefusesLeaderBehindIt(t *testing.T) {
+	leaderA, rules := replicationLeader(t, t.TempDir())
+	defer leaderA.Close()
+	leaderB, _ := replicationLeader(t, t.TempDir())
+	defer leaderB.Close()
+	for i := 2; i <= 6; i++ {
+		addSKU(t, leaderA, i)
+	}
+	muxFor := func(sys *certainfix.System) *http.ServeMux {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/wal", sys.ServeWAL)
+		mux.HandleFunc("GET /v1/checkpoint", sys.ServeCheckpoint)
+		return mux
+	}
+	var current atomic.Pointer[http.ServeMux]
+	current.Store(muxFor(leaderA))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	follower, err := certainfix.NewFollower(rules, ts.URL, testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	waitFor(t, "convergence on leader A", func() bool { return follower.MasterEpoch() == 5 })
+	lenA := follower.MasterLen()
+
+	current.Store(muxFor(leaderB))
+	waitFor(t, "divergence from leader B", func() bool {
+		st, _ := follower.Replication()
+		return st.State == certainfix.ReplicaDiverged
+	})
+	for i := 100; i < 108; i++ {
+		addSKU(t, leaderB, i)
+	}
+	time.Sleep(100 * time.Millisecond) // room for a wrongly live loop to take B's records
+	st, _ := follower.Replication()
+	if st.State != certainfix.ReplicaDiverged || st.Epoch != 5 || follower.MasterEpoch() != 5 || follower.MasterLen() != lenA {
+		t.Fatalf("follower took leader B's lineage: %+v, |Dm| %d (A's %d)", st, follower.MasterLen(), lenA)
+	}
+	if !strings.Contains(st.LastError, "epoch 0") || !strings.Contains(st.LastError, "head 5") {
+		t.Fatalf("LastError does not name both epochs: %q", st.LastError)
+	}
 }
 
 // TestServeWALRequiresDurability pins the 404 contract: a memory-only
