@@ -38,13 +38,13 @@ func benchParams(dataset string) experiments.Params {
 }
 
 // mustHosp generates the HOSP dataset the probe, closure and suggestion
-// benchmarks share, its master at shard count 1 — the configuration
+// benchmarks share, its master one shard at this size — the configuration
 // benchgate.json records them in; their measured loops are
 // single-goroutine, so GOMAXPROCS does not enter.
 func mustHosp(b *testing.B, tuples int) *datagen.Dataset {
 	b.Helper()
 	ds, err := datagen.Hosp(datagen.Config{
-		Seed: 1, MasterSize: benchMaster, Tuples: tuples, DupRate: 0.3, NoiseRate: 0.2, Shards: 1,
+		Seed: 1, MasterSize: benchMaster, Tuples: tuples, DupRate: 0.3, NoiseRate: 0.2,
 	})
 	if err != nil {
 		b.Fatal(err)

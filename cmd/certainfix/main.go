@@ -50,7 +50,6 @@ func main() {
 		suggestOut  = flag.Bool("suggest", false, "print next-suggestion per tuple instead of repairing")
 		interactive = flag.Bool("interactive", false, "fix each tuple interactively on the terminal")
 		workers     = flag.Int("workers", 0, "concurrent repair workers (0 = all CPUs)")
-		shards      = flag.Int("shards", 0, "master index shards, built in parallel (0 = one per CPU)")
 		masterDelta = flag.String("master-delta", "", "master-delta replay file applied before fixing (lines 'add,<cells...>' / 'del,<id>'; '---' publishes a batch)")
 		snapshot    = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
 	)
@@ -70,7 +69,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	sys, err := cli.OpenSystem(rules, *masterPath, *snapshot, certainfix.WithShards(*shards))
+	sys, err := cli.OpenSystem(rules, *masterPath, *snapshot)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -135,7 +135,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxRounds  = flag.Int("max-rounds", 0, "cap interaction rounds per session (0 = arity + 1)")
 		history    = flag.Int("history", 0, "master snapshot ring size for session resume (0 = default)")
-		shards     = flag.Int("shards", 0, "master index shards, built in parallel (0 = one per CPU)")
+		_          = flag.Int("shards", 0, "deprecated and ignored: the master takes the shard count its size calls for")
 		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
 		walDir     = flag.String("wal-dir", "", "durable lineage directory (write-ahead log + checkpoints); recovered on start")
 		fsync      = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
@@ -165,7 +165,6 @@ func main() {
 		snapshot:        *snapshot,
 		maxRounds:       *maxRounds,
 		history:         *history,
-		shards:          *shards,
 		walDir:          *walDir,
 		fsync:           fsyncPolicy,
 		checkpointEvery: *ckptEvery,
@@ -249,7 +248,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // serverConfig carries the flag values into buildSystem.
 type serverConfig struct {
 	rulesPath, masterPath, snapshot string
-	maxRounds, history, shards      int
+	maxRounds, history              int
 	walDir                          string
 	fsync                           certainfix.FsyncPolicy
 	checkpointEvery                 int
@@ -268,7 +267,7 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []certainfix.Option{certainfix.WithShards(cfg.shards)}
+	var opts []certainfix.Option
 	if cfg.maxRounds > 0 {
 		opts = append(opts, certainfix.WithMaxRounds(cfg.maxRounds))
 	}

@@ -553,7 +553,7 @@ func TestBuildSystemFromFiles(t *testing.T) {
 	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, maxRounds: 3, history: 4, shards: 2})
+	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, maxRounds: 3, history: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestDurableReopenWithoutMasterCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	masterCSV := filepath.Join(dir, "master.csv")
-	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2}
+	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal")}
 	if _, err := buildSystem(cfg); err == nil {
 		t.Fatal("a first start without the master CSV must error")
 	}
@@ -673,7 +673,7 @@ func TestRestartOnNonFunctionalMaster(t *testing.T) {
 	if err := os.WriteFile(masterCSV, []byte("K,V,W\nk1,v1,w1\nk2,v2,w2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2}
+	cfg := serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal")}
 	sys, err := buildSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -749,7 +749,7 @@ func TestHTTPInvalidDeltaIsClientError(t *testing.T) {
 	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal"), shards: 2})
+	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, walDir: filepath.Join(dir, "wal")})
 	if err != nil {
 		t.Fatal(err)
 	}

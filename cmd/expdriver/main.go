@@ -7,7 +7,7 @@
 //
 //	expdriver [-experiment all|exp1|exp2|fig9|fig10|fig11|fig12|effort|fixdump]
 //	          [-dataset hosp|dblp|both] [-master N] [-tuples N] [-seed N]
-//	          [-workers N] [-shards P] [-out FILE] [-master-snapshot FILE]
+//	          [-workers N] [-out FILE] [-master-snapshot FILE]
 //	          [-update-batches N] [-wal-dir DIR]
 //
 // -update-batches evolves the generated master through N deterministic
@@ -25,10 +25,9 @@
 // seconds; raise -master/-tuples to approach the paper's 10K/10K setting.
 //
 // The fixdump experiment runs the full pipeline end to end — generate,
-// build the sharded master, fix every tuple on -workers workers — and
-// writes the repaired relation as CSV to -out. Its output is
-// byte-identical for every -workers/-shards combination; the CI scale
-// smoke diffs -shards 1 against -shards 8 at |Dm| = 100k.
+// build the master, fix every tuple on -workers workers — and writes the
+// repaired relation as CSV to -out. Its output is byte-identical for every
+// -workers value.
 package main
 
 import (
@@ -54,7 +53,6 @@ func main() {
 		tuples     = flag.Int("tuples", 500, "input tuples |D|")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		workers    = flag.Int("workers", 1, "batch-fix workers for accuracy experiments (fig12 latency always runs sequentially)")
-		shards     = flag.Int("shards", 0, "master index shards, built in parallel (0 = one per CPU)")
 		outPath    = flag.String("out", "", "output file for fixdump (default stdout)")
 		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build and save it (fix results are identical either way)")
 		updates    = flag.Int("update-batches", 0, "fixdump only: evolve the master through N deterministic delta batches before fixing")
@@ -87,7 +85,7 @@ func main() {
 			fatalf("fixdump writes one relation; pick -dataset hosp or -dataset dblp")
 		}
 		ds := datasets[0]
-		p := experiments.Params{Dataset: ds, Seed: *seed, MasterSize: *masterSize, Tuples: *tuples, Workers: *workers, Shards: *shards, MasterSnapshot: *snapshot, UpdateBatches: *updates, WALDir: *walDir}
+		p := experiments.Params{Dataset: ds, Seed: *seed, MasterSize: *masterSize, Tuples: *tuples, Workers: *workers, MasterSnapshot: *snapshot, UpdateBatches: *updates, WALDir: *walDir}
 		rel, err := experiments.FixedOutputs(p)
 		checkErr(err)
 		out := os.Stdout
@@ -99,8 +97,8 @@ func main() {
 		checkErr(rel.WriteCSV(out))
 		if *outPath != "" {
 			checkErr(out.Close())
-			fmt.Fprintf(os.Stderr, "expdriver: wrote %d fixed %s tuples to %s (|Dm|=%d, workers=%d, shards=%d)\n",
-				rel.Len(), ds, *outPath, *masterSize, *workers, *shards)
+			fmt.Fprintf(os.Stderr, "expdriver: wrote %d fixed %s tuples to %s (|Dm|=%d, workers=%d)\n",
+				rel.Len(), ds, *outPath, *masterSize, *workers)
 		}
 		return
 	}
@@ -109,7 +107,7 @@ func main() {
 	m := float64(*masterSize)
 	sizes := []float64{m / 2, m, m * 3 / 2, m * 2, m * 5 / 2}
 	for _, ds := range datasets {
-		p := experiments.Params{Dataset: ds, Seed: *seed, MasterSize: *masterSize, Tuples: *tuples, Workers: *workers, Shards: *shards, MasterSnapshot: *snapshot}
+		p := experiments.Params{Dataset: ds, Seed: *seed, MasterSize: *masterSize, Tuples: *tuples, Workers: *workers, MasterSnapshot: *snapshot}
 
 		if run("exp2") {
 			t, err := experiments.Exp2InitialSuggestion(p)

@@ -27,9 +27,8 @@ type Config struct {
 	// multi-round interactions of Fig. 9. Zero selects the default 0.5;
 	// a negative value disables partial matches entirely.
 	PartialRate float64
-	// Shards partitions the generated master's indexes into hash shards
-	// built in parallel (0 = one per CPU; see master.WithShards). Fix
-	// results are byte-identical for every shard count.
+	// Deprecated: Shards is ignored; the master takes the shard count its
+	// size calls for.
 	Shards int
 	// MasterArena, when non-empty, names a columnar master arena image:
 	// an existing image is loaded (master.LoadArena) instead of building
@@ -96,7 +95,7 @@ func buildMaster(rel *relation.Relation, sigma *rule.Set, cfg Config) (*master.D
 			return master.LoadArena(cfg.MasterArena, sigma)
 		}
 	}
-	dm, err := master.NewForRules(rel, sigma, master.WithShards(cfg.Shards))
+	dm, err := master.NewForRules(rel, sigma)
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,8 @@ func randomMaster(rng *rand.Rand, noise float64) *relation.Relation {
 }
 
 // The postings miner must be output-identical to the naive oracle for
-// every worker count and shard count, on clean and dirty masters, exact
-// and weighted. This is the PR 2–5 oracle pattern applied to discovery.
+// every worker count, on clean and dirty masters, exact and weighted: the
+// master's oracle pattern, applied to discovery.
 func TestPostingsMinerMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, cfg := range []struct {
@@ -72,14 +72,14 @@ func TestPostingsMinerMatchesNaiveOracle(t *testing.T) {
 			rel := randomMaster(rng, cfg.noise)
 			opts := discover.Options{MaxLHS: 2, MinSupport: 4, MinConfidence: cfg.minConf}
 			want := discover.Dependencies(rel, opts)
-			for _, p := range []int{1, 2, 7, 16} {
-				dm := master.New(rel, master.WithShards(p))
+			dm := master.New(rel)
+			for _, workers := range []int{1, 2, 7, 16} {
 				popts := opts
-				popts.Workers = p
+				popts.Workers = workers
 				got := discover.DependenciesMaster(dm, popts)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %s P=%d: postings miner diverged from oracle\n got %+v\nwant %+v",
-						seed, cfg.name, p, got, want)
+					t.Fatalf("seed %d %s workers=%d: postings miner diverged from oracle\n got %+v\nwant %+v",
+						seed, cfg.name, workers, got, want)
 				}
 			}
 			if t.Failed() {

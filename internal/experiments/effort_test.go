@@ -11,7 +11,7 @@ import (
 // benchMix is the benchmark's HOSP traffic (bench/data.go) at |Dm| = 10k.
 func benchMix(t *testing.T) *datagen.Dataset {
 	t.Helper()
-	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 10000, Tuples: 2000, DupRate: 0.3, NoiseRate: 0.2, Shards: 4})
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 10000, Tuples: 2000, DupRate: 0.3, NoiseRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,6 @@ type Params struct {
 	// Fig-12 latency experiments ignore this and always run sequentially so
 	// that concurrent runs cannot contaminate each other's timings.
 	Workers int
-	// Shards partitions the master indexes into hash shards built in
-	// parallel (0 = one per CPU; see master.WithShards). Results are
-	// byte-identical for every shard count — TestFixOutputShardInvariance
-	// and the CI scale smoke pin this.
-	Shards int
 	// MasterSnapshot, when non-empty, names a columnar master arena image
 	// (datagen.Config.MasterArena): an existing image replaces the master
 	// index build, a missing one is saved after building, so repeated runs
@@ -98,7 +93,6 @@ func generate(p Params) (*datagen.Dataset, error) {
 		Tuples:      p.Tuples,
 		DupRate:     p.DupRate,
 		NoiseRate:   p.NoiseRate,
-		Shards:      p.Shards,
 		MasterArena: p.MasterSnapshot,
 	}
 	switch p.Dataset {

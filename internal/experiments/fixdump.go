@@ -15,9 +15,8 @@ import (
 // monitor.FixBatch on p.Workers — and returns the repaired relation, in
 // input order. Without the BDD cache the pipeline is deterministic: for a
 // fixed (Dataset, Seed, MasterSize, Tuples, ...) the output is
-// byte-identical regardless of p.Workers and p.Shards. The CI scale
-// smoke diffs the CSV of two runs (P=1 vs P=8) at |Dm| = 100k to pin
-// exactly that; TestFixOutputShardInvariance pins it at test scale.
+// byte-identical regardless of p.Workers; TestFixOutputWorkerInvariance
+// pins that.
 //
 // With p.UpdateBatches > 0 the master first evolves through that many
 // storm batches — durably, through the WAL + checkpoint lineage at

@@ -7,16 +7,15 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestFixOutputShardInvariance pins the invariant the CI scale smoke
-// checks at 100k: the fixed-output CSV is byte-identical across shard
-// counts and worker counts (the test-scale version of expdriver
-// -experiment fixdump -shards 1 vs -shards 8).
-func TestFixOutputShardInvariance(t *testing.T) {
+// TestFixOutputWorkerInvariance: the fixed-output CSV is byte-identical
+// for every worker count (the test-scale version of expdriver -experiment
+// fixdump at several -workers).
+func TestFixOutputWorkerInvariance(t *testing.T) {
 	for _, ds := range []string{"hosp", "dblp"} {
-		base := experiments.Params{Dataset: ds, Seed: 7, MasterSize: 400, Tuples: 60, Workers: 1, Shards: 1}
+		base := experiments.Params{Dataset: ds, Seed: 7, MasterSize: 400, Tuples: 60, Workers: 1}
 		want, err := experiments.FixedOutputs(base)
 		if err != nil {
-			t.Fatalf("%s P=1: %v", ds, err)
+			t.Fatalf("%s sequential: %v", ds, err)
 		}
 		var wantCSV bytes.Buffer
 		if err := want.WriteCSV(&wantCSV); err != nil {
@@ -25,20 +24,19 @@ func TestFixOutputShardInvariance(t *testing.T) {
 		if want.Len() != 60 {
 			t.Fatalf("%s: %d outputs, want 60", ds, want.Len())
 		}
-		for _, cfg := range []struct{ workers, shards int }{{4, 8}, {2, 3}, {8, 1}} {
+		for _, workers := range []int{2, 4, 8} {
 			p := base
-			p.Workers, p.Shards = cfg.workers, cfg.shards
+			p.Workers = workers
 			got, err := experiments.FixedOutputs(p)
 			if err != nil {
-				t.Fatalf("%s workers=%d shards=%d: %v", ds, cfg.workers, cfg.shards, err)
+				t.Fatalf("%s workers=%d: %v", ds, workers, err)
 			}
 			var gotCSV bytes.Buffer
 			if err := got.WriteCSV(&gotCSV); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
-				t.Fatalf("%s workers=%d shards=%d: fixed output differs from the P=1 sequential run",
-					ds, cfg.workers, cfg.shards)
+				t.Fatalf("%s workers=%d: fixed output differs from the sequential run", ds, workers)
 			}
 		}
 	}

@@ -238,7 +238,7 @@ func TestApplicableAssignmentsMatchesPairsOracle(t *testing.T) {
 // pairs oracle on each input's closure states, and every TransFixTrace
 // witness to the smallest matching master id of the rule that fired.
 func TestFixOverStormMatchesOracles(t *testing.T) {
-	ds, err := datagen.Hosp(datagen.Config{Seed: 3, MasterSize: 400, Tuples: 40, DupRate: 0.5, NoiseRate: 0.2, Shards: 4})
+	ds, err := datagen.Hosp(datagen.Config{Seed: 3, MasterSize: 400, Tuples: 40, DupRate: 0.5, NoiseRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

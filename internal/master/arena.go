@@ -10,17 +10,14 @@ package master
 //
 // Layout (see DESIGN.md, "Columnar arena format"):
 //
-//	header   112 bytes: magic "CFXARENA", version, endian marker,
+//	header   108 bytes: magic "CFXARENA", version, endian marker,
 //	         epoch, |Dm|, shard/arity/symbol/index/rule counts, file
 //	         size, and the 6 section offsets
 //	schema   master schema name + typed attribute list (load-time
 //	         validation against Σ's master schema)
 //	symbols  the snapshot's interning table in id order (the stable-id
 //	         contract with relation.Symbols.Export): fixed 16-byte records
-//	         + a string heap. Every cell of every column is interned, so
-//	         the record count equals the header's symbol count; an image
-//	         written before cells were ids may carry more — values of
-//	         non-indexed columns — which load as ordinary symbols.
+//	         + a string heap, as many records as the header's symbol count
 //	columns  the id rows, transposed: per-column vectors of n uint32 value
 //	         ids (column-major)
 //	indexes  per index: its Xm list, then per shard its frozen table
@@ -32,19 +29,21 @@ package master
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
 //	         root (authtree); with the flag set the tree is recomputed
 //	         and verified against the stored root at load time.
+//	trailer  the CRC-32C (Castagnoli, as in the WAL's frames) of every
+//	         byte before it, so a flipped byte anywhere — the tuple
+//	         payload of an unauthenticated lineage included — fails the
+//	         load instead of decoding into another valid master.
 //
-// SaveArena writes format 5. Format 4 — every checkpoint written while the
-// master kept per-column posting lists beside its indexes — differs by a
-// postings section between indexes and rules, with its count and offset in
-// the header; the loader takes both (arena_load.go) and answers any other
-// version with a typed *SnapshotError. Saving is deterministic: tables are
-// canonical, symbols go in id order — the same snapshot always produces the
-// same bytes.
+// SaveArena writes format 6, and the loader (arena_load.go) answers any
+// other version with a typed *SnapshotError. Saving is deterministic: tables
+// are canonical, symbols go in id order — the same snapshot always produces
+// the same bytes.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -55,15 +54,16 @@ import (
 )
 
 const (
-	arenaMagic      = "CFXARENA"
-	arenaVersion    = 5
-	arenaEndianMark = 0x01020304
-	arenaHeaderSize = hdrSections + 8*numSections
-
-	// arenaVersionPostings is the format the loader still takes beside
-	// arenaVersion: a header 8 bytes longer, for the postings section's offset.
-	arenaVersionPostings = 4
+	arenaMagic       = "CFXARENA"
+	arenaVersion     = 6
+	arenaEndianMark  = 0x01020304
+	arenaHeaderSize  = hdrSections + 8*numSections
+	arenaTrailerSize = 4 // u32 CRC-32C
 )
+
+// arenaCRC is the trailer's table: Castagnoli, hardware-accelerated where
+// the platform has it.
+var arenaCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Header field offsets. The offset table holds the absolute position of
 // each section, in file order.
@@ -77,9 +77,9 @@ const (
 	hdrArity    = 36 // u32
 	hdrNSyms    = 40 // u32
 	hdrNIndexes = 44 // u32
-	hdrNRules   = 52 // u32; the four bytes before it are zero (format 4: the posting-list count)
-	hdrFileSize = 56 // u64
-	hdrSections = 64 // numSections × u64
+	hdrNRules   = 48 // u32
+	hdrFileSize = 52 // u64
+	hdrSections = 60 // numSections × u64
 )
 
 // Section indexes into the header offset table.
@@ -91,10 +91,6 @@ const (
 	secRules
 	secAuth
 	numSections
-
-	// secPostings is where a format-4 header's table holds its postings
-	// section, every later section one slot on.
-	secPostings = secRules
 )
 
 // ruleSig fingerprints a rule by its canonical rendering, binding a saved
@@ -194,8 +190,8 @@ func (a *arenaWriter) section(sec int) {
 // equivalent Σ. The snapshot may be anywhere in a delta chain: a shard
 // with an empty overlay is written as the table it holds, one with an
 // overlay as the compacted table of the merged view. The image streams to
-// w through one buffer; beyond it the save holds one column of ids and one
-// shard's compacted table at a time.
+// w through one buffer, hashed on its way out for the trailer; beyond it the
+// save holds one column of ids and one shard's compacted table at a time.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	if !sigma.MasterSchema().Equal(d.schema) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
@@ -225,12 +221,14 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(d.syms.Len()))
 	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
 	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
-	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(sized.off))
+	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(sized.off+arenaTrailerSize))
 	for sec, off := range sized.secs {
 		binary.LittleEndian.PutUint64(hdr[hdrSections+8*sec:], uint64(off))
 	}
 
-	out := arenaWriter{w: bufio.NewWriterSize(w, 1<<20)}
+	// The hash sits below the buffer, so it sees exactly the bytes w does.
+	crc := crc32.New(arenaCRC)
+	out := arenaWriter{w: bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)}
 	out.bytes(hdr[:])
 	d.writeArenaBody(&out, sigma)
 	if out.err == nil {
@@ -241,8 +239,11 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	}
 	if out.off != sized.off || out.secs != sized.secs {
 		// The header is already out; a mismatch would be an image that lies
-		// about itself, so it must not be reported as saved.
+		// about itself, so it gets no trailer and is not reported as saved.
 		return fmt.Errorf("master: save arena: wrote %d bytes where the sizing pass counted %d", out.off, sized.off)
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32())); err != nil {
+		return fmt.Errorf("master: save arena: %w", err)
 	}
 	return nil
 }

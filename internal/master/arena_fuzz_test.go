@@ -1,21 +1,19 @@
 package master
 
-// FuzzLoadArena throws arbitrary bytes at the arena decoder (ISSUE 6
-// satellite): whatever the input, LoadArenaBytes must either fail with an
-// error matching ErrBadSnapshot or return a snapshot that is safe to
-// probe and derive from — never panic, never index out of range, never
-// read past the input. The seed corpus covers the empty input, a valid
-// image, a truncated image, header-level corruptions, the two images of
-// another layout (misrouted keys, version 3), and this (Σ, Dm) as the last
-// commit with posting lists saved it — a format-4 image, whose longer header
-// and skipped section the fuzzer mutates like the rest; from there it reaches
-// into the table decoders.
+// FuzzLoadArena throws arbitrary bytes at the arena decoder: whatever the
+// input, LoadArenaBytes must either fail with an error matching
+// ErrBadSnapshot or return a snapshot that is safe to probe and derive from —
+// never panic, never index out of range, never read past the input. Every
+// input is re-sealed first (resealArena), so a mutation gets past the
+// checksum and on to the header, table and rule validators behind it. The
+// seed corpus covers the empty input, a valid image at P = 2 and at P = 1, a
+// truncated image, header-level corruptions, and the images of another
+// layout (misrouted keys, versions 3 and 5).
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
 	"testing"
 
 	"repro/internal/pattern"
@@ -61,24 +59,22 @@ func FuzzLoadArena(f *testing.F) {
 	binary.LittleEndian.PutUint64(badOffset[hdrSections+8*secColumns:], uint64(len(valid)*2))
 	f.Add(badOffset)
 	f.Add(swapFirstIndexShards(valid)) // valid tables, keys in the wrong shard
-	oldVersion := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(oldVersion[hdrVersion:], 3)
-	f.Add(oldVersion)
-	// SaveArena of this instance running at 806fdfb: postings over MA and MB,
-	// no index over MB alone.
-	v4, err := os.ReadFile("testdata/pr23_v4_fuzz.arena")
-	if err != nil {
+	for _, version := range []uint32{3, 5} {
+		old := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(old[hdrVersion:], version)
+		f.Add(old)
+	}
+	var p1 bytes.Buffer
+	if err := MustNewForRules(d.Relation(), sigma, WithShards(1)).SaveArena(&p1, sigma); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := LoadArenaBytes(v4, sigma); err != nil {
-		f.Fatalf("the format-4 seed does not load: %v", err)
-	}
-	f.Add(v4)
+	f.Add(p1.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			data = data[:1<<16]
-		}
+		// A copy: the loaded snapshot retains its input, and resealing
+		// writes to it.
+		data = bytes.Clone(data[:min(len(data), 1<<16)])
+		resealArena(data)
 		loaded, err := LoadArenaBytes(data, sigma)
 		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {

@@ -9,8 +9,8 @@ package master
 // string payloads stay in the arena (symbol values alias the mapping
 // zero-copy).
 //
-// Validation is EAGER: every offset, count, table invariant and id range
-// is checked here, so the probe hot path runs with no bounds checks and a
+// Validation is EAGER: the trailer's checksum first, then every offset,
+// count, table invariant and id range is checked here, so the probe hot path runs with no bounds checks and a
 // snapshot that loads without error can never cause an out-of-range
 // access later. Hostile input fails with a *SnapshotError (matching
 // ErrBadSnapshot) before any allocation larger than the input itself —
@@ -23,10 +23,11 @@ package master
 // master generation, so this is by design, not a leak).
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"os"
-	"slices"
 	"unsafe"
 
 	"repro/internal/parallel"
@@ -167,8 +168,8 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	}
 
 	hr := &areader{b: b, sec: "header"}
-	if len(b) < arenaHeaderSize {
-		hr.fail("truncated: %d bytes, header needs %d", len(b), arenaHeaderSize)
+	if len(b) < arenaHeaderSize+arenaTrailerSize {
+		hr.fail("truncated: %d bytes, header and trailer need %d", len(b), arenaHeaderSize+arenaTrailerSize)
 		return nil, hr.err
 	}
 	if string(b[hdrMagic:hdrMagic+8]) != arenaMagic {
@@ -178,9 +179,9 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	}
 	hr.off = hdrVersion
 	version := hr.u32()
-	if version != arenaVersion && version != arenaVersionPostings {
+	if version != arenaVersion {
 		hr.off = hdrVersion
-		hr.fail("unsupported version %d (want %d, or %d)", version, arenaVersion, arenaVersionPostings)
+		hr.fail("unsupported version %d (want %d)", version, arenaVersion)
 		return nil, hr.err
 	}
 	// Read the endian marker in HOST order: a mismatch means either a
@@ -191,6 +192,13 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		hr.fail("endian marker mismatch (corrupt file or big-endian host)")
 		return nil, hr.err
 	}
+	// No count or section is read before the checksum over them: the
+	// sections below are decoded from body, the bytes the trailer covers.
+	body := b[:len(b)-arenaTrailerSize]
+	if sum, stored := crc32.Checksum(body, arenaCRC), binary.LittleEndian.Uint32(b[len(body):]); sum != stored {
+		return nil, &SnapshotError{Section: "trailer", Offset: len(body),
+			Msg: fmt.Sprintf("checksum %#08x does not match the image's %#08x", stored, sum)}
+	}
 	hr.off = hdrEpoch
 	epoch := hr.u64()
 	n := hr.count(hr.u64(), maxArenaTuples, "tuple count")
@@ -198,7 +206,6 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	arity := hr.count(uint64(hr.u32()), 1<<16, "arity")
 	nsyms := hr.count(uint64(hr.u32()), len(b)/16, "symbol count")
 	nindexes := hr.count(uint64(hr.u32()), 1<<12, "index count")
-	hr.off = hdrNRules
 	nrules := hr.count(uint64(hr.u32()), 1<<20, "rule count")
 	if hr.err == nil && nshards < 1 {
 		hr.fail("shard count 0")
@@ -210,19 +217,11 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		hr.off = hdrFileSize
 		hr.fail("header file size %d does not match actual size %d", sz, len(b))
 	}
-	// The section table, in file order. A format-4 image has a postings
-	// section, and its table one more slot: the offset is held to the table's
-	// order like any other and the slot dropped — nothing reads posting lists;
-	// the one-column indexes that took their place are built below where the
-	// image has none.
-	var slots [numSections + 1]int
-	secOff := slots[:numSections]
-	if version == arenaVersionPostings {
-		secOff = slots[:]
-	}
-	prev := hdrSections + 8*len(secOff)
+	// The section table, in file order.
+	var secOff [numSections]int
+	prev := arenaHeaderSize
 	for i := range secOff {
-		secOff[i] = hr.count(hr.u64(), len(b), "section offset")
+		secOff[i] = hr.count(hr.u64(), len(body), "section offset")
 		if hr.err == nil && (secOff[i] < prev || secOff[i]%8 != 0) {
 			hr.off = hdrSections + 8*i
 			hr.fail("section offset %d (table slot %d) out of order or misaligned", secOff[i], i)
@@ -232,18 +231,11 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	if hr.err != nil {
 		return nil, hr.err
 	}
-	if version == arenaVersionPostings {
-		secOff = slices.Delete(secOff, secPostings, secPostings+1)
-	}
-	if err := checkArenaSchema(b, secOff[secSchema], arity, sigma.MasterSchema()); err != nil {
+	if err := checkArenaSchema(body, secOff[secSchema], arity, sigma.MasterSchema()); err != nil {
 		return nil, err
 	}
 
-	// Every stored value becomes a symbol — the header's count and, in an
-	// image written before cells were ids, the values of non-indexed columns
-	// after it: their ids are the ones the columns use, and no stored key
-	// was hashed from them.
-	vals, err := decodeArenaSymbols(b, secOff[secSymbols], nsyms)
+	vals, err := decodeArenaSymbols(body, secOff[secSymbols], nsyms)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +244,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, &SnapshotError{Section: "symbols", Offset: -1, Msg: symErr.Error()}
 	}
 
-	rows, err := decodeArenaColumns(b, secOff[secColumns], n, arity, len(vals))
+	rows, err := decodeArenaColumns(body, secOff[secColumns], n, arity, len(vals))
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +261,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		arena:   &arenaRef{data: b, mapped: mapped},
 	}
 
-	ir := &areader{b: b, off: secOff[secIndexes], sec: "indexes"}
+	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
 	for i := 0; i < nindexes; i++ {
 		idx, err := decodeArenaIndex(ir, nshards, arity, n)
 		if err != nil {
@@ -277,13 +269,12 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		}
 		d.indexes = append(d.indexes, idx)
 	}
-	decoded := d.indexes
 
 	if nrules != sigma.Len() {
 		return nil, &SnapshotError{Section: "rules", Offset: -1,
 			Msg: fmt.Sprintf("snapshot has %d rules, Σ has %d", nrules, sigma.Len())}
 	}
-	rr := &areader{b: b, off: secOff[secRules], sec: "rules"}
+	rr := &areader{b: body, off: secOff[secRules], sec: "rules"}
 	for i := 0; i < nrules; i++ {
 		ru := sigma.Rule(i)
 		idx := d.findIndex(ru.LHSMRef())
@@ -293,32 +284,34 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		}
 		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
-		// The plan finds its one-column indexes among the decoded ones; one the
-		// image lacks — in a format-4 image, a column it held a posting list
-		// for — is registered here and built below.
+		// The plan finds its one-column indexes among the decoded ones; one
+		// the image lacks is registered, unbuilt, and refused.
 		d.compat[ru] = d.registerCompatPlan(ru)
+		if len(d.indexes) > nindexes {
+			return nil, &SnapshotError{Section: "rules", Offset: -1,
+				Msg: fmt.Sprintf("rule %s: no one-column index over a column of its Xm in snapshot", ru.Name())}
+		}
 		if err := decodeArenaRule(rr, ru, n, d.compat[ru]); err != nil {
 			return nil, err
 		}
 	}
 	// Exception tables are not stored: they are recomputed from the decoded
-	// buckets and rows, so a probe trusts only what this pass verified.
-	if _, err := parallel.Map(nshards, 0, func(s int) (struct{}, error) {
-		for _, idx := range decoded {
-			idx.rebuildExceptions(s, &d.rows)
-		}
+	// buckets and rows, so a probe trusts only what this pass verified. The
+	// jobs are (index, shard) pairs, so a load is as parallel at P = 1 as at
+	// any other P.
+	if _, err := parallel.Map(nindexes*nshards, 0, func(k int) (struct{}, error) {
+		d.indexes[k/nshards].rebuildExceptions(k%nshards, &d.rows)
 		return struct{}{}, nil
 	}); err != nil {
 		return nil, err // unreachable: the rebuild cannot fail
 	}
-	d.fill(d.indexes[len(decoded):])
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
 	// decoded tuples and verify it against the stored root — a
 	// recompute-and-verify, so a tampered image cannot smuggle in either a
 	// wrong root or wrong tuples under a right one. Flag-0 images load
 	// unauthenticated.
-	ar := &areader{b: b, off: secOff[secAuth], sec: "auth"}
+	ar := &areader{b: body, off: secOff[secAuth], sec: "auth"}
 	flag := ar.u32()
 	ar.u32() // padding
 	stored := ar.take(32)
@@ -369,8 +362,8 @@ func checkArenaSchema(b []byte, off, arity int, want *relation.Schema) error {
 func decodeArenaSymbols(b []byte, off, nsyms int) ([]relation.Value, error) {
 	r := &areader{b: b, off: off, sec: "symbols"}
 	nvals := r.count(uint64(r.u32()), len(b)/16, "value count")
-	if r.err == nil && nvals < nsyms {
-		r.fail("value count %d smaller than interned symbol count %d", nvals, nsyms)
+	if r.err == nil && nvals != nsyms {
+		r.fail("value count %d is not the header's symbol count %d", nvals, nsyms)
 	}
 	r.align8()
 	records := r.take(16 * nvals)

@@ -4,13 +4,16 @@ package master
 // deep-equal (checkEquiv, the same oracle the delta chain is held to) and
 // probe-identical to the original, saving must be deterministic, and a
 // corrupt or truncated image must fail with a typed *SnapshotError —
-// never a panic and never an out-of-range read.
+// never a panic and never an out-of-range read. A mutation meant for a
+// validator behind the checksum re-seals the trailer (resealArena) so it
+// reaches that validator.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -27,6 +30,14 @@ func saveArenaBytes(t testing.TB, d *Data, sigma *rule.Set) []byte {
 		t.Fatalf("SaveArena: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// resealArena rewrites a mutated image's trailer to the checksum of its
+// bytes, as if SaveArena had written them.
+func resealArena(img []byte) {
+	if body := len(img) - arenaTrailerSize; body >= 0 {
+		binary.LittleEndian.PutUint32(img[body:], crc32.Checksum(img[:body], arenaCRC))
+	}
 }
 
 func loadArenaOrFatal(t testing.TB, img []byte, sigma *rule.Set) *Data {
@@ -224,13 +235,8 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 	return []corruptCase{
 		{"bad magic", func(b []byte) { b[0] = 'X' }},
 		{"bad version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], 99) }},
-		{"older version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersionPostings-1) }},
+		{"older version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersion-1) }},
 		{"newer version", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersion+1) }},
-		{"format 4 claimed by a format-5 image", func(b []byte) {
-			// Its header table would be one slot longer: the slot read from
-			// the schema section is no section offset.
-			binary.LittleEndian.PutUint32(b[hdrVersion:], arenaVersionPostings)
-		}},
 		{"bad endian marker", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrEndian:], 0x04030201) }},
 		{"zero shards", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], 0) }},
 		{"shard count over limit", func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNShards:], MaxShards+1) }},
@@ -241,6 +247,12 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 			binary.LittleEndian.PutUint32(b[hdrNShards:], n+1)
 		}},
 		{"tuple count over int32", func(b []byte) { binary.LittleEndian.PutUint64(b[hdrNTuples:], 1<<33) }},
+		{"symbol count off the records", func(b []byte) {
+			// The section holds one record more than the header claims: every
+			// stored value is a symbol, so the two counts must agree.
+			n := binary.LittleEndian.Uint32(b[hdrNSyms:])
+			binary.LittleEndian.PutUint32(b[hdrNSyms:], n-1)
+		}},
 		{"file size mismatch", func(b []byte) { binary.LittleEndian.PutUint64(b[hdrFileSize:], uint64(len(b)+8)) }},
 		{"section offset past EOF", func(b []byte) {
 			binary.LittleEndian.PutUint64(b[hdrSections+8*secColumns:], uint64(len(b)+8))
@@ -275,10 +287,10 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 	}
 }
 
-// swapFirstIndexShards returns a copy of a P ≥ 2 image with the first two
-// shard tables of its first index exchanged: every table is still valid by
-// itself and every count still adds up, but the keys now sit in shards they
-// do not route to — where no probe would look for them.
+// swapFirstIndexShards returns a re-sealed copy of a P ≥ 2 image with the
+// first two shard tables of its first index exchanged: every table is still
+// valid by itself and every count still adds up, but the keys now sit in
+// shards they do not route to — where no probe would look for them.
 func swapFirstIndexShards(img []byte) []byte {
 	off := int(binary.LittleEndian.Uint64(img[hdrSections+8*secIndexes:]))
 	off += 4 + 4*int(binary.LittleEndian.Uint32(img[off:])) // the Xm list
@@ -293,14 +305,16 @@ func swapFirstIndexShards(img []byte) []byte {
 	out := append([]byte(nil), img[:off]...)
 	out = append(out, img[off+l0:off+l0+l1]...)
 	out = append(out, img[off:off+l0]...)
-	return append(out, img[off+l0+l1:]...)
+	out = append(out, img[off+l0+l1:]...)
+	resealArena(out)
+	return out
 }
 
 // TestArenaRejectsOtherLayouts: the loader takes the layout this build
-// writes and the one before it (format 4, v4_compat_test.go), no other. An
-// image whose keys sit in the wrong shard, a version-3 image (tuple-routed
-// shards, which this build would probe one shard of) and a version-6 one all
-// fail typed instead of loading into a master that misses matches.
+// writes, no other. An image whose keys sit in the wrong shard, one that
+// lacks a one-column index its rules read, and a version-4, -5 or -7 header
+// all fail typed instead of loading into a master that misses matches or
+// rebuilding what the image left out.
 func TestArenaRejectsOtherLayouts(t *testing.T) {
 	sigma, d := fuzzArenaSigma()
 	img := saveArenaBytes(t, d, sigma)
@@ -315,15 +329,25 @@ func TestArenaRejectsOtherLayouts(t *testing.T) {
 		t.Fatalf("misrouted keys: error %v must name the routing check in the indexes section", err)
 	}
 
-	for _, version := range []uint32{3, 6} {
+	// The last index registered is the one-column index over MB that only
+	// the two-column rule reads: an image without it is refused, not filled.
+	lacking := *d
+	lacking.indexes = d.indexes[:len(d.indexes)-1]
+	_, err = LoadArenaBytes(saveArenaBytes(t, &lacking, sigma), sigma)
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) || !strings.Contains(se.Msg, "no one-column index") {
+		t.Fatalf("missing one-column index: got %v, want a *SnapshotError naming it", err)
+	}
+
+	for _, version := range []uint32{4, 5, 7} {
 		other := append([]byte(nil), img...)
 		binary.LittleEndian.PutUint32(other[hdrVersion:], version)
 		_, err = LoadArenaBytes(other, sigma)
 		if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
 			t.Fatalf("version %d: got %v, want a *SnapshotError matching ErrBadSnapshot", version, err)
 		}
-		if se.Section != "header" || !strings.Contains(se.Msg, fmt.Sprintf("version %d", version)) {
-			t.Fatalf("version %d: error %v must name the version in the header section", version, err)
+		want := fmt.Sprintf("unsupported version %d (want %d)", version, arenaVersion)
+		if se.Section != "header" || se.Msg != want {
+			t.Fatalf("version %d: error %v, want %q in the header section", version, err, want)
 		}
 	}
 }
@@ -339,6 +363,7 @@ func TestArenaCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := append([]byte(nil), img...)
 			tc.mut(mut)
+			resealArena(mut)
 			_, err := LoadArenaBytes(mut, sigma)
 			if err == nil {
 				t.Fatal("corrupt image loaded without error")
@@ -362,29 +387,19 @@ func TestArenaCorruption(t *testing.T) {
 	})
 
 	t.Run("random byte flips never panic", func(t *testing.T) {
+		// No flip is benign — padding, a bucket key and a tuple's payload
+		// are all under the checksum — so every one fails typed.
 		frng := rand.New(rand.NewSource(55_000_000))
 		for trial := 0; trial < 500; trial++ {
 			mut := append([]byte(nil), img...)
 			for k := 0; k <= frng.Intn(3); k++ {
 				mut[frng.Intn(len(mut))] ^= byte(1 + frng.Intn(255))
 			}
-			d, err := LoadArenaBytes(mut, sigma)
-			if err != nil {
-				if !errors.Is(err, ErrBadSnapshot) {
-					t.Fatalf("trial %d: error %v does not match ErrBadSnapshot", trial, err)
-				}
-				continue
+			if bytes.Equal(mut, img) {
+				continue // two flips of one byte cancelled out
 			}
-			// A benign flip (padding, a bucket key) may still load; the
-			// loaded snapshot must at least answer probes without panics.
-			_ = d.MemStats()
-			probe := make(relation.Tuple, sigma.Schema().Arity())
-			for i := range probe {
-				probe[i] = relation.String("a")
-			}
-			for _, ru := range sigma.Rules() {
-				_ = d.MatchIDs(ru, probe)
-				_ = d.RHSValues(ru, probe)
+			if _, err := LoadArenaBytes(mut, sigma); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("trial %d: got %v, want ErrBadSnapshot", trial, err)
 			}
 		}
 	})

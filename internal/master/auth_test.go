@@ -144,6 +144,7 @@ func TestArenaAuthSectionCorruption(t *testing.T) {
 
 	expectAuthError := func(t *testing.T, img []byte) {
 		t.Helper()
+		resealArena(img)
 		_, err := LoadArenaBytes(img, sigma)
 		if err == nil {
 			t.Fatal("corrupt auth section loaded")
@@ -168,7 +169,7 @@ func TestArenaAuthSectionCorruption(t *testing.T) {
 		expectAuthError(t, bad)
 	})
 	t.Run("truncated-section", func(t *testing.T) {
-		bad := append([]byte(nil), img[:authOff+8]...) // flag+pad survive, root cut
+		bad := append(img[:authOff+8:authOff+8], make([]byte, arenaTrailerSize)...) // flag+pad survive, root cut
 		binary.LittleEndian.PutUint64(bad[hdrFileSize:], uint64(len(bad)))
 		expectAuthError(t, bad)
 	})

@@ -3,87 +3,17 @@ package master
 // Cells are interned ids: these tests hold what a snapshot materializes —
 // Tuple, Cell, All, Relation — to a relation kept independently as plain
 // tuples, at every epoch of branching delta programs, and hold the values
-// that occur only in columns no structure indexes (an arena image written
-// before cells were ids stored those as "extension values" outside the
-// symbol table) to the probe answers a scan over that relation gives.
+// that occur only in columns no structure indexes to the probe answers a
+// scan over that relation gives.
 
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
-	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
-
-// extensionFixture is a small master whose V, NOTE and N columns no rule's
-// Xm names, with Nulls in indexed and non-indexed columns and values shared
-// between the two kinds. testdata/pr17_extension_values.arena is its
-// WithShards(2) snapshot as the commit before cells were ids saved it.
-func extensionFixture() (*rule.Set, *relation.Relation) {
-	attrs := []relation.Attribute{
-		{Name: "K", Type: relation.TypeString}, {Name: "A", Type: relation.TypeString},
-		{Name: "V", Type: relation.TypeString}, {Name: "NOTE", Type: relation.TypeString},
-		{Name: "N", Type: relation.TypeInt},
-	}
-	r, rm := relation.MustSchema("R", attrs...), relation.MustSchema("Rm", attrs...)
-	sigma := rule.MustNewSet(r, rm,
-		rule.MustNew("kv", r, rm, []int{0}, []int{0}, 2, 2, pattern.Empty()),
-		rule.MustNew("kan", r, rm, []int{0, 1}, []int{0, 1}, 3, 3, pattern.Empty()))
-	rel := relation.NewRelation(rm)
-	for _, row := range []struct {
-		k, a, v, note string
-		n             int64
-	}{
-		{"k1", "a1", "v1", "only-note", 7},
-		{"k2", "a1", "v2", "k1", 7}, // NOTE holds a value K interned
-		{"k1", "a2", "v1", "", -1},  // Null NOTE and N
-		{"k3", "", "v3", "only-note", 9},
-		{"k4", "a2", "only-v", "n4", 0},
-		{"k2", "a1", "v2", "n5", 1 << 40},
-		{"k5", "a3", "a1", "n6", 9}, // V holds a value A interned
-	} {
-		t := relation.StringTuple(row.k, row.a, row.v, row.note, "")
-		if row.n >= 0 {
-			t[4] = relation.Int(row.n)
-		}
-		rel.MustAppend(t)
-	}
-	return sigma, rel
-}
-
-// TestLoadsImageWithExtensionValues: a format-4 image written by the parent
-// commit — 9 symbols, 12 extension values after them — loads with every
-// value an ordinary symbol, equal to a rebuild cell for cell and probe for
-// probe, and saves back without extension records.
-func TestLoadsImageWithExtensionValues(t *testing.T) {
-	img, err := os.ReadFile("testdata/pr17_extension_values.arena")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma, rel := extensionFixture()
-	loaded := loadArenaOrFatal(t, img, sigma)
-	rebuilt := MustNewForRules(rel, sigma, WithShards(2))
-	checkCells(t, "loaded", loaded, tuplesOf(rel))
-	if got, want := loaded.MemStats().Symbols, rebuilt.MemStats().Symbols; got != want {
-		t.Fatalf("loaded image holds %d symbols, a rebuild %d", got, want)
-	}
-	checkEquiv(t, "loaded", loaded, sigma)
-	vals := []string{"k1", "k2", "k9", "a1", "a2", "only-note", "only-v", "v1", "n4"}
-	checkProbesAgree(t, "loaded vs rebuilt", loaded, rebuilt, sigma, vals, 200)
-	checkAbsentFromColumn(t, "loaded", loaded, sigma, tuplesOf(rel))
-
-	next, err := loaded.ApplyDelta([]relation.Tuple{rel.Tuple(0).Clone()}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquiv(t, "loaded + delta", next, sigma)
-	resaved := loadArenaOrFatal(t, saveArenaBytes(t, loaded, sigma), sigma)
-	checkCells(t, "resaved", resaved, tuplesOf(rel))
-	checkProbesAgree(t, "resaved vs rebuilt", resaved, rebuilt, sigma, vals, 200)
-}
 
 // checkCells holds every way a snapshot materializes its tuples to want.
 func checkCells(t testing.TB, ctx string, d *Data, want []relation.Tuple) {

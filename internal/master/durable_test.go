@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -310,15 +311,13 @@ func TestDurableHistoryRingAfterRecovery(t *testing.T) {
 }
 
 // checkpointCorruption is one flipped byte of a checkpoint image, placed by
-// the image's own header. structural means the loader's validation covers
-// the field, so any lineage refuses the image; the others sit in the tuple
-// payload, where a flipped byte is usually another valid value, and only an
-// authenticated lineage notices (the recomputed root is not the stored one).
+// the image's own header: the structural fields, and the tuple payload,
+// where a flipped byte is usually another valid value that only the
+// checksum (or, on an authenticated lineage, the root) tells apart.
 type checkpointCorruption struct {
-	name       string
-	off        int
-	mask       byte
-	structural bool
+	name string
+	off  int
+	mask byte
 }
 
 func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
@@ -346,23 +345,28 @@ func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
 	// (slot, key and id counts). Rules: u64 signature, u32 popcount.
 	table := align8(sec(secIndexes) + 4 + 4*int(le.Uint32(img[sec(secIndexes):])))
 	return []checkpointCorruption{
-		{"header tuple count", hdrNTuples, 0xFF, true},
-		{"header shard count", hdrNShards, 0xFF, true},
-		{"header arity", hdrArity, 0xFF, true},
-		{"header symbol count", hdrNSyms, 0xFF, true},
-		{"header file size", hdrFileSize, 0xFF, true},
-		{"header section offset", hdrSections + 8*secColumns, 0xFF, true},
-		{"schema name", sec(secSchema) + 4, 0xFF, true},
-		{"table slot count", table, 0xFF, true},
-		{"table key count", table + 8, 0xFF, true},
-		{"table id count", table + 16, 0xFF, true},
-		{"bitmap popcount", sec(secRules) + 8, 0xFF, true},
-		{"string heap", heap + int(le.Uint64(img[rec+8:])), 0x80, false},
-		{"value record length", rec + 4, 0x01, false},
-		{"cell id", cell, 0x01, false},
+		{"header tuple count", hdrNTuples, 0xFF},
+		{"header shard count", hdrNShards, 0xFF},
+		{"header arity", hdrArity, 0xFF},
+		{"header symbol count", hdrNSyms, 0xFF},
+		{"header file size", hdrFileSize, 0xFF},
+		{"header section offset", hdrSections + 8*secColumns, 0xFF},
+		{"schema name", sec(secSchema) + 4, 0xFF},
+		{"table slot count", table, 0xFF},
+		{"table key count", table + 8, 0xFF},
+		{"table id count", table + 16, 0xFF},
+		{"bitmap popcount", sec(secRules) + 8, 0xFF},
+		{"string heap", heap + int(le.Uint64(img[rec+8:])), 0x80},
+		{"value record length", rec + 4, 0x01},
+		{"cell id", cell, 0x01},
+		{"trailer", len(img) - 1, 0x01},
 	}
 }
 
+// TestDurableCorruptionIsTyped: a checkpoint with any single byte flipped,
+// authenticated or not, fails the open with ErrBadSnapshot, and so does one
+// of an older format; the lineage is never rebuilt from its base over it. A
+// flipped byte of the log fails it with ErrWALCorrupt.
 func TestDurableCorruptionIsTyped(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
 		for _, shards := range []int{1, 4} {
@@ -372,7 +376,9 @@ func TestDurableCorruptionIsTyped(t *testing.T) {
 				opts := w.opts(wal.OS)
 				opts.Auth = auth
 				dir := t.TempDir()
-				dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, opts)
+				rebuilt := false
+				base := func() (*Data, error) { rebuilt = true; return w.base, nil }
+				dv, err := OpenDurable(dir, base, w.sigma, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -390,18 +396,36 @@ func TestDurableCorruptionIsTyped(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range checkpointCorruptions(t, img) {
-					bad := bytes.Clone(img)
-					bad[c.off] ^= c.mask
+				rebuilt = false
+				open := func(what string, bad []byte) error {
 					if err := os.WriteFile(path, bad, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, opts)
+					dv, err := OpenDurable(dir, base, w.sigma, opts)
 					if err == nil {
 						dv.Close()
 					}
-					if (c.structural || auth) && !errors.Is(err, ErrBadSnapshot) {
-						t.Errorf("P=%d auth=%v: %s (offset %d) flipped: want ErrBadSnapshot, got %v", shards, auth, c.name, c.off, err)
+					if !errors.Is(err, ErrBadSnapshot) || rebuilt {
+						t.Errorf("P=%d auth=%v: %s: want ErrBadSnapshot and no rebuild, got %v (rebuilt %v)", shards, auth, what, err, rebuilt)
+					}
+					return err
+				}
+				for _, c := range checkpointCorruptions(t, img) {
+					bad := bytes.Clone(img)
+					bad[c.off] ^= c.mask
+					open(fmt.Sprintf("%s (offset %d) flipped", c.name, c.off), bad)
+				}
+				v5 := bytes.Clone(img)
+				binary.LittleEndian.PutUint32(v5[hdrVersion:], 5)
+				if err := open("a version-5 checkpoint", v5); err != nil && !strings.Contains(err.Error(), "unsupported version 5 (want 6)") {
+					t.Errorf("P=%d auth=%v: version-5 checkpoint: %v does not name the versions", shards, auth, err)
+				}
+				// Every other byte, through the loader the open calls.
+				for off := range img {
+					bad := bytes.Clone(img)
+					bad[off] ^= 0x01
+					if _, err := LoadArenaBytes(bad, w.sigma); !errors.Is(err, ErrBadSnapshot) {
+						t.Fatalf("P=%d auth=%v: byte %d of %d flipped: want ErrBadSnapshot, got %v", shards, auth, off, len(img), err)
 					}
 				}
 			}

@@ -1,12 +1,12 @@
 package master
 
 // Compatibility with what the previous layout wrote, checked against bytes:
-// testdata/pr19_lineage/ is a durable directory — an authenticated arena
-// checkpoint at epoch 8 and the WAL records of epochs 9–12 — written by
-// this file's fixture running at f037e95, the commit before id lists were
-// chunked and the Merkle tree paged, with the epoch, root and probe answers
-// that commit served in want.json. -update-lineage rewrites all of it and is
-// for a change that means to break the format.
+// testdata/v6_lineage/ is a durable directory — an authenticated format-6
+// arena checkpoint at epoch 8 and the WAL records of epochs 9–12 — written
+// by this file's fixture, with the epoch, root and probe answers the writing
+// build served in want.json. A recovering node must read it as it is.
+// -update-lineage rewrites all of it and is for a change that means to break
+// the format.
 
 import (
 	"encoding/json"
@@ -24,9 +24,9 @@ import (
 	"repro/internal/wal"
 )
 
-var updateLineage = flag.Bool("update-lineage", false, "rewrite testdata/pr19_lineage")
+var updateLineage = flag.Bool("update-lineage", false, "rewrite testdata/v6_lineage")
 
-const lineageDir = "testdata/pr19_lineage"
+const lineageDir = "testdata/v6_lineage"
 
 // lineageWant is what the writing commit answered at its head.
 type lineageWant struct {
@@ -43,8 +43,8 @@ type lineageProbe struct {
 }
 
 // lineageFixture is 400 tuples over (K, A, V, W): 300 keys, a third of them
-// held twice, and three values of A, so the A index and postings hold lists
-// of 130–140 ids — longer than a chunk — beside the short K lists.
+// held twice, and three values of A, so the A index holds lists of 130–140
+// ids — longer than a chunk — beside the short K lists.
 func lineageFixture() (*rule.Set, *relation.Relation) {
 	r := relation.StringSchema("R", "K", "A", "V", "W")
 	rm := relation.StringSchema("Rm", "K", "A", "V", "W")

@@ -48,9 +48,11 @@
 // column), and compat.go walks the smallest bucket of the validated columns
 // under a per-rule pattern-support bitmap instead of scanning Dm.
 //
-// Every index is partitioned into P shards, routed by its key (shard.go): P
-// sets the grain of parallel builds and of compaction and is invisible to
-// probes, which read the one shard their key routes to. Tuple ids stay global, so probe results are byte-identical for
+// Every index is partitioned into P shards, routed by its key (shard.go). P
+// follows the master's size — one shard per 32k tuples, fixed when the
+// master is built and kept by its lineage — and sets the grain of
+// compaction; it is invisible to probes, which read the one shard their key
+// routes to. Tuple ids stay global, so probe results are byte-identical for
 // every P.
 //
 // The paper assumes master data is static (§2). A service cannot stop the
@@ -195,8 +197,8 @@ func New(rel *relation.Relation, opts ...BuildOption) *Data {
 // NewForRules wraps a master relation, eagerly builds one index per
 // distinct Xm list in Σ and per column of a multi-column one, and
 // resolves each rule's probe and compatibility plans: a Builder fed the
-// relation's tuples. The indexes are partitioned into WithShards shards
-// (default one per CPU) and filled in parallel on GOMAXPROCS goroutines.
+// relation's tuples. The indexes are partitioned into shardsFor(|Dm|)
+// shards and filled in parallel on GOMAXPROCS goroutines.
 // Failures — schema mismatch, a tuple violating the schema's declared
 // types — are typed: errors.Is(err, ErrMasterBuild), with a *BuildError
 // carrying the failing tuple's id and key context.

@@ -167,7 +167,7 @@ func mustEmptyPattern() pattern.Tuple { return pattern.Empty() }
 // allocating.
 func TestMultiMatchProbeShardInvariant(t *testing.T) {
 	const n = 20_000
-	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1, Shards: 1})
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

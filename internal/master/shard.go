@@ -11,41 +11,53 @@ package master
 // tuple lives in a different shard per index; tuple ids stay global
 // positions in the relation.
 //
-// What P still buys is on the write side: compaction rewrites 1/P of an
-// index (fork flattens the shard whose overlay outgrew its table, not the
-// whole index), and no single table grows to |Dm| keys. Builds are parallel
-// at every P: the indexes build their P tables side by side.
+// What P buys is on the write side: compaction rewrites 1/P of an index
+// (fork flattens the shard whose overlay outgrew its table, not the whole
+// index), so a delta's tail latency grows with |Dm|/P, not |Dm|. P is
+// therefore a function of the master's size, not of the host: a build over
+// n tuples takes shardsFor(n) shards, and a lineage keeps that P through
+// ApplyDelta, checkpoints and LoadArena. Builds are parallel per index at
+// every P.
 //
 // Shards are iterated only by whole-index walks: build, fork/compaction,
 // arena save/load, MemStats and the exception rebuild.
 
 import (
-	"runtime"
-
 	"repro/internal/parallel"
 	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
 
-// MaxShards bounds the shard count a build may ask for and an arena header
+// MaxShards bounds the shard count a build may take and an arena header
 // may claim.
 const MaxShards = 256
+
+// rowsPerShard is the master size one shard is sized for: below it a delta's
+// compaction is cheap enough that one table serves, and every rowsPerShard
+// tuples past it add a shard.
+const rowsPerShard = 1 << 15
+
+// shardsFor is the shard count of a master built over n tuples:
+// ceil(n/rowsPerShard), within [1, MaxShards].
+func shardsFor(n int) int {
+	return min(max((n+rowsPerShard-1)/rowsPerShard, 1), MaxShards)
+}
 
 // BuildOption configures snapshot construction (New / NewForRules).
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
-	shards int
+	shards int // 0: shardsFor(|Dm|)
 	auth   bool
 }
 
-// WithShards selects the number of shards each index is partitioned into; a
-// shard is one table and one unit of compaction. p <= 0 selects DefaultShards
-// (one per CPU); p is clamped to [1, MaxShards]. Probes read one shard
-// whatever p is, and every p produces byte-identical results.
+// WithShards overrides the shard count a build derives from its size, for
+// the tests and benchmarks that hold one layout against another; p <= 0
+// keeps the derived count, and p is clamped to [1, MaxShards]. Probes read
+// one shard whatever p is, and every p produces byte-identical results.
 func WithShards(p int) BuildOption {
-	return func(c *buildConfig) { c.shards = p }
+	return func(c *buildConfig) { c.shards = min(max(p, 0), MaxShards) }
 }
 
 // WithAuth authenticates the snapshot lineage: construction commits the
@@ -59,31 +71,11 @@ func WithAuth() BuildOption {
 	return func(c *buildConfig) { c.auth = true }
 }
 
-// DefaultShards is the shard count used when WithShards is not given:
-// runtime.GOMAXPROCS(0), clamped to MaxShards.
-func DefaultShards() int {
-	return clampShards(runtime.GOMAXPROCS(0))
-}
-
-func clampShards(p int) int {
-	if p < 1 {
-		p = 1
-	}
-	if p > MaxShards {
-		p = MaxShards
-	}
-	return p
-}
-
 func resolveBuildConfig(opts []BuildOption) buildConfig {
 	cfg := buildConfig{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shards <= 0 {
-		cfg.shards = DefaultShards()
-	}
-	cfg.shards = clampShards(cfg.shards)
 	return cfg
 }
 
@@ -107,12 +99,12 @@ func (idx *index) shard(h uint64) *indexShard {
 func (d *Data) Shards() int { return d.nshards }
 
 // registerIndex finds or creates the index over xm; a created one has no
-// tables until fill builds them.
+// shards until fill sizes and builds them.
 func (d *Data) registerIndex(xm []int) *index {
 	if idx := d.findIndex(xm); idx != nil {
 		return idx
 	}
-	idx := newIndex(append([]int(nil), xm...), d.nshards)
+	idx := &index{xm: append([]int(nil), xm...)}
 	d.indexes = append(d.indexes, idx)
 	return idx
 }
@@ -141,9 +133,10 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 // feeds it a relation, certainfix.NewFromCSV the rows of a file as they are
 // parsed, so a master never exists as values and as ids at once.
 type Builder struct {
-	d     *Data
-	sigma *rule.Set // nil under New: no plans, no bitmaps
-	auth  bool
+	d      *Data
+	sigma  *rule.Set // nil under New: no plans, no bitmaps
+	shards int       // WithShards' override; 0 derives P at Finish
+	auth   bool
 	// slab is the unused tail of the current slab; rows are carved off its
 	// front. A slab holds as many rows as came before it, within
 	// [minSlabRows, maxSlabRows].
@@ -179,14 +172,14 @@ func newBuilder(schema *relation.Schema, sigma *rule.Set, cfg buildConfig) *Buil
 	syms := relation.NewSymbols()
 	return &Builder{
 		d: &Data{
-			nshards: cfg.shards,
-			schema:  schema,
-			syms:    syms,
-			hasher:  relation.NewHasher(syms),
-			plans:   map[*rule.Rule]*index{},
-			compat:  map[*rule.Rule]*compatPlan{},
+			schema: schema,
+			syms:   syms,
+			hasher: relation.NewHasher(syms),
+			plans:  map[*rule.Rule]*index{},
+			compat: map[*rule.Rule]*compatPlan{},
 		},
 		sigma:  sigma,
+		shards: cfg.shards,
 		auth:   cfg.auth,
 		last:   make([]relation.Value, schema.Arity()),
 		lastID: make([]uint32, schema.Arity()),
@@ -229,11 +222,17 @@ func (b *Builder) addRow(t relation.Tuple) {
 	d.rows.Append(row)
 }
 
-// Finish builds every registered structure over the rows added so far and
-// returns the snapshot, at epoch 0. The Builder must not be used afterwards.
+// Finish fixes the snapshot's shard count — shardsFor the rows added so far,
+// unless WithShards overrode it — builds every registered structure over
+// those rows and returns the snapshot, at epoch 0. The Builder must not be
+// used afterwards.
 func (b *Builder) Finish() *Data {
 	d := b.d
-	d.fill(d.indexes)
+	d.nshards = b.shards
+	if d.nshards == 0 {
+		d.nshards = shardsFor(d.rows.Len())
+	}
+	d.fill()
 	if b.sigma != nil {
 		d.buildBitmaps(b.sigma)
 	}
@@ -274,30 +273,31 @@ func (d *Data) buildBitmaps(sigma *rule.Set) {
 	})
 }
 
-// fill builds the given indexes' shard tables from the id rows, which it only
-// reads; every task writes its own index — no locks. The indexes build side by
-// side, each gathering its key column in one pass over the rows — the hash of
-// the row's Xm ids, no symbol lookup — grouping it by shard and building one
-// table per shard, its exception table (uniform.go) following its buckets.
-// The arrays that takes belong to the worker, not the index: a build
-// allocates them once per CPU, whatever Σ registers.
-func (d *Data) fill(indexes []*index) {
-	if len(indexes) == 0 {
-		return // no worker, no scratch: New's masters, an image that lacks nothing
+// fill builds every registered index's d.nshards shard tables from the id
+// rows, which it only reads; every task writes its own index — no locks. The
+// indexes build side by side, each gathering its key column in one pass over
+// the rows — the hash of the row's Xm ids, no symbol lookup — grouping it by
+// shard and building one table per shard, its exception table (uniform.go)
+// following its buckets. The arrays that takes belong to the worker, not the
+// index: a build allocates them once per CPU, whatever Σ registers.
+func (d *Data) fill() {
+	if len(d.indexes) == 0 {
+		return // no worker, no scratch: New's masters
 	}
 	n, p := d.rows.Len(), d.nshards
 	// The error is dropped because no job returns one.
-	_, _ = parallel.MapWorkers(len(indexes), 0, func() func(int) (struct{}, error) {
+	_, _ = parallel.MapWorkers(len(d.indexes), 0, func() func(int) (struct{}, error) {
 		// keys is the index's key of every tuple, in tuple order, and then the
 		// sort buffer of each shard's table; gkeys and ids the same keys and
 		// their tuples grouped by shard.
 		keys, gkeys, ids := make([]uint64, n), make([]uint64, n), make([]int, n)
 		return func(k int) (struct{}, error) {
-			idx := indexes[k]
+			idx := d.indexes[k]
 			for i, row := range d.rows.All() {
 				keys[i] = d.hasher.HashRow(row, idx.xm)
 			}
 			start := groupByShard(keys, gkeys, ids, p)
+			idx.shards = make([]indexShard, p)
 			for s := range idx.shards {
 				lo, hi := start[s], start[s+1]
 				idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], ids[lo:hi], keys[lo:hi])

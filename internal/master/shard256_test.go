@@ -2,6 +2,8 @@ package master
 
 import (
 	"testing"
+
+	"repro/internal/relation"
 )
 
 func TestMaxShardsBuild(t *testing.T) {
@@ -23,4 +25,38 @@ func TestMaxShardsBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardsFollowMasterSize: a build takes one shard per rowsPerShard
+// tuples started, within [1, MaxShards], whatever the host. One just past
+// the first threshold has P = 2, answers every probe like its one-shard
+// oracle, and keeps P through ApplyDelta and an arena round trip.
+func TestShardsFollowMasterSize(t *testing.T) {
+	for n, want := range map[int]int{0: 1, 1: 1, 32768: 1, 32769: 2, 100000: 4, 1 << 30: MaxShards} {
+		if got := shardsFor(n); got != want {
+			t.Errorf("shardsFor(%d) = %d, want %d", n, got, want)
+		}
+	}
+
+	rel, sigma := shardBenchRelation(rowsPerShard + 1)
+	d := MustNewForRules(rel, sigma)
+	orc := MustNewForRules(rel, sigma, WithShards(1))
+	if d.Shards() != 2 || d.MemStats().Shards != 2 {
+		t.Fatalf("a build over %d tuples has %d shards (MemStats %d), want 2", rel.Len(), d.Shards(), d.MemStats().Shards)
+	}
+	z := relation.NewAttrSet(1)
+	for i := range rel.Len() {
+		checkProbeEquality(t, "P=2 vs P=1", d, orc, sigma, rel.Tuple(i), z)
+	}
+
+	// Deleting down below the threshold keeps the lineage's P.
+	next, err := d.ApplyDelta([]relation.Tuple{rel.Tuple(0).Clone()}, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := loadArenaOrFatal(t, saveArenaBytes(t, next, sigma), sigma)
+	if next.Shards() != 2 || loaded.Shards() != 2 {
+		t.Fatalf("P = %d after a delta, %d after a round trip; want 2", next.Shards(), loaded.Shards())
+	}
+	checkEquiv(t, "P=2 loaded", loaded, sigma)
 }

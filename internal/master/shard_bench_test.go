@@ -10,10 +10,6 @@ package master
 // overhead — run locally with MASTER_BENCH_1M=1 on a real machine for
 // the headline number. The default sizes keep CI's -benchtime=1x smoke
 // cheap.
-//
-// BenchmarkProbeShards pins that P is invisible to a probe: hit latency of
-// the indexed probe as P grows at the paper-scale |Dm| = 600 stays the P=1
-// cost plus the router's one multiply.
 
 import (
 	"fmt"
@@ -79,26 +75,6 @@ func BenchmarkShardedBuild(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkProbeShards measures indexed hit latency across shard counts
-// at |Dm| = 600: a probe reads one shard at every P, allocation-free.
-func BenchmarkProbeShards(b *testing.B) {
-	const n = 600
-	rel, sigma := shardBenchRelation(n)
-	ru := sigma.Rule(0) // key → c1: unique key, single-match hits
-	for _, p := range []int{1, 2, 4, 8} {
-		d := MustNewForRules(rel, sigma, WithShards(p))
-		probe := rel.Tuple(n / 2).Clone()
-		b.Run(fmt.Sprintf("P=%d/hit", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if ids := d.MatchIDs(ru, probe); len(ids) != 1 {
-					b.Fatal("probe must match once")
-				}
-			}
-		})
 	}
 }
 

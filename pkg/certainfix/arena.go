@@ -32,9 +32,8 @@ type MasterMemStats = master.MemStats
 // to the Σ the image was saved for (same master schema, same rules in the
 // same order) — validated against per-rule signatures in the image.
 //
-// WithShards is ignored here: the shard layout is frozen into the image.
-// Every other option applies as in New. UpdateMaster works unchanged on
-// the loaded system; deltas land in copy-on-write overlays above the
+// Options apply as in New. UpdateMaster works unchanged on the loaded
+// system; deltas land in copy-on-write overlays above the
 // read-only arena. Under WithWAL the arena seeds the lineage only on the
 // first open of the WAL directory — afterwards the directory's own
 // checkpoint and log are authoritative, as in New.

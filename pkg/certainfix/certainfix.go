@@ -318,7 +318,7 @@ func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
 		if masterRel == nil {
 			return nil, fmt.Errorf("certainfix: no master relation was given and no WAL checkpoint holds one")
 		}
-		return master.NewForRules(masterRel, rules, master.WithShards(cfg.shards))
+		return master.NewForRules(masterRel, rules)
 	})
 }
 
@@ -338,7 +338,7 @@ func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error
 			return nil, err
 		}
 		defer f.Close() // read only
-		b := master.NewBuilder(rules, master.WithShards(cfg.shards))
+		b := master.NewBuilder(rules)
 		if err := relation.ScanCSV(rules.MasterSchema(), bufio.NewReader(f), b.Add); err != nil {
 			return nil, fmt.Errorf("%s: %w", masterPath, err)
 		}

@@ -38,7 +38,7 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeMasterCSV(t, ds)
-	streamed, err := certainfix.NewFromCSV(ds.Sigma, path, certainfix.WithShards(3))
+	streamed, err := certainfix.NewFromCSV(ds.Sigma, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected, err := certainfix.New(ds.Sigma, rel, certainfix.WithShards(3))
+	collected, err := certainfix.New(ds.Sigma, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func BenchmarkNewFromCSV(b *testing.B) {
 		defer runtime.GOMAXPROCS(prev)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := certainfix.NewFromCSV(ds.Sigma, path, certainfix.WithShards(4)); err != nil {
+			if _, err := certainfix.NewFromCSV(ds.Sigma, path); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,7 +13,6 @@ type Option func(*config)
 type config struct {
 	maxRounds       int
 	history         int
-	shards          int
 	walDir          string
 	fsync           FsyncPolicy
 	checkpointEvery int
@@ -103,16 +102,12 @@ func WithAuth() Option {
 	return func(c *config) { c.auth = true }
 }
 
-// WithShards partitions each of the master data's indexes, with its
-// copy-on-write overlay, into p shards by key (p <= 0
-// restores the default, one shard per CPU; p is clamped to the master
-// package's MaxShards). The shard count is invisible to results and to
-// lookups — a key has one bucket in one shard, so probe answers, fixes and
-// probe cost are the same for every p; it sets the size of one table and
-// how much of a structure UpdateMaster rewrites when it compacts, which
-// matters on multi-million-tuple masters. It applies to masters built
-// here: an arena image (NewFromArena) and a WAL checkpoint carry the
-// shard count they were saved with.
+// WithShards once set the number of shards the master's indexes were
+// partitioned into.
+//
+// Deprecated: WithShards is a no-op. A master built here takes one index
+// shard per 32k tuples, and an arena image or a WAL checkpoint keeps the
+// shard count it was saved with.
 func WithShards(p int) Option {
-	return func(c *config) { c.shards = p }
+	return func(*config) {}
 }
