@@ -22,7 +22,7 @@
 //	GET  /v1/schema         {"relation": "R", "attrs": [names]}: what the
 //	                        positions in requests and replies name
 //	GET  /v1/root           the published master commitment: {"epoch",
-//	                        "root", "authenticated"} (root needs -auth)
+//	                        "root", "authenticated"} (see -auth below)
 //	GET  /healthz           liveness, "regions" (certain regions verified
 //	                        at boot; 0 = sessions open with the trivial
 //	                        region) and the master's memory accounting
@@ -57,7 +57,7 @@
 // and its tuple as the cells a later round overwrote ("Attrs"/"Values")
 // — and the provenance: a "Provenance" list of (attr, rule, master_id)
 // witnesses plus a "Masters" table holding each witnessed master tuple
-// (and its proof under -auth) once.
+// (and its proof on an authenticated master) once.
 //
 // -token-key-file names the file holding the HMAC key (at least 16
 // bytes; surrounding whitespace is ignored). Every replica of one
@@ -89,14 +89,14 @@
 // /healthz gains a "durability" block, and SIGINT/SIGTERM flush and close
 // the log before exit.
 //
-// With -auth the daemon maintains a Merkle commitment over the master
-// data: GET /v1/root publishes the (epoch, root) pair, session replies
-// carry the pinned root, and /v1/result responses include per-attribute
-// provenance — the rule that fired, the master tuple it consumed, and an
-// inclusion proof. A client holding only the rules and the root checks a
-// fix offline with certainfix.VerifyFix; replicas of an -auth leader
-// audit every shipped epoch against the leader's logged root and refuse
-// to publish a diverged lineage.
+// The daemon maintains a Merkle commitment over the master data under
+// -wal-dir or -follow, and under -auth otherwise: GET /v1/root publishes
+// the (epoch, root) pair, session replies carry the pinned root, and
+// /v1/result responses include per-attribute provenance — the rule that
+// fired, the master tuple it consumed, and an inclusion proof. A client
+// holding only the rules and the root checks a fix offline with
+// certainfix.VerifyFix; a replica audits every shipped epoch against the
+// root its record carries and refuses to publish a diverged lineage.
 //
 // With -follow the daemon is a read-only replica of another certainfixd:
 // it bootstraps from the leader's GET /v1/checkpoint, tails GET /v1/wal,
@@ -142,7 +142,7 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 0, "arena checkpoint every N deltas (0 = default, <0 = never)")
 		follow     = flag.String("follow", "", "run as a read-only replica of the leader certainfixd at this base URL")
 		tokenKey   = flag.String("token-key-file", "", "file holding the session-token HMAC key, shared by all replicas (default: a random per-process key)")
-		auth       = flag.Bool("auth", false, "maintain a Merkle commitment over the master: /v1/root publishes it, fix results carry inclusion proofs, followers audit shipped epochs")
+		auth       = flag.Bool("auth", false, "maintain a Merkle commitment over an in-memory master: /v1/root publishes it, fix results carry inclusion proofs (always on with -wal-dir or -follow)")
 	)
 	flag.Parse()
 	if *rulesPath == "" {

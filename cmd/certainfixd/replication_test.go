@@ -3,8 +3,9 @@ package main
 // Two-node epoch shipping with real binaries: a leader under an update
 // storm, a follower started mid-storm (behind a truncation, so its
 // bootstrap is the checkpoint catch-up path), SIGKILLed and restarted,
-// and still ending epoch-identical — with session tokens minted on the
-// leader finishing on the follower and writes to the follower refused.
+// and still ending epoch-identical under the leader's Merkle root — with
+// session tokens minted on the leader finishing on the follower and writes
+// to the follower refused.
 
 import (
 	"encoding/json"
@@ -27,6 +28,7 @@ type healthSnapshot struct {
 	Replication *struct {
 		State string `json:"state"`
 		Lag   uint64 `json:"lag"`
+		Root  string `json:"root"`
 	} `json:"replication"`
 }
 
@@ -185,4 +187,26 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 	}
 	// And the refusal changed nothing: still converged with the leader.
 	waitConverged("after refused write")
+
+	// A durable leader is an authenticated one, -auth or not: the follower
+	// checked every shipped epoch against its root and serves the same root
+	// the leader publishes at that epoch.
+	var root struct {
+		Epoch uint64 `json:"epoch"`
+		Root  string `json:"root"`
+	}
+	resp, err := http.Get(leaderBase + "/v1/root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&root)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := getHealth(t, followerBase)
+	if root.Root == "" || fh.Epoch != root.Epoch || fh.Replication.Root != root.Root {
+		t.Fatalf("follower at epoch %d under root %q, leader at %d under %q",
+			fh.Epoch, fh.Replication.Root, root.Epoch, root.Root)
+	}
 }

@@ -120,7 +120,7 @@ type sessionResponse struct {
 	Completed   bool               `json:"completed"`
 	Epoch       uint64             `json:"epoch"`
 	// Root is the Merkle root of the session's pinned master snapshot,
-	// present only under -auth. POST /v1/result returns the inclusion
+	// absent on an unauthenticated master. POST /v1/result returns the inclusion
 	// proofs that tie the fix's provenance to it.
 	Root string `json:"root,omitempty"`
 }

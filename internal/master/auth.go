@@ -1,13 +1,13 @@
 package master
 
-// The authenticated side of a snapshot: every WithAuth-built Data carries
-// a sparse-Merkle commitment (internal/authtree) over its tuple multiset,
-// maintained copy-on-write by ApplyDelta the way the indexes are. The root
-// travels with the lineage — arena images persist it (arena.go), the WAL
-// ships it per epoch (delta records), followers compare it after every
-// apply (follower.go) — and inclusion proofs let a client check that a
-// fix really consumed the claimed master tuples with no trust in the
-// server (pkg/certainfix.VerifyFix).
+// The authenticated side of a snapshot: a WithAuth-built Data, and every
+// durable or replicated lineage, carries a sparse-Merkle commitment
+// (internal/authtree) over its tuple multiset, maintained copy-on-write by
+// ApplyDelta the way the indexes are. The root travels with the lineage —
+// arena images persist it (arena.go), every WAL record carries it, and
+// Versioned.ApplyRecord (delta.go) checks it on replay and on followers —
+// and inclusion proofs let a client check that a fix really consumed the
+// claimed master tuples with no trust in the server (VerifyFix).
 
 import (
 	"fmt"

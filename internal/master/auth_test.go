@@ -176,13 +176,12 @@ func TestArenaAuthSectionCorruption(t *testing.T) {
 }
 
 // TestDurableAuthRootRecovery proves the root survives the durable
-// lineage: a crash-free close and reopen with Auth recovers the same
-// root the live lineage last published.
+// lineage: a crash-free close and reopen recovers the same root the live
+// lineage last published.
 func TestDurableAuthRootRecovery(t *testing.T) {
 	w := newDurableWorkload(77_000_001, 6)
 	dir := t.TempDir()
 	opts := w.opts(wal.OS)
-	opts.Auth = true
 
 	dv, err := OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma, opts)
 	if err != nil {
@@ -248,8 +247,7 @@ func TestDurableReplayRootVerification(t *testing.T) {
 	}
 	open := func(dir string) (*DurableVersioned, error) {
 		base := MustNewForRules(d0.Relation(), sigma)
-		return OpenDurable(dir, func() (*Data, error) { return base, nil }, sigma,
-			DurableOptions{Auth: true})
+		return OpenDurable(dir, func() (*Data, error) { return base, nil }, sigma, DurableOptions{})
 	}
 
 	t.Run("wrong-root-rejected", func(t *testing.T) {
@@ -282,8 +280,9 @@ func TestDurableReplayRootVerification(t *testing.T) {
 // TestFollowerDetectsCorruptedDelta is the acceptance scenario: an
 // authenticated follower fed a record whose delta was corrupted in
 // flight — still a perfectly applicable delta, just not the leader's —
-// must fail with a root-mismatch DivergenceError at exactly that epoch,
-// publish nothing, and proceed normally once given the real record.
+// must fail with a DivergenceError at exactly that epoch — a root mismatch,
+// or a missing root when the tamperer stripped it — publish nothing, and
+// proceed normally once given the real record.
 func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(9_000_009))
 	leader, _, rm, vals := randomDeltaInstance(rng)
@@ -321,27 +320,39 @@ func TestFollowerDetectsCorruptedDelta(t *testing.T) {
 		}
 	}
 
-	// Corrupt record 2's delta but keep the leader's root claim.
+	// Corrupt record 2's delta, once keeping the leader's root claim and
+	// once stripping it: a tampered record must not pass by saying nothing.
 	evil := records[2]
 	evil.Adds = []relation.Tuple{evil.Adds[0].Clone()}
 	evil.Adds[0][0] = relation.String("tampered")
-	before := f.Epoch()
-	ok, err := f.ApplyRecord(evil)
-	if ok || err == nil {
-		t.Fatalf("corrupted delta applied: ok=%v err=%v", ok, err)
-	}
-	var de *DivergenceError
-	if !errors.As(err, &de) || !errors.Is(err, ErrDivergence) {
-		t.Fatalf("error is not a *DivergenceError matching ErrDivergence: %v", err)
-	}
-	if de.Epoch != evil.Epoch {
-		t.Fatalf("divergence detected at epoch %d, corruption was at %d", de.Epoch, evil.Epoch)
-	}
-	if !strings.Contains(de.Msg, "does not match logged root") {
-		t.Fatalf("divergence is not a root mismatch: %v", de)
-	}
-	if f.Epoch() != before {
-		t.Fatalf("follower advanced %d → %d on a corrupted delta", before, f.Epoch())
+	stripped := evil
+	stripped.Root = nil
+	for _, tc := range []struct {
+		name string
+		rec  wal.Record
+		msg  string
+	}{
+		{"root-kept", evil, "does not match logged root"},
+		{"root-stripped", stripped, "carries no root"},
+	} {
+		before := f.Current()
+		ok, err := f.ApplyRecord(tc.rec)
+		if ok || err == nil {
+			t.Fatalf("%s: corrupted delta applied: ok=%v err=%v", tc.name, ok, err)
+		}
+		var de *DivergenceError
+		if !errors.As(err, &de) || !errors.Is(err, ErrDivergence) {
+			t.Fatalf("%s: error is not a *DivergenceError matching ErrDivergence: %v", tc.name, err)
+		}
+		if de.Epoch != evil.Epoch {
+			t.Fatalf("%s: divergence detected at epoch %d, corruption was at %d", tc.name, de.Epoch, evil.Epoch)
+		}
+		if !strings.Contains(de.Msg, tc.msg) {
+			t.Fatalf("%s: divergence does not say %q: %v", tc.name, tc.msg, de)
+		}
+		if f.Current() != before {
+			t.Fatalf("%s: follower published epoch %d on a corrupted delta", tc.name, f.Epoch())
+		}
 	}
 
 	// The genuine records still apply, converging on the leader's root.

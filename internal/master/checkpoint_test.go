@@ -275,7 +275,7 @@ func TestDurableBackgroundCheckpointCrash(t *testing.T) {
 				fault := walfault.New(wal.OS, -1, sp[0], sp[1])
 				park := &parkFS{FS: fault}
 				dv, err := OpenDurable(dir, base, w.sigma,
-					DurableOptions{Sync: wal.SyncAlways, SegmentBytes: 256, CheckpointEvery: -1, Auth: true, FS: park})
+					DurableOptions{Sync: wal.SyncAlways, SegmentBytes: 256, CheckpointEvery: -1, FS: park})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,9 +315,9 @@ func TestDurableBackgroundCheckpointCrash(t *testing.T) {
 				}
 				w.recoverAndProve(t, dir, acked, label)
 
-				// Root for root: recovery under Auth recomputes the image's
+				// Root for root: recovery recomputes the image's
 				// root and checks every replayed record's against the log.
-				dv2, err := OpenDurable(dir, base, w.sigma, DurableOptions{Auth: true})
+				dv2, err := OpenDurable(dir, base, w.sigma, DurableOptions{})
 				if err != nil {
 					t.Fatalf("%s: authenticated recovery: %v", label, err)
 				}

@@ -476,32 +476,38 @@ func (e *DivergenceError) Unwrap() error { return ErrDivergence }
 //     skipped, (false, nil).
 //   - epoch > head+1: records are missing — ErrReplicaGap.
 //   - epoch = head+1: the delta is derived through ApplyDelta, which
-//     produces exactly that epoch, and — an authenticated leader stamps
-//     every record with the Merkle root its delta produces — the
-//     incrementally maintained root is checked against the record's. A
-//     delta that does not apply, or that produces another root, is a
+//     produces exactly that epoch, and the incrementally maintained root
+//     is checked against the one the writer stamped the record with. A
+//     lineage without a commitment, a record without a root, a delta that
+//     does not apply, or one that produces another root is a
 //     *DivergenceError and nothing is published; otherwise (true, nil).
 func (v *Versioned) ApplyRecord(rec wal.Record) (bool, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	head := v.cur.Load()
+	diverged := func(format string, args ...any) (bool, error) {
+		return false, &DivergenceError{Epoch: rec.Epoch, Head: head.epoch, Msg: fmt.Sprintf(format, args...)}
+	}
 	switch {
 	case rec.Epoch <= head.epoch:
 		return false, nil
 	case rec.Epoch > head.epoch+1:
 		return false, fmt.Errorf("master: lineage at epoch %d got epoch %d: %w", head.epoch, rec.Epoch, ErrReplicaGap)
+	case head.auth == nil:
+		return diverged("the lineage carries no Merkle commitment to check the record's root against")
+	case len(rec.Root) == 0:
+		return diverged("record carries no root")
 	}
 	next, err := head.ApplyDelta(rec.Adds, rec.Deletes)
 	if err != nil {
 		// The writer applied this exact delta; if we cannot, our state is
 		// not the writer's state at head.
-		return false, &DivergenceError{Epoch: rec.Epoch, Head: head.epoch, Msg: fmt.Sprintf("delta does not apply: %v", err)}
+		return diverged("delta does not apply: %v", err)
 	}
-	if root, ok := next.AuthRoot(); ok && len(rec.Root) == len(root) && string(rec.Root) != string(root[:]) {
+	if root := next.auth.Root(); string(rec.Root) != string(root[:]) {
 		// The delta went through, but it is not the bytes the writer
 		// applied: this is the epoch the lineages fork.
-		return false, &DivergenceError{Epoch: rec.Epoch, Head: head.epoch,
-			Msg: fmt.Sprintf("applied root %s does not match logged root %x", root.String(), rec.Root)}
+		return diverged("applied root %s does not match logged root %x", root.String(), rec.Root)
 	}
 	v.publishLocked(next)
 	return true, nil

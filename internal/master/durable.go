@@ -8,7 +8,7 @@ package master
 //
 //	Apply     derive the next snapshot (an invalid delta is rejected
 //	          before it ever reaches the log), append the delta as one
-//	          epoch-stamped WAL record, THEN publish the head. Under
+//	          epoch- and root-stamped WAL record, THEN publish the head. Under
 //	          wal.SyncAlways an Apply that returned is durable.
 //	OpenDurable
 //	          load the newest arena checkpoint (or build the base
@@ -71,11 +71,10 @@ type DurableOptions struct {
 	// FS overrides the filesystem for the WAL and the checkpoint
 	// (default wal.OS); the crash-injection harness hooks in here.
 	FS wal.FS
-	// Auth authenticates the lineage: the base snapshot gets a Merkle
-	// commitment before replay (a no-op when the checkpoint already
-	// carries one — those are verified by the arena loader), every Apply
-	// stamps its WAL record with the root it produces, and replay checks
-	// each recovered epoch against the logged root.
+	// Auth once made authentication optional.
+	//
+	// Deprecated: Auth is ignored: a durable lineage is always
+	// authenticated, and replay refuses a record without its root.
 	Auth bool
 }
 
@@ -165,9 +164,9 @@ type checkpointRun struct {
 // checkpointed immediately so the directory is self-contained from the
 // first open. Corruption anywhere — checkpoint or log — surfaces as the
 // typed errors of the respective layer (*SnapshotError/ErrBadSnapshot,
-// *wal.CorruptError/wal.ErrWALCorrupt), never a panic. The tail is
-// replayed through Versioned.ApplyRecord, so a logged record the base
-// refuses fails the open with its *DivergenceError (ErrDivergence).
+// *wal.CorruptError/wal.ErrWALCorrupt), never a panic. The base is
+// authenticated and the tail replayed through Versioned.ApplyRecord, so a
+// rootless record, or one the base refuses, fails with a *DivergenceError.
 func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts DurableOptions) (*DurableVersioned, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -219,12 +218,9 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 		return nil, fmt.Errorf("master: open durable %s: %w", dir, err)
 	}
 	recovery := RecoveryStats{UsedCheckpoint: usedCkpt, BaseEpoch: d.Epoch(), BaseMs: lap()}
-	if opts.Auth {
-		// Build the commitment before replay so delta application keeps it
-		// incrementally from here on. No-op when the checkpoint was saved
-		// authenticated — the loader has already verified its root.
-		d.Authenticate()
-	}
+	// Commit the base before replay so deltas keep the root incrementally;
+	// a no-op on a checkpoint saved authenticated (the loader verified it).
+	d.Authenticate()
 	recovery.AuthenticateMs = lap()
 
 	lg, err := wal.Open(dir, wal.Options{
@@ -301,12 +297,10 @@ func (dv *DurableVersioned) Apply(adds []relation.Tuple, deletes []int) (*Data, 
 	if err != nil {
 		return nil, err
 	}
-	rec := wal.Record{Epoch: next.Epoch(), Adds: adds, Deletes: deletes}
-	if root, ok := next.AuthRoot(); ok {
-		// Stamp the record with the root this delta produces: recovery and
-		// followers re-derive it and refuse the epoch on a mismatch.
-		rec.Root = append([]byte(nil), root[:]...)
-	}
+	// Stamp the record with the root this delta produces: recovery and
+	// followers re-derive it and refuse the epoch on a mismatch.
+	root, _ := next.AuthRoot()
+	rec := wal.Record{Epoch: next.Epoch(), Adds: adds, Deletes: deletes, Root: root[:]}
 	if err := dv.log.Append(rec); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,9 @@ package master
 // Recovery cost at paper scale: open a durable lineage whose checkpoint
 // holds a 100k-tuple master and whose WAL retains a 64-delta tail — the
 // cold-start price certainfixd pays after a crash or deploy. The arena
-// half rides the mmap loader benchmarked in arena_bench_test.go; the
-// delta tail adds one ApplyDelta per retained record. GOMAXPROCS and the
+// half rides the mmap loader benchmarked in arena_bench_test.go, plus the
+// Merkle rebuild that verifies the checkpoint's root; the delta tail adds
+// one ApplyDelta and one root check per retained record. GOMAXPROCS and the
 // shard count are pinned like there: 1 under the plain name, 4 under P4.
 
 import (

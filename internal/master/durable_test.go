@@ -363,69 +363,71 @@ func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
 	}
 }
 
-// TestDurableCorruptionIsTyped: a checkpoint with any single byte flipped,
-// authenticated or not, fails the open with ErrBadSnapshot, and so does one
-// of an older format; the lineage is never rebuilt from its base over it. A
-// flipped byte of the log fails it with ErrWALCorrupt.
+// TestDurableCorruptionIsTyped: a checkpoint with any single byte flipped
+// fails the open with ErrBadSnapshot, and so does one of an older format;
+// the lineage is never rebuilt from its base over it. The loader refuses
+// every flip of the same head saved without its commitment too. A flipped
+// byte of the log fails the open with ErrWALCorrupt.
 func TestDurableCorruptionIsTyped(t *testing.T) {
 	t.Run("checkpoint", func(t *testing.T) {
 		for _, shards := range []int{1, 4} {
-			for _, auth := range []bool{false, true} {
-				w := newDurableWorkload(41_000_400, 4)
-				w.base = MustNewForRules(w.base.Relation(), w.sigma, WithShards(shards))
-				opts := w.opts(wal.OS)
-				opts.Auth = auth
-				dir := t.TempDir()
-				rebuilt := false
-				base := func() (*Data, error) { rebuilt = true; return w.base, nil }
+			w := newDurableWorkload(41_000_400, 4)
+			w.base = MustNewForRules(w.base.Relation(), w.sigma, WithShards(shards))
+			opts := w.opts(wal.OS)
+			dir := t.TempDir()
+			rebuilt := false
+			base := func() (*Data, error) { rebuilt = true; return w.base, nil }
+			dv, err := OpenDurable(dir, base, w.sigma, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range w.deltas {
+				if _, err := dv.Apply(d.adds, d.deletes); err != nil {
+					t.Fatal(err)
+				}
+				dv.waitCheckpoint()
+			}
+			head := dv.Current()
+			if err := dv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, CheckpointFile)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt = false
+			open := func(what string, bad []byte) error {
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
 				dv, err := OpenDurable(dir, base, w.sigma, opts)
-				if err != nil {
-					t.Fatal(err)
+				if err == nil {
+					dv.Close()
 				}
-				for _, d := range w.deltas {
-					if _, err := dv.Apply(d.adds, d.deletes); err != nil {
-						t.Fatal(err)
-					}
-					dv.waitCheckpoint()
+				if !errors.Is(err, ErrBadSnapshot) || rebuilt {
+					t.Errorf("P=%d: %s: want ErrBadSnapshot and no rebuild, got %v (rebuilt %v)", shards, what, err, rebuilt)
 				}
-				if err := dv.Close(); err != nil {
-					t.Fatal(err)
-				}
-				path := filepath.Join(dir, CheckpointFile)
-				img, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rebuilt = false
-				open := func(what string, bad []byte) error {
-					if err := os.WriteFile(path, bad, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					dv, err := OpenDurable(dir, base, w.sigma, opts)
-					if err == nil {
-						dv.Close()
-					}
-					if !errors.Is(err, ErrBadSnapshot) || rebuilt {
-						t.Errorf("P=%d auth=%v: %s: want ErrBadSnapshot and no rebuild, got %v (rebuilt %v)", shards, auth, what, err, rebuilt)
-					}
-					return err
-				}
-				for _, c := range checkpointCorruptions(t, img) {
-					bad := bytes.Clone(img)
-					bad[c.off] ^= c.mask
-					open(fmt.Sprintf("%s (offset %d) flipped", c.name, c.off), bad)
-				}
-				v5 := bytes.Clone(img)
-				binary.LittleEndian.PutUint32(v5[hdrVersion:], 5)
-				if err := open("a version-5 checkpoint", v5); err != nil && !strings.Contains(err.Error(), "unsupported version 5 (want 6)") {
-					t.Errorf("P=%d auth=%v: version-5 checkpoint: %v does not name the versions", shards, auth, err)
-				}
-				// Every other byte, through the loader the open calls.
-				for off := range img {
-					bad := bytes.Clone(img)
+				return err
+			}
+			for _, c := range checkpointCorruptions(t, img) {
+				bad := bytes.Clone(img)
+				bad[c.off] ^= c.mask
+				open(fmt.Sprintf("%s (offset %d) flipped", c.name, c.off), bad)
+			}
+			v5 := bytes.Clone(img)
+			binary.LittleEndian.PutUint32(v5[hdrVersion:], 5)
+			if err := open("a version-5 checkpoint", v5); err != nil && !strings.Contains(err.Error(), "unsupported version 5 (want 6)") {
+				t.Errorf("P=%d: version-5 checkpoint: %v does not name the versions", shards, err)
+			}
+			// Every other byte, through the loader the open calls.
+			plain := saveArenaBytes(t, MustNewForRules(head.Relation(), w.sigma, WithShards(shards)), w.sigma)
+			for _, im := range [][]byte{img, plain} {
+				for off := range im {
+					bad := bytes.Clone(im)
 					bad[off] ^= 0x01
 					if _, err := LoadArenaBytes(bad, w.sigma); !errors.Is(err, ErrBadSnapshot) {
-						t.Fatalf("P=%d auth=%v: byte %d of %d flipped: want ErrBadSnapshot, got %v", shards, auth, off, len(img), err)
+						t.Fatalf("P=%d: byte %d of %d flipped: want ErrBadSnapshot, got %v", shards, off, len(im), err)
 					}
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/relation"
 	"repro/internal/wal"
 )
 
@@ -92,68 +93,91 @@ func newReplica(base *Data, history int) *Versioned {
 	return v
 }
 
+// stamped is the record a writer logs for a delta on the authenticated
+// snapshot d — its epoch and the root it produces — and the snapshot the
+// delta derives.
+func stamped(tb testing.TB, d *Data, adds []relation.Tuple, dels []int) (wal.Record, *Data) {
+	tb.Helper()
+	next, err := d.ApplyDelta(adds, dels)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	root := mustRoot(tb, next)
+	return wal.Record{Epoch: next.Epoch(), Adds: adds, Deletes: dels, Root: root[:]}, next
+}
+
 // TestRecordRefusalsAreTyped holds recovery and followers to one guarded
-// apply: the same bad record is refused with the same typed error by
-// OpenDurable over a directory that logs it and by Versioned.ApplyRecord,
-// and neither publishes anything. A record whose epoch does not follow
-// the head never reaches the delta: the log's own contiguity check refuses
-// it on recovery (ErrWALCorrupt), the ladder on a follower (ErrReplicaGap).
+// apply: the same bad records are refused with the same typed error by
+// OpenDurable over a directory that logs them and by Versioned.ApplyRecord,
+// and neither publishes anything. A divergence names the first refused
+// epoch — for a log written without roots, the first rootless record. A
+// record whose epoch does not follow the head never reaches the delta: the
+// log's own contiguity check refuses it on recovery (ErrWALCorrupt), the
+// ladder on a follower (ErrReplicaGap).
 func TestRecordRefusalsAreTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d0, sigma, rm, vals := randomDeltaInstance(rng)
+	d0.Authenticate()
 	adds, dels := randomDelta(rng, d0.Len(), rm.Arity(), vals)
-	next := d0.Epoch() + 1
+	good, d1 := stamped(t, d0, adds, dels)
+	adds2, dels2 := randomDelta(rng, d1.Len(), rm.Arity(), vals)
+	next := good.Epoch
 	lie := make([]byte, 32)
 	for i := range lie {
 		lie[i] = 0xAA
 	}
 	for _, tc := range []struct {
 		name            string
-		rec             wal.Record
-		auth            bool
+		recs            []wal.Record
 		wantOpen, wantF error
 	}{
-		{"inapplicable-delta", wal.Record{Epoch: next, Deletes: []int{1 << 20}}, false, ErrDivergence, ErrDivergence},
-		{"wrong-root", wal.Record{Epoch: next, Adds: adds, Deletes: dels, Root: lie}, true, ErrDivergence, ErrDivergence},
-		{"wrong-epoch", wal.Record{Epoch: next + 1, Adds: adds, Deletes: dels}, false, wal.ErrWALCorrupt, ErrReplicaGap},
+		{"inapplicable-delta", []wal.Record{{Epoch: next, Deletes: []int{1 << 20}, Root: lie}}, ErrDivergence, ErrDivergence},
+		{"wrong-root", []wal.Record{{Epoch: next, Adds: adds, Deletes: dels, Root: lie}}, ErrDivergence, ErrDivergence},
+		// What a lineage logged without authentication holds: valid deltas,
+		// no roots. It no longer opens.
+		{"no-root", []wal.Record{{Epoch: next, Adds: adds, Deletes: dels}, {Epoch: next + 1, Adds: adds2, Deletes: dels2}},
+			ErrDivergence, ErrDivergence},
+		{"wrong-epoch", []wal.Record{{Epoch: next + 1, Adds: adds, Deletes: dels, Root: good.Root}}, wal.ErrWALCorrupt, ErrReplicaGap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := func() *Data {
-				d := MustNewForRules(d0.Relation(), sigma)
-				if tc.auth {
-					d.Authenticate()
-				}
-				return d
-			}
 			dir := t.TempDir()
 			lg, err := wal.Open(dir, wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lg.Append(tc.rec); err != nil {
-				t.Fatal(err)
+			for _, rec := range tc.recs {
+				if err := lg.Append(rec); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := lg.Close(); err != nil {
 				t.Fatal(err)
 			}
-			dv, err := OpenDurable(dir, func() (*Data, error) { return base(), nil }, sigma, DurableOptions{Auth: tc.auth})
+			base := func() (*Data, error) { return MustNewForRules(d0.Relation(), sigma), nil }
+			dv, err := OpenDurable(dir, base, sigma, DurableOptions{})
 			if !errors.Is(err, tc.wantOpen) {
 				if dv != nil {
 					dv.Close()
 				}
 				t.Fatalf("OpenDurable: want %v, got %v", tc.wantOpen, err)
 			}
+			var de *DivergenceError
+			if errors.As(err, &de) && de.Epoch != tc.recs[0].Epoch {
+				t.Fatalf("OpenDurable blames epoch %d, want %d: %v", de.Epoch, tc.recs[0].Epoch, err)
+			}
 			if _, serr := os.Stat(filepath.Join(dir, CheckpointFile)); !errors.Is(serr, fs.ErrNotExist) {
 				t.Fatalf("a refused recovery wrote a checkpoint: %v", serr)
 			}
 
-			v := newReplica(base(), 4)
-			head := v.Current()
-			ok, err := v.ApplyRecord(tc.rec)
+			v := newReplica(d0, 4)
+			ok, err := v.ApplyRecord(tc.recs[0])
 			if ok || !errors.Is(err, tc.wantF) {
 				t.Fatalf("ApplyRecord: ok=%v, want %v, got %v", ok, tc.wantF, err)
 			}
-			if v.Current() != head {
+			if errors.As(err, &de) && de.Epoch != tc.recs[0].Epoch {
+				t.Fatalf("ApplyRecord blames epoch %d, want %d: %v", de.Epoch, tc.recs[0].Epoch, err)
+			}
+			if v.Current() != d0 {
 				t.Fatalf("a refused record published epoch %d", v.Epoch())
 			}
 		})
@@ -161,16 +185,20 @@ func TestRecordRefusalsAreTyped(t *testing.T) {
 }
 
 // TestFollowerApplyRecordGuards pins the guard ladder: duplicates are
-// skipped, gaps are ErrReplicaGap, an inapplicable delta is
-// ErrDivergence, and Reset refuses to move the lineage backwards.
+// skipped, gaps are ErrReplicaGap, an inapplicable delta and any record
+// over a lineage without a commitment are ErrDivergence, and Reset
+// refuses to move the lineage backwards.
 func TestFollowerApplyRecordGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d0, _, rm, vals := randomDeltaInstance(rng)
+	d0, sigma, rm, vals := randomDeltaInstance(rng)
+	plain := MustNewForRules(d0.Relation(), sigma)
+	d0.Authenticate()
 	f := newReplica(d0, 4)
 	head := d0.Epoch()
 
 	adds, dels := randomDelta(rng, d0.Len(), rm.Arity(), vals)
-	ok, err := f.ApplyRecord(wal.Record{Epoch: head + 1, Adds: adds, Deletes: dels})
+	rec, _ := stamped(t, d0, adds, dels)
+	ok, err := f.ApplyRecord(rec)
 	if err != nil || !ok {
 		t.Fatalf("apply head+1: ok=%v err=%v", ok, err)
 	}
@@ -179,7 +207,7 @@ func TestFollowerApplyRecordGuards(t *testing.T) {
 	}
 
 	// Duplicate (reconnect overlap): skipped, not an error.
-	if ok, err := f.ApplyRecord(wal.Record{Epoch: head + 1, Adds: adds, Deletes: dels}); err != nil || ok {
+	if ok, err := f.ApplyRecord(rec); err != nil || ok {
 		t.Fatalf("duplicate record: ok=%v err=%v", ok, err)
 	}
 	// Gap: typed, recoverable.
@@ -188,13 +216,19 @@ func TestFollowerApplyRecordGuards(t *testing.T) {
 	}
 	// Inapplicable delta at the right epoch: divergence, nothing published.
 	before := f.Epoch()
-	_, err = f.ApplyRecord(wal.Record{Epoch: before + 1, Deletes: []int{1 << 20}})
+	_, err = f.ApplyRecord(wal.Record{Epoch: before + 1, Deletes: []int{1 << 20}, Root: rec.Root})
 	var de *DivergenceError
 	if !errors.Is(err, ErrDivergence) || !errors.As(err, &de) {
 		t.Fatalf("bad delta: want *DivergenceError, got %v", err)
 	}
 	if f.Epoch() != before {
 		t.Fatalf("divergence published a head: epoch %d → %d", before, f.Epoch())
+	}
+	// A lineage without a commitment has nothing to check a root against:
+	// even the writer's own record is refused there.
+	u := newReplica(plain, 4)
+	if ok, err := u.ApplyRecord(rec); ok || !errors.As(err, &de) || u.Current() != plain {
+		t.Fatalf("record on an unauthenticated head: ok=%v err=%v, head epoch %d", ok, err, u.Epoch())
 	}
 	// Reset must never rewind under readers.
 	if err := f.Reset(d0); err == nil {
@@ -308,22 +342,21 @@ func TestFollowerConvergenceProperty(t *testing.T) {
 }
 
 // BenchmarkFollowerApply measures replica apply throughput: one op is a
-// 256-record catch-up through ApplyRecord — the rate bound on follower
-// lag drain (the shipping decode is benchmarked in internal/wal). GOMAXPROCS
+// 256-record catch-up through ApplyRecord, each record's root checked —
+// the rate bound on follower lag drain (the shipping decode is benchmarked
+// in internal/wal). GOMAXPROCS
 // is pinned to 1, and with it the default shard count of the instance.
 func BenchmarkFollowerApply(b *testing.B) {
 	pinProcs(b, 1)
 	rng := rand.New(rand.NewSource(7))
 	d0, _, rm, vals := randomDeltaInstance(rng)
+	d0.Authenticate()
 	const nRecs = 256
 	recs := make([]wal.Record, nRecs)
-	state := tuplesOf(d0.Relation())
-	epoch := d0.Epoch()
+	head := d0
 	for i := range recs {
-		adds, dels := randomDelta(rng, len(state), rm.Arity(), vals)
-		epoch++
-		recs[i] = wal.Record{Epoch: epoch, Adds: adds, Deletes: dels}
-		state = shadowApply(state, adds, dels)
+		adds, dels := randomDelta(rng, head.Len(), rm.Arity(), vals)
+		recs[i], head = stamped(b, head, adds, dels)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

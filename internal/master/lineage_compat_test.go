@@ -101,7 +101,7 @@ func writeLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() (*Data, error) { return NewForRules(rel, sigma, WithShards(2), WithAuth()) }
-	dv, err := OpenDurable(lineageDir, base, sigma, DurableOptions{CheckpointEvery: 8, Auth: true})
+	dv, err := OpenDurable(lineageDir, base, sigma, DurableOptions{CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRecoversParentLineage(t *testing.T) {
 	}
 
 	noBase := func() (*Data, error) { return nil, errors.New("the checkpoint is the base") }
-	dv, err := OpenDurable(dir, noBase, sigma, DurableOptions{CheckpointEvery: -1, Auth: true})
+	dv, err := OpenDurable(dir, noBase, sigma, DurableOptions{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,10 +63,10 @@ func WithShards(p int) BuildOption {
 // WithAuth authenticates the snapshot lineage: construction commits the
 // relation to a sparse-Merkle root (see internal/authtree) and ApplyDelta
 // maintains it copy-on-write alongside the indexes, so every epoch
-// carries a 32-byte commitment, tuples gain inclusion proofs, and
-// followers can compare roots instead of probe-sweeping for divergence.
-// Probe paths are untouched; builds and deltas pay O(n·log n) /
-// O(delta·log n) extra hashing, which is why authentication is opt-in.
+// carries a 32-byte commitment and tuples gain inclusion proofs. Probe
+// paths are untouched; builds and deltas pay O(n·log n) / O(delta·log n)
+// extra hashing, which a memory-only snapshot skips unless asked — a
+// durable lineage (OpenDurable) always pays it.
 func WithAuth() BuildOption {
 	return func(c *buildConfig) { c.auth = true }
 }

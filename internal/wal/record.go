@@ -49,9 +49,10 @@ type Record struct {
 
 	// Root, when non-nil, is the 32-byte authenticated-master root the
 	// delta PRODUCES — what AuthRoot() returns after applying this record.
-	// Unauthenticated lineages leave it nil and their frames carry no
-	// root section at all. Recovery and followers compare it against the
-	// root they re-derive (master.Versioned.ApplyRecord).
+	// A nil root encodes as a frame with no root section at all; the codec
+	// allows it, but master.Versioned.ApplyRecord — recovery and followers
+	// — refuses a rootless record and compares every other root against
+	// the one it re-derives.
 	Root []byte
 }
 

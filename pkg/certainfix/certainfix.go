@@ -263,7 +263,6 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 			Sync:            cfg.fsync,
 			CheckpointEvery: cfg.checkpointEvery,
 			History:         cfg.history,
-			Auth:            cfg.auth,
 		})
 	default:
 		var dm *master.Data
@@ -378,7 +377,7 @@ func (s *System) UpdateMaster(adds []Tuple, deletes []int) (uint64, error) {
 func (s *System) MasterEpoch() uint64 { return s.head().Epoch() }
 
 // MasterRoot returns the hex Merkle root of the currently published
-// master snapshot, with ok=false when the System was built without
+// master snapshot, with ok=false for a memory-only System built without
 // WithAuth. The pair (MasterEpoch, MasterRoot) identifies the master
 // contents exactly: any client holding the root can check fix provenance
 // with VerifyFix, no server trust required.

@@ -86,18 +86,17 @@ func WithCheckpointEvery(n int) Option {
 	return func(c *config) { c.checkpointEvery = n }
 }
 
-// WithAuth turns on authenticated master epochs: the system maintains a
-// sparse-Merkle commitment over Dm's tuple multiset, incrementally across
-// UpdateMaster. The root is a pure function of the master contents —
-// identical across shard counts, delta orderings and processes — and it
-// travels with the lineage: MasterRoot exposes it, arena checkpoints
-// persist it (verified on load), WAL records carry the root each delta
-// produces (verified on recovery), and a follower compares its own root
-// against the leader's after every shipped epoch. Fix results gain
-// per-attribute provenance with inclusion proofs; VerifyFix checks them
-// against a published root with no access to the master data at all.
-// Costs one tree build at New and O(delta·log|Dm|) hashing per
-// UpdateMaster; off by default.
+// WithAuth turns on authenticated master epochs for a memory-only
+// System: it maintains a sparse-Merkle commitment over Dm's tuple
+// multiset, incrementally across UpdateMaster. The root is a pure function
+// of the master contents — identical across shard counts, delta orderings
+// and processes. MasterRoot exposes it, fix results gain per-attribute
+// provenance with inclusion proofs, and VerifyFix checks them against a
+// published root with no access to the master data at all. Costs one tree
+// build at New and O(delta·log|Dm|) hashing per UpdateMaster. A System
+// built WithWAL or by NewFollower is always authenticated — its WAL
+// records and checkpoints carry the roots recovery and followers check —
+// so there the option changes nothing.
 func WithAuth() Option {
 	return func(c *config) { c.auth = true }
 }

@@ -2,17 +2,19 @@ package certainfix
 
 // Epoch shipping: follower replicas over the durable lineage. A leader
 // built WithWAL already owns the authoritative epoch sequence — every
-// UpdateMaster is one epoch-stamped WAL record. ServeWAL streams those
-// records over HTTP past the log's durability watermark, ServeCheckpoint
-// serves the newest arena image, and NewFollower builds a read-only
-// System that tails the two: bootstrap from the checkpoint, apply
-// shipped records through master.Versioned.ApplyRecord — the guarded
-// apply recovery replays the log through — and catch up from the
+// UpdateMaster is one WAL record stamped with its epoch and Merkle root.
+// ServeWAL streams those records over HTTP past the log's durability
+// watermark, ServeCheckpoint serves the newest (authenticated) arena
+// image, and NewFollower builds a read-only System that tails the two:
+// bootstrap from the checkpoint, apply shipped records through
+// master.Versioned.ApplyRecord — the guarded apply recovery replays the
+// log through, which checks every record's root — and catch up from the
 // checkpoint again whenever the leader truncates epochs out from under
-// it. Because delta application is deterministic, a follower at epoch E
-// is probe-for-probe identical to the leader at E — session tokens
-// minted on either node resume on the other. A leader whose head is
-// behind the follower's is another lineage: the follower stops, diverged.
+// it. A follower at epoch E is therefore probe-for-probe identical to the
+// leader at E, and session tokens minted on either node resume on the
+// other. A leader whose head is behind the follower's, or whose record
+// at an epoch yields another root, is another lineage: the follower
+// stops, diverged.
 //
 // The wire protocol is the WAL's own frame format (length + CRC-32C +
 // varint payload): ServeWAL decodes each acknowledged record through
@@ -229,10 +231,9 @@ type ReplicationStats struct {
 	// Lag is max(LeaderEpoch-Epoch, 0) — how many observed epochs the
 	// follower has yet to apply.
 	Lag uint64 `json:"lag"`
-	// Root is the hex Merkle root of the follower's head, empty when the
-	// lineage is unauthenticated. On an authenticated lineage every
-	// applied epoch was already audited against the leader's shipped root,
-	// so comparing this against the leader's /v1/root is a liveness check,
+	// Root is the hex Merkle root of the follower's head. Every applied
+	// epoch was already audited against the leader's shipped root, so
+	// comparing this against the leader's /v1/root is a liveness check,
 	// not the integrity check — that one already happened.
 	Root string `json:"root,omitempty"`
 	// Catchups counts checkpoint rebases (bootstrap not included).
@@ -283,7 +284,6 @@ func follow(rules *Rules, cfg config) (*replica, error) {
 		// No client-level timeout: /v1/wal intentionally long-polls. The
 		// run context cancels in-flight requests on Close.
 		client:    &http.Client{},
-		auth:      cfg.auth,
 		runCancel: cancel,
 		done:      make(chan struct{}),
 		state:     ReplicaTailing,
@@ -307,7 +307,6 @@ type replica struct {
 	leader    string
 	rules     *Rules
 	client    *http.Client
-	auth      bool
 	ver       *master.Versioned // the leader's lineage; only ApplyRecord and Reset advance it
 	runCancel context.CancelFunc
 	done      chan struct{}
@@ -465,10 +464,9 @@ func (rp *replica) fetchCheckpoint(ctx context.Context) (*master.Data, uint64, e
 	if err != nil {
 		return nil, 0, err
 	}
-	if rp.auth {
-		// A follower opted into auth keeps a root even when the leader's
-		// image carries none; no-op when the (verified) image has one.
-		img.Authenticate()
+	if !img.Authenticated() {
+		// Every shipped record is checked against the root its base carries.
+		return nil, 0, &master.SnapshotError{Section: "auth", Offset: -1, Msg: "leader image carries no Merkle root"}
 	}
 	epoch := img.Epoch()
 	if h := resp.Header.Get("X-Checkpoint-Epoch"); h != "" {
@@ -526,20 +524,18 @@ func (rp *replica) stats() ReplicationStats {
 	if rp.leaderEpoch > epoch {
 		lag = rp.leaderEpoch - epoch
 	}
-	st := ReplicationStats{
+	root, _ := head.AuthRoot()
+	return ReplicationStats{
 		Leader:      rp.leader,
 		State:       rp.state,
 		Epoch:       epoch,
 		LeaderEpoch: rp.leaderEpoch,
 		Lag:         lag,
+		Root:        root.String(),
 		Catchups:    rp.catchups,
 		Reconnects:  rp.reconnects,
 		LastError:   rp.lastErr,
 	}
-	if root, ok := head.AuthRoot(); ok {
-		st.Root = root.String()
-	}
-	return st
 }
 
 // Versioned exposes the replicated snapshot ring for reads.

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -281,6 +283,55 @@ func TestFollowerRefusesLeaderBehindIt(t *testing.T) {
 	}
 	if !strings.Contains(st.LastError, "epoch 0") || !strings.Contains(st.LastError, "head 5") {
 		t.Fatalf("LastError does not name both epochs: %q", st.LastError)
+	}
+}
+
+// TestFollowerRefusesPlainLeader: a leader whose checkpoint image carries no
+// Merkle root gives the follower nothing to check shipped records against.
+// NewFollower fails typed, names the leader, and never starts tailing.
+func TestFollowerRefusesPlainLeader(t *testing.T) {
+	leader, rules := replicationLeader(t, t.TempDir())
+	leader.Close() // only its rules are wanted
+	masterRel := certainfix.NewRelation(rules.MasterSchema())
+	if err := masterRel.Append(skuTuple(1)); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := certainfix.New(rules, masterRel) // memory-only, no WithAuth
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := filepath.Join(t.TempDir(), "plain.arena")
+	if err := plain.SaveMasterArena(img); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tails atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Checkpoint-Epoch", "0")
+		_, _ = w.Write(raw)
+	})
+	mux.HandleFunc("GET /v1/wal", func(w http.ResponseWriter, r *http.Request) {
+		tails.Add(1)
+		w.Header().Set("X-Leader-Epoch", "0")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	follower, err := certainfix.NewFollower(rules, ts.URL, testKey)
+	if err == nil {
+		follower.Close()
+		t.Fatal("a follower bootstrapped from an image without a Merkle root")
+	}
+	if !errors.Is(err, certainfix.ErrBadSnapshot) || !strings.Contains(err.Error(), ts.URL) {
+		t.Fatalf("want ErrBadSnapshot naming %s, got %v", ts.URL, err)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a wrongly started loop to tail
+	if n := tails.Load(); n != 0 {
+		t.Fatalf("a refused follower requested /v1/wal %d times", n)
 	}
 }
 

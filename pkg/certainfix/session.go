@@ -147,7 +147,7 @@ func (fs *FixSession) Fixed() AttrSet { return fs.sess.Fixed() }
 func (fs *FixSession) Epoch() uint64 { return fs.sess.Epoch() }
 
 // Root returns the hex Merkle root of the pinned master snapshot, empty
-// without WithAuth. Clients record it alongside the token: the proofs in
+// on an unauthenticated one (see WithAuth). Clients record it alongside the token: the proofs in
 // Result().Provenance verify against exactly this root (VerifyFix).
 func (fs *FixSession) Root() string { return fs.sess.Root() }
 
