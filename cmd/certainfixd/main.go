@@ -79,15 +79,15 @@
 // is built from -master and the image is saved for the next start.
 //
 // With -wal-dir the master lineage is durable: every /v1/update-master is
-// written to a segmented write-ahead log before it is acknowledged, arena
-// checkpoints roll every -checkpoint-every deltas, and a restart recovers
-// checkpoint + log tail instead of rewinding to the CSV. On the first
-// start the directory is seeded from -master (or -master-snapshot); on
-// later starts the directory alone is authoritative and -master may be
-// omitted. -fsync picks the sync policy (always | interval | off);
-// "always" — the default — makes an acknowledged update crash-proof.
-// /healthz gains a "durability" block, and SIGINT/SIGTERM flush and close
-// the log before exit.
+// written to a segmented write-ahead log and fsynced before it is
+// acknowledged, so an acknowledged update survives a crash; arena
+// checkpoints roll every 256 deltas, and a restart recovers checkpoint +
+// log tail instead of rewinding to the CSV. -wal-dir is the whole
+// durability configuration: -fsync and -checkpoint-every are accepted for
+// old command lines and ignored. On the first start the directory is
+// seeded from -master (or -master-snapshot); on later starts the directory
+// alone is authoritative and -master may be omitted. /healthz gains a
+// "durability" block, and SIGINT/SIGTERM close the log before exit.
 //
 // The daemon maintains a Merkle commitment over the master data under
 // -wal-dir or -follow, and under -auth otherwise: GET /v1/root publishes
@@ -138,8 +138,8 @@ func main() {
 		_          = flag.Int("shards", 0, "deprecated and ignored: the master takes the shard count its size calls for")
 		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
 		walDir     = flag.String("wal-dir", "", "durable lineage directory (write-ahead log + checkpoints); recovered on start")
-		fsync      = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "arena checkpoint every N deltas (0 = default, <0 = never)")
+		_          = flag.String("fsync", "", "deprecated and ignored: -wal-dir fsyncs every update before acknowledging it")
+		_          = flag.Int("checkpoint-every", 0, "deprecated and ignored: -wal-dir checkpoints every 256 deltas")
 		follow     = flag.String("follow", "", "run as a read-only replica of the leader certainfixd at this base URL")
 		tokenKey   = flag.String("token-key-file", "", "file holding the session-token HMAC key, shared by all replicas (default: a random per-process key)")
 		auth       = flag.Bool("auth", false, "maintain a Merkle commitment over an in-memory master: /v1/root publishes it, fix results carry inclusion proofs (always on with -wal-dir or -follow)")
@@ -154,23 +154,16 @@ func main() {
 	if *follow == "" && *masterPath == "" && *snapshot == "" && *walDir == "" {
 		fatalf("-master is required (or -master-snapshot naming an existing image, -wal-dir holding a recovered lineage, or -follow naming a leader)")
 	}
-	fsyncPolicy, err := certainfix.ParseFsyncPolicy(*fsync)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
 	sys, err := buildSystem(serverConfig{
-		rulesPath:       *rulesPath,
-		masterPath:      *masterPath,
-		snapshot:        *snapshot,
-		maxRounds:       *maxRounds,
-		history:         *history,
-		walDir:          *walDir,
-		fsync:           fsyncPolicy,
-		checkpointEvery: *ckptEvery,
-		follow:          *follow,
-		auth:            *auth,
-		tokenKeyFile:    *tokenKey,
+		rulesPath:    *rulesPath,
+		masterPath:   *masterPath,
+		snapshot:     *snapshot,
+		maxRounds:    *maxRounds,
+		history:      *history,
+		walDir:       *walDir,
+		follow:       *follow,
+		auth:         *auth,
+		tokenKeyFile: *tokenKey,
 	})
 	if err != nil {
 		// *certainfix.MasterBuildError renders the failing tuple's id and
@@ -220,8 +213,8 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatalf("shutdown: %v", err)
 	}
-	// Only after the last handler has returned: flush and close the WAL,
-	// so every acknowledged update is on disk regardless of -fsync.
+	// Only after the last handler has returned: close the WAL. Every
+	// acknowledged update is already on disk.
 	if err := sys.Close(); err != nil {
 		fatalf("close lineage: %v", err)
 	}
@@ -250,8 +243,6 @@ type serverConfig struct {
 	rulesPath, masterPath, snapshot string
 	maxRounds, history              int
 	walDir                          string
-	fsync                           certainfix.FsyncPolicy
-	checkpointEvery                 int
 	follow                          string
 	auth                            bool
 	tokenKeyFile                    string
@@ -289,10 +280,7 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 		return certainfix.NewFollower(rules, cfg.follow, opts...)
 	}
 	if cfg.walDir != "" {
-		opts = append(opts,
-			certainfix.WithWAL(cfg.walDir),
-			certainfix.WithFsync(cfg.fsync),
-			certainfix.WithCheckpointEvery(cfg.checkpointEvery))
+		opts = append(opts, certainfix.WithWAL(cfg.walDir))
 		if _, statErr := os.Stat(cfg.snapshot); cfg.masterPath == "" && statErr != nil {
 			// Recovery-only boot: the WAL directory must hold a
 			// checkpoint; certainfix.New reports it cleanly when not.

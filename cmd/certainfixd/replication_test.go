@@ -9,8 +9,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -21,7 +19,7 @@ import (
 	"repro/pkg/certainfix"
 )
 
-// healthSnapshot is the /healthz subset the smoke asserts on.
+// healthSnapshot is the /healthz subset the binary tests assert on.
 type healthSnapshot struct {
 	Epoch       uint64 `json:"epoch"`
 	MasterSize  int    `json:"masterSize"`
@@ -30,6 +28,15 @@ type healthSnapshot struct {
 		Lag   uint64 `json:"lag"`
 		Root  string `json:"root"`
 	} `json:"replication"`
+	Durability *struct {
+		CheckpointEpoch    uint64
+		CheckpointInFlight bool
+		WAL                struct{ Policy string }
+		Recovery           struct {
+			UsedCheckpoint bool
+			BaseEpoch      uint64
+		}
+	} `json:"durability"`
 }
 
 func getHealth(t *testing.T, base string) healthSnapshot {
@@ -51,19 +58,7 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 		t.Skip("builds and kills real binaries")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "certainfixd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	rules := filepath.Join(dir, "kv.rules")
-	if err := os.WriteFile(rules, []byte(
-		"schema R: K, V\nmaster Rm: K, V\nrule kv: (K ; K) -> (V ; V) when K != nil\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	masterCSV := filepath.Join(dir, "master.csv")
-	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bin, rules, masterCSV := buildDaemon(t, dir)
 
 	// The leader and its follower resume each other's session tokens: they
 	// are started with one key file.
@@ -71,60 +66,25 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 	if err := os.WriteFile(keyFile, []byte("replication-smoke-token-key\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-
 	start := func(args ...string) (*exec.Cmd, string) {
 		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cmd := exec.Command(bin, append([]string{"-rules", rules, "-addr", addr, "-token-key-file", keyFile}, args...)...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		base := "http://" + addr
-		for i := 0; ; i++ {
-			resp, err := http.Get(base + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				break
-			}
-			if i > 100 {
-				t.Fatalf("daemon did not come up: %v", err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		return cmd, base
+		return startDaemon(t, bin, append([]string{"-rules", rules, "-token-key-file", keyFile}, args...)...)
 	}
 	kill := func(cmd *exec.Cmd) {
 		_ = cmd.Process.Kill()
 		_, _ = cmd.Process.Wait()
 	}
 
-	leader, leaderBase := start("-master", masterCSV,
-		"-wal-dir", filepath.Join(dir, "wal"), "-fsync", "always", "-checkpoint-every", "8")
+	leader, leaderBase := start("-master", masterCSV, "-wal-dir", filepath.Join(dir, "wal"))
 	defer kill(leader)
 
-	update := func(i int) {
-		t.Helper()
-		var upd struct {
-			Epoch uint64 `json:"epoch"`
-		}
-		if code := post(t, leaderBase+"/v1/update-master", map[string]any{
-			"adds": [][]string{{fmt.Sprintf("add-%d", i), fmt.Sprintf("val-%d", i)}},
-		}, &upd); code != http.StatusOK {
-			t.Fatalf("update %d: HTTP %d", i, code)
-		}
+	// First part of the storm before the follower exists: once the leader
+	// has checkpointed past epoch 256 the early epochs are truncated, so
+	// the follower's bootstrap MUST come from the leader's checkpoint image.
+	for i := 0; i < stormUpdates; i++ {
+		addKV(t, leaderBase, i)
 	}
-	// First half of the storm before the follower exists: with
-	// -checkpoint-every 8 the early epochs are already truncated, so the
-	// follower's bootstrap MUST come from the leader's checkpoint image.
-	for i := 0; i < 16; i++ {
-		update(i)
-	}
+	ckpt := waitCheckpoint(t, leaderBase, 256)
 
 	follower, followerBase := start("-follow", leaderBase)
 	waitConverged := func(what string) {
@@ -145,18 +105,19 @@ func TestFollowerReplicationSmoke(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	// Second half of the storm lands while the follower tails live.
-	for i := 16; i < 30; i++ {
-		update(i)
+	// The rest of the storm lands while the follower tails live.
+	for i := stormUpdates; i < stormUpdates+30; i++ {
+		addKV(t, leaderBase, i)
 	}
 	waitConverged("mid-storm attach")
 
 	// SIGKILL the follower, keep the leader moving (past another
 	// checkpoint), restart: the re-bootstrap converges again.
 	kill(follower)
-	for i := 30; i < 45; i++ {
-		update(i)
+	for i := stormUpdates + 30; i < 2*stormUpdates+30; i++ {
+		addKV(t, leaderBase, i)
 	}
+	waitCheckpoint(t, leaderBase, ckpt+1)
 	follower2, followerBase := start("-follow", leaderBase)
 	defer kill(follower2)
 	waitConverged("restart after SIGKILL")

@@ -8,15 +8,17 @@ package master
 //
 //	Apply     derive the next snapshot (an invalid delta is rejected
 //	          before it ever reaches the log), append the delta as one
-//	          epoch- and root-stamped WAL record, THEN publish the head. Under
-//	          wal.SyncAlways an Apply that returned is durable.
+//	          epoch- and root-stamped WAL record, THEN publish the head.
+//	          The record is fsynced before the head is published or the
+//	          record shipped, so an Apply that returned is durable.
 //	OpenDurable
 //	          load the newest arena checkpoint (or build the base
 //	          snapshot on first open), replay the WAL tail on top of
 //	          it, and continue the lineage exactly where the previous
 //	          process — cleanly shut down or power-cut — left it.
 //
-// Every CheckpointEvery deltas a checkpoint of the current head STARTS.
+// Every DefaultCheckpointEvery (256) deltas a checkpoint of the current
+// head STARTS.
 // Apply only pins that head — an immutable snapshot — and rolls the WAL
 // segment at its epoch; one background goroutine (at most one in flight)
 // streams the arena atomically+durably through the same FS seam as the
@@ -30,6 +32,11 @@ package master
 // The recovery contract — the recovered head is probe-for-probe and
 // epoch-for-epoch identical to the pre-crash lineage at every possible
 // crash point — is proven by the walfault sweep in durable_test.go.
+//
+// That is the whole durability contract of a production lineage, which
+// sets only DurableOptions.History. Sync, CheckpointEvery, SegmentBytes
+// and FS are for tests and benchmarks: the crash sweeps need small
+// cadences and segment sizes, and the benchmarks measure SyncNever.
 
 import (
 	"encoding/binary"
@@ -55,11 +62,9 @@ const DefaultCheckpointEvery = 256
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// Sync is the WAL fsync policy (default wal.SyncAlways).
+	// Sync is the WAL fsync policy (default wal.SyncAlways, the only one a
+	// production lineage uses).
 	Sync wal.SyncPolicy
-	// SyncInterval is the wal.SyncInterval cadence (default
-	// wal.DefaultSyncInterval).
-	SyncInterval time.Duration
 	// SegmentBytes rolls WAL segments (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
 	// CheckpointEvery is how many deltas accumulate before the head is
@@ -225,7 +230,6 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 
 	lg, err := wal.Open(dir, wal.Options{
 		Sync:         opts.Sync,
-		Interval:     opts.SyncInterval,
 		SegmentBytes: opts.SegmentBytes,
 		FS:           fsys,
 	})
@@ -284,8 +288,8 @@ func (dv *DurableVersioned) Epoch() uint64 { return dv.ver.Epoch() }
 func (dv *DurableVersioned) At(epoch uint64) (*Data, error) { return dv.ver.At(epoch) }
 
 // Apply logs the delta and publishes the snapshot it derives, in that
-// order: the record is in the WAL (fsynced, under wal.SyncAlways) before
-// any reader can observe the new head. On error nothing is published and
+// order: the record is in the WAL, fsynced under the default
+// wal.SyncAlways, before any reader can observe the new head. On error nothing is published and
 // nothing invalid is logged.
 func (dv *DurableVersioned) Apply(adds []relation.Tuple, deletes []int) (*Data, error) {
 	dv.dmu.Lock()

@@ -1,16 +1,13 @@
 package wal
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // benchmarkAppend measures one ApplyDelta-sized record per op under the
 // given fsync policy. "always" is bound by the device's fsync latency —
-// the price of per-batch durability the paper-facing daemon defaults to;
-// "interval" and "off" show what amortised and deferred flushing buy.
+// the price of per-batch durability every durable lineage pays; "off"
+// shows what deferred flushing would buy.
 func benchmarkAppend(b *testing.B, p SyncPolicy) {
-	l, err := Open(b.TempDir(), Options{Sync: p, Interval: 10 * time.Millisecond})
+	l, err := Open(b.TempDir(), Options{Sync: p})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,9 +27,8 @@ func benchmarkAppend(b *testing.B, p SyncPolicy) {
 	}
 }
 
-func BenchmarkWALAppendAlways(b *testing.B)   { benchmarkAppend(b, SyncAlways) }
-func BenchmarkWALAppendInterval(b *testing.B) { benchmarkAppend(b, SyncInterval) }
-func BenchmarkWALAppendOff(b *testing.B)      { benchmarkAppend(b, SyncNever) }
+func BenchmarkWALAppendAlways(b *testing.B) { benchmarkAppend(b, SyncAlways) }
+func BenchmarkWALAppendOff(b *testing.B)    { benchmarkAppend(b, SyncNever) }
 
 // BenchmarkWALTail measures shipping throughput: one Tail pass over a
 // 10k-record log on an open, live Log — the read a follower repeats as

@@ -89,7 +89,10 @@ func TestTruncateFailureDoesNotPoisonAppend(t *testing.T) {
 
 	// The writer is alive: appends, syncs and replays all still work.
 	appendAll(t, l, 61, 70)
-	if err := l.Sync(); err != nil {
+	l.mu.Lock()
+	err = l.syncLocked()
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatalf("sync after failed truncate: %v", err)
 	}
 	recs := replayAll(t, l, 30)
@@ -110,47 +113,80 @@ func TestTruncateFailureDoesNotPoisonAppend(t *testing.T) {
 	}
 }
 
-// TestTailWatermark: Tail never delivers records the policy has not
-// acknowledged, and Synced's channel signals the advance.
-func TestTailWatermark(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Interval: time.Hour})
+// failingSyncFS fails the failAt-th File.Sync (counting from 1) across
+// every file it opens; every other call passes through to FS.
+type failingSyncFS struct {
+	FS
+	failAt int32
+	syncs  atomic.Int32
+}
+
+func (f *failingSyncFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &failingSyncFile{File: file, fs: f}, nil
+}
+
+type failingSyncFile struct {
+	File
+	fs *failingSyncFS
+}
+
+func (f *failingSyncFile) Sync() error {
+	if f.fs.syncs.Add(1) == f.fs.failAt {
+		return errors.New("injected fsync EIO")
+	}
+	return f.File.Sync()
+}
+
+// TestFailedSyncIsNotAcknowledged: under SyncAlways the log's one
+// watermark is the acknowledged end. An Append whose fsync fails
+// acknowledges nothing — Tail, Replay, Synced and Stats all stop at the
+// record before it, Synced's channel does not fire — and the log refuses
+// every later Append.
+func TestFailedSyncIsNotAcknowledged(t *testing.T) {
+	const k = 4
+	fsys := &failingSyncFS{FS: OS, failAt: k}
+	l, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	appendAll(t, l, 1, 5)
-
-	// Nothing synced yet: the records exist but are not shippable.
-	if n, err := l.Tail(0, func(Record) error { return nil }); err != nil || n != 0 {
-		t.Fatalf("Tail before sync delivered %d records (err %v), want 0", n, err)
+	appendAll(t, l, 1, k-1)
+	_, ch := l.Synced()
+	if err := l.Append(testRecord(k)); err == nil {
+		t.Fatalf("Append(%d) with a failing fsync reported success", k)
 	}
-	epoch, ch := l.Synced()
-	if epoch != 0 {
-		t.Fatalf("watermark %d before any sync", epoch)
+
+	collect := func(name string, read func(uint64, func(Record) error) (int, error)) {
+		t.Helper()
+		var got []uint64
+		if _, err := read(0, func(r Record) error { got = append(got, r.Epoch); return nil }); err != nil {
+			t.Fatalf("%s after the failed fsync: %v", name, err)
+		}
+		if len(got) != k-1 || got[0] != 1 || got[len(got)-1] != k-1 {
+			t.Fatalf("%s after the failed fsync delivered %v, want 1..%d", name, got, k-1)
+		}
+	}
+	collect("Tail", l.Tail)
+	collect("Replay", l.Replay)
+	if epoch, _ := l.Synced(); epoch != k-1 {
+		t.Fatalf("Synced = %d after the failed fsync, want %d", epoch, k-1)
 	}
 	select {
 	case <-ch:
-		t.Fatal("sync channel closed before any sync")
+		t.Fatal("Synced channel closed by an unacknowledged record")
 	default:
 	}
-
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	if st := l.Stats(); st.LastEpoch != k-1 {
+		t.Fatalf("Stats().LastEpoch = %d after the failed fsync, want %d", st.LastEpoch, k-1)
 	}
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("sync channel not closed by the watermark advance")
-	}
-	if epoch, _ := l.Synced(); epoch != 5 {
-		t.Fatalf("watermark %d after sync, want 5", epoch)
-	}
-	var got []uint64
-	if _, err := l.Tail(0, func(r Record) error { got = append(got, r.Epoch); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 || got[0] != 1 || got[4] != 5 {
-		t.Fatalf("Tail after sync: %v", got)
+	for _, e := range []uint64{k, k + 1} {
+		if err := l.Append(testRecord(e)); err == nil {
+			t.Fatalf("Append(%d) after the failed fsync was accepted", e)
+		}
 	}
 }
 

@@ -15,10 +15,15 @@
 // Durability is governed by Options.Sync:
 //
 //   - SyncAlways: fsync after every Append — an Append that returned is
-//     durable. The per-batch policy of the paper-facing daemon.
-//   - SyncInterval: a background goroutine fsyncs every Interval; a crash
-//     loses at most the records appended since the last tick.
-//   - SyncNever: leave flushing to the OS (benchmarks, bulk loads).
+//     durable. The policy of every durable lineage.
+//   - SyncNever: leave flushing to the OS (benchmarks, and crash sweeps
+//     that want many cadences cheaply).
+//
+// Either way a record is acknowledged — counted in the log's end, visible
+// to Replay, Tail and Synced — only once Append has done what the policy
+// asks of it. There is one watermark, the acknowledged end: a record whose
+// write or fsync failed is never acknowledged, and the log refuses every
+// later Append until it is reopened.
 //
 // Open validates every frame of every segment eagerly (CRC, length
 // bounds, epoch contiguity — the areader discipline of the arena loader),
@@ -50,7 +55,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // SyncPolicy selects when appended records are fsynced.
@@ -59,8 +63,6 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs after every Append (durable once Append returns).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Options.Interval).
-	SyncInterval
 	// SyncNever never fsyncs explicitly; the OS flushes when it pleases.
 	SyncNever
 )
@@ -69,35 +71,16 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "off"
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// ParseSyncPolicy parses the flag spelling of a policy: "always" (or
-// "batch"), "interval", "off" (or "never", "none").
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "always", "batch", "":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "off", "never", "none":
-		return SyncNever, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or off)", s)
-}
-
 const (
 	// DefaultSegmentBytes is the roll threshold when Options.SegmentBytes
 	// is zero.
 	DefaultSegmentBytes = 64 << 20
-	// DefaultSyncInterval is the SyncInterval cadence when
-	// Options.Interval is zero.
-	DefaultSyncInterval = 100 * time.Millisecond
 
 	segmentSuffix = ".wal"
 )
@@ -106,8 +89,6 @@ const (
 type Options struct {
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// Interval is the SyncInterval cadence (default DefaultSyncInterval).
-	Interval time.Duration
 	// SegmentBytes rolls the active segment when it would grow past this
 	// size (default DefaultSegmentBytes).
 	SegmentBytes int64
@@ -117,9 +98,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = DefaultSyncInterval
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
@@ -147,48 +125,43 @@ type segment struct {
 type Stats struct {
 	// Dir is the log directory.
 	Dir string
-	// Policy is the fsync policy string ("always", "interval", "off").
+	// Policy is the fsync policy string ("always" or "off").
 	Policy string
 	// Segments is the number of live segment files (including the active
 	// one).
 	Segments int
 	// Bytes is the total size of the live segments.
 	Bytes int64
-	// FirstEpoch/LastEpoch bound the records currently in the log (both
-	// zero when the log holds no records).
+	// FirstEpoch/LastEpoch bound the acknowledged records currently in the
+	// log (both zero when the log holds none).
 	FirstEpoch, LastEpoch uint64
-	// SyncedEpoch is the newest epoch known to be on stable storage.
-	SyncedEpoch uint64
 	// TornBytes is how many trailing bytes Open truncated from the last
 	// segment (0 for a clean open) — the crash-repair breadcrumb.
 	TornBytes int64
 }
 
-// Log is an open write-ahead log. Every method — Append, Sync,
+// Log is an open write-ahead log. Every method — Append, Roll,
 // TruncateThrough, Replay, Tail, Synced, Stats, Close — is safe for
-// concurrent use. Readers never see past the shipping watermark (the
-// newest acknowledged epoch, see Synced), so a Tail racing Append
-// observes only complete, acknowledged records.
+// concurrent use. Readers never see past the acknowledged end (see
+// Synced), so a Tail racing Append observes only complete, acknowledged
+// records.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu         sync.Mutex
-	sealed     []segment     // ascending start epochs
-	active     File          // nil until the first append after open/truncate
-	activeAt   segment       // metadata of the active segment
-	haveAny    bool          // any record in the log (sealed or active)
-	first      uint64        // first epoch in the log (valid when haveAny)
-	last       uint64        // last epoch in the log (valid when haveAny)
-	synced     uint64        // shipping watermark: newest acknowledged epoch
-	syncedSize int64         // bytes of the active segment covered by the watermark
-	syncCh     chan struct{} // handed out by Synced; closed and cleared when the watermark advances
-	dirty      bool          // active segment has unsynced writes
-	torn       int64         // bytes truncated at Open
-	encBuf     []byte
-	failed     error // sticky: a failed write leaves a partial frame behind
-	closed     bool
-	stopSync   chan struct{}
+	mu       sync.Mutex
+	sealed   []segment     // ascending start epochs
+	active   File          // nil until the first append after open/truncate
+	activeAt segment       // the active segment, up to its last acknowledged record
+	haveAny  bool          // any acknowledged record in the log (sealed or active)
+	first    uint64        // first epoch in the log (valid when haveAny)
+	last     uint64        // last acknowledged epoch (valid when haveAny)
+	syncCh   chan struct{} // handed out by Synced; closed and cleared when last advances
+	dirty    bool          // active segment has unsynced writes
+	torn     int64         // bytes truncated at Open
+	encBuf   []byte
+	failed   error // sticky: a failed write or fsync leaves an unacknowledged frame behind
+	closed   bool
 }
 
 // Open validates the log in dir (creating the directory if needed),
@@ -237,12 +210,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		l.last = s.last
 		prevLast, havePrev = s.last, true
-	}
-	// Everything that survived validation is on disk; nothing newer exists.
-	l.synced = l.last
-	if opts.Sync == SyncInterval {
-		l.stopSync = make(chan struct{})
-		go l.syncLoop()
 	}
 	return l, nil
 }
@@ -335,15 +302,15 @@ func (l *Log) scanSegment(s *segment, isLast, havePrev bool, prevLast uint64) (s
 // a *CorruptError: recovery must not silently skip acknowledged epochs).
 // It returns the number of records replayed. Replay is safe to call at
 // any time — concurrently with Append if need be — and reads only up to
-// the shipping watermark, so it never observes a half-written frame.
+// the acknowledged end, so it never observes a half-written frame.
 func (l *Log) Replay(after uint64, fn func(Record) error) (int, error) {
 	return l.scanFrom(after, true, fn)
 }
 
 // Tail streams every acknowledged record with epoch > after to fn, in
 // epoch order. It is the shipping read: safe under concurrent Append and
-// TruncateThrough, bounded by the watermark (see Synced). When the log no
-// longer holds epoch after+1 — TruncateThrough removed it behind a
+// TruncateThrough, bounded by the acknowledged end (see Synced). When the
+// log no longer holds epoch after+1 — TruncateThrough removed it behind a
 // checkpoint, possibly racing this call — Tail returns a *TruncatedError
 // matching ErrTruncated after delivering what it could: the caller must
 // catch up from the checkpoint and resume from its epoch. A log holding
@@ -353,12 +320,10 @@ func (l *Log) Tail(after uint64, fn func(Record) error) (int, error) {
 	return l.scanFrom(after, false, fn)
 }
 
-// Synced reports the shipping watermark — the newest epoch Tail may
-// deliver — and a channel that is closed the next time the watermark
-// advances (or the log closes). Under SyncAlways and SyncNever the
-// watermark is the last appended epoch; under SyncInterval it trails
-// Append by at most one sync tick. A shipping loop waits on the channel,
-// then calls Tail from its last delivered epoch.
+// Synced reports the shipping watermark — the newest acknowledged epoch,
+// which is the newest epoch Tail may deliver — and a channel that is
+// closed the next time it advances (or the log closes). A shipping loop
+// waits on the channel, then calls Tail from its last delivered epoch.
 func (l *Log) Synced() (uint64, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -369,7 +334,7 @@ func (l *Log) Synced() (uint64, <-chan struct{}) {
 			close(l.syncCh) // the watermark will never advance again
 		}
 	}
-	return l.synced, l.syncCh
+	return l.last, l.syncCh
 }
 
 // tailView is an immutable read plan for one segment: scan path up to
@@ -382,20 +347,21 @@ type tailView struct {
 }
 
 // scanFrom is the shared scanner under Replay (strict) and Tail. It
-// snapshots the segment list and watermark under l.mu, then reads files
-// without the lock: sealed segments are immutable, and the active segment
-// is only ever appended to past our limit. Every frame is bounds-checked
-// and CRC-verified before slicing — the file may legitimately differ from
-// what Open validated (truncation races, external mutation), and a short
-// read must surface as a typed error, never a panic.
+// snapshots the segment list under l.mu, then reads files without the
+// lock: sealed segments are immutable, and the active segment is only
+// ever appended to past its acknowledged size, our limit. Every frame is
+// bounds-checked and CRC-verified before slicing — the file may
+// legitimately differ from what Open validated (truncation races,
+// external mutation), and a short read must surface as a typed error,
+// never a panic.
 func (l *Log) scanFrom(after uint64, strict bool, fn func(Record) error) (int, error) {
 	l.mu.Lock()
 	segs := make([]tailView, 0, len(l.sealed)+1)
 	for _, s := range l.sealed {
 		segs = append(segs, tailView{s.path, s.start, s.last, s.size})
 	}
-	if l.active != nil && l.syncedSize > 0 {
-		segs = append(segs, tailView{l.activeAt.path, l.activeAt.start, l.synced, l.syncedSize})
+	if l.active != nil && l.activeAt.size > 0 {
+		segs = append(segs, tailView{l.activeAt.path, l.activeAt.start, l.activeAt.last, l.activeAt.size})
 	}
 	l.mu.Unlock()
 
@@ -424,7 +390,7 @@ func (l *Log) scanFrom(after uint64, strict bool, fn func(Record) error) (int, e
 			return replayed, fmt.Errorf("wal: replay: %w", err)
 		}
 		if s.limit < int64(len(b)) {
-			b = b[:s.limit] // never read past the watermark
+			b = b[:s.limit] // never read past the acknowledged end
 		}
 		corrupt := func(off int, format string, args ...any) error {
 			return &CorruptError{Path: s.path, Offset: int64(off), Msg: fmt.Sprintf(format, args...)}
@@ -458,8 +424,9 @@ func (l *Log) scanFrom(after uint64, strict bool, fn func(Record) error) (int, e
 
 // Append logs one record. The record's epoch must extend the log by
 // exactly one (the first record after a checkpoint may start anywhere).
-// Under SyncAlways the record is durable when Append returns; under the
-// other policies it is durable after the next Sync covering it.
+// The record is acknowledged when Append returns nil: under SyncAlways
+// after its fsync, under SyncNever after its write. A failed write or
+// fsync acknowledges nothing and poisons the log.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -492,6 +459,12 @@ func (l *Log) Append(r Record) error {
 		l.failed = err
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	l.dirty = true
+	if l.opts.Sync == SyncAlways {
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+	}
 	l.activeAt.last = r.Epoch
 	l.activeAt.size += int64(len(buf))
 	if !l.haveAny {
@@ -499,15 +472,7 @@ func (l *Log) Append(r Record) error {
 		l.haveAny = true
 	}
 	l.last = r.Epoch
-	l.dirty = true
-	switch l.opts.Sync {
-	case SyncAlways:
-		return l.syncLocked()
-	case SyncNever:
-		// Durability is delegated to the OS, so the ack point is Append
-		// itself: the record joins the shipping watermark immediately.
-		l.advanceWatermarkLocked()
-	}
+	l.wakeSyncedLocked()
 	return nil
 }
 
@@ -543,7 +508,6 @@ func (l *Log) sealActiveLocked() error {
 	l.sealed = append(l.sealed, l.activeAt)
 	l.active = nil
 	l.activeAt = segment{}
-	l.syncedSize = 0 // the watermark's byte bound is per active segment
 	return nil
 }
 
@@ -565,19 +529,12 @@ func (l *Log) Roll() error {
 	return l.sealActiveLocked()
 }
 
-// Sync forces every appended record to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
+// syncLocked fsyncs the active segment's unsynced writes.
 func (l *Log) syncLocked() error {
 	if l.failed != nil {
 		return fmt.Errorf("wal: sync after failed write: %w", l.failed)
 	}
 	if l.active == nil || !l.dirty {
-		l.advanceWatermarkLocked()
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
@@ -585,42 +542,14 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.dirty = false
-	l.advanceWatermarkLocked()
 	return nil
 }
 
-// advanceWatermarkLocked moves the shipping watermark to the current
-// append position and wakes Synced waiters when it actually moved.
-func (l *Log) advanceWatermarkLocked() {
-	size := int64(0)
-	if l.active != nil {
-		size = l.activeAt.size
-	}
-	if l.synced == l.last && l.syncedSize == size {
-		return
-	}
-	l.synced = l.last
-	l.syncedSize = size
+// wakeSyncedLocked wakes the Synced waiters: the acknowledged end moved.
+func (l *Log) wakeSyncedLocked() {
 	if l.syncCh != nil {
 		close(l.syncCh)
 		l.syncCh = nil
-	}
-}
-
-func (l *Log) syncLoop() {
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			// Best effort: a sync failure is sticky and surfaces on the
-			// next Append, which is where the caller can act on it.
-			_ = l.syncLocked()
-			l.mu.Unlock()
-		case <-l.stopSync:
-			return
-		}
 	}
 }
 
@@ -676,7 +605,6 @@ func (l *Log) TruncateThrough(epoch uint64) error {
 			l.haveAny = l.last > epoch // all records removed ⇒ empty log
 			if !l.haveAny {
 				l.first, l.last = 0, 0
-				l.synced, l.syncedSize = 0, 0
 			}
 		}
 	}
@@ -695,9 +623,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.stopSync != nil {
-		close(l.stopSync)
-	}
 	var firstErr error
 	if l.active != nil {
 		if l.failed == nil {
@@ -723,10 +648,9 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := Stats{
-		Dir:         l.dir,
-		Policy:      l.opts.Sync.String(),
-		SyncedEpoch: l.synced,
-		TornBytes:   l.torn,
+		Dir:       l.dir,
+		Policy:    l.opts.Sync.String(),
+		TornBytes: l.torn,
 	}
 	if l.haveAny {
 		st.FirstEpoch, st.LastEpoch = l.first, l.last
@@ -740,14 +664,4 @@ func (l *Log) Stats() Stats {
 		st.Bytes += l.activeAt.size
 	}
 	return st
-}
-
-// LastEpoch returns the newest epoch in the log (0 when empty).
-func (l *Log) LastEpoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.haveAny {
-		return 0
-	}
-	return l.last
 }

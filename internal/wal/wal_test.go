@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -366,7 +365,19 @@ func TestTruncateThrough(t *testing.T) {
 	}
 }
 
+// TestSyncPolicies: each policy acknowledges inside Append, so the
+// watermark and the log's end are the same epoch as soon as it returns;
+// an fsync of a SyncNever log moves neither.
 func TestSyncPolicies(t *testing.T) {
+	check := func(t *testing.T, l *Log, p SyncPolicy) {
+		t.Helper()
+		if epoch, _ := l.Synced(); epoch != 5 {
+			t.Fatalf("Synced = %d after 5 appends", epoch)
+		}
+		if st := l.Stats(); st.LastEpoch != 5 || st.Policy != p.String() {
+			t.Fatalf("stats %+v", st)
+		}
+	}
 	t.Run("always", func(t *testing.T) {
 		l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
 		if err != nil {
@@ -374,24 +385,7 @@ func TestSyncPolicies(t *testing.T) {
 		}
 		defer l.Close()
 		appendAll(t, l, 1, 5)
-		if st := l.Stats(); st.SyncedEpoch != 5 {
-			t.Fatalf("SyncAlways left SyncedEpoch at %d", st.SyncedEpoch)
-		}
-	})
-	t.Run("interval", func(t *testing.T) {
-		l, err := Open(t.TempDir(), Options{Sync: SyncInterval, Interval: 5 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		appendAll(t, l, 1, 5)
-		deadline := time.Now().Add(2 * time.Second)
-		for l.Stats().SyncedEpoch != 5 {
-			if time.Now().After(deadline) {
-				t.Fatalf("interval sync never covered epoch 5: %+v", l.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
+		check(t, l, SyncAlways)
 	})
 	t.Run("manual", func(t *testing.T) {
 		l, err := Open(t.TempDir(), Options{Sync: SyncNever})
@@ -400,29 +394,15 @@ func TestSyncPolicies(t *testing.T) {
 		}
 		defer l.Close()
 		appendAll(t, l, 1, 5)
-		if err := l.Sync(); err != nil {
+		check(t, l, SyncNever)
+		l.mu.Lock()
+		err = l.syncLocked()
+		l.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st := l.Stats(); st.SyncedEpoch != 5 {
-			t.Fatalf("explicit Sync left SyncedEpoch at %d", st.SyncedEpoch)
-		}
+		check(t, l, SyncNever)
 	})
-}
-
-func TestParseSyncPolicy(t *testing.T) {
-	for in, want := range map[string]SyncPolicy{
-		"always": SyncAlways, "batch": SyncAlways, "": SyncAlways,
-		"interval": SyncInterval, "Interval": SyncInterval,
-		"off": SyncNever, "never": SyncNever, "none": SyncNever,
-	} {
-		got, err := ParseSyncPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSyncPolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("ParseSyncPolicy accepted garbage")
-	}
 }
 
 func TestRecordEncodeRejectsBadInput(t *testing.T) {

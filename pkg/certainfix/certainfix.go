@@ -259,11 +259,7 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 	case cfg.leader != "":
 		lin, err = follow(rules, cfg)
 	case cfg.walDir != "":
-		lin, err = master.OpenDurable(cfg.walDir, base, rules, master.DurableOptions{
-			Sync:            cfg.fsync,
-			CheckpointEvery: cfg.checkpointEvery,
-			History:         cfg.history,
-		})
+		lin, err = master.OpenDurable(cfg.walDir, base, rules, master.DurableOptions{History: cfg.history})
 	default:
 		var dm *master.Data
 		if dm, err = base(); err == nil {
@@ -360,8 +356,8 @@ func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error
 // Suggest and Repair calls never block and never observe a half-applied
 // delta. In-flight sessions finish on the snapshot they pinned at start;
 // fixes beginning after UpdateMaster returns see the new epoch.
-// Under WithWAL the delta is written to the log before the snapshot is
-// published — with FsyncAlways, an UpdateMaster that returned survives a
+// Under WithWAL the delta is written to the log and fsynced before the
+// snapshot is published, so an UpdateMaster that returned survives a
 // crash. On a follower System (NewFollower) the call fails with
 // ErrReadOnlyReplica: a replica's lineage is the leader's.
 func (s *System) UpdateMaster(adds []Tuple, deletes []int) (uint64, error) {

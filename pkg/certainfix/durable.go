@@ -14,24 +14,16 @@ import (
 	"repro/internal/wal"
 )
 
-// FsyncPolicy selects when the write-ahead log fsyncs (see WithFsync).
+// FsyncPolicy once selected when the write-ahead log fsyncs.
+//
+// Deprecated: a System built WithWAL fsyncs every UpdateMaster; the
+// policy is not configurable (see WithFsync).
 type FsyncPolicy = wal.SyncPolicy
 
-// WAL fsync policies.
-const (
-	// FsyncAlways syncs after every UpdateMaster: an update that
-	// returned is durable. The default under WithWAL.
-	FsyncAlways = wal.SyncAlways
-	// FsyncInterval syncs on a background timer: a crash loses at most
-	// the updates since the last tick.
-	FsyncInterval = wal.SyncInterval
-	// FsyncOff never syncs explicitly; the OS flushes when it pleases.
-	FsyncOff = wal.SyncNever
-)
-
-// ParseFsyncPolicy parses the flag spelling of a policy: "always",
-// "interval" or "off".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParseSyncPolicy(s) }
+// FsyncAlways once named the per-update fsync policy.
+//
+// Deprecated: it is the only policy, and WithFsync ignores it.
+const FsyncAlways = wal.SyncAlways
 
 // DurabilityStats is the durability state of a System built WithWAL:
 // head and checkpoint epochs, log shape, and what recovery found on
@@ -52,9 +44,8 @@ func (s *System) Durability() (stats DurabilityStats, ok bool) {
 // truncates the write-ahead log it covers. It is a no-op without
 // WithWAL: neither a memory-only System nor a follower (whose durable
 // truth is the leader's directory) owns a checkpoint. Routine operation
-// does not need it — checkpoints roll automatically every
-// WithCheckpointEvery deltas — but it is useful before backups or to
-// bound recovery time explicitly.
+// does not need it — checkpoints roll automatically every 256 deltas —
+// but it is useful before backups or to bound recovery time explicitly.
 func (s *System) Checkpoint() error {
 	if dur, ok := s.lin.(*master.DurableVersioned); ok {
 		return dur.Checkpoint()

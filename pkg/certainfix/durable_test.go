@@ -18,7 +18,7 @@ import (
 
 // durableFixture builds the order/catalog system of update_test.go on a
 // durable lineage rooted at dir.
-func durableFixture(t *testing.T, dir string, withMaster bool, opts ...certainfix.Option) *certainfix.System {
+func durableFixture(t *testing.T, dir string, withMaster bool) *certainfix.System {
 	t.Helper()
 	r := certainfix.StringSchema("order", "sku", "price", "desc")
 	rm := certainfix.StringSchema("catalog", "sku", "price", "desc")
@@ -36,7 +36,7 @@ rule desc:  (sku ; sku) -> (desc ; desc)
 			t.Fatal(err)
 		}
 	}
-	sys, err := certainfix.New(rules, masterRel, append([]certainfix.Option{certainfix.WithWAL(dir)}, opts...)...)
+	sys, err := certainfix.New(rules, masterRel, certainfix.WithWAL(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	truth := truthT2()
 	sysA, err := certainfix.New(paperex.Sigma0(), paperex.MasterRelation(),
-		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
+		certainfix.WithWAL(dir), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,19 +180,21 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four deltas with CheckpointEvery=2: the checkpoint lands past the
-	// session's pinned epoch 0.
+	// Four deltas, then a checkpoint past the session's pinned epoch 0.
 	for i := 0; i < 4; i++ {
 		if _, err := sysA.UpdateMaster([]certainfix.Tuple{paperex.MasterRelation().Tuple(i % 2).Clone()}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sysA.Close() // waits for the checkpoint the deltas started
+	if err := sysA.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sysA.Close()
 	if st, _ := sysA.Durability(); st.CheckpointEpoch == 0 {
 		t.Fatalf("fixture broken: no checkpoint advanced past epoch 0: %+v", st)
 	}
 
-	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
+	sysB, err := certainfix.New(paperex.Sigma0(), nil, certainfix.WithWAL(dir), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestResumeEpochBehindCheckpoint(t *testing.T) {
 
 func TestWALCorruptionTypedAtAPI(t *testing.T) {
 	dir := t.TempDir()
-	sys := durableFixture(t, dir, true, certainfix.WithCheckpointEvery(-1))
+	sys := durableFixture(t, dir, true)
 	for i := 0; i < 4; i++ {
 		if _, err := sys.UpdateMaster([]certainfix.Tuple{
 			certainfix.StringTuple(fmt.Sprintf("sku-c%d", i), "1.00", "x"),

@@ -11,14 +11,12 @@ type Option func(*config)
 // config is the accumulated construction-time configuration; each field
 // is documented on the With… option that sets it.
 type config struct {
-	maxRounds       int
-	history         int
-	walDir          string
-	fsync           FsyncPolicy
-	checkpointEvery int
-	auth            bool
-	tokenKey        []byte
-	leader          string // set by NewFollower only: the leader's base URL
+	maxRounds int
+	history   int
+	walDir    string
+	auth      bool
+	tokenKey  []byte
+	leader    string // set by NewFollower only: the leader's base URL
 }
 
 func newConfig(opts []Option) config {
@@ -58,9 +56,11 @@ func WithMasterHistory(n int) Option {
 }
 
 // WithWAL makes the master lineage durable, rooted at dir. Every
-// UpdateMaster is appended to a segmented, CRC-framed write-ahead log
-// before the new snapshot is published; every few deltas the head is
-// checkpointed as an arena image and the covered log truncated; and when
+// UpdateMaster is appended to a segmented, CRC-framed write-ahead log and
+// fsynced before it returns and before the new snapshot is published or
+// shipped to a follower, so an acknowledged update survives a crash;
+// every 256 deltas the head is checkpointed in the background as an
+// arena image and the covered log truncated; and when
 // dir already holds state, New/NewFromArena recover from it — checkpoint
 // plus log tail — instead of building from the given master relation,
 // continuing the epoch lineage exactly where the previous process (clean
@@ -71,19 +71,21 @@ func WithWAL(dir string) Option {
 	return func(c *config) { c.walDir = dir }
 }
 
-// WithFsync selects the WAL durability/latency trade (only meaningful
-// with WithWAL): FsyncAlways syncs per UpdateMaster, FsyncInterval syncs
-// on a background timer, FsyncOff leaves flushing to the OS.
+// WithFsync once selected the WAL's fsync policy.
+//
+// Deprecated: WithFsync is a no-op. A System built WithWAL fsyncs every
+// UpdateMaster before acknowledging it.
 func WithFsync(p FsyncPolicy) Option {
-	return func(c *config) { c.fsync = p }
+	return func(*config) {}
 }
 
-// WithCheckpointEvery sets how many deltas accumulate between automatic
-// arena checkpoints under WithWAL (n == 0 restores the default; n < 0
-// disables automatic checkpoints — the log then grows until
-// System.Close or an explicit save).
+// WithCheckpointEvery once set how many deltas accumulate between
+// automatic arena checkpoints.
+//
+// Deprecated: WithCheckpointEvery is a no-op. A System built WithWAL
+// checkpoints every 256 deltas; call System.Checkpoint to take one sooner.
 func WithCheckpointEvery(n int) Option {
-	return func(c *config) { c.checkpointEvery = n }
+	return func(*config) {}
 }
 
 // WithAuth turns on authenticated master epochs for a memory-only

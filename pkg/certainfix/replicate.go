@@ -76,7 +76,8 @@ const replicaMaxBackoff = 2 * time.Second
 // land and then
 // long-polling the durability watermark briefly so a live follower sees
 // new epochs without re-requesting. Only acknowledged records are
-// shipped — under FsyncAlways a shipped record is a durable record.
+// shipped, and every acknowledged record is fsynced: a shipped record is a
+// durable record.
 // Requests for epochs the log no longer holds (truncated behind the
 // checkpoint) are answered 409 {"code": "wal_truncated"}; a System
 // without WithWAL answers 404 {"code": "not_durable"}.

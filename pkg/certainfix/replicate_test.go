@@ -42,7 +42,7 @@ rule desc:  (sku ; sku) -> (desc ; desc)
 		t.Fatal(err)
 	}
 	sys, err := certainfix.New(rules, masterRel,
-		certainfix.WithWAL(dir), certainfix.WithCheckpointEvery(2), testKey)
+		certainfix.WithWAL(dir), testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestFollowerReplication(t *testing.T) {
 	leader, rules := replicationLeader(t, t.TempDir())
 	defer leader.Close()
-	// Storm before the follower exists: CheckpointEvery=2 truncates the
-	// early epochs, so the bootstrap MUST come from the checkpoint image.
+	// Storm before the follower exists, then a checkpoint that truncates
+	// the early epochs, so the bootstrap MUST come from the checkpoint
+	// image.
 	for i := 2; i <= 6; i++ {
 		addSKU(t, leader, i)
 	}
-	// Checkpoints complete in the background; wait until one has truncated.
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
