@@ -57,7 +57,9 @@
 // and its tuple as the cells a later round overwrote ("Attrs"/"Values")
 // — and the provenance: a "Provenance" list of (attr, rule, master_id)
 // witnesses plus a "Masters" table holding each witnessed master tuple
-// (and its proof on an authenticated master) once.
+// (and its proof on an authenticated master) once. A proof is one base64
+// string whose binary layout the authtree.Proof comment spells out, so a
+// non-Go client can fold it to the root itself.
 //
 // -token-key-file names the file holding the HMAC key (at least 16
 // bytes; surrounding whitespace is ignored). Every replica of one

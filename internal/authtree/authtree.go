@@ -42,10 +42,11 @@
 // depends on the history of updates; every root and every proof is that of
 // the committed trie and does not.
 //
-// An inclusion proof for a tuple is its leaf's entry list plus the sibling
-// hashes along the spine; Prove emits one and VerifyInclusion checks it
-// against a root with no access to the tree — the client-side half of
-// "verify a fix without trusting the server".
+// An inclusion proof for a tuple is its leaf's entry list — left out when
+// the leaf holds that tuple alone, once — plus the sibling hashes along the
+// spine; Prove emits one and VerifyInclusion checks it against a root with
+// no access to the tree — the client-side half of "verify a fix without
+// trusting the server".
 package authtree
 
 import (

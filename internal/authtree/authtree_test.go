@@ -200,7 +200,7 @@ func TestProofRoundTrip(t *testing.T) {
 		if err := VerifyInclusion(root, tu, p); err != nil {
 			t.Fatalf("tuple %d: genuine proof rejected: %v", i, err)
 		}
-		// The JSON wire form must survive a round trip and still verify.
+		// The JSON wire form must survive a round trip field for field.
 		b, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
@@ -209,8 +209,8 @@ func TestProofRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(b, &q); err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyInclusion(root, tu, &q); err != nil {
-			t.Fatalf("tuple %d: decoded proof rejected: %v", i, err)
+		if !sameProof(p, &q) {
+			t.Fatalf("tuple %d: decoded proof %+v, sent %+v", i, q, p)
 		}
 	}
 }
@@ -223,11 +223,6 @@ func TestProofTamperRejected(t *testing.T) {
 	}
 	tr := Build(mustRel(t, tuples))
 	root := tr.Root()
-	tu := tuples[17]
-	p, ok := tr.Prove(tu)
-	if !ok {
-		t.Fatal("Prove failed")
-	}
 
 	check := func(name string, root Hash, tu relation.Tuple, p *Proof) {
 		t.Helper()
@@ -236,44 +231,78 @@ func TestProofTamperRejected(t *testing.T) {
 		}
 	}
 
-	// Each single mutation of tuple, proof or root must reject.
-	tampered := tu.Clone()
-	tampered[1] = relation.Int(tu[1].Int64() + 1)
-	check("tuple cell", root, tampered, p)
+	// Tuple 17's content is held more than once, so its leaf is spelled
+	// out; some other tuple's leaf is elided. Each single mutation of tuple,
+	// proof or root must reject under either.
+	var elided relation.Tuple
+	for _, tu := range tuples {
+		if p, _ := tr.Prove(tu); p.Entries == nil {
+			elided = tu
+			break
+		}
+	}
+	if elided == nil {
+		t.Fatal("no tuple's leaf is elided")
+	}
+	for i, tu := range []relation.Tuple{tuples[17], elided} {
+		p, ok := tr.Prove(tu)
+		if !ok || (p.Entries == nil) != (i == 1) {
+			t.Fatalf("proof of %v: %v, entries %v", tu, ok, p.Entries)
+		}
+		tampered := tu.Clone()
+		tampered[1] = relation.Int(tu[1].Int64() + 1)
+		check("tuple cell", root, tampered, p)
 
-	badRoot := root
-	badRoot[0] ^= 1
-	check("root bit", badRoot, tu, p)
+		badRoot := root
+		badRoot[0] ^= 1
+		check("root bit", badRoot, tu, p)
 
-	if len(p.Siblings) > 0 {
+		if len(p.Siblings) > 0 {
+			q := *p
+			q.Siblings = append([]Hash(nil), p.Siblings...)
+			q.Siblings[0][3] ^= 0x40
+			check("sibling hash", root, tu, &q)
+
+			q = *p
+			q.Siblings = p.Siblings[:len(p.Siblings)-1]
+			check("truncated spine", root, tu, &q)
+		}
+
 		q := *p
-		q.Siblings = append([]Hash(nil), p.Siblings...)
-		q.Siblings[0][3] ^= 0x40
-		check("sibling hash", root, tu, &q)
+		q.Key ^= 1
+		check("proof key", root, tu, &q)
 
 		q = *p
-		q.Siblings = p.Siblings[:len(p.Siblings)-1]
-		check("truncated spine", root, tu, &q)
+		q.Entries = []Entry{}
+		check("empty leaf", root, tu, &q)
+
+		check("nil proof", root, tu, nil)
+
+		q = *p
+		q.Siblings = make([]Hash, Depth+1)
+		check("overlong spine", root, tu, &q)
+
+		if p.Entries != nil {
+			q = *p
+			q.Entries = append([]Entry(nil), p.Entries...)
+			q.Entries[0].Count++
+			check("entry count", root, tu, &q)
+
+			q = *p
+			q.Entries = nil
+			check("spelled-out leaf elided", root, tu, &q)
+			continue
+		}
+		q = *p
+		q.Entries = []Entry{{VHash: Sum(tu), Count: 2}}
+		check("wrong leaf", root, tu, &q)
+
+		// The elided leaf spelled out folds to the root, but it is a second
+		// spelling of one proof.
+		q = *p
+		q.Entries = []Entry{{VHash: Sum(tu), Count: 1}}
+		check("elided leaf spelled out", root, tu, &q)
 	}
-
-	q := *p
-	q.Key ^= 1
-	check("proof key", root, tu, &q)
-
-	q = *p
-	q.Entries = append([]Entry(nil), p.Entries...)
-	q.Entries[0].Count++
-	check("entry count", root, tu, &q)
-
-	q = *p
-	q.Entries = nil
-	check("no entries", root, tu, &q)
-
-	check("nil proof", root, tu, nil)
-
-	q = *p
-	q.Siblings = make([]Hash, Depth+1)
-	check("overlong spine", root, tu, &q)
 }
 
 func TestHashHexRoundTrip(t *testing.T) {
@@ -291,7 +320,7 @@ func TestHashHexRoundTrip(t *testing.T) {
 }
 
 // sameProof reports whether two proofs are equal field for field, a nil
-// slice distinct from an empty one — that is, whether they are the same JSON.
+// slice distinct from an empty one.
 func sameProof(a, b *Proof) bool {
 	return a.Key == b.Key && slices.Equal(a.Entries, b.Entries) && slices.Equal(a.Siblings, b.Siblings) &&
 		(a.Entries == nil) == (b.Entries == nil) && (a.Siblings == nil) == (b.Siblings == nil)

@@ -1,6 +1,7 @@
 package authtree
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -9,20 +10,29 @@ import (
 	"repro/internal/relation"
 )
 
-// benchTree builds an n-tuple tree once per benchmark; proofs are
-// generated and verified against tuples spread across it.
-func benchTree(b *testing.B, n int) (*Tree, []relation.Tuple) {
-	b.Helper()
+// benchTuples is the benchmarks' relation: n distinct tuples of two random
+// words around their position.
+func benchTuples(n int) []relation.Tuple {
 	rng := rand.New(rand.NewSource(11))
 	tuples := make([]relation.Tuple, n)
-	tr := New()
 	for i := range tuples {
 		tuples[i] = relation.Tuple{
 			relation.String(randWord(rng)),
 			relation.Int(int64(i)),
 			relation.String(randWord(rng)),
 		}
-		tr = tr.Insert(tuples[i])
+	}
+	return tuples
+}
+
+// benchTree builds an n-tuple tree once per benchmark; proofs are
+// generated and verified against tuples spread across it.
+func benchTree(b *testing.B, n int) (*Tree, []relation.Tuple) {
+	b.Helper()
+	tuples := benchTuples(n)
+	tr := New()
+	for _, tu := range tuples {
+		tr = tr.Insert(tu)
 	}
 	return tr, tuples
 }
@@ -72,20 +82,47 @@ func BenchmarkProofVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkProofJSON measures a proof's wire form on the 100k-tuple tree:
+// one json.Marshal, what a fix response pays per witnessed master tuple,
+// and one json.Unmarshal, what a verifying client pays, cycling through
+// 1,000 proofs spread across the tree. B/proof is their mean JSON size.
+func BenchmarkProofJSON(b *testing.B) {
+	tuples := benchTuples(100_000)
+	rel, err := relation.FromTuples(testSchema, tuples)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := Build(rel)
+	proofs := make([]*Proof, 1_000)
+	for i := range proofs {
+		var ok bool
+		if proofs[i], ok = tr.Prove(tuples[i*len(tuples)/len(proofs)]); !ok {
+			b.Fatal("Prove failed")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	wireBytes := 0
+	for i := 0; i < b.N; i++ {
+		wire, err := json.Marshal(proofs[i%len(proofs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		var p Proof
+		if err := json.Unmarshal(wire, &p); err != nil {
+			b.Fatal(err)
+		}
+		wireBytes += len(wire)
+	}
+	b.ReportMetric(float64(wireBytes)/float64(b.N), "B/proof")
+}
+
 // BenchmarkAuthBuild measures the from-scratch commitment of a 100k-tuple
 // relation — what first boot, recovery and follower bootstrap pay — with
 // GOMAXPROCS pinned to 1 and to 2, and what the built tree keeps: live-B/tuple
 // is the heap a tree holds after a collection, nodes and page runs together.
 func BenchmarkAuthBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	tuples := make([]relation.Tuple, 100_000)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{
-			relation.String(randWord(rng)),
-			relation.Int(int64(i)),
-			relation.String(randWord(rng)),
-		}
-	}
+	tuples := benchTuples(100_000)
 	rel, err := relation.FromTuples(testSchema, tuples)
 	if err != nil {
 		b.Fatal(err)

@@ -8,9 +8,10 @@ import (
 	"repro/internal/relation"
 )
 
-// fuzzFixture is the known-good world every fuzz input attacks: a small
-// tree, one committed tuple, its genuine proof and the genuine root.
-func fuzzFixture() (Hash, relation.Tuple, *Proof, []byte) {
+// fuzzTree is the known-good world every fuzz input attacks: a small tree
+// and the tuples it commits. The first content is held twice, so its leaf
+// is spelled out; the others' leaves are elided.
+func fuzzTree() (*Tree, []relation.Tuple) {
 	tuples := []relation.Tuple{
 		{relation.String("x"), relation.Int(1), relation.String("y")},
 		{relation.String("y"), relation.Int(2), relation.String("")},
@@ -22,34 +23,40 @@ func fuzzFixture() (Hash, relation.Tuple, *Proof, []byte) {
 	for _, tu := range tuples {
 		tr = tr.Insert(tu)
 	}
-	target := tuples[0]
-	p, ok := tr.Prove(target)
+	return tr, tuples
+}
+
+// fuzzProof proves tu in tr and returns the proof with its binary layout.
+func fuzzProof(tr *Tree, tu relation.Tuple) (*Proof, []byte) {
+	p, ok := tr.Prove(tu)
 	if !ok {
 		panic("fuzz fixture: Prove failed")
 	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		panic(err)
-	}
-	return tr.Root(), target, p, raw
+	return p, p.appendBinary(nil)
 }
 
-// FuzzProofVerify feeds hostile proof bytes and mutated roots to
-// VerifyInclusion: it must never panic, and it may only accept when the
-// decoded proof is semantically the genuine one under the genuine root —
-// anything else accepted would be a forged inclusion.
+// FuzzProofVerify feeds hostile proofs — the binary layout a proof's JSON
+// string carries — and mutated roots to VerifyInclusion: it must never
+// panic, and it may only accept when the decoded proof is the genuine one
+// under the genuine root — anything else accepted would be a forged
+// inclusion.
 func FuzzProofVerify(f *testing.F) {
-	root, target, genuine, raw := fuzzFixture()
+	tr, tuples := fuzzTree()
+	root, target := tr.Root(), tuples[0]
+	genuine, raw := fuzzProof(tr, target)
 	f.Add(raw, []byte{0})
 	f.Add(raw, root[:])
-	f.Add([]byte(`{"key":"0","entries":[],"siblings":[]}`), []byte{1, 2, 3})
-	f.Add([]byte(`{}`), []byte{})
-	f.Add([]byte(`{"key":"18446744073709551615","entries":[{"h":"`+
-		(Hash{}).String()+`","n":1}],"siblings":["`+(Hash{}).String()+`"]}`), root[:8])
+	f.Add(make([]byte, 10), []byte{1, 2, 3}) // key 0, elided leaf, no spine
+	f.Add([]byte{}, []byte{})
+	// The elided leaf spelled out, under a spine of one empty subtree sent
+	// as a present sibling: two spellings the decoder refuses.
+	spelled := append(bytes.Repeat([]byte{0xff}, 8), 1)
+	spelled = append(append(spelled, make([]byte, 32)...), 1, 1, 1)
+	f.Add(append(spelled, make([]byte, 32)...), root[:8])
 
-	f.Fuzz(func(t *testing.T, proofJSON, rootSeed []byte) {
+	f.Fuzz(func(t *testing.T, proofBin, rootSeed []byte) {
 		var p Proof
-		if err := json.Unmarshal(proofJSON, &p); err != nil {
+		if err := p.decode(proofBin); err != nil {
 			return
 		}
 		fuzzedRoot := root
@@ -59,8 +66,7 @@ func FuzzProofVerify(f *testing.F) {
 			}
 			fuzzedRoot[i] ^= b
 		}
-		err := VerifyInclusion(fuzzedRoot, target, &p)
-		if err != nil {
+		if err := VerifyInclusion(fuzzedRoot, target, &p); err != nil {
 			return
 		}
 		// Accepted: this must be the genuine (root, proof) pair. Any other
@@ -68,20 +74,52 @@ func FuzzProofVerify(f *testing.F) {
 		if fuzzedRoot != root {
 			t.Fatalf("forged root accepted: %v", fuzzedRoot)
 		}
-		if p.Key != genuine.Key ||
-			len(p.Entries) != len(genuine.Entries) ||
-			len(p.Siblings) != len(genuine.Siblings) {
-			t.Fatalf("forged proof shape accepted: %+v", p)
+		if !sameProof(&p, genuine) {
+			t.Fatalf("forged proof accepted: %+v", p)
 		}
-		for i := range p.Entries {
-			if p.Entries[i] != genuine.Entries[i] {
-				t.Fatalf("forged entry accepted: %+v", p.Entries[i])
-			}
+	})
+}
+
+// FuzzProofCodec throws arbitrary bytes at the proof decoder, bare and as
+// the base64 JSON string: it must never panic, the two must agree, and a
+// proof that decodes re-encodes to exactly the bytes it came from — the
+// layout has one spelling per proof.
+func FuzzProofCodec(f *testing.F) {
+	tr, tuples := fuzzTree()
+	for _, tu := range tuples[:3] {
+		_, raw := fuzzProof(tr, tu)
+		f.Add(raw)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, 10))
+	deep := New().insertHashed(0, Hash{1}).insertHashed(1, Hash{2})
+	p, ok := deep.proveHashed(0, Hash{1})
+	if !ok {
+		f.Fatal("deep spine: proveHashed failed")
+	}
+	f.Add(p.appendBinary(nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p, q Proof
+		err := p.decode(data)
+		wire, merr := json.Marshal(data) // the base64 string of data
+		if merr != nil {
+			t.Fatal(merr)
 		}
-		for i := range p.Siblings {
-			if !bytes.Equal(p.Siblings[i][:], genuine.Siblings[i][:]) {
-				t.Fatalf("forged sibling accepted: %v", p.Siblings[i])
-			}
+		if jerr := json.Unmarshal(wire, &q); (err == nil) != (jerr == nil) {
+			t.Fatalf("binary decode: %v, JSON decode: %v", err, jerr)
+		}
+		if err != nil {
+			return
+		}
+		if !sameProof(&p, &q) {
+			t.Fatalf("binary decode %+v, JSON decode %+v", p, q)
+		}
+		if again := p.appendBinary(nil); !bytes.Equal(again, data) {
+			t.Fatalf("decoded %x, re-encoded %x", data, again)
+		}
+		if again, err := json.Marshal(p); err != nil || !bytes.Equal(again, wire) {
+			t.Fatalf("JSON re-encoding %s (%v), decoded from %s", again, err, wire)
 		}
 	})
 }

@@ -13,9 +13,10 @@ import (
 
 // The goldens in testdata/golden.json were written by this file running at
 // the commit before the tree was paged (f037e95, one node per tuple): roots
-// and proofs are compared with those bytes, not with what the code under test
-// says about itself. -update rewrites them and is for a change that means to
-// break compatibility.
+// are compared with those bytes, not with what the code under test says about
+// itself. The proofs were re-recorded, roots untouched, when a proof's wire
+// form became the compact base64 layout; they pin that layout. -update
+// rewrites them and is for a change that means to break compatibility.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json")
 
 const goldenPath = "testdata/golden.json"
@@ -25,15 +26,16 @@ type golden struct {
 	Roots map[int]Hash `json:"roots"`
 	// DeltaRoot is the root after goldenProgram edited the 1,000-tuple tree.
 	DeltaRoot Hash `json:"delta_root"`
-	// Proofs are the JSON proofs of three tuples under the 1,000-tuple root:
-	// contents held 3 times, once and 7 times, behind spines of 22, 12 and 24
-	// siblings.
+	// Proofs are the JSON proofs of five tuples under the 1,000-tuple root:
+	// contents held 3 times, once, 7 times, once and once, behind spines of
+	// 22, 12, 24, 10 and 20 siblings, of which 11, 1, 0, 0 and 10 are empty
+	// subtrees. The leaves of the three contents held once are elided.
 	Proofs map[int]json.RawMessage `json:"proofs"`
 }
 
 var (
 	goldenSizes  = []int{0, 1, 2, 17, 100, 1_000, 5_000}
-	goldenProofs = []int{0, 1, 999}
+	goldenProofs = []int{0, 1, 999, 2, 29}
 )
 
 // goldenTuples mixes contents held many times (randTuple's small domain) with
@@ -113,6 +115,12 @@ func TestGoldenRootsAndProofs(t *testing.T) {
 	if got.DeltaRoot != want.DeltaRoot {
 		t.Errorf("root after the delta program = %v, recorded %v", got.DeltaRoot, want.DeltaRoot)
 	}
+	// The recorded proofs are held to the node tree's, not only to the bytes
+	// the code under test wrote.
+	var old *oldNode
+	for _, tu := range tuples {
+		old = oldInsert(old, Key(tu), Sum(tu), 0)
+	}
 	for _, i := range goldenProofs {
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, want.Proofs[i]); err != nil {
@@ -127,6 +135,9 @@ func TestGoldenRootsAndProofs(t *testing.T) {
 		}
 		if err := VerifyInclusion(want.Roots[1_000], tuples[i], &p); err != nil {
 			t.Errorf("recorded proof of tuple %d: %v", i, err)
+		}
+		if wp, _ := oldProve(old, Key(tuples[i]), Sum(tuples[i])); !sameProof(&p, wp) {
+			t.Errorf("recorded proof of tuple %d = %+v, the node tree's %+v", i, p, wp)
 		}
 	}
 }

@@ -204,9 +204,15 @@ func oldProve(n *oldNode, key uint64, vh Hash) (*Proof, bool) {
 		return nil, false
 	}
 	for _, e := range n.entries {
-		if e.VHash == vh {
-			return &Proof{Key: key, Entries: append([]Entry(nil), n.entries...), Siblings: siblings}, true
+		if e.VHash != vh {
+			continue
 		}
+		p := &Proof{Key: key, Siblings: siblings}
+		// A leaf holding the proved tuple alone, once, is elided.
+		if len(n.entries) > 1 || e.Count > 1 {
+			p.Entries = append([]Entry(nil), n.entries...)
+		}
+		return p, true
 	}
 	return nil, false
 }

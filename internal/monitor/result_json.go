@@ -18,11 +18,14 @@ package monitor
 //	              {"Suggested": [2], "User": [2]}],
 //	 "Epoch": 7, "Root": "<hex, empty when unauthenticated>",
 //	 "Provenance": [{"attr": 1, "rule": "price", "master_id": 17}],
-//	 "Masters": [{"id": 17, "tuple": [...], "proof": {...}}]}
+//	 "Masters": [{"id": 17, "tuple": [...], "proof": "<base64>"}]}
 //
-// One master tuple typically justifies several attributes, so shipping
-// it (and its proof, by far the largest part) per witness multiplied the
-// reply; and every round's full tuple repeated what Tuple already says.
+// A proof is one base64 string, authtree.Proof's compact binary layout
+// (key, leaf entries unless the leaf holds the tuple alone, a bitmap of
+// the non-empty siblings and those siblings). One master tuple typically
+// justifies several attributes, so shipping it (and its proof, by far the
+// largest part) per witness multiplied the reply; and every round's full
+// tuple repeated what Tuple already says.
 // Decoding rebuilds each RoundStat and rehydrates Witness.Master and
 // Witness.Proof from the table, so Go callers — VerifyFix among them —
 // see the Result exactly as Session.Result built it (reflect.DeepEqual;

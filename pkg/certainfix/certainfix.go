@@ -106,6 +106,8 @@ type (
 	// WithAuth) its inclusion proof.
 	Witness = monitor.Witness
 	// Proof is a Merkle inclusion proof tying one master tuple to a root.
+	// Its JSON form is one base64 string; the byte layout is documented on
+	// authtree.Proof.
 	Proof = authtree.Proof
 	// Verdict is the outcome of a consistency or coverage check.
 	Verdict = analysis.Verdict

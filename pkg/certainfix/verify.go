@@ -13,6 +13,7 @@ package certainfix
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/authtree"
 	"repro/internal/relation"
@@ -67,6 +68,14 @@ func VerifyFix(rules *Rules, res *Result, root string) error {
 	}
 
 	marity := rules.MasterSchema().Arity()
+	// Several witnesses usually cite one master tuple and share its proof:
+	// an inclusion already checked for the same proof and the same tuple is
+	// not checked again. A shared proof behind a different tuple is.
+	type included struct {
+		proof  *authtree.Proof
+		master relation.Tuple
+	}
+	var checked []included
 	var verr error
 	res.AutoFixed.Range(func(p int) bool {
 		w, ok := byAttr[p]
@@ -74,16 +83,26 @@ func VerifyFix(rules *Rules, res *Result, root string) error {
 			verr = fmt.Errorf("%w: auto-fixed attribute %d has no witness", ErrVerifyFailed, p)
 			return false
 		}
-		verr = verifyWitness(rules, t, w, marity, rootHash)
-		return verr == nil
+		if verr = verifyWitness(rules, t, w, marity); verr != nil {
+			return false
+		}
+		if slices.ContainsFunc(checked, func(c included) bool { return c.proof == w.Proof && c.master.Equal(w.Master) }) {
+			return true
+		}
+		if err := authtree.VerifyInclusion(rootHash, w.Master, w.Proof); err != nil {
+			verr = fmt.Errorf("%w: attribute %d: %v", ErrVerifyFailed, w.Attr, err)
+			return false
+		}
+		checked = append(checked, included{w.Proof, w.Master})
+		return true
 	})
 	return verr
 }
 
-// verifyWitness checks one witness: rule exists and targets the
-// attribute, the master tuple matches the rule against the fixed tuple,
-// supplies the fixed value, and is committed by the root.
-func verifyWitness(rules *Rules, t relation.Tuple, w *Witness, marity int, root authtree.Hash) error {
+// verifyWitness checks one witness short of its inclusion proof: rule
+// exists and targets the attribute, the master tuple matches the rule
+// against the fixed tuple and supplies the fixed value.
+func verifyWitness(rules *Rules, t relation.Tuple, w *Witness, marity int) error {
 	ru := ruleByName(rules, w.Rule)
 	if ru == nil {
 		return fmt.Errorf("%w: attribute %d cites unknown rule %q", ErrVerifyFailed, w.Attr, w.Rule)
@@ -105,9 +124,6 @@ func verifyWitness(rules *Rules, t relation.Tuple, w *Witness, marity int, root 
 	}
 	if !t[ru.RHS()].Equal(w.Master[ru.RHSM()]) {
 		return fmt.Errorf("%w: attribute %d: fixed value is not the master tuple's", ErrVerifyFailed, w.Attr)
-	}
-	if err := authtree.VerifyInclusion(root, w.Master, w.Proof); err != nil {
-		return fmt.Errorf("%w: attribute %d: %v", ErrVerifyFailed, w.Attr, err)
 	}
 	return nil
 }

@@ -3,7 +3,8 @@ package certainfix_test
 // VerifyFix at the public surface: every fix produced under WithAuth
 // verifies offline against the published root with nothing but (rules,
 // result, root); any single-cell tampering — of the fixed tuple, the
-// witnessed master tuple, the proof, or the root — is rejected; old
+// witnessed master tuple, the proof, or the root — is rejected, and so is
+// a proof in anything but its one canonical form; old
 // results keep verifying against the root they were produced under
 // after the master moves on; and provenance survives the session-token
 // round trip while hostile tokens are rejected.
@@ -16,11 +17,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/authtree"
 	"repro/internal/paperex"
 	"repro/internal/relation"
+	"repro/internal/rule"
 	"repro/pkg/certainfix"
 )
 
@@ -111,9 +114,57 @@ func TestVerifyFixEndToEnd(t *testing.T) {
 		expectReject(t, bad, root)
 	})
 	t.Run("proof-entry", func(t *testing.T) {
+		// A leaf claiming two copies of the witnessed master tuple.
 		bad := cloneResult(res)
-		bad.Provenance[0].Proof.Entries[0].VHash[0] ^= 1
+		w := &bad.Provenance[0]
+		w.Proof.Entries = []authtree.Entry{{VHash: authtree.Sum(w.Master), Count: 2}}
 		expectReject(t, bad, root)
+	})
+	t.Run("proof-leaf-spelled-out", func(t *testing.T) {
+		// The elided leaf written out folds to the same root, but it is a
+		// second spelling of the proof, and proofs have one.
+		bad := cloneResult(res)
+		w := &bad.Provenance[0]
+		if w.Proof.Entries != nil {
+			t.Fatalf("leaf of a master tuple held once is spelled out: %+v", w.Proof.Entries)
+		}
+		w.Proof.Entries = []authtree.Entry{{VHash: authtree.Sum(w.Master), Count: 1}}
+		expectReject(t, bad, root)
+	})
+	t.Run("shared-proof-other-tuple", func(t *testing.T) {
+		// Two witnesses share one proof pointer; the later one's master
+		// tuple differs in a cell its rule does not read, so only the
+		// inclusion proof can catch it — VerifyFix must not take the proof
+		// as checked for it.
+		bad := cloneResult(res)
+		var first, second *certainfix.Witness
+		for i := range bad.Provenance {
+			for j := range bad.Provenance {
+				a, b := &bad.Provenance[i], &bad.Provenance[j]
+				if a.MasterID == b.MasterID && a.Attr < b.Attr {
+					first, second = a, b
+				}
+			}
+		}
+		if first == nil {
+			t.Fatal("no master tuple witnesses two attributes")
+		}
+		second.Proof = first.Proof
+		var ru *rule.Rule
+		for _, r := range sigma.Rules() {
+			if r.Name() == second.Rule {
+				ru = r
+			}
+		}
+		read := append(slices.Clone(ru.LHSMRef()), ru.RHSM())
+		for p := range second.Master {
+			if !slices.Contains(read, p) {
+				second.Master[p] = relation.String("evil")
+				expectReject(t, bad, root)
+				return
+			}
+		}
+		t.Fatalf("rule %q reads every master attribute", ru.Name())
 	})
 	t.Run("proof-sibling", func(t *testing.T) {
 		bad := cloneResult(res)
