@@ -87,9 +87,11 @@
 // log tail instead of rewinding to the CSV. -wal-dir is the whole
 // durability configuration: -fsync and -checkpoint-every are accepted for
 // old command lines and ignored. On the first start the directory is
-// seeded from -master (or -master-snapshot); on later starts the directory
-// alone is authoritative and -master may be omitted. /healthz gains a
-// "durability" block, and SIGINT/SIGTERM close the log before exit.
+// seeded from -master (or -master-snapshot), whose checkpoint is written in
+// the background: fixes are served at once, and the first update waits for
+// it. On later starts the directory alone is authoritative and -master may
+// be omitted. /healthz gains a "durability" block, and SIGINT/SIGTERM close
+// the log before exit.
 //
 // The daemon maintains a Merkle commitment over the master data under
 // -wal-dir or -follow, and under -auth otherwise: GET /v1/root publishes
@@ -193,9 +195,9 @@ func main() {
 		// What "master build/load" was made of under -wal-dir.
 		rec := st.Recovery
 		fmt.Fprintf(os.Stderr,
-			"certainfixd: durable lineage %s (checkpoint epoch %d, replayed %d, torn bytes %d; base %.3fs, authenticate %.3fs, replay %.3fs, first checkpoint %.3fs)\n",
+			"certainfixd: durable lineage %s (checkpoint epoch %d, replayed %d, torn bytes %d; base %.3fs, authenticate %.3fs, replay %.3fs)\n",
 			*walDir, rec.BaseEpoch, rec.Replayed, rec.TornBytes,
-			rec.BaseMs/1000, rec.AuthenticateMs/1000, rec.ReplayMs/1000, rec.FirstCheckpointMs/1000)
+			rec.BaseMs/1000, rec.AuthenticateMs/1000, rec.ReplayMs/1000)
 	}
 	if st, ok := sys.Replication(); ok {
 		fmt.Fprintf(os.Stderr,

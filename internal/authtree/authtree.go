@@ -272,10 +272,11 @@ func New() *Tree { return &Tree{} }
 // construction, of arena loads (recovery and follower bootstrap recompute
 // the root and verify it) and of lineages that turn authentication on. It
 // is one pass, not n inserts: the tuples are hashed in parallel, the
-// (key, vhash) pairs sorted, and the pages and the inner nodes above them
-// assembled bottom-up from the sorted run, so every hash is computed exactly
-// once and no intermediate node is ever allocated. Insert and Remove remain
-// the delta path, and the oracle this is tested against.
+// (key, vhash) pairs grouped by key prefix and each prefix sorted in
+// parallel, and the pages and the inner nodes above them assembled bottom-up
+// from the sorted run, so every hash is computed exactly once and no
+// intermediate node is ever allocated. Insert and Remove remain the delta
+// path, and the oracle this is tested against.
 func Build(rel *relation.Relation) *Tree {
 	return BuildFunc(rel.Len(), func(i int, _ relation.Tuple) relation.Tuple { return rel.Tuple(i) })
 }
@@ -305,37 +306,59 @@ func BuildFunc(n int, tuple func(i int, buf relation.Tuple) relation.Tuple) *Tre
 // millisecond of hashing.
 const parallelKeys = 4096
 
-// buildHashed builds the tree of a multiset of hashed tuples (sorted in
-// place). Keys ascend in trie order — most significant bit first — so every
-// subtree is a contiguous run: the run's keys agree on the bits above its
-// depth, and the first key with the depth's bit set splits it into its two
-// children. Runs of parallelKeys or more under a common prefix are
-// assembled in parallel, the few levels above them serially.
+// buildHashed builds the tree of a multiset of hashed tuples (permuted in
+// place into trie order). Keys ascend in trie order — most significant bit
+// first — so every subtree is a contiguous run: the run's keys agree on the
+// bits above its depth, and the first key with the depth's bit set splits it
+// into its two children. The 2^cut prefixes of runs of parallelKeys or more
+// are parallel jobs: partition groups the pairs by prefix, and each job sorts
+// its own prefix and assembles the subtree over it; the few levels above them
+// are assembled serially once every prefix is sorted. Below parallelKeys cut
+// is 0, one job over the whole run.
 func buildHashed(hashed []hashedTuple) *Tree {
-	slices.SortFunc(hashed, compareHashed)
 	// cut is the depth whose 2^cut prefixes are built as parallel jobs.
 	cut := 0
 	for len(hashed)>>cut >= parallelKeys && cut < 16 {
 		cut++
 	}
-	var subs []*node
-	if cut > 0 && runtime.GOMAXPROCS(0) > 1 {
-		subs, _ = parallel.Map(1<<cut, 0, func(p int) (*node, error) {
-			lo := firstKeyAtOrAbove(hashed, uint64(p)<<(Depth-cut))
-			hi := len(hashed)
-			if p+1 < 1<<cut {
-				hi = firstKeyAtOrAbove(hashed, uint64(p+1)<<(Depth-cut))
-			}
-			return assemble(hashed[lo:hi], cut, 0, nil), nil
-		})
-	}
+	starts := partition(hashed, cut)
+	// The error is dropped because no job returns one.
+	subs, _ := parallel.Map(1<<cut, 0, func(p int) (*node, error) {
+		run := hashed[starts[p]:starts[p+1]]
+		slices.SortFunc(run, compareHashed)
+		return assemble(run, cut, 0, nil), nil
+	})
 	root := assemble(hashed, 0, cut, subs)
 	return &Tree{root: root, size: len(hashed), nodes: countNodes(root)}
 }
 
-func firstKeyAtOrAbove(run []hashedTuple, key uint64) int {
-	i, _ := slices.BinarySearchFunc(run, key, func(h hashedTuple, key uint64) int { return cmp.Compare(h.key, key) })
-	return i
+// partition permutes hashed in place so that the pairs of each of the 2^cut
+// key prefixes form one contiguous run, in prefix order, and returns where
+// the runs begin: prefix p's is hashed[starts[p]:starts[p+1]]. It is one
+// counting pass and one pass of cycles, each pair moved straight to the next
+// free slot of its prefix — an American flag sort of one digit, with no
+// second array. (With cut = 0 the shift is 64 and every pair is prefix 0.)
+func partition(hashed []hashedTuple, cut int) []int {
+	shift := Depth - cut
+	starts := make([]int, 1<<cut+1)
+	for _, h := range hashed {
+		starts[h.key>>shift+1]++
+	}
+	for p := 1; p < len(starts); p++ {
+		starts[p] += starts[p-1]
+	}
+	next := slices.Clone(starts[:1<<cut])
+	for p := range next {
+		for i := next[p]; i < starts[p+1]; i = next[p] {
+			q := hashed[i].key >> shift
+			if q != uint64(p) {
+				j := next[q]
+				hashed[i], hashed[j] = hashed[j], hashed[i]
+			}
+			next[q]++
+		}
+	}
+	return starts
 }
 
 // assemble stores the subtree at depth over a sorted run whose keys share
@@ -344,15 +367,15 @@ func firstKeyAtOrAbove(run []hashedTuple, key uint64) int {
 // bit splits the run into. A page gets a copy of its stretch of the run: a
 // page that aliased the caller's array would keep all of it alive for as long
 // as it is the last one no update has replaced. With subs given, the
-// subtrees at depth cut are taken from it by prefix.
+// subtrees at depth cut are taken from it by prefix, pages included.
 func assemble(run []hashedTuple, depth, cut int, subs []*node) *node {
 	switch {
 	case len(run) == 0:
 		return nil
-	case isPage(run):
-		return newPage(slices.Clone(run), depth)
 	case subs != nil && depth == cut:
 		return subs[run[0].key>>(Depth-cut)]
+	case isPage(run):
+		return newPage(slices.Clone(run), depth)
 	}
 	mid := splitRun(run, depth)
 	return newInner(assemble(run[:mid], depth+1, cut, subs), assemble(run[mid:], depth+1, cut, subs))

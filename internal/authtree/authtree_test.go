@@ -450,16 +450,19 @@ func checkStored(t *testing.T, ctx string, tr *Tree) {
 // replaced and both to the node tree: over random multisets — duplicates,
 // forced equal keys with different contents, keys sharing all but their
 // lowest bits, everything crowded under one of the prefixes the parallel
-// assembly cuts at — all three commit to the same root and emit the same
-// proof for every committed tuple, at every GOMAXPROCS. Where the two paged
-// trees cut their pages may differ; what they commit to may not.
+// assembly cuts at, one key alone, every key in the last prefix, sizes on
+// either side of each step of the cut — all three commit to the same root
+// and emit the same proof for every committed tuple, at every GOMAXPROCS.
+// Where the two paged trees cut their pages may differ; what they commit to
+// may not.
 func TestBuildEqualsIncremental(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	shapes := []struct {
+	type shape struct {
 		name string
 		n    int
 		key  func(rng *rand.Rand) uint64
-	}{
+	}
+	shapes := []shape{
 		{"empty", 0, nil},
 		{"one", 1, (*rand.Rand).Uint64},
 		{"random", 2 * parallelKeys, (*rand.Rand).Uint64},
@@ -477,41 +480,80 @@ func TestBuildEqualsIncremental(t *testing.T) {
 			return 0x5<<60 | rng.Uint64()>>4
 		}},
 	}
-	for _, procs := range []int{1, 2, 7} {
-		runtime.GOMAXPROCS(procs)
-		for si, shape := range shapes {
-			rng := rand.New(rand.NewSource(int64(1000*procs + si)))
-			hashed := make([]hashedTuple, shape.n)
+	// The shapes above draw one multiset per GOMAXPROCS (seed
+	// 1000*procs+si); the prefix-partition shapes below draw one (seed
+	// 1000+si): one key, so one bucket holds every pair and the rest are
+	// empty; every key in the last prefix at every cut; and the sizes on
+	// either side of each step of cut.
+	multiSeed := len(shapes)
+	shapes = append(shapes,
+		shape{"one key", 2*parallelKeys + 1, func(*rand.Rand) uint64 { return 0x9e3779b97f4a7c15 }},
+		shape{"last prefix", 4 * parallelKeys, func(rng *rand.Rand) uint64 { return 0xffff<<48 | rng.Uint64()>>16 }},
+	)
+	for k := 1; k <= 3; k++ {
+		for _, d := range []int{-1, 0, 1} {
+			n := parallelKeys<<k + d
+			shapes = append(shapes, shape{fmt.Sprintf("%d random", n), n, (*rand.Rand).Uint64})
+		}
+	}
+	// The insert chain and the node tree do not depend on GOMAXPROCS: each
+	// multiset's are derived once, and its build at every GOMAXPROCS is held
+	// to them.
+	for si, sh := range shapes {
+		seeds := []int64{int64(1000 + si)}
+		if si < multiSeed {
+			seeds = []int64{int64(1000 + si), int64(2000 + si), int64(7000 + si)}
+		}
+		for _, seed := range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			hashed := make([]hashedTuple, sh.n)
 			for i := range hashed {
-				hashed[i].key = shape.key(rng)
+				hashed[i].key = sh.key(rng)
 				// A handful of contents per key: equal keys with different
 				// contents, and exact duplicates (counts above one).
 				hashed[i].vhash = Hash{byte(rng.Intn(3)), byte(hashed[i].key)}
 			}
+			name := fmt.Sprintf("%s (seed %d)", sh.name, seed)
 			chain := New()
 			var old *oldNode
 			for _, h := range hashed {
 				chain = chain.insertHashed(h.key, h.vhash)
 				old = oldInsert(old, h.key, h.vhash, 0)
 			}
-			built := buildHashed(append([]hashedTuple(nil), hashed...))
-			ctx := fmt.Sprintf("GOMAXPROCS %d, %s", procs, shape.name)
-			if built.Len() != chain.Len() || built.Root() != chain.Root() || built.Root() != oldHashOf(old) {
-				t.Fatalf("%s: build commits %d tuples under %v, insert chain %d under %v, node tree under %v",
-					ctx, built.Len(), built.Root(), chain.Len(), chain.Root(), oldHashOf(old))
-			}
-			checkStored(t, ctx+" built", built)
-			checkStored(t, ctx+" chain", chain)
+			checkStored(t, name+" chain", chain)
+			wants := map[hashedTuple]*Proof{} // a duplicate has its twin's proof
 			for _, h := range hashed {
-				got, ok := built.proveHashed(h.key, h.vhash)
+				if _, seen := wants[h]; seen {
+					continue
+				}
 				inc, iok := chain.proveHashed(h.key, h.vhash)
 				want, wok := oldProve(old, h.key, h.vhash)
-				if !ok || !iok || !wok || !sameProof(got, want) || !sameProof(inc, want) {
-					t.Fatalf("%s: proofs of key %#x differ: built %+v (%v), chain %+v (%v), node tree %+v (%v)",
-						ctx, h.key, got, ok, inc, iok, want, wok)
+				if !iok || !wok || !sameProof(inc, want) {
+					t.Fatalf("%s: proofs of key %#x differ: chain %+v (%v), node tree %+v (%v)",
+						name, h.key, inc, iok, want, wok)
+				}
+				wants[h] = want
+			}
+			for _, procs := range []int{1, 2, 7} {
+				runtime.GOMAXPROCS(procs)
+				built := buildHashed(append([]hashedTuple(nil), hashed...))
+				ctx := fmt.Sprintf("GOMAXPROCS %d, %s", procs, name)
+				if built.Len() != chain.Len() || built.Root() != chain.Root() || built.Root() != oldHashOf(old) {
+					t.Fatalf("%s: build commits %d tuples under %v, insert chain %d under %v, node tree under %v",
+						ctx, built.Len(), built.Root(), chain.Len(), chain.Root(), oldHashOf(old))
+				}
+				checkStored(t, ctx+" built", built)
+				for h, want := range wants {
+					if got, ok := built.proveHashed(h.key, h.vhash); !ok || !sameProof(got, want) {
+						t.Fatalf("%s: proofs of key %#x differ: built %+v (%v), node tree %+v",
+							ctx, h.key, got, ok, want)
+					}
 				}
 			}
 		}
+	}
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
 		// Through the public entry point, tuples and all.
 		rng := rand.New(rand.NewSource(int64(procs)))
 		tuples := make([]relation.Tuple, 2*parallelKeys)

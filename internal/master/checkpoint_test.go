@@ -8,6 +8,7 @@ package master
 // of durable_test.go.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -159,6 +160,7 @@ func TestApplyDoesNotWaitForCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dv.waitCheckpoint() // the base checkpoint is not the one to park
 	parked, release := park.arm(phaseWriting)
 	for _, d := range w.deltas[:8] {
 		if _, err := dv.Apply(d.adds, d.deletes); err != nil {
@@ -264,6 +266,7 @@ func TestDurableBackgroundCheckpointCrash(t *testing.T) {
 	const before, nDeltas = 5, 12
 	w := newDurableWorkload(45_000_003, nDeltas)
 	base := func() (*Data, error) { return w.base, nil }
+	baseCheckpointCrash(t, w)
 	for ph := phaseWriting; ph <= phaseTruncated; ph++ {
 		for _, k := range []int{0, 1, 4} {
 			if ph == phaseDirSynced && k > 0 {
@@ -333,6 +336,82 @@ func TestDurableBackgroundCheckpointCrash(t *testing.T) {
 	}
 }
 
+// errNoBase is what a base() that can no longer build the first snapshot
+// returns: a reopen that still needs it has lost the lineage's seed.
+var errNoBase = errors.New("base snapshot unavailable")
+
+// baseCheckpointCrash is TestDurableBackgroundCheckpointCrash's sweep over
+// the base checkpoint of a first open: its writer parked at each phase
+// boundary, and the power cut there at spill 0, ½ and 1. No update can have
+// been acknowledged — Apply waits for the base — so the directory holds
+// either no checkpoint, and a reopen must seed from base() again (and fail,
+// typed, when base() cannot), or the complete image the rename put in
+// place: a torn tmp image is never loaded. Either way the reopened head is
+// epoch 0 under the base's root. (The base truncates no segment, so its
+// writer never reaches phaseDirSynced's Remove.)
+func baseCheckpointCrash(t *testing.T, w *durableWorkload) {
+	rel, err := relation.FromTuples(w.base.Schema(), w.expected[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRoot := authtree.Build(rel).Root()
+	base := func() (*Data, error) { return w.base, nil }
+	noBase := func() (*Data, error) { return nil, errNoBase }
+	for ph := phaseWriting; ph <= phaseRenamed; ph++ {
+		for _, sp := range [][2]int{{0, 1}, {1, 2}, {1, 1}} {
+			label := fmt.Sprintf("base checkpoint parked at %q, spill %d/%d", ph, sp[0], sp[1])
+			dir := t.TempDir()
+			fault := walfault.New(wal.OS, -1, sp[0], sp[1])
+			park := &parkFS{FS: fault}
+			parked, release := park.arm(ph)
+			dv, err := OpenDurable(dir, base, w.sigma,
+				DurableOptions{Sync: wal.SyncAlways, SegmentBytes: 256, CheckpointEvery: -1, FS: park})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			<-parked
+			fault.Crash()
+			release()
+			_ = dv.Close() // the checkpoint failed with the power; Close still has to return
+			if st := dv.Durability(); st.CheckpointFailures != 1 || st.WAL.LastEpoch != 0 {
+				t.Fatalf("%s: after the cut: %+v", label, st)
+			}
+			_, statErr := os.Stat(filepath.Join(dir, CheckpointFile))
+			if landed := statErr == nil; landed != (ph >= phaseRenamed) {
+				t.Fatalf("%s: checkpoint.arena in place = %v", label, landed)
+			}
+
+			dv2, err := OpenDurable(dir, noBase, w.sigma, DurableOptions{})
+			switch {
+			case ph < phaseRenamed && !errors.Is(err, errNoBase):
+				t.Fatalf("%s: reopen without a base: %v, want the base's error", label, err)
+			case ph >= phaseRenamed && err != nil:
+				t.Fatalf("%s: reopen on the landed image: %v", label, err)
+			case ph >= phaseRenamed:
+				if got := mustRoot(t, dv2.Current()); dv2.Epoch() != w.base.Epoch() || got != wantRoot {
+					t.Fatalf("%s: landed image opens at epoch %d under %s", label, dv2.Epoch(), got)
+				}
+				if err := dv2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dv2, err = OpenDurable(dir, base, w.sigma, DurableOptions{})
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", label, err)
+			}
+			if got := mustRoot(t, dv2.Current()); dv2.Epoch() != w.base.Epoch() || got != wantRoot {
+				t.Fatalf("%s: reopened at epoch %d under %s", label, dv2.Epoch(), got)
+			}
+			if err := dv2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !fileEpochIs(t, dir, w, w.base.Epoch()) {
+				t.Fatalf("%s: the reopen's checkpoint is not the base", label)
+			}
+		}
+	}
+}
+
 // fileEpochIs reports whether the checkpoint image on disk is at epoch.
 func fileEpochIs(t *testing.T, dir string, w *durableWorkload, epoch uint64) bool {
 	t.Helper()
@@ -357,6 +436,7 @@ func TestCloseWaitsForCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dv.waitCheckpoint() // the base checkpoint is not the one to park
 		parked, release := park.arm(phaseTmpWritten)
 		for _, d := range w.deltas {
 			if _, err := dv.Apply(d.adds, d.deletes); err != nil {
@@ -442,5 +522,153 @@ func TestCheckpointImageMatchesItsEpoch(t *testing.T) {
 	readers.Wait()
 	if st := dv.Durability(); st.CheckpointEpoch == w.base.Epoch() || images.Load() == 0 {
 		t.Fatalf("fixture too tame: %d images read, %+v", images.Load(), st)
+	}
+}
+
+// TestFixesServedBeforeBaseCheckpoint: the base checkpoint of a first open is
+// written in the background. With its arena write parked, OpenDurable has
+// returned and the readers answer at epoch 0, while the log waits: Apply
+// blocks and appends nothing, and CheckpointImage blocks, until the image is
+// durable.
+func TestFixesServedBeforeBaseCheckpoint(t *testing.T) {
+	w := newDurableWorkload(45_000_006, 2)
+	park := &parkFS{FS: wal.OS}
+	parked, release := park.arm(phaseWriting)
+	dir := t.TempDir()
+	var dv *DurableVersioned
+	within(t, "OpenDurable", func() {
+		var err error
+		if dv, err = OpenDurable(dir, func() (*Data, error) { return w.base, nil }, w.sigma,
+			DurableOptions{Sync: wal.SyncAlways, FS: park}); err != nil {
+			t.Error(err)
+		}
+	})
+	if dv == nil {
+		release()
+		return // OpenDurable failed or blocked; already reported
+	}
+	<-parked
+	base := w.base.Epoch()
+	within(t, "readers", func() {
+		if d, err := dv.At(base); err != nil || dv.Current() != d || dv.Epoch() != base {
+			t.Errorf("head at epoch %d, At(%d) = %v", dv.Epoch(), base, err)
+		}
+		if st := dv.Durability(); !st.CheckpointInFlight || st.CheckpointEpoch != base || st.SinceCheckpoint != 0 {
+			t.Errorf("durability while the base is written: %+v", st)
+		}
+	})
+
+	applied := make(chan error, 1)
+	go func() {
+		_, err := dv.Apply(w.deltas[0].adds, w.deltas[0].deletes)
+		applied <- err
+	}()
+	type image struct {
+		epoch uint64
+		err   error
+	}
+	imaged := make(chan image, 1)
+	go func() {
+		_, epoch, err := dv.CheckpointImage()
+		imaged <- image{epoch, err}
+	}()
+	// Blocking is an absence, so it takes a window: time in which either
+	// call, not waiting, would have returned.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-applied:
+		t.Fatalf("Apply returned (%v) before the base checkpoint was durable", err)
+	case img := <-imaged:
+		t.Fatalf("CheckpointImage returned (%+v) before the base checkpoint was durable", img)
+	default:
+	}
+	if st := dv.Durability().WAL; st.Segments != 0 || st.LastEpoch != 0 {
+		t.Fatalf("the log holds records before the base is durable: %+v", st)
+	}
+
+	release()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if img := <-imaged; img.err != nil || img.epoch != base {
+		t.Fatalf("CheckpointImage: epoch %d, %v; want %d", img.epoch, img.err, base)
+	}
+	st := dv.Durability()
+	if st.CheckpointEpoch != base || st.CheckpointFailures != 0 || st.LastCheckpointMs <= 0 ||
+		st.WAL.FirstEpoch != base+1 || st.WAL.LastEpoch != base+1 {
+		t.Fatalf("after the base checkpoint: %+v", st)
+	}
+	if err := dv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failFS fails the next fails arena writes: the tmp image's create.
+type failFS struct {
+	wal.FS
+	fails atomic.Int32
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	if strings.HasSuffix(name, ".tmp") && f.fails.Add(-1) >= 0 {
+		return nil, errDiskFull
+	}
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// TestBaseCheckpointRetried: a base checkpoint that fails does not fail the
+// open — it is counted — and is never skipped: the first Apply writes it
+// again before it logs anything, and the directory it leaves recovers with
+// no base() at all. When the retry fails too, Apply fails with nothing
+// logged.
+func TestBaseCheckpointRetried(t *testing.T) {
+	w := newDurableWorkload(45_000_007, 3)
+	base := func() (*Data, error) { return w.base, nil }
+	for _, fails := range []int32{1, 2} {
+		ctx := fmt.Sprintf("%d failed writes", fails)
+		dir := t.TempDir()
+		ffs := &failFS{FS: wal.OS}
+		ffs.fails.Store(fails)
+		dv, err := OpenDurable(dir, base, w.sigma, DurableOptions{Sync: wal.SyncAlways, FS: ffs})
+		if err != nil {
+			t.Fatalf("%s: OpenDurable: %v", ctx, err)
+		}
+		dv.waitCheckpoint()
+		if st := dv.Durability(); st.CheckpointFailures != 1 || st.CheckpointInFlight {
+			t.Fatalf("%s: after the failed base checkpoint: %+v", ctx, st)
+		}
+		_, err = dv.Apply(w.deltas[0].adds, w.deltas[0].deletes)
+		st := dv.Durability()
+		if fails == 2 {
+			if !errors.Is(err, errDiskFull) || st.CheckpointFailures != 2 || st.WAL.Segments != 0 || st.WAL.LastEpoch != 0 || dv.Epoch() != w.base.Epoch() {
+				t.Fatalf("%s: Apply = %v, %+v; want the retry's error and an empty log", ctx, err, st)
+			}
+			if _, err := os.Stat(filepath.Join(dir, CheckpointFile)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s: checkpoint.arena: %v", ctx, err)
+			}
+			// The next Apply tries once more, and this time the disk takes it.
+			if _, err := dv.Apply(w.deltas[0].adds, w.deltas[0].deletes); err != nil {
+				t.Fatalf("%s: Apply after the disk recovered: %v", ctx, err)
+			}
+		} else if err != nil || st.CheckpointFailures != 1 || st.CheckpointEpoch != w.base.Epoch() || st.WAL.LastEpoch != w.base.Epoch()+1 {
+			t.Fatalf("%s: Apply = %v, %+v", ctx, err, st)
+		}
+		if err := dv.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		dv, err = OpenDurable(dir, func() (*Data, error) { return nil, errNoBase }, w.sigma, DurableOptions{})
+		if err != nil {
+			t.Fatalf("%s: reopen without a base: %v", ctx, err)
+		}
+		if rec := dv.Durability().Recovery; !rec.UsedCheckpoint || rec.Replayed != 1 || dv.Epoch() != w.base.Epoch()+1 {
+			t.Fatalf("%s: recovered %+v at epoch %d", ctx, rec, dv.Epoch())
+		}
+		checkState(t, ctx, dv.Current(), w.expected[1])
+		if err := dv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

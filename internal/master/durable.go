@@ -13,9 +13,10 @@ package master
 //	          record shipped, so an Apply that returned is durable.
 //	OpenDurable
 //	          load the newest arena checkpoint (or build the base
-//	          snapshot on first open), replay the WAL tail on top of
-//	          it, and continue the lineage exactly where the previous
-//	          process — cleanly shut down or power-cut — left it.
+//	          snapshot on first open, and start its checkpoint in the
+//	          background), replay the WAL tail on top of it, and
+//	          continue the lineage exactly where the previous process —
+//	          cleanly shut down or power-cut — left it.
 //
 // Every DefaultCheckpointEvery (256) deltas a checkpoint of the current
 // head STARTS.
@@ -23,11 +24,19 @@ package master
 // segment at its epoch; one background goroutine (at most one in flight)
 // streams the arena atomically+durably through the same FS seam as the
 // log, and only then re-takes the write lock, briefly, to advance the
-// checkpoint epoch and truncate the segments the image covers. Writers,
-// Durability and the WAL tail never wait for an image to be written. A
+// checkpoint epoch and truncate the segments the image covers. Writers
+// (once the base below is durable), Durability and the WAL tail never wait
+// for an image to be written. A
 // checkpoint failure is counted, not fatal — the delta that triggered it is
 // already in the log, so durability never regresses; the log just keeps
 // more tail than it would like until a checkpoint succeeds.
+//
+// The base checkpoint of a first open takes the same background path, so
+// the open returns, and readers see epoch 0, while the image is written.
+// What must wait is the log: Apply, CheckpointImage and Checkpoint hold off
+// until the base is durable (Apply restarting a base checkpoint that
+// failed), so the directory never holds a logged delta without a checkpoint
+// under it, and from then on recovery never calls base() again.
 //
 // The recovery contract — the recovered head is probe-for-probe and
 // epoch-for-epoch identical to the pre-crash lineage at every possible
@@ -94,12 +103,12 @@ type RecoveryStats struct {
 	Replayed int
 	// TornBytes is what the WAL open truncated from a torn tail.
 	TornBytes int64
-	// BaseMs, AuthenticateMs, ReplayMs and FirstCheckpointMs attribute the
-	// open to its phases: loading the checkpoint (or building the base
-	// snapshot), building the Merkle commitment when the base did not carry
-	// one, replaying the WAL tail, and the synchronous checkpoint of a first
-	// open.
-	BaseMs, AuthenticateMs, ReplayMs, FirstCheckpointMs float64
+	// BaseMs, AuthenticateMs and ReplayMs attribute the open to its phases:
+	// loading the checkpoint (or building the base snapshot), building the
+	// Merkle commitment when the base did not carry one, and replaying the
+	// WAL tail. A first open's base checkpoint is not among them: it runs in
+	// the background, and its duration is the first LastCheckpointMs.
+	BaseMs, AuthenticateMs, ReplayMs float64
 }
 
 // DurabilityStats is the observable durability state, served on the
@@ -107,7 +116,11 @@ type RecoveryStats struct {
 type DurabilityStats struct {
 	// Epoch is the current head epoch.
 	Epoch uint64
-	// CheckpointEpoch is the epoch of the newest durable checkpoint.
+	// CheckpointEpoch is the epoch of the newest durable checkpoint. A
+	// first open has none until its base checkpoint lands. Until then it
+	// reads 0 all the same — with CheckpointInFlight true while the image
+	// is written, or CheckpointFailures counting a failed attempt — and
+	// epoch 0 is served under a root no checkpoint holds yet.
 	CheckpointEpoch uint64
 	// SinceCheckpoint is how many deltas the WAL holds past it.
 	SinceCheckpoint int
@@ -148,6 +161,7 @@ type DurableVersioned struct {
 	// ver.mu is wanted by readers — publishes go through ver's own lock.
 	dmu        sync.Mutex
 	ckpt       *checkpointRun // the one in flight, nil when none
+	based      bool           // a checkpoint is durable in dir: Apply may log
 	ckptEpoch  uint64
 	ckptFails  int
 	truncFails int
@@ -165,10 +179,11 @@ type checkpointRun struct {
 
 // OpenDurable opens (or initialises) the durable lineage rooted at dir.
 // When dir holds a checkpoint it is loaded and the WAL tail replayed on
-// top; otherwise base() builds the initial snapshot, which is
-// checkpointed immediately so the directory is self-contained from the
-// first open. Corruption anywhere — checkpoint or log — surfaces as the
-// typed errors of the respective layer (*SnapshotError/ErrBadSnapshot,
+// top; otherwise base() builds the initial snapshot and its checkpoint
+// starts in the background: the first Apply waits for it, so the
+// directory is self-contained before it logs anything. Corruption
+// anywhere — checkpoint or log — surfaces as the typed errors of the
+// respective layer (*SnapshotError/ErrBadSnapshot,
 // *wal.CorruptError/wal.ErrWALCorrupt), never a panic. The base is
 // authenticated and the tail replayed through Versioned.ApplyRecord, so a
 // rootless record, or one the base refuses, fails with a *DivergenceError.
@@ -255,20 +270,15 @@ func OpenDurable(dir string, base func() (*Data, error), sigma *rule.Set, opts D
 
 	recovery.Replayed, recovery.TornBytes, recovery.ReplayMs = replayed, lg.Stats().TornBytes, lap()
 
-	dv := &DurableVersioned{ver: ver, log: lg, sigma: sigma, fsys: fsys, dir: dir, every: every, ckptEpoch: baseEpoch}
+	dv := &DurableVersioned{ver: ver, log: lg, sigma: sigma, fsys: fsys, dir: dir, every: every,
+		based: usedCkpt, ckptEpoch: baseEpoch, recovery: recovery}
 	if !usedCkpt {
-		// First open of this directory: checkpoint the base snapshot now,
-		// synchronously, so recovery never depends on the caller's base()
-		// being reproducible (the CSV may move; the checkpoint does not).
-		run := &checkpointRun{done: make(chan struct{})}
-		dv.runCheckpoint(run, ver.Current(), time.Now())
-		if run.err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("master: open durable %s: initial checkpoint: %w", dir, run.err)
-		}
-		recovery.FirstCheckpointMs = lap()
+		// First open of this directory: checkpoint the base snapshot, so
+		// recovery never depends on the caller's base() being reproducible
+		// (the CSV may move; the checkpoint does not). Readers need not wait
+		// for it, and no other goroutine holds dv yet.
+		dv.startCheckpointLocked(ver.Current())
 	}
-	dv.recovery = recovery
 	return dv, nil
 }
 
@@ -292,6 +302,9 @@ func (dv *DurableVersioned) At(epoch uint64) (*Data, error) { return dv.ver.At(e
 // wal.SyncAlways, before any reader can observe the new head. On error nothing is published and
 // nothing invalid is logged.
 func (dv *DurableVersioned) Apply(adds []relation.Tuple, deletes []int) (*Data, error) {
+	if err := dv.awaitBase(); err != nil {
+		return nil, err
+	}
 	dv.dmu.Lock()
 	defer dv.dmu.Unlock()
 	if dv.closed {
@@ -315,6 +328,32 @@ func (dv *DurableVersioned) Apply(adds []relation.Tuple, deletes []int) (*Data, 
 		dv.startCheckpointLocked(next)
 	}
 	return next, nil
+}
+
+// awaitBase returns once a checkpoint is durable in dir — at once on any
+// open but the first of a directory, whose base checkpoint it waits for.
+// When that checkpoint failed and none is in flight it starts it again, and
+// returns that attempt's error if it fails too.
+func (dv *DurableVersioned) awaitBase() error {
+	var retry *checkpointRun
+	for {
+		dv.dmu.Lock()
+		based, closed, run := dv.based, dv.closed, dv.ckpt
+		if !based && !closed && run == nil && retry == nil {
+			run = dv.startCheckpointLocked(dv.ver.Current())
+			retry = run
+		}
+		dv.dmu.Unlock()
+		switch {
+		case based:
+			return nil
+		case closed:
+			return fmt.Errorf("master: durable lineage closed")
+		case run == nil:
+			return retry.err
+		}
+		<-run.done
+	}
 }
 
 // Checkpoint forces an arena checkpoint of the current head and truncates
@@ -369,6 +408,7 @@ func (dv *DurableVersioned) runCheckpoint(run *checkpointRun, head *Data, began 
 		dv.ckptFails++
 		run.err = fmt.Errorf("master: checkpoint: %w", err)
 	} else {
+		dv.based = true
 		dv.ckptEpoch = head.Epoch()
 		if err := dv.log.TruncateThrough(head.Epoch()); err != nil {
 			dv.truncFails++
@@ -440,11 +480,15 @@ func (dv *DurableVersioned) WALSynced() (uint64, <-chan struct{}) {
 
 // CheckpointImage returns the raw bytes of the newest durable arena
 // checkpoint together with its epoch: what a follower that fell behind
-// the WAL loads to catch up. The epoch is read from the image's own header,
-// so the two always correspond — a background checkpoint may rename a newer
+// the WAL loads to catch up; on a first open it waits for the base
+// checkpoint. The epoch is read from the image's own header, so the two
+// always correspond — a background checkpoint may rename a newer
 // image into place at any moment, and that image is then simply the one
 // returned.
 func (dv *DurableVersioned) CheckpointImage() ([]byte, uint64, error) {
+	if err := dv.awaitBase(); err != nil {
+		return nil, 0, fmt.Errorf("master: checkpoint image: %w", err)
+	}
 	raw, err := dv.fsys.ReadFile(filepath.Join(dv.dir, CheckpointFile))
 	if err != nil {
 		return nil, 0, fmt.Errorf("master: checkpoint image: %w", err)

@@ -9,8 +9,11 @@ package master
 // shard count are pinned like there: 1 under the plain name, 4 under P4.
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 	"repro/internal/wal"
@@ -56,4 +59,37 @@ func benchRecovery(b *testing.B, p int) {
 		}
 		dv.Close()
 	}
+}
+
+// BenchmarkFirstOpen is the first start of a durable lineage at paper scale,
+// GOMAXPROCS pinned to 2: OpenDurable on an empty directory — build the
+// 100k-tuple base, commit it to its Merkle root, start its checkpoint — and
+// Close, which waits for that checkpoint, so the whole of it is inside the op
+// and so are its allocations. serve-ms is the part of the op until
+// OpenDurable returned: how long a first boot keeps readers waiting.
+func BenchmarkFirstOpen(b *testing.B) {
+	const n = 100_000
+	rel, sigma := benchMasterRelation(n)
+	b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
+		pinProcs(b, 2)
+		root := b.TempDir()
+		b.ReportAllocs()
+		var serve time.Duration
+		for i := 0; i < b.N; i++ {
+			began := time.Now()
+			dv, err := OpenDurable(filepath.Join(root, fmt.Sprint(i)), func() (*Data, error) { return NewForRules(rel, sigma) },
+				sigma, DurableOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			serve += time.Since(began)
+			if err := dv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if st := dv.Durability(); st.CheckpointFailures != 0 || st.LastCheckpointMs <= 0 {
+				b.Fatalf("base checkpoint: %+v", st)
+			}
+		}
+		b.ReportMetric(float64(serve)/float64(time.Millisecond)/float64(b.N), "serve-ms")
+	})
 }

@@ -236,9 +236,8 @@ func (s *System) head() *master.Data { return s.lin.Versioned().Current() }
 // the file: wall time from opening it to its last row interned, parsing
 // running ahead of validating and interning on a second goroutine. It is
 // zero on every other path; the rest of Master is indexing (tables, bitmaps,
-// the Merkle commitment, a first checkpoint) or the load. Regions is
-// deriving the certain-region candidates over the snapshot.
-// cmd/certainfixd logs them at start.
+// the Merkle commitment) or the load. Regions is deriving the certain-region
+// candidates over the snapshot. cmd/certainfixd logs them at start.
 type BootTimings struct {
 	Master, MasterRead, Regions time.Duration
 }

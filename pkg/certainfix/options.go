@@ -60,7 +60,8 @@ func WithMasterHistory(n int) Option {
 // fsynced before it returns and before the new snapshot is published or
 // shipped to a follower, so an acknowledged update survives a crash;
 // every 256 deltas the head is checkpointed in the background as an
-// arena image and the covered log truncated; and when
+// arena image and the covered log truncated — the base of a first open
+// too, which the first UpdateMaster waits for; and when
 // dir already holds state, New/NewFromArena recover from it — checkpoint
 // plus log tail — instead of building from the given master relation,
 // continuing the epoch lineage exactly where the previous process (clean
