@@ -52,14 +52,24 @@
 // users validated" — what certainty rests on — cannot be forged by the
 // client holding it. A token that was altered, truncated or sealed under
 // another key is a 400 {"code": "invalid_input"}. To see what a session
-// holds, ask /v1/result: it returns the tuple, the validated sets, the
-// per-round history — each round's "User"/"Auto" as the members it added
-// and its tuple as the cells a later round overwrote ("Attrs"/"Values")
-// — and the provenance: a "Provenance" list of (attr, rule, master_id)
-// witnesses plus a "Masters" table holding each witnessed master tuple
-// (and its proof on an authenticated master) once. A proof is one base64
-// string whose binary layout the authtree.Proof comment spells out, so a
-// non-Go client can fold it to the root itself.
+// holds, ask /v1/result: it returns the tuple, the per-round history —
+// each round's "User"/"Auto" as the members it added (User only when the
+// users asserted other than "Suggested"; the validated sets only when
+// they are not the union of the rounds') and its tuple as the cells a
+// later round overwrote ("Attrs"/"Values") — and the provenance: a
+// "Provenance" list of [attr, "rule", m] triples whose m indexes a
+// "Masters" table holding each witnessed master row (and its proof on an
+// authenticated master) once, as the cells where it differs from the
+// fixed tuple when it is close to it:
+//
+//	{"result": {"Tuple": ["A1", "9.50", "widget"], "Rounds": 1, "Completed": true,
+//	  "PerRound": [{"Suggested": [0], "Auto": [1, 2]}], "Epoch": 0, "Root": "",
+//	  "Provenance": [[2, "desc", 0], [1, "price", 0]], "Masters": [{"id": 0}]}}
+//
+// Masters[0] has no "tuple" and no "attrs"/"values": the master row is
+// the fixed tuple itself. A proof is one base64 string whose binary layout
+// the authtree.Proof comment spells out, so a non-Go client can fold it
+// to the root itself; internal/monitor/result_json.go spells out the rest.
 //
 // -token-key-file names the file holding the HMAC key (at least 16
 // bytes; surrounding whitespace is ignored). Every replica of one

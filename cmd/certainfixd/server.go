@@ -236,9 +236,18 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Result certainfix.Result `json:"result"`
-	}{sess.Result()})
+	// The result's own appender writes it straight into the reply buffer.
+	res := sess.Result()
+	buf := replyBuffers.Get().(*bytes.Buffer)
+	defer replyBuffers.Put(buf)
+	buf.Reset()
+	b, err := res.AppendJSON(append(buf.AvailableBuffer(), `{"result":`...))
+	if err != nil {
+		writeErr(w, fmt.Errorf("encode result: %w", err))
+		return
+	}
+	buf.Write(append(b, "}\n"...))
+	writeReply(w, http.StatusOK, buf)
 }
 
 type updateMasterRequest struct {
@@ -293,6 +302,11 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 		// An error body is two strings: encoding it cannot fail.
 		_ = json.NewEncoder(buf).Encode(errBody(fmt.Errorf("encode reply: %w", err), "internal"))
 	}
+	writeReply(w, status, buf)
+}
+
+// writeReply sends the encoded reply in buf.
+func writeReply(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)

@@ -144,8 +144,14 @@ func (s *Session) Fixed() relation.AttrSet {
 	if n > 1 {
 		before = s.perRound[n-2].AutoFixed
 	}
-	ps, _ := added(s.perRound[n-1].AutoFixed, before)
-	return relation.NewAttrSet(ps...)
+	var fixed relation.AttrSet
+	s.perRound[n-1].AutoFixed.Range(func(p int) bool {
+		if !before.Has(p) {
+			fixed.Add(p)
+		}
+		return true
+	})
+	return fixed
 }
 
 // Provide runs one round: the users assert t[attrs] = values (aligned

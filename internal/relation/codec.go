@@ -14,21 +14,78 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // MarshalJSON renders the value as native JSON: null, a string, or an
-// integer number.
+// integer number. It is AppendJSON(nil).
 func (v Value) MarshalJSON() ([]byte, error) {
+	return v.AppendJSON(nil), nil
+}
+
+// AppendJSON appends the value's JSON form to b: null, an integer, or a
+// string escaped exactly as encoding/json escapes one (FuzzValueJSON) —
+// HTML-safe, U+2028/U+2029 escaped, invalid UTF-8 as U+FFFD — so
+// hand-written encoders embed values with no re-encoding pass.
+func (v Value) AppendJSON(b []byte) []byte {
 	switch v.kind {
-	case KindNull:
-		return []byte("null"), nil
 	case KindInt:
-		return strconv.AppendInt(nil, v.num, 10), nil
+		return strconv.AppendInt(b, v.num, 10)
 	case KindString:
-		return json.Marshal(v.str)
+		return appendJSONString(b, v.str)
 	default:
-		return nil, fmt.Errorf("relation: marshal: unknown value kind %v", v.kind)
+		return append(b, "null"...)
 	}
+}
+
+// appendJSONString appends s as a JSON string, byte for byte what
+// json.Marshal(s) writes.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				// Other control bytes, and <, > and & for HTML safety.
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // UnmarshalJSON parses the native JSON mapping of MarshalJSON. Numbers

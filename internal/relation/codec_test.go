@@ -3,6 +3,7 @@ package relation_test
 import (
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/relation"
 )
@@ -123,4 +124,35 @@ func TestAttrSetJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`[-1]`), &neg); err == nil {
 		t.Fatal("negative position must be rejected")
 	}
+}
+
+// FuzzValueJSON: for any string, the appender writes exactly the bytes
+// json.Marshal writes for it — HTML escapes, U+2028/U+2029, control
+// bytes and invalid UTF-8 included — and it reads back as the same value
+// when the string is valid UTF-8 (invalid bytes become U+FFFD).
+func FuzzValueJSON(f *testing.F) {
+	for _, s := range []string{"", "Edi", `"\`, "<a href='x'>&amp;</a>", "\b\f\n\r\t\x00\x1f\x7f",
+		"  ", "⊥ Ünïcode 🙂", "\xff\xfe", "a\xc3", "\xed\xa0\x80", "\xf4\x90\x80\x80"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := relation.String(s)
+		if got := v.AppendJSON(nil); string(got) != string(want) {
+			t.Fatalf("AppendJSON(%q) = %s, json.Marshal = %s", s, got, want)
+		}
+		if got := v.AppendJSON([]byte("[1,")); string(got) != "[1,"+string(want) {
+			t.Fatalf("AppendJSON(%q) onto a prefix = %s", s, got)
+		}
+		var back relation.Value
+		if err := json.Unmarshal(v.AppendJSON(nil), &back); err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		if utf8.ValidString(s) && !back.Equal(v) {
+			t.Fatalf("%q read back as %v", s, back)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -198,28 +199,51 @@ func TestTokenConcurrentRoundTrips(t *testing.T) {
 // BenchmarkTokenRoundTrip is the server's per-request token work: resume
 // a final HOSP token and marshal the session again. Run with -benchmem;
 // allocs/op is the number to watch (GOMAXPROCS is pinned so the pooled
-// HMAC states behave the same on every host).
+// HMAC states behave the same on every host). A pool miss allocates a
+// fresh state, so the timed loop must not see one: every P's pool is
+// filled first — more goroutines than Ps round-trip concurrently, so a P
+// holds states of its own and spares others may take — and GC, which
+// empties pools, is off while timing.
 func BenchmarkTokenRoundTrip(b *testing.B) {
 	g := generate(b, "hosp", 200)
 	tokens := g.finalTokens(b)
 	ctx := context.Background()
+	roundTrip := func(token []byte) (int, error) {
+		sess, err := g.a.Resume(ctx, token)
+		if err != nil {
+			return 0, err
+		}
+		tok, err := sess.MarshalBinary()
+		return len(tok), err
+	}
 	for _, procs := range []int{1, 4} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var wg sync.WaitGroup
+			for w := 0; w < 4*procs; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, token := range tokens {
+						if _, err := roundTrip(token); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
 			size := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sess, err := g.a.Resume(ctx, tokens[i%len(tokens)])
+				n, err := roundTrip(tokens[i%len(tokens)])
 				if err != nil {
 					b.Fatal(err)
 				}
-				tok, err := sess.MarshalBinary()
-				if err != nil {
-					b.Fatal(err)
-				}
-				size += len(tok)
+				size += n
 			}
 			b.ReportMetric(float64(size)/float64(b.N), "token-B/op")
 		})

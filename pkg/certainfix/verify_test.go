@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/authtree"
+	"repro/internal/datagen"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -351,4 +352,147 @@ func TestProvenanceSurvivesSessionToken(t *testing.T) {
 			t.Fatalf("token with byte %d changed = %v, want ErrBadToken", off, err)
 		}
 	}
+}
+
+// TestVerifyFixWireTamper edits the JSON of an authenticated HOSP result —
+// where witnessed master rows travel as cells of the fixed tuple and
+// witnesses as [attr, "rule", m] triples — decodes it and verifies it:
+// every edit of the certificate must fail with ErrVerifyFailed.
+func TestVerifyFixWireTamper(t *testing.T) {
+	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 1000, Tuples: 60, DupRate: 0.3, NoiseRate: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := certainfix.New(ds.Sigma, ds.Master.Relation(), certainfix.WithAuth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := sys.MasterRoot()
+	// The first fix whose table holds two rows, one of them as cells.
+	var res certainfix.Result
+	var wire map[string]any
+	for i := range ds.Inputs {
+		r, err := sys.FixContext(context.Background(), ds.Inputs[i], certainfix.SimulatedUser{Truth: ds.Truths[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := decodeWire(t, r)
+		masters, _ := w["Masters"].([]any)
+		if len(masters) >= 2 && slices.ContainsFunc(masters, func(m any) bool { return m.(map[string]any)["values"] != nil }) {
+			res, wire = r, w
+			break
+		}
+	}
+	if wire == nil {
+		t.Fatal("no fix ships two master rows, one as cells of its tuple")
+	}
+	if err := certainfix.VerifyFix(ds.Sigma, &res, root); err != nil {
+		t.Fatalf("genuine fix rejected: %v", err)
+	}
+	// Round-tripping the untouched wire form verifies too.
+	if got := editWire(t, res, func(map[string]any) {}); !reflect.DeepEqual(got, res) {
+		t.Fatalf("result changed across the wire:\n got  %+v\n want %+v", got, res)
+	}
+	masters := func(w map[string]any) []any { return w["Masters"].([]any) }
+	delta := func(w map[string]any) map[string]any {
+		for _, m := range masters(w) {
+			if m := m.(map[string]any); m["values"] != nil {
+				return m
+			}
+		}
+		panic("no delta row")
+	}
+	expectReject := func(t *testing.T, bad certainfix.Result) {
+		t.Helper()
+		if err := certainfix.VerifyFix(ds.Sigma, &bad, root); !errors.Is(err, certainfix.ErrVerifyFailed) {
+			t.Fatalf("tampered result: VerifyFix = %v, want ErrVerifyFailed", err)
+		}
+	}
+	t.Run("delta-value", func(t *testing.T) {
+		expectReject(t, editWire(t, res, func(w map[string]any) {
+			delta(w)["values"].([]any)[0] = "evil"
+		}))
+	})
+	t.Run("delta-cell-dropped", func(t *testing.T) {
+		expectReject(t, editWire(t, res, func(w map[string]any) {
+			m := delta(w)
+			m["attrs"], m["values"] = m["attrs"].([]any)[1:], m["values"].([]any)[1:]
+		}))
+	})
+	t.Run("witness-repointed", func(t *testing.T) {
+		// A witness moved to a row that does not carry its fixed value.
+		triples := wire["Provenance"].([]any)
+		for i, tr := range triples {
+			m, _ := tr.([]any)[2].(json.Number).Int64()
+			for j := range masters(wire) {
+				if int64(j) == m || rowOf(res, triples, j)[ruleRHSM(t, ds.Sigma, res.Provenance[i].Rule)].Equal(res.Tuple[res.Provenance[i].Attr]) {
+					continue
+				}
+				expectReject(t, editWire(t, res, func(w map[string]any) {
+					w["Provenance"].([]any)[i].([]any)[2] = j
+				}))
+				return
+			}
+		}
+		t.Fatal("every row carries every witnessed value")
+	})
+	t.Run("proofs-swapped", func(t *testing.T) {
+		expectReject(t, editWire(t, res, func(w map[string]any) {
+			a, b := masters(w)[0].(map[string]any), masters(w)[1].(map[string]any)
+			a["proof"], b["proof"] = b["proof"], a["proof"]
+		}))
+	})
+}
+
+// decodeWire is res's JSON form as generic maps, numbers kept exact.
+func decodeWire(t *testing.T, res certainfix.Result) map[string]any {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var w map[string]any
+	if err := dec.Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// editWire applies edit to res's JSON form and decodes the result.
+func editWire(t *testing.T, res certainfix.Result, edit func(map[string]any)) certainfix.Result {
+	t.Helper()
+	w := decodeWire(t, res)
+	edit(w)
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out certainfix.Result
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatalf("edited result does not decode: %v\n%s", err, b)
+	}
+	return out
+}
+
+// rowOf is Masters[j]'s row: that of the first witness citing it.
+func rowOf(res certainfix.Result, triples []any, j int) certainfix.Tuple {
+	for i, tr := range triples {
+		if m, _ := tr.([]any)[2].(json.Number).Int64(); m == int64(j) {
+			return res.Provenance[i].Master
+		}
+	}
+	panic("no witness cites the entry")
+}
+
+// ruleRHSM is the master position the named rule copies from.
+func ruleRHSM(t *testing.T, rules *certainfix.Rules, name string) int {
+	for _, r := range rules.Rules() {
+		if r.Name() == name {
+			return r.RHSM()
+		}
+	}
+	t.Fatalf("no rule %q", name)
+	return -1
 }
