@@ -23,17 +23,18 @@
 // runs: an existing image is loaded (mmap + validate) instead of
 // rebuilding master indexes from CSV; a missing one is built from
 // -master and saved for the next run.
+//
+// The tool reads the master as given. Master corrections are published
+// to a running certainfixd (POST /v1/update-master, durable under
+// -wal-dir), not applied here.
 package main
 
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/cmd/internal/cli"
@@ -50,7 +51,6 @@ func main() {
 		suggestOut  = flag.Bool("suggest", false, "print next-suggestion per tuple instead of repairing")
 		interactive = flag.Bool("interactive", false, "fix each tuple interactively on the terminal")
 		workers     = flag.Int("workers", 0, "concurrent repair workers (0 = all CPUs)")
-		masterDelta = flag.String("master-delta", "", "master-delta replay file applied before fixing (lines 'add,<cells...>' / 'del,<id>'; '---' publishes a batch)")
 		snapshot    = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
 	)
 	flag.Parse()
@@ -61,7 +61,7 @@ func main() {
 		fatalf("-master is required (or -master-snapshot naming an existing image)")
 	}
 
-	r, rm, rules, err := cli.LoadRules(*rulesPath)
+	r, _, rules, err := cli.LoadRules(*rulesPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -72,11 +72,6 @@ func main() {
 	sys, err := cli.OpenSystem(rules, *masterPath, *snapshot)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *masterDelta != "" {
-		if err := replayMasterDeltas(sys, rm, *masterDelta); err != nil {
-			fatalf("%v", err)
-		}
 	}
 
 	var validatedPos []int
@@ -153,83 +148,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "certainfix: repaired %d cells across %d tuples\n", totalFixed, inputs.Len())
-}
-
-// replayMasterDeltas applies a master-delta file against the running
-// system — the operational path for master corrections that previously
-// required a full restart. The file is CSV (same quoting rules as the
-// master CSV, '#' comments allowed); each record is either
-//
-//	add,<cell>,<cell>,...   append a master tuple (Rm order, CSV cells)
-//	del,<id>                delete the master tuple with this id in the
-//	                        current snapshot (swap-remove: the last tuple
-//	                        takes the freed id)
-//	---                     publish the accumulated batch as one epoch
-//
-// A trailing batch without '---' is published at EOF. Per published
-// batch, the new epoch and master size are logged to stderr.
-func replayMasterDeltas(sys *certainfix.System, rm *certainfix.Schema, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cr := csv.NewReader(bufio.NewReader(f))
-	cr.FieldsPerRecord = -1 // record shapes vary by op
-	cr.Comment = '#'
-
-	var adds []certainfix.Tuple
-	var dels []int
-	publish := func() error {
-		if len(adds) == 0 && len(dels) == 0 {
-			return nil
-		}
-		epoch, err := sys.UpdateMaster(adds, dels)
-		if err != nil {
-			return fmt.Errorf("%s: publish delta: %w", path, err)
-		}
-		fmt.Fprintf(os.Stderr, "certainfix: master delta published: epoch %d, +%d/-%d tuples, |Dm| = %d\n",
-			epoch, len(adds), len(dels), sys.MasterLen())
-		adds, dels = nil, nil
-		return nil
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		ln, _ := cr.FieldPos(0)
-		switch rec[0] {
-		case "---":
-			if len(rec) != 1 {
-				return fmt.Errorf("%s:%d: '---' takes no fields", path, ln)
-			}
-			if err := publish(); err != nil {
-				return err
-			}
-		case "add":
-			cells := rec[1:]
-			if len(cells) != rm.Arity() {
-				return fmt.Errorf("%s:%d: add needs %d cells, got %d", path, ln, rm.Arity(), len(cells))
-			}
-			adds = append(adds, certainfix.StringTuple(cells...))
-		case "del":
-			if len(rec) != 2 {
-				return fmt.Errorf("%s:%d: del takes exactly one id", path, ln)
-			}
-			id, err := strconv.Atoi(rec[1])
-			if err != nil {
-				return fmt.Errorf("%s:%d: bad delete id %q: %w", path, ln, rec[1], err)
-			}
-			dels = append(dels, id)
-		default:
-			return fmt.Errorf("%s:%d: want 'add,...', 'del,<id>' or '---', got %q", path, ln, rec[0])
-		}
-	}
-	return publish()
 }
 
 // runInteractive fixes every input tuple through a terminal dialogue:

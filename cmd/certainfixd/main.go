@@ -31,7 +31,9 @@
 //
 // begin/suggest/answer reply with {"token", "suggested", "fixedAttrs",
 // "fixedValues", "rounds", "done", "completed", "epoch"}; the client must
-// send the fresh token, verbatim, on its next call. A reply carries what
+// send the fresh token, verbatim, on its next call. A session is done
+// once every attribute is validated ("completed"), when the client
+// aborts, or after arity + 1 rounds. A reply carries what
 // the round changed, not the tuple: fixedAttrs/fixedValues are the cells
 // the rules fixed in the round that minted the token (absent when none),
 // so the begin tuple, plus the client's own answers, plus every reply's
@@ -147,7 +149,6 @@ func main() {
 		rulesPath  = flag.String("rules", "", "rules file (schema headers + rule DSL)")
 		masterPath = flag.String("master", "", "master relation CSV")
 		addr       = flag.String("addr", ":8080", "listen address")
-		maxRounds  = flag.Int("max-rounds", 0, "cap interaction rounds per session (0 = arity + 1)")
 		history    = flag.Int("history", 0, "master snapshot ring size for session resume (0 = default)")
 		_          = flag.Int("shards", 0, "deprecated and ignored: the master takes the shard count its size calls for")
 		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
@@ -172,7 +173,6 @@ func main() {
 		rulesPath:    *rulesPath,
 		masterPath:   *masterPath,
 		snapshot:     *snapshot,
-		maxRounds:    *maxRounds,
 		history:      *history,
 		walDir:       *walDir,
 		follow:       *follow,
@@ -255,7 +255,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // serverConfig carries the flag values into buildSystem.
 type serverConfig struct {
 	rulesPath, masterPath, snapshot string
-	maxRounds, history              int
+	history                         int
 	walDir                          string
 	follow                          string
 	auth                            bool
@@ -273,9 +273,6 @@ func buildSystem(cfg serverConfig) (*certainfix.System, error) {
 		return nil, err
 	}
 	var opts []certainfix.Option
-	if cfg.maxRounds > 0 {
-		opts = append(opts, certainfix.WithMaxRounds(cfg.maxRounds))
-	}
 	if cfg.history > 0 {
 		opts = append(opts, certainfix.WithMasterHistory(cfg.history))
 	}

@@ -553,7 +553,7 @@ func TestBuildSystemFromFiles(t *testing.T) {
 	if err := os.WriteFile(masterCSV, []byte("K,V\nk1,v1\nk2,v2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, maxRounds: 3, history: 4})
+	sys, err := buildSystem(serverConfig{rulesPath: rules, masterPath: masterCSV, history: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,32 +14,6 @@ type Pair struct {
 	MasterID int
 }
 
-// RegionApplies reports whether (ϕ, tm) apply to t with respect to a
-// validated attribute set zSet (§3): the rule's premise X ∪ Xp must be
-// validated, its rhs B must not be (validated attributes are protected),
-// t must match the rule's pattern and t[X] = tm[Xm].
-func RegionApplies(ru *rule.Rule, tm relation.Tuple, t relation.Tuple, zSet relation.AttrSet) bool {
-	if zSet.Has(ru.RHS()) {
-		return false
-	}
-	if !zSet.ContainsSet(ru.PremiseSet()) {
-		return false
-	}
-	return ru.Applies(t, tm)
-}
-
-// ApplyStep performs one region-relative application t →((Z,·),ϕ,tm) t' in
-// place: t[B] := tm[Bm] and B joins the validated set. It reports whether
-// the application was admissible; t and zSet are unchanged otherwise.
-func ApplyStep(ru *rule.Rule, tm relation.Tuple, t relation.Tuple, zSet *relation.AttrSet) bool {
-	if !RegionApplies(ru, tm, t, *zSet) {
-		return false
-	}
-	t[ru.RHS()] = tm[ru.RHSM()]
-	zSet.Add(ru.RHS())
-	return true
-}
-
 // ApplicablePairs enumerates every (ϕ, tm) pair that applies to t with
 // respect to zSet, using the master indexes for the t[X] = tm[Xm] probe.
 func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) []Pair {

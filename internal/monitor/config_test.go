@@ -11,20 +11,33 @@ import (
 	"repro/internal/rule"
 )
 
-// TestMaxRoundsCap: a tight round cap ends the session incomplete rather
-// than looping.
+// reasserter keeps asserting attribute 0 at its current value, whatever
+// the session suggests: from the second round on it validates nothing new.
+type reasserter struct{}
+
+func (reasserter) Assert(t relation.Tuple, _ []int) ([]int, []relation.Value) {
+	return []int{0}, []relation.Value{t[0]}
+}
+
+// TestMaxRoundsCap: the round cap is arity + 1 on every monitor, so a
+// user who validates nothing new ends the callback driver's session
+// incomplete after exactly that many rounds rather than looping — with
+// or without the Suggest+ cache.
 func TestMaxRoundsCap(t *testing.T) {
-	m := newMonitor(t, monitor.Config{MaxRounds: 1})
-	// t4 needs multiple rounds; with cap 1 it must stop incomplete.
-	res, err := m.Fix(context.Background(), paperex.InputT4(), monitor.SimulatedUser{Truth: paperex.InputT4()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("rounds = %d, want 1", res.Rounds)
-	}
-	if res.Completed {
-		t.Fatal("capped run must not report completion")
+	input := paperex.InputT4()
+	want := len(input) + 1
+	for _, useBDD := range []bool{false, true} {
+		m := newMonitor(t, monitor.Config{UseBDD: useBDD})
+		res, err := m.Fix(context.Background(), input, reasserter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != want {
+			t.Fatalf("useBDD=%v: rounds = %d, want %d", useBDD, res.Rounds, want)
+		}
+		if res.Completed {
+			t.Fatalf("useBDD=%v: capped run must not report completion", useBDD)
+		}
 	}
 }
 

@@ -109,8 +109,6 @@ type Config struct {
 	// UseBDD enables the Suggest+ cache (CertainFix+ of §5.2) for the
 	// callback driver: Fix and FixBatch. Sessions never use it.
 	UseBDD bool
-	// MaxRounds caps interaction rounds (0 = arity + 1).
-	MaxRounds int
 	// TokenKey is the HMAC key session tokens are sealed and verified
 	// under — a deployment credential shared by every monitor that must
 	// resume another's tokens. Empty draws a random key private to this
@@ -129,7 +127,6 @@ type Monitor struct {
 	initial []suggest.Candidate
 	first   []int // every session's first suggestion
 	cache   *bdd.Cache
-	cfg     Config
 	auth    *tokenAuth
 }
 
@@ -191,7 +188,6 @@ func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor,
 		graph:   rule.NewDepGraph(sigma),
 		initial: cands,
 		first:   first,
-		cfg:     cfg,
 		auth:    auth,
 	}
 	if cfg.UseBDD {
@@ -200,14 +196,11 @@ func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor,
 	return m, nil
 }
 
-// maxRounds is the round cap every session of this monitor runs under,
-// fresh or resumed.
-func (m *Monitor) maxRounds() int {
-	if m.cfg.MaxRounds > 0 {
-		return m.cfg.MaxRounds
-	}
-	return m.deriver.Sigma().Schema().Arity() + 1
-}
+// maxRounds is the round cap every session runs under, fresh or resumed:
+// arity + 1, so a session whose users keep asserting what is already
+// validated ends rather than loops. Being a function of R alone, it is
+// the same on every monitor a token can resume on.
+func (m *Monitor) maxRounds() int { return m.deriver.Sigma().Schema().Arity() + 1 }
 
 // Deriver exposes the underlying suggestion engine.
 func (m *Monitor) Deriver() *suggest.Deriver { return m.deriver }

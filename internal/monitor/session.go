@@ -49,7 +49,6 @@ type Session struct {
 	autoSet    relation.AttrSet
 	sug        []int
 	noProgress int
-	maxRounds  int
 	done       bool
 	// rebased marks a session ResumeSession replayed on the master head
 	// because its own epoch was evicted (see Fixed).
@@ -69,12 +68,11 @@ func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
 		return nil, fmt.Errorf("monitor: tuple arity %d does not match schema %s: %w", len(input), r, ErrArityMismatch)
 	}
 	return &Session{
-		m:         m,
-		d:         m.deriver.Pin(),
-		begin:     input.Clone(),
-		t:         input.Clone(),
-		sug:       m.first,
-		maxRounds: m.maxRounds(),
+		m:     m,
+		d:     m.deriver.Pin(),
+		begin: input.Clone(),
+		t:     input.Clone(),
+		sug:   m.first,
 	}, nil
 }
 
@@ -189,7 +187,7 @@ func (s *Session) provide(attrs []int, values []relation.Value, cursor *bdd.Curs
 	if err != nil {
 		return err
 	}
-	if s.Completed() || len(s.perRound) >= s.maxRounds {
+	if s.Completed() || len(s.perRound) >= s.m.maxRounds() {
 		s.done = true
 		return nil
 	}

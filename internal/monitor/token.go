@@ -44,9 +44,9 @@ package monitor
 //     from the token. A session never walks the Suggest+ cache (that is
 //     Monitor.Fix's driver), so there is nothing else a token would have to
 //     carry for a resumed session to equal the uninterrupted one.
-//   - The round cap is NOT captured: it is the resuming monitor's
-//     configuration, so no token can grant itself more rounds than the
-//     operator allows. A session that has used that cap resumes done.
+//   - The round cap is NOT captured: it is arity + 1 on every monitor, so
+//     a session that used it up was sealed done, and the done flag is all
+//     a resume needs.
 //   - The master snapshot is captured by its epoch, re-pinned through the
 //     deriver (Versioned.At), so the replay observes exactly the Dm the
 //     rounds did even if the head has moved on. An evicted epoch fails with
@@ -389,7 +389,7 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		}
 		pinned, rebased = m.deriver.Pin(), true
 	}
-	s := &Session{m: m, d: pinned, begin: begin, t: begin.Clone(), maxRounds: m.maxRounds(), rebased: rebased}
+	s := &Session{m: m, d: pinned, begin: begin, t: begin.Clone(), rebased: rebased}
 	var conflicted []int
 	for _, rd := range rounds {
 		s.sug = rd.suggested
@@ -398,7 +398,7 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		}
 	}
 	s.sug = pending
-	s.done = flags&flagDone != 0 || len(s.perRound) >= s.maxRounds
+	s.done = flags&flagDone != 0
 	if !s.done {
 		// A conflict the last replayed round met is the users' to settle.
 		// At the token's own epoch the pending suggestion already holds

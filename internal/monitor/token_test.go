@@ -397,43 +397,45 @@ func TestSessionStateAbortAndDone(t *testing.T) {
 	}
 }
 
-// TestSessionMaxRoundsCap: the round cap finishes the session incomplete
-// — directly, and across a suspend/resume boundary, where the cap is the
-// resuming monitor's.
+// TestSessionMaxRoundsCap: the round cap finishes a Provide-driven
+// session incomplete after arity + 1 rounds — directly, and across a
+// suspend/resume boundary, where a token sealed at the cap resumes done.
 func TestSessionMaxRoundsCap(t *testing.T) {
-	m := newMonitor(t, monitor.Config{MaxRounds: 1, TokenKey: sharedKey})
-	sess, err := m.NewSession(paperex.InputT4())
+	m := newMonitor(t, monitor.Config{TokenKey: sharedKey})
+	input := paperex.InputT4()
+	want := len(input) + 1
+	sess, err := m.NewSession(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	provideTruth(t, sess, paperex.InputT4())
-	if !sess.Done() {
-		t.Fatal("MaxRounds=1 must finish after one round")
+	for !sess.Done() {
+		if sess.Rounds() == want {
+			t.Fatalf("session still open after %d rounds", want)
+		}
+		attrs, values := reasserter{}.Assert(sess.Tuple(), sess.Suggested())
+		if err := sess.Provide(attrs, values); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res := sess.Result(); res.Completed {
-		t.Fatal("t4 cannot complete in one round; the cap must cut it off incomplete")
+	if res := sess.Result(); res.Rounds != want || res.Completed {
+		t.Fatalf("rounds=%d completed=%v, want %d rounds, incomplete", res.Rounds, res.Completed, want)
+	}
+	if err := sess.Provide([]int{0}, []relation.Value{input[0]}); !errors.Is(err, monitor.ErrSessionDone) {
+		t.Fatalf("Provide past the cap = %v, want ErrSessionDone", err)
 	}
 
-	// A session begun fresh under a laxer cap and resumed under a
-	// stricter one that its rounds already exhaust is done on arrival.
-	lax := newMonitor(t, monitor.Config{MaxRounds: 3, TokenKey: sharedKey})
-	began, err := lax.NewSession(paperex.InputT4())
+	// Resumed on another monitor of the same service, the capped session
+	// is done on arrival and still refuses a further round.
+	other := newMonitor(t, monitor.Config{TokenKey: sharedKey})
+	resumed, err := other.ResumeSession(suspend(t, sess), monitor.ResumeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	provideTruth(t, began, paperex.InputT4())
-	if began.Done() {
-		t.Fatal("one round under a cap of 3 must leave the session open")
+	if !resumed.Done() || resumed.Rounds() != want || resumed.Result().Completed {
+		t.Fatalf("resumed at the cap: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
 	}
-	resumed, err := m.ResumeSession(suspend(t, began), monitor.ResumeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Done() || resumed.Rounds() != 1 || resumed.Result().Completed {
-		t.Fatalf("the resuming monitor's cap must apply: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
-	}
-	if err := resumed.Provide([]int{0}, []relation.Value{relation.Null}); !errors.Is(err, monitor.ErrSessionDone) {
-		t.Fatalf("Provide past the cap = %v, want ErrSessionDone", err)
+	if err := resumed.Provide([]int{0}, []relation.Value{input[0]}); !errors.Is(err, monitor.ErrSessionDone) {
+		t.Fatalf("Provide on resumed capped session = %v, want ErrSessionDone", err)
 	}
 }
 
@@ -481,27 +483,37 @@ func TestProvideFailureLeavesSessionUntouched(t *testing.T) {
 	}
 }
 
-// TestResumeMissingCapUsesMonitorConfig: a token carries no round cap, so
-// a resumed session cannot outrun the one its resuming monitor is
-// configured with — whatever cap the minting monitor ran under. (Before
-// the cap left the token, a token-supplied cap larger than the
-// operator's was trusted.)
+// TestResumeMissingCapUsesMonitorConfig: a token carries no round cap,
+// so a resumed session runs under the resuming monitor's, which is
+// arity + 1 whatever that monitor's Config holds. A session handed
+// between differently configured monitors at every round boundary stops
+// at exactly that cap, incomplete.
 func TestResumeMissingCapUsesMonitorConfig(t *testing.T) {
-	lax := newMonitor(t, monitor.Config{MaxRounds: 9, TokenKey: sharedKey})
-	sess, err := lax.NewSession(paperex.InputT4())
+	monitors := []*monitor.Monitor{
+		newMonitor(t, monitor.Config{TokenKey: sharedKey}),
+		newMonitor(t, monitor.Config{UseBDD: true, TokenKey: sharedKey}),
+	}
+	input := paperex.InputT4()
+	want := len(input) + 1
+	sess, err := monitors[0].NewSession(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := suspend(t, sess) // no rounds yet
-
-	strict := newMonitor(t, monitor.Config{MaxRounds: 1, TokenKey: sharedKey})
-	resumed, err := strict.ResumeSession(token, monitor.ResumeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for hop := 1; !sess.Done(); hop++ {
+		if sess.Rounds() == want {
+			t.Fatalf("session still open after %d rounds", want)
+		}
+		attrs, values := reasserter{}.Assert(sess.Tuple(), sess.Suggested())
+		if err := sess.Provide(attrs, values); err != nil {
+			t.Fatal(err)
+		}
+		sess, err = monitors[hop%len(monitors)].ResumeSession(suspend(t, sess), monitor.ResumeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	provideTruth(t, resumed, paperex.InputT4())
-	if !resumed.Done() || resumed.Rounds() != 1 || resumed.Result().Completed {
-		t.Fatalf("configured cap must apply: done=%v rounds=%d", resumed.Done(), resumed.Rounds())
+	if res := sess.Result(); res.Rounds != want || res.Completed {
+		t.Fatalf("rounds=%d completed=%v, want %d rounds, incomplete", res.Rounds, res.Completed, want)
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 type DepGraph struct {
 	set *Set
 	out [][]int // adjacency: out[u] = nodes v with edge (u, v)
-	in  [][]int // reverse adjacency
 }
 
 // NewDepGraph computes the dependency graph of Σ.
 func NewDepGraph(s *Set) *DepGraph {
 	n := s.Len()
-	g := &DepGraph{set: s, out: make([][]int, n), in: make([][]int, n)}
+	g := &DepGraph{set: s, out: make([][]int, n)}
 	for u := 0; u < n; u++ {
 		bu := s.Rule(u).RHS()
 		for v := 0; v < n; v++ {
@@ -27,7 +26,6 @@ func NewDepGraph(s *Set) *DepGraph {
 			}
 			if s.Rule(v).premise().Has(bu) {
 				g.out[u] = append(g.out[u], v)
-				g.in[v] = append(g.in[v], u)
 			}
 		}
 	}
@@ -42,19 +40,6 @@ func (g *DepGraph) Len() int { return len(g.out) }
 
 // Successors returns the nodes enabled by applying rule u (copy).
 func (g *DepGraph) Successors(u int) []int { return append([]int(nil), g.out[u]...) }
-
-// Predecessors returns the nodes whose application may enable rule v (copy).
-func (g *DepGraph) Predecessors(v int) []int { return append([]int(nil), g.in[v]...) }
-
-// HasEdge reports whether (u, v) ∈ E.
-func (g *DepGraph) HasEdge(u, v int) bool {
-	for _, w := range g.out[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
 
 // String renders the graph as "u -> v" lines using rule names.
 func (g *DepGraph) String() string {

@@ -1,6 +1,7 @@
 package rule_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,10 +18,6 @@ func TestDepGraphFig4(t *testing.T) {
 	g := rule.NewDepGraph(sigma)
 	if g.Len() != 9 {
 		t.Fatalf("graph has %d nodes", g.Len())
-	}
-	idx := map[string]int{}
-	for i := 0; i < sigma.Len(); i++ {
-		idx[sigma.Rule(i).Name()] = i
 	}
 	wantEdges := map[string][]string{
 		"phi1": {"phi6", "phi7", "phi8", "phi9"}, // AC feeds ϕ6–ϕ9
@@ -47,16 +44,6 @@ func TestDepGraphFig4(t *testing.T) {
 			}
 		}
 	}
-	if !g.HasEdge(idx["phi1"], idx["phi9"]) {
-		t.Error("HasEdge(ϕ1, ϕ9) should hold")
-	}
-	if g.HasEdge(idx["phi9"], idx["phi1"]) {
-		t.Error("HasEdge(ϕ9, ϕ1) should not hold")
-	}
-	preds := g.Predecessors(idx["phi1"])
-	if len(preds) != 1 || preds[0] != idx["phi8"] {
-		t.Errorf("Predecessors(ϕ1) = %v", preds)
-	}
 	if g.Set() != sigma {
 		t.Error("Set() must return the construction set")
 	}
@@ -71,7 +58,7 @@ func TestDepGraphFig4(t *testing.T) {
 func TestDepGraphNoSelfLoops(t *testing.T) {
 	g := rule.NewDepGraph(paperex.Sigma0())
 	for u := 0; u < g.Len(); u++ {
-		if g.HasEdge(u, u) {
+		if slices.Contains(g.Successors(u), u) {
 			t.Errorf("self loop at node %d", u)
 		}
 	}

@@ -38,7 +38,7 @@ import (
 	"repro/internal/relation"
 )
 
-// Record is one logged master-delta batch: the epoch the delta produces
+// Record is one logged master delta batch: the epoch the delta produces
 // and the exact adds/deletes handed to ApplyDelta. Replaying records in
 // epoch order over the snapshot the log covers reproduces the lineage
 // byte-for-byte (master's delta semantics are deterministic).

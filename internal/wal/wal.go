@@ -1,4 +1,4 @@
-// Package wal is a segmented, CRC-framed write-ahead log for master-delta
+// Package wal is a segmented, CRC-framed write-ahead log for master delta
 // batches: the durability layer under master.DurableVersioned. Every
 // ApplyDelta batch is appended as one epoch-stamped record BEFORE the new
 // snapshot head is published, so a process that crashes and restarts can

@@ -280,10 +280,7 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 		return nil, err
 	}
 	masterDone := time.Now()
-	mon, err := monitor.NewVersioned(rules, lin.Versioned(), monitor.Config{
-		MaxRounds: cfg.maxRounds,
-		TokenKey:  cfg.tokenKey,
-	})
+	mon, err := monitor.NewVersioned(rules, lin.Versioned(), monitor.Config{TokenKey: cfg.tokenKey})
 	if err != nil {
 		lin.Close()
 		return nil, err
@@ -302,7 +299,7 @@ func open(rules *Rules, cfg config, base func() (*master.Data, error)) (*System,
 // Configuration is by functional options:
 //
 //	sys, err := certainfix.New(rules, masterRel,
-//	    certainfix.WithMasterHistory(64), certainfix.WithMaxRounds(4))
+//	    certainfix.WithMasterHistory(64), certainfix.WithAuth())
 //
 // Under WithWAL, masterRel seeds the lineage only on the first open of
 // the WAL directory; afterwards the directory itself is authoritative

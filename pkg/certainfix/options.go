@@ -5,18 +5,17 @@ package certainfix
 //
 //	sys, err := certainfix.New(rules, masterRel,
 //	    certainfix.WithMasterHistory(64),
-//	    certainfix.WithMaxRounds(4))
+//	    certainfix.WithAuth())
 type Option func(*config)
 
 // config is the accumulated construction-time configuration; each field
 // is documented on the With… option that sets it.
 type config struct {
-	maxRounds int
-	history   int
-	walDir    string
-	auth      bool
-	tokenKey  []byte
-	leader    string // set by NewFollower only: the leader's base URL
+	history  int
+	walDir   string
+	auth     bool
+	tokenKey []byte
+	leader   string // set by NewFollower only: the leader's base URL
 }
 
 func newConfig(opts []Option) config {
@@ -25,14 +24,6 @@ func newConfig(opts []Option) config {
 		o(&cfg)
 	}
 	return cfg
-}
-
-// WithMaxRounds caps user-interaction rounds per tuple (n <= 0 restores
-// the default, arity + 1). The cap belongs to the System, not to the
-// session token: a session resumed here runs under this cap wherever it
-// began.
-func WithMaxRounds(n int) Option {
-	return func(c *config) { c.maxRounds = n }
 }
 
 // WithTokenKey sets the secret that session tokens are sealed and

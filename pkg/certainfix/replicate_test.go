@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -234,6 +235,26 @@ func TestFollowerReplication(t *testing.T) {
 	})
 }
 
+// switchableLeader serves sys's shipping endpoints at the returned URL
+// until pointAt moves that URL onto another leader — a follower that
+// reconnects then talks to the new one without being told.
+func switchableLeader(t *testing.T, sys *certainfix.System) (url string, pointAt func(*certainfix.System)) {
+	t.Helper()
+	var current atomic.Pointer[http.ServeMux]
+	pointAt = func(sys *certainfix.System) {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/wal", sys.ServeWAL)
+		mux.HandleFunc("GET /v1/checkpoint", sys.ServeCheckpoint)
+		current.Store(mux)
+	}
+	pointAt(sys)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, pointAt
+}
+
 // TestFollowerRefusesLeaderBehindIt: a follower converged on leader A at
 // epoch 5 that is pointed at leader B — same base, still at epoch 0 — must
 // not tail it. B's next epochs are not A's, and taking them on top of A's
@@ -247,20 +268,8 @@ func TestFollowerRefusesLeaderBehindIt(t *testing.T) {
 	for i := 2; i <= 6; i++ {
 		addSKU(t, leaderA, i)
 	}
-	muxFor := func(sys *certainfix.System) *http.ServeMux {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /v1/wal", sys.ServeWAL)
-		mux.HandleFunc("GET /v1/checkpoint", sys.ServeCheckpoint)
-		return mux
-	}
-	var current atomic.Pointer[http.ServeMux]
-	current.Store(muxFor(leaderA))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		current.Load().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	follower, err := certainfix.NewFollower(rules, ts.URL, testKey)
+	url, pointAt := switchableLeader(t, leaderA)
+	follower, err := certainfix.NewFollower(rules, url, testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +277,7 @@ func TestFollowerRefusesLeaderBehindIt(t *testing.T) {
 	waitFor(t, "convergence on leader A", func() bool { return follower.MasterEpoch() == 5 })
 	lenA := follower.MasterLen()
 
-	current.Store(muxFor(leaderB))
+	pointAt(leaderB)
 	waitFor(t, "divergence from leader B", func() bool {
 		st, _ := follower.Replication()
 		return st.State == certainfix.ReplicaDiverged
@@ -283,6 +292,57 @@ func TestFollowerRefusesLeaderBehindIt(t *testing.T) {
 	}
 	if !strings.Contains(st.LastError, "epoch 0") || !strings.Contains(st.LastError, "head 5") {
 		t.Fatalf("LastError does not name both epochs: %q", st.LastError)
+	}
+}
+
+// TestFollowerRefusesEqualEpochLeader: a follower converged on leader A at
+// epoch 5 that is pointed at leader B — also at epoch 5, but over other
+// content — sees no epoch gap to refuse. B's epoch 6 gives it away: the
+// root shipped with the record is not the one the record yields on A's
+// content. The follower ends diverged, keeps A's head epoch, |Dm| and
+// root, and never applies the record; over three draws of B's content
+// and of its epoch-6 delta (an add or a delete).
+func TestFollowerRefusesEqualEpochLeader(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			leaderA, rules := replicationLeader(t, t.TempDir())
+			defer leaderA.Close()
+			leaderB, _ := replicationLeader(t, t.TempDir())
+			defer leaderB.Close()
+			for i := 2; i <= 6; i++ {
+				addSKU(t, leaderA, i)
+				addSKU(t, leaderB, 100+rng.Intn(900)) // never one of A's
+			}
+			url, pointAt := switchableLeader(t, leaderA)
+			follower, err := certainfix.NewFollower(rules, url, testKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			waitFor(t, "convergence on leader A", func() bool { return follower.MasterEpoch() == 5 })
+			lenA := follower.MasterLen()
+			rootA, _ := follower.MasterRoot()
+
+			pointAt(leaderB)
+			if rng.Intn(2) == 0 {
+				addSKU(t, leaderB, 100+rng.Intn(900))
+			} else if _, err := leaderB.UpdateMaster(nil, []int{rng.Intn(leaderB.MasterLen())}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "divergence from leader B", func() bool {
+				st, _ := follower.Replication()
+				return st.State == certainfix.ReplicaDiverged
+			})
+			time.Sleep(100 * time.Millisecond) // room for a wrongly live loop to take B's record
+			st, _ := follower.Replication()
+			root, _ := follower.MasterRoot()
+			if st.State != certainfix.ReplicaDiverged || st.Epoch != 5 || follower.MasterEpoch() != 5 ||
+				follower.MasterLen() != lenA || root != rootA {
+				t.Fatalf("follower took leader B's record: %+v, |Dm| %d (A's %d), root %s (A's %s)",
+					st, follower.MasterLen(), lenA, root, rootA)
+			}
+		})
 	}
 }
 

@@ -79,9 +79,9 @@ func RebaseToHead() ResumeOption {
 // with ErrBadToken. Its pinned epoch is then re-pinned from the snapshot
 // ring; if it has been evicted the resume fails with ErrEpochEvicted
 // unless RebaseToHead is given, and if this System has not reached it yet
-// (a follower behind its leader) with ErrEpochAhead — retry. The round cap is this System's
-// (WithMaxRounds), whatever the minting System's was: a session that has
-// used it up resumes done.
+// (a follower behind its leader) with ErrEpochAhead — retry. Every
+// session ends after at most arity + 1 rounds, on every System, so a
+// session that has used them up resumes done.
 func (s *System) Resume(ctx context.Context, token []byte, opts ...ResumeOption) (*FixSession, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -304,40 +304,74 @@ func TestResumeBadToken(t *testing.T) {
 // TestFunctionalOptions: option constructors configure the system, and
 // later options override earlier ones.
 func TestFunctionalOptions(t *testing.T) {
-	capped := paperSystem(t, certainfix.WithMaxRounds(1))
-	sess, err := capped.Begin(context.Background(), paperex.InputT4())
+	minted := paperSystem(t, testKey)
+	sess, err := minted.Begin(context.Background(), paperex.InputT4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := driveToEnd(t, sess, paperex.InputT4())
-	if res.Rounds != 1 || res.Completed {
-		t.Fatalf("WithMaxRounds(1): rounds=%d completed=%v", res.Rounds, res.Completed)
+	token, err := sess.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := certainfix.WithTokenKey([]byte("another-test-token-key"))
+	if _, err := paperSystem(t, other).Resume(context.Background(), token); !errors.Is(err, certainfix.ErrBadToken) {
+		t.Fatalf("resume under another key = %v, want ErrBadToken", err)
+	}
+	if _, err := paperSystem(t, testKey, other).Resume(context.Background(), token); !errors.Is(err, certainfix.ErrBadToken) {
+		t.Fatalf("resume where a later key overrides the minting one = %v, want ErrBadToken", err)
+	}
+	if _, err := paperSystem(t, other, testKey).Resume(context.Background(), token); err != nil {
+		t.Fatalf("resume where the minting key overrides another: %v", err)
+	}
+}
+
+// reasserter keeps asserting attribute 0 at its current value, whatever
+// the session suggests: from the second round on it validates nothing new.
+type reasserter struct{}
+
+func (reasserter) Assert(t certainfix.Tuple, _ []int) ([]int, []certainfix.Value) {
+	return []int{0}, []certainfix.Value{t[0]}
+}
+
+// TestRoundCap: every session ends after arity + 1 rounds. A user who
+// keeps re-asserting an already validated attribute stops there, done and
+// not completed — through FixContext, through Begin/Provide, and resumed
+// from the token at every round boundary.
+func TestRoundCap(t *testing.T) {
+	sys := paperSystem(t, testKey)
+	input := paperex.InputT4()
+	want := len(input) + 1
+	res, err := sys.FixContext(context.Background(), input, reasserter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != want || res.Completed {
+		t.Fatalf("FixContext: rounds=%d completed=%v, want %d rounds, incomplete", res.Rounds, res.Completed, want)
 	}
 
-	// The cap is the resuming System's: a session begun where the cap is
-	// lax cannot outrun the strict System it is resumed on.
-	lax := paperSystem(t, testKey, certainfix.WithMaxRounds(9))
-	strict := paperSystem(t, testKey, certainfix.WithMaxRounds(1))
-	begun, err := lax.Begin(context.Background(), paperex.InputT4())
-	if err != nil {
-		t.Fatal(err)
-	}
-	token, err := begun.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := strict.Resume(context.Background(), token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := driveToEnd(t, resumed, paperex.InputT4()); res.Rounds != 1 || res.Completed {
-		t.Fatalf("resumed under WithMaxRounds(1): rounds=%d completed=%v", res.Rounds, res.Completed)
-	}
-
-	mixed := paperSystem(t, certainfix.WithMaxRounds(1), certainfix.WithMaxRounds(0))
-	res2, err := mixed.FixContext(context.Background(), paperex.InputT4(), certainfix.SimulatedUser{Truth: paperex.InputT4()})
-	if err != nil || !res2.Completed {
-		t.Fatalf("override: res=%+v err=%v", res2, err)
+	for _, resume := range []bool{false, true} {
+		sess, err := sys.Begin(context.Background(), input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !sess.Done() {
+			if sess.Rounds() == want {
+				t.Fatalf("resume=%v: session still open after %d rounds", resume, want)
+			}
+			attrs, values := reasserter{}.Assert(sess.Tuple(), sess.Suggested())
+			if err := sess.Provide(attrs, values); err != nil {
+				t.Fatal(err)
+			}
+			if resume {
+				sess, _ = hop(t, sess, sys)
+			}
+		}
+		if res := sess.Result(); res.Rounds != want || res.Completed {
+			t.Fatalf("resume=%v: rounds=%d completed=%v, want %d rounds, incomplete", resume, res.Rounds, res.Completed, want)
+		}
+		if err := sess.Provide([]int{0}, []certainfix.Value{input[0]}); !errors.Is(err, certainfix.ErrSessionDone) {
+			t.Fatalf("resume=%v: Provide past the cap = %v, want ErrSessionDone", resume, err)
+		}
 	}
 }
 
