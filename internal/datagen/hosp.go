@@ -167,19 +167,6 @@ func (w *hospWorld) masterPair(k int) (h, m int) {
 	return h, m
 }
 
-// hospMasterContains reports whether the (h, m) pair is a master row.
-func (w *hospWorld) masterContains(h, m int) bool {
-	if h < 0 || h >= w.hospitals {
-		return false
-	}
-	for i := 0; i < w.perHosp; i++ {
-		if (h+i*3)%w.measures == m {
-			return true
-		}
-	}
-	return false
-}
-
 // newHospWorld sizes the pools for the requested master cardinality.
 func newHospWorld(rng *rand.Rand, masterSize int) *hospWorld {
 	hospitals := (masterSize + hospPerHosp - 1) / hospPerHosp
