@@ -19,7 +19,7 @@
 //	certainfix -rules hosp.rules -master hosp_master.csv \
 //	           -input hosp_input.csv -validated id,mCode -out fixed.csv
 //
-// With -master-snapshot the tool reuses a columnar arena image across
+// With -master-snapshot the tool reuses a master arena image across
 // runs: an existing image is loaded (mmap + validate) instead of
 // rebuilding master indexes from CSV; a missing one is built from
 // -master and saved for the next run.
@@ -51,7 +51,7 @@ func main() {
 		suggestOut  = flag.Bool("suggest", false, "print next-suggestion per tuple instead of repairing")
 		interactive = flag.Bool("interactive", false, "fix each tuple interactively on the terminal")
 		workers     = flag.Int("workers", 0, "concurrent repair workers (0 = all CPUs)")
-		snapshot    = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
+		snapshot    = flag.String("master-snapshot", "", "master arena: load it when the file exists, else build from -master and save it")
 	)
 	flag.Parse()
 	if *rulesPath == "" || *inputPath == "" {

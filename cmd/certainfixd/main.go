@@ -87,7 +87,7 @@
 // The rules file uses the schema-header format of cmd/certainfix
 // (schema R: ... / master Rm: ... / rule ... lines).
 //
-// With -master-snapshot the daemon cold-starts from a columnar arena
+// With -master-snapshot the daemon cold-starts from a master arena
 // image: when the file exists it is loaded (mmap + validate) instead of
 // rebuilding indexes from the CSV; when it does not exist yet, the master
 // is built from -master and the image is saved for the next start.
@@ -151,7 +151,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		history    = flag.Int("history", 0, "master snapshot ring size for session resume (0 = default)")
 		_          = flag.Int("shards", 0, "deprecated and ignored: the master takes the shard count its size calls for")
-		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build from -master and save it")
+		snapshot   = flag.String("master-snapshot", "", "master arena: load it when the file exists, else build from -master and save it")
 		walDir     = flag.String("wal-dir", "", "durable lineage directory (write-ahead log + checkpoints); recovered on start")
 		_          = flag.String("fsync", "", "deprecated and ignored: -wal-dir fsyncs every update before acknowledging it")
 		_          = flag.Int("checkpoint-every", 0, "deprecated and ignored: -wal-dir checkpoints every 256 deltas")

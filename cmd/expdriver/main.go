@@ -16,7 +16,7 @@
 // write path — and the fixdump must be byte-identical to a memory-only
 // run, which the CI scale smoke diffs.
 //
-// -master-snapshot reuses a columnar master arena image across runs: an
+// -master-snapshot reuses a master arena image across runs: an
 // existing image is loaded instead of rebuilding the master indexes, a
 // missing one is saved after the build. Fix outputs are byte-identical
 // either way; the CI scale smoke diffs rebuilt vs arena-loaded fixdumps.
@@ -54,7 +54,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generator seed")
 		workers    = flag.Int("workers", 1, "batch-fix workers for accuracy experiments (fig12 latency always runs sequentially)")
 		outPath    = flag.String("out", "", "output file for fixdump (default stdout)")
-		snapshot   = flag.String("master-snapshot", "", "columnar master arena: load it when the file exists, else build and save it (fix results are identical either way)")
+		snapshot   = flag.String("master-snapshot", "", "master arena: load it when the file exists, else build and save it (fix results are identical either way)")
 		updates    = flag.Int("update-batches", 0, "fixdump only: evolve the master through N deterministic delta batches before fixing")
 		walDir     = flag.String("wal-dir", "", "fixdump only: apply the update batches through the durable WAL+checkpoint lineage at this directory")
 	)

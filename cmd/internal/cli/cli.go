@@ -1,6 +1,6 @@
 // Package cli holds the file plumbing cmd/certainfix and cmd/certainfixd
 // share: reading a rules file, reading a CSV relation, and opening a
-// System from a master CSV or a columnar arena snapshot.
+// System from a master CSV or a master arena snapshot.
 package cli
 
 import (
@@ -40,7 +40,7 @@ func LoadCSV(schema *certainfix.Schema, path string) (*certainfix.Relation, erro
 	return rel, nil
 }
 
-// OpenSystem constructs the System: from the columnar arena image when
+// OpenSystem constructs the System: from the master arena image when
 // snapshot names an existing file (cold start by page-in), otherwise from
 // the master CSV, streamed — saving the freshly built snapshot to the
 // snapshot path, if given, so the next start takes the fast path. Which of

@@ -30,7 +30,7 @@ type Config struct {
 	// Deprecated: Shards is ignored; the master takes the shard count its
 	// size calls for.
 	Shards int
-	// MasterArena, when non-empty, names a columnar master arena image:
+	// MasterArena, when non-empty, names a master arena image:
 	// an existing image is loaded (master.LoadArena) instead of building
 	// indexes over the generated master relation, and a missing one is
 	// saved after the build so the next run with the same parameters

@@ -32,7 +32,7 @@ type Params struct {
 	// Fig-12 latency experiments ignore this and always run sequentially so
 	// that concurrent runs cannot contaminate each other's timings.
 	Workers int
-	// MasterSnapshot, when non-empty, names a columnar master arena image
+	// MasterSnapshot, when non-empty, names a master arena image
 	// (datagen.Config.MasterArena): an existing image replaces the master
 	// index build, a missing one is saved after building, so repeated runs
 	// over the same generated master cold-start by page-in. Fix results

@@ -1,14 +1,16 @@
 package master
 
-// This file implements the save side of the columnar master arena: a
-// single flat, versioned, offset-based binary image of one Data snapshot,
-// written once and loaded by page-in (arena_load.go) instead of a
-// NewForRules rebuild. The format is little-endian throughout, every
-// section starts 8-byte aligned, and all variable-size structures are
-// reached through the header's offset table — never by scanning — so a
-// loader maps the file and views the tables in place.
+// This file implements the save side of the master arena: a single flat,
+// versioned, offset-based binary image of one Data snapshot, written once
+// and loaded by page-in (arena_load.go) instead of a NewForRules rebuild.
+// The format is little-endian throughout, every section starts 8-byte
+// aligned, and all variable-size structures are reached through the
+// header's offset table — never by scanning — so a loader maps the file and
+// views the rows and tables in place. Each section holds either the bytes
+// the snapshot keeps in memory or nothing: what a load can derive from the
+// rows is not stored.
 //
-// Layout (see DESIGN.md, "Columnar arena format"):
+// Layout (see DESIGN.md, "Arena format"):
 //
 //	header   108 bytes: magic "CFXARENA", version, endian marker,
 //	         epoch, |Dm|, shard/arity/symbol/index/rule counts, file
@@ -16,16 +18,17 @@ package master
 //	schema   master schema name + typed attribute list (load-time
 //	         validation against Σ's master schema)
 //	symbols  the snapshot's interning table in id order (the stable-id
-//	         contract with relation.Symbols.Export): fixed 16-byte records
-//	         + a string heap, as many records as the header's symbol count
-//	columns  the id rows, transposed: per-column vectors of n uint32 value
-//	         ids (column-major)
+//	         contract with relation.Symbols.Export): as many values as the
+//	         header's symbol count, each in the WAL's cell encoding
+//	         (wal.AppendCell)
+//	rows     the id rows as the snapshot holds them: |Dm| × arity uint32
+//	         value ids, row-major
 //	indexes  per index: its Xm list, then per shard its frozen table
 //	         (table.go): slot count, key count, id count, the slot array,
 //	         the id array (8-byte ids). A key sits in the shard keyShard
 //	         routes it to (shard.go)
 //	rules    per rule of Σ, in Σ order: an FNV-1a signature of its
-//	         rendering plus its pattern-support bitmap
+//	         rendering. Its pattern-support bitmap is derived at load.
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
 //	         root (authtree); with the flag set the tree is recomputed
 //	         and verified against the stored root at load time.
@@ -34,7 +37,7 @@ package master
 //	         payload of an unauthenticated lineage included — fails the
 //	         load instead of decoding into another valid master.
 //
-// SaveArena writes format 6, and the loader (arena_load.go) answers any
+// SaveArena writes format 7, and the loader (arena_load.go) answers any
 // other version with a typed *SnapshotError. Saving is deterministic: tables
 // are canonical, symbols go in id order — the same snapshot always produces
 // the same bytes.
@@ -55,7 +58,7 @@ import (
 
 const (
 	arenaMagic       = "CFXARENA"
-	arenaVersion     = 6
+	arenaVersion     = 7
 	arenaEndianMark  = 0x01020304
 	arenaHeaderSize  = hdrSections + 8*numSections
 	arenaTrailerSize = 4 // u32 CRC-32C
@@ -86,15 +89,15 @@ const (
 const (
 	secSchema = iota
 	secSymbols
-	secColumns
+	secRows
 	secIndexes
 	secRules
 	secAuth
 	numSections
 )
 
-// ruleSig fingerprints a rule by its canonical rendering, binding a saved
-// pattern bitmap to the rule it was evaluated for. Load refuses a
+// ruleSig fingerprints a rule by its canonical rendering, binding the
+// image's indexes to the rules they were built for. Load refuses a
 // snapshot whose rule list does not match Σ's, signature by signature.
 func ruleSig(ru *rule.Rule) uint64 {
 	acc := relation.HashSeed()
@@ -117,6 +120,7 @@ type arenaWriter struct {
 	secs    [numSections]int64
 	err     error // first write error; later writes are skipped
 	scratch [8]byte
+	cellBuf []byte // one symbol's cell encoding
 }
 
 func (a *arenaWriter) bytes(p []byte) {
@@ -147,6 +151,15 @@ func (a *arenaWriter) u32(v uint32) {
 func (a *arenaWriter) u64(v uint64) {
 	binary.LittleEndian.PutUint64(a.scratch[:8], v)
 	a.bytes(a.scratch[:8])
+}
+
+// cell writes v in the WAL's cell encoding.
+func (a *arenaWriter) cell(v relation.Value) {
+	var err error
+	if a.cellBuf, err = wal.AppendCell(a.cellBuf[:0], v); err != nil && a.err == nil {
+		a.err = err
+	}
+	a.bytes(a.cellBuf)
 }
 
 // writeInts writes an array little-endian at width 4 or 8 bytes an element,
@@ -183,15 +196,14 @@ func (a *arenaWriter) section(sec int) {
 	a.secs[sec] = a.off
 }
 
-// SaveArena writes the snapshot as a columnar arena image loadable with
-// LoadArena. sigma must be the rule set the snapshot was built for
-// (NewForRules); its rules' probe plans and pattern bitmaps are frozen
-// into the image, and LoadArena will only accept the image against an
-// equivalent Σ. The snapshot may be anywhere in a delta chain: a shard
-// with an empty overlay is written as the table it holds, one with an
-// overlay as the compacted table of the merged view. The image streams to
-// w through one buffer, hashed on its way out for the trailer; beyond it the
-// save holds one column of ids and one shard's compacted table at a time.
+// SaveArena writes the snapshot as an arena image loadable with LoadArena.
+// sigma must be the rule set the snapshot was built for (NewForRules); its
+// rules' signatures go into the image, and LoadArena will only accept the
+// image against an equivalent Σ. The snapshot may be anywhere in a delta
+// chain: a shard with an empty overlay is written as the table it holds, one
+// with an overlay as the compacted table of the merged view. The image
+// streams to w through one buffer, hashed on its way out for the trailer;
+// beyond it the save holds one shard's compacted table at a time.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	if !sigma.MasterSchema().Equal(d.schema) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
@@ -200,9 +212,6 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	for _, ru := range sigma.Rules() {
 		if _, ok := d.plans[ru]; !ok {
 			return fmt.Errorf("master: save arena: rule %s has no probe plan in this snapshot (build with NewForRules for the same Σ)", ru.Name())
-		}
-		if _, ok := d.compat[ru]; !ok {
-			return fmt.Errorf("master: save arena: rule %s has no compatibility plan in this snapshot", ru.Name())
 		}
 	}
 
@@ -263,49 +272,16 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 		b.u8(uint8(attr.Type))
 	}
 
-	// Symbols: count, fixed records, string heap — the interning table in
-	// id order.
+	// Symbols: the interning table in id order, one cell per value.
 	b.section(secSymbols)
-	nsyms := uint32(d.syms.Len())
-	b.u32(nsyms)
-	b.align8()
-	heapLen := 0
-	for id := range nsyms {
-		v := d.syms.Value(id)
-		b.u32(uint32(v.Kind())) // the kind byte and three of padding
-		switch v.Kind() {
-		case relation.KindString:
-			b.u32(uint32(len(v.Str())))
-			b.u64(uint64(heapLen))
-			heapLen += len(v.Str())
-		case relation.KindInt:
-			b.u32(0)
-			b.u64(uint64(v.Int64()))
-		default:
-			b.u32(0)
-			b.u64(0)
-		}
-	}
-	b.u64(uint64(heapLen))
-	for id := range nsyms {
-		if v := d.syms.Value(id); v.Kind() == relation.KindString {
-			b.str(v.Str())
-		}
+	for id := range uint32(d.syms.Len()) {
+		b.cell(d.syms.Value(id))
 	}
 
-	// Columns: arity × n uint32 ids, column-major — the rows, one column
-	// gathered at a time.
-	b.section(secColumns)
-	if n := d.rows.Len(); b.w == nil {
-		b.off += 4 * int64(n) * int64(schema.Arity())
-	} else {
-		col := make([]uint32, n)
-		for c := 0; c < schema.Arity(); c++ {
-			for i, row := range d.rows.All() {
-				col[i] = row[c]
-			}
-			writeInts(b, col, 4)
-		}
+	// Rows: the id rows as the snapshot holds them, row-major.
+	b.section(secRows)
+	for _, row := range d.rows.All() {
+		writeInts(b, row, 4)
 	}
 
 	// Indexes: per registered index, the Xm list then one table per shard.
@@ -321,18 +297,11 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 		}
 	}
 
-	// Rules: per rule of Σ in Σ order, signature + pattern bitmap.
+	// Rules: per rule of Σ in Σ order, its signature.
 	b.section(secRules)
 	for _, ru := range sigma.Rules() {
-		cp := d.compat[ru]
 		b.u64(ruleSig(ru))
-		b.u32(uint32(cp.patCount))
-		b.u32(uint32(cp.patBits.Len()))
-		for _, w := range cp.patBits.All() {
-			b.u64(w)
-		}
 	}
-	b.align8()
 
 	// Auth: presence flag + the snapshot's sparse-Merkle root. Saved even
 	// when unauthenticated (flag 0, zero root) so the section table is

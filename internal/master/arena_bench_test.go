@@ -1,7 +1,7 @@
 package master
 
 // Cold-start benchmarks: process boot as a NewForRules build of the frozen
-// tables versus loading the saved columnar image, at |Dm| = 100k (plus a
+// tables versus loading the saved arena image, at |Dm| = 100k (plus a
 // 10k point for trend), and the probe loop over both — the same tables,
 // built in memory (BenchmarkProbeHeap) or viewed over the mapping
 // (BenchmarkProbeArena). Every benchmark pins GOMAXPROCS and the shard

@@ -7,8 +7,9 @@ package master
 // input is re-sealed first (resealArena), so a mutation gets past the
 // checksum and on to the header, table and rule validators behind it. The
 // seed corpus covers the empty input, a valid image at P = 2 and at P = 1, a
-// truncated image, header-level corruptions, and the images of another
-// layout (misrouted keys, versions 3 and 5).
+// truncated image, header-level corruptions, one input per validator of the
+// symbol and rows sections, and the images of another layout (misrouted
+// keys, version 6).
 
 import (
 	"bytes"
@@ -56,13 +57,21 @@ func FuzzLoadArena(f *testing.F) {
 	binary.LittleEndian.PutUint32(badShards[hdrNShards:], MaxShards+7)
 	f.Add(badShards)
 	badOffset := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(badOffset[hdrSections+8*secColumns:], uint64(len(valid)*2))
+	binary.LittleEndian.PutUint64(badOffset[hdrSections+8*secRows:], uint64(len(valid)*2))
 	f.Add(badOffset)
 	f.Add(swapFirstIndexShards(valid)) // valid tables, keys in the wrong shard
-	for _, version := range []uint32{3, 5} {
-		old := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(old[hdrVersion:], version)
-		f.Add(old)
+	sec := func(i int) int { return int(binary.LittleEndian.Uint64(valid[hdrSections+8*i:])) }
+	nsyms := binary.LittleEndian.Uint32(valid[hdrNSyms:])
+	for _, mut := range []func(b []byte){
+		func(b []byte) { binary.LittleEndian.PutUint32(b[sec(secRows):], nsyms) }, // a cell id past the symbols
+		func(b []byte) { b[sec(secSymbols)] = 0x07 },                              // an unknown cell kind
+		func(b []byte) { b[sec(secSymbols)+1] = 0x7f },                            // the first symbol, "a", claims 127 bytes
+		func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNSyms:], nsyms-1) },   // one cell more than the header's count
+		func(b []byte) { binary.LittleEndian.PutUint32(b[hdrVersion:], 6) },       // the previous format
+	} {
+		b := append([]byte(nil), valid...)
+		mut(b)
+		f.Add(b)
 	}
 	var p1 bytes.Buffer
 	if err := MustNewForRules(d.Relation(), sigma, WithShards(1)).SaveArena(&p1, sigma); err != nil {

@@ -1,39 +1,41 @@
 package master
 
-// This file implements the load side of the columnar arena (arena.go):
-// LoadArena maps the file (or falls back to reading it) and assembles a
-// fully usable Data snapshot whose frozen tables (table.go) and pattern
-// bitmaps are views into the raw bytes — no per-tuple hashing, no
-// map construction proportional to |Dm|. The only O(|Dm|) work is a
-// streaming validation pass plus transposing the id columns into rows;
-// string payloads stay in the arena (symbol values alias the mapping
-// zero-copy).
+// This file implements the load side of the arena (arena.go): LoadArena
+// maps the file (or falls back to reading it) and assembles a fully usable
+// Data snapshot whose id rows and frozen tables (table.go) are views into
+// the raw bytes — no per-tuple hashing, no map construction proportional to
+// |Dm|. The O(|Dm|) work is one validating pass over the rows, which also
+// lays a row header per tuple, and the parallel pass that derives what the
+// image does not store: each index shard's exception table and each rule's
+// pattern-support bitmap. String payloads stay in the arena (symbol values
+// alias the mapping zero-copy).
 //
 // Validation is EAGER: the trailer's checksum first, then every offset,
 // count, table invariant and id range is checked here, so the probe hot path runs with no bounds checks and a
 // snapshot that loads without error can never cause an out-of-range
 // access later. Hostile input fails with a *SnapshotError (matching
-// ErrBadSnapshot) before any allocation larger than the input itself —
-// section byte counts are claimed from the file before dependent slices
-// are sized, so a small corrupt file cannot demand a huge allocation.
+// ErrBadSnapshot), and every count is held against the bytes that must back
+// it before anything is sized by it, so a small corrupt file cannot demand a
+// huge allocation.
 //
 // The mapping stays alive for as long as any snapshot derived from it:
-// loaded values alias the arena bytes, so the mapping is never unmapped
-// (it is dropped only with the process; a service loads one arena per
-// master generation, so this is by design, not a leak).
+// loaded rows and values alias the arena bytes, so the mapping is never
+// unmapped (it is dropped only with the process; a service loads one arena
+// per master generation, so this is by design, not a leak).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"os"
+	"slices"
 	"unsafe"
 
 	"repro/internal/parallel"
 	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
+	"repro/internal/wal"
 )
 
 // arenaRef pins the backing bytes of a loaded snapshot and records how
@@ -157,7 +159,7 @@ func LoadArenaBytes(b []byte, sigma *rule.Set) (*Data, error) {
 }
 
 func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
-	// The tables and columns are viewed in place as []uint64/[]uint32, so the
+	// The tables and rows are viewed in place as []uint64/[]uint32, so the
 	// backing bytes must be 8-aligned. mmap is page-aligned; a caller
 	// slice might not be — realign with one copy.
 	if len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
@@ -204,7 +206,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	n := hr.count(hr.u64(), maxArenaTuples, "tuple count")
 	nshards := hr.count(uint64(hr.u32()), MaxShards, "shard count")
 	arity := hr.count(uint64(hr.u32()), 1<<16, "arity")
-	nsyms := hr.count(uint64(hr.u32()), len(b)/16, "symbol count")
+	nsyms := hr.count(uint64(hr.u32()), len(b), "symbol count")
 	nindexes := hr.count(uint64(hr.u32()), 1<<12, "index count")
 	nrules := hr.count(uint64(hr.u32()), 1<<20, "rule count")
 	if hr.err == nil && nshards < 1 {
@@ -235,16 +237,11 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, err
 	}
 
-	vals, err := decodeArenaSymbols(body, secOff[secSymbols], nsyms)
+	syms, err := decodeArenaSymbols(body[secOff[secSymbols]:secOff[secRows]], secOff[secSymbols], nsyms)
 	if err != nil {
 		return nil, err
 	}
-	syms, symErr := relation.SymbolsFromValues(vals)
-	if symErr != nil {
-		return nil, &SnapshotError{Section: "symbols", Offset: -1, Msg: symErr.Error()}
-	}
-
-	rows, err := decodeArenaColumns(body, secOff[secColumns], n, arity, len(vals))
+	rows, err := decodeArenaRows(body, secOff[secRows], n, arity, nsyms)
 	if err != nil {
 		return nil, err
 	}
@@ -277,6 +274,13 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	rr := &areader{b: body, off: secOff[secRules], sec: "rules"}
 	for i := 0; i < nrules; i++ {
 		ru := sigma.Rule(i)
+		if sig := rr.u64(); rr.err == nil && sig != ruleSig(ru) {
+			rr.off -= 8
+			rr.fail("rule %s: signature mismatch (snapshot saved for a different Σ)", ru.Name())
+		}
+		if rr.err != nil {
+			return nil, rr.err
+		}
 		idx := d.findIndex(ru.LHSMRef())
 		if idx == nil {
 			return nil, &SnapshotError{Section: "rules", Offset: -1,
@@ -291,20 +295,23 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 			return nil, &SnapshotError{Section: "rules", Offset: -1,
 				Msg: fmt.Sprintf("rule %s: no one-column index over a column of its Xm in snapshot", ru.Name())}
 		}
-		if err := decodeArenaRule(rr, ru, n, d.compat[ru]); err != nil {
-			return nil, err
+	}
+	// What the image does not store is derived from the rows it does, so a
+	// probe trusts only what this pass verified: each rule's pattern-support
+	// bitmap, then each index shard's exception table. The jobs are the rules
+	// and the (index, shard) pairs, so a load is as parallel at P = 1 as at
+	// any other P. The error is dropped because no job returns one.
+	rules := sigma.Rules()
+	slab := d.bitmapSlab(len(rules))
+	_, _ = parallel.Map(len(rules)+nindexes*nshards, 0, func(k int) (struct{}, error) {
+		if k < len(rules) {
+			d.buildBitmap(rules[k], k, slab)
+		} else {
+			k -= len(rules)
+			d.indexes[k/nshards].rebuildExceptions(k%nshards, &d.rows)
 		}
-	}
-	// Exception tables are not stored: they are recomputed from the decoded
-	// buckets and rows, so a probe trusts only what this pass verified. The
-	// jobs are (index, shard) pairs, so a load is as parallel at P = 1 as at
-	// any other P.
-	if _, err := parallel.Map(nindexes*nshards, 0, func(k int) (struct{}, error) {
-		d.indexes[k/nshards].rebuildExceptions(k%nshards, &d.rows)
 		return struct{}{}, nil
-	}); err != nil {
-		return nil, err // unreachable: the rebuild cannot fail
-	}
+	})
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
 	// decoded tuples and verify it against the stored root — a
@@ -357,93 +364,60 @@ func checkArenaSchema(b []byte, off, arity int, want *relation.Schema) error {
 	return r.err
 }
 
-// decodeArenaSymbols decodes the value records and string heap into the
-// id-ordered value slice; string payloads alias the arena bytes.
-func decodeArenaSymbols(b []byte, off, nsyms int) ([]relation.Value, error) {
-	r := &areader{b: b, off: off, sec: "symbols"}
-	nvals := r.count(uint64(r.u32()), len(b)/16, "value count")
-	if r.err == nil && nvals != nsyms {
-		r.fail("value count %d is not the header's symbol count %d", nvals, nsyms)
+// decodeArenaSymbols decodes the symbol section sec, at offset off of the
+// image, into the snapshot's interning table: nsyms cells read by the WAL's
+// decoder, string payloads aliasing the image, and after them nothing but
+// the zero padding to the next section.
+func decodeArenaSymbols(sec []byte, off, nsyms int) (*relation.Symbols, error) {
+	dec := wal.NewDecoder(sec)
+	fail := func(format string, args ...any) error {
+		return &SnapshotError{Section: "symbols", Offset: off + len(sec) - dec.Remaining(), Msg: fmt.Sprintf(format, args...)}
 	}
-	r.align8()
-	records := r.take(16 * nvals)
-	heapLen := r.count(r.u64(), len(b), "string heap length")
-	heap := r.take(heapLen)
-	if r.err != nil {
-		return nil, r.err
+	if nsyms > len(sec) { // a cell is at least one byte
+		return nil, fail("symbol count %d exceeds the section's %d bytes", nsyms, len(sec))
 	}
-	vals := make([]relation.Value, nvals)
+	dec.AliasStrings()
+	vals := make([]relation.Value, nsyms)
 	for i := range vals {
-		rec := records[16*i : 16*i+16]
-		kind := relation.Kind(rec[0])
-		strLen := uint32(rec[4]) | uint32(rec[5])<<8 | uint32(rec[6])<<16 | uint32(rec[7])<<24
-		payload := uint64(rec[8]) | uint64(rec[9])<<8 | uint64(rec[10])<<16 | uint64(rec[11])<<24 |
-			uint64(rec[12])<<32 | uint64(rec[13])<<40 | uint64(rec[14])<<48 | uint64(rec[15])<<56
-		switch kind {
-		case relation.KindNull:
-			if strLen != 0 || payload != 0 {
-				r.off = off
-				r.fail("value %d: null with non-zero payload", i)
-				return nil, r.err
-			}
-		case relation.KindInt:
-			if strLen != 0 {
-				r.off = off
-				r.fail("value %d: int with string length", i)
-				return nil, r.err
-			}
-			vals[i] = relation.Int(int64(payload))
-		case relation.KindString:
-			end := payload + uint64(strLen)
-			if end > uint64(heapLen) {
-				r.off = off
-				r.fail("value %d: string span [%d,%d) outside heap of %d bytes", i, payload, end, heapLen)
-				return nil, r.err
-			}
-			vals[i] = relation.String(viewString(heap[payload:end]))
-		default:
-			r.off = off
-			r.fail("value %d: unknown kind %d", i, kind)
-			return nil, r.err
-		}
+		vals[i] = dec.Cell()
 	}
-	return vals, nil
+	if err := dec.Err(); err != nil {
+		return nil, fail("%v", err)
+	}
+	if pad := sec[len(sec)-dec.Remaining():]; len(pad) >= 8 || slices.ContainsFunc(pad, func(c byte) bool { return c != 0 }) {
+		return nil, fail("%d bytes after the header's %d symbols", len(pad), nsyms)
+	}
+	syms, err := relation.SymbolsFromValues(vals)
+	if err != nil {
+		return nil, &SnapshotError{Section: "symbols", Offset: -1, Msg: err.Error()}
+	}
+	return syms, nil
 }
 
-// decodeArenaColumns transposes the validated column-major id vectors into
-// the snapshot's rows: one row-major slab of n×arity ids and one array of
-// row headers over it — two allocations, no value touched.
-func decodeArenaColumns(b []byte, off, n, arity, nvals int) (rowVec, error) {
-	r := &areader{b: b, off: off, sec: "columns"}
+// decodeArenaRows views the rows section in place as the snapshot's id rows.
+// One pass checks that every cell is a symbol's id and lays the row headers,
+// the load's one allocation proportional to |Dm|.
+func decodeArenaRows(b []byte, off, n, arity, nsyms int) (rowVec, error) {
+	r := &areader{b: b, off: off, sec: "rows"}
 	if n > 0 && arity > (len(b)/4)/n {
-		r.fail("column section for %d×%d cells exceeds file size", n, arity)
+		r.fail("rows section for %d×%d cells exceeds file size", n, arity)
 		return rowVec{}, r.err
 	}
-	raw := r.take(4 * n * arity)
+	cells := viewU32(r.take(4 * n * arity))
 	if r.err != nil {
 		return rowVec{}, r.err
-	}
-	cells := viewU32(raw)
-	slab := make([]uint32, n*arity)
-	// A block of rows at a time, so the slab lines a column pass writes are
-	// still cached when the next column's pass comes back to them.
-	const block = 512
-	for lo := 0; lo < n; lo += block {
-		hi := min(lo+block, n)
-		for c := 0; c < arity; c++ {
-			for i, id := range cells[c*n+lo : c*n+hi] {
-				if int(id) >= nvals {
-					r.off = off + 4*(c*n+lo+i)
-					r.fail("cell (%d,%d): value id %d out of range %d", lo+i, c, id, nvals)
-					return rowVec{}, r.err
-				}
-				slab[(lo+i)*arity+c] = id
-			}
-		}
 	}
 	rows := make([][]uint32, n)
 	for i := range rows {
-		rows[i] = slab[i*arity : (i+1)*arity : (i+1)*arity]
+		row := cells[i*arity : (i+1)*arity : (i+1)*arity]
+		for c, id := range row {
+			if id >= uint32(nsyms) {
+				r.off = off + 4*(i*arity+c)
+				r.fail("cell (%d,%d): value id %d out of range %d", i, c, id, nsyms)
+				return rowVec{}, r.err
+			}
+		}
+		rows[i] = row
 	}
 	return persist.FromSlice(rows), nil
 }
@@ -521,45 +495,4 @@ func decodeTable(r *areader, n, s, nshards int) table {
 		return table{}
 	}
 	return table{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
-}
-
-// decodeArenaRule decodes one rule record and validates it against the
-// corresponding rule of Σ: the signature binds the saved bitmap to the
-// rule's exact definition, the bitmap's word count must fit |Dm|, bits
-// beyond |Dm| must be zero, and the stored support count must equal the
-// bitmap's popcount. The bitmap and its count go into plan.
-func decodeArenaRule(r *areader, ru *rule.Rule, n int, plan *compatPlan) error {
-	start := r.off
-	sig := r.u64()
-	if r.err == nil && sig != ruleSig(ru) {
-		r.off = start
-		r.fail("rule %s: signature mismatch (snapshot saved for a different Σ)", ru.Name())
-	}
-	patCount := r.count(uint64(r.u32()), n, "pattern support count")
-	words := (n + 63) / 64
-	nwords := r.count(uint64(r.u32()), len(r.b)/8, "bitmap word count")
-	if r.err == nil && nwords != words {
-		r.off = start
-		r.fail("rule %s: bitmap has %d words, |Dm|=%d needs %d", ru.Name(), nwords, n, words)
-	}
-	patBits := viewU64(r.take(8 * nwords))
-	if r.err != nil {
-		return r.err
-	}
-	pop := 0
-	for _, w := range patBits {
-		pop += bits.OnesCount64(w)
-	}
-	if tail := n % 64; tail != 0 && words > 0 && patBits[words-1]>>uint(tail) != 0 {
-		r.off = start
-		r.fail("rule %s: bitmap bits set beyond |Dm|=%d", ru.Name(), n)
-		return r.err
-	}
-	if pop != patCount {
-		r.off = start
-		r.fail("rule %s: support count %d does not match bitmap popcount %d", ru.Name(), patCount, pop)
-		return r.err
-	}
-	plan.patBits, plan.patCount = persist.FromSlice(patBits), patCount
-	return nil
 }

@@ -248,23 +248,23 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 		}},
 		{"tuple count over int32", func(b []byte) { binary.LittleEndian.PutUint64(b[hdrNTuples:], 1<<33) }},
 		{"symbol count off the records", func(b []byte) {
-			// The section holds one record more than the header claims: every
+			// The section holds one cell more than the header claims: every
 			// stored value is a symbol, so the two counts must agree.
 			n := binary.LittleEndian.Uint32(b[hdrNSyms:])
 			binary.LittleEndian.PutUint32(b[hdrNSyms:], n-1)
 		}},
 		{"file size mismatch", func(b []byte) { binary.LittleEndian.PutUint64(b[hdrFileSize:], uint64(len(b)+8)) }},
 		{"section offset past EOF", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[hdrSections+8*secColumns:], uint64(len(b)+8))
+			binary.LittleEndian.PutUint64(b[hdrSections+8*secRows:], uint64(len(b)+8))
 		}},
 		{"section offset misaligned", func(b []byte) {
 			binary.LittleEndian.PutUint64(b[hdrSections+8*secIndexes:], uint64(secOff(secIndexes)+4))
 		}},
 		{"section offsets out of order", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[hdrSections+8*secSymbols:], uint64(secOff(secColumns)+8))
+			binary.LittleEndian.PutUint64(b[hdrSections+8*secSymbols:], uint64(secOff(secRows)+8))
 		}},
 		{"column id out of range", func(b []byte) {
-			binary.LittleEndian.PutUint32(b[secOff(secColumns):], 0xffffffff)
+			binary.LittleEndian.PutUint32(b[secOff(secRows):], 0xffffffff)
 		}},
 		{"bucket table corrupt", func(b []byte) {
 			// Stomp the first index's first shard header: slot count loses
@@ -275,14 +275,10 @@ func arenaCorruptionCases(img []byte) []corruptCase {
 			hdr += (8 - hdr%8) % 8
 			binary.LittleEndian.PutUint64(b[hdr:], 3)
 		}},
-		{"rule bitmap corrupt", func(b []byte) {
-			// Flip a word inside the rules section: popcount or the
-			// beyond-|Dm| guard must catch it.
-			off := secOff(secRules)
-			if off+24 <= len(b) {
-				b[off+16] ^= 0xff
-				b[off+17] ^= 0xff
-			}
+		{"rule signature corrupt", func(b []byte) {
+			// The image names the first rule by another signature: saved for
+			// a different Σ.
+			b[secOff(secRules)] ^= 0xff
 		}},
 	}
 }
@@ -312,7 +308,7 @@ func swapFirstIndexShards(img []byte) []byte {
 
 // TestArenaRejectsOtherLayouts: the loader takes the layout this build
 // writes, no other. An image whose keys sit in the wrong shard, one that
-// lacks a one-column index its rules read, and a version-4, -5 or -7 header
+// lacks a one-column index its rules read, and a version-5, -6 or -8 header
 // all fail typed instead of loading into a master that misses matches or
 // rebuilding what the image left out.
 func TestArenaRejectsOtherLayouts(t *testing.T) {
@@ -338,7 +334,7 @@ func TestArenaRejectsOtherLayouts(t *testing.T) {
 		t.Fatalf("missing one-column index: got %v, want a *SnapshotError naming it", err)
 	}
 
-	for _, version := range []uint32{4, 5, 7} {
+	for _, version := range []uint32{5, 6, 8} {
 		other := append([]byte(nil), img...)
 		binary.LittleEndian.PutUint32(other[hdrVersion:], version)
 		_, err = LoadArenaBytes(other, sigma)

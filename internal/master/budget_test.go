@@ -72,10 +72,9 @@ func TestBootHeapBudget(t *testing.T) {
 }
 
 // TestArenaLoadAllocBudget bounds what loading an image allocates, per tuple:
-// the tables, bitmaps and strings stay in the image, and what is built beside
-// them is the id rows and the symbol table — 131 B/tuple measured, whatever
-// the image holds (expanding the id columns into tuples of values cost five
-// times that).
+// the rows, tables and strings stay in the image, and what is built beside
+// them is a header per row, the symbol table, and the pattern bitmaps the
+// image does not store — 57.7 B/tuple measured, whatever the image holds.
 func TestArenaLoadAllocBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)
@@ -98,7 +97,7 @@ func TestArenaLoadAllocBudget(t *testing.T) {
 	})
 	runtime.KeepAlive(img)
 	t.Logf("image %d bytes, load allocated %d (%d B/tuple, %.2f× the image)", img.Len(), allocated, allocated/n, float64(allocated)/float64(img.Len()))
-	if allocated > 135*n {
-		t.Errorf("loading %d tuples allocated %d B/tuple, budget 135", n, allocated/n)
+	if allocated > 59*n {
+		t.Errorf("loading %d tuples allocated %d B/tuple, budget 59", n, allocated/n)
 	}
 }

@@ -24,8 +24,7 @@ package master
 // a delta's overlays — and the flatten-at-1/4 compaction they eventually
 // trigger in fork — touch 1/P of an index. The mutations are PLANNED
 // serially into one op list (cheap: bitmap bits, interning) and APPLIED per
-// index; a large delta applies its indexes in parallel, since distinct
-// indexes share no maps.
+// index, one index after another.
 //
 // Cost per delta: the delta. Per op and index, one trie path into the
 // shard's overlay, one chunk of the key's id list (≤ maxChunk ids) and the
@@ -41,13 +40,11 @@ package master
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -94,10 +91,6 @@ const (
 	opRename
 	opAppend
 )
-
-// parallelDeltaOps is the op count above which indexes apply in
-// parallel; below it, goroutine fan-out costs more than it saves.
-const parallelDeltaOps = 128
 
 // ApplyDelta derives a new snapshot with the deletes applied (swap-remove,
 // descending id order) followed by the adds (appended in order). The
@@ -206,22 +199,11 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// The rows are final once planning ends; the index ops read them to keep
 	// the exception tables exact.
 
-	// Apply: indexes share no maps, so a large delta fans them out across
-	// CPUs. One batch for all of them: the overlay nodes this delta makes are
-	// its own until it returns.
+	// Apply, index by index. One batch for all of them: the overlay nodes this
+	// delta makes are its own until it returns.
 	batch := new(persist.Edit)
-	apply := func(k int) (struct{}, error) {
-		nd.applyIndexOps(nd.indexes[k], ops, batch)
-		return struct{}{}, nil
-	}
-	if len(del)+len(adds) >= parallelDeltaOps && runtime.GOMAXPROCS(0) > 1 {
-		if _, err := parallel.Map(len(nd.indexes), 0, apply); err != nil {
-			return nil, err // unreachable: the ops cannot fail
-		}
-	} else {
-		for k := range nd.indexes {
-			apply(k)
-		}
+	for _, idx := range nd.indexes {
+		nd.applyIndexOps(idx, ops, batch)
 	}
 
 	// Trim the pattern bitmaps to the final length (net-shrinking deltas
@@ -235,8 +217,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 
 // applyIndexOps runs the planned mutations, in order, on one index: each
 // lands in the shard the hash of its row's Xm ids routes to. The symbol
-// table is read-only here (interning happened at plan time), so distinct
-// indexes may run concurrently.
+// table is read-only here (interning happened at plan time).
 //
 // Exception tables (uniform.go) follow the buckets: an append compares the
 // new tuple with the bucket's smallest id — deletes and renames precede the

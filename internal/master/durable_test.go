@@ -325,24 +325,37 @@ func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
 	le := binary.LittleEndian
 	sec := func(i int) int { return int(le.Uint64(img[hdrSections+8*i:])) }
 	align8 := func(off int) int { return (off + 7) &^ 7 }
-	// Symbols: u32 count, padding, 16-byte records, u64 heap length, heap.
-	records := align8(sec(secSymbols) + 4)
-	heap := records + 16*int(le.Uint32(img[sec(secSymbols):])) + 8
-	// The first cell of column 0 whose value is a string, and that value's
-	// record (kind, length at +4, heap offset at +8).
-	n := int(le.Uint64(img[hdrNTuples:]))
-	cell, rec := -1, -1
+	// Symbols: one cell per value — a kind byte, then for a string (0x01)
+	// its uvarint length and bytes, for an int (0x02) its varint.
+	cells := make([]int, le.Uint32(img[hdrNSyms:]))
+	for i, off := 0, sec(secSymbols); i < len(cells); i++ {
+		cells[i] = off
+		switch img[off] {
+		case 0x01:
+			l, k := binary.Uvarint(img[off+1:])
+			off += 1 + k + int(l)
+		case 0x02:
+			_, k := binary.Varint(img[off+1:])
+			off += 1 + k
+		default:
+			off++
+		}
+	}
+	// The first cell of column 0 whose value is a non-empty string, and that
+	// value's symbol cell.
+	n, arity := int(le.Uint64(img[hdrNTuples:])), int(le.Uint32(img[hdrArity:]))
+	cell, sym := -1, -1
 	for i := 0; i < n && cell < 0; i++ {
-		off := sec(secColumns) + 4*i
-		if r := records + 16*int(le.Uint32(img[off:])); relation.Kind(img[r]) == relation.KindString && le.Uint32(img[r+4:]) > 0 {
-			cell, rec = off, r
+		off := sec(secRows) + 4*arity*i
+		if c := cells[le.Uint32(img[off:])]; img[c] == 0x01 && img[c+1] > 0 {
+			cell, sym = off, c
 		}
 	}
 	if cell < 0 {
 		t.Fatal("fixture: column 0 of the checkpoint holds no string")
 	}
 	// Indexes: u32 |Xm|, the positions, padding, then shard 0's table header
-	// (slot, key and id counts). Rules: u64 signature, u32 popcount.
+	// (slot, key and id counts). Rules: a u64 signature each.
 	table := align8(sec(secIndexes) + 4 + 4*int(le.Uint32(img[sec(secIndexes):])))
 	return []checkpointCorruption{
 		{"header tuple count", hdrNTuples, 0xFF},
@@ -350,14 +363,14 @@ func checkpointCorruptions(t *testing.T, img []byte) []checkpointCorruption {
 		{"header arity", hdrArity, 0xFF},
 		{"header symbol count", hdrNSyms, 0xFF},
 		{"header file size", hdrFileSize, 0xFF},
-		{"header section offset", hdrSections + 8*secColumns, 0xFF},
+		{"header section offset", hdrSections + 8*secRows, 0xFF},
 		{"schema name", sec(secSchema) + 4, 0xFF},
 		{"table slot count", table, 0xFF},
 		{"table key count", table + 8, 0xFF},
 		{"table id count", table + 16, 0xFF},
-		{"bitmap popcount", sec(secRules) + 8, 0xFF},
-		{"string heap", heap + int(le.Uint64(img[rec+8:])), 0x80},
-		{"value record length", rec + 4, 0x01},
+		{"rule signature", sec(secRules), 0xFF},
+		{"string bytes", sym + 2, 0x80},
+		{"string length", sym + 1, 0x01},
 		{"cell id", cell, 0x01},
 		{"trailer", len(img) - 1, 0x01},
 	}
@@ -417,7 +430,7 @@ func TestDurableCorruptionIsTyped(t *testing.T) {
 			}
 			v5 := bytes.Clone(img)
 			binary.LittleEndian.PutUint32(v5[hdrVersion:], 5)
-			if err := open("a version-5 checkpoint", v5); err != nil && !strings.Contains(err.Error(), "unsupported version 5 (want 6)") {
+			if err := open("a version-5 checkpoint", v5); err != nil && !strings.Contains(err.Error(), "unsupported version 5 (want 7)") {
 				t.Errorf("P=%d: version-5 checkpoint: %v does not name the versions", shards, err)
 			}
 			// Every other byte, through the loader the open calls.

@@ -56,7 +56,7 @@ var ErrBadSnapshot = errors.New("master: bad snapshot")
 // byte offset where decoding stopped.
 type SnapshotError struct {
 	// Section names the arena section being decoded ("header", "schema",
-	// "symbols", "columns", "indexes", "rules").
+	// "symbols", "rows", "indexes", "rules", "auth", "trailer").
 	Section string
 	// Offset is the absolute byte offset at which decoding failed (-1 when
 	// the failure is not tied to one position, e.g. a Σ mismatch).

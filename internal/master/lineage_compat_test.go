@@ -1,12 +1,14 @@
 package master
 
 // Compatibility with what the previous layout wrote, checked against bytes:
-// testdata/v6_lineage/ is a durable directory — an authenticated format-6
+// testdata/v7_lineage/ is a durable directory — an authenticated format-7
 // arena checkpoint at epoch 8 and the WAL records of epochs 9–12 — written
 // by this file's fixture, with the epoch, root and probe answers the writing
 // build served in want.json. A recovering node must read it as it is.
 // -update-lineage rewrites all of it and is for a change that means to break
-// the format.
+// the format; CI rewrites it and fails on any difference, so arena or WAL
+// bytes change only on purpose. testdata/v6_checkpoint.arena is the same
+// lineage's checkpoint in the previous format, which every door refuses.
 
 import (
 	"encoding/json"
@@ -24,9 +26,12 @@ import (
 	"repro/internal/wal"
 )
 
-var updateLineage = flag.Bool("update-lineage", false, "rewrite testdata/v6_lineage")
+var updateLineage = flag.Bool("update-lineage", false, "rewrite testdata/v7_lineage")
 
-const lineageDir = "testdata/v6_lineage"
+const (
+	lineageDir   = "testdata/v7_lineage"
+	v6Checkpoint = "testdata/v6_checkpoint.arena"
+)
 
 // lineageWant is what the writing commit answered at its head.
 type lineageWant struct {
@@ -186,5 +191,47 @@ func TestRecoversParentLineage(t *testing.T) {
 	lr, _ := next.AuthRoot()
 	if fr, _ := f.Current().AuthRoot(); f.Epoch() != next.Epoch() || fr != lr {
 		t.Fatalf("follower at epoch %d under %v, leader at %d under %v", f.Epoch(), fr, next.Epoch(), lr)
+	}
+}
+
+// TestRefusesFormat6Checkpoint: the lineage's format-6 checkpoint fails with
+// a typed *SnapshotError through every door — LoadArena, LoadArenaBytes and
+// OpenDurable over the lineage directory holding it — and the open never
+// rebuilds the lineage from its base instead.
+func TestRefusesFormat6Checkpoint(t *testing.T) {
+	sigma, _ := lineageFixture()
+	want := fmt.Sprintf("unsupported version 6 (want %d)", arenaVersion)
+	check := func(door string, err error) {
+		t.Helper()
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Msg != want {
+			t.Errorf("%s: got %v, want a *SnapshotError %q", door, err, want)
+		}
+	}
+	_, err := LoadArena(v6Checkpoint, sigma)
+	check("LoadArena", err)
+	raw, err := os.ReadFile(v6Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadArenaBytes(raw, sigma)
+	check("LoadArenaBytes", err)
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(lineageDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, CheckpointFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := false
+	base := func() (*Data, error) { rebuilt = true; return nil, errors.New("the checkpoint is the base") }
+	dv, err := OpenDurable(dir, base, sigma, DurableOptions{CheckpointEvery: -1})
+	if err == nil {
+		dv.Close()
+	}
+	check("OpenDurable", err)
+	if rebuilt {
+		t.Error("OpenDurable rebuilt the lineage from its base over a format-6 checkpoint")
 	}
 }

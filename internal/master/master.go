@@ -146,7 +146,8 @@ type Data struct {
 	// one per attribute of the schema. EVERY column is interned, so a cell is
 	// its id, equal cells have equal ids, and syms.Value turns one back into
 	// the value (Cell, Tuple, All, Relation materialize on demand). Rows are
-	// carved from slabs at build and load and allocated one by one by deltas;
+	// carved from slabs at build, viewed in the image at load, and allocated
+	// one by one by deltas;
 	// their headers sit in a chunked copy-on-write vector, so ApplyDelta
 	// shares every chunk it does not touch. A row is never written once
 	// stored.
@@ -169,7 +170,7 @@ type Data struct {
 	compat map[*rule.Rule]*compatPlan
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
 	// ones built in memory). Propagated through ApplyDelta derivations:
-	// symbol strings and not-yet-compacted tables alias the bytes for the
+	// rows, symbol strings and not-yet-compacted tables alias the bytes for the
 	// snapshot chain's whole lifetime. See arena.go / arena_load.go.
 	arena *arenaRef
 	// auth is the snapshot's sparse-Merkle commitment over the tuple

@@ -47,11 +47,12 @@ type MemStats struct {
 	BitmapBytes int64 `json:"bitmap_bytes"`
 
 	// ArenaBacked reports whether the snapshot chain is rooted in a loaded
-	// columnar arena; ArenaBytes is the backing image size and ArenaMapped
+	// master arena; ArenaBytes is the backing image size and ArenaMapped
 	// whether it is an mmap (pages shared, evictable) rather than a heap
-	// copy. For an arena-backed snapshot the tables and bitmaps live
-	// INSIDE the arena bytes, not on the Go heap, until compaction rewrites
-	// a shard.
+	// copy. For an arena-backed snapshot the id rows and the tables live
+	// INSIDE the arena bytes, not on the Go heap, until a delta replaces a
+	// row or compaction rewrites a shard; the bitmaps, which an image does
+	// not store, are derived at load and live on the heap.
 	ArenaBacked bool  `json:"arena_backed"`
 	ArenaMapped bool  `json:"arena_mapped"`
 	ArenaBytes  int64 `json:"arena_bytes"`

@@ -110,7 +110,7 @@ func (d *Data) registerIndex(xm []int) *index {
 }
 
 // registerCompatPlan creates ru's compatibility plan: the one-column index
-// of each column of a multi-column Xm; buildBitmaps evaluates the pattern
+// of each column of a multi-column Xm; buildBitmap evaluates the pattern
 // bitmap.
 func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 	plan := &compatPlan{}
@@ -234,7 +234,13 @@ func (b *Builder) Finish() *Data {
 	}
 	d.fill()
 	if b.sigma != nil {
-		d.buildBitmaps(b.sigma)
+		// The error is dropped because no job returns one.
+		rules := b.sigma.Rules()
+		slab := d.bitmapSlab(len(rules))
+		_, _ = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
+			d.buildBitmap(rules[r], r, slab)
+			return struct{}{}, nil
+		})
 	}
 	if b.auth {
 		d.Authenticate()
@@ -242,35 +248,39 @@ func (b *Builder) Finish() *Data {
 	return d
 }
 
-// buildBitmaps evaluates each rule's pattern-support bitmap, the rules side
-// by side. A rule whose lhs carries no pattern cell is supported by every
-// tuple: its bitmap is all ones up to n, with no scan.
-func (d *Data) buildBitmaps(sigma *rule.Set) {
-	n, rules := d.rows.Len(), sigma.Rules()
-	// The error is dropped because no job returns one.
-	_, _ = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
-		ru := rules[r]
-		plan := d.compat[ru]
-		bits := make([]uint64, (n+63)/64)
-		if patternFree(ru) {
-			for w := range bits {
-				bits[w] = ^uint64(0)
-			}
-			if tail := n % 64; tail != 0 { // no bit past n: an image with one does not load
-				bits[len(bits)-1] = 1<<uint(tail) - 1
-			}
-			plan.patBits, plan.patCount = persist.FromSlice(bits), n
-			return struct{}{}, nil
+// bitmapSlab allocates the words of nrules pattern-support bitmaps over the
+// rows at once; buildBitmap fills one rule's share.
+func (d *Data) bitmapSlab(nrules int) []uint64 {
+	return make([]uint64, nrules*((d.rows.Len()+63)/64))
+}
+
+// buildBitmap evaluates the pattern-support bitmap of ru, the r-th rule, over
+// the rows into its share of slab, which the bitmap then shares
+// copy-on-write. Finish runs it rule-parallel; LoadArena, whose image stores
+// no bitmap, beside its exception rebuild. A rule whose lhs carries no
+// pattern cell is supported by every tuple: its bitmap is all ones up to n,
+// with no scan.
+func (d *Data) buildBitmap(ru *rule.Rule, r int, slab []uint64) {
+	n, plan := d.rows.Len(), d.compat[ru]
+	words := (n + 63) / 64
+	bits := slab[r*words : (r+1)*words]
+	if patternFree(ru) {
+		for w := range bits {
+			bits[w] = ^uint64(0)
 		}
-		for id, row := range d.rows.All() {
-			if patternCompatible(ru, row, d.syms) {
-				bits[id>>6] |= 1 << (uint(id) & 63)
-				plan.patCount++
-			}
+		if tail := n % 64; tail != 0 { // no bit past n: a delta's append flips its new id's bit
+			bits[len(bits)-1] = 1<<uint(tail) - 1
 		}
-		plan.patBits = persist.FromSlice(bits)
-		return struct{}{}, nil
-	})
+		plan.patBits, plan.patCount = persist.FromSlice(bits), n
+		return
+	}
+	for id, row := range d.rows.All() {
+		if patternCompatible(ru, row, d.syms) {
+			bits[id>>6] |= 1 << (uint(id) & 63)
+			plan.patCount++
+		}
+	}
+	plan.patBits = persist.FromSlice(bits)
 }
 
 // fill builds every registered index's d.nshards shard tables from the id

@@ -212,7 +212,7 @@ func (s *Symbols) Bytes() int64 {
 // side of the stable-id contract: a table rebuilt with SymbolsFromValues
 // over the exported slice assigns every value its original id, so hash keys
 // and id rows computed against the original table stay valid against the
-// import — what the columnar master arena (internal/master) relies on.
+// import — what the master arena (internal/master) relies on.
 func (s *Symbols) Export() []Value {
 	vals := make([]Value, s.Len())
 	n := copy(vals, s.flat.vals)

@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 
 	"repro/internal/relation"
 )
@@ -116,7 +117,8 @@ func AppendFrame(buf []byte, r Record) ([]byte, error) {
 // AppendCell appends one value in the log's cell encoding (kind byte, then
 // the payload the kind implies — see the file comment). It is the one
 // binary form of a relation.Value in this tree: session tokens
-// (internal/monitor) carry their tuples in it too.
+// (internal/monitor) carry their tuples in it too, and master arena images
+// (internal/master) their symbol tables.
 func AppendCell(buf []byte, v relation.Value) ([]byte, error) {
 	switch v.Kind() {
 	case relation.KindNull:
@@ -234,7 +236,7 @@ func decodePayload(b []byte) (Record, error) {
 			r.Adds[i] = t
 		}
 	}
-	if d.err == nil && d.remaining() > 0 {
+	if d.err == nil && d.Remaining() > 0 {
 		// Optional trailing section: the auth root. A payload that ends at
 		// the adds is an unauthenticated record — Root stays nil.
 		if n := d.U8("root length"); int(n) != rootSize {
@@ -248,18 +250,19 @@ func decodePayload(b []byte) (Record, error) {
 // Decoder is a sticky-error cursor over one varint-framed payload (the
 // areader idiom of the arena loader, sized down to varint framing): after
 // the first failure every read returns a zero value and Err keeps the
-// first error, so a decode routine checks once at the end. Record payloads
-// and session tokens (internal/monitor) are both read through it.
+// first error, so a decode routine checks once at the end. Record payloads,
+// session tokens (internal/monitor) and the symbol tables of master arena
+// images (internal/master) are all read through it.
 type Decoder struct {
 	b   []byte
 	off int
 	err error
-	str string // ShareStrings: the payload as one string, cells slice it
+	str string // ShareStrings, AliasStrings: the payload as one string, cells slice it
 }
 
 // NewDecoder returns a cursor at the start of b. The decoder reads b in
 // place and never retains it past the values it returns: strings are
-// copied out.
+// copied out, unless AliasStrings says otherwise.
 func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
 
 // ShareStrings makes every string cell decoded from here on a slice of
@@ -270,11 +273,17 @@ func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
 // whose tuples join the master for good.
 func (d *Decoder) ShareStrings() { d.str = string(d.b) }
 
+// AliasStrings makes every string cell decoded from here on a view of the
+// payload bytes themselves, with no copy at all: the caller must never write
+// the payload while a decoded value lives. Right for a read-only image that
+// outlives its values — a master arena, whose symbols alias its bytes.
+func (d *Decoder) AliasStrings() { d.str = unsafe.String(unsafe.SliceData(d.b), len(d.b)) }
+
 // Err returns the first failure, nil while every read has succeeded.
 func (d *Decoder) Err() error { return d.err }
 
-// remaining is the number of bytes not yet consumed.
-func (d *Decoder) remaining() int { return len(d.b) - d.off }
+// Remaining is the number of bytes not yet consumed.
+func (d *Decoder) Remaining() int { return len(d.b) - d.off }
 
 // Finish returns the first failure, or an error when bytes remain after
 // what was decoded: a payload is consumed exactly.
