@@ -2,8 +2,10 @@
 // data-monitoring service of §5 turned into a stateless JSON API. Fix
 // sessions are resumable and serialized into client-held tokens, so the
 // server keeps no per-session state: every round of every fix can land
-// on any replica built over the same rules and master data and started
-// with the same -token-key-file.
+// on any node of the same master lineage — a replica booted from the
+// same master file, a -follow replica, the server restarted on its
+// -wal-dir or -master-snapshot — over the same rules and started with the
+// same -token-key-file.
 //
 // Endpoints (all JSON):
 //
@@ -50,10 +52,16 @@
 // does not apply — it never moves a session onto an older master.
 //
 // The token is one opaque base64 string: a compact binary image of the
-// session ending in an HMAC-SHA256 tag, so the set of attributes "the
-// users validated" — what certainty rests on — cannot be forged by the
-// client holding it. A token that was altered, truncated or sealed under
-// another key is a 400 {"code": "invalid_input"}. To see what a session
+// session's inputs ending in an HMAC-SHA256 tag, so the set of attributes
+// "the users validated" — what certainty rests on — cannot be forged by
+// the client holding it. A begin cell no user asserted whose value the
+// master already holds travels as that value's symbol id, which every
+// node of the lineage resolves to the same value; what users asserted
+// always travels as itself. A token that was altered, truncated or sealed
+// under another key is a 400 {"code": "invalid_input"}, and so is one
+// whose ids name other values on this server than its check says (a
+// server booted from a master file whose rows came in another order, or
+// were edited). To see what a session
 // holds, ask /v1/result: it returns the tuple, the per-round history —
 // each round's "User"/"Auto" as the members it added (User only when the
 // users asserted other than "Suggested"; the validated sets only when

@@ -6,9 +6,9 @@ package monitor
 // assert → consistency check → TransFix, all deterministic). AppendToken
 // writes those inputs, and nothing derived from them, as one compact
 // authenticated token; ResumeSession rebuilds the Session by replaying
-// them — possibly in another process, on a Monitor over the same (Σ, Dm)
-// holding the same key. A network frontend hands the token to the client
-// after every round and holds nothing itself.
+// them — possibly in another process, on a Monitor over the same Σ and
+// master lineage holding the same key. A network frontend hands the token
+// to the client after every round and holds nothing itself.
 //
 // Wire format (varint fields and the WAL's cell encoding, the style of
 // internal/wal/record.go):
@@ -18,7 +18,14 @@ package monitor
 //	body  = u8 version
 //	        uvarint epoch            the pinned master snapshot
 //	        u8 flags                 bit 0: done
-//	        uvarint arity, arity × cell                  t's begin values
+//	        uvarint arity
+//	        set refs                 the begin positions written as symbol ids
+//	        arity × (id | cell)      t's begin values in order: a member of
+//	                                 refs as the uvarint id of its value in
+//	                                 the pinned snapshot, any other position
+//	                                 as its cell (see References below)
+//	        [u32 check]              only when refs is not empty: refCheck
+//	                                 of the referenced values, little-endian
 //	        uvarint r, r × round                         oldest first
 //	        list pending             the suggestion the users are asked next
 //	round = list suggested
@@ -60,14 +67,33 @@ package monitor
 //     fails with master.ErrEpochAhead either way: retry, never rebase
 //     backwards.
 //
+// References: a begin cell no round asserted at its begin value is
+// written as the pinned snapshot's symbol id for it (relation.Symbols)
+// when the snapshot has interned the value and the id is shorter than the
+// cell. A cell the users asserted travels as itself — a differs cell, or
+// a begin cell a round asserted unchanged — so certainty never rests on a
+// value read through a table. Resume resolves each id against the
+// snapshot it pins, the head on a rebase, which is sound because a value's
+// id never changes within a lineage: Fork keeps ids, the arena stores them
+// as the snapshot holds them, and WAL replay and followers intern in the
+// same order. A change that renumbers symbols (a compaction) must keep
+// that or bump tokenVersion. The check after the cells is a hash of the
+// referenced values themselves: a monitor whose table numbers them
+// otherwise — one built over the same rows in another order, or over
+// another master — resolves the ids to values that fail it, and the token
+// is refused rather than read as another input.
+//
 // Trust: the token asserts which attributes the users validated, and to
 // what; certainty rests on that, so it is authenticated. The tag is
 // verified before a field is decoded or a snapshot pinned: a truncated,
 // altered or foreign-key token fails with ErrBadToken. Replicas of one
 // service share Config.TokenKey. Behind the tag the decoder trusts
 // nothing: counts are bounded by the remaining bytes and the arity,
-// positions are range-checked, and replay starts only once the whole body
-// has decoded, so a body costs at most the rounds its own bytes spell out.
+// positions are range-checked, a symbol id must name a value of the pinned
+// table, the values the ids resolve to must match the check, a referenced
+// position must not be one a round asserted at its begin value, and
+// replay starts only once the whole body has decoded and every id has
+// resolved, so a body costs at most the rounds its own bytes spell out.
 
 import (
 	"crypto/hmac"
@@ -88,8 +114,9 @@ const (
 	// tokenVersion is the one token format ResumeSession accepts. Tokens
 	// live for minutes, so a format change replaces it rather than adding
 	// a second decoder. (1 was the JSON token, 2 the image of the
-	// session's derived state, 3 gave the open round assertions.)
-	tokenVersion = 4
+	// session's derived state, 3 gave the open round assertions, 4 wrote
+	// every begin cell as itself.)
+	tokenVersion = 5
 	tokenTagSize = sha256.Size
 	flagDone     = 1 << 0
 )
@@ -168,44 +195,130 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, s.d.Epoch())
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(s.begin)))
+	// The reference set and its ids, in position order, stay on the stack
+	// for any schema of ≤ 64 attributes.
+	var refWords [1]uint64
+	var idBuf [64]uint32
+	words, ids := refWords[:0], idBuf[:0]
+	syms := s.d.Master().Hasher().Symbols()
+	for p, v := range s.begin {
+		if s.assertedAtBegin(p) {
+			continue
+		}
+		if id, ok := refID(syms, v); ok {
+			words = addBit(words, p)
+			ids = append(ids, id)
+		}
+	}
+	refs := relation.AttrSetFromWords(words)
+	buf = appendSet(buf, refs)
 	var err error
-	for _, v := range s.begin {
-		if buf, err = wal.AppendCell(buf, v); err != nil {
+	for p, v := range s.begin {
+		if refs.Has(p) {
+			buf = binary.AppendUvarint(buf, uint64(ids[0]))
+			ids = ids[1:]
+		} else if buf, err = wal.AppendCell(buf, v); err != nil {
 			return nil, fmt.Errorf("monitor: session token: %w", err)
 		}
 	}
+	if refs.Len() > 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, refCheck(s.begin, refs))
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.perRound)))
-	prev := RoundStat{Tuple: s.begin}
-	for _, r := range s.perRound {
-		if buf, err = s.appendRound(buf, r, prev); err != nil {
+	for i := range s.perRound {
+		if buf, err = s.appendRound(buf, i); err != nil {
 			return nil, fmt.Errorf("monitor: session token: %w", err)
 		}
-		prev = r
 	}
 	return s.m.auth.seal(appendList(buf, s.sug), start), nil
 }
 
-// appendRound appends round r, which followed prev (the begin state
-// before the first): its suggestion, the positions its users asserted and
-// the asserted cells that are not t's begin values.
-func (s *Session) appendRound(buf []byte, r, prev RoundStat) ([]byte, error) {
-	asserted := make([]int, 0, 64) // on the stack for any schema of ≤ 64 attributes
-	var differs relation.AttrSet
+// refID returns v's id in syms when the table holds v and the id's
+// uvarint is shorter than v's cell: when a reference pays.
+func refID(syms *relation.Symbols, v relation.Value) (uint32, bool) {
+	id, ok := syms.ID(v)
+	if !ok {
+		return 0, false
+	}
+	var b [binary.MaxVarintLen64]byte
+	return id, binary.PutUvarint(b[:], uint64(id)) < wal.CellSize(v)
+}
+
+// refCheck folds the values at begin's reference positions into the
+// 32-bit check a token carries after its cells. The values are hashed as
+// themselves, not by id, so a table that numbers them otherwise resolves
+// the ids to values that fail it.
+func refCheck(begin relation.Tuple, refs relation.AttrSet) uint32 {
+	acc := relation.HashSeed()
+	for p, v := range begin {
+		if refs.Has(p) {
+			acc = relation.HashValue(acc, v)
+		}
+	}
+	return uint32(acc ^ acc>>32)
+}
+
+// asserted reports whether round i asserted position p: added it to the
+// user set, or changed its cell.
+func (s *Session) asserted(i, p int) bool {
+	r := &s.perRound[i]
+	if !r.UserValidated.Has(p) {
+		return false
+	}
+	if i == 0 {
+		return true // the user set was empty before the first round
+	}
+	prev := &s.perRound[i-1]
+	return !prev.UserValidated.Has(p) || r.Tuple[p] != prev.Tuple[p]
+}
+
+// assertedAtBegin reports whether some round asserted position p at t's
+// begin value — a cell the token must then write as itself.
+func (s *Session) assertedAtBegin(p int) bool {
+	for i := range s.perRound {
+		if s.asserted(i, p) && s.perRound[i].Tuple[p] == s.begin[p] {
+			return true
+		}
+	}
+	return false
+}
+
+// appendRound appends round i: its suggestion, the positions its users
+// asserted and the asserted cells that are not t's begin values.
+func (s *Session) appendRound(buf []byte, i int) ([]byte, error) {
+	r := &s.perRound[i]
+	// Both on the stack for any schema of ≤ 64 attributes.
+	positions := make([]int, 0, 64)
+	var differWords [1]uint64
+	words := differWords[:0]
 	for p := range r.Tuple {
-		if r.UserValidated.Has(p) && (!prev.UserValidated.Has(p) || r.Tuple[p] != prev.Tuple[p]) {
-			asserted = append(asserted, p)
+		if s.asserted(i, p) {
+			positions = append(positions, p)
 			if r.Tuple[p] != s.begin[p] {
-				differs.Add(p)
+				words = addBit(words, p)
 			}
 		}
 	}
-	buf = appendSet(appendList(appendList(buf, r.Suggested), asserted), differs)
+	differs := relation.AttrSetFromWords(words)
+	buf = appendSet(appendList(appendList(buf, r.Suggested), positions), differs)
 	var err error
 	differs.Range(func(p int) bool {
 		buf, err = wal.AppendCell(buf, r.Tuple[p])
 		return err == nil
 	})
 	return buf, err
+}
+
+// addBit adds position p to the bitset words and returns them: AttrSet.Add
+// on a stack-backed set. Add itself, even inlined, stores its grown words
+// through the set's pointer, and escape analysis (-gcflags=-m) then moves
+// the backing array to the heap.
+func addBit(words []uint64, p int) []uint64 {
+	for len(words) <= p>>6 {
+		words = append(words, 0)
+	}
+	words[p>>6] |= 1 << (uint(p) & 63)
+	return words
 }
 
 func appendSet(buf []byte, set relation.AttrSet) []byte {
@@ -241,24 +354,20 @@ func (d *tokenDecoder) below(limit int, what string) int {
 	return int(v)
 }
 
-// set reads one attribute set (see appendSet); every member must be a
-// position of the schema.
-func (d *tokenDecoder) set(what string) relation.AttrSet {
+// set reads one attribute set (see appendSet) into words' spare
+// capacity; every member must be a position of the schema.
+func (d *tokenDecoder) set(what string, words []uint64) relation.AttrSet {
 	n := d.Uvarint(what)
 	if n > uint64(d.arity+63)/64 {
 		d.Fail("%s has %d words, arity is %d", what, n, d.arity)
 		return relation.AttrSet{}
 	}
-	if n == 0 {
-		return relation.AttrSet{}
-	}
-	words := make([]uint64, n)
-	for i := range words {
+	for i := 0; i < int(n); i++ {
 		w := d.Uvarint(what)
 		if valid := d.arity - i<<6; valid < 64 && w>>uint(valid) != 0 {
 			d.Fail("%s positions exceed arity %d", what, d.arity)
 		}
-		words[i] = w
+		words = append(words, w)
 	}
 	if d.Err() != nil {
 		return relation.AttrSet{} // never hand out members that failed the range check
@@ -291,16 +400,24 @@ type tokenRound struct {
 }
 
 // round reads one round (see appendRound). An asserted position outside
-// the differs set takes its begin value; a differs member the round did
-// not assert is malformed.
-func (d *tokenDecoder) round(begin relation.Tuple) tokenRound {
+// the differs set takes its begin value, so it must not be a reference; a
+// differs member the round did not assert is malformed.
+func (d *tokenDecoder) round(begin relation.Tuple, refs relation.AttrSet) tokenRound {
 	r := tokenRound{suggested: d.list("suggestion"), attrs: d.list("asserted positions")}
-	differs := d.set("differs-from-begin set")
+	var differWords [1]uint64 // on the stack for any schema of ≤ 64 attributes
+	differs := d.set("differs-from-begin set", differWords[:0])
 	if d.Err() != nil {
 		return r
 	}
 	r.values = make([]relation.Value, len(r.attrs))
 	for i, p := range r.attrs {
+		if differs.Has(p) {
+			continue
+		}
+		if refs.Has(p) {
+			d.Fail("position %d is asserted at its begin value, which is a reference", p)
+			return r
+		}
 		r.values[i] = begin[p]
 	}
 	differs.Range(func(p int) bool {
@@ -336,12 +453,14 @@ type ResumeOptions struct {
 // ResumeSession rebuilds a live Session from a token — the other half of
 // Session.AppendToken. The monitor must be built over the same rules and
 // master lineage and hold the minting monitor's key. The tag is verified
-// first, on every path; then the whole body is decoded; then the token's
-// epoch is re-pinned via the deriver (an error matching
-// master.ErrEpochEvicted when the ring no longer retains it and
-// opt.RebaseToHead is false, master.ErrEpochAhead when the lineage has not
-// reached it yet, whatever opt says) and the recorded rounds are replayed
-// on it. Every other failure matches ErrBadToken.
+// first, on every path; then the whole body is decoded, symbol ids
+// unresolved; then the token's epoch is re-pinned via the deriver (an
+// error matching master.ErrEpochEvicted when the ring no longer retains it
+// and opt.RebaseToHead is false, master.ErrEpochAhead when the lineage has
+// not reached it yet, whatever opt says); then each id is resolved against
+// the pinned snapshot's symbol table and the values checked, and the
+// recorded rounds are replayed on it. Every other failure matches
+// ErrBadToken.
 func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, error) {
 	body, ok := m.auth.open(token)
 	if !ok {
@@ -359,11 +478,24 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		return nil, fmt.Errorf("%w: tuple arity %d does not match schema %s (%w)",
 			ErrBadToken, arity, r, ErrArityMismatch)
 	}
+	// Both on the stack for any schema of ≤ 64 attributes. ids holds the
+	// references in position order until the pinned table resolves them.
+	var refWords [1]uint64
+	var idBuf [64]uint64
+	refs, ids := d.set("reference set", refWords[:0]), idBuf[:0]
 	var begin relation.Tuple
+	var check uint32
 	if d.Err() == nil {
 		begin = make(relation.Tuple, d.arity)
 		for p := range begin {
-			begin[p] = d.Cell()
+			if refs.Has(p) {
+				ids = append(ids, d.Uvarint("symbol id"))
+			} else {
+				begin[p] = d.Cell()
+			}
+		}
+		if len(ids) > 0 {
+			check = d.U32("reference check")
 		}
 	}
 	// Rounds are appended as they decode, so a hostile count costs only
@@ -371,7 +503,7 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 	n := d.Length("round count")
 	rounds := make([]tokenRound, 0, min(n, 8))
 	for i := 0; i < n && d.Err() == nil; i++ {
-		rounds = append(rounds, d.round(begin))
+		rounds = append(rounds, d.round(begin, refs))
 	}
 	pending := d.list("pending suggestion")
 	if err := d.Finish("session token"); err != nil {
@@ -388,6 +520,24 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 			return nil, err
 		}
 		pinned, rebased = m.deriver.Pin(), true
+	}
+	syms := pinned.Master().Hasher().Symbols()
+	i := 0
+	for p := range begin {
+		if !refs.Has(p) {
+			continue
+		}
+		id := ids[i]
+		i++
+		if id >= uint64(syms.Len()) {
+			return nil, fmt.Errorf("%w: begin cell %d references symbol %d, the snapshot at epoch %d holds %d",
+				ErrBadToken, p, id, pinned.Epoch(), syms.Len())
+		}
+		begin[p] = syms.Value(uint32(id))
+	}
+	if len(ids) > 0 && refCheck(begin, refs) != check {
+		return nil, fmt.Errorf("%w: its symbol ids name other values in the snapshot at epoch %d than they did where it was minted (a master not of this lineage)",
+			ErrBadToken, pinned.Epoch())
 	}
 	s := &Session{m: m, d: pinned, begin: begin, t: begin.Clone(), rebased: rebased}
 	var conflicted []int

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -24,10 +25,15 @@ var internalKey = []byte("monitor-internal-test-key")
 // hospMonitor is a monitor over a small generated HOSP world, with the
 // inputs and truths to drive sessions from.
 func hospMonitor(tb testing.TB, key []byte) (*Monitor, *datagen.Dataset, *master.Versioned) {
+	return generatedMonitor(tb, datagen.Hosp, key)
+}
+
+// generatedMonitor is a monitor over a small world gen generates.
+func generatedMonitor(tb testing.TB, gen func(datagen.Config) (*datagen.Dataset, error), key []byte) (*Monitor, *datagen.Dataset, *master.Versioned) {
 	tb.Helper()
 	// 48 inputs at ~1.9 rounds each: the ~140 begin/round tokens that seed
 	// FuzzResumeToken (40 inputs gave as many when a fix took ~2.3 rounds).
-	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 300, Tuples: 48, DupRate: 0.3, NoiseRate: 0.2})
+	ds, err := gen(datagen.Config{Seed: 1, MasterSize: 300, Tuples: 48, DupRate: 0.3, NoiseRate: 0.2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,6 +100,78 @@ func reseal(m *Monitor, token []byte) []byte {
 	return m.auth.seal(body, 0)
 }
 
+// forgeBody builds a token body no session mints, at epoch and not done:
+// begin with the positions in refs written as the symbol ids they map to,
+// and the check of begin's values at those positions, then the round count and the parts as given — closed rounds (see
+// forgeRound), then the pending suggestion.
+func forgeBody(epoch uint64, begin relation.Tuple, refs map[int]uint64, count uint64, parts ...[]byte) []byte {
+	body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), 0)
+	body = binary.AppendUvarint(body, uint64(len(begin)))
+	var set relation.AttrSet
+	for p := range refs {
+		set.Add(p)
+	}
+	body = appendSet(body, set)
+	for p, v := range begin {
+		if id, ok := refs[p]; ok {
+			body = binary.AppendUvarint(body, id)
+		} else {
+			body, _ = wal.AppendCell(body, v)
+		}
+	}
+	if len(refs) > 0 {
+		body = binary.LittleEndian.AppendUint32(body, refCheck(begin, set))
+	}
+	body = binary.AppendUvarint(body, count)
+	for _, p := range parts {
+		body = append(body, p...)
+	}
+	return body
+}
+
+// forgeRound builds one closed round of a forged body.
+func forgeRound(suggested, asserted []int, differs relation.AttrSet, cells ...relation.Value) []byte {
+	b := appendSet(appendList(appendList(nil, suggested), asserted), differs)
+	for _, v := range cells {
+		b, _ = wal.AppendCell(b, v)
+	}
+	return b
+}
+
+// interned returns the first position of t whose value m's current
+// snapshot has interned, and its symbol id.
+func interned(tb testing.TB, m *Monitor, t relation.Tuple) (int, uint32) {
+	tb.Helper()
+	syms := m.deriver.Master().Hasher().Symbols()
+	for p, v := range t {
+		if id, ok := syms.ID(v); ok {
+			return p, id
+		}
+	}
+	tb.Fatal("no value of the tuple is interned: nothing to reference")
+	return 0, 0
+}
+
+// tokenRefs reads the set of begin positions a token writes as symbol
+// ids.
+func tokenRefs(tb testing.TB, m *Monitor, token []byte) relation.AttrSet {
+	tb.Helper()
+	body, ok := m.auth.open(token)
+	if !ok {
+		tb.Fatal("token does not verify")
+	}
+	d := tokenDecoder{Decoder: wal.NewDecoder(body), arity: m.deriver.Sigma().Schema().Arity()}
+	d.U8("version")
+	d.Uvarint("epoch")
+	d.U8("flags")
+	d.Uvarint("arity")
+	refs := d.set("reference set", nil)
+	if d.Err() != nil {
+		tb.Fatal(d.Err())
+	}
+	return refs
+}
+
 // TestResumeSessionValidation: correctly sealed tokens whose content does
 // not fit the resuming monitor are rejected with ErrBadToken (and
 // ErrArityMismatch where the shape is wrong) — the decoder does not lean
@@ -153,53 +231,57 @@ func TestResumeSessionValidation(t *testing.T) {
 		}
 	}
 
-	// Resealed bodies no session mints: ds.Inputs[0] as the begin tuple,
-	// then the round count and the parts as given — closed rounds, then the
-	// pending suggestion.
+	// Resealed bodies no session mints, with ds.Inputs[0] as the begin
+	// tuple; refs is one of its cells as a reference.
 	epoch := base().Epoch()
-	forge := func(count uint64, parts ...[]byte) []byte {
-		body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), 0)
-		body = binary.AppendUvarint(body, uint64(arity))
-		for _, v := range ds.Inputs[0] {
-			body, _ = wal.AppendCell(body, v)
-		}
-		body = binary.AppendUvarint(body, count)
-		for _, p := range parts {
-			body = append(body, p...)
-		}
-		return m.auth.seal(body, 0)
+	forgeRefs := func(refs map[int]uint64, count uint64, parts ...[]byte) []byte {
+		return m.auth.seal(forgeBody(epoch, ds.Inputs[0], refs, count, parts...), 0)
 	}
-	round := func(suggested, asserted []int, differs relation.AttrSet, cells ...relation.Value) []byte {
-		b := appendSet(appendList(appendList(nil, suggested), asserted), differs)
-		for _, v := range cells {
-			b, _ = wal.AppendCell(b, v)
-		}
-		return b
-	}
+	forge := func(count uint64, parts ...[]byte) []byte { return forgeRefs(nil, count, parts...) }
+	syms := m.deriver.Master().Hasher().Symbols()
+	ref, sym := interned(t, m, ds.Inputs[0])
+	refs := map[int]uint64{ref: uint64(sym)}
 	pending := appendList(nil, []int{0})
-	closed := round([]int{0}, []int{0}, relation.AttrSet{})
+	closed := forgeRound([]int{0}, []int{0}, relation.AttrSet{})
 	for name, tok := range map[string][]byte{
 		"a pending suggestion only":          forge(0, pending),
-		"a round asserting one changed cell": forge(1, round([]int{0}, []int{0, 1}, relation.NewAttrSet(1), relation.String("x")), pending),
+		"a round asserting one changed cell": forge(1, forgeRound([]int{0}, []int{0, 1}, relation.NewAttrSet(1), relation.String("x")), pending),
+		"a reference":                        forgeRefs(refs, 0, pending),
+		"a reference asserted at another value": forgeRefs(refs, 1,
+			forgeRound([]int{ref}, []int{ref}, relation.NewAttrSet(ref), relation.String("x")), pending),
 	} {
-		if _, err := m.ResumeSession(tok, ResumeOptions{}); err != nil {
+		s, err := m.ResumeSession(tok, ResumeOptions{})
+		if err != nil {
 			t.Fatalf("well-formed body with %s: %v", name, err)
 		}
+		if !s.begin.Equal(ds.Inputs[0]) {
+			t.Fatalf("body with %s resumed begin %v, want %v", name, s.begin, ds.Inputs[0])
+		}
 	}
+	formatFour := forgeBody(epoch, ds.Inputs[0], refs, 0, pending)
+	formatFour[0] = tokenVersion - 1
 	for name, tok := range map[string][]byte{
-		"asserted position out of range":       forge(1, round(nil, []int{arity}, relation.AttrSet{}), pending),
-		"asserted list longer than the arity":  forge(1, round(nil, make([]int, arity+1), relation.AttrSet{}), pending),
-		"differs member beyond the arity":      forge(1, round(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x")), pending),
-		"differs member that was not asserted": forge(1, round(nil, []int{0}, relation.NewAttrSet(1), relation.String("x")), pending),
-		"differs member without its cell":      forge(1, round(nil, []int{1}, relation.NewAttrSet(1))),
+		"asserted position out of range":       forge(1, forgeRound(nil, []int{arity}, relation.AttrSet{}), pending),
+		"asserted list longer than the arity":  forge(1, forgeRound(nil, make([]int, arity+1), relation.AttrSet{}), pending),
+		"differs member beyond the arity":      forge(1, forgeRound(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x")), pending),
+		"differs member that was not asserted": forge(1, forgeRound(nil, []int{0}, relation.NewAttrSet(1), relation.String("x")), pending),
+		"differs member without its cell":      forge(1, forgeRound(nil, []int{1}, relation.NewAttrSet(1))),
 		"pending position out of range":        forge(0, appendList(nil, []int{arity})),
 		"no pending suggestion":                forge(0),
 		"round count beyond the bytes":         forge(1000, pending),
 		"round count one short of its rounds":  forge(0, closed, pending),
 		"round count one past its rounds":      forge(2, closed, pending),
+		"reference beyond the pinned table":    forgeRefs(map[int]uint64{ref: uint64(syms.Len())}, 0, pending),
+		"reference to another value":           forgeRefs(map[int]uint64{ref: uint64(sym+1) % uint64(syms.Len())}, 0, pending),
+		"reference asserted at its begin value": forgeRefs(refs, 1,
+			forgeRound([]int{ref}, []int{ref}, relation.AttrSet{}), pending),
+		"reference member beyond the arity": forgeRefs(map[int]uint64{arity: uint64(sym)}, 0, pending),
+		"format 4":                          m.auth.seal(formatFour, 0),
 	} {
-		if _, err := m.ResumeSession(tok, ResumeOptions{}); !errors.Is(err, ErrBadToken) {
-			t.Errorf("%s = %v, want ErrBadToken", name, err)
+		for _, opt := range []ResumeOptions{{}, {RebaseToHead: true}} {
+			if _, err := m.ResumeSession(tok, opt); !errors.Is(err, ErrBadToken) {
+				t.Errorf("%s (rebase %v) = %v, want ErrBadToken", name, opt.RebaseToHead, err)
+			}
 		}
 	}
 
@@ -333,8 +415,67 @@ func TestTokenRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestAssertedCellsStayLiteral: every value a user asserted travels as
+// itself. Across every token of every generated HOSP and DBLP session, a
+// position some round asserted at its begin value — by this test's own
+// record of what it provided — is never a reference (a value other than
+// the begin value is a differs cell, which is always literal). The check
+// is not vacuous: the tokens carry references, and some of the positions
+// it guards hold values the snapshot would have let them reference.
+func TestAssertedCellsStayLiteral(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(datagen.Config) (*datagen.Dataset, error)
+	}{{"hosp", datagen.Hosp}, {"dblp", datagen.Dblp}}
+	for _, g := range gens {
+		t.Run(g.name, func(t *testing.T) {
+			m, ds, _ := generatedMonitor(t, g.gen, internalKey)
+			syms := m.deriver.Master().Hasher().Symbols()
+			refCells, guarded := 0, 0
+			for i, input := range ds.Inputs {
+				s, err := m.NewSession(input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var atBegin relation.AttrSet // positions provided at their begin value
+				for {
+					tok, err := s.AppendToken(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs := tokenRefs(t, m, tok)
+					refCells += refs.Len()
+					atBegin.Range(func(p int) bool {
+						if _, ok := refID(syms, input[p]); ok {
+							guarded++
+						}
+						if refs.Has(p) {
+							t.Fatalf("input %d round %d: position %d was asserted at its begin value but is a reference", i, s.Rounds(), p)
+						}
+						return true
+					})
+					if s.Done() {
+						break
+					}
+					for _, p := range s.Suggested() {
+						if ds.Truths[i][p] == input[p] {
+							atBegin.Add(p)
+						}
+					}
+					answerTruth(t, s, ds.Truths[i])
+				}
+			}
+			if refCells == 0 || guarded == 0 {
+				t.Fatalf("%d reference cells, %d guarded cells: the check is vacuous", refCells, guarded)
+			}
+			t.Logf("%d reference cells, %d guarded cells", refCells, guarded)
+		})
+	}
+}
+
 // FuzzResumeToken throws hostile tokens at ResumeSession, seeded with the
-// real token of every round of the generated HOSP sessions. Each input is
+// real token of every round of the generated HOSP sessions and with the
+// bodies the setup below describes. Each input is
 // tried twice. As a client would send it, it either fails with
 // ErrBadToken or — only the seeds themselves can — resumes to a session
 // that marshals back to the identical token. Then resealed under the
@@ -345,13 +486,49 @@ func TestTokenRoundTripIdentity(t *testing.T) {
 // bytes do not back (a hostile count would show as a fuzzer OOM).
 func FuzzResumeToken(f *testing.F) {
 	m, ds, ver := hospMonitor(f, internalKey)
+	// A body minted at epoch 0, which the deltas below evict: sealed by the
+	// fuzz target, it is rebased onto a head that has interned values since,
+	// and its references resolve there.
+	s, err := m.NewSession(ds.Inputs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	answerTruth(f, s, ds.Truths[0])
+	rebase, err := s.AppendToken(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if tokenRefs(f, m, rebase).Len() == 0 {
+		f.Fatal("the rebase seed carries no reference")
+	}
+	f.Add(rebase[:len(rebase)-tokenTagSize])
+	// Epoch 1 interns a tuple of new values, epoch 2 repeats a master tuple;
+	// the ring keeps those two, so a mutated epoch field can hit a retained
+	// epoch, an evicted one and one ahead of the head.
+	fresh := ds.Master.Tuple(0).Clone()
+	for c := range fresh {
+		fresh[c] = relation.String(fmt.Sprintf("fuzz-fresh-%d", c))
+	}
+	for _, add := range []relation.Tuple{fresh, ds.Master.Tuple(0).Clone()} {
+		if _, err := ver.Apply([]relation.Tuple{add}, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	ver.SetHistory(2)
 	for _, tok := range roundTokens(f, m, ds) {
 		f.Add(tok)
 	}
-	// A second epoch, so a mutated epoch field has something to hit.
-	if _, err := ver.Apply([]relation.Tuple{ds.Master.Tuple(0).Clone()}, nil); err != nil {
-		f.Fatal(err)
-	}
+	// Bodies the decoder must refuse behind a valid tag: a reference beyond
+	// the pinned table, one that resolves to a value its check does not
+	// cover, and one on a position a round asserts at its begin value.
+	ref, id := interned(f, m, ds.Inputs[0])
+	head := ver.Epoch()
+	syms := m.deriver.Master().Hasher().Symbols()
+	pending := appendList(nil, []int{0})
+	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(syms.Len())}, 0, pending))
+	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(id+1) % uint64(syms.Len())}, 0, pending))
+	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(id)}, 1,
+		forgeRound([]int{ref}, []int{ref}, relation.AttrSet{}), pending))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := m.ResumeSession(data, ResumeOptions{}); err != nil {
 			if !errors.Is(err, ErrBadToken) {

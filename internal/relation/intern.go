@@ -342,17 +342,6 @@ func (h Hasher) HashRow(row []uint32, positions []int) uint64 {
 	return acc
 }
 
-// HashInterning hashes t's projection on positions, interning unseen values
-// along the way — the index-build-side variant. Not safe for concurrent use.
-func (h Hasher) HashInterning(t Tuple, positions []int) uint64 {
-	acc := fnvOffset64
-	for _, p := range positions {
-		v := t[p]
-		acc = hashCell(acc, v.kind, h.syms.Intern(v))
-	}
-	return acc
-}
-
 // HashSeed returns the FNV-1a starting accumulator for the standalone
 // folding helpers below. They serve hash-keyed memo tables that — like the
 // master indexes — verify candidates against stored state, since a uint64

@@ -38,27 +38,44 @@ func TestSymbolsDistinguishKinds(t *testing.T) {
 	}
 }
 
+// internHash interns t's projection on positions and returns its
+// HashTuple key — the index build's side of a probe.
+func internHash(t *testing.T, h Hasher, tup Tuple, positions []int) uint64 {
+	t.Helper()
+	for _, p := range positions {
+		h.Symbols().Intern(tup[p])
+	}
+	key, ok := h.HashTuple(tup, positions)
+	if !ok {
+		t.Fatal("HashTuple misses a projection just interned")
+	}
+	return key
+}
+
 func TestHasherAgreesAcrossTupleAndValues(t *testing.T) {
 	s := NewSymbols()
 	h := NewHasher(s)
 	tup := TupleOf(String("x"), Int(3), Null, String("y"))
 	pos := []int{0, 1, 3}
-	built := h.HashInterning(tup, pos)
+	built := internHash(t, h, tup, pos)
 
-	probe, ok := h.HashTuple(tup, pos)
-	if !ok || probe != built {
-		t.Fatalf("HashTuple = %x, %v; want %x", probe, ok, built)
+	vals, ok := h.HashValues([]Value{String("x"), Int(3), String("y")})
+	if !ok || vals != built {
+		t.Fatalf("HashValues = %x, %v; want %x", vals, ok, built)
 	}
-	vals, ok2 := h.HashValues([]Value{String("x"), Int(3), String("y")})
-	if !ok2 || vals != built {
-		t.Fatalf("HashValues = %x, %v; want %x", vals, ok2, built)
+	row := make([]uint32, len(tup))
+	for _, p := range pos {
+		row[p], _ = s.ID(tup[p])
+	}
+	if got := h.HashRow(row, pos); got != built {
+		t.Fatalf("HashRow = %x; want %x", got, built)
 	}
 }
 
 func TestHasherMissesUninterned(t *testing.T) {
 	s := NewSymbols()
 	h := NewHasher(s)
-	h.HashInterning(TupleOf(String("a")), []int{0})
+	internHash(t, h, TupleOf(String("a")), []int{0})
 	if _, ok := h.HashTuple(TupleOf(String("zz")), []int{0}); ok {
 		t.Fatal("hash of uninterned value must report a miss")
 	}
@@ -72,20 +89,16 @@ func TestHasherOrderAndKindSensitivity(t *testing.T) {
 	h := NewHasher(s)
 	ab := TupleOf(String("a"), String("b"))
 	ba := TupleOf(String("b"), String("a"))
-	h.HashInterning(ab, []int{0, 1})
-	h.HashInterning(ba, []int{0, 1})
-	x, _ := h.HashTuple(ab, []int{0, 1})
-	y, _ := h.HashTuple(ba, []int{0, 1})
+	x := internHash(t, h, ab, []int{0, 1})
+	y := internHash(t, h, ba, []int{0, 1})
 	if x == y {
 		t.Fatal("projection hash must be order-sensitive")
 	}
 
 	s1 := TupleOf(String("1"))
 	i1 := TupleOf(Int(1))
-	h.HashInterning(s1, []int{0})
-	h.HashInterning(i1, []int{0})
-	sv, _ := h.HashTuple(s1, []int{0})
-	iv, _ := h.HashTuple(i1, []int{0})
+	sv := internHash(t, h, s1, []int{0})
+	iv := internHash(t, h, i1, []int{0})
 	if sv == iv {
 		t.Fatal("projection hash must be kind-sensitive")
 	}
@@ -96,7 +109,7 @@ func TestHashTupleZeroAlloc(t *testing.T) {
 	h := NewHasher(s)
 	tup := TupleOf(String("edinburgh"), String("EH7 4AH"), Int(44))
 	pos := []int{0, 1, 2}
-	h.HashInterning(tup, pos)
+	internHash(t, h, tup, pos)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := h.HashTuple(tup, pos); !ok {
 			t.Fatal("must hit")

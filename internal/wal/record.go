@@ -135,6 +135,19 @@ func AppendCell(buf []byte, v relation.Value) ([]byte, error) {
 	}
 }
 
+// CellSize is the length of v's cell as AppendCell writes it.
+func CellSize(v relation.Value) int {
+	var b [binary.MaxVarintLen64]byte
+	switch v.Kind() {
+	case relation.KindString:
+		return 1 + binary.PutUvarint(b[:], uint64(len(v.Str()))) + len(v.Str())
+	case relation.KindInt:
+		return 1 + binary.PutVarint(b[:], v.Int64())
+	default:
+		return 1
+	}
+}
+
 // frameError is why the bytes at a frame boundary are not one intact
 // frame. short marks bytes that end before the frame does — what a crash
 // mid-write leaves, or a stream that broke — as opposed to a frame whose
@@ -321,6 +334,14 @@ func (d *Decoder) take(n int, what string) []byte {
 func (d *Decoder) U8(what string) uint8 {
 	if p := d.take(1, what); p != nil {
 		return p[0]
+	}
+	return 0
+}
+
+// U32 consumes one little-endian uint32.
+func (d *Decoder) U32(what string) uint32 {
+	if p := d.take(4, what); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
 	return 0
 }

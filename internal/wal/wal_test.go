@@ -410,3 +410,20 @@ func TestRecordEncodeRejectsBadInput(t *testing.T) {
 		t.Fatal("negative delete id encoded")
 	}
 }
+
+// TestCellSize: CellSize is the length AppendCell writes, across the
+// varint boundaries of a string's length and an int's payload.
+func TestCellSize(t *testing.T) {
+	vals := []relation.Value{relation.Null, relation.String(""), relation.String("x"),
+		relation.String(strings.Repeat("y", 127)), relation.String(strings.Repeat("y", 128)),
+		relation.Int(0), relation.Int(-64), relation.Int(64), relation.Int(1 << 40), relation.Int(-1 << 62)}
+	for _, v := range vals {
+		cell, err := AppendCell(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CellSize(v); got != len(cell) {
+			t.Errorf("CellSize(%v) = %d, AppendCell writes %d bytes", v, got, len(cell))
+		}
+	}
+}

@@ -111,7 +111,8 @@ func TestWALFreshDirWithoutMaster(t *testing.T) {
 // TestSessionTokenSpansRestart is satellite coverage for the ring under
 // recovery: a session suspended before a restart resumes in the NEXT
 // process, re-pins its original epoch (recovered from checkpoint+WAL),
-// and finishes with the same result as an uninterrupted run.
+// resolves its references against the recovered symbol table, and
+// finishes with the same result as an uninterrupted run.
 func TestSessionTokenSpansRestart(t *testing.T) {
 	dir := t.TempDir()
 	truth := truthT2()
@@ -132,6 +133,9 @@ func TestSessionTokenSpansRestart(t *testing.T) {
 	token, err := sess.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if referenceCells(t, token) == 0 {
+		t.Fatal("the token names no master value by symbol id: the recovered table is not exercised")
 	}
 	// The master moves on while the session is suspended.
 	if _, err := sysA.UpdateMaster([]certainfix.Tuple{paperex.MasterRelation().Tuple(0).Clone()}, nil); err != nil {

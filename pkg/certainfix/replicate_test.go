@@ -185,7 +185,8 @@ func TestFollowerReplication(t *testing.T) {
 	}
 
 	// A session token minted on the leader resumes on the follower —
-	// the stateless-server pattern across nodes.
+	// the stateless-server pattern across nodes — its references resolved
+	// against the follower's symbol table.
 	ctx := context.Background()
 	sess, err := leader.Begin(ctx, certainfix.StringTuple("sku-11", "", ""))
 	if err != nil {
@@ -194,6 +195,9 @@ func TestFollowerReplication(t *testing.T) {
 	token, err := sess.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if referenceCells(t, token) == 0 {
+		t.Fatal("the token names no master value by symbol id: the follower's table is not exercised")
 	}
 	resumed, err := follower.Resume(ctx, token)
 	if err != nil {
