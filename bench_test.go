@@ -21,6 +21,7 @@ import (
 	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/monitor"
+	"repro/internal/oracle"
 	"repro/internal/paperex"
 	"repro/internal/pattern"
 	"repro/internal/relation"
@@ -309,7 +310,7 @@ func BenchmarkClosure(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if suggest.StructuralClosure(ds.Sigma, off, base).Len() != arity {
+			if oracle.StructuralClosure(ds.Sigma, off, base).Len() != arity {
 				b.Fatal("closure must cover R")
 			}
 		}
@@ -338,7 +339,7 @@ func BenchmarkApplicableRules(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if d.ApplicableRulesNaive(t, zSet).Len() == 0 {
+			if oracle.ApplicableRules(d.Sigma(), d.Master(), t, zSet).Len() == 0 {
 				b.Fatal("refined set must not be empty")
 			}
 		}
@@ -365,7 +366,7 @@ func BenchmarkSuggest(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if s := d.SuggestNaive(t, zSet); len(s.S) == 0 {
+			if s := oracle.Suggest(d.Sigma(), d.Master(), t, zSet); len(s) == 0 {
 				b.Fatal("empty suggestion")
 			}
 		}
@@ -508,7 +509,7 @@ func BenchmarkAblationDepGraph(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t := base.Clone()
 			zSet := relation.NewAttrSet(z...)
-			if _, err := fix.NaiveFix(ds.Sigma, ds.Master, t, &zSet); err != nil {
+			if _, err := oracle.NaiveFix(ds.Sigma, ds.Master, t, &zSet); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -549,7 +550,7 @@ func BenchmarkCorePrimitives(b *testing.B) {
 	b.Run("explore", func(b *testing.B) {
 		zs := relation.NewAttrSet(r.MustPosList("zip", "phn", "type", "item")...)
 		for i := 0; i < b.N; i++ {
-			res := fix.Explore(sigma, dm, t1, zs, 0)
+			res := oracle.Explore(sigma, dm, t1, zs, 0)
 			if !res.Unique() {
 				b.Fatal("must be unique")
 			}

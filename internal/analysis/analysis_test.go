@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/fix"
 	"repro/internal/master"
+	"repro/internal/oracle"
 	"repro/internal/paperex"
 	"repro/internal/pattern"
 	"repro/internal/rule"
@@ -185,7 +186,7 @@ func TestCheckerAgreesWithOracleOnPaperRegions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := c.OracleConsistent(reg)
+		slow, err := oracle.Consistent(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestCheckerAgreesWithOracleOnPaperRegions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowC, err := c.OracleCertainRegion(reg)
+		slowC, err := oracle.CertainRegion(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/fix"
 	"repro/internal/master"
+	"repro/internal/oracle"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -16,6 +17,12 @@ import (
 // randomInstance builds a small random (Σ, Dm, region) triple over a tiny
 // value domain to force collisions, conflicts and cascades.
 func randomInstance(rng *rand.Rand) (*rule.Set, *master.Data, *fix.Region) {
+	return randomInstanceOver(rng, relation.String("a"), relation.String("b"))
+}
+
+// randomInstanceOver is randomInstance drawing every master cell, pattern
+// constant and tableau constant from vals.
+func randomInstanceOver(rng *rand.Rand, vals ...relation.Value) (*rule.Set, *master.Data, *fix.Region) {
 	nR := 4 + rng.Intn(3)
 	nM := 4 + rng.Intn(3)
 	rNames := make([]string, nR)
@@ -29,12 +36,11 @@ func randomInstance(rng *rand.Rand) (*rule.Set, *master.Data, *fix.Region) {
 	r := relation.StringSchema("R", rNames...)
 	rm := relation.StringSchema("Rm", mNames...)
 
-	vals := []string{"a", "b"}
 	rel := relation.NewRelation(rm)
 	for i, n := 0, 2+rng.Intn(3); i < n; i++ {
 		tup := make(relation.Tuple, nM)
 		for j := range tup {
-			tup[j] = relation.String(vals[rng.Intn(len(vals))])
+			tup[j] = vals[rng.Intn(len(vals))]
 		}
 		rel.MustAppend(tup)
 	}
@@ -55,7 +61,7 @@ func randomInstance(rng *rand.Rand) (*rule.Set, *master.Data, *fix.Region) {
 		var pCells []pattern.Cell
 		for _, p := range rng.Perm(nR)[:rng.Intn(3)] {
 			pPos = append(pPos, p)
-			v := relation.String(vals[rng.Intn(len(vals))])
+			v := vals[rng.Intn(len(vals))]
 			switch rng.Intn(3) {
 			case 0:
 				pCells = append(pCells, pattern.Eq(v))
@@ -87,7 +93,7 @@ func randomInstance(rng *rand.Rand) (*rule.Set, *master.Data, *fix.Region) {
 				continue
 			}
 			pos = append(pos, p)
-			v := relation.String(vals[rng.Intn(len(vals))])
+			v := vals[rng.Intn(len(vals))]
 			switch rng.Intn(3) {
 			case 0:
 				cells = append(cells, pattern.Eq(v))
@@ -122,7 +128,7 @@ func TestConsistencyCheckerMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		slow, err := c.OracleConsistent(reg)
+		slow, err := oracle.Consistent(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -135,13 +141,44 @@ func TestConsistencyCheckerMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		slowC, err := c.OracleCertainRegion(reg)
+		slowC, err := oracle.CertainRegion(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if fastC.OK != slowC.OK {
 			t.Fatalf("seed %d: coverage mismatch: checker=%v (%s) oracle=%v (%s)\nΣ:\n%s",
 				seed, fastC.OK, fastC.Detail, slowC.OK, slowC.Detail, sigma)
+		}
+	}
+}
+
+// TestConsistencyCheckerMatchesOracleWithNulls is the same agreement over a
+// domain holding Null: master cells, rule patterns (nil, ≠ nil) and
+// tableau rows all draw from {a, Null}. Null is then a constant Σ and Dm
+// mention, so a checker that instantiated Null where the Thm 1 proof asks
+// for a fresh constant would miss the marked tuples that hold neither.
+func TestConsistencyCheckerMatchesOracleWithNulls(t *testing.T) {
+	for seed := 0; seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(int64(2_000_000 + seed)))
+		sigma, dm, reg := randomInstanceOver(rng, relation.String("a"), relation.Null)
+		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		for _, coverage := range []bool{false, true} {
+			check, slow := c.Consistent, oracle.Consistent
+			if coverage {
+				check, slow = c.CertainRegion, oracle.CertainRegion
+			}
+			fast, err := check(reg)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			want, err := slow(sigma, dm, reg)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if fast.OK != want.OK {
+				t.Fatalf("seed %d coverage=%v: checker=%v (%s) oracle=%v (%s)\nΣ:\n%s",
+					seed, coverage, fast.OK, fast.Detail, want.OK, want.Detail, sigma)
+			}
 		}
 	}
 }
@@ -163,7 +200,7 @@ func TestDirectCheckerMatchesDirectOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		slow, err := c.DirectOracleConsistent(reg)
+		slow, err := oracle.DirectConsistent(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -176,7 +213,7 @@ func TestDirectCheckerMatchesDirectOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		slowC, err := c.DirectOracleCertainRegion(reg)
+		slowC, err := oracle.DirectCertainRegion(c.Sigma(), c.Master(), reg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/fix"
 	"repro/internal/master"
+	"repro/internal/oracle"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -191,7 +192,7 @@ func TestTheorem1Reduction(t *testing.T) {
 				t.Fatalf("consistent=%v but satisfiable=%v (%s)", v.OK, satisfiable, v.Detail)
 			}
 			// Cross-check with the oracle for confidence.
-			ov, err := checker.OracleConsistent(reg)
+			ov, err := oracle.Consistent(checker.Sigma(), checker.Master(), reg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,30 +8,6 @@ import (
 	"repro/internal/rule"
 )
 
-// Pair is an applicable (rule, master-tuple) pair.
-type Pair struct {
-	Rule     *rule.Rule
-	MasterID int
-}
-
-// ApplicablePairs enumerates every (ϕ, tm) pair that applies to t with
-// respect to zSet, using the master indexes for the t[X] = tm[Xm] probe.
-func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) []Pair {
-	var out []Pair
-	for _, ru := range sigma.Rules() {
-		if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) {
-			continue
-		}
-		if !ru.MatchesPattern(t) {
-			continue
-		}
-		for _, id := range dm.MatchIDs(ru, t) {
-			out = append(out, Pair{Rule: ru, MasterID: id})
-		}
-	}
-	return out
-}
-
 // ApplicableAssignments collects, per rhs attribute, the distinct values
 // the pairs applicable to t would assign (rule order, then smallest master
 // id) — one value probe per applicable rule, no pair enumeration. Two

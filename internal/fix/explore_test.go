@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fix"
 	"repro/internal/master"
+	"repro/internal/oracle"
 	"repro/internal/paperex"
 	"repro/internal/pattern"
 	"repro/internal/relation"
@@ -25,7 +26,7 @@ func TestExample6UniqueFix(t *testing.T) {
 	r := sigma.Schema()
 	reg := regionAH(t)
 
-	fixed, covered, unique, err := fix.UniqueFix(sigma, dm, reg, paperex.InputT3())
+	fixed, covered, unique, err := oracle.UniqueFix(sigma, dm, reg, paperex.InputT3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestExample6UniqueFix(t *testing.T) {
 		t.Errorf("covered = %v", covered.Names(r))
 	}
 	// Unique but not certain: FN, LN, item are not covered (Example 8).
-	_, certain, err := fix.IsCertainFix(sigma, dm, reg, paperex.InputT3())
+	_, certain, err := oracle.IsCertainFix(sigma, dm, reg, paperex.InputT3())
 	if err != nil || certain {
 		t.Errorf("certain = %v err = %v; want unique-but-not-certain", certain, err)
 	}
@@ -65,7 +66,7 @@ func TestExample8NoUniqueFixAfterAddingZip(t *testing.T) {
 	)
 	reg := fix.MustRegion(z, pattern.NewTableau(row))
 
-	_, _, unique, err := fix.UniqueFix(sigma, dm, reg, paperex.InputT3())
+	_, _, unique, err := oracle.UniqueFix(sigma, dm, reg, paperex.InputT3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestExample9CertainFix(t *testing.T) {
 	if !reg.Marks(t1) {
 		t.Fatal("t1 must be marked by (Z_zmi, T_zmi)")
 	}
-	fixed, certain, err := fix.IsCertainFix(sigma, dm, reg, t1)
+	fixed, certain, err := oracle.IsCertainFix(sigma, dm, reg, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestExample9CertainFix(t *testing.T) {
 func TestUnmarkedTupleRejected(t *testing.T) {
 	sigma, dm := setup(t)
 	reg := regionAH(t)
-	if _, _, _, err := fix.UniqueFix(sigma, dm, reg, paperex.InputT4()); err == nil {
+	if _, _, _, err := oracle.UniqueFix(sigma, dm, reg, paperex.InputT4()); err == nil {
 		t.Fatal("unmarked tuple must be rejected")
 	}
 }
@@ -146,7 +147,7 @@ func TestExploreNoApplicableRules(t *testing.T) {
 	reg := fix.MustRegion(z, pattern.NewTableau(row))
 
 	t4 := paperex.InputT4()
-	fixed, covered, unique, err := fix.UniqueFix(sigma, dm, reg, t4)
+	fixed, covered, unique, err := oracle.UniqueFix(sigma, dm, reg, t4)
 	if err != nil || !unique {
 		t.Fatalf("unique=%v err=%v", unique, err)
 	}
@@ -165,7 +166,7 @@ func TestExploreDoesNotMutateInput(t *testing.T) {
 	t1 := paperex.InputT1()
 	orig := t1.Clone()
 	zSet := relation.NewAttrSet(r.MustPosList("zip", "phn", "type", "item")...)
-	res := fix.Explore(sigma, dm, t1, zSet, 0)
+	res := oracle.Explore(sigma, dm, t1, zSet, 0)
 	if !t1.Equal(orig) {
 		t.Fatal("Explore mutated the input tuple")
 	}
@@ -182,7 +183,7 @@ func TestExploreStateCap(t *testing.T) {
 	sigma, dm := setup(t)
 	r := sigma.Schema()
 	zSet := relation.NewAttrSet(r.MustPosList("zip", "phn", "type")...)
-	res := fix.Explore(sigma, dm, paperex.InputT1(), zSet, 1)
+	res := oracle.Explore(sigma, dm, paperex.InputT1(), zSet, 1)
 	if !res.Truncated {
 		t.Fatal("cap=1 must truncate")
 	}
@@ -202,7 +203,7 @@ func TestIdentityApplicationValidates(t *testing.T) {
 	tup[r.MustPos("zip")] = relation.String("EH7 4AH")
 	tup[r.MustPos("city")] = relation.String("Edi")
 	zSet := relation.NewAttrSet(r.MustPos("zip"))
-	res := fix.Explore(sigma, dm, tup, zSet, 0)
+	res := oracle.Explore(sigma, dm, tup, zSet, 0)
 	if len(res.Outcomes) != 1 {
 		t.Fatalf("outcomes = %d", len(res.Outcomes))
 	}

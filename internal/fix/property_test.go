@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/fix"
 	"repro/internal/master"
+	"repro/internal/oracle"
 	"repro/internal/pattern"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -90,7 +91,7 @@ func TestTransFixMatchesExploreProperty(t *testing.T) {
 		sigma, dm, tup, zSet := randomFixInstance(rng)
 		g := rule.NewDepGraph(sigma)
 
-		res := fix.Explore(sigma, dm, tup, zSet, 0)
+		res := oracle.Explore(sigma, dm, tup, zSet, 0)
 		if res.Truncated {
 			continue
 		}
@@ -145,7 +146,7 @@ func TestNaiveFixMatchesTransFixProperty(t *testing.T) {
 		ta, za := tup.Clone(), zSet.Clone()
 		tb, zb := tup.Clone(), zSet.Clone()
 		_, errA := fix.TransFix(g, dm, ta, &za)
-		_, errB := fix.NaiveFix(sigma, dm, tb, &zb)
+		_, errB := oracle.NaiveFix(sigma, dm, tb, &zb)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: error mismatch %v vs %v\nΣ:\n%s", seed, errA, errB, sigma)
 		}
@@ -162,12 +163,12 @@ func TestExploreTerminalStatesAreFixpoints(t *testing.T) {
 	for seed := 0; seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(int64(7_000_000 + seed)))
 		sigma, dm, tup, zSet := randomFixInstance(rng)
-		res := fix.Explore(sigma, dm, tup, zSet, 0)
+		res := oracle.Explore(sigma, dm, tup, zSet, 0)
 		if res.Truncated {
 			continue
 		}
 		for _, o := range res.Outcomes {
-			if pairs := fix.ApplicablePairs(sigma, dm, o.Tuple, o.Covered); len(pairs) != 0 {
+			if pairs := oracle.ApplicablePairs(sigma, dm, o.Tuple, o.Covered); len(pairs) != 0 {
 				t.Fatalf("seed %d: outcome %v still has %d applicable pairs", seed, o.Tuple, len(pairs))
 			}
 			// The base Z values are protected throughout.
@@ -185,7 +186,7 @@ func TestExploreTerminalStatesAreFixpoints(t *testing.T) {
 // values. It is the oracle the probe-per-rule implementation is held to.
 func pairsAssignments(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) map[int][]relation.Value {
 	out := map[int][]relation.Value{}
-	for _, p := range fix.ApplicablePairs(sigma, dm, t, zSet) {
+	for _, p := range oracle.ApplicablePairs(sigma, dm, t, zSet) {
 		b := p.Rule.RHS()
 		v := dm.Tuple(p.MasterID)[p.Rule.RHSM()]
 		dup := false

@@ -1,17 +1,10 @@
-// Package fix implements the dynamic semantics of the paper (§3): regions
-// (Z, Tc), region-relative rule application t →((Z,Tc),ϕ,tm) t', region
-// extension ext(Z, Tc, ϕ), fix sequences and their terminal states, unique
-// and certain fixes, and procedure TransFix of §5.1 (Fig. 5).
-//
-// The package provides two engines over the same semantics:
-//
-//   - Explore: an exhaustive, memoized enumeration of every reachable
-//     terminal state of the (nondeterministic) fixing process. It is the
-//     ground-truth oracle — exponential in the worst case (the problems are
-//     coNP-hard, Thm 1/2) but exact, and fast on realistic rule sets.
-//   - TransFix: the paper's deterministic O(|Σ|²) fixing procedure used in
-//     production by the CertainFix framework, valid once consistency has
-//     been established.
+// Package fix implements the dynamic semantics of the paper (§3) that the
+// CertainFix framework runs: regions (Z, Tc), region extension
+// ext(Z, Tc, ϕ), the assignments applicable rules make, and procedure
+// TransFix of §5.1 (Fig. 5) — the deterministic O(|Σ|²) fixing procedure,
+// valid once consistency has been established. The exhaustive enumeration
+// of fix sequences, unique and certain fixes that TransFix is tested
+// against lives in internal/oracle.
 package fix
 
 import (
@@ -90,17 +83,6 @@ func (r *Region) Extend(b int) *Region {
 	// Wildcards are implicit in pattern.Tuple (unmentioned attributes are
 	// unconstrained), so the tableau itself is reused.
 	return &Region{z: nz, zSet: ns, tc: r.tc}
-}
-
-// WithTableau returns a region over the same Z with a different tableau.
-func (r *Region) WithTableau(tc *pattern.Tableau) (*Region, error) {
-	return NewRegion(r.z, tc)
-}
-
-// SingleRow builds the region (Z, {tc}) for row i of the tableau; used by
-// the checkers, which test pattern rows one at a time (Thm 4 proof).
-func (r *Region) SingleRow(i int) *Region {
-	return &Region{z: r.z, zSet: r.zSet, tc: pattern.NewTableau(r.tc.Row(i))}
 }
 
 // Format renders the region with schema names, e.g. "(zip, AC | 2 rows)".

@@ -82,16 +82,7 @@ func TestRegionAccessors(t *testing.T) {
 	if len(reg.Z()) != 3 || !reg.Has(r.MustPos("AC")) || reg.Has(r.MustPos("zip")) {
 		t.Error("Z/Has accessors wrong")
 	}
-	single := reg.SingleRow(0)
-	if single.Tableau().Len() != 1 {
-		t.Error("SingleRow must carry exactly one pattern row")
-	}
 	if !strings.Contains(reg.Format(r), "AC") {
 		t.Errorf("Format = %q", reg.Format(r))
-	}
-	tc := pattern.NewTableau()
-	reg2, err := reg.WithTableau(tc)
-	if err != nil || reg2.Tableau().Len() != 0 {
-		t.Errorf("WithTableau: %v %v", reg2, err)
 	}
 }

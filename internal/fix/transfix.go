@@ -144,8 +144,8 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 // rules (premise validated, pattern matched, master match found) would
 // assign to attribute fired.RHS(), in rule order; own are the values of
 // the rule that fired, already probed by the caller. More than one value
-// is a consistency violation at the current state; TransFix and NaiveFix
-// refuse to pick among them. Rules whose premise is not yet validated do
+// is a consistency violation at the current state; TransFix refuses to
+// pick among them. Rules whose premise is not yet validated do
 // not participate — ordering conflicts across states are the checkers'
 // concern (§4), not the fixer's.
 func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value) []relation.Value {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fix"
+	"repro/internal/oracle"
 	"repro/internal/paperex"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -120,7 +121,7 @@ func TestTransFixAgreesWithNaiveFix(t *testing.T) {
 		za := relation.NewAttrSet(r.MustPosList(s.z...)...)
 		zb := za.Clone()
 		_, errA := fix.TransFix(g, dm, ta, &za)
-		_, errB := fix.NaiveFix(sigma, dm, tb, &zb)
+		_, errB := oracle.NaiveFix(sigma, dm, tb, &zb)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s: error mismatch %v vs %v", s.name, errA, errB)
 		}
@@ -145,7 +146,7 @@ func TestTransFixMatchesExploreWhenUnique(t *testing.T) {
 
 	t1 := paperex.InputT1()
 	zSet := relation.NewAttrSet(r.MustPosList("zip", "phn", "type", "item")...)
-	res := fix.Explore(sigma, dm, t1, zSet, 0)
+	res := oracle.Explore(sigma, dm, t1, zSet, 0)
 	if !res.Unique() {
 		t.Fatal("fixture should have a unique fix")
 	}

@@ -78,7 +78,7 @@ func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 			want[s] = map[uint64][]int{}
 		}
 		for i, tm := range d.All() {
-			h, ok := d.hasher.HashTuple(tm, idx.xm)
+			h, ok := d.hasher.ProbeTuple(tm, idx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
 			}
@@ -129,7 +129,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 			})
 		}
 		for id, tm := range d.All() {
-			h, ok := d.hasher.HashTuple(tm, idx.xm)
+			h, ok := d.hasher.ProbeTuple(tm, idx.xm, nil)
 			if !ok || !slices.Contains(idx.shard(h).get(h), id) {
 				t.Fatalf("%s: index %v: tuple %d missing from the bucket its key routes to", ctx, idx.xm, id)
 			}
@@ -166,7 +166,7 @@ func checkColumnIndexes(t testing.TB, ctx string, d *Data, sigma *rule.Set) {
 				want[tm[col]] = append(want[tm[col]], id)
 			}
 			for v, ids := range want {
-				h, ok := d.hasher.HashValues([]relation.Value{v})
+				h, ok := d.hasher.ProbeValues([]relation.Value{v}, nil)
 				if !ok {
 					t.Fatalf("%s: stored value %v of column %d not interned", ctx, v, col)
 				}
@@ -237,11 +237,11 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		}
 		for id := 0; id < n; id++ {
 			tm := got.Tuple(id)
-			gh, ok := got.hasher.HashTuple(tm, gidx.xm)
+			gh, ok := got.hasher.ProbeTuple(tm, gidx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in snapshot index %v", ctx, id, gidx.xm)
 			}
-			wh, ok := want.hasher.HashTuple(tm, widx.xm)
+			wh, ok := want.hasher.ProbeTuple(tm, widx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in rebuilt index %v", ctx, id, widx.xm)
 			}

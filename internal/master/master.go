@@ -38,8 +38,9 @@
 //     exception tables, return the bucket itself (no copy, no allocation)
 //     unless a collision has to be filtered out of it or deltas have left
 //     it in several chunks, and serve the callers that need the pairs
-//     themselves: Explore, ApplicablePairs, the naive oracles, and the
-//     tests that hold the value probes to a scan.
+//     themselves: the condition-(c) full-key path, the exhaustive
+//     oracles of internal/oracle, and the tests that hold the value probes
+//     to a scan.
 //
 // Condition (c) of §5.2 needs the same lookup on a PART of Xm when the lhs
 // is only partly validated. It reads the same kind of index: for every
@@ -353,8 +354,8 @@ func rowMatches(row []uint32, xm []int, ids []uint32) bool {
 // frozen table — comes back itself, ascending and uncopied, unless a
 // collision has to be filtered out of it (the cold path: a fresh slice). A
 // bucket deltas have left in several chunks is flattened into a fresh slice:
-// that is the price of the enumerate-all probe of Explore and the naive
-// oracles on an edited long bucket, not of a fix — its value probes read the
+// that is the price of the enumerate-all probe of the oracles in
+// internal/oracle on an edited long bucket, not of a fix — its value probes read the
 // smallest id and never enumerate.
 func (d *Data) verified(bucket *idList, xm []int, ids []uint32) []int {
 	flat := bucket.flat()

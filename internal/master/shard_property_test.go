@@ -348,7 +348,7 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	dm := MustNewForRules(rel, sigma, WithShards(7))
 
 	probe := relation.StringTuple("k", "dirty")
-	h, ok := dm.hasher.HashTuple(probe, ru.LHSRef())
+	h, ok := dm.hasher.ProbeTuple(probe, ru.LHSRef(), nil)
 	if !ok {
 		t.Fatal("probe must hash")
 	}

@@ -1,8 +1,10 @@
-package fix
+package oracle
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -154,13 +156,13 @@ func (e *explorer) dfs(t relation.Tuple, zSet relation.AttrSet) {
 // (fixing an unmarked tuple is not justified, §3). On success it reports
 // the terminal tuple, the covered attribute set, and whether the fix is
 // unique.
-func UniqueFix(sigma *rule.Set, dm *master.Data, reg *Region, t relation.Tuple) (relation.Tuple, relation.AttrSet, bool, error) {
+func UniqueFix(sigma *rule.Set, dm *master.Data, reg *fix.Region, t relation.Tuple) (relation.Tuple, relation.AttrSet, bool, error) {
 	if !reg.Marks(t) {
-		return nil, relation.AttrSet{}, false, fmt.Errorf("fix: tuple %v is not marked by region %v", t, reg.Z())
+		return nil, relation.AttrSet{}, false, fmt.Errorf("oracle: tuple %v is not marked by region %v", t, reg.Z())
 	}
 	res := Explore(sigma, dm, t, reg.ZSet(), 0)
 	if res.Truncated {
-		return nil, relation.AttrSet{}, false, fmt.Errorf("fix: state space exceeded cap while exploring fixes")
+		return nil, relation.AttrSet{}, false, fmt.Errorf("oracle: state space exceeded cap while exploring fixes")
 	}
 	if !res.Unique() {
 		return nil, relation.AttrSet{}, false, nil
@@ -171,10 +173,81 @@ func UniqueFix(sigma *rule.Set, dm *master.Data, reg *Region, t relation.Tuple) 
 
 // IsCertainFix reports whether t has a certain fix by (Σ, Dm) w.r.t. the
 // region: a unique fix whose covered set includes every R attribute (§3).
-func IsCertainFix(sigma *rule.Set, dm *master.Data, reg *Region, t relation.Tuple) (relation.Tuple, bool, error) {
+func IsCertainFix(sigma *rule.Set, dm *master.Data, reg *fix.Region, t relation.Tuple) (relation.Tuple, bool, error) {
 	fixed, covered, unique, err := UniqueFix(sigma, dm, reg, t)
 	if err != nil || !unique {
 		return nil, false, err
 	}
 	return fixed, covered.Len() == sigma.Schema().Arity(), nil
+}
+
+// Pair is an applicable (rule, master-tuple) pair.
+type Pair struct {
+	Rule     *rule.Rule
+	MasterID int
+}
+
+// ApplicablePairs enumerates every (ϕ, tm) pair that applies to t with
+// respect to zSet, using the master indexes for the t[X] = tm[Xm] probe.
+func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) []Pair {
+	var out []Pair
+	for _, ru := range sigma.Rules() {
+		if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) {
+			continue
+		}
+		if !ru.MatchesPattern(t) {
+			continue
+		}
+		for _, id := range dm.MatchIDs(ru, t) {
+			out = append(out, Pair{Rule: ru, MasterID: id})
+		}
+	}
+	return out
+}
+
+// NaiveFix computes the same result as fix.TransFix by repeatedly scanning
+// the whole rule set until a fixpoint, without the dependency graph. It is
+// the ablation baseline for the dependency-graph design choice (§5.1):
+// worst-case O(|R|·|Σ|·probe) instead of TransFix's one-pass ordering.
+func NaiveFix(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet *relation.AttrSet) ([]int, error) {
+	var fixed []int
+	for {
+		progressed := false
+		for _, ru := range sigma.Rules() {
+			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || len(dm.RHSValues(ru, t)) == 0 {
+				continue
+			}
+			values := certainValues(sigma, dm, t, *zSet, ru.RHS())
+			if len(values) > 1 {
+				return fixed, &fix.ConflictError{Attr: ru.RHS(), Values: values}
+			}
+			t[ru.RHS()] = values[0]
+			zSet.Add(ru.RHS())
+			fixed = append(fixed, ru.RHS())
+			progressed = true
+		}
+		if !progressed {
+			return fixed, nil
+		}
+	}
+}
+
+// certainValues is the set of values §3 lets the fixing process write
+// into attribute b at state (t, zSet): tm[Bm] over every rule of Σ with
+// rhs b whose premise is validated, and every master tuple applicable with
+// it. More than one value means two applicable pairs disagree — the
+// state has no certain fix.
+func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, b int) []relation.Value {
+	var values []relation.Value
+	for _, ru := range sigma.Rules() {
+		if ru.RHS() != b || !zSet.ContainsSet(ru.PremiseSet()) {
+			continue
+		}
+		for _, v := range dm.RHSValues(ru, t) {
+			if !slices.Contains(values, v) {
+				values = append(values, v)
+			}
+		}
+	}
+	return values
 }

@@ -1,0 +1,15 @@
+// Package oracle holds the reference implementations the property tests
+// hold the production engines to: the paper's definitions executed
+// literally (Explore, the §4 oracles) and the pre-compilation forms of the
+// §5 paths (NaiveFix, ApplicableRules, Suggest, GrowAndMinimize).
+//
+// The contract: everything here is slow and obviously correct, is never
+// on a request path, and is imported only by _test.go files
+// (imports_test.go enforces the last part). An oracle that shares a helper
+// with the code it checks cannot catch a bug in that helper, so the
+// definitions the oracles need — the certain values of §3, condition (b)
+// of §5.2, ΣZ and the Thm 1 instantiation — are written out here, not
+// borrowed. The oracles take (Σ, Dm) and return plain values, rule sets
+// and analysis verdicts, never a suggest type: suggest's white-box tests
+// import this package.
+package oracle

@@ -200,19 +200,6 @@ func (p Tuple) WithCell(pos int, c Cell) Tuple {
 	return q
 }
 
-// Restrict projects the pattern onto the given positions, dropping cells on
-// attributes outside the set.
-func (p Tuple) Restrict(keep relation.AttrSet) Tuple {
-	var q Tuple
-	for i, pos := range p.positions {
-		if keep.Has(pos) {
-			q.positions = append(q.positions, pos)
-			q.cells = append(q.cells, p.cells[i])
-		}
-	}
-	return q
-}
-
 // AttrSet returns the set of constrained attribute positions.
 func (p Tuple) AttrSet() relation.AttrSet {
 	return relation.NewAttrSet(p.positions...)

@@ -118,17 +118,6 @@ func TestWithCellReplaceAndAppend(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	p := MustTuple([]int{0, 1, 2}, []Cell{EqStr("a"), EqStr("b"), EqStr("c")})
-	q := p.Restrict(relation.NewAttrSet(0, 2))
-	if q.Len() != 2 {
-		t.Fatalf("restricted len %d", q.Len())
-	}
-	if _, ok := q.CellFor(1); ok {
-		t.Error("position 1 should be dropped")
-	}
-}
-
 func TestTupleEqualOrderIndependent(t *testing.T) {
 	a := MustTuple([]int{0, 1}, []Cell{EqStr("x"), Any})
 	b := MustTuple([]int{1, 0}, []Cell{Any, EqStr("x")})

@@ -55,17 +55,6 @@ func (tb *Tableau) Marks(t relation.Tuple) bool {
 	return false
 }
 
-// MatchingRows returns the indexes of all pattern tuples matching t.
-func (tb *Tableau) MatchingRows(t relation.Tuple) []int {
-	var out []int
-	for i, r := range tb.rows {
-		if r.Matches(t) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // IsConcrete reports whether every row is concrete (constants only).
 func (tb *Tableau) IsConcrete() bool {
 	for _, r := range tb.rows {

@@ -36,21 +36,6 @@ func TestTableauDeduplicates(t *testing.T) {
 	}
 }
 
-func TestTableauMatchingRows(t *testing.T) {
-	tb := NewTableau(
-		rowEq(0, "a"),
-		MustTuple([]int{1}, []Cell{Any}),
-	)
-	rows := tb.MatchingRows(relation.StringTuple("a", "x"))
-	if len(rows) != 2 {
-		t.Fatalf("MatchingRows = %v", rows)
-	}
-	rows = tb.MatchingRows(relation.StringTuple("z", "x"))
-	if len(rows) != 1 || rows[0] != 1 {
-		t.Fatalf("MatchingRows = %v", rows)
-	}
-}
-
 func TestTableauConcretePositiveFlags(t *testing.T) {
 	conc := NewTableau(rowEq(0, "a"))
 	if !conc.IsConcrete() || !conc.IsPositive() {

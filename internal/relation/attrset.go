@@ -50,14 +50,6 @@ func (s *AttrSet) AddAll(ps []int) {
 	}
 }
 
-// Clear removes every member, retaining allocated capacity (scratch reuse
-// on hot paths).
-func (s *AttrSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Remove deletes position p if present.
 func (s *AttrSet) Remove(p int) {
 	w := p >> 6
@@ -80,16 +72,6 @@ func (s AttrSet) HasAll(ps []int) bool {
 		}
 	}
 	return true
-}
-
-// HasAny reports whether any position in ps is in the set.
-func (s AttrSet) HasAny(ps []int) bool {
-	for _, p := range ps {
-		if s.Has(p) {
-			return true
-		}
-	}
-	return false
 }
 
 // Len counts the members.

@@ -26,9 +26,6 @@ func TestAttrSetHasAllAnyContains(t *testing.T) {
 	if !s.HasAll([]int{0, 4}) || s.HasAll([]int{0, 1}) {
 		t.Error("HasAll wrong")
 	}
-	if !s.HasAny([]int{1, 2}) || s.HasAny([]int{1, 3}) {
-		t.Error("HasAny wrong")
-	}
 	if !s.ContainsSet(NewAttrSet(0, 2)) || s.ContainsSet(NewAttrSet(0, 3)) {
 		t.Error("ContainsSet wrong")
 	}

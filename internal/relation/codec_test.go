@@ -85,11 +85,10 @@ func TestAttrSetJSONRoundTrip(t *testing.T) {
 		t.Fatalf("wire form %s, want [2,5,7]", b)
 	}
 
-	// A set that once held a high position keeps a longer word slice
-	// after Clear; the canonical wire form must not expose that.
-	var wide relation.AttrSet
-	wide.Add(200)
-	wide.Clear()
+	// A set whose word slice is longer than its members need (one that
+	// once held a high position); the canonical wire form must not expose
+	// that.
+	wide := relation.AttrSetFromWords(make([]uint64, 4))
 	wide.AddAll([]int{2, 5, 7})
 	wb, err := json.Marshal(wide)
 	if err != nil {

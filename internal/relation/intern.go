@@ -281,18 +281,12 @@ func hashCell(acc uint64, kind Kind, id uint32) uint64 {
 	return acc
 }
 
-// HashTuple hashes t's projection on positions without interning. ok is
+// ProbeTuple hashes t's projection on positions without interning. ok is
 // false when some projected value was never interned — such a projection
 // cannot equal any stored projection, so callers treat it as a guaranteed
-// miss. Allocation-free.
-func (h Hasher) HashTuple(t Tuple, positions []int) (uint64, bool) {
-	return h.ProbeTuple(t, positions, nil)
-}
-
-// ProbeTuple is HashTuple that also hands back the ids it looked up:
-// ids[i], when ids is non-nil, receives the id of t[positions[i]]. A probe
-// verifies bucket candidates by comparing those ids with the stored rows'
-// cells, so no value is compared twice.
+// miss. ids[i], when ids is non-nil, receives the id of t[positions[i]]: a
+// probe verifies bucket candidates by comparing those ids with the stored
+// rows' cells, so no value is compared twice. Allocation-free.
 func (h Hasher) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
 	for i, p := range positions {
@@ -309,13 +303,9 @@ func (h Hasher) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool
 	return acc, true
 }
 
-// HashValues hashes the value vector in order (the probe-side twin of
-// HashTuple for callers that already projected). Allocation-free.
-func (h Hasher) HashValues(values []Value) (uint64, bool) {
-	return h.ProbeValues(values, nil)
-}
-
-// ProbeValues is HashValues handing back the looked-up ids like ProbeTuple.
+// ProbeValues hashes the value vector in order (the probe-side twin of
+// ProbeTuple for callers that already projected), handing back the
+// looked-up ids like ProbeTuple. Allocation-free.
 func (h Hasher) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
 	for i, v := range values {
@@ -332,7 +322,7 @@ func (h Hasher) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
 }
 
 // HashRow hashes the projection on positions of a stored row — cells that
-// are already ids of this table — to the key HashTuple gives the tuple the
+// are already ids of this table — to the key ProbeTuple gives the tuple the
 // row stands for. Allocation-free; no value is looked up, only its kind.
 func (h Hasher) HashRow(row []uint32, positions []int) uint64 {
 	acc := fnvOffset64
@@ -362,7 +352,7 @@ func HashInt(acc uint64, n int) uint64 {
 // HashValue folds a value into the accumulator: its kind, then its payload
 // (numeric bytes for ints, the raw bytes for strings). Unlike the
 // interning Hasher it needs no symbol table, so it works on arbitrary
-// values — e.g. the Explore oracle's visited-state memo.
+// values — e.g. a memo of visited fixing states.
 func HashValue(acc uint64, v Value) uint64 {
 	acc ^= uint64(v.kind)
 	acc *= fnvPrime64

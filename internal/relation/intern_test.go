@@ -39,15 +39,15 @@ func TestSymbolsDistinguishKinds(t *testing.T) {
 }
 
 // internHash interns t's projection on positions and returns its
-// HashTuple key — the index build's side of a probe.
+// ProbeTuple key — the index build's side of a probe.
 func internHash(t *testing.T, h Hasher, tup Tuple, positions []int) uint64 {
 	t.Helper()
 	for _, p := range positions {
 		h.Symbols().Intern(tup[p])
 	}
-	key, ok := h.HashTuple(tup, positions)
+	key, ok := h.ProbeTuple(tup, positions, nil)
 	if !ok {
-		t.Fatal("HashTuple misses a projection just interned")
+		t.Fatal("ProbeTuple misses a projection just interned")
 	}
 	return key
 }
@@ -59,9 +59,9 @@ func TestHasherAgreesAcrossTupleAndValues(t *testing.T) {
 	pos := []int{0, 1, 3}
 	built := internHash(t, h, tup, pos)
 
-	vals, ok := h.HashValues([]Value{String("x"), Int(3), String("y")})
+	vals, ok := h.ProbeValues([]Value{String("x"), Int(3), String("y")}, nil)
 	if !ok || vals != built {
-		t.Fatalf("HashValues = %x, %v; want %x", vals, ok, built)
+		t.Fatalf("ProbeValues = %x, %v; want %x", vals, ok, built)
 	}
 	row := make([]uint32, len(tup))
 	for _, p := range pos {
@@ -76,11 +76,11 @@ func TestHasherMissesUninterned(t *testing.T) {
 	s := NewSymbols()
 	h := NewHasher(s)
 	internHash(t, h, TupleOf(String("a")), []int{0})
-	if _, ok := h.HashTuple(TupleOf(String("zz")), []int{0}); ok {
+	if _, ok := h.ProbeTuple(TupleOf(String("zz")), []int{0}, nil); ok {
 		t.Fatal("hash of uninterned value must report a miss")
 	}
-	if _, ok := h.HashValues([]Value{Int(42)}); ok {
-		t.Fatal("HashValues of uninterned value must report a miss")
+	if _, ok := h.ProbeValues([]Value{Int(42)}, nil); ok {
+		t.Fatal("ProbeValues of uninterned value must report a miss")
 	}
 }
 
@@ -111,12 +111,12 @@ func TestHashTupleZeroAlloc(t *testing.T) {
 	pos := []int{0, 1, 2}
 	internHash(t, h, tup, pos)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := h.HashTuple(tup, pos); !ok {
+		if _, ok := h.ProbeTuple(tup, pos, nil); !ok {
 			t.Fatal("must hit")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("HashTuple allocates %.1f objects per probe; want 0", allocs)
+		t.Fatalf("ProbeTuple allocates %.1f objects per probe; want 0", allocs)
 	}
 }
 

@@ -39,9 +39,8 @@
 //     Suggest. It orders the questions, never decides a fix: what it keeps is
 //     a subset of Σ_t[Z], so a suggestion under it is one under Σ_t[Z].
 //
-// The naive implementations below and in naive.go are retained as
-// reference oracles; the property tests assert output equivalence on
-// randomized instances.
+// The naive implementations these engines replaced live in internal/oracle;
+// the property tests assert output equivalence on randomized instances.
 package suggest
 
 import (
@@ -62,60 +61,6 @@ func unsupported(sigma *rule.Set, dm *master.Data) []bool {
 		off[i] = !dm.PatternSupported(ru)
 	}
 	return off
-}
-
-// masterSupports is the naive O(|Dm|) support test, retained as the oracle
-// for Data.PatternSupported.
-func masterSupports(dm *master.Data, ru *rule.Rule) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
-	tp := ru.Pattern()
-	for id := range dm.Len() {
-		ok := true
-		for i := range x {
-			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(dm.Cell(id, xm[i])) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-// structuralClosure computes the set of attributes validated from zSet by
-// cascading rule applications, using only the structure of Σ plus the
-// mask off (aligned with sigma.Rules()): a rule fires when it is not
-// masked — some master tuple is pattern-compatible — and its premise is
-// inside the closure. This over-approximates per-tuple coverage (specific
-// values may find no master match) and is the engine of region derivation; candidate regions are
-// then verified value-by-value with the Theorem-4 checker.
-//
-// This is the naive O(|Σ|²) fixpoint, retained as the oracle for the
-// compiled engine (rule.Compiled) that the production paths run on.
-func structuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
-	out := zSet.Clone()
-	for changed := true; changed; {
-		changed = false
-		for i, ru := range sigma.Rules() {
-			if off[i] || out.Has(ru.RHS()) {
-				continue
-			}
-			if out.ContainsSet(ru.PremiseSet()) {
-				out.Add(ru.RHS())
-				changed = true
-			}
-		}
-	}
-	return out
-}
-
-// StructuralClosure exposes the naive fixpoint for the compiled-vs-naive
-// benchmark and external equivalence tests; off is aligned with
-// sigma.Rules(), as for rule.Compiled.Closure.
-func StructuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
-	return structuralClosure(sigma, off, zSet)
 }
 
 // directCover counts the attributes fixable in exactly one step from zSet

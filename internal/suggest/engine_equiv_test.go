@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/rule"
-	"repro/internal/suggest"
 )
 
 // These tests pin the tentpole equivalences: the compiled closure engine
@@ -52,7 +52,7 @@ func TestApplicableRulesCompiledVsNaiveProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(10_000_000 + seed)))
 		d, tup, zSet := randomSuggestInstance(rng)
 		got := d.ApplicableRules(tup, zSet)
-		want := d.ApplicableRulesNaive(tup, zSet)
+		want := oracle.ApplicableRules(d.Sigma(), d.Master(), tup, zSet)
 		if !sameRuleSets(got, want) {
 			t.Fatalf("seed %d: refined sets diverge\ncompiled:\n%s\nnaive:\n%s", seed, got, want)
 		}
@@ -72,36 +72,12 @@ func TestSuggestCompiledVsNaiveProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(11_000_000 + seed)))
 		d, tup, zSet := randomSuggestInstance(rng)
 		got := d.Suggest(tup, zSet)
-		want := d.SuggestNaive(tup, zSet)
-		if !sameInts(got.S, want.S) {
-			t.Fatalf("seed %d: S diverges: compiled %v, naive %v", seed, got.S, want.S)
+		want := oracle.Suggest(d.Sigma(), d.Master(), tup, zSet)
+		if !sameInts(got.S, want) {
+			t.Fatalf("seed %d: S diverges: compiled %v, naive %v", seed, got.S, want)
 		}
-		if !sameRuleSets(d.ApplicableRules(tup, zSet), d.ApplicableRulesNaive(tup, zSet)) {
+		if !sameRuleSets(d.ApplicableRules(tup, zSet), oracle.ApplicableRules(d.Sigma(), d.Master(), tup, zSet)) {
 			t.Fatalf("seed %d: refined sets diverge", seed)
-		}
-	}
-}
-
-// TestCompCRegionsCompiledVsNaiveProperty: region derivation on the
-// compiled engine returns the same candidates (Z, quality, support) in
-// the same order.
-func TestCompCRegionsCompiledVsNaiveProperty(t *testing.T) {
-	iterations := 150
-	if testing.Short() {
-		iterations = 30
-	}
-	for seed := 0; seed < iterations; seed++ {
-		rng := rand.New(rand.NewSource(int64(12_000_000 + seed)))
-		d, _, _ := randomSuggestInstance(rng)
-		got := d.CompCRegions()
-		want := d.CompCRegionsNaive()
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d candidates vs %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if !sameInts(got[i].Z, want[i].Z) || got[i].Quality != want[i].Quality || got[i].Support != want[i].Support {
-				t.Fatalf("seed %d: candidate %d diverges: %+v vs %+v", seed, i, got[i], want[i])
-			}
 		}
 	}
 }
@@ -121,7 +97,7 @@ func TestIsSuggestionFastMatchesNaiveClosure(t *testing.T) {
 		}
 		cur := zSet.Clone()
 		cur.AddAll(s)
-		want := suggest.StructuralClosure(d.Sigma(), off, cur).Len() == arity
+		want := oracle.StructuralClosure(d.Sigma(), off, cur).Len() == arity
 		if got := d.IsSuggestionFast(zSet, s); got != want {
 			t.Fatalf("seed %d: IsSuggestionFast=%v, naive=%v", seed, got, want)
 		}

@@ -1,72 +1,17 @@
 package suggest_test
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"repro/internal/master"
-	"repro/internal/pattern"
 	"repro/internal/relation"
-	"repro/internal/rule"
 	"repro/internal/suggest"
 )
 
-// randomSuggestInstance mirrors the analysis package's generator.
+// randomSuggestInstance is RandomInstance behind a Deriver.
 func randomSuggestInstance(rng *rand.Rand) (*suggest.Deriver, relation.Tuple, relation.AttrSet) {
-	nR := 4 + rng.Intn(3)
-	nM := 4 + rng.Intn(3)
-	rNames := make([]string, nR)
-	for i := range rNames {
-		rNames[i] = fmt.Sprintf("A%d", i)
-	}
-	mNames := make([]string, nM)
-	for i := range mNames {
-		mNames[i] = fmt.Sprintf("M%d", i)
-	}
-	r := relation.StringSchema("R", rNames...)
-	rm := relation.StringSchema("Rm", mNames...)
-
-	vals := []string{"a", "b"}
-	rel := relation.NewRelation(rm)
-	for i, n := 0, 2+rng.Intn(3); i < n; i++ {
-		tup := make(relation.Tuple, nM)
-		for j := range tup {
-			tup[j] = relation.String(vals[rng.Intn(len(vals))])
-		}
-		rel.MustAppend(tup)
-	}
-
-	sigma := rule.MustNewSet(r, rm)
-	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
-		xLen := 1 + rng.Intn(2)
-		perm := rng.Perm(nR)
-		x := perm[:xLen]
-		b := perm[xLen]
-		xm := make([]int, xLen)
-		for j := range xm {
-			xm[j] = rng.Intn(nM)
-		}
-		var pPos []int
-		var pCells []pattern.Cell
-		for _, p := range rng.Perm(nR)[:rng.Intn(2)] {
-			pPos = append(pPos, p)
-			pCells = append(pCells, pattern.Eq(relation.String(vals[rng.Intn(len(vals))])))
-		}
-		ru, err := rule.New(fmt.Sprintf("r%d", i), r, rm, x, xm, b, rng.Intn(nM), pattern.MustTuple(pPos, pCells))
-		if err != nil {
-			continue
-		}
-		sigma.Add(ru)
-	}
-
-	t := make(relation.Tuple, nR)
-	for i := range t {
-		t[i] = relation.String(vals[rng.Intn(len(vals))])
-	}
-	zSet := relation.NewAttrSet(rng.Perm(nR)[:1+rng.Intn(nR-1)]...)
-	dm := master.MustNewForRules(rel, sigma)
+	sigma, dm, t, zSet := suggest.RandomInstance(rng)
 	return suggest.NewDeriver(sigma, dm), t, zSet
 }
 

@@ -2,6 +2,7 @@ package certainfix_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -122,5 +123,55 @@ func TestSystemFixBatch(t *testing.T) {
 				t.Fatalf("workers=%d tuple %d diverged from the sequential loop:\n got  %+v\n want %+v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestRepairRejectsMisalignedInput: over the package documentation's
+// order/catalog example, a validated position outside R or a tuple of
+// another arity is ErrArityMismatch from RepairOnce, and the same error
+// for that tuple alone in a batch, never a panic or a validated set that
+// names an attribute R does not have.
+func TestRepairRejectsMisalignedInput(t *testing.T) {
+	r := certainfix.StringSchema("order", "sku", "price", "desc")
+	rm := certainfix.StringSchema("catalog", "sku", "price", "desc")
+	rules, err := certainfix.ParseRules(r, rm, `
+rule price: (sku ; sku) -> (price ; price) when sku != nil
+rule desc:  (sku ; sku) -> (desc ; desc)  when sku != nil
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masterRel := certainfix.NewRelation(rm)
+	masterRel.MustAppend(certainfix.StringTuple("s1", "9.99", "widget"))
+	sys, err := certainfix.New(rules, masterRel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := certainfix.StringTuple("s1", "0", "")
+	cases := []struct {
+		name      string
+		t         certainfix.Tuple
+		validated []int
+	}{
+		{"negative position", good, []int{-1}},
+		{"short tuple", certainfix.StringTuple("s1"), []int{0}},
+		{"position past R", good, []int{0, 7}},
+	}
+	for _, c := range cases {
+		if _, _, _, err := sys.RepairOnce(c.t, c.validated); !errors.Is(err, certainfix.ErrArityMismatch) {
+			t.Errorf("RepairOnce, %s: err = %v, want ErrArityMismatch", c.name, err)
+		}
+		reps, err := sys.RepairBatchContext(context.Background(), []certainfix.Tuple{good, c.t}, c.validated, 2)
+		if err != nil {
+			t.Fatalf("RepairBatchContext, %s: %v", c.name, err)
+		}
+		if !errors.Is(reps[1].Err, certainfix.ErrArityMismatch) {
+			t.Errorf("RepairBatchContext, %s: tuple err = %v, want ErrArityMismatch", c.name, reps[1].Err)
+		}
+	}
+	// The well-formed tuple beside them still repairs.
+	reps, err := sys.RepairBatchContext(context.Background(), []certainfix.Tuple{good, certainfix.StringTuple("s1")}, []int{0}, 2)
+	if err != nil || reps[0].Err != nil || !reps[0].Tuple.Equal(certainfix.StringTuple("s1", "9.99", "widget")) {
+		t.Fatalf("well-formed tuple beside a short one: %+v, %v", reps[0], err)
 	}
 }

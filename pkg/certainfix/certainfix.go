@@ -447,8 +447,19 @@ func (s *System) RepairBatchContext(ctx context.Context, inputs []Tuple, validat
 // RepairOnce applies every certain fix that follows from the attributes
 // in validated (assumed correct) without user interaction — procedure
 // TransFix. It returns the repaired tuple, the set of all validated
-// attributes afterwards, and the positions the rules fixed.
+// attributes afterwards, and the positions the rules fixed. A tuple whose
+// arity is not R's, or a validated position outside R, fails with
+// ErrArityMismatch.
 func (s *System) RepairOnce(t Tuple, validated []int) (Tuple, AttrSet, []int, error) {
+	r := s.Schema()
+	if len(t) != r.Arity() {
+		return nil, AttrSet{}, nil, fmt.Errorf("certainfix: tuple arity %d does not match schema %s: %w", len(t), r, ErrArityMismatch)
+	}
+	for _, p := range validated {
+		if p < 0 || p >= r.Arity() {
+			return nil, AttrSet{}, nil, fmt.Errorf("certainfix: attribute position %d out of range [0, %d): %w", p, r.Arity(), ErrArityMismatch)
+		}
+	}
 	out := t.Clone()
 	zSet := relation.NewAttrSet(validated...)
 	if zSet.Len() != len(validated) {
@@ -479,7 +490,9 @@ func (s *System) CertainRegion(reg *Region) (Verdict, error) {
 // tuple t given already-validated attributes (procedure Suggest, Fig. 6).
 // It reads t's unvalidated cells as hints: a rule whose lhs matches no
 // master tuple at t's current values is not counted on, so what it would
-// have supplied is asked for instead.
+// have supplied is asked for instead. Suggest does not check its input: t
+// must have R's arity and validated must hold positions of R, or the call
+// may panic or answer for another tuple. Begin checks both.
 func (s *System) Suggest(t Tuple, validated []int) []int {
 	return s.mon.Deriver().Suggest(t, relation.NewAttrSet(validated...)).S
 }
