@@ -101,7 +101,10 @@ func main() {
 
 	if *suggestOut {
 		for i := 0; i < inputs.Len(); i++ {
-			s := sys.Suggest(inputs.Tuple(i), validatedPos)
+			s, err := sys.Suggest(inputs.Tuple(i), validatedPos)
+			if err != nil {
+				fatalf("tuple %d: %v", i, err)
+			}
 			var names []string
 			for _, p := range s {
 				names = append(names, r.Attr(p).Name)

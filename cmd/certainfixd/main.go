@@ -31,9 +31,17 @@
 //	                        ("master": heap vs arena residency, see
 //	                        certainfix.MasterMemStats)
 //
+// A POST body is one JSON value, decoded as encoding/json would decode it
+// (codec.go): anything else is 400 {"code": "bad_request"}, and a body
+// over 1 MiB is 413 {"code": "body_too_large"}.
+//
 // begin/suggest/answer reply with {"token", "suggested", "fixedAttrs",
-// "fixedValues", "rounds", "done", "completed", "epoch"}; the client must
-// send the fresh token, verbatim, on its next call. A session is done
+// "fixedValues", "rounds", "done", "completed", "epoch", "root"}, leaving
+// out what the session implies: "suggested" once it is done, "done" and
+// "completed" when false, "rounds" and "epoch" when 0, "root" on an
+// unauthenticated master, and the cells when none were fixed. The client
+// must send the fresh token — unpadded base64 — verbatim on its next
+// call. A session is done
 // once every attribute is validated ("completed"), when the client
 // aborts, or after arity + 1 rounds. A reply carries what
 // the round changed, not the tuple: fixedAttrs/fixedValues are the cells
@@ -73,11 +81,12 @@
 // fixed tuple when it is close to it:
 //
 //	{"result": {"Tuple": ["A1", "9.50", "widget"], "Rounds": 1, "Completed": true,
-//	  "PerRound": [{"Suggested": [0], "Auto": [1, 2]}], "Epoch": 0, "Root": "",
+//	  "PerRound": [{"Suggested": [0], "Auto": [1, 2]}],
 //	  "Provenance": [[2, "desc", 0], [1, "price", 0]], "Masters": [{"id": 0}]}}
 //
 // Masters[0] has no "tuple" and no "attrs"/"values": the master row is
-// the fixed tuple itself. A proof is one base64 string whose binary layout
+// the fixed tuple itself. "Epoch" is left out at 0 and "Root" on an
+// unauthenticated master. A proof is one base64 string whose binary layout
 // the authtree.Proof comment spells out, so a non-Go client can fold it
 // to the root itself; internal/monitor/result_json.go spells out the rest.
 //

@@ -359,7 +359,10 @@ func TestReadTimeoutClosesStalledBody(t *testing.T) {
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, map[string]any{"unencodable": make(chan int)})
-	var reply errorBody
+	var reply struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 		t.Fatalf("body %q: %v", rec.Body, err)
 	}

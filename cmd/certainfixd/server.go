@@ -10,16 +10,16 @@ package main
 // holds exactly one piece of mutable state, the versioned master data
 // inside the System, which /v1/update-master advances.
 //
-// Replies are encoded into a pooled buffer and sent with an explicit
-// Content-Length: an encoding failure is a 500, never a truncated 200,
-// and no reply pays for chunked framing.
+// Request bodies are read into a pooled buffer and decoded by hand, and
+// replies are encoded into one and sent with an explicit Content-Length
+// (codec.go): an encoding failure is a 500, never a truncated 200, and
+// no reply pays for chunked framing.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -97,74 +97,36 @@ func newHandler(sys *certainfix.System) http.Handler {
 	return mux
 }
 
-// sessionResponse is the common reply of begin / suggest / answer: the
-// new token (the client must send it back on the next call — the server
-// keeps nothing) plus what changed, never what the client already holds.
-// The tuple is not resent: the begin tuple, plus the client's own
-// answers, plus every reply's FixedAttrs/FixedValues is the session's
-// tuple after each round. Attribute names come once, from GET /v1/schema.
-type sessionResponse struct {
-	// Token is opaque to clients; encoding/json carries the bytes as one
-	// base64 string.
-	Token     []byte `json:"token"`
-	Suggested []int  `json:"suggested"`
-	// FixedAttrs/FixedValues are the cells the rules fixed in the round
-	// that minted the token — after a rebase, every cell the users did not
-	// assert — aligned like an answer's attrs/values and absent when
-	// there are none. /v1/suggest repeats them; writing them twice
-	// changes nothing.
-	FixedAttrs  []int              `json:"fixedAttrs,omitempty"`
-	FixedValues []certainfix.Value `json:"fixedValues,omitempty"`
-	Rounds      int                `json:"rounds"`
-	Done        bool               `json:"done"`
-	Completed   bool               `json:"completed"`
-	Epoch       uint64             `json:"epoch"`
-	// Root is the Merkle root of the session's pinned master snapshot,
-	// absent on an unauthenticated master. POST /v1/result returns the inclusion
-	// proofs that tie the fix's provenance to it.
-	Root string `json:"root,omitempty"`
-}
-
+// sessionReply answers begin / suggest / answer: the new token (the
+// client must send it back on the next call — the server keeps nothing)
+// plus what changed, never what the client already holds. The tuple is
+// not resent: the begin tuple, plus the client's own answers, plus every
+// reply's fixedAttrs/fixedValues is the session's tuple after each round
+// (after a rebase, fixedAttrs is every cell the users did not assert;
+// /v1/suggest repeats the last round's, and writing them twice changes
+// nothing). Attribute names come once, from GET /v1/schema. The root is
+// the Merkle root of the session's pinned master snapshot, absent on an
+// unauthenticated master: POST /v1/result returns the inclusion proofs
+// that tie the fix's provenance to it.
 func (s *server) sessionReply(w http.ResponseWriter, sess *certainfix.FixSession) {
 	token, err := sess.MarshalBinary()
 	if err != nil {
 		writeErr(w, fmt.Errorf("serialize session: %w", err))
 		return
 	}
-	suggested := sess.Suggested()
-	if suggested == nil {
-		suggested = []int{}
-	}
-	reply := sessionResponse{
-		Token:     token,
-		Suggested: suggested,
-		Rounds:    sess.Rounds(),
-		Done:      sess.Done(),
-		Completed: sess.Completed(),
-		Epoch:     sess.Epoch(),
-		Root:      sess.Root(),
-	}
-	if fixed := sess.Fixed(); fixed.Len() > 0 {
-		t := sess.Tuple()
-		reply.FixedAttrs = fixed.Positions()
-		reply.FixedValues = make([]certainfix.Value, len(reply.FixedAttrs))
-		for i, p := range reply.FixedAttrs {
-			reply.FixedValues[i] = t[p]
-		}
-	}
-	writeJSON(w, http.StatusOK, reply)
-}
-
-type beginRequest struct {
-	Tuple certainfix.Tuple `json:"tuple"`
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	buf.Reset()
+	buf.Write(appendSession(buf.AvailableBuffer(), sess, token))
+	writeReply(w, http.StatusOK, buf)
 }
 
 func (s *server) handleBegin(w http.ResponseWriter, r *http.Request) {
 	var req beginRequest
-	if !readJSON(w, r, &req) {
+	if !readRequest(w, r, &req) {
 		return
 	}
-	sess, err := s.sys.Begin(r.Context(), req.Tuple)
+	sess, err := s.sys.Begin(r.Context(), req.tuple)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -172,24 +134,17 @@ func (s *server) handleBegin(w http.ResponseWriter, r *http.Request) {
 	s.sessionReply(w, sess)
 }
 
-type tokenRequest struct {
-	Token []byte `json:"token"`
-	// Rebase accepts re-pinning the current master head when the token's
-	// original epoch has been evicted (see certainfix.RebaseToHead).
-	Rebase bool `json:"rebase,omitempty"`
-}
-
 func (s *server) resume(r *http.Request, req tokenRequest) (*certainfix.FixSession, error) {
 	var opts []certainfix.ResumeOption
-	if req.Rebase {
+	if req.rebase {
 		opts = append(opts, certainfix.RebaseToHead())
 	}
-	return s.sys.Resume(r.Context(), req.Token, opts...)
+	return s.sys.Resume(r.Context(), req.token, opts...)
 }
 
 func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	var req tokenRequest
-	if !readJSON(w, r, &req) {
+	if !readRequest(w, r, &req) {
 		return
 	}
 	sess, err := s.resume(r, req)
@@ -200,18 +155,9 @@ func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	s.sessionReply(w, sess)
 }
 
-type answerRequest struct {
-	tokenRequest
-	// Attrs/Values are the asserted positions and their values, aligned.
-	// Attrs may differ from the last suggestion; empty Attrs aborts the
-	// session (§5: the users declined).
-	Attrs  []int              `json:"attrs"`
-	Values []certainfix.Value `json:"values"`
-}
-
 func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
-	if !readJSON(w, r, &req) {
+	if !readRequest(w, r, &req) {
 		return
 	}
 	sess, err := s.resume(r, req.tokenRequest)
@@ -219,7 +165,7 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := sess.Provide(req.Attrs, req.Values); err != nil {
+	if err := sess.Provide(req.attrs, req.values); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -228,7 +174,7 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req tokenRequest
-	if !readJSON(w, r, &req) {
+	if !readRequest(w, r, &req) {
 		return
 	}
 	sess, err := s.resume(r, req)
@@ -238,8 +184,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// The result's own appender writes it straight into the reply buffer.
 	res := sess.Result()
-	buf := replyBuffers.Get().(*bytes.Buffer)
-	defer replyBuffers.Put(buf)
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
 	buf.Reset()
 	b, err := res.AppendJSON(append(buf.AvailableBuffer(), `{"result":`...))
 	if err != nil {
@@ -250,57 +196,45 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeReply(w, http.StatusOK, buf)
 }
 
-type updateMasterRequest struct {
-	Adds    []certainfix.Tuple `json:"adds"`
-	Deletes []int              `json:"deletes"`
-}
-
 func (s *server) handleUpdateMaster(w http.ResponseWriter, r *http.Request) {
 	var req updateMasterRequest
-	if !readJSON(w, r, &req) {
+	if !readRequest(w, r, &req) {
 		return
 	}
-	epoch, err := s.sys.UpdateMaster(req.Adds, req.Deletes)
+	epoch, err := s.sys.UpdateMaster(req.adds, req.deletes)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Epoch      uint64 `json:"epoch"`
-		MasterSize int    `json:"masterSize"`
-	}{epoch, s.sys.MasterLen()})
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	buf.Reset()
+	b := strconv.AppendUint(append(buf.AvailableBuffer(), `{"epoch":`...), epoch, 10)
+	b = strconv.AppendInt(append(b, `,"masterSize":`...), int64(s.sys.MasterLen()), 10)
+	buf.Write(append(b, "}\n"...))
+	writeReply(w, http.StatusOK, buf)
 }
 
-// readJSON decodes the request body — exactly one JSON value — into dst,
-// replying 400 on failure.
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
-		if _, more := dec.Token(); more != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
+// buffers recycles the buffers request bodies are read and replies
+// encoded into.
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBuffer returns buf to the pool unless an outsized body grew it.
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		buffers.Put(buf)
 	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody(err, "bad_request"))
-		return false
-	}
-	return true
 }
 
-// replyBuffers recycles the buffers replies are encoded into.
-var replyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
+// writeJSON encodes body with encoding/json: the replies off the session
+// path.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	buf := replyBuffers.Get().(*bytes.Buffer)
-	defer replyBuffers.Put(buf)
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(body); err != nil {
-		buf.Reset()
-		status = http.StatusInternalServerError
-		// An error body is two strings: encoding it cannot fail.
-		_ = json.NewEncoder(buf).Encode(errBody(fmt.Errorf("encode reply: %w", err), "internal"))
+		writeErrorBody(w, http.StatusInternalServerError, fmt.Errorf("encode reply: %w", err), "internal")
+		return
 	}
 	writeReply(w, status, buf)
 }
@@ -313,15 +247,14 @@ func writeReply(w http.ResponseWriter, status int, buf *bytes.Buffer) {
 	_, _ = w.Write(buf.Bytes()) // the client hanging up is not the server's error
 }
 
-// errorBody is every non-2xx reply: a human-readable message and a
+// writeErrorBody sends every non-2xx reply: a human-readable message and a
 // machine-readable code.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-func errBody(err error, code string) errorBody {
-	return errorBody{Error: err.Error(), Code: code}
+func writeErrorBody(w http.ResponseWriter, status int, err error, code string) {
+	buf := buffers.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	buf.Reset()
+	buf.Write(appendError(buf.AvailableBuffer(), err, code))
+	writeReply(w, status, buf)
 }
 
 // writeErr maps the library's typed sentinels onto HTTP statuses and
@@ -333,27 +266,27 @@ func writeErr(w http.ResponseWriter, err error) {
 		// ErrMasterBuild here is a delta the master refused — a delete id
 		// out of range or named twice, an add of the wrong arity or cell
 		// type: the client's to correct, refused before the log saw it.
-		writeJSON(w, http.StatusBadRequest, errBody(err, "invalid_input"))
+		writeErrorBody(w, http.StatusBadRequest, err, "invalid_input")
 	case errors.Is(err, certainfix.ErrEpochEvicted):
 		// Conflict, not 400: the token was valid; the server's retention
 		// moved on. The client may retry with "rebase": true.
-		writeJSON(w, http.StatusConflict, errBody(err, "epoch_evicted"))
+		writeErrorBody(w, http.StatusConflict, err, "epoch_evicted")
 	case errors.Is(err, certainfix.ErrEpochAhead):
 		// Unavailable, not 409: the token is from this lineage's future —
 		// a follower that has not caught up with the leader that minted
 		// it. Nothing is wrong with the request; the same one succeeds
 		// once the epoch has been shipped, and "rebase" must not be tried.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errBody(err, "epoch_ahead"))
+		writeErrorBody(w, http.StatusServiceUnavailable, err, "epoch_ahead")
 	case errors.Is(err, certainfix.ErrSessionDone):
-		writeJSON(w, http.StatusConflict, errBody(err, "session_done"))
+		writeErrorBody(w, http.StatusConflict, err, "session_done")
 	case errors.Is(err, certainfix.ErrReadOnlyReplica):
 		// Forbidden, not 409: retrying here can never succeed — the
 		// write belongs on the leader this replica follows.
-		writeJSON(w, http.StatusForbidden, errBody(err, "read_only_replica"))
+		writeErrorBody(w, http.StatusForbidden, err, "read_only_replica")
 	case errors.Is(err, certainfix.ErrInconsistent):
-		writeJSON(w, http.StatusConflict, errBody(err, "inconsistent"))
+		writeErrorBody(w, http.StatusConflict, err, "inconsistent")
 	default:
-		writeJSON(w, http.StatusInternalServerError, errBody(err, "internal"))
+		writeErrorBody(w, http.StatusInternalServerError, err, "internal")
 	}
 }

@@ -16,13 +16,17 @@ import (
 // answer and the final result, for generated HOSP sessions driven through
 // the handler the way the benchmark client drives them. A session reply
 // carries what its round changed, never the tuple or the attribute
-// names, so along the way the client's reconstruction — the begin tuple,
-// its answers and every reply's fixed cells — must equal /v1/result's
-// Tuple after every round. The bound leaves a quarter of headroom over
-// what this protocol measures (3,273 B per fix; tokens that wrote every
-// begin cell as itself took 3,898 B, and replies that resent the tuple and
-// the names, with a result that repeated every round's tuple, 5,725 B): a
-// regression past it is a protocol change, not noise.
+// names, and none of what the session implies: no false flag, no zero
+// count or epoch, no suggestion once done, no base64 padding. Along the
+// way the client's reconstruction — the begin tuple, its answers and
+// every reply's fixed cells — must equal /v1/result's Tuple after every
+// round. The bound leaves a quarter of headroom over what this protocol
+// measures (3,035 B per fix; replies that spelled out every default, with
+// format-5 tokens and a result that spelled out "Epoch":0,"Root":"",
+// took 3,273 B; tokens that wrote every begin cell as itself 3,898 B; and
+// replies that resent the tuple and the names, with a result that
+// repeated every round's tuple, 5,725 B): a regression past it is a
+// protocol change, not noise.
 func TestWireBudget(t *testing.T) {
 	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: 1000, Tuples: 200, DupRate: 0.3, NoiseRate: 0.2})
 	if err != nil {
@@ -64,9 +68,20 @@ func TestWireBudget(t *testing.T) {
 				t.Fatalf("%s reply carries %q: %s", path, k, raw)
 			}
 		}
+		for k, implied := range map[string]string{"done": "false", "completed": "false", "rounds": "0", "epoch": "0", "root": `""`} {
+			if string(keys[k]) == implied {
+				t.Fatalf("%s reply spells out %q: %s", path, k, raw)
+			}
+		}
 		var s wireSession
 		if err := json.Unmarshal(raw, &s); err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := keys["suggested"]; ok == s.Done {
+			t.Fatalf("%s reply: done %v, suggested present %v: %s", path, s.Done, ok, raw)
+		}
+		if bytes.HasSuffix(s.Token, []byte(`="`)) {
+			t.Fatalf("%s reply pads its token: %s", path, s.Token)
 		}
 		return s
 	}
@@ -75,8 +90,14 @@ func TestWireBudget(t *testing.T) {
 		var out struct {
 			Result certainfix.Result `json:"result"`
 		}
-		if err := json.Unmarshal(exchange("/v1/result", map[string]any{"token": token}, counted), &out); err != nil {
+		raw := exchange("/v1/result", map[string]any{"token": token}, counted)
+		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
+		}
+		for _, implied := range []string{`"Epoch":0`, `"Root":""`} {
+			if bytes.Contains(raw, []byte(implied)) {
+				t.Fatalf("result spells out %s: %s", implied, raw)
+			}
 		}
 		return out.Result
 	}
@@ -106,7 +127,7 @@ func TestWireBudget(t *testing.T) {
 	}
 	mean := float64(total) / float64(len(ds.Inputs))
 	t.Logf("request + reply bodies: %.0f B per fix over %d fixes", mean, len(ds.Inputs))
-	if budget := 3273 * 1.25; mean > budget {
+	if budget := 3035 * 1.25; mean > budget {
 		t.Errorf("request + reply bodies: %.0f B per fix, budget %.0f", mean, budget)
 	}
 }

@@ -41,7 +41,10 @@ func main() {
 	fmt.Printf("rules changed %d attributes; validated: %v\n", len(changed), covered.Names(schema))
 
 	// Example 13: the next suggestion is {phn, type, item}.
-	s := sys.Suggest(fixed, covered.Positions())
+	s, err := sys.Suggest(fixed, covered.Positions())
+	if err != nil {
+		log.Fatal(err)
+	}
 	var names []string
 	for _, p := range s {
 		names = append(names, schema.Attr(p).Name)

@@ -7,13 +7,14 @@ package monitor
 //	{"Tuple": ["A1", "9.50", "widget"], "Rounds": 2, "Completed": true,
 //	 "PerRound": [{"Suggested": [0], "Auto": [1], "Attrs": [2], "Values": ["wrong"]},
 //	              {"Suggested": [2]}],
-//	 "Epoch": 7, "Root": "<hex, empty when unauthenticated>",
+//	 "Epoch": 7, "Root": "<hex>",
 //	 "Provenance": [[1, "price", 0]],
 //	 "Masters": [{"id": 17, "attrs": [2], "values": ["gadget"], "proof": "<base64>"}]}
 //
-// Tuple, Rounds, Completed, Epoch and Root are the struct's fields. The
-// per-round history travels the way the session token stores it
-// (token.go): a round's User and Auto list only the members it added to
+// Tuple, Rounds, Completed, Epoch and Root are the struct's fields;
+// Epoch is left out when it is 0, and Root when it is empty (an
+// unauthenticated snapshot). The per-round history travels the way the
+// session token stores it (token.go): a round's User and Auto list only the members it added to
 // the cumulative UserValidated and AutoFixed sets, and its end-of-round
 // tuple is the cells a later round overwrote — Attrs and Values, aligned
 // — walking back from Tuple, so the last round's entry carries none.
@@ -116,9 +117,12 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	b = append(b, `,"Epoch":`...)
-	b = strconv.AppendUint(b, r.Epoch, 10)
-	b = relation.String(r.Root).AppendJSON(append(b, `,"Root":`...))
+	if r.Epoch != 0 {
+		b = strconv.AppendUint(append(b, `,"Epoch":`...), r.Epoch, 10)
+	}
+	if r.Root != "" {
+		b = relation.String(r.Root).AppendJSON(append(b, `,"Root":`...))
+	}
 	return r.appendProvenance(b)
 }
 

@@ -293,8 +293,8 @@ type refResult struct {
 	UserValidated *[]int `json:",omitempty"`
 	AutoFixed     *[]int `json:",omitempty"`
 	PerRound      []refRound
-	Epoch         uint64
-	Root          string
+	Epoch         uint64      `json:",omitempty"`
+	Root          string      `json:",omitempty"`
 	Provenance    [][3]any    `json:",omitempty"`
 	Masters       []refMaster `json:",omitempty"`
 }

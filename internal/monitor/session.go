@@ -42,11 +42,12 @@ type Session struct {
 	d *suggest.Deriver
 	// begin is the input as the session received it: with each round's
 	// suggestion and assertions, all a token holds (token.go).
-	begin      relation.Tuple
-	t          relation.Tuple
-	zSet       relation.AttrSet
-	userSet    relation.AttrSet
-	autoSet    relation.AttrSet
+	begin   relation.Tuple
+	t       relation.Tuple
+	zSet    relation.AttrSet
+	userSet relation.AttrSet
+	autoSet relation.AttrSet
+	// sug is the pending suggestion, nil once the session is done.
 	sug        []int
 	noProgress int
 	done       bool
@@ -79,9 +80,6 @@ func (m *Monitor) NewSession(input relation.Tuple) (*Session, error) {
 // Suggested returns the attribute positions the users should assert this
 // round (copy). Empty once the session is done.
 func (s *Session) Suggested() []int {
-	if s.done {
-		return nil
-	}
 	return append([]int(nil), s.sug...)
 }
 
@@ -171,7 +169,7 @@ func (s *Session) provide(attrs []int, values []relation.Value, cursor *bdd.Curs
 		return fmt.Errorf("monitor: %d attributes but %d values: %w", len(attrs), len(values), ErrArityMismatch)
 	}
 	if len(attrs) == 0 {
-		s.done = true // the users declined: stop without completing
+		s.done, s.sug = true, nil // the users declined: stop without completing
 		return nil
 	}
 	// Validate every position before mutating anything: a failed Provide
@@ -188,7 +186,7 @@ func (s *Session) provide(attrs []int, values []relation.Value, cursor *bdd.Curs
 		return err
 	}
 	if s.Completed() || len(s.perRound) >= s.m.maxRounds() {
-		s.done = true
+		s.done, s.sug = true, nil
 		return nil
 	}
 

@@ -17,7 +17,7 @@ package monitor
 //	tag   = HMAC-SHA256(key, body)                       32 bytes
 //	body  = u8 version
 //	        uvarint epoch            the pinned master snapshot
-//	        u8 flags                 bit 0: done
+//	        u8 flags                 bit 0: done; no other bit is set
 //	        uvarint arity
 //	        set refs                 the begin positions written as symbol ids
 //	        arity × (id | cell)      t's begin values in order: a member of
@@ -27,21 +27,31 @@ package monitor
 //	        [u32 check]              only when refs is not empty: refCheck
 //	                                 of the referenced values, little-endian
 //	        uvarint r, r × round                         oldest first
-//	        list pending             the suggestion the users are asked next
+//	        list pending             the suggestion the users are asked
+//	                                 next; empty on a done token
 //	round = list suggested
-//	        list asserted            the positions the users asserted
+//	        list toggled             the asserted positions' symmetric
+//	                                 difference with suggested, ascending:
+//	                                 empty when the users asserted what
+//	                                 was asked
 //	        set differs, one cell per member             the asserted cells
 //	                                                     that are not t's
 //	                                                     begin values
-//	list  = uvarint n, n × uvarint position  in order (conflict escalations
-//	                                         are appended out of order)
+//	list  = uvarint n<<1, n × uvarint position      in order (conflict
+//	                                                escalations are appended
+//	                                                out of order), or
+//	        uvarint b<<1 | 1, b × u8                an ascending list as
+//	                                                its bitmap, bit p%8 of
+//	                                                byte p/8, last byte not
+//	                                                0 — written when shorter
 //	set   = uvarint w, w × uvarint word      bitset words
 //
 // A round's assertions are read off the history the session keeps for
 // Result.PerRound: the positions the round added to the user set, and
 // those whose cell it changed (the users asserted another value). Only
 // Provide asserts, and every Provide that asserts records a round, so the
-// open round is nothing but its pending suggestion.
+// open round is nothing but its pending suggestion, and a done session
+// has none.
 //
 //   - Resume is a replay. The working tuple, the validated / user / auto
 //     sets, the counters, the witnesses and Result.PerRound are derived by
@@ -103,6 +113,8 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/master"
@@ -115,8 +127,10 @@ const (
 	// live for minutes, so a format change replaces it rather than adding
 	// a second decoder. (1 was the JSON token, 2 the image of the
 	// session's derived state, 3 gave the open round assertions, 4 wrote
-	// every begin cell as itself.)
-	tokenVersion = 5
+	// every begin cell as itself, 5 wrote each round's asserted positions
+	// as a second list beside its suggestion, every list position by
+	// position, and a done session's stale suggestion as pending.)
+	tokenVersion = 6
 	tokenTagSize = sha256.Size
 	flagDone     = 1 << 0
 )
@@ -284,23 +298,28 @@ func (s *Session) assertedAtBegin(p int) bool {
 }
 
 // appendRound appends round i: its suggestion, the positions its users
-// asserted and the asserted cells that are not t's begin values.
+// asserted as their symmetric difference with it, and the asserted cells
+// that are not t's begin values.
 func (s *Session) appendRound(buf []byte, i int) ([]byte, error) {
 	r := &s.perRound[i]
-	// Both on the stack for any schema of ≤ 64 attributes.
-	positions := make([]int, 0, 64)
-	var differWords [1]uint64
-	words := differWords[:0]
+	// All on the stack for any schema of ≤ 64 attributes.
+	var toggledWords, differWords [1]uint64
+	toggled, words := toggledWords[:0], differWords[:0]
+	for _, p := range r.Suggested {
+		toggled = addBit(toggled, p)
+	}
 	for p := range r.Tuple {
 		if s.asserted(i, p) {
-			positions = append(positions, p)
+			toggled = toggleBit(toggled, p)
 			if r.Tuple[p] != s.begin[p] {
 				words = addBit(words, p)
 			}
 		}
 	}
 	differs := relation.AttrSetFromWords(words)
-	buf = appendSet(appendList(appendList(buf, r.Suggested), positions), differs)
+	buf = appendList(buf, r.Suggested)
+	buf = appendList(buf, bitPositions(make([]int, 0, 64), toggled))
+	buf = appendSet(buf, differs)
 	var err error
 	differs.Range(func(p int) bool {
 		buf, err = wal.AppendCell(buf, r.Tuple[p])
@@ -321,6 +340,25 @@ func addBit(words []uint64, p int) []uint64 {
 	return words
 }
 
+// toggleBit flips position p in the bitset words and returns them.
+func toggleBit(words []uint64, p int) []uint64 {
+	for len(words) <= p>>6 {
+		words = append(words, 0)
+	}
+	words[p>>6] ^= 1 << (uint(p) & 63)
+	return words
+}
+
+// bitPositions appends the members of the bitset words to ps, ascending.
+func bitPositions(ps []int, words []uint64) []int {
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			ps = append(ps, i<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return ps
+}
+
 func appendSet(buf []byte, set relation.AttrSet) []byte {
 	words := set.Words()
 	buf = binary.AppendUvarint(buf, uint64(len(words)))
@@ -330,12 +368,47 @@ func appendSet(buf []byte, set relation.AttrSet) []byte {
 	return buf
 }
 
+// appendList appends a position list: as its bitmap when ps ascends and
+// the bitmap is shorter, position by position otherwise (see the format).
 func appendList(buf []byte, ps []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ps)))
+	n := uvarintLen(uint64(len(ps)) << 1)
+	for _, p := range ps {
+		n += uvarintLen(uint64(p))
+	}
+	if nb, ok := bitmapLen(ps); ok && uvarintLen(uint64(nb)<<1|1)+nb < n {
+		buf = binary.AppendUvarint(buf, uint64(nb)<<1|1)
+		start := len(buf)
+		for range nb {
+			buf = append(buf, 0)
+		}
+		for _, p := range ps {
+			buf[start+p>>3] |= 1 << (p & 7)
+		}
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(ps))<<1)
 	for _, p := range ps {
 		buf = binary.AppendUvarint(buf, uint64(p))
 	}
 	return buf
+}
+
+// bitmapLen returns the bytes of ps's bitmap when ps is a non-empty
+// strictly ascending list of positions: when the bitmap form keeps it.
+func bitmapLen(ps []int) (int, bool) {
+	if len(ps) == 0 || ps[0] < 0 {
+		return 0, false
+	}
+	for i := 1; i < len(ps); i++ {
+		if ps[i] <= ps[i-1] {
+			return 0, false
+		}
+	}
+	return ps[len(ps)-1]>>3 + 1, true
+}
+
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // tokenDecoder reads a token body against the resuming schema's arity.
@@ -377,16 +450,45 @@ func (d *tokenDecoder) set(what string, words []uint64) relation.AttrSet {
 
 // list reads one position list (see appendList).
 func (d *tokenDecoder) list(what string) []int {
-	n := d.Length(what)
-	if n > d.arity {
-		d.Fail("%s has %d positions, arity is %d", what, n, d.arity)
-	}
-	if n == 0 || d.Err() != nil {
+	head := d.Uvarint(what)
+	if d.Err() != nil {
 		return nil
 	}
-	ps := make([]int, n)
-	for i := range ps {
-		ps[i] = d.below(d.arity, what)
+	if head&1 == 0 {
+		n := head >> 1
+		if n > uint64(d.arity) {
+			d.Fail("%s has %d positions, arity is %d", what, n, d.arity)
+		}
+		if n == 0 || d.Err() != nil {
+			return nil
+		}
+		ps := make([]int, n)
+		for i := range ps {
+			ps[i] = d.below(d.arity, what)
+		}
+		return ps
+	}
+	nb := head >> 1
+	if nb == 0 || nb > uint64(d.arity+7)/8 {
+		d.Fail("%s has a bitmap of %d bytes, arity is %d", what, nb, d.arity)
+		return nil
+	}
+	bitmap, n := make([]byte, 0, 16), 0 // on the stack for ≤ 128 attributes
+	for i := 0; i < int(nb); i++ {
+		bitmap = append(bitmap, d.U8(what))
+		n += bits.OnesCount8(bitmap[i])
+	}
+	if last := bitmap[nb-1]; d.Err() == nil && (last == 0 || int(nb-1)<<3+bits.Len8(last) > d.arity) {
+		d.Fail("%s bitmap ends in a zero byte or past arity %d", what, d.arity)
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	ps := make([]int, 0, n)
+	for i, b := range bitmap {
+		for ; b != 0; b &= b - 1 {
+			ps = append(ps, i<<3+bits.TrailingZeros8(b))
+		}
 	}
 	return ps
 }
@@ -399,15 +501,37 @@ type tokenRound struct {
 	values    []relation.Value
 }
 
-// round reads one round (see appendRound). An asserted position outside
-// the differs set takes its begin value, so it must not be a reference; a
-// differs member the round did not assert is malformed.
+// round reads one round (see appendRound). The asserted positions are
+// the suggestion with the toggled ones flipped, ascending. An asserted
+// position outside the differs set takes its begin value, so it must not
+// be a reference; a differs member the round did not assert is
+// malformed.
 func (d *tokenDecoder) round(begin relation.Tuple, refs relation.AttrSet) tokenRound {
-	r := tokenRound{suggested: d.list("suggestion"), attrs: d.list("asserted positions")}
+	r := tokenRound{suggested: d.list("suggestion")}
+	toggled := d.list("toggled positions")
 	var differWords [1]uint64 // on the stack for any schema of ≤ 64 attributes
 	differs := d.set("differs-from-begin set", differWords[:0])
 	if d.Err() != nil {
 		return r
+	}
+	var assertedWords [1]uint64
+	asserted := assertedWords[:0]
+	for _, p := range r.suggested {
+		asserted = addBit(asserted, p)
+	}
+	for i, p := range toggled {
+		if i > 0 && p <= toggled[i-1] {
+			d.Fail("toggled positions do not ascend")
+			return r
+		}
+		asserted = toggleBit(asserted, p)
+	}
+	n := 0
+	for _, w := range asserted {
+		n += bits.OnesCount64(w)
+	}
+	if n > 0 {
+		r.attrs = bitPositions(make([]int, 0, n), asserted)
 	}
 	r.values = make([]relation.Value, len(r.attrs))
 	for i, p := range r.attrs {
@@ -421,14 +545,11 @@ func (d *tokenDecoder) round(begin relation.Tuple, refs relation.AttrSet) tokenR
 		r.values[i] = begin[p]
 	}
 	differs.Range(func(p int) bool {
-		v, found := d.Cell(), false
-		for i, q := range r.attrs {
-			if q == p {
-				r.values[i], found = v, true
-			}
-		}
+		i, found := slices.BinarySearch(r.attrs, p)
 		if !found {
 			d.Fail("differs-from-begin position %d was not asserted", p)
+		} else {
+			r.values[i] = d.Cell()
 		}
 		return d.Err() == nil
 	})
@@ -506,6 +627,11 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		rounds = append(rounds, d.round(begin, refs))
 	}
 	pending := d.list("pending suggestion")
+	if flags&^flagDone != 0 {
+		d.Fail("unknown flags %#x", flags)
+	} else if flags&flagDone != 0 && len(pending) > 0 {
+		d.Fail("a done token carries a pending suggestion")
+	}
 	if err := d.Finish("session token"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
@@ -547,8 +673,7 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 			return nil, err
 		}
 	}
-	s.sug = pending
-	s.done = flags&flagDone != 0
+	s.sug, s.done = pending, flags&flagDone != 0
 	if !s.done {
 		// A conflict the last replayed round met is the users' to settle.
 		// At the token's own epoch the pending suggestion already holds

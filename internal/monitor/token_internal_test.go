@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -100,12 +101,13 @@ func reseal(m *Monitor, token []byte) []byte {
 	return m.auth.seal(body, 0)
 }
 
-// forgeBody builds a token body no session mints, at epoch and not done:
+// forgeBody builds a token body no session mints, at epoch with flags:
 // begin with the positions in refs written as the symbol ids they map to,
-// and the check of begin's values at those positions, then the round count and the parts as given — closed rounds (see
-// forgeRound), then the pending suggestion.
-func forgeBody(epoch uint64, begin relation.Tuple, refs map[int]uint64, count uint64, parts ...[]byte) []byte {
-	body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), 0)
+// and the check of begin's values at those positions, then the round
+// count and the parts as given — closed rounds (see forgeRound), then the
+// pending suggestion.
+func forgeBody(epoch uint64, flags byte, begin relation.Tuple, refs map[int]uint64, count uint64, parts ...[]byte) []byte {
+	body := append(binary.AppendUvarint([]byte{tokenVersion}, epoch), flags)
 	body = binary.AppendUvarint(body, uint64(len(begin)))
 	var set relation.AttrSet
 	for p := range refs {
@@ -129,9 +131,24 @@ func forgeBody(epoch uint64, begin relation.Tuple, refs map[int]uint64, count ui
 	return body
 }
 
-// forgeRound builds one closed round of a forged body.
+// forgeRound builds one closed round of a forged body: the users of a
+// round that suggested suggested asserted the positions of asserted.
 func forgeRound(suggested, asserted []int, differs relation.AttrSet, cells ...relation.Value) []byte {
-	b := appendSet(appendList(appendList(nil, suggested), asserted), differs)
+	var toggled relation.AttrSet
+	for _, p := range slices.Concat(suggested, asserted) {
+		if toggled.Has(p) {
+			toggled.Remove(p)
+		} else {
+			toggled.Add(p)
+		}
+	}
+	return forgeRawRound(suggested, toggled.Positions(), differs, cells...)
+}
+
+// forgeRawRound builds one closed round of a forged body with its toggled
+// list as given.
+func forgeRawRound(suggested, toggled []int, differs relation.AttrSet, cells ...relation.Value) []byte {
+	b := appendSet(appendList(appendList(nil, suggested), toggled), differs)
 	for _, v := range cells {
 		b, _ = wal.AppendCell(b, v)
 	}
@@ -235,7 +252,7 @@ func TestResumeSessionValidation(t *testing.T) {
 	// tuple; refs is one of its cells as a reference.
 	epoch := base().Epoch()
 	forgeRefs := func(refs map[int]uint64, count uint64, parts ...[]byte) []byte {
-		return m.auth.seal(forgeBody(epoch, ds.Inputs[0], refs, count, parts...), 0)
+		return m.auth.seal(forgeBody(epoch, 0, ds.Inputs[0], refs, count, parts...), 0)
 	}
 	forge := func(count uint64, parts ...[]byte) []byte { return forgeRefs(nil, count, parts...) }
 	syms := m.deriver.Master().Hasher().Symbols()
@@ -258,11 +275,32 @@ func TestResumeSessionValidation(t *testing.T) {
 			t.Fatalf("body with %s resumed begin %v, want %v", name, s.begin, ds.Inputs[0])
 		}
 	}
-	formatFour := forgeBody(epoch, ds.Inputs[0], refs, 0, pending)
-	formatFour[0] = tokenVersion - 1
+	done, err := m.ResumeSession(m.auth.seal(forgeBody(epoch, flagDone, ds.Inputs[0], nil, 0, appendList(nil, nil)), 0), ResumeOptions{})
+	if err != nil || !done.Done() || done.Suggested() != nil {
+		t.Fatalf("a done body with no pending suggestion resumed to %v (done %v, suggested %v)", err, done != nil && done.Done(), done.Suggested())
+	}
+	// Position lists in their bitmap form: header, then the bytes.
+	bitmap := func(b ...byte) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(b))<<1|1), b...)
+	}
+	overArity := make([]byte, (arity+7)/8)
+	if arity%8 == 0 {
+		t.Fatalf("arity %d leaves no bit of the last bitmap byte beyond it", arity)
+	}
+	overArity[len(overArity)-1] = 1 << (arity % 8)
+	formatFive := forgeBody(epoch, 0, ds.Inputs[0], refs, 0, pending)
+	formatFive[0] = tokenVersion - 1
 	for name, tok := range map[string][]byte{
 		"asserted position out of range":       forge(1, forgeRound(nil, []int{arity}, relation.AttrSet{}), pending),
-		"asserted list longer than the arity":  forge(1, forgeRound(nil, make([]int, arity+1), relation.AttrSet{}), pending),
+		"toggled list longer than the arity":   forge(1, forgeRawRound(nil, make([]int, arity+1), relation.AttrSet{}), pending),
+		"toggled positions out of order":       forge(1, forgeRawRound(nil, []int{1, 0}, relation.AttrSet{}), pending),
+		"toggled position repeated":            forge(1, forgeRawRound(nil, []int{0, 0}, relation.AttrSet{}), pending),
+		"empty bitmap":                         forge(0, bitmap()),
+		"bitmap ending in a zero byte":         forge(0, bitmap(1, 0)),
+		"bitmap longer than the arity":         forge(0, bitmap(append(make([]byte, (arity+7)/8), 1)...)),
+		"bitmap position beyond the arity":     forge(0, bitmap(overArity...)),
+		"done token with a pending suggestion": m.auth.seal(forgeBody(epoch, flagDone, ds.Inputs[0], nil, 0, pending), 0),
+		"unknown flag":                         m.auth.seal(forgeBody(epoch, flagDone<<1, ds.Inputs[0], nil, 0, pending), 0),
 		"differs member beyond the arity":      forge(1, forgeRound(nil, []int{0}, relation.NewAttrSet(arity), relation.String("x")), pending),
 		"differs member that was not asserted": forge(1, forgeRound(nil, []int{0}, relation.NewAttrSet(1), relation.String("x")), pending),
 		"differs member without its cell":      forge(1, forgeRound(nil, []int{1}, relation.NewAttrSet(1))),
@@ -276,7 +314,7 @@ func TestResumeSessionValidation(t *testing.T) {
 		"reference asserted at its begin value": forgeRefs(refs, 1,
 			forgeRound([]int{ref}, []int{ref}, relation.AttrSet{}), pending),
 		"reference member beyond the arity": forgeRefs(map[int]uint64{arity: uint64(sym)}, 0, pending),
-		"format 4":                          m.auth.seal(formatFour, 0),
+		"format 5":                          m.auth.seal(formatFive, 0),
 	} {
 		for _, opt := range []ResumeOptions{{}, {RebaseToHead: true}} {
 			if _, err := m.ResumeSession(tok, opt); !errors.Is(err, ErrBadToken) {
@@ -520,15 +558,17 @@ func FuzzResumeToken(f *testing.F) {
 	}
 	// Bodies the decoder must refuse behind a valid tag: a reference beyond
 	// the pinned table, one that resolves to a value its check does not
-	// cover, and one on a position a round asserts at its begin value.
+	// cover, one on a position a round asserts at its begin value, and a
+	// done token that still carries a pending suggestion.
 	ref, id := interned(f, m, ds.Inputs[0])
 	head := ver.Epoch()
 	syms := m.deriver.Master().Hasher().Symbols()
 	pending := appendList(nil, []int{0})
-	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(syms.Len())}, 0, pending))
-	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(id+1) % uint64(syms.Len())}, 0, pending))
-	f.Add(forgeBody(head, ds.Inputs[0], map[int]uint64{ref: uint64(id)}, 1,
+	f.Add(forgeBody(head, 0, ds.Inputs[0], map[int]uint64{ref: uint64(syms.Len())}, 0, pending))
+	f.Add(forgeBody(head, 0, ds.Inputs[0], map[int]uint64{ref: uint64(id+1) % uint64(syms.Len())}, 0, pending))
+	f.Add(forgeBody(head, 0, ds.Inputs[0], map[int]uint64{ref: uint64(id)}, 1,
 		forgeRound([]int{ref}, []int{ref}, relation.AttrSet{}), pending))
+	f.Add(forgeBody(head, flagDone, ds.Inputs[0], nil, 0, pending))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, err := m.ResumeSession(data, ResumeOptions{}); err != nil {
 			if !errors.Is(err, ErrBadToken) {

@@ -451,14 +451,8 @@ func (s *System) RepairBatchContext(ctx context.Context, inputs []Tuple, validat
 // arity is not R's, or a validated position outside R, fails with
 // ErrArityMismatch.
 func (s *System) RepairOnce(t Tuple, validated []int) (Tuple, AttrSet, []int, error) {
-	r := s.Schema()
-	if len(t) != r.Arity() {
-		return nil, AttrSet{}, nil, fmt.Errorf("certainfix: tuple arity %d does not match schema %s: %w", len(t), r, ErrArityMismatch)
-	}
-	for _, p := range validated {
-		if p < 0 || p >= r.Arity() {
-			return nil, AttrSet{}, nil, fmt.Errorf("certainfix: attribute position %d out of range [0, %d): %w", p, r.Arity(), ErrArityMismatch)
-		}
+	if err := s.checkInput(t, validated); err != nil {
+		return nil, AttrSet{}, nil, err
 	}
 	out := t.Clone()
 	zSet := relation.NewAttrSet(validated...)
@@ -490,11 +484,28 @@ func (s *System) CertainRegion(reg *Region) (Verdict, error) {
 // tuple t given already-validated attributes (procedure Suggest, Fig. 6).
 // It reads t's unvalidated cells as hints: a rule whose lhs matches no
 // master tuple at t's current values is not counted on, so what it would
-// have supplied is asked for instead. Suggest does not check its input: t
-// must have R's arity and validated must hold positions of R, or the call
-// may panic or answer for another tuple. Begin checks both.
-func (s *System) Suggest(t Tuple, validated []int) []int {
-	return s.mon.Deriver().Suggest(t, relation.NewAttrSet(validated...)).S
+// have supplied is asked for instead. A tuple whose arity is not R's, or
+// a validated position outside R, fails with ErrArityMismatch.
+func (s *System) Suggest(t Tuple, validated []int) ([]int, error) {
+	if err := s.checkInput(t, validated); err != nil {
+		return nil, err
+	}
+	return s.mon.Deriver().Suggest(t, relation.NewAttrSet(validated...)).S, nil
+}
+
+// checkInput fails with ErrArityMismatch unless t has R's arity and every
+// validated position lies in R.
+func (s *System) checkInput(t Tuple, validated []int) error {
+	r := s.Schema()
+	if len(t) != r.Arity() {
+		return fmt.Errorf("certainfix: tuple arity %d does not match schema %s: %w", len(t), r, ErrArityMismatch)
+	}
+	for _, p := range validated {
+		if p < 0 || p >= r.Arity() {
+			return fmt.Errorf("certainfix: attribute position %d out of range [0, %d): %w", p, r.Arity(), ErrArityMismatch)
+		}
+	}
+	return nil
 }
 
 // NewRegion builds a region from attribute names and a tableau of rows,

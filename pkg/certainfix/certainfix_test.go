@@ -2,6 +2,7 @@ package certainfix_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -86,9 +87,33 @@ func TestSystemSuggest(t *testing.T) {
 	t1 := paperex.InputT1()
 	t1[r.MustPos("AC")] = certainfix.String("131")
 	t1[r.MustPos("str")] = certainfix.String("51 Elm Row")
-	s := sys.Suggest(t1, r.MustPosList("zip", "AC", "str", "city"))
-	if len(s) != 3 {
-		t.Fatalf("suggestion = %v, want {phn, type, item}", s)
+	s, err := sys.Suggest(t1, r.MustPosList("zip", "AC", "str", "city"))
+	if err != nil || len(s) != 3 {
+		t.Fatalf("suggestion = %v, %v, want {phn, type, item}", s, err)
+	}
+}
+
+// TestSystemSuggestRejectsMisalignedInput: Suggest checks its input as
+// Begin and RepairOnce do. A validated position below 0 or at the arity,
+// and a tuple of another arity, fail with ErrArityMismatch instead of
+// panicking or answering for another tuple.
+func TestSystemSuggestRejectsMisalignedInput(t *testing.T) {
+	sys := paperSystem(t)
+	r := sys.Schema()
+	t1 := paperex.InputT1()
+	for _, c := range []struct {
+		name      string
+		t         certainfix.Tuple
+		validated []int
+	}{
+		{"validated -1", t1, []int{-1}},
+		{"validated at the arity", t1, []int{0, r.Arity()}},
+		{"short tuple", t1[:1], nil},
+		{"long tuple", append(t1.Clone(), certainfix.Null), []int{0}},
+	} {
+		if s, err := sys.Suggest(c.t, c.validated); !errors.Is(err, certainfix.ErrArityMismatch) || s != nil {
+			t.Errorf("%s: Suggest = %v, %v, want ErrArityMismatch", c.name, s, err)
+		}
 	}
 }
 

@@ -24,12 +24,12 @@ import (
 )
 
 // referenceCells counts the begin cells a token writes as symbol ids: the
-// members of the set that follows the arity (token format 5, see
+// members of the set that follows the arity (token format 6, see
 // internal/monitor/token.go).
 func referenceCells(tb testing.TB, token []byte) int {
 	tb.Helper()
-	if len(token) == 0 || token[0] != 5 {
-		tb.Fatalf("token is not format 5: % x", token[:min(len(token), 4)])
+	if len(token) == 0 || token[0] != 6 {
+		tb.Fatalf("token is not format 6: % x", token[:min(len(token), 4)])
 	}
 	b := token[1:]
 	next := func() uint64 {

@@ -132,10 +132,13 @@ func (g generated) finalTokens(tb testing.TB) [][]byte {
 // marshal round trip. The JSON token it replaced averaged ~1,500 bytes
 // (max ~1,950); the image of the session's derived state that followed
 // it, 362 B (max 433 B); the inputs with every begin cell written as
-// itself, 323 B (max 432 B, 130 allocs). The size bounds leave a quarter
-// of headroom over what the format that references interned begin cells
-// measures (mean 261 B, max 418 B, 128 allocs), the alloc bound over the
-// 130: a regression past them is a format change, not noise.
+// itself, 323 B (max 432 B, 130 allocs); format 5, which references
+// interned begin cells, 261 B (max 418 B, 128 allocs). The size bounds
+// leave a quarter of headroom over what format 6 — a round's assertions
+// as their difference with its suggestion, ascending lists as bitmaps
+// when shorter, no pending suggestion once done — measures (mean 233 B,
+// max 368 B, 127 allocs), the alloc bound over the 130: a regression
+// past them is a format change, not noise.
 func TestTokenSizeBudget(t *testing.T) {
 	g := generate(t, "hosp", 200)
 	tokens := g.finalTokens(t)
@@ -148,8 +151,8 @@ func TestTokenSizeBudget(t *testing.T) {
 	}
 	mean := float64(total) / float64(len(tokens))
 	t.Logf("final token: mean %.0f B, max %d B over %d sessions", mean, len(longest), len(tokens))
-	if mean > 326 || len(longest) > 522 {
-		t.Errorf("final token: mean %.0f B (budget 326), max %d B (budget 522)", mean, len(longest))
+	if mean > 291 || len(longest) > 460 {
+		t.Errorf("final token: mean %.0f B (budget 291), max %d B (budget 460)", mean, len(longest))
 	}
 
 	// Resume is a replay: most of these are the recorded rounds' consistency checks and cascades.
