@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -126,6 +127,30 @@ func TestTransFixMatchesExploreProperty(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("seed %d: TransFix result %v is not a reachable outcome\nΣ:\n%s", seed, tf, sigma)
+			}
+		}
+	}
+}
+
+// TestTransFixLeavesGraphProperty: DepGraph.Successors, Rule.LHS and
+// Rule.LHSM hand out the slices they store, so TransFix over the property
+// seeds must leave every edge list and every (X, Xm) as the graph was
+// built.
+func TestTransFixLeavesGraphProperty(t *testing.T) {
+	for seed := 0; seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(int64(9_000_000 + seed)))
+		sigma, dm, tup, zSet := randomFixInstance(rng)
+		g := rule.NewDepGraph(sigma)
+		var want [][]int
+		for u, ru := range sigma.Rules() {
+			want = append(want, slices.Clone(g.Successors(u)), slices.Clone(ru.LHS()), slices.Clone(ru.LHSM()))
+		}
+		_, _ = fix.TransFix(g, dm, tup.Clone(), &zSet)
+		for u, ru := range sigma.Rules() {
+			for i, got := range [][]int{g.Successors(u), ru.LHS(), ru.LHSM()} {
+				if !slices.Equal(got, want[3*u+i]) {
+					t.Fatalf("seed %d: rule %s: slice %d is %v after TransFix, was %v", seed, ru.Name(), i, got, want[3*u+i])
+				}
 			}
 		}
 	}

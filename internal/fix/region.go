@@ -9,7 +9,6 @@ package fix
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/pattern"
 	"repro/internal/relation"
@@ -66,9 +65,6 @@ func (r *Region) Tableau() *pattern.Tableau { return r.tc }
 // Marks reports whether t matches some pattern tuple of Tc.
 func (r *Region) Marks(t relation.Tuple) bool { return r.tc.Marks(t) }
 
-// Has reports whether attribute position p is in Z.
-func (r *Region) Has(p int) bool { return r.zSet.Has(p) }
-
 // Extend implements ext(Z, Tc, ϕ) (§3): after applying a rule with rhs B,
 // t[B] is validated as a logical consequence, so B joins Z and every
 // pattern row is (implicitly) widened with a wildcard on B. Extending by
@@ -83,13 +79,4 @@ func (r *Region) Extend(b int) *Region {
 	// Wildcards are implicit in pattern.Tuple (unmentioned attributes are
 	// unconstrained), so the tableau itself is reused.
 	return &Region{z: nz, zSet: ns, tc: r.tc}
-}
-
-// Format renders the region with schema names, e.g. "(zip, AC | 2 rows)".
-func (r *Region) Format(schema *relation.Schema) string {
-	names := make([]string, len(r.z))
-	for i, p := range r.z {
-		names[i] = schema.Attr(p).Name
-	}
-	return fmt.Sprintf("(%s | %d pattern rows)", strings.Join(names, ", "), r.tc.Len())
 }

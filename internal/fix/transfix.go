@@ -149,13 +149,19 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 // not participate — ordering conflicts across states are the checkers'
 // concern (§4), not the fixer's.
 func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value) []relation.Value {
-	peers := sigma.RulesFixing(fired.RHS())
-	if len(peers) == 1 {
+	b, peers := fired.RHS(), 0
+	for _, ru := range sigma.Rules() {
+		if ru.RHS() == b {
+			peers++
+		}
+	}
+	if peers == 1 {
 		return own
 	}
 	var values []relation.Value
-	for _, ru := range peers {
+	for _, ru := range sigma.Rules() {
 		switch {
+		case ru.RHS() != b:
 		case ru == fired:
 			values = appendDistinct(values, own)
 		case zSet.ContainsSet(ru.PremiseSet()):

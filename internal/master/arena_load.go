@@ -281,7 +281,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		if rr.err != nil {
 			return nil, rr.err
 		}
-		idx := d.findIndex(ru.LHSMRef())
+		idx := d.findIndex(ru.LHSM())
 		if idx == nil {
 			return nil, &SnapshotError{Section: "rules", Offset: -1,
 				Msg: fmt.Sprintf("rule %s: no index over its Xm in snapshot", ru.Name())}

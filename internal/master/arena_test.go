@@ -83,7 +83,7 @@ func checkProbesAgree(t testing.TB, ctx string, a, b *Data, sigma *rule.Set, val
 			if ga, gb := a.PatternSupported(ru), b.PatternSupported(ru); ga != gb {
 				t.Fatalf("%s: rule %s PatternSupported %v vs %v", ctx, ru.Name(), ga, gb)
 			}
-			xm := ru.LHSMRef()
+			xm := ru.LHSM()
 			vproj := make([]relation.Value, len(xm))
 			for i := range xm {
 				vproj[i] = probe[i%len(probe)]

@@ -66,7 +66,7 @@ func checkAbsentFromColumn(t testing.TB, ctx string, d *Data, sigma *rule.Set, t
 	}
 	probe := make(relation.Tuple, sigma.Schema().Arity())
 	for _, ru := range sigma.Rules() {
-		x, xm := ru.LHSRef(), ru.LHSMRef()
+		x, xm := ru.LHS(), ru.LHSM()
 		for v := range values {
 			for k := range x {
 				// A probe that agrees with some master tuple everywhere but
@@ -132,7 +132,7 @@ func TestCellsMatchRelation(t *testing.T) {
 		_, sigma, rm, vals := randomDeltaInstance(rng)
 		indexed := map[int]bool{}
 		for _, ru := range sigma.Rules() {
-			for _, c := range ru.LHSMRef() {
+			for _, c := range ru.LHSM() {
 				indexed[c] = true
 			}
 		}

@@ -65,7 +65,7 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 			if idx == nil {
 				t.Fatal("probe plan must be resolved at NewForRules time")
 			}
-			h, ok := dm.hasher.ProbeTuple(probe, ru.LHSRef(), nil)
+			h, ok := dm.hasher.ProbeTuple(probe, ru.LHS(), nil)
 			if !ok {
 				t.Fatal("probe must hash")
 			}

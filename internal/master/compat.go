@@ -50,7 +50,7 @@ func (cp *compatPlan) has(id int) bool {
 // constrain t; on master tuples only the cells over lhs attributes carry
 // over through λϕ). Only the cells a pattern names are turned into values.
 func patternCompatible(ru *rule.Rule, row []uint32, syms *relation.Symbols) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	for i := range x {
 		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(syms.Value(row[xm[i]])) {
@@ -64,7 +64,7 @@ func patternCompatible(ru *rule.Rule, row []uint32, syms *relation.Symbols) bool
 // other than a wildcard: patternCompatible holds on every master tuple.
 func patternFree(ru *rule.Rule) bool {
 	tp := ru.Pattern()
-	for _, x := range ru.LHSRef() {
+	for _, x := range ru.LHS() {
 		if cell, has := tp.CellFor(x); has && cell.Kind != pattern.Wildcard {
 			return false
 		}
@@ -103,7 +103,7 @@ func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.A
 // compatible is CompatibleExists plus whether the Dm-scan fallback ran —
 // separated so tests can pin the adaptive fallback policy.
 func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) (found, scanned bool) {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	plan := d.compat[ru]
 	var buf probeIDs
 	ids := buf.take(len(x))
@@ -207,7 +207,7 @@ func agreeOn(row []uint32, x, xm []int, zSet relation.AttrSet, ids []uint32) boo
 // indexed path is property-tested against here (internal/suggest holds
 // CompatibleExists to a scan over materialized values).
 func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	var buf probeIDs
 	ids := buf.take(len(x))
 	if !d.validatedIDs(x, t, zSet, ids) {

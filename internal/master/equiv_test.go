@@ -146,7 +146,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 func checkColumnIndexes(t testing.TB, ctx string, d *Data, sigma *rule.Set) {
 	t.Helper()
 	for _, ru := range sigma.Rules() {
-		xm, cp := ru.LHSMRef(), d.compat[ru]
+		xm, cp := ru.LHSM(), d.compat[ru]
 		if len(xm) < 2 {
 			if len(cp.posts) != 0 {
 				t.Fatalf("%s: rule %s has a one-column Xm and %d one-column indexes", ctx, ru.Name(), len(cp.posts))

@@ -416,7 +416,7 @@ func (d *Data) indexFor(ru *rule.Rule) *index { return d.plans[ru] }
 // Callers that need only the rhs values or one witness use RHSValues /
 // RHSValuesWitness, which do not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
-	x := ru.LHSRef()
+	x := ru.LHS()
 	var buf probeIDs
 	ids := buf.take(len(x))
 	h, ok := d.hasher.ProbeTuple(t, x, ids)
@@ -427,7 +427,7 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 		bucket := idx.shard(h).list(h)
 		return d.verified(&bucket, idx.xm, ids)
 	}
-	return d.scan(ru.LHSMRef(), ids)
+	return d.scan(ru.LHSM(), ids)
 }
 
 // RHSValues returns the distinct values tm[Bm] over all master tuples
@@ -448,7 +448,7 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	if !ru.MatchesPattern(t) {
 		return nil, -1
 	}
-	x, xm, bm := ru.LHSRef(), ru.LHSMRef(), ru.RHSM()
+	x, xm, bm := ru.LHS(), ru.LHSM(), ru.RHSM()
 	var buf probeIDs
 	ids := buf.take(len(x))
 	h, ok := d.hasher.ProbeTuple(t, x, ids)

@@ -114,7 +114,7 @@ func (d *Data) registerIndex(xm []int) *index {
 // bitmap.
 func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 	plan := &compatPlan{}
-	if xm := ru.LHSMRef(); len(xm) > 1 {
+	if xm := ru.LHSM(); len(xm) > 1 {
 		plan.posts = make([]*index, len(xm))
 		for i, col := range xm {
 			plan.posts[i] = d.registerIndex([]int{col})
@@ -160,7 +160,7 @@ func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
 	b := newBuilder(sigma.MasterSchema(), sigma, resolveBuildConfig(opts))
 	d := b.d
 	for _, ru := range sigma.Rules() {
-		idx := d.registerIndex(ru.LHSMRef())
+		idx := d.registerIndex(ru.LHSM())
 		idx.trackRHS(ru.RHSM())
 		d.plans[ru] = idx
 		d.compat[ru] = d.registerCompatPlan(ru)

@@ -106,8 +106,8 @@ func checkProbeEquality(t *testing.T, ctx string, sharded, oracle *Data, sigma *
 		if got, want := sharded.PatternSupported(ru), oracle.PatternSupported(ru); got != want {
 			t.Fatalf("%s: rule %s PatternSupported = %v, oracle %v", ctx, ru.Name(), got, want)
 		}
-		xm := ru.LHSMRef()
-		vals := probe.Project(ru.LHSRef())
+		xm := ru.LHSM()
+		vals := probe.Project(ru.LHS())
 		if got, want := sharded.Lookup(xm, vals), oracle.Lookup(xm, vals); !eqInts(got, want) {
 			t.Fatalf("%s: rule %s Lookup = %v, oracle %v", ctx, ru.Name(), got, want)
 		}
@@ -257,7 +257,7 @@ func TestColumnIndexProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(82_000_000 + seed)))
 			rel, sigma, vals := randomShardInstance(rng)
 			for _, ru := range sigma.Rules() {
-				if len(ru.LHSMRef()) > 1 {
+				if len(ru.LHSM()) > 1 {
 					multi++
 				}
 			}
@@ -348,7 +348,7 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	dm := MustNewForRules(rel, sigma, WithShards(7))
 
 	probe := relation.StringTuple("k", "dirty")
-	h, ok := dm.hasher.ProbeTuple(probe, ru.LHSRef(), nil)
+	h, ok := dm.hasher.ProbeTuple(probe, ru.LHS(), nil)
 	if !ok {
 		t.Fatal("probe must hash")
 	}

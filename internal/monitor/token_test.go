@@ -239,7 +239,7 @@ func checkProvenance(t *testing.T, res monitor.Result) {
 		if ru == nil || ru.RHS() != w.Attr || !res.AutoFixed.Has(w.Attr) {
 			t.Fatalf("witness %+v names no rule fixing an auto-fixed attribute", w)
 		}
-		x, xm := ru.LHSRef(), ru.LHSMRef()
+		x, xm := ru.LHS(), ru.LHSM()
 		for i := range x {
 			if !res.Tuple[x[i]].Equal(w.Master[xm[i]]) {
 				t.Fatalf("attribute %d: premise attribute %d does not match master tuple %d %v", w.Attr, x[i], w.MasterID, w.Master)

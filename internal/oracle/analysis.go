@@ -172,7 +172,7 @@ func newDomains(sigma *rule.Set, dm *master.Data, tc *pattern.Tableau) *domains 
 				add(p, cell.Val)
 			}
 		}
-		x, xm := ru.LHSRef(), ru.LHSMRef()
+		x, xm := ru.LHS(), ru.LHSM()
 		for i := range x {
 			for id := range dm.Len() {
 				add(x[i], dm.Cell(id, xm[i]))

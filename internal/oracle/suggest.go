@@ -29,7 +29,7 @@ func ApplicableRules(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet re
 		}
 		refined := ru.Pattern()
 		touched := false
-		for _, p := range ru.LHSRef() {
+		for _, p := range ru.LHS() {
 			if zSet.Has(p) {
 				refined = refined.WithCell(p, pattern.Eq(t[p]))
 				touched = true
@@ -65,7 +65,7 @@ func patternAccepts(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool
 // agreeing with t on λϕ(X ∩ Z) and pattern-compatible on the rest. Oracle
 // for master.Data.CompatibleExists.
 func MasterCompatible(dm *master.Data, ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	if zSet.HasAll(x) {
 		for _, id := range dm.MatchIDs(ru, t) {
@@ -98,7 +98,7 @@ func MasterCompatible(dm *master.Data, ru *rule.Rule, t relation.Tuple, zSet rel
 
 // patternCompatibleMaster checks tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X].
 func patternCompatibleMaster(ru *rule.Rule, tm relation.Tuple) bool {
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	for i := range x {
 		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {

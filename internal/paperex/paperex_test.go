@@ -136,7 +136,7 @@ func TestSigma0MatchesExample11(t *testing.T) {
 		if ru.Name() != w.name {
 			t.Fatalf("rule %d named %q, want %q", i, ru.Name(), w.name)
 		}
-		x, xm := ru.LHSRef(), ru.LHSMRef()
+		x, xm := ru.LHS(), ru.LHSM()
 		if len(x) != len(w.x) {
 			t.Fatalf("%s lhs arity %d, want %d", w.name, len(x), len(w.x))
 		}

@@ -1,10 +1,6 @@
 package pattern
 
-import (
-	"strings"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // Tableau is a pattern tableau Tc: a set of pattern tuples, normally all
 // over the same attribute list Z of a region (§3). A data tuple is "marked"
@@ -73,21 +69,4 @@ func (tb *Tableau) IsPositive() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent tableau with the same rows.
-func (tb *Tableau) Clone() *Tableau {
-	return &Tableau{rows: append([]Tuple(nil), tb.rows...)}
-}
-
-// Format renders the tableau one row per line using schema names.
-func (tb *Tableau) Format(schema *relation.Schema) string {
-	var b strings.Builder
-	for i, r := range tb.rows {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(r.Format(schema))
-	}
-	return b.String()
 }

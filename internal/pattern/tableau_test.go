@@ -1,7 +1,6 @@
 package pattern
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -48,23 +47,5 @@ func TestTableauConcretePositiveFlags(t *testing.T) {
 	wild := NewTableau(MustTuple([]int{0}, []Cell{Any}))
 	if wild.IsConcrete() || !wild.IsPositive() {
 		t.Error("wildcard tableau is positive but not concrete")
-	}
-}
-
-func TestTableauCloneIndependence(t *testing.T) {
-	tb := NewTableau(rowEq(0, "a"))
-	c := tb.Clone()
-	c.Add(rowEq(0, "b"))
-	if tb.Len() != 1 {
-		t.Error("Clone shares row storage")
-	}
-}
-
-func TestTableauFormat(t *testing.T) {
-	s := relation.StringSchema("R", "AC")
-	tb := NewTableau(rowEq(0, "020"), rowEq(0, "131"))
-	got := tb.Format(s)
-	if !strings.Contains(got, "020") || !strings.Contains(got, "131") {
-		t.Errorf("Format = %q", got)
 	}
 }

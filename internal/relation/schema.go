@@ -90,9 +90,6 @@ func (s *Schema) Arity() int { return len(s.attrs) }
 // Attr returns the attribute at position i.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute { return append([]Attribute(nil), s.attrs...) }
-
 // Pos resolves an attribute name to its position, with ok=false when the
 // attribute does not exist.
 func (s *Schema) Pos(name string) (int, bool) {

@@ -17,7 +17,7 @@ func TestNewSchemaValid(t *testing.T) {
 		t.Fatalf("unexpected schema: %v", s)
 	}
 	if s.Attr(0).Name != "AC" || s.Attr(1).Type != TypeInt {
-		t.Fatalf("attr mismatch: %+v", s.Attrs())
+		t.Fatalf("attr mismatch: %+v, %+v", s.Attr(0), s.Attr(1))
 	}
 }
 

@@ -98,17 +98,6 @@ func (v Value) Less(w Value) bool {
 	}
 }
 
-// Compare returns -1, 0 or +1 per the order defined by Less.
-func (v Value) Compare(w Value) int {
-	if v.Equal(w) {
-		return 0
-	}
-	if v.Less(w) {
-		return -1
-	}
-	return 1
-}
-
 // String renders the value for display. Null renders as "⊥".
 func (v Value) String() string {
 	switch v.kind {

@@ -45,15 +45,15 @@ func TestValueOrderTotal(t *testing.T) {
 		for j, b := range vals {
 			switch {
 			case i == j:
-				if a.Compare(b) != 0 {
-					t.Errorf("Compare(%v,%v) != 0", a, b)
+				if !a.Equal(b) || a.Less(b) {
+					t.Errorf("want %v = %v", a, b)
 				}
 			case i < j:
-				if !a.Less(b) || a.Compare(b) != -1 {
+				if !a.Less(b) || a.Equal(b) {
 					t.Errorf("want %v < %v", a, b)
 				}
 			default:
-				if a.Less(b) || a.Compare(b) != 1 {
+				if a.Less(b) || a.Equal(b) {
 					t.Errorf("want %v > %v", a, b)
 				}
 			}
@@ -65,7 +65,7 @@ func TestValueOrderAntisymmetryProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		x, y := Int(a), Int(b)
 		if a == b {
-			return x.Compare(y) == 0
+			return x.Equal(y) && !x.Less(y)
 		}
 		return x.Less(y) != y.Less(x)
 	}
@@ -75,7 +75,7 @@ func TestValueOrderAntisymmetryProperty(t *testing.T) {
 	g := func(a, b string) bool {
 		x, y := String(a), String(b)
 		if a == b {
-			return x.Compare(y) == 0
+			return x.Equal(y) && !x.Less(y)
 		}
 		return x.Less(y) != y.Less(x)
 	}

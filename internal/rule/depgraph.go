@@ -8,7 +8,9 @@ import (
 // DepGraph is the dependency graph G(V, E) of a rule set (§5.1): one node
 // per rule; an edge (u, v) when Bu ∈ (Xv ∪ Xpv), i.e. applying ϕu may
 // enable ϕv. TransFix walks this graph to order rule applications; it is
-// computed once per Σ and reused for every input tuple.
+// computed once per Σ and reused for every input tuple, so it is
+// immutable once built: the edge lists Successors returns are the
+// graph's own, shared by every goroutine, and must not be modified.
 type DepGraph struct {
 	set *Set
 	out [][]int // adjacency: out[u] = nodes v with edge (u, v)
@@ -35,11 +37,9 @@ func NewDepGraph(s *Set) *DepGraph {
 // Set returns the rule set the graph was built from.
 func (g *DepGraph) Set() *Set { return g.set }
 
-// Len returns the number of nodes (rules).
-func (g *DepGraph) Len() int { return len(g.out) }
-
-// Successors returns the nodes enabled by applying rule u (copy).
-func (g *DepGraph) Successors(u int) []int { return append([]int(nil), g.out[u]...) }
+// Successors returns the nodes enabled by applying rule u, in ascending
+// order; the slice is shared and read-only.
+func (g *DepGraph) Successors(u int) []int { return g.out[u] }
 
 // String renders the graph as "u -> v" lines using rule names.
 func (g *DepGraph) String() string {

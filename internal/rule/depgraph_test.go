@@ -16,14 +16,14 @@ import (
 func TestDepGraphFig4(t *testing.T) {
 	sigma := paperex.Sigma0()
 	g := rule.NewDepGraph(sigma)
-	if g.Len() != 9 {
-		t.Fatalf("graph has %d nodes", g.Len())
+	if sigma.Len() != 9 {
+		t.Fatalf("Σ0 has %d rules", sigma.Len())
 	}
 	wantEdges := map[string][]string{
 		"phi1": {"phi6", "phi7", "phi8", "phi9"}, // AC feeds ϕ6–ϕ9
 		"phi8": {"phi1", "phi2", "phi3"},         // zip feeds ϕ1–ϕ3
 	}
-	for u := 0; u < g.Len(); u++ {
+	for u := 0; u < sigma.Len(); u++ {
 		name := sigma.Rule(u).Name()
 		var got []string
 		for _, v := range g.Successors(u) {
@@ -56,8 +56,9 @@ func TestDepGraphFig4(t *testing.T) {
 // exist (B ∉ X is enforced), but B may appear in the pattern of another
 // rule; self-edges are excluded by construction.
 func TestDepGraphNoSelfLoops(t *testing.T) {
-	g := rule.NewDepGraph(paperex.Sigma0())
-	for u := 0; u < g.Len(); u++ {
+	sigma := paperex.Sigma0()
+	g := rule.NewDepGraph(sigma)
+	for u := 0; u < sigma.Len(); u++ {
 		if slices.Contains(g.Successors(u), u) {
 			t.Errorf("self loop at node %d", u)
 		}

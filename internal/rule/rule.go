@@ -21,6 +21,10 @@ import (
 // Semantics (§2): ϕ and a master tuple tm apply to t, written
 // t →(ϕ,tm) t', iff t ≈ tp, t[X] = tm[Xm]; then t' is t with
 // t[B] := tm[Bm].
+//
+// A rule is immutable once built: the slices LHS and LHSM return are
+// the rule's own, shared by every goroutine reading it, and must not be
+// modified. Derived rules (WithPattern, WithConfidence) share them too.
 type Rule struct {
 	name   string
 	r, rm  *relation.Schema
@@ -104,19 +108,12 @@ func (ru *Rule) Schema() *relation.Schema { return ru.r }
 // MasterSchema returns the master schema Rm.
 func (ru *Rule) MasterSchema() *relation.Schema { return ru.rm }
 
-// LHS returns the positions of X in R (copy).
-func (ru *Rule) LHS() []int { return append([]int(nil), ru.x...) }
+// LHS returns the positions of X in R; the slice is shared and read-only.
+func (ru *Rule) LHS() []int { return ru.x }
 
-// LHSM returns the positions of Xm in Rm (copy).
-func (ru *Rule) LHSM() []int { return append([]int(nil), ru.xm...) }
-
-// LHSRef returns the internal X position slice without copying. Hot paths
-// only (master probes, suggestion loops); callers must not mutate it.
-func (ru *Rule) LHSRef() []int { return ru.x }
-
-// LHSMRef returns the internal Xm position slice without copying. Hot paths
-// only; callers must not mutate it.
-func (ru *Rule) LHSMRef() []int { return ru.xm }
+// LHSM returns the positions of Xm in Rm, paired with LHS by index; the
+// slice is shared and read-only.
+func (ru *Rule) LHSM() []int { return ru.xm }
 
 // RHS returns the position of B in R.
 func (ru *Rule) RHS() int { return ru.b }
@@ -207,22 +204,6 @@ func (ru *Rule) WithConfidence(c float64) (*Rule, error) {
 
 // MatchesPattern reports t ≈ tp for this rule's pattern.
 func (ru *Rule) MatchesPattern(t relation.Tuple) bool { return ru.tp.Matches(t) }
-
-// Applies reports whether (ϕ, tm) apply to t: t ≈ tp and t[X] = tm[Xm].
-func (ru *Rule) Applies(t, tm relation.Tuple) bool {
-	return ru.tp.Matches(t) && t.ProjectMatches(ru.x, tm, ru.xm)
-}
-
-// Apply performs t[B] := tm[Bm] in place, assuming Applies holds, and
-// returns whether the value actually changed.
-func (ru *Rule) Apply(t, tm relation.Tuple) bool {
-	v := tm[ru.bm]
-	if t[ru.b].Equal(v) {
-		return false
-	}
-	t[ru.b] = v
-	return true
-}
 
 // String renders the rule in the paper's notation using attribute names.
 func (ru *Rule) String() string {

@@ -43,33 +43,6 @@ func TestNewRuleValidation(t *testing.T) {
 	}
 }
 
-func TestRuleAppliesAndApply(t *testing.T) {
-	r, rm := twoColSchemas()
-	// ((A ; Am) -> (C ; Cm), tp[B] = "on")
-	tp := pattern.MustTuple([]int{1}, []pattern.Cell{pattern.EqStr("on")})
-	ru := rule.MustNew("r", r, rm, []int{0}, []int{0}, 2, 2, tp)
-
-	tm := relation.StringTuple("k1", "x", "master-c")
-	match := relation.StringTuple("k1", "on", "dirty")
-	if !ru.Applies(match, tm) {
-		t.Fatal("rule should apply")
-	}
-	if changed := ru.Apply(match, tm); !changed || match[2].Str() != "master-c" {
-		t.Fatalf("Apply: changed=%v tuple=%v", changed, match)
-	}
-	// idempotent second application
-	if changed := ru.Apply(match, tm); changed {
-		t.Fatal("second Apply must report no change")
-	}
-
-	if ru.Applies(relation.StringTuple("k1", "off", "d"), tm) {
-		t.Error("pattern mismatch must block application")
-	}
-	if ru.Applies(relation.StringTuple("k2", "on", "d"), tm) {
-		t.Error("t[X] != tm[Xm] must block application")
-	}
-}
-
 func TestRuleAccessorsAndSets(t *testing.T) {
 	r, rm := twoColSchemas()
 	tp := pattern.MustTuple([]int{1}, []pattern.Cell{pattern.EqStr("v")})
@@ -140,8 +113,14 @@ func TestSetAggregates(t *testing.T) {
 	if !sigma.FreeAttrs().Equal(wantFree) {
 		t.Errorf("free attrs = %v", sigma.FreeAttrs().Names(r))
 	}
-	if got := sigma.RulesFixing(r.MustPos("city")); len(got) != 3 {
-		t.Errorf("rules fixing city = %d, want 3 (ϕ3, ϕ7, ϕ9)", len(got))
+	fixingCity := 0
+	for _, ru := range sigma.Rules() {
+		if ru.RHS() == r.MustPos("city") {
+			fixingCity++
+		}
+	}
+	if fixingCity != 3 {
+		t.Errorf("rules fixing city = %d, want 3 (ϕ3, ϕ7, ϕ9)", fixingCity)
 	}
 	if sigma.IsDirect() {
 		t.Error("Σ0 is not direct (ϕ4 has pattern attr type ∉ X)")

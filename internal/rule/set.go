@@ -10,6 +10,10 @@ import (
 )
 
 // Set is a set Σ of editing rules over a shared (R, Rm) schema pair.
+//
+// A set is immutable once parsed or built: Add belongs to construction,
+// and the slice Rules returns, like the rules' own position slices, is
+// shared and must not be modified.
 type Set struct {
 	r, rm *relation.Schema
 	rules []*Rule
@@ -59,21 +63,8 @@ func (s *Set) Len() int { return len(s.rules) }
 // Rule returns the i-th rule.
 func (s *Set) Rule(i int) *Rule { return s.rules[i] }
 
-// Rules returns the backing rule slice (not a copy).
+// Rules returns the set's own rule slice, shared and read-only.
 func (s *Set) Rules() []*Rule { return s.rules }
-
-// Weighted reports whether any rule carries a confidence weight below 1.
-// Unweighted sets — every hand-written Σ, and exact mined ones — keep the
-// paper's original semantics everywhere; weighted behavior (confidence
-// tie-breaking in Suggest) switches on only when this is true.
-func (s *Set) Weighted() bool {
-	for _, ru := range s.rules {
-		if ru.conf != 1 {
-			return true
-		}
-	}
-	return false
-}
 
 // LHS returns lhs(Σ) = ∪ lhs(ϕ) as an attribute set over R.
 func (s *Set) LHS() relation.AttrSet {
@@ -120,17 +111,6 @@ func (s *Set) FreeAttrs() relation.AttrSet {
 	for p := 0; p < s.r.Arity(); p++ {
 		if !rhs.Has(p) {
 			out.Add(p)
-		}
-	}
-	return out
-}
-
-// RulesFixing returns the rules whose rhs is attribute position b.
-func (s *Set) RulesFixing(b int) []*Rule {
-	var out []*Rule
-	for _, ru := range s.rules {
-		if ru.b == b {
-			out = append(out, ru)
 		}
 	}
 	return out

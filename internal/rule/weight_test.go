@@ -23,9 +23,8 @@ func TestConfidenceDefaultsToOne(t *testing.T) {
 	if ru.Confidence() != 1 {
 		t.Fatalf("default confidence = %v, want 1", ru.Confidence())
 	}
-	set := MustNewSet(r, rm, ru)
-	if set.Weighted() {
-		t.Fatal("set of confidence-1 rules must not report Weighted")
+	if got := MustNewSet(r, rm, ru).Rule(0).Confidence(); got != 1 {
+		t.Fatalf("set member confidence = %v, want 1", got)
 	}
 	if strings.Contains(ru.String(), "weight") {
 		t.Fatalf("unweighted String must not mention weight: %s", ru)
@@ -41,8 +40,8 @@ func TestParseWeightClause(t *testing.T) {
 	if ru.Confidence() != 0.93 {
 		t.Fatalf("confidence = %v, want 0.93", ru.Confidence())
 	}
-	if !MustNewSet(r, rm, ru).Weighted() {
-		t.Fatal("set with a 0.93-confidence rule must report Weighted")
+	if got := MustNewSet(r, rm, ru).Rule(0).Confidence(); got != 0.93 {
+		t.Fatalf("set member confidence = %v, want 0.93", got)
 	}
 	if !strings.Contains(ru.String(), "weight 0.93") {
 		t.Fatalf("weighted String must carry the weight: %s", ru)

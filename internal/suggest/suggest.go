@@ -104,7 +104,7 @@ func (d *Deriver) ApplicableRules(t relation.Tuple, zSet relation.AttrSet) *rule
 		}
 		refined := ru.Pattern()
 		touched := false
-		for _, p := range ru.LHSRef() {
+		for _, p := range ru.LHS() {
 			if zSet.Has(p) {
 				refined = refined.WithCell(p, pattern.Eq(t[p]))
 				touched = true

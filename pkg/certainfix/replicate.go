@@ -189,13 +189,15 @@ func parseAfter(q string) (uint64, error) {
 	return after, nil
 }
 
-// replyJSONError writes the same {"error", "code"} shape certainfixd
-// uses, so follower-side handling is uniform whether the leader endpoint
-// is mounted by the daemon or by a custom mux.
+// replyJSONError writes the same {"error", "code"} shape, escaped by the
+// same encoder, as certainfixd, so follower-side handling is uniform
+// whether the leader endpoint is mounted by the daemon or by a custom mux.
 func replyJSONError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q,\"code\":%q}\n", msg, code)
+	b := String(msg).AppendJSON([]byte(`{"error":`))
+	b = String(code).AppendJSON(append(b, `,"code":`...))
+	_, _ = w.Write(append(b, "}\n"...))
 }
 
 // ReplicaState is where a follower's shipping loop currently is.

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -428,5 +429,59 @@ func TestServeWALRequiresDurability(t *testing.T) {
 		if rec.Code != http.StatusNotFound || body.Code != "not_durable" {
 			t.Fatalf("memory-only system: status %d code %q", rec.Code, body.Code)
 		}
+	}
+}
+
+// TestReplicationErrorsAreJSON holds the leader endpoints' error bodies to
+// encoding/json whatever the message carries. ServeCheckpoint's 500 names
+// the -wal-dir path, and a path may hold any byte but '/' and NUL: DEL, a
+// control byte without a short JSON escape, invalid UTF-8 and a
+// non-printable astral rune each once broke the body. ServeWAL's 400
+// echoes a hostile ?after= back.
+func TestReplicationErrorsAreJSON(t *testing.T) {
+	type errorBody struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	decode := func(t *testing.T, rec *httptest.ResponseRecorder) errorBody {
+		t.Helper()
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("body %q is not JSON: %v", rec.Body.Bytes(), err)
+		}
+		return body
+	}
+	for label, name := range map[string]string{
+		"DEL":          "del\x7f",
+		"BEL":          "bel\a",
+		"invalid-UTF8": "bad\xffutf8",
+		"astral-tag":   "tag\U000e0001",
+	} {
+		t.Run(label, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), name)
+			leader, _ := replicationLeader(t, dir)
+			defer leader.Close()
+			if err := leader.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, "checkpoint.arena")); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			leader.ServeCheckpoint(rec, httptest.NewRequest(http.MethodGet, "/v1/checkpoint", nil))
+			body := decode(t, rec)
+			if rec.Code != http.StatusInternalServerError || body.Code != "internal" {
+				t.Fatalf("status %d code %q", rec.Code, body.Code)
+			}
+			if want := strings.ToValidUTF8(name, "�"); !strings.Contains(body.Error, want) {
+				t.Fatalf("error %q does not name the directory %q", body.Error, want)
+			}
+
+			rec = httptest.NewRecorder()
+			leader.ServeWAL(rec, httptest.NewRequest(http.MethodGet, "/v1/wal?after="+url.QueryEscape(name), nil))
+			if body := decode(t, rec); rec.Code != http.StatusBadRequest || body.Code != "bad_request" {
+				t.Fatalf("hostile after: status %d code %q", rec.Code, body.Code)
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func verifyWitness(rules *Rules, t relation.Tuple, w *Witness, marity int) error
 	if !ru.MatchesPattern(t) {
 		return fmt.Errorf("%w: attribute %d: tuple does not satisfy rule %q's pattern", ErrVerifyFailed, w.Attr, w.Rule)
 	}
-	x, xm := ru.LHSRef(), ru.LHSMRef()
+	x, xm := ru.LHS(), ru.LHSM()
 	for i := range x {
 		if !t[x[i]].Equal(w.Master[xm[i]]) {
 			return fmt.Errorf("%w: attribute %d: premise attribute %d does not match master tuple", ErrVerifyFailed, w.Attr, x[i])

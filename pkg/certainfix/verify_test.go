@@ -157,7 +157,7 @@ func TestVerifyFixEndToEnd(t *testing.T) {
 				ru = r
 			}
 		}
-		read := append(slices.Clone(ru.LHSMRef()), ru.RHSM())
+		read := append(slices.Clone(ru.LHSM()), ru.RHSM())
 		for p := range second.Master {
 			if !slices.Contains(read, p) {
 				second.Master[p] = relation.String("evil")
