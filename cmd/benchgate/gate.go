@@ -79,12 +79,20 @@ func (m *Manifest) Encode() []byte {
 	return buf.Bytes()
 }
 
-// Record replaces the recorded rows by what cur measured.
+// Record makes the recorded rows those cur measured: a row still within
+// its band (checkRow) keeps its recording, one that left it is rewritten, a
+// new one is added and one no run produced is dropped. So a re-record after
+// a change moves only the rows the change moved.
 func (m *Manifest) Record(cur map[string]Measurement) {
-	m.Rows = make(map[string]Row, len(cur))
+	rows := make(map[string]Row, len(cur))
 	for name, c := range cur {
-		m.Rows[name] = Row{AllocsOp: c.AllocsOp, BOp: c.BOp}
+		if rec, ok := m.Rows[name]; ok && checkRow(rec, c) == "" {
+			rows[name] = rec
+			continue
+		}
+		rows[name] = Row{AllocsOp: c.AllocsOp, BOp: c.BOp}
 	}
+	m.Rows = rows
 }
 
 // Measurement is one benchmark's observed numbers.

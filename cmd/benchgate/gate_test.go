@@ -206,6 +206,48 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordKeepsRowsInBand: a re-record rewrites only the rows whose
+// measurement left the band around their recording; a row that moved
+// within it keeps its recorded numbers byte for byte, a new row is added
+// and a row no run produced is dropped.
+func TestRecordKeepsRowsInBand(t *testing.T) {
+	m := &Manifest{
+		Runs: []Run{{Pkg: ".", Bench: "Benchmark", Benchtime: "1x"}},
+		Rows: map[string]Row{
+			"BenchmarkSteady": {AllocsOp: 5000, BOp: 100000},
+			"BenchmarkMoved":  {AllocsOp: 5000, BOp: 100000},
+			"BenchmarkGone":   {AllocsOp: 1, BOp: 8},
+		},
+	}
+	m.Record(map[string]Measurement{
+		"BenchmarkSteady": {AllocsOp: 5004, BOp: 100900},
+		"BenchmarkMoved":  {AllocsOp: 4000, BOp: 100000},
+		"BenchmarkNew":    {AllocsOp: 2, BOp: 64},
+	})
+	want := map[string]Row{
+		"BenchmarkSteady": {AllocsOp: 5000, BOp: 100000},
+		"BenchmarkMoved":  {AllocsOp: 4000, BOp: 100000},
+		"BenchmarkNew":    {AllocsOp: 2, BOp: 64},
+	}
+	if len(m.Rows) != len(want) {
+		t.Fatalf("recorded rows %v, want %v", m.Rows, want)
+	}
+	for name, w := range want {
+		if got := m.Rows[name]; got != w {
+			t.Fatalf("%s recorded as %+v, want %+v", name, got, w)
+		}
+	}
+	before := m.Encode()
+	m.Record(map[string]Measurement{
+		"BenchmarkSteady": {AllocsOp: 4996, BOp: 99100},
+		"BenchmarkMoved":  {AllocsOp: 4003, BOp: 100500},
+		"BenchmarkNew":    {AllocsOp: 2, BOp: 64},
+	})
+	if after := m.Encode(); !bytes.Equal(before, after) {
+		t.Fatalf("a re-record within every band rewrote the manifest:\n%s\nvs\n%s", before, after)
+	}
+}
+
 // TestManifestMatchesTree: the checked-in manifest names benchmarks that
 // exist, so a renamed benchmark fails `go test ./...` and not only CI.
 // Every run's package has a Benchmark function its pattern selects, every

@@ -8,7 +8,7 @@
 // execution, and ns/op is printed, never compared.
 //
 //	go run ./cmd/benchgate           # run and gate, from the repo root
-//	go run ./cmd/benchgate -record   # run, rewrite the manifest's rows, gate
+//	go run ./cmd/benchgate -record   # run, rewrite the rows that left their band, gate
 //
 // Adding a benchmark to the gate is one "runs" line plus -record. Exit 2
 // means a `go test` run itself failed: a broken benchmark, not a
@@ -28,7 +28,7 @@ import (
 const manifestPath = "benchgate.json"
 
 func main() {
-	record := flag.Bool("record", false, "rewrite the manifest's rows from this run before gating")
+	record := flag.Bool("record", false, "rewrite the manifest's rows that left their band in this run before gating")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fatalf("unexpected arguments %q: benchgate runs what %s lists", flag.Args(), manifestPath)

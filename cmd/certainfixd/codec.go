@@ -601,13 +601,12 @@ func appendSession(b []byte, sess *certainfix.FixSession, token []byte) []byte {
 	if fixed := sess.Fixed(); fixed.Len() > 0 {
 		ps := fixed.Positions()
 		b = appendPositions(append(b, `,"fixedAttrs":`...), ps)
-		t := sess.Tuple()
 		b = append(b, `,"fixedValues":[`...)
 		for i, p := range ps {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = t[p].AppendJSON(b)
+			b = sess.Cell(p).AppendJSON(b)
 		}
 		b = append(b, ']')
 	}

@@ -231,6 +231,15 @@ func main() {
 			"certainfixd: read-only replica following %s (bootstrapped at epoch %d)\n",
 			st.Leader, st.Epoch)
 	}
+	// A build's last collection may have fallen while its temporaries — the
+	// CSV ring, the index build's scratch — were live, and the heap may grow
+	// to twice what that collection marked before the next one. One more,
+	// beside the first requests, sets that goal from the master alone. A
+	// master loaded from an image or a recovered -wal-dir built no such
+	// scratch, and skips it.
+	if boot.MasterRead > 0 {
+		runtime.GC()
+	}
 
 	select {
 	case err := <-errCh:

@@ -25,12 +25,12 @@ package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"repro/internal/relation"
 	"repro/pkg/certainfix"
 )
 
@@ -54,10 +54,9 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	header, err := csv.NewReader(br).Read()
+	header, err := relation.ReadCSVHeader(f)
 	if err != nil {
-		fatalf("reading header: %v", err)
+		fatalf("%v", err)
 	}
 	// Re-open: ReadCSV wants the header too.
 	if _, err := f.Seek(0, 0); err != nil {

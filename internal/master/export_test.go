@@ -1,5 +1,7 @@
 package master
 
+import "io"
+
 // The fixtures of the in-package benchmarks, for the external test package:
 // only that one can import datagen (datagen imports master).
 var (
@@ -7,3 +9,7 @@ var (
 	BenchMasterTuple    = benchMasterTuple
 	PinProcs            = pinProcs
 )
+
+// ReadCSVBlocks is Builder.ReadCSV reading rd in blocks of the given size:
+// a small one cuts chunks anywhere, inside quoted cells included.
+func ReadCSVBlocks(b *Builder, rd io.Reader, block int) error { return b.readCSV(rd, block) }

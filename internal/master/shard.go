@@ -124,14 +124,15 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 }
 
 // Builder is the one way a snapshot's cells come to be outside ApplyDelta
-// and LoadArena: rows are fed one at a time, each cell interned as it
-// arrives, and Finish builds the registered structures over the id rows.
-// Because the stream is serial, ids come out in the rows' own first-seen
-// order (row by row, column by column) — the same in every process and at
-// every GOMAXPROCS, and with them the hash keys, the shape of every overlay
-// trie and the allocation counts the perf gate holds deltas to. NewForRules
-// feeds it a relation, certainfix.NewFromCSV the rows of a file as they are
-// parsed, so a master never exists as values and as ids at once.
+// and LoadArena: rows are fed in order, each cell interned as it arrives,
+// and Finish builds the registered structures over the id rows. Ids come
+// out in the rows' own first-seen order (row by row, column by column) —
+// the same in every process and at every GOMAXPROCS, and with them the hash
+// keys, the shape of every overlay trie and the allocation counts the perf
+// gate holds deltas to. NewForRules feeds it a relation through Add;
+// certainfix.NewFromCSV a file through ReadCSV, which parses and interns
+// chunks of it in parallel and merges them in file order (csv.go), so a
+// master never exists as values and as ids at once.
 type Builder struct {
 	d      *Data
 	sigma  *rule.Set // nil under New: no plans, no bitmaps
@@ -202,24 +203,27 @@ func (b *Builder) Add(t relation.Tuple) error {
 // addRow interns t's cells into the next row.
 func (b *Builder) addRow(t relation.Tuple) {
 	d := b.d
-	if len(b.slab) < len(t) {
-		b.slab = make([]uint32, min(max(d.rows.Len(), minSlabRows), maxSlabRows)*len(t))
-	}
-	row := b.slab[:len(t):len(t)]
-	b.slab = b.slab[len(t):]
+	row := b.newRow(len(t))
 	first := d.rows.Len() == 0
 	for c, v := range t {
 		if !first && v == b.last[c] {
 			row[c] = b.lastID[c]
 			continue
 		}
-		id, ok := d.syms.ID(v)
-		if !ok {
-			id = d.syms.Intern(v.Clone())
-		}
+		id := d.syms.InternClone(v)
 		row[c], b.last[c], b.lastID[c] = id, d.syms.Value(id), id
 	}
 	d.rows.Append(row)
+}
+
+// newRow carves the next row, of arity cells, off the slab.
+func (b *Builder) newRow(arity int) []uint32 {
+	if len(b.slab) < arity {
+		b.slab = make([]uint32, min(max(b.d.rows.Len(), minSlabRows), maxSlabRows)*arity)
+	}
+	row := b.slab[:arity:arity]
+	b.slab = b.slab[arity:]
+	return row
 }
 
 // Finish fixes the snapshot's shard count — shardsFor the rows added so far,
@@ -299,8 +303,9 @@ func (d *Data) fill() {
 	_, _ = parallel.MapWorkers(len(d.indexes), 0, func() func(int) (struct{}, error) {
 		// keys is the index's key of every tuple, in tuple order, and then the
 		// sort buffer of each shard's table; gkeys and ids the same keys and
-		// their tuples grouped by shard.
+		// their tuples grouped by shard; kc counts a shard's keys.
 		keys, gkeys, ids := make([]uint64, n), make([]uint64, n), make([]int, n)
+		kc := newKeyCounts(n / (4 * p))
 		return func(k int) (struct{}, error) {
 			idx := d.indexes[k]
 			for i, row := range d.rows.All() {
@@ -310,7 +315,7 @@ func (d *Data) fill() {
 			idx.shards = make([]indexShard, p)
 			for s := range idx.shards {
 				lo, hi := start[s], start[s+1]
-				idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], ids[lo:hi], keys[lo:hi])
+				idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], ids[lo:hi], keys[lo:hi], kc)
 				idx.rebuildExceptions(s, &d.rows)
 			}
 			return struct{}{}, nil

@@ -112,7 +112,7 @@ const (
 )
 
 // TestStormHeapBudget holds an authenticated, updating lineage to its memory
-// budget: a 20k-tuple HOSP master streamed from CSV under WithAuth, 400
+// budget: a 20k-tuple HOSP master read from CSV by Builder.ReadCSV under WithAuth, 400
 // chained storm deltas published through a Versioned retaining 8 epochs, then
 // a collection. MemStats must account for four fifths of what stays live; the
 // rest is the overlay tries' nodes, the symbol table's trie over the values
@@ -139,7 +139,7 @@ func TestStormHeapBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b := master.NewBuilder(sigma, master.WithShards(4), master.WithAuth())
-	if err := relation.ScanCSV(sigma.MasterSchema(), bytes.NewReader(csv.Bytes()), b.Add); err != nil {
+	if err := b.ReadCSV(bytes.NewReader(csv.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	v := master.NewVersioned(b.Finish())

@@ -89,10 +89,26 @@ func (t *table) place(k uint64, off, n int) {
 // No intermediate map: the sorted keys give the distinct keys and their
 // counts, which fix every span before the ids are scattered into place. The
 // keys are sorted in the caller's buffer, which has their length and is
-// overwritten.
-func buildTableSorting(keys []uint64, ids []int, sorted []uint64) table {
-	copy(sorted, keys)
-	slices.Sort(sorted)
+// overwritten. With a scratch kc, keys of few distinct values — a state
+// column, a measure code — are counted there and only the distinct ones
+// sorted, each then written count times; keys of more distinct values than
+// kc holds are sorted whole, which costs about as much.
+func buildTableSorting(keys []uint64, ids []int, sorted []uint64, kc *keyCounts) table {
+	if d := kc.count(keys, sorted); d >= 0 {
+		slices.Sort(sorted[:d])
+		// Back to front: the run of the i-th distinct key starts at or after i.
+		at := len(sorted)
+		for i := d - 1; i >= 0; i-- {
+			k := sorted[i]
+			for range kc.of(k) {
+				at--
+				sorted[at] = k
+			}
+		}
+	} else {
+		copy(sorted, keys)
+		slices.Sort(sorted)
+	}
 	nkeys := 0
 	for i, k := range sorted {
 		if i == 0 || k != sorted[i-1] {
@@ -123,6 +139,72 @@ func buildTableSorting(keys []uint64, ids []int, sorted []uint64) table {
 		t.slots[2*slot+1] -= t.slots[2*slot+1] << 32
 	}
 	return t
+}
+
+// keyCounts is a build worker's scratch for counting a shard's keys: an
+// open-addressing table of at most half its slots' keys, a zero count
+// marking an empty slot. It is allocated once per worker, for a quarter of
+// a shard's expected keys: counting pays while a shard's keys are mostly
+// repeats, and past a quarter distinct, sorting them whole costs about as
+// much.
+type keyCounts struct {
+	keys   []uint64
+	counts []uint32
+}
+
+// maxCountedKeys bounds a keyCounts, and with it the scratch's bytes
+// (12 per slot), whatever |Dm| and the shard count are.
+const maxCountedKeys = 1 << 15
+
+// newKeyCounts returns a scratch counting up to keys distinct keys, keys
+// clamped to [16, maxCountedKeys].
+func newKeyCounts(keys int) *keyCounts {
+	n := tableSlots(min(max(keys, 16), maxCountedKeys))
+	return &keyCounts{keys: make([]uint64, n), counts: make([]uint32, n)}
+}
+
+// count counts keys and appends the distinct ones to distinct[:0], in slot
+// order, returning how many there are; -1 when kc is nil, or when they are
+// more than half its slots or, past the first thousand keys, more than a
+// quarter of the keys seen.
+func (kc *keyCounts) count(keys, distinct []uint64) int {
+	if kc == nil {
+		return -1
+	}
+	clear(kc.counts)
+	mask, limit, d := uint64(len(kc.counts)-1), len(kc.counts)/2, 0
+	for i, k := range keys {
+		slot := k & mask
+		for kc.counts[slot] != 0 && kc.keys[slot] != k {
+			slot = (slot + 1) & mask
+		}
+		if kc.counts[slot] == 0 {
+			if d == limit || i >= 1024 && 4*d > i {
+				return -1
+			}
+			kc.keys[slot] = k
+			d++
+		}
+		kc.counts[slot]++
+	}
+	d = 0
+	for slot, c := range kc.counts {
+		if c != 0 {
+			distinct[d] = kc.keys[slot]
+			d++
+		}
+	}
+	return d
+}
+
+// of returns how many times the last count saw k, which it saw.
+func (kc *keyCounts) of(k uint64) int {
+	mask := uint64(len(kc.counts) - 1)
+	slot := k & mask
+	for kc.keys[slot] != k || kc.counts[slot] == 0 {
+		slot = (slot + 1) & mask
+	}
+	return int(kc.counts[slot])
 }
 
 // idWidth is an id's width in an arena image: 8 bytes on every platform.

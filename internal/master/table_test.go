@@ -19,9 +19,18 @@ import (
 
 // checkTable holds one built table to the map oracle and the loader, and
 // returns its image bytes. Ids must be < n.
-// buildTable is buildTableSorting with a sort buffer of its own.
+// buildTable is buildTableSorting with a sort buffer of its own, which
+// counts the keys when they are few and sorts them whole otherwise: both
+// build the same table, and so does each path on its own.
 func buildTable(keys []uint64, ids []int) table {
-	return buildTableSorting(keys, ids, make([]uint64, len(keys)))
+	tab := buildTableSorting(keys, ids, make([]uint64, len(keys)), newKeyCounts(0))
+	for _, kc := range []*keyCounts{nil, newKeyCounts(maxCountedKeys)} {
+		other := buildTableSorting(keys, ids, make([]uint64, len(keys)), kc)
+		if !slices.Equal(other.slots, tab.slots) || !slices.Equal(other.ids, tab.ids) {
+			panic(fmt.Sprintf("counting the keys builds another table than sorting them: %v %v against %v %v", other.slots, other.ids, tab.slots, tab.ids))
+		}
+	}
+	return tab
 }
 
 func checkTable(t testing.TB, ctx string, tab table, keys []uint64, ids []int, n int) []byte {

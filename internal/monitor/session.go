@@ -110,6 +110,9 @@ func (s *Session) Root() string {
 // Tuple returns the current tuple state (copy).
 func (s *Session) Tuple() relation.Tuple { return s.t.Clone() }
 
+// Cell returns the current value at position p, read in place.
+func (s *Session) Cell(p int) relation.Value { return s.t[p] }
+
 // Validated returns the currently validated attribute set (copy).
 func (s *Session) Validated() relation.AttrSet { return s.zSet.Clone() }
 

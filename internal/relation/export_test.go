@@ -1,5 +1,9 @@
 package relation
 
-// ScanRingRows is how many decoded rows ScanCSV's ring holds: an input
-// longer than this streams through recycled batches.
-const ScanRingRows = scanBatches * scanBatchRows
+import "io"
+
+// ReadCSVBlock is ReadCSV reading rd in blocks of the given size: a small
+// one puts chunk boundaries anywhere in a record.
+func ReadCSVBlock(schema *Schema, rd io.Reader, block int) (*Relation, error) {
+	return readCSV(schema, rd, block)
+}

@@ -163,12 +163,41 @@ func (s *Symbols) lookup(h uint64, v Value) (uint32, bool) {
 
 // Intern returns v's id, assigning the next dense id on first sight. The
 // table retains v: a caller whose strings alias a larger buffer clones them
-// first (Value.Clone).
+// first (Value.Clone), or calls InternClone.
 func (s *Symbols) Intern(v Value) uint32 {
 	h := HashValue(fnvOffset64, v)
 	if id, ok := s.lookup(h, v); ok {
 		return id
 	}
+	return s.add(h, v)
+}
+
+// InternClone is Intern for a value whose string aliases a buffer the
+// caller reuses: one probe, and a copy of the string only when the value
+// enters the table.
+func (s *Symbols) InternClone(v Value) uint32 {
+	h := HashValue(fnvOffset64, v)
+	if id, ok := s.lookup(h, v); ok {
+		return id
+	}
+	return s.add(h, v.Clone())
+}
+
+// Reset empties a table that was never forked, keeping the room it grew,
+// for the next batch of values to be interned from id 0.
+func (s *Symbols) Reset() {
+	f := s.flat
+	clear(f.vals)
+	f.vals = f.vals[:0]
+	for i := range f.slots {
+		f.slots[i] = frozenEmpty
+	}
+	s.strBytes = 0
+}
+
+// add assigns v, whose HashValue hash is h and which the table does not
+// hold, the next id.
+func (s *Symbols) add(h uint64, v Value) uint32 {
 	s.strBytes += int64(len(v.str))
 	if s.batch == nil {
 		return s.flat.add(h, v)

@@ -71,7 +71,9 @@ func (v Value) Str() string { return v.str }
 func (v Value) Int64() int64 { return v.num }
 
 // Clone returns v with a string payload of its own, for a holder that
-// outlives the buffer v's string may alias (a CSV record, see ScanCSV).
+// outlives the buffer v's string may alias: a cell CSVChunk.Decode yields
+// is a slice of its chunk's block, which the next CSVReader.Next into that
+// chunk overwrites (Symbols.InternClone copies only the cells it keeps).
 func (v Value) Clone() Value {
 	v.str = strings.Clone(v.str)
 	return v

@@ -53,7 +53,6 @@
 package certainfix
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -316,10 +315,11 @@ func New(rules *Rules, masterRel *Relation, opts ...Option) (*System, error) {
 }
 
 // NewFromCSV is New with the master relation streamed from a CSV file in
-// ReadCSV's format: each row is interned as it is parsed, so the master
-// never exists as a relation of values beside its own cells — at |Dm| =
-// 100k that relation is several times what the System keeps. Under WithWAL
-// the file is opened only on the first open of the WAL directory;
+// ReadCSV's format: the file is parsed and interned in chunks on every
+// core, so the master never exists as a relation of values beside its own
+// cells — at |Dm| = 100k that relation is several times what the System
+// keeps — and the snapshot is the one New builds from the same rows. Under
+// WithWAL the file is opened only on the first open of the WAL directory;
 // afterwards it may be gone.
 func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error) {
 	cfg := newConfig(opts)
@@ -332,7 +332,7 @@ func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error
 		}
 		defer f.Close() // read only
 		b := master.NewBuilder(rules)
-		if err := relation.ScanCSV(rules.MasterSchema(), bufio.NewReader(f), b.Add); err != nil {
+		if err := b.ReadCSV(f); err != nil {
 			return nil, fmt.Errorf("%s: %w", masterPath, err)
 		}
 		read = time.Since(began)

@@ -90,11 +90,11 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 	}
 }
 
-// BenchmarkNewFromCSV is the boot from a master CSV file: stream and intern
+// BenchmarkNewFromCSV is the boot from a master CSV file: parse and intern
 // the rows, build the indexes and bitmaps, derive the regions. The file is
 // written off the clock. Run with -benchmem: allocs/op and B/op cover the
-// whole boot, so a read-ahead buffer that grew with |Dm| would show
-// (GOMAXPROCS is pinned at 2, the decoder beside the interner).
+// whole boot, so a chunk ring that grew with |Dm| would show (GOMAXPROCS is
+// pinned at 2: two chunk workers beside the in-order merge).
 func BenchmarkNewFromCSV(b *testing.B) {
 	const n = 100_000
 	ds, err := datagen.Hosp(datagen.Config{Seed: 1, MasterSize: n, Tuples: 1})

@@ -131,6 +131,10 @@ func (fs *FixSession) Rounds() int { return fs.sess.Rounds() }
 // Tuple returns the current working tuple (copy).
 func (fs *FixSession) Tuple() Tuple { return fs.sess.Tuple() }
 
+// Cell returns the working tuple's value at position p without copying the
+// tuple: what a reply reads for the few cells it ships.
+func (fs *FixSession) Cell(p int) Value { return fs.sess.Cell(p) }
+
 // Validated returns the currently validated attribute set (copy).
 func (fs *FixSession) Validated() AttrSet { return fs.sess.Validated() }
 
