@@ -23,7 +23,8 @@ package master
 //	         (wal.AppendCell)
 //	rows     the id rows as the snapshot holds them: |Dm| × arity uint32
 //	         value ids, row-major
-//	indexes  per index: its Xm list, then per shard its frozen table
+//	indexes  per index of Σ's plan, in its order: its Xm list, then
+//	         per shard its frozen table
 //	         (table.go): slot count, key count, id count, the slot array,
 //	         the id array (8-byte ids). A key sits in the shard keyShard
 //	         routes it to (shard.go)
@@ -50,6 +51,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -197,22 +199,21 @@ func (a *arenaWriter) section(sec int) {
 }
 
 // SaveArena writes the snapshot as an arena image loadable with LoadArena.
-// sigma must be the rule set the snapshot was built for (NewForRules); its
-// rules' signatures go into the image, and LoadArena will only accept the
-// image against an equivalent Σ. The snapshot may be anywhere in a delta
-// chain: a shard with an empty overlay is written as the table it holds, one
-// with an overlay as the compacted table of the merged view. The image
-// streams to w through one buffer, hashed on its way out for the trailer;
-// beyond it the save holds one shard's compacted table at a time.
+// sigma must be a rule set whose plan has the snapshot's indexes — the one
+// it was built for (NewForRules); its rules' signatures go into the image,
+// and LoadArena will only accept the image against an equivalent Σ. The
+// snapshot may be anywhere in a delta chain: a shard with an empty overlay
+// is written as the table it holds, one with an overlay as the compacted
+// table of the merged view. The image streams to w through one buffer,
+// hashed on its way out for the trailer; beyond it the save holds one
+// shard's compacted table at a time.
 func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	if !sigma.MasterSchema().Equal(d.schema) {
 		return fmt.Errorf("master: save arena: snapshot schema %s does not match Σ's master schema %s",
 			d.schema.Name(), sigma.MasterSchema().Name())
 	}
-	for _, ru := range sigma.Rules() {
-		if _, ok := d.plans[ru]; !ok {
-			return fmt.Errorf("master: save arena: rule %s has no probe plan in this snapshot (build with NewForRules for the same Σ)", ru.Name())
-		}
+	if !slices.EqualFunc(newPlan(sigma).indexes, d.plan.indexes, func(a, b indexPlan) bool { return slices.Equal(a.xm, b.xm) }) {
+		return fmt.Errorf("master: save arena: the snapshot's indexes are not Σ's plan's (build with NewForRules for the same Σ)")
 	}
 
 	var sized arenaWriter
@@ -228,7 +229,7 @@ func (d *Data) SaveArena(w io.Writer, sigma *rule.Set) error {
 	binary.LittleEndian.PutUint32(hdr[hdrNShards:], uint32(d.nshards))
 	binary.LittleEndian.PutUint32(hdr[hdrArity:], uint32(d.schema.Arity()))
 	binary.LittleEndian.PutUint32(hdr[hdrNSyms:], uint32(d.syms.Len()))
-	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.indexes)))
+	binary.LittleEndian.PutUint32(hdr[hdrNIndexes:], uint32(len(d.plan.indexes)))
 	binary.LittleEndian.PutUint32(hdr[hdrNRules:], uint32(sigma.Len()))
 	binary.LittleEndian.PutUint64(hdr[hdrFileSize:], uint64(sized.off+arenaTrailerSize))
 	for sec, off := range sized.secs {
@@ -284,9 +285,10 @@ func (d *Data) writeArenaBody(b *arenaWriter, sigma *rule.Set) {
 		writeInts(b, row, 4)
 	}
 
-	// Indexes: per registered index, the Xm list then one table per shard.
+	// Indexes: per index of the plan, the Xm list then one table per shard.
 	b.section(secIndexes)
-	for _, idx := range d.indexes {
+	for i := range d.plan.indexes {
+		idx := d.indexAt(i)
 		b.u32(uint32(len(idx.xm)))
 		for _, p := range idx.xm {
 			b.u32(uint32(p))

@@ -9,7 +9,7 @@ package master
 // seed corpus covers the empty input, a valid image at P = 2 and at P = 1, a
 // truncated image, header-level corruptions, one input per validator of the
 // symbol and rows sections, and the images of another layout (misrouted
-// keys, version 6).
+// keys, indexes out of the plan's order, version 6).
 
 import (
 	"bytes"
@@ -60,6 +60,7 @@ func FuzzLoadArena(f *testing.F) {
 	binary.LittleEndian.PutUint64(badOffset[hdrSections+8*secRows:], uint64(len(valid)*2))
 	f.Add(badOffset)
 	f.Add(swapFirstIndexShards(valid)) // valid tables, keys in the wrong shard
+	f.Add(swapFirstIndexes(valid))     // valid indexes, not in the plan's order
 	sec := func(i int) int { return int(binary.LittleEndian.Uint64(valid[hdrSections+8*i:])) }
 	nsyms := binary.LittleEndian.Uint32(valid[hdrNSyms:])
 	for _, mut := range []func(b []byte){

@@ -246,34 +246,12 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, err
 	}
 
-	d := &Data{
-		epoch:   epoch,
-		nshards: nshards,
-		schema:  sigma.MasterSchema(),
-		rows:    rows,
-		syms:    syms,
-		hasher:  relation.NewHasher(syms),
-		plans:   make(map[*rule.Rule]*index, nrules),
-		compat:  make(map[*rule.Rule]*compatPlan, nrules),
-		arena:   &arenaRef{data: b, mapped: mapped},
-	}
-
-	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
-	for i := 0; i < nindexes; i++ {
-		idx, err := decodeArenaIndex(ir, nshards, arity, n)
-		if err != nil {
-			return nil, err
-		}
-		d.indexes = append(d.indexes, idx)
-	}
-
 	if nrules != sigma.Len() {
 		return nil, &SnapshotError{Section: "rules", Offset: -1,
 			Msg: fmt.Sprintf("snapshot has %d rules, Σ has %d", nrules, sigma.Len())}
 	}
 	rr := &areader{b: body, off: secOff[secRules], sec: "rules"}
-	for i := 0; i < nrules; i++ {
-		ru := sigma.Rule(i)
+	for _, ru := range sigma.Rules() {
 		if sig := rr.u64(); rr.err == nil && sig != ruleSig(ru) {
 			rr.off -= 8
 			rr.fail("rule %s: signature mismatch (snapshot saved for a different Σ)", ru.Name())
@@ -281,34 +259,45 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		if rr.err != nil {
 			return nil, rr.err
 		}
-		idx := d.findIndex(ru.LHSM())
-		if idx == nil {
-			return nil, &SnapshotError{Section: "rules", Offset: -1,
-				Msg: fmt.Sprintf("rule %s: no index over its Xm in snapshot", ru.Name())}
-		}
-		idx.trackRHS(ru.RHSM())
-		d.plans[ru] = idx
-		// The plan finds its one-column indexes among the decoded ones; one
-		// the image lacks is registered, unbuilt, and refused.
-		d.compat[ru] = d.registerCompatPlan(ru)
-		if len(d.indexes) > nindexes {
-			return nil, &SnapshotError{Section: "rules", Offset: -1,
-				Msg: fmt.Sprintf("rule %s: no one-column index over a column of its Xm in snapshot", ru.Name())}
+	}
+
+	// The lineage's plan is Σ's: the image must hold exactly its indexes, in
+	// its order — none missing, none over another Xm list.
+	p := newPlan(sigma)
+	if nindexes != len(p.indexes) {
+		return nil, &SnapshotError{Section: "indexes", Offset: secOff[secIndexes],
+			Msg: fmt.Sprintf("snapshot has %d indexes, Σ's plan has %d", nindexes, len(p.indexes))}
+	}
+	d := &Data{
+		epoch:   epoch,
+		nshards: nshards,
+		schema:  sigma.MasterSchema(),
+		rows:    rows,
+		syms:    syms,
+		plan:    p,
+		shards:  make([]indexShard, nindexes*nshards),
+		arena:   &arenaRef{data: b, mapped: mapped},
+	}
+	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
+	for i := range p.indexes {
+		if err := decodeArenaIndex(ir, i, d.indexAt(i), n); err != nil {
+			return nil, err
 		}
 	}
+
 	// What the image does not store is derived from the rows it does, so a
 	// probe trusts only what this pass verified: each rule's pattern-support
 	// bitmap, then each index shard's exception table. The jobs are the rules
 	// and the (index, shard) pairs, so a load is as parallel at P = 1 as at
 	// any other P. The error is dropped because no job returns one.
-	rules := sigma.Rules()
-	slab := d.bitmapSlab(len(rules))
-	_, _ = parallel.Map(len(rules)+nindexes*nshards, 0, func(k int) (struct{}, error) {
-		if k < len(rules) {
-			d.buildBitmap(rules[k], k, slab)
+	nr := len(p.rules)
+	slab := d.supportSlab()
+	_, _ = parallel.Map(nr+nindexes*nshards, 0, func(k int) (struct{}, error) {
+		if k < nr {
+			d.buildBitmap(k, slab)
 		} else {
-			k -= len(rules)
-			d.indexes[k/nshards].rebuildExceptions(k%nshards, &d.rows)
+			k -= nr
+			d.indexAt(k/nshards).rebuildExceptions(k%nshards, &d.rows)
 		}
 		return struct{}{}, nil
 	})
@@ -422,22 +411,26 @@ func decodeArenaRows(b []byte, off, n, arity, nsyms int) (rowVec, error) {
 	return persist.FromSlice(rows), nil
 }
 
-// decodeArenaIndex decodes one index: Xm list, then a table per shard.
-func decodeArenaIndex(r *areader, nshards, arity, n int) (*index, error) {
-	nxm := r.count(uint64(r.u32()), arity, "index Xm length")
-	if r.err == nil && nxm < 1 {
-		r.fail("index with empty Xm")
+// decodeArenaIndex decodes the i-th index into idx's shards: its Xm list,
+// which must be the plan's, then a table per shard.
+func decodeArenaIndex(r *areader, i int, idx index, n int) error {
+	start := r.off
+	nxm := r.count(uint64(r.u32()), len(r.b), "index Xm length")
+	same := nxm == len(idx.xm)
+	for k := 0; k < nxm && r.err == nil; k++ {
+		if p := r.u32(); same && int(p) != idx.xm[k] {
+			same = false
+		}
 	}
-	xm := make([]int, nxm)
-	for i := range xm {
-		xm[i] = r.count(uint64(r.u32()), arity-1, "index Xm position")
+	if r.err == nil && !same {
+		r.off = start
+		r.fail("index %d is not over Σ's plan's Xm %v", i, idx.xm)
 	}
 	r.align8()
-	idx := newIndex(xm, nshards)
-	for s := 0; s < nshards && r.err == nil; s++ {
-		idx.shards[s].frozen = decodeTable(r, n, s, nshards)
+	for s := 0; s < len(idx.shards) && r.err == nil; s++ {
+		idx.shards[s].frozen = decodeTable(r, n, s, len(idx.shards))
 	}
-	return idx, r.err
+	return r.err
 }
 
 // decodeTable views shard s of nshards' frozen table in place, fully

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -200,7 +201,7 @@ func TestArenaFileRoundTrip(t *testing.T) {
 
 // TestArenaSigmaMismatch: an image saved for one Σ must be refused for a
 // different Σ (extra rule, different pattern, different schema) with a
-// typed error, not loaded into wrong probe plans.
+// typed error, not loaded into a wrong plan.
 func TestArenaSigmaMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53_000_000))
 	d, sigma, _, _ := randomDeltaInstance(rng)
@@ -212,6 +213,11 @@ func TestArenaSigmaMismatch(t *testing.T) {
 		if _, err := LoadArenaBytes(img, sub); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("fewer rules: got %v, want ErrBadSnapshot", err)
 		}
+	}
+
+	// A master built without Σ has none of its plan's indexes to save.
+	if err := New(d.Relation()).SaveArena(io.Discard, sigma); err == nil {
+		t.Fatal("a Σ-less master saved as an image for Σ")
 	}
 
 	// A Σ over a different master schema.
@@ -306,11 +312,63 @@ func swapFirstIndexShards(img []byte) []byte {
 	return out
 }
 
+// arenaIndexSpans returns the byte range of each index in the image's
+// index section: its Xm list, padding and shard tables. Every index starts
+// and ends 8-aligned, so the ranges can be cut out or exchanged as they are.
+func arenaIndexSpans(img []byte) [][2]int {
+	nshards := int(binary.LittleEndian.Uint32(img[hdrNShards:]))
+	off := int(binary.LittleEndian.Uint64(img[hdrSections+8*secIndexes:]))
+	spans := make([][2]int, binary.LittleEndian.Uint32(img[hdrNIndexes:]))
+	for i := range spans {
+		start := off
+		off += 4 + 4*int(binary.LittleEndian.Uint32(img[off:]))
+		off += (8 - off%8) % 8
+		for range nshards {
+			nslots := int(binary.LittleEndian.Uint64(img[off:]))
+			nids := int(binary.LittleEndian.Uint64(img[off+16:]))
+			off += 24 + 16*nslots + 8*nids
+		}
+		spans[i] = [2]int{start, off}
+	}
+	return spans
+}
+
+// swapFirstIndexes returns a re-sealed copy of the image with its first two
+// indexes exchanged: each is still valid by itself and every offset still
+// adds up, but the list is no longer in the order of Σ's plan.
+func swapFirstIndexes(img []byte) []byte {
+	sp := arenaIndexSpans(img)
+	out := append([]byte(nil), img[:sp[0][0]]...)
+	out = append(out, img[sp[1][0]:sp[1][1]]...)
+	out = append(out, img[sp[0][0]:sp[0][1]]...)
+	out = append(out, img[sp[1][1]:]...)
+	resealArena(out)
+	return out
+}
+
+// dropLastIndex returns a re-sealed copy of the image without its last
+// index, the header's index count, later section offsets and file size
+// adjusted to match.
+func dropLastIndex(img []byte) []byte {
+	sp := arenaIndexSpans(img)
+	last := sp[len(sp)-1]
+	cut := last[1] - last[0]
+	out := append(append([]byte(nil), img[:last[0]]...), img[last[1]:]...)
+	binary.LittleEndian.PutUint32(out[hdrNIndexes:], uint32(len(sp)-1))
+	binary.LittleEndian.PutUint64(out[hdrFileSize:], uint64(len(out)))
+	for sec := secIndexes + 1; sec < numSections; sec++ {
+		at := out[hdrSections+8*sec:]
+		binary.LittleEndian.PutUint64(at, binary.LittleEndian.Uint64(at)-uint64(cut))
+	}
+	resealArena(out)
+	return out
+}
+
 // TestArenaRejectsOtherLayouts: the loader takes the layout this build
-// writes, no other. An image whose keys sit in the wrong shard, one that
-// lacks a one-column index its rules read, and a version-5, -6 or -8 header
-// all fail typed instead of loading into a master that misses matches or
-// rebuilding what the image left out.
+// writes, no other. An image whose keys sit in the wrong shard, one whose
+// index list is short or reordered against Σ's plan, and a version-5, -6
+// or -8 header all fail typed instead of loading into a master that misses
+// matches or rebuilding what the image left out.
 func TestArenaRejectsOtherLayouts(t *testing.T) {
 	sigma, d := fuzzArenaSigma()
 	img := saveArenaBytes(t, d, sigma)
@@ -325,13 +383,17 @@ func TestArenaRejectsOtherLayouts(t *testing.T) {
 		t.Fatalf("misrouted keys: error %v must name the routing check in the indexes section", err)
 	}
 
-	// The last index registered is the one-column index over MB that only
+	// The last index of the plan is the one-column index over MB that only
 	// the two-column rule reads: an image without it is refused, not filled.
-	lacking := *d
-	lacking.indexes = d.indexes[:len(d.indexes)-1]
-	_, err = LoadArenaBytes(saveArenaBytes(t, &lacking, sigma), sigma)
-	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) || !strings.Contains(se.Msg, "no one-column index") {
-		t.Fatalf("missing one-column index: got %v, want a *SnapshotError naming it", err)
+	_, err = LoadArenaBytes(dropLastIndex(img), sigma)
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) || se.Section != "indexes" ||
+		!strings.Contains(se.Msg, "snapshot has 2 indexes, Σ's plan has 3") {
+		t.Fatalf("missing one-column index: got %v, want a *SnapshotError counting the indexes", err)
+	}
+	_, err = LoadArenaBytes(swapFirstIndexes(img), sigma)
+	if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) || se.Section != "indexes" ||
+		!strings.Contains(se.Msg, "index 0 is not over Σ's plan's Xm [0]") {
+		t.Fatalf("reordered indexes: got %v, want a *SnapshotError naming the first index", err)
 	}
 
 	for _, version := range []uint32{5, 6, 8} {

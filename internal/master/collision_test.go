@@ -61,11 +61,11 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 			_, ru, dm := kvData(t)
 			probe := relation.StringTuple("k1", "dirty")
 
-			idx := dm.plans[ru]
-			if idx == nil {
-				t.Fatal("probe plan must be resolved at NewForRules time")
+			idx, ok := dm.indexFor(ru)
+			if !ok {
+				t.Fatal("the rule must be in the plan NewForRules resolves")
 			}
-			h, ok := dm.hasher.ProbeTuple(probe, ru.LHS(), nil)
+			h, ok := dm.syms.ProbeTuple(probe, ru.LHS(), nil)
 			if !ok {
 				t.Fatal("probe must hash")
 			}
@@ -136,4 +136,76 @@ func TestRHSValuesSingleMatchFastPath(t *testing.T) {
 	if vals := dm.RHSValues(ru, relation.StringTuple("absent", "x")); vals != nil {
 		t.Fatalf("no-match RHSValues = %v, want nil", vals)
 	}
+}
+
+// TestPostOnlyIndexCollision forces a hash collision into an index no rule
+// probes by value — the one-column index over V, read only by the
+// partial-lhs test of the (K, V) rule — and holds CompatibleExists to
+// compatibleScan on every validated subset of a probe per stored tuple and
+// an absent one. Such an index keeps no exception table, before and after
+// the collision and a delta: that test verifies every candidate's cells.
+func TestPostOnlyIndexCollision(t *testing.T) {
+	r := relation.StringSchema("R", "K", "V", "W")
+	rm := relation.StringSchema("Rm", "K", "V", "W")
+	ru := rule.MustNew("kvw", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, pattern.Empty())
+	sigma := rule.MustNewSet(r, rm, ru)
+	rel := relation.NewRelation(rm)
+	for i := range 12 {
+		rel.MustAppend(relation.StringTuple(fmt.Sprintf("k%d", i%4), fmt.Sprintf("v%d", i), fmt.Sprintf("w%d", i)))
+	}
+	dm := MustNewForRules(rel, sigma, WithShards(1))
+	post := dm.plan.rules[0].posts[1]
+	if idx := dm.indexAt(post); !slices.Equal(idx.xm, []int{1}) || len(idx.bms) != 0 {
+		t.Fatalf("fixture broken: index %d over %v tracks %v", post, idx.xm, idx.bms)
+	}
+	noTable := func(ctx string, d *Data) {
+		t.Helper()
+		idx := d.indexAt(post)
+		idx.rebuildExceptions(0, &d.rows)
+		if len(idx.shards[0].exc) != 0 {
+			t.Fatalf("%s: the post-only index keeps exceptions %v", ctx, idx.shards[0].exc)
+		}
+	}
+	// Tuple 5 (k1, v5) joins the bucket of v3, beside tuple 3, and fills
+	// that of k1, a value no tuple holds in V.
+	sh := &dm.indexAt(post).shards[0]
+	for _, plant := range []struct {
+		v   string
+		ids []int
+	}{{"v3", []int{3, 5}}, {"k1", []int{5}}} {
+		h, ok := dm.syms.ProbeValues([]relation.Value{relation.String(plant.v)}, nil)
+		if !ok {
+			t.Fatal("probe must hash")
+		}
+		plantBucket(sh, h, plant.ids, false)
+	}
+	noTable("planted", dm)
+
+	probes := []relation.Tuple{relation.StringTuple("k1", "v3", "w"), relation.StringTuple("k1", "k1", "w"), relation.StringTuple("k9", "v9", "w")}
+	for _, tm := range dm.All() {
+		probes = append(probes, tm.Clone())
+	}
+	check := func(ctx string, d *Data) {
+		t.Helper()
+		for _, p := range probes {
+			for _, z := range [][]int{{0}, {1}, {0, 1}, {2}} {
+				zSet := relation.NewAttrSet(z...)
+				if got, want := d.CompatibleExists(ru, p, zSet), d.compatibleScan(ru, p, zSet); got != want {
+					t.Fatalf("%s: CompatibleExists(%v, Z=%v) = %v, the scan %v", ctx, p, z, got, want)
+				}
+			}
+		}
+	}
+	check("planted", dm)
+	// Only the cell comparison rejects tuple 5 from the bucket of k1, and
+	// the index path, not the scan, answers.
+	if found, scanned := dm.compatible(ru, probes[1], relation.NewAttrSet(1)); found || scanned {
+		t.Fatalf("V = k1: found %v scanned %v; want false through the index", found, scanned)
+	}
+	next, err := dm.ApplyDelta([]relation.Tuple{relation.StringTuple("k2", "v3", "w12")}, []int{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTable("after a delta", next)
+	check("after a delta", next)
 }

@@ -25,24 +25,23 @@ import (
 // the columns of a multi-column Xm get an index for this — an ordinary
 // index (master.go), shared with any rule whose whole Xm is that column.
 //
-// The pattern bitmap is one dense id-indexed array per rule, not sharded:
-// ids are global, and deltas flip single bits under the writer lock that
-// serializes them anyway.
+// Which one-column indexes a rule reads is Σ's to decide, so it is in the
+// lineage's plan (rulePlan.posts); the pattern bitmap follows the rows, so
+// each snapshot holds its own. The bitmap is one dense id-indexed array per
+// rule, not sharded: ids are global, and deltas flip single bits under the
+// writer lock that serializes them anyway.
 
-// compatPlan is a rule's compiled compatibility plan.
-type compatPlan struct {
-	// patBits is the bitmap over global tuple ids of "pattern cells on
-	// λϕ(Xp ∩ X) hold", ⌈|Dm|/64⌉ words in a copy-on-write vector: a delta
-	// copies the 64-word chunks its bits fall in, not the bitmap.
-	patBits  persist.Vec[uint64]
-	patCount int // popcount of patBits
-	// posts[i] is the index over Xm[i] alone; empty when Xm is one column.
-	posts []*index
+// support is a rule's pattern-support bitmap over global tuple ids — "pattern
+// cells on λϕ(Xp ∩ X) hold" — ⌈|Dm|/64⌉ words in a copy-on-write vector: a
+// delta copies the 64-word chunks its bits fall in, not the bitmap.
+type support struct {
+	bits  persist.Vec[uint64]
+	count int // popcount of bits
 }
 
 // has reports tuple id's pattern bit.
-func (cp *compatPlan) has(id int) bool {
-	return cp.patBits.At(id>>6)&(1<<(uint(id)&63)) != 0
+func (sp *support) has(id int) bool {
+	return sp.bits.At(id>>6)&(1<<(uint(id)&63)) != 0
 }
 
 // patternCompatible reports tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X] for the master
@@ -75,10 +74,10 @@ func patternFree(ru *rule.Rule) bool {
 // PatternSupported reports whether some master tuple satisfies ru's
 // pattern cells on the λϕ-mapped lhs attributes — the per-rule
 // master-support bit behind region derivation, precomputed at NewForRules
-// (a popcount) with a scan fallback for rules outside the plan map.
+// (a popcount) with a scan fallback for rules outside the plan.
 func (d *Data) PatternSupported(ru *rule.Rule) bool {
-	if plan, ok := d.compat[ru]; ok {
-		return plan.patCount > 0
+	if r, ok := d.plan.pos[ru]; ok {
+		return d.support[r].count > 0
 	}
 	for _, row := range d.rows.All() {
 		if patternCompatible(ru, row, d.syms) {
@@ -104,23 +103,23 @@ func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.A
 // separated so tests can pin the adaptive fallback policy.
 func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) (found, scanned bool) {
 	x, xm := ru.LHS(), ru.LHSM()
-	plan := d.compat[ru]
+	r, planned := d.plan.pos[ru]
 	var buf probeIDs
 	ids := buf.take(len(x))
 	if zSet.HasAll(x) {
 		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
-		// candidate checked against the pattern bitmap. A rule has a plan
-		// exactly when it has an index (both are registered together); one
-		// outside the map falls back to matching and testing its pattern.
-		if plan != nil {
-			h, ok := d.hasher.ProbeTuple(t, x, ids)
+		// candidate checked against the pattern bitmap. A rule outside the
+		// plan falls back to matching and testing its pattern.
+		if planned {
+			h, ok := d.syms.ProbeTuple(t, x, ids)
 			if !ok {
 				return false, false
 			}
-			bucket := d.plans[ru].shard(h).list(h)
+			sp := &d.support[r]
+			bucket := d.indexAt(d.plan.rules[r].index).shard(h).list(h)
 			for _, chunk := range bucket.chunks() {
 				for _, id := range chunk {
-					if plan.has(id) && d.matches(id, xm, ids) {
+					if sp.has(id) && d.matches(id, xm, ids) {
 						return true, false
 					}
 				}
@@ -134,9 +133,10 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 		}
 		return false, false
 	}
-	if plan == nil {
+	if !planned {
 		return d.compatibleScan(ru, t, zSet), true
 	}
+	sp, posts := &d.support[r], d.plan.rules[r].posts
 	// Partially validated lhs: pick the smallest bucket among the validated
 	// attributes' one-column indexes. A value the symbol table does not know
 	// occurs in no master tuple, one that occurs only in other columns has an
@@ -148,16 +148,16 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 		if !zSet.Has(p) {
 			continue
 		}
-		h, ok := d.hasher.ProbeTuple(t, x[i:i+1], ids[i:i+1])
+		h, ok := d.syms.ProbeTuple(t, x[i:i+1], ids[i:i+1])
 		if !ok {
 			return false, false
 		}
-		if lst := plan.posts[i].shard(h).list(h); !constrained || lst.len() < size {
+		if lst := d.indexAt(posts[i]).shard(h).list(h); !constrained || lst.len() < size {
 			best, size, constrained = lst, lst.len(), true
 		}
 	}
 	if !constrained {
-		return plan.patCount > 0, false
+		return sp.count > 0, false
 	}
 	if 2*size >= d.rows.Len() {
 		// A degenerate bucket (the best one covers at least half of Dm): a
@@ -169,7 +169,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	// own column included, so a hash collision inside it costs a comparison.
 	for _, chunk := range best.chunks() {
 		for _, id := range chunk {
-			if plan.has(id) && agreeOn(d.rows.At(id), x, xm, zSet, ids) {
+			if sp.has(id) && agreeOn(d.rows.At(id), x, xm, zSet, ids) {
 				return true, false
 			}
 		}

@@ -152,14 +152,14 @@ func TestPatternSupportedProperty(t *testing.T) {
 				}
 			}
 			for name, d := range map[string]*Data{"built": built, "loaded": loaded} {
-				plan := d.compat[ru]
+				sp := d.support[d.plan.pos[ru]]
 				var got []uint64
-				for _, w := range plan.patBits.All() {
+				for _, w := range sp.bits.All() {
 					got = append(got, w)
 				}
-				if plan.patCount != wantCount || !slices.Equal(got, wantBits) {
+				if sp.count != wantCount || !slices.Equal(got, wantBits) {
 					t.Fatalf("n=%d rule %s %s: bitmap %x count %d, the scan %x count %d",
-						n, ru.Name(), name, got, plan.patCount, wantBits, wantCount)
+						n, ru.Name(), name, got, sp.count, wantBits, wantCount)
 				}
 			}
 		}

@@ -40,40 +40,32 @@ package master
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/persist"
 	"repro/internal/relation"
-	"repro/internal/rule"
 	"repro/internal/wal"
 )
 
-// fork derives the next snapshot's view of a compatibility plan: the
-// pattern bitmap shares its chunks with the parent's, grown to the given
-// word count (deltas change |Dm|, so the new snapshot may need more words
-// than the old), and the one-column indexes are remapped from the parent's
-// registry to the forked one at the same positions.
-func (cp *compatPlan) fork(from, to []*index, words int) *compatPlan {
-	bits := cp.patBits.Clone()
+// fork derives the next snapshot's view of a pattern bitmap: it shares its
+// chunks with the parent's, grown to the given word count (deltas change
+// |Dm|, so the new snapshot may need more words than the old).
+func (sp *support) fork(words int) support {
+	bits := sp.bits.Clone()
 	for bits.Len() < words {
 		bits.Append(0)
 	}
-	posts := make([]*index, len(cp.posts))
-	for i, idx := range cp.posts {
-		posts[i] = to[slices.Index(from, idx)]
-	}
-	return &compatPlan{patBits: bits, patCount: cp.patCount, posts: posts}
+	return support{bits, sp.count}
 }
 
 // flip inverts tuple id's pattern bit. Every bitmap write of a delta is a
 // flip of a bit whose state the caller knows: a set bit being cleared
 // (delete, the source of a move), a clear one being set (the target of a
 // move, an append).
-func (cp *compatPlan) flip(id int) {
-	cp.patBits.Set(id>>6, cp.patBits.At(id>>6)^(1<<(uint(id)&63)))
+func (sp *support) flip(id int) {
+	sp.bits.Set(id>>6, sp.bits.At(id>>6)^(1<<(uint(id)&63)))
 }
 
 // deltaOp is one planned mutation of every index, on the tuple stored as
@@ -136,24 +128,21 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		schema:  d.schema,
 		// The row headers are shared with d chunk by chunk; the edits below
 		// copy the chunks they touch.
-		rows:  d.rows.Clone(),
-		syms:  d.syms.Fork(),
-		arena: d.arena,
+		rows:    d.rows.Clone(),
+		syms:    d.syms.Fork(),
+		plan:    d.plan,
+		shards:  make([]indexShard, len(d.shards)),
+		support: make([]support, len(d.support)),
+		arena:   d.arena,
 	}
-	nd.hasher = relation.NewHasher(nd.syms)
-	// A forked index sits where its parent's did: a handful of indexes,
-	// found by scanning.
-	nd.indexes = make([]*index, len(d.indexes))
-	for i, idx := range d.indexes {
-		nd.indexes[i] = idx.fork()
+	// Every shard layer forks on its own, so overlay growth and compaction
+	// stay shard-local; exception tables are immutable slices, shared until
+	// a delta rewrites one.
+	for s := range d.shards {
+		nd.shards[s] = indexShard{d.shards[s].layered.fork(), d.shards[s].exc}
 	}
-	nd.plans = make(map[*rule.Rule]*index, len(d.plans))
-	for ru, idx := range d.plans {
-		nd.plans[ru] = nd.indexes[slices.Index(d.indexes, idx)]
-	}
-	nd.compat = make(map[*rule.Rule]*compatPlan, len(d.compat))
-	for ru, cp := range d.compat {
-		nd.compat[ru] = cp.fork(d.indexes, nd.indexes, words)
+	for r := range d.support {
+		nd.support[r] = d.support[r].fork(words)
 	}
 
 	// Plan: queue every op; update bitmaps and intern added values inline
@@ -202,15 +191,15 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// Apply, index by index. One batch for all of them: the overlay nodes this
 	// delta makes are its own until it returns.
 	batch := new(persist.Edit)
-	for _, idx := range nd.indexes {
-		nd.applyIndexOps(idx, ops, batch)
+	for i := range nd.plan.indexes {
+		nd.applyIndexOps(nd.indexAt(i), ops, batch)
 	}
 
 	// Trim the pattern bitmaps to the final length (net-shrinking deltas
 	// leave spare words; all trimmed bits are already zero).
 	fwords := (nd.rows.Len() + 63) / 64
-	for _, cp := range nd.compat {
-		cp.patBits.Truncate(fwords)
+	for r := range nd.support {
+		nd.support[r].bits.Truncate(fwords)
 	}
 	return nd, nil
 }
@@ -219,19 +208,22 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 // lands in the shard the hash of its row's Xm ids routes to. The symbol
 // table is read-only here (interning happened at plan time).
 //
-// Exception tables (uniform.go) follow the buckets: an append compares the
-// new tuple with the bucket's smallest id — deletes and renames precede the
-// appends, so bucket ids are final by then; a delete from a listed bucket may
-// have removed the disagreement, so the bucket is rescanned once the ops are
-// done; a rename keeps the bucket's tuple set and needs nothing.
-func (nd *Data) applyIndexOps(idx *index, ops []deltaOp, batch *persist.Edit) {
+// Exception tables (uniform.go) follow the buckets of an index that keeps
+// them: an append compares the new tuple with the bucket's smallest id —
+// deletes and renames precede the appends, so bucket ids are final by then;
+// a delete from a listed bucket may have removed the disagreement, so the
+// bucket is rescanned once the ops are done; a rename keeps the bucket's
+// tuple set and needs nothing.
+func (nd *Data) applyIndexOps(idx index, ops []deltaOp, batch *persist.Edit) {
 	var buf [8]uint64
 	rescan := buf[:0]
+	tracked := len(idx.bms) > 0
 	for _, op := range ops {
-		h := nd.hasher.HashRow(op.row, idx.xm)
+		h := nd.syms.HashRow(op.row, idx.xm)
 		sh := idx.shard(h)
 		bucket := sh.list(h)
 		switch {
+		case !tracked:
 		case op.kind == opUnindex && sh.exc.mask(h) != 0:
 			rescan = append(rescan, h)
 		case op.kind == opAppend && bucket.len() > 0:
@@ -251,10 +243,10 @@ func (nd *Data) applyIndexOps(idx *index, ops []deltaOp, batch *persist.Edit) {
 
 // unsetBits clears tuple id's pattern bits (planning-time, serial).
 func (nd *Data) unsetBits(id int) {
-	for _, cp := range nd.compat {
-		if cp.has(id) {
-			cp.flip(id)
-			cp.patCount--
+	for r := range nd.support {
+		if sp := &nd.support[r]; sp.has(id) {
+			sp.flip(id)
+			sp.count--
 		}
 	}
 }
@@ -262,10 +254,10 @@ func (nd *Data) unsetBits(id int) {
 // moveBits rewrites tuple `from`'s pattern bits to id `to` (the
 // swap-remove move; to's own bits were cleared by unsetBits first).
 func (nd *Data) moveBits(from, to int) {
-	for _, cp := range nd.compat {
-		if cp.has(from) {
-			cp.flip(from)
-			cp.flip(to)
+	for r := range nd.support {
+		if sp := &nd.support[r]; sp.has(from) {
+			sp.flip(from)
+			sp.flip(to)
 		}
 	}
 }
@@ -273,10 +265,10 @@ func (nd *Data) moveBits(from, to int) {
 // setBitsFor evaluates a freshly appended row against every rule's pattern
 // and sets its bits.
 func (nd *Data) setBitsFor(row []uint32, id int) {
-	for ru, cp := range nd.compat {
-		if patternCompatible(ru, row, nd.syms) {
-			cp.flip(id)
-			cp.patCount++
+	for r, rp := range nd.plan.rules {
+		if sp := &nd.support[r]; patternCompatible(rp.ru, row, nd.syms) {
+			sp.flip(id)
+			sp.count++
 		}
 	}
 }

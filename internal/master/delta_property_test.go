@@ -406,7 +406,7 @@ func TestSnapshotBranching(t *testing.T) {
 // overlayChunks reports, over every overlay entry of d, how many hold more
 // than one chunk and how many chunks a delta wrote short of maxChunk.
 func overlayChunks(d *Data) (multi, short int) {
-	for _, idx := range d.indexes {
+	for _, idx := range d.indexes() {
 		for s := range idx.shards {
 			for _, tab := range idx.shards[s].over.All() {
 				if len(tab) > 1 {

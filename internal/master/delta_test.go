@@ -194,7 +194,7 @@ func TestVersionedPublish(t *testing.T) {
 }
 
 // TestApplyDeltaRefinedRuleProbes pins that a rule the master was not built
-// for (a refined ϕ+, absent from the plan maps) still probes correctly — by
+// for (a refined ϕ+, absent from the plan) still probes correctly — by
 // scan — on a delta-derived snapshot.
 func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
 	d0, _, ru := deltaFixture(t, 3)
@@ -206,8 +206,8 @@ func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d1.plans[plus]; ok {
-		t.Fatal("refined rule must not be in the plan map")
+	if _, ok := d1.plan.pos[plus]; ok {
+		t.Fatal("refined rule must not be in the plan")
 	}
 	ids := d1.MatchIDs(plus, probeFor(key(0)))
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {

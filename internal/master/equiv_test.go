@@ -2,18 +2,19 @@ package master
 
 // Test-side equivalence oracle for the versioned master: checkEquiv
 // asserts a snapshot reached through a chain of ApplyDelta calls is
-// deep-equal — indexes, exception tables, pattern-support bitmaps, probe
-// plans — to MustNewForRules run from scratch on the snapshot's
+// deep-equal — plan, indexes, exception tables, pattern-support bitmaps —
+// to MustNewForRules run from scratch on the snapshot's
 // materialized relation with the same shard count. Interned value ids
 // (and therefore raw uint64 bucket keys, and the shards they route to) are
 // the one representation detail allowed to differ: a delta chain interns
 // values in historical order, a rebuild in current first-seen order, so the
 // comparison
-// resolves buckets through each side's own hasher, symbol table and router and compares the id contents, which is exactly what
+// resolves buckets through each side's own symbol table and router and compares the id contents, which is exactly what
 // every probe observes.
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -72,13 +73,13 @@ func rebuildOracle(t testing.TB, got *Data, sigma *rule.Set) *Data {
 // with the table builder.
 func checkTablesAgainstMaps(t testing.TB, ctx string, d *Data) {
 	t.Helper()
-	for _, idx := range d.indexes {
+	for _, idx := range d.indexes() {
 		want := make([]map[uint64][]int, d.nshards)
 		for s := range want {
 			want[s] = map[uint64][]int{}
 		}
 		for i, tm := range d.All() {
-			h, ok := d.hasher.ProbeTuple(tm, idx.xm, nil)
+			h, ok := d.syms.ProbeTuple(tm, idx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable on %v", ctx, i, idx.xm)
 			}
@@ -120,7 +121,7 @@ func checkLayeredAgainstMap(t testing.TB, ctx string, l *layered, want map[uint6
 // tuple's key resolves, in its own shard, to a list carrying the tuple's id.
 func checkRouting(t testing.TB, ctx string, d *Data) {
 	t.Helper()
-	for _, idx := range d.indexes {
+	for _, idx := range d.indexes() {
 		for s := range idx.shards {
 			idx.shards[s].each(func(h uint64, _ []int) {
 				if home := keyShard(h, d.nshards); home != s {
@@ -129,7 +130,7 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 			})
 		}
 		for id, tm := range d.All() {
-			h, ok := d.hasher.ProbeTuple(tm, idx.xm, nil)
+			h, ok := d.syms.ProbeTuple(tm, idx.xm, nil)
 			if !ok || !slices.Contains(idx.shard(h).get(h), id) {
 				t.Fatalf("%s: index %v: tuple %d missing from the bucket its key routes to", ctx, idx.xm, id)
 			}
@@ -139,34 +140,34 @@ func checkRouting(t testing.TB, ctx string, d *Data) {
 
 // checkColumnIndexes is the equivalence that licensed deleting the posting
 // lists: for every column a multi-column Xm names, the index over that column
-// alone — the one the rule's compatibility plan reads — lists, per value,
+// alone — the one the rule's partial-lhs test reads — lists, per value,
 // exactly the ascending ids of the tuples whose cell holds it. The oracle is
 // a map filled by a plain loop over the materialized tuples. A one-column Xm
 // asks for no such index: it is fully validated or not at all.
 func checkColumnIndexes(t testing.TB, ctx string, d *Data, sigma *rule.Set) {
 	t.Helper()
-	for _, ru := range sigma.Rules() {
-		xm, cp := ru.LHSM(), d.compat[ru]
+	for r, ru := range sigma.Rules() {
+		xm, posts := ru.LHSM(), d.plan.rules[r].posts
 		if len(xm) < 2 {
-			if len(cp.posts) != 0 {
-				t.Fatalf("%s: rule %s has a one-column Xm and %d one-column indexes", ctx, ru.Name(), len(cp.posts))
+			if len(posts) != 0 {
+				t.Fatalf("%s: rule %s has a one-column Xm and %d one-column indexes", ctx, ru.Name(), len(posts))
 			}
 			continue
 		}
-		if len(cp.posts) != len(xm) {
-			t.Fatalf("%s: rule %s reads %d one-column indexes for %d columns", ctx, ru.Name(), len(cp.posts), len(xm))
+		if len(posts) != len(xm) {
+			t.Fatalf("%s: rule %s reads %d one-column indexes for %d columns", ctx, ru.Name(), len(posts), len(xm))
 		}
 		for i, col := range xm {
-			idx := d.findIndex([]int{col})
-			if idx == nil || cp.posts[i] != idx {
-				t.Fatalf("%s: rule %s column %d: plan reads %p, the registry holds %p", ctx, ru.Name(), col, cp.posts[i], idx)
+			if at := d.plan.find([]int{col}); at < 0 || posts[i] != at {
+				t.Fatalf("%s: rule %s column %d: plan reads index %d, the plan lists it at %d", ctx, ru.Name(), col, posts[i], at)
 			}
+			idx := d.indexAt(posts[i])
 			want := map[relation.Value][]int{}
 			for id, tm := range d.All() {
 				want[tm[col]] = append(want[tm[col]], id)
 			}
 			for v, ids := range want {
-				h, ok := d.hasher.ProbeValues([]relation.Value{v}, nil)
+				h, ok := d.syms.ProbeValues([]relation.Value{v}, nil)
 				if !ok {
 					t.Fatalf("%s: stored value %v of column %d not interned", ctx, v, col)
 				}
@@ -209,22 +210,16 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		t.Fatalf("%s: snapshot has %d shards, rebuild %d", ctx, got.nshards, want.nshards)
 	}
 
-	// Index registry: same Xm lists, same total size, identical bucket
-	// contents for every stored tuple's projection, each side's bucket
-	// read from the one shard its own key routes to.
-	if len(got.indexes) != len(want.indexes) {
-		t.Fatalf("%s: %d indexes, rebuild has %d", ctx, len(got.indexes), len(want.indexes))
+	// Plan: the one the rebuild resolves from Σ. Indexes: same total size,
+	// identical bucket contents for every stored tuple's projection, each
+	// side's bucket read from the one shard its own key routes to.
+	if !reflect.DeepEqual(got.plan, want.plan) {
+		t.Fatalf("%s: plan %+v, rebuild's %+v", ctx, got.plan, want.plan)
 	}
-	for _, widx := range want.indexes {
-		gidx := got.findIndex(widx.xm)
-		if gidx == nil {
-			t.Fatalf("%s: no index over %v after deltas", ctx, widx.xm)
-		}
+	for i, widx := range want.indexes() {
+		gidx := got.indexAt(i)
 		if gs, ws := gidx.size(), widx.size(); gs != ws {
 			t.Fatalf("%s: index %v holds %d ids, rebuild %d", ctx, widx.xm, gs, ws)
-		}
-		if !eqInts(gidx.bms, widx.bms) {
-			t.Fatalf("%s: index %v tracks rhs columns %v, rebuild %v", ctx, widx.xm, gidx.bms, widx.bms)
 		}
 		// Equal totals plus the per-tuple mask comparison below make the
 		// tables equal entry for entry (raw keys, and so shards, may differ).
@@ -237,11 +232,11 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		}
 		for id := 0; id < n; id++ {
 			tm := got.Tuple(id)
-			gh, ok := got.hasher.ProbeTuple(tm, gidx.xm, nil)
+			gh, ok := got.syms.ProbeTuple(tm, gidx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in snapshot index %v", ctx, id, gidx.xm)
 			}
-			wh, ok := want.hasher.ProbeTuple(tm, widx.xm, nil)
+			wh, ok := want.syms.ProbeTuple(tm, widx.xm, nil)
 			if !ok {
 				t.Fatalf("%s: stored tuple %d not hashable in rebuilt index %v", ctx, id, widx.xm)
 			}
@@ -255,28 +250,18 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		}
 	}
 
-	// Probe and compatibility plans: same rules resolved, identical
-	// pattern-support bitmaps and counts.
-	for _, ru := range sigma.Rules() {
-		if (got.plans[ru] == nil) != (want.plans[ru] == nil) {
-			t.Fatalf("%s: rule %s probe plan presence differs", ctx, ru.Name())
+	// Pattern-support bitmaps and counts: identical.
+	for r, ru := range sigma.Rules() {
+		gsp, wsp := got.support[r], want.support[r]
+		if gsp.count != wsp.count {
+			t.Fatalf("%s: rule %s pattern count %d, rebuild %d", ctx, ru.Name(), gsp.count, wsp.count)
 		}
-		gcp, wcp := got.compat[ru], want.compat[ru]
-		if (gcp == nil) != (wcp == nil) {
-			t.Fatalf("%s: rule %s compat plan presence differs", ctx, ru.Name())
+		if gsp.bits.Len() != wsp.bits.Len() {
+			t.Fatalf("%s: rule %s bitmap %d words, rebuild %d", ctx, ru.Name(), gsp.bits.Len(), wsp.bits.Len())
 		}
-		if gcp == nil {
-			continue
-		}
-		if gcp.patCount != wcp.patCount {
-			t.Fatalf("%s: rule %s patCount %d, rebuild %d", ctx, ru.Name(), gcp.patCount, wcp.patCount)
-		}
-		if gcp.patBits.Len() != wcp.patBits.Len() {
-			t.Fatalf("%s: rule %s bitmap %d words, rebuild %d", ctx, ru.Name(), gcp.patBits.Len(), wcp.patBits.Len())
-		}
-		for w, word := range gcp.patBits.All() {
-			if word != wcp.patBits.At(w) {
-				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, word, wcp.patBits.At(w))
+		for w, word := range gsp.bits.All() {
+			if word != wsp.bits.At(w) {
+				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, word, wsp.bits.At(w))
 			}
 		}
 		if got.PatternSupported(ru) != want.PatternSupported(ru) {

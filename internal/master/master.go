@@ -11,14 +11,16 @@
 // whole tuple (Cell, Tuple, All, Relation).
 //
 // The indexes are keyed on uint64 FNV-1a hashes of interned values
-// (relation.Symbols / relation.Hasher); a key has ONE bucket, holding the
+// (relation.Symbols); a key has ONE bucket, holding the
 // ascending ids of every tuple whose Xm projection hashes to it. There is
 // one index layout: every shard of every index is an
 // immutable open-addressing table (table.go) — the same whether built by
 // NewForRules, rewritten by compaction or mapped by LoadArena — under a
-// per-snapshot overlay trie holding the deltas since (overlay.go). Per-rule
-// probe plans are resolved once at NewForRules time. There are two kinds
-// of probe:
+// per-snapshot overlay trie holding the deltas since (overlay.go). What Σ
+// decides — which indexes exist, which rhs columns each tracks, which index
+// each rule's probes read — is one plan, resolved once per lineage (by
+// NewBuilder, or by LoadArena for the image it checks) and shared by every
+// snapshot derived from it. There are two kinds of probe:
 //
 //   - Value probes — RHSValues, RHSValuesWitness — answer "which values
 //     tm[Bm] does the rule assign, and which master tuple witnesses it" in
@@ -59,10 +61,10 @@
 // The paper assumes master data is static (§2). A service cannot stop the
 // world to re-run NewForRules for every correction, so this package
 // versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
-// derives the next one by structural sharing — tables shared; row headers,
-// overlays, symbols, exception tables and pattern bitmaps edited along the
-// paths and chunks the delta touches — and the Versioned handle publishes
-// the current snapshot through an atomic pointer.
+// derives the next one by structural sharing — plan and tables shared; row
+// headers, overlays, symbols, exception tables and pattern bitmaps edited
+// along the paths and chunks the delta touches — and the Versioned handle
+// publishes the current snapshot through an atomic pointer.
 //
 // Concurrency contract:
 //
@@ -93,16 +95,100 @@ import (
 	"repro/internal/rule"
 )
 
-// index is one hash index over an Xm position list: bucket ids keyed on
-// the uint64 projection hash, partitioned by that hash into one
-// copy-on-write layered map per shard (see overlay.go, shard.go). Buckets
-// hold ascending tuple ids, so probe results are deterministic and a
-// bucket's smallest id is bucket[0]. Beside its buckets each shard lists the
-// ones that are not uniform (see uniform.go); bms are the rhs columns
-// uniformity is tracked on.
+// plan is everything Σ decides about a lineage's lookup structures, built
+// once by newPlan when the lineage starts (NewBuilder, LoadArena) and held by
+// pointer by every snapshot derived from it: Σ never changes within a
+// lineage, so a delta copies none of it. What deltas write a snapshot keeps
+// itself, in slices by plan position (Data.shards, Data.support).
+type plan struct {
+	// indexes lists one index per distinct Xm list of Σ and per column of a
+	// multi-column one, in registration order — rule by rule, its Xm, then
+	// its columns — which is the order of an image's index section.
+	indexes []indexPlan
+	// rules[r] is the plan of Σ's r-th rule, and pos maps each rule to r. A
+	// rule outside pos — one the lineage was not built for — scans Dm (no
+	// production path probes with one: Σ_t[Z] is a mask over Σ, never a set
+	// of refined copies).
+	rules []rulePlan
+	pos   map[*rule.Rule]int
+}
+
+// indexPlan is what Σ decides about one index: the Xm list it is keyed on,
+// and bms, the rhs columns its exception tables track (uniform.go) — the Bm
+// of every rule whose whole Xm it is. An index without bms, a column no
+// rule probes by value, keeps no exception table.
+type indexPlan struct {
+	xm, bms []int
+}
+
+// rulePlan is what Σ decides about one rule: the position of the index over
+// its Xm, which its probes read, its Bm's bit in that index's exception
+// masks, and posts[i], the position of the index over Xm[i] alone — nil
+// when Xm is one column (see compat.go).
+type rulePlan struct {
+	ru    *rule.Rule
+	index int
+	bit   uint64
+	posts []int
+}
+
+var noPlan = &plan{} // New's Σ-less masters: no index, no rule
+
+// newPlan resolves Σ's plan: for each rule in Σ order, the index over its
+// Xm (found or registered) tracking its Bm, then the one-column index of
+// each column of a multi-column Xm.
+func newPlan(sigma *rule.Set) *plan {
+	p := &plan{pos: make(map[*rule.Rule]int, sigma.Len())}
+	for r, ru := range sigma.Rules() {
+		rp := rulePlan{ru: ru, index: p.register(ru.LHSM())}
+		ip := &p.indexes[rp.index]
+		i := slices.Index(ip.bms, ru.RHSM())
+		if i < 0 {
+			i = len(ip.bms)
+			ip.bms = append(ip.bms, ru.RHSM())
+		}
+		rp.bit = 1 << min(i, 63)
+		if xm := ru.LHSM(); len(xm) > 1 {
+			rp.posts = make([]int, len(xm))
+			for i, col := range xm {
+				rp.posts[i] = p.register([]int{col})
+			}
+		}
+		p.rules = append(p.rules, rp)
+		p.pos[ru] = r
+	}
+	return p
+}
+
+// register returns the position of the index over xm, registering it when
+// absent.
+func (p *plan) register(xm []int) int {
+	if i := p.find(xm); i >= 0 {
+		return i
+	}
+	p.indexes = append(p.indexes, indexPlan{xm: slices.Clone(xm)})
+	return len(p.indexes) - 1
+}
+
+// find returns the position of the index over xm, -1 when there is none: a
+// linear scan, allocation-free, over a handful of indexes.
+func (p *plan) find(xm []int) int {
+	for i := range p.indexes {
+		if slices.Equal(p.indexes[i].xm, xm) {
+			return i
+		}
+	}
+	return -1
+}
+
+// index is one hash index of a snapshot: its plan, and the snapshot's
+// shards of it — bucket ids keyed on the uint64 projection hash, partitioned
+// by that hash into one copy-on-write layered map per shard (see overlay.go,
+// shard.go). Buckets hold ascending tuple ids, so probe results are
+// deterministic and a bucket's smallest id is bucket[0]. Beside its buckets
+// each shard lists the ones that are not uniform (see uniform.go).
 type index struct {
-	xm     []int
-	bms    []int
+	*indexPlan
 	shards []indexShard
 }
 
@@ -111,29 +197,19 @@ type indexShard struct {
 	exc exceptions
 }
 
-func newIndex(xm []int, nshards int) *index {
-	return &index{xm: xm, shards: make([]indexShard, nshards)}
+// indexAt returns the snapshot's view of the plan's i-th index.
+func (d *Data) indexAt(i int) index {
+	return index{&d.plan.indexes[i], d.shards[i*d.nshards : (i+1)*d.nshards]}
 }
 
-// fork derives the next snapshot's view of the index: every shard layer
-// forks independently, so overlay growth and compaction stay shard-local.
-// Exception tables are immutable slices, shared until a delta rewrites one.
-func (idx *index) fork() *index {
-	ni := newIndex(idx.xm, len(idx.shards))
-	ni.bms = idx.bms
-	for s := range idx.shards {
-		ni.shards[s] = indexShard{idx.shards[s].layered.fork(), idx.shards[s].exc}
+// indexFor resolves the index ru's probes read; false — scan — for a rule
+// outside the plan.
+func (d *Data) indexFor(ru *rule.Rule) (index, bool) {
+	r, ok := d.plan.pos[ru]
+	if !ok {
+		return index{}, false
 	}
-	return ni
-}
-
-// size returns the total number of ids across all shards (tests, stats).
-func (idx *index) size() int {
-	n := 0
-	for s := range idx.shards {
-		n += idx.shards[s].size()
-	}
-	return n
+	return d.indexAt(d.plan.rules[r].index), true
 }
 
 // Data is one immutable snapshot of the master relation plus its lookup
@@ -152,23 +228,18 @@ type Data struct {
 	// their headers sit in a chunked copy-on-write vector, so ApplyDelta
 	// shares every chunk it does not touch. A row is never written once
 	// stored.
-	rows   rowVec
-	syms   *relation.Symbols
-	hasher relation.Hasher
-	// indexes is the dense registry of built indexes — one per distinct Xm
-	// list of Σ and per column of a multi-column one; with a handful of them
-	// a linear scan comparing position slices beats string building.
-	indexes []*index
-	// plans maps each rule of the Σ the data was built for to its index —
-	// the per-rule probe plan, resolved once so MatchIDs is a single hash +
-	// bucket walk. A rule the data was not built for is not in the map and
-	// scans Dm (no production path probes with one: Σ_t[Z] is a mask over Σ,
-	// never a set of refined copies).
-	plans map[*rule.Rule]*index
-	// compat maps each rule to its compatibility plan (see compat.go): the
-	// pattern-support bitmap and the one-column indexes serving the
-	// partial-lhs and pattern-support paths of §5.
-	compat map[*rule.Rule]*compatPlan
+	rows rowVec
+	syms *relation.Symbols
+	// plan is Σ's plan, shared by every snapshot of the lineage: the
+	// indexes, and per rule the index its probes read.
+	plan *plan
+	// shards is every index's shards, index i's at [i·nshards,
+	// (i+1)·nshards) (indexAt): the tables, overlays and exception tables
+	// deltas write.
+	shards []indexShard
+	// support[r] is the pattern-support bitmap of the plan's r-th rule (see
+	// compat.go).
+	support []support
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
 	// ones built in memory). Propagated through ApplyDelta derivations:
 	// rows, symbol strings and not-yet-compacted tables alias the bytes for the
@@ -187,7 +258,7 @@ type rowVec = persist.Vec[[]uint32]
 // callers that only read Dm's cells (the rule miner); NewForRules builds
 // the indexed master.
 func New(rel *relation.Relation, opts ...BuildOption) *Data {
-	b := newBuilder(rel.Schema(), nil, resolveBuildConfig(opts))
+	b := newBuilder(rel.Schema(), noPlan, resolveBuildConfig(opts))
 	for _, t := range rel.All() {
 		// A relation checks arity on the way in; New has never validated
 		// cell types and its callers (the rule miner) rely on none.
@@ -196,10 +267,9 @@ func New(rel *relation.Relation, opts ...BuildOption) *Data {
 	return b.Finish()
 }
 
-// NewForRules wraps a master relation, eagerly builds one index per
-// distinct Xm list in Σ and per column of a multi-column one, and
-// resolves each rule's probe and compatibility plans: a Builder fed the
-// relation's tuples. The indexes are partitioned into shardsFor(|Dm|)
+// NewForRules wraps a master relation and eagerly builds the indexes of Σ's
+// plan — one per distinct Xm list in Σ and per column of a multi-column one
+// — and each rule's pattern bitmap: a Builder fed the relation's tuples. The indexes are partitioned into shardsFor(|Dm|)
 // shards and filled in parallel on GOMAXPROCS goroutines.
 // Failures — schema mismatch, a tuple violating the schema's declared
 // types — are typed: errors.Is(err, ErrMasterBuild), with a *BuildError
@@ -294,31 +364,9 @@ func (d *Data) Relation() *relation.Relation {
 	return rel
 }
 
-// Hasher returns the shared projection hasher (read-only after indexing).
-func (d *Data) Hasher() relation.Hasher { return d.hasher }
-
-// findIndex locates a registered index by position list; nil when absent.
-// Allocation-free.
-func (d *Data) findIndex(xm []int) *index {
-	for _, idx := range d.indexes {
-		if eqPos(idx.xm, xm) {
-			return idx
-		}
-	}
-	return nil
-}
-
-func eqPos(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// Symbols returns the snapshot's symbol table, the ids its rows hold
+// (read-only: the lineage's next snapshot interns into a fork of it).
+func (d *Data) Symbols() *relation.Symbols { return d.syms }
 
 // probeIDs is the buffer a probe looks its values' ids up into: on the
 // stack for every lhs a rule set plausibly has.
@@ -393,20 +441,17 @@ func (d *Data) Lookup(xm []int, values []relation.Value) []int {
 	}
 	var buf probeIDs
 	ids := buf.take(len(xm))
-	h, ok := d.hasher.ProbeValues(values, ids)
+	h, ok := d.syms.ProbeValues(values, ids)
 	if !ok {
 		return nil // some value occurs nowhere in the master
 	}
-	if idx := d.findIndex(xm); idx != nil {
+	if i := d.plan.find(xm); i >= 0 {
+		idx := d.indexAt(i)
 		bucket := idx.shard(h).list(h)
 		return d.verified(&bucket, idx.xm, ids)
 	}
 	return d.scan(xm, ids)
 }
-
-// indexFor resolves ru's probe plan; nil — scan — for a rule outside the Σ
-// the data was built for.
-func (d *Data) indexFor(ru *rule.Rule) *index { return d.plans[ru] }
 
 // MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
 // the rule's (X, Xm) correspondence, ascending — the enumerate-all probe,
@@ -419,11 +464,11 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHS()
 	var buf probeIDs
 	ids := buf.take(len(x))
-	h, ok := d.hasher.ProbeTuple(t, x, ids)
+	h, ok := d.syms.ProbeTuple(t, x, ids)
 	if !ok {
 		return nil // some probe value occurs nowhere in the master
 	}
-	if idx := d.indexFor(ru); idx != nil {
+	if idx, ok := d.indexFor(ru); ok {
 		bucket := idx.shard(h).list(h)
 		return d.verified(&bucket, idx.xm, ids)
 	}
@@ -451,17 +496,18 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	x, xm, bm := ru.LHS(), ru.LHSM(), ru.RHSM()
 	var buf probeIDs
 	ids := buf.take(len(x))
-	h, ok := d.hasher.ProbeTuple(t, x, ids)
+	h, ok := d.syms.ProbeTuple(t, x, ids)
 	if !ok {
 		return nil, -1
 	}
 	var bucket idList
-	if idx := d.indexFor(ru); idx == nil {
+	if r, ok := d.plan.pos[ru]; !ok {
 		bucket.span[0] = d.scan(xm, ids)
 	} else {
-		sh := idx.shard(h)
+		rp := &d.plan.rules[r]
+		sh := d.indexAt(rp.index).shard(h)
 		bucket = sh.list(h)
-		if bit := idx.rhsBit(bm); bit != 0 && sh.exc.mask(h)&bit == 0 {
+		if sh.exc.mask(h)&rp.bit == 0 {
 			bucket = bucket.head() // uniform on Xm and Bm: the smallest id speaks for all
 		}
 	}

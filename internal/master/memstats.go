@@ -37,10 +37,11 @@ type MemStats struct {
 	IndexIDs   int   `json:"index_ids"`
 	IndexBytes int64 `json:"index_bytes"`
 
-	// NonUniformBuckets counts exception-table entries across all indexes:
-	// buckets whose tuples disagree on a rule's rhs column (Dm breaks the
-	// functional contract of §2 there) or collide on the key hash. Probes
-	// of those buckets scan; zero on a consistent master.
+	// NonUniformBuckets counts the entries of the exception tables that
+	// exist — those of the indexes a value probe reads: buckets whose tuples
+	// disagree on a rule's rhs column (Dm breaks the functional contract of
+	// §2 there) or collide on the key hash. Probes of those buckets scan;
+	// zero on a consistent master.
 	NonUniformBuckets int `json:"non_uniform_buckets"`
 
 	// BitmapBytes is the pattern-support bitmaps across all rules.
@@ -82,14 +83,12 @@ func (d *Data) MemStats() MemStats {
 		Symbols:     d.syms.Len(),
 		SymbolBytes: d.syms.Bytes(),
 	}
-	for _, idx := range d.indexes {
-		for s := range idx.shards {
-			idx.shards[s].addStats(&ms.IndexKeys, &ms.IndexIDs, &ms.IndexBytes)
-			ms.NonUniformBuckets += len(idx.shards[s].exc)
-		}
+	for s := range d.shards {
+		d.shards[s].addStats(&ms.IndexKeys, &ms.IndexIDs, &ms.IndexBytes)
+		ms.NonUniformBuckets += len(d.shards[s].exc)
 	}
-	for _, cp := range d.compat {
-		ms.BitmapBytes += 8 * int64(cp.patBits.Len())
+	for r := range d.support {
+		ms.BitmapBytes += 8 * int64(d.support[r].bits.Len())
 	}
 	if d.arena != nil {
 		ms.ArenaBacked = true

@@ -20,7 +20,9 @@ package master
 // every P.
 //
 // Shards are iterated only by whole-index walks: build, fork/compaction,
-// arena save/load, MemStats and the exception rebuild.
+// arena save/load, MemStats and the exception rebuild. A snapshot holds the
+// shards of all its indexes in one slice (Data.shards), so a delta forks
+// them with one allocation.
 
 import (
 	"repro/internal/parallel"
@@ -91,41 +93,16 @@ func keyShard(k uint64, p int) int {
 }
 
 // shard returns the one shard holding h's bucket.
-func (idx *index) shard(h uint64) *indexShard {
+func (idx index) shard(h uint64) *indexShard {
 	return &idx.shards[keyShard(h, len(idx.shards))]
 }
 
 // Shards returns the snapshot's shard count P (stable across ApplyDelta).
 func (d *Data) Shards() int { return d.nshards }
 
-// registerIndex finds or creates the index over xm; a created one has no
-// shards until fill sizes and builds them.
-func (d *Data) registerIndex(xm []int) *index {
-	if idx := d.findIndex(xm); idx != nil {
-		return idx
-	}
-	idx := &index{xm: append([]int(nil), xm...)}
-	d.indexes = append(d.indexes, idx)
-	return idx
-}
-
-// registerCompatPlan creates ru's compatibility plan: the one-column index
-// of each column of a multi-column Xm; buildBitmap evaluates the pattern
-// bitmap.
-func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
-	plan := &compatPlan{}
-	if xm := ru.LHSM(); len(xm) > 1 {
-		plan.posts = make([]*index, len(xm))
-		for i, col := range xm {
-			plan.posts[i] = d.registerIndex([]int{col})
-		}
-	}
-	return plan
-}
-
 // Builder is the one way a snapshot's cells come to be outside ApplyDelta
 // and LoadArena: rows are fed in order, each cell interned as it arrives,
-// and Finish builds the registered structures over the id rows. Ids come
+// and Finish builds the planned structures over the id rows. Ids come
 // out in the rows' own first-seen order (row by row, column by column) —
 // the same in every process and at every GOMAXPROCS, and with them the hash
 // keys, the shape of every overlay trie and the allocation counts the perf
@@ -135,8 +112,7 @@ func (d *Data) registerCompatPlan(ru *rule.Rule) *compatPlan {
 // master never exists as values and as ids at once.
 type Builder struct {
 	d      *Data
-	sigma  *rule.Set // nil under New: no plans, no bitmaps
-	shards int       // WithShards' override; 0 derives P at Finish
+	shards int // WithShards' override; 0 derives P at Finish
 	auth   bool
 	// slab is the unused tail of the current slab; rows are carved off its
 	// front. A slab holds as many rows as came before it, within
@@ -154,32 +130,20 @@ type Builder struct {
 // any size.
 const minSlabRows, maxSlabRows = 64, 4096
 
-// NewBuilder starts a snapshot for Σ over Σ's master schema: one index per
-// distinct Xm list and per column of a multi-column one, each rule's probe
-// and compatibility plans — registered now, built by Finish.
+// NewBuilder starts a lineage for Σ over Σ's master schema: Σ's plan — one
+// index per distinct Xm list and per column of a multi-column one, and each
+// rule's share of them — resolved now, its structures built by Finish.
 func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
-	b := newBuilder(sigma.MasterSchema(), sigma, resolveBuildConfig(opts))
-	d := b.d
-	for _, ru := range sigma.Rules() {
-		idx := d.registerIndex(ru.LHSM())
-		idx.trackRHS(ru.RHSM())
-		d.plans[ru] = idx
-		d.compat[ru] = d.registerCompatPlan(ru)
-	}
-	return b
+	return newBuilder(sigma.MasterSchema(), newPlan(sigma), resolveBuildConfig(opts))
 }
 
-func newBuilder(schema *relation.Schema, sigma *rule.Set, cfg buildConfig) *Builder {
-	syms := relation.NewSymbols()
+func newBuilder(schema *relation.Schema, p *plan, cfg buildConfig) *Builder {
 	return &Builder{
 		d: &Data{
 			schema: schema,
-			syms:   syms,
-			hasher: relation.NewHasher(syms),
-			plans:  map[*rule.Rule]*index{},
-			compat: map[*rule.Rule]*compatPlan{},
+			syms:   relation.NewSymbols(),
+			plan:   p,
 		},
-		sigma:  sigma,
 		shards: cfg.shards,
 		auth:   cfg.auth,
 		last:   make([]relation.Value, schema.Arity()),
@@ -227,7 +191,7 @@ func (b *Builder) newRow(arity int) []uint32 {
 }
 
 // Finish fixes the snapshot's shard count — shardsFor the rows added so far,
-// unless WithShards overrode it — builds every registered structure over
+// unless WithShards overrode it — builds every planned structure over
 // those rows and returns the snapshot, at epoch 0. The Builder must not be
 // used afterwards.
 func (b *Builder) Finish() *Data {
@@ -237,12 +201,11 @@ func (b *Builder) Finish() *Data {
 		d.nshards = shardsFor(d.rows.Len())
 	}
 	d.fill()
-	if b.sigma != nil {
+	if n := len(d.plan.rules); n > 0 {
 		// The error is dropped because no job returns one.
-		rules := b.sigma.Rules()
-		slab := d.bitmapSlab(len(rules))
-		_, _ = parallel.Map(len(rules), 0, func(r int) (struct{}, error) {
-			d.buildBitmap(rules[r], r, slab)
+		slab := d.supportSlab()
+		_, _ = parallel.Map(n, 0, func(r int) (struct{}, error) {
+			d.buildBitmap(r, slab)
 			return struct{}{}, nil
 		})
 	}
@@ -252,20 +215,22 @@ func (b *Builder) Finish() *Data {
 	return d
 }
 
-// bitmapSlab allocates the words of nrules pattern-support bitmaps over the
-// rows at once; buildBitmap fills one rule's share.
-func (d *Data) bitmapSlab(nrules int) []uint64 {
-	return make([]uint64, nrules*((d.rows.Len()+63)/64))
+// supportSlab sizes the snapshot's pattern-support bitmaps, one per rule of
+// the plan, and allocates all their words over the rows at once;
+// buildBitmap fills one rule's share.
+func (d *Data) supportSlab() []uint64 {
+	d.support = make([]support, len(d.plan.rules))
+	return make([]uint64, len(d.plan.rules)*((d.rows.Len()+63)/64))
 }
 
-// buildBitmap evaluates the pattern-support bitmap of ru, the r-th rule, over
-// the rows into its share of slab, which the bitmap then shares
+// buildBitmap evaluates the pattern-support bitmap of the plan's r-th rule
+// over the rows into its share of slab, which the bitmap then shares
 // copy-on-write. Finish runs it rule-parallel; LoadArena, whose image stores
 // no bitmap, beside its exception rebuild. A rule whose lhs carries no
 // pattern cell is supported by every tuple: its bitmap is all ones up to n,
 // with no scan.
-func (d *Data) buildBitmap(ru *rule.Rule, r int, slab []uint64) {
-	n, plan := d.rows.Len(), d.compat[ru]
+func (d *Data) buildBitmap(r int, slab []uint64) {
+	n, ru, sp := d.rows.Len(), d.plan.rules[r].ru, &d.support[r]
 	words := (n + 63) / 64
 	bits := slab[r*words : (r+1)*words]
 	if patternFree(ru) {
@@ -275,44 +240,46 @@ func (d *Data) buildBitmap(ru *rule.Rule, r int, slab []uint64) {
 		if tail := n % 64; tail != 0 { // no bit past n: a delta's append flips its new id's bit
 			bits[len(bits)-1] = 1<<uint(tail) - 1
 		}
-		plan.patBits, plan.patCount = persist.FromSlice(bits), n
+		sp.bits, sp.count = persist.FromSlice(bits), n
 		return
 	}
 	for id, row := range d.rows.All() {
 		if patternCompatible(ru, row, d.syms) {
 			bits[id>>6] |= 1 << (uint(id) & 63)
-			plan.patCount++
+			sp.count++
 		}
 	}
-	plan.patBits = persist.FromSlice(bits)
+	sp.bits = persist.FromSlice(bits)
 }
 
-// fill builds every registered index's d.nshards shard tables from the id
-// rows, which it only reads; every task writes its own index — no locks. The
-// indexes build side by side, each gathering its key column in one pass over
-// the rows — the hash of the row's Xm ids, no symbol lookup — grouping it by
-// shard and building one table per shard, its exception table (uniform.go)
-// following its buckets. The arrays that takes belong to the worker, not the
-// index: a build allocates them once per CPU, whatever Σ registers.
+// fill builds the d.nshards shard tables of every index of the plan from the
+// id rows, which it only reads; every task writes its own index's shards —
+// no locks. The indexes build side by side, each gathering its key column in
+// one pass over the rows — the hash of the row's Xm ids, no symbol lookup —
+// grouping it by shard and building one table per shard, its exception
+// table (uniform.go), if it keeps one, following its buckets. The arrays
+// that takes belong to the worker, not the index: a build allocates them
+// once per CPU, whatever Σ plans.
 func (d *Data) fill() {
-	if len(d.indexes) == 0 {
+	nindexes := len(d.plan.indexes)
+	if nindexes == 0 {
 		return // no worker, no scratch: New's masters
 	}
 	n, p := d.rows.Len(), d.nshards
+	d.shards = make([]indexShard, nindexes*p)
 	// The error is dropped because no job returns one.
-	_, _ = parallel.MapWorkers(len(d.indexes), 0, func() func(int) (struct{}, error) {
+	_, _ = parallel.MapWorkers(nindexes, 0, func() func(int) (struct{}, error) {
 		// keys is the index's key of every tuple, in tuple order, and then the
 		// sort buffer of each shard's table; gkeys and ids the same keys and
 		// their tuples grouped by shard; kc counts a shard's keys.
 		keys, gkeys, ids := make([]uint64, n), make([]uint64, n), make([]int, n)
 		kc := newKeyCounts(n / (4 * p))
 		return func(k int) (struct{}, error) {
-			idx := d.indexes[k]
+			idx := d.indexAt(k)
 			for i, row := range d.rows.All() {
-				keys[i] = d.hasher.HashRow(row, idx.xm)
+				keys[i] = d.syms.HashRow(row, idx.xm)
 			}
 			start := groupByShard(keys, gkeys, ids, p)
-			idx.shards = make([]indexShard, p)
 			for s := range idx.shards {
 				lo, hi := start[s], start[s+1]
 				idx.shards[s].frozen = buildTableSorting(gkeys[lo:hi], ids[lo:hi], keys[lo:hi], kc)

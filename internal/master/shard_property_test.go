@@ -202,7 +202,7 @@ func TestShardedDeltaEquivalence(t *testing.T) {
 // forceCompact flattens every shard of every index of d into its table,
 // whatever fork would have decided.
 func forceCompact(d *Data) {
-	for _, idx := range d.indexes {
+	for _, idx := range d.indexes() {
 		for s := range idx.shards {
 			idx.shards[s].layered = layered{frozen: idx.shards[s].compact()}
 		}
@@ -213,7 +213,7 @@ func forceCompact(d *Data) {
 // everything that writes it: after a build, after each delta of a random
 // program (overlays, and the compactions fork decides on), after compacting
 // every shard by force, and after an arena round trip, every key of every
-// index — the rules' own and the one-column ones their compatibility plans
+// index — the rules' own and the one-column ones their partial-lhs tests
 // read — sits in exactly the shard the router names.
 func TestKeyRoutingProperty(t *testing.T) {
 	pinProcs(t, 2)
@@ -311,7 +311,7 @@ func TestMemStatsShardInvariant(t *testing.T) {
 	}
 	want := counts(1)
 	// Four indexes: the three rules' and the one over fk2 alone, which only
-	// pair-c3's compatibility plan reads.
+	// pair-c3's partial-lhs test reads.
 	if want.IndexIDs != 4*want.Tuples || want.NonUniformBuckets == 0 {
 		t.Fatalf("fixture broken: %+v", want)
 	}
@@ -348,11 +348,11 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	dm := MustNewForRules(rel, sigma, WithShards(7))
 
 	probe := relation.StringTuple("k", "dirty")
-	h, ok := dm.hasher.ProbeTuple(probe, ru.LHS(), nil)
+	h, ok := dm.syms.ProbeTuple(probe, ru.LHS(), nil)
 	if !ok {
 		t.Fatal("probe must hash")
 	}
-	idx := dm.plans[ru]
+	idx, _ := dm.indexFor(ru)
 	spread := 0
 	for s := range idx.shards {
 		if len(idx.shards[s].get(h)) > 0 {

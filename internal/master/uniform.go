@@ -3,14 +3,20 @@ package master
 // This file implements the uniform-bucket invariant behind the O(1) value
 // probe (RHSValuesWitness).
 //
+// It covers only the indexes a value probe reads — those over some rule's
+// whole Xm. A one-column index that only the partial-lhs test of compat.go
+// reads tracks no rhs column and keeps no table: that test verifies every
+// candidate's cells.
+//
 // A bucket is UNIFORM when all its tuples share the Xm projection (no
 // 64-bit hash collision inside it) and agree on every tracked rhs column —
-// the Bm of each rule planned on the index. The paper assumes Dm is
-// consistent (§2): every rule is a function on the master, so every bucket
-// of a clean master is uniform and its smallest id, bucket[0], answers for
-// all of it. The buckets that break the contract are listed, per index
-// shard, in an exception table: empty on a consistent master, which is why
-// it is a table of exceptions and not a value per (key, column).
+// the Bm of each rule whose whole Xm the index is (indexPlan.bms).
+// The paper assumes Dm is consistent (§2): every rule is a function on the
+// master, so every bucket of a clean master is uniform and its smallest id,
+// bucket[0], answers for all of it. The buckets that break the contract are
+// listed, per index shard, in an exception table: empty on a consistent
+// master, which is why it is a table of exceptions and not a value per
+// (key, column).
 //
 // The table is a pure function of the shard's buckets and rows.
 // rebuildExceptions derives it after a build and after LoadArena (arenas
@@ -29,7 +35,7 @@ import (
 const collided = ^uint64(0)
 
 // exception lists one non-uniform bucket: bit i of mask is set when the
-// bucket's tuples disagree on rhs column index.bms[i] (columns past 63
+// bucket's tuples disagree on rhs column indexPlan.bms[i] (columns past 63
 // share the last bit — coarser, never wrong).
 type exception struct{ h, mask uint64 }
 
@@ -69,34 +75,16 @@ func (e exceptions) with(h, mask uint64) exceptions {
 	return append(out, e[i:]...)
 }
 
-// trackRHS registers bm as an rhs column the index tracks uniformity on.
-func (idx *index) trackRHS(bm int) {
-	if !slices.Contains(idx.bms, bm) {
-		idx.bms = append(idx.bms, bm)
-	}
-}
-
-// rhsBit returns bm's exception-mask bit, 0 when the index does not track
-// bm: such a probe reads the whole bucket.
-func (idx *index) rhsBit(bm int) uint64 {
-	for i, c := range idx.bms {
-		if c == bm {
-			return 1 << min(i, 63)
-		}
-	}
-	return 0
-}
-
 // disagree returns the exception bits two rows of one bucket raise: cells
 // are interned ids, so two cells differ exactly when their ids do.
-func (idx *index) disagree(a, b []uint32) uint64 {
-	for _, c := range idx.xm {
+func (ip *indexPlan) disagree(a, b []uint32) uint64 {
+	for _, c := range ip.xm {
 		if a[c] != b[c] {
 			return collided
 		}
 	}
 	var m uint64
-	for i, c := range idx.bms {
+	for i, c := range ip.bms {
 		if a[c] != b[c] {
 			m |= 1 << min(i, 63)
 		}
@@ -107,14 +95,14 @@ func (idx *index) disagree(a, b []uint32) uint64 {
 // bucketMask computes a bucket's exception mask from scratch. limit is a
 // known superset of the answer — collided when nothing is known — and ends
 // the scan as soon as it is reached.
-func (idx *index) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
+func (ip *indexPlan) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
 	var m uint64
 	var first []uint32 // the row of the bucket's smallest id
 	for _, chunk := range bucket.chunks() {
 		for _, id := range chunk {
 			if first == nil {
 				first = rows.At(id)
-			} else if m |= idx.disagree(first, rows.At(id)); m == limit {
+			} else if m |= ip.disagree(first, rows.At(id)); m == limit {
 				return m
 			}
 		}
@@ -122,8 +110,12 @@ func (idx *index) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
 	return m
 }
 
-// rebuildExceptions derives shard s's exception table from its buckets.
-func (idx *index) rebuildExceptions(s int, rows *rowVec) {
+// rebuildExceptions derives shard s's exception table from its buckets; an
+// index that tracks no rhs column keeps none.
+func (idx index) rebuildExceptions(s int, rows *rowVec) {
+	if len(idx.bms) == 0 {
+		return
+	}
 	var exc exceptions
 	idx.shards[s].lists(func(h uint64, bucket idList) {
 		if m := idx.bucketMask(bucket, rows, collided); m != 0 {

@@ -107,7 +107,7 @@ func (w *uniformWorld) delta(live []relation.Tuple) (adds []relation.Tuple, dele
 // affected shards' exception tables. Deltas that leave id 0 alone keep the
 // planted ids valid.
 func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
-	for _, idx := range d.indexes {
+	for _, idx := range d.indexes() {
 		for s := range idx.shards {
 			type bucket struct {
 				h   uint64
@@ -122,7 +122,7 @@ func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
 			// each iterates maps: sort for a seed-stable choice.
 			slices.SortFunc(foreign, func(a, b bucket) int { return a.ids[0] - b.ids[0] })
 			for _, b := range foreign {
-				if planted < 2*len(d.indexes) && rng.Intn(3) == 0 {
+				if planted < 2*len(d.plan.indexes) && rng.Intn(3) == 0 {
 					plantBucket(&idx.shards[s], b.h, append([]int{0}, b.ids...), planted%2 == 1)
 					planted++
 				}
@@ -201,9 +201,9 @@ func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, r
 // rebuildExceptions derives from the snapshot's own buckets.
 func checkExceptionsRebuilt(t *testing.T, ctx string, d *Data) {
 	t.Helper()
-	for _, idx := range d.indexes {
-		fresh := *idx
-		fresh.shards = append([]indexShard(nil), idx.shards...)
+	for _, idx := range d.indexes() {
+		fresh := idx
+		fresh.shards = slices.Clone(idx.shards)
 		for s := range idx.shards {
 			fresh.rebuildExceptions(s, &d.rows)
 			got, want := idx.shards[s].exc, fresh.shards[s].exc
@@ -233,8 +233,8 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			rel := w.relation(8+rng.Intn(40), seed%3 != 0)
 			ctx := fmt.Sprintf("seed %d P=%d", seed, p)
 
-			// The rules of Σ, a refined rule (outside the plan map, resolved
-			// through the registry) and a rule whose rhs no index tracks.
+			// The rules of Σ, a refined rule (outside the plan, scanning) and
+			// a rule whose rhs no index tracks.
 			r0 := w.sigma.Rule(0)
 			refined, err := r0.WithPattern(pattern.MustTuple([]int{2}, []pattern.Cell{pattern.Neq(relation.String("g1"))}))
 			if err != nil {
@@ -271,7 +271,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 				t.Helper()
 				checkExceptionsRebuilt(t, ctx, d)
 				checkUniformProbes(t, ctx, d, rules, rng)
-				for _, idx := range d.indexes {
+				for _, idx := range d.indexes() {
 					for s := range idx.shards {
 						listed += len(idx.shards[s].exc)
 						idx.shards[s].each(func(h uint64, ids []int) {

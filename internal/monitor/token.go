@@ -214,7 +214,7 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	var refWords [1]uint64
 	var idBuf [64]uint32
 	words, ids := refWords[:0], idBuf[:0]
-	syms := s.d.Master().Hasher().Symbols()
+	syms := s.d.Master().Symbols()
 	for p, v := range s.begin {
 		if s.assertedAtBegin(p) {
 			continue
@@ -647,7 +647,7 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		}
 		pinned, rebased = m.deriver.Pin(), true
 	}
-	syms := pinned.Master().Hasher().Symbols()
+	syms := pinned.Master().Symbols()
 	i := 0
 	for p := range begin {
 		if !refs.Has(p) {

@@ -159,7 +159,7 @@ func forgeRawRound(suggested, toggled []int, differs relation.AttrSet, cells ...
 // snapshot has interned, and its symbol id.
 func interned(tb testing.TB, m *Monitor, t relation.Tuple) (int, uint32) {
 	tb.Helper()
-	syms := m.deriver.Master().Hasher().Symbols()
+	syms := m.deriver.Master().Symbols()
 	for p, v := range t {
 		if id, ok := syms.ID(v); ok {
 			return p, id
@@ -255,7 +255,7 @@ func TestResumeSessionValidation(t *testing.T) {
 		return m.auth.seal(forgeBody(epoch, 0, ds.Inputs[0], refs, count, parts...), 0)
 	}
 	forge := func(count uint64, parts ...[]byte) []byte { return forgeRefs(nil, count, parts...) }
-	syms := m.deriver.Master().Hasher().Symbols()
+	syms := m.deriver.Master().Symbols()
 	ref, sym := interned(t, m, ds.Inputs[0])
 	refs := map[int]uint64{ref: uint64(sym)}
 	pending := appendList(nil, []int{0})
@@ -468,7 +468,7 @@ func TestAssertedCellsStayLiteral(t *testing.T) {
 	for _, g := range gens {
 		t.Run(g.name, func(t *testing.T) {
 			m, ds, _ := generatedMonitor(t, g.gen, internalKey)
-			syms := m.deriver.Master().Hasher().Symbols()
+			syms := m.deriver.Master().Symbols()
 			refCells, guarded := 0, 0
 			for i, input := range ds.Inputs {
 				s, err := m.NewSession(input)
@@ -562,7 +562,7 @@ func FuzzResumeToken(f *testing.F) {
 	// done token that still carries a pending suggestion.
 	ref, id := interned(f, m, ds.Inputs[0])
 	head := ver.Epoch()
-	syms := m.deriver.Master().Hasher().Symbols()
+	syms := m.deriver.Master().Symbols()
 	pending := appendList(nil, []int{0})
 	f.Add(forgeBody(head, 0, ds.Inputs[0], map[int]uint64{ref: uint64(syms.Len())}, 0, pending))
 	f.Add(forgeBody(head, 0, ds.Inputs[0], map[int]uint64{ref: uint64(id+1) % uint64(syms.Len())}, 0, pending))

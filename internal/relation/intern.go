@@ -1,9 +1,9 @@
 package relation
 
 // This file implements the allocation-free probe substrate: a value-interning
-// symbol table assigning every distinct Value a dense uint32 id, and a Hasher
-// that folds a tuple projection into a single uint64 FNV-1a key over the
-// (kind, id) pairs. The master-data indexes key their buckets on these
+// symbol table assigning every distinct Value a dense uint32 id, whose probe
+// methods (ProbeTuple, ProbeValues, HashRow) fold a tuple projection into a
+// single uint64 FNV-1a key over the (kind, id) pairs. The master-data indexes key their buckets on these
 // hashes, so the per-probe cost demanded by the paper's TransFix complexity
 // analysis (§5.1, "constant time ... by using a hash table") is one hash
 // computation plus one map lookup — no string building, no heap allocation.
@@ -26,7 +26,7 @@ import (
 // Symbols interns values into dense uint32 ids. Ids are assigned in
 // first-seen order starting at 0. Interning is not safe for concurrent use;
 // populate the table while building indexes, then only read (ID, Value,
-// Hasher probes) from any number of goroutines.
+// the probe methods) from any number of goroutines.
 //
 // A table is layered to support copy-on-write snapshots (the versioned
 // master data of internal/master): Fork derives a writable child that shares
@@ -281,19 +281,6 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// Hasher computes uint64 projection keys against a symbol table. The zero
-// Hasher is not usable; obtain one with NewHasher. Hasher is a small value
-// type — copy it freely.
-type Hasher struct {
-	syms *Symbols
-}
-
-// NewHasher returns a hasher over the symbol table.
-func NewHasher(syms *Symbols) Hasher { return Hasher{syms: syms} }
-
-// Symbols returns the underlying symbol table.
-func (h Hasher) Symbols() *Symbols { return h.syms }
-
 // hashCell folds one value's (kind, id) pair into the accumulator,
 // byte-by-byte in FNV-1a order.
 func hashCell(acc uint64, kind Kind, id uint32) uint64 {
@@ -316,11 +303,11 @@ func hashCell(acc uint64, kind Kind, id uint32) uint64 {
 // miss. ids[i], when ids is non-nil, receives the id of t[positions[i]]: a
 // probe verifies bucket candidates by comparing those ids with the stored
 // rows' cells, so no value is compared twice. Allocation-free.
-func (h Hasher) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool) {
+func (s *Symbols) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
 	for i, p := range positions {
 		v := t[p]
-		id, ok := h.syms.ID(v)
+		id, ok := s.ID(v)
 		if !ok {
 			return 0, false
 		}
@@ -335,10 +322,10 @@ func (h Hasher) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bool
 // ProbeValues hashes the value vector in order (the probe-side twin of
 // ProbeTuple for callers that already projected), handing back the
 // looked-up ids like ProbeTuple. Allocation-free.
-func (h Hasher) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
+func (s *Symbols) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
 	acc := fnvOffset64
 	for i, v := range values {
-		id, ok := h.syms.ID(v)
+		id, ok := s.ID(v)
 		if !ok {
 			return 0, false
 		}
@@ -353,10 +340,10 @@ func (h Hasher) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
 // HashRow hashes the projection on positions of a stored row — cells that
 // are already ids of this table — to the key ProbeTuple gives the tuple the
 // row stands for. Allocation-free; no value is looked up, only its kind.
-func (h Hasher) HashRow(row []uint32, positions []int) uint64 {
+func (s *Symbols) HashRow(row []uint32, positions []int) uint64 {
 	acc := fnvOffset64
 	for _, p := range positions {
-		acc = hashCell(acc, h.syms.Value(row[p]).kind, row[p])
+		acc = hashCell(acc, s.Value(row[p]).kind, row[p])
 	}
 	return acc
 }
@@ -380,7 +367,7 @@ func HashInt(acc uint64, n int) uint64 {
 
 // HashValue folds a value into the accumulator: its kind, then its payload
 // (numeric bytes for ints, the raw bytes for strings). Unlike the
-// interning Hasher it needs no symbol table, so it works on arbitrary
+// probe methods it needs no symbol table, so it works on arbitrary
 // values — e.g. a memo of visited fixing states.
 func HashValue(acc uint64, v Value) uint64 {
 	acc ^= uint64(v.kind)

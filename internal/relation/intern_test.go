@@ -40,12 +40,12 @@ func TestSymbolsDistinguishKinds(t *testing.T) {
 
 // internHash interns t's projection on positions and returns its
 // ProbeTuple key — the index build's side of a probe.
-func internHash(t *testing.T, h Hasher, tup Tuple, positions []int) uint64 {
+func internHash(t *testing.T, s *Symbols, tup Tuple, positions []int) uint64 {
 	t.Helper()
 	for _, p := range positions {
-		h.Symbols().Intern(tup[p])
+		s.Intern(tup[p])
 	}
-	key, ok := h.ProbeTuple(tup, positions, nil)
+	key, ok := s.ProbeTuple(tup, positions, nil)
 	if !ok {
 		t.Fatal("ProbeTuple misses a projection just interned")
 	}
@@ -54,12 +54,11 @@ func internHash(t *testing.T, h Hasher, tup Tuple, positions []int) uint64 {
 
 func TestHasherAgreesAcrossTupleAndValues(t *testing.T) {
 	s := NewSymbols()
-	h := NewHasher(s)
 	tup := TupleOf(String("x"), Int(3), Null, String("y"))
 	pos := []int{0, 1, 3}
-	built := internHash(t, h, tup, pos)
+	built := internHash(t, s, tup, pos)
 
-	vals, ok := h.ProbeValues([]Value{String("x"), Int(3), String("y")}, nil)
+	vals, ok := s.ProbeValues([]Value{String("x"), Int(3), String("y")}, nil)
 	if !ok || vals != built {
 		t.Fatalf("ProbeValues = %x, %v; want %x", vals, ok, built)
 	}
@@ -67,38 +66,36 @@ func TestHasherAgreesAcrossTupleAndValues(t *testing.T) {
 	for _, p := range pos {
 		row[p], _ = s.ID(tup[p])
 	}
-	if got := h.HashRow(row, pos); got != built {
+	if got := s.HashRow(row, pos); got != built {
 		t.Fatalf("HashRow = %x; want %x", got, built)
 	}
 }
 
 func TestHasherMissesUninterned(t *testing.T) {
 	s := NewSymbols()
-	h := NewHasher(s)
-	internHash(t, h, TupleOf(String("a")), []int{0})
-	if _, ok := h.ProbeTuple(TupleOf(String("zz")), []int{0}, nil); ok {
+	internHash(t, s, TupleOf(String("a")), []int{0})
+	if _, ok := s.ProbeTuple(TupleOf(String("zz")), []int{0}, nil); ok {
 		t.Fatal("hash of uninterned value must report a miss")
 	}
-	if _, ok := h.ProbeValues([]Value{Int(42)}, nil); ok {
+	if _, ok := s.ProbeValues([]Value{Int(42)}, nil); ok {
 		t.Fatal("ProbeValues of uninterned value must report a miss")
 	}
 }
 
 func TestHasherOrderAndKindSensitivity(t *testing.T) {
 	s := NewSymbols()
-	h := NewHasher(s)
 	ab := TupleOf(String("a"), String("b"))
 	ba := TupleOf(String("b"), String("a"))
-	x := internHash(t, h, ab, []int{0, 1})
-	y := internHash(t, h, ba, []int{0, 1})
+	x := internHash(t, s, ab, []int{0, 1})
+	y := internHash(t, s, ba, []int{0, 1})
 	if x == y {
 		t.Fatal("projection hash must be order-sensitive")
 	}
 
 	s1 := TupleOf(String("1"))
 	i1 := TupleOf(Int(1))
-	sv := internHash(t, h, s1, []int{0})
-	iv := internHash(t, h, i1, []int{0})
+	sv := internHash(t, s, s1, []int{0})
+	iv := internHash(t, s, i1, []int{0})
 	if sv == iv {
 		t.Fatal("projection hash must be kind-sensitive")
 	}
@@ -106,12 +103,11 @@ func TestHasherOrderAndKindSensitivity(t *testing.T) {
 
 func TestHashTupleZeroAlloc(t *testing.T) {
 	s := NewSymbols()
-	h := NewHasher(s)
 	tup := TupleOf(String("edinburgh"), String("EH7 4AH"), Int(44))
 	pos := []int{0, 1, 2}
-	internHash(t, h, tup, pos)
+	internHash(t, s, tup, pos)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := h.ProbeTuple(tup, pos, nil); !ok {
+		if _, ok := s.ProbeTuple(tup, pos, nil); !ok {
 			t.Fatal("must hit")
 		}
 	})

@@ -232,9 +232,9 @@ func (s *System) head() *master.Data { return s.lin.Versioned().Current() }
 // BootTimings attributes a System's construction time to its phases.
 // Master is obtaining the first snapshot (build, arena load, WAL recovery or
 // follower bootstrap) and MasterRead the part of it NewFromCSV spent reading
-// the file: wall time from opening it to its last row interned, parsing
-// running ahead of validating and interning on a second goroutine. It is
-// zero on every other path; the rest of Master is indexing (tables, bitmaps,
+// the file: wall time from opening it to its last row interned, the file
+// parsed and interned chunk-parallel on GOMAXPROCS workers and merged in
+// file order (master.Builder.ReadCSV). It is zero on every other path; the rest of Master is indexing (tables, bitmaps,
 // the Merkle commitment) or the load. Regions is deriving the certain-region
 // candidates over the snapshot. cmd/certainfixd logs them at start.
 type BootTimings struct {
