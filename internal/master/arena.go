@@ -29,7 +29,7 @@ package master
 //	         the id array (8-byte ids). A key sits in the shard keyShard
 //	         routes it to (shard.go)
 //	rules    per rule of Σ, in Σ order: an FNV-1a signature of its
-//	         rendering. Its pattern-support bitmap is derived at load.
+//	         rendering. Its pattern-support count is derived at load.
 //	auth     a presence flag plus the snapshot's 32-byte sparse-Merkle
 //	         root (authtree); with the flag set the tree is recomputed
 //	         and verified against the stored root at load time.

@@ -8,8 +8,9 @@ package master
 // checksum and on to the header, table and rule validators behind it. The
 // seed corpus covers the empty input, a valid image at P = 2 and at P = 1, a
 // truncated image, header-level corruptions, one input per validator of the
-// symbol and rows sections, and the images of another layout (misrouted
-// keys, indexes out of the plan's order, version 6).
+// symbol and rows sections, an image that loads with a row its indexes file
+// under another key, and the images of another layout (misrouted keys,
+// indexes out of the plan's order, version 6).
 
 import (
 	"bytes"
@@ -23,14 +24,18 @@ import (
 )
 
 // fuzzArenaSigma is the fixed (Σ, Dm) the fuzz inputs are decoded
-// against, mirroring FuzzApplyDelta's instance.
+// against: FuzzApplyDelta's instance, plus a rule whose pattern sits on its
+// lhs, so that its support count is not |Dm| (the two rows with MB = x fail
+// it).
 func fuzzArenaSigma() (*rule.Set, *Data) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
 	ru1 := rule.MustNew("kv", r, rm, []int{0}, []int{0}, 1, 1, pattern.Empty())
 	ru2 := rule.MustNew("pair", r, rm, []int{0, 1}, []int{0, 1}, 2, 2,
 		pattern.MustTuple([]int{2}, []pattern.Cell{pattern.Neq(relation.String("x"))}))
-	sigma := rule.MustNewSet(r, rm, ru1, ru2)
+	ru3 := rule.MustNew("pair-b", r, rm, []int{0, 1}, []int{0, 1}, 2, 2,
+		pattern.MustTuple([]int{1}, []pattern.Cell{pattern.Neq(relation.String("x"))}))
+	sigma := rule.MustNewSet(r, rm, ru1, ru2, ru3)
 	rel := relation.NewRelation(rm)
 	pool := []string{"a", "b", "c", "x"}
 	for i := 0; i < 8; i++ {
@@ -63,8 +68,10 @@ func FuzzLoadArena(f *testing.F) {
 	f.Add(swapFirstIndexes(valid))     // valid indexes, not in the plan's order
 	sec := func(i int) int { return int(binary.LittleEndian.Uint64(valid[hdrSections+8*i:])) }
 	nsyms := binary.LittleEndian.Uint32(valid[hdrNSyms:])
+	cell := func(i, c int) int { return sec(secRows) + 4*(3*i+c) }
 	for _, mut := range []func(b []byte){
 		func(b []byte) { binary.LittleEndian.PutUint32(b[sec(secRows):], nsyms) }, // a cell id past the symbols
+		func(b []byte) { copy(b[cell(4, 1):cell(4, 2)], b[cell(4, 2):]) },         // row 4 reads (a, b, b), the indexes still file it under (a, c)
 		func(b []byte) { b[sec(secSymbols)] = 0x07 },                              // an unknown cell kind
 		func(b []byte) { b[sec(secSymbols)+1] = 0x7f },                            // the first symbol, "a", claims 127 bytes
 		func(b []byte) { binary.LittleEndian.PutUint32(b[hdrNSyms:], nsyms-1) },   // one cell more than the header's count
@@ -98,14 +105,35 @@ func FuzzLoadArena(f *testing.F) {
 		}
 		// The image decoded: everything reachable from it must be safe.
 		// (A mutated image can still be VALID — e.g. flips confined to
-		// padding or unreferenced bucket keys.)
+		// padding or unreferenced bucket keys.) What the loader derives from
+		// the rows — the support counts condition (c) reads when no lhs cell
+		// is validated — must be what a scan of the loaded rows says. The
+		// index-backed walks are only probed: the loader does not check that
+		// a bucket's ids carry its key, so on an image whose rows and
+		// indexes disagree (a flipped in-range cell id) they answer from
+		// the indexes and a scan from the rows.
 		_ = loaded.MemStats()
-		probe := relation.StringTuple("a", "b", "c")
+		none := relation.NewAttrSet()
 		for _, ru := range sigma.Rules() {
-			_ = loaded.MatchIDs(ru, probe)
-			_ = loaded.RHSValues(ru, probe)
-			_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0))
-			_ = loaded.PatternSupported(ru)
+			for _, probe := range []relation.Tuple{relation.StringTuple("a", "b", "c"), relation.StringTuple("c", "x", "a")} {
+				_ = loaded.MatchIDs(ru, probe)
+				_ = loaded.RHSValues(ru, probe)
+				_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0))
+				_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0, 1))
+				if got, want := loaded.CompatibleExists(ru, probe, none), loaded.compatibleScan(ru, probe, none); got != want {
+					t.Fatalf("rule %s probe %v Z=∅: CompatibleExists=%v, the scan %v", ru.Name(), probe, got, want)
+				}
+			}
+			want := false
+			for _, row := range loaded.rows.All() {
+				if patternCompatible(ru, row, loaded.syms) {
+					want = true
+					break
+				}
+			}
+			if got := loaded.PatternSupported(ru); got != want {
+				t.Fatalf("rule %s: PatternSupported=%v, the scan %v", ru.Name(), got, want)
+			}
 		}
 		next, derr := loaded.ApplyDelta([]relation.Tuple{relation.StringTuple("q", "r", "s")}, nil)
 		if derr != nil {

@@ -7,7 +7,7 @@ package master
 // |Dm|. The O(|Dm|) work is one validating pass over the rows, which also
 // lays a row header per tuple, and the parallel pass that derives what the
 // image does not store: each index shard's exception table and each rule's
-// pattern-support bitmap. String payloads stay in the arena (symbol values
+// pattern-support count. String payloads stay in the arena (symbol values
 // alias the mapping zero-copy).
 //
 // Validation is EAGER: the trailer's checksum first, then every offset,
@@ -287,14 +287,14 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 
 	// What the image does not store is derived from the rows it does, so a
 	// probe trusts only what this pass verified: each rule's pattern-support
-	// bitmap, then each index shard's exception table. The jobs are the rules
+	// count, then each index shard's exception table. The jobs are the rules
 	// and the (index, shard) pairs, so a load is as parallel at P = 1 as at
 	// any other P. The error is dropped because no job returns one.
 	nr := len(p.rules)
-	slab := d.supportSlab()
+	d.supported = make([]int, nr)
 	_, _ = parallel.Map(nr+nindexes*nshards, 0, func(k int) (struct{}, error) {
 		if k < nr {
-			d.buildBitmap(k, slab)
+			d.supported[k] = d.countSupported(k)
 		} else {
 			k -= nr
 			d.indexAt(k/nshards).rebuildExceptions(k%nshards, &d.rows)

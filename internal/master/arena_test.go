@@ -479,7 +479,7 @@ func TestArenaUnalignedInput(t *testing.T) {
 }
 
 // TestArenaEmptyMaster: a zero-tuple master round-trips (empty tables,
-// zero-word bitmaps).
+// zero support counts).
 func TestArenaEmptyMaster(t *testing.T) {
 	rel, sigma := benchMasterRelation(0)
 	d := MustNewForRules(rel, sigma, WithShards(2))

@@ -46,7 +46,7 @@ func measure(build func() any) (allocated, live uint64) {
 // TestBootHeapBudget reads a 20k-tuple HOSP master from CSV bytes with
 // Builder.ReadCSV — the path certainfix.NewFromCSV boots on, chunks parsed
 // and interned on two workers — and bounds what the snapshot keeps, cells,
-// symbols, tables and bitmaps together, and how much garbage building it
+// symbols and tables together, and how much garbage building it
 // made: 296 B/tuple kept and 1.70× that allocated, measured (2.14× when the
 // rows were decoded one at a time beside a serial interner; 329 B/tuple
 // kept with a posting list per Xm column beside the indexes). As a relation
@@ -76,8 +76,9 @@ func TestBootHeapBudget(t *testing.T) {
 
 // TestArenaLoadAllocBudget bounds what loading an image allocates, per tuple:
 // the rows, tables and strings stay in the image, and what is built beside
-// them is a header per row, the symbol table, and the pattern bitmaps the
-// image does not store — 57.7 B/tuple measured, whatever the image holds.
+// them is a header per row, the symbol table, and the exception tables and
+// support counts the image does not store — 54.4 B/tuple measured, whatever
+// the image holds.
 func TestArenaLoadAllocBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)

@@ -2,47 +2,33 @@ package master
 
 import (
 	"repro/internal/pattern"
-	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
 
 // This file implements condition (c) of the Σ_t[Z] derivation (§5.2) and
-// the per-rule pattern support behind region derivation: per rule, a bitmap
-// of the master tuples satisfying the rule's pattern cells on the λϕ-mapped
-// lhs attributes — its popcount answers "does any master tuple support this
+// the per-rule pattern support behind region derivation: per rule, the
+// count of master tuples satisfying the rule's pattern cells on the
+// λϕ-mapped lhs attributes — it answers "does any master tuple support this
 // rule's pattern" — and, for a rule whose Xm has several columns, the
 // one-column index of each of them.
 //
 // With the lhs fully validated, condition (c) is the §5.1 probe of the
 // rule's own index. With it PARTLY validated it is the same probe on a part
 // of Xm: the bucket of each validated column's one-column index is the list
-// of tuples agreeing with t there, so the test walks the smallest of them
-// under the pattern bitmap — instead of Dm, the term that made per-round
-// latency grow linearly in |Dm| (Fig. 12a/b) — and falls back to the scan
-// only when that bucket is so unselective (≥ half of Dm) that scanning is no
-// worse. A one-column Xm is either fully validated or not at all, so only
-// the columns of a multi-column Xm get an index for this — an ordinary
-// index (master.go), shared with any rule whose whole Xm is that column.
+// of tuples agreeing with t there, so the test walks the smallest of them —
+// instead of Dm, the term that made per-round latency grow linearly in |Dm|
+// (Fig. 12a/b) — and falls back to the scan only when that bucket is so
+// unselective (≥ half of Dm) that scanning is no worse. A one-column Xm is
+// either fully validated or not at all, so only the columns of a
+// multi-column Xm get an index for this — an ordinary index (master.go),
+// shared with any rule whose whole Xm is that column. Both walks load each
+// candidate's row to compare its cells, and test the rule's pattern on that
+// same row.
 //
 // Which one-column indexes a rule reads is Σ's to decide, so it is in the
-// lineage's plan (rulePlan.posts); the pattern bitmap follows the rows, so
-// each snapshot holds its own. The bitmap is one dense id-indexed array per
-// rule, not sharded: ids are global, and deltas flip single bits under the
-// writer lock that serializes them anyway.
-
-// support is a rule's pattern-support bitmap over global tuple ids — "pattern
-// cells on λϕ(Xp ∩ X) hold" — ⌈|Dm|/64⌉ words in a copy-on-write vector: a
-// delta copies the 64-word chunks its bits fall in, not the bitmap.
-type support struct {
-	bits  persist.Vec[uint64]
-	count int // popcount of bits
-}
-
-// has reports tuple id's pattern bit.
-func (sp *support) has(id int) bool {
-	return sp.bits.At(id>>6)&(1<<(uint(id)&63)) != 0
-}
+// lineage's plan (rulePlan.posts); the support count follows the rows, so
+// each snapshot holds its own (Data.supported).
 
 // patternCompatible reports tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X] for the master
 // tuple stored as row: the master-side pattern test of §5.2 (patterns
@@ -71,13 +57,30 @@ func patternFree(ru *rule.Rule) bool {
 	return true
 }
 
+// countSupported counts the rows satisfying the pattern of the plan's r-th
+// rule. A rule whose lhs carries no pattern cell is supported by every
+// tuple: its count is |Dm|, with no scan.
+func (d *Data) countSupported(r int) int {
+	ru := d.plan.rules[r].ru
+	if patternFree(ru) {
+		return d.rows.Len()
+	}
+	n := 0
+	for _, row := range d.rows.All() {
+		if patternCompatible(ru, row, d.syms) {
+			n++
+		}
+	}
+	return n
+}
+
 // PatternSupported reports whether some master tuple satisfies ru's
 // pattern cells on the λϕ-mapped lhs attributes — the per-rule
-// master-support bit behind region derivation, precomputed at NewForRules
-// (a popcount) with a scan fallback for rules outside the plan.
+// master support behind region derivation, a count kept with the rows
+// (Data.supported), with a scan fallback for rules outside the plan.
 func (d *Data) PatternSupported(ru *rule.Rule) bool {
 	if r, ok := d.plan.pos[ru]; ok {
-		return d.support[r].count > 0
+		return d.supported[r] > 0
 	}
 	for _, row := range d.rows.All() {
 		if patternCompatible(ru, row, d.syms) {
@@ -92,8 +95,8 @@ func (d *Data) PatternSupported(ru *rule.Rule) bool {
 // attributes (t[x] = tm[λϕ(x)] for x ∈ X ∩ Z) and satisfies the rule's
 // pattern cells on the λϕ-mapped lhs attributes? A fully validated lhs
 // probes the rule's index (O(1)); a partially validated one walks the
-// smallest one-column bucket of the validated attributes under the pattern
-// bitmap, falling back to the Dm scan when that bucket is degenerate.
+// smallest one-column bucket of the validated attributes, falling back to
+// the Dm scan when that bucket is degenerate.
 func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	found, _ := d.compatible(ru, t, zSet)
 	return found
@@ -108,18 +111,17 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	ids := buf.take(len(x))
 	if zSet.HasAll(x) {
 		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
-		// candidate checked against the pattern bitmap. A rule outside the
-		// plan falls back to matching and testing its pattern.
+		// candidate's row matched and its pattern tested. A rule outside the
+		// plan falls back to MatchIDs.
 		if planned {
 			h, ok := d.syms.ProbeTuple(t, x, ids)
 			if !ok {
 				return false, false
 			}
-			sp := &d.support[r]
 			bucket := d.indexAt(d.plan.rules[r].index).shard(h).list(h)
 			for _, chunk := range bucket.chunks() {
 				for _, id := range chunk {
-					if sp.has(id) && d.matches(id, xm, ids) {
+					if row := d.rows.At(id); rowMatches(row, xm, ids) && patternCompatible(ru, row, d.syms) {
 						return true, false
 					}
 				}
@@ -136,7 +138,7 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 	if !planned {
 		return d.compatibleScan(ru, t, zSet), true
 	}
-	sp, posts := &d.support[r], d.plan.rules[r].posts
+	posts := d.plan.rules[r].posts
 	// Partially validated lhs: pick the smallest bucket among the validated
 	// attributes' one-column indexes. A value the symbol table does not know
 	// occurs in no master tuple, one that occurs only in other columns has an
@@ -157,19 +159,19 @@ func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet
 		}
 	}
 	if !constrained {
-		return sp.count > 0, false
+		return d.supported[r] > 0, false
 	}
 	if 2*size >= d.rows.Len() {
 		// A degenerate bucket (the best one covers at least half of Dm): a
 		// scan costs the same and avoids the per-id indirection.
 		return d.compatibleScan(ru, t, zSet), true
 	}
-	// Walk it under the pattern bitmap, early-exiting on the first
-	// compatible tuple. agreeOn verifies every validated cell, the bucket's
-	// own column included, so a hash collision inside it costs a comparison.
+	// Walk it, early-exiting on the first compatible tuple. agreeOn verifies
+	// every validated cell, the bucket's own column included, so a hash
+	// collision inside it costs a comparison.
 	for _, chunk := range best.chunks() {
 		for _, id := range chunk {
-			if sp.has(id) && agreeOn(d.rows.At(id), x, xm, zSet, ids) {
+			if row := d.rows.At(id); agreeOn(row, x, xm, zSet, ids) && patternCompatible(ru, row, d.syms) {
 				return true, false
 			}
 		}

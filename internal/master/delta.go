@@ -2,11 +2,11 @@ package master
 
 // This file implements the versioned-master update path: ApplyDelta
 // derives the next immutable snapshot from a batch of additions and
-// deletions by incrementally maintaining the id rows, hash indexes,
-// symbol table and pattern-support bitmaps — every one of
-// them a structurally shared container (internal/persist) over the frozen
-// tables — and Versioned publishes the current snapshot through an atomic
-// pointer so probes never block behind an update.
+// deletions by incrementally maintaining the id rows, hash indexes and
+// symbol table — every one of them a structurally shared container
+// (internal/persist) over the frozen tables — and the per-rule
+// pattern-support counts, and Versioned publishes the current snapshot
+// through an atomic pointer so probes never block behind an update.
 //
 // Delta semantics, mirrored exactly by the rebuild oracle the property
 // tests compare against:
@@ -23,23 +23,24 @@ package master
 // Every index mutation lands in the shard its key routes to (shard.go), so
 // a delta's overlays — and the flatten-at-1/4 compaction they eventually
 // trigger in fork — touch 1/P of an index. The mutations are PLANNED
-// serially into one op list (cheap: bitmap bits, interning) and APPLIED per
-// index, one index after another.
+// serially into one op list (cheap: support counts, interning) and APPLIED
+// per index, one index after another.
 //
 // Cost per delta: the delta. Per op and index, one trie path into the
 // shard's overlay, one chunk of the key's id list (≤ maxChunk ids) and the
 // list's chunk table (overlay.go); per added tuple, one id row; per touched
-// 64-element chunk of the row headers and of each rule's bitmap, one chunk
-// copy; per interned value, one trie path. What still scales with |Dm| is the
-// chunk tables (8 bytes per 64 tuples, per 4096 per rule, 24 per 96 or so ids
-// of an edited list) and, amortized, the compaction of a shard whose overlay
-// outgrew its table. TestApplyDeltaAllocScaling holds the same delta at
+// 64-element chunk of the row headers, one chunk copy; per interned value,
+// one trie path; per delta, one copy of the |Σ| support counts. What still
+// scales with |Dm| is the chunk tables (8 bytes per 64 tuples, 24 per 96 or
+// so ids of an edited list) and, amortized, the compaction of a shard whose
+// overlay outgrew its table. TestApplyDeltaAllocScaling holds the same delta at
 // |Dm| = 60k to 1.6× the bytes it allocates at 6k; the ApplyDelta benchmarks
 // record the rest.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,27 +50,8 @@ import (
 	"repro/internal/wal"
 )
 
-// fork derives the next snapshot's view of a pattern bitmap: it shares its
-// chunks with the parent's, grown to the given word count (deltas change
-// |Dm|, so the new snapshot may need more words than the old).
-func (sp *support) fork(words int) support {
-	bits := sp.bits.Clone()
-	for bits.Len() < words {
-		bits.Append(0)
-	}
-	return support{bits, sp.count}
-}
-
-// flip inverts tuple id's pattern bit. Every bitmap write of a delta is a
-// flip of a bit whose state the caller knows: a set bit being cleared
-// (delete, the source of a move), a clear one being set (the target of a
-// move, an append).
-func (sp *support) flip(id int) {
-	sp.bits.Set(id>>6, sp.bits.At(id>>6)^(1<<(uint(id)&63)))
-}
-
 // deltaOp is one planned mutation of every index, on the tuple stored as
-// row. Bitmap updates and interning happen at planning time (they are global
+// row. Support counts and interning happen at planning time (they are global
 // and O(1) per op); the map and bucket work — the bulk of a delta — runs in
 // applyIndexOps.
 type deltaOp struct {
@@ -113,27 +95,18 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		}
 	}
 
-	// maxLen bounds the largest live tuple id during application: deletes
-	// run first (ids < n), adds then grow the relation toward final.
-	final := n - len(del) + len(adds)
-	maxLen := n
-	if final > maxLen {
-		maxLen = final
-	}
-	words := (maxLen + 63) / 64
-
 	nd := &Data{
 		epoch:   d.epoch + 1,
 		nshards: d.nshards,
 		schema:  d.schema,
 		// The row headers are shared with d chunk by chunk; the edits below
 		// copy the chunks they touch.
-		rows:    d.rows.Clone(),
-		syms:    d.syms.Fork(),
-		plan:    d.plan,
-		shards:  make([]indexShard, len(d.shards)),
-		support: make([]support, len(d.support)),
-		arena:   d.arena,
+		rows:      d.rows.Clone(),
+		syms:      d.syms.Fork(),
+		plan:      d.plan,
+		shards:    make([]indexShard, len(d.shards)),
+		supported: slices.Clone(d.supported),
+		arena:     d.arena,
 	}
 	// Every shard layer forks on its own, so overlay growth and compaction
 	// stay shard-local; exception tables are immutable slices, shared until
@@ -141,12 +114,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	for s := range d.shards {
 		nd.shards[s] = indexShard{d.shards[s].layered.fork(), d.shards[s].exc}
 	}
-	for r := range d.support {
-		nd.support[r] = d.support[r].fork(words)
-	}
 
-	// Plan: queue every op; update bitmaps and intern added values inline
-	// (both global, both O(1) per op).
+	// Plan: queue every op; update the support counts and intern added
+	// values inline (both global, both O(1) per op).
 	ops := make([]deltaOp, 0, 2*len(del)+len(adds))
 
 	// The Merkle commitment is keyed by tuple CONTENT, so only genuine
@@ -158,8 +128,9 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	var gone relation.Tuple // a deleted tuple, materialized for the commitment
 	for _, id := range del {
 		last := nd.rows.Len() - 1
-		ops = append(ops, deltaOp{kind: opUnindex, row: nd.rows.At(id), id: id})
-		nd.unsetBits(id)
+		row := nd.rows.At(id)
+		ops = append(ops, deltaOp{kind: opUnindex, row: row, id: id})
+		nd.addSupport(row, -1)
 		if nd.auth != nil {
 			gone = nd.TupleInto(gone, id)
 			nd.auth = authRemove(nd.auth, gone)
@@ -167,7 +138,6 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		if last != id {
 			moved := nd.rows.At(last)
 			ops = append(ops, deltaOp{kind: opRename, row: moved, id: last, to: id})
-			nd.moveBits(last, id)
 			nd.rows.Set(id, moved)
 		}
 		nd.rows.Truncate(last)
@@ -180,7 +150,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		id := nd.rows.Len()
 		nd.rows.Append(row)
 		ops = append(ops, deltaOp{kind: opAppend, row: row, id: id})
-		nd.setBitsFor(row, id)
+		nd.addSupport(row, 1)
 		if nd.auth != nil {
 			nd.auth = nd.auth.Insert(t)
 		}
@@ -193,13 +163,6 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	batch := new(persist.Edit)
 	for i := range nd.plan.indexes {
 		nd.applyIndexOps(nd.indexAt(i), ops, batch)
-	}
-
-	// Trim the pattern bitmaps to the final length (net-shrinking deltas
-	// leave spare words; all trimmed bits are already zero).
-	fwords := (nd.rows.Len() + 63) / 64
-	for r := range nd.support {
-		nd.support[r].bits.Truncate(fwords)
 	}
 	return nd, nil
 }
@@ -241,34 +204,14 @@ func (nd *Data) applyIndexOps(idx index, ops []deltaOp, batch *persist.Edit) {
 	}
 }
 
-// unsetBits clears tuple id's pattern bits (planning-time, serial).
-func (nd *Data) unsetBits(id int) {
-	for r := range nd.support {
-		if sp := &nd.support[r]; sp.has(id) {
-			sp.flip(id)
-			sp.count--
-		}
-	}
-}
-
-// moveBits rewrites tuple `from`'s pattern bits to id `to` (the
-// swap-remove move; to's own bits were cleared by unsetBits first).
-func (nd *Data) moveBits(from, to int) {
-	for r := range nd.support {
-		if sp := &nd.support[r]; sp.has(from) {
-			sp.flip(from)
-			sp.flip(to)
-		}
-	}
-}
-
-// setBitsFor evaluates a freshly appended row against every rule's pattern
-// and sets its bits.
-func (nd *Data) setBitsFor(row []uint32, id int) {
+// addSupport adds k to the support count of every rule whose pattern the
+// tuple stored as row satisfies: −1 for a deleted tuple, +1 for an appended
+// one (planning-time, serial). A swap-remove move keeps the tuple set, so it
+// changes no count.
+func (nd *Data) addSupport(row []uint32, k int) {
 	for r, rp := range nd.plan.rules {
-		if sp := &nd.support[r]; patternCompatible(rp.ru, row, nd.syms) {
-			sp.flip(id)
-			sp.count++
+		if patternCompatible(rp.ru, row, nd.syms) {
+			nd.supported[r] += k
 		}
 	}
 }
@@ -286,7 +229,7 @@ func (nd *Data) setBitsFor(row []uint32, id int) {
 // later, possibly in another process — can re-pin the exact epoch it
 // started on via At. Retention is cheap: delta-derived snapshots share
 // everything a delta did not touch, so a retained epoch costs the trie
-// paths and the chunks — of rows, bitmaps and id lists — its delta wrote,
+// paths and the chunks — of rows and id lists — its delta wrote,
 // not a copy of Dm.
 type Versioned struct {
 	mu      sync.Mutex

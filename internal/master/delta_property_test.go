@@ -294,8 +294,8 @@ func TestSnapshotIsolationUnderConcurrentProbes(t *testing.T) {
 
 // TestSnapshotBranching derives TWO children from one parent, over and over
 // across a growing pool of snapshots, while probe goroutines hold the root:
-// every container a delta edits is shared structure (chunks of headers and
-// bitmap words, trie paths of overlays and symbols, Merkle spines), so a
+// every container a delta edits is shared structure (chunks of headers, trie
+// paths of overlays and symbols, Merkle spines), so a
 // write that leaked through the sharing would change a sibling, the parent,
 // or the root under the probers' feet. Each child must equal its own shadow
 // relation and the rebuild over it, and the parent must still equal its own,
@@ -304,8 +304,8 @@ func TestSnapshotBranching(t *testing.T) {
 	rng := rand.New(rand.NewSource(46_000_001))
 	cur, sigma, rm, vals := randomDeltaInstance(rng)
 	cur.Authenticate()
-	// A pool wide enough, and a relation long enough, that headers and
-	// bitmaps span several chunks and the tries several levels.
+	// A pool wide enough, and a relation long enough, that headers span
+	// several chunks and the tries several levels.
 	vals = append([]string(nil), vals...)
 	for i := 0; i < 150; i++ {
 		vals = append(vals, fmt.Sprintf("v%d", i))
@@ -538,7 +538,7 @@ func TestLongListBranching(t *testing.T) {
 // TestApplyDeltaAllocScaling pins "a delta costs the delta": the same
 // 10-op delta (8 adds, 2 deletes) allocates at |Dm| = 60k at most 1.6× the
 // bytes it allocates at 6k (measured: 48 KB and 71 KB, 1.47×). What may still
-// grow with |Dm| is the chunk tables; copying the headers and bitmaps whole
+// grow with |Dm| is the chunk tables; copying whole containers per delta
 // made it 9.5×. This master's longest id list is ~70 ids; what a delta costs
 // on lists of thousands is TestStormHeapBudget's and
 // BenchmarkApplyDeltaChain/hosp's to hold.

@@ -2,7 +2,7 @@ package master
 
 // Test-side equivalence oracle for the versioned master: checkEquiv
 // asserts a snapshot reached through a chain of ApplyDelta calls is
-// deep-equal — plan, indexes, exception tables, pattern-support bitmaps —
+// deep-equal — plan, indexes, exception tables, pattern-support counts —
 // to MustNewForRules run from scratch on the snapshot's
 // materialized relation with the same shard count. Interned value ids
 // (and therefore raw uint64 bucket keys, and the shards they route to) are
@@ -250,19 +250,10 @@ func checkEquiv(t testing.TB, ctx string, got *Data, sigma *rule.Set) {
 		}
 	}
 
-	// Pattern-support bitmaps and counts: identical.
+	// Pattern-support counts: identical.
 	for r, ru := range sigma.Rules() {
-		gsp, wsp := got.support[r], want.support[r]
-		if gsp.count != wsp.count {
-			t.Fatalf("%s: rule %s pattern count %d, rebuild %d", ctx, ru.Name(), gsp.count, wsp.count)
-		}
-		if gsp.bits.Len() != wsp.bits.Len() {
-			t.Fatalf("%s: rule %s bitmap %d words, rebuild %d", ctx, ru.Name(), gsp.bits.Len(), wsp.bits.Len())
-		}
-		for w, word := range gsp.bits.All() {
-			if word != wsp.bits.At(w) {
-				t.Fatalf("%s: rule %s bitmap word %d = %#x, rebuild %#x", ctx, ru.Name(), w, word, wsp.bits.At(w))
-			}
+		if g, w := got.supported[r], want.supported[r]; g != w {
+			t.Fatalf("%s: rule %s pattern count %d, rebuild %d", ctx, ru.Name(), g, w)
 		}
 		if got.PatternSupported(ru) != want.PatternSupported(ru) {
 			t.Fatalf("%s: rule %s PatternSupported differs", ctx, ru.Name())

@@ -48,8 +48,8 @@
 // is only partly validated. It reads the same kind of index: for every
 // column of a multi-column Xm NewForRules also builds the index over that
 // column alone (found, not duplicated, when some rule's whole Xm is that
-// column), and compat.go walks the smallest bucket of the validated columns
-// under a per-rule pattern-support bitmap instead of scanning Dm.
+// column), and compat.go walks the smallest bucket of the validated columns,
+// testing each candidate's row, instead of scanning Dm.
 //
 // Every index is partitioned into P shards, routed by its key (shard.go). P
 // follows the master's size — one shard per 32k tuples, fixed when the
@@ -62,9 +62,10 @@
 // world to re-run NewForRules for every correction, so this package
 // versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
 // derives the next one by structural sharing — plan and tables shared; row
-// headers, overlays, symbols, exception tables and pattern bitmaps edited
-// along the paths and chunks the delta touches — and the Versioned handle
-// publishes the current snapshot through an atomic pointer.
+// headers, overlays, symbols and exception tables edited along the paths
+// and chunks the delta touches; the pattern-support counts copied and
+// adjusted — and the Versioned handle publishes the current snapshot
+// through an atomic pointer.
 //
 // Concurrency contract:
 //
@@ -99,7 +100,7 @@ import (
 // once by newPlan when the lineage starts (NewBuilder, LoadArena) and held by
 // pointer by every snapshot derived from it: Σ never changes within a
 // lineage, so a delta copies none of it. What deltas write a snapshot keeps
-// itself, in slices by plan position (Data.shards, Data.support).
+// itself, in slices by plan position (Data.shards, Data.supported).
 type plan struct {
 	// indexes lists one index per distinct Xm list of Σ and per column of a
 	// multi-column one, in registration order — rule by rule, its Xm, then
@@ -237,9 +238,9 @@ type Data struct {
 	// (i+1)·nshards) (indexAt): the tables, overlays and exception tables
 	// deltas write.
 	shards []indexShard
-	// support[r] is the pattern-support bitmap of the plan's r-th rule (see
-	// compat.go).
-	support []support
+	// supported[r] counts the tuples satisfying the pattern of the plan's
+	// r-th rule (see compat.go).
+	supported []int
 	// arena pins the backing bytes of an arena-loaded snapshot (nil for
 	// ones built in memory). Propagated through ApplyDelta derivations:
 	// rows, symbol strings and not-yet-compacted tables alias the bytes for the
@@ -269,8 +270,9 @@ func New(rel *relation.Relation, opts ...BuildOption) *Data {
 
 // NewForRules wraps a master relation and eagerly builds the indexes of Σ's
 // plan — one per distinct Xm list in Σ and per column of a multi-column one
-// — and each rule's pattern bitmap: a Builder fed the relation's tuples. The indexes are partitioned into shardsFor(|Dm|)
-// shards and filled in parallel on GOMAXPROCS goroutines.
+// — and each rule's pattern-support count: a Builder fed the relation's
+// tuples. The indexes are partitioned into shardsFor(|Dm|) shards and filled
+// in parallel on GOMAXPROCS goroutines.
 // Failures — schema mismatch, a tuple violating the schema's declared
 // types — are typed: errors.Is(err, ErrMasterBuild), with a *BuildError
 // carrying the failing tuple's id and key context.

@@ -44,16 +44,12 @@ type MemStats struct {
 	// zero on a consistent master.
 	NonUniformBuckets int `json:"non_uniform_buckets"`
 
-	// BitmapBytes is the pattern-support bitmaps across all rules.
-	BitmapBytes int64 `json:"bitmap_bytes"`
-
 	// ArenaBacked reports whether the snapshot chain is rooted in a loaded
 	// master arena; ArenaBytes is the backing image size and ArenaMapped
 	// whether it is an mmap (pages shared, evictable) rather than a heap
 	// copy. For an arena-backed snapshot the id rows and the tables live
 	// INSIDE the arena bytes, not on the Go heap, until a delta replaces a
-	// row or compaction rewrites a shard; the bitmaps, which an image does
-	// not store, are derived at load and live on the heap.
+	// row or compaction rewrites a shard.
 	ArenaBacked bool  `json:"arena_backed"`
 	ArenaMapped bool  `json:"arena_mapped"`
 	ArenaBytes  int64 `json:"arena_bytes"`
@@ -86,9 +82,6 @@ func (d *Data) MemStats() MemStats {
 	for s := range d.shards {
 		d.shards[s].addStats(&ms.IndexKeys, &ms.IndexIDs, &ms.IndexBytes)
 		ms.NonUniformBuckets += len(d.shards[s].exc)
-	}
-	for r := range d.support {
-		ms.BitmapBytes += 8 * int64(d.support[r].bits.Len())
 	}
 	if d.arena != nil {
 		ms.ArenaBacked = true

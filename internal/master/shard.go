@@ -26,7 +26,6 @@ package master
 
 import (
 	"repro/internal/parallel"
-	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -201,55 +200,14 @@ func (b *Builder) Finish() *Data {
 		d.nshards = shardsFor(d.rows.Len())
 	}
 	d.fill()
-	if n := len(d.plan.rules); n > 0 {
-		// The error is dropped because no job returns one.
-		slab := d.supportSlab()
-		_, _ = parallel.Map(n, 0, func(r int) (struct{}, error) {
-			d.buildBitmap(r, slab)
-			return struct{}{}, nil
-		})
-	}
+	// The error is dropped because no job returns one.
+	d.supported, _ = parallel.Map(len(d.plan.rules), 0, func(r int) (int, error) {
+		return d.countSupported(r), nil
+	})
 	if b.auth {
 		d.Authenticate()
 	}
 	return d
-}
-
-// supportSlab sizes the snapshot's pattern-support bitmaps, one per rule of
-// the plan, and allocates all their words over the rows at once;
-// buildBitmap fills one rule's share.
-func (d *Data) supportSlab() []uint64 {
-	d.support = make([]support, len(d.plan.rules))
-	return make([]uint64, len(d.plan.rules)*((d.rows.Len()+63)/64))
-}
-
-// buildBitmap evaluates the pattern-support bitmap of the plan's r-th rule
-// over the rows into its share of slab, which the bitmap then shares
-// copy-on-write. Finish runs it rule-parallel; LoadArena, whose image stores
-// no bitmap, beside its exception rebuild. A rule whose lhs carries no
-// pattern cell is supported by every tuple: its bitmap is all ones up to n,
-// with no scan.
-func (d *Data) buildBitmap(r int, slab []uint64) {
-	n, ru, sp := d.rows.Len(), d.plan.rules[r].ru, &d.support[r]
-	words := (n + 63) / 64
-	bits := slab[r*words : (r+1)*words]
-	if patternFree(ru) {
-		for w := range bits {
-			bits[w] = ^uint64(0)
-		}
-		if tail := n % 64; tail != 0 { // no bit past n: a delta's append flips its new id's bit
-			bits[len(bits)-1] = 1<<uint(tail) - 1
-		}
-		sp.bits, sp.count = persist.FromSlice(bits), n
-		return
-	}
-	for id, row := range d.rows.All() {
-		if patternCompatible(ru, row, d.syms) {
-			bits[id>>6] |= 1 << (uint(id) & 63)
-			sp.count++
-		}
-	}
-	sp.bits = persist.FromSlice(bits)
 }
 
 // fill builds the d.nshards shard tables of every index of the plan from the

@@ -43,8 +43,8 @@ func stormBatches(ds *datagen.Dataset, batches int) []datagen.DeltaBatch {
 // deltas of 8 adds and 2 deletes, each applied to the snapshot the previous
 // one produced. Unlike BenchmarkApplyDelta, which always forks an empty
 // overlay, a chain pays for overlays as they fill (and for the compactions
-// they trigger), for the symbol table as it grows and for header and bitmap
-// chunks as the tail moves through them. us/delta and KB/delta are per delta
+// they trigger), for the symbol table as it grows and for header chunks as
+// the tail moves through them. us/delta and KB/delta are per delta
 // of the chain.
 //
 //   - paper: 1,000 deltas from a |Dm| = 60k build of the paper's Rm, whose
@@ -159,11 +159,11 @@ func TestStormHeapBudget(t *testing.T) {
 	live := after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
 
 	ms := v.Current().MemStats()
-	counted := uint64(ms.CellBytes + ms.SymbolBytes + ms.IndexBytes + ms.BitmapBytes + ms.AuthBytes)
+	counted := uint64(ms.CellBytes + ms.SymbolBytes + ms.IndexBytes + ms.AuthBytes)
 	tuples := uint64(ms.Tuples)
-	t.Logf("|Dm| = %d after %d deltas: %d B/tuple live (MemStats counts %d: cells %d, symbols %d, indexes %d, bitmaps %d, auth %d), %d KB allocated per delta",
+	t.Logf("|Dm| = %d after %d deltas: %d B/tuple live (MemStats counts %d: cells %d, symbols %d, indexes %d, auth %d), %d KB allocated per delta",
 		tuples, chain, live/tuples, counted/tuples, uint64(ms.CellBytes)/tuples, uint64(ms.SymbolBytes)/tuples,
-		uint64(ms.IndexBytes)/tuples, uint64(ms.BitmapBytes)/tuples, uint64(ms.AuthBytes)/tuples, perDelta>>10)
+		uint64(ms.IndexBytes)/tuples, uint64(ms.AuthBytes)/tuples, perDelta>>10)
 	if live > stormLiveBudget*tuples {
 		t.Errorf("the lineage keeps %d B/tuple, budget %d", live/tuples, stormLiveBudget)
 	}

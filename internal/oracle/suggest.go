@@ -9,7 +9,7 @@ import (
 
 // The pre-compilation forms of the §5 paths: the same decisions as
 // package suggest's Deriver, minus the compiled closure engine and the
-// master's one-column indexes and pattern-support bitmaps.
+// master's one-column indexes and pattern-support counts.
 
 // ApplicableRules is Σ_t[Z] of §5.2 with conditions (a)–(c) spelled out,
 // (c) decided by the O(|Dm|) scan: every rule of Σ that can still take

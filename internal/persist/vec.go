@@ -13,8 +13,8 @@ import (
 )
 
 // Chunk geometry: 64 elements per chunk keeps both a chunk copy (1.5 KB of
-// tuple headers, 512 B of bitmap words) and the chunk table (8 B per 64
-// elements) small at |Dm| = 100k.
+// tuple headers) and the chunk table (8 B per 64 elements) small at
+// |Dm| = 100k.
 const (
 	chunkBits = 6
 	chunkLen  = 1 << chunkBits

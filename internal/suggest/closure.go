@@ -52,9 +52,9 @@ import (
 // unsupported marks, per rule of Σ, whether NO master tuple satisfies the
 // rule's pattern cells on the λϕ-mapped attributes (the structural "can
 // this rule ever fire on this snapshot" test, negated): a snapshot's mask
-// over the Σ program. Reads the pattern-support bitmaps precomputed at
-// master build time: O(|Σ|), with a Dm-scan fallback per rule the master
-// was not built for.
+// over the Σ program. Reads the pattern-support counts the master keeps
+// with its rows: O(|Σ|), with a Dm-scan fallback per rule the master was
+// not built for.
 func unsupported(sigma *rule.Set, dm *master.Data) []bool {
 	off := make([]bool, sigma.Len())
 	for i, ru := range sigma.Rules() {

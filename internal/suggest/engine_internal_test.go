@@ -15,7 +15,7 @@ import (
 
 // White-box equivalence tests for the pieces the external property tests
 // cannot reach: the naive structural closure vs the compiled engine over
-// real rule sets, the pattern-support scan vs the precomputed bitmaps, and
+// real rule sets, the pattern-support scan vs the precomputed counts, and
 // the oracle's region growth vs growAndMinimize.
 
 // RandomInstance builds a small random (Σ, Dm, t, Z) over a tiny value
@@ -152,7 +152,7 @@ func TestStructuralClosureVsCompiledProperty(t *testing.T) {
 }
 
 // TestComputeSupportVsScanProperty: the snapshot mask read from the
-// pattern-support bitmaps is the complement of the naive masterSupports
+// pattern-support counts is the complement of the naive masterSupports
 // scan.
 func TestComputeSupportVsScanProperty(t *testing.T) {
 	for seed := 0; seed < 300; seed++ {

@@ -35,7 +35,7 @@ type Candidate struct {
 // start of every public call — Pin returns the snapshot-bound view
 // explicitly, for callers like monitor.Session that need one consistent
 // snapshot across several calls. A view is a snapshot, that snapshot's
-// mask over the Σ program (O(|Σ|) bitmap reads) and a §4 checker — under
+// mask over the Σ program (O(|Σ|) count reads) and a §4 checker — under
 // a microsecond and three allocations to build — so only the head's view
 // is cached (one pointer comparison per Pin after an unchanged epoch);
 // PinAt builds a historical view per call.
@@ -48,7 +48,7 @@ type Deriver struct {
 	pool      *sync.Pool     // *derScratch; shared between a handle and its views
 
 	// Snapshot-bound state: the master snapshot, its mask over prog (the
-	// rules no master tuple supports, read from the pattern bitmaps) and
+	// rules no master tuple supports, read from the pattern counts) and
 	// the §4 checker. Set on pinned views; nil on a handle, which pins per
 	// call.
 	dm      *master.Data

@@ -16,8 +16,8 @@ import (
 //	    the λϕ-mapped lhs attributes and agrees with t on λϕ(X ∩ Z).
 //
 // Condition (c) runs on the master's indexes (the smallest one-column
-// bucket of the validated lhs, walked under the pattern-support bitmap)
-// instead of the O(|Dm|) scan per rule; see master.CompatibleExists. This is the one
+// bucket of the validated lhs, each candidate's row tested against the
+// pattern) instead of the O(|Dm|) scan per rule; see master.CompatibleExists. This is the one
 // place the production paths decide Σ_t[Z]; d must be a pinned view.
 func (d *Deriver) applicable(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
 	return !zSet.Has(ru.RHS()) && patternAccepts(ru, t, zSet) && d.dm.CompatibleExists(ru, t, zSet)

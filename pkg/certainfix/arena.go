@@ -2,10 +2,11 @@ package certainfix
 
 // Master snapshots: the cold-start path of the public API. A System built
 // once can freeze its master snapshot — id rows, interning table and hash
-// indexes; not the pattern-support bitmaps, which a load derives from the
-// rows — into a single flat arena file; a later process loads the file by
-// mapping it into memory and wrapping the bytes in read-only row and index
-// views, instead of re-interning and re-hashing |Dm| tuples. Fix results
+// indexes; not the exception tables and pattern-support counts, which a
+// load derives from the rows — into a single flat arena file; a later
+// process loads the file by mapping it into memory and wrapping the bytes in
+// read-only row and index views, instead of re-interning and re-hashing |Dm|
+// tuples. Fix results
 // are byte-identical either way; only startup cost changes (see DESIGN.md,
 // "Arena format").
 

@@ -234,8 +234,9 @@ func (s *System) head() *master.Data { return s.lin.Versioned().Current() }
 // follower bootstrap) and MasterRead the part of it NewFromCSV spent reading
 // the file: wall time from opening it to its last row interned, the file
 // parsed and interned chunk-parallel on GOMAXPROCS workers and merged in
-// file order (master.Builder.ReadCSV). It is zero on every other path; the rest of Master is indexing (tables, bitmaps,
-// the Merkle commitment) or the load. Regions is deriving the certain-region
+// file order (master.Builder.ReadCSV). It is zero on every other path; the
+// rest of Master is indexing (tables, support counts, the Merkle
+// commitment) or the load. Regions is deriving the certain-region
 // candidates over the snapshot. cmd/certainfixd logs them at start.
 type BootTimings struct {
 	Master, MasterRead, Regions time.Duration
@@ -350,7 +351,7 @@ func NewFromCSV(rules *Rules, masterPath string, opts ...Option) (*System, error
 // its epoch. Deletes name tuple ids in the current snapshot and are
 // applied with swap-remove semantics (the last tuple moves into the
 // deleted slot) before adds are appended. Indexes and pattern-support
-// bitmaps are maintained incrementally; concurrent Fix,
+// counts are maintained incrementally; concurrent Fix,
 // Suggest and Repair calls never block and never observe a half-applied
 // delta. In-flight sessions finish on the snapshot they pinned at start;
 // fixes beginning after UpdateMaster returns see the new epoch.

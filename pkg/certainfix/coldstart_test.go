@@ -91,7 +91,7 @@ func TestNewFromCSVEqualsNew(t *testing.T) {
 }
 
 // BenchmarkNewFromCSV is the boot from a master CSV file: parse and intern
-// the rows, build the indexes and bitmaps, derive the regions. The file is
+// the rows, build the indexes and support counts, derive the regions. The file is
 // written off the clock. Run with -benchmem: allocs/op and B/op cover the
 // whole boot, so a chunk ring that grew with |Dm| would show (GOMAXPROCS is
 // pinned at 2: two chunk workers beside the in-order merge).
