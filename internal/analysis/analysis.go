@@ -54,13 +54,17 @@ type Verdict struct {
 // ok is the positive verdict.
 var okVerdict = Verdict{OK: true}
 
-// failf builds a negative verdict.
-func failf(format string, args ...any) Verdict {
-	return Verdict{OK: false, Detail: fmt.Sprintf(format, args...)}
-}
-
 // Checker bundles (Σ, Dm) with options; its methods answer the §4 problems
-// for regions over Σ's input schema. A Checker is safe for concurrent use.
+// for regions over Σ's input schema.
+//
+// A Checker is safe for concurrent use. It reads Σ in place: the rules,
+// and each rule's premise set X ∪ Xp through rule.Set.Premise, with no
+// copy. The concrete check of Theorem 4 keeps its per-call state (the
+// tuple under closure, the per-round assignments, the validator sets) in
+// scratch drawn from a package-level pool, one scratch per call in flight,
+// so concurrent checks share nothing mutable. A warm check allocates
+// nothing unless it meets a pair that disagrees with its closure (step
+// (g)) or builds a negative verdict's Detail, which ConcreteOK never does.
 type Checker struct {
 	sigma   *rule.Set
 	dm      *master.Data
@@ -108,7 +112,7 @@ func (c *Checker) checkRows(reg *fix.Region, coverage bool) (Verdict, error) {
 			return Verdict{}, err
 		}
 		for _, inst := range rows {
-			v := c.checkConcrete(reg.Z(), inst, coverage)
+			v := c.checkConcrete(reg.Z(), inst, coverage, true)
 			if !v.OK {
 				v.Detail = fmt.Sprintf("row %d: %s", i, v.Detail)
 				return v, nil

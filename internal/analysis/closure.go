@@ -1,7 +1,10 @@
 package analysis
 
 import (
-	"repro/internal/fix"
+	"fmt"
+	"slices"
+	"sync"
+
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -11,75 +14,176 @@ import (
 // and the interactive framework, which test specific tuples' validated
 // values rather than whole tableaus. With coverage=false it decides
 // consistency only; with coverage=true it additionally requires every R
-// attribute to be covered.
+// attribute to be covered. A negative verdict carries its Detail.
 func (c *Checker) ConcreteVerdict(z []int, vals []relation.Value, coverage bool) Verdict {
-	return c.checkConcrete(z, vals, coverage)
+	return c.checkConcrete(z, vals, coverage, true)
+}
+
+// ConcreteOK is ConcreteVerdict's OK alone: the same check, with no Detail
+// built for a negative verdict. Region derivation and the per-round
+// consistency test read only this.
+func (c *Checker) ConcreteOK(z []int, vals []relation.Value, coverage bool) bool {
+	return c.checkConcrete(z, vals, coverage, false).OK
+}
+
+// scratchPool holds the concrete check's scratch, one per call in flight.
+// A scratch serves every Σ: getScratch sizes it to the schema's arity.
+var scratchPool = sync.Pool{New: func() any { return new(concreteScratch) }}
+
+// concreteScratch is one check's mutable state: the tuple under closure, Z
+// and the validated set, the buffer the master probe appends a rule's rhs
+// values to, and the arity-indexed per-round assignments and validator
+// sets with the lists of attributes they touched (so that resetting them
+// costs what the check wrote, not the arity).
+type concreteScratch struct {
+	t          relation.Tuple
+	base, cur  relation.AttrSet
+	probe      []relation.Value
+	assign     [][]relation.Value
+	touched    []int
+	validators [][]relation.AttrSet
+	vtouched   []int
+	lates      []lateConflict
+}
+
+// lateConflict is a pair that would assign the closure-validated attribute
+// attr the other value value, from the premise of rule rule.
+type lateConflict struct {
+	attr  int
+	value relation.Value
+	rule  int
+}
+
+// getScratch takes a scratch from the pool, sized to arity and set up for
+// a check of zPos = vals.
+func getScratch(arity int, zPos []int, vals []relation.Value) *concreteScratch {
+	sc := scratchPool.Get().(*concreteScratch)
+	if cap(sc.t) < arity {
+		sc.t = relation.NewTuple(arity)
+		sc.assign = make([][]relation.Value, arity)
+		sc.validators = make([][]relation.AttrSet, arity)
+	}
+	sc.t = sc.t[:arity]
+	sc.assign = sc.assign[:arity]
+	sc.validators = sc.validators[:arity]
+	clear(sc.t)
+	clear(sc.base.Words())
+	clear(sc.cur.Words())
+	for i, p := range zPos {
+		sc.t[p] = vals[i]
+		sc.base.Add(p)
+		sc.cur.Add(p)
+	}
+	return sc
+}
+
+// putScratch empties what the check wrote and returns the scratch to the
+// pool.
+func putScratch(sc *concreteScratch) {
+	for _, b := range sc.touched {
+		sc.assign[b] = sc.assign[b][:0]
+	}
+	for _, b := range sc.vtouched {
+		sc.validators[b] = sc.validators[b][:0]
+	}
+	sc.touched, sc.vtouched, sc.lates = sc.touched[:0], sc.vtouched[:0], sc.lates[:0]
+	scratchPool.Put(sc)
 }
 
 // checkConcrete is the PTIME consistency/coverage check of Theorem 4 for a
 // single fully-instantiated pattern row: Z positions zPos with concrete
-// values vals (aligned with zPos).
+// values vals (aligned with zPos). A negative verdict's Detail is built
+// only when detail is set.
 //
 // It runs the canonical closure — every applicable (rule, master) pair is
 // applied round by round (steps (c)–(f) of the proof) — detecting
-// same-round conflicts directly. It then performs the step-(g) analysis:
-// a pair that disagrees with an already-validated attribute B is a genuine
-// inconsistency iff the pair could fire in some order before B is
-// validated, which is decided by a reachability analysis over the
-// validator sets (the dep(·) bookkeeping of the proof, made transitive).
-func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage bool) Verdict {
+// same-round conflicts directly (step (e); the lowest such attribute is
+// named). It then performs the step-(g) analysis: a pair that disagrees
+// with an already-validated attribute B is a genuine inconsistency iff the
+// pair could fire in some order before B is validated, which is decided by
+// a reachability analysis over the validator sets (the dep(·) bookkeeping
+// of the proof, made transitive).
+//
+// internal/oracle.ConcreteVerdict is the same check written with a map per
+// round and copied premise sets; the property tests hold this one to it.
+func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, detail bool) Verdict {
 	r := c.sigma.Schema()
-	t := relation.NewTuple(r.Arity())
-	base := relation.NewAttrSet(zPos...)
-	for i, p := range zPos {
-		t[p] = vals[i]
-	}
-	cur := base.Clone()
+	sc := getScratch(r.Arity(), zPos, vals)
+	defer putScratch(sc)
+	rules := c.sigma.Rules()
+	t := sc.t
 
-	// Canonical closure: rounds of simultaneous application.
+	// Canonical closure: rounds of simultaneous application. A round
+	// collects, per rhs attribute, the distinct values its applicable rules
+	// assign (rule order, then smallest master id).
 	for {
-		assignments := fix.ApplicableAssignments(c.sigma, c.dm, t, cur)
-		if len(assignments) == 0 {
-			break
+		for _, b := range sc.touched {
+			sc.assign[b] = sc.assign[b][:0]
 		}
-		for b, vs := range assignments {
-			if len(vs) > 1 {
-				// Step (e): two pairs applicable at the same state assign
-				// different values to one attribute.
-				return failf("attribute %s gets conflicting values %v",
-					r.Attr(b).Name, vs)
+		sc.touched = sc.touched[:0]
+		for i, ru := range rules {
+			b := ru.RHS()
+			if sc.cur.Has(b) || !sc.cur.ContainsSet(c.sigma.Premise(i)) {
+				continue
+			}
+			sc.probe, _ = c.dm.AppendRHSValues(sc.probe[:0], ru, t)
+			if len(sc.probe) == 0 {
+				continue
+			}
+			if len(sc.assign[b]) == 0 {
+				sc.touched = append(sc.touched, b)
+			}
+			for _, v := range sc.probe {
+				if !slices.Contains(sc.assign[b], v) {
+					sc.assign[b] = append(sc.assign[b], v)
+				}
 			}
 		}
-		for b, vs := range assignments {
-			t[b] = vs[0]
-			cur.Add(b)
+		if len(sc.touched) == 0 {
+			break
+		}
+		conflict := -1
+		for _, b := range sc.touched {
+			if len(sc.assign[b]) > 1 && (conflict < 0 || b < conflict) {
+				conflict = b
+			}
+		}
+		if conflict >= 0 {
+			// Step (e): two pairs applicable at the same state assign
+			// different values to one attribute.
+			if !detail {
+				return Verdict{}
+			}
+			return failf("attribute %s gets conflicting values %v",
+				r.Attr(conflict).Name, sc.assign[conflict])
+		}
+		for _, b := range sc.touched {
+			t[b] = sc.assign[b][0]
+			sc.cur.Add(b)
 		}
 	}
 
 	// Validator sets: for each derived attribute A, the premise sets of
 	// every pair that assigns A its closure value. These are the
 	// alternative ways any sequence can validate A.
-	validators := map[int][]relation.AttrSet{}
-	type lateConflict struct {
-		attr    int
-		value   relation.Value
-		premise relation.AttrSet
-	}
-	var lates []lateConflict
-	for _, ru := range c.sigma.Rules() {
+	for i, ru := range rules {
 		b := ru.RHS()
-		if base.Has(b) || !cur.Has(b) {
+		if sc.base.Has(b) || !sc.cur.Has(b) {
 			continue // base attributes are protected; unassigned rhs is moot
 		}
-		if !cur.ContainsSet(ru.PremiseSet()) || !ru.MatchesPattern(t) {
+		if !sc.cur.ContainsSet(c.sigma.Premise(i)) {
 			continue
 		}
-		for _, v := range c.dm.RHSValues(ru, t) {
-			if v.Equal(t[b]) {
-				validators[b] = append(validators[b], ru.PremiseSet())
-			} else {
-				lates = append(lates, lateConflict{attr: b, value: v, premise: ru.PremiseSet()})
+		sc.probe, _ = c.dm.AppendRHSValues(sc.probe[:0], ru, t)
+		for _, v := range sc.probe {
+			if !v.Equal(t[b]) {
+				sc.lates = append(sc.lates, lateConflict{attr: b, value: v, rule: i})
+				continue
 			}
+			if len(sc.validators[b]) == 0 {
+				sc.vtouched = append(sc.vtouched, b)
+			}
+			sc.validators[b] = append(sc.validators[b], c.sigma.Premise(i))
 		}
 	}
 
@@ -87,26 +191,31 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage bool
 	// can be validated without first validating the disputed attribute.
 	// The reachable set depends only on the disputed attribute, so rules
 	// disputing the same attribute share one computation.
-	var reachCache map[int]relation.AttrSet
-	for _, lc := range lates {
-		reachable, ok := reachCache[lc.attr]
-		if !ok {
-			reachable = validatableWithout(base, validators, lc.attr)
-			if reachCache == nil {
-				reachCache = make(map[int]relation.AttrSet, 1)
-			}
-			reachCache[lc.attr] = reachable
+	var reachAttr []int
+	var reachSet []relation.AttrSet
+	for _, lc := range sc.lates {
+		k := slices.Index(reachAttr, lc.attr)
+		if k < 0 {
+			k = len(reachAttr)
+			reachAttr = append(reachAttr, lc.attr)
+			reachSet = append(reachSet, validatableWithout(sc.base, sc.validators, sc.vtouched, lc.attr))
 		}
-		if premiseWithin(lc.premise, base, reachable) {
+		if premiseWithin(c.sigma.Premise(lc.rule), sc.base, reachSet[k]) {
+			if !detail {
+				return Verdict{}
+			}
 			return failf("attribute %s has order-dependent values %v and %v",
 				r.Attr(lc.attr).Name, t[lc.attr], lc.value)
 		}
 	}
 
-	if coverage && cur.Len() != r.Arity() {
+	if coverage && sc.cur.Len() != r.Arity() {
+		if !detail {
+			return Verdict{}
+		}
 		var missing []string
 		for p := 0; p < r.Arity(); p++ {
-			if !cur.Has(p) {
+			if !sc.cur.Has(p) {
 				missing = append(missing, r.Attr(p).Name)
 			}
 		}
@@ -118,39 +227,32 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage bool
 // validatableWithout computes the set of attributes that can be validated
 // by some derivation whose every step avoids validating `avoid`: an
 // attribute joins the set when one of its validator premises lies entirely
-// within base ∪ (already-derivable attributes). Each (premise → attribute)
-// validator is a pseudo-rule, so the least fixpoint is one counter-based
-// closure pass (rule.CompileClosure) instead of the quadratic re-scan;
-// validators touching `avoid` are dropped at compile time.
-func validatableWithout(base relation.AttrSet, validators map[int][]relation.AttrSet, avoid int) relation.AttrSet {
-	maxPos := avoid
-	bump := func(p int) {
-		if p > maxPos {
-			maxPos = p
-		}
-	}
-	base.Range(func(p int) bool { bump(p); return true })
+// within base ∪ (already-derivable attributes). validators is indexed by
+// attribute, one entry per attribute of R; attrs lists those holding any. Each (premise →
+// attribute) validator is a pseudo-rule, so the least fixpoint is one
+// counter-based closure pass (rule.CompileClosure) instead of the
+// quadratic re-scan; validators touching `avoid` are dropped at compile
+// time. Only a check that met a disagreeing pair gets here.
+func validatableWithout(base relation.AttrSet, validators [][]relation.AttrSet, attrs []int, avoid int) relation.AttrSet {
 	var prems []relation.AttrSet
 	var rhs []int
-	for a, list := range validators {
+	for _, a := range attrs {
 		if a == avoid {
 			continue
 		}
-		for _, prem := range list {
+		for _, prem := range validators[a] {
 			if prem.Has(avoid) {
 				continue
 			}
-			bump(a)
-			prem.Range(func(p int) bool { bump(p); return true })
 			prems = append(prems, prem)
 			rhs = append(rhs, a)
 		}
 	}
-	prog := rule.CompileClosure(maxPos+1, prems, rhs)
+	prog := rule.CompileClosure(len(validators), prems, rhs)
 	sc := rule.NewClosureScratch()
 	prog.Closure(base, nil, sc)
 	var ok relation.AttrSet
-	for a := range validators {
+	for _, a := range attrs {
 		if a != avoid && sc.Has(a) && !base.Has(a) {
 			ok.Add(a)
 		}
@@ -161,10 +263,15 @@ func validatableWithout(base relation.AttrSet, validators map[int][]relation.Att
 // premiseWithin reports whether every attribute of the premise is in base
 // or in the derivable set.
 func premiseWithin(premise, base, derivable relation.AttrSet) bool {
-	for _, a := range premise.Positions() {
-		if !base.Has(a) && !derivable.Has(a) {
-			return false
-		}
-	}
-	return true
+	within := true
+	premise.Range(func(a int) bool {
+		within = base.Has(a) || derivable.Has(a)
+		return within
+	})
+	return within
+}
+
+// failf builds a negative verdict.
+func failf(format string, args ...any) Verdict {
+	return Verdict{OK: false, Detail: fmt.Sprintf(format, args...)}
 }

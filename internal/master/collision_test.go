@@ -80,6 +80,12 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 			if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v1b" {
 				t.Fatalf("RHSValues after injected collision = %v", vals)
 			}
+			// The append form dedups only what it appends: a buffer that
+			// already holds v1b still gets both values, in RHSValues' order.
+			prefix := []relation.Value{relation.String("v1b")}
+			if got, witness := dm.AppendRHSValues(prefix, ru, probe); !slices.Equal(got, append(prefix, vals...)) || witness != 0 {
+				t.Fatalf("AppendRHSValues(%v) after injected collision = %v, witness %d", prefix, got, witness)
+			}
 			lids := dm.Lookup([]int{0}, []relation.Value{relation.String("k1")})
 			if len(lids) != 2 || lids[0] != 0 || lids[1] != 2 {
 				t.Fatalf("Lookup after injected collision = %v, want [0 2]", lids)

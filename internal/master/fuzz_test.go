@@ -14,8 +14,9 @@ import (
 // small pool, so buckets grow skewed) or one delete (id modulo the
 // current size), with high bits batching ops into one ApplyDelta call —
 // and checks every published snapshot against the from-scratch rebuild
-// oracle plus a probe cross-check. The seed corpus covers add-only,
-// delete-only, interleaved and churn-heavy programs.
+// oracle plus a probe cross-check. One rule's pattern sits on its lhs, so
+// a support count moves only when the row satisfies it. The seed corpus
+// covers add-only, delete-only, interleaved and churn-heavy programs.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03})             // adds
@@ -32,7 +33,12 @@ func FuzzApplyDelta(f *testing.F) {
 		ru1 := rule.MustNew("kv", r, rm, []int{0}, []int{0}, 1, 1, pattern.Empty())
 		ru2 := rule.MustNew("pair", r, rm, []int{0, 1}, []int{0, 1}, 2, 2,
 			pattern.MustTuple([]int{2}, []pattern.Cell{pattern.Neq(relation.String("x"))}))
-		sigma := rule.MustNewSet(r, rm, ru1, ru2)
+		// pair-b carries its pattern on its lhs (B ≠ c, a pool value), so
+		// an add or delete moves its support count by the row's MB and the
+		// walks of CompatibleExists filter its bucket by pattern.
+		ru3 := rule.MustNew("pair-b", r, rm, []int{0, 1}, []int{0, 1}, 2, 2,
+			pattern.MustTuple([]int{1}, []pattern.Cell{pattern.Neq(relation.String("c"))}))
+		sigma := rule.MustNewSet(r, rm, ru1, ru2, ru3)
 
 		pool := []string{"a", "a", "b", "c"} // skewed: drifts lists across |Dm|/2
 		mkTuple := func(b byte) relation.Tuple {

@@ -488,19 +488,27 @@ func (d *Data) RHSValues(ru *rule.Rule, t relation.Tuple) []relation.Value {
 
 // RHSValuesWitness is RHSValues plus the smallest applicable master id
 // (-1 when none) from the same probe — the provenance witness of a fix.
-// On an index the probe is O(1), not O(matches): a uniform bucket is
-// verified against, and read from, its smallest id alone; only a bucket
-// the exception table lists for Bm (or as collided) is scanned.
 func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
+	return d.AppendRHSValues(nil, ru, t)
+}
+
+// AppendRHSValues is the one value probe: it appends to dst exactly the
+// values RHSValues returns, in its order, and returns the extended slice
+// with the smallest applicable master id (-1 when none). A caller that
+// probes in a loop passes its own buffer and allocates nothing. On an
+// index the probe is O(1), not O(matches): a uniform bucket is verified
+// against, and read from, its smallest id alone; only a bucket the
+// exception table lists for Bm (or as collided) is scanned.
+func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
 	if !ru.MatchesPattern(t) {
-		return nil, -1
+		return dst, -1
 	}
 	x, xm, bm := ru.LHS(), ru.LHSM(), ru.RHSM()
 	var buf probeIDs
 	ids := buf.take(len(x))
 	h, ok := d.syms.ProbeTuple(t, x, ids)
 	if !ok {
-		return nil, -1
+		return dst, -1
 	}
 	var bucket idList
 	if r, ok := d.plan.pos[ru]; !ok {
@@ -515,8 +523,9 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 	}
 	// Ids ascend, so the first match is the witness and a value's first
 	// appearance is at the smallest id carrying it. Distinct values are 1 on
-	// a consistent master and a handful otherwise: dedup is a linear scan.
-	var values []relation.Value
+	// a consistent master and a handful otherwise: dedup is a linear scan
+	// of what this probe appended.
+	start := len(dst)
 	first := -1
 	for _, chunk := range bucket.chunks() {
 		for _, id := range chunk {
@@ -527,10 +536,10 @@ func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Val
 			if first < 0 {
 				first = id
 			}
-			if v := d.syms.Value(row[bm]); !slices.Contains(values, v) {
-				values = append(values, v)
+			if v := d.syms.Value(row[bm]); !slices.Contains(dst[start:], v) {
+				dst = append(dst, v)
 			}
 		}
 	}
-	return values, first
+	return dst, first
 }

@@ -66,6 +66,11 @@ func (s *Set) Rule(i int) *Rule { return s.rules[i] }
 // Rules returns the set's own rule slice, shared and read-only.
 func (s *Set) Rules() []*Rule { return s.rules }
 
+// Premise returns the i-th rule's X ∪ Xp in place: the rule's own set,
+// shared and read-only. Rule.PremiseSet is the copying form, which the
+// reference implementations in internal/oracle keep using.
+func (s *Set) Premise(i int) relation.AttrSet { return s.rules[i].premise() }
+
 // LHS returns lhs(Σ) = ∪ lhs(ϕ) as an attribute set over R.
 func (s *Set) LHS() relation.AttrSet {
 	var out relation.AttrSet

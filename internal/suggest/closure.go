@@ -68,7 +68,7 @@ func unsupported(sigma *rule.Set, dm *master.Data) []bool {
 func directCover(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
 	out := zSet.Clone()
 	for i, ru := range sigma.Rules() {
-		if !off[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(ru.PremiseSet()) {
+		if !off[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(sigma.Premise(i)) {
 			out.Add(ru.RHS())
 		}
 	}

@@ -158,12 +158,12 @@ func (d *Deriver) Checker() *analysis.Checker { return d.Pin().checker }
 // CertainRow reports whether the concrete values vals over z form a
 // certain-region pattern row: consistent and covering (Theorem 4).
 func (d *Deriver) CertainRow(z []int, vals []relation.Value) bool {
-	return d.Pin().checker.ConcreteVerdict(z, vals, true).OK
+	return d.Pin().checker.ConcreteOK(z, vals, true)
 }
 
 // ConsistentRow reports whether vals over z lead to a unique fix.
 func (d *Deriver) ConsistentRow(z []int, vals []relation.Value) bool {
-	return d.Pin().checker.ConcreteVerdict(z, vals, false).OK
+	return d.Pin().checker.ConcreteOK(z, vals, false)
 }
 
 // CompCRegions derives candidate certain regions ranked by quality
@@ -276,12 +276,12 @@ func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
 func (d *Deriver) score(z []int) Candidate {
 	r := d.sigma.Schema()
 	support, samples := 0, 0
-	for _, vals := range d.sampleRows(z) {
+	d.sampleRows(z, func(vals []relation.Value) {
 		samples++
-		if d.CertainRow(z, vals) {
+		if d.checker.ConcreteOK(z, vals, true) {
 			support++
 		}
-	}
+	})
 	frac := 0.0
 	if samples > 0 {
 		frac = float64(support) / float64(samples)
@@ -290,40 +290,58 @@ func (d *Deriver) score(z []int) Candidate {
 	return Candidate{Z: z, ZSet: relation.NewAttrSet(z...), Quality: quality, Support: support}
 }
 
-// sampleRows builds candidate pattern rows for Z from master tuples: for
-// each sampled tm, each Z attribute takes tm's λϕ-paired value when it is
-// an lhs attribute, a pattern constant when only patterns mention it, and
-// a placeholder otherwise. Multiple choices (e.g. type ∈ {1, 2}) multiply
-// within a small bound.
-func (d *Deriver) sampleRows(z []int) [][]relation.Value {
-	n := d.dm.Len()
-	if n == 0 {
-		return nil
-	}
-	step := 1
+// rowsPerTuple bounds how many rows one sampled master tuple seeds, so that
+// wide pattern domains do not blow the sample up.
+const rowsPerTuple = 8
+
+// sampleRows calls fn on the candidate pattern rows for Z built from
+// master tuples: for each sampled tm, each Z attribute takes tm's
+// λϕ-paired value when it is an lhs attribute, a pattern constant when
+// only patterns mention it, and a placeholder otherwise. Multiple choices
+// (e.g. type ∈ {1, 2}) multiply, in lexicographic order, up to
+// rowsPerTuple rows per tuple. The row fn gets is reused for the next one.
+func (d *Deriver) sampleRows(z []int, fn func(vals []relation.Value)) {
+	n, step := d.dm.Len(), 1
 	if n > d.sampleCap {
 		step = n / d.sampleCap
 	}
 	choices := make([][]relation.Value, len(z))
-	var rows [][]relation.Value
+	next := make([]int, len(z))
+	vals := make([]relation.Value, len(z))
+	var tm relation.Tuple
 	for id := 0; id < n; id += step {
-		tm := d.dm.Tuple(id)
+		tm = d.dm.TupleInto(tm, id)
 		for i, a := range z {
-			choices[i] = d.attrChoices(a, tm)
+			choices[i] = d.attrChoices(choices[i][:0], a, tm)
 		}
-		rows = appendProduct(rows, choices, 8)
+		clear(next)
+		for range rowsPerTuple {
+			for i, c := range choices {
+				vals[i] = c[next[i]]
+			}
+			fn(vals)
+			// Advance the last attribute fastest; stop after the last row.
+			i := len(choices) - 1
+			for ; i >= 0; i-- {
+				if next[i]++; next[i] < len(choices[i]) {
+					break
+				}
+				next[i] = 0
+			}
+			if i < 0 {
+				break
+			}
+		}
 	}
-	return rows
 }
 
-// attrChoices lists the distinct plausible validated values of attribute
-// a given master tuple tm. Boot-time only (≤ sampleCap tuples × |Z|), over
-// a handful of values per attribute.
-func (d *Deriver) attrChoices(a int, tm relation.Tuple) []relation.Value {
-	var out []relation.Value
+// attrChoices appends to dst the distinct plausible validated values of
+// attribute a given master tuple tm — never none. Boot-time only
+// (≤ sampleCap tuples × |Z|), over a handful of values per attribute.
+func (d *Deriver) attrChoices(dst []relation.Value, a int, tm relation.Tuple) []relation.Value {
 	add := func(v relation.Value) {
-		if !slices.ContainsFunc(out, v.Equal) {
-			out = append(out, v)
+		if !slices.Contains(dst, v) {
+			dst = append(dst, v)
 		}
 	}
 	for _, ru := range d.sigma.Rules() {
@@ -334,44 +352,12 @@ func (d *Deriver) attrChoices(a int, tm relation.Tuple) []relation.Value {
 	for _, v := range d.actDom[a] {
 		add(v)
 	}
-	if len(out) == 0 {
+	if len(dst) == 0 {
 		// Attribute outside Σ (like `item`): its value is irrelevant to
 		// rule firing; any placeholder works.
 		add(relation.String("*"))
 	}
-	return out
-}
-
-// appendProduct appends the cartesian product of choices to rows, bounded
-// per master tuple to avoid blowups from wide pattern domains.
-func appendProduct(rows [][]relation.Value, choices [][]relation.Value, bound int) [][]relation.Value {
-	total := 1
-	for _, c := range choices {
-		total *= len(c)
-		if total > bound {
-			total = bound
-			break
-		}
-	}
-	vec := make([]relation.Value, len(choices))
-	count := 0
-	var walk func(i int)
-	walk = func(i int) {
-		if count >= bound {
-			return
-		}
-		if i == len(choices) {
-			rows = append(rows, append([]relation.Value(nil), vec...))
-			count++
-			return
-		}
-		for _, v := range choices[i] {
-			vec[i] = v
-			walk(i + 1)
-		}
-	}
-	walk(0)
-	return rows
+	return dst
 }
 
 // GRegion is the greedy baseline of §6 Exp-1(1): "at each stage, choose
@@ -428,11 +414,12 @@ func (d *Deriver) gRegionFallback(covered, cur relation.AttrSet) int {
 		if d.off[i] || covered.Has(ru.RHS()) {
 			continue
 		}
-		for _, p := range ru.PremiseSet().Positions() {
+		d.sigma.Premise(i).Range(func(p int) bool {
 			if !cur.Has(p) {
 				counts[p]++
 			}
-		}
+			return true
+		})
 	}
 	best, bestCount := -1, 0
 	for a := 0; a < arity; a++ {
