@@ -126,17 +126,10 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 			if sc.cur.Has(b) || !sc.cur.ContainsSet(c.sigma.Premise(i)) {
 				continue
 			}
-			sc.probe, _ = c.dm.AppendRHSValues(sc.probe[:0], ru, t)
-			if len(sc.probe) == 0 {
-				continue
-			}
-			if len(sc.assign[b]) == 0 {
+			had := len(sc.assign[b])
+			sc.assign[b], _ = c.dm.AppendRHSValues(sc.assign[b], ru, t)
+			if had == 0 && len(sc.assign[b]) > 0 {
 				sc.touched = append(sc.touched, b)
-			}
-			for _, v := range sc.probe {
-				if !slices.Contains(sc.assign[b], v) {
-					sc.assign[b] = append(sc.assign[b], v)
-				}
 			}
 		}
 		if len(sc.touched) == 0 {

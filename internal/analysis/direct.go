@@ -153,23 +153,25 @@ func (c *Checker) DirectCertainRegion(reg *fix.Region) (Verdict, error) {
 	return okVerdict, nil
 }
 
+// directlyCoverable reports whether some rule with rhs b covers it on row.
+// t carries the row's constants at each candidate rule's lhs, which is all
+// MatchIDs reads of it.
 func (c *Checker) directlyCoverable(rules []*rule.Rule, row pattern.Tuple, b int) bool {
+	t := relation.NewTuple(c.sigma.Schema().Arity())
 	for _, ru := range rules {
 		if ru.RHS() != b {
 			continue
 		}
 		// (b) the row pins every lhs attribute to a constant,
 		// (c) the pattern accepts those constants,
-		x := ru.LHS()
-		vals := make([]relation.Value, len(x))
 		ok := true
-		for i, p := range x {
+		for _, p := range ru.LHS() {
 			cell, has := row.CellFor(p)
 			if !has || cell.Kind != pattern.Const {
 				ok = false
 				break
 			}
-			vals[i] = cell.Val
+			t[p] = cell.Val
 			if pc, hasPat := ru.Pattern().CellFor(p); hasPat && !pc.Matches(cell.Val) {
 				ok = false
 				break
@@ -179,7 +181,7 @@ func (c *Checker) directlyCoverable(rules []*rule.Rule, row pattern.Tuple, b int
 			continue
 		}
 		// (d) a master tuple matches tm[Xm] = tc[X].
-		if len(c.dm.Lookup(ru.LHSM(), vals)) > 0 {
+		if len(c.dm.MatchIDs(ru, t)) > 0 {
 			return true
 		}
 	}

@@ -1,8 +1,6 @@
 package fix
 
 import (
-	"slices"
-
 	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -15,26 +13,14 @@ import (
 // Theorem-4 checking algorithm.
 func ApplicableAssignments(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) map[int][]relation.Value {
 	out := map[int][]relation.Value{}
-	for _, ru := range sigma.Rules() {
-		if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) {
+	for i, ru := range sigma.Rules() {
+		b := ru.RHS()
+		if zSet.Has(b) || !zSet.ContainsSet(sigma.Premise(i)) {
 			continue
 		}
-		if vs := dm.RHSValues(ru, t); len(vs) > 0 {
-			if cur, ok := out[ru.RHS()]; ok {
-				vs = appendDistinct(cur, vs)
-			}
-			out[ru.RHS()] = vs
+		if vs, witness := dm.AppendRHSValues(out[b], ru, t); witness >= 0 {
+			out[b] = vs
 		}
 	}
 	return out
-}
-
-// appendDistinct appends the values of vs not already in values.
-func appendDistinct(values, vs []relation.Value) []relation.Value {
-	for _, v := range vs {
-		if !slices.Contains(values, v) {
-			values = append(values, v)
-		}
-	}
-	return values
 }

@@ -238,16 +238,35 @@ func checkAssignments(t *testing.T, ctx string, sigma *rule.Set, dm *master.Data
 	}
 }
 
+// checkConflict holds a ConflictError to the pairs oracle: it names every
+// value the applicable pairs assign its attribute at the state TransFix
+// stopped in (tup, zSet), in the pairs' order.
+func checkConflict(t *testing.T, ctx string, sigma *rule.Set, dm *master.Data, tup relation.Tuple, zSet relation.AttrSet, ce *fix.ConflictError) {
+	t.Helper()
+	if want := pairsAssignments(sigma, dm, tup, zSet)[ce.Attr]; !relation.Tuple(ce.Values).Equal(want) {
+		t.Fatalf("%s: ConflictError on attribute %d carries %v, pairs oracle %v (order matters)", ctx, ce.Attr, ce.Values, want)
+	}
+}
+
 // TestApplicableAssignmentsMatchesPairsOracle: on random instances — tiny
 // domains, so same-key/different-rhs buckets are the norm — advanced
 // through random deltas, the assignments equal the pair enumeration's,
-// value order included.
+// value order included, and so does every conflict TransFix raises.
 func TestApplicableAssignmentsMatchesPairsOracle(t *testing.T) {
+	conflicts := 0
 	for seed := 0; seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(11_000_000 + seed)))
 		sigma, dm, tup, zSet := randomFixInstance(rng)
+		g := rule.NewDepGraph(sigma)
 		for epoch := 0; epoch < 4; epoch++ {
-			checkAssignments(t, fmt.Sprintf("seed %d epoch %d", seed, epoch), sigma, dm, tup, zSet)
+			ctx := fmt.Sprintf("seed %d epoch %d", seed, epoch)
+			checkAssignments(t, ctx, sigma, dm, tup, zSet)
+			ft, fz := tup.Clone(), zSet.Clone()
+			var ce *fix.ConflictError
+			if _, err := fix.TransFix(g, dm, ft, &fz); errors.As(err, &ce) {
+				conflicts++
+				checkConflict(t, ctx, sigma, dm, ft, fz, ce)
+			}
 			add := dm.Tuple(rng.Intn(dm.Len())).Clone()
 			add[rng.Intn(len(add))] = relation.String([]string{"a", "b"}[rng.Intn(2)])
 			var err error
@@ -256,13 +275,18 @@ func TestApplicableAssignmentsMatchesPairsOracle(t *testing.T) {
 			}
 		}
 	}
+	if conflicts == 0 {
+		t.Fatal("no instance raised a conflict: ConflictError.Values went untested")
+	}
 }
 
 // TestFixOverStormMatchesOracles drives HOSP through datagen.UpdateStorm —
 // corrupted clones of master rows, the dirt that lists buckets in the
 // exception tables — and at every epoch holds ApplicableAssignments to the
-// pairs oracle on each input's closure states, and every TransFixTrace
-// witness to the smallest matching master id of the rule that fired.
+// pairs oracle on each input's closure states, every TransFixTrace
+// witness to the smallest matching master id of the rule that fired, and
+// every ConflictError's values, in order, to the pairs oracle at the state
+// TransFix stopped in.
 func TestFixOverStormMatchesOracles(t *testing.T) {
 	ds, err := datagen.Hosp(datagen.Config{Seed: 3, MasterSize: 400, Tuples: 40, DupRate: 0.5, NoiseRate: 0.2})
 	if err != nil {
@@ -271,7 +295,7 @@ func TestFixOverStormMatchesOracles(t *testing.T) {
 	g := rule.NewDepGraph(ds.Sigma)
 	dm := ds.Master
 	storm := datagen.UpdateStorm(ds, 5, 12, 6, 2)
-	listed := 0
+	listed, conflicts := 0, 0
 	for epoch := 0; ; epoch++ {
 		for i, truth := range ds.Truths {
 			ctx := fmt.Sprintf("epoch %d input %d", epoch, i)
@@ -288,6 +312,10 @@ func TestFixOverStormMatchesOracles(t *testing.T) {
 			var ce *fix.ConflictError
 			if err != nil && !errors.As(err, &ce) {
 				t.Fatalf("%s: %v", ctx, err)
+			}
+			if ce != nil {
+				conflicts++
+				checkConflict(t, ctx, ds.Sigma, dm, tup, zSet, ce)
 			}
 			for _, w := range trace {
 				ru := ruleNamed(ds.Sigma, w.Rule)
@@ -307,6 +335,9 @@ func TestFixOverStormMatchesOracles(t *testing.T) {
 	}
 	if listed == 0 {
 		t.Fatal("the storm listed no bucket: the slow path went untested")
+	}
+	if conflicts == 0 {
+		t.Fatal("the storm raised no conflict: ConflictError.Values went untested")
 	}
 }
 

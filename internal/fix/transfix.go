@@ -80,18 +80,22 @@ func TransFix(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *relatio
 func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *relation.AttrSet, trace *[]Witness) ([]int, error) {
 	sigma := g.Set()
 	n := sigma.Len()
-	state := make([]int, n)
-	var vset []int
+	// Each rule enters vset at most once, so n slots hold it.
+	buf := make([]int, 2*n)
+	state, vset := buf[:n], buf[n:n]
 
 	// Lines 1–4: collect rules whose premise X ∪ Xp is already validated.
 	for v := 0; v < n; v++ {
-		if zSet.ContainsSet(sigma.Rule(v).PremiseSet()) {
+		if zSet.ContainsSet(sigma.Premise(v)) {
 			state[v] = nodeInVset
 			vset = append(vset, v)
 		}
 	}
 
 	var fixed []int
+	// own holds the fired rule's values, peers those of every applicable
+	// rule on its rhs: the two lists each probe appends into.
+	var own, peers []relation.Value
 	// Lines 5–15: consume vset, upgrading candidates as attributes become
 	// validated.
 	for len(vset) > 0 {
@@ -105,8 +109,9 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 			// (any value), to what (the values), and on whose evidence (the
 			// witness — rv applies, so each of its matches carries one of
 			// the values, and a fix happens only when there is exactly one).
-			if own, witness := dm.RHSValuesWitness(rv, t); len(own) > 0 {
-				values := certainValues(sigma, dm, t, *zSet, rv, own)
+			var witness int
+			if own, witness = dm.AppendRHSValues(own[:0], rv, t); len(own) > 0 {
+				values := certainValues(sigma, dm, t, *zSet, rv, own, &peers)
 				if len(values) > 1 {
 					return fixed, &ConflictError{Attr: rv.RHS(), Values: values}
 				}
@@ -123,12 +128,12 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 		for _, u := range g.Successors(v) {
 			switch state[u] {
 			case nodeInUset:
-				if zSet.ContainsSet(sigma.Rule(u).PremiseSet()) {
+				if zSet.ContainsSet(sigma.Premise(u)) {
 					state[u] = nodeInVset
 					vset = append(vset, u)
 				}
 			case nodeUnusable:
-				if zSet.ContainsSet(sigma.Rule(u).PremiseSet()) {
+				if zSet.ContainsSet(sigma.Premise(u)) {
 					state[u] = nodeInVset
 					vset = append(vset, u)
 				} else {
@@ -142,31 +147,29 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 
 // certainValues collects the distinct values that currently-applicable
 // rules (premise validated, pattern matched, master match found) would
-// assign to attribute fired.RHS(), in rule order; own are the values of
-// the rule that fired, already probed by the caller. More than one value
-// is a consistency violation at the current state; TransFix refuses to
-// pick among them. Rules whose premise is not yet validated do
-// not participate — ordering conflicts across states are the checkers'
-// concern (§4), not the fixer's.
-func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value) []relation.Value {
-	b, peers := fired.RHS(), 0
+// assign to attribute fired.RHS(), in rule order, into the list *peers;
+// own are the values of the rule that fired, already probed by the caller,
+// and the answer when no other rule has that rhs. More than one value is a
+// consistency violation at the current state; TransFix refuses to pick
+// among them. Rules whose premise is not yet validated do not participate
+// — ordering conflicts across states are the checkers' concern (§4), not
+// the fixer's.
+func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value, peers *[]relation.Value) []relation.Value {
+	b, n := fired.RHS(), 0
 	for _, ru := range sigma.Rules() {
 		if ru.RHS() == b {
-			peers++
+			n++
 		}
 	}
-	if peers == 1 {
+	if n == 1 {
 		return own
 	}
-	var values []relation.Value
-	for _, ru := range sigma.Rules() {
-		switch {
-		case ru.RHS() != b:
-		case ru == fired:
-			values = appendDistinct(values, own)
-		case zSet.ContainsSet(ru.PremiseSet()):
-			values = appendDistinct(values, dm.RHSValues(ru, t))
+	values := (*peers)[:0]
+	for i, ru := range sigma.Rules() {
+		if ru.RHS() == b && zSet.ContainsSet(sigma.Premise(i)) {
+			values, _ = dm.AppendRHSValues(values, ru, t)
 		}
 	}
+	*peers = values
 	return values
 }

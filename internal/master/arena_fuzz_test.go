@@ -117,7 +117,7 @@ func FuzzLoadArena(f *testing.F) {
 		for _, ru := range sigma.Rules() {
 			for _, probe := range []relation.Tuple{relation.StringTuple("a", "b", "c"), relation.StringTuple("c", "x", "a")} {
 				_ = loaded.MatchIDs(ru, probe)
-				_ = loaded.RHSValues(ru, probe)
+				_ = rhsValues(loaded, ru, probe)
 				_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0))
 				_ = loaded.CompatibleExists(ru, probe, relation.NewAttrSet(0, 1))
 				if got, want := loaded.CompatibleExists(ru, probe, none), loaded.compatibleScan(ru, probe, none); got != want {

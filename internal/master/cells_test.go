@@ -90,12 +90,12 @@ func checkAbsentFromColumn(t testing.TB, ctx string, d *Data, sigma *rule.Set, t
 					if got := d.MatchIDs(ru, probe); !eqInts(got, wantIDs) {
 						t.Fatalf("%s: rule %s MatchIDs(%v) = %v, scan %v", ctx, ru.Name(), probe, got, wantIDs)
 					}
-					if _, witness := d.RHSValuesWitness(ru, probe); ru.MatchesPattern(probe) &&
+					if _, witness := d.AppendRHSValues(nil, ru, probe); ru.MatchesPattern(probe) &&
 						(witness >= 0) != (len(wantIDs) > 0) || witness >= 0 && witness != wantIDs[0] {
 						t.Fatalf("%s: rule %s witness of %v = %d, scan %v", ctx, ru.Name(), probe, witness, wantIDs)
 					}
-					if !inColumn && len(d.RHSValues(ru, probe)) != 0 {
-						t.Fatalf("%s: rule %s RHSValues(%v) answers for a value absent from column %d", ctx, ru.Name(), probe, xm[k])
+					if !inColumn && len(rhsValues(d, ru, probe)) != 0 {
+						t.Fatalf("%s: rule %s AppendRHSValues(%v) answers for a value absent from column %d", ctx, ru.Name(), probe, xm[k])
 					}
 					// Only x[k] validated: compatible iff the column holds v
 					// in a pattern-compatible tuple.

@@ -76,19 +76,15 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 			if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 				t.Fatalf("MatchIDs after injected collision = %v, want [0 2]", ids)
 			}
-			vals := dm.RHSValues(ru, probe)
-			if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v1b" {
-				t.Fatalf("RHSValues after injected collision = %v", vals)
+			vals, witness := dm.AppendRHSValues(nil, ru, probe)
+			if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v1b" || witness != 0 {
+				t.Fatalf("AppendRHSValues after injected collision = %v, witness %d", vals, witness)
 			}
-			// The append form dedups only what it appends: a buffer that
-			// already holds v1b still gets both values, in RHSValues' order.
+			// A list that already holds v1b gains only v1: the probe appends
+			// the values dst lacks.
 			prefix := []relation.Value{relation.String("v1b")}
-			if got, witness := dm.AppendRHSValues(prefix, ru, probe); !slices.Equal(got, append(prefix, vals...)) || witness != 0 {
+			if got, witness := dm.AppendRHSValues(prefix, ru, probe); !slices.Equal(got, []relation.Value{prefix[0], vals[0]}) || witness != 0 {
 				t.Fatalf("AppendRHSValues(%v) after injected collision = %v, witness %d", prefix, got, witness)
-			}
-			lids := dm.Lookup([]int{0}, []relation.Value{relation.String("k1")})
-			if len(lids) != 2 || lids[0] != 0 || lids[1] != 2 {
-				t.Fatalf("Lookup after injected collision = %v, want [0 2]", lids)
 			}
 
 			// A collision at the head of the bucket exercises the filtered path
@@ -132,15 +128,15 @@ func TestProbeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRHSValuesSingleMatchFastPath covers the satellite optimization: no
-// dedup machinery for the 0- and 1-match cases.
+// TestRHSValuesSingleMatchFastPath covers the 0- and 1-match cases of the
+// value probe into a fresh list.
 func TestRHSValuesSingleMatchFastPath(t *testing.T) {
 	_, ru, dm := kvData(t)
-	if vals := dm.RHSValues(ru, relation.StringTuple("k2", "x")); len(vals) != 1 || vals[0].Str() != "v2" {
-		t.Fatalf("single-match RHSValues = %v", vals)
+	if vals, _ := dm.AppendRHSValues(nil, ru, relation.StringTuple("k2", "x")); len(vals) != 1 || vals[0].Str() != "v2" {
+		t.Fatalf("single-match AppendRHSValues = %v", vals)
 	}
-	if vals := dm.RHSValues(ru, relation.StringTuple("absent", "x")); vals != nil {
-		t.Fatalf("no-match RHSValues = %v, want nil", vals)
+	if vals, _ := dm.AppendRHSValues(nil, ru, relation.StringTuple("absent", "x")); vals != nil {
+		t.Fatalf("no-match AppendRHSValues = %v, want nil", vals)
 	}
 }
 
@@ -179,7 +175,7 @@ func TestPostOnlyIndexCollision(t *testing.T) {
 		v   string
 		ids []int
 	}{{"v3", []int{3, 5}}, {"k1", []int{5}}} {
-		h, ok := dm.syms.ProbeValues([]relation.Value{relation.String(plant.v)}, nil)
+		h, ok := dm.syms.ProbeTuple(relation.StringTuple(plant.v), []int{0}, nil)
 		if !ok {
 			t.Fatal("probe must hash")
 		}

@@ -264,10 +264,10 @@ func TestSnapshotIsolationUnderConcurrentProbes(t *testing.T) {
 					// snapshot must agree even while deltas publish.
 					ids1 := append([]int(nil), snap.MatchIDs(ru, probe)...)
 					ce1 := snap.CompatibleExists(ru, probe, zSet)
-					rv1 := snap.RHSValues(ru, probe)
+					rv1 := rhsValues(snap, ru, probe)
 					ids2 := snap.MatchIDs(ru, probe)
 					ce2 := snap.CompatibleExists(ru, probe, zSet)
-					rv2 := snap.RHSValues(ru, probe)
+					rv2 := rhsValues(snap, ru, probe)
 					if !eqInts(ids1, ids2) || ce1 != ce2 || len(rv1) != len(rv2) {
 						errc <- fmt.Errorf("worker %d round %d rule %s: pinned snapshot answers drifted", w, r, ru.Name())
 						return
@@ -351,7 +351,7 @@ func TestSnapshotBranching(t *testing.T) {
 	answer := func() (out []string) {
 		for _, p := range probes {
 			for _, ru := range sigma.Rules() {
-				out = append(out, fmt.Sprint(root.MatchIDs(ru, p), root.RHSValues(ru, p), root.CompatibleExists(ru, p, zSet)))
+				out = append(out, fmt.Sprint(root.MatchIDs(ru, p), rhsValues(root, ru, p), root.CompatibleExists(ru, p, zSet)))
 			}
 		}
 		return out

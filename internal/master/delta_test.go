@@ -87,8 +87,8 @@ func TestApplyDeltaEpochAndBasics(t *testing.T) {
 		t.Fatalf("length after mixed delta = %d, want 4", d3.Len())
 	}
 	checkEquiv(t, "after mixed", d3, sigma)
-	if vals := d3.RHSValues(ru, probeFor("x2")); len(vals) != 1 || vals[0].Str() != "y2" {
-		t.Fatalf("RHSValues for added tuple = %v, want [y2]", vals)
+	if vals := rhsValues(d3, ru, probeFor("x2")); len(vals) != 1 || vals[0].Str() != "y2" {
+		t.Fatalf("AppendRHSValues for added tuple = %v, want [y2]", vals)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestApplyDeltaErrors(t *testing.T) {
 // hasMatch reports whether some master tuple applies with ru to t, through
 // the value probe TransFix makes.
 func hasMatch(d *Data, ru *rule.Rule, t relation.Tuple) bool {
-	_, witness := d.RHSValuesWitness(ru, t)
+	_, witness := d.AppendRHSValues(nil, ru, t)
 	return witness >= 0
 }
 
@@ -213,7 +213,7 @@ func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {
 		t.Fatalf("refined-rule probe on delta snapshot = %v, want [0 3]", ids)
 	}
-	if vals, witness := d1.RHSValuesWitness(plus, probeFor(key(0))); witness != 0 || len(vals) != 2 {
+	if vals, witness := d1.AppendRHSValues(nil, plus, probeFor(key(0))); witness != 0 || len(vals) != 2 {
 		t.Fatalf("refined-rule value probe on delta snapshot = %v, witness %d; want both rhs values, witness 0", vals, witness)
 	}
 }

@@ -167,7 +167,7 @@ func checkColumnIndexes(t testing.TB, ctx string, d *Data, sigma *rule.Set) {
 				want[tm[col]] = append(want[tm[col]], id)
 			}
 			for v, ids := range want {
-				h, ok := d.syms.ProbeValues([]relation.Value{v}, nil)
+				h, ok := d.syms.ProbeTuple(relation.Tuple{v}, []int{0}, nil)
 				if !ok {
 					t.Fatalf("%s: stored value %v of column %d not interned", ctx, v, col)
 				}

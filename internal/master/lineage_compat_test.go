@@ -88,7 +88,7 @@ func lineageAnswers(d *Data, sigma *rule.Set) lineageWant {
 		for a := k % 3; a <= k%3+(k+1)%2; a++ {
 			t := lineageTuple(k, a%3)
 			for _, ru := range sigma.Rules() {
-				values, witness := d.RHSValuesWitness(ru, t)
+				values, witness := d.AppendRHSValues(nil, ru, t)
 				p := lineageProbe{IDs: append([]int(nil), d.MatchIDs(ru, t)...), Witness: witness}
 				for _, v := range values {
 					p.Values = append(p.Values, v.Str())

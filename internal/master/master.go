@@ -22,27 +22,28 @@
 // NewBuilder, or by LoadArena for the image it checks) and shared by every
 // snapshot derived from it. There are two kinds of probe:
 //
-//   - Value probes — RHSValues, RHSValuesWitness — answer "which values
-//     tm[Bm] does the rule assign, and which master tuple witnesses it" in
-//     O(1), not O(matches). They rest on one
-//     invariant: the paper assumes Dm is consistent (§2), i.e. every rule
-//     is a function on the master, so all tuples of a bucket share the Xm
-//     projection and agree on the rule's Bm. Such a bucket is UNIFORM and
-//     its smallest id, bucket[0], answers for all of it: one hash fold,
-//     one bucket lookup, one verification of t[X] against bucket[0]. The
-//     buckets that break the invariant — a 64-bit hash collision, a dirty
-//     master — are listed in small exception tables (uniform.go), empty on
-//     a consistent master; a listed bucket is scanned exactly.
-//     MemStats.NonUniformBuckets counts them.
-//   - Enumerating probes — MatchIDs, Lookup — return every matching id,
+//   - The value probe — AppendRHSValues — answers "which values tm[Bm]
+//     does the rule assign, and which master tuple witnesses it" in O(1),
+//     not O(matches), appending to the caller's list only the values it
+//     does not hold yet. It rests on one invariant: the paper assumes Dm
+//     is consistent (§2), i.e. every rule is a function on the master, so
+//     all tuples of a bucket share the Xm projection and agree on the
+//     rule's Bm. Such a bucket is UNIFORM and its smallest id, bucket[0],
+//     answers for all of it: one hash fold, one bucket lookup, one
+//     verification of t[X] against bucket[0]. The buckets that break the
+//     invariant — a 64-bit hash collision, a dirty master — are listed in
+//     small exception tables (uniform.go), empty on a consistent master; a
+//     listed bucket is scanned exactly. MemStats.NonUniformBuckets counts
+//     them.
+//   - The enumerating probe — MatchIDs — returns every matching id,
 //     verifying each candidate against the stored row (hash equality
-//     alone does not prove projection equality). They never consult the
-//     exception tables, return the bucket itself (no copy, no allocation)
+//     alone does not prove projection equality). It never consults the
+//     exception tables, returns the bucket itself (no copy, no allocation)
 //     unless a collision has to be filtered out of it or deltas have left
-//     it in several chunks, and serve the callers that need the pairs
-//     themselves: the condition-(c) full-key path, the exhaustive
-//     oracles of internal/oracle, and the tests that hold the value probes
-//     to a scan.
+//     it in several chunks, and serves the callers that need the pairs
+//     themselves: the condition-(c) full-key path, the direct-fix
+//     coverage test, the exhaustive oracles of internal/oracle, and the
+//     tests that hold the value probe to a scan.
 //
 // Condition (c) of §5.2 needs the same lookup on a PART of Xm when the lhs
 // is only partly validated. It reads the same kind of index: for every
@@ -69,8 +70,8 @@
 //
 // Concurrency contract:
 //
-//   - A snapshot never changes once built. All lookups (MatchIDs, Lookup,
-//     RHSValues, CompatibleExists, PatternSupported, ...) on a snapshot
+//   - A snapshot never changes once built. All lookups (MatchIDs,
+//     AppendRHSValues, CompatibleExists, PatternSupported, ...) on a snapshot
 //     are safe from any number of goroutines, concurrently with ApplyDelta
 //     deriving new snapshots — readers pin a snapshot and can never
 //     observe torn or partially-applied state.
@@ -398,15 +399,15 @@ func rowMatches(row []uint32, xm []int, ids []uint32) bool {
 	return true
 }
 
-// verified is the enumerate-all step shared by MatchIDs and Lookup: check
-// every candidate of the key's bucket exactly once (hash equality alone does
-// not prove projection equality). A bucket of one chunk — every bucket of a
-// frozen table — comes back itself, ascending and uncopied, unless a
-// collision has to be filtered out of it (the cold path: a fresh slice). A
-// bucket deltas have left in several chunks is flattened into a fresh slice:
-// that is the price of the enumerate-all probe of the oracles in
-// internal/oracle on an edited long bucket, not of a fix — its value probes read the
-// smallest id and never enumerate.
+// verified is the enumerate-all step of MatchIDs: check every candidate of
+// the key's bucket exactly once (hash equality alone does not prove
+// projection equality). A bucket of one chunk — every bucket of a frozen
+// table — comes back itself, ascending and uncopied, unless a collision has
+// to be filtered out of it (the cold path: a fresh slice). A bucket deltas
+// have left in several chunks is flattened into a fresh slice: that is the
+// price of the enumerate-all probe of the oracles in internal/oracle on an
+// edited long bucket, not of a fix — its value probes read the smallest id
+// and never enumerate.
 func (d *Data) verified(bucket *idList, xm []int, ids []uint32) []int {
 	flat := bucket.flat()
 	for i, id := range flat {
@@ -434,34 +435,13 @@ func (d *Data) scan(xm []int, ids []uint32) []int {
 	return out
 }
 
-// Lookup returns the ids of master tuples tm with tm[xm] equal to the
-// projection values[i] (aligned with xm). It uses a prebuilt index when
-// available and falls back to a scan otherwise.
-func (d *Data) Lookup(xm []int, values []relation.Value) []int {
-	if len(values) != len(xm) {
-		return nil // arity mismatch can never match (and must not panic)
-	}
-	var buf probeIDs
-	ids := buf.take(len(xm))
-	h, ok := d.syms.ProbeValues(values, ids)
-	if !ok {
-		return nil // some value occurs nowhere in the master
-	}
-	if i := d.plan.find(xm); i >= 0 {
-		idx := d.indexAt(i)
-		bucket := idx.shard(h).list(h)
-		return d.verified(&bucket, idx.xm, ids)
-	}
-	return d.scan(xm, ids)
-}
-
 // MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
-// the rule's (X, Xm) correspondence, ascending — the enumerate-all probe,
-// O(matches). It does not test the rule's pattern (patterns constrain t,
-// not tm). Indexed probes are allocation-free at every shard count; the
-// returned slice may alias internal index state — treat it as read-only.
-// Callers that need only the rhs values or one witness use RHSValues /
-// RHSValuesWitness, which do not enumerate.
+// the rule's (X, Xm) correspondence, ascending — the one enumerating
+// probe, O(matches). It does not test the rule's pattern (patterns
+// constrain t, not tm); only t's cells at X are read. Indexed probes are
+// allocation-free at every shard count; the returned slice may alias
+// internal index state — treat it as read-only. Callers that need only the
+// rhs values or one witness use AppendRHSValues, which does not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	x := ru.LHS()
 	var buf probeIDs
@@ -477,28 +457,18 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	return d.scan(ru.LHSM(), ids)
 }
 
-// RHSValues returns the distinct values tm[Bm] over all master tuples
-// applicable with ru to t, ordered by the smallest id carrying each.
-// Multiple distinct values indicate a same-rule conflict (two master
-// tuples disagree on the fix).
-func (d *Data) RHSValues(ru *rule.Rule, t relation.Tuple) []relation.Value {
-	values, _ := d.RHSValuesWitness(ru, t)
-	return values
-}
-
-// RHSValuesWitness is RHSValues plus the smallest applicable master id
-// (-1 when none) from the same probe — the provenance witness of a fix.
-func (d *Data) RHSValuesWitness(ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
-	return d.AppendRHSValues(nil, ru, t)
-}
-
-// AppendRHSValues is the one value probe: it appends to dst exactly the
-// values RHSValues returns, in its order, and returns the extended slice
-// with the smallest applicable master id (-1 when none). A caller that
-// probes in a loop passes its own buffer and allocates nothing. On an
-// index the probe is O(1), not O(matches): a uniform bucket is verified
-// against, and read from, its smallest id alone; only a bucket the
-// exception table lists for Bm (or as collided) is scanned.
+// AppendRHSValues is the one value probe: it appends to dst the values
+// tm[Bm] of the master tuples applicable with ru to t that dst does not
+// already hold, ordered by the smallest id carrying each, and returns the
+// extended slice with the smallest applicable master id (-1 when none) —
+// the provenance witness of a fix. Two distinct values from one rule are a
+// same-rule conflict (two master tuples disagree on the fix); a caller
+// that appends several rules' values into one list gets their distinct
+// union, in rule order. A caller that probes in a loop passes its own
+// buffer and allocates nothing. On an index the probe is O(1), not
+// O(matches): a uniform bucket is verified against, and read from, its
+// smallest id alone; only a bucket the exception table lists for Bm (or as
+// collided) is scanned.
 func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
 	if !ru.MatchesPattern(t) {
 		return dst, -1
@@ -524,8 +494,7 @@ func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.T
 	// Ids ascend, so the first match is the witness and a value's first
 	// appearance is at the smallest id carrying it. Distinct values are 1 on
 	// a consistent master and a handful otherwise: dedup is a linear scan
-	// of what this probe appended.
-	start := len(dst)
+	// of dst.
 	first := -1
 	for _, chunk := range bucket.chunks() {
 		for _, id := range chunk {
@@ -536,7 +505,7 @@ func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.T
 			if first < 0 {
 				first = id
 			}
-			if v := d.syms.Value(row[bm]); !slices.Contains(dst[start:], v) {
+			if v := d.syms.Value(row[bm]); !slices.Contains(dst, v) {
 				dst = append(dst, v)
 			}
 		}

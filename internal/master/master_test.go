@@ -48,9 +48,9 @@ func TestFirstMatchPaperExamples(t *testing.T) {
 
 	// (ϕ1, s1) applies to t1: t1[zip] = EH7 4AH = s1[zip] (Example 4).
 	phi1 := ruleByName(sigma, "phi1")
-	vals, id := dm.RHSValuesWitness(phi1, t1)
+	vals, id := dm.AppendRHSValues(nil, phi1, t1)
 	if id != 0 || len(vals) != 1 {
-		t.Fatalf("RHSValuesWitness(ϕ1, t1) = %v, id %d, want s1", vals, id)
+		t.Fatalf("AppendRHSValues(ϕ1, t1) = %v, id %d, want s1", vals, id)
 	}
 	if vals[0].Str() != "131" || dm.Tuple(id)[dm.Schema().MustPos("AC")].Str() != "131" {
 		t.Error("matched master tuple should be s1 with AC=131")
@@ -58,20 +58,20 @@ func TestFirstMatchPaperExamples(t *testing.T) {
 
 	// (ϕ4, s1): t1[phn] = 079172485 = s1[Mphn], type = 2.
 	phi4 := ruleByName(sigma, "phi4")
-	if _, id := dm.RHSValuesWitness(phi4, t1); id != 0 {
-		t.Fatalf("RHSValuesWitness(ϕ4, t1) = id %d", id)
+	if _, id := dm.AppendRHSValues(nil, phi4, t1); id != 0 {
+		t.Fatalf("AppendRHSValues(ϕ4, t1) = id %d", id)
 	}
 
 	// ϕ6 does not apply to t1 (type = 2, pattern needs 1).
 	phi6 := ruleByName(sigma, "phi6")
-	if vals, id := dm.RHSValuesWitness(phi6, t1); id >= 0 || vals != nil {
+	if vals, id := dm.AppendRHSValues(nil, phi6, t1); id >= 0 || vals != nil {
 		t.Error("ϕ6 must not apply to t1")
 	}
 
 	// Nothing applies to t4 (Example 5).
 	t4 := paperex.InputT4()
 	for _, ru := range sigma.Rules() {
-		if _, id := dm.RHSValuesWitness(ru, t4); id >= 0 {
+		if _, id := dm.AppendRHSValues(nil, ru, t4); id >= 0 {
 			t.Errorf("rule %s unexpectedly applies to t4", ru.Name())
 		}
 	}
@@ -79,26 +79,26 @@ func TestFirstMatchPaperExamples(t *testing.T) {
 
 func TestLookupIndexedAndScan(t *testing.T) {
 	sigma, dm := sigmaAndData(t)
-	rm := dm.Schema()
-	zipPos := rm.MustPos("zip")
+	r, rm := sigma.Schema(), dm.Schema()
 
-	// indexed path (zip is an Xm of ϕ1–ϕ3)
-	ids := dm.Lookup([]int{zipPos}, []relation.Value{relation.String("EH7 4AH")})
-	if len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("Lookup zip: %v", ids)
+	// indexed path (zip is the Xm of ϕ1)
+	if ids := dm.MatchIDs(ruleByName(sigma, "phi1"), paperex.InputT1()); len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("MatchIDs zip: %v", ids)
 	}
 
-	// unindexed path falls back to scan: DOB is no rule's Xm
-	dobPos := rm.MustPos("DOB")
-	ids = dm.Lookup([]int{dobPos}, []relation.Value{relation.String("25/12/67")})
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("Lookup DOB (scan): %v", ids)
+	// unindexed path falls back to scan: DOB is no rule's Xm, and a rule the
+	// lineage was not built for reads no index
+	dob := rule.MustNew("dob", r, rm, []int{0}, []int{rm.MustPos("DOB")},
+		r.MustPos("zip"), rm.MustPos("zip"), pattern.Empty())
+	probe := relation.NewTuple(r.Arity())
+	probe[0] = relation.String("25/12/67")
+	if ids := dm.MatchIDs(dob, probe); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("MatchIDs DOB (scan): %v", ids)
 	}
-	ids = dm.Lookup([]int{dobPos}, []relation.Value{relation.String("nope")})
-	if len(ids) != 0 {
-		t.Fatalf("Lookup miss: %v", ids)
+	probe[0] = relation.String("nope")
+	if ids := dm.MatchIDs(dob, probe); len(ids) != 0 {
+		t.Fatalf("MatchIDs miss: %v", ids)
 	}
-	_ = sigma
 }
 
 func TestMatchIDsScanFallbackAgreesWithIndex(t *testing.T) {
@@ -137,12 +137,17 @@ func TestRHSValuesDistinct(t *testing.T) {
 	sigma := rule.MustNewSet(r, rm, ru)
 	dm := master.MustNewForRules(rel, sigma)
 
-	vals := dm.RHSValues(ru, relation.StringTuple("k", "dirty"))
-	if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v2" {
-		t.Fatalf("RHSValues = %v", vals)
+	vals, witness := dm.AppendRHSValues(nil, ru, relation.StringTuple("k", "dirty"))
+	if len(vals) != 2 || vals[0].Str() != "v1" || vals[1].Str() != "v2" || witness != 0 {
+		t.Fatalf("AppendRHSValues = %v, witness %d", vals, witness)
 	}
-	if got := dm.RHSValues(ru, relation.StringTuple("absent", "x")); got != nil {
-		t.Fatalf("RHSValues miss = %v", got)
+	if got, witness := dm.AppendRHSValues(nil, ru, relation.StringTuple("absent", "x")); got != nil || witness != -1 {
+		t.Fatalf("AppendRHSValues miss = %v, witness %d", got, witness)
+	}
+	// A list that already holds v2 gains only v1.
+	prefix := []relation.Value{relation.String("v2")}
+	if got, _ := dm.AppendRHSValues(prefix, ru, relation.StringTuple("k", "dirty")); len(got) != 2 || got[0].Str() != "v2" || got[1].Str() != "v1" {
+		t.Fatalf("AppendRHSValues([v2]) = %v, want [v2 v1]", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 package master
 
 // This file implements the uniform-bucket invariant behind the O(1) value
-// probe (RHSValuesWitness).
+// probe (AppendRHSValues).
 //
 // It covers only the indexes a value probe reads — those over some rule's
 // whole Xm. A one-column index that only the partial-lhs test of compat.go

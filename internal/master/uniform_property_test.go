@@ -1,11 +1,13 @@
 package master
 
-// The uniform-bucket equivalence property (uniform.go): the O(1)
-// value probes — RHSValuesWitness, RHSValues — answer exactly what a scan
-// over MatchIDs answers (values, and the smallest applicable id as witness), and the incrementally
-// maintained exception tables equal the ones rebuilt from the buckets, at
-// every epoch of random delta programs, for P ∈ {1, 2, 7, 16}, on four
-// lineages: heap-built, arena-loaded, WAL-recovered and follower.
+// The uniform-bucket equivalence property (uniform.go): the O(1) value
+// probe, AppendRHSValues, answers exactly what a scan over MatchIDs answers
+// (values, and the smallest applicable id as witness) — into a fresh list
+// and into one already holding another rule's values, where it appends
+// only the values the list lacks — and the incrementally maintained
+// exception tables equal the ones rebuilt from the buckets, at every epoch
+// of random delta programs, for P ∈ {1, 2, 7, 16}, on four lineages:
+// heap-built, arena-loaded, WAL-recovered and follower.
 //
 // The masters mix clean functional structure (multi-id buckets that ARE
 // uniform, so the fast path is exercised), corrupted clones in the style
@@ -133,13 +135,19 @@ func injectCollisions(rng *rand.Rand, d *Data) (planted int) {
 	return planted
 }
 
+// rhsValues is the value probe into a fresh list.
+func rhsValues(d *Data, ru *rule.Rule, t relation.Tuple) []relation.Value {
+	vs, _ := d.AppendRHSValues(nil, ru, t)
+	return vs
+}
+
 // scanOracle answers a value probe by enumeration: the applicable ids in
-// ascending order, their distinct rhs values in first-seen order, and the
-// smallest id.
-func scanOracle(d *Data, ru *rule.Rule, t relation.Tuple) (values []relation.Value, first int) {
-	first = -1
+// ascending order, their rhs values appended to dst in first-seen order
+// when dst does not hold them yet, and the smallest id.
+func scanOracle(d *Data, ru *rule.Rule, t relation.Tuple, dst []relation.Value) (values []relation.Value, first int) {
+	first, values = -1, dst
 	if !ru.MatchesPattern(t) {
-		return nil, -1
+		return values, -1
 	}
 	for _, id := range d.MatchIDs(ru, t) {
 		if first < 0 {
@@ -159,8 +167,9 @@ func scanOracle(d *Data, ru *rule.Rule, t relation.Tuple) (values []relation.Val
 
 // checkUniformProbes holds every value probe of every rule to the scan
 // oracle: on each stored tuple's own key, on keys that miss, and on keys
-// carrying values never interned.
-func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, rng *rand.Rand) {
+// carrying values never interned. It returns how many probes into a
+// pre-filled list met a value the list already held.
+func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, rng *rand.Rand) (overlaps int) {
 	t.Helper()
 	arity := rules[0].Schema().Arity()
 	probes := make([]relation.Tuple, 0, d.Len()+4)
@@ -176,16 +185,26 @@ func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, r
 		p[rng.Intn(arity)] = relation.String([]string{"k1", "g0", "never-seen"}[rng.Intn(3)])
 		probes = append(probes, p)
 	}
-	for _, ru := range rules {
+	for i, ru := range rules {
+		// The list other's values pre-fill: r2 and r3 share their rhs, so
+		// each of them meets values it must not append twice.
+		other := rules[(i+len(rules)-1)%len(rules)]
 		for _, p := range probes {
-			want, first := scanOracle(d, ru, p)
-			got, witness := d.RHSValuesWitness(ru, p)
+			want, first := scanOracle(d, ru, p, nil)
+			got, witness := d.AppendRHSValues(nil, ru, p)
 			if !relation.Tuple(got).Equal(want) || witness != first {
-				t.Fatalf("%s: rule %s probe %v: RHSValuesWitness = %v, %d; scan oracle %v, %d",
+				t.Fatalf("%s: rule %s probe %v: AppendRHSValues = %v, %d; scan oracle %v, %d",
 					ctx, ru.Name(), p, got, witness, want, first)
 			}
-			if got := d.RHSValues(ru, p); !relation.Tuple(got).Equal(want) {
-				t.Fatalf("%s: rule %s probe %v: RHSValues = %v, scan oracle %v", ctx, ru.Name(), p, got, want)
+			prefix, _ := scanOracle(d, other, p, nil)
+			wantAll, _ := scanOracle(d, ru, p, slices.Clone(prefix))
+			gotAll, witnessAll := d.AppendRHSValues(slices.Clone(prefix), ru, p)
+			if !relation.Tuple(gotAll).Equal(wantAll) || witnessAll != first {
+				t.Fatalf("%s: rule %s probe %v into %v: AppendRHSValues = %v, %d; scan oracle %v, %d",
+					ctx, ru.Name(), p, prefix, gotAll, witnessAll, wantAll, first)
+			}
+			if len(gotAll)-len(prefix) < len(got) {
+				overlaps++
 			}
 			// The head-of-bucket rule: the witness is the smallest id the
 			// enumerating probe returns, and carries the first value.
@@ -195,6 +214,7 @@ func checkUniformProbes(t *testing.T, ctx string, d *Data, rules []*rule.Rule, r
 			}
 		}
 	}
+	return overlaps
 }
 
 // checkExceptionsRebuilt asserts every exception table equals the one
@@ -225,7 +245,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
-	var planted, listed, uniformMulti, rebased int
+	var planted, listed, uniformMulti, rebased, overlaps int
 	for seed := 0; seed < seeds; seed++ {
 		for _, p := range shardSweep {
 			rng := rand.New(rand.NewSource(int64(71_000_000 + 100*seed + p)))
@@ -270,7 +290,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			check := func(ctx string, d *Data) {
 				t.Helper()
 				checkExceptionsRebuilt(t, ctx, d)
-				checkUniformProbes(t, ctx, d, rules, rng)
+				overlaps += checkUniformProbes(t, ctx, d, rules, rng)
 				for _, idx := range d.indexes() {
 					for s := range idx.shards {
 						listed += len(idx.shards[s].exc)
@@ -352,10 +372,11 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			}
 		}
 	}
-	// The suite means nothing unless all three bucket kinds occurred.
-	if planted == 0 || listed == 0 || uniformMulti == 0 || rebased == 0 {
-		t.Fatalf("fixture too tame: %d planted collisions, %d listed buckets, %d uniform multi-id buckets, %d follower rebases",
-			planted, listed, uniformMulti, rebased)
+	// The suite means nothing unless all three bucket kinds occurred, and
+	// some probe into a pre-filled list met a value it already held.
+	if planted == 0 || listed == 0 || uniformMulti == 0 || rebased == 0 || overlaps == 0 {
+		t.Fatalf("fixture too tame: %d planted collisions, %d listed buckets, %d uniform multi-id buckets, %d follower rebases, %d overlapping appends",
+			planted, listed, uniformMulti, rebased, overlaps)
 	}
 }
 

@@ -76,7 +76,7 @@ func directRows(sigma *rule.Set, dm *master.Data, reg *fix.Region, coverage bool
 	return eachInstance(sigma, dm, reg, coverage, func(row int, vals []relation.Value, t relation.Tuple) (analysis.Verdict, error) {
 		perAttr := map[int][]relation.Value{}
 		for _, ru := range rules {
-			for _, v := range dm.RHSValues(ru, t) {
+			for _, v := range rhsValues(dm, ru, t) {
 				if !slices.Contains(perAttr[ru.RHS()], v) {
 					perAttr[ru.RHS()] = append(perAttr[ru.RHS()], v)
 				}

@@ -66,7 +66,7 @@ func ConcreteVerdict(sigma *rule.Set, dm *master.Data, zPos []int, vals []relati
 		if !cur.ContainsSet(ru.PremiseSet()) || !ru.MatchesPattern(t) {
 			continue
 		}
-		for _, v := range dm.RHSValues(ru, t) {
+		for _, v := range rhsValues(dm, ru, t) {
 			if v.Equal(t[b]) {
 				validators[b] = append(validators[b], ru.PremiseSet())
 			} else {

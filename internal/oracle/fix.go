@@ -214,7 +214,7 @@ func NaiveFix(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet *relation
 	for {
 		progressed := false
 		for _, ru := range sigma.Rules() {
-			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || len(dm.RHSValues(ru, t)) == 0 {
+			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || len(rhsValues(dm, ru, t)) == 0 {
 				continue
 			}
 			values := certainValues(sigma, dm, t, *zSet, ru.RHS())
@@ -243,7 +243,7 @@ func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet rela
 		if ru.RHS() != b || !zSet.ContainsSet(ru.PremiseSet()) {
 			continue
 		}
-		for _, v := range dm.RHSValues(ru, t) {
+		for _, v := range rhsValues(dm, ru, t) {
 			if !slices.Contains(values, v) {
 				values = append(values, v)
 			}

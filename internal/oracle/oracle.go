@@ -13,3 +13,17 @@
 // and analysis verdicts, never a suggest type: suggest's white-box tests
 // import this package.
 package oracle
+
+import (
+	"repro/internal/master"
+	"repro/internal/relation"
+	"repro/internal/rule"
+)
+
+// rhsValues is the master's value probe into a fresh list: the distinct
+// values tm[Bm] over the master tuples applicable with ru to t, ordered by
+// the smallest id carrying each.
+func rhsValues(dm *master.Data, ru *rule.Rule, t relation.Tuple) []relation.Value {
+	vs, _ := dm.AppendRHSValues(nil, ru, t)
+	return vs
+}

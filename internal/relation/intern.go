@@ -2,9 +2,9 @@ package relation
 
 // This file implements the allocation-free probe substrate: a value-interning
 // symbol table assigning every distinct Value a dense uint32 id, whose probe
-// methods (ProbeTuple, ProbeValues, HashRow) fold a tuple projection into a
-// single uint64 FNV-1a key over the (kind, id) pairs. The master-data indexes key their buckets on these
-// hashes, so the per-probe cost demanded by the paper's TransFix complexity
+// methods (ProbeTuple, HashRow) fold a tuple projection into a single uint64
+// FNV-1a key over the (kind, id) pairs. The master-data indexes key their
+// buckets on these hashes, so the per-probe cost demanded by the paper's TransFix complexity
 // analysis (§5.1, "constant time ... by using a hash table") is one hash
 // computation plus one map lookup — no string building, no heap allocation.
 // The master (internal/master) also STORES its tuples as rows of these ids,
@@ -307,24 +307,6 @@ func (s *Symbols) ProbeTuple(t Tuple, positions []int, ids []uint32) (uint64, bo
 	acc := fnvOffset64
 	for i, p := range positions {
 		v := t[p]
-		id, ok := s.ID(v)
-		if !ok {
-			return 0, false
-		}
-		if ids != nil {
-			ids[i] = id
-		}
-		acc = hashCell(acc, v.kind, id)
-	}
-	return acc, true
-}
-
-// ProbeValues hashes the value vector in order (the probe-side twin of
-// ProbeTuple for callers that already projected), handing back the
-// looked-up ids like ProbeTuple. Allocation-free.
-func (s *Symbols) ProbeValues(values []Value, ids []uint32) (uint64, bool) {
-	acc := fnvOffset64
-	for i, v := range values {
 		id, ok := s.ID(v)
 		if !ok {
 			return 0, false

@@ -58,9 +58,10 @@ func TestHasherAgreesAcrossTupleAndValues(t *testing.T) {
 	pos := []int{0, 1, 3}
 	built := internHash(t, s, tup, pos)
 
-	vals, ok := s.ProbeValues([]Value{String("x"), Int(3), String("y")}, nil)
+	// The same projection carried at other positions hashes the same.
+	vals, ok := s.ProbeTuple(TupleOf(String("x"), Int(3), String("y")), []int{0, 1, 2}, nil)
 	if !ok || vals != built {
-		t.Fatalf("ProbeValues = %x, %v; want %x", vals, ok, built)
+		t.Fatalf("ProbeTuple of the projection = %x, %v; want %x", vals, ok, built)
 	}
 	row := make([]uint32, len(tup))
 	for _, p := range pos {
@@ -77,8 +78,8 @@ func TestHasherMissesUninterned(t *testing.T) {
 	if _, ok := s.ProbeTuple(TupleOf(String("zz")), []int{0}, nil); ok {
 		t.Fatal("hash of uninterned value must report a miss")
 	}
-	if _, ok := s.ProbeValues([]Value{Int(42)}, nil); ok {
-		t.Fatal("ProbeValues of uninterned value must report a miss")
+	if _, ok := s.ProbeTuple(TupleOf(String("a"), Int(42)), []int{0, 1}, nil); ok {
+		t.Fatal("a projection with one uninterned value must report a miss")
 	}
 }
 

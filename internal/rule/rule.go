@@ -130,8 +130,9 @@ func (ru *Rule) LHSSet() relation.AttrSet { return ru.xSet.Clone() }
 // PatternSet returns Xp as a set.
 func (ru *Rule) PatternSet() relation.AttrSet { return ru.xpSet.Clone() }
 
-// PremiseSet returns X ∪ Xp — the attributes that must be validated before
-// the rule may fire against a region.
+// PremiseSet returns a copy of X ∪ Xp — the attributes that must be
+// validated before the rule may fire against a region. It is the copying
+// form, for oracles and tools; the fix path reads Set.Premise in place.
 func (ru *Rule) PremiseSet() relation.AttrSet { return ru.xxpSet.Clone() }
 
 // premise returns the internal premise set without copying (hot paths).

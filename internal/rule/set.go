@@ -67,8 +67,9 @@ func (s *Set) Rule(i int) *Rule { return s.rules[i] }
 func (s *Set) Rules() []*Rule { return s.rules }
 
 // Premise returns the i-th rule's X ∪ Xp in place: the rule's own set,
-// shared and read-only. Rule.PremiseSet is the copying form, which the
-// reference implementations in internal/oracle keep using.
+// shared and read-only. Every production reader of Σ tests premises
+// through it; Rule.PremiseSet is the copying form, for the reference
+// implementations in internal/oracle and for tools.
 func (s *Set) Premise(i int) relation.AttrSet { return s.rules[i].premise() }
 
 // LHS returns lhs(Σ) = ∪ lhs(ϕ) as an attribute set over R.

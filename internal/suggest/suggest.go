@@ -216,9 +216,10 @@ func (d *Deriver) cover(sc *derScratch, off []bool, zSet relation.AttrSet, seed 
 			if off[i] {
 				continue
 			}
-			for _, p := range ru.PremiseSet().Positions() {
+			d.sigma.Premise(i).Range(func(p int) bool {
 				confMass[p] += ru.Confidence()
-			}
+				return true
+			})
 		}
 	}
 

@@ -49,10 +49,12 @@ var ErrTruncated = errors.New("wal: epochs truncated behind checkpoint")
 // TruncatedError reports which epochs a shipping reader asked for that
 // the log no longer holds. It matches ErrTruncated through errors.Is.
 type TruncatedError struct {
-	// After is the caller's position: it wanted epochs > After.
+	// After is the last epoch the caller holds: the position it asked
+	// from, advanced by whatever the read delivered before it met the
+	// truncation. It wants epochs > After.
 	After uint64
-	// First is the oldest epoch still in the log, when known (0 when the
-	// reader lost a removal race and could not tell).
+	// First is the oldest epoch still in the log (0 when the log holds no
+	// records).
 	First uint64
 }
 

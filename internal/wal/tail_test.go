@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,6 +245,77 @@ func TestTailTruncatedIsTyped(t *testing.T) {
 	}
 	if n, err := l.Tail(60, func(Record) error { return nil }); err != nil || n != 0 {
 		t.Fatalf("Tail at head: %d records, err %v", n, err)
+	}
+}
+
+// readHookFS runs hook once, just before the first ReadFile of path: the
+// seam through which a test removes a segment between a reader's plan and
+// its read.
+type readHookFS struct {
+	FS
+	path string
+	hook func()
+}
+
+func (f *readHookFS) ReadFile(name string) ([]byte, error) {
+	if name == f.path && f.hook != nil {
+		hook := f.hook
+		f.hook = nil
+		hook()
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestTailTruncatedMidRead: a Tail that delivered the first segment and
+// then finds the second removed — TruncateThrough ran between its plan and
+// its read — reports the last epoch it delivered and the log's new first
+// epoch, so the caller can tell exactly which epochs it must catch up.
+func TestTailTruncatedMidRead(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &readHookFS{FS: OS}
+	l, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 256, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, 1, 60)
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+segmentSuffix))
+	if err != nil || len(paths) < 3 {
+		t.Fatalf("want ≥ 3 segments, got %v (err %v)", paths, err)
+	}
+	start := func(path string) uint64 {
+		e, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(path), segmentSuffix), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	second, third := start(paths[1]), start(paths[2])
+	fsys.path = paths[1]
+	fsys.hook = func() {
+		if err := l.TruncateThrough(third - 1); err != nil {
+			t.Error(err)
+		}
+	}
+
+	pos := uint64(0)
+	n, err := l.Tail(pos, func(r Record) error {
+		if r.Epoch != pos+1 {
+			return fmt.Errorf("tail gap: got %d at pos %d", r.Epoch, pos)
+		}
+		pos++
+		return nil
+	})
+	var te *TruncatedError
+	if !errors.As(err, &te) {
+		t.Fatalf("Tail over a removed segment: want *TruncatedError, got %v", err)
+	}
+	if n != int(second-1) || te.After != second-1 || te.First != third {
+		t.Fatalf("Tail delivered %d records and reported %+v; want %d records, After %d, First %d",
+			n, *te, second-1, second-1, third)
+	}
+	if n, err := l.Tail(te.First-1, func(Record) error { return nil }); err != nil || n != 60-int(third-1) {
+		t.Fatalf("Tail from %d: %d records, err %v", te.First-1, n, err)
 	}
 }
 

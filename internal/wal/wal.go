@@ -384,8 +384,10 @@ func (l *Log) scanFrom(after uint64, strict bool, fn func(Record) error) (int, e
 		if err != nil {
 			if !strict && errors.Is(err, iofs.ErrNotExist) {
 				// Lost a race with TruncateThrough: the segment's epochs are
-				// behind a durable checkpoint now. Catch up from there.
-				return replayed, &TruncatedError{After: after, First: 0}
+				// behind a durable checkpoint now. Catch up from there: the
+				// caller holds every epoch through expect-1, and the log
+				// now starts where Stats, under l.mu, says.
+				return replayed, &TruncatedError{After: expect - 1, First: l.Stats().FirstEpoch}
 			}
 			return replayed, fmt.Errorf("wal: replay: %w", err)
 		}
