@@ -25,23 +25,10 @@ import (
 	"repro/internal/rule"
 )
 
-// Options bounds the checkers. The zero value selects defaults.
-type Options struct {
-	// InstantiationCap bounds how many concrete instantiations a single
-	// pattern row may expand into before the checker refuses (the general
-	// problem is coNP-complete; unbounded expansion is exponential).
-	InstantiationCap int
-}
-
-// DefaultInstantiationCap is used when Options.InstantiationCap is zero.
-const DefaultInstantiationCap = 200_000
-
-func (o Options) instantiationCap() int {
-	if o.InstantiationCap <= 0 {
-		return DefaultInstantiationCap
-	}
-	return o.InstantiationCap
-}
+// instantiationCap bounds how many concrete instantiations a single
+// pattern row may expand into before the checker refuses (the general
+// problem is coNP-complete; unbounded expansion is exponential).
+const instantiationCap = 200_000
 
 // Verdict is the result of a consistency or coverage check.
 type Verdict struct {
@@ -54,8 +41,8 @@ type Verdict struct {
 // ok is the positive verdict.
 var okVerdict = Verdict{OK: true}
 
-// Checker bundles (Σ, Dm) with options; its methods answer the §4 problems
-// for regions over Σ's input schema.
+// Checker bundles (Σ, Dm); its methods answer the §4 problems for regions
+// over Σ's input schema.
 //
 // A Checker is safe for concurrent use. It reads Σ in place: the rules,
 // and each rule's premise set X ∪ Xp through rule.Set.Premise, with no
@@ -68,13 +55,13 @@ var okVerdict = Verdict{OK: true}
 type Checker struct {
 	sigma   *rule.Set
 	dm      *master.Data
-	opts    Options
+	cap     int // instantiationCap; lowered only by tests (export_test.go)
 	domains domains
 }
 
 // NewChecker builds a checker for (Σ, Dm).
-func NewChecker(sigma *rule.Set, dm *master.Data, opts Options) *Checker {
-	return &Checker{sigma: sigma, dm: dm, opts: opts}
+func NewChecker(sigma *rule.Set, dm *master.Data) *Checker {
+	return &Checker{sigma: sigma, dm: dm, cap: instantiationCap}
 }
 
 // Sigma returns Σ.

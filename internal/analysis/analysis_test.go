@@ -17,7 +17,7 @@ func newChecker(t *testing.T) *analysis.Checker {
 	t.Helper()
 	sigma := paperex.Sigma0()
 	dm := master.MustNewForRules(paperex.MasterRelation(), sigma)
-	return analysis.NewChecker(sigma, dm, analysis.Options{})
+	return analysis.NewChecker(sigma, dm)
 }
 
 // regionAHZ is (Z_AHZ, T_AHZ) of Examples 8/10: Z = (AC, phn, type, zip),
@@ -166,7 +166,7 @@ func TestEmptyTableauVerdicts(t *testing.T) {
 func TestInstantiationCap(t *testing.T) {
 	sigma := paperex.Sigma0()
 	dm := master.MustNewForRules(paperex.MasterRelation(), sigma)
-	c := analysis.NewChecker(sigma, dm, analysis.Options{InstantiationCap: 2})
+	c := analysis.NewCheckerCapped(sigma, dm, 2)
 	if _, err := c.Consistent(regionAHZ(sigma)); err == nil {
 		t.Fatal("expected instantiation-cap error")
 	}

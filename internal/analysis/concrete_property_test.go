@@ -37,7 +37,7 @@ func TestConcreteCheckMatchesReference(t *testing.T) {
 		if seed%2 == 1 {
 			sigma, dm = denseInstance(rng)
 		}
-		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		c := analysis.NewChecker(sigma, dm)
 		arity := sigma.Schema().Arity()
 		for range 4 {
 			z := rng.Perm(arity)[:1+rng.Intn(arity-1)]
@@ -139,7 +139,7 @@ func TestConcreteCheckConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for inst := range 20 {
 		sigma, dm, _ := randomInstance(rng)
-		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		c := analysis.NewChecker(sigma, dm)
 		vals := []relation.Value{relation.String("a"), relation.String("b")}
 		arity := sigma.Schema().Arity()
 		var wg sync.WaitGroup

@@ -88,7 +88,6 @@ func (c *Checker) instantiateRow(reg *fix.Region, row pattern.Tuple) ([][]relati
 	zPos := reg.Z()
 	choices := make([][]relation.Value, len(zPos))
 	total := 1
-	cap := c.opts.instantiationCap()
 	for i, p := range zPos {
 		cell, _ := row.CellFor(p) // implicit wildcard when unmentioned
 		switch cell.Kind {
@@ -108,9 +107,9 @@ func (c *Checker) instantiateRow(reg *fix.Region, row pattern.Tuple) ([][]relati
 			choices[i] = append(keep, fresh)
 		}
 		total *= len(choices[i])
-		if total > cap {
-			return nil, fmt.Errorf("analysis: row expands to more than %d instantiations (attribute %s alone has %d choices); raise Options.InstantiationCap or make the tableau concrete",
-				cap, c.sigma.Schema().Attr(p).Name, len(choices[i]))
+		if total > c.cap {
+			return nil, fmt.Errorf("analysis: row expands to more than %d instantiations (attribute %s alone has %d choices); make the tableau concrete",
+				c.cap, c.sigma.Schema().Attr(p).Name, len(choices[i]))
 		}
 	}
 	out := make([][]relation.Value, 0, total)

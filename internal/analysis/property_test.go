@@ -122,7 +122,7 @@ func TestConsistencyCheckerMatchesOracle(t *testing.T) {
 	for seed := 0; seed < iterations; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		sigma, dm, reg := randomInstance(rng)
-		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		c := analysis.NewChecker(sigma, dm)
 
 		fast, err := c.Consistent(reg)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestConsistencyCheckerMatchesOracleWithNulls(t *testing.T) {
 	for seed := 0; seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(int64(2_000_000 + seed)))
 		sigma, dm, reg := randomInstanceOver(rng, relation.String("a"), relation.Null)
-		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		c := analysis.NewChecker(sigma, dm)
 		for _, coverage := range []bool{false, true} {
 			check, slow := c.Consistent, oracle.Consistent
 			if coverage {
@@ -194,7 +194,7 @@ func TestDirectCheckerMatchesDirectOracle(t *testing.T) {
 	for seed := 0; seed < iterations; seed++ {
 		rng := rand.New(rand.NewSource(int64(1_000_000 + seed)))
 		sigma, dm, reg := randomDirectInstance(rng)
-		c := analysis.NewChecker(sigma, dm, analysis.Options{})
+		c := analysis.NewChecker(sigma, dm)
 
 		fast, err := c.DirectConsistent(reg)
 		if err != nil {

@@ -53,12 +53,11 @@ func (c *Checker) ZEnumerate(z []int, limit int) ([]pattern.Tuple, error) {
 	}
 	choices := make([][]pattern.Cell, len(z))
 	total := 1
-	cap := c.opts.instantiationCap()
 	for i, p := range z {
 		choices[i] = c.candidateCells(p)
 		total *= len(choices[i])
-		if total > cap {
-			return nil, fmt.Errorf("analysis: Z-enumeration exceeds %d candidates; reduce Z or the active domain", cap)
+		if total > c.cap {
+			return nil, fmt.Errorf("analysis: Z-enumeration exceeds %d candidates; reduce Z or the active domain", c.cap)
 		}
 	}
 	var out []pattern.Tuple

@@ -3,6 +3,7 @@ package fix
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/master"
 	"repro/internal/relation"
@@ -111,7 +112,7 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 			// the values, and a fix happens only when there is exactly one).
 			var witness int
 			if own, witness = dm.AppendRHSValues(own[:0], rv, t); len(own) > 0 {
-				values := certainValues(sigma, dm, t, *zSet, rv, own, &peers)
+				values := certainValues(sigma, dm, t, *zSet, v, own, &peers)
 				if len(values) > 1 {
 					return fixed, &ConflictError{Attr: rv.RHS(), Values: values}
 				}
@@ -147,28 +148,40 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 
 // certainValues collects the distinct values that currently-applicable
 // rules (premise validated, pattern matched, master match found) would
-// assign to attribute fired.RHS(), in rule order, into the list *peers;
-// own are the values of the rule that fired, already probed by the caller,
-// and the answer when no other rule has that rhs. More than one value is a
-// consistency violation at the current state; TransFix refuses to pick
-// among them. Rules whose premise is not yet validated do not participate
-// — ordering conflicts across states are the checkers' concern (§4), not
-// the fixer's.
-func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired *rule.Rule, own []relation.Value, peers *[]relation.Value) []relation.Value {
-	b, n := fired.RHS(), 0
-	for _, ru := range sigma.Rules() {
-		if ru.RHS() == b {
-			n++
-		}
-	}
-	if n == 1 {
-		return own
-	}
-	values := (*peers)[:0]
+// assign to the rhs of Σ's fired-th rule, in rule order, into the list
+// *peers; own are the values of the rule that fired, already probed by the
+// caller and merged in at its place in that order, and the answer when no
+// other rule has that rhs. Each rule is probed at most once. More than one
+// value is a consistency violation at the current state; TransFix refuses
+// to pick among them. Rules whose premise is not yet validated do not
+// participate — ordering conflicts across states are the checkers' concern
+// (§4), not the fixer's.
+func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, fired int, own []relation.Value, peers *[]relation.Value) []relation.Value {
+	b := sigma.Rule(fired).RHS()
+	values, alone := (*peers)[:0], true
 	for i, ru := range sigma.Rules() {
-		if ru.RHS() == b && zSet.ContainsSet(sigma.Premise(i)) {
-			values, _ = dm.AppendRHSValues(values, ru, t)
+		switch {
+		case ru.RHS() != b:
+		case i == fired:
+			if !alone { // after peers: add the values they did not bring
+				for _, v := range own {
+					if !slices.Contains(values, v) {
+						values = append(values, v)
+					}
+				}
+			}
+		default:
+			if alone && i > fired {
+				values = append(values, own...) // the fired rule comes first
+			}
+			alone = false
+			if zSet.ContainsSet(sigma.Premise(i)) {
+				values, _ = dm.AppendRHSValues(values, ru, t)
+			}
 		}
+	}
+	if alone {
+		return own
 	}
 	*peers = values
 	return values

@@ -61,10 +61,7 @@ func TestBucketVerificationFiltersCollisions(t *testing.T) {
 			_, ru, dm := kvData(t)
 			probe := relation.StringTuple("k1", "dirty")
 
-			idx, ok := dm.indexFor(ru)
-			if !ok {
-				t.Fatal("the rule must be in the plan NewForRules resolves")
-			}
+			idx := dm.indexAt(dm.plan.rules[dm.ruleAt(ru)].index)
 			h, ok := dm.syms.ProbeTuple(probe, ru.LHS(), nil)
 			if !ok {
 				t.Fatal("probe must hash")

@@ -77,17 +77,9 @@ func (d *Data) countSupported(r int) int {
 // PatternSupported reports whether some master tuple satisfies ru's
 // pattern cells on the λϕ-mapped lhs attributes — the per-rule
 // master support behind region derivation, a count kept with the rows
-// (Data.supported), with a scan fallback for rules outside the plan.
+// (Data.supported).
 func (d *Data) PatternSupported(ru *rule.Rule) bool {
-	if r, ok := d.plan.pos[ru]; ok {
-		return d.supported[r] > 0
-	}
-	for _, row := range d.rows.All() {
-		if patternCompatible(ru, row, d.syms) {
-			return true
-		}
-	}
-	return false
+	return d.supported[d.ruleAt(ru)] > 0
 }
 
 // CompatibleExists decides condition (c) of the Σ_t[Z] derivation (§5.2):
@@ -105,38 +97,26 @@ func (d *Data) CompatibleExists(ru *rule.Rule, t relation.Tuple, zSet relation.A
 // compatible is CompatibleExists plus whether the Dm-scan fallback ran —
 // separated so tests can pin the adaptive fallback policy.
 func (d *Data) compatible(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) (found, scanned bool) {
+	r := d.ruleAt(ru)
 	x, xm := ru.LHS(), ru.LHSM()
-	r, planned := d.plan.pos[ru]
 	var buf probeIDs
 	ids := buf.take(len(x))
 	if zSet.HasAll(x) {
 		// Fully validated lhs: one O(1) index probe on tm[Xm] = t[X], each
-		// candidate's row matched and its pattern tested. A rule outside the
-		// plan falls back to MatchIDs.
-		if planned {
-			h, ok := d.syms.ProbeTuple(t, x, ids)
-			if !ok {
-				return false, false
-			}
-			bucket := d.indexAt(d.plan.rules[r].index).shard(h).list(h)
-			for _, chunk := range bucket.chunks() {
-				for _, id := range chunk {
-					if row := d.rows.At(id); rowMatches(row, xm, ids) && patternCompatible(ru, row, d.syms) {
-						return true, false
-					}
-				}
-			}
+		// candidate's row matched and its pattern tested.
+		h, ok := d.syms.ProbeTuple(t, x, ids)
+		if !ok {
 			return false, false
 		}
-		for _, id := range d.MatchIDs(ru, t) {
-			if patternCompatible(ru, d.rows.At(id), d.syms) {
-				return true, false
+		bucket := d.indexAt(d.plan.rules[r].index).shard(h).list(h)
+		for _, chunk := range bucket.chunks() {
+			for _, id := range chunk {
+				if row := d.rows.At(id); rowMatches(row, xm, ids) && patternCompatible(ru, row, d.syms) {
+					return true, false
+				}
 			}
 		}
 		return false, false
-	}
-	if !planned {
-		return d.compatibleScan(ru, t, zSet), true
 	}
 	posts := d.plan.rules[r].posts
 	// Partially validated lhs: pick the smallest bucket among the validated

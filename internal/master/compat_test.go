@@ -206,23 +206,3 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 		t.Fatalf("uninterned probe: found=%v scanned=%v, want false/false", found, scanned)
 	}
 }
-
-// TestCompatibleExistsUnplannedRule: a rule the master was not built for
-// (the refined ϕ+ shape) takes the scan fallback and stays correct.
-func TestCompatibleExistsUnplannedRule(t *testing.T) {
-	for seed := 0; seed < 100; seed++ {
-		rng := rand.New(rand.NewSource(int64(9_000_000 + seed)))
-		d, sigma, tup, zSet := randomCompatInstance(rng)
-		for _, ru := range sigma.Rules() {
-			plus, err := ru.WithPattern(ru.Pattern().WithCell(0, pattern.Eq(tup[0])))
-			if err != nil {
-				continue
-			}
-			got := d.CompatibleExists(plus, tup, zSet)
-			want := d.compatibleScan(plus, tup, zSet)
-			if got != want {
-				t.Fatalf("seed %d rule %s+: got %v, want %v", seed, ru.Name(), got, want)
-			}
-		}
-	}
-}

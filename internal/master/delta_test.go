@@ -192,28 +192,3 @@ func TestVersionedPublish(t *testing.T) {
 		t.Fatal("failed Apply must leave the head unchanged")
 	}
 }
-
-// TestApplyDeltaRefinedRuleProbes pins that a rule the master was not built
-// for (a refined ϕ+, absent from the plan) still probes correctly — by
-// scan — on a delta-derived snapshot.
-func TestApplyDeltaRefinedRuleProbes(t *testing.T) {
-	d0, _, ru := deltaFixture(t, 3)
-	d1, err := d0.ApplyDelta([]relation.Tuple{relation.StringTuple(key(0), "other")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plus, err := ru.WithPattern(ru.Pattern().WithCell(1, pattern.Neq(relation.String("zz"))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d1.plan.pos[plus]; ok {
-		t.Fatal("refined rule must not be in the plan")
-	}
-	ids := d1.MatchIDs(plus, probeFor(key(0)))
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {
-		t.Fatalf("refined-rule probe on delta snapshot = %v, want [0 3]", ids)
-	}
-	if vals, witness := d1.AppendRHSValues(nil, plus, probeFor(key(0))); witness != 0 || len(vals) != 2 {
-		t.Fatalf("refined-rule value probe on delta snapshot = %v, witness %d; want both rhs values, witness 0", vals, witness)
-	}
-}

@@ -20,7 +20,9 @@
 // decides — which indexes exist, which rhs columns each tracks, which index
 // each rule's probes read — is one plan, resolved once per lineage (by
 // NewBuilder, or by LoadArena for the image it checks) and shared by every
-// snapshot derived from it. There are two kinds of probe:
+// snapshot derived from it. The master answers only for that Σ: every probe
+// resolves its rule through the plan, and a rule outside it panics (ruleAt).
+// There are two kinds of probe:
 //
 //   - The value probe — AppendRHSValues — answers "which values tm[Bm]
 //     does the rule assign, and which master tuple witnesses it" in O(1),
@@ -40,10 +42,8 @@
 //     alone does not prove projection equality). It never consults the
 //     exception tables, returns the bucket itself (no copy, no allocation)
 //     unless a collision has to be filtered out of it or deltas have left
-//     it in several chunks, and serves the callers that need the pairs
-//     themselves: the condition-(c) full-key path, the direct-fix
-//     coverage test, the exhaustive oracles of internal/oracle, and the
-//     tests that hold the value probe to a scan.
+//     it in several chunks, and serves the callers that need the ids
+//     themselves: the direct-fix coverage test of internal/analysis.
 //
 // Condition (c) of §5.2 needs the same lookup on a PART of Xm when the lhs
 // is only partly validated. It reads the same kind of index: for every
@@ -107,10 +107,8 @@ type plan struct {
 	// multi-column one, in registration order — rule by rule, its Xm, then
 	// its columns — which is the order of an image's index section.
 	indexes []indexPlan
-	// rules[r] is the plan of Σ's r-th rule, and pos maps each rule to r. A
-	// rule outside pos — one the lineage was not built for — scans Dm (no
-	// production path probes with one: Σ_t[Z] is a mask over Σ, never a set
-	// of refined copies).
+	// rules[r] is the plan of Σ's r-th rule, and pos maps each rule to r
+	// (see Data.ruleAt).
 	rules []rulePlan
 	pos   map[*rule.Rule]int
 }
@@ -204,14 +202,17 @@ func (d *Data) indexAt(i int) index {
 	return index{&d.plan.indexes[i], d.shards[i*d.nshards : (i+1)*d.nshards]}
 }
 
-// indexFor resolves the index ru's probes read; false — scan — for a rule
-// outside the plan.
-func (d *Data) indexFor(ru *rule.Rule) (index, bool) {
+// ruleAt is the one plan lookup every probe makes: the position in the plan
+// of the rule ru, which must be a rule of the Σ the lineage was built for.
+// The master answers only for its own Σ — Σ_t[Z] is a mask over Σ, never a
+// set of refined copies — so any other rule, and every rule on one of New's
+// index-less snapshots, is a caller's bug: it panics, naming the rule.
+func (d *Data) ruleAt(ru *rule.Rule) int {
 	r, ok := d.plan.pos[ru]
 	if !ok {
-		return index{}, false
+		panic(fmt.Sprintf("master: rule %s is not in the Σ this master was built for", ru.Name()))
 	}
-	return d.indexAt(d.plan.rules[r].index), true
+	return r
 }
 
 // Data is one immutable snapshot of the master relation plus its lookup
@@ -256,9 +257,9 @@ type Data struct {
 // rowVec is the vector of id rows behind a snapshot.
 type rowVec = persist.Vec[[]uint32]
 
-// New wraps a master relation with no indexes: every probe scans. For
-// callers that only read Dm's cells (the rule miner); NewForRules builds
-// the indexed master.
+// New wraps a master relation with no indexes and no Σ, so every probe
+// panics (see ruleAt). For callers that only read Dm's cells (the rule
+// miner); NewForRules builds the indexed master.
 func New(rel *relation.Relation, opts ...BuildOption) *Data {
 	b := newBuilder(rel.Schema(), noPlan, resolveBuildConfig(opts))
 	for _, t := range rel.All() {
@@ -405,9 +406,8 @@ func rowMatches(row []uint32, xm []int, ids []uint32) bool {
 // table — comes back itself, ascending and uncopied, unless a collision has
 // to be filtered out of it (the cold path: a fresh slice). A bucket deltas
 // have left in several chunks is flattened into a fresh slice: that is the
-// price of the enumerate-all probe of the oracles in internal/oracle on an
-// edited long bucket, not of a fix — its value probes read the smallest id
-// and never enumerate.
+// price of the enumerate-all probe on an edited long bucket, not of a fix —
+// its value probes read the smallest id and never enumerate.
 func (d *Data) verified(bucket *idList, xm []int, ids []uint32) []int {
 	flat := bucket.flat()
 	for i, id := range flat {
@@ -424,17 +424,6 @@ func (d *Data) verified(bucket *idList, xm []int, ids []uint32) []int {
 	return flat
 }
 
-// scan is the unindexed fallback: the ids of all tuples carrying ids on xm.
-func (d *Data) scan(xm []int, ids []uint32) []int {
-	var out []int
-	for i, row := range d.rows.All() {
-		if rowMatches(row, xm, ids) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MatchIDs returns the ids of ALL master tuples tm with t[X] = tm[Xm] for
 // the rule's (X, Xm) correspondence, ascending — the one enumerating
 // probe, O(matches). It does not test the rule's pattern (patterns
@@ -443,6 +432,7 @@ func (d *Data) scan(xm []int, ids []uint32) []int {
 // internal index state — treat it as read-only. Callers that need only the
 // rhs values or one witness use AppendRHSValues, which does not enumerate.
 func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
+	idx := d.indexAt(d.plan.rules[d.ruleAt(ru)].index)
 	x := ru.LHS()
 	var buf probeIDs
 	ids := buf.take(len(x))
@@ -450,11 +440,8 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 	if !ok {
 		return nil // some probe value occurs nowhere in the master
 	}
-	if idx, ok := d.indexFor(ru); ok {
-		bucket := idx.shard(h).list(h)
-		return d.verified(&bucket, idx.xm, ids)
-	}
-	return d.scan(ru.LHSM(), ids)
+	bucket := idx.shard(h).list(h)
+	return d.verified(&bucket, idx.xm, ids)
 }
 
 // AppendRHSValues is the one value probe: it appends to dst the values
@@ -470,6 +457,7 @@ func (d *Data) MatchIDs(ru *rule.Rule, t relation.Tuple) []int {
 // smallest id alone; only a bucket the exception table lists for Bm (or as
 // collided) is scanned.
 func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.Tuple) ([]relation.Value, int) {
+	rp := &d.plan.rules[d.ruleAt(ru)]
 	if !ru.MatchesPattern(t) {
 		return dst, -1
 	}
@@ -480,16 +468,10 @@ func (d *Data) AppendRHSValues(dst []relation.Value, ru *rule.Rule, t relation.T
 	if !ok {
 		return dst, -1
 	}
-	var bucket idList
-	if r, ok := d.plan.pos[ru]; !ok {
-		bucket.span[0] = d.scan(xm, ids)
-	} else {
-		rp := &d.plan.rules[r]
-		sh := d.indexAt(rp.index).shard(h)
-		bucket = sh.list(h)
-		if sh.exc.mask(h)&rp.bit == 0 {
-			bucket = bucket.head() // uniform on Xm and Bm: the smallest id speaks for all
-		}
+	sh := d.indexAt(rp.index).shard(h)
+	bucket := sh.list(h)
+	if sh.exc.mask(h)&rp.bit == 0 {
+		bucket = bucket.head() // uniform on Xm and Bm: the smallest id speaks for all
 	}
 	// Ids ascend, so the first match is the witness and a value's first
 	// appearance is at the smallest id carrying it. Distinct values are 1 on

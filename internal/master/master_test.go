@@ -2,6 +2,7 @@ package master_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -77,48 +78,55 @@ func TestFirstMatchPaperExamples(t *testing.T) {
 	}
 }
 
+// TestLookupIndexedAndScan: the enumerating probe reads the index over the
+// rule's Xm (zip is the Xm of ϕ1). A rule with no index has no scan to fall
+// back on: TestProbeRuleOutsideSigmaPanics.
 func TestLookupIndexedAndScan(t *testing.T) {
 	sigma, dm := sigmaAndData(t)
-	r, rm := sigma.Schema(), dm.Schema()
-
-	// indexed path (zip is the Xm of ϕ1)
 	if ids := dm.MatchIDs(ruleByName(sigma, "phi1"), paperex.InputT1()); len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("MatchIDs zip: %v", ids)
 	}
-
-	// unindexed path falls back to scan: DOB is no rule's Xm, and a rule the
-	// lineage was not built for reads no index
-	dob := rule.MustNew("dob", r, rm, []int{0}, []int{rm.MustPos("DOB")},
-		r.MustPos("zip"), rm.MustPos("zip"), pattern.Empty())
-	probe := relation.NewTuple(r.Arity())
-	probe[0] = relation.String("25/12/67")
-	if ids := dm.MatchIDs(dob, probe); len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("MatchIDs DOB (scan): %v", ids)
-	}
-	probe[0] = relation.String("nope")
-	if ids := dm.MatchIDs(dob, probe); len(ids) != 0 {
-		t.Fatalf("MatchIDs miss: %v", ids)
-	}
 }
 
-func TestMatchIDsScanFallbackAgreesWithIndex(t *testing.T) {
-	sigma := paperex.Sigma0()
-	rel := paperex.MasterRelation()
-	indexed := master.MustNewForRules(rel, sigma)
-	bare := master.New(rel) // no indexes: scan path
-
-	for _, ru := range sigma.Rules() {
-		for _, tup := range []relation.Tuple{paperex.InputT1(), paperex.InputT2(), paperex.InputT3(), paperex.InputT4()} {
-			a := indexed.MatchIDs(ru, tup)
-			b := bare.MatchIDs(ru, tup)
-			if len(a) != len(b) {
-				t.Fatalf("rule %s: indexed %v vs scan %v", ru.Name(), a, b)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("rule %s: indexed %v vs scan %v", ru.Name(), a, b)
-				}
-			}
+// TestProbeRuleOutsideSigmaPanics: the master answers only for the Σ it was
+// built for. A WithPattern-refined copy of one of its rules, and any rule on
+// a snapshot New built without Σ, make each of the four probes panic with
+// the rule's name.
+func TestProbeRuleOutsideSigmaPanics(t *testing.T) {
+	sigma, dm := sigmaAndData(t)
+	phi1 := ruleByName(sigma, "phi1")
+	t1 := paperex.InputT1()
+	x := phi1.LHS()[0]
+	plus, err := phi1.WithPattern(phi1.Pattern().WithCell(x, pattern.Eq(t1[x])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lhs := relation.NewAttrSet(phi1.LHS()...)
+	for _, c := range []struct {
+		name string
+		dm   *master.Data
+		ru   *rule.Rule
+	}{
+		{"refined rule", dm, plus},
+		{"New's snapshot", master.New(paperex.MasterRelation()), phi1},
+	} {
+		for _, p := range []struct {
+			name  string
+			probe func()
+		}{
+			{"MatchIDs", func() { c.dm.MatchIDs(c.ru, t1) }},
+			{"AppendRHSValues", func() { c.dm.AppendRHSValues(nil, c.ru, t1) }},
+			{"PatternSupported", func() { c.dm.PatternSupported(c.ru) }},
+			{"CompatibleExists", func() { c.dm.CompatibleExists(c.ru, t1, lhs) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, c.ru.Name()) {
+						t.Errorf("%s: %s panicked with %q, want a message naming rule %s", c.name, p.name, msg, c.ru.Name())
+					}
+				}()
+				p.probe()
+			}()
 		}
 	}
 }

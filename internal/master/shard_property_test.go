@@ -347,7 +347,7 @@ func testShardedForcedCollision(t *testing.T, frozen bool) {
 	if !ok {
 		t.Fatal("probe must hash")
 	}
-	idx, _ := dm.indexFor(ru)
+	idx := dm.indexAt(dm.plan.rules[dm.ruleAt(ru)].index)
 	spread := 0
 	for s := range idx.shards {
 		if len(idx.shards[s].get(h)) > 0 {

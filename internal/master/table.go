@@ -246,13 +246,3 @@ func viewIDs(b []byte) []int {
 	}
 	return out
 }
-
-// viewString wraps arena bytes as a string without copying. The string
-// aliases the arena: it stays valid exactly as long as the arena mapping
-// (which the Data snapshots derived from it keep alive).
-func viewString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}

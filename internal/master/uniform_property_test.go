@@ -252,16 +252,7 @@ func TestUniformBucketEquivalenceProperty(t *testing.T) {
 			w := newUniformWorld(rng)
 			rel := w.relation(8+rng.Intn(40), seed%3 != 0)
 			ctx := fmt.Sprintf("seed %d P=%d", seed, p)
-
-			// The rules of Σ, a refined rule (outside the plan, scanning) and
-			// a rule whose rhs no index tracks.
-			r0 := w.sigma.Rule(0)
-			refined, err := r0.WithPattern(pattern.MustTuple([]int{2}, []pattern.Cell{pattern.Neq(relation.String("g1"))}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			foreignRHS := rule.MustNew("untracked", r0.Schema(), w.rm, []int{0}, []int{0}, 2, 2, pattern.Empty())
-			rules := append(append([]*rule.Rule(nil), w.sigma.Rules()...), refined, foreignRHS)
+			rules := w.sigma.Rules()
 
 			build := func() (*Data, error) {
 				d, err := NewForRules(rel, w.sigma, WithShards(p))

@@ -13,8 +13,8 @@ import (
 )
 
 // instantiationCap bounds how many instantiations one tableau row may
-// expand into before an oracle refuses, as analysis.DefaultInstantiationCap
-// does for the checker.
+// expand into before an oracle refuses, as the checker of internal/analysis
+// refuses past the same bound.
 const instantiationCap = 200_000
 
 // Consistent decides whether (Σ, Dm) is consistent relative to the region
@@ -76,11 +76,7 @@ func directRows(sigma *rule.Set, dm *master.Data, reg *fix.Region, coverage bool
 	return eachInstance(sigma, dm, reg, coverage, func(row int, vals []relation.Value, t relation.Tuple) (analysis.Verdict, error) {
 		perAttr := map[int][]relation.Value{}
 		for _, ru := range rules {
-			for _, v := range rhsValues(dm, ru, t) {
-				if !slices.Contains(perAttr[ru.RHS()], v) {
-					perAttr[ru.RHS()] = append(perAttr[ru.RHS()], v)
-				}
-			}
+			perAttr[ru.RHS()] = rhsValues(perAttr[ru.RHS()], dm, ru, t)
 		}
 		for b, vs := range perAttr {
 			if len(vs) > 1 {

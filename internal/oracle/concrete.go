@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/fix"
 	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -11,8 +10,8 @@ import (
 // ConcreteVerdict is the PTIME consistency/coverage check of Theorem 4 for
 // one fully instantiated pattern row — Z positions zPos with the values
 // vals — written the way it was first written: a fresh assignment map per
-// closure round (fix.ApplicableAssignments), premise sets copied out of
-// every rule, validator sets in a map and the step-(g) reachability as a
+// closure round, every value read by a scan of Dm, premise sets copied out
+// of every rule, validator sets in a map and the step-(g) reachability as a
 // re-scanning fixpoint. Reference for analysis.Checker.ConcreteVerdict,
 // which must return the same OK and, byte for byte, the same Detail.
 //
@@ -33,7 +32,19 @@ func ConcreteVerdict(sigma *rule.Set, dm *master.Data, zPos []int, vals []relati
 	cur := base.Clone()
 
 	for {
-		assignments := fix.ApplicableAssignments(sigma, dm, t, cur)
+		// The values each applicable rule would assign, per rhs attribute:
+		// rule order, then smallest master id; an attribute only when some
+		// pair applies.
+		assignments := map[int][]relation.Value{}
+		for _, ru := range sigma.Rules() {
+			b := ru.RHS()
+			if cur.Has(b) || !cur.ContainsSet(ru.PremiseSet()) {
+				continue
+			}
+			if vs := rhsValues(assignments[b], dm, ru, t); len(vs) > 0 {
+				assignments[b] = vs
+			}
+		}
 		if len(assignments) == 0 {
 			break
 		}
@@ -66,7 +77,7 @@ func ConcreteVerdict(sigma *rule.Set, dm *master.Data, zPos []int, vals []relati
 		if !cur.ContainsSet(ru.PremiseSet()) || !ru.MatchesPattern(t) {
 			continue
 		}
-		for _, v := range rhsValues(dm, ru, t) {
+		for _, v := range rhsValues(nil, dm, ru, t) {
 			if v.Equal(t[b]) {
 				validators[b] = append(validators[b], ru.PremiseSet())
 			} else {

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/fix"
 	"repro/internal/master"
@@ -188,7 +187,7 @@ type Pair struct {
 }
 
 // ApplicablePairs enumerates every (ϕ, tm) pair that applies to t with
-// respect to zSet, using the master indexes for the t[X] = tm[Xm] probe.
+// respect to zSet, deciding t[X] = tm[Xm] by a scan of Dm.
 func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) []Pair {
 	var out []Pair
 	for _, ru := range sigma.Rules() {
@@ -198,7 +197,7 @@ func ApplicablePairs(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet re
 		if !ru.MatchesPattern(t) {
 			continue
 		}
-		for _, id := range dm.MatchIDs(ru, t) {
+		for id := range agreeing(dm, ru, t, ru.LHSSet()) {
 			out = append(out, Pair{Rule: ru, MasterID: id})
 		}
 	}
@@ -214,7 +213,7 @@ func NaiveFix(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet *relation
 	for {
 		progressed := false
 		for _, ru := range sigma.Rules() {
-			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || len(rhsValues(dm, ru, t)) == 0 {
+			if zSet.Has(ru.RHS()) || !zSet.ContainsSet(ru.PremiseSet()) || len(rhsValues(nil, dm, ru, t)) == 0 {
 				continue
 			}
 			values := certainValues(sigma, dm, t, *zSet, ru.RHS())
@@ -240,13 +239,8 @@ func NaiveFix(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet *relation
 func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet, b int) []relation.Value {
 	var values []relation.Value
 	for _, ru := range sigma.Rules() {
-		if ru.RHS() != b || !zSet.ContainsSet(ru.PremiseSet()) {
-			continue
-		}
-		for _, v := range rhsValues(dm, ru, t) {
-			if !slices.Contains(values, v) {
-				values = append(values, v)
-			}
+		if ru.RHS() == b && zSet.ContainsSet(ru.PremiseSet()) {
+			values = rhsValues(values, dm, ru, t)
 		}
 	}
 	return values

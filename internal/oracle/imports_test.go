@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -59,5 +60,40 @@ func TestOnlyTestsImportOracle(t *testing.T) {
 		if !walked[dir] {
 			t.Errorf("no non-test Go file parsed under %s/: the walk misses part of the tree", dir)
 		}
+	}
+}
+
+// TestOraclesDoNotProbe holds the other half of the contract: the oracles
+// read Dm's cells and decide t[X] = tm[Xm] by a scan of their own, so no
+// non-test file of this package calls one of the master's probes. An
+// oracle that asked the index it checks could not catch a bug in it.
+func TestOraclesDoNotProbe(t *testing.T) {
+	probes := map[string]bool{"AppendRHSValues": true, "MatchIDs": true, "CompatibleExists": true, "PatternSupported": true}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && probes[sel.Sel.Name] {
+					t.Errorf("%s calls the master probe %s", fset.Position(call.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	if parsed == 0 {
+		t.Fatal("no non-test Go file parsed")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // The pre-compilation forms of the §5 paths: the same decisions as
-// package suggest's Deriver, minus the compiled closure engine and the
-// master's one-column indexes and pattern-support counts.
+// package suggest's Deriver, minus the compiled closure engine and every
+// master index and pattern-support count.
 
 // ApplicableRules is Σ_t[Z] of §5.2 with conditions (a)–(c) spelled out,
 // (c) decided by the O(|Dm|) scan: every rule of Σ that can still take
@@ -60,48 +60,25 @@ func patternAccepts(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool
 	return true
 }
 
-// MasterCompatible is condition (c) of §5.2 decided the naive way: a
-// full-key index probe when X ⊆ Z, otherwise a scan over Dm for a tuple
-// agreeing with t on λϕ(X ∩ Z) and pattern-compatible on the rest. Oracle
-// for master.Data.CompatibleExists.
+// MasterCompatible is condition (c) of §5.2 decided the naive way: a scan
+// over Dm for a tuple agreeing with t on λϕ(X ∩ Z) and pattern-compatible
+// on the lhs. Oracle for master.Data.CompatibleExists.
 func MasterCompatible(dm *master.Data, ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
-	x, xm := ru.LHS(), ru.LHSM()
-	tp := ru.Pattern()
-	if zSet.HasAll(x) {
-		for _, id := range dm.MatchIDs(ru, t) {
-			if patternCompatibleMaster(ru, dm.Tuple(id)) {
-				return true
-			}
-		}
-		return false
-	}
-	for id := range dm.Len() {
-		ok := true
-		for i := range x {
-			if zSet.Has(x[i]) {
-				if !t[x[i]].Equal(dm.Cell(id, xm[i])) {
-					ok = false
-					break
-				}
-			}
-			if cell, has := tp.CellFor(x[i]); has && !cell.Matches(dm.Cell(id, xm[i])) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for id := range agreeing(dm, ru, t, zSet) {
+		if patternCompatibleMaster(dm, ru, id) {
 			return true
 		}
 	}
 	return false
 }
 
-// patternCompatibleMaster checks tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X].
-func patternCompatibleMaster(ru *rule.Rule, tm relation.Tuple) bool {
+// patternCompatibleMaster checks tm[λϕ(Xp ∩ X)] ≈ tp[Xp ∩ X] for master
+// tuple id.
+func patternCompatibleMaster(dm *master.Data, ru *rule.Rule, id int) bool {
 	x, xm := ru.LHS(), ru.LHSM()
 	tp := ru.Pattern()
 	for i := range x {
-		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(tm[xm[i]]) {
+		if cell, has := tp.CellFor(x[i]); has && !cell.Matches(dm.Cell(id, xm[i])) {
 			return false
 		}
 	}
@@ -114,7 +91,7 @@ func patternCompatibleMaster(ru *rule.Rule, tm relation.Tuple) bool {
 // master.Data.PatternSupported.
 func MasterSupports(dm *master.Data, ru *rule.Rule) bool {
 	for id := range dm.Len() {
-		if patternCompatibleMaster(ru, dm.Tuple(id)) {
+		if patternCompatibleMaster(dm, ru, id) {
 			return true
 		}
 	}

@@ -53,8 +53,8 @@ import (
 // rule's pattern cells on the λϕ-mapped attributes (the structural "can
 // this rule ever fire on this snapshot" test, negated): a snapshot's mask
 // over the Σ program. Reads the pattern-support counts the master keeps
-// with its rows: O(|Σ|), with a Dm-scan fallback per rule the master was
-// not built for.
+// with its rows: O(|Σ|). dm must be built for Σ (its probes panic on any
+// other rule).
 func unsupported(sigma *rule.Set, dm *master.Data) []bool {
 	off := make([]bool, sigma.Len())
 	for i, ru := range sigma.Rules() {

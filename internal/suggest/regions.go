@@ -134,7 +134,7 @@ func (d *Deriver) buildView(snap *master.Data) *Deriver {
 	return &Deriver{
 		sigma: d.sigma, actDom: d.actDom, sampleCap: d.sampleCap, prog: d.prog, pool: d.pool,
 		dm:      snap,
-		checker: analysis.NewChecker(d.sigma, snap, analysis.Options{}),
+		checker: analysis.NewChecker(d.sigma, snap),
 		off:     unsupported(d.sigma, snap),
 	}
 }

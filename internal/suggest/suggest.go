@@ -93,7 +93,10 @@ func (d *Deriver) groundedMask(sc *derScratch, t relation.Tuple, off []bool) []b
 // rule of Σ, refined into ϕ+ by extending its pattern with X ∩ Z pinned to
 // t's constants (Prop. 20 shows suggestions may be computed against
 // Σ_t[Z] instead of Σ). Suggest itself never builds these — see
-// applicableMask; this is the paper-facing form of the same predicate.
+// applicableMask; this is the paper-facing form of the same predicate. The
+// ϕ+ rules are for comparison (with the paper's examples, with
+// oracle.ApplicableRules), not for probing: they are not rules of the Σ the
+// master was built for, so each of its probes panics on them.
 func (d *Deriver) ApplicableRules(t relation.Tuple, zSet relation.AttrSet) *rule.Set {
 	d = d.Pin()
 	var buf [32]*rule.Rule // on the stack for every Σ we ship; NewSet copies
