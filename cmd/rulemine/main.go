@@ -62,12 +62,19 @@ func main() {
 	if _, err := f.Seek(0, 0); err != nil {
 		fatalf("%v", err)
 	}
-	rm := certainfix.StringSchema("master", header...)
+	attrs := relation.StringAttrs(header...)
+	rm, err := relation.NewSchema("master", attrs...)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	rel, err := certainfix.ReadCSV(rm, bufio.NewReader(f))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	r := certainfix.StringSchema("input", header...)
+	r, err := relation.NewSchema("input", attrs...)
+	if err != nil {
+		fatalf("%v", err)
+	}
 
 	opts := certainfix.DiscoverOptions{
 		MaxLHS: *maxLHS, MinSupport: *minSupport, MinConfidence: *minConf,

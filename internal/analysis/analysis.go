@@ -45,8 +45,8 @@ var okVerdict = Verdict{OK: true}
 // over Σ's input schema.
 //
 // A Checker is safe for concurrent use. It reads Σ in place: the rules,
-// and each rule's premise set X ∪ Xp through rule.Set.Premise, with no
-// copy. The concrete check of Theorem 4 keeps its per-call state (the
+// and each rule's premise set X ∪ Xp through Rule.PremiseSet. The
+// concrete check of Theorem 4 keeps its per-call state (the
 // tuple under closure, the per-round assignments, the validator sets) in
 // scratch drawn from a package-level pool, one scratch per call in flight,
 // so concurrent checks share nothing mutable. A warm check allocates

@@ -30,14 +30,14 @@ func (c *Checker) ConcreteOK(z []int, vals []relation.Value, coverage bool) bool
 // A scratch serves every Σ: getScratch sizes it to the schema's arity.
 var scratchPool = sync.Pool{New: func() any { return new(concreteScratch) }}
 
-// concreteScratch is one check's mutable state: the tuple under closure, Z
-// and the validated set, the buffer the master probe appends a rule's rhs
-// values to, and the arity-indexed per-round assignments and validator
-// sets with the lists of attributes they touched (so that resetting them
-// costs what the check wrote, not the arity).
+// concreteScratch is one check's mutable state: the tuple under closure,
+// the buffer the master probe appends a rule's rhs values to, and the
+// arity-indexed per-round assignments and validator sets with the lists of
+// attributes they touched (so that resetting them costs what the check
+// wrote, not the arity). Z and the validated set are one-word values on
+// the check's own stack.
 type concreteScratch struct {
 	t          relation.Tuple
-	base, cur  relation.AttrSet
 	probe      []relation.Value
 	assign     [][]relation.Value
 	touched    []int
@@ -67,12 +67,8 @@ func getScratch(arity int, zPos []int, vals []relation.Value) *concreteScratch {
 	sc.assign = sc.assign[:arity]
 	sc.validators = sc.validators[:arity]
 	clear(sc.t)
-	clear(sc.base.Words())
-	clear(sc.cur.Words())
 	for i, p := range zPos {
 		sc.t[p] = vals[i]
-		sc.base.Add(p)
-		sc.cur.Add(p)
 	}
 	return sc
 }
@@ -105,13 +101,16 @@ func putScratch(sc *concreteScratch) {
 // of the proof, made transitive).
 //
 // internal/oracle.ConcreteVerdict is the same check written with a map per
-// round and copied premise sets; the property tests hold this one to it.
+// round and a premise kept with each late pair; the property tests hold
+// this one to it.
 func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, detail bool) Verdict {
 	r := c.sigma.Schema()
 	sc := getScratch(r.Arity(), zPos, vals)
 	defer putScratch(sc)
 	rules := c.sigma.Rules()
 	t := sc.t
+	base := relation.NewAttrSet(zPos...)
+	cur := base
 
 	// Canonical closure: rounds of simultaneous application. A round
 	// collects, per rhs attribute, the distinct values its applicable rules
@@ -121,9 +120,9 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 			sc.assign[b] = sc.assign[b][:0]
 		}
 		sc.touched = sc.touched[:0]
-		for i, ru := range rules {
+		for _, ru := range rules {
 			b := ru.RHS()
-			if sc.cur.Has(b) || !sc.cur.ContainsSet(c.sigma.Premise(i)) {
+			if cur.Has(b) || !cur.ContainsSet(ru.PremiseSet()) {
 				continue
 			}
 			had := len(sc.assign[b])
@@ -152,7 +151,7 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 		}
 		for _, b := range sc.touched {
 			t[b] = sc.assign[b][0]
-			sc.cur.Add(b)
+			cur.Add(b)
 		}
 	}
 
@@ -161,10 +160,10 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 	// alternative ways any sequence can validate A.
 	for i, ru := range rules {
 		b := ru.RHS()
-		if sc.base.Has(b) || !sc.cur.Has(b) {
+		if base.Has(b) || !cur.Has(b) {
 			continue // base attributes are protected; unassigned rhs is moot
 		}
-		if !sc.cur.ContainsSet(c.sigma.Premise(i)) {
+		if !cur.ContainsSet(ru.PremiseSet()) {
 			continue
 		}
 		sc.probe, _ = c.dm.AppendRHSValues(sc.probe[:0], ru, t)
@@ -176,7 +175,7 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 			if len(sc.validators[b]) == 0 {
 				sc.vtouched = append(sc.vtouched, b)
 			}
-			sc.validators[b] = append(sc.validators[b], c.sigma.Premise(i))
+			sc.validators[b] = append(sc.validators[b], ru.PremiseSet())
 		}
 	}
 
@@ -191,9 +190,9 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 		if k < 0 {
 			k = len(reachAttr)
 			reachAttr = append(reachAttr, lc.attr)
-			reachSet = append(reachSet, validatableWithout(sc.base, sc.validators, sc.vtouched, lc.attr))
+			reachSet = append(reachSet, base.Union(validatableWithout(base, sc.validators, sc.vtouched, lc.attr)))
 		}
-		if premiseWithin(c.sigma.Premise(lc.rule), sc.base, reachSet[k]) {
+		if reachSet[k].ContainsSet(rules[lc.rule].PremiseSet()) {
 			if !detail {
 				return Verdict{}
 			}
@@ -202,13 +201,13 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 		}
 	}
 
-	if coverage && sc.cur.Len() != r.Arity() {
+	if coverage && cur.Len() != r.Arity() {
 		if !detail {
 			return Verdict{}
 		}
 		var missing []string
 		for p := 0; p < r.Arity(); p++ {
-			if !sc.cur.Has(p) {
+			if !cur.Has(p) {
 				missing = append(missing, r.Attr(p).Name)
 			}
 		}
@@ -251,17 +250,6 @@ func validatableWithout(base relation.AttrSet, validators [][]relation.AttrSet, 
 		}
 	}
 	return ok
-}
-
-// premiseWithin reports whether every attribute of the premise is in base
-// or in the derivable set.
-func premiseWithin(premise, base, derivable relation.AttrSet) bool {
-	within := true
-	premise.Range(func(a int) bool {
-		within = base.Has(a) || derivable.Has(a)
-		return within
-	})
-	return within
 }
 
 // failf builds a negative verdict.

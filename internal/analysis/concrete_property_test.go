@@ -17,7 +17,7 @@ import (
 
 // TestConcreteCheckMatchesReference holds the pooled Theorem-4 check to
 // oracle.ConcreteVerdict, the check as first written (a map per closure
-// round, copied premise sets): on random (Σ, Dm, row) seeds both must
+// round, a premise kept with each late pair): on random (Σ, Dm, row) seeds both must
 // return the same OK and, byte for byte, the same Detail, with and without
 // coverage, and ConcreteOK must be the verdict's OK. Every seed is checked
 // twice on one checker, so a scratch that leaks state from one check into

@@ -21,7 +21,13 @@ type Set struct {
 	schema *relation.Schema
 	cfds   []*CFD
 	groups []*group
-	bySig  map[string]*group
+	bySig  map[signature]*group
+}
+
+// signature is what a group's members share: the lhs and the rhs.
+type signature struct {
+	lhs relation.AttrSet
+	rhs int
 }
 
 type group struct {
@@ -32,7 +38,7 @@ type group struct {
 
 // NewSet builds an indexed set.
 func NewSet(schema *relation.Schema, cfds ...*CFD) *Set {
-	s := &Set{schema: schema, bySig: map[string]*group{}}
+	s := &Set{schema: schema, bySig: map[signature]*group{}}
 	for _, c := range cfds {
 		s.Add(c)
 	}
@@ -43,7 +49,7 @@ func NewSet(schema *relation.Schema, cfds ...*CFD) *Set {
 func (s *Set) Add(c *CFD) {
 	idx := len(s.cfds)
 	s.cfds = append(s.cfds, c)
-	sig := relation.NewAttrSet(c.lhs...).Key() + "→" + itoa(c.rhs)
+	sig := signature{relation.NewAttrSet(c.lhs...), c.rhs}
 	g, ok := s.bySig[sig]
 	if !ok {
 		// Key positions: lhs attributes with a constant cell in this CFD;
@@ -174,8 +180,7 @@ func FromRules(sigma *rule.Set, dm *master.Data) (*Set, error) {
 	for ri, ru := range sigma.Rules() {
 		x, xm := ru.LHS(), ru.LHSM()
 		tp := ru.Pattern()
-		lhsSet := ru.LHSSet().Union(ru.PatternSet())
-		lhs := lhsSet.Positions()
+		lhs := ru.PremiseSet().Positions()
 		for id, tm := range dm.All() {
 			ok := true
 			for i := range x {

@@ -13,9 +13,9 @@ import (
 // Theorem-4 checking algorithm.
 func ApplicableAssignments(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) map[int][]relation.Value {
 	out := map[int][]relation.Value{}
-	for i, ru := range sigma.Rules() {
+	for _, ru := range sigma.Rules() {
 		b := ru.RHS()
-		if zSet.Has(b) || !zSet.ContainsSet(sigma.Premise(i)) {
+		if zSet.Has(b) || !zSet.ContainsSet(ru.PremiseSet()) {
 			continue
 		}
 		if vs, witness := dm.AppendRHSValues(out[b], ru, t); witness >= 0 {

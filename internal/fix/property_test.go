@@ -97,7 +97,7 @@ func TestTransFixMatchesExploreProperty(t *testing.T) {
 			continue
 		}
 		tf := tup.Clone()
-		zf := zSet.Clone()
+		zf := zSet
 		_, err := fix.TransFix(g, dm, tf, &zf)
 
 		if err != nil {
@@ -168,8 +168,8 @@ func TestNaiveFixMatchesTransFixProperty(t *testing.T) {
 		sigma, dm, tup, zSet := randomFixInstance(rng)
 		g := rule.NewDepGraph(sigma)
 
-		ta, za := tup.Clone(), zSet.Clone()
-		tb, zb := tup.Clone(), zSet.Clone()
+		ta, za := tup.Clone(), zSet
+		tb, zb := tup.Clone(), zSet
 		_, errA := fix.TransFix(g, dm, ta, &za)
 		_, errB := oracle.NaiveFix(sigma, dm, tb, &zb)
 		if (errA == nil) != (errB == nil) {
@@ -261,7 +261,7 @@ func TestApplicableAssignmentsMatchesPairsOracle(t *testing.T) {
 		for epoch := 0; epoch < 4; epoch++ {
 			ctx := fmt.Sprintf("seed %d epoch %d", seed, epoch)
 			checkAssignments(t, ctx, sigma, dm, tup, zSet)
-			ft, fz := tup.Clone(), zSet.Clone()
+			ft, fz := tup.Clone(), zSet
 			var ce *fix.ConflictError
 			if _, err := fix.TransFix(g, dm, ft, &fz); errors.As(err, &ce) {
 				conflicts++

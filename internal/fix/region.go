@@ -56,8 +56,8 @@ func MustRegion(z []int, tc *pattern.Tableau) *Region {
 // Z returns the region's attribute list (copy).
 func (r *Region) Z() []int { return append([]int(nil), r.z...) }
 
-// ZSet returns the region's attribute set (copy).
-func (r *Region) ZSet() relation.AttrSet { return r.zSet.Clone() }
+// ZSet returns the region's attribute set.
+func (r *Region) ZSet() relation.AttrSet { return r.zSet }
 
 // Tableau returns the region's pattern tableau.
 func (r *Region) Tableau() *pattern.Tableau { return r.tc }
@@ -74,7 +74,7 @@ func (r *Region) Extend(b int) *Region {
 		return r
 	}
 	nz := append(append([]int(nil), r.z...), b)
-	ns := r.zSet.Clone()
+	ns := r.zSet
 	ns.Add(b)
 	// Wildcards are implicit in pattern.Tuple (unmentioned attributes are
 	// unconstrained), so the tableau itself is reused.

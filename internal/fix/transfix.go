@@ -87,7 +87,7 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 
 	// Lines 1–4: collect rules whose premise X ∪ Xp is already validated.
 	for v := 0; v < n; v++ {
-		if zSet.ContainsSet(sigma.Premise(v)) {
+		if zSet.ContainsSet(sigma.Rule(v).PremiseSet()) {
 			state[v] = nodeInVset
 			vset = append(vset, v)
 		}
@@ -129,12 +129,12 @@ func TransFixTrace(g *rule.DepGraph, dm *master.Data, t relation.Tuple, zSet *re
 		for _, u := range g.Successors(v) {
 			switch state[u] {
 			case nodeInUset:
-				if zSet.ContainsSet(sigma.Premise(u)) {
+				if zSet.ContainsSet(sigma.Rule(u).PremiseSet()) {
 					state[u] = nodeInVset
 					vset = append(vset, u)
 				}
 			case nodeUnusable:
-				if zSet.ContainsSet(sigma.Premise(u)) {
+				if zSet.ContainsSet(sigma.Rule(u).PremiseSet()) {
 					state[u] = nodeInVset
 					vset = append(vset, u)
 				} else {
@@ -175,7 +175,7 @@ func certainValues(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet rela
 				values = append(values, own...) // the fired rule comes first
 			}
 			alone = false
-			if zSet.ContainsSet(sigma.Premise(i)) {
+			if zSet.ContainsSet(ru.PremiseSet()) {
 				values, _ = dm.AppendRHSValues(values, ru, t)
 			}
 		}

@@ -119,7 +119,7 @@ func TestTransFixAgreesWithNaiveFix(t *testing.T) {
 		ta := s.tup.Clone()
 		tb := s.tup.Clone()
 		za := relation.NewAttrSet(r.MustPosList(s.z...)...)
-		zb := za.Clone()
+		zb := za
 		_, errA := fix.TransFix(g, dm, ta, &za)
 		_, errB := oracle.NaiveFix(sigma, dm, tb, &zb)
 		if (errA == nil) != (errB == nil) {
@@ -151,7 +151,7 @@ func TestTransFixMatchesExploreWhenUnique(t *testing.T) {
 		t.Fatal("fixture should have a unique fix")
 	}
 	tf := t1.Clone()
-	zf := zSet.Clone()
+	zf := zSet
 	if _, err := fix.TransFix(g, dm, tf, &zf); err != nil {
 		t.Fatal(err)
 	}

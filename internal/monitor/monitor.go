@@ -147,12 +147,13 @@ func New(sigma *rule.Set, dm *master.Data, cfg Config) (*Monitor, error) {
 // region skeletons depend on Σ's structure plus per-rule pattern support,
 // which master corrections rarely flip — and every suggestion is
 // re-derived against the session's pinned snapshot anyway, so stale seeds
-// cost extra rounds, never correctness. The same holds for missing ones:
-// a snapshot on which no region verifies (some rule is not a function on
-// Dm, so every sampled row is inconsistent) is one a live monitor serves
-// from its stale seeds, and one a monitor can be built on — Regions is
-// then empty and sessions open with the trivial region, asking for every
-// attribute no rule reaches unprompted.
+// cost extra rounds, never correctness. The same holds for missing ones.
+// One master key on which a rule is not a function leaves the regions as
+// they were: it fails only the sampled rows that carry it. Only a master
+// on which many keys break verifies no region; a live monitor serves such
+// a snapshot from its stale seeds, and a monitor can be built on one —
+// Regions is then empty and sessions open with the trivial region, asking
+// for every attribute no rule reaches unprompted.
 func NewVersioned(sigma *rule.Set, ver *master.Versioned, cfg Config) (*Monitor, error) {
 	d := suggest.NewDeriverVersioned(sigma, ver)
 	seed := d.Pin() // one snapshot for both derivations, whatever ver publishes meanwhile

@@ -357,6 +357,9 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	arity := len(w.Tuple)
+	if arity > relation.MaxArity {
+		return fmt.Errorf("monitor: result: tuple of %d cells is wider than %d attributes", arity, relation.MaxArity)
+	}
 	outOfRange := func(where string, p int) error {
 		return fmt.Errorf("monitor: result: %s: position %d out of range [0, %d)", where, p, arity)
 	}
@@ -393,7 +396,7 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 		next = t
 	}
 	// Absent sets are the union of the rounds' lists.
-	res.UserValidated, res.AutoFixed = prev.UserValidated.Clone(), prev.AutoFixed.Clone()
+	res.UserValidated, res.AutoFixed = prev.UserValidated, prev.AutoFixed
 	if p, ok := inRange(arity, deref(w.UserValidated), deref(w.AutoFixed)); !ok {
 		return outOfRange("validated sets", p)
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/authtree"
@@ -122,6 +123,8 @@ func FuzzResultJSON(f *testing.F) {
 			f.Add(b)
 		}
 	}
+	f.Add([]byte(wideRound))
+	f.Add([]byte(wideValidated))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r Result
 		if err := json.Unmarshal(data, &r); err != nil {
@@ -140,6 +143,15 @@ func FuzzResultJSON(f *testing.F) {
 		}
 	})
 }
+
+// wideRound and wideValidated are results over 70 cells, wider than
+// relation.MaxArity, naming position 65 in a round and in the validated
+// set: each must be refused before that position reaches a set.
+var (
+	wideTuple     = `"Tuple":[` + strings.Repeat(`"a",`, 69) + `"a"]`
+	wideRound     = `{` + wideTuple + `,"PerRound":[{"Suggested":[65]}]}`
+	wideValidated = `{` + wideTuple + `,"UserValidated":[65]}`
+)
 
 // TestResultJSONRejectsHostileRounds: positions outside the tuple,
 // misaligned cells, malformed witnesses and dangling master indexes are
@@ -171,6 +183,8 @@ func TestResultJSONRejectsHostileRounds(t *testing.T) {
 		"triple with a null":    `{"Tuple":["a"],"Provenance":[[null,"r",0]],"Masters":[{"id":0}]}`,
 		"triple an object":      `{"Tuple":["a"],"Provenance":[{"attr":0,"rule":"r","master_id":0}],"Masters":[{"id":0}]}`,
 		"triple null":           `{"Tuple":["a"],"Provenance":[null],"Masters":[{"id":0}]}`,
+		"round past MaxArity":   wideRound,
+		"set past MaxArity":     wideValidated,
 	} {
 		var r Result
 		if err := json.Unmarshal([]byte(body), &r); err == nil {

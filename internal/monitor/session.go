@@ -113,8 +113,8 @@ func (s *Session) Tuple() relation.Tuple { return s.t.Clone() }
 // Cell returns the current value at position p, read in place.
 func (s *Session) Cell(p int) relation.Value { return s.t[p] }
 
-// Validated returns the currently validated attribute set (copy).
-func (s *Session) Validated() relation.AttrSet { return s.zSet.Clone() }
+// Validated returns the currently validated attribute set.
+func (s *Session) Validated() relation.AttrSet { return s.zSet }
 
 // Fixed returns the attributes the rules fixed in the latest recorded
 // round: that round's AutoFixed minus the round before's, empty before
@@ -249,8 +249,8 @@ func (s *Session) apply(attrs []int, values []relation.Value) ([]int, error) {
 	}
 	s.perRound = append(s.perRound, RoundStat{
 		Suggested:     s.sug,
-		UserValidated: s.userSet.Clone(),
-		AutoFixed:     s.autoSet.Clone(),
+		UserValidated: s.userSet,
+		AutoFixed:     s.autoSet,
 		Tuple:         s.t.Clone(),
 	})
 	return conflicted, nil
@@ -275,8 +275,8 @@ func (s *Session) Result() Result {
 		Tuple:         s.t.Clone(),
 		Rounds:        len(s.perRound),
 		Completed:     s.Completed(),
-		UserValidated: s.userSet.Clone(),
-		AutoFixed:     s.autoSet.Clone(),
+		UserValidated: s.userSet,
+		AutoFixed:     s.autoSet,
 		PerRound:      s.perRound,
 		Epoch:         s.d.Epoch(),
 		Provenance:    s.provenance(),

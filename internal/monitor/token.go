@@ -44,7 +44,9 @@ package monitor
 //	                                                its bitmap, bit p%8 of
 //	                                                byte p/8, last byte not
 //	                                                0 — written when shorter
-//	set   = uvarint w, w × uvarint word      bitset words
+//	set   = uvarint w, w × uvarint word      the bitset, bit p for position
+//	                                         p: no word (w = 0) for the
+//	                                         empty set, one otherwise
 //
 // A round's assertions are read off the history the session keeps for
 // Result.PerRound: the positions the round added to the user set, and
@@ -209,22 +211,20 @@ func (s *Session) AppendToken(buf []byte) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, s.d.Epoch())
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(s.begin)))
-	// The reference set and its ids, in position order, stay on the stack
-	// for any schema of ≤ 64 attributes.
-	var refWords [1]uint64
-	var idBuf [64]uint32
-	words, ids := refWords[:0], idBuf[:0]
+	// The reference set and its ids, in position order.
+	var refs relation.AttrSet
+	var idBuf [relation.MaxArity]uint32
+	ids := idBuf[:0]
 	syms := s.d.Master().Symbols()
 	for p, v := range s.begin {
 		if s.assertedAtBegin(p) {
 			continue
 		}
 		if id, ok := refID(syms, v); ok {
-			words = addBit(words, p)
+			refs.Add(p)
 			ids = append(ids, id)
 		}
 	}
-	refs := relation.AttrSetFromWords(words)
 	buf = appendSet(buf, refs)
 	var err error
 	for p, v := range s.begin {
@@ -302,23 +302,21 @@ func (s *Session) assertedAtBegin(p int) bool {
 // that are not t's begin values.
 func (s *Session) appendRound(buf []byte, i int) ([]byte, error) {
 	r := &s.perRound[i]
-	// All on the stack for any schema of ≤ 64 attributes.
-	var toggledWords, differWords [1]uint64
-	toggled, words := toggledWords[:0], differWords[:0]
-	for _, p := range r.Suggested {
-		toggled = addBit(toggled, p)
-	}
+	suggested := relation.NewAttrSet(r.Suggested...)
+	var differs relation.AttrSet
+	var toggledBuf [relation.MaxArity]int
+	toggled := toggledBuf[:0]
 	for p := range r.Tuple {
-		if s.asserted(i, p) {
-			toggled = toggleBit(toggled, p)
-			if r.Tuple[p] != s.begin[p] {
-				words = addBit(words, p)
-			}
+		asserted := s.asserted(i, p)
+		if asserted != suggested.Has(p) {
+			toggled = append(toggled, p)
+		}
+		if asserted && r.Tuple[p] != s.begin[p] {
+			differs.Add(p)
 		}
 	}
-	differs := relation.AttrSetFromWords(words)
 	buf = appendList(buf, r.Suggested)
-	buf = appendList(buf, bitPositions(make([]int, 0, 64), toggled))
+	buf = appendList(buf, toggled)
 	buf = appendSet(buf, differs)
 	var err error
 	differs.Range(func(p int) bool {
@@ -328,44 +326,18 @@ func (s *Session) appendRound(buf []byte, i int) ([]byte, error) {
 	return buf, err
 }
 
-// addBit adds position p to the bitset words and returns them: AttrSet.Add
-// on a stack-backed set. Add itself, even inlined, stores its grown words
-// through the set's pointer, and escape analysis (-gcflags=-m) then moves
-// the backing array to the heap.
-func addBit(words []uint64, p int) []uint64 {
-	for len(words) <= p>>6 {
-		words = append(words, 0)
-	}
-	words[p>>6] |= 1 << (uint(p) & 63)
-	return words
-}
-
-// toggleBit flips position p in the bitset words and returns them.
-func toggleBit(words []uint64, p int) []uint64 {
-	for len(words) <= p>>6 {
-		words = append(words, 0)
-	}
-	words[p>>6] ^= 1 << (uint(p) & 63)
-	return words
-}
-
-// bitPositions appends the members of the bitset words to ps, ascending.
-func bitPositions(ps []int, words []uint64) []int {
-	for i, w := range words {
-		for ; w != 0; w &= w - 1 {
-			ps = append(ps, i<<6+bits.TrailingZeros64(w))
-		}
-	}
-	return ps
-}
-
+// appendSet appends set as its bitset: no word for the empty set, one
+// otherwise.
 func appendSet(buf []byte, set relation.AttrSet) []byte {
-	words := set.Words()
-	buf = binary.AppendUvarint(buf, uint64(len(words)))
-	for _, w := range words {
-		buf = binary.AppendUvarint(buf, w)
+	var w uint64
+	set.Range(func(p int) bool {
+		w |= 1 << p
+		return true
+	})
+	if w == 0 {
+		return append(buf, 0)
 	}
-	return buf
+	return binary.AppendUvarint(append(buf, 1), w)
 }
 
 // appendList appends a position list: as its bitmap when ps ascends and
@@ -427,25 +399,29 @@ func (d *tokenDecoder) below(limit int, what string) int {
 	return int(v)
 }
 
-// set reads one attribute set (see appendSet) into words' spare
-// capacity; every member must be a position of the schema.
-func (d *tokenDecoder) set(what string, words []uint64) relation.AttrSet {
+// set reads one attribute set (see appendSet); every member must be a
+// position of the schema.
+func (d *tokenDecoder) set(what string) relation.AttrSet {
+	var s relation.AttrSet
 	n := d.Uvarint(what)
 	if n > uint64(d.arity+63)/64 {
 		d.Fail("%s has %d words, arity is %d", what, n, d.arity)
-		return relation.AttrSet{}
+		return s
 	}
-	for i := 0; i < int(n); i++ {
-		w := d.Uvarint(what)
-		if valid := d.arity - i<<6; valid < 64 && w>>uint(valid) != 0 {
-			d.Fail("%s positions exceed arity %d", what, d.arity)
-		}
-		words = append(words, w)
+	if n == 0 {
+		return s
+	}
+	w := d.Uvarint(what)
+	if d.arity < 64 && w>>uint(d.arity) != 0 {
+		d.Fail("%s positions exceed arity %d", what, d.arity)
 	}
 	if d.Err() != nil {
-		return relation.AttrSet{} // never hand out members that failed the range check
+		return s // never hand out members that failed the range check
 	}
-	return relation.AttrSetFromWords(words)
+	for ; w != 0; w &= w - 1 {
+		s.Add(bits.TrailingZeros64(w))
+	}
+	return s
 }
 
 // list reads one position list (see appendList).
@@ -509,29 +485,24 @@ type tokenRound struct {
 func (d *tokenDecoder) round(begin relation.Tuple, refs relation.AttrSet) tokenRound {
 	r := tokenRound{suggested: d.list("suggestion")}
 	toggled := d.list("toggled positions")
-	var differWords [1]uint64 // on the stack for any schema of ≤ 64 attributes
-	differs := d.set("differs-from-begin set", differWords[:0])
+	differs := d.set("differs-from-begin set")
 	if d.Err() != nil {
 		return r
 	}
-	var assertedWords [1]uint64
-	asserted := assertedWords[:0]
-	for _, p := range r.suggested {
-		asserted = addBit(asserted, p)
-	}
+	asserted := relation.NewAttrSet(r.suggested...)
 	for i, p := range toggled {
 		if i > 0 && p <= toggled[i-1] {
 			d.Fail("toggled positions do not ascend")
 			return r
 		}
-		asserted = toggleBit(asserted, p)
+		if asserted.Has(p) {
+			asserted.Remove(p)
+		} else {
+			asserted.Add(p)
+		}
 	}
-	n := 0
-	for _, w := range asserted {
-		n += bits.OnesCount64(w)
-	}
-	if n > 0 {
-		r.attrs = bitPositions(make([]int, 0, n), asserted)
+	if asserted.Len() > 0 {
+		r.attrs = asserted.Positions()
 	}
 	r.values = make([]relation.Value, len(r.attrs))
 	for i, p := range r.attrs {
@@ -599,11 +570,10 @@ func (m *Monitor) ResumeSession(token []byte, opt ResumeOptions) (*Session, erro
 		return nil, fmt.Errorf("%w: tuple arity %d does not match schema %s (%w)",
 			ErrBadToken, arity, r, ErrArityMismatch)
 	}
-	// Both on the stack for any schema of ≤ 64 attributes. ids holds the
-	// references in position order until the pinned table resolves them.
-	var refWords [1]uint64
-	var idBuf [64]uint64
-	refs, ids := d.set("reference set", refWords[:0]), idBuf[:0]
+	// ids holds the references in position order until the pinned table
+	// resolves them.
+	var idBuf [relation.MaxArity]uint64
+	refs, ids := d.set("reference set"), idBuf[:0]
 	var begin relation.Tuple
 	var check uint32
 	if d.Err() == nil {

@@ -8,7 +8,9 @@ package monitor
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -182,7 +184,7 @@ func tokenRefs(tb testing.TB, m *Monitor, token []byte) relation.AttrSet {
 	d.Uvarint("epoch")
 	d.U8("flags")
 	d.Uvarint("arity")
-	refs := d.set("reference set", nil)
+	refs := d.set("reference set")
 	if d.Err() != nil {
 		tb.Fatal(d.Err())
 	}
@@ -450,6 +452,29 @@ func TestTokenRoundTripIdentity(t *testing.T) {
 		if !bytes.Equal(again, tok) {
 			t.Fatalf("token %d changed across resume:\n was %x\n now %x", i, tok, again)
 		}
+	}
+}
+
+// TestTokenGolden pins the token format byte for byte: every begin and
+// round token of the generated HOSP sessions, sealed under internalKey,
+// hashed in order. A change to how a token is written fails here until it
+// bumps tokenVersion and rewrites the three numbers on purpose.
+func TestTokenGolden(t *testing.T) {
+	m, ds, _ := hospMonitor(t, internalKey)
+	tokens := roundTokens(t, m, ds)
+	h, n := sha256.New(), 0
+	for _, tok := range tokens {
+		h.Write(tok)
+		n += len(tok)
+	}
+	const (
+		wantTokens = 140
+		wantBytes  = 26192
+		wantSHA256 = "3cbb1253a69c1f1dfdfddf16f728c8027c455c0e70671e79411073be33a46a0f"
+	)
+	if got := hex.EncodeToString(h.Sum(nil)); len(tokens) != wantTokens || n != wantBytes || got != wantSHA256 {
+		t.Fatalf("%d tokens, %d B, sha256 %s; want %d tokens, %d B, sha256 %s",
+			len(tokens), n, got, wantTokens, wantBytes, wantSHA256)
 	}
 }
 

@@ -29,7 +29,7 @@ func ConcreteVerdict(sigma *rule.Set, dm *master.Data, zPos []int, vals []relati
 	for i, p := range zPos {
 		t[p] = vals[i]
 	}
-	cur := base.Clone()
+	cur := base
 
 	for {
 		// The values each applicable rule would assign, per rhs attribute:

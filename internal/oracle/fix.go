@@ -45,7 +45,7 @@ func Explore(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 		sigma: sigma, dm: dm, cap: cap,
 		seen: map[uint64][]stateEntry{},
 	}
-	e.dfs(t.Clone(), zSet.Clone())
+	e.dfs(t.Clone(), zSet)
 	return ExploreResult{Outcomes: e.outcomes, States: e.states, Truncated: e.truncated}
 }
 
@@ -123,7 +123,7 @@ func (e *explorer) dfs(t relation.Tuple, zSet relation.AttrSet) {
 	pairs := ApplicablePairs(e.sigma, e.dm, t, zSet)
 	if len(pairs) == 0 {
 		// Terminal; states are memoized above, so each is reached once.
-		e.outcomes = append(e.outcomes, Outcome{Tuple: t.Clone(), Covered: zSet.Clone()})
+		e.outcomes = append(e.outcomes, Outcome{Tuple: t.Clone(), Covered: zSet})
 		return
 	}
 
@@ -144,7 +144,7 @@ func (e *explorer) dfs(t relation.Tuple, zSet relation.AttrSet) {
 		tried[s] = true
 		nt := t.Clone()
 		nt[b] = v
-		nz := zSet.Clone()
+		nz := zSet
 		nz.Add(b)
 		e.dfs(nt, nz)
 	}

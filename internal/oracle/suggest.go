@@ -103,7 +103,7 @@ func MasterSupports(dm *master.Data, ru *rule.Rule) bool {
 // structure of Σ and the mask off (aligned with sigma.Rules(), as for
 // rule.Compiled.Closure). Oracle for the compiled closure engine.
 func StructuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
-	out := zSet.Clone()
+	out := zSet
 	for changed := true; changed; {
 		changed = false
 		for i, ru := range sigma.Rules() {
@@ -148,7 +148,7 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 	off := make([]bool, refined.Len())
 	arity := sigma.Schema().Arity()
 
-	cur := zSet.Clone()
+	cur := zSet
 	var s relation.AttrSet
 	for StructuralClosure(refined, off, cur).Len() < arity {
 		bestAttr, bestGain := -1, -1
@@ -156,7 +156,7 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 			if cur.Has(a) {
 				continue
 			}
-			trial := cur.Clone()
+			trial := cur
 			trial.Add(a)
 			gain := StructuralClosure(refined, off, trial).Len()
 			if gain > bestGain {
@@ -171,7 +171,7 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 	}
 
 	for _, a := range s.Positions() {
-		trialS := s.Clone()
+		trialS := s
 		trialS.Remove(a)
 		trial := zSet.Union(trialS)
 		if StructuralClosure(refined, off, trial).Len() == arity {
@@ -192,7 +192,7 @@ func GrowAndMinimize(sigma *rule.Set, dm *master.Data, zSet relation.AttrSet) []
 		off[i] = !MasterSupports(dm, ru)
 	}
 	arity := sigma.Schema().Arity()
-	cur := zSet.Clone()
+	cur := zSet
 	free := sigma.FreeAttrs()
 
 	for StructuralClosure(sigma, off, cur).Len() < arity {
@@ -201,7 +201,7 @@ func GrowAndMinimize(sigma *rule.Set, dm *master.Data, zSet relation.AttrSet) []
 			if cur.Has(a) {
 				continue
 			}
-			trial := cur.Clone()
+			trial := cur
 			trial.Add(a)
 			gain := StructuralClosure(sigma, off, trial).Len()
 			if gain > bestGain {
@@ -222,7 +222,7 @@ func GrowAndMinimize(sigma *rule.Set, dm *master.Data, zSet relation.AttrSet) []
 		if free.Has(a) {
 			continue
 		}
-		trial := cur.Clone()
+		trial := cur
 		trial.Remove(a)
 		if StructuralClosure(sigma, off, trial).Len() == arity {
 			cur = trial

@@ -1,46 +1,37 @@
 package relation
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
 )
 
-// AttrSet is a set of attribute positions, implemented as a bitset over
-// schema positions. Schemas in this system are small (≤ 64 attributes is
-// typical; the paper's widest schema has 19), but the implementation
-// supports arbitrary arity via a word slice.
+// MaxArity is the widest schema the system accepts: an AttrSet is one
+// machine word, bit p for position p. The paper's widest schema has 19
+// attributes. NewSchema refuses a wider one, and every decoder of outside
+// input range-checks positions against it before they reach Add.
+const MaxArity = 64
+
+// AttrSet is a set of attribute positions in [0, MaxArity): a value of one
+// word, so assigning it copies it and no method allocates.
 type AttrSet struct {
-	words []uint64
+	w uint64
 }
 
 // NewAttrSet builds a set from positions.
 func NewAttrSet(positions ...int) AttrSet {
 	var s AttrSet
-	for _, p := range positions {
-		s.Add(p)
-	}
+	s.AddAll(positions)
 	return s
 }
 
-// AttrSetFromWords builds the set whose bitset words are exactly words
-// (bit p&63 of words[p>>6] is position p), taking ownership of the slice.
-// With Words it is the binary codecs' way in and out: a set rebuilt from
-// its own words is identical down to the slice length, which
-// reflect.DeepEqual on results carrying sets depends on.
-func AttrSetFromWords(words []uint64) AttrSet { return AttrSet{words: words} }
-
-// Words returns the set's bitset words, not a copy: read-only.
-func (s AttrSet) Words() []uint64 { return s.words }
-
-// Add inserts position p.
+// Add inserts position p. A position outside [0, MaxArity) panics: every
+// path from outside input range-checks first, so only a bug gets here.
 func (s *AttrSet) Add(p int) {
-	w := p >> 6
-	for len(s.words) <= w {
-		s.words = append(s.words, 0)
+	if uint(p) >= MaxArity {
+		panic(fmt.Sprintf("relation: attribute position %d outside [0, %d)", p, MaxArity))
 	}
-	s.words[w] |= 1 << (uint(p) & 63)
+	s.w |= 1 << uint(p)
 }
 
 // AddAll inserts every position in ps.
@@ -52,16 +43,15 @@ func (s *AttrSet) AddAll(ps []int) {
 
 // Remove deletes position p if present.
 func (s *AttrSet) Remove(p int) {
-	w := p >> 6
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (uint(p) & 63)
+	if uint(p) < MaxArity {
+		s.w &^= 1 << uint(p)
 	}
 }
 
-// Has reports membership of p.
+// Has reports membership of p; a position outside [0, MaxArity) is never a
+// member.
 func (s AttrSet) Has(p int) bool {
-	w := p >> 6
-	return w < len(s.words) && s.words[w]&(1<<(uint(p)&63)) != 0
+	return uint(p) < MaxArity && s.w&(1<<uint(p)) != 0
 }
 
 // HasAll reports whether every position in ps is in the set.
@@ -75,75 +65,27 @@ func (s AttrSet) HasAll(ps []int) bool {
 }
 
 // Len counts the members.
-func (s AttrSet) Len() int {
-	n := 0
-	for _, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
+func (s AttrSet) Len() int { return bits.OnesCount64(s.w) }
 
-// Clone returns an independent copy.
-func (s AttrSet) Clone() AttrSet {
-	return AttrSet{words: append([]uint64(nil), s.words...)}
-}
+// Clone returns s. A set is a value and assignment copies it; Clone stays
+// only because the benchmark harness (bench/layers.go) still calls it.
+func (s AttrSet) Clone() AttrSet { return s }
 
-// Union returns s ∪ o without mutating either.
-func (s AttrSet) Union(o AttrSet) AttrSet {
-	longer, shorter := s.words, o.words
-	if len(shorter) > len(longer) {
-		longer, shorter = shorter, longer
-	}
-	out := append([]uint64(nil), longer...)
-	for i, w := range shorter {
-		out[i] |= w
-	}
-	return AttrSet{words: out}
-}
+// Union returns s ∪ o.
+func (s AttrSet) Union(o AttrSet) AttrSet { return AttrSet{s.w | o.w} }
 
 // Equal reports set equality.
-func (s AttrSet) Equal(o AttrSet) bool {
-	a, b := s.words, o.words
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	for i := range b {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	for i := len(b); i < len(a); i++ {
-		if a[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (s AttrSet) Equal(o AttrSet) bool { return s == o }
 
 // ContainsSet reports o ⊆ s.
-func (s AttrSet) ContainsSet(o AttrSet) bool {
-	for i, w := range o.words {
-		if w == 0 {
-			continue
-		}
-		if i >= len(s.words) || s.words[i]&w != w {
-			return false
-		}
-	}
-	return true
-}
+func (s AttrSet) ContainsSet(o AttrSet) bool { return o.w&^s.w == 0 }
 
 // Range calls f on every member in ascending order, stopping early when f
 // returns false. Allocation-free — the hot-path alternative to Positions.
 func (s AttrSet) Range(f func(p int) bool) {
-	for wi, w := range s.words {
-		base := wi << 6
-		for ; w != 0; w &= w - 1 {
-			if !f(base + trailingZeros(w)) {
-				return
-			}
+	for w := s.w; w != 0; w &= w - 1 {
+		if !f(bits.TrailingZeros64(w)) {
+			return
 		}
 	}
 }
@@ -151,26 +93,10 @@ func (s AttrSet) Range(f func(p int) bool) {
 // Positions returns the members in ascending order.
 func (s AttrSet) Positions() []int {
 	out := make([]int, 0, s.Len())
-	for wi, w := range s.words {
-		base := wi << 6
-		for ; w != 0; w &= w - 1 {
-			out = append(out, base+trailingZeros(w))
-		}
+	for w := s.w; w != 0; w &= w - 1 {
+		out = append(out, bits.TrailingZeros64(w))
 	}
 	return out
-}
-
-// Key returns a canonical string for use as a map key.
-func (s AttrSet) Key() string {
-	ps := s.Positions()
-	var b strings.Builder
-	for i, p := range ps {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	return b.String()
 }
 
 // Names renders the set as sorted attribute names under the schema.
@@ -183,5 +109,3 @@ func (s AttrSet) Names(schema *Schema) []string {
 	sort.Strings(out)
 	return out
 }
-
-func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }

@@ -7,18 +7,39 @@ import (
 )
 
 func TestAttrSetBasics(t *testing.T) {
-	s := NewAttrSet(1, 3, 70)
-	if !s.Has(1) || !s.Has(3) || !s.Has(70) || s.Has(2) || s.Has(64) {
+	s := NewAttrSet(0, 1, 3, MaxArity-1)
+	if !s.Has(0) || !s.Has(1) || !s.Has(3) || !s.Has(63) || s.Has(2) || s.Has(64) || s.Has(-1) {
 		t.Fatalf("membership wrong: %v", s.Positions())
 	}
-	if s.Len() != 3 {
+	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	s.Remove(3)
-	if s.Has(3) || s.Len() != 2 {
+	if s.Has(3) || s.Len() != 3 {
 		t.Fatalf("after Remove: %v", s.Positions())
 	}
 	s.Remove(999) // no-op, must not panic
+	s.Remove(-1)
+
+	var all AttrSet
+	for p := range MaxArity {
+		all.Add(p)
+	}
+	if all.Len() != MaxArity || len(all.Positions()) != MaxArity {
+		t.Fatalf("full set Len = %d", all.Len())
+	}
+
+	for _, p := range []int{-1, MaxArity, 200} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", p)
+				}
+			}()
+			var s AttrSet
+			s.Add(p)
+		}()
+	}
 }
 
 func TestAttrSetHasAllAnyContains(t *testing.T) {
@@ -38,31 +59,35 @@ func TestAttrSetHasAllAnyContains(t *testing.T) {
 }
 
 func TestAttrSetUnionAndEqual(t *testing.T) {
-	a := NewAttrSet(1, 65)
+	a := NewAttrSet(1, 63)
 	b := NewAttrSet(2)
 	u := a.Union(b)
-	if !u.Equal(NewAttrSet(1, 2, 65)) {
+	if !u.Equal(NewAttrSet(1, 2, 63)) {
 		t.Fatalf("union = %v", u.Positions())
 	}
 	// union must not mutate operands
 	if a.Len() != 2 || b.Len() != 1 {
 		t.Fatal("Union mutated an operand")
 	}
-	// equality ignores trailing zero words
 	var c AttrSet
-	c.Add(100)
-	c.Remove(100)
+	c.Add(40)
+	c.Remove(40)
 	if !c.Equal(NewAttrSet()) {
-		t.Fatal("set with trailing zero words should equal empty set")
+		t.Fatal("a set emptied by Remove should equal the empty set")
+	}
+	// Sets are map keys: == ignores insertion order and tells sets apart.
+	if NewAttrSet(3, 1, 2) != NewAttrSet(2, 3, 1) || NewAttrSet(1, 2, 3) == NewAttrSet(1, 2) {
+		t.Fatal("== on sets is not set equality")
 	}
 }
 
 func TestAttrSetCloneIndependence(t *testing.T) {
 	a := NewAttrSet(5)
-	b := a.Clone()
+	b, c := a, a
 	b.Add(6)
-	if a.Has(6) {
-		t.Fatal("Clone shares storage")
+	c.Remove(5)
+	if a.Has(6) || !a.Has(5) {
+		t.Fatal("a copy shares storage")
 	}
 }
 
@@ -72,7 +97,7 @@ func TestAttrSetPositionsSortedProperty(t *testing.T) {
 		var s AttrSet
 		want := map[int]bool{}
 		for i := 0; i < 40; i++ {
-			p := rng.Intn(200)
+			p := rng.Intn(MaxArity)
 			s.Add(p)
 			want[p] = true
 		}
@@ -92,17 +117,6 @@ func TestAttrSetPositionsSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAttrSetKeyCanonical(t *testing.T) {
-	a := NewAttrSet(3, 1, 2)
-	b := NewAttrSet(2, 3, 1)
-	if a.Key() != b.Key() {
-		t.Fatal("Key must be order-independent")
-	}
-	if a.Key() == NewAttrSet(1, 2).Key() {
-		t.Fatal("different sets must have different keys")
 	}
 }
 

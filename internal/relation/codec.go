@@ -120,8 +120,8 @@ func (s AttrSet) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses a position list (order and duplicates are
-// irrelevant; negative positions are rejected). The previous content of
-// the set is replaced.
+// irrelevant; a position outside [0, MaxArity) is rejected). The previous
+// content of the set is replaced.
 func (s *AttrSet) UnmarshalJSON(b []byte) error {
 	var ps []int
 	if err := json.Unmarshal(b, &ps); err != nil {
@@ -129,8 +129,8 @@ func (s *AttrSet) UnmarshalJSON(b []byte) error {
 	}
 	*s = AttrSet{}
 	for _, p := range ps {
-		if p < 0 {
-			return fmt.Errorf("relation: unmarshal attrset: negative position %d", p)
+		if p < 0 || p >= MaxArity {
+			return fmt.Errorf("relation: unmarshal attrset: position %d outside [0, %d)", p, MaxArity)
 		}
 		s.Add(p)
 	}

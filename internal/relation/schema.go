@@ -42,11 +42,14 @@ type Schema struct {
 	byPos map[string]int
 }
 
-// NewSchema builds a schema. Attribute names must be non-empty and
-// pairwise distinct.
+// NewSchema builds a schema of at most MaxArity attributes. Attribute
+// names must be non-empty and pairwise distinct.
 func NewSchema(name string, attrs ...Attribute) (*Schema, error) {
 	if name == "" {
 		return nil, fmt.Errorf("relation: schema name must be non-empty")
+	}
+	if len(attrs) > MaxArity {
+		return nil, fmt.Errorf("relation: schema %s has %d attributes, at most %d are supported", name, len(attrs), MaxArity)
 	}
 	s := &Schema{name: name, attrs: append([]Attribute(nil), attrs...), byPos: make(map[string]int, len(attrs))}
 	for i, a := range s.attrs {
@@ -72,13 +75,20 @@ func MustSchema(name string, attrs ...Attribute) *Schema {
 }
 
 // StringSchema builds a schema whose attributes are all strings; a common
-// case for the paper's HOSP/DBLP schemas.
+// case for the paper's HOSP/DBLP schemas. Like MustSchema it panics on a
+// schema NewSchema refuses, one of more than MaxArity attributes included.
 func StringSchema(name string, attrNames ...string) *Schema {
-	attrs := make([]Attribute, len(attrNames))
-	for i, n := range attrNames {
+	return MustSchema(name, StringAttrs(attrNames...)...)
+}
+
+// StringAttrs returns string-typed attributes with the given names, for
+// NewSchema.
+func StringAttrs(names ...string) []Attribute {
+	attrs := make([]Attribute, len(names))
+	for i, n := range names {
 		attrs[i] = Attribute{Name: n, Type: TypeString}
 	}
-	return MustSchema(name, attrs...)
+	return attrs
 }
 
 // Name returns the relation name.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,21 @@ func TestNewSchemaRejectsEmptyNames(t *testing.T) {
 	}
 	if _, err := NewSchema("R", Attribute{Name: ""}); err == nil {
 		t.Fatal("want error for empty attribute name")
+	}
+}
+
+// TestNewSchemaArityLimit: MaxArity attributes build, one more is an
+// error (an AttrSet holds positions below MaxArity only).
+func TestNewSchemaArityLimit(t *testing.T) {
+	names := make([]string, MaxArity+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("a%d", i)
+	}
+	if s, err := NewSchema("R", StringAttrs(names[:MaxArity]...)...); err != nil || s.Arity() != MaxArity {
+		t.Fatalf("%d attributes: %v", MaxArity, err)
+	}
+	if _, err := NewSchema("R", StringAttrs(names...)...); err == nil {
+		t.Fatalf("%d attributes must be refused", MaxArity+1)
 	}
 }
 

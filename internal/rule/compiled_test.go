@@ -13,7 +13,7 @@ import (
 // naiveClosure is the O(n²) fixpoint over raw (premise → rhs) pairs — the
 // oracle the compiled engine must match exactly.
 func naiveClosure(arity int, prems []relation.AttrSet, rhs []int, base relation.AttrSet) relation.AttrSet {
-	out := base.Clone()
+	out := base
 	for changed := true; changed; {
 		changed = false
 		for i, prem := range prems {
@@ -90,7 +90,7 @@ func TestCompiledGainAllProperty(t *testing.T) {
 			t.Fatalf("seed %d: base size %d, want %d", seed, baseLen, baseWant.Len())
 		}
 		for a := 0; a < arity; a++ {
-			trial := base.Clone()
+			trial := base
 			trial.Add(a)
 			want := naiveClosure(arity, prems, rhs, trial).Len()
 			if gains[a] != want {

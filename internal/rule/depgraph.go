@@ -26,7 +26,7 @@ func NewDepGraph(s *Set) *DepGraph {
 			if u == v {
 				continue
 			}
-			if s.Rule(v).premise().Has(bu) {
+			if s.Rule(v).PremiseSet().Has(bu) {
 				g.out[u] = append(g.out[u], v)
 			}
 		}

@@ -125,18 +125,11 @@ func (ru *Rule) RHSM() int { return ru.bm }
 func (ru *Rule) Pattern() pattern.Tuple { return ru.tp }
 
 // LHSSet returns X as a set.
-func (ru *Rule) LHSSet() relation.AttrSet { return ru.xSet.Clone() }
+func (ru *Rule) LHSSet() relation.AttrSet { return ru.xSet }
 
-// PatternSet returns Xp as a set.
-func (ru *Rule) PatternSet() relation.AttrSet { return ru.xpSet.Clone() }
-
-// PremiseSet returns a copy of X ∪ Xp — the attributes that must be
-// validated before the rule may fire against a region. It is the copying
-// form, for oracles and tools; the fix path reads Set.Premise in place.
-func (ru *Rule) PremiseSet() relation.AttrSet { return ru.xxpSet.Clone() }
-
-// premise returns the internal premise set without copying (hot paths).
-func (ru *Rule) premise() relation.AttrSet { return ru.xxpSet }
+// PremiseSet returns X ∪ Xp — the attributes that must be validated
+// before the rule may fire against a region.
+func (ru *Rule) PremiseSet() relation.AttrSet { return ru.xxpSet }
 
 // MasterPosFor returns the Rm position paired with R position p in (X, Xm),
 // i.e. λϕ of §5.2 on a single attribute; ok=false when p ∉ X.

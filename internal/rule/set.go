@@ -66,12 +66,6 @@ func (s *Set) Rule(i int) *Rule { return s.rules[i] }
 // Rules returns the set's own rule slice, shared and read-only.
 func (s *Set) Rules() []*Rule { return s.rules }
 
-// Premise returns the i-th rule's X ∪ Xp in place: the rule's own set,
-// shared and read-only. Every production reader of Σ tests premises
-// through it; Rule.PremiseSet is the copying form, for the reference
-// implementations in internal/oracle and for tools.
-func (s *Set) Premise(i int) relation.AttrSet { return s.rules[i].premise() }
-
 // LHS returns lhs(Σ) = ∪ lhs(ϕ) as an attribute set over R.
 func (s *Set) LHS() relation.AttrSet {
 	var out relation.AttrSet

@@ -66,9 +66,9 @@ func unsupported(sigma *rule.Set, dm *master.Data) []bool {
 // directCover counts the attributes fixable in exactly one step from zSet
 // (no cascading) — the myopic objective GRegion maximizes.
 func directCover(sigma *rule.Set, off []bool, zSet relation.AttrSet) relation.AttrSet {
-	out := zSet.Clone()
+	out := zSet
 	for i, ru := range sigma.Rules() {
-		if !off[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(sigma.Premise(i)) {
+		if !off[i] && !zSet.Has(ru.RHS()) && zSet.ContainsSet(ru.PremiseSet()) {
 			out.Add(ru.RHS())
 		}
 	}

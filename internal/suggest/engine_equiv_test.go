@@ -95,7 +95,7 @@ func TestIsSuggestionFastMatchesNaiveClosure(t *testing.T) {
 		for i, ru := range d.Sigma().Rules() {
 			off[i] = !d.Master().PatternSupported(ru)
 		}
-		cur := zSet.Clone()
+		cur := zSet
 		cur.AddAll(s)
 		want := oracle.StructuralClosure(d.Sigma(), off, cur).Len() == arity
 		if got := d.IsSuggestionFast(zSet, s); got != want {

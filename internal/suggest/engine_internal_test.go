@@ -208,7 +208,7 @@ func TestCompCRegionsCompiledVsNaiveProperty(t *testing.T) {
 		free := sigma.FreeAttrs()
 		seeds := []relation.AttrSet{free}
 		for _, a := range sigma.LHS().Union(sigma.PatternAttrs()).Positions() {
-			s := free.Clone()
+			s := free
 			s.Add(a)
 			seeds = append(seeds, s)
 		}

@@ -62,12 +62,11 @@ type Deriver struct {
 
 // derScratch bundles the per-call mutable state: the closure engine's
 // counters, the per-tuple mask Σ_t[Z] of Suggest and IsSuggestion, and
-// Suggest's grounded mask with the attribute set its probes judge t on.
+// Suggest's grounded mask.
 type derScratch struct {
 	clo      *rule.ClosureScratch
 	off      []bool
 	unlikely []bool
-	judged   relation.AttrSet
 }
 
 // NewDeriver builds a deriver over a static (Σ, Dm): a lineage of one
@@ -177,14 +176,14 @@ func (d *Deriver) CompCRegions() []Candidate {
 	// Seeds: the bare free set, plus free ∪ {A} for every attribute read
 	// by some rule (lhs or pattern attribute).
 	seedExtras := d.sigma.LHS().Union(d.sigma.PatternAttrs()).Positions()
-	seen := map[string]bool{}
+	seen := map[relation.AttrSet]bool{}
 	var out []Candidate
 	tryZ := func(zSet relation.AttrSet) {
 		z := d.growAndMinimize(zSet)
 		if z == nil {
 			return
 		}
-		key := relation.NewAttrSet(z...).Key()
+		key := relation.NewAttrSet(z...)
 		if seen[key] {
 			return
 		}
@@ -194,9 +193,9 @@ func (d *Deriver) CompCRegions() []Candidate {
 			out = append(out, cand)
 		}
 	}
-	tryZ(free.Clone())
+	tryZ(free)
 	for _, a := range seedExtras {
-		s := free.Clone()
+		s := free
 		s.Add(a)
 		tryZ(s)
 	}
@@ -230,7 +229,7 @@ func (d *Deriver) TrivialRegion() Candidate {
 // candidate.
 func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
 	arity := d.sigma.Schema().Arity()
-	cur := zSet.Clone()
+	cur := zSet
 	free := d.sigma.FreeAttrs()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
@@ -382,7 +381,7 @@ func (d *Deriver) GRegion() Candidate {
 			if cur.Has(a) {
 				continue
 			}
-			trial := cur.Clone()
+			trial := cur
 			trial.Add(a)
 			gain := directCover(d.sigma, d.off, trial).Len() - covered.Len()
 			if !covered.Has(a) {
@@ -414,7 +413,7 @@ func (d *Deriver) gRegionFallback(covered, cur relation.AttrSet) int {
 		if d.off[i] || covered.Has(ru.RHS()) {
 			continue
 		}
-		d.sigma.Premise(i).Range(func(p int) bool {
+		ru.PremiseSet().Range(func(p int) bool {
 			if !cur.Has(p) {
 				counts[p]++
 			}

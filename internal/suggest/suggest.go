@@ -71,14 +71,14 @@ func (d *Deriver) groundedMask(sc *derScratch, t relation.Tuple, off []bool) []b
 	for i := range unlikely {
 		unlikely[i] = true
 	}
-	judged := &sc.judged
+	var judged relation.AttrSet
 	for p := range t {
 		judged.Add(p)
 	}
 	for changed := true; changed; {
 		changed = false
 		for i, ru := range rules {
-			if off[i] || !unlikely[i] || !d.dm.CompatibleExists(ru, t, *judged) {
+			if off[i] || !unlikely[i] || !d.dm.CompatibleExists(ru, t, judged) {
 				continue
 			}
 			unlikely[i] = false
@@ -219,14 +219,14 @@ func (d *Deriver) cover(sc *derScratch, off []bool, zSet relation.AttrSet, seed 
 			if off[i] {
 				continue
 			}
-			d.sigma.Premise(i).Range(func(p int) bool {
+			ru.PremiseSet().Range(func(p int) bool {
 				confMass[p] += ru.Confidence()
 				return true
 			})
 		}
 	}
 
-	cur := zSet.Clone()
+	cur := zSet
 	var s relation.AttrSet
 	cur.AddAll(seed)
 	s.AddAll(seed)
@@ -280,7 +280,7 @@ func (d *Deriver) IsSuggestion(t relation.Tuple, zSet relation.AttrSet, s []int)
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	off := d.applicableMask(sc, t, zSet)
-	cur := zSet.Clone()
+	cur := zSet
 	cur.AddAll(s)
 	return d.prog.Closure(cur, off, sc.clo) == d.sigma.Schema().Arity()
 }
@@ -297,7 +297,7 @@ func (d *Deriver) IsSuggestionFast(zSet relation.AttrSet, s []int) bool {
 	d = d.Pin()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	cur := zSet.Clone()
+	cur := zSet
 	cur.AddAll(s)
 	return d.prog.Closure(cur, d.off, sc.clo) == d.sigma.Schema().Arity()
 }

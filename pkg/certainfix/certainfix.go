@@ -126,7 +126,9 @@ var (
 	StringTuple = relation.StringTuple
 )
 
-// StringSchema builds a schema whose attributes are all string-typed.
+// StringSchema builds a schema whose attributes are all string-typed. It
+// panics on a schema relation.NewSchema refuses: an empty or duplicate
+// name, or more than relation.MaxArity (64) attributes.
 func StringSchema(name string, attrs ...string) *Schema {
 	return relation.StringSchema(name, attrs...)
 }
@@ -194,7 +196,7 @@ func parseSchemaHeader(line, prefix string) (*Schema, error) {
 		}
 		names = append(names, a)
 	}
-	return StringSchema(strings.TrimSpace(name), names...), nil
+	return relation.NewSchema(strings.TrimSpace(name), relation.StringAttrs(names...)...)
 }
 
 // ReadCSV loads a relation from CSV with a header row matching the schema.

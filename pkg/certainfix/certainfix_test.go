@@ -3,9 +3,11 @@ package certainfix_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/paperex"
 	"repro/pkg/certainfix"
 )
@@ -167,4 +169,53 @@ rule kv: (K ; K) -> (V ; V) when K != nil
 	if _, _, _, err := certainfix.ParseRulesWithSchemas("schema R: \nmaster Rm: K"); err == nil {
 		t.Fatal("empty attribute must error")
 	}
+}
+
+// rulesFile renders a rules file the way cmd/datagen writes one: the two
+// schema headers, then the rule DSL.
+func rulesFile(r, rm *certainfix.Schema, dsl string) string {
+	return fmt.Sprintf("schema %s: %s\nmaster %s: %s\n%s",
+		r.Name(), strings.Join(r.AttrNames(), ", "), rm.Name(), strings.Join(rm.AttrNames(), ", "), dsl)
+}
+
+// badSchemaHeaders are rules files whose header names a schema
+// relation.NewSchema refuses.
+func badSchemaHeaders() map[string]string {
+	wide := make([]string, 65)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("a%d", i)
+	}
+	return map[string]string{
+		"duplicate attribute": "schema R: a, a\nmaster Rm: a",
+		"empty schema name":   "schema : a, b\nmaster Rm: a",
+		"65 attributes":       "schema R: " + strings.Join(wide, ", ") + "\nmaster Rm: a0",
+	}
+}
+
+// TestParseRulesWithSchemasBadHeader: a schema header NewSchema refuses is
+// an error naming its line, not a panic.
+func TestParseRulesWithSchemasBadHeader(t *testing.T) {
+	for name, src := range badSchemaHeaders() {
+		if _, _, _, err := certainfix.ParseRulesWithSchemas(src); err == nil || !strings.HasPrefix(err.Error(), "line 1: ") {
+			t.Errorf("%s: err = %v, want an error on line 1", name, err)
+		}
+	}
+}
+
+// FuzzRulesFile throws arbitrary text at the rules-file parser the CLIs
+// and certainfixd read -rules through: it returns both schemas and the
+// rules, or an error, and never panics.
+func FuzzRulesFile(f *testing.F) {
+	f.Add(rulesFile(paperex.SchemaR(), paperex.SchemaRm(), paperex.RulesDSL))
+	f.Add(rulesFile(datagen.HospSchema(), datagen.HospMasterSchema(), datagen.HospRulesDSL))
+	f.Add(rulesFile(datagen.DblpSchema(), datagen.DblpMasterSchema(), datagen.DblpRulesDSL))
+	for _, src := range badSchemaHeaders() {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		r, rm, rules, err := certainfix.ParseRulesWithSchemas(src)
+		if err == nil && (r == nil || rm == nil || rules == nil) {
+			t.Fatalf("no error, but r=%v rm=%v rules=%v", r, rm, rules)
+		}
+	})
 }
