@@ -1,8 +1,9 @@
 package master
 
 // Cold-start benchmarks: process boot as a NewForRules build of the frozen
-// tables versus loading the saved arena image, at |Dm| = 100k (plus a
-// 10k point for trend), and the probe loop over both — the same tables,
+// tables versus loading the saved arena image (BenchmarkColdStartArena, in
+// the external test package so that it can boot a HOSP image too), at
+// |Dm| = 100k (plus a 10k point for trend), and the probe loop over both — the same tables,
 // built in memory (BenchmarkProbeHeap) or viewed over the mapping
 // (BenchmarkProbeArena). Every benchmark pins GOMAXPROCS and the shard
 // count: the boots run at 1 — their allocation counts then do not depend on
@@ -11,7 +12,6 @@ package master
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -40,49 +40,6 @@ func BenchmarkColdStartRebuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := NewForRules(rel, sigma, WithShards(p)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkColdStartArena is the boot path with one: open the saved
-// image, map it, validate, and materialize the snapshot. File pages are
-// warm (saved in the same process), which matches a service restarting on
-// the machine that holds its snapshot.
-func BenchmarkColdStartArena(b *testing.B) {
-	const p = 1
-	pinProcs(b, p)
-	for _, n := range []int{10_000, 100_000} {
-		rel, sigma := benchMasterRelation(n)
-		d, err := NewForRules(rel, sigma, WithShards(p))
-		if err != nil {
-			b.Fatal(err)
-		}
-		path := filepath.Join(b.TempDir(), "master.arena")
-		if err := d.SaveArenaFile(path, sigma); err != nil {
-			b.Fatal(err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("Dm=%d", n), func(b *testing.B) {
-			pinProcs(b, p)
-			b.SetBytes(fi.Size())
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// A boot starts with empty pools. Two collections, off the
-				// clock, empty every sync.Pool and its victim cache, so each
-				// load refills fmt's (the rule-signature check) and allocs/op
-				// repeats to the unit; without them it moved by ±3 with how
-				// many cycles happened to land inside a load.
-				b.StopTimer()
-				runtime.GC()
-				runtime.GC()
-				b.StartTimer()
-				if _, err := LoadArena(path, sigma); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,19 +4,23 @@ package master
 // maps the file (or falls back to reading it) and assembles a fully usable
 // Data snapshot whose id rows and frozen tables (table.go) are views into
 // the raw bytes — no per-tuple hashing, no map construction proportional to
-// |Dm|. The O(|Dm|) work is one validating pass over the rows, which also
-// lays a row header per tuple, and the parallel pass that derives what the
-// image does not store: each index shard's exception table and each rule's
-// pattern-support count. String payloads stay in the arena (symbol values
-// alias the mapping zero-copy).
+// |Dm|. After the checksum, the O(|Dm|) work runs on the cores in two
+// parallel steps. First the symbols decode beside the rows' range check,
+// which lays a row header per tuple. Then one job per (index, shard)
+// validates its table and, in the same walk, derives its exception table
+// from the image's cells, while one job per rule counts its pattern support
+// by symbol id. String payloads stay in the arena (symbol values alias the
+// mapping zero-copy).
 //
 // Validation is EAGER: the trailer's checksum first, then every offset,
-// count, table invariant and id range is checked here, so the probe hot path runs with no bounds checks and a
-// snapshot that loads without error can never cause an out-of-range
-// access later. Hostile input fails with a *SnapshotError (matching
-// ErrBadSnapshot), and every count is held against the bytes that must back
-// it before anything is sized by it, so a small corrupt file cannot demand a
-// huge allocation.
+// count, table invariant and id range is checked here, so the probe hot path
+// runs with no bounds checks and a snapshot that loads without error can
+// never cause an out-of-range access later. Hostile input fails with a
+// *SnapshotError (matching ErrBadSnapshot), and every count is held against
+// the bytes that must back it before anything is sized by it, so a small
+// corrupt file cannot demand a huge allocation. The jobs of a parallel step
+// are in file order and the first failing one is reported, so the error is
+// the same at every GOMAXPROCS.
 //
 // The mapping stays alive for as long as any snapshot derived from it:
 // loaded rows and values alias the arena bytes, so the mapping is never
@@ -237,11 +241,7 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		return nil, err
 	}
 
-	syms, err := decodeArenaSymbols(body[secOff[secSymbols]:secOff[secRows]], secOff[secSymbols], nsyms)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := decodeArenaRows(body, secOff[secRows], n, arity, nsyms)
+	syms, cells, rows, err := decodeArenaCells(body, secOff, n, arity, nsyms)
 	if err != nil {
 		return nil, err
 	}
@@ -278,29 +278,32 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		shards:  make([]indexShard, nindexes*nshards),
 		arena:   &arenaRef{data: b, mapped: mapped},
 	}
+	// One parallel pass validates every shard table and derives what the
+	// image does not store from the rows it does, so a probe trusts only what
+	// this pass verified: each (index, shard) job checks its table's buckets
+	// and, once a bucket's ids have passed, derives its exception mask from
+	// the image's cells; each rule's job counts its pattern support. The
+	// tables are laid out first, serially — a few header reads each — and the
+	// failure reported is the first in file order: a table's that the
+	// layout reached, else the layout's own.
 	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
-	for i := range p.indexes {
-		if err := decodeArenaIndex(ir, i, d.indexAt(i), n); err != nil {
-			return nil, err
-		}
-	}
-
-	// What the image does not store is derived from the rows it does, so a
-	// probe trusts only what this pass verified: each rule's pattern-support
-	// count, then each index shard's exception table. The jobs are the rules
-	// and the (index, shard) pairs, so a load is as parallel at P = 1 as at
-	// any other P. The error is dropped because no job returns one.
+	views := layoutArenaIndexes(ir, p, nshards)
+	row := func(id int) []uint32 { return cells[id*arity : (id+1)*arity : (id+1)*arity] }
 	nr := len(p.rules)
 	d.supported = make([]int, nr)
-	_, _ = parallel.Map(nr+nindexes*nshards, 0, func(k int) (struct{}, error) {
-		if k < nr {
-			d.supported[k] = d.countSupported(k)
-		} else {
-			k -= nr
-			d.indexAt(k/nshards).rebuildExceptions(k%nshards, &d.rows)
+	_, err = parallel.Map(len(views)+nr, 0, func(k int) (struct{}, error) {
+		if k >= len(views) {
+			d.supported[k-len(views)] = d.countSupported(k - len(views))
+			return struct{}{}, nil
 		}
-		return struct{}{}, nil
+		return struct{}{}, d.indexAt(k/nshards).loadShard(k%nshards, views[k], n, row)
 	})
+	if err == nil {
+		err = ir.err
+	}
+	if err != nil {
+		return nil, err
+	}
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
 	// decoded tuples and verify it against the stored root — a
@@ -383,63 +386,104 @@ func decodeArenaSymbols(sec []byte, off, nsyms int) (*relation.Symbols, error) {
 	return syms, nil
 }
 
-// decodeArenaRows views the rows section in place as the snapshot's id rows.
-// One pass checks that every cell is a symbol's id and lays the row headers,
-// the load's one allocation proportional to |Dm|.
-func decodeArenaRows(b []byte, off, n, arity, nsyms int) (rowVec, error) {
-	r := &areader{b: b, off: off, sec: "rows"}
-	if n > 0 && arity > (len(b)/4)/n {
+// rowsPerCheck is how many rows one job of the load's range check covers.
+const rowsPerCheck = 1 << 14
+
+// decodeArenaCells decodes the symbols section into the snapshot's interning
+// table and views the rows section in place as its id rows, returning them
+// also as the flat cells they are, |Dm| × arity ids row-major. One job
+// decodes the symbols while the others check, rowsPerCheck rows each, that
+// every cell is a symbol's id and lay those rows' headers, the load's one
+// allocation proportional to |Dm|. The failure reported is the first in file
+// order: the symbols', else the first bad cell's.
+func decodeArenaCells(body []byte, secOff [numSections]int, n, arity, nsyms int) (*relation.Symbols, []uint32, rowVec, error) {
+	off := secOff[secRows]
+	r := &areader{b: body, off: off, sec: "rows"}
+	if n > 0 && arity > (len(body)/4)/n {
 		r.fail("rows section for %d×%d cells exceeds file size", n, arity)
-		return rowVec{}, r.err
 	}
 	cells := viewU32(r.take(4 * n * arity))
-	if r.err != nil {
-		return rowVec{}, r.err
+	var rows [][]uint32
+	checks := 0
+	if r.err == nil {
+		rows = make([][]uint32, n)
+		checks = (n + rowsPerCheck - 1) / rowsPerCheck
 	}
-	rows := make([][]uint32, n)
-	for i := range rows {
-		row := cells[i*arity : (i+1)*arity : (i+1)*arity]
-		for c, id := range row {
-			if id >= uint32(nsyms) {
-				r.off = off + 4*(i*arity+c)
-				r.fail("cell (%d,%d): value id %d out of range %d", i, c, id, nsyms)
-				return rowVec{}, r.err
+	var syms *relation.Symbols
+	_, err := parallel.Map(1+checks, 0, func(k int) (struct{}, error) {
+		if k == 0 {
+			var err error
+			syms, err = decodeArenaSymbols(body[secOff[secSymbols]:off], secOff[secSymbols], nsyms)
+			return struct{}{}, err
+		}
+		lo := (k - 1) * rowsPerCheck
+		for i := lo; i < min(lo+rowsPerCheck, n); i++ {
+			row := cells[i*arity : (i+1)*arity : (i+1)*arity]
+			for c, id := range row {
+				if id >= uint32(nsyms) {
+					return struct{}{}, &SnapshotError{Section: "rows", Offset: off + 4*(i*arity+c),
+						Msg: fmt.Sprintf("cell (%d,%d): value id %d out of range %d", i, c, id, nsyms)}
+				}
+			}
+			rows[i] = row
+		}
+		return struct{}{}, nil
+	})
+	if err == nil {
+		err = r.err
+	}
+	if err != nil {
+		return nil, nil, rowVec{}, err
+	}
+	return syms, cells, persist.FromSlice(rows), nil
+}
+
+// tableView is one shard table as the image lays it out: the table viewed
+// in place, and its offset in the image.
+type tableView struct {
+	t     table
+	start int
+}
+
+// layoutArenaIndexes walks the index section of Σ's plan p, index by index —
+// its Xm list, which must be the plan's, then a table per shard — and views
+// each table in place, checking only what locating the next one needs. It
+// stops at the first failure, left in r.err, and returns the tables laid out
+// before it, in file order.
+func layoutArenaIndexes(r *areader, p *plan, nshards int) []tableView {
+	views := make([]tableView, 0, len(p.indexes)*nshards)
+	for i := range p.indexes {
+		xm := p.indexes[i].xm
+		start := r.off
+		nxm := r.count(uint64(r.u32()), len(r.b), "index Xm length")
+		same := nxm == len(xm)
+		for k := 0; k < nxm && r.err == nil; k++ {
+			if c := r.u32(); same && int(c) != xm[k] {
+				same = false
 			}
 		}
-		rows[i] = row
-	}
-	return persist.FromSlice(rows), nil
-}
-
-// decodeArenaIndex decodes the i-th index into idx's shards: its Xm list,
-// which must be the plan's, then a table per shard.
-func decodeArenaIndex(r *areader, i int, idx index, n int) error {
-	start := r.off
-	nxm := r.count(uint64(r.u32()), len(r.b), "index Xm length")
-	same := nxm == len(idx.xm)
-	for k := 0; k < nxm && r.err == nil; k++ {
-		if p := r.u32(); same && int(p) != idx.xm[k] {
-			same = false
+		if r.err == nil && !same {
+			r.off = start
+			r.fail("index %d is not over Σ's plan's Xm %v", i, xm)
+		}
+		r.align8()
+		for range nshards {
+			start := r.off
+			t := layoutTable(r)
+			if r.err != nil {
+				return views
+			}
+			views = append(views, tableView{t, start})
 		}
 	}
-	if r.err == nil && !same {
-		r.off = start
-		r.fail("index %d is not over Σ's plan's Xm %v", i, idx.xm)
-	}
-	r.align8()
-	for s := 0; s < len(idx.shards) && r.err == nil; s++ {
-		idx.shards[s].frozen = decodeTable(r, n, s, len(idx.shards))
-	}
-	return r.err
+	return views
 }
 
-// decodeTable views shard s of nshards' frozen table in place, fully
-// validated: a power-of-two slot count with an empty slot for probe
-// termination, every key routed to this shard (a probe looks nowhere else),
-// spans inside the id array, key and id counts matching the header, ids in
-// [0, n) and ascending per bucket. On failure r.err is set and the result
-// unusable.
-func decodeTable(r *areader, n, s, nshards int) table {
+// layoutTable views the next shard table in place: a power-of-two slot
+// count with an empty slot for probe termination, the slot and id arrays the
+// header's counts size. validateTable checks the rest. On failure r.err is
+// set and the result unusable.
+func layoutTable(r *areader) table {
 	start := r.off
 	nslots := r.count(r.u64(), len(r.b)/16, "table slot count")
 	nkeys := r.count(r.u64(), len(r.b)/16, "table key count")
@@ -450,42 +494,70 @@ func decodeTable(r *areader, n, s, nshards int) table {
 	}
 	slots := viewU64(r.take(16 * nslots))
 	ids := viewIDs(r.take(idWidth * nids))
-	if r.err != nil {
-		return table{}
+	return table{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
+}
+
+// validateTable finishes the validation of t, shard s of nshards, laid out at
+// offset start of the image: every key routed to this shard (a probe looks
+// nowhere else), spans inside the id array, key and id counts matching the
+// header, ids in [0, n) and ascending per bucket. bucket, when not nil, is
+// called with each bucket once its ids have passed.
+func validateTable(t table, start, n, s, nshards int, bucket func(h uint64, ids []int)) error {
+	fail := func(format string, args ...any) error {
+		return &SnapshotError{Section: "indexes", Offset: start, Msg: fmt.Sprintf(format, args...)}
 	}
+	nids := len(t.ids)
 	occupied, span := 0, 0
-	for slot := 0; slot < nslots; slot++ {
-		packed := slots[2*slot+1]
+	for slot := 0; 2*slot < len(t.slots); slot++ {
+		packed := t.slots[2*slot+1]
 		if packed == 0 {
 			continue
 		}
 		occupied++
-		if home := keyShard(slots[2*slot], nshards); home != s {
-			r.off = start
-			r.fail("key %#x sits in shard %d but routes to shard %d of %d", slots[2*slot], s, home, nshards)
-			return table{}
+		h := t.slots[2*slot]
+		if home := keyShard(h, nshards); home != s {
+			return fail("key %#x sits in shard %d but routes to shard %d of %d", h, s, home, nshards)
 		}
 		off, cnt := int(packed>>32), int(packed&0xffffffff)
 		if cnt < 1 || off < 0 || off > nids-cnt {
-			r.off = start
-			r.fail("bucket span [%d,%d) outside %d ids", off, off+cnt, nids)
-			return table{}
+			return fail("bucket span [%d,%d) outside %d ids", off, off+cnt, nids)
 		}
 		span += cnt
+		ids := t.ids[off : off+cnt]
 		prev := -1
-		for _, id := range ids[off : off+cnt] {
+		for _, id := range ids {
 			if id >= n || id <= prev {
-				r.off = start
-				r.fail("bucket id %d out of range %d or not ascending", id, n)
-				return table{}
+				return fail("bucket id %d out of range %d or not ascending", id, n)
 			}
 			prev = id
 		}
+		if bucket != nil {
+			bucket(h, ids)
+		}
 	}
-	if occupied != nkeys || span != nids {
-		r.off = start
-		r.fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, nkeys, nids)
-		return table{}
+	if occupied != t.nkeys || span != nids {
+		return fail("table holds %d keys/%d ids, header says %d/%d", occupied, span, t.nkeys, nids)
 	}
-	return table{slots: slots, mask: uint64(nslots - 1), ids: ids, nkeys: nkeys}
+	return nil
+}
+
+// loadShard validates shard s's table as the image lays it out (v) and makes
+// it the shard's, with the exception table (uniform.go) derived in the same
+// walk from the image's rows, read by row: nothing for an index that tracks
+// no rhs column or a table of single-tuple buckets.
+func (idx index) loadShard(s int, v tableView, n int, row func(id int) []uint32) error {
+	var exc exceptions
+	var derive func(h uint64, ids []int)
+	if len(idx.bms) > 0 && v.t.nkeys != len(v.t.ids) {
+		derive = func(h uint64, ids []int) {
+			if m := idx.bucketMask(idList{span: [1][]int{ids}}, row, collided); m != 0 {
+				exc = append(exc, exception{h, m})
+			}
+		}
+	}
+	if err := validateTable(v.t, v.start, n, s, len(idx.shards), derive); err != nil {
+		return err
+	}
+	idx.shards[s] = indexShard{layered{frozen: v.t}, exc.sorted()}
+	return nil
 }

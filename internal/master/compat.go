@@ -45,31 +45,53 @@ func patternCompatible(ru *rule.Rule, row []uint32, syms *relation.Symbols) bool
 	return true
 }
 
-// patternFree reports that no lhs attribute of ru carries a pattern cell
-// other than a wildcard: patternCompatible holds on every master tuple.
-func patternFree(ru *rule.Rule) bool {
-	tp := ru.Pattern()
-	for _, x := range ru.LHS() {
-		if cell, has := tp.CellFor(x); has && cell.Kind != pattern.Wildcard {
-			return false
-		}
-	}
-	return true
+// idCell is a pattern cell resolved against a symbol table: the master
+// column it constrains and the id of its value, which the column's cell must
+// equal (ne false) or must not (ne true).
+type idCell struct {
+	col int
+	id  uint32
+	ne  bool
 }
 
 // countSupported counts the rows satisfying the pattern of the plan's r-th
-// rule. A rule whose lhs carries no pattern cell is supported by every
-// tuple: its count is |Dm|, with no scan.
+// rule (patternCompatible's test, on ids). A pattern cell on an lhs
+// attribute is a wildcard or the equality or inequality with one value, so
+// it names at most one symbol, resolved once here: a constant Dm does not
+// hold matches no row, and its negation every row. A row then costs one id
+// comparison per remaining cell, and a rule left with none is supported by
+// every tuple: its count is |Dm|, with no scan.
 func (d *Data) countSupported(r int) int {
 	ru := d.plan.rules[r].ru
-	if patternFree(ru) {
+	x, xm := ru.LHS(), ru.LHSM()
+	tp := ru.Pattern()
+	var buf [8]idCell
+	cells := buf[:0]
+	for i := range x {
+		cell, has := tp.CellFor(x[i])
+		if !has || cell.Kind == pattern.Wildcard {
+			continue
+		}
+		id, ok := d.syms.ID(cell.Val)
+		switch {
+		case ok:
+			cells = append(cells, idCell{xm[i], id, cell.Kind == pattern.NotConst})
+		case cell.Kind == pattern.Const:
+			return 0
+		}
+	}
+	if len(cells) == 0 {
 		return d.rows.Len()
 	}
 	n := 0
+rows:
 	for _, row := range d.rows.All() {
-		if patternCompatible(ru, row, d.syms) {
-			n++
+		for _, c := range cells {
+			if (row[c.col] == c.id) == c.ne {
+				continue rows
+			}
 		}
+		n++
 	}
 	return n
 }

@@ -200,7 +200,7 @@ func (nd *Data) applyIndexOps(idx index, ops []deltaOp, batch *persist.Edit) {
 		// The maintained mask never misses a disagreement, so it bounds the
 		// scan: a bucket that is still as dirty answers in a few tuples.
 		sh := idx.shard(h)
-		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), &nd.rows, sh.exc.mask(h)))
+		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), nd.rows.At, sh.exc.mask(h)))
 	}
 }
 

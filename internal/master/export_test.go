@@ -2,12 +2,14 @@ package master
 
 import "io"
 
-// The fixtures of the in-package benchmarks, for the external test package:
-// only that one can import datagen (datagen imports master).
+// The fixtures of the in-package benchmarks and the arena's derivation
+// check, for the external test package: only that one can import datagen
+// (datagen imports master).
 var (
 	BenchMasterRelation = benchMasterRelation
 	BenchMasterTuple    = benchMasterTuple
 	PinProcs            = pinProcs
+	CheckLoadDerives    = checkLoadDerives
 )
 
 // ReadCSVBlocks is Builder.ReadCSV reading rd in blocks of the given size:

@@ -75,9 +75,12 @@ func checkTable(t testing.TB, ctx string, tab table, keys []uint64, ids []int, n
 	// key routes there).
 	img := tableImage(t, ctx, tab)
 	r := &areader{b: append([]byte(nil), img...), sec: "table"}
-	loaded := decodeTable(r, n, 0, 1)
+	loaded := layoutTable(r)
 	if r.err != nil {
-		t.Fatalf("%s: built table fails the loader's validation: %v", ctx, r.err)
+		t.Fatalf("%s: built table fails the loader's layout: %v", ctx, r.err)
+	}
+	if err := validateTable(loaded, 0, n, 0, 1, nil); err != nil {
+		t.Fatalf("%s: built table fails the loader's validation: %v", ctx, err)
 	}
 	if r.off != len(r.b) {
 		t.Fatalf("%s: decoder consumed %d of %d bytes", ctx, r.off, len(r.b))

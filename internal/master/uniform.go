@@ -18,12 +18,16 @@ package master
 // master, which is why it is a table of exceptions and not a value per
 // (key, column).
 //
-// The table is a pure function of the shard's buckets and rows.
-// rebuildExceptions derives it after a build and after LoadArena (arenas
-// do not store it); ApplyDelta maintains it copy-on-write: an added tuple
-// is compared with its bucket's smallest id, a delete from a listed bucket
-// rescans that bucket, a swap-remove rename changes no bucket's tuple set.
-// The property suites pin incremental == rebuilt at every epoch.
+// The table is a pure function of the shard's buckets and rows, derived
+// bucket by bucket by bucketMask. A build derives it with rebuildExceptions
+// after filling each shard; LoadArena (arenas do not store it) derives it in
+// the walk that validates the image's table, reading rows from the image's
+// cells in place; a shard whose buckets are all singletons derives nothing.
+// ApplyDelta maintains it copy-on-write: an added tuple is compared with its
+// bucket's smallest id, a delete from a listed bucket rescans that bucket, a
+// swap-remove rename changes no bucket's tuple set. The property suites pin
+// incremental == rebuilt at every epoch, and the arena tests loaded ==
+// rebuilt.
 
 import (
 	"cmp"
@@ -92,17 +96,23 @@ func (ip *indexPlan) disagree(a, b []uint32) uint64 {
 	return m
 }
 
-// bucketMask computes a bucket's exception mask from scratch. limit is a
-// known superset of the answer — collided when nothing is known — and ends
-// the scan as soon as it is reached.
-func (ip *indexPlan) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
+// bucketMask computes a bucket's exception mask from scratch, reading
+// each tuple's cells with row: the build and ApplyDelta read the snapshot's
+// rows, LoadArena the image's. limit is a known superset of the answer —
+// collided when nothing is known — and ends the scan as soon as it is
+// reached. A bucket of one tuple is uniform, and no row is read for it.
+func (ip *indexPlan) bucketMask(bucket idList, row func(id int) []uint32, limit uint64) uint64 {
+	chunks := bucket.chunks()
+	if len(chunks) == 1 && len(chunks[0]) < 2 {
+		return 0
+	}
 	var m uint64
 	var first []uint32 // the row of the bucket's smallest id
-	for _, chunk := range bucket.chunks() {
+	for _, chunk := range chunks {
 		for _, id := range chunk {
 			if first == nil {
-				first = rows.At(id)
-			} else if m |= ip.disagree(first, rows.At(id)); m == limit {
+				first = row(id)
+			} else if m |= ip.disagree(first, row(id)); m == limit {
 				return m
 			}
 		}
@@ -111,17 +121,28 @@ func (ip *indexPlan) bucketMask(bucket idList, rows *rowVec, limit uint64) uint6
 }
 
 // rebuildExceptions derives shard s's exception table from its buckets; an
-// index that tracks no rhs column keeps none.
+// index that tracks no rhs column keeps none, and a shard holding only
+// single-tuple buckets derives none.
 func (idx index) rebuildExceptions(s int, rows *rowVec) {
 	if len(idx.bms) == 0 {
 		return
 	}
+	sh := &idx.shards[s]
+	if sh.over.Len() == 0 && sh.frozen.nkeys == len(sh.frozen.ids) {
+		sh.exc = nil
+		return
+	}
 	var exc exceptions
-	idx.shards[s].lists(func(h uint64, bucket idList) {
-		if m := idx.bucketMask(bucket, rows, collided); m != 0 {
+	sh.lists(func(h uint64, bucket idList) {
+		if m := idx.bucketMask(bucket, rows.At, collided); m != 0 {
 			exc = append(exc, exception{h, m})
 		}
 	})
-	slices.SortFunc(exc, func(a, b exception) int { return cmp.Compare(a.h, b.h) })
-	idx.shards[s].exc = exc
+	sh.exc = exc.sorted()
+}
+
+// sorted returns a freshly derived table in key order.
+func (e exceptions) sorted() exceptions {
+	slices.SortFunc(e, func(a, b exception) int { return cmp.Compare(a.h, b.h) })
+	return e
 }
