@@ -483,7 +483,7 @@ func BenchmarkAblationBDD(b *testing.B) {
 // with the general Thm-4 closure checker on the same direct region.
 func BenchmarkAblationDirectVsGeneral(b *testing.B) {
 	ds := mustHosp(b, 1)
-	checker := analysis.NewChecker(ds.Sigma, ds.Master)
+	checker := analysis.NewChecker(ds.Sigma, ds.Sigma.Compile(), ds.Master)
 	r := ds.Sigma.Schema()
 	tm := ds.Master.Tuple(0)
 	rm := ds.Master.Schema()

@@ -72,11 +72,6 @@ type updateMasterRequest struct {
 	deletes []int
 }
 
-// request is a body the codec decodes.
-type request interface {
-	decode(body []byte) error
-}
-
 func (r *beginRequest) decode(body []byte) error {
 	d := jsonReader{b: body}
 	for d.member() {
@@ -140,27 +135,36 @@ func (r *updateMasterRequest) decode(body []byte) error {
 	return d.end()
 }
 
-// readRequest reads the body, at most maxBody bytes, and decodes it into
-// req. On failure it replies 413 body_too_large or 400 bad_request and
-// reports false.
-func readRequest(w http.ResponseWriter, r *http.Request, req request) bool {
+// readBody reads the body, at most maxBody bytes, into a pooled buffer
+// for the handler to decode with its request type's decode and hand to
+// decoded. On failure it replies 413 body_too_large or 400 bad_request and
+// returns nil.
+func readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer {
 	buf := buffers.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
-		err = req.decode(buf.Bytes())
+		return buf
 	}
-	putBuffer(buf) // decoded values copy what they keep
-	if err == nil {
-		return true
-	}
+	putBuffer(buf)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeErrorBody(w, http.StatusRequestEntityTooLarge, err, "body_too_large")
 	} else {
 		writeErrorBody(w, http.StatusBadRequest, err, "bad_request")
 	}
-	return false
+	return nil
+}
+
+// decoded returns the body's buffer to the pool (decoded values copy what
+// they keep) and reports whether decoding it succeeded, replying 400
+// bad_request when it did not.
+func decoded(w http.ResponseWriter, body *bytes.Buffer, err error) bool {
+	putBuffer(body)
+	if err != nil {
+		writeErrorBody(w, http.StatusBadRequest, err, "bad_request")
+	}
+	return err == nil
 }
 
 // jsonReader reads JSON from b. The first failure sticks: it moves the

@@ -213,17 +213,25 @@ func TestBodyTooLarge(t *testing.T) {
 	for _, path := range []string{"/v1/begin", "/v1/suggest", "/v1/answer", "/v1/result", "/v1/update-master"} {
 		for _, size := range []int{maxBody, maxBody + 1} {
 			body := append(bytes.Repeat([]byte(" "), size-4), "null"...)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			var reply struct {
-				Code string `json:"code"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
-				t.Fatalf("%s, %d B: reply %q: %v", path, size, rec.Body, err)
-			}
-			tooLarge := rec.Code == http.StatusRequestEntityTooLarge && reply.Code == "body_too_large"
-			if tooLarge != (size > maxBody) {
-				t.Fatalf("%s, %d B: HTTP %d %s", path, size, rec.Code, rec.Body)
+			for _, sized := range []bool{true, false} {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				if !sized {
+					// No Content-Length: the bound must hold on the bytes read.
+					req = httptest.NewRequest(http.MethodPost, path, io.MultiReader(bytes.NewReader(body)))
+					req.ContentLength = -1
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				var reply struct {
+					Code string `json:"code"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+					t.Fatalf("%s, %d B, sized %v: reply %q: %v", path, size, sized, rec.Body, err)
+				}
+				tooLarge := rec.Code == http.StatusRequestEntityTooLarge && reply.Code == "body_too_large"
+				if tooLarge != (size > maxBody) {
+					t.Fatalf("%s, %d B, sized %v: HTTP %d %s", path, size, sized, rec.Code, rec.Body)
+				}
 			}
 		}
 	}

@@ -123,7 +123,8 @@ func (s *server) sessionReply(w http.ResponseWriter, sess *certainfix.FixSession
 
 func (s *server) handleBegin(w http.ResponseWriter, r *http.Request) {
 	var req beginRequest
-	if !readRequest(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil || !decoded(w, body, req.decode(body.Bytes())) {
 		return
 	}
 	sess, err := s.sys.Begin(r.Context(), req.tuple)
@@ -144,7 +145,8 @@ func (s *server) resume(r *http.Request, req tokenRequest) (*certainfix.FixSessi
 
 func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	var req tokenRequest
-	if !readRequest(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil || !decoded(w, body, req.decode(body.Bytes())) {
 		return
 	}
 	sess, err := s.resume(r, req)
@@ -157,7 +159,8 @@ func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
-	if !readRequest(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil || !decoded(w, body, req.decode(body.Bytes())) {
 		return
 	}
 	sess, err := s.resume(r, req.tokenRequest)
@@ -174,7 +177,8 @@ func (s *server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req tokenRequest
-	if !readRequest(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil || !decoded(w, body, req.decode(body.Bytes())) {
 		return
 	}
 	sess, err := s.resume(r, req)
@@ -198,7 +202,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleUpdateMaster(w http.ResponseWriter, r *http.Request) {
 	var req updateMasterRequest
-	if !readRequest(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil || !decoded(w, body, req.decode(body.Bytes())) {
 		return
 	}
 	epoch, err := s.sys.UpdateMaster(req.adds, req.deletes)

@@ -41,27 +41,30 @@ type Verdict struct {
 // ok is the positive verdict.
 var okVerdict = Verdict{OK: true}
 
-// Checker bundles (Σ, Dm); its methods answer the §4 problems for regions
-// over Σ's input schema.
+// Checker bundles (Σ, Dm) and Σ's compiled closure program; its methods
+// answer the §4 problems for regions over Σ's input schema.
 //
 // A Checker is safe for concurrent use. It reads Σ in place: the rules,
 // and each rule's premise set X ∪ Xp through Rule.PremiseSet. The
 // concrete check of Theorem 4 keeps its per-call state (the
-// tuple under closure, the per-round assignments, the validator sets) in
-// scratch drawn from a package-level pool, one scratch per call in flight,
-// so concurrent checks share nothing mutable. A warm check allocates
-// nothing unless it meets a pair that disagrees with its closure (step
-// (g)) or builds a negative verdict's Detail, which ConcreteOK never does.
+// tuple under closure, the per-round assignments, the validator mask and
+// the closure scratch of its step-(g) reachability) in scratch drawn from a
+// package-level pool, one scratch per call in flight, so concurrent checks
+// share nothing mutable. A warm check allocates nothing unless it builds a
+// negative verdict's Detail, which ConcreteOK never does.
 type Checker struct {
 	sigma   *rule.Set
+	prog    *rule.Compiled
 	dm      *master.Data
 	cap     int // instantiationCap; lowered only by tests (export_test.go)
 	domains domains
 }
 
-// NewChecker builds a checker for (Σ, Dm).
-func NewChecker(sigma *rule.Set, dm *master.Data) *Checker {
-	return &Checker{sigma: sigma, dm: dm, cap: instantiationCap}
+// NewChecker builds a checker for (Σ, Dm). prog must be Σ's program,
+// sigma.Compile(): a Deriver compiles it once and shares it with every
+// checker it builds.
+func NewChecker(sigma *rule.Set, prog *rule.Compiled, dm *master.Data) *Checker {
+	return &Checker{sigma: sigma, prog: prog, dm: dm, cap: instantiationCap}
 }
 
 // Sigma returns Σ.

@@ -17,7 +17,7 @@ func newChecker(t *testing.T) *analysis.Checker {
 	t.Helper()
 	sigma := paperex.Sigma0()
 	dm := master.MustNewForRules(paperex.MasterRelation(), sigma)
-	return analysis.NewChecker(sigma, dm)
+	return analysis.NewChecker(sigma, sigma.Compile(), dm)
 }
 
 // regionAHZ is (Z_AHZ, T_AHZ) of Examples 8/10: Z = (AC, phn, type, zip),

@@ -27,23 +27,29 @@ func (c *Checker) ConcreteOK(z []int, vals []relation.Value, coverage bool) bool
 }
 
 // scratchPool holds the concrete check's scratch, one per call in flight.
-// A scratch serves every Σ: getScratch sizes it to the schema's arity.
-var scratchPool = sync.Pool{New: func() any { return new(concreteScratch) }}
+// A scratch serves every Σ: getScratch sizes it to the schema's arity and
+// the check sizes its per-rule masks to Σ.
+var scratchPool = sync.Pool{New: func() any { return &concreteScratch{clo: rule.NewClosureScratch()} }}
 
 // concreteScratch is one check's mutable state: the tuple under closure,
-// the buffer the master probe appends a rule's rhs values to, and the
-// arity-indexed per-round assignments and validator sets with the lists of
-// attributes they touched (so that resetting them costs what the check
-// wrote, not the arity). Z and the validated set are one-word values on
-// the check's own stack.
+// the buffer the master probe appends a rule's rhs values to, the
+// arity-indexed per-round assignments with the list of attributes they
+// touched (so that resetting them costs what the check wrote, not the
+// arity), and step (g)'s state — which rules validate the closure's value
+// of their rhs, the mask and closure scratch of the reachability, and the
+// reachable set per disputed attribute. Z and the validated set are
+// one-word values on the check's own stack.
 type concreteScratch struct {
-	t          relation.Tuple
-	probe      []relation.Value
-	assign     [][]relation.Value
-	touched    []int
-	validators [][]relation.AttrSet
-	vtouched   []int
-	lates      []lateConflict
+	t         relation.Tuple
+	probe     []relation.Value
+	assign    [][]relation.Value
+	touched   []int
+	validator []bool
+	off       []bool
+	clo       *rule.ClosureScratch
+	lates     []lateConflict
+	reachAttr []int
+	reachSet  []relation.AttrSet
 }
 
 // lateConflict is a pair that would assign the closure-validated attribute
@@ -61,11 +67,9 @@ func getScratch(arity int, zPos []int, vals []relation.Value) *concreteScratch {
 	if cap(sc.t) < arity {
 		sc.t = relation.NewTuple(arity)
 		sc.assign = make([][]relation.Value, arity)
-		sc.validators = make([][]relation.AttrSet, arity)
 	}
 	sc.t = sc.t[:arity]
 	sc.assign = sc.assign[:arity]
-	sc.validators = sc.validators[:arity]
 	clear(sc.t)
 	for i, p := range zPos {
 		sc.t[p] = vals[i]
@@ -79,10 +83,8 @@ func putScratch(sc *concreteScratch) {
 	for _, b := range sc.touched {
 		sc.assign[b] = sc.assign[b][:0]
 	}
-	for _, b := range sc.vtouched {
-		sc.validators[b] = sc.validators[b][:0]
-	}
-	sc.touched, sc.vtouched, sc.lates = sc.touched[:0], sc.vtouched[:0], sc.lates[:0]
+	sc.touched, sc.lates = sc.touched[:0], sc.lates[:0]
+	sc.reachAttr, sc.reachSet = sc.reachAttr[:0], sc.reachSet[:0]
 	scratchPool.Put(sc)
 }
 
@@ -97,8 +99,8 @@ func putScratch(sc *concreteScratch) {
 // named). It then performs the step-(g) analysis: a pair that disagrees
 // with an already-validated attribute B is a genuine inconsistency iff the
 // pair could fire in some order before B is validated, which is decided by
-// a reachability analysis over the validator sets (the dep(·) bookkeeping
-// of the proof, made transitive).
+// a reachability analysis over the validators (the dep(·) bookkeeping of
+// the proof, made transitive).
 //
 // internal/oracle.ConcreteVerdict is the same check written with a map per
 // round and a premise kept with each late pair; the property tests hold
@@ -155,9 +157,16 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 		}
 	}
 
-	// Validator sets: for each derived attribute A, the premise sets of
-	// every pair that assigns A its closure value. These are the
-	// alternative ways any sequence can validate A.
+	// Validators: the rules with a pair that assigns their derived rhs its
+	// closure value. Their premises are the alternative ways any sequence
+	// can validate that attribute.
+	if cap(sc.validator) < len(rules) {
+		sc.validator = make([]bool, len(rules))
+		sc.off = make([]bool, len(rules))
+	}
+	sc.validator, sc.off = sc.validator[:len(rules)], sc.off[:len(rules)]
+	validator := sc.validator
+	clear(validator)
 	for i, ru := range rules {
 		b := ru.RHS()
 		if base.Has(b) || !cur.Has(b) {
@@ -168,14 +177,11 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 		}
 		sc.probe, _ = c.dm.AppendRHSValues(sc.probe[:0], ru, t)
 		for _, v := range sc.probe {
-			if !v.Equal(t[b]) {
+			if v.Equal(t[b]) {
+				validator[i] = true
+			} else {
 				sc.lates = append(sc.lates, lateConflict{attr: b, value: v, rule: i})
-				continue
 			}
-			if len(sc.validators[b]) == 0 {
-				sc.vtouched = append(sc.vtouched, b)
-			}
-			sc.validators[b] = append(sc.validators[b], ru.PremiseSet())
 		}
 	}
 
@@ -183,16 +189,14 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 	// can be validated without first validating the disputed attribute.
 	// The reachable set depends only on the disputed attribute, so rules
 	// disputing the same attribute share one computation.
-	var reachAttr []int
-	var reachSet []relation.AttrSet
 	for _, lc := range sc.lates {
-		k := slices.Index(reachAttr, lc.attr)
+		k := slices.Index(sc.reachAttr, lc.attr)
 		if k < 0 {
-			k = len(reachAttr)
-			reachAttr = append(reachAttr, lc.attr)
-			reachSet = append(reachSet, base.Union(validatableWithout(base, sc.validators, sc.vtouched, lc.attr)))
+			k = len(sc.reachAttr)
+			sc.reachAttr = append(sc.reachAttr, lc.attr)
+			sc.reachSet = append(sc.reachSet, c.reachableWithout(sc, base, lc.attr))
 		}
-		if reachSet[k].ContainsSet(rules[lc.rule].PremiseSet()) {
+		if sc.reachSet[k].ContainsSet(rules[lc.rule].PremiseSet()) {
 			if !detail {
 				return Verdict{}
 			}
@@ -216,40 +220,24 @@ func (c *Checker) checkConcrete(zPos []int, vals []relation.Value, coverage, det
 	return okVerdict
 }
 
-// validatableWithout computes the set of attributes that can be validated
-// by some derivation whose every step avoids validating `avoid`: an
-// attribute joins the set when one of its validator premises lies entirely
-// within base ∪ (already-derivable attributes). validators is indexed by
-// attribute, one entry per attribute of R; attrs lists those holding any. Each (premise →
-// attribute) validator is a pseudo-rule, so the least fixpoint is one
-// counter-based closure pass (rule.CompileClosure) instead of the
-// quadratic re-scan; validators touching `avoid` are dropped at compile
-// time. Only a check that met a disagreeing pair gets here.
-func validatableWithout(base relation.AttrSet, validators [][]relation.AttrSet, attrs []int, avoid int) relation.AttrSet {
-	var prems []relation.AttrSet
-	var rhs []int
-	for _, a := range attrs {
-		if a == avoid {
-			continue
-		}
-		for _, prem := range validators[a] {
-			if prem.Has(avoid) {
-				continue
-			}
-			prems = append(prems, prem)
-			rhs = append(rhs, a)
+// reachableWithout returns the attributes some derivation from base
+// validates without ever validating avoid. Each validator is a rule of Σ,
+// so this is one closure of Σ's program with every rule masked but the
+// validators of attributes other than avoid. avoid is not in base (it was
+// derived), and no unmasked rule writes it, so a validator whose premise
+// needs avoid never fires.
+func (c *Checker) reachableWithout(sc *concreteScratch, base relation.AttrSet, avoid int) relation.AttrSet {
+	for i, ru := range c.sigma.Rules() {
+		sc.off[i] = !sc.validator[i] || ru.RHS() == avoid
+	}
+	c.prog.Closure(base, sc.off, sc.clo)
+	var got relation.AttrSet
+	for a := range c.sigma.Schema().Arity() {
+		if sc.clo.Has(a) {
+			got.Add(a)
 		}
 	}
-	prog := rule.CompileClosure(len(validators), prems, rhs)
-	sc := rule.NewClosureScratch()
-	prog.Closure(base, nil, sc)
-	var ok relation.AttrSet
-	for _, a := range attrs {
-		if a != avoid && sc.Has(a) && !base.Has(a) {
-			ok.Add(a)
-		}
-	}
-	return ok
+	return got
 }
 
 // failf builds a negative verdict.

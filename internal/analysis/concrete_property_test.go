@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -37,7 +38,7 @@ func TestConcreteCheckMatchesReference(t *testing.T) {
 		if seed%2 == 1 {
 			sigma, dm = denseInstance(rng)
 		}
-		c := analysis.NewChecker(sigma, dm)
+		c := analysis.NewChecker(sigma, sigma.Compile(), dm)
 		arity := sigma.Schema().Arity()
 		for range 4 {
 			z := rng.Perm(arity)[:1+rng.Intn(arity-1)]
@@ -134,12 +135,18 @@ func verdictKind(v analysis.Verdict) string {
 
 // TestConcreteCheckConcurrent runs one checker's concrete checks on several
 // goroutines at once, each against the reference: the scratch pool must
-// hand no state from one check to another in flight (run under -race).
+// hand no state from one check to another in flight, and the checks share
+// Σ's one compiled program (run under -race). Some checks must reach step
+// (g), whose reachability closes that program, or the test says so.
 func TestConcreteCheckConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var stepG atomic.Int64
 	for inst := range 20 {
 		sigma, dm, _ := randomInstance(rng)
-		c := analysis.NewChecker(sigma, dm)
+		if inst%2 == 1 {
+			sigma, dm = denseInstance(rng)
+		}
+		c := analysis.NewChecker(sigma, sigma.Compile(), dm)
 		vals := []relation.Value{relation.String("a"), relation.String("b")}
 		arity := sigma.Schema().Arity()
 		var wg sync.WaitGroup
@@ -156,9 +163,13 @@ func TestConcreteCheckConcurrent(t *testing.T) {
 						row[i] = vals[rng.Intn(len(vals))]
 					}
 					coverage := rng.Intn(2) == 0
-					if got, want := c.ConcreteVerdict(z, row, coverage), oracle.ConcreteVerdict(sigma, dm, z, row, coverage); got != want {
+					got, want := c.ConcreteVerdict(z, row, coverage), oracle.ConcreteVerdict(sigma, dm, z, row, coverage)
+					if got != want {
 						errs <- "checker " + got.Detail + ", reference " + want.Detail
 						return
+					}
+					if verdictKind(got) == "order-dependent" {
+						stepG.Add(1)
 					}
 				}
 			}(int64(inst*4 + w))
@@ -169,11 +180,17 @@ func TestConcreteCheckConcurrent(t *testing.T) {
 			t.Fatalf("instance %d: %s", inst, e)
 		}
 	}
+	if stepG.Load() == 0 {
+		t.Fatal("no check found an order-dependent value: step (g) went unexercised")
+	}
+	t.Logf("%d of %d checks failed at step (g)", stepG.Load(), 20*4*200)
 }
 
 // TestConcreteOKAllocatesNothing: a warm check that asks for no Detail
-// allocates nothing, whether its row is certain or fails for want of
-// coverage — the two outcomes region scoring meets on every sample.
+// allocates nothing, whether its row is certain, fails for want of
+// coverage — the two outcomes region scoring meets on every sample — or
+// meets a pair that disagrees with its closure, whose step-(g)
+// reachability runs Σ's program in the pooled scratch.
 func TestConcreteOKAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("a -race build's sync.Pool drops scratch at random")
@@ -193,4 +210,36 @@ func TestConcreteOKAllocatesNothing(t *testing.T) {
 			t.Errorf("ConcreteOK(%v): %.1f allocs per check, want 0", row, allocs)
 		}
 	}
+
+	c, z, row := orderDependentRow(t)
+	if c.ConcreteOK(z, row, false) {
+		t.Fatalf("ConcreteOK(%v) on an order-dependent row passed", row)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.ConcreteOK(z, row, false) }); allocs != 0 {
+		t.Errorf("ConcreteOK(%v) at step (g): %.1f allocs per check, want 0", row, allocs)
+	}
+}
+
+// orderDependentRow returns the first dense instance's checker and row
+// that the reference fails at step (g): an order-dependent value, which
+// only the reachability over the validators finds.
+func orderDependentRow(t *testing.T) (*analysis.Checker, []int, []relation.Value) {
+	vals := []relation.Value{relation.String("a"), relation.String("b")}
+	for seed := range 200 {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		sigma, dm := denseInstance(rng)
+		arity := sigma.Schema().Arity()
+		for range 8 {
+			z := rng.Perm(arity)[:1+rng.Intn(arity-1)]
+			row := make([]relation.Value, len(z))
+			for i := range row {
+				row[i] = vals[rng.Intn(len(vals))]
+			}
+			if verdictKind(oracle.ConcreteVerdict(sigma, dm, z, row, false)) == "order-dependent" {
+				return analysis.NewChecker(sigma, sigma.Compile(), dm), z, row
+			}
+		}
+	}
+	t.Fatal("no dense instance has an order-dependent row")
+	return nil, nil, nil
 }

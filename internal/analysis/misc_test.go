@@ -55,7 +55,7 @@ func TestConcreteVerdictDirectEntry(t *testing.T) {
 func TestDirectCheckerRejectsNonDirectRules(t *testing.T) {
 	sigma := paperex.Sigma0() // ϕ4's pattern reads `type` ∉ X
 	dm := master.MustNewForRules(paperex.MasterRelation(), sigma)
-	c := analysis.NewChecker(sigma, dm)
+	c := analysis.NewChecker(sigma, sigma.Compile(), dm)
 	r := sigma.Schema()
 	z := r.MustPosList("phn") // ϕ4/ϕ5 become applicable (X = phn ⊆ Z)
 	row := pattern.MustTuple(z, []pattern.Cell{pattern.Any})
@@ -80,7 +80,7 @@ func TestDirectCheckerWithinRuleConflict(t *testing.T) {
 		relation.StringTuple("k", "v2"),
 	)
 	dm := master.MustNewForRules(rel, sigma)
-	c := analysis.NewChecker(sigma, dm)
+	c := analysis.NewChecker(sigma, sigma.Compile(), dm)
 	z := []int{0}
 	reg := fix.MustRegion(z, pattern.NewTableau(
 		pattern.MustTuple(z, []pattern.Cell{pattern.EqStr("k")})))

@@ -158,7 +158,7 @@ func buildTheorem1Instance(t *testing.T, m int, clauses []clause3) (*analysis.Ch
 	reg := fix.MustRegion(z, pattern.NewTableau(row))
 
 	dm := master.MustNewForRules(rel, sigma)
-	return analysis.NewChecker(sigma, dm), reg
+	return analysis.NewChecker(sigma, sigma.Compile(), dm), reg
 }
 
 // TestTheorem1Reduction: (Σ, Dm) is consistent relative to (Z, Tc) iff the
@@ -263,7 +263,7 @@ func buildTheorem6Instance(t *testing.T, m int, clauses []clause3) (*analysis.Ch
 		z[v-1] = r.MustPos(fmt.Sprintf("X%d", v))
 	}
 	dm := master.MustNewForRules(rel, sigma)
-	return analysis.NewChecker(sigma, dm), z
+	return analysis.NewChecker(sigma, sigma.Compile(), dm), z
 }
 
 // TestTheorem6And9Reductions: Z-validating answers satisfiability and
@@ -359,7 +359,7 @@ func buildTheorem12Instance(t *testing.T, nElems int, subsets [][]int) (*analysi
 			r, rm, allX, b1s, cPos, b2, pattern.Empty()))
 	}
 	dm := master.MustNewForRules(rel, sigma)
-	return analysis.NewChecker(sigma, dm), h
+	return analysis.NewChecker(sigma, sigma.Compile(), dm), h
 }
 
 // TestTheorem12Reduction: Z-minimum with budget K answers whether the set

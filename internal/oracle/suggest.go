@@ -123,7 +123,9 @@ func StructuralClosure(sigma *rule.Set, off []bool, zSet relation.AttrSet) relat
 // on the naive fixpoint closure: one full closure per candidate attribute
 // per greedy round, over the rules of Σ_t[Z] that t's current values
 // ground in Dm — the least fixpoint of the grounding, every probe decided
-// by the scan.
+// by the scan. When a grounded rule is weighted, equal gains go to the
+// attribute with the larger confidence mass (the summed confidence of the
+// grounded rules whose premise holds it); otherwise to the lowest index.
 func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.AttrSet) []int {
 	kept := ApplicableRules(sigma, dm, t, zSet).Rules()
 	likely := make([]bool, len(kept))
@@ -148,6 +150,23 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 	off := make([]bool, refined.Len())
 	arity := sigma.Schema().Arity()
 
+	// Summed in Σ's rule order, as the production mask sums it: the order
+	// rules became likely in could round a tie differently.
+	var mass []float64
+	for i, ru := range kept {
+		if likely[i] && ru.Confidence() != 1 {
+			mass = make([]float64, arity)
+			break
+		}
+	}
+	for i, ru := range kept {
+		if likely[i] && mass != nil {
+			for _, p := range ru.PremiseSet().Positions() {
+				mass[p] += ru.Confidence()
+			}
+		}
+	}
+
 	cur := zSet
 	var s relation.AttrSet
 	for StructuralClosure(refined, off, cur).Len() < arity {
@@ -159,7 +178,7 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 			trial := cur
 			trial.Add(a)
 			gain := StructuralClosure(refined, off, trial).Len()
-			if gain > bestGain {
+			if gain > bestGain || mass != nil && gain == bestGain && mass[a] > mass[bestAttr] {
 				bestGain, bestAttr = gain, a
 			}
 		}

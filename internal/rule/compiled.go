@@ -9,8 +9,8 @@ import (
 // This file implements the compiled closure engine: a rule set is compiled
 // once into the counter-based layout of LINCLOSURE (Beeri & Bernstein's
 // linear-time FD closure), replacing the naive O(|Σ|²) fixpoint that
-// region derivation and procedure Suggest (§5) would otherwise re-run from
-// scratch for every candidate attribute of every greedy round.
+// region derivation, procedure Suggest (§5) and the step-(g) reachability
+// of the Theorem-4 check would otherwise re-run from scratch.
 //
 // Layout: per attribute, the list of compiled rules whose premise (X ∪ Xp)
 // contains it; per rule, a remaining-premise counter seeded to |premise|
@@ -22,19 +22,21 @@ import (
 // All mutable state lives in ClosureScratch (epoch-stamped membership, the
 // counter array, the work stack), so a compiled program is immutable and
 // safe for concurrent use with per-caller scratch, and repeated closures
-// allocate nothing. GainAll additionally evaluates the closure gain of
-// *every* candidate attribute in one pass: the base closure runs once, and
-// each candidate propagates only its marginal consequences, which are
-// undone in O(work done) via an explicit trial log.
+// allocate nothing. The closure a scratch holds can be probed and grown in
+// place: GainAll evaluates the closure gain of every candidate attribute,
+// each candidate propagating only its marginal consequences, undone in
+// O(work done) via an explicit trial log; Extend adds one attribute and
+// keeps its consequences. A greedy cover therefore closes its base once.
 //
 // A program is compiled once per Σ and never per call: which of its rules
 // take part in one closure is a per-call mask (off[r] drops rule r). The
-// rules a master snapshot cannot support (§5) and the rules outside a
-// tuple's Σ_t[Z] (§5.2) are two masks over the same program, so rule r of
+// rules a master snapshot cannot support (§5), the rules outside a tuple's
+// Σ_t[Z] (§5.2) and the rules that are no validator of a disputed
+// attribute (§4, step (g)) are masks over the same program, so rule r of
 // the program is always rule r of Σ.
 
 // Compiled is an immutable closure program for a fixed premise/rhs
-// structure. Build one with Set.Compile or CompileClosure.
+// structure. Build one with Set.Compile.
 type Compiled struct {
 	arity   int
 	premLen []int32   // per rule, |premise|
@@ -63,19 +65,8 @@ func (c *Compiled) addRule(prem relation.AttrSet, rhs int) {
 	}
 }
 
-// CompileClosure builds a closure program from raw (premise → rhs) pairs —
-// the generic entry point, also used by the §4 checker's validator
-// reachability. Premise positions and rhs values must lie in [0, arity).
-func CompileClosure(arity int, premises []relation.AttrSet, rhs []int) *Compiled {
-	c := newCompiled(arity)
-	for i, prem := range premises {
-		c.addRule(prem, rhs[i])
-	}
-	return c
-}
-
 // Compile compiles Σ into a closure program whose rule r is Rules()[r]:
-// the masks callers pass to Closure and GainAll are aligned with Rules().
+// the masks callers pass to Closure are aligned with Rules().
 func (s *Set) Compile() *Compiled {
 	c := newCompiled(s.r.Arity())
 	for _, ru := range s.rules {
@@ -85,12 +76,13 @@ func (s *Set) Compile() *Compiled {
 }
 
 // ClosureScratch holds the mutable state of closure computation: reuse one
-// per goroutine across any number of Closure/GainAll calls (it grows to
-// fit whichever program it is used with). The zero value is not ready;
+// per goroutine across any number of Closure/GainAll/Extend calls (it grows
+// to fit whichever program it is used with). The zero value is not ready;
 // obtain one with NewClosureScratch.
 type ClosureScratch struct {
 	epoch      uint32
 	member     []uint32 // member[a] == epoch ⟺ a is in the current closure
+	size       int      // |current closure|
 	remaining  []int32  // per rule, premise attributes not yet in the closure
 	queue      []int32
 	trialRules []int32 // decrement log of the current GainAll trial
@@ -122,14 +114,16 @@ func (sc *ClosureScratch) begin(c *Compiled) {
 }
 
 // Has reports whether attribute a is in the closure most recently computed
-// into sc. After GainAll it reflects the base closure (trials are undone).
+// into sc. After GainAll it reflects the closure GainAll started from
+// (trials are undone).
 func (sc *ClosureScratch) Has(a int) bool {
 	return a >= 0 && a < len(sc.member) && sc.member[a] == sc.epoch
 }
 
 // Closure computes the closure of base under the program's rules r with
-// !off[r] (a nil off keeps every rule) and returns its size. Membership is
-// available through sc.Has until the next call. Positions outside
+// !off[r] (a nil off keeps every rule) into sc and returns its size.
+// Membership is available through sc.Has, and the closure through GainAll
+// and Extend, until the next Closure into sc. Positions outside
 // [0, arity) — legal in callers' AttrSets, impossible in premises — count
 // toward the size but cannot fire rules.
 func (c *Compiled) Closure(base relation.AttrSet, off []bool, sc *ClosureScratch) int {
@@ -141,8 +135,8 @@ func (c *Compiled) Closure(base relation.AttrSet, off []bool, sc *ClosureScratch
 		for r, n := range c.premLen {
 			if off[r] {
 				// A premise holds at most arity attributes, so the counter
-				// of a masked rule never reaches zero — in the closure or
-				// a trial.
+				// of a masked rule never reaches zero — in the closure, a
+				// trial or an extension.
 				n = math.MaxInt32
 			}
 			sc.remaining[r] = n
@@ -172,77 +166,88 @@ func (c *Compiled) Closure(base relation.AttrSet, off []bool, sc *ClosureScratch
 			q = append(q, b)
 		}
 	}
+	sc.size = size + c.propagate(q, sc, false)
+	return sc.size
+}
+
+// propagate drains the work stack q, whose attributes are already members:
+// it decrements the counters of the rules their premises mention and
+// fires a rule, pushing its rhs, when its counter hits zero. It returns how
+// many attributes joined the closure. With log set it records every
+// decrement and new member in sc's trial log, so that a trial can be
+// undone.
+func (c *Compiled) propagate(q []int32, sc *ClosureScratch, log bool) int {
+	added := 0
 	for len(q) > 0 {
 		a := q[len(q)-1]
 		q = q[:len(q)-1]
 		for _, r := range c.occ[a] {
 			sc.remaining[r]--
+			if log {
+				sc.trialRules = append(sc.trialRules, r)
+			}
 			if sc.remaining[r] == 0 {
 				if b := c.rhs[r]; sc.member[b] != sc.epoch {
 					sc.member[b] = sc.epoch
-					size++
+					added++
 					q = append(q, b)
+					if log {
+						sc.trialAttrs = append(sc.trialAttrs, b)
+					}
 				}
 			}
 		}
 	}
 	sc.queue = q[:0]
-	return size
+	return added
 }
 
-// GainAll computes |closure(base)| plus, for every attribute a, the size
-// of closure(base ∪ {a}), under the same mask as Closure — the greedy step
-// of Suggest and growAndMinimize in one compiled pass instead of one full
-// closure per candidate. The returned slice aliases sc and is valid until the next use of sc; entries
-// for attributes already in the base closure equal the base size (adding
-// them changes nothing).
-func (c *Compiled) GainAll(base relation.AttrSet, off []bool, sc *ClosureScratch) (baseLen int, gains []int) {
-	baseLen = c.Closure(base, off, sc)
+// GainAll returns, for every attribute a, the size of the closure sc holds
+// with a added — the greedy step of Suggest and region growth in one
+// compiled pass instead of one full closure per candidate. The closure
+// itself is left as it was. The returned slice aliases sc and is valid
+// until the next use of sc; entries for attributes already in the closure
+// equal its size (adding them changes nothing).
+func (c *Compiled) GainAll(sc *ClosureScratch) []int {
 	if cap(sc.gains) < c.arity {
 		sc.gains = make([]int, c.arity)
 	}
-	gains = sc.gains[:c.arity]
-	for a := 0; a < c.arity; a++ {
-		if sc.member[a] == sc.epoch {
-			gains[a] = baseLen
-			continue
+	gains := sc.gains[:c.arity]
+	for a := range c.arity {
+		gains[a] = sc.size
+		if sc.member[a] != sc.epoch {
+			gains[a] += c.trial(a, sc)
 		}
-		gains[a] = baseLen + c.trial(a, sc)
 	}
-	return baseLen, gains
+	return gains
 }
 
-// trial propagates candidate attribute a from the saturated base closure,
+// trial propagates candidate attribute a from the saturated closure,
 // returns how many attributes that adds, and undoes every counter
 // decrement and membership stamp so the next trial starts from the same
-// base state. Cost is proportional to the work the candidate causes.
+// closure. Cost is proportional to the work the candidate causes.
 func (c *Compiled) trial(a int, sc *ClosureScratch) int {
 	sc.trialAttrs = append(sc.trialAttrs[:0], int32(a))
 	sc.trialRules = sc.trialRules[:0]
 	sc.member[a] = sc.epoch
-	q := append(sc.queue[:0], int32(a))
-	for len(q) > 0 {
-		x := q[len(q)-1]
-		q = q[:len(q)-1]
-		for _, r := range c.occ[x] {
-			sc.remaining[r]--
-			sc.trialRules = append(sc.trialRules, r)
-			if sc.remaining[r] == 0 {
-				if b := c.rhs[r]; sc.member[b] != sc.epoch {
-					sc.member[b] = sc.epoch
-					sc.trialAttrs = append(sc.trialAttrs, b)
-					q = append(q, b)
-				}
-			}
-		}
-	}
-	gain := len(sc.trialAttrs)
+	c.propagate(append(sc.queue[:0], int32(a)), sc, true)
 	for _, r := range sc.trialRules {
 		sc.remaining[r]++
 	}
 	for _, x := range sc.trialAttrs {
 		sc.member[x] = 0 // epoch is never 0, so 0 means "not a member"
 	}
-	sc.queue = q[:0]
-	return gain
+	return len(sc.trialAttrs)
+}
+
+// Extend adds attribute a to the closure sc holds and keeps what it
+// propagates — a trial that is not undone — so that a greedy cover grows
+// one closure instead of re-closing its base every round. It returns the
+// new size.
+func (c *Compiled) Extend(a int, sc *ClosureScratch) int {
+	if sc.member[a] != sc.epoch {
+		sc.member[a] = sc.epoch
+		sc.size += 1 + c.propagate(append(sc.queue[:0], int32(a)), sc, false)
+	}
+	return sc.size
 }

@@ -85,7 +85,8 @@ func TestCompiledGainAllProperty(t *testing.T) {
 			base.Add(p)
 		}
 		baseWant := naiveClosure(arity, prems, rhs, base)
-		baseLen, gains := prog.GainAll(base, nil, sc)
+		baseLen := prog.Closure(base, nil, sc)
+		gains := prog.GainAll(sc)
 		if baseLen != baseWant.Len() {
 			t.Fatalf("seed %d: base size %d, want %d", seed, baseLen, baseWant.Len())
 		}
@@ -100,6 +101,55 @@ func TestCompiledGainAllProperty(t *testing.T) {
 		for a := 0; a < arity; a++ {
 			if sc.Has(a) != baseWant.Has(a) {
 				t.Fatalf("seed %d: post-GainAll membership of %d corrupted", seed, a)
+			}
+		}
+	}
+}
+
+// TestCompiledExtendProperty: growing a held closure one attribute at a
+// time with Extend — under a mask, with GainAll trials between the steps,
+// as a greedy cover does — leaves exactly the closure of the base plus the
+// attributes added, in size, membership and every later gain.
+func TestCompiledExtendProperty(t *testing.T) {
+	sc := rule.NewClosureScratch()
+	for seed := 0; seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(int64(8_000_000 + seed)))
+		arity, prems, rhs := randomProgram(rng)
+		prog := rule.CompileClosure(arity, prems, rhs)
+		off := make([]bool, len(prems))
+		var keptPrems []relation.AttrSet
+		var keptRHS []int
+		for i := range off {
+			if off[i] = rng.Intn(3) == 0; !off[i] {
+				keptPrems = append(keptPrems, prems[i])
+				keptRHS = append(keptRHS, rhs[i])
+			}
+		}
+		var cur relation.AttrSet
+		for _, p := range rng.Perm(arity)[:rng.Intn(arity)] {
+			cur.Add(p)
+		}
+		size := prog.Closure(cur, off, sc)
+		for _, a := range rng.Perm(arity)[:1+rng.Intn(arity)] {
+			prog.GainAll(sc)
+			cur.Add(a)
+			size = prog.Extend(a, sc)
+			want := naiveClosure(arity, keptPrems, keptRHS, cur)
+			if size != want.Len() {
+				t.Fatalf("seed %d: extended to %v, size %d, want %d", seed, cur.Positions(), size, want.Len())
+			}
+			for b := 0; b < arity; b++ {
+				if sc.Has(b) != want.Has(b) {
+					t.Fatalf("seed %d: extended to %v, membership of %d is %v", seed, cur.Positions(), b, sc.Has(b))
+				}
+			}
+			gains := prog.GainAll(sc)
+			for b := 0; b < arity; b++ {
+				trial := cur
+				trial.Add(b)
+				if w := naiveClosure(arity, keptPrems, keptRHS, trial).Len(); gains[b] != w {
+					t.Fatalf("seed %d: extended to %v, gain of %d is %d, want %d", seed, cur.Positions(), b, gains[b], w)
+				}
 			}
 		}
 	}
@@ -166,11 +216,7 @@ func TestCompiledMaskProperty(t *testing.T) {
 					t.Fatalf("seed %d: masked membership of %d is %v (off %v)", seed, a, sc.Has(a), off)
 				}
 			}
-			gotLen, got := prog.GainAll(base, off, sc)
-			wantLen, want := oracle.GainAll(base, nil, oracleSc)
-			if gotLen != wantLen {
-				t.Fatalf("seed %d: masked GainAll base %d, want %d", seed, gotLen, wantLen)
-			}
+			got, want := prog.GainAll(sc), oracle.GainAll(oracleSc)
 			for a := 0; a < arity; a++ {
 				if got[a] != want[a] {
 					t.Fatalf("seed %d: masked gain of %d is %d, want %d (off %v)", seed, a, got[a], want[a], off)

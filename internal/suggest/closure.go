@@ -14,6 +14,11 @@
 //   - Suggest — procedure Suggest of Fig. 6: the next attribute set to ask
 //     the users about.
 //
+// CompCRegion's seed growth and Suggest are one greedy cover (grow): grow
+// from a base until the closure covers R, then reverse-delete what the
+// closure does not need, keeping Σ's free attributes for a region and Z
+// for a suggestion.
+//
 // The Z-minimum and S-minimum problems behind these heuristics are
 // NP-complete and inapproximable within c·log n (Thms 12, 17, 19), which
 // is why the paper itself prescribes heuristics here.
@@ -21,10 +26,12 @@
 // The hot paths run on two compiled engines: the counter-based closure
 // program of internal/rule (rule.Compiled, replacing the naive O(|Σ|²)
 // fixpoint) and the one-column indexes of internal/master (replacing the
-// per-rule Dm scans). Σ is compiled ONCE, when the Deriver
-// is built, and rule r of the program is rule r of Σ for its whole life;
-// what varies is which rules take part in a closure, and that is a mask
-// over the program, never another program:
+// per-rule Dm scans). Σ is compiled ONCE, when the Deriver handle is
+// built, and rule r of the program is rule r of Σ for its whole life;
+// every view and every view's §4 checker (whose step-(g) reachability is
+// one more mask) runs that program. What varies is which rules take part
+// in a closure, and that is a mask over the program, never another
+// program:
 //
 //   - a snapshot's mask (unsupported): the rules no master tuple of that
 //     epoch can ever fire — region derivation and IsSuggestionFast;

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/master"
 	"repro/internal/oracle"
 	"repro/internal/rule"
+	"repro/internal/suggest"
 )
 
 // These tests pin the tentpole equivalences: the compiled closure engine
@@ -63,11 +65,12 @@ func TestApplicableRulesCompiledVsNaiveProperty(t *testing.T) {
 // one Σ program — returns byte-identical suggestions to the naive path,
 // which materialises every ϕ+ and runs the fixpoint over them; and the
 // Σ_t[Z] behind both is the same rules (kept rules, ϕ+ patterns, weights).
+// Some seeds weight Σ, and on some of those the confidence tie-break must
+// have changed the suggestion, or the weighted branch went untested; only
+// a few in a hundred do, so -short runs every seed too (~40 ms).
 func TestSuggestCompiledVsNaiveProperty(t *testing.T) {
-	iterations := 400
-	if testing.Short() {
-		iterations = 60
-	}
+	const iterations = 400
+	tieBroken := 0
 	for seed := 0; seed < iterations; seed++ {
 		rng := rand.New(rand.NewSource(int64(11_000_000 + seed)))
 		d, tup, zSet := randomSuggestInstance(rng)
@@ -79,7 +82,25 @@ func TestSuggestCompiledVsNaiveProperty(t *testing.T) {
 		if !sameRuleSets(d.ApplicableRules(tup, zSet), oracle.ApplicableRules(d.Sigma(), d.Master(), tup, zSet)) {
 			t.Fatalf("seed %d: refined sets diverge", seed)
 		}
+		if unweighted := unweightedDeriver(d).Suggest(tup, zSet); !sameInts(got.S, unweighted.S) {
+			tieBroken++
+		}
 	}
+	t.Logf("%d of %d suggestions depended on their Σ's weights", tieBroken, iterations)
+	if tieBroken == 0 {
+		t.Fatal("no seed's suggestion depended on its weights: the weighted tie-break went unchecked")
+	}
+}
+
+// unweightedDeriver is d over the same Σ and Dm with every confidence 1.
+func unweightedDeriver(d *suggest.Deriver) *suggest.Deriver {
+	sigma := d.Sigma()
+	rules := make([]*rule.Rule, sigma.Len())
+	for i, ru := range sigma.Rules() {
+		rules[i], _ = ru.WithConfidence(1) // 1 is always a valid confidence
+	}
+	plain := rule.MustNewSet(sigma.Schema(), sigma.MasterSchema(), rules...)
+	return suggest.NewDeriver(plain, master.MustNewForRules(d.Master().Relation(), plain))
 }
 
 // TestIsSuggestionFastMatchesNaiveClosure: the Suggest+ reuse test on the

@@ -42,10 +42,8 @@ type Candidate struct {
 type Deriver struct {
 	sigma  *rule.Set
 	actDom map[int][]relation.Value
-	// sampleCap bounds how many master tuples seed verification rows.
-	sampleCap int
-	prog      *rule.Compiled // Σ, compiled once; rule r is sigma.Rule(r)
-	pool      *sync.Pool     // *derScratch; shared between a handle and its views
+	prog   *rule.Compiled // Σ, compiled once; rule r is sigma.Rule(r)
+	pool   *sync.Pool     // *derScratch; shared between a handle and its views
 
 	// Snapshot-bound state: the master snapshot, its mask over prog (the
 	// rules no master tuple supports, read from the pattern counts) and
@@ -59,6 +57,9 @@ type Deriver struct {
 	ver  *master.Versioned
 	view atomic.Pointer[Deriver] // cached pinned view for the current epoch
 }
+
+// sampleCap bounds how many master tuples seed verification rows.
+const sampleCap = 64
 
 // derScratch bundles the per-call mutable state: the closure engine's
 // counters, the per-tuple mask Σ_t[Z] of Suggest and IsSuggestion, and
@@ -78,15 +79,15 @@ func NewDeriver(sigma *rule.Set, dm *master.Data) *Deriver {
 // NewDeriverVersioned builds a deriver over a versioned master: every
 // public call pins the currently published snapshot, so suggestions and
 // region checks always run against one consistent epoch and pick up
-// master updates between calls. Σ is compiled here, once.
+// master updates between calls. Σ is compiled here, once: every view and
+// every view's §4 checker runs that one program.
 func NewDeriverVersioned(sigma *rule.Set, ver *master.Versioned) *Deriver {
 	return &Deriver{
-		sigma:     sigma,
-		actDom:    sigma.ActiveDomain(),
-		sampleCap: 64,
-		prog:      sigma.Compile(),
-		pool:      &sync.Pool{New: func() any { return &derScratch{clo: rule.NewClosureScratch()} }},
-		ver:       ver,
+		sigma:  sigma,
+		actDom: sigma.ActiveDomain(),
+		prog:   sigma.Compile(),
+		pool:   &sync.Pool{New: func() any { return &derScratch{clo: rule.NewClosureScratch()} }},
+		ver:    ver,
 	}
 }
 
@@ -131,9 +132,9 @@ func (d *Deriver) PinAt(epoch uint64) (*Deriver, error) {
 // handle's immutable parts (Σ, its program) and scratch pool.
 func (d *Deriver) buildView(snap *master.Data) *Deriver {
 	return &Deriver{
-		sigma: d.sigma, actDom: d.actDom, sampleCap: d.sampleCap, prog: d.prog, pool: d.pool,
+		sigma: d.sigma, actDom: d.actDom, prog: d.prog, pool: d.pool,
 		dm:      snap,
-		checker: analysis.NewChecker(d.sigma, snap),
+		checker: analysis.NewChecker(d.sigma, d.prog, snap),
 		off:     unsupported(d.sigma, snap),
 	}
 }
@@ -166,9 +167,10 @@ func (d *Deriver) ConsistentRow(z []int, vals []relation.Value) bool {
 }
 
 // CompCRegions derives candidate certain regions ranked by quality
-// (descending). Different seeds explore different greedy starting points;
-// duplicates (same Z) are merged. The first element is the CRHQ region of
-// §6 Exp-1(2); the middle element is CRMQ.
+// (descending). Different seeds explore different greedy starting points,
+// each grown by the cover Suggest uses (grow) under the snapshot's mask,
+// with Σ's free attributes kept; duplicates (same Z) are merged. The first
+// element is the CRHQ region of §6 Exp-1(2); the middle element is CRMQ.
 func (d *Deriver) CompCRegions() []Candidate {
 	d = d.Pin()
 	free := d.sigma.FreeAttrs()
@@ -178,17 +180,15 @@ func (d *Deriver) CompCRegions() []Candidate {
 	seedExtras := d.sigma.LHS().Union(d.sigma.PatternAttrs()).Positions()
 	seen := map[relation.AttrSet]bool{}
 	var out []Candidate
-	tryZ := func(zSet relation.AttrSet) {
-		z := d.growAndMinimize(zSet)
-		if z == nil {
+	sc := d.getScratch()
+	defer d.putScratch(sc)
+	tryZ := func(from relation.AttrSet) {
+		zSet := free.Union(d.grow(sc, d.off, free, from, nil))
+		if seen[zSet] {
 			return
 		}
-		key := relation.NewAttrSet(z...)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		cand := d.score(z)
+		seen[zSet] = true
+		cand := d.score(zSet.Positions())
 		if cand.Support > 0 {
 			out = append(out, cand)
 		}
@@ -219,54 +219,6 @@ func (d *Deriver) TrivialRegion() Candidate {
 		}
 	}
 	return Candidate{Z: z.Positions(), ZSet: z}
-}
-
-// growAndMinimize grows zSet greedily until the structural closure covers
-// R (preferring the attribute whose addition enlarges the closure most),
-// then reverse-deletes redundant attributes. Returns nil when full
-// coverage is unreachable. Runs on the Σ program under the snapshot's
-// mask: each greedy round is one GainAll pass instead of one closure per
-// candidate.
-func (d *Deriver) growAndMinimize(zSet relation.AttrSet) []int {
-	arity := d.sigma.Schema().Arity()
-	cur := zSet
-	free := d.sigma.FreeAttrs()
-	sc := d.getScratch()
-	defer d.putScratch(sc)
-
-	for {
-		baseLen, gains := d.prog.GainAll(cur, d.off, sc.clo)
-		if baseLen >= arity {
-			break
-		}
-		bestAttr, bestGain := -1, -1
-		for a := 0; a < arity; a++ {
-			if cur.Has(a) {
-				continue
-			}
-			if gains[a] > bestGain {
-				bestGain, bestAttr = gains[a], a
-			}
-		}
-		if bestAttr < 0 || bestGain <= baseLen {
-			// No attribute makes progress: coverage unreachable.
-			return nil
-		}
-		cur.Add(bestAttr)
-	}
-
-	// Reverse-delete: drop attributes (never free ones) whose removal
-	// keeps the closure complete; each trial is a remove/re-add on cur.
-	for _, a := range cur.Positions() {
-		if free.Has(a) {
-			continue
-		}
-		cur.Remove(a)
-		if d.prog.Closure(cur, d.off, sc.clo) != arity {
-			cur.Add(a)
-		}
-	}
-	return cur.Positions()
 }
 
 // score verifies sampled master-derived rows for Z and computes the
@@ -301,8 +253,8 @@ const rowsPerTuple = 8
 // rowsPerTuple rows per tuple. The row fn gets is reused for the next one.
 func (d *Deriver) sampleRows(z []int, fn func(vals []relation.Value)) {
 	n, step := d.dm.Len(), 1
-	if n > d.sampleCap {
-		step = n / d.sampleCap
+	if n > sampleCap {
+		step = n / sampleCap
 	}
 	choices := make([][]relation.Value, len(z))
 	next := make([]int, len(z))

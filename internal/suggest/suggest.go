@@ -175,7 +175,9 @@ func (d *Deriver) SuggestFrom(t relation.Tuple, zSet relation.AttrSet, seed []in
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	mask := d.groundedMask(sc, t, d.applicableMask(sc, t, zSet))
-	return Suggestion{S: d.cover(sc, mask, zSet, seed)}
+	from := zSet
+	from.AddAll(seed)
+	return Suggestion{S: d.grow(sc, mask, zSet, from, d.confidenceMass(mask)).Positions()}
 }
 
 // SuggestStructural is procedure Suggest exactly as Fig. 6 states it, over
@@ -186,91 +188,88 @@ func (d *Deriver) SuggestStructural(t relation.Tuple, zSet relation.AttrSet) Sug
 	d = d.Pin()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	return Suggestion{S: d.cover(sc, d.applicableMask(sc, t, zSet), zSet, nil)}
+	mask := d.applicableMask(sc, t, zSet)
+	return Suggestion{S: d.grow(sc, mask, zSet, zSet, d.confidenceMass(mask)).Positions()}
 }
 
-// cover grows seed greedily until the closure of Z ∪ S under the masked Σ
-// program covers R, then reverse-deletes. Each greedy round evaluates
-// every candidate's closure gain in one GainAll pass (the base closure
-// plus undone marginal trials) instead of one full O(|Σ|²) fixpoint per
-// candidate.
-//
-// When the unmasked rules are weighted (mined rules carrying confidence
-// below 1 — see rule.Rule.Confidence), equal closure gains are broken by
-// confidence mass: among tied attributes, prefer the one whose dependent
-// rules are most trustworthy, so the fixes riding on the validated
-// attribute lean on the best-supported evidence. Unweighted sets (every
-// hand-written Σ) keep the original first-index tie-break, byte for byte.
-func (d *Deriver) cover(sc *derScratch, off []bool, zSet relation.AttrSet, seed []int) []int {
-	arity := d.sigma.Schema().Arity()
-
-	// confMass[a] = Σ confidence over the unmasked rules whose premise
-	// contains a: how much mined evidence stands behind validating a.
-	// Computed only for weighted sets; nil keeps the unweighted path
-	// allocation-free and behaviorally identical.
-	var confMass []float64
+// confidenceMass returns, when some rule the mask keeps is weighted (mined
+// rules carrying confidence below 1 — see rule.Rule.Confidence), each
+// attribute's confidence mass: the summed confidence of the kept rules
+// whose premise contains it, how much mined evidence stands behind
+// validating it. For an unweighted mask (every hand-written Σ) it returns
+// nil, which keeps grow's first-index tie-break byte for byte.
+func (d *Deriver) confidenceMass(off []bool) []float64 {
+	rules := d.sigma.Rules()
 	weighted := false
-	for i, ru := range d.sigma.Rules() {
+	for i, ru := range rules {
 		weighted = weighted || !off[i] && ru.Confidence() != 1
 	}
-	if weighted {
-		confMass = make([]float64, arity)
-		for i, ru := range d.sigma.Rules() {
-			if off[i] {
-				continue
-			}
+	if !weighted {
+		return nil
+	}
+	mass := make([]float64, d.sigma.Schema().Arity())
+	for i, ru := range rules {
+		if !off[i] {
 			ru.PremiseSet().Range(func(p int) bool {
-				confMass[p] += ru.Confidence()
+				mass[p] += ru.Confidence()
 				return true
 			})
 		}
 	}
+	return mass
+}
 
-	cur := zSet
-	var s relation.AttrSet
-	cur.AddAll(seed)
-	s.AddAll(seed)
-	for {
-		baseLen, gains := d.prog.GainAll(cur, off, sc.clo)
-		if baseLen >= arity {
-			break
-		}
-		bestAttr, bestGain := -1, -1
-		for a := 0; a < arity; a++ {
+// grow is the greedy cover behind both Suggest and region derivation:
+// starting from the attribute set from, it adds the attribute whose
+// addition enlarges the closure under the masked Σ program most until the
+// closure covers R, then reverse-deletes every attribute outside keep
+// whose removal keeps R covered, in ascending order. It returns what is
+// left outside keep. Suggest keeps Z (validated attributes are the users'
+// already); region growth keeps Σ's free attributes, which no rule can
+// supply.
+//
+// The base is closed once: each greedy round evaluates every candidate's
+// gain from the held closure in one GainAll pass, and Extend keeps the
+// chosen attribute's consequences. Every attribute covers itself, so a
+// round always adds one and attributes no rule reaches end up in the
+// result themselves — the users must assert them directly (Example 8:
+// item has to be assured by the users).
+//
+// mass, when not nil, breaks equal gains: among tied attributes the one
+// with the larger confidence mass wins, so the fixes riding on it lean on
+// the best-supported evidence; otherwise the lowest index wins.
+// (S-minimum is NP-hard, Thm 12 via the Z = ∅ special case; greedy +
+// reverse-delete is the heuristic.)
+func (d *Deriver) grow(sc *derScratch, off []bool, keep, from relation.AttrSet, mass []float64) relation.AttrSet {
+	arity := d.sigma.Schema().Arity()
+	cur := from
+	for size := d.prog.Closure(cur, off, sc.clo); size < arity; {
+		gains := d.prog.GainAll(sc.clo)
+		best := -1
+		for a := range arity {
 			if cur.Has(a) {
 				continue
 			}
-			if gains[a] > bestGain {
-				bestGain, bestAttr = gains[a], a
-			} else if confMass != nil && gains[a] == bestGain && bestAttr >= 0 && confMass[a] > confMass[bestAttr] {
-				bestAttr = a // weighted tie-break: higher confidence mass wins
+			if best < 0 || gains[a] > gains[best] ||
+				mass != nil && gains[a] == gains[best] && mass[a] > mass[best] {
+				best = a
 			}
 		}
-		if bestAttr < 0 {
-			break
-		}
-		cur.Add(bestAttr)
-		s.Add(bestAttr)
-		// A bestGain of baseLen+1 means the attribute only covered itself;
-		// keep going — remaining unreachable attributes all end up in S.
+		cur.Add(best)
+		size = d.prog.Extend(best, sc.clo)
 	}
-
-	// Reverse-delete to keep S minimal (S-minimum is NP-hard, Thm 12 via
-	// the Z = ∅ special case; greedy + reverse-delete is the heuristic).
-	// cur is Z ∪ S throughout (S is disjoint from Z by construction), so
-	// each trial is a remove/re-add instead of a fresh union.
-	for a := 0; a < arity; a++ {
-		if !s.Has(a) {
+	var grown relation.AttrSet
+	for a := range arity {
+		if !cur.Has(a) || keep.Has(a) {
 			continue
 		}
 		cur.Remove(a)
-		if d.prog.Closure(cur, off, sc.clo) == arity {
-			s.Remove(a)
-		} else {
+		if d.prog.Closure(cur, off, sc.clo) < arity {
 			cur.Add(a)
+			grown.Add(a)
 		}
 	}
-	return s.Positions()
+	return grown
 }
 
 // IsSuggestion reports whether validating t[S] on top of t[Z] reaches full
