@@ -13,9 +13,8 @@ import (
 // Benchmarks compare the naive row-scan miner (the PR 0 engine, kept as
 // the oracle) against the postings engine over the same HOSP masters.
 // The postings timings are honest end-to-end costs: they include
-// building the postings-indexed snapshot from the bare relation, not
-// just the lattice walk. Run with Workers=1 and GOMAXPROCS pinned to 1 —
-// which is also the shard count of the snapshot Mine builds — so the
+// interning the bare relation into the miner's columns, not just the
+// lattice walk. Run with Workers=1 and GOMAXPROCS pinned to 1, so the
 // speedup is the algorithmic one (the parallel lattice speedup is not
 // gated).
 

@@ -18,14 +18,13 @@
 //     it rehashes every master tuple into string-keyed groups. It is kept,
 //     like the naive probe and closure paths of PRs 2–5, as the reference
 //     the property tests compare against.
-//   - Mine / DependenciesMaster run on the interned id rows of
-//     internal/master: each column is read once as dense
-//     interned-value ids (Data.ColumnIDs), lhs support is counted by
-//     TANE-style stripped-partition refinement over those ids, and the
-//     candidate lattice fans out per level on internal/parallel. Output
-//     is deterministic — byte-identical for every worker and shard
-//     count — because partitions are ordered by first occurrence in
-//     tuple order, never by interning order.
+//   - Mine interns the relation once into dense per-column arrays of
+//     value ids over a symbol table of its own, counts lhs support by
+//     TANE-style stripped-partition refinement over those ids, and fans
+//     the candidate lattice out per level on internal/parallel. Output
+//     is deterministic — byte-identical for every worker count — because
+//     partitions are ordered by first occurrence in tuple order, never by
+//     interning order.
 //
 // Mining tolerates dirty masters: with MinConfidence below 1 a dependency
 // is kept when at most a (1 − MinConfidence) fraction of tuples violate

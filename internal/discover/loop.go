@@ -13,7 +13,6 @@ package discover
 import (
 	"fmt"
 
-	"repro/internal/master"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -72,8 +71,8 @@ type LoopResult struct {
 
 // Loop runs the self-bootstrapping discovery loop over (r, masterRel):
 // mine weighted dependencies, majority-repair violating cells, re-mine,
-// until a fixpoint or MaxRounds. Deterministic for every worker and
-// shard count, like the miner itself.
+// until a fixpoint or MaxRounds. Deterministic for every worker count,
+// like the miner itself.
 func Loop(r *relation.Schema, masterRel *relation.Relation, opts LoopOptions) (*LoopResult, error) {
 	rm := masterRel.Schema()
 	if r.Arity() != rm.Arity() {
@@ -90,7 +89,7 @@ func Loop(r *relation.Schema, masterRel *relation.Relation, opts LoopOptions) (*
 		return res, nil
 	}
 	for round := 1; ; round++ {
-		m := newMiner(master.New(res.Cleaned))
+		m := newMiner(res.Cleaned)
 		res.Deps = m.dependencies(opts.Options)
 		if round > opts.MaxRounds {
 			break // final re-mine after the last permitted repair
@@ -129,11 +128,10 @@ func meanConfidence(deps []Candidate) float64 {
 // but only when the majority is overwhelming (≥ RepairMajority of the
 // group, and at least 2 tuples), and never when two dependencies disagree
 // about a cell (the write is dropped, certainty first). All writes are
-// planned against the pre-repair snapshot the miner decoded, then applied
+// planned against the pre-repair columns the miner interned, then applied
 // at once; returns the number of cells changed.
 func (m *miner) repair(rel *relation.Relation, deps []Candidate, opts LoopOptions) int {
-	vals := m.dm.SymbolValues()
-	sc := newScratch(m.nsyms)
+	sc := m.newScratch()
 	type cellKey struct{ row, col int }
 	type write struct {
 		row, col int
@@ -170,7 +168,7 @@ func (m *miner) repair(rel *relation.Relation, deps []Candidate, opts LoopOption
 			if bestCnt < 2 || float64(bestCnt) < opts.RepairMajority*float64(len(class)) {
 				continue // no overwhelming majority: genuinely ambiguous
 			}
-			maj := vals[bestVid]
+			maj := m.syms.Value(bestVid)
 			for _, id := range class {
 				if colB[id] == bestVid {
 					continue

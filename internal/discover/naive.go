@@ -5,7 +5,7 @@ package discover
 // against (the same pattern as the naive probe, closure, and region
 // paths of PRs 2–5). Per candidate it rehashes every master tuple into
 // string-keyed lhs groups; the postings engine must produce
-// reflect.DeepEqual-identical output for every worker and shard count.
+// reflect.DeepEqual-identical output for every worker count.
 
 import "repro/internal/relation"
 

@@ -1,13 +1,13 @@
 package discover
 
-// The postings engine: dependency mining on the interned id rows of
-// internal/master.
+// The postings engine: dependency mining on interned value ids.
 //
 // Instead of rehashing every tuple per candidate (the naive oracle's
-// O(candidates × n) string-keyed map work), each column is read ONCE as a
-// dense array of interned value ids (Data.ColumnIDs — the master stores its
-// cells that way), and support counting becomes TANE-style
-// stripped-partition refinement over uint32 ids:
+// O(candidates × n) string-keyed map work), the relation is interned ONCE,
+// in one pass, into a dense per-tuple array of value ids per column (the
+// miner's own symbol table: equal cells get equal ids), and support
+// counting becomes TANE-style stripped-partition refinement over uint32
+// ids:
 //
 //   - the partition of a lhs list is the set of tuple-id classes agreeing
 //     on that lhs; singleton classes are dropped ("stripped") and only
@@ -21,40 +21,25 @@ package discover
 //
 // The lattice fans out per level on internal/parallel (per-worker
 // scratch, results consumed in enumeration order). Determinism for every
-// worker and shard count comes from ordering everything by FIRST
-// OCCURRENCE IN TUPLE ORDER: value-id numbering depends on interning
-// order (a delta chain's differs from a rebuild's), so ids are used
-// only for equality, never for ordering. Minimality pruning (covered[b])
-// updates at level boundaries only — within one level all lhs sets have
-// equal width, so none can subsume another and the oracle's scan-order
-// updates are observationally identical.
+// worker count comes from ordering everything by FIRST OCCURRENCE IN TUPLE
+// ORDER: ids are used only for equality, never for ordering. Minimality
+// pruning (covered[b]) updates at level boundaries only — within one level
+// all lhs sets have equal width, so none can subsume another and the
+// oracle's scan-order updates are observationally identical.
 
 import (
-	"repro/internal/master"
 	"repro/internal/parallel"
 	"repro/internal/relation"
 )
 
 // Mine mines dependencies from the master relation on the postings
-// engine: it interns the relation into an ephemeral index-free snapshot and
-// delegates to DependenciesMaster. Output is identical to Dependencies (the
-// naive oracle) for every Options value.
+// engine. Output is identical to Dependencies (the naive oracle) for every
+// Options value.
 func Mine(masterRel *relation.Relation, opts Options) []Candidate {
 	if masterRel.Len() == 0 {
 		return nil
 	}
-	return DependenciesMaster(master.New(masterRel), opts)
-}
-
-// DependenciesMaster mines dependencies from an existing master snapshot,
-// which it only reads. The result is identical to Dependencies over dm's
-// relation.
-func DependenciesMaster(dm *master.Data, opts Options) []Candidate {
-	opts = opts.withDefaults()
-	if dm.Len() == 0 {
-		return nil
-	}
-	return newMiner(dm).dependencies(opts)
+	return newMiner(masterRel).dependencies(opts.withDefaults())
 }
 
 // partition is a stripped partition of tuple ids: classes holds the
@@ -78,8 +63,9 @@ type minerScratch struct {
 	count []int32
 }
 
-func newScratch(nsyms int) *minerScratch {
-	return &minerScratch{epoch: 0, stamp: make([]uint32, nsyms), count: make([]int32, nsyms)}
+func (m *miner) newScratch() *minerScratch {
+	nsyms := m.syms.Len()
+	return &minerScratch{stamp: make([]uint32, nsyms), count: make([]int32, nsyms)}
 }
 
 func (sc *minerScratch) bump() {
@@ -157,22 +143,26 @@ func violations(p partition, col []uint32, sc *minerScratch, maxViol int) (int, 
 	return viol, true
 }
 
-// miner holds the per-mining-run decoded columns and level-1 partitions.
+// miner holds the per-mining-run interned columns and level-1 partitions.
 type miner struct {
 	n, arity int
-	nsyms    int
-	dm       *master.Data
+	syms     *relation.Symbols
 	cols     [][]uint32
 	distinct []int
 	p1       []partition
 }
 
-func newMiner(dm *master.Data) *miner {
-	n, arity := dm.Len(), dm.Schema().Arity()
-	m := &miner{n: n, arity: arity, nsyms: dm.SymbolCount(), dm: dm}
+func newMiner(rel *relation.Relation) *miner {
+	n, arity := rel.Len(), rel.Schema().Arity()
+	m := &miner{n: n, arity: arity, syms: relation.NewSymbols()}
 	m.cols = make([][]uint32, arity)
-	for a := 0; a < arity; a++ {
-		m.cols[a] = dm.ColumnIDs(a)
+	for a := range m.cols {
+		m.cols[a] = make([]uint32, n)
+	}
+	for i, t := range rel.All() {
+		for a := range m.cols {
+			m.cols[a][i] = m.syms.Intern(t[a])
+		}
 	}
 	// Level-1 partitions refine the universe class [0, n) — giving
 	// first-seen-in-tuple-order classes, the determinism anchor.
@@ -181,7 +171,7 @@ func newMiner(dm *master.Data) *miner {
 		all[i] = int32(i)
 	}
 	universe := partition{classes: [][]int32{all}}
-	sc := newScratch(m.nsyms)
+	sc := m.newScratch()
 	m.p1 = make([]partition, arity)
 	m.distinct = make([]int, arity)
 	for a := 0; a < arity; a++ {
@@ -246,7 +236,7 @@ func (m *miner) dependencies(opts Options) []Candidate {
 		enumerateLists(m.arity, width, &lhsLists)
 		results, err := parallel.MapWorkers(len(lhsLists), opts.Workers,
 			func() func(i int) ([]Candidate, error) {
-				sc := newScratch(m.nsyms)
+				sc := m.newScratch()
 				return func(i int) ([]Candidate, error) {
 					return m.mineLHS(lhsLists[i], covered, maxViol, opts, sc), nil
 				}

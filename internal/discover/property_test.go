@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/discover"
-	"repro/internal/master"
 	"repro/internal/relation"
 )
 
@@ -72,11 +71,10 @@ func TestPostingsMinerMatchesNaiveOracle(t *testing.T) {
 			rel := randomMaster(rng, cfg.noise)
 			opts := discover.Options{MaxLHS: 2, MinSupport: 4, MinConfidence: cfg.minConf}
 			want := discover.Dependencies(rel, opts)
-			dm := master.New(rel)
 			for _, workers := range []int{1, 2, 7, 16} {
 				popts := opts
 				popts.Workers = workers
-				got := discover.DependenciesMaster(dm, popts)
+				got := discover.Mine(rel, popts)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d %s workers=%d: postings miner diverged from oracle\n got %+v\nwant %+v",
 						seed, cfg.name, workers, got, want)

@@ -106,9 +106,9 @@ func TestArenaRoundTrip(t *testing.T) {
 		ctx := fmt.Sprintf("seed %d", seed)
 		img := saveArenaBytes(t, d, sigma)
 		loaded := loadArenaOrFatal(t, img, sigma)
-		if loaded.Epoch() != d.Epoch() || loaded.Len() != d.Len() || loaded.Shards() != d.Shards() {
+		if loaded.Epoch() != d.Epoch() || loaded.Len() != d.Len() || loaded.nshards != d.nshards {
 			t.Fatalf("%s: loaded epoch/len/shards %d/%d/%d, want %d/%d/%d", ctx,
-				loaded.Epoch(), loaded.Len(), loaded.Shards(), d.Epoch(), d.Len(), d.Shards())
+				loaded.Epoch(), loaded.Len(), loaded.nshards, d.Epoch(), d.Len(), d.nshards)
 		}
 		for i := 0; i < d.Len(); i++ {
 			if !loaded.Tuple(i).Equal(d.Tuple(i)) {
@@ -207,9 +207,10 @@ func TestArenaSigmaMismatch(t *testing.T) {
 		}
 	}
 
-	// A master built without Σ has none of its plan's indexes to save.
-	if err := New(d.Relation()).SaveArena(io.Discard, sigma); err == nil {
-		t.Fatal("a Σ-less master saved as an image for Σ")
+	// A master built for an empty Σ has none of Σ's plan's indexes to save.
+	empty := rule.MustNewSet(sigma.Schema(), sigma.MasterSchema())
+	if err := MustNewForRules(d.Relation(), empty).SaveArena(io.Discard, sigma); err == nil {
+		t.Fatal("a master built for an empty Σ saved as an image for Σ")
 	}
 
 	// A Σ over a different master schema.

@@ -11,6 +11,58 @@ import (
 	"repro/internal/rule"
 )
 
+// compatibleScan decides condition (c) by the naive O(|Dm|) scan: the
+// reference CompatibleExists is property-tested against here
+// (internal/suggest holds it to a scan over materialized values).
+func (d *Data) compatibleScan(ru *rule.Rule, t relation.Tuple, zSet relation.AttrSet) bool {
+	x, xm := ru.LHS(), ru.LHSM()
+	ids := make([]uint32, len(x))
+	if !d.validatedIDs(x, t, zSet, ids) {
+		return false
+	}
+	for _, row := range d.rows.All() {
+		if agreeOn(row, x, xm, zSet, ids) && patternCompatible(ru, row, d.syms) {
+			return true
+		}
+	}
+	return false
+}
+
+// validatedIDs looks up, into ids[i], the id of t's value on each validated
+// x[i]; false when the symbol table does not know one of them, which then
+// occurs in no master tuple.
+func (d *Data) validatedIDs(x []int, t relation.Tuple, zSet relation.AttrSet, ids []uint32) bool {
+	for i, p := range x {
+		if zSet.Has(p) {
+			var ok bool
+			if ids[i], ok = d.syms.ID(t[p]); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkCompatible holds CompatibleExists to compatibleScan for the probe
+// tup under every validated subset of ru's lhs, and reports the answer for
+// Z = zSet.
+func checkCompatible(t *testing.T, ctx string, d *Data, ru *rule.Rule, tup relation.Tuple, zSet relation.AttrSet) bool {
+	t.Helper()
+	x := ru.LHS()
+	for mask := 0; mask < 1<<len(x); mask++ {
+		var z relation.AttrSet
+		for i, p := range x {
+			if mask&(1<<i) != 0 {
+				z.Add(p)
+			}
+		}
+		if got, want := d.CompatibleExists(ru, tup, z), d.compatibleScan(ru, tup, z); got != want {
+			t.Fatalf("%s: CompatibleExists(%v, Z=%v) = %v, the scan %v", ctx, tup, z, got, want)
+		}
+	}
+	return d.CompatibleExists(ru, tup, zSet)
+}
+
 func randomCompatInstance(rng *rand.Rand) (*Data, *rule.Set, relation.Tuple, relation.AttrSet) {
 	nR := 3 + rng.Intn(4)
 	nM := 3 + rng.Intn(4)
@@ -37,7 +89,10 @@ func randomCompatInstance(rng *rand.Rand) (*Data, *rule.Set, relation.Tuple, rel
 
 	sigma := rule.MustNewSet(r, rm)
 	for i, n := 0, 1+rng.Intn(5); i < n; i++ {
-		xLen := 1 + rng.Intn(2)
+		// Up to three lhs attributes, so that a partly validated lhs can
+		// have two validated cells and the walked bucket's rows must be
+		// checked on the one it is not keyed on.
+		xLen := 1 + rng.Intn(min(3, nR-1))
 		perm := rng.Perm(nR)
 		x := perm[:xLen]
 		b := perm[xLen]
@@ -155,10 +210,10 @@ func TestPatternSupportedProperty(t *testing.T) {
 	}
 }
 
-// TestCompatibleDegeneratePostings forces the degenerate shape — every
+// TestCompatibleDegeneratePostings builds the degenerate shape — every
 // master tuple shares one value in the probed column, so the best one-column
-// bucket covers all of Dm — and checks the adaptive policy falls back to the
-// scan and still answers correctly.
+// bucket is all of Dm — and holds the walk to the scan on it, on a selective
+// bucket, and on a never-interned value.
 func TestCompatibleDegeneratePostings(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
@@ -176,30 +231,16 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 	d := MustNewForRules(rel, sigma)
 
 	tup := relation.Tuple{relation.String("same"), relation.String("b3"), relation.String("x")}
-	zSet := relation.NewAttrSet(0)
-
-	found, scanned := d.compatible(ru, tup, zSet)
-	if !scanned {
-		t.Fatal("a degenerate bucket must fall back to the scan")
+	if !checkCompatible(t, "degenerate bucket", d, ru, tup, relation.NewAttrSet(0)) {
+		t.Fatal("the degenerate bucket must yield a compatible tuple")
 	}
-	if !found || found != d.compatibleScan(ru, tup, zSet) {
-		t.Fatalf("fallback answer %v disagrees with the scan", found)
-	}
-
-	// A selective probe on B (a bucket of one id) must NOT scan.
-	zSet = relation.NewAttrSet(1)
-	found, scanned = d.compatible(ru, tup, zSet)
-	if scanned {
-		t.Fatal("a selective bucket must not fall back to the scan")
-	}
-	if !found {
+	// A selective probe on B: a bucket of one id.
+	if !checkCompatible(t, "selective bucket", d, ru, tup, relation.NewAttrSet(1)) {
 		t.Fatal("selective probe must find the matching master tuple")
 	}
-
-	// A miss on a never-interned value short-circuits without scanning.
+	// A never-interned value matches nothing, whichever bucket is walked.
 	tup[1] = relation.String("nope")
-	found, scanned = d.compatible(ru, tup, zSet)
-	if found || scanned {
-		t.Fatalf("uninterned probe: found=%v scanned=%v, want false/false", found, scanned)
+	if checkCompatible(t, "never-interned value", d, ru, tup, relation.NewAttrSet(1)) {
+		t.Fatal("a never-interned value found a compatible tuple")
 	}
 }

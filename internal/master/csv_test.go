@@ -96,7 +96,7 @@ func TestReadCSVFailsLikeReadCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSyms := master.MustNewForRules(before, sigma).SymbolValues()
+	wantSyms := master.MustNewForRules(before, sigma).Symbols().Export()
 	for _, bad := range []string{"fresh,x,after\n", "fresh,1\n", "fresh,1,a\"b\n"} {
 		csv := good.String() + bad + "after1,5,after2\n"
 		_, wantErr := relation.ReadCSV(rm, strings.NewReader(csv))
@@ -112,9 +112,9 @@ func TestReadCSVFailsLikeReadCSV(t *testing.T) {
 					t.Fatalf("%q, procs %d, %d-byte blocks: the chunked read fails with %v, relation.ReadCSV with %v", bad, procs, block, err, wantErr)
 				}
 				d := b.Finish()
-				if d.Len() != rows-1 || !slices.Equal(d.SymbolValues(), wantSyms) {
+				if d.Len() != rows-1 || !slices.Equal(d.Symbols().Export(), wantSyms) {
 					t.Fatalf("%q, procs %d, %d-byte blocks: %d rows and %d symbols added, want the %d rows and %d symbols before the bad row",
-						bad, procs, block, d.Len(), len(d.SymbolValues()), rows-1, len(wantSyms))
+						bad, procs, block, d.Len(), len(d.Symbols().Export()), rows-1, len(wantSyms))
 				}
 			}
 		}

@@ -2,8 +2,8 @@ package master
 
 // The delta-equivalence property: EVERY intermediate snapshot of a
 // randomized delta sequence — adds, deletes, mixed batches, including
-// sequences that push one-column buckets across the |Dm|/2 adaptive-scan
-// threshold in both directions — is deep-equal to a from-scratch
+// sequences that push one-column buckets across half of Dm in both
+// directions — is deep-equal to a from-scratch
 // NewForRules on the equivalent materialized relation (checkEquiv), and
 // its probes agree with the naive Dm scan. Run the package under -race to
 // additionally validate the snapshot-isolation contract via the
@@ -49,7 +49,7 @@ func sizedDeltaInstance(rng *rand.Rand, size int) (*Data, *rule.Set, *relation.S
 	rm := relation.StringSchema("Rm", mNames...)
 
 	// A skewed pool: "a" dominates, so one-column buckets routinely cover more
-	// than half of Dm and deltas move them across the adaptive threshold.
+	// than half of Dm and deltas move them across that line.
 	vals := []string{"a", "a", "a", "b", "c", "d"}
 	rel := relation.NewRelation(rm)
 	if size == 0 {
@@ -149,8 +149,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 			checkEquiv(t, ctx, next, sigma)
 
 			// Probe-level agreement with the naive scan on random tuples,
-			// exercising both the smallest-bucket walk and adaptive-scan
-			// paths as lists drift across the |Dm|/2 threshold.
+			// as the walked buckets drift across half of Dm.
 			for trial := 0; trial < 3; trial++ {
 				for i := range probe {
 					probe[i] = relation.String(vals[rng.Intn(len(vals))])
@@ -167,9 +166,9 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestDeltaThresholdCrossing drives one bucket across the |Dm|/2
-// adaptive-scan threshold in both directions through deltas alone and
-// pins the fallback policy on every side.
+// TestDeltaThresholdCrossing drives one bucket across half of Dm in both
+// directions through deltas alone, and holds the walk to the scan on every
+// side, a never-interned value included.
 func TestDeltaThresholdCrossing(t *testing.T) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
@@ -186,12 +185,20 @@ func TestDeltaThresholdCrossing(t *testing.T) {
 	cur := MustNewForRules(rel, sigma)
 
 	tup := relation.StringTuple("same", "b1", "x")
+	miss := relation.StringTuple("same", "nope", "x")
 	zSet := relation.NewAttrSet(0)
-	if _, scanned := cur.compatible(ru, tup, zSet); scanned {
-		t.Fatal("4/16 list must use the index path")
+	check := func(ctx string, d *Data, want bool) {
+		t.Helper()
+		if got := checkCompatible(t, ctx, d, ru, tup, zSet); got != want {
+			t.Fatalf("%s: found %v, want %v", ctx, got, want)
+		}
+		if checkCompatible(t, ctx+", never-interned value", d, ru, miss, relation.NewAttrSet(0, 1)) {
+			t.Fatalf("%s: a never-interned value found a compatible tuple", ctx)
+		}
 	}
+	check("4/16", cur, true)
 
-	// Grow "same" to 12/16: now ≥ |Dm|/2, the adaptive policy must scan.
+	// Grow "same" to 12/16, past half of Dm.
 	var adds []relation.Tuple
 	for i := 4; i < 12; i++ {
 		adds = append(adds, relation.StringTuple("same", fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i)))
@@ -201,26 +208,17 @@ func TestDeltaThresholdCrossing(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEquiv(t, "grown", grown, sigma)
-	found, scanned := grown.compatible(ru, tup, zSet)
-	if !scanned || !found {
-		t.Fatalf("12/16 list: found=%v scanned=%v, want true/true", found, scanned)
-	}
+	check("12/16", grown, true)
 
-	// Shrink back below the threshold through deletes alone: grown holds
-	// "same" at ids {0..3, 8..15} (the swap-removes moved u8..u11 into
-	// slots 4..7); dropping ten of them leaves 2/6 — selective again.
+	// Shrink back below half through deletes alone: grown holds "same" at
+	// ids {0..3, 8..15} (the swap-removes moved u8..u11 into slots 4..7);
+	// dropping ten of them leaves 2/6, and b1's tuple is gone.
 	shrunk, err := grown.ApplyDelta(nil, []int{0, 1, 2, 3, 8, 9, 10, 11, 12, 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkEquiv(t, "shrunk", shrunk, sigma)
-	found, scanned = shrunk.compatible(ru, tup, zSet)
-	if scanned {
-		t.Fatal("shrunken list must return to the index path")
-	}
-	if found != shrunk.compatibleScan(ru, tup, zSet) {
-		t.Fatal("index answer disagrees with the scan after shrink")
-	}
+	check("2/6", shrunk, true)
 }
 
 // TestSnapshotIsolationUnderConcurrentProbes hammers pinned snapshots

@@ -132,8 +132,6 @@ type rulePlan struct {
 	posts []int
 }
 
-var noPlan = &plan{} // New's Σ-less masters: no index, no rule
-
 // newPlan resolves Σ's plan: for each rule in Σ order, the index over its
 // Xm (found or registered) tracking its Bm, then the one-column index of
 // each column of a multi-column Xm.
@@ -205,8 +203,8 @@ func (d *Data) indexAt(i int) index {
 // ruleAt is the one plan lookup every probe makes: the position in the plan
 // of the rule ru, which must be a rule of the Σ the lineage was built for.
 // The master answers only for its own Σ — Σ_t[Z] is a mask over Σ, never a
-// set of refined copies — so any other rule, and every rule on one of New's
-// index-less snapshots, is a caller's bug: it panics, naming the rule.
+// set of refined copies — so any other rule is a caller's bug: it panics,
+// naming the rule.
 func (d *Data) ruleAt(ru *rule.Rule) int {
 	r, ok := d.plan.pos[ru]
 	if !ok {
@@ -216,7 +214,7 @@ func (d *Data) ruleAt(ru *rule.Rule) int {
 }
 
 // Data is one immutable snapshot of the master relation plus its lookup
-// indexes, stamped with the epoch it was published at (NewForRules/New
+// indexes, stamped with the epoch it was published at (NewForRules/Builder
 // build epoch 0; each ApplyDelta increments).
 type Data struct {
 	epoch   uint64
@@ -256,19 +254,6 @@ type Data struct {
 
 // rowVec is the vector of id rows behind a snapshot.
 type rowVec = persist.Vec[[]uint32]
-
-// New wraps a master relation with no indexes and no Σ, so every probe
-// panics (see ruleAt). For callers that only read Dm's cells (the rule
-// miner); NewForRules builds the indexed master.
-func New(rel *relation.Relation, opts ...BuildOption) *Data {
-	b := newBuilder(rel.Schema(), noPlan, resolveBuildConfig(opts))
-	for _, t := range rel.All() {
-		// A relation checks arity on the way in; New has never validated
-		// cell types and its callers (the rule miner) rely on none.
-		b.addRow(t)
-	}
-	return b.Finish()
-}
 
 // NewForRules wraps a master relation and eagerly builds the indexes of Σ's
 // plan — one per distinct Xm list in Σ and per column of a multi-column one

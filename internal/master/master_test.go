@@ -90,7 +90,7 @@ func TestLookupIndexedAndScan(t *testing.T) {
 
 // TestProbeRuleOutsideSigmaPanics: the master answers only for the Σ it was
 // built for. A WithPattern-refined copy of one of its rules, and any rule on
-// a snapshot New built without Σ, make each of the four probes panic with
+// a snapshot built for an empty Σ, make each of the four probes panic with
 // the rule's name.
 func TestProbeRuleOutsideSigmaPanics(t *testing.T) {
 	sigma, dm := sigmaAndData(t)
@@ -108,7 +108,7 @@ func TestProbeRuleOutsideSigmaPanics(t *testing.T) {
 		ru   *rule.Rule
 	}{
 		{"refined rule", dm, plus},
-		{"New's snapshot", master.New(paperex.MasterRelation()), phi1},
+		{"empty Σ's snapshot", master.MustNewForRules(paperex.MasterRelation(), rule.MustNewSet(sigma.Schema(), sigma.MasterSchema())), phi1},
 	} {
 		for _, p := range []struct {
 			name  string

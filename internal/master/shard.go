@@ -7,7 +7,7 @@ package master
 // therefore has exactly one bucket, holding all its ids ascending, at
 // every P — the "hash table that stores tm[Xm] as a key" of §5.1 — so a
 // probe reads one shard and P never shows on the read path: same buckets,
-// same allocations, same scan-fallback decisions, same MemStats counts. One
+// same allocations, same MemStats counts. One
 // tuple lives in a different shard per index; tuple ids stay global
 // positions in the relation.
 //
@@ -96,9 +96,6 @@ func (idx index) shard(h uint64) *indexShard {
 	return &idx.shards[keyShard(h, len(idx.shards))]
 }
 
-// Shards returns the snapshot's shard count P (stable across ApplyDelta).
-func (d *Data) Shards() int { return d.nshards }
-
 // Builder is the one way a snapshot's cells come to be outside ApplyDelta
 // and LoadArena: rows are fed in order, each cell interned as it arrives,
 // and Finish builds the planned structures over the id rows. Ids come
@@ -133,16 +130,9 @@ const minSlabRows, maxSlabRows = 64, 4096
 // index per distinct Xm list and per column of a multi-column one, and each
 // rule's share of them — resolved now, its structures built by Finish.
 func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
-	return newBuilder(sigma.MasterSchema(), newPlan(sigma), resolveBuildConfig(opts))
-}
-
-func newBuilder(schema *relation.Schema, p *plan, cfg buildConfig) *Builder {
+	cfg, schema := resolveBuildConfig(opts), sigma.MasterSchema()
 	return &Builder{
-		d: &Data{
-			schema: schema,
-			syms:   relation.NewSymbols(),
-			plan:   p,
-		},
+		d:      &Data{schema: schema, syms: relation.NewSymbols(), plan: newPlan(sigma)},
 		shards: cfg.shards,
 		auth:   cfg.auth,
 		last:   make([]relation.Value, schema.Arity()),
@@ -159,12 +149,6 @@ func (b *Builder) Add(t relation.Tuple) error {
 	if err := validateTuple(b.d.schema, t); err != nil {
 		return &BuildError{TupleID: b.d.rows.Len(), Key: tupleKeyContext(t), Err: err}
 	}
-	b.addRow(t)
-	return nil
-}
-
-// addRow interns t's cells into the next row.
-func (b *Builder) addRow(t relation.Tuple) {
 	d := b.d
 	row := b.newRow(len(t))
 	first := d.rows.Len() == 0
@@ -177,6 +161,7 @@ func (b *Builder) addRow(t relation.Tuple) {
 		row[c], b.last[c], b.lastID[c] = id, d.syms.Value(id), id
 	}
 	d.rows.Append(row)
+	return nil
 }
 
 // newRow carves the next row, of arity cells, off the slab.
@@ -221,7 +206,7 @@ func (b *Builder) Finish() *Data {
 func (d *Data) fill() {
 	nindexes := len(d.plan.indexes)
 	if nindexes == 0 {
-		return // no worker, no scratch: New's masters
+		return // an empty Σ: no worker, no scratch
 	}
 	n, p := d.rows.Len(), d.nshards
 	d.shards = make([]indexShard, nindexes*p)

@@ -10,8 +10,8 @@ func TestMaxShardsBuild(t *testing.T) {
 	rel, sigma := shardBenchRelation(1000)
 	pinProcs(t, 3)
 	d := MustNewForRules(rel, sigma, WithShards(400)) // clamps to 256
-	if d.Shards() != MaxShards {
-		t.Fatalf("Shards() = %d, want %d", d.Shards(), MaxShards)
+	if d.nshards != MaxShards {
+		t.Fatalf("nshards = %d, want %d", d.nshards, MaxShards)
 	}
 	checkTablesAgainstMaps(t, "P=256", d)
 	pinProcs(t, 1)
@@ -41,8 +41,8 @@ func TestShardsFollowMasterSize(t *testing.T) {
 	rel, sigma := shardBenchRelation(rowsPerShard + 1)
 	d := MustNewForRules(rel, sigma)
 	orc := MustNewForRules(rel, sigma, WithShards(1))
-	if d.Shards() != 2 || d.MemStats().Shards != 2 {
-		t.Fatalf("a build over %d tuples has %d shards (MemStats %d), want 2", rel.Len(), d.Shards(), d.MemStats().Shards)
+	if d.nshards != 2 || d.MemStats().Shards != 2 {
+		t.Fatalf("a build over %d tuples has %d shards (MemStats %d), want 2", rel.Len(), d.nshards, d.MemStats().Shards)
 	}
 	z := relation.NewAttrSet(1)
 	for i := range rel.Len() {
@@ -55,8 +55,8 @@ func TestShardsFollowMasterSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := loadArenaOrFatal(t, saveArenaBytes(t, next, sigma), sigma)
-	if next.Shards() != 2 || loaded.Shards() != 2 {
-		t.Fatalf("P = %d after a delta, %d after a round trip; want 2", next.Shards(), loaded.Shards())
+	if next.nshards != 2 || loaded.nshards != 2 {
+		t.Fatalf("P = %d after a delta, %d after a round trip; want 2", next.nshards, loaded.nshards)
 	}
 	checkEquiv(t, "P=2 loaded", loaded, sigma)
 }

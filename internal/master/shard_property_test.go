@@ -43,7 +43,7 @@ func randomShardInstance(rng *rand.Rand) (*relation.Relation, *rule.Set, []strin
 	rm := relation.StringSchema("Rm", mNames...)
 
 	// Enough distinct values that tuples spread across 16 shards, skewed
-	// so one-column buckets drift across the adaptive-scan threshold.
+	// so one-column buckets drift across half of Dm.
 	vals := []string{"a", "a", "a", "b", "c", "d", "e", "f"}
 	rel := relation.NewRelation(rm)
 	for i, n := 0, 2+rng.Intn(24); i < n; i++ {
@@ -122,8 +122,8 @@ func TestShardedBuildMatchesUnshardedOracle(t *testing.T) {
 		pinProcs(t, 3)
 		for _, p := range shardSweep {
 			sharded := MustNewForRules(rel, sigma, WithShards(p))
-			if sharded.Shards() != p {
-				t.Fatalf("seed %d: Shards() = %d, want %d", seed, sharded.Shards(), p)
+			if sharded.nshards != p {
+				t.Fatalf("seed %d: nshards = %d, want %d", seed, sharded.nshards, p)
 			}
 			checkTablesAgainstMaps(t, fmt.Sprintf("seed %d P=%d", seed, p), sharded)
 			probe := make(relation.Tuple, sigma.Schema().Arity())
@@ -231,8 +231,8 @@ func TestKeyRoutingProperty(t *testing.T) {
 			forceCompact(cur)
 			checkRouting(t, ctx+" compacted", cur)
 			loaded := loadArenaOrFatal(t, saveArenaBytes(t, cur, sigma), sigma)
-			if loaded.Shards() != p {
-				t.Fatalf("%s: loaded image has %d shards", ctx, loaded.Shards())
+			if loaded.nshards != p {
+				t.Fatalf("%s: loaded image has %d shards", ctx, loaded.nshards)
 			}
 			checkRouting(t, ctx+" loaded", loaded)
 		}

@@ -203,8 +203,9 @@ func Suggest(sigma *rule.Set, dm *master.Data, t relation.Tuple, zSet relation.A
 // GrowAndMinimize is the region growth of suggest.Deriver.CompCRegions on
 // the naive closure: grow zSet greedily until the structural closure
 // under the rules Dm supports covers R, then reverse-delete every
-// attribute outside Σ's free set whose removal keeps it covered. nil when
-// coverage is unreachable.
+// attribute outside Σ's free set whose removal keeps it covered. Growth
+// always reaches R: while the closure misses an attribute, adding that
+// attribute grows it.
 func GrowAndMinimize(sigma *rule.Set, dm *master.Data, zSet relation.AttrSet) []int {
 	off := make([]bool, sigma.Len())
 	for i, ru := range sigma.Rules() {
@@ -227,14 +228,7 @@ func GrowAndMinimize(sigma *rule.Set, dm *master.Data, zSet relation.AttrSet) []
 				bestGain, bestAttr = gain, a
 			}
 		}
-		if bestAttr < 0 {
-			return nil
-		}
-		before := StructuralClosure(sigma, off, cur).Len()
 		cur.Add(bestAttr)
-		if bestGain <= before {
-			return nil
-		}
 	}
 
 	for _, a := range cur.Positions() {

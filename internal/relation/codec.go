@@ -5,9 +5,8 @@ package relation
 // naturally in HTTP requests and fix results, and the mapping is
 // unambiguous without schema context (unlike Encode, which erases the
 // kind and relies on the schema's column type to decode). AttrSets
-// serialize as the sorted position list, the canonical form independent
-// of the word-slice layout (a pooled set and a freshly built one marshal
-// identically even when their backing capacities differ).
+// serialize as the sorted position list, not as the one 64-bit word they
+// are stored in, so the JSON names positions.
 
 import (
 	"encoding/json"

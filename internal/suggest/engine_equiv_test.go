@@ -65,9 +65,11 @@ func TestApplicableRulesCompiledVsNaiveProperty(t *testing.T) {
 // one Σ program — returns byte-identical suggestions to the naive path,
 // which materialises every ϕ+ and runs the fixpoint over them; and the
 // Σ_t[Z] behind both is the same rules (kept rules, ϕ+ patterns, weights).
-// Some seeds weight Σ, and on some of those the confidence tie-break must
-// have changed the suggestion, or the weighted branch went untested; only
-// a few in a hundred do, so -short runs every seed too (~40 ms).
+// Half the seeds weight Σ and plant a pair of attributes that determine
+// each other with unequal confidences (RandomInstance); on at least 40 of
+// the 400 (49 today) the confidence tie-break must have changed the
+// suggestion, or the weighted branch went under-tested. -short runs every
+// seed too (~40 ms).
 func TestSuggestCompiledVsNaiveProperty(t *testing.T) {
 	const iterations = 400
 	tieBroken := 0
@@ -87,8 +89,8 @@ func TestSuggestCompiledVsNaiveProperty(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d suggestions depended on their Σ's weights", tieBroken, iterations)
-	if tieBroken == 0 {
-		t.Fatal("no seed's suggestion depended on its weights: the weighted tie-break went unchecked")
+	if tieBroken < 40 {
+		t.Fatalf("only %d of %d suggestions depended on their Σ's weights, want at least 40: the weighted tie-break went under-tested", tieBroken, iterations)
 	}
 }
 

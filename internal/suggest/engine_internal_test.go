@@ -22,9 +22,12 @@ import (
 // domain, mirroring the analysis package's generator. It is exported for
 // the external property tests, which build their Deriver on it. About half
 // the seeds weight Σ as the miner does: each rule gets a confidence from
-// {0.5, 0.75, 1}, so that confidence masses both tie and differ and
-// Suggest's weighted tie-break is exercised. The weights are drawn last,
-// so every other part of a seed's instance is the unweighted generator's.
+// {0.5, 0.75, 1}, so that confidence masses both tie and differ, and a
+// pair of attributes outside Z that determine each other is planted with
+// unequal confidences, so that validating either one gains the same and
+// Suggest's weighted tie-break decides between them. The weights and the
+// pair are drawn last, so every other part of a seed's instance is the
+// unweighted generator's.
 func RandomInstance(rng *rand.Rand) (*rule.Set, *master.Data, relation.Tuple, relation.AttrSet) {
 	nR := 4 + rng.Intn(3)
 	nM := 4 + rng.Intn(3)
@@ -78,9 +81,26 @@ func RandomInstance(rng *rand.Rand) (*rule.Set, *master.Data, relation.Tuple, re
 	}
 	zSet := relation.NewAttrSet(rng.Perm(nR)[:1+rng.Intn(nR-1)]...)
 	if rng.Intn(2) == 0 {
+		weights := []float64{0.5, 0.75, 1}
 		for i, ru := range rules {
 			// Every weight drawn lies in (0, 1], so WithConfidence cannot fail.
-			rules[i], _ = ru.WithConfidence([]float64{0.5, 0.75, 1}[rng.Intn(3)])
+			rules[i], _ = ru.WithConfidence(weights[rng.Intn(3)])
+		}
+		var out []int
+		for a := range nR {
+			if !zSet.Has(a) {
+				out = append(out, a)
+			}
+		}
+		if len(out) >= 2 {
+			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+			p, q := out[0], out[1]
+			cols, w := rng.Perm(nM), rng.Perm(len(weights))
+			pq := rule.MustNew("pq", r, rm, []int{p}, []int{cols[0]}, q, cols[1], pattern.Empty())
+			qp := rule.MustNew("qp", r, rm, []int{q}, []int{cols[1]}, p, cols[0], pattern.Empty())
+			pq, _ = pq.WithConfidence(weights[w[0]])
+			qp, _ = qp.WithConfidence(weights[w[1]])
+			rules = append(rules, pq, qp)
 		}
 	}
 	sigma := rule.MustNewSet(r, rm, rules...)

@@ -48,7 +48,7 @@ type DiscoverResult = discover.LoopResult
 // Suggest uses to rank otherwise-tied suggestions; feed them and the
 // cleaned relation straight into New for a fully self-bootstrapped
 // system (`rulemine -loop` is the CLI face of this). The input relation
-// is never modified. Deterministic for every worker and shard count.
+// is never modified. Deterministic for every worker count.
 func Discover(r *Schema, masterRel *Relation, opts DiscoverLoopOptions) (*DiscoverResult, error) {
 	return discover.Loop(r, masterRel, opts)
 }
