@@ -5,8 +5,9 @@ package master
 // derives them in the parallel pass that validates the image. They must be
 // what a rebuild derives from the loaded rows and buckets, and what the heap
 // build that saved the image holds. A corrupt image must fail with the
-// failure first in file order. Both hold at every GOMAXPROCS: CI runs these
-// tests with -cpu 1,2,4, and each load below runs at 1, 2 and 4 as well.
+// failure first in file order, and with its checksum's whenever the trailer
+// does not match. Both hold at every GOMAXPROCS: CI runs these tests with
+// -cpu 1,2,4, and each load below runs at 1, 2 and 4 as well.
 
 import (
 	"encoding/binary"
@@ -203,6 +204,8 @@ func spoilBucket(img []byte, off int, id uint64) {
 // TestArenaReportsFirstFailure: an image corrupt in two places fails with
 // the failure first in file order, at every GOMAXPROCS and on every try,
 // located and worded as a load that validated the image serially words it.
+// The same image with a bad trailer fails its checksum instead: the sum is
+// the load's first job, and a mismatch wins over whatever the others find.
 func TestArenaReportsFirstFailure(t *testing.T) {
 	// Over two range checks' worth of rows, so the rows check runs as
 	// several jobs, and two shards per index.
@@ -258,33 +261,48 @@ func TestArenaReportsFirstFailure(t *testing.T) {
 		}, SnapshotError{Section: "rows", Offset: secOff(secRows) + 4*((rowsPerCheck+5)*arity),
 			Msg: fmt.Sprintf("cell (%d,0): value id %d out of range %d", rowsPerCheck+5, uint32(0xfffffffe), nsyms)}},
 	} {
+		mut := append([]byte(nil), img...)
+		tc.mut(mut)
+		resealArena(mut)
 		t.Run(tc.name, func(t *testing.T) {
-			mut := append([]byte(nil), img...)
-			tc.mut(mut)
-			resealArena(mut)
-			var first *SnapshotError
-			for _, p := range loadProcs {
-				pinProcs(t, p)
-				for try := range 4 {
-					_, err := LoadArenaBytes(mut, sigma)
-					var se *SnapshotError
-					if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
-						t.Fatalf("P=%d: got %v, want a *SnapshotError", p, err)
-					}
-					if first == nil {
-						first = se
-					}
-					if *se != *first {
-						t.Fatalf("P=%d try %d: %v, at the first try %v", p, try, se, first)
-					}
-				}
+			if got := firstFailure(t, mut, sigma); got.Section != tc.want.Section ||
+				tc.want.Offset >= 0 && got.Offset != tc.want.Offset || tc.want.Msg != "" && got.Msg != tc.want.Msg {
+				t.Fatalf("got %v, want %v", got, &tc.want)
 			}
-			if first.Section != tc.want.Section || tc.want.Offset >= 0 && first.Offset != tc.want.Offset ||
-				tc.want.Msg != "" && first.Msg != tc.want.Msg {
-				t.Fatalf("got %v, want %v", first, &tc.want)
+		})
+		t.Run(tc.name+" and a bad trailer", func(t *testing.T) {
+			unsealed := append([]byte(nil), mut...)
+			unsealed[len(unsealed)-1] ^= 0x5a
+			if got := firstFailure(t, unsealed, sigma); got.Section != "trailer" || got.Offset != len(unsealed)-arenaTrailerSize {
+				t.Fatalf("got %v, want the trailer's checksum failure", got)
 			}
 		})
 	}
+}
+
+// firstFailure loads img at every loadProcs, four times each, and returns the
+// *SnapshotError every load fails with; it fails the test when one load
+// reports another.
+func firstFailure(t *testing.T, img []byte, sigma *rule.Set) *SnapshotError {
+	t.Helper()
+	var first *SnapshotError
+	for _, p := range loadProcs {
+		pinProcs(t, p)
+		for try := range 4 {
+			_, err := LoadArenaBytes(img, sigma)
+			var se *SnapshotError
+			if !errors.Is(err, ErrBadSnapshot) || !errors.As(err, &se) {
+				t.Fatalf("P=%d: got %v, want a *SnapshotError", p, err)
+			}
+			if first == nil {
+				first = se
+			}
+			if *se != *first {
+				t.Fatalf("P=%d try %d: %v, at the first try %v", p, try, se, first)
+			}
+		}
+	}
+	return first
 }
 
 // misroutedKey returns the smallest key that keyShard routes to another

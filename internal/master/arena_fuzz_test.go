@@ -4,8 +4,10 @@ package master
 // input, LoadArenaBytes must either fail with an error matching
 // ErrBadSnapshot or return a snapshot that is safe to probe and derive from —
 // never panic, never index out of range, never read past the input. Every
-// input is re-sealed first (resealArena), so a mutation gets past the
-// checksum and on to the header, table and rule validators behind it. The
+// input is loaded twice. As it is, a trailer that does not match must fail
+// the checksum, whatever else the input breaks. Re-sealed (resealArena), a
+// mutation gets past the checksum and on to the header, table and rule
+// validators beside it. The
 // seed corpus covers the empty input, a valid image at P = 2 and at P = 1, a
 // truncated image, header-level corruptions, one input per validator of the
 // symbol and rows sections, an image that loads with a row its indexes file
@@ -16,6 +18,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/pattern"
@@ -91,6 +94,7 @@ func FuzzLoadArena(f *testing.F) {
 		// A copy: the loaded snapshot retains its input, and resealing
 		// writes to it.
 		data = bytes.Clone(data[:min(len(data), 1<<16)])
+		checkUnsealed(t, data, sigma)
 		resealArena(data)
 		loaded, err := LoadArenaBytes(data, sigma)
 		if err != nil {
@@ -141,4 +145,24 @@ func FuzzLoadArena(f *testing.F) {
 		}
 		_ = next.MemStats()
 	})
+}
+
+// checkUnsealed loads img as it is. When its trailer does not match, the load
+// must fail with the checksum's error, whatever else is wrong with it, unless
+// the image is not a format-7 image on this host at all: too short for a
+// header and trailer, or a bad magic, version or endian marker.
+func checkUnsealed(t *testing.T, img []byte, sigma *rule.Set) {
+	t.Helper()
+	body := len(img) - arenaTrailerSize
+	if body >= 0 && binary.LittleEndian.Uint32(img[body:]) == crc32.Checksum(img[:body], arenaCRC) {
+		return
+	}
+	_, err := LoadArenaBytes(img, sigma)
+	var se *SnapshotError
+	if !errors.As(err, &se) {
+		t.Fatalf("an image whose trailer does not match loaded with %v", err)
+	}
+	if se.Section != "trailer" && !(se.Section == "header" && se.Offset < hdrEpoch) {
+		t.Fatalf("an image whose trailer does not match failed with %v, not its checksum", err)
+	}
 }

@@ -2,25 +2,28 @@ package master
 
 // This file implements the load side of the arena (arena.go): LoadArena
 // maps the file (or falls back to reading it) and assembles a fully usable
-// Data snapshot whose id rows and frozen tables (table.go) are views into
-// the raw bytes — no per-tuple hashing, no map construction proportional to
-// |Dm|. After the checksum, the O(|Dm|) work runs on the cores in two
-// parallel steps. First the symbols decode beside the rows' range check,
-// which lays a row header per tuple. Then one job per (index, shard)
-// validates its table and, in the same walk, derives its exception table
-// from the image's cells, while one job per rule counts its pattern support
-// by symbol id. String payloads stay in the arena (symbol values alias the
-// mapping zero-copy).
+// Data snapshot whose rows (rows.go) and frozen tables (table.go) are views
+// into the raw bytes — no header per row, no per-tuple hashing, no map
+// construction proportional to |Dm|. The O(|Dm|) work is one pool of jobs
+// on the cores, in file order: the trailer's checksum, in pieces; the
+// symbols' decode; the rows' range checks; and one job per (index, shard)
+// that validates its table and, in the same walk, derives its exception
+// table from the image's cells. Once the pool has passed, one job per rule
+// counts its pattern support by symbol id. String payloads stay in the
+// arena (symbol values alias the mapping zero-copy).
 //
-// Validation is EAGER: the trailer's checksum first, then every offset,
-// count, table invariant and id range is checked here, so the probe hot path
-// runs with no bounds checks and a snapshot that loads without error can
-// never cause an out-of-range access later. Hostile input fails with a
+// Validation is EAGER: the trailer's checksum and every offset, count,
+// table invariant and id range are checked here, so the probe hot path runs
+// with no bounds checks and a snapshot that loads without error can never
+// cause an out-of-range access later. Hostile input fails with a
 // *SnapshotError (matching ErrBadSnapshot), and every count is held against
 // the bytes that must back it before anything is sized by it, so a small
-// corrupt file cannot demand a huge allocation. The jobs of a parallel step
-// are in file order and the first failing one is reported, so the error is
-// the same at every GOMAXPROCS.
+// corrupt file cannot demand a huge allocation — whether or not the
+// checksum has been computed yet. The pool's jobs are in file order, the
+// checksum first, and the first failing one is reported, so the error is
+// the same at every GOMAXPROCS and a checksum mismatch wins over any other
+// failure but a file too short for a header and trailer or a bad magic,
+// version or endian marker, which are refused before the pool starts.
 //
 // The mapping stays alive for as long as any snapshot derived from it:
 // loaded rows and values alias the arena bytes, so the mapping is never
@@ -36,7 +39,6 @@ import (
 	"unsafe"
 
 	"repro/internal/parallel"
-	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 	"repro/internal/wal"
@@ -198,12 +200,16 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		hr.fail("endian marker mismatch (corrupt file or big-endian host)")
 		return nil, hr.err
 	}
-	// No count or section is read before the checksum over them: the
-	// sections below are decoded from body, the bytes the trailer covers.
+	// From here on the load is one pool of jobs in file order, the checksum
+	// first, so a mismatch is reported over any other failure: a count or
+	// section read before the sum is known is held against the bytes that
+	// back it like any other. A failure found while laying the jobs out ends
+	// the list as a job that returns it.
 	body := b[:len(b)-arenaTrailerSize]
-	if sum, stored := crc32.Checksum(body, arenaCRC), binary.LittleEndian.Uint32(b[len(body):]); sum != stored {
-		return nil, &SnapshotError{Section: "trailer", Offset: len(body),
-			Msg: fmt.Sprintf("checksum %#08x does not match the image's %#08x", stored, sum)}
+	jobs := []func() error{func() error { return checkTrailer(b) }}
+	fail := func(err error) (*Data, error) {
+		jobs = append(jobs, func() error { return err })
+		return nil, runJobs(jobs)
 	}
 	hr.off = hdrEpoch
 	epoch := hr.u64()
@@ -235,29 +241,46 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 		prev = secOff[i]
 	}
 	if hr.err != nil {
-		return nil, hr.err
+		return fail(hr.err)
 	}
 	if err := checkArenaSchema(body, secOff[secSchema], arity, sigma.MasterSchema()); err != nil {
-		return nil, err
+		return fail(err)
 	}
 
-	syms, cells, rows, err := decodeArenaCells(body, secOff, n, arity, nsyms)
-	if err != nil {
-		return nil, err
+	// The symbols decode in one job, and the rows are range-checked in jobs of
+	// rowsPerCheck rows each, in place: the rows section is viewed as blocks
+	// of cells, with no header per row.
+	var syms *relation.Symbols
+	jobs = append(jobs, func() (err error) {
+		syms, err = decodeArenaSymbols(body[secOff[secSymbols]:secOff[secRows]], secOff[secSymbols], nsyms)
+		return err
+	})
+	rr := &areader{b: body, off: secOff[secRows], sec: "rows"}
+	if n > 0 && arity > (len(body)/4)/n {
+		rr.fail("rows section for %d×%d cells exceeds file size", n, arity)
+	}
+	cells := viewU32(rr.take(4 * n * arity))
+	if rr.err != nil {
+		return fail(rr.err)
+	}
+	for lo := 0; lo < len(cells); lo += rowsPerCheck * arity {
+		jobs = append(jobs, func() error {
+			return checkCellRange(cells[lo:min(lo+rowsPerCheck*arity, len(cells))], lo, arity, nsyms, secOff[secRows])
+		})
 	}
 
 	if nrules != sigma.Len() {
-		return nil, &SnapshotError{Section: "rules", Offset: -1,
-			Msg: fmt.Sprintf("snapshot has %d rules, Σ has %d", nrules, sigma.Len())}
+		return fail(&SnapshotError{Section: "rules", Offset: -1,
+			Msg: fmt.Sprintf("snapshot has %d rules, Σ has %d", nrules, sigma.Len())})
 	}
-	rr := &areader{b: body, off: secOff[secRules], sec: "rules"}
+	sr := &areader{b: body, off: secOff[secRules], sec: "rules"}
 	for _, ru := range sigma.Rules() {
-		if sig := rr.u64(); rr.err == nil && sig != ruleSig(ru) {
-			rr.off -= 8
-			rr.fail("rule %s: signature mismatch (snapshot saved for a different Σ)", ru.Name())
+		if sig := sr.u64(); sr.err == nil && sig != ruleSig(ru) {
+			sr.off -= 8
+			sr.fail("rule %s: signature mismatch (snapshot saved for a different Σ)", ru.Name())
 		}
-		if rr.err != nil {
-			return nil, rr.err
+		if sr.err != nil {
+			return fail(sr.err)
 		}
 	}
 
@@ -265,45 +288,42 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	// its order — none missing, none over another Xm list.
 	p := newPlan(sigma)
 	if nindexes != len(p.indexes) {
-		return nil, &SnapshotError{Section: "indexes", Offset: secOff[secIndexes],
-			Msg: fmt.Sprintf("snapshot has %d indexes, Σ's plan has %d", nindexes, len(p.indexes))}
+		return fail(&SnapshotError{Section: "indexes", Offset: secOff[secIndexes],
+			Msg: fmt.Sprintf("snapshot has %d indexes, Σ's plan has %d", nindexes, len(p.indexes))})
 	}
 	d := &Data{
 		epoch:   epoch,
 		nshards: nshards,
 		schema:  sigma.MasterSchema(),
-		rows:    rows,
-		syms:    syms,
+		rows:    viewRows(cells, n, arity),
 		plan:    p,
 		shards:  make([]indexShard, nindexes*nshards),
 		arena:   &arenaRef{data: b, mapped: mapped},
 	}
-	// One parallel pass validates every shard table and derives what the
-	// image does not store from the rows it does, so a probe trusts only what
-	// this pass verified: each (index, shard) job checks its table's buckets
-	// and, once a bucket's ids have passed, derives its exception mask from
-	// the image's cells; each rule's job counts its pattern support. The
-	// tables are laid out first, serially — a few header reads each — and the
-	// failure reported is the first in file order: a table's that the
-	// layout reached, else the layout's own.
+	// Every shard table is validated, and what the image does not store
+	// derived from the rows it does, so a probe trusts only what the pool
+	// verified: each (index, shard) job checks its table's buckets and, once a
+	// bucket's ids have passed, derives its exception mask from the image's
+	// cells — compared, never used as symbol ids, so it needs no other job.
+	// The tables are laid out first, serially, a few header reads each; a
+	// layout failure follows the jobs of the tables laid out before it.
 	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
-	views := layoutArenaIndexes(ir, p, nshards)
 	row := func(id int) []uint32 { return cells[id*arity : (id+1)*arity : (id+1)*arity] }
-	nr := len(p.rules)
-	d.supported = make([]int, nr)
-	_, err = parallel.Map(len(views)+nr, 0, func(k int) (struct{}, error) {
-		if k >= len(views) {
-			d.supported[k-len(views)] = d.countSupported(k - len(views))
-			return struct{}{}, nil
-		}
-		return struct{}{}, d.indexAt(k/nshards).loadShard(k%nshards, views[k], n, row)
-	})
-	if err == nil {
-		err = ir.err
+	for k, v := range layoutArenaIndexes(ir, p, nshards) {
+		jobs = append(jobs, func() error { return d.indexAt(k/nshards).loadShard(k%nshards, v, n, row) })
 	}
-	if err != nil {
+	if ir.err != nil {
+		return fail(ir.err)
+	}
+	if err := runJobs(jobs); err != nil {
 		return nil, err
 	}
+	// Each rule's pattern support is counted by symbol id, once the symbols
+	// are known.
+	d.syms = syms
+	d.supported, _ = parallel.Map(len(p.rules), 0, func(r int) (int, error) {
+		return d.countSupported(r), nil
+	})
 
 	// Auth: when the flag is set, rebuild the Merkle commitment from the
 	// decoded tuples and verify it against the stored root — a
@@ -389,53 +409,44 @@ func decodeArenaSymbols(sec []byte, off, nsyms int) (*relation.Symbols, error) {
 // rowsPerCheck is how many rows one job of the load's range check covers.
 const rowsPerCheck = 1 << 14
 
-// decodeArenaCells decodes the symbols section into the snapshot's interning
-// table and views the rows section in place as its id rows, returning them
-// also as the flat cells they are, |Dm| × arity ids row-major. One job
-// decodes the symbols while the others check, rowsPerCheck rows each, that
-// every cell is a symbol's id and lay those rows' headers, the load's one
-// allocation proportional to |Dm|. The failure reported is the first in file
-// order: the symbols', else the first bad cell's.
-func decodeArenaCells(body []byte, secOff [numSections]int, n, arity, nsyms int) (*relation.Symbols, []uint32, rowVec, error) {
-	off := secOff[secRows]
-	r := &areader{b: body, off: off, sec: "rows"}
-	if n > 0 && arity > (len(body)/4)/n {
-		r.fail("rows section for %d×%d cells exceeds file size", n, arity)
-	}
-	cells := viewU32(r.take(4 * n * arity))
-	var rows [][]uint32
-	checks := 0
-	if r.err == nil {
-		rows = make([][]uint32, n)
-		checks = (n + rowsPerCheck - 1) / rowsPerCheck
-	}
-	var syms *relation.Symbols
-	_, err := parallel.Map(1+checks, 0, func(k int) (struct{}, error) {
-		if k == 0 {
-			var err error
-			syms, err = decodeArenaSymbols(body[secOff[secSymbols]:off], secOff[secSymbols], nsyms)
-			return struct{}{}, err
+// checkCellRange checks that every cell of the rows section from cell lo on is a
+// symbol's id; the section starts at offset off of the image.
+func checkCellRange(cells []uint32, lo, arity, nsyms, off int) error {
+	for j, id := range cells {
+		if id >= uint32(nsyms) {
+			i, c := (lo+j)/arity, (lo+j)%arity
+			return &SnapshotError{Section: "rows", Offset: off + 4*(lo+j),
+				Msg: fmt.Sprintf("cell (%d,%d): value id %d out of range %d", i, c, id, nsyms)}
 		}
-		lo := (k - 1) * rowsPerCheck
-		for i := lo; i < min(lo+rowsPerCheck, n); i++ {
-			row := cells[i*arity : (i+1)*arity : (i+1)*arity]
-			for c, id := range row {
-				if id >= uint32(nsyms) {
-					return struct{}{}, &SnapshotError{Section: "rows", Offset: off + 4*(i*arity+c),
-						Msg: fmt.Sprintf("cell (%d,%d): value id %d out of range %d", i, c, id, nsyms)}
-				}
-			}
-			rows[i] = row
-		}
-		return struct{}{}, nil
-	})
-	if err == nil {
-		err = r.err
 	}
-	if err != nil {
-		return nil, nil, rowVec{}, err
+	return nil
+}
+
+// crcPiece bounds the bytes one call of crc32.Update hashes: the call is
+// assembly, which a stop-the-world waits for, and over a whole image it
+// kept one waiting for milliseconds.
+const crcPiece = 1 << 20
+
+// checkTrailer checks the image's trailer against the CRC-32C of every byte
+// before it.
+func checkTrailer(b []byte) error {
+	body := b[:len(b)-arenaTrailerSize]
+	var sum uint32
+	for p := body; len(p) > 0; p = p[min(len(p), crcPiece):] {
+		sum = crc32.Update(sum, arenaCRC, p[:min(len(p), crcPiece)])
 	}
-	return syms, cells, persist.FromSlice(rows), nil
+	if stored := binary.LittleEndian.Uint32(b[len(body):]); sum != stored {
+		return &SnapshotError{Section: "trailer", Offset: len(body),
+			Msg: fmt.Sprintf("checksum %#08x does not match the image's %#08x", stored, sum)}
+	}
+	return nil
+}
+
+// runJobs runs the load's jobs on the cores and returns the failure of the
+// first failing one in list order, the same at every GOMAXPROCS.
+func runJobs(jobs []func() error) error {
+	_, err := parallel.Map(len(jobs), 0, func(k int) (struct{}, error) { return struct{}{}, jobs[k]() })
+	return err
 }
 
 // tableView is one shard table as the image lays it out: the table viewed

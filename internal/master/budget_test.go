@@ -47,11 +47,11 @@ func measure(build func() any) (allocated, live uint64) {
 // Builder.ReadCSV — the path certainfix.NewFromCSV boots on, chunks parsed
 // and interned on two workers — and bounds what the snapshot keeps, cells,
 // symbols and tables together, and how much garbage building it
-// made: 296 B/tuple kept and 1.70× that allocated, measured (2.14× when the
-// rows were decoded one at a time beside a serial interner; 329 B/tuple
-// kept with a posting list per Xm column beside the indexes). As a relation
-// of values with its indexes beside it the same master kept about 1,080
-// B/tuple.
+// made: 266 B/tuple kept and 1.82× that allocated, measured (292 B/tuple
+// while every row had a slice header; 2.14× allocated when the rows were
+// decoded one at a time beside a serial interner; 329 B/tuple kept with a
+// posting list per Xm column beside the indexes). As a relation of values
+// with its indexes beside it the same master kept about 1,080 B/tuple.
 func TestBootHeapBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)
@@ -66,8 +66,8 @@ func TestBootHeapBudget(t *testing.T) {
 	})
 	runtime.KeepAlive(csv) // or the second collection frees it and hides 200 B/tuple of the snapshot
 	t.Logf("|Dm| = %d: %d B/tuple live, %d B/tuple allocated (%.2f×)", n, live/n, allocated/n, float64(allocated)/float64(live))
-	if live > 325*n {
-		t.Errorf("snapshot keeps %d B/tuple, budget 325", live/n)
+	if live > 290*n {
+		t.Errorf("snapshot keeps %d B/tuple, budget 290", live/n)
 	}
 	if allocated > 2*live {
 		t.Errorf("boot allocated %.2f× what it keeps, budget 2×", float64(allocated)/float64(live))
@@ -75,10 +75,11 @@ func TestBootHeapBudget(t *testing.T) {
 }
 
 // TestArenaLoadAllocBudget bounds what loading an image allocates, per tuple:
-// the rows, tables and strings stay in the image, and what is built beside
-// them is a header per row, the symbol table, and the exception tables and
-// support counts the image does not store — 54.6 B/tuple measured, whatever
-// the image holds.
+// the rows, tables and strings stay in the image, the rows viewed as blocks
+// of blockRows rows with no header per row, and what is built beside them is
+// the symbol table, a pointer per block, and the exception tables and
+// support counts the image does not store — 31.0 B/tuple measured, whatever
+// the image holds (54.6 while every row had a 24-byte slice header).
 func TestArenaLoadAllocBudget(t *testing.T) {
 	const n = 20_000
 	csv, sigma := hospCSV(t, n)
@@ -101,7 +102,7 @@ func TestArenaLoadAllocBudget(t *testing.T) {
 	})
 	runtime.KeepAlive(img)
 	t.Logf("image %d bytes, load allocated %d (%d B/tuple, %.2f× the image)", img.Len(), allocated, allocated/n, float64(allocated)/float64(img.Len()))
-	if allocated > 59*n {
-		t.Errorf("loading %d tuples allocated %d B/tuple, budget 59", n, allocated/n)
+	if allocated > 33*n {
+		t.Errorf("loading %d tuples allocated %d B/tuple, budget 33", n, allocated/n)
 	}
 }

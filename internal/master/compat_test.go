@@ -210,15 +210,14 @@ func TestPatternSupportedProperty(t *testing.T) {
 	}
 }
 
-// TestCompatibleDegeneratePostings builds the degenerate shape — every
-// master tuple shares one value in the probed column, so the best one-column
-// bucket is all of Dm — and holds the walk to the scan on it, on a selective
-// bucket, and on a never-interned value.
-func TestCompatibleDegeneratePostings(t *testing.T) {
+// degenerateMaster builds the degenerate shape — n master tuples that share
+// one value in column MA, so the best one-column bucket of a rule whose lhs
+// is (A, B) is all of Dm — with that rule, deg, under pattern tp.
+func degenerateMaster(n int, tp pattern.Tuple) (*Data, *rule.Rule) {
 	r := relation.StringSchema("R", "A", "B", "C")
 	rm := relation.StringSchema("Rm", "MA", "MB", "MC")
 	rel := relation.NewRelation(rm)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		rel.MustAppend(relation.Tuple{
 			relation.String("same"), // degenerate column: one distinct value
 			relation.String(fmt.Sprintf("b%d", i)),
@@ -226,10 +225,20 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 		})
 	}
 	// lhs (A, B) so Z = {A} partially validates; A's bucket is all of Dm.
-	ru := rule.MustNew("deg", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, pattern.Empty())
-	sigma := rule.MustNewSet(r, rm, ru)
-	d := MustNewForRules(rel, sigma)
+	ru := rule.MustNew("deg", r, rm, []int{0, 1}, []int{0, 1}, 2, 2, tp)
+	return MustNewForRules(rel, rule.MustNewSet(r, rm, ru)), ru
+}
 
+// noCompatiblePattern asks B for a value that only column MC holds, so no
+// master tuple satisfies it and a walk of A's bucket reads every id.
+var noCompatiblePattern = pattern.MustTuple([]int{1}, []pattern.Cell{pattern.EqStr("c0")})
+
+// TestCompatibleDegeneratePostings holds the walk to the scan on the
+// degenerate shape (degenerateMaster), on a selective bucket, on a
+// never-interned value, and on the degenerate bucket when no tuple of it is
+// compatible.
+func TestCompatibleDegeneratePostings(t *testing.T) {
+	d, ru := degenerateMaster(16, pattern.Empty())
 	tup := relation.Tuple{relation.String("same"), relation.String("b3"), relation.String("x")}
 	if !checkCompatible(t, "degenerate bucket", d, ru, tup, relation.NewAttrSet(0)) {
 		t.Fatal("the degenerate bucket must yield a compatible tuple")
@@ -242,5 +251,27 @@ func TestCompatibleDegeneratePostings(t *testing.T) {
 	tup[1] = relation.String("nope")
 	if checkCompatible(t, "never-interned value", d, ru, tup, relation.NewAttrSet(1)) {
 		t.Fatal("a never-interned value found a compatible tuple")
+	}
+	d, ru = degenerateMaster(16, noCompatiblePattern)
+	tup[1] = relation.String("b3")
+	if checkCompatible(t, "degenerate bucket, no compatible tuple", d, ru, tup, relation.NewAttrSet(0)) {
+		t.Fatal("a tuple of the degenerate bucket satisfied a pattern none satisfies")
+	}
+}
+
+// BenchmarkCompatibleDegenerate times condition (c)'s worst walk: a
+// partially validated lhs whose only bucket is all of Dm, 10,000 tuples,
+// none of them compatible, so every id is read through rows.At.
+func BenchmarkCompatibleDegenerate(b *testing.B) {
+	d, ru := degenerateMaster(10_000, noCompatiblePattern)
+	tup := relation.Tuple{relation.String("same"), relation.String("b3"), relation.String("x")}
+	z := relation.NewAttrSet(0)
+	pinProcs(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if d.CompatibleExists(ru, tup, z) {
+			b.Fatal("a tuple of the degenerate bucket satisfied a pattern none satisfies")
+		}
 	}
 }

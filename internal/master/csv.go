@@ -138,11 +138,10 @@ func (b *Builder) merge(s *csvSlot) error {
 	}
 	before, arity := d.rows.Len(), d.schema.Arity()
 	for cells := s.cells; len(cells) > 0; cells = cells[arity:] {
-		row := b.newRow(arity)
+		row := d.rows.grow()
 		for c := range row {
 			row[c] = s.ids[cells[c]]
 		}
-		d.rows.Append(row)
 	}
 	if s.err != nil {
 		return relation.CSVErrorAfter(s.err, before)

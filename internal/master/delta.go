@@ -17,8 +17,8 @@ package master
 //     maintenance proportional to the delta (only the moved tuple's
 //     entries change id) instead of cascading an id shift through every
 //     structure.
-//  2. adds are then appended in order; an added tuple is interned into an
-//     id row of its own, so callers may reuse their slices.
+//  2. adds are then appended in order; an added tuple is interned into the
+//     snapshot's own cells, so callers may reuse their slices.
 //
 // Every index mutation lands in the shard its key routes to (shard.go), so
 // a delta's overlays — and the flatten-at-1/4 compaction they eventually
@@ -28,14 +28,16 @@ package master
 //
 // Cost per delta: the delta. Per op and index, one trie path into the
 // shard's overlay, one chunk of the key's id list (≤ maxChunk ids) and the
-// list's chunk table (overlay.go); per added tuple, one id row; per touched
-// 64-element chunk of the row headers, one chunk copy; per interned value,
-// one trie path; per delta, one copy of the |Σ| support counts. What still
-// scales with |Dm| is the chunk tables (8 bytes per 64 tuples, 24 per 96 or
-// so ids of an edited list) and, amortized, the compaction of a shard whose
-// overlay outgrew its table. TestApplyDeltaAllocScaling holds the same delta at
-// |Dm| = 60k to 1.6× the bytes it allocates at 6k; the ApplyDelta benchmarks
-// record the rest.
+// list's chunk table (overlay.go); per touched block of blockRows rows, one
+// block copy and the chunk of 64 block pointers holding it (rows.go); per
+// interned value, one trie path; per delta, one copy of the |Σ| support
+// counts and of the deleted and moved rows' cells. What still scales with
+// |Dm| is the chunk tables (8 bytes per 1,024 tuples of the rows', and as
+// much again for the bitset of the blocks a delta copied; 24 per 96 or so
+// ids of an edited list) and, amortized, the compaction of a shard whose
+// overlay outgrew its table. TestApplyDeltaAllocScaling holds the
+// same delta at |Dm| = 60k to 1.6× the bytes it allocates at 6k; the
+// ApplyDelta benchmarks record the rest.
 
 import (
 	"errors"
@@ -50,9 +52,11 @@ import (
 	"repro/internal/wal"
 )
 
-// deltaOp is one planned mutation of every index, on the tuple stored as
-// row. Support counts and interning happen at planning time (they are global
-// and O(1) per op); the map and bucket work — the bulk of a delta — runs in
+// deltaOp is one planned mutation of every index, on the tuple whose cells
+// are row: a deleted or moved row's copy, as a later op of the delta may
+// overwrite the slot it was read from, or an appended row's own cells.
+// Support counts and interning happen at planning time (they are global and
+// O(1) per op); the map and bucket work — the bulk of a delta — runs in
 // applyIndexOps.
 type deltaOp struct {
 	kind   uint8
@@ -99,8 +103,8 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 		epoch:   d.epoch + 1,
 		nshards: d.nshards,
 		schema:  d.schema,
-		// The row headers are shared with d chunk by chunk; the edits below
-		// copy the chunks they touch.
+		// The rows are shared with d block by block; the edits below copy
+		// the blocks they touch.
 		rows:      d.rows.Clone(),
 		syms:      d.syms.Fork(),
 		plan:      d.plan,
@@ -118,6 +122,12 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	// Plan: queue every op; update the support counts and intern added
 	// values inline (both global, both O(1) per op).
 	ops := make([]deltaOp, 0, 2*len(del)+len(adds))
+	arity := d.schema.Arity()
+	cells := make([]uint32, 0, 2*len(del)*arity)
+	keep := func(row []uint32) []uint32 {
+		cells = append(cells, row...)
+		return cells[len(cells)-arity:]
+	}
 
 	// The Merkle commitment is keyed by tuple CONTENT, so only genuine
 	// deletes and adds touch it — the swap-remove renames below shuffle
@@ -128,7 +138,7 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 	var gone relation.Tuple // a deleted tuple, materialized for the commitment
 	for _, id := range del {
 		last := nd.rows.Len() - 1
-		row := nd.rows.At(id)
+		row := keep(nd.rows.At(id))
 		ops = append(ops, deltaOp{kind: opUnindex, row: row, id: id})
 		nd.addSupport(row, -1)
 		if nd.auth != nil {
@@ -136,19 +146,18 @@ func (d *Data) ApplyDelta(adds []relation.Tuple, deletes []int) (*Data, error) {
 			nd.auth = authRemove(nd.auth, gone)
 		}
 		if last != id {
-			moved := nd.rows.At(last)
+			moved := keep(nd.rows.At(last))
 			ops = append(ops, deltaOp{kind: opRename, row: moved, id: last, to: id})
 			nd.rows.Set(id, moved)
 		}
 		nd.rows.Truncate(last)
 	}
 	for _, t := range adds {
-		row := make([]uint32, len(t))
+		id := nd.rows.Len()
+		row := nd.rows.grow()
 		for c, v := range t {
 			row[c] = nd.syms.Intern(v)
 		}
-		id := nd.rows.Len()
-		nd.rows.Append(row)
 		ops = append(ops, deltaOp{kind: opAppend, row: row, id: id})
 		nd.addSupport(row, 1)
 		if nd.auth != nil {

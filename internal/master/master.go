@@ -63,7 +63,7 @@
 // world to re-run NewForRules for every correction, so this package
 // versions Dm: a *Data is an immutable, epoch-stamped SNAPSHOT, ApplyDelta
 // derives the next one by structural sharing — plan and tables shared; row
-// headers, overlays, symbols and exception tables edited along the paths
+// blocks, overlays, symbols and exception tables edited along the paths
 // and chunks the delta touches; the pattern-support counts copied and
 // adjusted — and the Versioned handle publishes the current snapshot
 // through an atomic pointer.
@@ -92,7 +92,6 @@ import (
 	"slices"
 
 	"repro/internal/authtree"
-	"repro/internal/persist"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -223,12 +222,12 @@ type Data struct {
 	// rows is Dm itself: tuple id → the tuple's cells as interned value ids,
 	// one per attribute of the schema. EVERY column is interned, so a cell is
 	// its id, equal cells have equal ids, and syms.Value turns one back into
-	// the value (Cell, Tuple, All, Relation materialize on demand). Rows are
-	// carved from slabs at build, viewed in the image at load, and allocated
-	// one by one by deltas;
-	// their headers sit in a chunked copy-on-write vector, so ApplyDelta
-	// shares every chunk it does not touch. A row is never written once
-	// stored.
+	// the value (Cell, Tuple, All, Relation materialize on demand). The cells
+	// sit in blocks of blockRows rows, with no header per row (rows.go): a
+	// Builder appends into its open block, LoadArena views the image's rows
+	// section as blocks, and ApplyDelta shares every block it does not write
+	// and copies the ones it does, so a row read from a snapshot never
+	// changes.
 	rows rowVec
 	syms *relation.Symbols
 	// plan is Σ's plan, shared by every snapshot of the lineage: the
@@ -251,9 +250,6 @@ type Data struct {
 	// Authenticate and maintained copy-on-write by ApplyDelta; see auth.go.
 	auth *authtree.Tree
 }
-
-// rowVec is the vector of id rows behind a snapshot.
-type rowVec = persist.Vec[[]uint32]
 
 // NewForRules wraps a master relation and eagerly builds the indexes of Σ's
 // plan — one per distinct Xm list in Σ and per column of a multi-column one

@@ -17,8 +17,8 @@ type MemStats struct {
 	Tuples int    `json:"tuples"`
 	Shards int    `json:"shards"`
 
-	// CellBytes is Dm itself: one uint32 id per cell plus a slice header
-	// per tuple.
+	// CellBytes is Dm itself: one uint32 id per cell plus a pointer per
+	// block of rows.
 	CellBytes int64 `json:"cell_bytes"`
 
 	// Symbols is the interning table the cells point into: distinct values,
@@ -75,7 +75,7 @@ func (d *Data) MemStats() MemStats {
 		Epoch:       d.epoch,
 		Tuples:      n,
 		Shards:      d.nshards,
-		CellBytes:   int64(n) * (int64(unsafe.Sizeof([]uint32(nil))) + 4*int64(d.schema.Arity())),
+		CellBytes:   4*int64(n)*int64(d.schema.Arity()) + 8*int64(d.rows.blocks.Len()),
 		Symbols:     d.syms.Len(),
 		SymbolBytes: d.syms.Bytes(),
 	}

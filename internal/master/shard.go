@@ -110,10 +110,6 @@ type Builder struct {
 	d      *Data
 	shards int // WithShards' override; 0 derives P at Finish
 	auth   bool
-	// slab is the unused tail of the current slab; rows are carved off its
-	// front. A slab holds as many rows as came before it, within
-	// [minSlabRows, maxSlabRows].
-	slab []uint32
 	// last and lastID memoize, per column, the previous row's cell: in
 	// master data most cells repeat the one above them (sorted keys,
 	// low-cardinality columns), and those skip the symbol table.
@@ -121,18 +117,13 @@ type Builder struct {
 	lastID []uint32
 }
 
-// Slab sizes in rows: large enough that 100k rows are a few dozen
-// allocations, small enough that the last slab wastes little of a master of
-// any size.
-const minSlabRows, maxSlabRows = 64, 4096
-
 // NewBuilder starts a lineage for Σ over Σ's master schema: Σ's plan — one
 // index per distinct Xm list and per column of a multi-column one, and each
 // rule's share of them — resolved now, its structures built by Finish.
 func NewBuilder(sigma *rule.Set, opts ...BuildOption) *Builder {
 	cfg, schema := resolveBuildConfig(opts), sigma.MasterSchema()
 	return &Builder{
-		d:      &Data{schema: schema, syms: relation.NewSymbols(), plan: newPlan(sigma)},
+		d:      &Data{schema: schema, rows: rowVec{arity: schema.Arity()}, syms: relation.NewSymbols(), plan: newPlan(sigma)},
 		shards: cfg.shards,
 		auth:   cfg.auth,
 		last:   make([]relation.Value, schema.Arity()),
@@ -150,8 +141,8 @@ func (b *Builder) Add(t relation.Tuple) error {
 		return &BuildError{TupleID: b.d.rows.Len(), Key: tupleKeyContext(t), Err: err}
 	}
 	d := b.d
-	row := b.newRow(len(t))
 	first := d.rows.Len() == 0
+	row := d.rows.grow()
 	for c, v := range t {
 		if !first && v == b.last[c] {
 			row[c] = b.lastID[c]
@@ -160,18 +151,7 @@ func (b *Builder) Add(t relation.Tuple) error {
 		id := d.syms.InternClone(v)
 		row[c], b.last[c], b.lastID[c] = id, d.syms.Value(id), id
 	}
-	d.rows.Append(row)
 	return nil
-}
-
-// newRow carves the next row, of arity cells, off the slab.
-func (b *Builder) newRow(arity int) []uint32 {
-	if len(b.slab) < arity {
-		b.slab = make([]uint32, min(max(b.d.rows.Len(), minSlabRows), maxSlabRows)*arity)
-	}
-	row := b.slab[:arity:arity]
-	b.slab = b.slab[arity:]
-	return row
 }
 
 // Finish fixes the snapshot's shard count — shardsFor the rows added so far,

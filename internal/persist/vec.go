@@ -12,9 +12,9 @@ import (
 	"slices"
 )
 
-// Chunk geometry: 64 elements per chunk keeps both a chunk copy (1.5 KB of
-// tuple headers) and the chunk table (8 B per 64 elements) small at
-// |Dm| = 100k.
+// Chunk geometry: 64 elements per chunk keeps both a chunk copy (512 B of
+// the master's row-block pointers) and the chunk table (8 B per 64
+// elements) small.
 const (
 	chunkBits = 6
 	chunkLen  = 1 << chunkBits
