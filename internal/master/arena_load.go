@@ -308,9 +308,8 @@ func loadArena(b []byte, sigma *rule.Set, mapped bool) (*Data, error) {
 	// The tables are laid out first, serially, a few header reads each; a
 	// layout failure follows the jobs of the tables laid out before it.
 	ir := &areader{b: body, off: secOff[secIndexes], sec: "indexes"}
-	row := func(id int) []uint32 { return cells[id*arity : (id+1)*arity : (id+1)*arity] }
 	for k, v := range layoutArenaIndexes(ir, p, nshards) {
-		jobs = append(jobs, func() error { return d.indexAt(k/nshards).loadShard(k%nshards, v, n, row) })
+		jobs = append(jobs, func() error { return d.indexAt(k/nshards).loadShard(k%nshards, v, &d.rows) })
 	}
 	if ir.err != nil {
 		return fail(ir.err)
@@ -554,19 +553,19 @@ func validateTable(t table, start, n, s, nshards int, bucket func(h uint64, ids 
 
 // loadShard validates shard s's table as the image lays it out (v) and makes
 // it the shard's, with the exception table (uniform.go) derived in the same
-// walk from the image's rows, read by row: nothing for an index that tracks
-// no rhs column or a table of single-tuple buckets.
-func (idx index) loadShard(s int, v tableView, n int, row func(id int) []uint32) error {
+// walk from rows, the image's in place: nothing for an index that tracks no
+// rhs column or a table of single-tuple buckets.
+func (idx index) loadShard(s int, v tableView, rows *rowVec) error {
 	var exc exceptions
 	var derive func(h uint64, ids []int)
 	if len(idx.bms) > 0 && v.t.nkeys != len(v.t.ids) {
 		derive = func(h uint64, ids []int) {
-			if m := idx.bucketMask(idList{span: [1][]int{ids}}, row, collided); m != 0 {
+			if m := idx.bucketMask(idList{span: [1][]int{ids}}, rows, collided); m != 0 {
 				exc = append(exc, exception{h, m})
 			}
 		}
 	}
-	if err := validateTable(v.t, v.start, n, s, len(idx.shards), derive); err != nil {
+	if err := validateTable(v.t, v.start, rows.Len(), s, len(idx.shards), derive); err != nil {
 		return err
 	}
 	idx.shards[s] = indexShard{layered{frozen: v.t}, exc.sorted()}

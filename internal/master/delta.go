@@ -32,11 +32,10 @@ package master
 // block copy and the chunk of 64 block pointers holding it (rows.go); per
 // interned value, one trie path; per delta, one copy of the |Σ| support
 // counts and of the deleted and moved rows' cells. What still scales with
-// |Dm| is the chunk tables (8 bytes per 1,024 tuples of the rows', and as
-// much again for the bitset of the blocks a delta copied; 24 per 96 or so
-// ids of an edited list) and, amortized, the compaction of a shard whose
-// overlay outgrew its table. TestApplyDeltaAllocScaling holds the
-// same delta at |Dm| = 60k to 1.6× the bytes it allocates at 6k; the
+// |Dm| is the chunk tables (8 bytes per 1,024 tuples of the rows'; 24 per
+// 96 or so ids of an edited list) and, amortized, the compaction of a
+// shard whose overlay outgrew its table. TestApplyDeltaAllocScaling holds
+// the same delta at |Dm| = 60k to 1.6× the bytes it allocates at 6k; the
 // ApplyDelta benchmarks record the rest.
 
 import (
@@ -209,7 +208,7 @@ func (nd *Data) applyIndexOps(idx index, ops []deltaOp, batch *persist.Edit) {
 		// The maintained mask never misses a disagreement, so it bounds the
 		// scan: a bucket that is still as dirty answers in a few tuples.
 		sh := idx.shard(h)
-		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), nd.rows.At, sh.exc.mask(h)))
+		sh.exc = sh.exc.with(h, idx.bucketMask(sh.list(h), &nd.rows, sh.exc.mask(h)))
 	}
 }
 

@@ -29,27 +29,29 @@ const (
 // never changes under its reader. Nothing past row Len-1 is read, so an
 // image's last block may end there.
 //
-// A rowVec is a mutable handle, like persist.Vec: grow, Set and Truncate
-// change it in place, Clone derives an independent one, and a handle that
-// is no longer written may be read from any number of goroutines.
+// A rowVec is a mutable handle with persist.Vec's ownership rule: grow, Set
+// and Truncate change it in place, Clone freezes the origin, and a handle
+// that is no longer written may be read from any number of goroutines.
 type rowVec struct {
 	blocks persist.Vec[*uint32]
-	arity  int
-	n      int
-	// owned is a bitset over blocks: a set bit means this handle allocated
-	// the block and may write it in place.
-	owned []uint64
+	// base is the block vector the handle was cloned from, empty for a
+	// Builder's: block k is the handle's own, to write in place, when k is
+	// past base or its pointer differs from base's.
+	base  persist.Vec[*uint32]
+	arity int
+	n     int
 }
 
 // viewRows returns the n rows of cells, n×arity ids row-major, as blocks
-// that alias cells. The handle owns no block, so cells is never written
-// through it.
+// that alias cells. The handle is a clone of that view and owns no block,
+// so cells is never written through it.
 func viewRows(cells []uint32, n, arity int) rowVec {
 	blocks := make([]*uint32, (n+blockMask)>>blockBits)
 	for k := range blocks {
 		blocks[k] = &cells[k*blockRows*arity]
 	}
-	return rowVec{blocks: persist.FromSlice(blocks), arity: arity, n: n}
+	view := rowVec{blocks: persist.FromSlice(blocks), arity: arity, n: n}
+	return view.Clone()
 }
 
 // Len returns the number of rows.
@@ -89,45 +91,35 @@ func (r *rowVec) All() iter.Seq2[int, []uint32] {
 }
 
 // Clone returns a handle with the same rows that shares every block with r
-// until one of the two writes to it. It reads r only.
+// and owns none; r is frozen from now on. It reads r only.
 func (r *rowVec) Clone() rowVec {
-	return rowVec{blocks: r.blocks.Clone(), arity: r.arity, n: r.n}
+	return rowVec{blocks: r.blocks.Clone(), base: r.blocks, arity: r.arity, n: r.n}
+}
+
+// isOwned reports whether block k is this handle's own (see base).
+func (r *rowVec) isOwned(k int) bool {
+	return k >= r.base.Len() || r.blocks.At(k) != r.base.At(k)
 }
 
 // writable returns row i's cells ready to be written in place. A block this
-// handle did not allocate is copied first, its rows below Len.
+// handle does not own is copied first, its rows below Len.
 func (r *rowVec) writable(i int) []uint32 {
 	k, j := i>>blockBits, i&blockMask
 	if !r.isOwned(k) {
 		block := make([]uint32, blockRows*r.arity)
 		copy(block, r.cells(k, 0, min(blockRows, r.n-k<<blockBits)))
 		r.blocks.Set(k, &block[0])
-		r.markOwned(k)
 	}
 	return r.cells(k, j, j+1)
-}
-
-func (r *rowVec) isOwned(k int) bool {
-	return k>>6 < len(r.owned) && r.owned[k>>6]&(1<<(k&63)) != 0
-}
-
-// markOwned sets block k's bit. The bitset is grown to cover every block
-// the handle holds, so a delta's scattered writes allocate it once.
-func (r *rowVec) markOwned(k int) {
-	if w := max(k, r.blocks.Len())>>6 + 1; w > len(r.owned) {
-		r.owned = append(r.owned, make([]uint64, w-len(r.owned))...)
-	}
-	r.owned[k>>6] |= 1 << (k & 63)
 }
 
 // grow appends a row and returns its cells for the caller to fill. The
 // view stays the row's for as long as the handle is not written at that
 // row again: its block is the handle's own.
 func (r *rowVec) grow() []uint32 {
-	if k := r.n >> blockBits; k == r.blocks.Len() {
+	if r.n>>blockBits == r.blocks.Len() {
 		block := make([]uint32, blockRows*r.arity)
 		r.blocks.Append(&block[0])
-		r.markOwned(k)
 	}
 	row := r.writable(r.n)
 	r.n++

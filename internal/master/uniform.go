@@ -96,12 +96,11 @@ func (ip *indexPlan) disagree(a, b []uint32) uint64 {
 	return m
 }
 
-// bucketMask computes a bucket's exception mask from scratch, reading
-// each tuple's cells with row: the build and ApplyDelta read the snapshot's
-// rows, LoadArena the image's. limit is a known superset of the answer —
+// bucketMask computes a bucket's exception mask from scratch, reading each
+// tuple's cells from rows. limit is a known superset of the answer —
 // collided when nothing is known — and ends the scan as soon as it is
 // reached. A bucket of one tuple is uniform, and no row is read for it.
-func (ip *indexPlan) bucketMask(bucket idList, row func(id int) []uint32, limit uint64) uint64 {
+func (ip *indexPlan) bucketMask(bucket idList, rows *rowVec, limit uint64) uint64 {
 	chunks := bucket.chunks()
 	if len(chunks) == 1 && len(chunks[0]) < 2 {
 		return 0
@@ -111,8 +110,8 @@ func (ip *indexPlan) bucketMask(bucket idList, row func(id int) []uint32, limit 
 	for _, chunk := range chunks {
 		for _, id := range chunk {
 			if first == nil {
-				first = row(id)
-			} else if m |= ip.disagree(first, row(id)); m == limit {
+				first = rows.At(id)
+			} else if m |= ip.disagree(first, rows.At(id)); m == limit {
 				return m
 			}
 		}
@@ -134,7 +133,7 @@ func (idx index) rebuildExceptions(s int, rows *rowVec) {
 	}
 	var exc exceptions
 	sh.lists(func(h uint64, bucket idList) {
-		if m := idx.bucketMask(bucket, rows.At, collided); m != 0 {
+		if m := idx.bucketMask(bucket, rows, collided); m != 0 {
 			exc = append(exc, exception{h, m})
 		}
 	})

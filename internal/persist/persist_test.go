@@ -103,8 +103,8 @@ func TestVecFromSliceNeverWritesSource(t *testing.T) {
 		src[i] = i
 	}
 	want := slices.Clone(src)
-	v := FromSlice(src)
-	c := v.Clone()
+	v, w := FromSlice(src), FromSlice(src)
+	c := w.Clone() // v is written below, so it is not a clone's origin
 	for i := range src {
 		c.Set(i, -1)
 	}
@@ -114,6 +114,35 @@ func TestVecFromSliceNeverWritesSource(t *testing.T) {
 	}
 	if !slices.Equal(src, want) {
 		t.Fatal("an edit wrote through to the aliased slice")
+	}
+}
+
+// TestVecCopiesSharedChunkOnce: a handle that owns no chunk — an aliased
+// slice, or a clone of any handle — copies a chunk on its first write to it
+// and writes the copy in place after that, so a second write in the same
+// chunk allocates nothing.
+func TestVecCopiesSharedChunkOnce(t *testing.T) {
+	src := make([]int, 3*chunkLen)
+	var built Vec[int]
+	for i := range src {
+		built.Append(i)
+	}
+	writes := func(k int, handle func() Vec[int]) float64 {
+		return testing.AllocsPerRun(20, func() {
+			v := handle()
+			for i := range k {
+				v.Set(chunkLen+i, -1)
+			}
+		})
+	}
+	for name, handle := range map[string]func() Vec[int]{
+		"slice":       func() Vec[int] { return FromSlice(src) },
+		"slice clone": func() Vec[int] { v := FromSlice(src); return v.Clone() },
+		"built clone": built.Clone,
+	} {
+		if one, two := writes(1, handle), writes(2, handle); two != one {
+			t.Errorf("%s: one write in a chunk allocates %v, two allocate %v", name, one, two)
+		}
 	}
 }
 

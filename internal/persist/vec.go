@@ -24,26 +24,31 @@ const (
 // Vec is a chunked vector. The zero value is empty and ready to use.
 //
 // A Vec is a mutable handle: Set, Append and Truncate change it in place.
-// Clone derives an independent handle in O(Len/64) that shares every chunk
-// with its origin; whichever handle writes to a shared chunk first copies
-// that chunk, so no handle ever observes another's writes. A handle that
-// is no longer written — a published snapshot — may be read, and cloned,
-// concurrently from any number of goroutines. Handles must not be copied
-// by assignment once written to; use Clone.
+// Clone derives a handle in O(Len/64) that shares every chunk with its
+// origin and writes in place only the chunks that differ from the origin's:
+// its first write to a shared chunk copies that chunk. The origin is frozen
+// by the Clone: it must not be written afterwards, since its clones read
+// its chunk table to tell their own chunks from the shared ones. A handle
+// that is no longer written — a published snapshot — may be read, and
+// cloned, concurrently from any number of goroutines. Handles must not be
+// copied by assignment once written to; use Clone.
 type Vec[T any] struct {
-	chunks []*[chunkLen]T // exclusively this handle's; the chunks may be shared
-	n      int
-	// owned is a bitset over chunks: a set bit means this handle allocated
-	// the chunk and may write it in place. Allocated on first write.
-	owned []uint64
+	chunks []*[chunkLen]T // the chunks may be shared; the table is this handle's
+	// base is the chunk table the handle was cloned from, never backed by
+	// the same array as chunks: chunk c is the handle's own, to write in
+	// place, when c is past base or differs from base[c].
+	base []*[chunkLen]T
+	n    int
 }
 
 // FromSlice returns a Vec over s that aliases it, full chunk by full chunk,
-// without copying (a partial last chunk is copied). The caller must not
-// write s afterwards; the Vec itself never writes into it — s may even be
-// read-only memory.
+// without copying (a partial last chunk is copied). The Vec owns no chunk,
+// so it never writes into s — s may even be read-only memory — and the
+// caller must not write s afterwards.
 func FromSlice[T any](s []T) Vec[T] {
-	v := Vec[T]{chunks: make([]*[chunkLen]T, 0, (len(s)+chunkMask)>>chunkBits), n: len(s)}
+	k := (len(s) + chunkMask) >> chunkBits
+	tables := make([]*[chunkLen]T, 2*k)
+	v := Vec[T]{chunks: tables[:0:k], base: tables[k:], n: len(s)}
 	for ; len(s) >= chunkLen; s = s[chunkLen:] {
 		v.chunks = append(v.chunks, (*[chunkLen]T)(s))
 	}
@@ -52,6 +57,7 @@ func FromSlice[T any](s []T) Vec[T] {
 		copy(tail[:], s)
 		v.chunks = append(v.chunks, tail)
 	}
+	copy(v.base, v.chunks)
 	return v
 }
 
@@ -81,21 +87,14 @@ func (v *Vec[T]) All() iter.Seq2[int, T] {
 }
 
 // Clone returns a handle with the same elements that shares every chunk
-// with v until one of the two writes to it. It reads v only.
+// with v and owns none; v is frozen from now on. It reads v only.
 func (v *Vec[T]) Clone() Vec[T] {
-	return Vec[T]{chunks: slices.Clone(v.chunks), n: v.n}
+	return Vec[T]{chunks: slices.Clone(v.chunks), base: v.chunks, n: v.n}
 }
 
-// isOwned reports whether this handle allocated chunk c itself.
+// isOwned reports whether chunk c is this handle's own (see base).
 func (v *Vec[T]) isOwned(c int) bool {
-	return c>>6 < len(v.owned) && v.owned[c>>6]&(1<<(c&63)) != 0
-}
-
-func (v *Vec[T]) markOwned(c int) {
-	for c>>6 >= len(v.owned) {
-		v.owned = append(v.owned, 0)
-	}
-	v.owned[c>>6] |= 1 << (c & 63)
+	return c >= len(v.base) || v.chunks[c] != v.base[c]
 }
 
 // writable returns chunk c ready to be written in place, copying it first
@@ -104,7 +103,6 @@ func (v *Vec[T]) writable(c int) *[chunkLen]T {
 	if !v.isOwned(c) {
 		cp := *v.chunks[c]
 		v.chunks[c] = &cp
-		v.markOwned(c)
 	}
 	return v.chunks[c]
 }
@@ -122,7 +120,6 @@ func (v *Vec[T]) Append(x T) {
 	c := v.n >> chunkBits
 	if c == len(v.chunks) {
 		v.chunks = append(v.chunks, new([chunkLen]T))
-		v.markOwned(c)
 	}
 	v.writable(c)[v.n&chunkMask] = x
 	v.n++
